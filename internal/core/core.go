@@ -178,6 +178,10 @@ type System struct {
 	opFree   []*submitOp
 	fillFree []*fillOp
 	allSubs  []int // 0..SubPagesPerSuperPage-1, shared read-only by prefetches
+	// lineBufFree recycles the line-sized staging buffers of data-tracking
+	// reads, prefetches and partial-sub merges (acquireLineBuf); its
+	// high-water mark is the most lines ever staged at once.
+	lineBufFree [][]byte
 
 	// Per-engine scheduling-domain cache (see domainsFor).
 	domTab []*engineDomains

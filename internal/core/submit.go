@@ -109,31 +109,14 @@ func (op *submitOp) step() {
 		op.ready = walked
 		for i := range op.lines {
 			ln := op.lines[i]
-			if op.data == nil {
-				s.readLineAsync(e, ln, nil, op.lineFn)
-				continue
-			}
-			// Data-tracking run (cold path): stage each line through its
-			// own buffer and copy the touched range out on completion.
-			lineBuf := make([]byte, s.Split.LineBytes())
-			s.readLineAsync(e, ln, lineBuf, func(t sim.Time, err error) {
-				if err == nil {
-					start := s.lineByteStart(ln)
-					copy(op.data[ln.ByteOff:ln.ByteOff+ln.ByteLen], lineBuf[start:start+ln.ByteLen])
-				}
-				op.lineFn(t, err)
-			})
+			s.readLineAsync(e, ln, linePayload(ln, op.data), op.lineFn)
 		}
 
 	case opWriteOps:
 		opsDone := e.Now()
 		for i := range op.lines {
 			ln := op.lines[i]
-			var lineData []byte
-			if op.data != nil {
-				lineData = s.lineBuffer(ln, op.data[ln.ByteOff:ln.ByteOff+ln.ByteLen])
-			}
-			done, err := s.writeLine(e, e.Now(), ln, lineData)
+			done, err := s.writeLine(e, e.Now(), ln, linePayload(ln, op.data))
 			if err != nil {
 				op.fail(err)
 				return
@@ -331,11 +314,7 @@ func (s *System) submitPassive(e *sim.Engine, req workload.Request, data []byte,
 		if req.Write {
 			done := e.Now()
 			for _, ln := range lines {
-				var lineData []byte
-				if data != nil {
-					lineData = s.lineBuffer(ln, data[ln.ByteOff:ln.ByteOff+ln.ByteLen])
-				}
-				d, err := s.writeLine(e, e.Now(), ln, lineData)
+				d, err := s.writeLine(e, e.Now(), ln, linePayload(ln, data))
 				if err != nil {
 					cb(0, err)
 					return
@@ -351,34 +330,26 @@ func (s *System) submitPassive(e *sim.Engine, req workload.Request, data []byte,
 		pending := len(lines)
 		ready := e.Now()
 		failed := false
-		for _, ln := range lines {
-			ln := ln
-			var lineBuf []byte
-			if data != nil {
-				lineBuf = make([]byte, s.Split.LineBytes())
+		lineDone := func(t sim.Time, err error) {
+			if failed {
+				return
 			}
-			s.readLineAsync(e, ln, lineBuf, func(t sim.Time, err error) {
-				if failed {
-					return
-				}
-				if err != nil {
-					failed = true
-					cb(0, err)
-					return
-				}
-				if lineBuf != nil {
-					start := s.lineByteStart(ln)
-					copy(data[ln.ByteOff:ln.ByteOff+ln.ByteLen], lineBuf[start:start+ln.ByteLen])
-				}
-				if t > ready {
-					ready = t
-				}
-				pending--
-				if pending == 0 {
-					s.bytesRead += uint64(req.Length)
-					finish(ready)
-				}
-			})
+			if err != nil {
+				failed = true
+				cb(0, err)
+				return
+			}
+			if t > ready {
+				ready = t
+			}
+			pending--
+			if pending == 0 {
+				s.bytesRead += uint64(req.Length)
+				finish(ready)
+			}
+		}
+		for _, ln := range lines {
+			s.readLineAsync(e, ln, linePayload(ln, data), lineDone)
 		}
 	})
 }
@@ -506,6 +477,10 @@ func (s *System) SubmitBatch(now sim.Time, reqs []workload.Request, datas [][]by
 			// bookkeeping must land first.
 			s.drainWindow(e, &fill)
 			done, err = s.Submit(cur, req, data)
+			// Submit drained the shared engine but left its clock at the
+			// request's completion; the next inline write schedules flash
+			// bookkeeping at claim times that may precede it.
+			e.Reset()
 		}
 		if err != nil {
 			s.drainWindow(e, &fill)
@@ -612,11 +587,7 @@ func (s *System) submitInline(e *sim.Engine, now sim.Time, req workload.Request,
 	opsDone := xferDone
 	for i := range lines {
 		ln := lines[i]
-		var lineData []byte
-		if data != nil {
-			lineData = s.lineBuffer(ln, data[ln.ByteOff:ln.ByteOff+ln.ByteLen])
-		}
-		done, err := s.writeLine(e, xferDone, ln, lineData)
+		done, err := s.writeLine(e, xferDone, ln, linePayload(ln, data))
 		if err != nil {
 			return 0, err
 		}
@@ -641,19 +612,72 @@ func (s *System) submitInline(e *sim.Engine, now sim.Time, req workload.Request,
 	return complete, nil
 }
 
-// lineByteStart returns the offset of the request's payload within the
-// line-sized buffer (the first touched sub-page's start; sub-aligned I/O
-// lands exactly on the sub boundary).
-func (s *System) lineByteStart(ln hil.Line) int {
-	return ln.FirstSub * s.ICL.Config().SubSize
+// linePayload returns the part of a request's buffer that belongs to ln,
+// nil for a timing-only request.
+func linePayload(ln hil.Line, data []byte) []byte {
+	if data == nil {
+		return nil
+	}
+	return data[ln.ByteOff : ln.ByteOff+ln.ByteLen]
 }
 
-// lineBuffer assembles a line-layout buffer holding payload at the line's
-// touched range (sub-page aligned I/O fills whole subs).
-func (s *System) lineBuffer(ln hil.Line, payload []byte) []byte {
-	buf := make([]byte, s.Split.LineBytes())
-	copy(buf[s.lineByteStart(ln):], payload)
-	return buf
+// acquireLineBuf hands out a line-layout staging buffer for a data-tracking
+// read, prefetch or partial-sub merge. Buffers are recycled as they are:
+// whoever stages through one writes every byte it later reads.
+func (s *System) acquireLineBuf() []byte {
+	if n := len(s.lineBufFree); n > 0 {
+		buf := s.lineBufFree[n-1]
+		s.lineBufFree = s.lineBufFree[:n-1]
+		return buf
+	}
+	return make([]byte, s.Split.LineBytes())
+}
+
+func (s *System) releaseLineBuf(buf []byte) {
+	s.lineBufFree = append(s.lineBufFree, buf)
+}
+
+// widenPartialWrite prepares a data-tracking write whose payload covers
+// only part of its first or last sub-page while that sub is not cached:
+// the cache would zero-pad it, so the sub's bytes currently on flash are
+// merged under the payload in a staging buffer and the widened source is
+// returned with its line offset (and the buffer to release). The merge is
+// functional — FTL lookup plus nand.Flash.PagePayload, no claims, counters
+// or fault draws — so timing and statistics match the zero-padding model.
+// Aligned writes and partial writes to cached subs return payload as is.
+func (s *System) widenPartialWrite(ln hil.Line, payload []byte) (src []byte, off int, buf []byte) {
+	subSize := s.ICL.Config().SubSize
+	lo, hi := ln.LineOff, ln.LineOff+ln.ByteLen
+	first, last := ln.FirstSub, ln.FirstSub+ln.NumSubs-1
+	head := lo > first*subSize && !s.ICL.Contains(ln.LSPN, first)
+	tail := hi < (last+1)*subSize && !s.ICL.Contains(ln.LSPN, last)
+	if !head && !tail {
+		return payload, lo, nil
+	}
+	buf = s.acquireLineBuf()
+	wlo, whi := lo, hi
+	if head {
+		wlo = first * subSize
+		s.flashSub(ln.LSPN, first, buf[wlo:wlo+subSize])
+	}
+	if tail {
+		whi = (last + 1) * subSize
+		if !head || last != first {
+			s.flashSub(ln.LSPN, last, buf[whi-subSize:whi])
+		}
+	}
+	copy(buf[lo:hi], payload)
+	return buf[wlo:whi], wlo, buf
+}
+
+// flashSub copies the bytes sub-page (lspn, sub) currently holds on flash
+// into dst, zeroes when it is unmapped.
+func (s *System) flashSub(lspn int64, sub int, dst []byte) {
+	if loc, ok := s.FTL.LookupSub(lspn, sub); ok {
+		s.Flash.PagePayload(s.FTL.Address(loc), dst)
+		return
+	}
+	clear(dst)
 }
 
 // writeLine stores one line into the ICL (write-back, write-allocate) and
@@ -661,10 +685,20 @@ func (s *System) lineBuffer(ln hil.Line, payload []byte) []byte {
 // cache memory and the victim's frame was safely flushed. All claims start
 // at t (the caller invokes it inside an event at t). e routes the flush's
 // flash bookkeeping through the deferred per-channel path; nil (the
-// engine-less Flush) falls back to synchronous execution.
-func (s *System) writeLine(e *sim.Engine, t sim.Time, ln hil.Line, lineData []byte) (sim.Time, error) {
+// engine-less Flush) falls back to synchronous execution. payload is the
+// line's part of the request buffer (nil when timing-only): it is the
+// cache's source directly, placed at its true in-line offset.
+func (s *System) writeLine(e *sim.Engine, t sim.Time, ln hil.Line, payload []byte) (sim.Time, error) {
 	t2 := s.chargeFirmware(t, 1, "icl", s.iclInsertMix())
-	ev, err := s.ICL.Write(ln.LSPN, ln.FirstSub, ln.NumSubs, lineData)
+	src, off := payload, ln.LineOff
+	var merged []byte
+	if payload != nil && s.ICL.Config().TrackData {
+		src, off, merged = s.widenPartialWrite(ln, payload)
+	}
+	ev, err := s.ICL.WriteAt(ln.LSPN, ln.FirstSub, ln.NumSubs, src, off)
+	if merged != nil {
+		s.releaseLineBuf(merged)
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -693,11 +727,27 @@ func (s *System) writeLine(e *sim.Engine, t sim.Time, ln hil.Line, lineData []by
 // at flash completion, where §IV-C readahead is also armed. When the
 // missing sub-pages are already being fetched (by a prefetch or another
 // request), the read coalesces onto the in-flight fill instead of
-// duplicating flash work, retrying once when the fill lands.
-func (s *System) readLineAsync(e *sim.Engine, ln hil.Line, lineBuf []byte, cb func(sim.Time, error)) {
-	s.readLineAttempt(e, ln, lineBuf, cb, false)
+// duplicating flash work, retrying once when the fill lands. dst receives
+// the line's payload (nil for a timing-only read): the touched subs are
+// staged through a recycled line buffer and copied out, from their true
+// in-line offset, at completion.
+func (s *System) readLineAsync(e *sim.Engine, ln hil.Line, dst []byte, cb func(sim.Time, error)) {
+	if dst == nil {
+		s.readLineAttempt(e, ln, nil, cb, false)
+		return
+	}
+	buf := s.acquireLineBuf()
+	s.readLineAttempt(e, ln, buf, func(t sim.Time, err error) {
+		if err == nil {
+			copy(dst, buf[ln.LineOff:ln.LineOff+ln.ByteLen])
+		}
+		s.releaseLineBuf(buf)
+		cb(t, err)
+	}, false)
 }
 
+// readLineAttempt is one probe of readLineAsync; lineBuf is the staging
+// buffer (line layout), nil when timing-only.
 func (s *System) readLineAttempt(e *sim.Engine, ln hil.Line, lineBuf []byte, cb func(sim.Time, error), retried bool) {
 	t := e.Now()
 	t2 := s.chargeFirmware(t, 1, "icl", s.iclLookupMix())
@@ -753,7 +803,8 @@ type fillOp struct {
 	subs     []int         // owned copy (the caller's slice may be scratch)
 	locs     []ftl.PageLoc // lookup buffer, reused
 	fetch    []ftl.PageLoc // mapped subset to read, reused
-	lineBuf  []byte
+	lineBuf  []byte        // line-layout staging buffer; a prefetch owns (and releases) its own
+	dsts     [][]byte      // per-fetch destination slices into lineBuf, reused
 	prefetch bool
 	nFetch   int
 	floor    sim.Time // completion lower bound (hit-side readiness)
@@ -806,8 +857,7 @@ func (s *System) startFill(e *sim.Engine, t sim.Time, lspn int64, subs []int, li
 	for attempt := 0; ; attempt++ {
 		locs, cert, err := s.FTL.LookupCertified(fo.locs[:0], lspn)
 		if err != nil {
-			s.releaseFill(fo)
-			cb(0, err)
+			fo.finish(0, err)
 			return
 		}
 		fo.locs = locs[:0]
@@ -836,10 +886,11 @@ func (s *System) startFill(e *sim.Engine, t sim.Time, lspn int64, subs []int, li
 		var dsts [][]byte
 		if lineBuf != nil {
 			subSize := s.ICL.Config().SubSize
-			dsts = make([][]byte, len(fetch))
-			for i, loc := range fetch {
-				dsts[i] = lineBuf[loc.Sub*subSize : (loc.Sub+1)*subSize]
+			dsts = fo.dsts[:0]
+			for _, loc := range fetch {
+				dsts = append(dsts, lineBuf[loc.Sub*subSize:(loc.Sub+1)*subSize])
 			}
+			fo.dsts = dsts
 		}
 		if s.twoStageFills {
 			// Two-stage install, precopy stage: the page bytes land in the
@@ -866,12 +917,14 @@ func (s *System) startFill(e *sim.Engine, t sim.Time, lspn int64, subs []int, li
 			redo, t2 = s.recoverFillFault(e, t3, lspn, fetch, err)
 		}
 		if !redo {
-			s.releaseFill(fo)
-			cb(0, err)
+			fo.finish(0, err)
 			return
 		}
 	}
 	fo.nFetch = nFetch
+	if lineBuf != nil {
+		fo.zeroUnmapped()
+	}
 
 	// Register the fill so concurrent readers coalesce instead of
 	// refetching.
@@ -951,8 +1004,28 @@ func (fo *fillOp) done() {
 	fo.finish(sim.MaxOf(fo.floor, ready), nil)
 }
 
+// zeroUnmapped clears the staging bytes of every sub of the fill that
+// flash does not deliver (fo.fetch[:fo.nFetch] is what it does): an
+// unmapped sub reads as zeroes, and a recycled buffer holds whatever its
+// last user left there. Both lists ascend by sub — the cache probes and the
+// FTL looks up in sub order — so one merge pass tells them apart.
+func (fo *fillOp) zeroUnmapped() {
+	subSize := fo.s.ICL.Config().SubSize
+	fetch := fo.fetch[:fo.nFetch]
+	for _, sub := range fo.subs {
+		if len(fetch) > 0 && fetch[0].Sub == sub {
+			fetch = fetch[1:]
+			continue
+		}
+		clear(fo.lineBuf[sub*subSize : (sub+1)*subSize])
+	}
+}
+
 func (fo *fillOp) finish(t sim.Time, err error) {
 	cb := fo.cb
+	if fo.prefetch && fo.lineBuf != nil {
+		fo.s.releaseLineBuf(fo.lineBuf)
+	}
 	fo.s.releaseFill(fo)
 	cb(t, err)
 }
@@ -969,8 +1042,8 @@ func (s *System) prefetch(e *sim.Engine, lspn int64) {
 	var buf []byte
 	if s.ICL.Config().TrackData {
 		// Prefetched lines must carry real bytes when the system tracks
-		// data, or later hits would serve zeroes.
-		buf = make([]byte, s.Split.LineBytes())
+		// data, or later hits would serve zeroes. The fill releases it.
+		buf = s.acquireLineBuf()
 	}
 	s.startFill(e, e.Now(), lspn, s.allSubs, buf, true, 0, noopFill)
 }

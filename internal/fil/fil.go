@@ -317,8 +317,9 @@ func (d PlanData) Bytes(k SubKey) ([]byte, bool) {
 	return d.Data[k.Sub*d.SubSize : (k.Sub+1)*d.SubSize], true
 }
 
-// HostData builds the PlanData for Execute from a full line buffer: each
-// dirty sub of lspn maps to its slice of data (which may be nil).
+// HostData builds the PlanData for Execute from a line-layout buffer: each
+// dirty sub of lspn maps to its slice of data (which may be nil). Only the
+// dirty subs of data are ever read — an icl.Eviction's Data qualifies as is.
 func HostData(lspn int64, dirty []bool, data []byte, subSize int) PlanData {
 	return PlanData{LSPN: lspn, Dirty: dirty, Data: data, SubSize: subSize}
 }

@@ -583,6 +583,19 @@ func (f *FTL) LookupCertified(dst []PageLoc, lspn int64) ([]PageLoc, ReadCert, e
 	return locs, cert, nil
 }
 
+// LookupSub returns where sub-page sub of lspn lives and whether it is
+// mapped at all — the single-sub form of LookupInto.
+func (f *FTL) LookupSub(lspn int64, sub int) (PageLoc, bool) {
+	if f.checkLSPN(lspn) != nil || sub < 0 || sub >= f.subCount {
+		return PageLoc{}, false
+	}
+	packed := f.fwd[f.fwdIndex(lspn, sub)]
+	if packed < 0 {
+		return PageLoc{}, false
+	}
+	return f.unpackLoc(packed, sub), true
+}
+
 // SetEpochSource wires the flash mutation-epoch source LookupCertified
 // stamps into read certificates (the core passes nand.Flash.StateEpoch).
 // Without a source, lookups return uncertified results and readers walk

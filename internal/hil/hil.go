@@ -29,6 +29,9 @@ type Line struct {
 	// ByteOff/ByteLen locate this line's payload within the request buffer.
 	ByteOff int
 	ByteLen int
+	// LineOff is the payload's byte offset within the line: FirstSub's
+	// start for sub-page-aligned I/O, inside FirstSub otherwise.
+	LineOff int
 }
 
 // Splitter converts byte-addressed host requests into super-page lines.
@@ -81,6 +84,7 @@ func (s *Splitter) SplitInto(dst []Line, offset int64, length int) ([]Line, erro
 			NumSubs:  lastSub - firstSub + 1,
 			ByteOff:  int(pos - offset),
 			ByteLen:  int(take),
+			LineOff:  int(inLine),
 		})
 		pos += take
 	}

@@ -11,6 +11,27 @@
 // Like the FTL, the ICL is a pure state machine: it returns the evictions
 // and prefetch candidates its caller (the core SSD assembly) must turn
 // into DRAM and flash traffic.
+//
+// Payload contract (TrackData). Bytes move at the granularity the cache is
+// valid at, the sub-page, and no call costs more than the subs it touches:
+//
+//   - A caller buffer is a window onto the line: WriteAt's src holds the
+//     line bytes [off, off+len(src)), so a host payload is its own source
+//     and the only copy is payload → frame. Read, Fill and Write take the
+//     window at offset 0, i.e. a line-layout buffer, of which only the
+//     named subs are read or written — the rest may hold anything (callers
+//     recycle staging buffers without clearing them).
+//   - Zero invariant: the bytes of every invalid sub of every frame are
+//     zero. A sub that becomes valid through a source that does not cover
+//     all of it (short tail, nil source, unmapped fill) therefore reads as
+//     zero-padded, and eviction upholds the invariant by clearing only the
+//     subs the outgoing line had valid — O(valid subs), never O(line).
+//     EncodeState images are byte-identical to eagerly zeroed frames.
+//   - Scratch aliasing: the *Eviction Fill and Write return aliases one
+//     per-cache record whose Dirty and Data are the evicted frame's own
+//     buffers, swapped out. It is valid until the next call that evicts;
+//     Data is meaningful at the line's valid subs (zero elsewhere) and
+//     consumers read the dirty ones.
 package icl
 
 import (
@@ -104,11 +125,14 @@ func (c Config) LineBytes() int { return c.SubsPerLine * c.SubSize }
 func (c Config) CapacityBytes() int64 { return int64(c.Lines) * int64(c.LineBytes()) }
 
 // Eviction describes a line the caller must flush (if dirty) before its
-// frame is reused.
+// frame is reused. Records returned by Fill and Write alias the cache's
+// scratch (see the package comment); FlushLine and FlushAll return copies.
 type Eviction struct {
 	LSPN  int64
 	Dirty []bool // per-sub dirty mask; all-false means clean drop
-	Data  []byte // line contents when TrackData, else nil
+	// Data is the line-layout contents when TrackData, else nil: the
+	// line's valid subs hold their bytes, every other sub is zero.
+	Data []byte
 }
 
 // IsDirty reports whether any sub-page needs a flash write.
@@ -178,7 +202,10 @@ type Cache struct {
 	// scratchEv is the reusable eviction record returned by Fill/Write:
 	// the submit path consumes it synchronously, so one preallocated
 	// buffer per cache avoids a Dirty-mask (and Data) copy per eviction.
-	scratchEv Eviction
+	// scratchValid is the evicted line's valid mask, kept so retiring the
+	// record clears exactly the subs its Data holds (retireScratch).
+	scratchEv    Eviction
+	scratchValid []bool
 
 	// scratchHits/scratchMisses/scratchRA back ReadResult slices, reused
 	// across Read calls for the same reason.
@@ -294,28 +321,22 @@ func (c *Cache) victim(lspn int64) *line {
 
 // evictInto resets the victim frame for reuse by lspn and returns the
 // eviction record if the frame held a line. The record aliases the cache's
-// scratch buffers and stays valid only until the next Cache call; callers
+// scratch buffers and stays valid only until the next eviction; callers
 // that keep evictions must copy them (see FlushAll).
 func (c *Cache) evictInto(ln *line, lspn int64) *Eviction {
 	var ev *Eviction
 	if ln.lspn >= 0 {
+		// Swap, don't copy: the record takes the frame's masks and payload
+		// wholesale and the frame inherits the retired record's buffers —
+		// all-invalid and all-zero, which is exactly the reset state of a
+		// frame, so an eviction costs pointer exchanges plus clearing the
+		// subs the previous evictee had valid.
+		c.retireScratch()
 		c.scratchEv.LSPN = ln.lspn
-		// Swap, don't copy: the record takes the frame's dirty mask and
-		// payload wholesale and the frame inherits the scratch buffers —
-		// it is about to be reset for the new resident either way, so the
-		// swap turns a per-eviction line-sized copy into pointer exchanges
-		// (plus a one-time allocation seeding the scratch side).
 		c.scratchEv.Dirty, ln.dirty = ln.dirty, c.scratchEv.Dirty
-		if ln.dirty == nil {
-			ln.dirty = make([]bool, c.cfg.SubsPerLine)
-		}
+		c.scratchValid, ln.valid = ln.valid, c.scratchValid
 		if c.cfg.TrackData {
 			c.scratchEv.Data, ln.data = ln.data, c.scratchEv.Data
-			if ln.data == nil {
-				ln.data = make([]byte, c.cfg.LineBytes())
-			}
-		} else {
-			c.scratchEv.Data = nil
 		}
 		c.stats.Evictions++
 		if c.scratchEv.IsDirty() {
@@ -323,21 +344,44 @@ func (c *Cache) evictInto(ln *line, lspn int64) *Eviction {
 		}
 		ev = &c.scratchEv
 	}
+	// An empty frame is already reset: Invalidate and retireScratch leave
+	// masks clear and bytes zero.
 	ln.lspn = lspn
 	ln.prefetched = false
-	for i := range ln.valid {
-		ln.valid[i] = false
-		ln.dirty[i] = false
-	}
-	if c.cfg.TrackData {
-		for i := range ln.data {
-			ln.data[i] = 0
-		}
-	}
 	c.tick++
 	ln.inserted = c.tick
 	ln.lastUse = c.tick
 	return ev
+}
+
+// retireScratch returns the eviction record's buffers to the reset state
+// of a frame (masks clear, bytes zero) by clearing only the subs the
+// evicted line had valid; the first call allocates them.
+func (c *Cache) retireScratch() {
+	if c.scratchValid == nil {
+		c.scratchValid = make([]bool, c.cfg.SubsPerLine)
+		c.scratchEv.Dirty = make([]bool, c.cfg.SubsPerLine)
+		if c.cfg.TrackData {
+			c.scratchEv.Data = make([]byte, c.cfg.LineBytes())
+		}
+		return
+	}
+	clearSubs(c.scratchValid, c.scratchEv.Dirty, c.scratchEv.Data, c.cfg.SubSize)
+}
+
+// clearSubs resets a frame's buffers in O(valid subs): every valid sub's
+// bytes are zeroed (data may be nil) and both masks cleared.
+func clearSubs(valid, dirty []bool, data []byte, subSize int) {
+	for s, v := range valid {
+		dirty[s] = false
+		if !v {
+			continue
+		}
+		valid[s] = false
+		if data != nil {
+			clear(data[s*subSize : (s+1)*subSize])
+		}
+	}
 }
 
 // lineDirty reports whether any sub of the frame is dirty.
@@ -369,7 +413,9 @@ type ReadResult struct {
 
 // Read probes the cache for sub-pages [firstSub, firstSub+nSubs) of lspn.
 // If TrackData is on and dst is non-nil, bytes of hit subs are copied into
-// dst at their line offsets.
+// dst at their line offsets; dst's other bytes — missed subs included — are
+// left as they were, so a caller recycling dst must fill or zero the
+// misses itself.
 func (c *Cache) Read(lspn int64, firstSub, nSubs int, dst []byte) (ReadResult, error) {
 	if err := c.checkRange(firstSub, nSubs); err != nil {
 		return ReadResult{}, err
@@ -441,8 +487,9 @@ func (c *Cache) Read(lspn int64, firstSub, nSubs int, dst []byte) (ReadResult, e
 
 // Fill installs fetched sub-pages of lspn, evicting a victim line if the
 // set is full. prefetched marks readahead fills so their later hits are
-// attributed. data, when non-nil with TrackData, supplies full-line bytes
-// (only the filled subs are copied).
+// attributed. data, when non-nil with TrackData, is a line-layout buffer of
+// which only the filled subs are read (an unmapped sub must be zero in it);
+// with nil data a newly valid sub reads as zeroes.
 func (c *Cache) Fill(lspn int64, subs []int, data []byte, prefetched bool) (*Eviction, error) {
 	for _, s := range subs {
 		if err := c.checkRange(s, 1); err != nil {
@@ -473,13 +520,21 @@ func (c *Cache) Fill(lspn int64, subs []int, data []byte, prefetched bool) (*Evi
 	return ev, nil
 }
 
-// Write stores sub-pages [firstSub, firstSub+nSubs) of lspn into the cache
-// (write-back), marking them dirty. A miss allocates a frame
+// WriteAt stores sub-pages [firstSub, firstSub+nSubs) of lspn into the
+// cache (write-back), marking them dirty. A miss allocates a frame
 // (write-allocate), possibly evicting. When TrackData is on and src is
-// non-nil, bytes are taken from src at line offsets.
-func (c *Cache) Write(lspn int64, firstSub, nSubs int, src []byte) (*Eviction, error) {
+// non-nil, src holds the line bytes [off, off+len(src)) — the host payload
+// at its true in-line offset — and the part of it inside the sub range is
+// the only thing copied. Range bytes src does not cover keep their value
+// in a sub that was already valid and read as zero in one that was not
+// (the zero invariant), so a caller that needs a partial sub merged with
+// its flash contents widens src before the call.
+func (c *Cache) WriteAt(lspn int64, firstSub, nSubs int, src []byte, off int) (*Eviction, error) {
 	if err := c.checkRange(firstSub, nSubs); err != nil {
 		return nil, err
+	}
+	if off < 0 {
+		return nil, fmt.Errorf("icl: negative source offset %d", off)
 	}
 	ln := c.find(lspn)
 	var ev *Eviction
@@ -493,12 +548,26 @@ func (c *Cache) Write(lspn int64, firstSub, nSubs int, src []byte) (*Eviction, e
 	for s := firstSub; s < firstSub+nSubs; s++ {
 		ln.valid[s] = true
 		ln.dirty[s] = true
-		if c.cfg.TrackData && src != nil {
-			copy(ln.data[s*c.cfg.SubSize:(s+1)*c.cfg.SubSize], src[s*c.cfg.SubSize:(s+1)*c.cfg.SubSize])
+	}
+	if c.cfg.TrackData && src != nil {
+		lo, hi := firstSub*c.cfg.SubSize, (firstSub+nSubs)*c.cfg.SubSize
+		if lo < off {
+			lo = off
+		}
+		if end := off + len(src); hi > end {
+			hi = end
+		}
+		if lo < hi {
+			copy(ln.data[lo:hi], src[lo-off:hi-off])
 		}
 	}
 	c.touch(ln)
 	return ev, nil
+}
+
+// Write is WriteAt with a line-layout source (offset 0).
+func (c *Cache) Write(lspn int64, firstSub, nSubs int, src []byte) (*Eviction, error) {
+	return c.WriteAt(lspn, firstSub, nSubs, src, 0)
 }
 
 // FlushLine cleans lspn's line, returning its eviction record (nil if not

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"amber/internal/sim"
+	"amber/internal/snap"
 )
 
 func testConfig() Config {
@@ -104,9 +105,9 @@ func TestPartialLineValidity(t *testing.T) {
 
 func TestWriteAllocateAndDirty(t *testing.T) {
 	c := newCache(t, nil)
-	src := make([]byte, 2048)
-	src[512] = 0xAB // sub 1 first byte
-	ev, err := c.Write(3, 1, 2, src)
+	src := make([]byte, 1024) // the payload of subs 1-2 alone
+	src[0] = 0xAB             // sub 1 first byte
+	ev, err := c.WriteAt(3, 1, 2, src, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,9 +130,9 @@ func TestWriteAllocateAndDirty(t *testing.T) {
 
 func TestEvictionCarriesDirtyData(t *testing.T) {
 	c := newCache(t, func(cfg *Config) { cfg.Lines = 2; cfg.ReadaheadThreshold = 0 })
-	src := make([]byte, 2048)
+	src := make([]byte, 512)
 	src[0] = 0x11
-	if _, err := c.Write(0, 0, 1, src); err != nil {
+	if _, err := c.WriteAt(0, 0, 1, src, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Write(1, 0, 4, nil); err != nil {
@@ -405,12 +406,8 @@ func TestCacheDataCoherence(t *testing.T) {
 		sub := rng.Intn(4)
 		if rng.Bool(0.5) {
 			// Write one sub with a known byte pattern.
-			src := make([]byte, 2048)
-			v := byte(rng.Uint64())
-			for j := sub * 512; j < (sub+1)*512; j++ {
-				src[j] = v
-			}
-			ev, err := c.Write(lspn, sub, 1, src)
+			src := bytes.Repeat([]byte{byte(rng.Uint64())}, 512)
+			ev, err := c.WriteAt(lspn, sub, 1, src, sub*512)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -419,7 +416,7 @@ func TestCacheDataCoherence(t *testing.T) {
 			if !ok {
 				line = make([]byte, 2048)
 			}
-			copy(line[sub*512:(sub+1)*512], src[sub*512:(sub+1)*512])
+			copy(line[sub*512:(sub+1)*512], src)
 			shadow[lspn] = line
 		} else {
 			dst := make([]byte, 2048)
@@ -437,6 +434,180 @@ func TestCacheDataCoherence(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// WriteAt's source is a window onto the line: bytes land at their true
+// offset, a sub that was already valid keeps what the window does not
+// cover, and one that was not reads as zero-padded.
+func TestWriteAtByteWindow(t *testing.T) {
+	c := newCache(t, func(cfg *Config) { cfg.ReadaheadThreshold = 0 })
+	read := func(lspn int64) []byte {
+		t.Helper()
+		dst := bytes.Repeat([]byte{0xEE}, 2048) // a recycled, dirty buffer
+		res, err := c.Read(lspn, 0, 4, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range res.MissSubs {
+			clear(dst[s*512 : (s+1)*512])
+		}
+		return dst
+	}
+	want := make([]byte, 2048)
+
+	// Upper half of sub 1, lower half of sub 2: neither was valid.
+	payload := bytes.Repeat([]byte{0xA1}, 512)
+	if _, err := c.WriteAt(9, 1, 2, payload, 768); err != nil {
+		t.Fatal(err)
+	}
+	copy(want[768:], payload)
+	if got := read(9); !bytes.Equal(got, want) {
+		t.Fatalf("unaligned write into an empty frame: got % x", got[500:1300])
+	}
+
+	// Now both are valid: a second partial write overwrites only its bytes.
+	payload = bytes.Repeat([]byte{0xB2}, 128)
+	if _, err := c.WriteAt(9, 1, 1, payload, 512); err != nil {
+		t.Fatal(err)
+	}
+	copy(want[512:], payload)
+	if got := read(9); !bytes.Equal(got, want) {
+		t.Fatal("partial write of a valid sub disturbed bytes outside its window")
+	}
+
+	// A window wider than the sub range contributes only the range, and the
+	// line-layout Write is the window at offset 0.
+	line := bytes.Repeat([]byte{0xC3}, 2048)
+	if _, err := c.Write(9, 3, 1, line); err != nil {
+		t.Fatal(err)
+	}
+	copy(want[1536:], line[1536:])
+	if got := read(9); !bytes.Equal(got, want) {
+		t.Fatal("line-layout write leaked bytes outside its sub range")
+	}
+	if _, err := c.WriteAt(9, 0, 1, payload, -1); err == nil {
+		t.Fatal("negative window offset accepted")
+	}
+}
+
+// Frame reuse never leaks a previous resident: eviction clears only the
+// subs the old line had valid, and that has to be enough for every way a
+// sub of the new line becomes valid without bytes.
+func TestFrameReuseNeverLeaksPreviousResident(t *testing.T) {
+	c := newCache(t, func(cfg *Config) { cfg.Lines = 1; cfg.ReadaheadThreshold = 0 })
+	pattern := bytes.Repeat([]byte{0x5A}, 2048)
+	sub := func(b []byte, s int) []byte { return b[s*512 : (s+1)*512] }
+	// Frame and scratch trade places each round; the subs rotate so that
+	// the one filled without data is where this buffer's last line wrote.
+	for round := 0; round < 8; round++ {
+		a, b := int64(10+2*round), int64(11+2*round)
+		written, unmapped, missed, noData := round%4, (round+1)%4, (round+2)%4, (round+3)%4
+		if _, err := c.Fill(a, []int{0, 1, 2, 3}, pattern, false); err != nil {
+			t.Fatal(err)
+		}
+		ev, err := c.WriteAt(b, written, 1, pattern[:512], written*512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev == nil || ev.LSPN != a || !bytes.Equal(ev.Data, pattern) {
+			t.Fatalf("round %d: eviction of line %d lost its bytes", round, a)
+		}
+		// B's other subs: one filled without data, one from a buffer whose
+		// sub is zero because flash had it unmapped.
+		if _, err := c.Fill(b, []int{noData}, nil, false); err != nil {
+			t.Fatal(err)
+		}
+		staged := bytes.Repeat([]byte{0x77}, 2048)
+		clear(sub(staged, unmapped))
+		if _, err := c.Fill(b, []int{unmapped}, staged, false); err != nil {
+			t.Fatal(err)
+		}
+		dst := bytes.Repeat([]byte{0xEE}, 2048)
+		res, err := c.Read(b, 0, 4, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.HitSubs) != 3 || len(res.MissSubs) != 1 || res.MissSubs[0] != missed {
+			t.Fatalf("round %d: hits %v misses %v", round, res.HitSubs, res.MissSubs)
+		}
+		zero := make([]byte, 512)
+		if !bytes.Equal(sub(dst, noData), zero) || !bytes.Equal(sub(dst, unmapped), zero) {
+			t.Fatalf("round %d: line %d surfaced bytes of an evicted line", round, b)
+		}
+		if !bytes.Equal(sub(dst, written), pattern[:512]) {
+			t.Fatalf("round %d: written sub lost", round)
+		}
+		if !bytes.Equal(sub(dst, missed), bytes.Repeat([]byte{0xEE}, 512)) {
+			t.Fatalf("round %d: Read wrote a missed sub of dst", round)
+		}
+	}
+}
+
+// The snapshot image of a cache that clears frames lazily is the image an
+// eagerly zeroing cache produces: re-zeroing every invalid sub by hand
+// changes nothing, at any point of a long mixed history.
+func TestEncodeStateMatchesEagerZero(t *testing.T) {
+	c := newCache(t, func(cfg *Config) { cfg.Lines = 4; cfg.Assoc = SetAssoc; cfg.Ways = 2; cfg.ReadaheadThreshold = 0 })
+	image := func() []byte {
+		var e snap.Enc
+		c.EncodeState(&e)
+		return append([]byte(nil), e.Bytes()...)
+	}
+	rng := sim.NewRNG(77)
+	buf := make([]byte, 2048)
+	for i := 0; i < 1000; i++ {
+		lspn := int64(rng.Intn(16))
+		first := rng.Intn(4)
+		n := 1 + rng.Intn(4-first)
+		for j := range buf {
+			buf[j] = byte(rng.Uint64()) | 1 // never zero: a leak shows
+		}
+		var err error
+		switch rng.Intn(4) {
+		case 0:
+			_, err = c.WriteAt(lspn, first, n, buf[:n*512], first*512)
+		case 1: // unaligned, short of its last sub's end
+			_, err = c.WriteAt(lspn, first, n, buf[:n*512-300], first*512+100)
+		case 2:
+			subs := []int{first}
+			if n > 1 {
+				subs = append(subs, first+n-1)
+			}
+			_, err = c.Fill(lspn, subs, buf, rng.Bool(0.3))
+		default:
+			_, err = c.Fill(lspn, []int{first}, nil, false)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%50 != 49 {
+			continue
+		}
+		lazy := image()
+		for _, set := range c.sets {
+			for _, ln := range set {
+				for s, v := range ln.valid {
+					if !v {
+						clear(ln.data[s*512 : (s+1)*512])
+					}
+				}
+			}
+		}
+		if !bytes.Equal(lazy, image()) {
+			t.Fatalf("op %d: an invalid sub of some frame held non-zero bytes", i)
+		}
+		restored := newCache(t, func(cfg *Config) { *cfg = c.Config() })
+		if err := restored.DecodeState(snap.NewDec(lazy)); err != nil {
+			t.Fatal(err)
+		}
+		c = restored // and continue on it
+		if !bytes.Equal(lazy, image()) {
+			t.Fatal("restored cache re-encodes differently")
+		}
+	}
+	if c.Stats().Evictions < 100 {
+		t.Fatalf("only %d evictions: the history did not stress frame reuse", c.Stats().Evictions)
 	}
 }
 

@@ -19,15 +19,7 @@ func (c *Cache) Invalidate() {
 			ln.prefetched = false
 			ln.lastUse = 0
 			ln.inserted = 0
-			for i := range ln.valid {
-				ln.valid[i] = false
-				ln.dirty[i] = false
-			}
-			if c.cfg.TrackData {
-				for i := range ln.data {
-					ln.data[i] = 0
-				}
-			}
+			clearSubs(ln.valid, ln.dirty, ln.data, c.cfg.SubSize)
 		}
 	}
 	c.tick = 0
@@ -97,10 +89,20 @@ func (c *Cache) DecodeState(d *snap.Dec) error {
 			ln.inserted = d.U64()
 			if c.cfg.TrackData {
 				buf := d.Blob()
-				if d.Err() == nil && len(buf) != len(ln.data) {
+				if d.Err() != nil {
+					return d.Err()
+				}
+				if len(buf) != len(ln.data) {
 					return fmt.Errorf("%w: cache line of %d bytes, want %d", snap.ErrMismatch, len(buf), len(ln.data))
 				}
-				copy(ln.data, buf)
+				// Valid subs only: the fresh frame is zero, and an image is
+				// not trusted to uphold the zero invariant for the rest.
+				ss := c.cfg.SubSize
+				for i, v := range ln.valid {
+					if v {
+						copy(ln.data[i*ss:(i+1)*ss], buf[i*ss:(i+1)*ss])
+					}
+				}
 			}
 		}
 	}

@@ -232,6 +232,27 @@
 // (batching never reorders cross events), and the accounting it skips past
 // merges per channel in shard order exactly as before.
 //
+// Payload granularity. The bytes of the datapath move at the granularity
+// the cache is valid at, the sub-page, and none of the arguments here
+// depend on how big the buffers around them are. A host write's payload is
+// the cache's source directly (icl.Cache.WriteAt, at its true in-line
+// offset); an eviction clears only the subs the outgoing line had valid;
+// a read or prefetch stages through a line buffer recycled from a free
+// list on core.System, uncleared. What changed against the line-sized
+// scheme is buffer ownership only: staged page bytes still land at issue,
+// in the serial section, through the pending-aware index, into a buffer
+// nothing else touches until the publish that consumes it (a demand read's
+// buffer returns to the list at the request's completion, a prefetch's at
+// the fill's), and sub-pages a fill finds unmapped are zeroed at issue as
+// well, since a recycled buffer is not. One new reader of flash bytes
+// exists: a write that covers part of an uncached sub-page merges the
+// sub's current contents under the payload (core's widenPartialWrite,
+// nand.Flash.PagePayload). It runs inside the write-ops event, copies
+// through the same pending-aware index as a plan pre-read — identical
+// bytes whether or not a pending install has run — and makes no claim,
+// draw or counter update, so it falls under the icl shard's audit below
+// unchanged and simulated time cannot tell it from zero-padding.
+//
 // # The icl write-back shard is channel-neutral: proof obligation
 //
 // Marking the icl shard (write-ops stages, eviction flushes, no-flash
