@@ -154,8 +154,9 @@ type System struct {
 
 	// MSHR-style in-flight fill tracking: concurrent demand reads and
 	// prefetches of the same super-page coalesce onto one flash fetch.
-	filling map[int64]map[int]bool // lspn -> subs currently being fetched
-	waiters map[int64][]func()     // lspn -> callbacks to retry at fill completion
+	filling  map[int64]subMask  // lspn -> subs currently being fetched
+	waiters  map[int64][]func() // lspn -> callbacks to retry at fill completion
+	maskFree []subMask          // all-clear masks of landed fills, for reuse
 
 	// RAIN reconstruction + patrol scrub state (see rain.go): super-blocks
 	// whose reconstruction pressure demands a forced scrub, whether a
@@ -371,7 +372,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		link:    link,
 		passive: d.Passive,
 		lastEnd: -1,
-		filling: make(map[int64]map[int]bool),
+		filling: make(map[int64]subMask),
 		waiters: make(map[int64][]func()),
 
 		twoStageFills: true,

@@ -341,3 +341,109 @@ func TestSubmitDataAllocBytes(t *testing.T) {
 		}
 	})
 }
+
+// TestFillKeepsWriteLandedInFlight: a write that lands in the cache between
+// a read miss's flash fetch (startFill) and its install (fillOp.done) holds
+// the newer bytes; the install used to overwrite them with the fetched —
+// stale — copy, and the line later flushed the stale bytes as if dirty.
+func TestFillKeepsWriteLandedInFlight(t *testing.T) {
+	s := dataSystem(t, true, false)
+	lineBytes := int64(s.ICL.Config().LineBytes())
+	const sub = 8192
+	put := func(off int64, version int) []byte {
+		t.Helper()
+		buf := make([]byte, sub)
+		fillPayload(buf, off, version)
+		if _, err := s.Submit(s.Now(), workload.Request{Write: true, Offset: off, Length: sub}, buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	off := 2*lineBytes + 9*sub
+	put(off, 1)
+	for l := int64(20); l < 36; l++ { // push line 2 out to flash
+		put(l*lineBytes, 1)
+	}
+	if s.ICL.Contains(2, 9) {
+		t.Fatal("set-up left the sub under test cached")
+	}
+
+	e := sim.NewEngine()
+	newer := make([]byte, sub)
+	fillPayload(newer, off, 2)
+	got := make([]byte, sub)
+	var readDone, writeDone sim.Time
+	e.At(s.Now(), func() {
+		s.SubmitAsync(e, workload.Request{Offset: off, Length: sub}, got, func(at sim.Time, err error) {
+			if err != nil {
+				t.Error(err)
+			}
+			readDone = at
+		})
+	})
+	e.At(s.Now()+sim.Microsecond, func() {
+		s.SubmitAsync(e, workload.Request{Write: true, Offset: off, Length: sub}, newer, func(at sim.Time, err error) {
+			if err != nil {
+				t.Error(err)
+			}
+			writeDone = at
+		})
+	})
+	e.Run()
+	if writeDone == 0 || writeDone >= readDone {
+		t.Fatalf("write completed at %v, read at %v: the write did not land while the fill was in flight", writeDone, readDone)
+	}
+
+	back := make([]byte, sub)
+	if _, err := s.Submit(e.Now(), workload.Request{Offset: off, Length: sub}, back); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back, newer) {
+		t.Fatal("read-back after an overlapping read and write returned the bytes the fill fetched, not the written ones")
+	}
+	// And the bytes survive eviction to flash: the sub is still dirty.
+	for l := int64(36); l < 52; l++ {
+		put(l*lineBytes, 1)
+	}
+	if s.ICL.Contains(2, 9) {
+		t.Fatal("line 2 still cached")
+	}
+	if _, err := s.Submit(s.Now(), workload.Request{Offset: off, Length: sub}, back); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back, newer) {
+		t.Fatal("the written bytes did not reach flash")
+	}
+}
+
+// TestReadMissAllocs gates the read path on its way to 0 allocs/op: a 4 KiB
+// timing-only read miss allocated 3 objects at PR 12, all of them startFill's
+// per-fill map[int]bool; the in-flight fill set is now a recycled bitmask.
+func TestReadMissAllocs(t *testing.T) {
+	const parentAllocs = 3
+	s := dataSystem(t, false, true)
+	gen, err := workload.NewFIO(workload.RandRead, 4096, s.VolumeBytes(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	read := func() {
+		if _, err := s.Submit(s.Now(), gen.Next(i), nil); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for i < 500 {
+		read() // warm the op, fill, mask and engine pools
+	}
+	before := s.ICL.Stats()
+	allocs := testing.AllocsPerRun(500, read)
+	st := s.ICL.Stats()
+	if hits, misses := st.ReadSubHits-before.ReadSubHits, st.ReadSubMisses-before.ReadSubMisses; misses < 10*hits {
+		t.Fatalf("%d hits, %d misses: the stream is not a miss stream", hits, misses)
+	}
+	if allocs >= parentAllocs {
+		t.Fatalf("a 4 KiB read miss allocates %.2f objects, want fewer than the parent's %d", allocs, parentAllocs)
+	}
+	t.Logf("4 KiB timing-only read miss: %.2f allocs/op", allocs)
+}

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"testing"
 
+	"amber/internal/config"
 	"amber/internal/core"
+	"amber/internal/icl"
 	"amber/internal/snap"
 	"amber/internal/workload"
 )
@@ -122,6 +124,7 @@ func TestSnapshotLoaderFaults(t *testing.T) {
 		{"flipped-body-byte", flip(headerLen + len(body)/2), snap.ErrCorrupt},
 		{"flipped-checksum-byte", flip(len(img) - 1), snap.ErrCorrupt},
 		{"future-version", snap.Seal(core.SnapshotVersion+1, fp, body), snap.ErrVersion},
+		{"version-2", snap.Seal(2, fp, body), snap.ErrVersion},
 		{"wrong-fingerprint", snap.Seal(core.SnapshotVersion, fp^0xdeadbeef, body), snap.ErrMismatch},
 		{"valid-frame-truncated-body", snap.Seal(core.SnapshotVersion, fp, body[:len(body)-16]), nil},
 		{"valid-frame-garbage-body", snap.Seal(core.SnapshotVersion, fp, bytes.Repeat([]byte{0xa5}, 64)), nil},
@@ -153,6 +156,127 @@ func TestSnapshotLoaderFaults(t *testing.T) {
 	}
 
 	// The intact image still loads after the gauntlet.
+	if err := target.Restore(img); err != nil {
+		t.Fatalf("restore of intact image: %v", err)
+	}
+}
+
+// rewriteCacheFrames re-encodes the frame records of an icl.EncodeState
+// section with edit applied to each frame's tag and replacement stamps; the
+// rest of the section (clock, RNG, detector, statistics) is kept verbatim.
+func rewriteCacheFrames(section []byte, cfg icl.Config, edit func(frame int, lspn *int64, lastUse, inserted *uint64)) []byte {
+	frames := func(edit func(int, *int64, *uint64, *uint64)) []byte {
+		d := snap.NewDec(section)
+		var e snap.Enc
+		nsets, ways := d.U64(), d.U64()
+		e.U64(nsets)
+		e.U64(ways)
+		for f := 0; f < int(nsets*ways); f++ {
+			lspn := d.I64()
+			masks := make([]bool, 2*cfg.SubsPerLine+1) // valid/dirty pairs, prefetched
+			for i := range masks {
+				masks[i] = d.Bool()
+			}
+			lastUse, inserted := d.U64(), d.U64()
+			edit(f, &lspn, &lastUse, &inserted)
+			e.I64(lspn)
+			for _, b := range masks {
+				e.Bool(b)
+			}
+			e.U64(lastUse)
+			e.U64(inserted)
+			if cfg.TrackData {
+				e.Blob(d.Blob())
+			}
+		}
+		return e.Bytes()
+	}
+	// The encoding is canonical, so an unedited pass is as long as the
+	// frame records it read.
+	consumed := len(frames(func(int, *int64, *uint64, *uint64) {}))
+	return append(frames(edit), section[consumed:]...)
+}
+
+// TestSnapshotRefusesUnindexableCache: the cache finds lines through an
+// LSPN index, so an image whose frames the index cannot mirror — one LSPN
+// in two frames, a line outside the set its LSPN maps to, a frame stamped
+// ahead of the replacement clock — must be refused as corrupt rather than
+// restored into a device that answers differently from its own frames. The
+// target stays untouched, and the unedited image still restores.
+func TestSnapshotRefusesUnindexableCache(t *testing.T) {
+	build := func() *core.System {
+		d := config.SmallTestDevice()
+		d.CacheAssoc = icl.SetAssoc // 8 lines: 2 sets of 4 ways
+		s, err := core.NewSystem(config.PCSystem(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s := build()
+	img := snapshotImage(t, s)
+	if got := s.ICL.ResidentLines(); got != 8 {
+		t.Fatalf("%d resident lines, want a full cache", got)
+	}
+
+	const headerLen = 8 + 4 + 8 + 8
+	fp := binary.LittleEndian.Uint64(img[12:20])
+	body := img[headerLen : len(img)-8]
+	var e snap.Enc
+	s.ICL.EncodeState(&e)
+	section := e.Bytes()
+	at := bytes.Index(body, section)
+	if at < 0 {
+		t.Fatal("cache section not found in the image body")
+	}
+	seal := func(edit func(frame int, lspn *int64, lastUse, inserted *uint64)) []byte {
+		b := append([]byte(nil), body[:at]...)
+		b = append(b, rewriteCacheFrames(section, s.ICL.Config(), edit)...)
+		b = append(b, body[at+len(section):]...)
+		return snap.Seal(core.SnapshotVersion, fp, b)
+	}
+	var first int64
+	cases := []struct {
+		name string
+		edit func(frame int, lspn *int64, lastUse, inserted *uint64)
+	}{
+		{"lspn-in-two-frames", func(f int, lspn *int64, _, _ *uint64) {
+			if f == 0 {
+				first = *lspn
+			} else if f == 1 {
+				*lspn = first
+			}
+		}},
+		{"line-in-wrong-set", func(f int, lspn *int64, _, _ *uint64) {
+			if f == 0 {
+				*lspn++ // set 0 holds even LSPNs
+			}
+		}},
+		{"stamped-ahead-of-clock", func(f int, _ *int64, lastUse, _ *uint64) {
+			if f == 2 {
+				*lastUse += 1 << 40
+			}
+		}},
+	}
+
+	if !bytes.Equal(seal(func(int, *int64, *uint64, *uint64) {}), img) {
+		t.Fatal("an unedited rewrite does not reproduce the image")
+	}
+	target := build()
+	before, err := target.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		err := target.Restore(seal(tc.edit))
+		if !errors.Is(err, snap.ErrCorrupt) {
+			t.Errorf("%s: restore returned %v, want snap.ErrCorrupt", tc.name, err)
+		}
+		after, serr := target.Snapshot()
+		if serr != nil || !bytes.Equal(before, after) {
+			t.Errorf("%s: failed restore mutated the target (snapshot error %v)", tc.name, serr)
+		}
+	}
 	if err := target.Restore(img); err != nil {
 		t.Fatalf("restore of intact image: %v", err)
 	}

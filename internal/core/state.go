@@ -15,8 +15,13 @@ import (
 // accepts. Bump it whenever any module's Encode/DecodeState layout changes.
 // Version 2: RAIN parity + scrub (nand disturb counters and stripe OOB,
 // ftl per-SB reconstruction pressure and rain/scrub stats, core pending
-// scrub queue).
-const SnapshotVersion = 2
+// scrub queue). Version 3: dram stores its read- and write-burst counts
+// where version 2 stored a float energy accumulator (dynamic energy is now
+// counts × per-event energy), and icl refuses an image whose frames its LSPN
+// index cannot mirror (a line in the wrong set, in two frames, or stamped
+// ahead of the replacement clock). A version-2 image is refused with
+// snap.ErrVersion.
+const SnapshotVersion = 3
 
 // configFingerprint hashes the full system configuration: an image restores
 // only onto a device built from byte-identical knobs, because every decoder

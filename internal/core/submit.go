@@ -778,7 +778,7 @@ func (s *System) readLineAttempt(e *sim.Engine, ln hil.Line, lineBuf []byte, cb 
 		if fl, ok := s.filling[ln.LSPN]; ok {
 			covered := true
 			for _, sub := range res.MissSubs {
-				if !fl[sub] {
+				if !fl.has(sub) {
 					covered = false
 					break
 				}
@@ -829,6 +829,23 @@ func (s *System) acquireFill(e *sim.Engine) *fillOp {
 func (s *System) releaseFill(fo *fillOp) {
 	fo.e, fo.lineBuf, fo.cb = nil, nil, nil
 	s.fillFree = append(s.fillFree, fo)
+}
+
+// subMask is a set of sub-page indices of one line, one bit each: the subs
+// with a fetch in flight (System.filling). Masks are recycled all-clear.
+type subMask []uint64
+
+func (m subMask) has(sub int) bool { return m[sub/64]&(1<<(sub%64)) != 0 }
+func (m subMask) set(sub int)      { m[sub/64] |= 1 << (sub % 64) }
+func (m subMask) clear(sub int)    { m[sub/64] &^= 1 << (sub % 64) }
+
+func (m subMask) empty() bool {
+	for _, w := range m {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // noopFill is the completion callback for prefetches.
@@ -930,11 +947,15 @@ func (s *System) startFill(e *sim.Engine, t sim.Time, lspn int64, subs []int, li
 	// refetching.
 	fl := s.filling[lspn]
 	if fl == nil {
-		fl = make(map[int]bool)
+		if n := len(s.maskFree); n > 0 {
+			fl, s.maskFree = s.maskFree[n-1], s.maskFree[:n-1]
+		} else {
+			fl = make(subMask, (s.ICL.Config().SubsPerLine+63)/64)
+		}
 		s.filling[lspn] = fl
 	}
 	for _, sub := range fo.subs {
-		fl[sub] = true
+		fl.set(sub)
 	}
 
 	// The continuation installs into the ICL, charges cache memory and
@@ -966,10 +987,11 @@ func (fo *fillOp) done() {
 	s, e := fo.s, fo.e
 	if fl := s.filling[fo.lspn]; fl != nil {
 		for _, sub := range fo.subs {
-			delete(fl, sub)
+			fl.clear(sub)
 		}
-		if len(fl) == 0 {
+		if fl.empty() {
 			delete(s.filling, fo.lspn)
+			s.maskFree = append(s.maskFree, fl)
 		}
 	}
 	if s.passive && fo.nFetch > 0 {

@@ -4,6 +4,35 @@
 // DRAMPower-style energy model with active/precharge-standby and power-down
 // states, and a capacity accountant used by the firmware for cached data,
 // metadata and mapping tables (§III-B).
+//
+// Timing is per burst, computed per row-run. An access is a train of
+// bursts; successive bursts stay in one (bank, row) until the address
+// crosses a row boundary, and the k bursts of such a run all queue at the
+// access time `now`: each claims its bank (the first for a — hit, miss or
+// close-page latency — the others for h) and then the channel's data bus
+// for the burst time bt. Access does not walk the bursts; per run it
+// applies the walk's exact integer closed form (sim.Resource.ClaimRun):
+//
+//	bankReady₀ = max(now, bank.freeAt) + a
+//	bank.freeAt = bankReady₀ + (k-1)·h
+//	bus.freeAt = max(bus.freeAt + k·bt, bankReady₀ + k·bt, bankReady₀ + (k-1)·h + bt)
+//
+// with busy time and claim counts advanced by the same totals. Derivation:
+// the bank is claimed k times at one arrival time, so it serves back to
+// back and burst i leaves it at bankReady₀ + i·h. The bus then sees the
+// max-plus recurrence busEnd_i = max(bankReady_i, busEnd_{i-1}) + bt, whose
+// solution is the maximum of "the backlog never drains" (bus.freeAt + k·bt)
+// and, over every j, "burst j starts on arrival and the rest follow back to
+// back" (bankReady₀ + j·h + (k-j)·bt). Arrivals are linear in the burst
+// index, hence so is that term, and its maximum sits at an end point: j = 0
+// (bank faster than bus) or j = k-1 (bus faster than bank). Every burst's
+// completion is below the last one's, so the access completes at the
+// largest run end. The per-burst walk survives as the reference in
+// dram_test.go, which holds every observable equal to it.
+//
+// Dynamic energy is counts times per-event energy — activates, read bursts
+// and write bursts are integer counters and EnergyJoules multiplies them
+// out — so it is exact, independent of event order and mergeable.
 package dram
 
 import (
@@ -133,11 +162,20 @@ type DRAM struct {
 	bus   []*sim.Resource // per-channel data bus
 	banks []bank
 
+	// Per-configuration constants, derived once in New.
+	burstBytes int64
+	burstTime  sim.Duration // data-bus occupancy of one burst
+	hitDur     sim.Duration // CL: column access to an open row
+	missDur    sim.Duration // RP+RCD+CL: precharge, activate, column access
+	closeDur   sim.Duration // RCD+CL: close-page access, precharge hidden
+
 	used int64 // capacity accountant
 
-	stats     Stats
-	energyJ   float64
-	busyUntil sim.Time // latest completion, for power-state accounting
+	stats Stats
+	// Burst counts per direction: with Stats.Activates, everything dynamic
+	// energy is a function of (EnergyJoules).
+	rdBursts, wrBursts uint64
+	busyUntil          sim.Time // latest completion, for power-state accounting
 }
 
 // New constructs a DRAM model from a validated configuration.
@@ -145,7 +183,16 @@ func New(cfg Config, pow Power) (*DRAM, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	d := &DRAM{cfg: cfg, pow: pow}
+	ct := cfg.CycleTime()
+	d := &DRAM{
+		cfg:        cfg,
+		pow:        pow,
+		burstBytes: int64(cfg.BurstBytes()),
+		burstTime:  cfg.BurstTime(),
+		hitDur:     sim.Duration(cfg.CL) * ct,
+		missDur:    sim.Duration(cfg.RP+cfg.RCD+cfg.CL) * ct,
+		closeDur:   sim.Duration(cfg.RCD+cfg.CL) * ct,
+	}
 	d.bus = make([]*sim.Resource, cfg.Channels)
 	for i := range d.bus {
 		d.bus[i] = sim.NewResource(fmt.Sprintf("dram.ch%d", i))
@@ -174,78 +221,54 @@ func (d *DRAM) bankOf(addr int64) (bankIndex int, row int64) {
 
 // Access performs a read or write of n bytes starting at addr, decomposed
 // into bursts, and returns when the last burst completes. Row-buffer state
-// and bank/bus contention determine the latency.
+// and bank/bus contention determine the latency. The cost is per row-run,
+// not per burst (see the package comment).
 func (d *DRAM) Access(now sim.Time, addr int64, n int, write bool) sim.Time {
 	if n <= 0 {
 		return now
 	}
-	ct := d.cfg.CycleTime()
-	burstBytes := d.cfg.BurstBytes()
-	bt := d.cfg.BurstTime()
-	burstE := d.pow.RdBurstEnergyJ
-	if write {
-		burstE = d.pow.WrBurstEnergyJ
-	}
-	hitDur := sim.Duration(d.cfg.CL) * ct
-	missDur := sim.Duration(d.cfg.RP+d.cfg.RCD+d.cfg.CL) * ct
-	closeDur := sim.Duration(d.cfg.RCD+d.cfg.CL) * ct
 	rowBytes := int64(d.cfg.RowBytes)
-
-	// Bursts are issued per row-run: successive bursts stay in the same
-	// (bank, row) until the address crosses a row boundary, so the address
-	// decomposition and row-buffer policy resolve once per run instead of
-	// once per burst. Per-burst resource claims and per-burst energy
-	// accumulation are preserved in their original order, so contention,
-	// stats and float-accumulated energy are bit-identical to the
-	// one-burst-at-a-time walk.
-	bursts := (n + burstBytes - 1) / burstBytes
+	bursts := (int64(n) + d.burstBytes - 1) / d.burstBytes
+	if write {
+		d.wrBursts += uint64(bursts)
+	} else {
+		d.rdBursts += uint64(bursts)
+	}
 	done := now
 	a := addr
 	for bursts > 0 {
 		bi, row := d.bankOf(a)
 		bk := &d.banks[bi]
-		bus := d.bus[bi%d.cfg.Channels]
-		k := int((rowBytes - a%rowBytes + int64(burstBytes) - 1) / int64(burstBytes))
+		k := (rowBytes - a%rowBytes + d.burstBytes - 1) / d.burstBytes
 		if k > bursts {
 			k = bursts
 		}
-		if d.cfg.Policy == ClosePage {
+		// first is the run's first access, rest each of the k-1 that follow.
+		first, rest := d.hitDur, d.hitDur
+		switch {
+		case d.cfg.Policy == ClosePage:
 			// Every burst pays the activate; no row state to carry.
-			for i := 0; i < k; i++ {
-				d.stats.Activates++
-				d.energyJ += d.pow.ActEnergyJ
-				_, bankReady := bk.res.Claim(now, closeDur)
-				_, burstDone := bus.Claim(bankReady, bt)
-				d.energyJ += burstE
-				if burstDone > done {
-					done = burstDone
-				}
-			}
-		} else {
-			// The run's first burst resolves the row buffer; the remaining
-			// k-1 are hits by construction.
-			access := hitDur
-			if bk.openRow == row {
-				d.stats.RowHits++
-			} else {
-				access = missDur
-				d.stats.RowMisses++
-				d.stats.Activates++
-				d.energyJ += d.pow.ActEnergyJ
-				bk.openRow = row
-			}
-			for i := 0; i < k; i++ {
-				_, bankReady := bk.res.Claim(now, access)
-				_, burstDone := bus.Claim(bankReady, bt)
-				d.energyJ += burstE
-				if burstDone > done {
-					done = burstDone
-				}
-				access = hitDur
-			}
+			first, rest = d.closeDur, d.closeDur
+			d.stats.Activates += uint64(k)
+		case bk.openRow == row:
+			d.stats.RowHits += uint64(k)
+		default:
+			// The first burst resolves the row buffer; the remaining k-1
+			// are hits by construction.
+			first = d.missDur
+			d.stats.RowMisses++
+			d.stats.Activates++
 			d.stats.RowHits += uint64(k - 1)
+			bk.openRow = row
 		}
-		a += int64(k) * int64(burstBytes)
+		// All k bursts queue on the bank at now, so it serves them back to
+		// back; burst i reaches the bus at ready + i·rest.
+		_, ready := bk.res.Claim(now, first)
+		bk.res.ClaimRun(now, 0, rest, int(k-1))
+		if end := d.bus[bi%d.cfg.Channels].ClaimRun(ready, rest, d.burstTime, int(k)); end > done {
+			done = end
+		}
+		a += k * d.burstBytes
 		bursts -= k
 	}
 	if write {
@@ -306,8 +329,14 @@ func (d *DRAM) BusyTime() sim.Duration {
 	return t
 }
 
-// EnergyJoules returns dynamic energy so far (ACT/RD/WR events).
-func (d *DRAM) EnergyJoules() float64 { return d.energyJ }
+// EnergyJoules returns dynamic energy so far: event counts times per-event
+// energy (ACT/RD/WR), so the value does not depend on the order the events
+// came in and two DRAMs' counts merge exactly.
+func (d *DRAM) EnergyJoules() float64 {
+	return float64(d.stats.Activates)*d.pow.ActEnergyJ +
+		float64(d.rdBursts)*d.pow.RdBurstEnergyJ +
+		float64(d.wrBursts)*d.pow.WrBurstEnergyJ
+}
 
 // TotalEnergyJoules returns dynamic plus state-dependent background energy
 // over the elapsed window: busy time is charged at active-standby power,
@@ -319,7 +348,7 @@ func (d *DRAM) TotalEnergyJoules(elapsed sim.Duration) float64 {
 		busy = elapsed
 	}
 	idle := elapsed - busy
-	e := d.energyJ
+	e := d.EnergyJoules()
 	e += d.pow.ActStandbyW * busy.Seconds()
 	e += d.pow.PowerDownW * idle.Seconds()
 	if d.pow.TREFI > 0 {

@@ -9,7 +9,8 @@ import (
 
 // EncodeState serializes the DRAM's complete functional state: bus and
 // bank resource timelines, open-row registers, the capacity accountant,
-// counters, energy and the power-state watermark.
+// counters (the burst counts are the dynamic energy) and the power-state
+// watermark.
 func (d *DRAM) EncodeState(e *snap.Enc) {
 	for _, bus := range d.bus {
 		encodeResource(e, bus)
@@ -26,7 +27,8 @@ func (d *DRAM) EncodeState(e *snap.Enc) {
 	e.U64(d.stats.RowHits)
 	e.U64(d.stats.RowMisses)
 	e.U64(d.stats.Activates)
-	e.F64(d.energyJ)
+	e.U64(d.rdBursts)
+	e.U64(d.wrBursts)
 	e.I64(int64(d.busyUntil))
 }
 
@@ -52,7 +54,8 @@ func (d *DRAM) DecodeState(dec *snap.Dec) error {
 	d.stats.RowHits = dec.U64()
 	d.stats.RowMisses = dec.U64()
 	d.stats.Activates = dec.U64()
-	d.energyJ = dec.F64()
+	d.rdBursts = dec.U64()
+	d.wrBursts = dec.U64()
 	d.busyUntil = sim.Time(dec.I64())
 	return dec.Err()
 }

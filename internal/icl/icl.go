@@ -32,6 +32,27 @@
 //     buffers, swapped out. It is valid until the next call that evicts;
 //     Data is meaningful at the line's valid subs (zero elsewhere) and
 //     consumers read the dirty ones.
+//
+// Lookup and victim selection cost the same for every cache size. Three
+// structures mirror the frames' tags: Cache.index maps each resident LSPN to
+// its frame (find is one lookup, whatever the organisation); each set keeps
+// its occupied frames on an intrusive list ordered by the replacement
+// policy's clock — lastUse under LRU, inserted otherwise — whose head is the
+// LRU/FIFO victim; and each set's empty cursor is its lowest empty way,
+// which is taken before any victim. The invariant: a frame is in the index
+// and on its set's list exactly when its lspn >= 0, under that lspn, and the
+// list order is ascending stamp order. Only three functions may change a
+// tag, and each restores the invariant before it returns: evictInto (drops
+// the outgoing LSPN, enters the incoming one, moves the frame to the list's
+// tail, advances the cursor when it consumed an empty frame), Invalidate
+// (empties all three) and DecodeState (rebuilds them from the decoded
+// frames — stamp order, ties in way order — and refuses as snap.ErrCorrupt
+// an image they cannot mirror: one LSPN in two frames, a line outside the
+// set its LSPN maps to, a stamp ahead of the replacement clock). touch moves
+// a frame to the tail under LRU and changes no tag. Random replacement and
+// the degraded clean-first mode still scan their set; the frame chosen is in
+// every case the one a scan for the first empty way, then the smallest
+// stamp, picks (reference_test.go holds the two equal).
 package icl
 
 import (
@@ -176,12 +197,36 @@ type line struct {
 	prefetched bool
 	lastUse    uint64
 	inserted   uint64
+
+	// The frame's set and its neighbours in that set's victim order
+	// (set.head); prev and next are nil at the ends and while the frame is
+	// empty.
+	set        *set
+	prev, next *line
+}
+
+// set is one associativity set: its frames in way order plus the two things
+// that make victim selection O(1).
+type set struct {
+	frames []*line
+	// head..tail orders the occupied frames by the replacement policy's
+	// clock, oldest first: lastUse under LRU, inserted otherwise. head is the
+	// LRU/FIFO victim.
+	head, tail *line
+	// empty is the lowest way holding no line, len(frames) when full. Only
+	// Invalidate empties frames and only victim order fills them, so it moves
+	// forward between resets.
+	empty int
 }
 
 // Cache is the internal cache layer. Not safe for concurrent use.
 type Cache struct {
-	cfg   Config
-	sets  [][]*line
+	cfg  Config
+	sets []set
+	// index maps every resident LSPN to its frame. It and the sets' victim
+	// order mirror the frames' tags; see the package comment for the three
+	// functions that may change a tag.
+	index map[int64]*line
 	ways  int
 	tick  uint64
 	rng   *sim.RNG
@@ -233,21 +278,25 @@ func New(cfg Config) (*Cache, error) {
 	nsets := cfg.Lines / ways
 	c := &Cache{
 		cfg:     cfg,
+		index:   make(map[int64]*line, cfg.Lines),
 		ways:    ways,
 		rng:     sim.NewRNG(cfg.Seed ^ 0x1c1),
 		seqNext: -1,
 	}
-	c.sets = make([][]*line, nsets)
+	c.sets = make([]set, nsets)
 	for i := range c.sets {
-		set := make([]*line, ways)
-		for w := range set {
+		frames := make([]*line, ways)
+		for w := range frames {
 			ln := &line{lspn: -1, valid: make([]bool, cfg.SubsPerLine), dirty: make([]bool, cfg.SubsPerLine)}
 			if cfg.TrackData {
 				ln.data = make([]byte, cfg.LineBytes())
 			}
-			set[w] = ln
+			frames[w] = ln
 		}
-		c.sets[i] = set
+		c.sets[i].frames = frames
+		for _, ln := range frames {
+			ln.set = &c.sets[i]
+		}
 	}
 	return c, nil
 }
@@ -258,59 +307,55 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-func (c *Cache) setOf(lspn int64) []*line {
-	return c.sets[int(lspn%int64(len(c.sets)))]
+func (c *Cache) setOf(lspn int64) *set {
+	return &c.sets[int(lspn%int64(len(c.sets)))]
 }
 
-func (c *Cache) find(lspn int64) *line {
-	for _, ln := range c.setOf(lspn) {
-		if ln.lspn == lspn {
-			return ln
-		}
-	}
-	return nil
-}
+func (c *Cache) find(lspn int64) *line { return c.index[lspn] }
 
 // SetPreferCleanVictims toggles degraded-mode victim selection: clean
 // frames are evicted before dirty ones regardless of the replacement
 // policy's preference. See the preferClean field.
 func (c *Cache) SetPreferCleanVictims(on bool) { c.preferClean = on }
 
-// victim picks the replacement frame in lspn's set, preferring an empty or
-// fully clean-invalid frame.
+// victim picks the replacement frame in lspn's set: the lowest empty way,
+// else the policy's choice. LRU and FIFO take the head of the set's victim
+// order; Random and the degraded clean-first mode scan the set.
 func (c *Cache) victim(lspn int64) *line {
-	set := c.setOf(lspn)
-	for _, ln := range set {
-		if ln.lspn < 0 {
-			return ln
-		}
+	st := c.setOf(lspn)
+	if st.empty < len(st.frames) {
+		return st.frames[st.empty]
 	}
+	if !c.preferClean && c.cfg.Replacement != Random {
+		return st.head
+	}
+	frames := st.frames
 	if c.preferClean {
 		clean := c.scratchClean[:0]
-		for _, ln := range set {
+		for _, ln := range frames {
 			if !lineDirty(ln) {
 				clean = append(clean, ln)
 			}
 		}
 		c.scratchClean = clean
 		if len(clean) > 0 {
-			set = clean
+			frames = clean
 		}
 	}
 	switch c.cfg.Replacement {
 	case FIFO:
-		best := set[0]
-		for _, ln := range set[1:] {
+		best := frames[0]
+		for _, ln := range frames[1:] {
 			if ln.inserted < best.inserted {
 				best = ln
 			}
 		}
 		return best
 	case Random:
-		return set[c.rng.Intn(len(set))]
+		return frames[c.rng.Intn(len(frames))]
 	default: // LRU
-		best := set[0]
-		for _, ln := range set[1:] {
+		best := frames[0]
+		for _, ln := range frames[1:] {
 			if ln.lastUse < best.lastUse {
 				best = ln
 			}
@@ -319,13 +364,42 @@ func (c *Cache) victim(lspn int64) *line {
 	}
 }
 
+// unlink removes an occupied frame from its set's victim order.
+func (st *set) unlink(ln *line) {
+	if ln.prev != nil {
+		ln.prev.next = ln.next
+	} else {
+		st.head = ln.next
+	}
+	if ln.next != nil {
+		ln.next.prev = ln.prev
+	} else {
+		st.tail = ln.prev
+	}
+	ln.prev, ln.next = nil, nil
+}
+
+// pushTail appends a frame as the youngest of its set's victim order.
+func (st *set) pushTail(ln *line) {
+	ln.prev, ln.next = st.tail, nil
+	if st.tail != nil {
+		st.tail.next = ln
+	} else {
+		st.head = ln
+	}
+	st.tail = ln
+}
+
 // evictInto resets the victim frame for reuse by lspn and returns the
 // eviction record if the frame held a line. The record aliases the cache's
 // scratch buffers and stays valid only until the next eviction; callers
 // that keep evictions must copy them (see FlushAll).
 func (c *Cache) evictInto(ln *line, lspn int64) *Eviction {
 	var ev *Eviction
+	st := ln.set
 	if ln.lspn >= 0 {
+		delete(c.index, ln.lspn)
+		st.unlink(ln)
 		// Swap, don't copy: the record takes the frame's masks and payload
 		// wholesale and the frame inherits the retired record's buffers —
 		// all-invalid and all-zero, which is exactly the reset state of a
@@ -343,10 +417,18 @@ func (c *Cache) evictInto(ln *line, lspn int64) *Eviction {
 			c.stats.DirtyEvictions++
 		}
 		ev = &c.scratchEv
+	} else {
+		// victim handed out the lowest empty way; the next one is further on.
+		st.empty++
+		for st.empty < len(st.frames) && st.frames[st.empty].lspn >= 0 {
+			st.empty++
+		}
 	}
 	// An empty frame is already reset: Invalidate and retireScratch leave
 	// masks clear and bytes zero.
 	ln.lspn = lspn
+	c.index[lspn] = ln
+	st.pushTail(ln)
 	ln.prefetched = false
 	c.tick++
 	ln.inserted = c.tick
@@ -397,6 +479,12 @@ func lineDirty(ln *line) bool {
 func (c *Cache) touch(ln *line) {
 	c.tick++
 	ln.lastUse = c.tick
+	if c.cfg.Replacement == LRU {
+		if st := ln.set; st.tail != ln {
+			st.unlink(ln)
+			st.pushTail(ln)
+		}
+	}
 }
 
 // ReadResult reports the outcome of a cache read probe. Its slices alias
@@ -489,7 +577,8 @@ func (c *Cache) Read(lspn int64, firstSub, nSubs int, dst []byte) (ReadResult, e
 // set is full. prefetched marks readahead fills so their later hits are
 // attributed. data, when non-nil with TrackData, is a line-layout buffer of
 // which only the filled subs are read (an unmapped sub must be zero in it);
-// with nil data a newly valid sub reads as zeroes.
+// with nil data a newly valid sub reads as zeroes. A sub that is dirty in the
+// frame keeps its bytes and its dirty bit.
 func (c *Cache) Fill(lspn int64, subs []int, data []byte, prefetched bool) (*Eviction, error) {
 	for _, s := range subs {
 		if err := c.checkRange(s, 1); err != nil {
@@ -512,7 +601,9 @@ func (c *Cache) Fill(lspn int64, subs []int, data []byte, prefetched bool) (*Evi
 	ln.prefetched = ln.prefetched || prefetched
 	for _, s := range subs {
 		ln.valid[s] = true
-		if c.cfg.TrackData && data != nil {
+		// A dirty sub was written while the fetch was in flight: the frame
+		// holds the newer bytes and the fetched copy is the stale one.
+		if c.cfg.TrackData && data != nil && !ln.dirty[s] {
 			copy(ln.data[s*c.cfg.SubSize:(s+1)*c.cfg.SubSize], data[s*c.cfg.SubSize:(s+1)*c.cfg.SubSize])
 		}
 	}
@@ -592,8 +683,8 @@ func (c *Cache) FlushLine(lspn int64) *Eviction {
 // power-fail path) and cleans them. Lines stay resident.
 func (c *Cache) FlushAll() []Eviction {
 	var out []Eviction
-	for _, set := range c.sets {
-		for _, ln := range set {
+	for i := range c.sets {
+		for _, ln := range c.sets[i].frames {
 			if ln.lspn < 0 {
 				continue
 			}
@@ -630,8 +721,8 @@ func (c *Cache) Contains(lspn int64, s int) bool {
 // DirtyLines counts lines with at least one dirty sub.
 func (c *Cache) DirtyLines() int {
 	n := 0
-	for _, set := range c.sets {
-		for _, ln := range set {
+	for i := range c.sets {
+		for _, ln := range c.sets[i].frames {
 			if ln.lspn < 0 {
 				continue
 			}
@@ -649,8 +740,8 @@ func (c *Cache) DirtyLines() int {
 // ResidentLines counts occupied frames.
 func (c *Cache) ResidentLines() int {
 	n := 0
-	for _, set := range c.sets {
-		for _, ln := range set {
+	for i := range c.sets {
+		for _, ln := range c.sets[i].frames {
 			if ln.lspn >= 0 {
 				n++
 			}

@@ -585,8 +585,8 @@ func TestEncodeStateMatchesEagerZero(t *testing.T) {
 			continue
 		}
 		lazy := image()
-		for _, set := range c.sets {
-			for _, ln := range set {
+		for si := range c.sets {
+			for _, ln := range c.sets[si].frames {
 				for s, v := range ln.valid {
 					if !v {
 						clear(ln.data[s*512 : (s+1)*512])

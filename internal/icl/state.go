@@ -2,6 +2,7 @@ package icl
 
 import (
 	"fmt"
+	"sort"
 
 	"amber/internal/snap"
 )
@@ -13,15 +14,19 @@ import (
 // The sequential detector and degraded-mode latch reset with the frames;
 // the statistics survive (they are the observer's, not the firmware's).
 func (c *Cache) Invalidate() {
-	for _, set := range c.sets {
-		for _, ln := range set {
+	for i := range c.sets {
+		st := &c.sets[i]
+		for _, ln := range st.frames {
 			ln.lspn = -1
 			ln.prefetched = false
 			ln.lastUse = 0
 			ln.inserted = 0
+			ln.prev, ln.next = nil, nil
 			clearSubs(ln.valid, ln.dirty, ln.data, c.cfg.SubSize)
 		}
+		st.head, st.tail, st.empty = nil, nil, 0
 	}
+	clear(c.index)
 	c.tick = 0
 	c.seqNext = -1
 	c.seqStreak = 0
@@ -34,8 +39,8 @@ func (c *Cache) Invalidate() {
 func (c *Cache) EncodeState(e *snap.Enc) {
 	e.U64(uint64(len(c.sets)))
 	e.U64(uint64(c.ways))
-	for _, set := range c.sets {
-		for _, ln := range set {
+	for i := range c.sets {
+		for _, ln := range c.sets[i].frames {
 			e.I64(ln.lspn)
 			for i := range ln.valid {
 				e.Bool(ln.valid[i])
@@ -77,8 +82,8 @@ func (c *Cache) DecodeState(d *snap.Dec) error {
 	if w := d.U64(); d.Err() == nil && w != uint64(c.ways) {
 		return fmt.Errorf("%w: %d cache ways, want %d", snap.ErrMismatch, w, c.ways)
 	}
-	for _, set := range c.sets {
-		for _, ln := range set {
+	for i := range c.sets {
+		for _, ln := range c.sets[i].frames {
 			ln.lspn = d.I64()
 			for i := range ln.valid {
 				ln.valid[i] = d.Bool()
@@ -124,5 +129,53 @@ func (c *Cache) DecodeState(d *snap.Dec) error {
 	c.stats.Readaheads = d.U64()
 	c.stats.ReadaheadHits = d.U64()
 	c.stats.Flushes = d.U64()
-	return d.Err()
+	if d.Err() != nil {
+		return d.Err()
+	}
+	return c.reindex()
+}
+
+// reindex rebuilds the LSPN index and every set's victim order and empty
+// cursor from freshly decoded frames, refusing an image the index cannot
+// represent faithfully: a line outside the set its LSPN maps to (find would
+// never reach it), one LSPN in two frames (ambiguous), or a frame stamped
+// ahead of the replacement clock (a later touch would be stamped older than
+// it, and the order would stop mirroring the stamps). Within a set the
+// order is the policy's clock ascending, ties in way order — the frame a
+// scan for the minimum stamp picks first.
+func (c *Cache) reindex() error {
+	stamp := func(ln *line) uint64 {
+		if c.cfg.Replacement == LRU {
+			return ln.lastUse
+		}
+		return ln.inserted
+	}
+	var occupied []*line
+	for i := range c.sets {
+		st := &c.sets[i]
+		st.empty = len(st.frames)
+		occupied = occupied[:0]
+		for w, ln := range st.frames {
+			switch {
+			case ln.lspn < 0:
+				if st.empty == len(st.frames) {
+					st.empty = w
+				}
+				continue
+			case c.setOf(ln.lspn) != st:
+				return fmt.Errorf("%w: cache line %d in set %d, belongs in %d", snap.ErrCorrupt, ln.lspn, i, ln.lspn%int64(len(c.sets)))
+			case c.index[ln.lspn] != nil:
+				return fmt.Errorf("%w: cache line %d in two frames", snap.ErrCorrupt, ln.lspn)
+			case ln.lastUse > c.tick || ln.inserted > c.tick:
+				return fmt.Errorf("%w: cache line %d stamped %d/%d, clock at %d", snap.ErrCorrupt, ln.lspn, ln.lastUse, ln.inserted, c.tick)
+			}
+			c.index[ln.lspn] = ln
+			occupied = append(occupied, ln)
+		}
+		sort.SliceStable(occupied, func(a, b int) bool { return stamp(occupied[a]) < stamp(occupied[b]) })
+		for _, ln := range occupied {
+			st.pushTail(ln)
+		}
+	}
+	return nil
 }

@@ -33,6 +33,32 @@ func (r *Resource) Claim(now Time, dur Duration) (start, end Time) {
 	return start, end
 }
 
+// ClaimRun makes k claims of dur each, the i-th arriving at first+i·stride,
+// and returns the end of the last — state and result exactly those of
+//
+//	for i := 0; i < k; i++ { _, end = r.Claim(first+Time(i)*stride, dur) }
+//
+// in O(1). The loop is the max-plus recurrence end_i = max(arrive_i,
+// end_{i-1}) + dur; unrolled, the last end is the largest of freeAt + k·dur
+// (the backlog never drains) and arrive_j + (k-j)·dur over every j (claim j
+// starts on arrival and the rest follow back to back). Arrivals are linear
+// in j, so that second term is too and its maximum sits at an end point:
+// j = 0 or j = k-1. k <= 0 claims nothing and returns the current free time.
+func (r *Resource) ClaimRun(first Time, stride, dur Duration, k int) (end Time) {
+	if k <= 0 {
+		return r.freeAt
+	}
+	n := Duration(k)
+	end = MaxOf(r.freeAt, first) + n*dur
+	if last := first + (n-1)*stride + dur; last > end {
+		end = last
+	}
+	r.freeAt = end
+	r.busy += n * dur
+	r.claims += uint64(k)
+	return end
+}
+
 // ClaimAt reserves dur starting exactly at start, even if that overlaps an
 // earlier reservation: the caller asserts the resource is genuinely free
 // then (e.g. a replayed trace with externally known timing). The returned
