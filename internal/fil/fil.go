@@ -104,20 +104,27 @@ type Result struct {
 
 // FIL schedules flash transactions. Not safe for concurrent use.
 type FIL struct {
-	flash  *nand.Flash
-	addrOf AddrFunc
-	stats  Stats
+	flash *nand.Flash
+	stats Stats
 
-	// Per-Execute scratch state, reused across calls so plan execution is
-	// allocation-free in steady state. The pre-read index is a persistent
-	// map (GC plans can carry thousands of migration reads, so lookups
-	// must stay O(1)); the super-block ordering slots are a small linear
-	// list (a plan touches few distinct super-blocks), scanned directly —
-	// a map index would pay a hash per op for a handful of entries.
-	reads    map[SubKey]planRead // completed pre-reads of this plan
-	sbTimes  []sbTime            // per-super-block erase completion / latest touch
-	readBufs [][]byte            // pooled page buffers backing planRead.data
-	readBufN int                 // buffers handed out for the current plan
+	// planes is the address table: the AddrFunc's answer for page zero of
+	// block zero of every plane, filled once by New. A page location then
+	// translates with one load — planes[Plane] with Block = SB and Page =
+	// Page — instead of the function's six integer divisions per op.
+	planes []nand.Address
+
+	// Per-plan scratch state, reused across calls so plan execution is
+	// allocation-free in steady state. recs is the dense pre-read record
+	// table, indexed by plan position: the read at Ops[i] fills recs[i] and
+	// the rewrite linked to it (ftl.Op.Src, or links below) loads it back —
+	// the FTL names the dependency, so nothing is looked up, and a record is
+	// only read after the same plan wrote it, so nothing is cleared between
+	// plans. The super-block ordering slots are a small linear list (a plan
+	// touches few distinct super-blocks), scanned directly.
+	recs     []planRec
+	sbTimes  []sbTime // per-super-block erase completion / latest touch
+	readBufs [][]byte // pooled page buffers backing planRec.buf
+	readBufN int      // buffers handed out for the current plan
 
 	// addrScratch carries the translated addresses of one ReadSubsOn call
 	// from its validation pass to its issue pass, reused across calls.
@@ -134,18 +141,21 @@ type FIL struct {
 	parityBuf []byte
 	parityTmp []byte
 
-	// Plan prevalidation scratch (ExecuteOn): the translated address of
-	// every op in plan order (erases contribute one address per plane) and
-	// a per-block overlay of in-plan state transitions — pvNext[block] is
-	// the simulated in-order program pointer plus one (zero = untouched),
-	// a lazily sized direct-indexed array (GC plans run thousands of ops,
-	// so the overlay lookup must cost an array load, not a map probe),
-	// with pvTouched resetting only the dirtied slots after the pass. The
-	// flash invariant "written pages are exactly [0, next)" (in-order
-	// programs, whole-block erases) makes the pointer sufficient to answer
-	// both the written-page and the next-program checks against in-plan
-	// mutations. Reused across calls.
+	// Plan prevalidation scratch, reused across calls: the translated
+	// address of every read and write in plan order; the plan links the walk
+	// derives for itself (links[i] is what a certificate would have vouched
+	// for in Ops[i].Src, linkReads the reference rule's (LSPN, Sub) → last
+	// read — the only map a plan ever touches, and only here); and a
+	// per-block overlay of in-plan state transitions — pvNext[block] is the
+	// simulated in-order program pointer plus one (zero = untouched), a
+	// lazily sized direct-indexed array, with pvTouched resetting only the
+	// dirtied slots after the pass. The flash invariant "written pages are
+	// exactly [0, next)" (in-order programs, whole-block erases) makes the
+	// pointer sufficient to answer both the written-page and the
+	// next-program checks against in-plan mutations.
 	planAddrs []nand.Address
+	links     []int32
+	linkReads map[SubKey]int32
 	pvNext    []int32
 	pvTouched []int32
 
@@ -168,14 +178,16 @@ type FIL struct {
 	forceWalk bool
 }
 
-// planRead records one completed pre-read: its completion time, (when
-// data is tracked) the page contents, and the super-block it read from —
-// a rewrite consuming it touches that source block with the program's
-// completion, so the victim's erase waits for the migration to land.
-type planRead struct {
+// planRec records one completed pre-read at its plan position: its
+// completion time, the pooled buffer holding the page contents (an index
+// into readBufs, -1 when data is not tracked), and the super-block it read
+// from — a rewrite consuming it touches that source block with the
+// program's completion, so the victim's erase waits for the migration to
+// land.
+type planRec struct {
 	done  sim.Time
-	data  []byte
-	srcSB int
+	srcSB int32
+	buf   int32
 }
 
 // sbTime tracks in-plan per-super-block ordering state.
@@ -185,12 +197,67 @@ type sbTime struct {
 	touched sim.Time // latest op completion touching the super-block
 }
 
-// New constructs a FIL over the storage complex.
+// New constructs a FIL over the storage complex. addrOf is called once per
+// plane to build the translation table, so it must be separable: the plane
+// picks channel, package, die and plane, and the location's super-block and
+// page pass through as block and page. New probes a few locations and
+// refuses a function of any other shape.
 func New(flash *nand.Flash, addrOf AddrFunc) (*FIL, error) {
 	if flash == nil || addrOf == nil {
 		return nil, fmt.Errorf("fil: flash and address function are required")
 	}
-	return &FIL{flash: flash, addrOf: addrOf}, nil
+	g := flash.Geometry()
+	f := &FIL{flash: flash, planes: make([]nand.Address, g.TotalPlanes())}
+	for p := range f.planes {
+		a := addrOf(ftl.PageLoc{Plane: p, Sub: p})
+		if err := g.CheckAddress(a); err != nil {
+			return nil, fmt.Errorf("fil: address function maps plane %d outside the geometry: %w", p, err)
+		}
+		if a.Block != 0 || a.Page != 0 {
+			return nil, fmt.Errorf("fil: address function maps plane %d page 0 of super-block 0 to %v", p, a)
+		}
+		f.planes[p] = a
+	}
+	last := len(f.planes) - 1
+	for _, loc := range []ftl.PageLoc{
+		{SB: g.BlocksPerPlane - 1, Page: g.PagesPerBlock - 1, Plane: last, Sub: 0},
+		{SB: g.BlocksPerPlane / 2, Page: g.PagesPerBlock / 2, Plane: last / 2, Sub: last},
+		{SB: g.BlocksPerPlane - 1, Page: 0, Plane: 0, Sub: last / 2},
+		{SB: 0, Page: g.PagesPerBlock - 1, Plane: last, Sub: last},
+	} {
+		if got, want := addrOf(loc), f.addr(&loc); got != want {
+			return nil, fmt.Errorf("fil: address function is not plane-separable: %+v maps to %v, the plane table says %v", loc, got, want)
+		}
+	}
+	return f, nil
+}
+
+// addrInto translates a page location through the plane table into *a. The
+// plane must be in range: certified locations are by construction, the rest
+// go through translate. Field by field on purpose: on the per-op path a
+// 48-byte struct copied right after two of its fields were patched is a
+// wide load over narrow stores — a failed store-to-load forward per op.
+func (f *FIL) addrInto(a *nand.Address, loc *ftl.PageLoc) {
+	p := &f.planes[loc.Plane]
+	a.Channel, a.Package, a.Die, a.Plane = p.Channel, p.Package, p.Die, p.Plane
+	a.Block, a.Page = loc.SB, loc.Page
+}
+
+// addr is addrInto by value, for the paths that run once per request.
+func (f *FIL) addr(loc *ftl.PageLoc) nand.Address {
+	var a nand.Address
+	f.addrInto(&a, loc)
+	return a
+}
+
+// translate is addr for locations nobody vouched for: a plane outside the
+// table, or a block or page outside the geometry, is an error.
+func (f *FIL) translate(loc ftl.PageLoc) (nand.Address, error) {
+	if loc.Plane < 0 || loc.Plane >= len(f.planes) {
+		return nand.Address{}, fmt.Errorf("fil: plane %d out of range [0,%d)", loc.Plane, len(f.planes))
+	}
+	a := f.addr(&loc)
+	return a, f.flash.Geometry().CheckAddress(a)
 }
 
 // Stats returns a copy of the counters.
@@ -337,20 +404,6 @@ func (f *FIL) sbSlot(sb int) *sbTime {
 	return &f.sbTimes[len(f.sbTimes)-1]
 }
 
-// planFault finalizes a mid-plan injected fault: the executed prefix's
-// batched bookkeeping is committed (those transactions really happened —
-// aborting would discard real claims and installs), the certified chain is
-// disarmed, and the typed report is built for the recovery orchestration.
-// batch is nil on the synchronous path, whose bookkeeping already applied.
-func (f *FIL) planFault(batch *nand.PlanBatch, executed int, op ftl.Op, plane int, err error) *PlanFault {
-	if batch != nil {
-		batch.Commit()
-	}
-	f.disarm()
-	f.stats.PlanFaults++
-	return &PlanFault{Executed: executed, Op: op, Plane: plane, Err: err}
-}
-
 // parityPayload assembles the RAIN parity payload of op — the XOR of the
 // stripe row's covered data pages — into a pooled page buffer. Member
 // bytes come through nand.Flash.PagePayload (pending-aware, no timing or
@@ -359,7 +412,7 @@ func (f *FIL) planFault(batch *nand.PlanBatch, executed int, op ftl.Op, plane in
 // cost. Returns nil when data tracking is off (timing-only execution).
 // The op names its own stripe: data planes [Loc.Sub, Loc.Plane), mask bit
 // i covering plane Loc.Sub+i.
-func (f *FIL) parityPayload(op ftl.Op) []byte {
+func (f *FIL) parityPayload(op *ftl.Op) []byte {
 	if !f.flash.TrackData() {
 		return nil
 	}
@@ -378,7 +431,7 @@ func (f *FIL) parityPayload(op ftl.Op) []byte {
 		}
 		p := op.Loc.Sub + i
 		peer := ftl.PageLoc{SB: op.Loc.SB, Page: op.Loc.Page, Plane: p, Sub: p}
-		f.flash.PagePayload(f.addrOf(peer), f.parityTmp)
+		f.flash.PagePayload(f.addr(&peer), f.parityTmp)
 		for j := range buf {
 			buf[j] ^= f.parityTmp[j]
 		}
@@ -386,175 +439,13 @@ func (f *FIL) parityPayload(op ftl.Op) []byte {
 	return buf
 }
 
-// readBuf hands out a pooled page buffer for a plan pre-read.
-func (f *FIL) readBuf() []byte {
+// readBuf hands out a pooled page buffer for a plan pre-read, by index.
+func (f *FIL) readBuf() int32 {
 	if f.readBufN == len(f.readBufs) {
 		f.readBufs = append(f.readBufs, make([]byte, f.flash.Geometry().PageSize))
 	}
-	buf := f.readBufs[f.readBufN]
 	f.readBufN++
-	return buf
-}
-
-// Execute runs an FTL plan against the flash, walking the plan's causal
-// op order. hostData supplies payload bytes for host writes (the zero
-// PlanData when data tracking is off or the plan has no host writes).
-//
-// Dependency timing: every op starts no earlier than `now`; a GC/RMW
-// rewrite additionally waits for the completion of the pre-read of the
-// same (LSPN, Sub); a write into a super-block erased earlier in the plan
-// waits for that erase; an erase waits for every earlier op touching the
-// same super-block (its migration reads). Everything else overlaps, bounded
-// only by the channel/die contention modeled inside package nand.
-func (f *FIL) Execute(now sim.Time, plan ftl.Plan, hostData PlanData) (Result, error) {
-	var res Result
-	res.Done = now
-	// The synchronous path validates per op inside the flash calls, so the
-	// certificate buys no skipped work here; the chain still advances so a
-	// mixed Execute/ExecuteOn caller (core's Flush) keeps the fast path
-	// armed for the deferred executions around it.
-	inSeq := f.certCheck(plan)
-	g := f.flash.Geometry()
-
-	if f.reads == nil {
-		f.reads = make(map[SubKey]planRead)
-	} else {
-		clear(f.reads)
-	}
-	f.sbTimes = f.sbTimes[:0]
-	f.readBufN = 0
-	trackData := f.flash.TrackData()
-
-	touch := func(sb int, t sim.Time) {
-		slot := f.sbSlot(sb)
-		if t > slot.touched {
-			slot.touched = t
-		}
-		if t > res.Done {
-			res.Done = t
-		}
-	}
-
-	for i, op := range plan.Ops {
-		switch op.Kind {
-		case ftl.OpRead:
-			start := sim.MaxOf(now, f.sbSlot(op.Loc.SB).erased)
-			var buf []byte
-			if trackData {
-				buf = f.readBuf()
-			}
-			r, err := f.flash.Read(start, f.addrOf(op.Loc), buf)
-			if err != nil {
-				if nand.IsInjectedFault(err) {
-					return res, f.planFault(nil, i, op, -1, err)
-				}
-				return res, fmt.Errorf("fil: plan read %v: %w", op.Loc, err)
-			}
-			f.stats.Reads++
-			f.reads[SubKey{op.LSPN, op.Loc.Sub}] = planRead{done: r.Done, data: buf, srcSB: op.Loc.SB}
-			if r.Done > res.ReadsDone {
-				res.ReadsDone = r.Done
-			}
-			touch(op.Loc.SB, r.Done)
-
-		case ftl.OpWrite:
-			if op.Parity {
-				// RAIN parity: payload is the XOR of the stripe row's data
-				// pages, accumulated in controller RAM as the row programmed
-				// — the parity program itself is the only flash cost. The
-				// membership mask stamps the page's OOB in the same serial
-				// section as the program (a torn cut clears both).
-				start := sim.MaxOf(now, f.sbSlot(op.Loc.SB).erased)
-				addr := f.addrOf(op.Loc)
-				r, err := f.flash.ProgramTagged(start, addr, f.parityPayload(op), planTag(op, g))
-				if err != nil {
-					if nand.IsInjectedFault(err) {
-						return res, f.planFault(nil, i, op, -1, err)
-					}
-					return res, fmt.Errorf("fil: plan parity program %v: %w", op.Loc, err)
-				}
-				f.flash.SetPageStripe(addr, op.Mask)
-				f.stats.Programs++
-				touch(op.Loc.SB, r.Done)
-				continue
-			}
-			k := SubKey{op.LSPN, op.Loc.Sub}
-			start := sim.MaxOf(now, f.sbSlot(op.Loc.SB).erased)
-			data, _ := hostData.Bytes(k)
-			srcSB := -1
-			if pr, ok := f.reads[k]; ok {
-				// Rewrite of data sourced from flash: wait for the read.
-				if pr.done > start {
-					start = pr.done
-					f.stats.DepStalls++
-				}
-				if data == nil {
-					data = pr.data
-				}
-				srcSB = pr.srcSB
-			}
-			r, err := f.flash.ProgramTagged(start, f.addrOf(op.Loc), data, planTag(op, g))
-			if err != nil {
-				if nand.IsInjectedFault(err) {
-					return res, f.planFault(nil, i, op, -1, err)
-				}
-				return res, fmt.Errorf("fil: plan program %v: %w", op.Loc, err)
-			}
-			f.stats.Programs++
-			if !op.GC && r.Done > res.HostWritesDone {
-				res.HostWritesDone = r.Done
-			}
-			touch(op.Loc.SB, r.Done)
-			if srcSB >= 0 && srcSB != op.Loc.SB {
-				// Crash consistency: the source block must not erase until
-				// the data moved off it has physically landed — otherwise a
-				// power cut between the erase and the migration program
-				// destroys the only durable copy.
-				touch(srcSB, r.Done)
-			}
-
-		case ftl.OpErase:
-			// The erase wipes the same block index on every plane, after
-			// all earlier plan ops touching this super-block (the
-			// migration reads) completed.
-			start := sim.MaxOf(now, f.sbSlot(op.SB).touched)
-			// Probe the fault draw for every plane before wiping any: the
-			// op must fail atomically or the planes issued ahead of a
-			// faulting one would already be erased when the FTL recovers
-			// under the assumption the whole erase never happened.
-			for plane := 0; plane < g.TotalPlanes(); plane++ {
-				addr := f.addrOf(ftl.PageLoc{SB: op.SB, Page: 0, Plane: plane, Sub: plane})
-				if err := f.flash.ProbeErase(addr); err != nil {
-					if nand.IsInjectedFault(err) {
-						return res, f.planFault(nil, i, op, plane, err)
-					}
-					return res, fmt.Errorf("fil: plan erase SB %d plane %d: %w", op.SB, plane, err)
-				}
-			}
-			var done sim.Time
-			for plane := 0; plane < g.TotalPlanes(); plane++ {
-				addr := f.addrOf(ftl.PageLoc{SB: op.SB, Page: 0, Plane: plane, Sub: plane})
-				r, err := f.flash.Erase(start, addr)
-				if err != nil {
-					return res, fmt.Errorf("fil: plan erase SB %d plane %d: %w", op.SB, plane, err)
-				}
-				f.stats.Erases++
-				if r.Done > done {
-					done = r.Done
-				}
-			}
-			f.sbSlot(op.SB).erased = done
-			touch(op.SB, done)
-
-		default:
-			return res, fmt.Errorf("fil: unknown plan op kind %d", op.Kind)
-		}
-	}
-	f.stats.PlanCount++
-	if inSeq {
-		f.certAdvance()
-	}
-	return res, nil
+	return int32(f.readBufN - 1)
 }
 
 // pvReset clears the overlay slots the last prevalidation dirtied.
@@ -579,25 +470,35 @@ func (f *FIL) pvNextOf(block int32, addr nand.Address) int32 {
 }
 
 // prevalidatePlan walks the whole plan before anything claims or schedules:
-// it translates every op's address (erases contribute one per plane, all
-// cached in f.planAddrs for the issue pass), checks geometry bounds, and
+// it translates every read's and write's address (cached in f.planAddrs for
+// the issue pass; erases go through the plane table), checks geometry bounds, and
 // simulates the in-order program pointer of every touched block so
 // overwrites, out-of-order programs and reads of unwritten pages are caught
 // up front. A mid-plan error therefore leaves no completion events queued
-// and no flash state mutated — the batching contract ExecuteOn promises.
+// and no flash state mutated.
+//
+// The walk also derives the plan links into f.links by the reference rule
+// (ftl.Op.Src: a data write consumes the last preceding read of the same
+// (LSPN, Sub)) and never looks at Src itself: nobody vouches for the field
+// on a plan that has to be walked — hand-built plans leave it zero, and
+// recovery plans are assembled from another plan's ops.
 func (f *FIL) prevalidatePlan(plan ftl.Plan) error {
 	g := f.flash.Geometry()
 	if f.pvNext == nil {
 		f.pvNext = make([]int32, g.TotalBlocks())
+		f.linkReads = make(map[SubKey]int32)
 	}
 	defer f.pvReset()
-	addrs := f.planAddrs[:0]
-	defer func() { f.planAddrs = addrs }()
-	for _, op := range plan.Ops {
+	clear(f.linkReads)
+	addrs, links := f.planAddrs[:0], f.links[:0]
+	defer func() { f.planAddrs, f.links = addrs, links }()
+	for i := range plan.Ops {
+		op := &plan.Ops[i]
+		link := int32(0)
 		switch op.Kind {
 		case ftl.OpRead:
-			addr := f.addrOf(op.Loc)
-			if err := g.CheckAddress(addr); err != nil {
+			addr, err := f.translate(op.Loc)
+			if err != nil {
 				return fmt.Errorf("fil: plan read %v: %w", op.Loc, err)
 			}
 			block := int32(g.BlockIndex(addr))
@@ -605,10 +506,11 @@ func (f *FIL) prevalidatePlan(plan ftl.Plan) error {
 				return fmt.Errorf("fil: plan read %v: page %v unwritten", op.Loc, addr)
 			}
 			addrs = append(addrs, addr)
+			f.linkReads[SubKey{op.LSPN, op.Loc.Sub}] = int32(i + 1)
 
 		case ftl.OpWrite:
-			addr := f.addrOf(op.Loc)
-			if err := g.CheckAddress(addr); err != nil {
+			addr, err := f.translate(op.Loc)
+			if err != nil {
 				return fmt.Errorf("fil: plan program %v: %w", op.Loc, err)
 			}
 			block := int32(g.BlockIndex(addr))
@@ -618,11 +520,14 @@ func (f *FIL) prevalidatePlan(plan ftl.Plan) error {
 			}
 			f.pvNext[block] = next + 2 // stored as pointer+1
 			addrs = append(addrs, addr)
+			if !op.Parity {
+				link = f.linkReads[SubKey{op.LSPN, op.Loc.Sub}]
+			}
 
 		case ftl.OpErase:
-			for plane := 0; plane < g.TotalPlanes(); plane++ {
-				addr := f.addrOf(ftl.PageLoc{SB: op.SB, Page: 0, Plane: plane, Sub: plane})
-				addr.Page = 0
+			for plane := range f.planes {
+				addr := f.planes[plane]
+				addr.Block = op.SB
 				if err := g.CheckAddress(addr); err != nil {
 					return fmt.Errorf("fil: plan erase SB %d plane %d: %w", op.SB, plane, err)
 				}
@@ -631,14 +536,30 @@ func (f *FIL) prevalidatePlan(plan ftl.Plan) error {
 					f.pvTouched = append(f.pvTouched, block)
 				}
 				f.pvNext[block] = 1 // erased: pointer 0, stored as 1
-				addrs = append(addrs, addr)
 			}
 
 		default:
 			return fmt.Errorf("fil: unknown plan op kind %d", op.Kind)
 		}
+		links = append(links, link)
 	}
 	return nil
+}
+
+// Execute runs an FTL plan against the flash synchronously, walking the
+// plan's causal op order. hostData supplies payload bytes for host writes
+// (the zero PlanData when data tracking is off or the plan has no host
+// writes).
+//
+// Dependency timing: every op starts no earlier than `now`; a GC/RMW
+// rewrite additionally waits for the completion of the pre-read it is
+// linked to (ftl.Op.Src: the last preceding read of the same (LSPN, Sub));
+// a write into a super-block erased earlier in the plan waits for that
+// erase; an erase waits for every earlier op touching the same super-block
+// (its migration reads). Everything else overlaps, bounded only by the
+// channel/die contention modeled inside package nand.
+func (f *FIL) Execute(now sim.Time, plan ftl.Plan, hostData PlanData) (Result, error) {
+	return f.execute(nil, nil, now, plan, hostData)
 }
 
 // ExecuteOn is Execute with every flash transaction's per-channel
@@ -658,176 +579,240 @@ func (f *FIL) prevalidatePlan(plan ftl.Plan) error {
 // channels' completion work concurrently between horizons, extending PR 3's
 // read-only windows to writes and GC.
 //
-// An uncertified plan is prevalidated whole before any transaction claims
-// resources or schedules, so an error returns with no events queued and no
-// state mutated. A plan whose construction-time certificate is honored
-// (AcceptCertified: bound issuer, in-sequence, flash epoch untouched) skips
-// the walk and the overlay reset entirely — the FTL already proved every
-// address in bounds and every program in order when it built the plan, so
-// revalidating would re-derive the same answer from the same state. The
+// On either path, a plan nobody vouches for is prevalidated whole before
+// any transaction claims resources or schedules, so a structural error
+// returns with no events queued and no state mutated. A plan whose
+// construction-time certificate is honored (AcceptCertified: bound issuer,
+// in-sequence, flash epoch untouched) skips the walk and the overlay reset
+// entirely — the FTL already proved every address in bounds, every program
+// in order and every rewrite linked to its pre-read when it built the plan,
+// so revalidating would re-derive the same answer from the same state. The
 // error-⇒-no-mutation contract holds on that path by construction: a
 // certified plan cannot fail, and a per-op check tripping anyway means the
 // certification invariant itself was broken, which panics rather than
 // returning with state the contract forbids.
 func (f *FIL) ExecuteOn(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan ftl.Plan, hostData PlanData) (Result, error) {
-	var res Result
-	res.Done = now
-	inSeq := f.certCheck(plan)
-	certified := inSeq && !f.forceWalk
-	if certified {
-		f.stats.CertifiedPlans++
-	} else if err := f.prevalidatePlan(plan); err != nil {
-		return res, err
-	}
-	g := f.flash.Geometry()
-	batch := f.flash.BeginPlan(e, chDoms)
+	return f.execute(e, chDoms, now, plan, hostData)
+}
 
-	if f.reads == nil {
-		f.reads = make(map[SubKey]planRead)
-	} else {
-		clear(f.reads)
+// planRun is the state of one plan execution, kept on execute's stack so
+// the op loop's helpers are plain method calls: no closure per op.
+type planRun struct {
+	f     *FIL
+	batch *nand.PlanBatch // nil: synchronous issue (Execute)
+	// trusted: the plan's certificate is honored — addresses come straight
+	// from the plane table, links from Op.Src, and batched issues skip the
+	// structural prechecks. Otherwise all three come from prevalidatePlan.
+	trusted  bool
+	nextAddr int // cursor into f.planAddrs (walked plans)
+	res      Result
+}
+
+// addrFor resolves a read's or write's physical address into *a:
+// translated through the plane table on the trusted path, consumed from
+// the prevalidation cache (which walked the plan in this same op order)
+// otherwise.
+func (k *planRun) addrFor(a *nand.Address, loc *ftl.PageLoc) {
+	if k.trusted {
+		k.f.addrInto(a, loc)
+		return
 	}
+	*a = k.f.planAddrs[k.nextAddr]
+	k.nextAddr++
+}
+
+// touch records an op completing at t against super-block sb.
+func (k *planRun) touch(sb int, t sim.Time) {
+	slot := k.f.sbSlot(sb)
+	if t > slot.touched {
+		slot.touched = t
+	}
+	if t > k.res.Done {
+		k.res.Done = t
+	}
+}
+
+// The three issue helpers are the only place the synchronous and the
+// deferred path differ: straight flash calls (which validate per op), or
+// the plan batch — trusted entry points when the certificate already
+// proved what the precheck would re-derive; the fault draw stays live. The
+// address comes by pointer and goes to nand in registers (see addrInto).
+
+func (k *planRun) read(start sim.Time, addr *nand.Address, dst []byte) (nand.Result, error) {
+	switch {
+	case k.batch == nil:
+		return k.f.flash.Read(start, *addr, dst)
+	case k.trusted:
+		return k.batch.ReadTrusted(start, *addr, dst)
+	}
+	return k.batch.Read(start, *addr, dst)
+}
+
+func (k *planRun) program(start sim.Time, addr *nand.Address, data []byte, tag int64) (nand.Result, error) {
+	switch {
+	case k.batch == nil:
+		return k.f.flash.ProgramTagged(start, *addr, data, tag)
+	case k.trusted:
+		return k.batch.ProgramTaggedTrusted(start, *addr, data, tag)
+	}
+	return k.batch.ProgramTagged(start, *addr, data, tag)
+}
+
+func (k *planRun) erase(start sim.Time, addr *nand.Address) (nand.Result, error) {
+	if k.batch == nil {
+		return k.f.flash.Erase(start, *addr)
+	}
+	return k.batch.Erase(start, *addr)
+}
+
+// fail ends the plan on the error of op i. An injected fault is a
+// recoverable runtime event on every path: the executed prefix's batched
+// bookkeeping is committed (those transactions really happened), the
+// certified chain is disarmed, and the typed report is built for the
+// recovery orchestration. Anything else is structural and abandons the
+// batch; the walk guarantees that arrives with nothing issued, and on the
+// trusted path no structural check can fail by construction — tripping one
+// there means the lockstep invariant itself broke, and continuing (or
+// returning with the valid prefix claimed) would corrupt state silently.
+func (k *planRun) fail(i int, op *ftl.Op, plane int, what string, err error) error {
+	f := k.f
+	if nand.IsInjectedFault(err) {
+		if k.batch != nil {
+			k.batch.Commit()
+		}
+		f.disarm()
+		f.stats.PlanFaults++
+		return &PlanFault{Executed: i, Op: *op, Plane: plane, Err: err}
+	}
+	if plane >= 0 {
+		err = fmt.Errorf("fil: plan %s SB %d plane %d: %w", what, op.SB, plane, err)
+	} else {
+		err = fmt.Errorf("fil: plan %s %v: %w", what, op.Loc, err)
+	}
+	if k.batch != nil {
+		k.batch.Abort()
+		if k.trusted {
+			panic("fil: certified plan failed mid-execution (certification invariant broken): " + err.Error())
+		}
+	}
+	return err
+}
+
+// execute is the one plan kernel behind Execute (e nil: synchronous issue)
+// and ExecuteOn: one sequential pass over the ops with no hashing, no
+// division and no wide by-value struct per op.
+func (f *FIL) execute(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan ftl.Plan, hostData PlanData) (Result, error) {
+	k := planRun{f: f, res: Result{Done: now}}
+	// The chain advances on both paths, so a mixed Execute/ExecuteOn caller
+	// (core's Flush) keeps the fast path armed for the deferred executions
+	// around it.
+	inSeq := f.certCheck(plan)
+	k.trusted = inSeq && !f.forceWalk
+	if !k.trusted {
+		if err := f.prevalidatePlan(plan); err != nil {
+			return k.res, err
+		}
+	}
+	if e != nil {
+		if k.trusted {
+			// Counted on the deferred path only, as it always was: the
+			// counter is part of every golden digest.
+			f.stats.CertifiedPlans++
+		}
+		k.batch = f.flash.BeginPlan(e, chDoms)
+	}
+
+	n := len(plan.Ops)
+	if cap(f.recs) < n {
+		f.recs = make([]planRec, n+n/4)
+	}
+	recs := f.recs[:n]
 	f.sbTimes = f.sbTimes[:0]
 	f.readBufN = 0
 	trackData := f.flash.TrackData()
+	planes := int64(len(f.planes))
+	var addr nand.Address
 
-	touch := func(sb int, t sim.Time) {
-		slot := f.sbSlot(sb)
-		if t > slot.touched {
-			slot.touched = t
-		}
-		if t > res.Done {
-			res.Done = t
-		}
-	}
-
-	// fail abandons the batch on a mid-plan structural error. On the
-	// certified path no structural check can fail by construction — the
-	// skipped walk is precisely what would have caught it — so tripping a
-	// per-op check there means the lockstep invariant itself broke, and
-	// continuing (or returning with the valid prefix already claimed)
-	// would corrupt state silently. Injected faults never reach here:
-	// recoverable runtime events on either path, they route through
-	// planFault, which commits the executed prefix and disarms the chain.
-	fail := func(err error) error {
-		batch.Abort()
-		if certified {
-			panic("fil: certified plan failed mid-execution (certification invariant broken): " + err.Error())
-		}
-		return err
-	}
-
-	// addrFor resolves one op's physical address: translated inline on the
-	// certified path, consumed from the prevalidation cache (which walked
-	// the plan in this same op order, erases contributing one address per
-	// plane) otherwise. One definition keeps the two paths' address
-	// sequences structurally identical.
-	ai := 0
-	addrFor := func(loc ftl.PageLoc) nand.Address {
-		if certified {
-			return f.addrOf(loc)
-		}
-		a := f.planAddrs[ai]
-		ai++
-		return a
-	}
-	for i, op := range plan.Ops {
+	for i := range plan.Ops {
+		op := &plan.Ops[i]
 		switch op.Kind {
 		case ftl.OpRead:
-			addr := addrFor(op.Loc)
+			k.addrFor(&addr, &op.Loc)
 			start := sim.MaxOf(now, f.sbSlot(op.Loc.SB).erased)
+			rec := planRec{srcSB: int32(op.Loc.SB), buf: -1}
 			var buf []byte
 			if trackData {
-				buf = f.readBuf()
+				rec.buf = f.readBuf()
+				buf = f.readBufs[rec.buf]
 			}
-			var r nand.Result
-			var err error
-			if certified {
-				// The walk this path skipped is exactly what the per-op
-				// precheck would re-derive; only the fault draw remains live.
-				r, err = batch.ReadTrusted(start, addr, buf)
-			} else {
-				r, err = batch.Read(start, addr, buf)
-			}
+			r, err := k.read(start, &addr, buf)
 			if err != nil {
-				if nand.IsInjectedFault(err) {
-					return res, f.planFault(batch, i, op, -1, err)
-				}
-				return res, fail(fmt.Errorf("fil: plan read %v: %w", op.Loc, err))
+				return k.res, k.fail(i, op, -1, "read", err)
 			}
 			f.stats.Reads++
-			f.reads[SubKey{op.LSPN, op.Loc.Sub}] = planRead{done: r.Done, data: buf, srcSB: op.Loc.SB}
-			if r.Done > res.ReadsDone {
-				res.ReadsDone = r.Done
+			rec.done = r.Done
+			recs[i] = rec
+			if r.Done > k.res.ReadsDone {
+				k.res.ReadsDone = r.Done
 			}
-			touch(op.Loc.SB, r.Done)
+			k.touch(op.Loc.SB, r.Done)
 
 		case ftl.OpWrite:
-			addr := addrFor(op.Loc)
+			k.addrFor(&addr, &op.Loc)
+			start := sim.MaxOf(now, f.sbSlot(op.Loc.SB).erased)
 			if op.Parity {
-				// RAIN parity: see Execute's parity branch. Claims, OOB
-				// stamping and the stripe mask apply in this serial section;
-				// only the program's bookkeeping defers into the channel
-				// domain, like any other batched program.
-				start := sim.MaxOf(now, f.sbSlot(op.Loc.SB).erased)
-				pdata := f.parityPayload(op)
-				var r nand.Result
-				var err error
-				if certified {
-					r, err = batch.ProgramTaggedTrusted(start, addr, pdata, planTag(op, g))
-				} else {
-					r, err = batch.ProgramTagged(start, addr, pdata, planTag(op, g))
-				}
+				// RAIN parity: payload is the XOR of the stripe row's data
+				// pages, accumulated in controller RAM as the row programmed
+				// — the parity program itself is the only flash cost. The
+				// membership mask stamps the page's OOB in this same serial
+				// section (a torn cut clears both); on the deferred path only
+				// the program's bookkeeping defers into the channel domain,
+				// like any other batched program.
+				r, err := k.program(start, &addr, f.parityPayload(op), planTag(op, planes))
 				if err != nil {
-					if nand.IsInjectedFault(err) {
-						return res, f.planFault(batch, i, op, -1, err)
-					}
-					return res, fail(fmt.Errorf("fil: plan parity program %v: %w", op.Loc, err))
+					return k.res, k.fail(i, op, -1, "parity program", err)
 				}
 				f.flash.SetPageStripe(addr, op.Mask)
 				f.stats.Programs++
-				touch(op.Loc.SB, r.Done)
+				k.touch(op.Loc.SB, r.Done)
 				continue
 			}
-			k := SubKey{op.LSPN, op.Loc.Sub}
-			start := sim.MaxOf(now, f.sbSlot(op.Loc.SB).erased)
-			data, _ := hostData.Bytes(k)
+			var data []byte
+			if op.LSPN == hostData.LSPN {
+				data, _ = hostData.Bytes(SubKey{op.LSPN, op.Loc.Sub})
+			}
+			src := op.Src
+			if !k.trusted {
+				src = f.links[i]
+			}
 			srcSB := -1
-			if pr, ok := f.reads[k]; ok {
+			if src > 0 {
 				// Rewrite of data sourced from flash: wait for the read.
+				pr := &recs[src-1]
 				if pr.done > start {
 					start = pr.done
 					f.stats.DepStalls++
 				}
-				if data == nil {
-					data = pr.data
+				if data == nil && pr.buf >= 0 {
+					data = f.readBufs[pr.buf]
 				}
-				srcSB = pr.srcSB
+				srcSB = int(pr.srcSB)
 			}
-			var r nand.Result
-			var err error
-			if certified {
-				r, err = batch.ProgramTaggedTrusted(start, addr, data, planTag(op, g))
-			} else {
-				r, err = batch.ProgramTagged(start, addr, data, planTag(op, g))
-			}
+			r, err := k.program(start, &addr, data, planTag(op, planes))
 			if err != nil {
-				if nand.IsInjectedFault(err) {
-					return res, f.planFault(batch, i, op, -1, err)
-				}
-				return res, fail(fmt.Errorf("fil: plan program %v: %w", op.Loc, err))
+				return k.res, k.fail(i, op, -1, "program", err)
 			}
 			f.stats.Programs++
-			if !op.GC && r.Done > res.HostWritesDone {
-				res.HostWritesDone = r.Done
+			if !op.GC && r.Done > k.res.HostWritesDone {
+				k.res.HostWritesDone = r.Done
 			}
-			touch(op.Loc.SB, r.Done)
+			k.touch(op.Loc.SB, r.Done)
 			if srcSB >= 0 && srcSB != op.Loc.SB {
 				// Crash consistency: the source block must not erase until
 				// the data moved off it has physically landed — otherwise a
 				// power cut between the erase and the migration program
 				// destroys the only durable copy.
-				touch(srcSB, r.Done)
+				k.touch(srcSB, r.Done)
 			}
 
 		case ftl.OpErase:
@@ -839,24 +824,20 @@ func (f *FIL) ExecuteOn(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan
 			// op must fail atomically or the planes issued ahead of a
 			// faulting one would already be erased when the FTL recovers
 			// under the assumption the whole erase never happened.
-			// Translated inline, NOT via addrFor: the prevalidation cache
-			// holds one address per plane for the issue loop below, and
-			// consuming them here would shift every later op's address.
-			for plane := 0; plane < g.TotalPlanes(); plane++ {
-				addr := f.addrOf(ftl.PageLoc{SB: op.SB, Page: 0, Plane: plane, Sub: plane})
+			for plane := range f.planes {
+				addr = f.planes[plane]
+				addr.Block = op.SB
 				if err := f.flash.ProbeErase(addr); err != nil {
-					if nand.IsInjectedFault(err) {
-						return res, f.planFault(batch, i, op, plane, err)
-					}
-					return res, fail(fmt.Errorf("fil: plan erase SB %d plane %d: %w", op.SB, plane, err))
+					return k.res, k.fail(i, op, plane, "erase", err)
 				}
 			}
 			var done sim.Time
-			for plane := 0; plane < g.TotalPlanes(); plane++ {
-				addr := addrFor(ftl.PageLoc{SB: op.SB, Page: 0, Plane: plane, Sub: plane})
-				r, err := batch.Erase(start, addr)
+			for plane := range f.planes {
+				addr = f.planes[plane]
+				addr.Block = op.SB
+				r, err := k.erase(start, &addr)
 				if err != nil {
-					return res, fail(fmt.Errorf("fil: plan erase SB %d plane %d: %w", op.SB, plane, err))
+					return k.res, k.fail(i, op, plane, "erase", err)
 				}
 				f.stats.Erases++
 				if r.Done > done {
@@ -864,20 +845,22 @@ func (f *FIL) ExecuteOn(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan
 				}
 			}
 			f.sbSlot(op.SB).erased = done
-			touch(op.SB, done)
+			k.touch(op.SB, done)
 
 		default:
 			// Unreachable: the walk rejects unknown kinds up front, and
 			// certified plans only carry kinds the FTL emits.
-			return res, fail(fmt.Errorf("fil: unknown plan op kind %d", op.Kind))
+			return k.res, k.fail(i, op, -1, "op", fmt.Errorf("unknown kind %d", op.Kind))
 		}
 	}
-	batch.Commit()
+	if k.batch != nil {
+		k.batch.Commit()
+	}
 	f.stats.PlanCount++
 	if inSeq {
 		f.certAdvance()
 	}
-	return res, nil
+	return k.res, nil
 }
 
 // Key constructs a SubKey; exported for callers assembling payload lookups
@@ -894,7 +877,11 @@ func (f *FIL) ReadSubs(now sim.Time, locs []ftl.PageLoc, dsts [][]byte) (sim.Tim
 		if dsts != nil {
 			dst = dsts[i]
 		}
-		r, err := f.flash.Read(now, f.addrOf(loc), dst)
+		addr, err := f.translate(loc)
+		if err != nil {
+			return done, fmt.Errorf("fil: read %v: %w", loc, err)
+		}
+		r, err := f.flash.Read(now, addr, dst)
 		if err != nil {
 			return done, fmt.Errorf("fil: read %v: %w", loc, err)
 		}
@@ -951,12 +938,12 @@ func (f *FIL) ReadSubsStaged(e *sim.Engine, chDoms []sim.DomainID, now sim.Time,
 func (f *FIL) readSubsDeferred(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, locs []ftl.PageLoc, dsts [][]byte, eager bool, cert ftl.ReadCert) (sim.Time, error) {
 	if eager && f.readCertOK(cert) {
 		done := now
-		for i, loc := range locs {
+		for i := range locs {
 			var dst []byte
 			if dsts != nil {
 				dst = dsts[i]
 			}
-			addr := f.addrOf(loc)
+			addr := f.addr(&locs[i])
 			r := f.flash.ReadDeferredEagerTrusted(e, chDoms[addr.Channel], now, addr, dst)
 			f.stats.Reads++
 			if r.Done > done {
@@ -969,7 +956,12 @@ func (f *FIL) readSubsDeferred(e *sim.Engine, chDoms []sim.DomainID, now sim.Tim
 	addrs := f.addrScratch[:0]
 	extras := f.extraScratch[:0]
 	for _, loc := range locs {
-		addr := f.addrOf(loc)
+		addr, err := f.translate(loc)
+		if err != nil {
+			f.addrScratch = addrs
+			f.extraScratch = extras
+			return now, fmt.Errorf("fil: read %v: %w", loc, err)
+		}
 		// ProbeReadExtra covers the structural checks AND the injected
 		// read-fault ladder, returning the drawn retry latency: the draw is
 		// pure in state that cannot change before the issue pass below (the

@@ -10,18 +10,19 @@ import (
 	"amber/internal/sim"
 )
 
+var testTiming = nand.Timing{
+	ReadFast: sim.FromMicroseconds(60), ReadSlow: sim.FromMicroseconds(105),
+	ProgFast: sim.FromMicroseconds(820), ProgSlow: sim.FromMicroseconds(2250),
+	Erase: sim.FromMicroseconds(3000), BusMTps: 333, CmdCycles: sim.FromNanoseconds(100),
+}
+
 func newStack(t *testing.T, trackData bool) (*FIL, *ftl.FTL, *nand.Flash) {
 	t.Helper()
 	g := nand.Geometry{
 		Channels: 2, PackagesPerChannel: 1, DiesPerPackage: 1, PlanesPerDie: 2,
 		BlocksPerPlane: 8, PagesPerBlock: 4, PageSize: 512,
 	}
-	tim := nand.Timing{
-		ReadFast: sim.FromMicroseconds(60), ReadSlow: sim.FromMicroseconds(105),
-		ProgFast: sim.FromMicroseconds(820), ProgSlow: sim.FromMicroseconds(2250),
-		Erase: sim.FromMicroseconds(3000), BusMTps: 333, CmdCycles: sim.FromNanoseconds(100),
-	}
-	fl, err := nand.New(g, tim, nand.Power{}, nand.MLC, nand.Options{TrackData: trackData})
+	fl, err := nand.New(g, testTiming, nand.Power{}, nand.MLC, nand.Options{TrackData: trackData})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -681,12 +682,7 @@ func newFaultStack(t *testing.T, faults nand.FaultConfig) (*FIL, *ftl.FTL, *nand
 		Channels: 2, PackagesPerChannel: 1, DiesPerPackage: 1, PlanesPerDie: 2,
 		BlocksPerPlane: 8, PagesPerBlock: 4, PageSize: 512,
 	}
-	tim := nand.Timing{
-		ReadFast: sim.FromMicroseconds(60), ReadSlow: sim.FromMicroseconds(105),
-		ProgFast: sim.FromMicroseconds(820), ProgSlow: sim.FromMicroseconds(2250),
-		Erase: sim.FromMicroseconds(3000), BusMTps: 333, CmdCycles: sim.FromNanoseconds(100),
-	}
-	fl, err := nand.New(g, tim, nand.Power{}, nand.MLC, nand.Options{TrackData: true, Faults: faults})
+	fl, err := nand.New(g, testTiming, nand.Power{}, nand.MLC, nand.Options{TrackData: true, Faults: faults})
 	if err != nil {
 		t.Fatal(err)
 	}

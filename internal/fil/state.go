@@ -2,7 +2,6 @@ package fil
 
 import (
 	"amber/internal/ftl"
-	"amber/internal/nand"
 	"amber/internal/snap"
 )
 
@@ -10,11 +9,11 @@ import (
 // forward-map index of the logical sub-page (LSPN × planes + sub, matching
 // ftl's fwdIndex), or the reserved parity tag for RAIN parity programs.
 // Mount-time recovery rebuilds the forward map from these stamps alone.
-func planTag(op ftl.Op, g nand.Geometry) int64 {
+func planTag(op *ftl.Op, planes int64) int64 {
 	if op.Parity {
 		return ftl.ParityTag
 	}
-	return op.LSPN*int64(g.TotalPlanes()) + int64(op.Loc.Sub)
+	return op.LSPN*planes + int64(op.Loc.Sub)
 }
 
 // PowerLoss models the cut hitting the FIL: all per-plan scratch state is
@@ -24,9 +23,8 @@ func planTag(op ftl.Op, g nand.Geometry) int64 {
 // recovery hands it a fresh FTL.
 func (f *FIL) PowerLoss() {
 	f.disarm()
-	if f.reads != nil {
-		clear(f.reads)
-	}
+	clear(f.recs[:cap(f.recs)])
+	f.links = f.links[:0]
 	f.sbTimes = f.sbTimes[:0]
 	f.readBufN = 0
 }

@@ -15,6 +15,7 @@ package ftl
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"amber/internal/nand"
 	"amber/internal/sim"
@@ -141,8 +142,8 @@ type PageRead struct {
 	LSPN int64
 }
 
-// OpKind distinguishes plan operations.
-type OpKind int
+// OpKind distinguishes plan operations. One byte: Op must fit a cache line.
+type OpKind uint8
 
 // Plan operation kinds.
 const (
@@ -168,15 +169,34 @@ const ParityTag int64 = -2
 // planes [Loc.Sub, Loc.Plane), mask bit i covering plane Loc.Sub+i.
 // Timing reads with LSPN -1 (reconstruction's stripe-member reads) are
 // never paired with host data or mappings.
+//
+// Src is the plan link of a non-parity write: the 1-based index into the
+// plan's Ops of the pre-read whose completion the write waits for and whose
+// bytes it rewrites — by definition the last OpRead of the same (LSPN,
+// Loc.Sub) preceding the write — or 0 when no such read exists (a pure host
+// write). The FTL stamps it while building the plan (linkOps is the
+// reference rule), and a plan's certificate vouches for it exactly as it
+// vouches for addresses and program order; executors walking an uncertified
+// plan derive the links themselves and ignore the field.
+//
+// The layout is a budget, not an accident: a GC plan runs to tens of
+// thousands of ops that the executor streams through once, so an Op is
+// exactly one 64-byte cache line (asserted below). A new field has to fit
+// the seven spare bytes or displace something.
 type Op struct {
-	Kind   OpKind
 	Loc    PageLoc // read/write target
 	LSPN   int64   // owning logical super-page (read/write), -1 for parity/aux
-	GC     bool    // write: migration/RMW rewrite rather than host data
 	SB     int     // erase target super-block
-	Parity bool    // write: RAIN parity program (payload = stripe XOR)
 	Mask   uint32  // parity: stripe membership mask (bit i = data plane Loc.Sub+i)
+	Src    int32   // write: 1-based Ops index of the pre-read it consumes, 0 = none
+	Kind   OpKind
+	GC     bool // write: migration/RMW rewrite rather than host data
+	Parity bool // write: RAIN parity program (payload = stripe XOR)
 }
+
+// Compile-time proof of the one-cache-line budget: any other size makes
+// the constant index out of range.
+var _ = [1]struct{}{}[unsafe.Sizeof(Op{})-64]
 
 // Plan is the ordered physical work produced by one FTL call. Ops must be
 // executed respecting their order-induced dependencies.
@@ -195,6 +215,18 @@ type Plan struct {
 	// copy carry the same number, so at most one of them (whichever runs
 	// first, unmodified) is honored and the other breaks the chain.
 	Cert Cert
+}
+
+// push extends the plan by one op of the given kind, zero otherwise, for
+// the caller to fill in place. The hot builders go through it instead of
+// appending a composite literal: a 64-byte Op assembled field by field in a
+// temporary and then copied into the slice is a wide load over narrow
+// stores — a failed store-to-load forward per op.
+func (p *Plan) push(kind OpKind) *Op {
+	p.Ops = append(p.Ops, Op{})
+	op := &p.Ops[len(p.Ops)-1]
+	op.Kind = kind
+	return op
 }
 
 // Cert certifies that a plan is valid by construction: the FTL knows the
@@ -385,6 +417,14 @@ type FTL struct {
 	// across calls: the submit path executes each plan synchronously before
 	// the next FTL call, so one growable buffer serves every request.
 	scratchOps []Op
+
+	// Plan-link scratch (Op.Src). linkLSPN is the super-page the running
+	// Write call is writing (-1 outside Write) and lastRead[sub] the 1-based
+	// plan index of the last read of (linkLSPN, sub) appended so far, 0 for
+	// none: the RMW pre-reads, and any GC or wear-levelling migration that
+	// happened to move a sub of that very super-page earlier in the plan.
+	linkLSPN int64
+	lastRead []int32
 }
 
 // New constructs an FTL over the given geometry.
@@ -399,7 +439,9 @@ func New(cfg Config) (*FTL, error) {
 		pagesPerSB: g.PagesPerBlock,
 		sbCount:    g.BlocksPerPlane,
 		openSB:     -1,
+		linkLSPN:   -1,
 	}
+	f.lastRead = make([]int32, f.subCount)
 	f.dataPlanes = f.subCount
 	if cfg.RAINWidth > 0 {
 		f.rainW = cfg.RAINWidth
@@ -513,6 +555,31 @@ func (f *FTL) PlanSeq() uint64 { return f.planSeq }
 func (f *FTL) certify(p *Plan) {
 	p.Cert = Cert{issuer: f, seq: f.planSeq}
 	f.planSeq++
+}
+
+// linkOps is the reference rule for plan links, one walk with a map: every
+// non-parity write's Src names the last OpRead of the same (LSPN, Loc.Sub)
+// before it in ops, 1-based, 0 when there is none; every other op's Src is
+// cleared. The hot builders (Write, GC, wear-levelling, scrub) stamp the
+// same answer inline; the cold ones that hand-assemble or copy ops
+// (RecoverPlanFault, MountSqueeze, PlanReconstruct) call this before
+// certify, so certified ⇒ linked, and the tests hold the inline stamps to it.
+func linkOps(ops []Op) {
+	type key struct {
+		lspn int64
+		sub  int
+	}
+	last := make(map[key]int32)
+	for i := range ops {
+		op := &ops[i]
+		op.Src = 0
+		switch {
+		case op.Kind == OpRead:
+			last[key{op.LSPN, op.Loc.Sub}] = int32(i + 1)
+		case op.Kind == OpWrite && !op.Parity:
+			op.Src = last[key{op.LSPN, op.Loc.Sub}]
+		}
+	}
 }
 
 func (f *FTL) physIndex(loc PageLoc) int64 {
@@ -700,9 +767,19 @@ func (f *FTL) popFreeSB() int {
 // when that plane's append point is full the least-filled plane takes the
 // page instead. Any previous mapping is invalidated. The write is appended
 // to the plan.
-func (f *FTL) appendSub(now sim.Time, lspn int64, sub int, gc bool, plan *Plan) error {
+//
+// src is the write's plan link (Op.Src) as the caller knows it: a
+// migration passes the index of the read it just appended, everyone else 0.
+// A write of the super-page under Write takes lastRead's answer instead —
+// looked up only now, after allocOpen, because the GC allocOpen may run can
+// migrate the very sub about to be written, and that migration's read is
+// then the last one preceding this write.
+func (f *FTL) appendSub(now sim.Time, lspn int64, sub int, gc bool, src int32, plan *Plan) error {
 	if err := f.allocOpen(now, plan); err != nil {
 		return err
+	}
+	if lspn == f.linkLSPN {
+		src = f.lastRead[sub]
 	}
 	sb := &f.sbs[f.openSB]
 	plane := sub % f.subCount
@@ -721,7 +798,10 @@ func (f *FTL) appendSub(now sim.Time, lspn int64, sub int, gc bool, plan *Plan) 
 		}
 		plane = best // allocOpen guaranteed at least one open data plane
 	}
-	loc := PageLoc{SB: f.openSB, Page: int(sb.nextPage[plane]), Plane: plane, Sub: sub}
+	op := plan.push(OpWrite)
+	op.Loc.SB, op.Loc.Page, op.Loc.Plane, op.Loc.Sub = f.openSB, int(sb.nextPage[plane]), plane, sub
+	op.LSPN, op.GC, op.Src = lspn, gc, src
+	loc := &op.Loc
 	sb.nextPage[plane]++
 	sb.lastWrite = now
 
@@ -737,13 +817,12 @@ func (f *FTL) appendSub(now sim.Time, lspn int64, sub int, gc bool, plan *Plan) 
 		}
 	}
 	// Install new mapping.
-	pi := f.physIndex(loc)
-	f.fwd[fi] = f.packLoc(loc)
+	pi := f.physIndex(*loc)
+	f.fwd[fi] = f.packLoc(*loc)
 	f.rev[pi] = fi
 	f.valid[pi] = true
 	sb.validSubs++
 
-	plan.Ops = append(plan.Ops, Op{Kind: OpWrite, Loc: loc, LSPN: lspn, GC: gc})
 	f.stats.FlashSubWrites++
 	if f.rainW > 0 {
 		// Parity rides the same plan as the data: once this append completed
@@ -768,7 +847,10 @@ func (f *FTL) appendSub(now sim.Time, lspn int64, sub int, gc bool, plan *Plan) 
 // by construction, so a lockstep executor may skip revalidation.
 func (f *FTL) Write(now sim.Time, lspn int64, dirty []bool) (Plan, error) {
 	plan := Plan{Ops: f.scratchOps[:0]}
-	defer func() { f.scratchOps = plan.Ops[:0] }()
+	defer func() {
+		f.scratchOps = plan.Ops[:0]
+		f.linkLSPN = -1
+	}()
 	if f.readOnly {
 		return plan, fmt.Errorf("%w: write of LSPN %d refused", ErrReadOnly, lspn)
 	}
@@ -815,12 +897,14 @@ func (f *FTL) Write(now sim.Time, lspn int64, dirty []bool) (Plan, error) {
 			f.planSeq++
 		}
 	}()
+	f.linkLSPN = lspn
+	clear(f.lastRead)
 
 	writeSub := func(sub int, gc bool) error {
 		if !gc {
 			f.stats.HostSubWrites++
 		}
-		return f.appendSub(now, lspn, sub, gc, &plan)
+		return f.appendSub(now, lspn, sub, gc, 0, &plan)
 	}
 
 	switch {
@@ -849,6 +933,7 @@ func (f *FTL) Write(now sim.Time, lspn int64, dirty []bool) (Plan, error) {
 			if !dirty[sub] {
 				if packed := f.fwd[f.fwdIndex(lspn, sub)]; packed >= 0 {
 					plan.Ops = append(plan.Ops, Op{Kind: OpRead, Loc: f.unpackLoc(packed, sub), LSPN: lspn})
+					f.lastRead[sub] = int32(len(plan.Ops))
 					f.stats.RMWReads++
 				}
 			}
@@ -858,7 +943,7 @@ func (f *FTL) Write(now sim.Time, lspn int64, dirty []bool) (Plan, error) {
 			if !gcWrite {
 				f.stats.HostSubWrites++
 			}
-			if err := f.appendSub(now, lspn, sub, gcWrite, &plan); err != nil {
+			if err := f.appendSub(now, lspn, sub, gcWrite, 0, &plan); err != nil {
 				return plan, err
 			}
 		}

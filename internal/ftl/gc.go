@@ -48,8 +48,14 @@ func (f *FTL) migrateSuperBlock(now sim.Time, sb int, plan *Plan, mode migrateMo
 			}
 			lspn := f.rev[pi] / int64(f.subCount)
 			sub := int(f.rev[pi] % int64(f.subCount))
-			plan.Ops = append(plan.Ops, Op{Kind: OpRead, Loc: PageLoc{SB: sb, Page: page, Plane: plane, Sub: sub}, LSPN: lspn})
-			if err := f.appendSub(now, lspn, sub, true, plan); err != nil {
+			op := plan.push(OpRead)
+			op.Loc.SB, op.Loc.Page, op.Loc.Plane, op.Loc.Sub = sb, page, plane, sub
+			op.LSPN = lspn
+			read := int32(len(plan.Ops)) // 1-based: the rewrite's plan link
+			if lspn == f.linkLSPN {
+				f.lastRead[sub] = read
+			}
+			if err := f.appendSub(now, lspn, sub, true, read, plan); err != nil {
 				return err
 			}
 			switch mode {

@@ -1,0 +1,313 @@
+package ftl
+
+import (
+	"testing"
+
+	"amber/internal/nand"
+	"amber/internal/sim"
+)
+
+// linkTally counts what a checked plan exercised, so the test can prove
+// the interesting shapes occurred at all.
+type linkTally struct {
+	plans        int
+	linked       int // writes with a non-zero Src
+	hostLinked   int // non-GC writes linked to a read (RMW fill, or a GC move of the sub under write)
+	rereads      int // links whose (LSPN, Sub) was read more than once before the write
+	parityInside int // parity programs sitting between a read and the write it feeds
+}
+
+// checkLinks holds one plan's stamped links to the reference rule: Src of
+// every op equals linkOps run on a copy, every non-zero Src names an
+// earlier OpRead of the same (LSPN, Sub), and no parity write carries one.
+func checkLinks(t *testing.T, what string, ops []Op, tally *linkTally) {
+	t.Helper()
+	ref := append([]Op(nil), ops...)
+	linkOps(ref)
+	type key struct {
+		lspn int64
+		sub  int
+	}
+	reads := make(map[key]int)
+	for i, op := range ops {
+		if op.Src != ref[i].Src {
+			t.Fatalf("%s: op %d (%+v): Src %d, reference pass says %d", what, i, op, op.Src, ref[i].Src)
+		}
+		k := key{op.LSPN, op.Loc.Sub}
+		if op.Kind == OpRead {
+			reads[k]++
+		}
+		if op.Src == 0 {
+			continue
+		}
+		if op.Kind != OpWrite || op.Parity {
+			t.Fatalf("%s: op %d (%+v) is not a data write but carries Src %d", what, i, op, op.Src)
+		}
+		si := int(op.Src) - 1
+		if si < 0 || si >= i {
+			t.Fatalf("%s: op %d: Src %d does not name an earlier op", what, i, op.Src)
+		}
+		src := ops[si]
+		if src.Kind != OpRead || src.LSPN != op.LSPN || src.Loc.Sub != op.Loc.Sub {
+			t.Fatalf("%s: op %d (%+v): Src names op %d (%+v), not a read of the same sub-page", what, i, op, si, src)
+		}
+		tally.linked++
+		if !op.GC {
+			tally.hostLinked++
+		}
+		if reads[k] > 1 {
+			tally.rereads++
+		}
+		for _, mid := range ops[si+1 : i] {
+			if mid.Parity {
+				tally.parityInside++
+				break
+			}
+		}
+	}
+	tally.plans++
+}
+
+// linkGeometry is large enough for multi-victim GC plans (hundreds of ops)
+// and has eight planes, so a RAIN stripe of 3+1 divides it.
+func linkGeometry() nand.Geometry {
+	return nand.Geometry{
+		Channels: 2, PackagesPerChannel: 2, DiesPerPackage: 1, PlanesPerDie: 2,
+		BlocksPerPlane: 16, PagesPerBlock: 8, PageSize: 4096,
+	}
+}
+
+func linkConfig(mutate func(*Config)) Config {
+	cfg := Config{
+		Geometry: linkGeometry(), OPRatio: 0.1, GCPolicy: Greedy,
+		GCFreeThreshold: 2, PartialUpdate: true, SpareBlocks: 6,
+	}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	return cfg
+}
+
+// linkStream drives a fill plus n random overwrites through a fresh FTL,
+// handing every plan to visit, which may stop the stream (leaving the FTL
+// exactly as that Write left it). full writes whole super-pages; otherwise
+// each write dirties a random non-empty subset of the subs. The stream is
+// a pure function of its arguments, so callers replay it to rebuild a
+// state.
+func linkStream(t *testing.T, cfg Config, full bool, n int, visit func(now sim.Time, plan Plan) (stop bool)) (*FTL, sim.Time) {
+	t.Helper()
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := sim.Time(0)
+	rng := sim.NewRNG(41)
+	user := uint64(f.UserSuperPages())
+	subs := f.SubPagesPerSuperPage()
+	stopped := false
+	write := func(lspn int64, dirty []bool) {
+		now += sim.Microsecond
+		plan, err := f.Write(now, lspn, dirty)
+		if err != nil {
+			t.Fatalf("write LSPN %d: %v", lspn, err)
+		}
+		stopped = visit != nil && visit(now, plan)
+	}
+	for lspn := int64(0); lspn < int64(user) && !stopped; lspn++ {
+		write(lspn, nil)
+	}
+	for i := 0; i < n && !stopped; i++ {
+		// Hot quarter, cold rest: skewed erase counts for wear-levelling.
+		lspn := int64(rng.Uint64n(user/4 + 1))
+		if rng.Uint64n(4) == 0 {
+			lspn = int64(rng.Uint64n(user))
+		}
+		if full {
+			write(lspn, nil)
+			continue
+		}
+		dirty := make([]bool, subs)
+		dirty[rng.Uint64n(uint64(subs))] = true
+		for s := range dirty {
+			if rng.Uint64n(3) == 0 {
+				dirty[s] = true
+			}
+		}
+		write(lspn, dirty)
+	}
+	return f, now
+}
+
+// TestPlanLinksMatchReference is the proof that executors may drop their
+// own (LSPN, Sub) → pre-read index: every plan the FTL certifies, from
+// every builder, carries exactly the links the reference pass derives.
+func TestPlanLinksMatchReference(t *testing.T) {
+	modes := []struct {
+		name   string
+		full   bool
+		mutate func(*Config)
+		// The tally fields that must come out non-zero in this mode.
+		hostLinked, rereads, parityInside bool
+	}{
+		{name: "full-line", full: true},
+		{name: "partial-update", hostLinked: true},
+		{name: "rmw", mutate: func(c *Config) { c.PartialUpdate = false }, hostLinked: true, rereads: true},
+		{name: "wear-level", mutate: func(c *Config) { c.WearLevelDelta = 2 }, hostLinked: true},
+		{name: "rain-partial", mutate: func(c *Config) { c.RAINWidth = 3 }, parityInside: true},
+		{name: "rain-rmw", mutate: func(c *Config) { c.RAINWidth = 3; c.PartialUpdate = false }, hostLinked: true, parityInside: true},
+	}
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			var tally linkTally
+			cfg := linkConfig(m.mutate)
+			f, _ := linkStream(t, cfg, m.full, 1500, func(_ sim.Time, plan Plan) bool {
+				if !plan.Cert.Certified() {
+					t.Fatal("Write returned an uncertified plan")
+				}
+				checkLinks(t, m.name, plan.Ops, &tally)
+				return false
+			})
+			st := f.Stats()
+			if st.GCMigrated == 0 || tally.linked == 0 {
+				t.Fatalf("stream never migrated (GCMigrated %d, linked writes %d): vacuous", st.GCMigrated, tally.linked)
+			}
+			if cfg.WearLevelDelta > 0 && st.WearLevelMoves == 0 {
+				t.Fatal("wear-levelling never moved a sub-page")
+			}
+			if m.hostLinked && tally.hostLinked == 0 {
+				t.Fatal("no host write was ever linked to a pre-read")
+			}
+			if m.rereads && tally.rereads == 0 {
+				t.Fatal("no sub-page was read twice before its rewrite: 'last' is untested")
+			}
+			if m.parityInside && tally.parityInside == 0 {
+				t.Fatal("no parity program ever sat between a read and its rewrite")
+			}
+		})
+	}
+
+	t.Run("scrub", func(t *testing.T) {
+		var tally linkTally
+		f, now := linkStream(t, linkConfig(nil), false, 600, nil)
+		scrubbed := 0
+		for sb := 0; sb < f.SuperBlockCount() && scrubbed < 3; sb++ {
+			if !f.Scrubbable(sb) || f.ValidSubs(sb) == 0 {
+				continue
+			}
+			plan, moved, err := f.PlanScrub(now, sb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if moved > 0 {
+				scrubbed++
+			}
+			checkLinks(t, "scrub", plan.Ops, &tally)
+		}
+		if scrubbed == 0 || tally.linked == 0 {
+			t.Fatal("no scrub plan migrated anything")
+		}
+	})
+
+	t.Run("mount-squeeze", func(t *testing.T) {
+		var tally linkTally
+		f, now := linkStream(t, linkConfig(nil), false, 600, nil)
+		if f.FreeSuperBlocks() > f.Config().GCFreeThreshold {
+			t.Fatalf("stream ended with %d free super-blocks; squeeze has nothing to do", f.FreeSuperBlocks())
+		}
+		plan, blocks, subs, err := f.MountSqueeze(now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blocks == 0 || subs == 0 || !plan.Cert.Certified() {
+			t.Fatalf("squeeze compacted %d blocks / %d subs (certified %v): vacuous", blocks, subs, plan.Cert.Certified())
+		}
+		checkLinks(t, "mount-squeeze", plan.Ops, &tally)
+		if tally.linked != subs {
+			t.Fatalf("squeeze rewrote %d subs but %d writes are linked", subs, tally.linked)
+		}
+	})
+
+	t.Run("reconstruct", func(t *testing.T) {
+		var tally linkTally
+		cfg := linkConfig(func(c *Config) { c.RAINWidth = 3 })
+		f, now := linkStream(t, cfg, false, 600, nil)
+		done := 0
+		for lspn := int64(0); lspn < f.UserSuperPages() && done < 8; lspn++ {
+			for sub := 0; sub < f.SubPagesPerSuperPage() && done < 8; sub++ {
+				loc, ok := f.LookupSub(lspn, sub)
+				if !ok {
+					continue
+				}
+				peers, parity, ok := f.StripePeers(loc, nil)
+				if !ok {
+					continue
+				}
+				plan, err := f.PlanReconstruct(now, lspn, sub, append(peers, parity))
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkLinks(t, "reconstruct", plan.Ops, &tally)
+				done++
+			}
+		}
+		if done == 0 {
+			t.Fatal("no reconstruction plan built")
+		}
+	})
+
+	// Recovery copies ops out of the faulted plan; their Src are indices
+	// into THAT plan and must never survive into the recovery plan.
+	for _, fc := range []struct {
+		name  string
+		kind  OpKind
+		cause error
+	}{
+		{"recover-program", OpWrite, nand.ErrProgramFail},
+		{"recover-erase", OpErase, nand.ErrEraseFail},
+		{"recover-read", OpRead, nand.ErrUncorrectable},
+	} {
+		t.Run(fc.name, func(t *testing.T) {
+			var tally linkTally
+			recovered := 0
+			// The stream's largest plan, found once and faulted early, in
+			// the middle and late, each time on a freshly replayed FTL.
+			best := 0
+			linkStream(t, linkConfig(nil), false, 400, func(_ sim.Time, plan Plan) bool {
+				best = max(best, len(plan.Ops))
+				return false
+			})
+			for _, frac := range []int{0, 1, 2} {
+				var mega Plan
+				ftlAt, at := linkStream(t, linkConfig(nil), false, 400, func(_ sim.Time, plan Plan) bool {
+					mega = plan
+					return len(plan.Ops) == best
+				})
+				if len(mega.Ops) != best || best < 64 {
+					t.Fatalf("largest plan has %d ops: not a mega-plan", len(mega.Ops))
+				}
+				var sites []int
+				for i, op := range mega.Ops {
+					if op.Kind == fc.kind && !op.Parity && i > 0 {
+						sites = append(sites, i)
+					}
+				}
+				if len(sites) == 0 {
+					t.Fatalf("mega-plan has no op of kind %d to fault", fc.kind)
+				}
+				executed := sites[(len(sites)-1)*frac/2]
+				rplan, err := ftlAt.RecoverPlanFault(at, mega, executed, fc.cause)
+				if err != nil {
+					t.Fatalf("recover at op %d of %d: %v", executed, len(mega.Ops), err)
+				}
+				if rplan.Cert.Certified() {
+					t.Fatal("recovery plan is certified")
+				}
+				checkLinks(t, fc.name, rplan.Ops, &tally)
+				recovered++
+			}
+			if recovered == 0 || tally.linked == 0 {
+				t.Fatalf("%d recovery plans, %d linked writes: vacuous", recovered, tally.linked)
+			}
+		})
+	}
+}

@@ -314,7 +314,7 @@ func (f *FTL) MountSqueeze(now sim.Time) (Plan, int, int, error) {
 		f.eraseSB(victim, &plan)
 		for _, m := range moves {
 			burn = true
-			if err := f.appendSub(now, m.lspn, m.sub, true, &plan); err != nil {
+			if err := f.appendSub(now, m.lspn, m.sub, true, 0, &plan); err != nil {
 				return plan, blocks, subs, err
 			}
 			burn = false
@@ -325,6 +325,9 @@ func (f *FTL) MountSqueeze(now sim.Time) (Plan, int, int, error) {
 		subs += len(moves)
 	}
 	if len(plan.Ops) > 0 {
+		// Every read of a victim precedes its erase and the rewrites follow
+		// it, so the links are not known at append time: one reference pass.
+		linkOps(plan.Ops)
 		f.certify(&plan)
 	}
 	return plan, blocks, subs, nil

@@ -145,10 +145,11 @@ func (f *FTL) PlanReconstruct(now sim.Time, lspn int64, sub int, aux []PageLoc) 
 	for _, p := range aux {
 		plan.Ops = append(plan.Ops, Op{Kind: OpRead, Loc: p, LSPN: -1})
 	}
-	if err := f.appendSub(now, lspn, sub, true, &plan); err != nil {
+	if err := f.appendSub(now, lspn, sub, true, 0, &plan); err != nil {
 		return plan, err
 	}
 	f.stats.Reconstructions++
+	linkOps(plan.Ops)
 	f.certify(&plan)
 	burn = false
 	return plan, nil

@@ -123,6 +123,9 @@ func (f *FTL) RecoverPlanFault(now sim.Time, plan Plan, executed int, cause erro
 
 	suffix := plan.Ops[executed:]
 	out := Plan{Ops: make([]Op, 0, len(suffix)+8)}
+	// Ops copied from the suffix carry Src indices into the FAULTED plan,
+	// meaningless here: whatever this function returns is re-linked whole.
+	defer func() { linkOps(out.Ops) }()
 
 	// A mega-plan can chain a logical sub-page through several physical
 	// homes: migrated from its pre-plan page to a fresh block, that block
@@ -364,7 +367,7 @@ func (f *FTL) RecoverPlanFault(now sim.Time, plan Plan, executed int, cause erro
 		}
 	}
 	for i, m := range moves {
-		if err := f.appendSub(now, m.op.LSPN, m.op.Loc.Sub, m.gc, &out); err != nil {
+		if err := f.appendSub(now, m.op.LSPN, m.op.Loc.Sub, m.gc, 0, &out); err != nil {
 			// No space to re-place the remaining stranded writes: their
 			// mappings point at pages the fault kept the flash from ever
 			// programming, so unmap them — honest data loss — instead of

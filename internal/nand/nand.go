@@ -151,6 +151,24 @@ func (g Geometry) BlockIndex(a Address) int {
 	return g.PlaneIndex(a)*g.BlocksPerPlane + a.Block
 }
 
+// dieOf, blockOfDie and pageOfDie are DieIndex, BlockIndex and PageIndex for
+// the per-op paths: the die index is computed once and everything else
+// derived from it, and the 48-byte Address travels by pointer — copied by
+// value right after its fields were stored one by one (a register-passed
+// parameter spilled on entry), it costs a failed store-to-load forward per
+// call.
+func (g *Geometry) dieOf(a *Address) int {
+	return (a.Channel*g.PackagesPerChannel+a.Package)*g.DiesPerPackage + a.Die
+}
+
+func (g *Geometry) blockOfDie(di int, a *Address) int {
+	return (di*g.PlanesPerDie+a.Plane)*g.BlocksPerPlane + a.Block
+}
+
+func (g *Geometry) pageOfDie(di int, a *Address) int64 {
+	return int64(g.blockOfDie(di, a))*int64(g.PagesPerBlock) + int64(a.Page)
+}
+
 // PageIndex returns the global physical page number of the address.
 func (g Geometry) PageIndex(a Address) int64 {
 	return int64(g.BlockIndex(a))*int64(g.PagesPerBlock) + int64(a.Page)
@@ -719,9 +737,10 @@ func (f *Flash) CheckRead(addr Address) error {
 // data streams back over the channel. extra stretches the die phase with
 // the read-retry ladder's cost (zero when the first rung succeeded). Shared
 // by Read and ReadDeferred so the two paths can never diverge in timing.
-func (f *Flash) claimRead(now sim.Time, addr Address, extra sim.Duration) (cmdStart, ready, done sim.Time) {
+// di is addr's die index (the caller computed it once for the whole op).
+func (f *Flash) claimRead(now sim.Time, addr *Address, di int, extra sim.Duration) (cmdStart, ready, done sim.Time) {
 	ch := f.channels[addr.Channel]
-	die := f.dies[f.geo.DieIndex(addr)]
+	die := f.dies[di]
 	cmdStart, cmdEnd := ch.Claim(now, f.tim.CmdCycles)
 	_, ready = die.Claim(cmdEnd, f.readLatency(addr.Page)+extra)
 	_, done = ch.Claim(ready, f.tim.XferTime(f.geo.PageSize))
@@ -729,7 +748,7 @@ func (f *Flash) claimRead(now sim.Time, addr Address, extra sim.Duration) (cmdSt
 		// Read disturb accrues at claim time, in the serial section — after
 		// this read's own draw (taken before claimRead on every path), so a
 		// read is stressed by its predecessors, never by itself.
-		f.blocks[f.geo.BlockIndex(addr)].disturb++
+		f.blocks[f.geo.blockOfDie(di, addr)].disturb++
 	}
 	return cmdStart, ready, done
 }
@@ -745,7 +764,7 @@ func (f *Flash) Read(now sim.Time, addr Address, dst []byte) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	cmdStart, ready, done := f.claimRead(now, addr, extra)
+	cmdStart, ready, done := f.claimRead(now, &addr, f.geo.DieIndex(addr), extra)
 	f.accountRead(addr.Channel)
 	f.copyOut(f.geo.PageIndex(addr), dst)
 	return Result{Start: cmdStart, Ready: ready, Done: done}, nil
@@ -876,7 +895,7 @@ func (f *Flash) ReadDeferredPredrawn(e *sim.Engine, dom sim.DomainID, now sim.Ti
 }
 
 func (f *Flash) readDeferredClaimed(e *sim.Engine, dom sim.DomainID, now sim.Time, addr Address, dst []byte, extra sim.Duration) Result {
-	cmdStart, ready, done := f.claimRead(now, addr, extra)
+	cmdStart, ready, done := f.claimRead(now, &addr, f.geo.DieIndex(addr), extra)
 	op := f.acquireReadCompletion(addr.Channel)
 	op.dst = dst
 	if f.trackData && dst != nil {
@@ -919,7 +938,7 @@ func (f *Flash) ReadDeferredEager(e *sim.Engine, dom sim.DomainID, now sim.Time,
 // ProbeReadExtra result in extra so batched probes and issues cannot
 // disagree once read disturb shifts draw keys between them.
 func (f *Flash) ReadDeferredEagerPredrawn(e *sim.Engine, dom sim.DomainID, now sim.Time, addr Address, dst []byte, extra sim.Duration) Result {
-	cmdStart, ready, done := f.claimRead(now, addr, extra)
+	cmdStart, ready, done := f.claimRead(now, &addr, f.geo.DieIndex(addr), extra)
 	f.copyOut(f.geo.PageIndex(addr), dst)
 	op := f.acquireReadCompletion(addr.Channel) // accounting-only carrier: dst nil, staged false
 	e.AtIn(dom, done, op.fn)
@@ -936,7 +955,7 @@ func (f *Flash) ReadDeferredEagerPredrawn(e *sim.Engine, dom sim.DomainID, now s
 // exactly ReadDeferredEager's, so the two paths can never diverge when
 // both apply.
 func (f *Flash) ReadDeferredEagerTrusted(e *sim.Engine, dom sim.DomainID, now sim.Time, addr Address, dst []byte) Result {
-	cmdStart, ready, done := f.claimRead(now, addr, 0)
+	cmdStart, ready, done := f.claimRead(now, &addr, f.geo.DieIndex(addr), 0)
 	f.copyOut(f.geo.PageIndex(addr), dst)
 	op := f.acquireReadCompletion(addr.Channel) // accounting-only carrier: dst nil, staged false
 	e.AtIn(dom, done, op.fn)
@@ -1108,13 +1127,12 @@ func (f *Flash) BeginPlan(e *sim.Engine, chDoms []sim.DomainID) *PlanBatch {
 	return b
 }
 
-// die returns (acquiring if needed) the batch for addr's die, tracking the
-// die's latest completion time.
-func (b *PlanBatch) die(addr Address, done sim.Time) *dieBatch {
-	di := b.f.geo.DieIndex(addr)
+// die returns (acquiring if needed) the batch of die di on channel ch,
+// tracking the die's latest completion time.
+func (b *PlanBatch) die(di, ch int, done sim.Time) *dieBatch {
 	db := b.dies[di]
 	if db == nil {
-		db = b.f.acquireDieBatch(addr.Channel)
+		db = b.f.acquireDieBatch(ch)
 		b.dies[di] = db
 		b.used = append(b.used, int32(di))
 	}
@@ -1124,10 +1142,10 @@ func (b *PlanBatch) die(addr Address, done sim.Time) *dieBatch {
 	return db
 }
 
-// record appends a tracked-data bookkeeping record to addr's die batch,
-// returning the record and its location.
-func (b *PlanBatch) record(addr Address, done sim.Time) (*planOpRec, *dieBatch, int32) {
-	db := b.die(addr, done)
+// record appends a tracked-data bookkeeping record to the batch of die di
+// on channel ch, returning the record and its location.
+func (b *PlanBatch) record(di, ch int, done sim.Time) (*planOpRec, *dieBatch, int32) {
+	db := b.die(di, ch, done)
 	db.ops = append(db.ops, planOpRec{})
 	i := int32(len(db.ops) - 1)
 	return &db.ops[i], db, i
@@ -1142,58 +1160,47 @@ func (b *PlanBatch) Read(now sim.Time, addr Address, dst []byte) (Result, error)
 	if err := b.f.CheckRead(addr); err != nil {
 		return Result{}, err
 	}
-	return b.readChecked(now, addr, dst)
+	return b.ReadTrusted(now, addr, dst)
 }
 
 // ReadTrusted is Read without the structural precheck (address bounds,
 // page written): for certified plans, whose issuing FTL proved both at
 // construction time against a flash it is in lockstep with. Injected
-// fault draws still run — a certificate trusts the model, not the silicon.
+// fault draws still run — a certificate trusts the model, not the silicon:
+// the retry ladder's latency stretches the claim, an uncorrectable draw
+// returns with nothing claimed.
 func (b *PlanBatch) ReadTrusted(now sim.Time, addr Address, dst []byte) (Result, error) {
-	return b.readChecked(now, addr, dst)
-}
-
-func (b *PlanBatch) readChecked(now sim.Time, addr Address, dst []byte) (Result, error) {
 	f := b.f
-	extra, err := f.readFaultExtra(now, addr)
-	if err != nil {
-		return Result{}, err
+	var extra sim.Duration
+	if f.faults != nil {
+		var err error
+		if extra, err = f.readFaultExtra(now, addr); err != nil {
+			return Result{}, err
+		}
 	}
-	return b.ReadPredrawn(now, addr, dst, extra), nil
+	di := f.geo.dieOf(&addr)
+	cmdStart, ready, done := f.claimRead(now, &addr, di, extra)
+	if f.trackData && dst != nil {
+		f.copyOut(f.geo.pageOfDie(di, &addr), dst)
+	}
+	b.die(di, addr.Channel, done).nReads++
+	return Result{Start: cmdStart, Ready: ready, Done: done}, nil
 }
 
-// ReadPredrawn is the plan-batch read minus validation and the fault draw:
-// the caller carries a ProbeReadExtra result in extra. Uncertified plan
-// walks use it so the prevalidation probe's draw is the authoritative one —
-// issues bump disturb counters, so a re-draw at issue could disagree with
-// the probe that promised the whole plan would execute.
-func (b *PlanBatch) ReadPredrawn(now sim.Time, addr Address, dst []byte, extra sim.Duration) Result {
-	f := b.f
-	cmdStart, ready, done := f.claimRead(now, addr, extra)
-	f.copyOut(f.geo.PageIndex(addr), dst)
-	b.die(addr, done).nReads++
-	return Result{Start: cmdStart, Ready: ready, Done: done}
-}
-
-// Program performs a page program with Program's timing and functional
-// block-state transition, staging the page bytes into a pooled buffer at
-// issue (the caller's buffer is not retained; reads staged before the
-// batch event observe the bytes through the channel's pending-install
-// index) and batching the accounting and the tracked-data install.
-func (b *PlanBatch) Program(now sim.Time, addr Address, data []byte) (Result, error) {
-	return b.ProgramTagged(now, addr, data, -1)
-}
-
-// ProgramTagged is Program with an OOB logical tag: the FTL-defined
-// identity of the logical sub-page this program stores (fil passes the
-// forward-map index), stamped into the page's out-of-band metadata so
-// mount-time recovery can rebuild the mapping from flash alone. Raw and
-// untagged programs pass -1.
+// ProgramTagged performs a page program with Flash.ProgramTagged's timing
+// and functional block-state transition, staging the page bytes into a
+// pooled buffer at issue (the caller's buffer is not retained; reads staged
+// before the batch event observe the bytes through the channel's
+// pending-install index) and batching the accounting and the tracked-data
+// install. tag is the OOB logical tag: the FTL-defined identity of the
+// logical sub-page this program stores (fil passes the forward-map index),
+// stamped into the page's out-of-band metadata so mount-time recovery can
+// rebuild the mapping from flash alone. Raw and untagged programs pass -1.
 func (b *PlanBatch) ProgramTagged(now sim.Time, addr Address, data []byte, tag int64) (Result, error) {
 	if err := b.f.CheckProgram(addr); err != nil {
 		return Result{}, err
 	}
-	return b.programChecked(now, addr, data, tag)
+	return b.ProgramTaggedTrusted(now, addr, data, tag)
 }
 
 // ProgramTaggedTrusted is ProgramTagged without the structural precheck
@@ -1201,22 +1208,20 @@ func (b *PlanBatch) ProgramTagged(now sim.Time, addr Address, data []byte, tag i
 // issuing FTL proved both at construction time. Injected fault draws still
 // run.
 func (b *PlanBatch) ProgramTaggedTrusted(now sim.Time, addr Address, data []byte, tag int64) (Result, error) {
-	return b.programChecked(now, addr, data, tag)
-}
-
-func (b *PlanBatch) programChecked(now sim.Time, addr Address, data []byte, tag int64) (Result, error) {
 	f := b.f
-	if err := f.drawProgramFault(addr); err != nil {
-		return Result{}, err
+	if f.faults != nil {
+		if err := f.drawProgramFault(addr); err != nil {
+			return Result{}, err
+		}
 	}
-	xferStart, done := f.claimProgram(now, addr, tag)
+	di := f.geo.dieOf(&addr)
+	xferStart, done, pageIdx := f.claimProgram(now, &addr, di, tag)
 	if !f.trackData {
-		b.die(addr, done).nProgs++
+		b.die(di, addr.Channel, done).nProgs++
 		return Result{Start: xferStart, Ready: done, Done: done}, nil
 	}
-	rec, db, idx := b.record(addr, done)
+	rec, db, idx := b.record(di, addr.Channel, done)
 	rec.kind = OpProgram
-	pageIdx := f.geo.PageIndex(addr)
 	rec.pageIdx, rec.pageLocal = pageIdx, f.chanLocal(pageIdx)
 	if data != nil {
 		rec.buf = f.acquirePageBuf(addr.Channel)
@@ -1253,14 +1258,15 @@ func (b *PlanBatch) Erase(now sim.Time, addr Address) (Result, error) {
 	if err := f.drawEraseFault(addr); err != nil {
 		return Result{}, err
 	}
-	bi := f.geo.BlockIndex(addr)
+	di := f.geo.dieOf(&addr)
+	bi := f.geo.blockOfDie(di, &addr)
 	f.pruneEraseUndo(b.e.Now())
-	cmdStart, done, _ := f.claimErase(now, addr)
+	cmdStart, done, _ := f.claimErase(now, &addr, di)
 	if !f.trackData {
-		b.die(addr, done).nErases++
+		b.die(di, addr.Channel, done).nErases++
 		return Result{Start: cmdStart, Ready: done, Done: done}, nil
 	}
-	rec, _, _ := b.record(addr, done)
+	rec, _, _ := b.record(di, addr.Channel, done)
 	rec.kind = OpErase
 	rec.pageLocal = f.chanLocal(int64(bi) * int64(f.geo.PagesPerBlock))
 	rec.clearN = f.geo.PagesPerBlock
@@ -1415,19 +1421,21 @@ func (f *Flash) accountErase(channel int) {
 // metadata: the caller's logical tag (-1 for raw untagged programs), the
 // next device-wide write sequence number, and the completion time the
 // power-loss cut tests against. Shared by Program and ProgramDeferred so
-// the two paths can never diverge in timing or state.
-func (f *Flash) claimProgram(now sim.Time, addr Address, tag int64) (xferStart, done sim.Time) {
+// the two paths can never diverge in timing or state. di is addr's die
+// index; the page's global number is returned for the caller's data install.
+func (f *Flash) claimProgram(now sim.Time, addr *Address, di int, tag int64) (xferStart, done sim.Time, pageIdx int64) {
 	ch := f.channels[addr.Channel]
-	die := f.dies[f.geo.DieIndex(addr)]
+	die := f.dies[di]
 	xferStart, xferEnd := ch.Claim(now, f.tim.CmdCycles+f.tim.XferTime(f.geo.PageSize))
 	_, done = die.Claim(xferEnd, f.progLatency(addr.Page))
-	blk := &f.blocks[f.geo.BlockIndex(addr)]
+	blk := &f.blocks[f.geo.blockOfDie(di, addr)]
 	blk.written[addr.Page] = true
 	blk.nextPage++
 	f.epoch++
 	f.progSeq++
-	f.oob[f.geo.PageIndex(addr)] = pageOOB{fi: tag, seq: f.progSeq, doneAt: done, good: true}
-	return xferStart, done
+	pageIdx = f.geo.pageOfDie(di, addr)
+	f.oob[pageIdx] = pageOOB{fi: tag, seq: f.progSeq, doneAt: done, good: true}
+	return xferStart, done, pageIdx
 }
 
 // syncMutateErr reports (wrapping ErrDeferredInFlight) when a synchronous
@@ -1475,11 +1483,10 @@ func (f *Flash) ProgramTagged(now sim.Time, addr Address, data []byte, tag int64
 	if err := f.drawProgramFault(addr); err != nil {
 		return Result{}, err
 	}
-	xferStart, done := f.claimProgram(now, addr, tag)
+	xferStart, done, pageIdx := f.claimProgram(now, &addr, f.geo.DieIndex(addr), tag)
 	f.accountProgram(addr.Channel)
 	if f.trackData && data != nil {
 		f.checkNoPendingInstalls(addr.Channel)
-		pageIdx := f.geo.PageIndex(addr)
 		f.data[addr.Channel].put(f.chanLocal(pageIdx), data)
 		f.oob[pageIdx].sum = oobSum(f.data[addr.Channel].get(f.chanLocal(pageIdx)))
 	}
@@ -1557,11 +1564,11 @@ func (f *Flash) commitEraseUndo(u *eraseUndoRec) {
 // EraseDeferred. The returned undo record holds the destroyed state; the
 // synchronous caller marks it done (committed at claim), the deferred path
 // leaves it pending until the array operation's start time passes.
-func (f *Flash) claimErase(now sim.Time, addr Address) (cmdStart, done sim.Time, undo *eraseUndoRec) {
-	bi := f.geo.BlockIndex(addr)
+func (f *Flash) claimErase(now sim.Time, addr *Address, di int) (cmdStart, done sim.Time, undo *eraseUndoRec) {
+	bi := f.geo.blockOfDie(di, addr)
 	blk := &f.blocks[bi]
 	ch := f.channels[addr.Channel]
-	die := f.dies[f.geo.DieIndex(addr)]
+	die := f.dies[di]
 	cmdStart, cmdEnd := ch.Claim(now, f.tim.CmdCycles)
 	opStart, done := die.Claim(cmdEnd, f.tim.Erase)
 	base := int64(bi) * int64(f.geo.PagesPerBlock)
@@ -1602,7 +1609,7 @@ func (f *Flash) Erase(now sim.Time, addr Address) (Result, error) {
 		return Result{}, err
 	}
 	bi := f.geo.BlockIndex(addr)
-	cmdStart, done, undo := f.claimErase(now, addr)
+	cmdStart, done, undo := f.claimErase(now, &addr, f.geo.DieIndex(addr))
 	f.commitEraseUndo(undo)
 	if f.trackData {
 		f.checkNoPendingInstalls(addr.Channel)

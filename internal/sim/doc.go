@@ -416,6 +416,39 @@
 // readFaultExtra and the retry ladder stay live while only the structural
 // bounds/presence re-validation is skipped.
 //
+// # Plan links: the certificate also vouches for read→rewrite dependencies
+//
+// A GC or read-modify-write rewrite must wait for the pre-read that feeds
+// it, and program that read's bytes. Which read that is has one definition
+// — the last OpRead of the same (LSPN, Sub) preceding the write in the plan
+// — and one holder: ftl.Op.Src, the 1-based plan index of that read (0 for
+// a write no read feeds). The FTL knows the answer while it builds the
+// plan, so it stamps it there: a migration write takes the index of the
+// read appended just before it, and a write of the super-page under
+// ftl.Write consults a per-sub "last read" note that migrations of that
+// same super-page also update — read only after allocation, because the GC
+// an allocation may run can migrate the very sub about to be written. The
+// certificate may vouch for Src for the same reason it vouches for
+// addresses and program order: the field is a pure function of the op
+// sequence the certificate already covers, computed by the issuer, and
+// ftl's unexported linkOps (one walk with a map) is the reference the
+// tests hold every builder to (TestPlanLinksMatchReference). So the
+// certified kernel touches no map per op: a read fills a dense record at
+// its own plan position, and its rewrite loads recs[Src-1].
+//
+// A walked plan gets no such trust. fil.prevalidatePlan re-derives the
+// links with the same rule into its own scratch and never reads Src —
+// hand-built plans leave the field zero, and a forced walk of a certified
+// plan is thereby the differential test of inline stamping against the
+// reference (TestCertifiedPlanEquivalence, TestWalkedVsCertifiedPlanByPlan).
+// Recovery is the case that makes "never read Src on a walked plan" a
+// rule rather than a nicety: ftl.RecoverPlanFault assembles its plan from
+// ops copied out of the faulted one, whose Src values are indices into
+// THAT plan. It re-links the whole result before returning, as do the
+// other cold builders whose reads and rewrites are not adjacent
+// (MountSqueeze: all reads, the erase, then the rewrites; PlanReconstruct),
+// so certified ⇒ linked holds for every plan the ftl package can mint.
+//
 // # Batch windows: amortized bookkeeping with serial semantics
 //
 // core.System.SubmitBatch is the vectored entry over the same machinery:
