@@ -295,12 +295,15 @@ func TestRecycledReadBufferNeverSurfacesStaleBytes(t *testing.T) {
 
 // TestSubmitDataAllocBytes gates the data path's steady-state allocation
 // volume beside the object-count gates: an 8 KiB payload-carrying write
-// used to allocate (and zero) a whole 960 KiB line buffer.
+// used to allocate (and zero) a whole 960 KiB line buffer, and its flush a
+// page buffer or three. Once the pools have seen the stream's largest
+// window, a write allocates nothing by the page: the budget is a thirty-
+// second of one, room for a scratch slice growing and nothing else.
 func TestSubmitDataAllocBytes(t *testing.T) {
 	const (
 		bs     = 8192
 		ops    = 512
-		budget = 64 << 10
+		budget = 256
 	)
 	s := dataSystem(t, true, true)
 	rng := sim.NewRNG(9)

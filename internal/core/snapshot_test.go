@@ -9,6 +9,7 @@ import (
 	"amber/internal/config"
 	"amber/internal/core"
 	"amber/internal/icl"
+	"amber/internal/nand"
 	"amber/internal/snap"
 	"amber/internal/workload"
 )
@@ -67,11 +68,41 @@ func TestSnapshotRestoreGoldenEquivalence(t *testing.T) {
 	s := wideSystem(t)
 	img := snapshotImage(t, s)
 	want := snapshotTail(t, s, 0) // the original continues
+	// Version 4: the OOB payload checksums in the image are nand's
+	// word-parallel page sums.
+	if v := binary.LittleEndian.Uint32(img[8:12]); v != 4 || core.SnapshotVersion != 4 {
+		t.Fatalf("image carries format version %d, core.SnapshotVersion is %d, want 4", v, core.SnapshotVersion)
+	}
 
 	for _, workers := range intraWorkerMatrix(t) {
 		r := wideSystem(t)
 		if err := r.Restore(img); err != nil {
 			t.Fatalf("restore: %v", err)
+		}
+		// The restored stamps are checksums of the restored payloads.
+		g, pages := r.Flash.Geometry(), 0
+		for ch := 0; ch < g.Channels; ch++ {
+			for pkg := 0; pkg < g.PackagesPerChannel; pkg++ {
+				for die := 0; die < g.DiesPerPackage; die++ {
+					for pl := 0; pl < g.PlanesPerDie; pl++ {
+						for blk := 0; blk < g.BlocksPerPlane; blk++ {
+							for pg := 0; pg < g.PagesPerBlock; pg++ {
+								a := nand.Address{Channel: ch, Package: pkg, Die: die, Plane: pl, Block: blk, Page: pg}
+								if !r.Flash.PageWritten(a) {
+									continue
+								}
+								pages++
+								if !r.Flash.VerifyPage(a) {
+									t.Fatalf("restored page %v fails VerifyPage", a)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		if pages == 0 {
+			t.Fatal("restored flash holds no written page")
 		}
 		img2, err := r.Snapshot()
 		if err != nil {
@@ -125,6 +156,7 @@ func TestSnapshotLoaderFaults(t *testing.T) {
 		{"flipped-checksum-byte", flip(len(img) - 1), snap.ErrCorrupt},
 		{"future-version", snap.Seal(core.SnapshotVersion+1, fp, body), snap.ErrVersion},
 		{"version-2", snap.Seal(2, fp, body), snap.ErrVersion},
+		{"version-3", snap.Seal(3, fp, body), snap.ErrVersion},
 		{"wrong-fingerprint", snap.Seal(core.SnapshotVersion, fp^0xdeadbeef, body), snap.ErrMismatch},
 		{"valid-frame-truncated-body", snap.Seal(core.SnapshotVersion, fp, body[:len(body)-16]), nil},
 		{"valid-frame-garbage-body", snap.Seal(core.SnapshotVersion, fp, bytes.Repeat([]byte{0xa5}, 64)), nil},

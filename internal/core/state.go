@@ -19,9 +19,12 @@ import (
 // where version 2 stored a float energy accumulator (dynamic energy is now
 // counts × per-event energy), and icl refuses an image whose frames its LSPN
 // index cannot mirror (a line in the wrong set, in two frames, or stamped
-// ahead of the replacement clock). A version-2 image is refused with
-// snap.ErrVersion.
-const SnapshotVersion = 3
+// ahead of the replacement clock). Version 4: the payload checksum in every
+// page's OOB stamp is nand's word-parallel pageSum where version 3 stored a
+// byte-serial FNV-1a — same field, different value, so an older image's
+// tracked pages would all fail VerifyPage. Images of versions 2 and 3 are
+// refused with snap.ErrVersion.
+const SnapshotVersion = 4
 
 // configFingerprint hashes the full system configuration: an image restores
 // only onto a device built from byte-identical knobs, because every decoder

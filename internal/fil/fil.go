@@ -121,10 +121,18 @@ type FIL struct {
 	// only read after the same plan wrote it, so nothing is cleared between
 	// plans. The super-block ordering slots are a small linear list (a plan
 	// touches few distinct super-blocks), scanned directly.
+	//
+	// readBufs[:readBufN] holds the page bytes of the running plan's
+	// pre-reads that no rewrite has taken yet (tracked data only): each is a
+	// nand staging buffer, borrowed at the read and handed on at the rewrite
+	// the plan links to it, so a plan holds as many pages as it has reads in
+	// flight towards their rewrites — not one per pre-read — and the table
+	// itself is 24 bytes a slot. What is still there when the plan ends (a
+	// pre-read nothing consumed) goes back to the flash then.
 	recs     []planRec
 	sbTimes  []sbTime // per-super-block erase completion / latest touch
-	readBufs [][]byte // pooled page buffers backing planRec.buf
-	readBufN int      // buffers handed out for the current plan
+	readBufs [][]byte
+	readBufN int
 
 	// addrScratch carries the translated addresses of one ReadSubsOn call
 	// from its validation pass to its issue pass, reused across calls.
@@ -179,11 +187,12 @@ type FIL struct {
 }
 
 // planRec records one completed pre-read at its plan position: its
-// completion time, the pooled buffer holding the page contents (an index
-// into readBufs, -1 when data is not tracked), and the super-block it read
+// completion time, where its page bytes are, and the super-block it read
 // from — a rewrite consuming it touches that source block with the
 // program's completion, so the victim's erase waits for the migration to
-// land.
+// land. buf is only meaningful (and only looked at) with tracked data:
+// i >= 0 means readBufs[i] still holds the bytes; ^w < 0 means the write at
+// Ops[w] took the buffer, and the bytes are the page it programmed.
 type planRec struct {
 	done  sim.Time
 	srcSB int32
@@ -439,13 +448,50 @@ func (f *FIL) parityPayload(op *ftl.Op) []byte {
 	return buf
 }
 
-// readBuf hands out a pooled page buffer for a plan pre-read, by index.
-func (f *FIL) readBuf() int32 {
+// stageRead borrows a staging buffer from the flash for a plan pre-read on
+// channel ch and parks it in the next readBufs slot.
+func (f *FIL) stageRead(ch int) (slot int32, buf []byte) {
+	buf = f.flash.StagingBuf(ch)
 	if f.readBufN == len(f.readBufs) {
-		f.readBufs = append(f.readBufs, make([]byte, f.flash.Geometry().PageSize))
+		f.readBufs = append(f.readBufs, nil)
 	}
+	f.readBufs[f.readBufN] = buf
 	f.readBufN++
-	return int32(f.readBufN - 1)
+	return int32(f.readBufN - 1), buf
+}
+
+// takeRead hands the page bytes of pre-read pr to the write at ops[w], in a
+// staging buffer the caller now owns (the program takes it over or the
+// caller releases it). The first taker gets the buffer the read filled — no
+// copy. A pre-read can feed a second rewrite: a sub-page migrated by the GC
+// a read-modify-write triggered is rewritten again by that write, from the
+// migration's read. By then the buffer belongs to the first rewrite's
+// program, so the bytes are fetched back from the page it programmed
+// (PagePayload sees them whether or not the install has dispatched).
+func (f *FIL) takeRead(pr *planRec, ops []ftl.Op, w int) []byte {
+	var buf []byte
+	if pr.buf >= 0 {
+		buf = f.readBufs[pr.buf]
+		f.readBufs[pr.buf] = nil
+	} else {
+		at := f.addr(&ops[^pr.buf].Loc)
+		buf = f.flash.StagingBuf(at.Channel)
+		f.flash.PagePayload(at, buf)
+	}
+	pr.buf = ^int32(w)
+	return buf
+}
+
+// releaseReads returns the pre-read buffers no rewrite took — every exit of
+// execute passes through here, so no plan leaves a buffer parked.
+func (f *FIL) releaseReads() {
+	for i, buf := range f.readBufs[:f.readBufN] {
+		if buf != nil {
+			f.flash.ReleaseStagingBuf(buf)
+			f.readBufs[i] = nil
+		}
+	}
+	f.readBufN = 0
 }
 
 // pvReset clears the overlay slots the last prevalidation dirtied.
@@ -635,27 +681,39 @@ func (k *planRun) touch(sb int, t sim.Time) {
 // The three issue helpers are the only place the synchronous and the
 // deferred path differ: straight flash calls (which validate per op), or
 // the plan batch — trusted entry points when the certificate already
-// proved what the precheck would re-derive; the fault draw stays live. The
-// address comes by pointer and goes to nand in registers (see addrInto).
+// proved what the precheck would re-derive; the fault draw stays live. On
+// the trusted path the address goes to nand by pointer, all the way to the
+// claim: passing *addr by value makes the compiler reload the 48 bytes
+// addrInto just stored 8 at a time with 16-byte loads, a failed
+// store-to-load forward per op.
 
 func (k *planRun) read(start sim.Time, addr *nand.Address, dst []byte) (nand.Result, error) {
 	switch {
 	case k.batch == nil:
 		return k.f.flash.Read(start, *addr, dst)
 	case k.trusted:
-		return k.batch.ReadTrusted(start, *addr, dst)
+		return k.batch.ReadAddr(start, addr, dst)
 	}
 	return k.batch.Read(start, *addr, dst)
 }
 
-func (k *planRun) program(start sim.Time, addr *nand.Address, data []byte, tag int64) (nand.Result, error) {
+// program issues one page program. staged: data is a staging buffer this
+// call disposes of — the trusted batch installs from it as it is
+// (nand.PlanBatch.ProgramAddr), the validating paths copy like for any other
+// payload and the buffer goes straight back to the flash.
+func (k *planRun) program(start sim.Time, addr *nand.Address, data []byte, staged bool, tag int64) (r nand.Result, err error) {
 	switch {
 	case k.batch == nil:
-		return k.f.flash.ProgramTagged(start, *addr, data, tag)
+		r, err = k.f.flash.ProgramTagged(start, *addr, data, tag)
 	case k.trusted:
-		return k.batch.ProgramTaggedTrusted(start, *addr, data, tag)
+		return k.batch.ProgramAddr(start, addr, data, staged, tag)
+	default:
+		r, err = k.batch.ProgramTagged(start, *addr, data, tag)
 	}
-	return k.batch.ProgramTagged(start, *addr, data, tag)
+	if staged {
+		k.f.flash.ReleaseStagingBuf(data)
+	}
+	return r, err
 }
 
 func (k *planRun) erase(start sim.Time, addr *nand.Address) (nand.Result, error) {
@@ -676,6 +734,7 @@ func (k *planRun) erase(start sim.Time, addr *nand.Address) (nand.Result, error)
 // returning with the valid prefix claimed) would corrupt state silently.
 func (k *planRun) fail(i int, op *ftl.Op, plane int, what string, err error) error {
 	f := k.f
+	f.releaseReads()
 	if nand.IsInjectedFault(err) {
 		if k.batch != nil {
 			k.batch.Commit()
@@ -728,7 +787,6 @@ func (f *FIL) execute(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan f
 	}
 	recs := f.recs[:n]
 	f.sbTimes = f.sbTimes[:0]
-	f.readBufN = 0
 	trackData := f.flash.TrackData()
 	planes := int64(len(f.planes))
 	var addr nand.Address
@@ -739,11 +797,10 @@ func (f *FIL) execute(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan f
 		case ftl.OpRead:
 			k.addrFor(&addr, &op.Loc)
 			start := sim.MaxOf(now, f.sbSlot(op.Loc.SB).erased)
-			rec := planRec{srcSB: int32(op.Loc.SB), buf: -1}
+			rec := planRec{srcSB: int32(op.Loc.SB)}
 			var buf []byte
 			if trackData {
-				rec.buf = f.readBuf()
-				buf = f.readBufs[rec.buf]
+				rec.buf, buf = f.stageRead(addr.Channel)
 			}
 			r, err := k.read(start, &addr, buf)
 			if err != nil {
@@ -768,7 +825,7 @@ func (f *FIL) execute(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan f
 				// section (a torn cut clears both); on the deferred path only
 				// the program's bookkeeping defers into the channel domain,
 				// like any other batched program.
-				r, err := k.program(start, &addr, f.parityPayload(op), planTag(op, planes))
+				r, err := k.program(start, &addr, f.parityPayload(op), false, planTag(op, planes))
 				if err != nil {
 					return k.res, k.fail(i, op, -1, "parity program", err)
 				}
@@ -786,6 +843,7 @@ func (f *FIL) execute(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan f
 				src = f.links[i]
 			}
 			srcSB := -1
+			staged := false
 			if src > 0 {
 				// Rewrite of data sourced from flash: wait for the read.
 				pr := &recs[src-1]
@@ -793,12 +851,12 @@ func (f *FIL) execute(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan f
 					start = pr.done
 					f.stats.DepStalls++
 				}
-				if data == nil && pr.buf >= 0 {
-					data = f.readBufs[pr.buf]
+				if data == nil && trackData {
+					data, staged = f.takeRead(pr, plan.Ops, i), true
 				}
 				srcSB = int(pr.srcSB)
 			}
-			r, err := k.program(start, &addr, data, planTag(op, planes))
+			r, err := k.program(start, &addr, data, staged, planTag(op, planes))
 			if err != nil {
 				return k.res, k.fail(i, op, -1, "program", err)
 			}
@@ -856,6 +914,7 @@ func (f *FIL) execute(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan f
 	if k.batch != nil {
 		k.batch.Commit()
 	}
+	f.releaseReads()
 	f.stats.PlanCount++
 	if inSeq {
 		f.certAdvance()

@@ -89,7 +89,7 @@ func (f *Flash) VerifyPage(addr Address) bool {
 	if data == nil {
 		return false
 	}
-	return oobSum(data) == o.sum
+	return pageSum(data) == o.sum
 }
 
 // MarkBadBlock records the block at global index bi in the durable grown
@@ -164,7 +164,7 @@ func (f *Flash) landPending(pageIdx int64) {
 	}
 	rec := &ref.batch.ops[ref.idx]
 	if rec.hasData {
-		if oobSum(rec.buf) == f.oob[pageIdx].sum {
+		if pageSum(rec.buf) == f.oob[pageIdx].sum {
 			f.data[ch].put(f.chanLocal(pageIdx), rec.buf)
 		}
 	} else if f.oob[pageIdx].sum == 0 {

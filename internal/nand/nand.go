@@ -345,7 +345,7 @@ type pageOOB struct {
 	fi     int64
 	seq    uint64
 	doneAt sim.Time
-	sum    uint64
+	sum    uint64 // pageSum of the tracked payload; 0: programmed without one, nothing to verify
 	good   bool
 	// stripe tags a RAIN parity page with its stripe membership mask (bit
 	// i set: data plane i of the page's parity group is covered). Zero for
@@ -354,66 +354,70 @@ type pageOOB struct {
 	stripe uint32
 }
 
-// oobSum is the modeled payload checksum: FNV-1a over the page bytes. Pages
-// programmed without tracked data carry sum 0 and skip verification.
-func oobSum(data []byte) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
-}
-
 // arenaChunkPages is the number of physical pages per arena chunk. Chunks
 // are sized so a typical working set touches a handful of large contiguous
-// allocations instead of one small allocation (plus map bucket churn) per
-// programmed page.
+// allocations instead of one small allocation per programmed page.
 const arenaChunkPages = 256
 
-// pageArena stores tracked page contents in lazily allocated fixed-size
-// chunks indexed by global physical page number, with a presence bitmap.
-// Compared to the map[int64][]byte it replaces, it performs zero
-// allocations per program in steady state and erases a block by clearing
-// presence bits instead of deleting map entries page by page.
+// pageArena stores tracked page contents as one page-size buffer per
+// physical page, in lazily allocated fixed-size chunks indexed by global
+// physical page number, with a presence bitmap. A chunk's buffers start out
+// as the slices of one allocation; a deferred program then installs by
+// handing the arena the staging buffer it issued with and taking the page's
+// previous buffer in exchange (install), so buffers circulate between the
+// arena and the staging pool and an install copies and allocates nothing.
+// An erase clears presence bits and leaves the buffers where they are, for
+// the block's next program cycle to exchange.
 type pageArena struct {
 	pageSize int
-	chunks   [][]byte // chunk i covers pages [i*arenaChunkPages, (i+1)*arenaChunkPages)
-	present  []uint64 // one bit per physical page
+	chunks   [][][]byte // chunk i: the buffers of pages [i*arenaChunkPages, (i+1)*arenaChunkPages)
+	present  []uint64   // one bit per physical page
 }
 
 func newPageArena(totalPages int64, pageSize int) *pageArena {
 	nChunks := (totalPages + arenaChunkPages - 1) / arenaChunkPages
 	return &pageArena{
 		pageSize: pageSize,
-		chunks:   make([][]byte, nChunks),
+		chunks:   make([][][]byte, nChunks),
 		present:  make([]uint64, (totalPages+63)/64),
 	}
 }
 
-// slot returns the storage for page idx, allocating its chunk on first use.
-func (a *pageArena) slot(idx int64) []byte {
+// entry returns page idx's place in the page table, allocating its chunk —
+// table and buffers — on first use.
+func (a *pageArena) entry(idx int64) *[]byte {
 	ci := idx / arenaChunkPages
 	if a.chunks[ci] == nil {
-		a.chunks[ci] = make([]byte, arenaChunkPages*a.pageSize)
+		backing := make([]byte, arenaChunkPages*a.pageSize)
+		pages := make([][]byte, arenaChunkPages)
+		for i := range pages {
+			pages[i] = backing[i*a.pageSize : (i+1)*a.pageSize : (i+1)*a.pageSize]
+		}
+		a.chunks[ci] = pages
 	}
-	off := int(idx%arenaChunkPages) * a.pageSize
-	return a.chunks[ci][off : off+a.pageSize]
+	return &a.chunks[ci][idx%arenaChunkPages]
 }
 
 func (a *pageArena) has(idx int64) bool {
 	return a.present[idx/64]&(1<<(uint(idx)%64)) != 0
 }
 
-// put stores data (shorter payloads are zero-padded) as page idx's contents.
+// put copies data (shorter payloads are zero-padded) in as page idx's
+// contents: the synchronous program, the snapshot decoder and the power cut
+// landing an abandoned install.
 func (a *pageArena) put(idx int64, data []byte) {
-	dst := a.slot(idx)
-	n := copy(dst, data)
-	for i := n; i < len(dst); i++ {
-		dst[i] = 0
-	}
+	dst := *a.entry(idx)
+	clear(dst[copy(dst, data):])
 	a.present[idx/64] |= 1 << (uint(idx) % 64)
+}
+
+// install makes buf, a whole page the caller gives up, page idx's contents
+// and returns the buffer the page held before, which is the caller's now.
+func (a *pageArena) install(idx int64, buf []byte) (old []byte) {
+	p := a.entry(idx)
+	old, *p = *p, buf
+	a.present[idx/64] |= 1 << (uint(idx) % 64)
+	return old
 }
 
 // get returns page idx's contents, or nil when nothing was stored.
@@ -421,11 +425,11 @@ func (a *pageArena) get(idx int64) []byte {
 	if !a.has(idx) {
 		return nil
 	}
-	return a.slot(idx)
+	return *a.entry(idx)
 }
 
-// clearRange drops presence for pages [base, base+n). The chunk bytes stay
-// allocated for reuse by the block's next program cycle.
+// clearRange drops presence for pages [base, base+n). Their buffers stay in
+// the table for the block's next program cycle.
 func (a *pageArena) clearRange(base int64, n int) {
 	for idx := base; idx < base+int64(n); idx++ {
 		a.present[idx/64] &^= 1 << (uint(idx) % 64)
@@ -444,6 +448,10 @@ type Flash struct {
 	tim  Timing
 	pow  Power
 	cell CellType
+	// xferPage is tim.XferTime(geo.PageSize), the channel occupancy of one
+	// page's data phase: every read and program claims it, so the float
+	// conversion behind it runs once, in New.
+	xferPage sim.Duration
 
 	channels []*sim.Resource // one per channel bus
 	dies     []*sim.Resource // one per die
@@ -489,8 +497,8 @@ type Flash struct {
 	// readOps pools deferred read-completion carriers per channel, dieOps
 	// the per-die plan-batch carriers and pageBufs their staging buffers:
 	// acquire happens at schedule time (serial sections), release inside
-	// the channel's own completion event, so the free lists never cross
-	// shards.
+	// the channel's own completion event, so no two events ever touch one
+	// free list. Only a serial section looks across the lists (StagingBuf).
 	readOps  [][]*readCompletion
 	dieOps   [][]*dieBatch
 	pageBufs [][][]byte
@@ -576,6 +584,7 @@ func New(geo Geometry, tim Timing, pow Power, cell CellType, opt Options) (*Flas
 		tim:       tim,
 		pow:       pow,
 		cell:      cell,
+		xferPage:  tim.XferTime(geo.PageSize),
 		trackData: opt.TrackData,
 		rng:       sim.NewRNG(opt.Seed ^ 0xa3b1), // decorrelate from other consumers of the same seed
 	}
@@ -743,7 +752,7 @@ func (f *Flash) claimRead(now sim.Time, addr *Address, di int, extra sim.Duratio
 	die := f.dies[di]
 	cmdStart, cmdEnd := ch.Claim(now, f.tim.CmdCycles)
 	_, ready = die.Claim(cmdEnd, f.readLatency(addr.Page)+extra)
-	_, done = ch.Claim(ready, f.tim.XferTime(f.geo.PageSize))
+	_, done = ch.Claim(ready, f.xferPage)
 	if f.faults != nil && f.faults.cfg.ReadDisturbLimit > 0 {
 		// Read disturb accrues at claim time, in the serial section — after
 		// this read's own draw (taken before claimRead on every path), so a
@@ -797,17 +806,13 @@ func (f *Flash) copyOut(pageIdx int64, dst []byte) {
 			if rec.hasData {
 				n = copy(dst, rec.buf)
 			}
-			for i := n; i < len(dst) && i < f.geo.PageSize; i++ {
-				dst[i] = 0
-			}
+			clear(dst[n:min(len(dst), f.geo.PageSize)])
 			return
 		}
 	}
 	stored := f.data[ch].get(f.chanLocal(pageIdx))
 	n := copy(dst, stored)
-	for i := n; i < len(dst) && i < f.geo.PageSize; i++ {
-		dst[i] = 0
-	}
+	clear(dst[n:min(len(dst), f.geo.PageSize)])
 }
 
 // readCompletion carries one deferred read's per-channel bookkeeping (stats,
@@ -1017,16 +1022,52 @@ func (f *Flash) acquireDieBatch(ch int) *dieBatch {
 	return b
 }
 
-// acquirePageBuf hands out a pooled page-size staging buffer owned by the
-// channel (released by the channel's own batch event).
-func (f *Flash) acquirePageBuf(ch int) []byte {
-	free := f.pageBufs[ch]
-	if n := len(free); n > 0 {
-		buf := free[n-1]
-		f.pageBufs[ch] = free[:n-1]
+// StagingBuf hands out a page-size staging buffer: from channel ch's free
+// list, else from any other channel's, else a new one. A program that copies
+// its payload stages it in one; a caller outside the package borrows one for
+// page bytes a later program of the same serial section will carry on — a
+// plan pre-read fills it and the rewrite hands it to PlanBatch.ProgramAddr
+// (staged), which installs that very buffer instead of a copy of it. A
+// borrowed buffer no program took goes back through ReleaseStagingBuf
+// before the serial section ends.
+//
+// Buffers are taken in serial sections; a staged one ends as the arena's
+// page, and the buffer that page held before is put on the free list of the
+// channel it was programmed on, by that channel's batch event. So lists fill
+// where pages land and drain where they are taken: looking past an empty
+// list is what keeps that drift from allocating, and bounds the buffers in
+// existence by the arena plus the most ever staged at once. Serial sections
+// never overlap a channel event, so reaching into another channel's list is
+// safe here and only here. The contents are whatever the last user left:
+// every taker overwrites or pads the whole page before anything reads it.
+func (f *Flash) StagingBuf(ch int) []byte {
+	if buf := f.popPageBuf(ch); buf != nil {
 		return buf
 	}
+	for c := range f.pageBufs {
+		if buf := f.popPageBuf(c); buf != nil {
+			return buf
+		}
+	}
 	return make([]byte, f.geo.PageSize)
+}
+
+func (f *Flash) popPageBuf(ch int) []byte {
+	free := f.pageBufs[ch]
+	n := len(free)
+	if n == 0 {
+		return nil
+	}
+	buf := free[n-1]
+	f.pageBufs[ch] = free[:n-1]
+	return buf
+}
+
+// ReleaseStagingBuf returns a StagingBuf that no staged program took over.
+// Serial sections only — which is why any free list will do: the next taker
+// looks through all of them.
+func (f *Flash) ReleaseStagingBuf(buf []byte) {
+	f.pageBufs[0] = append(f.pageBufs[0], buf)
 }
 
 // apply is the batch event body. It touches only channel-owned state: the
@@ -1051,7 +1092,9 @@ func (b *dieBatch) apply() {
 			f.accountProgram(b.ch)
 			if rec.tracked {
 				if rec.hasData {
-					f.data[b.ch].put(rec.pageLocal, rec.buf)
+					// The staged buffer becomes the page; what the page held
+					// before rides the record into the pool (dropRecord).
+					rec.buf = f.data[b.ch].install(rec.pageLocal, rec.buf)
 				} else {
 					f.data[b.ch].clearRange(rec.pageLocal, 1)
 				}
@@ -1170,18 +1213,26 @@ func (b *PlanBatch) Read(now sim.Time, addr Address, dst []byte) (Result, error)
 // the retry ladder's latency stretches the claim, an uncorrectable draw
 // returns with nothing claimed.
 func (b *PlanBatch) ReadTrusted(now sim.Time, addr Address, dst []byte) (Result, error) {
+	return b.ReadAddr(now, &addr, dst)
+}
+
+// ReadAddr is ReadTrusted with the address by reference: the per-op caller
+// fills one Address in place field by field, and a 48-byte struct copied
+// right after narrow stores fails store-to-load forwarding — so the pointer
+// goes all the way to the claim. *addr is not retained.
+func (b *PlanBatch) ReadAddr(now sim.Time, addr *Address, dst []byte) (Result, error) {
 	f := b.f
 	var extra sim.Duration
 	if f.faults != nil {
 		var err error
-		if extra, err = f.readFaultExtra(now, addr); err != nil {
+		if extra, err = f.readFaultExtra(now, *addr); err != nil {
 			return Result{}, err
 		}
 	}
-	di := f.geo.dieOf(&addr)
-	cmdStart, ready, done := f.claimRead(now, &addr, di, extra)
+	di := f.geo.dieOf(addr)
+	cmdStart, ready, done := f.claimRead(now, addr, di, extra)
 	if f.trackData && dst != nil {
-		f.copyOut(f.geo.pageOfDie(di, &addr), dst)
+		f.copyOut(f.geo.pageOfDie(di, addr), dst)
 	}
 	b.die(di, addr.Channel, done).nReads++
 	return Result{Start: cmdStart, Ready: ready, Done: done}, nil
@@ -1208,14 +1259,27 @@ func (b *PlanBatch) ProgramTagged(now sim.Time, addr Address, data []byte, tag i
 // issuing FTL proved both at construction time. Injected fault draws still
 // run.
 func (b *PlanBatch) ProgramTaggedTrusted(now sim.Time, addr Address, data []byte, tag int64) (Result, error) {
+	return b.ProgramAddr(now, &addr, data, false, tag)
+}
+
+// ProgramAddr is ProgramTaggedTrusted with the address by reference (see
+// ReadAddr) and, when staged is set, without the staging copy: data is then a
+// whole-page Flash.StagingBuf the caller filled, and the flash takes it over
+// as this program's staged bytes — checksummed, observed by pending-aware
+// reads, and made the arena's page by the batch event. A staged buffer is
+// the flash's from this call on, whatever it returns.
+func (b *PlanBatch) ProgramAddr(now sim.Time, addr *Address, data []byte, staged bool, tag int64) (Result, error) {
 	f := b.f
 	if f.faults != nil {
-		if err := f.drawProgramFault(addr); err != nil {
+		if err := f.drawProgramFault(*addr); err != nil {
+			if staged {
+				f.ReleaseStagingBuf(data)
+			}
 			return Result{}, err
 		}
 	}
-	di := f.geo.dieOf(&addr)
-	xferStart, done, pageIdx := f.claimProgram(now, &addr, di, tag)
+	di := f.geo.dieOf(addr)
+	xferStart, done, pageIdx := f.claimProgram(now, addr, di, tag)
 	if !f.trackData {
 		b.die(di, addr.Channel, done).nProgs++
 		return Result{Start: xferStart, Ready: done, Done: done}, nil
@@ -1224,13 +1288,14 @@ func (b *PlanBatch) ProgramTaggedTrusted(now sim.Time, addr Address, data []byte
 	rec.kind = OpProgram
 	rec.pageIdx, rec.pageLocal = pageIdx, f.chanLocal(pageIdx)
 	if data != nil {
-		rec.buf = f.acquirePageBuf(addr.Channel)
-		n := copy(rec.buf, data)
-		for i := n; i < len(rec.buf); i++ {
-			rec.buf[i] = 0
+		if staged {
+			rec.buf = data
+		} else {
+			rec.buf = f.StagingBuf(addr.Channel)
+			clear(rec.buf[copy(rec.buf, data):])
 		}
 		rec.hasData = true
-		f.oob[pageIdx].sum = oobSum(rec.buf)
+		f.oob[pageIdx].sum = pageSum(rec.buf)
 	}
 	rec.tracked = true
 	m := f.pendingProg[addr.Channel]
@@ -1426,7 +1491,7 @@ func (f *Flash) accountErase(channel int) {
 func (f *Flash) claimProgram(now sim.Time, addr *Address, di int, tag int64) (xferStart, done sim.Time, pageIdx int64) {
 	ch := f.channels[addr.Channel]
 	die := f.dies[di]
-	xferStart, xferEnd := ch.Claim(now, f.tim.CmdCycles+f.tim.XferTime(f.geo.PageSize))
+	xferStart, xferEnd := ch.Claim(now, f.tim.CmdCycles+f.xferPage)
 	_, done = die.Claim(xferEnd, f.progLatency(addr.Page))
 	blk := &f.blocks[f.geo.blockOfDie(di, addr)]
 	blk.written[addr.Page] = true
@@ -1488,7 +1553,7 @@ func (f *Flash) ProgramTagged(now sim.Time, addr Address, data []byte, tag int64
 	if f.trackData && data != nil {
 		f.checkNoPendingInstalls(addr.Channel)
 		f.data[addr.Channel].put(f.chanLocal(pageIdx), data)
-		f.oob[pageIdx].sum = oobSum(f.data[addr.Channel].get(f.chanLocal(pageIdx)))
+		f.oob[pageIdx].sum = pageSum(f.data[addr.Channel].get(f.chanLocal(pageIdx)))
 	}
 	return Result{Start: xferStart, Ready: done, Done: done}, nil
 }

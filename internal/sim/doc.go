@@ -139,15 +139,19 @@
 //     bookkeeping (counters, energy, tracked-data arena updates) defers.
 //
 //  2. Data is latched at issue. A program's page bytes are copied into a
-//     pooled per-channel staging buffer when it issues (physically: the
-//     die register latches the data when the bus transfer ends), and the
-//     channel's pending-install index maps the physical page to those
-//     staged bytes until the install event runs. Every read-side copy
-//     (ReadDeferred's staging, plan reads, synchronous Read) consults the
-//     index before the arena, so a read issued after a program observes
-//     the programmed bytes whether or not the install has dispatched —
-//     and an in-flight read is immune to a later GC erase + reprogram of
-//     the same page because its own bytes were staged at its issue
+//     pooled staging buffer when it issues (physically: the die register
+//     latches the data when the bus transfer ends) — a plan rewrite's
+//     already sit in one, the buffer its pre-read filled, which the
+//     program takes over instead of copying — and the channel's
+//     pending-install index maps the physical page to those staged bytes
+//     until the install event runs: the buffer becomes the arena's page,
+//     and the buffer the page held before goes on the channel's free
+//     list. Every read-side copy (ReadDeferred's staging, plan reads,
+//     synchronous Read) consults the index before the arena, so a read
+//     issued after a program observes the programmed bytes whether or not
+//     the install has dispatched — and an in-flight read is immune to a
+//     later GC erase + reprogram of the same page because its own bytes
+//     were staged at its issue
 //     (TestReadDeferredSnapshotsAtIssue, TestDeferredGCReprogramOrdering).
 //
 //  3. Arena updates merge in channel order, aligned with issue order by

@@ -34,7 +34,10 @@ var (
 // magic identifies an Amber snapshot image.
 var magic = [8]byte{'A', 'M', 'B', 'R', 'S', 'N', 'A', 'P'}
 
-// fnv1a is the trailer checksum.
+// fnv1a is the trailer checksum. Byte-serial on purpose, slow as that is
+// over a whole image: Open checks the trailer before it reads the version
+// field, so it is the one algorithm no format version can change — an image
+// sealed with the old one would report ErrCorrupt where ErrVersion is due.
 func fnv1a(data []byte) uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
