@@ -1,21 +1,30 @@
 // Package amber's root bench suite regenerates every table and figure of
 // the paper's evaluation (one benchmark per table/figure, DESIGN.md §4)
-// plus ablation benches for the §IV-C design choices. Run with:
+// plus ablation benches for the §IV-C design choices, and holds the
+// microbenchmarks with no end-to-end workload of their own yet: the engine
+// hot loop and the horizon-synchronized dispatcher (on the two synthetic
+// loops defined and tested at the end of this file), the submit paths,
+// snapshot + restore against preconditioning, and the nine-member farm
+// storm. Run with:
 //
 //	go test -bench=. -benchmem
 //
-// Each benchmark executes its experiment in quick mode and reports the
-// simulator's wall-clock cost; the printed tables themselves come from
-// cmd/amberbench.
+// Each figure benchmark executes its experiment in quick mode and reports
+// the simulator's wall-clock cost; the printed tables themselves come from
+// cmd/amberbench, and end-to-end host speed from bench/.
 package amber_test
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
+	"time"
 
 	"amber/internal/config"
 	"amber/internal/core"
 	"amber/internal/exp"
-	"amber/internal/simbench"
+	"amber/internal/farm"
+	"amber/internal/sim"
 	"amber/internal/workload"
 )
 
@@ -135,8 +144,8 @@ func BenchmarkAblation_GCPolicy(b *testing.B) {
 }
 
 // BenchmarkEngineHotLoop measures raw engine throughput under
-// schedule/cancel/step churn at a realistic total queue depth (the shared
-// simbench harness, also run by amberbench -json). The "global" case puts
+// schedule/cancel/step churn at a realistic total queue depth (hotLoop
+// below). The "global" case puts
 // every event in the default domain — the single global heap the engine
 // used before sharding — while "sharded" spreads the same population
 // across the Intel 750 preset's scheduling domains (12 NAND channels +
@@ -144,21 +153,21 @@ func BenchmarkAblation_GCPolicy(b *testing.B) {
 // size plus an O(log S) tournament repair.
 func BenchmarkEngineHotLoop(b *testing.B) {
 	run := func(b *testing.B, domains int) {
-		h := simbench.NewHotLoop(domains)
+		h := newHotLoop(domains)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			h.Op()
+			h.op()
 		}
 		b.StopTimer()
-		h.Drain()
+		h.e.Run()
 	}
 	b.Run("global", func(b *testing.B) { run(b, 1) })
-	b.Run("sharded16", func(b *testing.B) { run(b, simbench.HotLoopDomains) })
+	b.Run("sharded16", func(b *testing.B) { run(b, hotLoopDomains) })
 }
 
 // BenchmarkIntraParallel measures horizon-synchronized parallel intra-device
-// dispatch on the shared simbench harness: 16 channel shards each receiving
+// dispatch on intraLoop below: 16 channel shards each receiving
 // page-copy events between horizons (the shape of deferred flash bookkeeping
 // on a data-tracking device). "serial" is the plain single-goroutine
 // dispatcher; the worker variants fan the channel shards out between
@@ -170,9 +179,9 @@ func BenchmarkIntraParallel(b *testing.B) {
 	run := func(b *testing.B, workers int) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			l := simbench.NewIntraLoop(channels, perChannel, rounds)
-			l.Run(workers)
-			if got, want := l.Dispatched(), uint64(channels*perChannel*rounds+rounds+1); got != want {
+			l := newIntraLoop(channels, perChannel, 0, rounds)
+			l.run(workers)
+			if got, want := l.e.Dispatched(), uint64(channels*perChannel*rounds+rounds+1); got != want {
 				b.Fatalf("dispatched %d events, want %d", got, want)
 			}
 		}
@@ -189,8 +198,8 @@ func BenchmarkIntraParallel(b *testing.B) {
 	runNeutral := func(b *testing.B, workers int) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			l := simbench.NewIntraLoopNeutral(channels, perChannel, perChannel/2, rounds)
-			st := l.Run(workers)
+			l := newIntraLoop(channels, perChannel, perChannel/2, rounds)
+			st := l.run(workers)
 			if workers > 0 && st.BatchedCross == 0 {
 				b.Fatal("no cross events batched")
 			}
@@ -364,5 +373,337 @@ func BenchmarkSubmitBatch(b *testing.B) {
 	b.ResetTimer()
 	if _, err := s.SubmitBatch(s.Now(), reqs, nil, nil); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkSnapshotRestore times imaging a steady-state device and restoring
+// the image into a fresh system (continuing byte-identically is core's
+// TestSnapshotRestoreGoldenEquivalence); precondition-ns is the one-off wall
+// time of the preconditioning a restore replaces.
+func BenchmarkSnapshotRestore(b *testing.B) {
+	cfg := config.PCSystem(config.SmallTestDevice())
+	s, err := core.NewSystem(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	start := time.Now()
+	if err := s.Precondition(16); err != nil {
+		b.Fatal(err)
+	}
+	precondition := time.Since(start)
+	gen, err := workload.NewFIO(workload.RandWrite, 4096, s.VolumeBytes(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.Run(gen, core.RunConfig{Requests: 500, IODepth: 16, WithData: true}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		img, err := s.Snapshot()
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := core.NewSystem(cfg)
+		if err == nil {
+			err = r.Restore(img)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(precondition.Nanoseconds()), "precondition-ns")
+}
+
+// BenchmarkFarmStorm times the nine-member farm through the seeded fault
+// storm of farm's TestFarmFaultStormGoldenEquivalence (a death with failover
+// and rebuild, read-only latches, hedged latency storms), device windows
+// serial and parallel.
+func BenchmarkFarmStorm(b *testing.B) {
+	const ms = sim.Millisecond
+	d := config.SmallTestDevice()
+	d.TrackData = false
+	cfg := farm.Config{Device: config.PCSystem(d), Groups: 4, Replicas: 2, Spares: 1,
+		Policy: farm.Policy{HedgeAfter: 2 * ms},
+		Faults: farm.FaultConfig{Seed: 4, DeathProb: 0.15, DeathMin: 8 * ms, DeathMax: 30 * ms,
+			ReadOnlyProb: 0.10, ReadOnlyMin: 8 * ms, ReadOnlyMax: 30 * ms,
+			StormProb: 0.30, StormMin: 5 * ms, StormMax: 40 * ms, StormLen: 20 * ms, StormPenalty: 8 * ms}}
+	for _, workers := range []int{0, 4} {
+		cfg.Workers = workers
+		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f, err := farm.New(cfg)
+				if err == nil {
+					_, err = f.Run(farm.RunConfig{Tenants: 4, Requests: 300, MixedWrites: 150, Seed: 42})
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// hotLoopDepth is the steady event population the hot loop churns at;
+// hotLoopDomains the sharded variant's domain count: the Intel 750 preset's
+// 12 NAND channels plus the host/cpu/icl.dram/dma shards (16 with the
+// default shard).
+const (
+	hotLoopDepth   = 4096
+	hotLoopDomains = 16
+)
+
+// hotLoop is one prepared schedule/cancel/step churn run over a fresh
+// engine, its event population spread over a configurable number of
+// scheduling domains.
+type hotLoop struct {
+	e    *sim.Engine
+	doms []sim.DomainID
+	fn   func()
+	i    int
+}
+
+// newHotLoop builds an engine with the given number of domains (1 = the
+// single global heap) and fills it to hotLoopDepth pending events.
+func newHotLoop(domains int) *hotLoop {
+	h := &hotLoop{e: sim.NewEngine(), fn: func() {}}
+	h.doms = make([]sim.DomainID, domains)
+	h.doms[0] = sim.DefaultDomain
+	for i := 1; i < domains; i++ {
+		h.doms[i] = h.e.Domain(fmt.Sprintf("shard%d", i))
+	}
+	for i := 0; i < hotLoopDepth; i++ {
+		h.e.ScheduleIn(h.doms[i%domains], sim.Duration(i%977), h.fn)
+	}
+	return h
+}
+
+// op runs one churn iteration: a schedule, every seventh time a cancel
+// plus a replacement schedule, and one dispatch — queue depth stays at
+// hotLoopDepth.
+func (h *hotLoop) op() {
+	dom := h.doms[h.i%len(h.doms)]
+	ev := h.e.ScheduleIn(dom, sim.Duration(500+h.i%977), h.fn)
+	if h.i%7 == 0 {
+		h.e.Cancel(ev)
+		h.e.ScheduleIn(dom, sim.Duration(600+h.i%199), h.fn)
+	}
+	h.e.Step()
+	h.i++
+}
+
+// intraLoop is the intra-device parallelism harness: one cross-domain
+// pacing event per synchronization horizon plus bursts of domain-local
+// events across the channel shards, each carrying a page-sized payload copy
+// — the shape of a multi-channel device's deferred flash bookkeeping under
+// horizon-synchronized dispatch (sim.Engine.RunParallel).
+type intraLoop struct {
+	e       *sim.Engine
+	locals  []sim.DomainID
+	cross   sim.DomainID
+	neutral sim.DomainID // channel-neutral cross shard (horizon batching)
+
+	src, dst [][]byte // per-channel payload pages
+	counts   []uint64 // per-channel dispatched local events
+
+	perChannel int
+	neutralPer int // channel-neutral events interleaved per horizon
+	rounds     int
+	round      int
+
+	localFns  []func() // per-channel local event bodies, bound once
+	crossFn   func()
+	neutralFn func()
+	neutrals  uint64 // dispatched neutral events
+}
+
+// intraPageBytes is the payload each local event copies: one 4 KiB flash
+// page.
+const intraPageBytes = 4096
+
+// newIntraLoop builds the harness: `channels` domain-local shards that each
+// receive `perChannel` copy events between consecutive horizons, for
+// `rounds` horizons, with `neutralPer` channel-neutral cross events
+// additionally interleaved between each horizon's local bursts — the shape
+// of a request stream whose host/CPU/DMA stage boundaries commute with the
+// channels' deferred flash bookkeeping. Under RunParallel, each neutral
+// event dispatches through the horizon-batching fast path (no barrier) while
+// an un-batched loop would have drained and synchronized before every one.
+func newIntraLoop(channels, perChannel, neutralPer, rounds int) *intraLoop {
+	l := &intraLoop{
+		e:          sim.NewEngine(),
+		perChannel: perChannel,
+		neutralPer: neutralPer,
+		rounds:     rounds,
+	}
+	l.cross = l.e.Domain("cross")
+	l.neutral = l.e.Domain("cross.neutral")
+	l.e.MarkChannelNeutral(l.neutral)
+	l.neutralFn = func() { l.neutrals++ }
+	l.counts = make([]uint64, channels)
+	for ch := 0; ch < channels; ch++ {
+		dom := l.e.Domain(fmt.Sprintf("ch%d", ch))
+		l.e.MarkDomainLocal(dom)
+		l.locals = append(l.locals, dom)
+		src := make([]byte, intraPageBytes)
+		for i := range src {
+			src[i] = byte(ch + i)
+		}
+		l.src = append(l.src, src)
+		l.dst = append(l.dst, make([]byte, intraPageBytes))
+		l.localFns = append(l.localFns, func() {
+			copy(l.dst[ch], l.src[ch])
+			l.counts[ch]++
+		})
+	}
+	l.crossFn = l.pace
+	return l
+}
+
+// pace is the cross-domain horizon driver: it fills every channel's window
+// with copy events, then schedules the next horizon.
+func (l *intraLoop) pace() {
+	if l.round >= l.rounds {
+		return
+	}
+	l.round++
+	const period = sim.Duration(1000 * 1000) // 1 us of simulated time per horizon
+	step := period / sim.Duration(l.perChannel+1)
+	for i := 0; i < l.perChannel; i++ {
+		at := sim.Duration(i+1) * step
+		for ch := range l.locals {
+			l.e.ScheduleIn(l.locals[ch], at, l.localFns[ch])
+		}
+	}
+	// Channel-neutral cross events land strictly between local events
+	// (half-step offsets), so each one finds local work pending: without
+	// the neutral mark it would split the window and cost a barrier.
+	for i := 0; i < l.neutralPer; i++ {
+		at := sim.Duration(i+1)*step + step/2
+		l.e.ScheduleIn(l.neutral, at, l.neutralFn)
+	}
+	l.e.ScheduleIn(l.cross, period, l.crossFn)
+}
+
+// run drains the loop: workers <= 0 uses the plain serial dispatcher
+// (Engine.Run), workers >= 1 the horizon-synchronized parallel one.
+func (l *intraLoop) run(workers int) sim.ParallelStats {
+	l.round = 0
+	l.e.ScheduleIn(l.cross, 0, l.crossFn)
+	if workers <= 0 {
+		l.e.Run()
+		return sim.ParallelStats{}
+	}
+	return l.e.RunParallel(workers)
+}
+
+// TestHotLoopAllocFree asserts the harness's core property: after warmup
+// the schedule/cancel/step churn performs zero allocations per op, at every
+// domain count the benchmarks run with.
+func TestHotLoopAllocFree(t *testing.T) {
+	for _, domains := range []int{1, 4, hotLoopDomains} {
+		h := newHotLoop(domains)
+		for i := 0; i < 5000; i++ { // reach the steady pool size
+			h.op()
+		}
+		if allocs := testing.AllocsPerRun(200, h.op); allocs != 0 {
+			t.Errorf("domains=%d: %v allocs/op, want 0", domains, allocs)
+		}
+		h.e.Run()
+	}
+}
+
+// TestHotLoopStableEventCounts asserts the churn schedule is domain-count
+// invariant: the same op sequence dispatches exactly the same number of
+// events whether the population lives in one global heap or is spread over
+// the device's shards, and drains to an empty engine either way.
+func TestHotLoopStableEventCounts(t *testing.T) {
+	const ops = 20000
+	var want uint64
+	for i, domains := range []int{1, 2, 4, hotLoopDomains} {
+		h := newHotLoop(domains)
+		for j := 0; j < ops; j++ {
+			h.op()
+		}
+		h.e.Run()
+		if h.e.Pending() != 0 {
+			t.Fatalf("domains=%d: %d events left after drain", domains, h.e.Pending())
+		}
+		got := h.e.Dispatched()
+		if i == 0 {
+			want = got
+			continue
+		}
+		if got != want {
+			t.Errorf("domains=%d dispatched %d events, want %d (domain count must not change semantics)", domains, got, want)
+		}
+	}
+	if want == 0 {
+		t.Fatal("degenerate run: nothing dispatched")
+	}
+}
+
+// TestIntraLoopEquivalence locks the harness to the engine's horizon
+// contract: serial dispatch and the horizon loop over several workers must
+// produce identical per-channel counts, payload bytes and dispatch totals.
+func TestIntraLoopEquivalence(t *testing.T) {
+	const channels, perChannel, rounds = 8, 16, 25
+
+	serial := newIntraLoop(channels, perChannel, 0, rounds)
+	serial.run(0)
+
+	parallel := newIntraLoop(channels, perChannel, 0, rounds)
+	st := parallel.run(4)
+
+	if serial.e.Dispatched() != parallel.e.Dispatched() {
+		t.Fatalf("dispatched %d (serial) != %d (parallel)", serial.e.Dispatched(), parallel.e.Dispatched())
+	}
+	for ch := 0; ch < channels; ch++ {
+		if serial.counts[ch] != parallel.counts[ch] {
+			t.Fatalf("ch%d count %d != %d", ch, serial.counts[ch], parallel.counts[ch])
+		}
+		if serial.counts[ch] != uint64(perChannel*rounds) {
+			t.Fatalf("ch%d count %d, want %d", ch, serial.counts[ch], perChannel*rounds)
+		}
+		if !bytes.Equal(serial.dst[ch], parallel.dst[ch]) {
+			t.Fatalf("ch%d payload bytes diverged", ch)
+		}
+	}
+	if st.Horizons == 0 || st.LocalEvents != uint64(channels*perChannel*rounds) {
+		t.Fatalf("horizon stats %+v, want %d local events", st, channels*perChannel*rounds)
+	}
+}
+
+// TestIntraLoopNeutralBatching verifies the horizon-batching harness: every
+// interleaved channel-neutral cross event dispatches through the batched
+// fast path (it always has local work pending), the barrier count stays at
+// one window per horizon, and the results match the serial dispatch.
+func TestIntraLoopNeutralBatching(t *testing.T) {
+	const channels, perChannel, neutralPer, rounds = 8, 16, 8, 25
+
+	serial := newIntraLoop(channels, perChannel, neutralPer, rounds)
+	serial.run(0)
+
+	parallel := newIntraLoop(channels, perChannel, neutralPer, rounds)
+	st := parallel.run(4)
+
+	if serial.e.Dispatched() != parallel.e.Dispatched() {
+		t.Fatalf("dispatched %d (serial) != %d (parallel)", serial.e.Dispatched(), parallel.e.Dispatched())
+	}
+	if got, want := parallel.neutrals, uint64(neutralPer*rounds); got != want {
+		t.Fatalf("neutral events %d, want %d", got, want)
+	}
+	for ch := 0; ch < channels; ch++ {
+		if !bytes.Equal(serial.dst[ch], parallel.dst[ch]) {
+			t.Fatalf("ch%d payload bytes diverged", ch)
+		}
+	}
+	if got, want := st.BatchedCross, uint64(neutralPer*rounds); got != want {
+		t.Fatalf("BatchedCross = %d, want %d (every neutral event interleaves with pending local work)", got, want)
+	}
+	if st.BarriersWithoutBatching()-st.Barriers() != st.BatchedCross {
+		t.Fatalf("barrier accounting inconsistent: %+v", st)
 	}
 }

@@ -9,19 +9,20 @@
 //	amberbench -only fig8,fig9  # a subset
 //	amberbench -parallel 8      # fan independent device sims out over 8 workers
 //	amberbench -intra-parallel 4 # channel shards step concurrently inside each run
-//	amberbench -json out.json   # machine-readable results + submit/engine/intra microbenches
+//	amberbench -json out.json   # the same tables, machine-readable
 //	amberbench -list
 //
 // The -parallel fan-out is across independent core.System configurations
 // inside each experiment; -intra-parallel additionally parallelizes the
 // event dispatch inside each measured run between synchronization horizons
 // (sim.Engine.RunParallel). Both are byte-identical to a serial run at any
-// worker count.
+// worker count. Host speed is measured elsewhere: bench/ (bash bench/run.sh)
+// for the end-to-end workloads, go test -bench in the root package for the
+// microbenchmarks.
 package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -29,85 +30,18 @@ import (
 	"strings"
 	"time"
 
-	"amber/internal/config"
-	"amber/internal/core"
 	"amber/internal/exp"
-	"amber/internal/farm"
-	"amber/internal/ftl"
-	"amber/internal/nand"
-	"amber/internal/sim"
-	"amber/internal/simbench"
-	"amber/internal/workload"
 )
 
-// jsonReport is the machine-readable -json output: the repo's BENCH_*.json
-// perf-trajectory files follow this schema.
+// jsonReport is the machine-readable -json output: the experiment tables
+// with the wall time each took.
 type jsonReport struct {
-	GeneratedAt   string           `json:"generated_at"`
-	GoVersion     string           `json:"go_version"`
-	NumCPU        int              `json:"num_cpu"`
-	Parallel      int              `json:"parallel"`
-	Quick         bool             `json:"quick"`
-	Experiments   []jsonExperiment `json:"experiments"`
-	SubmitBench   jsonSubmitBench  `json:"submit_bench"`
-	EngineHotLoop jsonEngineBench  `json:"engine_hot_loop"`
-	IntraParallel jsonIntraBench   `json:"intra_parallel"`
-	IntraSystem   jsonIntraSystem  `json:"intra_system"`
-	// IntraSystemWrite is the write-heavy (GC-triggering 4K random
-	// overwrite) intra-parallel system run: the workload class whose flash
-	// work executed serially inside cross-domain events before deferred
-	// program/erase bookkeeping landed.
-	IntraSystemWrite jsonIntraSystem `json:"intra_system_write"`
-	// HorizonBatch reports the horizon-batching structure of a small-window
-	// (4K random read) run, where PR 3's read-only windows averaged ~1
-	// local event per horizon and barrier overhead dominated.
-	HorizonBatch jsonHorizonBatch `json:"horizon_batch"`
-	// FillBarriers compares the synchronization-barrier structure of the
-	// legacy single-stage fill installs (one barrier per flash-backed fill)
-	// against two-stage installs (issue-staged precopy + channel-neutral
-	// publish) on a 4K random-read miss-heavy workload.
-	FillBarriers jsonFillBarriers `json:"fill_barriers"`
-	// CertifiedPlans compares the serial submit path's cost on a GC-heavy
-	// 4K random-write workload with plan certification honored (the FTL's
-	// construction-time check replaces the FIL's prevalidation double-walk)
-	// versus force-routed through the walk.
-	CertifiedPlans jsonCertifiedPlans `json:"certified_plans"`
-	// FaultInjection reports the fault subsystem's cost structure: the
-	// submit path with injection disabled (must stay allocation-free and
-	// within noise of SubmitBench — the nil-model check is the only cost)
-	// and a separate injected run's fault/recovery counters.
-	FaultInjection jsonFaultInjection `json:"fault_injection"`
-	// SnapshotRestore reports the crash-consistent state image's cost
-	// structure: image size, snapshot/restore wall time against the full
-	// re-preconditioning it replaces, and the identical=true assertion that
-	// a restored device continues byte-identical to the original.
-	SnapshotRestore jsonSnapshotRestore `json:"snapshot_restore"`
-	// CertifiedReads compares a miss-heavy read run with the read
-	// certificate honored (lookups stamp the flash epoch; certified fills
-	// skip the per-address validation walk) versus force-routed through the
-	// walk (fil.ForcePrevalidate) — the read-side counterpart of
-	// CertifiedPlans.
-	CertifiedReads jsonCertifiedReads `json:"certified_reads"`
-	// SubmitBatch compares the per-request Submit loop against the vectored
-	// SubmitBatch API on the same GC-heavy 4K random-write stream: identical
-	// simulated results (one window drain per queue-depth window instead of
-	// one engine run per request), with the wall-clock and allocation deltas
-	// the amortized constants buy.
-	SubmitBatch jsonSubmitBatch `json:"submit_batch"`
-	// RainScrub reports the die-level RAIN + patrol-scrub subsystem: the
-	// disabled-path overhead gate (RAIN and faults off — the hot submit
-	// loop must stay allocation-free), then a read-disturb stress run with
-	// RAIN armed, scrub off versus on: reconstruction/scrub counters and
-	// the read-only horizon each leg reached.
-	RainScrub jsonRainScrub `json:"rain_scrub"`
-	// DeviceFarm reports the multi-device farm subsystem: the single-device
-	// submit loop with every farm fault knob off (must stay allocation-free
-	// — the farm rides on core unchanged), then a seeded fault-storm run
-	// over a 9-device farm with serial versus parallel device windows. The
-	// identical=true assertion pins the full trajectory fingerprint —
-	// counters, failure timeline, per-device digests — byte-equal across
-	// worker counts; the wall-clock ratio is the scale-out win.
-	DeviceFarm jsonDeviceFarm `json:"device_farm"`
+	GeneratedAt string           `json:"generated_at"`
+	GoVersion   string           `json:"go_version"`
+	NumCPU      int              `json:"num_cpu"`
+	Parallel    int              `json:"parallel"`
+	Quick       bool             `json:"quick"`
+	Experiments []jsonExperiment `json:"experiments"`
 }
 
 type jsonExperiment struct {
@@ -118,1161 +52,6 @@ type jsonExperiment struct {
 	Rows        [][]string `json:"rows"`
 }
 
-// jsonSubmitBench reports the built-in submit-path microbench: raw
-// simulator throughput for the full I/O path, mirroring the root
-// BenchmarkSubmitPath in machine-readable form, plus engine totals —
-// lifetime dispatched events and how they spread across the scheduling
-// domain shards.
-type jsonSubmitBench struct {
-	Requests       int     `json:"requests"`
-	NsPerOp        float64 `json:"ns_per_op"`
-	RequestsPerSec float64 `json:"requests_per_sec"`
-	EventsPerSec   float64 `json:"events_per_sec"`
-	AllocsPerOp    float64 `json:"allocs_per_op"`
-	BytesPerOp     float64 `json:"bytes_per_op"`
-	// Events and DomainEvents count the measured window only (warmup
-	// requests subtracted), like EventsPerSec.
-	Events       uint64            `json:"events"`
-	DomainEvents []jsonDomainCount `json:"domain_events"`
-	// DMA descriptor batching over the measured window: arbitration rounds
-	// after coalescing vs pointer-list entries before it (the PR-2
-	// batching win the trajectory tracks).
-	DMADescriptors uint64 `json:"dma_descriptors"`
-	DMAEntries     uint64 `json:"dma_entries"`
-	DMABytesMoved  uint64 `json:"dma_bytes_moved"`
-}
-
-// jsonDomainCount is one scheduling domain's lifetime dispatch count.
-type jsonDomainCount struct {
-	Domain string `json:"domain"`
-	Events uint64 `json:"events"`
-}
-
-// jsonEngineBench reports the engine hot-loop microbench: ns per
-// schedule/cancel/step op at a fixed queue depth, with the event
-// population in one global shard versus spread across the device's
-// scheduling domains — the root BenchmarkEngineHotLoop in
-// machine-readable form.
-type jsonEngineBench struct {
-	QueueDepth      int     `json:"queue_depth"`
-	Ops             int     `json:"ops"`
-	Domains         int     `json:"domains"`
-	GlobalNsPerOp   float64 `json:"global_ns_per_op"`
-	ShardedNsPerOp  float64 `json:"sharded_ns_per_op"`
-	ShardedSpeedup  float64 `json:"sharded_speedup"`
-	GlobalAllocsOp  float64 `json:"global_allocs_per_op"`
-	ShardedAllocsOp float64 `json:"sharded_allocs_per_op"`
-}
-
-// jsonIntraBench reports the horizon-synchronized intra-device dispatch
-// microbench (the shared simbench.IntraLoop, same loop as the root
-// BenchmarkIntraParallel): wall-clock for the plain serial dispatcher vs
-// the horizon loop at >= 2 workers, over channel shards carrying page-copy
-// events. The speedup has two components: batch shard drains (present even
-// at GOMAXPROCS=1) and thread parallelism (needs cores).
-type jsonIntraBench struct {
-	Channels            int     `json:"channels"`
-	EventsPerChannel    int     `json:"events_per_channel_per_horizon"`
-	Horizons            int     `json:"horizons"`
-	Workers             int     `json:"workers"`
-	SerialNsPerEvent    float64 `json:"serial_ns_per_event"`
-	ParallelNsPerEvent  float64 `json:"parallel_ns_per_event"`
-	Speedup             float64 `json:"speedup"`
-	MeanLocalPerHorizon float64 `json:"mean_local_events_per_horizon"`
-}
-
-// jsonIntraSystem reports the full-system intra-parallel run: a wide
-// (8-channel) data-tracking device under sequential reads, serial dispatch
-// vs RunConfig.IntraWorkers, with the horizon structure of the parallel
-// run. The two modes are byte-identical in simulated results (locked by the
-// core golden equivalence test); this records their wall-clock cost.
-type jsonIntraSystem struct {
-	Workload            string  `json:"workload"`
-	Channels            int     `json:"channels"`
-	Requests            int     `json:"requests"`
-	Workers             int     `json:"workers"`
-	SerialWallSeconds   float64 `json:"serial_wall_seconds"`
-	ParallelWallSeconds float64 `json:"parallel_wall_seconds"`
-	Speedup             float64 `json:"speedup"`
-	Horizons            uint64  `json:"horizons"`
-	LocalEvents         uint64  `json:"local_events"`
-	CrossEvents         uint64  `json:"cross_events"`
-	BatchedCross        uint64  `json:"batched_cross_events"`
-	MeanLocalPerHorizon float64 `json:"mean_local_events_per_horizon"`
-	Identical           bool    `json:"identical"` // serial/parallel end-time and event-count match
-}
-
-// jsonHorizonBatch reports the horizon-batching structure of an
-// intra-parallel run on a small-window workload: how many cross-domain
-// events dispatched through the channel-neutral fast path instead of
-// forcing their own synchronization barrier, and the barrier counts the
-// drain paid versus what it would have paid un-batched.
-type jsonHorizonBatch struct {
-	Workload            string  `json:"workload"`
-	Channels            int     `json:"channels"`
-	Requests            int     `json:"requests"`
-	Workers             int     `json:"workers"`
-	Horizons            uint64  `json:"horizons"`
-	BatchedCross        uint64  `json:"batched_cross_events"`
-	CrossEvents         uint64  `json:"cross_events"`
-	LocalEvents         uint64  `json:"local_events"`
-	MeanLocalPerHorizon float64 `json:"mean_local_events_per_horizon"`
-	BarriersBefore      uint64  `json:"barriers_without_batching"`
-	BarriersAfter       uint64  `json:"barriers_with_batching"`
-	SerialWallSeconds   float64 `json:"serial_wall_seconds"`
-	ParallelWallSeconds float64 `json:"parallel_wall_seconds"`
-	Speedup             float64 `json:"speedup"`
-}
-
-// jsonFillBarriers reports the barrier structure of a miss-heavy
-// intra-parallel run before and after two-stage fill installs: the same
-// workload on the same device, once with the legacy single-stage structure
-// (SetTwoStageFills(false): every flash-backed fill's install forces a
-// drain-and-barrier) and once with the default two-stage structure (fills
-// publish through the channel-neutral fil.publish shard and batch). The
-// two runs are byte-identical in simulated results; the barrier counts and
-// wall clocks are the point.
-type jsonFillBarriers struct {
-	Workload string `json:"workload"`
-	Channels int    `json:"channels"`
-	Requests int    `json:"requests"`
-	Workers  int    `json:"workers"`
-	// Legacy single-stage structure.
-	LegacyBarriers      uint64  `json:"legacy_barriers"`
-	LegacyBatchedCross  uint64  `json:"legacy_batched_cross_events"`
-	LegacyWallSeconds   float64 `json:"legacy_wall_seconds"`
-	TwoStageFills       uint64  `json:"two_stage_fills"`
-	TwoStageBarriers    uint64  `json:"two_stage_barriers"`
-	TwoStageBatched     uint64  `json:"two_stage_batched_cross_events"`
-	TwoStageLimitForced uint64  `json:"two_stage_limit_barriers"`
-	TwoStageWallSeconds float64 `json:"two_stage_wall_seconds"`
-	BarrierReduction    float64 `json:"barrier_reduction"` // legacy/two-stage
-	Speedup             float64 `json:"speedup"`           // legacy wall / two-stage wall
-	Identical           bool    `json:"identical"`         // end-time and event-count match across modes
-}
-
-// jsonCertifiedPlans reports the serial submit path's cost on a GC-heavy
-// preconditioned 4K random-write workload with certification honored
-// versus force-routed through the prevalidation walk (fil.ForcePrevalidate)
-// — the ~15% serial overhead the certified fast path recoups.
-type jsonCertifiedPlans struct {
-	Requests        int     `json:"requests"`
-	WalkNsPerOp     float64 `json:"walk_ns_per_op"`
-	CertNsPerOp     float64 `json:"certified_ns_per_op"`
-	Speedup         float64 `json:"speedup"` // walk / certified
-	CertifiedPlans  uint64  `json:"certified_plans"`
-	PlanCount       uint64  `json:"plan_count"`
-	GCRuns          uint64  `json:"gc_runs"`
-	Identical       bool    `json:"identical"` // end-time match across modes
-	WalkAllocsPerOp float64 `json:"walk_allocs_per_op"`
-	CertAllocsPerOp float64 `json:"certified_allocs_per_op"`
-}
-
-// jsonFaultInjection reports the deterministic fault-injection bench: the
-// serial submit path measured with injection disabled (its cost must match
-// the plain SubmitBench — one nil check per flash op, zero allocations),
-// then a GC-heavy overwrite run under wear-independent injected faults with
-// the firmware's recovery counters.
-type jsonFaultInjection struct {
-	Requests         int     `json:"requests"`
-	DisabledNsPerOp  float64 `json:"disabled_ns_per_op"`
-	DisabledAllocsOp float64 `json:"disabled_allocs_per_op"`
-	// Injected-run outcome.
-	ProgramFails   uint64  `json:"program_fails"`
-	EraseFails     uint64  `json:"erase_fails"`
-	Uncorrectable  uint64  `json:"uncorrectable"`
-	ReadRetries    uint64  `json:"read_retries"`
-	Retirements    uint64  `json:"retirements"`
-	Replans        uint64  `json:"replans"`
-	LostSubs       uint64  `json:"lost_subs"`
-	FailedWrites   int     `json:"failed_writes"`
-	SpareHeadroom  int     `json:"spare_headroom"`
-	ReadOnly       bool    `json:"read_only"`
-	EnabledNsPerOp float64 `json:"enabled_ns_per_op"`
-}
-
-// jsonSnapshotRestore reports the snapshot/restore bench: a preconditioned
-// device under a GC-heavy overwrite storm is imaged, the image is restored
-// into a fresh system, and both continue through an identical tail run.
-// The wall-time comparison is against re-preconditioning from scratch —
-// the work a snapshot saves every time a steady-state device is reused.
-type jsonSnapshotRestore struct {
-	Requests                int     `json:"requests"`
-	ImageBytes              int     `json:"image_bytes"`
-	SnapshotWallSeconds     float64 `json:"snapshot_wall_seconds"`
-	RestoreWallSeconds      float64 `json:"restore_wall_seconds"`
-	PreconditionWallSeconds float64 `json:"precondition_wall_seconds"`
-	// SpeedupVsPrecondition is precondition wall / (snapshot + restore wall).
-	SpeedupVsPrecondition float64 `json:"speedup_vs_precondition"`
-	// Identical asserts the restored system's tail run matched the
-	// original's end time and event count exactly.
-	Identical bool `json:"identical"`
-}
-
-// jsonCertifiedReads reports the certified read datapath bench: the same
-// miss-heavy 4K random-read run with lookup certificates honored versus
-// force-routed through the per-address validation walk. CertifiedReads
-// counts sub-page reads served validation-free; Reads is the certified
-// run's total for scale.
-type jsonCertifiedReads struct {
-	Requests        int     `json:"requests"`
-	WalkNsPerOp     float64 `json:"walk_ns_per_op"`
-	CertNsPerOp     float64 `json:"certified_ns_per_op"`
-	Speedup         float64 `json:"speedup"` // walk / certified
-	CertifiedReads  uint64  `json:"certified_reads"`
-	Reads           uint64  `json:"reads"`
-	CertDisarms     uint64  `json:"cert_disarms"`
-	Identical       bool    `json:"identical"` // end-time match across modes
-	WalkAllocsPerOp float64 `json:"walk_allocs_per_op"`
-	CertAllocsPerOp float64 `json:"certified_allocs_per_op"`
-}
-
-// jsonSubmitBatch reports the vectored submit bench: the serial Submit
-// loop versus SubmitBatch over the identical GC-heavy 4K random-write
-// stream, with the batch-window structure and the certified reads the
-// batched run served.
-type jsonSubmitBatch struct {
-	Requests        int     `json:"requests"`
-	SerialNsPerOp   float64 `json:"serial_ns_per_op"`
-	BatchedNsPerOp  float64 `json:"batched_ns_per_op"`
-	Speedup         float64 `json:"speedup"` // serial / batched
-	Windows         uint64  `json:"windows"`
-	BatchedRequests uint64  `json:"batched_requests"`
-	CertifiedReads  uint64  `json:"certified_reads"`
-	CertDisarms     uint64  `json:"cert_disarms"`
-	Identical       bool    `json:"identical"` // end-time match across modes
-	SerialAllocsOp  float64 `json:"serial_allocs_per_op"`
-	BatchedAllocsOp float64 `json:"batched_allocs_per_op"`
-}
-
-// certifiedReadsBench measures the read-side certificate: a preconditioned
-// device under miss-heavy 4K random reads, once with the chain honored and
-// once with every plan and read force-routed through the validation walk.
-// minOfPasses repeats a single-pass measurement on identically rebuilt
-// systems and keeps the fastest pass. On the 1-CPU bench container one
-// wall-clock pass is at the mercy of GC pauses and scheduler noise that
-// can exceed the effect under measurement; the minimum over a few passes
-// is the standard robust estimator for a deterministic workload. The
-// passes must be deterministic: every one has to end at the same
-// simulated time, or the comparison is meaningless and the bench fails.
-func minOfPasses(passes int, run func() (float64, float64, *core.System, sim.Time, error)) (nsPerOp, allocsPerOp float64, s *core.System, end sim.Time, err error) {
-	for p := 0; p < passes; p++ {
-		ns, al, ps, pe, perr := run()
-		if perr != nil {
-			return 0, 0, nil, 0, perr
-		}
-		if p > 0 && pe != end {
-			return 0, 0, nil, 0, fmt.Errorf("bench passes diverged: ended at %v then %v", end, pe)
-		}
-		if p == 0 || ns < nsPerOp {
-			nsPerOp = ns
-		}
-		if p == 0 || al < allocsPerOp {
-			allocsPerOp = al
-		}
-		s, end = ps, pe
-	}
-	return nsPerOp, allocsPerOp, s, end, nil
-}
-
-func certifiedReadsBench(n int) (jsonCertifiedReads, error) {
-	b := jsonCertifiedReads{Requests: n}
-	run := func(forceWalk bool) (nsPerOp, allocsPerOp float64, s *core.System, end sim.Time, err error) {
-		d := config.SmallTestDevice()
-		d.TrackData = false
-		s, err = core.NewSystem(config.PCSystem(d))
-		if err != nil {
-			return 0, 0, nil, 0, err
-		}
-		if err = s.Precondition(16); err != nil {
-			return 0, 0, nil, 0, err
-		}
-		s.FIL.ForcePrevalidate(forceWalk)
-		gen, err := workload.NewFIO(workload.RandRead, 4096, s.VolumeBytes(), 5)
-		if err != nil {
-			return 0, 0, nil, 0, err
-		}
-		submit := func(i int) error {
-			_, err := s.Submit(s.Now(), gen.Next(i), nil)
-			return err
-		}
-		for i := 0; i < 500; i++ { // warm the op pools and the read cache
-			if err = submit(i); err != nil {
-				return 0, 0, nil, 0, err
-			}
-		}
-		var ms0, ms1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			if err = submit(500 + i); err != nil {
-				return 0, 0, nil, 0, err
-			}
-		}
-		wall := time.Since(start)
-		runtime.ReadMemStats(&ms1)
-		return float64(wall.Nanoseconds()) / float64(n),
-			float64(ms1.Mallocs-ms0.Mallocs) / float64(n), s, s.Now(), nil
-	}
-	walkNs, walkAllocs, _, walkEnd, err := minOfPasses(3, func() (float64, float64, *core.System, sim.Time, error) { return run(true) })
-	if err != nil {
-		return b, err
-	}
-	certNs, certAllocs, s, certEnd, err := minOfPasses(3, func() (float64, float64, *core.System, sim.Time, error) { return run(false) })
-	if err != nil {
-		return b, err
-	}
-	b.WalkNsPerOp, b.WalkAllocsPerOp = walkNs, walkAllocs
-	b.CertNsPerOp, b.CertAllocsPerOp = certNs, certAllocs
-	if certNs > 0 {
-		b.Speedup = walkNs / certNs
-	}
-	fs := s.FIL.Stats()
-	b.CertifiedReads, b.Reads, b.CertDisarms = fs.CertifiedReads, fs.Reads, fs.CertDisarms
-	b.Identical = walkEnd == certEnd
-	return b, nil
-}
-
-// submitBatchBench measures the vectored submit API: the identical
-// preconditioned GC-heavy 4K random-write stream pushed once through a
-// per-request Submit loop and once through SubmitBatch.
-func submitBatchBench(n int) (jsonSubmitBatch, error) {
-	b := jsonSubmitBatch{Requests: n}
-	run := func(batched bool) (nsPerOp, allocsPerOp float64, s *core.System, end sim.Time, err error) {
-		d := config.SmallTestDevice()
-		d.TrackData = false
-		s, err = core.NewSystem(config.PCSystem(d))
-		if err != nil {
-			return 0, 0, nil, 0, err
-		}
-		if err = s.Precondition(16); err != nil {
-			return 0, 0, nil, 0, err
-		}
-		gen, err := workload.NewFIO(workload.RandWrite, 4096, s.VolumeBytes(), 1)
-		if err != nil {
-			return 0, 0, nil, 0, err
-		}
-		reqs := make([]workload.Request, 500+n)
-		for i := range reqs {
-			reqs[i] = gen.Next(i)
-		}
-		if batched { // steady-state warmup on the measured path
-			if _, err = s.SubmitBatch(s.Now(), reqs[:500], nil, nil); err != nil {
-				return 0, 0, nil, 0, err
-			}
-		} else {
-			for i := 0; i < 500; i++ {
-				if _, err = s.Submit(s.Now(), reqs[i], nil); err != nil {
-					return 0, 0, nil, 0, err
-				}
-			}
-		}
-		var ms0, ms1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		start := time.Now()
-		if batched {
-			if _, err = s.SubmitBatch(s.Now(), reqs[500:], nil, nil); err != nil {
-				return 0, 0, nil, 0, err
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				if _, err = s.Submit(s.Now(), reqs[500+i], nil); err != nil {
-					return 0, 0, nil, 0, err
-				}
-			}
-		}
-		wall := time.Since(start)
-		runtime.ReadMemStats(&ms1)
-		return float64(wall.Nanoseconds()) / float64(n),
-			float64(ms1.Mallocs-ms0.Mallocs) / float64(n), s, s.Now(), nil
-	}
-	serNs, serAllocs, _, serEnd, err := minOfPasses(3, func() (float64, float64, *core.System, sim.Time, error) { return run(false) })
-	if err != nil {
-		return b, err
-	}
-	batNs, batAllocs, s, batEnd, err := minOfPasses(3, func() (float64, float64, *core.System, sim.Time, error) { return run(true) })
-	if err != nil {
-		return b, err
-	}
-	b.SerialNsPerOp, b.SerialAllocsOp = serNs, serAllocs
-	b.BatchedNsPerOp, b.BatchedAllocsOp = batNs, batAllocs
-	if batNs > 0 {
-		b.Speedup = serNs / batNs
-	}
-	b.Windows, b.BatchedRequests = s.BatchStats()
-	fs := s.FIL.Stats()
-	b.CertifiedReads, b.CertDisarms = fs.CertifiedReads, fs.CertDisarms
-	b.Identical = serEnd == batEnd
-	return b, nil
-}
-
-// snapshotRestoreBench builds a steady-state device, images it, restores
-// the image into a fresh system and proves the two continue identically.
-func snapshotRestoreBench(n int) (jsonSnapshotRestore, error) {
-	b := jsonSnapshotRestore{Requests: n}
-	d := config.SmallTestDevice()
-	s, err := core.NewSystem(config.PCSystem(d))
-	if err != nil {
-		return b, err
-	}
-	pstart := time.Now()
-	if err := s.Precondition(16); err != nil {
-		return b, err
-	}
-	b.PreconditionWallSeconds = time.Since(pstart).Seconds()
-	gen, err := workload.NewFIO(workload.RandWrite, 4096, s.VolumeBytes(), 1)
-	if err != nil {
-		return b, err
-	}
-	if _, err := s.Run(gen, core.RunConfig{Requests: n, IODepth: 16, WithData: true}); err != nil {
-		return b, err
-	}
-
-	sstart := time.Now()
-	img, err := s.Snapshot()
-	if err != nil {
-		return b, err
-	}
-	b.SnapshotWallSeconds = time.Since(sstart).Seconds()
-	b.ImageBytes = len(img)
-
-	r, err := core.NewSystem(config.PCSystem(d))
-	if err != nil {
-		return b, err
-	}
-	rstart := time.Now()
-	if err := r.Restore(img); err != nil {
-		return b, err
-	}
-	b.RestoreWallSeconds = time.Since(rstart).Seconds()
-	if w := b.SnapshotWallSeconds + b.RestoreWallSeconds; w > 0 {
-		b.SpeedupVsPrecondition = b.PreconditionWallSeconds / w
-	}
-
-	// Identical continuation: the same tail storm on both systems must end
-	// at the same simulated time having dispatched the same event count.
-	tail := func(sys *core.System) (*core.RunResult, error) {
-		tgen, err := workload.NewFIO(workload.RandWrite, 4096, sys.VolumeBytes(), 7)
-		if err != nil {
-			return nil, err
-		}
-		return sys.Run(tgen, core.RunConfig{Requests: n / 2, IODepth: 16, WithData: true})
-	}
-	ores, err := tail(s)
-	if err != nil {
-		return b, err
-	}
-	rres, err := tail(r)
-	if err != nil {
-		return b, err
-	}
-	b.Identical = ores.End == rres.End && ores.Events == rres.Events
-	return b, nil
-}
-
-// faultInjectionBench measures the submit path with fault injection
-// disabled (the overhead gate: the BENCH_submit.json trajectory and the
-// root BenchmarkSubmitPath both demand an allocation-free loop, and the
-// disabled fault path must not change that), then runs the same GC-heavy
-// overwrite stream under wear-independent faults and reports what the
-// firmware absorbed.
-func faultInjectionBench(n int) (jsonFaultInjection, error) {
-	b := jsonFaultInjection{Requests: n}
-
-	run := func(faults nand.FaultConfig) (nsPerOp, allocsPerOp float64, failedWrites int, s *core.System, err error) {
-		d := config.SmallTestDevice()
-		d.TrackData = false
-		d.Faults = faults
-		s, err = core.NewSystem(config.PCSystem(d))
-		if err != nil {
-			return 0, 0, 0, nil, err
-		}
-		if err = s.Precondition(16); err != nil {
-			return 0, 0, 0, nil, err
-		}
-		gen, err := workload.NewFIO(workload.RandWrite, 4096, s.VolumeBytes(), 1)
-		if err != nil {
-			return 0, 0, 0, nil, err
-		}
-		submit := func(i int) error {
-			_, err := s.Submit(s.Now(), gen.Next(i), nil)
-			if err != nil && (errors.Is(err, ftl.ErrReadOnly) || errors.Is(err, nand.ErrUncorrectable)) {
-				// Degradation outcome, not a bench failure: a worn device
-				// refusing writes is the subsystem working as designed.
-				failedWrites++
-				return nil
-			}
-			return err
-		}
-		for i := 0; i < 500; i++ { // steady-state warmup
-			if err = submit(i); err != nil {
-				return 0, 0, 0, nil, err
-			}
-		}
-		var ms0, ms1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			if err = submit(500 + i); err != nil {
-				return 0, 0, 0, nil, err
-			}
-		}
-		wall := time.Since(start)
-		runtime.ReadMemStats(&ms1)
-		return float64(wall.Nanoseconds()) / float64(n),
-			float64(ms1.Mallocs-ms0.Mallocs) / float64(n), failedWrites, s, nil
-	}
-
-	disNs, disAllocs, _, _, err := run(nand.FaultConfig{})
-	if err != nil {
-		return b, err
-	}
-	b.DisabledNsPerOp, b.DisabledAllocsOp = disNs, disAllocs
-
-	// Wear-independent probabilities (WearEraseLimit 0) so faults fire on a
-	// fresh small device without grinding blocks to their erase limit first.
-	enNs, _, failed, s, err := run(nand.FaultConfig{
-		Seed:            99,
-		ProgramFailProb: 5e-4,
-		EraseFailProb:   5e-4,
-		ReadFailProb:    2e-4,
-		MaxReadRetries:  2,
-	})
-	if err != nil {
-		return b, err
-	}
-	b.EnabledNsPerOp = enNs
-	b.FailedWrites = failed
-	fst := s.Flash.FaultStats()
-	b.ProgramFails, b.EraseFails = fst.ProgramFails, fst.EraseFails
-	b.Uncorrectable, b.ReadRetries = fst.Uncorrectable, fst.ReadRetries
-	fs := s.FTL.Stats()
-	b.Retirements, b.Replans, b.LostSubs = fs.Retirements, fs.Replans, fs.LostSubs
-	b.SpareHeadroom = s.FTL.SpareHeadroom()
-	b.ReadOnly = s.FTL.ReadOnly()
-	return b, nil
-}
-
-// jsonRainScrub reports the RAIN + patrol-scrub bench. The disabled leg
-// re-measures the plain submit loop (RAIN off, faults off): carrying the
-// subsystem must not cost the hot path an allocation. The stress legs run
-// a read-disturb trajectory with RAIN armed, without and with the patrol
-// scrub, in segments of reads until the retire-on-reconstruct policy
-// latches read-only (segment index reported; 0 = survived the cap) — the
-// deferral of that horizon is what the scrub buys.
-type jsonRainScrub struct {
-	Requests         int     `json:"requests"`
-	DisabledNsPerOp  float64 `json:"disabled_ns_per_op"`
-	DisabledAllocsOp float64 `json:"disabled_allocs_per_op"`
-	// Scrub-on stress-leg outcome.
-	ParityWrites    uint64  `json:"parity_writes"`
-	Reconstructions uint64  `json:"reconstructions"`
-	DoubleFaults    uint64  `json:"double_faults"`
-	ScrubRuns       uint64  `json:"scrub_runs"`
-	ScrubMigrated   uint64  `json:"scrub_migrated"`
-	EnabledNsPerOp  float64 `json:"enabled_ns_per_op"`
-	// Read-only horizons: the 200-read segment (1-based) at which each leg
-	// latched read-only, 0 for surviving every segment.
-	NoScrubReadOnlySegment int `json:"noscrub_read_only_segment"`
-	ScrubReadOnlySegment   int `json:"scrub_read_only_segment"`
-}
-
-// rainScrubBench measures the disabled-path overhead gate, then drives the
-// read-disturb wear-out comparison: RAIN without scrub retires blocks that
-// keep sourcing reconstructions and walks into the read-only latch; the
-// scrub-armed leg refreshes them instead and must reach a strictly later
-// segment (or survive outright).
-func rainScrubBench(n int) (jsonRainScrub, error) {
-	b := jsonRainScrub{Requests: n}
-
-	// Disabled leg: no RAIN, no faults — the submit loop with the whole
-	// subsystem compiled in but disarmed.
-	{
-		d := config.SmallTestDevice()
-		d.TrackData = false
-		s, err := core.NewSystem(config.PCSystem(d))
-		if err != nil {
-			return b, err
-		}
-		if err := s.Precondition(16); err != nil {
-			return b, err
-		}
-		gen, err := workload.NewFIO(workload.RandWrite, 4096, s.VolumeBytes(), 1)
-		if err != nil {
-			return b, err
-		}
-		for i := 0; i < 500; i++ {
-			if _, err := s.Submit(s.Now(), gen.Next(i), nil); err != nil {
-				return b, err
-			}
-		}
-		var ms0, ms1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			if _, err := s.Submit(s.Now(), gen.Next(500+i), nil); err != nil {
-				return b, err
-			}
-		}
-		wall := time.Since(start)
-		runtime.ReadMemStats(&ms1)
-		b.DisabledNsPerOp = float64(wall.Nanoseconds()) / float64(n)
-		b.DisabledAllocsOp = float64(ms1.Mallocs-ms0.Mallocs) / float64(n)
-	}
-
-	// Stress legs: read-disturb pressure on a one-spare RAIN device; the
-	// only difference between the legs is the patrol cadence.
-	stress := func(scrub sim.Duration) (*core.System, int, float64, error) {
-		d := config.SmallTestDevice()
-		d.TrackData = false
-		d.OPRatio = 0.4
-		d.SpareBlocks = 1
-		d.RAINWidth = 3 // 4 planes: 3 data + 1 parity
-		d.Faults = nand.FaultConfig{
-			Seed:             21,
-			ReadFailProb:     0.04,
-			MaxReadRetries:   1,
-			ReadDisturbLimit: 512,
-			RetentionLimit:   500 * sim.Millisecond,
-		}
-		s, err := core.NewSystem(config.PCSystem(d))
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		if err := s.Precondition(16); err != nil {
-			return nil, 0, 0, err
-		}
-		wgen, err := workload.NewFIO(workload.RandWrite, 4096, s.VolumeBytes(), 5)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		if _, err := s.Run(wgen, core.RunConfig{Requests: 300, IODepth: 8}); err != nil {
-			return nil, 0, 0, err
-		}
-		rgen, err := workload.NewFIO(workload.RandRead, 4096, s.VolumeBytes(), 13)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		const segments, perSeg = 25, 200
-		start := time.Now()
-		reads := 0
-		horizon := 0
-		for seg := 1; seg <= segments; seg++ {
-			if _, err := s.Run(rgen, core.RunConfig{Requests: perSeg, IODepth: 8, ScrubEvery: scrub}); err != nil {
-				return nil, 0, 0, err
-			}
-			reads += perSeg
-			if s.FTL.ReadOnly() {
-				horizon = seg
-				break
-			}
-		}
-		nsPerOp := float64(time.Since(start).Nanoseconds()) / float64(reads)
-		return s, horizon, nsPerOp, nil
-	}
-
-	_, noScrub, _, err := stress(0)
-	if err != nil {
-		return b, err
-	}
-	s, withScrub, enNs, err := stress(2 * sim.Millisecond)
-	if err != nil {
-		return b, err
-	}
-	b.NoScrubReadOnlySegment = noScrub
-	b.ScrubReadOnlySegment = withScrub
-	b.EnabledNsPerOp = enNs
-	fs := s.FTL.Stats()
-	b.ParityWrites, b.Reconstructions, b.DoubleFaults = fs.ParityWrites, fs.Reconstructions, fs.DoubleFaults
-	b.ScrubRuns, b.ScrubMigrated = fs.ScrubRuns, fs.ScrubMigrated
-	return b, nil
-}
-
-// fillBarriersBench runs the 4K random-read miss-heavy workload once per
-// fill-install structure and records the barrier structures side by side.
-func fillBarriersBench(n int) (jsonFillBarriers, error) {
-	const channels = 8
-	workers := intraWorkerCount(channels)
-	b := jsonFillBarriers{Workload: workload.RandRead.String(), Channels: channels, Requests: n, Workers: workers}
-
-	run := func(twoStage bool) (*core.RunResult, *core.System, float64, error) {
-		d := config.SmallTestDevice()
-		d.Geometry.Channels = channels
-		d.Geometry.PackagesPerChannel = 1
-		d.Geometry.BlocksPerPlane = 10
-		s, err := core.NewSystem(config.PCSystem(d))
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		s.SetTwoStageFills(twoStage)
-		if err := s.Precondition(16); err != nil {
-			return nil, nil, 0, err
-		}
-		gen, err := workload.NewFIO(workload.RandRead, 4096, s.VolumeBytes(), 5)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		start := time.Now()
-		res, err := s.Run(gen, core.RunConfig{Requests: n, IODepth: 16, IntraWorkers: workers, WithData: true})
-		return res, s, time.Since(start).Seconds(), err
-	}
-	lres, _, lwall, err := run(false)
-	if err != nil {
-		return b, err
-	}
-	tres, ts, twall, err := run(true)
-	if err != nil {
-		return b, err
-	}
-	b.LegacyBarriers = lres.Intra.Barriers()
-	b.LegacyBatchedCross = lres.Intra.BatchedCross
-	b.LegacyWallSeconds = lwall
-	b.TwoStageFills, _ = ts.FillStats()
-	b.TwoStageBarriers = tres.Intra.Barriers()
-	b.TwoStageBatched = tres.Intra.BatchedCross
-	b.TwoStageLimitForced = tres.Intra.LimitBarriers
-	b.TwoStageWallSeconds = twall
-	if b.TwoStageBarriers > 0 {
-		b.BarrierReduction = float64(b.LegacyBarriers) / float64(b.TwoStageBarriers)
-	}
-	if twall > 0 {
-		b.Speedup = lwall / twall
-	}
-	b.Identical = lres.End == tres.End && lres.Events == tres.Events
-	return b, nil
-}
-
-// certifiedPlansBench measures the serial (single-threaded Submit) path on
-// a preconditioned device under GC-heavy 4K random overwrites, with the
-// certificate chain honored and with every plan force-routed through the
-// prevalidation walk.
-func certifiedPlansBench(n int) (jsonCertifiedPlans, error) {
-	b := jsonCertifiedPlans{Requests: n}
-	run := func(forceWalk bool) (nsPerOp, allocsPerOp float64, s *core.System, end sim.Time, err error) {
-		d := config.SmallTestDevice()
-		d.TrackData = false
-		s, err = core.NewSystem(config.PCSystem(d))
-		if err != nil {
-			return 0, 0, nil, 0, err
-		}
-		if err = s.Precondition(16); err != nil {
-			return 0, 0, nil, 0, err
-		}
-		s.FIL.ForcePrevalidate(forceWalk)
-		gen, err := workload.NewFIO(workload.RandWrite, 4096, s.VolumeBytes(), 1)
-		if err != nil {
-			return 0, 0, nil, 0, err
-		}
-		submit := func(i int) error {
-			_, err := s.Submit(s.Now(), gen.Next(i), nil)
-			return err
-		}
-		for i := 0; i < 500; i++ { // steady-state warmup
-			if err = submit(i); err != nil {
-				return 0, 0, nil, 0, err
-			}
-		}
-		var ms0, ms1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			if err = submit(500 + i); err != nil {
-				return 0, 0, nil, 0, err
-			}
-		}
-		wall := time.Since(start)
-		runtime.ReadMemStats(&ms1)
-		return float64(wall.Nanoseconds()) / float64(n),
-			float64(ms1.Mallocs-ms0.Mallocs) / float64(n), s, s.Now(), nil
-	}
-	walkNs, walkAllocs, _, walkEnd, err := minOfPasses(3, func() (float64, float64, *core.System, sim.Time, error) { return run(true) })
-	if err != nil {
-		return b, err
-	}
-	certNs, certAllocs, s, certEnd, err := minOfPasses(3, func() (float64, float64, *core.System, sim.Time, error) { return run(false) })
-	if err != nil {
-		return b, err
-	}
-	b.WalkNsPerOp, b.WalkAllocsPerOp = walkNs, walkAllocs
-	b.CertNsPerOp, b.CertAllocsPerOp = certNs, certAllocs
-	if certNs > 0 {
-		b.Speedup = walkNs / certNs
-	}
-	fs := s.FIL.Stats()
-	b.CertifiedPlans, b.PlanCount = fs.CertifiedPlans, fs.PlanCount
-	b.GCRuns = s.FTL.Stats().GCRuns
-	b.Identical = walkEnd == certEnd
-	return b, nil
-}
-
-// intraParallelBench measures the engine-level horizon loop.
-func intraParallelBench() jsonIntraBench {
-	const channels, perChannel, rounds = 16, 64, 50
-	workers := runtime.NumCPU()
-	if workers < 2 {
-		workers = 2
-	}
-	if workers > channels {
-		workers = channels
-	}
-	b := jsonIntraBench{Channels: channels, EventsPerChannel: perChannel, Horizons: rounds, Workers: workers}
-	events := float64(channels * perChannel * rounds)
-
-	serial := simbench.NewIntraLoop(channels, perChannel, rounds)
-	start := time.Now()
-	serial.Run(0)
-	b.SerialNsPerEvent = float64(time.Since(start).Nanoseconds()) / events
-
-	parallel := simbench.NewIntraLoop(channels, perChannel, rounds)
-	start = time.Now()
-	st := parallel.Run(workers)
-	b.ParallelNsPerEvent = float64(time.Since(start).Nanoseconds()) / events
-	if b.ParallelNsPerEvent > 0 {
-		b.Speedup = b.SerialNsPerEvent / b.ParallelNsPerEvent
-	}
-	b.MeanLocalPerHorizon = st.MeanLocalPerHorizon()
-	return b
-}
-
-// intraWorkerCount picks the worker count for the intra-parallel system
-// benches: NumCPU clamped to [2, channels]. Note the engine additionally
-// clamps the actual window fan-out to GOMAXPROCS (sim.RunParallel), so on
-// a single-processor host the reported run uses the horizon loop
-// single-threaded; the JSON reports this requested count, which is also
-// what RunConfig.IntraWorkers received.
-func intraWorkerCount(channels int) int {
-	workers := runtime.NumCPU()
-	if workers < 2 {
-		workers = 2
-	}
-	if workers > channels {
-		workers = channels
-	}
-	return workers
-}
-
-// intraSystemBench measures one full-system intra-parallel run: serial
-// dispatch vs RunConfig.IntraWorkers on a wide (8-channel) data-tracking
-// device, both preconditioned to steady state, under the given workload.
-func intraSystemBench(n int, pattern workload.Pattern, bs int) (jsonIntraSystem, error) {
-	const channels = 8
-	workers := intraWorkerCount(channels)
-	b := jsonIntraSystem{Workload: pattern.String(), Channels: channels, Requests: n, Workers: workers}
-
-	run := func(intraWorkers int) (*core.RunResult, float64, error) {
-		d := config.SmallTestDevice()
-		d.Geometry.Channels = channels
-		d.Geometry.PackagesPerChannel = 1
-		d.Geometry.BlocksPerPlane = 10
-		s, err := core.NewSystem(config.PCSystem(d))
-		if err != nil {
-			return nil, 0, err
-		}
-		if err := s.Precondition(16); err != nil {
-			return nil, 0, err
-		}
-		gen, err := workload.NewFIO(pattern, bs, s.VolumeBytes(), 5)
-		if err != nil {
-			return nil, 0, err
-		}
-		start := time.Now()
-		res, err := s.Run(gen, core.RunConfig{Requests: n, IODepth: 16, IntraWorkers: intraWorkers, WithData: true})
-		return res, time.Since(start).Seconds(), err
-	}
-	sres, swall, err := run(0)
-	if err != nil {
-		return b, err
-	}
-	pres, pwall, err := run(workers)
-	if err != nil {
-		return b, err
-	}
-	b.SerialWallSeconds, b.ParallelWallSeconds = swall, pwall
-	if pwall > 0 {
-		b.Speedup = swall / pwall
-	}
-	st := pres.Intra
-	b.Horizons, b.LocalEvents, b.CrossEvents, b.BatchedCross = st.Horizons, st.LocalEvents, st.CrossEvents, st.BatchedCross
-	b.MeanLocalPerHorizon = st.MeanLocalPerHorizon()
-	b.Identical = sres.End == pres.End && sres.Events == pres.Events
-	return b, nil
-}
-
-// horizonBatchBench measures the horizon-batching structure on the
-// small-window workload class: 4K random reads, whose windows average few
-// local events, so barrier frequency is the binding cost.
-func horizonBatchBench(n int) (jsonHorizonBatch, error) {
-	is, err := intraSystemBench(n, workload.RandRead, 4096)
-	if err != nil {
-		return jsonHorizonBatch{}, err
-	}
-	return jsonHorizonBatch{
-		Workload:            is.Workload,
-		Channels:            is.Channels,
-		Requests:            is.Requests,
-		Workers:             is.Workers,
-		Horizons:            is.Horizons,
-		BatchedCross:        is.BatchedCross,
-		CrossEvents:         is.CrossEvents,
-		LocalEvents:         is.LocalEvents,
-		MeanLocalPerHorizon: is.MeanLocalPerHorizon,
-		BarriersBefore:      is.Horizons + is.BatchedCross,
-		BarriersAfter:       is.Horizons,
-		SerialWallSeconds:   is.SerialWallSeconds,
-		ParallelWallSeconds: is.ParallelWallSeconds,
-		Speedup:             is.Speedup,
-	}, nil
-}
-
-// engineHotLoopBench measures raw engine throughput under
-// schedule/cancel/step churn (the shared simbench harness, same loop as
-// the root BenchmarkEngineHotLoop), in one global shard and spread over
-// the device's scheduling domains.
-func engineHotLoopBench(ops int) jsonEngineBench {
-	run := func(domains int) (nsPerOp, allocsPerOp float64) {
-		h := simbench.NewHotLoop(domains)
-		var ms0, ms1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		start := time.Now()
-		for i := 0; i < ops; i++ {
-			h.Op()
-		}
-		wall := time.Since(start)
-		runtime.ReadMemStats(&ms1)
-		h.Drain()
-		return float64(wall.Nanoseconds()) / float64(ops),
-			float64(ms1.Mallocs-ms0.Mallocs) / float64(ops)
-	}
-	b := jsonEngineBench{QueueDepth: simbench.QueueDepth, Ops: ops, Domains: simbench.HotLoopDomains}
-	b.GlobalNsPerOp, b.GlobalAllocsOp = run(1)
-	b.ShardedNsPerOp, b.ShardedAllocsOp = run(b.Domains)
-	if b.ShardedNsPerOp > 0 {
-		b.ShardedSpeedup = b.GlobalNsPerOp / b.ShardedNsPerOp
-	}
-	return b
-}
-
-// submitMicrobench measures the synchronous submit path: ns/op, simulated
-// requests and engine events per wall-clock second, and heap traffic.
-func submitMicrobench(n int) (jsonSubmitBench, error) {
-	d := config.SmallTestDevice()
-	d.TrackData = false
-	s, err := core.NewSystem(config.PCSystem(d))
-	if err != nil {
-		return jsonSubmitBench{}, err
-	}
-	gen, err := workload.NewFIO(workload.RandWrite, 4096, s.VolumeBytes(), 1)
-	if err != nil {
-		return jsonSubmitBench{}, err
-	}
-	submit := func(i int) error {
-		_, err := s.Submit(s.Now(), gen.Next(i), nil)
-		return err
-	}
-	for i := 0; i < 500; i++ { // warm the op pools and the steady state
-		if err := submit(i); err != nil {
-			return jsonSubmitBench{}, err
-		}
-	}
-	var ms0, ms1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms0)
-	events0 := s.SubmitEventsDispatched()
-	dma0 := s.DMA.Stats()
-	domains0 := map[string]uint64{}
-	for _, d := range s.SubmitEngineDomainStats() {
-		domains0[d.Name] = d.Dispatched
-	}
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if err := submit(500 + i); err != nil {
-			return jsonSubmitBench{}, err
-		}
-	}
-	wall := time.Since(start)
-	runtime.ReadMemStats(&ms1)
-	sec := wall.Seconds()
-	sb := jsonSubmitBench{
-		Requests:       n,
-		NsPerOp:        float64(wall.Nanoseconds()) / float64(n),
-		RequestsPerSec: float64(n) / sec,
-		EventsPerSec:   float64(s.SubmitEventsDispatched()-events0) / sec,
-		AllocsPerOp:    float64(ms1.Mallocs-ms0.Mallocs) / float64(n),
-		BytesPerOp:     float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(n),
-		Events:         s.SubmitEventsDispatched() - events0,
-	}
-	dma := s.DMA.Stats()
-	sb.DMADescriptors = dma.Descriptors - dma0.Descriptors
-	sb.DMAEntries = dma.Entries - dma0.Entries
-	sb.DMABytesMoved = dma.BytesMoved - dma0.BytesMoved
-	for _, d := range s.SubmitEngineDomainStats() {
-		if delta := d.Dispatched - domains0[d.Name]; delta > 0 {
-			sb.DomainEvents = append(sb.DomainEvents, jsonDomainCount{Domain: d.Name, Events: delta})
-		}
-	}
-	return sb, nil
-}
-
-// jsonDeviceFarm is the device_farm trajectory section. DisabledNsPerOp /
-// DisabledAllocsOp gate the single-device submit hot path with every farm
-// fault knob off; the remaining fields report the seeded fault-storm farm
-// run serial versus parallel device windows.
-type jsonDeviceFarm struct {
-	Devices  int `json:"devices"`
-	Groups   int `json:"groups"`
-	Replicas int `json:"replicas"`
-	Spares   int `json:"spares"`
-	Requests int `json:"requests"` // total tenant requests per farm run
-	// Disabled-path gate: plain single-device submit loop, farm absent.
-	DisabledNsPerOp  float64 `json:"disabled_ns_per_op"`
-	DisabledAllocsOp float64 `json:"disabled_allocs_per_op"`
-	// Fault-storm farm run, serial vs parallel device windows.
-	SerialWallSeconds   float64 `json:"serial_wall_seconds"`
-	ParallelWorkers     int     `json:"parallel_workers"`
-	ParallelWallSeconds float64 `json:"parallel_wall_seconds"`
-	Speedup             float64 `json:"speedup"` // serial / parallel wall
-	// Identical asserts the serial and parallel trajectory fingerprints
-	// (counters, event timeline, per-device terminal digests) byte-equal.
-	Identical bool `json:"identical"`
-	// Storm-run outcome (identical across worker counts by construction).
-	SubOps            uint64 `json:"sub_ops"`
-	Hedges            uint64 `json:"hedges"`
-	HedgeWins         uint64 `json:"hedge_wins"`
-	Retries           uint64 `json:"retries"`
-	Timeouts          uint64 `json:"timeouts"`
-	DeviceDeaths      uint64 `json:"device_deaths"`
-	ReadOnlyLatches   uint64 `json:"read_only_latches"`
-	RebuildsCompleted uint64 `json:"rebuilds_completed"`
-	UnitsCopied       uint64 `json:"units_copied"`
-	EndTimeNs         uint64 `json:"end_time_ns"`
-}
-
-// deviceFarmBench measures the farm subsystem. The disabled leg re-runs
-// the plain single-device submit loop (no farm, no fault knobs): carrying
-// the device-down / service-delay checks must not cost the hot path an
-// allocation. The storm legs drive the same seeded fault schedule as the
-// farm golden test — a device death with spare failover and rebuild,
-// read-only latches, latency storms with hedges — over a 9-device farm,
-// once with serial device windows and once with one worker per core, and
-// assert the trajectories byte-identical.
-func deviceFarmBench(n int) (jsonDeviceFarm, error) {
-	const groups, replicas, spares = 4, 2, 1
-	b := jsonDeviceFarm{
-		Devices:  groups*replicas + spares,
-		Groups:   groups,
-		Replicas: replicas,
-		Spares:   spares,
-	}
-
-	// Disabled leg: single device, plain submit loop.
-	{
-		d := config.SmallTestDevice()
-		d.TrackData = false
-		s, err := core.NewSystem(config.PCSystem(d))
-		if err != nil {
-			return b, err
-		}
-		if err := s.Precondition(16); err != nil {
-			return b, err
-		}
-		gen, err := workload.NewFIO(workload.RandWrite, 4096, s.VolumeBytes(), 1)
-		if err != nil {
-			return b, err
-		}
-		for i := 0; i < 500; i++ {
-			if _, err := s.Submit(s.Now(), gen.Next(i), nil); err != nil {
-				return b, err
-			}
-		}
-		var ms0, ms1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			if _, err := s.Submit(s.Now(), gen.Next(500+i), nil); err != nil {
-				return b, err
-			}
-		}
-		wall := time.Since(start)
-		runtime.ReadMemStats(&ms1)
-		b.DisabledNsPerOp = float64(wall.Nanoseconds()) / float64(n)
-		b.DisabledAllocsOp = float64(ms1.Mallocs-ms0.Mallocs) / float64(n)
-	}
-
-	// Storm legs: same schedule as the farm golden test (seed 4 resolves to
-	// one death, read-only latches and latency storms on this topology).
-	const tenants = 4
-	per := n / tenants
-	if per < 50 {
-		per = 50
-	}
-	b.Requests = tenants * per
-	run := func(workers int) (string, farm.Stats, sim.Time, float64, error) {
-		d := config.SmallTestDevice()
-		d.TrackData = false
-		f, err := farm.New(farm.Config{
-			Device:   config.PCSystem(d),
-			Groups:   groups,
-			Replicas: replicas,
-			Spares:   spares,
-			Workers:  workers,
-			Policy:   farm.Policy{HedgeAfter: 2 * sim.Millisecond},
-			Faults: farm.FaultConfig{
-				Seed:         4,
-				DeathProb:    0.15,
-				DeathMin:     8 * sim.Millisecond,
-				DeathMax:     30 * sim.Millisecond,
-				ReadOnlyProb: 0.10,
-				ReadOnlyMin:  8 * sim.Millisecond,
-				ReadOnlyMax:  30 * sim.Millisecond,
-				StormProb:    0.30,
-				StormMin:     5 * sim.Millisecond,
-				StormMax:     40 * sim.Millisecond,
-				StormLen:     20 * sim.Millisecond,
-				StormPenalty: 8 * sim.Millisecond,
-			},
-		})
-		if err != nil {
-			return "", farm.Stats{}, 0, 0, err
-		}
-		start := time.Now()
-		res, err := f.Run(farm.RunConfig{
-			Tenants: tenants, Requests: per, MixedWrites: per / 2, Seed: 42,
-		})
-		wall := time.Since(start).Seconds()
-		if err != nil {
-			return "", farm.Stats{}, 0, 0, err
-		}
-		return f.Fingerprint(), res.Stats, res.Now, wall, nil
-	}
-	fpSerial, s, end, serialWall, err := run(0)
-	if err != nil {
-		return b, err
-	}
-	b.ParallelWorkers = runtime.GOMAXPROCS(0)
-	fpPar, _, _, parWall, err := run(b.ParallelWorkers)
-	if err != nil {
-		return b, err
-	}
-	b.SerialWallSeconds, b.ParallelWallSeconds = serialWall, parWall
-	if parWall > 0 {
-		b.Speedup = serialWall / parWall
-	}
-	b.Identical = fpSerial == fpPar
-	b.SubOps, b.Hedges, b.HedgeWins = s.SubOps, s.Hedges, s.HedgeWins
-	b.Retries, b.Timeouts = s.Retries, s.Timeouts
-	b.DeviceDeaths, b.ReadOnlyLatches = s.DeviceDeaths, s.ReadOnlyLatches
-	b.RebuildsCompleted, b.UnitsCopied = s.RebuildsCompleted, s.UnitsCopied
-	b.EndTimeNs = uint64(end)
-	return b, nil
-}
-
 func main() {
 	var (
 		quick    = flag.Bool("quick", false, "reduced request counts and sweep resolution")
@@ -1280,7 +59,7 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		parallel = flag.Int("parallel", 0, "workers for independent device sims per experiment (0 = serial, -1 = NumCPU)")
 		intraPar = flag.Int("intra-parallel", 0, "workers for horizon-synchronized dispatch inside each measured run (channel shards step concurrently; byte-identical tables; 0/1 = serial)")
-		jsonOut  = flag.String("json", "", "write machine-readable results (incl. submit-path microbench) to this file")
+		jsonOut  = flag.String("json", "", "write the experiment tables, machine-readable, to this file")
 	)
 	flag.Parse()
 
@@ -1342,96 +121,6 @@ func main() {
 	}
 
 	if *jsonOut != "" {
-		n := 20000
-		if *quick {
-			n = 5000
-		}
-		sb, err := submitMicrobench(n)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "amberbench: submit microbench: %v\n", err)
-			failed++
-		} else {
-			report.SubmitBench = sb
-		}
-		report.EngineHotLoop = engineHotLoopBench(10 * n)
-		report.IntraParallel = intraParallelBench()
-		is, err := intraSystemBench(n/20, workload.SeqRead, 16384)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "amberbench: intra-system bench: %v\n", err)
-			failed++
-		} else {
-			report.IntraSystem = is
-		}
-		isw, err := intraSystemBench(n/20, workload.RandWrite, 4096)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "amberbench: intra-system write bench: %v\n", err)
-			failed++
-		} else {
-			report.IntraSystemWrite = isw
-		}
-		hb, err := horizonBatchBench(n / 20)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "amberbench: horizon-batch bench: %v\n", err)
-			failed++
-		} else {
-			report.HorizonBatch = hb
-		}
-		fb, err := fillBarriersBench(n / 20)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "amberbench: fill-barriers bench: %v\n", err)
-			failed++
-		} else {
-			report.FillBarriers = fb
-		}
-		cp, err := certifiedPlansBench(n / 2)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "amberbench: certified-plans bench: %v\n", err)
-			failed++
-		} else {
-			report.CertifiedPlans = cp
-		}
-		fi, err := faultInjectionBench(n / 2)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "amberbench: fault-injection bench: %v\n", err)
-			failed++
-		} else {
-			report.FaultInjection = fi
-		}
-		sr, err := snapshotRestoreBench(n / 10)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "amberbench: snapshot-restore bench: %v\n", err)
-			failed++
-		} else {
-			report.SnapshotRestore = sr
-		}
-		cr, err := certifiedReadsBench(n / 4)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "amberbench: certified-reads bench: %v\n", err)
-			failed++
-		} else {
-			report.CertifiedReads = cr
-		}
-		sbb, err := submitBatchBench(n / 2)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "amberbench: submit-batch bench: %v\n", err)
-			failed++
-		} else {
-			report.SubmitBatch = sbb
-		}
-		rs, err := rainScrubBench(n / 2)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "amberbench: rain-scrub bench: %v\n", err)
-			failed++
-		} else {
-			report.RainScrub = rs
-		}
-		df, err := deviceFarmBench(n / 4)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "amberbench: device-farm bench: %v\n", err)
-			failed++
-		} else {
-			report.DeviceFarm = df
-		}
 		data, err := json.MarshalIndent(&report, "", "  ")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "amberbench: %v\n", err)

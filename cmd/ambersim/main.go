@@ -345,14 +345,11 @@ func main() {
 		ds := s.DMA.Stats()
 		fmt.Fprintf(w, "dma             %d descriptors / %d entries (%s mode), %.1f MB moved\n",
 			ds.Descriptors, ds.Entries, s.DMA.Mode(), float64(ds.BytesMoved)/1e6)
-		// The certified-plan and fill-install counters surface the fast
-		// paths without -json: plans the FIL executed without the
-		// prevalidation walk, and fills that published through the
-		// channel-neutral two-stage shard vs the legacy barrier-per-fill one.
+		// The certified-plan counter surfaces the fast path: plans the FIL
+		// executed without the prevalidation walk.
 		fils := s.FIL.Stats()
-		twoStage, legacyFills := s.FillStats()
-		fmt.Fprintf(w, "fil             %d plans (%d certified fast-path), fills %d two-stage / %d legacy\n",
-			fils.PlanCount, fils.CertifiedPlans, twoStage, legacyFills)
+		fmt.Fprintf(w, "fil             %d plans (%d certified fast-path)\n",
+			fils.PlanCount, fils.CertifiedPlans)
 		if *batchSub {
 			windows, batched := s.BatchStats()
 			fmt.Fprintf(w, "batch           %d windows over %d requests; certified reads %d, cert disarms %d\n",

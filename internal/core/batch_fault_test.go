@@ -173,3 +173,30 @@ func TestSubmitBatchTimesZeroSentinel(t *testing.T) {
 		t.Fatalf("failed and unreached slots must hold the zero sentinel: %v", times)
 	}
 }
+
+// TestSubmitBatchShortDataVector pins the up-front length check on datas: a
+// non-nil payload vector shorter than the request vector is refused before
+// anything is applied, like a short times buffer — not discovered by an
+// index panic after the leading requests already landed.
+func TestSubmitBatchShortDataVector(t *testing.T) {
+	s := smallSystem(t, nil)
+	bs := 4096
+	reqs := []workload.Request{
+		{Write: true, Offset: 0, Length: bs},
+		{Write: true, Offset: int64(bs), Length: bs},
+		{Write: true, Offset: 2 * int64(bs), Length: bs},
+	}
+	datas := [][]byte{make([]byte, bs)}
+	clk, ws := s.Now(), s.ICL.Stats()
+	if _, err := s.SubmitBatch(s.Now(), reqs, datas, nil); err == nil {
+		t.Fatal("batch with 1 payload for 3 requests succeeded")
+	}
+	if _, batched := s.BatchStats(); batched != 0 || s.Now() != clk || s.ICL.Stats() != ws {
+		t.Fatalf("refused batch left a trace: %d requests counted, clock %d -> %d", batched, clk, s.Now())
+	}
+	// The same vector at full length goes through.
+	datas = append(datas, make([]byte, bs), nil)
+	if _, err := s.SubmitBatch(s.Now(), reqs, datas, nil); err != nil {
+		t.Fatal(err)
+	}
+}

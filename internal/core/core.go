@@ -187,17 +187,6 @@ type System struct {
 	// Per-engine scheduling-domain cache (see domainsFor).
 	domTab []*engineDomains
 
-	// twoStageFills selects the fill-install structure (SetTwoStageFills):
-	// on (the default), flash-backed fills stage their page bytes at issue
-	// (fil.ReadSubsStaged) and publish through the channel-neutral
-	// fil.publish shard, and the icl write-back shard is marked neutral too
-	// — the classification whose safety argument lives in sim/doc.go. Off
-	// restores the PR 4 structure (deferred copies, barrier-forcing fil and
-	// icl shards), kept for equivalence tests and barrier-count benchmarks.
-	twoStageFills bool
-	fillsTwoStage uint64 // fills published through the neutral two-stage path
-	fillsLegacy   uint64 // fills installed through the legacy fil-shard path
-
 	// Submit-path intra mode (SetIntraWorkers): when > 1, the synchronous
 	// Submit wrapper drains its engine through RunParallelWith over a
 	// persistent worker pool instead of the serial Run, and Run uses it as
@@ -218,7 +207,6 @@ type System struct {
 	// Vectored submit state (SubmitBatch): the inline path's line scratch
 	// and the window counters the ambersim footer reports.
 	batchLines   []hil.Line
-	batchWindow  int
 	batchWindows uint64
 	batchReqs    uint64
 
@@ -374,8 +362,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		lastEnd: -1,
 		filling: make(map[int64]subMask),
 		waiters: make(map[int64][]func()),
-
-		twoStageFills: true,
 	}
 	// Certified plans: the FTL and flash were constructed together above,
 	// so they are in lockstep by definition — the binding that lets the FIL
@@ -428,7 +414,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 //   - The per-channel nand shards are domain-local: they carry only the
 //     deferred per-channel flash bookkeeping — read completions and the
 //     per-die plan batches of program installs and erase clears
-//     (nand.ReadDeferred, nand.PlanBatch) — which touches nothing outside
+//     (nand.ReadDeferredAddr, nand.PlanBatch) — which touches nothing outside
 //     its channel.
 //
 //   - host, cpu and dma are additionally marked channel-neutral in the
@@ -440,17 +426,18 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 //     passive (OCSSD/pblk) architecture serves requests host-side and
 //     programs flash from host events, so it marks nothing neutral.
 //
-//   - With two-stage fills (the default), pub and icl join the neutral
-//     set in the active architecture. A publish event installs a fill
-//     whose line buffer was completed at issue (fil.ReadSubsStaged), so it
-//     reads nothing pending channel events write; the icl write-back stage
-//     only issues flash work — claims, functional block state, staged
-//     program bytes all live in serial sections — and never reads channel
-//     counters, energy or arena pages except through the pending-aware
-//     staging path. sim/doc.go carries both proofs. SetTwoStageFills(false)
-//     restores the PR 4 classification: fills ride the barrier-forcing fil
-//     shard (their installs then consume line buffers that pending read
-//     completions write) and icl forces barriers with them.
+//   - pub and icl are neutral in the active architecture too. A publish
+//     event installs a fill whose line buffer was completed at issue
+//     (fil.ReadSubsStaged), so it reads nothing pending channel events
+//     write; the icl write-back stage only issues flash work — claims,
+//     functional block state, staged program bytes all live in serial
+//     sections — and never reads channel counters, energy or arena pages
+//     except through the pending-aware staging path. sim/doc.go carries both
+//     proofs.
+//
+//   - fil carries no events. It stays registered because a domain's id and
+//     name are part of sim.Engine.DomainStats, which every recorded run
+//     digest covers: dropping it renumbers pub and the channel shards.
 //
 // That classification is what makes RunConfig.IntraWorkers sound and
 // cheap: channels step concurrently between horizons, channel-coupled
@@ -460,10 +447,9 @@ type engineDomains struct {
 	e    *sim.Engine
 	host sim.DomainID   // request issue slots, kernel submit/complete (neutral)
 	cpu  sim.DomainID   // firmware parse boundaries (neutral)
-	icl  sim.DomainID   // cache/DRAM write-back boundaries (neutral with two-stage fills)
+	icl  sim.DomainID   // cache/DRAM write-back boundaries (neutral)
 	dma  sim.DomainID   // payload-transfer boundaries (neutral)
-	fil  sim.DomainID   // legacy fill continuations (barrier-forcing)
-	pub  sim.DomainID   // two-stage fill publishes (neutral: staged line buffers)
+	pub  sim.DomainID   // fill publishes (neutral: staged line buffers)
 	nand []sim.DomainID // per-channel deferred flash bookkeeping (domain-local)
 }
 
@@ -484,9 +470,9 @@ func (s *System) domainsFor(e *sim.Engine) *engineDomains {
 		cpu:  e.Domain(cpu.Domain),
 		icl:  e.Domain(dram.Domain),
 		dma:  e.Domain(dma.Domain),
-		fil:  e.Domain(fil.Domain),
-		pub:  e.Domain(fil.PublishDomain),
 	}
+	e.Domain(fil.Domain) // reserved id, no events (see engineDomains)
+	d.pub = e.Domain(fil.PublishDomain)
 	channels := s.cfg.Device.Geometry.Channels
 	d.nand = make([]sim.DomainID, channels)
 	for ch := 0; ch < channels; ch++ {
@@ -497,10 +483,8 @@ func (s *System) domainsFor(e *sim.Engine) *engineDomains {
 		e.MarkChannelNeutral(d.host)
 		e.MarkChannelNeutral(d.cpu)
 		e.MarkChannelNeutral(d.dma)
-		if s.twoStageFills {
-			e.MarkChannelNeutral(d.pub)
-			e.MarkChannelNeutral(d.icl)
-		}
+		e.MarkChannelNeutral(d.pub)
+		e.MarkChannelNeutral(d.icl)
 	}
 	if len(s.domTab) >= 4 {
 		// Stale entries from completed Run loops: keep the long-lived
@@ -534,16 +518,6 @@ func (s *System) Passive() bool { return s.passive }
 // Now returns the system's current simulated time.
 func (s *System) Now() sim.Time { return s.now }
 
-// SubmitEventsDispatched returns the lifetime engine-event count of the
-// synchronous Submit path — the events/sec numerator for simulation-speed
-// reporting (asynchronous Run loops own their engines and are excluded).
-func (s *System) SubmitEventsDispatched() uint64 {
-	if s.subEngine == nil {
-		return 0
-	}
-	return s.subEngine.Dispatched()
-}
-
 // SetIntraWorkers configures the system-wide intra-device dispatch
 // parallelism: with n > 1 the synchronous Submit wrapper (trace replay's
 // hot path) drains its private engine via sim.Engine.RunParallelWith over a
@@ -563,52 +537,6 @@ func (s *System) SetIntraWorkers(n int) {
 // configured with SetIntraWorkers.
 func (s *System) IntraWorkers() int { return s.intraWorkers }
 
-// SetTwoStageFills selects the fill-install structure. On (the default),
-// flash-backed cache fills run in two stages: the page bytes are staged
-// into the fill's line buffer at issue (one copy instead of the legacy
-// stage-then-copy pair), the channel shards carry only the reads'
-// accounting, and the install/waiter-wakeup continuation publishes through
-// the channel-neutral fil.publish shard — so consecutive fills from
-// different channels batch past pending channel work instead of paying one
-// synchronization barrier each, and the icl write-back shard (proven
-// commute-safe under the same condition, sim/doc.go) batches write-heavy
-// traffic too. Off restores the PR 4 single-stage structure for
-// equivalence tests and barrier-count comparisons; both settings are
-// byte-identical in every simulated observable.
-//
-// The setting is an experiment-setup knob: call it before issuing I/O.
-// Changing it resets the cached per-engine domain classification (and the
-// reusable Submit engine), so a system that already ran loses its lifetime
-// Submit event counters.
-func (s *System) SetTwoStageFills(v bool) {
-	if v == s.twoStageFills {
-		return
-	}
-	s.twoStageFills = v
-	// Neutral marks are per-engine and sticky; drop every cached engine so
-	// the next use re-resolves under the new classification.
-	for i := range s.domTab {
-		s.domTab[i] = nil
-	}
-	s.domTab = s.domTab[:0]
-	if s.subPool != nil {
-		s.subPool.Close()
-		s.subPool = nil
-	}
-	s.subEngine = nil
-}
-
-// TwoStageFills reports whether the two-stage fill-install structure is
-// active (see SetTwoStageFills).
-func (s *System) TwoStageFills() bool { return s.twoStageFills }
-
-// FillStats returns how many flash-backed cache fills installed through the
-// two-stage publish path versus the legacy single-stage path — the counters
-// trace replays use to confirm which structure served them.
-func (s *System) FillStats() (twoStage, legacy uint64) {
-	return s.fillsTwoStage, s.fillsLegacy
-}
-
 // BatchStats returns how many requests SubmitBatch has processed and how
 // many deferred-bookkeeping windows it drained for them — zero windows with
 // nonzero requests means every request fell back to the evented path.
@@ -616,27 +544,12 @@ func (s *System) BatchStats() (windows, requests uint64) {
 	return s.batchWindows, s.batchReqs
 }
 
-// DefaultBatchWindow is SubmitBatch's submission-window ceiling when the
-// caller has not chosen one (SetBatchWindow): deferred per-channel
-// bookkeeping drains at least this often even for arbitrarily long request
-// vectors, keeping the engine's event pool at its steady-state size. The
-// host scheduler's depth cap and the protocol's hardware queue limit still
-// clamp below it.
+// DefaultBatchWindow is SubmitBatch's submission-window ceiling: deferred
+// per-channel bookkeeping drains at least this often even for arbitrarily
+// long request vectors, keeping the engine's event pool at its steady-state
+// size. The host scheduler's depth cap and the protocol's hardware queue
+// limit still clamp below it.
 const DefaultBatchWindow = 64
-
-// SetBatchWindow overrides the SubmitBatch submission-window ceiling;
-// n <= 0 restores DefaultBatchWindow. Larger windows defer more
-// bookkeeping per drain (bounded by the engine's SetBatchLimit backstop);
-// simulated results are identical at any window size.
-func (s *System) SetBatchWindow(n int) { s.batchWindow = n }
-
-// batchWindowCap returns the active submission-window ceiling.
-func (s *System) batchWindowCap() int {
-	if s.batchWindow > 0 {
-		return s.batchWindow
-	}
-	return DefaultBatchWindow
-}
 
 // SubmitIntraStats returns the horizon structure accumulated over every
 // pooled synchronous Submit drain since SetIntraWorkers enabled the intra

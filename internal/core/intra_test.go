@@ -10,8 +10,8 @@ import (
 
 	"amber/internal/config"
 	"amber/internal/core"
+	"amber/internal/fil"
 	"amber/internal/nand"
-	"amber/internal/sim"
 	"amber/internal/workload"
 )
 
@@ -328,14 +328,10 @@ func TestIntraParallelGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// twoStageTrajectory drives a miss-heavy read phase (the fill class
-// two-stage installs target), a GC-triggering write phase with payloads
-// (dirty evictions flushing from publish and write-ops events) and a
-// sequential read phase (readahead prefetch fills), rendering every
-// mode-independent observable. Per-domain dispatch lines are deliberately
-// omitted: the publish continuations ride differently named shards per
-// fill mode (fil.publish vs fil), which is the one non-semantic difference
-// between the modes.
+// twoStageTrajectory drives a miss-heavy read phase (the fill class staged
+// installs target), a GC-triggering write phase with payloads (dirty
+// evictions flushing from publish and write-ops events) and a sequential
+// read phase (readahead prefetch fills), rendering every observable.
 func twoStageTrajectory(t *testing.T, s *core.System, workers int) string {
 	t.Helper()
 	if err := s.Precondition(16); err != nil {
@@ -382,87 +378,65 @@ func twoStageTrajectory(t *testing.T, s *core.System, workers int) string {
 	return out.String()
 }
 
-// TestTwoStageFillGoldenEquivalence is the acceptance bar for two-stage
-// fill installs and the neutral icl shard: with both enabled (the
-// default), a miss-heavy read + GC write trajectory must produce identical
-// component statistics, per-channel counters/energy, latencies and payload
-// bytes at every worker count versus the serial dispatch — and the legacy
-// single-stage fill structure must produce the same observables too, since
-// the restructuring moves bookkeeping between shards without touching a
-// single simulated claim. Run under -race (AMBERSIM_INTRA_WORKERS matrix)
-// it also proves the batched publish/icl events share nothing with the
-// channel shards they batch past.
+// TestTwoStageFillGoldenEquivalence is the acceptance bar for staged fill
+// installs and the neutral publish and icl shards: a miss-heavy read + GC
+// write trajectory must produce identical component statistics, per-channel
+// counters/energy, latencies and payload bytes at every worker count versus
+// the serial dispatch. Run under -race (AMBERSIM_INTRA_WORKERS matrix) it
+// also proves the batched publish/icl events share nothing with the channel
+// shards they batch past.
 func TestTwoStageFillGoldenEquivalence(t *testing.T) {
-	run := func(twoStage bool, workers int) string {
-		s := wideSystem(t)
-		s.SetTwoStageFills(twoStage)
-		if s.TwoStageFills() != twoStage {
-			t.Fatal("SetTwoStageFills did not take")
-		}
-		return twoStageTrajectory(t, s, workers)
-	}
-	serial := run(true, 0)
+	serial := twoStageTrajectory(t, wideSystem(t), 0)
 	if len(serial) == 0 {
 		t.Fatal("empty trajectory")
 	}
 	for _, workers := range intraWorkerMatrix(t) {
-		if got := run(true, workers); got != serial {
-			t.Fatalf("two-stage workers=%d diverged from serial:\n--- serial ---\n%s--- workers=%d ---\n%s",
+		if got := twoStageTrajectory(t, wideSystem(t), workers); got != serial {
+			t.Fatalf("workers=%d diverged from serial:\n--- serial ---\n%s--- workers=%d ---\n%s",
 				workers, serial, workers, got)
 		}
-		// The legacy classification stays live code (SetTwoStageFills's off
-		// position, the barrier benchmarks' baseline), so its parallel
-		// dispatch is held to the same golden bar, not just workers=0.
-		if got := run(false, workers); got != serial {
-			t.Fatalf("legacy fill mode workers=%d diverged:\n--- two-stage serial ---\n%s--- legacy workers=%d ---\n%s",
-				workers, serial, workers, got)
-		}
-	}
-	if got := run(false, 0); got != serial {
-		t.Fatalf("legacy fill mode diverged from two-stage:\n--- two-stage ---\n%s--- legacy ---\n%s", serial, got)
 	}
 }
 
-// TestTwoStageFillBatching verifies the point of the restructuring: on a
-// 4K random-read miss-heavy workload, the two-stage structure batches fill
-// publishes past pending channel work (the legacy structure pays a barrier
-// per fill), and the fill counters attribute the installs to the right
-// path in each mode.
+// TestTwoStageFillBatching verifies the point of the staged structure: on a
+// 4K random-read miss-heavy workload, fill publishes batch past pending
+// channel work — every flash-backed fill rides the channel-neutral
+// fil.publish shard, none the reserved fil shard, and the drain pays fewer
+// barriers than it published fills (a barrier-forcing continuation, the
+// structure this replaced, pays at least one each).
 func TestTwoStageFillBatching(t *testing.T) {
-	run := func(twoStage bool) (sim.ParallelStats, *core.System) {
-		s := wideSystem(t)
-		s.SetTwoStageFills(twoStage)
-		if err := s.Precondition(16); err != nil {
-			t.Fatal(err)
+	s := wideSystem(t)
+	if err := s.Precondition(16); err != nil {
+		t.Fatal(err)
+	}
+	gen, err := workload.NewFIO(workload.RandRead, 4096, s.VolumeBytes(), 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(gen, core.RunConfig{Requests: 400, IODepth: 16, IntraWorkers: 2, WithData: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var published, reserved uint64
+	for _, d := range res.DomainEvents {
+		switch d.Name {
+		case fil.PublishDomain:
+			published = d.Dispatched
+		case fil.Domain:
+			reserved = d.Dispatched
 		}
-		gen, err := workload.NewFIO(workload.RandRead, 4096, s.VolumeBytes(), 41)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run(gen, core.RunConfig{Requests: 400, IODepth: 16, IntraWorkers: 2, WithData: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Intra, s
 	}
-	stTwo, sTwo := run(true)
-	stLegacy, sLegacy := run(false)
-	if stTwo.Barriers() >= stLegacy.Barriers() {
-		t.Fatalf("two-stage fills did not cut barriers: %d vs legacy %d", stTwo.Barriers(), stLegacy.Barriers())
+	if published == 0 || reserved != 0 {
+		t.Fatalf("fills published through %s: %d, through %s: %d", fil.PublishDomain, published, fil.Domain, reserved)
 	}
-	if stTwo.BatchedCross <= stLegacy.BatchedCross {
-		t.Fatalf("two-stage fills did not batch more cross events: %d vs legacy %d", stTwo.BatchedCross, stLegacy.BatchedCross)
-	}
-	if two, legacy := sTwo.FillStats(); two == 0 || legacy != 0 {
-		t.Fatalf("two-stage system fill counters: twoStage=%d legacy=%d", two, legacy)
-	}
-	if two, legacy := sLegacy.FillStats(); two != 0 || legacy == 0 {
-		t.Fatalf("legacy system fill counters: twoStage=%d legacy=%d", two, legacy)
+	st := res.Intra
+	if st.BatchedCross == 0 || st.Barriers() >= published {
+		t.Fatalf("publishes did not batch past channel work: %d barriers for %d fills, %+v", st.Barriers(), published, st)
 	}
 	// The certified fast path served the trajectory too: every deferred
 	// plan execution skipped the walk (PlanCount also counts Flush's
 	// synchronous Execute plans, which have no walk to skip).
-	if fs := sTwo.FIL.Stats(); fs.CertifiedPlans == 0 {
+	if fs := s.FIL.Stats(); fs.CertifiedPlans == 0 {
 		t.Fatalf("no plan took the certified fast path: %+v", fs)
 	}
 }
@@ -500,5 +474,30 @@ func TestIntraParallelHorizonStats(t *testing.T) {
 	}
 	if local != st.LocalEvents {
 		t.Fatalf("per-domain nand dispatches %d != window local events %d", local, st.LocalEvents)
+	}
+}
+
+// TestEngineDomainTableStable pins the names and ids of the scheduling
+// domains a System registers on a fresh engine. sim.Engine.DomainStats is
+// part of every recorded run digest, so a domain added, dropped or reordered
+// here — the event-less fil shard in particular, which exists only to hold
+// its id — moves every digest; this fails first, in milliseconds.
+func TestEngineDomainTableStable(t *testing.T) {
+	s := wideSystem(t)
+	if _, err := s.Submit(0, workload.Request{Write: true, Offset: 0, Length: 4096}, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"default", "host", "cpu", "icl.dram", "dma", "fil", "fil.publish"}
+	for ch := 0; ch < s.Config().Device.Geometry.Channels; ch++ {
+		want = append(want, nand.ChannelDomain(ch))
+	}
+	got := s.SubmitEngineDomainStats()
+	if len(got) != len(want) {
+		t.Fatalf("%d domains registered, want %d: %+v", len(got), len(want), got)
+	}
+	for i, d := range got {
+		if int(d.ID) != i || d.Name != want[i] {
+			t.Fatalf("domain %d is {%d %q}, want {%d %q}", i, d.ID, d.Name, i, want[i])
+		}
 	}
 }

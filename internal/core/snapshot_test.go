@@ -68,10 +68,9 @@ func TestSnapshotRestoreGoldenEquivalence(t *testing.T) {
 	s := wideSystem(t)
 	img := snapshotImage(t, s)
 	want := snapshotTail(t, s, 0) // the original continues
-	// Version 4: the OOB payload checksums in the image are nand's
-	// word-parallel page sums.
-	if v := binary.LittleEndian.Uint32(img[8:12]); v != 4 || core.SnapshotVersion != 4 {
-		t.Fatalf("image carries format version %d, core.SnapshotVersion is %d, want 4", v, core.SnapshotVersion)
+	// Version 5: the system header carries no per-fill-path counters.
+	if v := binary.LittleEndian.Uint32(img[8:12]); v != 5 || core.SnapshotVersion != 5 {
+		t.Fatalf("image carries format version %d, core.SnapshotVersion is %d, want 5", v, core.SnapshotVersion)
 	}
 
 	for _, workers := range intraWorkerMatrix(t) {
@@ -157,6 +156,7 @@ func TestSnapshotLoaderFaults(t *testing.T) {
 		{"future-version", snap.Seal(core.SnapshotVersion+1, fp, body), snap.ErrVersion},
 		{"version-2", snap.Seal(2, fp, body), snap.ErrVersion},
 		{"version-3", snap.Seal(3, fp, body), snap.ErrVersion},
+		{"version-4", snap.Seal(4, fp, body), snap.ErrVersion},
 		{"wrong-fingerprint", snap.Seal(core.SnapshotVersion, fp^0xdeadbeef, body), snap.ErrMismatch},
 		{"valid-frame-truncated-body", snap.Seal(core.SnapshotVersion, fp, body[:len(body)-16]), nil},
 		{"valid-frame-garbage-body", snap.Seal(core.SnapshotVersion, fp, bytes.Repeat([]byte{0xa5}, 64)), nil},

@@ -22,9 +22,10 @@ import (
 // ahead of the replacement clock). Version 4: the payload checksum in every
 // page's OOB stamp is nand's word-parallel pageSum where version 3 stored a
 // byte-serial FNV-1a — same field, different value, so an older image's
-// tracked pages would all fail VerifyPage. Images of versions 2 and 3 are
-// refused with snap.ErrVersion.
-const SnapshotVersion = 4
+// tracked pages would all fail VerifyPage. Version 5: the system header lost
+// its two per-fill-path install counters when the fill paths became one.
+// Images of versions 2 to 4 are refused with snap.ErrVersion.
+const SnapshotVersion = 5
 
 // configFingerprint hashes the full system configuration: an image restores
 // only onto a device built from byte-identical knobs, because every decoder
@@ -61,8 +62,6 @@ func (s *System) Snapshot() ([]byte, error) {
 	e.U64(s.reqs)
 	e.U64(s.bytesRead)
 	e.U64(s.bytesWritten)
-	e.U64(s.fillsTwoStage)
-	e.U64(s.fillsLegacy)
 	e.U64(uint64(len(s.scrubPending)))
 	for _, sb := range s.scrubPending {
 		e.U64(uint64(sb))
@@ -110,8 +109,6 @@ func (s *System) Restore(img []byte) error {
 	s2.reqs = d.U64()
 	s2.bytesRead = d.U64()
 	s2.bytesWritten = d.U64()
-	s2.fillsTwoStage = d.U64()
-	s2.fillsLegacy = d.U64()
 	if n := int(d.U64()); n > 0 && d.Err() == nil {
 		s2.scrubPending = make([]int, n)
 		for i := range s2.scrubPending {
@@ -166,7 +163,6 @@ func (s *System) Restore(img []byte) error {
 	s2.flushBuf.SetState(fb)
 	// Runtime knobs are session preferences, not device state: carry them
 	// over from the live system instead of the image.
-	s2.twoStageFills = s.twoStageFills
 	s2.intraWorkers = s.intraWorkers
 	if s2.FTL.ReadOnly() {
 		s2.ICL.SetPreferCleanVictims(true)

@@ -99,7 +99,7 @@ func (op *submitOp) step() {
 			// The write-ops stage flushes evictions into flash, so it rides
 			// the icl shard — kept apart from dma because its neutrality
 			// stands on its own proof (the eviction flush only issues flash
-			// work, doc.go) and is withdrawn with SetTwoStageFills(false).
+			// work, doc.go).
 			xferDone := s.DMA.Transfer(walked, op.pl, true)
 			op.stage = opWriteOps
 			e.AtIn(op.doms.icl, xferDone, op.stepFn)
@@ -137,22 +137,7 @@ func (op *submitOp) step() {
 		e.AtIn(op.doms.host, sim.MaxOf(xferDone, e.Now()), op.stepFn)
 
 	case opFinish:
-		// Completion path: firmware composes the CQ entry / response FIS,
-		// the link carries it, the interrupt fires, the host ISR retires
-		// the request.
-		now := e.Now()
-		_, composed := s.DevCPU.Execute(now, s.coreFor(0), "hil.complete", s.params.CompleteMix)
-		_, cqDone := s.link.Claim(composed, s.params.CompletionTime())
-		intr := cqDone + s.params.InterruptLatency
-		if s.hba != nil {
-			// The single h-type I/O path serializes completions too (§II-A).
-			_, intr = s.hba.Claim(intr, s.params.ControllerLatency/2)
-		}
-		complete := s.Host.Complete(intr, s.params.CompleteInstr)
-		s.reqs++
-		if complete > s.now {
-			s.now = complete
-		}
+		complete := s.completeRequest(e.Now())
 		cb := op.cb
 		s.releaseOp(op)
 		cb(complete, nil)
@@ -201,38 +186,10 @@ func (op *submitOp) lineDone(t sim.Time, err error) {
 // (reads) when the system tracks data; it must remain valid until the
 // callback fires.
 func (s *System) SubmitAsync(e *sim.Engine, req workload.Request, data []byte, cb func(sim.Time, error)) {
-	if req.Length <= 0 || req.Offset < 0 || req.Offset+int64(req.Length) > s.VolumeBytes() {
-		cb(0, fmt.Errorf("core: request [%d,+%d) outside volume of %d bytes",
-			req.Offset, req.Length, s.VolumeBytes()))
+	if err := s.admit(req, data); err != nil {
+		cb(0, err)
 		return
 	}
-	if data != nil && len(data) < req.Length {
-		cb(0, fmt.Errorf("core: data buffer shorter than request"))
-		return
-	}
-	if s.down {
-		// Injected whole-device failure (SetDeviceDown): the device no
-		// longer answers anything. The host layer above decides when the
-		// silence is observed (its request timeout).
-		cb(0, fmt.Errorf("core: request [%d,+%d) lost: %w",
-			req.Offset, req.Length, ErrDeviceDown))
-		return
-	}
-	if s.FTL.ReadOnly() {
-		if req.Write {
-			// Grown bad blocks exhausted the spare reserve: the device
-			// degrades to read-only instead of risking further data.
-			// Reads still serve.
-			cb(0, fmt.Errorf("core: write of [%d,+%d) refused: %w",
-				req.Offset, req.Length, ftl.ErrReadOnly))
-			return
-		}
-		// Reads on a read-only device must not evict dirty lines (their
-		// write-back can never succeed); pin them and recycle clean frames.
-		s.ICL.SetPreferCleanVictims(true)
-	}
-	now := e.Now()
-
 	if s.passive {
 		// Passive storage (§V-E): pblk runs the cache and FTL on the host,
 		// so requests are served host-side; only cache misses and flushes
@@ -241,36 +198,8 @@ func (s *System) SubmitAsync(e *sim.Engine, req workload.Request, data []byte, c
 		s.submitPassive(e, req, data, cb)
 		return
 	}
-
-	// Stage 1: kernel submission path (block layer + I/O scheduler +
-	// driver), doorbell, command fetch, device-side queue/parse firmware.
-	sequential := req.Offset == s.lastEnd
-	s.lastEnd = req.Offset + int64(req.Length)
-	subEnd := s.Host.Submit(now, sequential, s.params.SubmitInstr)
-
-	t := subEnd + s.params.DoorbellLatency
-	if s.hba != nil {
-		// The h-type host controller serializes command issue.
-		_, t = s.hba.Claim(t, s.params.ControllerLatency)
-	}
-	_, fetched := s.link.Claim(t, s.params.CmdFetchTime())
-	arrived := fetched + s.params.ControllerLatency
-	_, parsed := s.DevCPU.Execute(arrived, s.coreFor(0), "hil",
-		s.params.QueueMix.Add(s.params.ParseMix))
-
 	op := s.acquireOp(e, req, data, cb)
-	var err error
-	op.lines, err = s.Split.SplitInto(op.lines[:0], req.Offset, req.Length)
-	if err != nil {
-		s.releaseOp(op)
-		cb(0, err)
-		return
-	}
-	build := dma.Build
-	if s.cfg.ContiguousDMA {
-		build = dma.BuildContiguous
-	}
-	op.pl, err = build(s.listKind(), req.Length, s.cfg.HostPageSize, data)
+	parsed, err := s.submitStage1(e.Now(), req, data, &op.lines, &op.pl)
 	if err != nil {
 		s.releaseOp(op)
 		cb(0, err)
@@ -280,16 +209,107 @@ func (s *System) SubmitAsync(e *sim.Engine, req workload.Request, data []byte, c
 	e.AtIn(op.doms.cpu, parsed, op.stepFn)
 }
 
+// admit is the admission check every submit path runs before it claims or
+// mutates anything: the request lies inside the volume, its buffer covers
+// it, the device answers (SetDeviceDown), and a write finds the device
+// writable.
+func (s *System) admit(req workload.Request, data []byte) error {
+	if req.Length <= 0 || req.Offset < 0 || req.Offset+int64(req.Length) > s.VolumeBytes() {
+		return fmt.Errorf("core: request [%d,+%d) outside volume of %d bytes",
+			req.Offset, req.Length, s.VolumeBytes())
+	}
+	if data != nil && len(data) < req.Length {
+		return fmt.Errorf("core: data buffer shorter than request")
+	}
+	if s.down {
+		// Injected whole-device failure: the device no longer answers
+		// anything. The host layer above decides when the silence is
+		// observed (its request timeout).
+		return fmt.Errorf("core: request [%d,+%d) lost: %w",
+			req.Offset, req.Length, ErrDeviceDown)
+	}
+	if s.FTL.ReadOnly() {
+		if req.Write {
+			// Grown bad blocks exhausted the spare reserve: the device
+			// degrades to read-only instead of risking further data.
+			// Reads still serve.
+			return fmt.Errorf("core: write of [%d,+%d) refused: %w",
+				req.Offset, req.Length, ftl.ErrReadOnly)
+		}
+		// Reads on a read-only device must not evict dirty lines (their
+		// write-back can never succeed); pin them and recycle clean frames.
+		s.ICL.SetPreferCleanVictims(true)
+	}
+	return nil
+}
+
+// hostSubmit charges the kernel submission path (block layer + I/O
+// scheduler + driver) of a request issued at now and returns its end.
+func (s *System) hostSubmit(now sim.Time, req workload.Request) sim.Time {
+	sequential := req.Offset == s.lastEnd
+	s.lastEnd = req.Offset + int64(req.Length)
+	return s.Host.Submit(now, sequential, s.params.SubmitInstr)
+}
+
+// submitStage1 is the active architecture's stage 1, shared by the evented
+// and the inline path so their claims cannot drift apart: kernel submission,
+// doorbell, command fetch over the link, device-side queue/parse firmware —
+// claimed in that order from now — then the HIL split into *lines (reused)
+// and the request's pointer list into *pl. It returns when parsing ends.
+func (s *System) submitStage1(now sim.Time, req workload.Request, data []byte, lines *[]hil.Line, pl *dma.PointerList) (parsed sim.Time, err error) {
+	t := s.hostSubmit(now, req) + s.params.DoorbellLatency
+	if s.hba != nil {
+		// The h-type host controller serializes command issue.
+		_, t = s.hba.Claim(t, s.params.ControllerLatency)
+	}
+	_, fetched := s.link.Claim(t, s.params.CmdFetchTime())
+	arrived := fetched + s.params.ControllerLatency
+	_, parsed = s.DevCPU.Execute(arrived, s.coreFor(0), "hil",
+		s.params.QueueMix.Add(s.params.ParseMix))
+
+	if *lines, err = s.Split.SplitInto((*lines)[:0], req.Offset, req.Length); err != nil {
+		return 0, err
+	}
+	build := dma.Build
+	if s.cfg.ContiguousDMA {
+		build = dma.BuildContiguous
+	}
+	*pl, err = build(s.listKind(), req.Length, s.cfg.HostPageSize, data)
+	return parsed, err
+}
+
+// completeRequest is the active architecture's completion path, shared like
+// submitStage1: firmware composes the CQ entry / response FIS at t, the link
+// carries it, the interrupt fires, the host ISR retires the request. It
+// returns the completion time, having advanced the system clock to it.
+func (s *System) completeRequest(t sim.Time) sim.Time {
+	_, composed := s.DevCPU.Execute(t, s.coreFor(0), "hil.complete", s.params.CompleteMix)
+	_, cqDone := s.link.Claim(composed, s.params.CompletionTime())
+	intr := cqDone + s.params.InterruptLatency
+	if s.hba != nil {
+		// The single h-type I/O path serializes completions too (§II-A).
+		_, intr = s.hba.Claim(intr, s.params.ControllerLatency/2)
+	}
+	return s.retire(s.Host.Complete(intr, s.params.CompleteInstr))
+}
+
+// retire counts one finished request and advances the system clock to its
+// completion.
+func (s *System) retire(complete sim.Time) sim.Time {
+	s.reqs++
+	if complete > s.now {
+		s.now = complete
+	}
+	return complete
+}
+
 // submitPassive is the OCSSD/pblk request path: the kernel submission
 // runs, then pblk serves the request from its host-side cache; flash
 // traffic happens only for misses and write-back flushes, as vector
 // commands issued by lightNVM.
 func (s *System) submitPassive(e *sim.Engine, req workload.Request, data []byte, cb func(sim.Time, error)) {
 	doms := s.domainsFor(e)
-	now := e.Now()
-	sequential := req.Offset == s.lastEnd
-	s.lastEnd = req.Offset + int64(req.Length)
-	subEnd := s.Host.Submit(now, sequential, s.params.SubmitInstr)
+	subEnd := s.hostSubmit(e.Now(), req)
 
 	lines, err := s.Split.Split(req.Offset, req.Length)
 	if err != nil {
@@ -301,12 +321,7 @@ func (s *System) submitPassive(e *sim.Engine, req workload.Request, data []byte,
 		// Stage the completion as its own event so the host-CPU claim
 		// happens in global time order, not call order.
 		e.AtIn(doms.host, sim.MaxOf(done, e.Now()), func() {
-			complete := s.Host.Complete(e.Now(), s.params.CompleteInstr/2)
-			s.reqs++
-			if complete > s.now {
-				s.now = complete
-			}
-			cb(complete, nil)
+			cb(s.retire(s.Host.Complete(e.Now(), s.params.CompleteInstr/2)), nil)
 		})
 	}
 
@@ -426,7 +441,8 @@ func (s *System) submitEngine() *sim.Engine {
 // window drain, so mixed batches stay byte-identical too.
 //
 // datas optionally carries per-request payload buffers (writes) or receives
-// them (reads); it may be nil, or hold nil entries. times optionally
+// them (reads); it may be nil, or hold nil entries, but a non-nil datas must
+// be at least as long as reqs (nothing is applied otherwise). times optionally
 // receives each request's completion time (it must be at least as long as
 // reqs when non-nil), so batch callers keep their per-request latency
 // histograms without falling back to the evented path. Processing stops at
@@ -445,12 +461,12 @@ func (s *System) SubmitBatch(now sim.Time, reqs []workload.Request, datas [][]by
 	if times != nil && len(times) < len(reqs) {
 		return 0, fmt.Errorf("core: batch times buffer of %d for %d requests", len(times), len(reqs))
 	}
+	if datas != nil && len(datas) < len(reqs) {
+		return 0, fmt.Errorf("core: batch data vector of %d for %d requests", len(datas), len(reqs))
+	}
 	e := s.submitEngine()
 	e.Reset()
-	window := s.params.EffectiveQueueDepth(s.Host.BatchWindow(len(reqs)))
-	if w := s.batchWindowCap(); window > w {
-		window = w
-	}
+	window := min(s.params.EffectiveQueueDepth(s.Host.BatchWindow(len(reqs))), DefaultBatchWindow)
 	if bl := e.BatchLimit(); window > bl {
 		window = bl
 	}
@@ -527,54 +543,20 @@ func (s *System) drainWindow(e *sim.Engine, fill *int) {
 	*fill = 0
 }
 
-// submitInline is the batched write fast path: SubmitAsync's stage 1 plus
-// the opDispatch/opWriteOps/opFinish stages of submitOp.step, unrolled into
-// one call. Every resource claim the evented pipeline would make is made
-// here, at the same time, in the same order — the stage events it elides
-// carried no claims of their own, only the times the claims below derive
-// directly. Deferred per-channel flash bookkeeping is scheduled on e as
-// usual and left for the caller's window drain.
+// submitInline is the batched write fast path: the stages of SubmitAsync and
+// submitOp.step for a write, run in one call. Every resource claim the
+// evented pipeline would make is made here, at the same time, in the same
+// order — stage 1 and the completion path are the very same helpers, and the
+// stage events elided in between carried no claims of their own, only the
+// times the claims below derive directly. Deferred per-channel flash
+// bookkeeping is scheduled on e as usual and left for the caller's window
+// drain.
 func (s *System) submitInline(e *sim.Engine, now sim.Time, req workload.Request, data []byte) (sim.Time, error) {
-	if req.Length <= 0 || req.Offset < 0 || req.Offset+int64(req.Length) > s.VolumeBytes() {
-		return 0, fmt.Errorf("core: request [%d,+%d) outside volume of %d bytes",
-			req.Offset, req.Length, s.VolumeBytes())
-	}
-	if data != nil && len(data) < req.Length {
-		return 0, fmt.Errorf("core: data buffer shorter than request")
-	}
-	if s.down {
-		return 0, fmt.Errorf("core: request [%d,+%d) lost: %w",
-			req.Offset, req.Length, ErrDeviceDown)
-	}
-	if s.FTL.ReadOnly() {
-		return 0, fmt.Errorf("core: write of [%d,+%d) refused: %w",
-			req.Offset, req.Length, ftl.ErrReadOnly)
-	}
-	now += s.serviceDelay
-
-	// Stage 1: kernel submission, doorbell, command fetch, queue/parse.
-	sequential := req.Offset == s.lastEnd
-	s.lastEnd = req.Offset + int64(req.Length)
-	subEnd := s.Host.Submit(now, sequential, s.params.SubmitInstr)
-	t := subEnd + s.params.DoorbellLatency
-	if s.hba != nil {
-		_, t = s.hba.Claim(t, s.params.ControllerLatency)
-	}
-	_, fetched := s.link.Claim(t, s.params.CmdFetchTime())
-	arrived := fetched + s.params.ControllerLatency
-	_, parsed := s.DevCPU.Execute(arrived, s.coreFor(0), "hil",
-		s.params.QueueMix.Add(s.params.ParseMix))
-
-	lines, err := s.Split.SplitInto(s.batchLines[:0], req.Offset, req.Length)
-	if err != nil {
+	if err := s.admit(req, data); err != nil {
 		return 0, err
 	}
-	s.batchLines = lines
-	build := dma.Build
-	if s.cfg.ContiguousDMA {
-		build = dma.BuildContiguous
-	}
-	pl, err := build(s.listKind(), req.Length, s.cfg.HostPageSize, data)
+	var pl dma.PointerList
+	parsed, err := s.submitStage1(now+s.serviceDelay, req, data, &s.batchLines, &pl)
 	if err != nil {
 		return 0, err
 	}
@@ -585,8 +567,8 @@ func (s *System) submitInline(e *sim.Engine, now sim.Time, req workload.Request,
 
 	// opWriteOps: the line writes, all claiming from the transfer's end.
 	opsDone := xferDone
-	for i := range lines {
-		ln := lines[i]
+	for i := range s.batchLines {
+		ln := s.batchLines[i]
 		done, err := s.writeLine(e, xferDone, ln, linePayload(ln, data))
 		if err != nil {
 			return 0, err
@@ -598,18 +580,7 @@ func (s *System) submitInline(e *sim.Engine, now sim.Time, req workload.Request,
 	s.bytesWritten += uint64(req.Length)
 
 	// opFinish: completion firmware, CQ/interrupt, host ISR.
-	_, composed := s.DevCPU.Execute(opsDone, s.coreFor(0), "hil.complete", s.params.CompleteMix)
-	_, cqDone := s.link.Claim(composed, s.params.CompletionTime())
-	intr := cqDone + s.params.InterruptLatency
-	if s.hba != nil {
-		_, intr = s.hba.Claim(intr, s.params.ControllerLatency/2)
-	}
-	complete := s.Host.Complete(intr, s.params.CompleteInstr)
-	s.reqs++
-	if complete > s.now {
-		s.now = complete
-	}
-	return complete, nil
+	return s.completeRequest(opsDone), nil
 }
 
 // linePayload returns the part of a request's buffer that belongs to ln,
@@ -909,23 +880,14 @@ func (s *System) startFill(e *sim.Engine, t sim.Time, lspn int64, subs []int, li
 			}
 			fo.dsts = dsts
 		}
-		if s.twoStageFills {
-			// Two-stage install, precopy stage: the page bytes land in the
-			// fill's line buffer at issue (pending-aware, one copy), so the
-			// channel shards carry only the reads' accounting and the
-			// publish below depends on no pending channel event.
-			// The lookup's read certificate rides along: while the
-			// FTL↔flash chain is armed, the per-address validation walk
-			// is skipped (mapped ⇒ written by construction).
-			flashDone, err = s.FIL.ReadSubsStaged(e, doms.nand, t3, fetch, dsts, cert)
-		} else {
-			// Legacy single stage: each read's per-channel bookkeeping
-			// (counters, energy, the copy into its dst slice) rides the
-			// owning channel's domain-local shard, scheduled here — before
-			// fo.doneFn — so among same-time events every copy orders
-			// before the install that consumes it.
-			flashDone, err = s.FIL.ReadSubsOn(e, doms.nand, t3, fetch, dsts)
-		}
+		// Precopy stage of the install: the page bytes land in the fill's
+		// line buffer at issue (pending-aware, one copy), so the channel
+		// shards carry only the reads' accounting and the publish below
+		// depends on no pending channel event. The lookup's read
+		// certificate rides along: while the FTL↔flash chain is armed, the
+		// per-address validation walk is skipped (mapped ⇒ written by
+		// construction).
+		flashDone, err = s.FIL.ReadSubsStaged(e, doms.nand, t3, fetch, dsts, cert)
 		if err == nil {
 			break
 		}
@@ -964,19 +926,11 @@ func (s *System) startFill(e *sim.Engine, t sim.Time, lspn int64, subs []int, li
 	// sound. Flash-backed fills publish through the fil.publish shard
 	// (channel-neutral in the active architecture: the staged line buffer
 	// is complete at issue, so the publish batches past pending channel
-	// work) or, on the legacy path, the barrier-forcing fil shard (the
-	// install then consumes bytes pending read completions write). Fills
-	// with no flash work (all subs unmapped, pure cache-side traffic) ride
-	// the icl shard.
+	// work). Fills with no flash work (all subs unmapped, pure cache-side
+	// traffic) ride the icl shard.
 	dom := doms.icl
 	if nFetch > 0 {
-		if s.twoStageFills {
-			dom = doms.pub
-			s.fillsTwoStage++
-		} else {
-			dom = doms.fil
-			s.fillsLegacy++
-		}
+		dom = doms.pub
 	}
 	e.AtIn(dom, sim.MaxOf(flashDone, e.Now()), fo.doneFn)
 }

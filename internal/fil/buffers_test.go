@@ -36,7 +36,7 @@ func TestPlanReadBufferLifeCycle(t *testing.T) {
 	for _, m := range []struct {
 		name     string
 		mutate   func(*ftl.Config)
-		walk     bool // force the validating walk (links derived, programs copy)
+		walk     bool // force the validating walk (links derived, issues prechecked)
 		deferred bool // ExecuteOn; otherwise the synchronous Execute
 	}{
 		{"certified", rmw, false, true},
@@ -46,7 +46,7 @@ func TestPlanReadBufferLifeCycle(t *testing.T) {
 	} {
 		t.Run(m.name, func(t *testing.T) {
 			f, tr, fl := armedStack(t, g, true, m.mutate)
-			f.ForcePrevalidate(m.walk)
+			f.forceWalk = m.walk
 			e := sim.NewEngine()
 			doms := chDomsFor(t, e, fl)
 			subs, ps := tr.SubPagesPerSuperPage(), g.PageSize

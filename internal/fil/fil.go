@@ -6,9 +6,6 @@
 // erase cannot start before the victim's migrations complete — while
 // independent transactions overlap freely, bounded only by the per-channel
 // and per-die resource contention modeled inside package nand.
-//
-// The FIL also exposes raw per-page access used by the OCSSD path, where
-// the host-side FTL (pblk) addresses physical pages directly.
 package fil
 
 import (
@@ -22,27 +19,25 @@ import (
 // AddrFunc converts an FTL page location to a NAND physical address.
 type AddrFunc func(ftl.PageLoc) nand.Address
 
-// Domain names the cross-domain scheduling shard (sim.Engine) where the
-// core places flash-completion continuations: the cache installs, waiter
-// wakeups and pipeline advances that follow a flash fetch. Those read and
-// write state spanning channels (ICL lines, MSHR maps, DRAM timing), so —
-// unlike the per-channel bookkeeping events in nand.ChannelDomain shards —
-// they must never ride in a domain-local shard: the engine's horizon
-// computation assumes every cross-channel effect lives in a cross-domain
-// shard. This shard stays barrier-forcing: its continuations consume line
-// buffers that pending channel events write (the legacy one-stage fill
-// path, ReadSubsOn).
+// Domain names a reserved cross-domain scheduling shard: no event rides it.
+// The core registers it on every engine all the same, because a domain's id
+// and name are part of sim.Engine.DomainStats and through it of every
+// recorded run digest.
 const Domain = "fil"
 
-// PublishDomain names the cross-domain shard for the publish stage of
-// two-stage fill installs: the cache install, memory charge and waiter
-// wakeups of a fill whose page bytes were staged at issue (ReadSubsStaged).
-// Unlike Domain, a publish event reads no state that pending domain-local
-// events write — its line buffer was complete before the fill's channel
-// bookkeeping was even scheduled — so the core marks this shard
-// channel-neutral in the active architecture and the engine batches
-// consecutive publishes past pending channel work instead of paying a
-// barrier per fill (sim.Engine.MarkChannelNeutral, sim/doc.go).
+// PublishDomain names the cross-domain shard where the core places the
+// continuation of a flash-backed cache fill: the cache install, memory
+// charge and waiter wakeups. Those read and write state spanning channels
+// (ICL lines, MSHR maps, DRAM timing), so — unlike the per-channel
+// bookkeeping events in nand.ChannelDomain shards — they must never ride in
+// a domain-local shard: the engine's horizon computation assumes every
+// cross-channel effect lives in a cross-domain shard. A publish event reads
+// no state that pending domain-local events write — its line buffer was
+// complete (ReadSubsStaged) before the fill's channel bookkeeping was even
+// scheduled — so the core marks this shard channel-neutral in the active
+// architecture and the engine batches consecutive publishes past pending
+// channel work instead of paying a barrier per fill
+// (sim.Engine.MarkChannelNeutral, sim/doc.go).
 const PublishDomain = "fil.publish"
 
 // Stats aggregates FIL activity.
@@ -134,13 +129,14 @@ type FIL struct {
 	readBufs [][]byte
 	readBufN int
 
-	// addrScratch carries the translated addresses of one ReadSubsOn call
-	// from its validation pass to its issue pass, reused across calls.
+	// addrScratch carries the translated addresses of one walked
+	// ReadSubsStaged call from its validation pass to its issue pass, reused
+	// across calls.
 	// extraScratch carries each read's probe-time fault-retry latency beside
 	// it: with read-disturb accumulation armed, every issued read bumps its
 	// block's disturb counter, so a batch that re-drew at issue could
 	// disagree with its own probe — the probe IS the draw, and the issue
-	// pass replays it (nand.Flash.ReadDeferredPredrawn).
+	// pass replays it (nand.Flash.ReadDeferredAddr's extra).
 	addrScratch  []nand.Address
 	extraScratch []sim.Duration
 
@@ -180,9 +176,10 @@ type FIL struct {
 	certIssuer *ftl.FTL
 	certNext   uint64
 	certEpoch  uint64
-	// forceWalk routes certified plans through prevalidatePlan anyway while
-	// keeping the certificate chain advancing — the benchmark and test hook
-	// for measuring the walk's cost on identical executions.
+	// forceWalk routes certified plans and reads through the walk anyway
+	// while keeping the certificate chain advancing — set by in-package
+	// tests only, to hold the walked path to the certified one on identical
+	// executions.
 	forceWalk bool
 }
 
@@ -296,13 +293,6 @@ func (f *FIL) AcceptCertified(issuer *ftl.FTL) error {
 	f.certEpoch = f.flash.StateEpoch()
 	return nil
 }
-
-// ForcePrevalidate routes every plan — certified or not — through the
-// prevalidation walk while still advancing the certificate chain, so a
-// later ForcePrevalidate(false) resumes the fast path seamlessly. It exists
-// for benchmarks (measuring the walk's cost against identical executions)
-// and for equivalence tests; production callers never need it.
-func (f *FIL) ForcePrevalidate(v bool) { f.forceWalk = v }
 
 // certCheck reports whether the plan's certificate is honored right now:
 // bound issuer, exact sequence continuity, untouched flash epoch. A
@@ -648,7 +638,8 @@ type planRun struct {
 	batch *nand.PlanBatch // nil: synchronous issue (Execute)
 	// trusted: the plan's certificate is honored — addresses come straight
 	// from the plane table, links from Op.Src, and batched issues skip the
-	// structural prechecks. Otherwise all three come from prevalidatePlan.
+	// flash's structural prechecks. Otherwise addresses and links come from
+	// prevalidatePlan and every batched issue is prechecked.
 	trusted  bool
 	nextAddr int // cursor into f.planAddrs (walked plans)
 	res      Result
@@ -680,40 +671,48 @@ func (k *planRun) touch(sb int, t sim.Time) {
 
 // The three issue helpers are the only place the synchronous and the
 // deferred path differ: straight flash calls (which validate per op), or
-// the plan batch — trusted entry points when the certificate already
-// proved what the precheck would re-derive; the fault draw stays live. On
-// the trusted path the address goes to nand by pointer, all the way to the
-// claim: passing *addr by value makes the compiler reload the 48 bytes
-// addrInto just stored 8 at a time with 16-byte loads, a failed
-// store-to-load forward per op.
+// the plan batch, whose entry points check nothing structural — a walked
+// plan runs the flash's own precheck first, a trusted one holds the
+// certificate that already proved what the precheck would re-derive; the
+// fault draw stays live either way. The address goes to the batch by
+// pointer, all the way to the claim: passing *addr by value makes the
+// compiler reload the 48 bytes addrInto just stored 8 at a time with 16-byte
+// loads, a failed store-to-load forward per op.
 
 func (k *planRun) read(start sim.Time, addr *nand.Address, dst []byte) (nand.Result, error) {
-	switch {
-	case k.batch == nil:
+	if k.batch == nil {
 		return k.f.flash.Read(start, *addr, dst)
-	case k.trusted:
-		return k.batch.ReadAddr(start, addr, dst)
 	}
-	return k.batch.Read(start, *addr, dst)
+	if !k.trusted {
+		if err := k.f.flash.CheckRead(*addr); err != nil {
+			return nand.Result{}, err
+		}
+	}
+	return k.batch.ReadAddr(start, addr, dst)
 }
 
 // program issues one page program. staged: data is a staging buffer this
-// call disposes of — the trusted batch installs from it as it is
-// (nand.PlanBatch.ProgramAddr), the validating paths copy like for any other
-// payload and the buffer goes straight back to the flash.
-func (k *planRun) program(start sim.Time, addr *nand.Address, data []byte, staged bool, tag int64) (r nand.Result, err error) {
-	switch {
-	case k.batch == nil:
-		r, err = k.f.flash.ProgramTagged(start, *addr, data, tag)
-	case k.trusted:
-		return k.batch.ProgramAddr(start, addr, data, staged, tag)
-	default:
-		r, err = k.batch.ProgramTagged(start, *addr, data, tag)
+// call disposes of — the batch installs from it as it is
+// (nand.PlanBatch.ProgramAddr); the synchronous flash copies like for any
+// other payload, and a failed precheck programs nothing, so there the buffer
+// goes straight back to the flash.
+func (k *planRun) program(start sim.Time, addr *nand.Address, data []byte, staged bool, tag int64) (nand.Result, error) {
+	if k.batch == nil {
+		r, err := k.f.flash.ProgramTagged(start, *addr, data, tag)
+		if staged {
+			k.f.flash.ReleaseStagingBuf(data)
+		}
+		return r, err
 	}
-	if staged {
-		k.f.flash.ReleaseStagingBuf(data)
+	if !k.trusted {
+		if err := k.f.flash.CheckProgram(*addr); err != nil {
+			if staged {
+				k.f.flash.ReleaseStagingBuf(data)
+			}
+			return nand.Result{}, err
+		}
 	}
-	return r, err
+	return k.batch.ProgramAddr(start, addr, data, staged, tag)
 }
 
 func (k *planRun) erase(start sim.Time, addr *nand.Address) (nand.Result, error) {
@@ -952,141 +951,79 @@ func (f *FIL) ReadSubs(now sim.Time, locs []ftl.PageLoc, dsts [][]byte) (sim.Tim
 	return done, nil
 }
 
-// ReadSubsOn is ReadSubs with each read's per-channel bookkeeping (counters,
-// energy, tracked-data copy into its dst) deferred into the owning channel's
-// scheduling domain via nand.Flash.ReadDeferred: chDoms[channel] is the
-// channel's domain-local shard. Timing is identical to ReadSubs; the
-// deferred events let an intra-parallel engine run the channels' completion
-// work concurrently between horizons. Every address is validated before any
-// read claims or schedules, so an error leaves no completion events queued
-// against the caller's buffers.
-func (f *FIL) ReadSubsOn(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, locs []ftl.PageLoc, dsts [][]byte) (sim.Time, error) {
-	return f.readSubsDeferred(e, chDoms, now, locs, dsts, false, ftl.ReadCert{})
-}
-
-// ReadSubsStaged is ReadSubsOn with each read's page bytes delivered into
-// its dst at issue time (nand.Flash.ReadDeferredEager) instead of inside
-// the channel's completion event: when this call returns, every dst already
-// holds the bytes a synchronous ReadSubs would have produced, and the
-// channel shards carry only the reads' counters and energy. Timing is
-// identical to ReadSubs/ReadSubsOn. This is the precopy stage of two-stage
-// fill installs: because the caller's buffer is complete before any
-// completion event exists, the fill's publish continuation depends on no
-// pending channel work and may ride a channel-neutral shard
-// (PublishDomain), letting the engine batch consecutive publishes past
-// pending channel bookkeeping instead of paying one barrier per fill. Every
-// address is validated before any read claims or schedules, so an error
-// leaves no completion events queued and no dst written.
+// ReadSubsStaged is ReadSubs on the deferred path: each read's page bytes are
+// delivered into its dst at issue time and its per-channel accounting rides
+// the owning channel's scheduling domain (nand.Flash.ReadDeferredAddr;
+// chDoms[channel] is the channel's domain-local shard), where an
+// intra-parallel engine runs the channels' completion work concurrently
+// between horizons. When this call returns, every dst already holds the
+// bytes a synchronous ReadSubs would have produced; timing is identical to
+// ReadSubs. This is the precopy stage of the core's fill installs: because
+// the caller's buffer is complete before any completion event exists, the
+// fill's publish continuation depends on no pending channel work and may
+// ride a channel-neutral shard (PublishDomain), letting the engine batch
+// consecutive publishes past pending channel bookkeeping instead of paying
+// one barrier per fill. Every address is validated before any read claims or
+// schedules, so an error leaves no completion events queued and no dst
+// written.
 //
 // cert is the read certificate stamped on locs by ftl.LookupCertified;
 // while it is honored (readCertOK: chain armed, epochs matched, read-fault
 // draws off), the per-address validation walk is skipped entirely —
 // mapped ⇒ written holds by construction, so the walk could not have
-// changed outcome or timing. Pass the zero ReadCert for hand-built
-// location lists; they always walk.
+// changed outcome or timing. Claims, accounting and delivered bytes are
+// identical on both paths. Pass the zero ReadCert for hand-built location
+// lists; they always walk.
 func (f *FIL) ReadSubsStaged(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, locs []ftl.PageLoc, dsts [][]byte, cert ftl.ReadCert) (sim.Time, error) {
-	return f.readSubsDeferred(e, chDoms, now, locs, dsts, true, cert)
-}
-
-// readSubsDeferred is the shared body of ReadSubsOn and ReadSubsStaged:
-// prevalidate every address (so a mid-batch failure leaves no completion
-// events queued), then issue each read on the deferred path — eager
-// delivers the bytes at issue, otherwise the channel event copies them.
-// A certified eager batch skips prevalidation wholesale and issues on the
-// trusted path; claims, accounting and delivered bytes are identical.
-func (f *FIL) readSubsDeferred(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, locs []ftl.PageLoc, dsts [][]byte, eager bool, cert ftl.ReadCert) (sim.Time, error) {
-	if eager && f.readCertOK(cert) {
-		done := now
-		for i := range locs {
-			var dst []byte
-			if dsts != nil {
-				dst = dsts[i]
-			}
-			addr := f.addr(&locs[i])
-			r := f.flash.ReadDeferredEagerTrusted(e, chDoms[addr.Channel], now, addr, dst)
-			f.stats.Reads++
-			if r.Done > done {
-				done = r.Done
-			}
-		}
-		f.stats.CertifiedReads += uint64(len(locs))
-		return done, nil
-	}
 	addrs := f.addrScratch[:0]
 	extras := f.extraScratch[:0]
-	for _, loc := range locs {
-		addr, err := f.translate(loc)
-		if err != nil {
-			f.addrScratch = addrs
-			f.extraScratch = extras
-			return now, fmt.Errorf("fil: read %v: %w", loc, err)
+	if f.readCertOK(cert) {
+		for i := range locs {
+			addrs = append(addrs, nand.Address{})
+			f.addrInto(&addrs[i], &locs[i])
+			extras = append(extras, 0)
 		}
-		// ProbeReadExtra covers the structural checks AND the injected
-		// read-fault ladder, returning the drawn retry latency: the draw is
-		// pure in state that cannot change before the issue pass below (the
-		// disturb bump lands at claim, after each read's draw), so a batch
-		// whose every probe passes cannot fault at issue — an uncorrectable
-		// read surfaces here, with no completion events queued and no dst
-		// written, same contract as a structural failure. The issue pass
-		// replays the probe's draw instead of re-drawing: issued reads bump
-		// their block's disturb counter, and a later read of the same block
-		// in this batch must not see its batchmate's bump mid-flight.
-		extra, err := f.flash.ProbeReadExtra(now, addr)
-		if err != nil {
-			f.addrScratch = addrs
-			f.extraScratch = extras
-			return now, fmt.Errorf("fil: read %v: %w", loc, err)
+		f.stats.CertifiedReads += uint64(len(locs))
+	} else {
+		for _, loc := range locs {
+			addr, err := f.translate(loc)
+			// ProbeReadExtra covers the structural checks AND the injected
+			// read-fault ladder, returning the drawn retry latency: the draw is
+			// pure in state that cannot change before the issue pass below (the
+			// disturb bump lands at claim, after each read's draw), so a batch
+			// whose every probe passes cannot fault at issue — an uncorrectable
+			// read surfaces here, with no completion events queued and no dst
+			// written, same contract as a structural failure. The issue pass
+			// replays the probe's draw instead of re-drawing: issued reads bump
+			// their block's disturb counter, and a later read of the same block
+			// in this batch must not see its batchmate's bump mid-flight.
+			var extra sim.Duration
+			if err == nil {
+				extra, err = f.flash.ProbeReadExtra(now, addr)
+			}
+			if err != nil {
+				f.addrScratch, f.extraScratch = addrs, extras
+				return now, fmt.Errorf("fil: read %v: %w", loc, err)
+			}
+			addrs = append(addrs, addr)
+			extras = append(extras, extra)
 		}
-		addrs = append(addrs, addr)
-		extras = append(extras, extra)
 	}
-	f.addrScratch = addrs
-	f.extraScratch = extras
+	f.addrScratch, f.extraScratch = addrs, extras
 	done := now
-	for i, addr := range addrs {
+	for i := range addrs {
 		var dst []byte
 		if dsts != nil {
 			dst = dsts[i]
 		}
-		var r nand.Result
-		if eager {
-			r = f.flash.ReadDeferredEagerPredrawn(e, chDoms[addr.Channel], now, addr, dst, extras[i])
-		} else {
-			r = f.flash.ReadDeferredPredrawn(e, chDoms[addr.Channel], now, addr, dst, extras[i])
-		}
+		addr := &addrs[i]
+		r := f.flash.ReadDeferredAddr(e, chDoms[addr.Channel], now, addr, dst, extras[i])
 		f.stats.Reads++
 		if r.Done > done {
 			done = r.Done
 		}
 	}
 	return done, nil
-}
-
-// ReadPage performs a raw physical page read (OCSSD path).
-func (f *FIL) ReadPage(now sim.Time, addr nand.Address, dst []byte) (nand.Result, error) {
-	r, err := f.flash.Read(now, addr, dst)
-	if err == nil {
-		f.stats.Reads++
-	}
-	return r, err
-}
-
-// ProgramPage performs a raw physical page program (OCSSD path).
-func (f *FIL) ProgramPage(now sim.Time, addr nand.Address, data []byte) (nand.Result, error) {
-	r, err := f.flash.Program(now, addr, data)
-	if err == nil {
-		f.stats.Programs++
-	}
-	return r, err
-}
-
-// EraseBlock performs a raw physical block erase (OCSSD path).
-func (f *FIL) EraseBlock(now sim.Time, addr nand.Address) (nand.Result, error) {
-	r, err := f.flash.Erase(now, addr)
-	if err == nil {
-		f.stats.Erases++
-	}
-	return r, err
 }
 
 // Flash exposes the underlying storage complex for stats/energy queries.

@@ -310,7 +310,7 @@ func TestCertifiedPlanEquivalence(t *testing.T) {
 	if err := fWalk.AcceptCertified(trWalk); err != nil {
 		t.Fatal(err)
 	}
-	fWalk.ForcePrevalidate(true)
+	fWalk.forceWalk = true
 	eF, eW := sim.NewEngine(), sim.NewEngine()
 	domsF := chDomsFor(t, eF, flFast)
 	domsW := chDomsFor(t, eW, flWalk)
@@ -440,7 +440,7 @@ func TestCertificationInvalidation(t *testing.T) {
 	// the next page the FTL will allocate there.
 	rawLoc := plan1.Ops[0].Loc
 	rawLoc.Page = fl.NextProgramPage(tr.Address(rawLoc))
-	if _, err := f.ProgramPage(sim.FromMicroseconds(50000), tr.Address(rawLoc), payload[:512]); err != nil {
+	if _, err := f.Flash().Program(sim.FromMicroseconds(50000), tr.Address(rawLoc), payload[:512]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -553,11 +553,11 @@ func TestExecuteOnPrevalidates(t *testing.T) {
 	}
 }
 
-// TestStatsSingleCountAcrossPaths is the double-count regression for the
-// raw OCSSD page paths: a FIL mixing deferred plan execution with raw
-// ProgramPage/EraseBlock/ReadPage calls must count every transaction
-// exactly once, matching a serial reference that runs the same sequence
-// through the synchronous paths.
+// TestStatsSingleCountAcrossPaths is the double-count regression for mixed
+// traffic: a stack mixing deferred plan execution with raw (OCSSD-style)
+// synchronous page operations on the flash underneath must count every
+// transaction exactly once, matching a serial reference that runs the same
+// sequence through the synchronous paths.
 func TestStatsSingleCountAcrossPaths(t *testing.T) {
 	fDef, trDef, flDef := newStack(t, true)
 	fRef, trRef, flRef := newStack(t, true)
@@ -602,14 +602,14 @@ func TestStatsSingleCountAcrossPaths(t *testing.T) {
 	}
 	for _, f := range []*FIL{fDef, fRef} {
 		at := sim.FromMicroseconds(500000)
-		if _, err := f.ProgramPage(at, raw, payload[:512]); err != nil {
+		if _, err := f.Flash().Program(at, raw, payload[:512]); err != nil {
 			t.Fatal(err)
 		}
 		got := make([]byte, 512)
-		if _, err := f.ReadPage(at+sim.FromMicroseconds(5000), raw, got); err != nil {
+		if _, err := f.Flash().Read(at+sim.FromMicroseconds(5000), raw, got); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.EraseBlock(at+sim.FromMicroseconds(10000), raw); err != nil {
+		if _, err := f.Flash().Erase(at+sim.FromMicroseconds(10000), raw); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -630,20 +630,20 @@ func TestRawOCSSDPath(t *testing.T) {
 	addr := nand.Address{Channel: 1, Page: 0}
 	data := make([]byte, 512)
 	data[7] = 0x77
-	if _, err := f.ProgramPage(0, addr, data); err != nil {
+	if _, err := f.Flash().Program(0, addr, data); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 512)
-	if _, err := f.ReadPage(sim.FromMicroseconds(5000), addr, got); err != nil {
+	if _, err := f.Flash().Read(sim.FromMicroseconds(5000), addr, got); err != nil {
 		t.Fatal(err)
 	}
 	if got[7] != 0x77 {
 		t.Fatal("raw path lost data")
 	}
-	if _, err := f.EraseBlock(sim.FromMicroseconds(9000), addr); err != nil {
+	if _, err := f.Flash().Erase(sim.FromMicroseconds(9000), addr); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.ReadPage(sim.FromMicroseconds(13000), addr, got); err == nil {
+	if _, err := f.Flash().Read(sim.FromMicroseconds(13000), addr, got); err == nil {
 		t.Fatal("read after erase should fail")
 	}
 }

@@ -62,7 +62,7 @@ func TestWalkedVsCertifiedPlanByPlan(t *testing.T) {
 		t.Run(m.name, func(t *testing.T) {
 			fFast, trFast, flFast := armedStack(t, g, true, m.mutate)
 			fWalk, trWalk, flWalk := armedStack(t, g, true, m.mutate)
-			fWalk.ForcePrevalidate(true)
+			fWalk.forceWalk = true
 			eF, eW := sim.NewEngine(), sim.NewEngine()
 			domsF, domsW := chDomsFor(t, eF, flFast), chDomsFor(t, eW, flWalk)
 

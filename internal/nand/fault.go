@@ -384,8 +384,8 @@ func (f *Flash) readFaultExtra(now sim.Time, addr Address) (sim.Duration, error)
 // retention bucket), so a passing probe guarantees an issue-time draw of
 // the same read under the same degradation state also passes. Callers that
 // interleave probes with disturb-bumping issues must instead carry the
-// probe's result to the issue (ProbeReadExtra + the Predrawn read
-// variants), because the issues shift later draws' keys. A failing probe
+// probe's result to the issue (ProbeReadExtra + ReadDeferredAddr's extra),
+// because the issues shift later draws' keys. A failing probe
 // charges the uncorrectable (it is where the caller observes the loss);
 // the issue that would double-charge it never happens.
 func (f *Flash) ProbeRead(now sim.Time, addr Address) error {
@@ -409,8 +409,8 @@ func (f *Flash) ProbeRead(now sim.Time, addr Address) error {
 
 // ProbeReadExtra is the authoritative-draw probe: CheckRead plus one full
 // ladder draw for a read of addr at time now, returning the extra die
-// occupancy the retries will cost. The caller issues the read with a
-// Predrawn variant that reuses the returned extra instead of re-drawing —
+// occupancy the retries will cost. The caller issues the read with
+// ReadDeferredAddr, which reuses the returned extra instead of re-drawing —
 // the pattern batching paths need once read disturb is enabled, because a
 // batch's issues bump the disturb counters its later probes were keyed on,
 // so re-drawing at issue could disagree with the probe and break the

@@ -438,7 +438,7 @@ func (a *pageArena) clearRange(base int64, n int) {
 
 // Flash is the storage complex. Programs, erases and synchronous reads are
 // not safe for concurrent use; the deferred completion events that
-// ReadDeferred, ProgramDeferred and EraseDeferred schedule touch only
+// ReadDeferredAddr and PlanBatch.Commit schedule touch only
 // per-channel state (the channel-indexed accumulators below, the channel's
 // own tracked-data arena and pending-install index), so an engine with the
 // channel domains marked domain-local may dispatch completions of
@@ -505,10 +505,8 @@ type Flash struct {
 
 	// plan is the reusable accumulation context for BeginPlan (one plan
 	// executes at a time; its committed die batches stay in flight
-	// independently). domScratch backs the single-op deferred wrappers'
-	// domain table.
-	plan       PlanBatch
-	domScratch []sim.DomainID
+	// independently).
+	plan PlanBatch
 
 	// epoch counts functional block-state transitions (programs and erases,
 	// on any path — synchronous, deferred, batched). It backs the certified
@@ -745,7 +743,8 @@ func (f *Flash) CheckRead(addr Address) error {
 // occupies the channel briefly, then the die runs the array read, then the
 // data streams back over the channel. extra stretches the die phase with
 // the read-retry ladder's cost (zero when the first rung succeeded). Shared
-// by Read and ReadDeferred so the two paths can never diverge in timing.
+// by Read, ReadDeferredAddr and PlanBatch.ReadAddr so the paths can never
+// diverge in timing.
 // di is addr's die index (the caller computed it once for the whole op).
 func (f *Flash) claimRead(now sim.Time, addr *Address, di int, extra sim.Duration) (cmdStart, ready, done sim.Time) {
 	ch := f.channels[addr.Channel]
@@ -815,27 +814,14 @@ func (f *Flash) copyOut(pageIdx int64, dst []byte) {
 	clear(dst[n:min(len(dst), f.geo.PageSize)])
 }
 
-// readCompletion carries one deferred read's per-channel bookkeeping (stats,
-// energy, tracked-data copy) into the channel's scheduling domain. Pooled
-// per channel with the callback bound once, so steady-state deferred reads
-// schedule without allocating.
-//
-// buf stages the page bytes captured at issue time: the array read latches
-// its data before any later erase or program can touch the block (the die
-// resource serializes them), so the bytes a read returns are fixed when it
-// is issued — exactly what the synchronous Read models by copying
-// immediately. Deferring the dst copy without staging would instead observe
-// the arena at completion time, where an interleaved GC erase + reprogram
-// of the same physical page could replace the data. The staging copy runs
-// in the serial section; the (equally sized) copy into dst is the
-// channel-shard work that parallelizes.
+// readCompletion carries one deferred read's per-channel accounting (counters
+// and energy) into the channel's scheduling domain. Pooled per channel with
+// the callback bound once, so steady-state deferred reads schedule without
+// allocating.
 type readCompletion struct {
-	f      *Flash
-	ch     int
-	buf    []byte // page-size staging buffer, lazily allocated, reused
-	staged bool   // buf holds the page bytes captured at issue
-	dst    []byte
-	fn     func()
+	f  *Flash
+	ch int
+	fn func()
 }
 
 func (f *Flash) acquireReadCompletion(ch int) *readCompletion {
@@ -851,120 +837,47 @@ func (f *Flash) acquireReadCompletion(ch int) *readCompletion {
 }
 
 // complete is the deferred event body. It touches only channel-owned state:
-// the channel's counters and energy accumulator, the op's staged page
-// bytes, the caller's destination slice, and the channel's own op pool —
-// the domain-local contract that lets channels step concurrently.
+// the channel's counters and energy accumulator and the channel's own op
+// pool — the domain-local contract that lets channels step concurrently.
 func (op *readCompletion) complete() {
 	f := op.f
 	f.accountRead(op.ch)
-	if op.staged {
-		copy(op.dst, op.buf)
-		op.staged = false
-	}
-	op.dst = nil
 	f.readOps[op.ch] = append(f.readOps[op.ch], op)
 }
 
-// ReadDeferred performs a page read with the timing of Read, but defers the
-// per-channel bookkeeping — counters, energy, the tracked-data copy into
-// dst — to an event scheduled in dom at the transaction's completion time.
-// The returned bytes are identical to Read's: the page contents are staged
-// at issue time (see readCompletion.buf). The caller passes the channel's
-// scheduling domain (nand.ChannelDomain); when that domain is marked
-// domain-local, the engine may dispatch the completion concurrently with
-// other channels' between synchronization horizons. dst must stay valid
-// until an event at the returned Done time observes it (the core's fill
-// install, always scheduled after this call, so it orders later among
-// same-time events). An error claims nothing and schedules nothing, but
-// batching callers should prevalidate with CheckRead so no earlier
-// iteration has scheduled yet when a later one fails.
-func (f *Flash) ReadDeferred(e *sim.Engine, dom sim.DomainID, now sim.Time, addr Address, dst []byte) (Result, error) {
-	if err := f.CheckRead(addr); err != nil {
-		return Result{}, err
-	}
-	extra, err := f.readFaultExtra(now, addr)
-	if err != nil {
-		return Result{}, err
-	}
-	return f.readDeferredClaimed(e, dom, now, addr, dst, extra), nil
-}
-
-// ReadDeferredPredrawn is ReadDeferred minus validation and the fault draw:
-// the caller already ran both through ProbeReadExtra and passes the drawn
-// retry cost in extra. This is how batching paths keep the probe-pass ⇒
-// issue-pass contract once read disturb is live — the probe's draw is THE
-// draw, and the issue only claims (which bumps the disturb counter for
-// later reads).
-func (f *Flash) ReadDeferredPredrawn(e *sim.Engine, dom sim.DomainID, now sim.Time, addr Address, dst []byte, extra sim.Duration) Result {
-	return f.readDeferredClaimed(e, dom, now, addr, dst, extra)
-}
-
-func (f *Flash) readDeferredClaimed(e *sim.Engine, dom sim.DomainID, now sim.Time, addr Address, dst []byte, extra sim.Duration) Result {
-	cmdStart, ready, done := f.claimRead(now, &addr, f.geo.DieIndex(addr), extra)
-	op := f.acquireReadCompletion(addr.Channel)
-	op.dst = dst
-	if f.trackData && dst != nil {
-		if op.buf == nil {
-			op.buf = make([]byte, f.geo.PageSize)
-		}
-		f.copyOut(f.geo.PageIndex(addr), op.buf)
-		op.staged = true
-	}
-	e.AtIn(dom, done, op.fn)
+// ReadDeferredAddr performs a page read with the timing of Read, delivering
+// the page bytes into dst at issue (pending-aware, exactly what a
+// synchronous Read would deliver) and deferring the channel's counters and
+// energy to an event scheduled in dom — the channel's scheduling domain
+// (ChannelDomain) — at the transaction's completion time. The bytes a read
+// returns are fixed when it is issued: the array read latches its data
+// before any later erase or program can touch the block (the die resource
+// serializes them). Because dst is complete when this call returns, a
+// continuation that reads it depends on none of this channel's pending
+// events: that independence is what lets the core's fill installs ride a
+// channel-neutral publish shard (horizon batching) instead of forcing a
+// barrier per fill.
+//
+// There is no validation and no fault draw here. The caller either ran both
+// through ProbeReadExtra and passes the drawn retry cost in extra — the
+// probe's draw is THE draw, which is how a batch keeps the probe-pass ⇒
+// issue-pass contract once read disturb shifts draw keys between its probes
+// and its issues — or holds a certificate that the address is in range and
+// written (ftl.ReadCert) with read-fault draws off (ReadFaultsArmed false),
+// and passes zero. The address travels by pointer (see dieOf); *addr is not
+// retained.
+func (f *Flash) ReadDeferredAddr(e *sim.Engine, dom sim.DomainID, now sim.Time, addr *Address, dst []byte, extra sim.Duration) Result {
+	di := f.geo.dieOf(addr)
+	cmdStart, ready, done := f.claimRead(now, addr, di, extra)
+	f.copyOut(f.geo.pageOfDie(di, addr), dst)
+	e.AtIn(dom, done, f.acquireReadCompletion(addr.Channel).fn)
 	return Result{Start: cmdStart, Ready: ready, Done: done}
 }
 
-// ReadDeferredEager is ReadDeferred with the tracked-data copy performed at
-// issue time instead of inside the channel event: dst receives the page
-// bytes (pending-aware, exactly what a synchronous Read would deliver)
-// before this call returns, and the deferred event carries only the
-// channel's counters and energy. The bytes are fixed at issue for the same
-// physical reason ReadDeferred's staging is sound — the array read latches
-// its data before any later erase or program can touch the block — so eager
-// delivery observes the identical bytes, and does it with one page copy
-// instead of ReadDeferred's stage-then-copy pair. Because the consumer-side
-// buffer is complete at issue, a continuation that reads it no longer
-// depends on this channel's pending events at all: that independence is
-// what lets the core's two-stage fill installs ride a channel-neutral
-// publish shard (horizon batching) instead of forcing a barrier per fill.
-func (f *Flash) ReadDeferredEager(e *sim.Engine, dom sim.DomainID, now sim.Time, addr Address, dst []byte) (Result, error) {
-	if err := f.CheckRead(addr); err != nil {
-		return Result{}, err
-	}
-	extra, err := f.readFaultExtra(now, addr)
-	if err != nil {
-		return Result{}, err
-	}
-	return f.ReadDeferredEagerPredrawn(e, dom, now, addr, dst, extra), nil
-}
-
-// ReadDeferredEagerPredrawn is ReadDeferredEager minus validation and the
-// fault draw: like ReadDeferredPredrawn, the caller carries the
-// ProbeReadExtra result in extra so batched probes and issues cannot
-// disagree once read disturb shifts draw keys between them.
-func (f *Flash) ReadDeferredEagerPredrawn(e *sim.Engine, dom sim.DomainID, now sim.Time, addr Address, dst []byte, extra sim.Duration) Result {
-	cmdStart, ready, done := f.claimRead(now, &addr, f.geo.DieIndex(addr), extra)
-	f.copyOut(f.geo.PageIndex(addr), dst)
-	op := f.acquireReadCompletion(addr.Channel) // accounting-only carrier: dst nil, staged false
-	e.AtIn(dom, done, op.fn)
-	return Result{Start: cmdStart, Ready: ready, Done: done}
-}
-
-// ReadDeferredEagerTrusted is ReadDeferredEager minus the per-address
-// validation: no CheckRead, no read-fault ladder draw. The caller vouches
-// for both — it holds a certificate that the address is in range and
-// written (ftl.ReadCert: mapped ⇒ written while the certified chain is
-// armed) and has verified that read-fault draws are disabled
-// (ReadFaultsArmed false), so neither skipped step could have changed the
-// outcome or the timing. Claims, accounting and tracked-data delivery are
-// exactly ReadDeferredEager's, so the two paths can never diverge when
-// both apply.
+// ReadDeferredEagerTrusted is the certified form of ReadDeferredAddr (no
+// drawn retry cost) with the address by value.
 func (f *Flash) ReadDeferredEagerTrusted(e *sim.Engine, dom sim.DomainID, now sim.Time, addr Address, dst []byte) Result {
-	cmdStart, ready, done := f.claimRead(now, &addr, f.geo.DieIndex(addr), 0)
-	f.copyOut(f.geo.PageIndex(addr), dst)
-	op := f.acquireReadCompletion(addr.Channel) // accounting-only carrier: dst nil, staged false
-	e.AtIn(dom, done, op.fn)
-	return Result{Start: cmdStart, Ready: ready, Done: done}
+	return f.ReadDeferredAddr(e, dom, now, &addr, dst, 0)
 }
 
 // planOpRec is one transaction's deferred per-channel bookkeeping inside a
@@ -1194,32 +1107,20 @@ func (b *PlanBatch) record(di, ch int, done sim.Time) (*planOpRec, *dieBatch, in
 	return &db.ops[i], db, i
 }
 
-// Read performs a page read with Read's timing, delivering the page bytes
-// into dst at issue (a dependent rewrite consumes them within the same
+// ReadAddr performs a page read with Flash.Read's timing, delivering the page
+// bytes into dst at issue (a dependent rewrite consumes them within the same
 // serial call; copyOut is pending-aware, so bytes latched by earlier
 // not-yet-installed programs are observed) and batching the per-channel
-// accounting. dst is not retained.
-func (b *PlanBatch) Read(now sim.Time, addr Address, dst []byte) (Result, error) {
-	if err := b.f.CheckRead(addr); err != nil {
-		return Result{}, err
-	}
-	return b.ReadTrusted(now, addr, dst)
-}
-
-// ReadTrusted is Read without the structural precheck (address bounds,
-// page written): for certified plans, whose issuing FTL proved both at
-// construction time against a flash it is in lockstep with. Injected
-// fault draws still run — a certificate trusts the model, not the silicon:
-// the retry ladder's latency stretches the claim, an uncorrectable draw
-// returns with nothing claimed.
-func (b *PlanBatch) ReadTrusted(now sim.Time, addr Address, dst []byte) (Result, error) {
-	return b.ReadAddr(now, &addr, dst)
-}
-
-// ReadAddr is ReadTrusted with the address by reference: the per-op caller
-// fills one Address in place field by field, and a 48-byte struct copied
-// right after narrow stores fails store-to-load forwarding — so the pointer
-// goes all the way to the claim. *addr is not retained.
+// accounting. dst is not retained. There is no structural precheck (address
+// bounds, page written): a certified plan's issuing FTL proved both at
+// construction time against a flash it is in lockstep with, and a walked
+// plan's executor runs Flash.CheckRead first. Injected fault draws still run
+// — a certificate trusts the model, not the silicon: the retry ladder's
+// latency stretches the claim, an uncorrectable draw returns with nothing
+// claimed. The address travels by reference: the per-op caller fills one
+// Address in place field by field, and a 48-byte struct copied right after
+// narrow stores fails store-to-load forwarding — so the pointer goes all the
+// way to the claim. *addr is not retained.
 func (b *PlanBatch) ReadAddr(now sim.Time, addr *Address, dst []byte) (Result, error) {
 	f := b.f
 	var extra sim.Duration
@@ -1238,32 +1139,25 @@ func (b *PlanBatch) ReadAddr(now sim.Time, addr *Address, dst []byte) (Result, e
 	return Result{Start: cmdStart, Ready: ready, Done: done}, nil
 }
 
-// ProgramTagged performs a page program with Flash.ProgramTagged's timing
-// and functional block-state transition, staging the page bytes into a
-// pooled buffer at issue (the caller's buffer is not retained; reads staged
-// before the batch event observe the bytes through the channel's
-// pending-install index) and batching the accounting and the tracked-data
-// install. tag is the OOB logical tag: the FTL-defined identity of the
-// logical sub-page this program stores (fil passes the forward-map index),
-// stamped into the page's out-of-band metadata so mount-time recovery can
-// rebuild the mapping from flash alone. Raw and untagged programs pass -1.
-func (b *PlanBatch) ProgramTagged(now sim.Time, addr Address, data []byte, tag int64) (Result, error) {
-	if err := b.f.CheckProgram(addr); err != nil {
-		return Result{}, err
-	}
-	return b.ProgramTaggedTrusted(now, addr, data, tag)
+// ReadTrusted is ReadAddr with the address by value.
+func (b *PlanBatch) ReadTrusted(now sim.Time, addr Address, dst []byte) (Result, error) {
+	return b.ReadAddr(now, &addr, dst)
 }
 
-// ProgramTaggedTrusted is ProgramTagged without the structural precheck
-// (address bounds, in-order program pointer): for certified plans, whose
-// issuing FTL proved both at construction time. Injected fault draws still
-// run.
-func (b *PlanBatch) ProgramTaggedTrusted(now sim.Time, addr Address, data []byte, tag int64) (Result, error) {
-	return b.ProgramAddr(now, &addr, data, false, tag)
-}
-
-// ProgramAddr is ProgramTaggedTrusted with the address by reference (see
-// ReadAddr) and, when staged is set, without the staging copy: data is then a
+// ProgramAddr performs a page program with Flash.ProgramTagged's timing and
+// functional block-state transition, staging the page bytes into a pooled
+// buffer at issue (the caller's buffer is not retained; reads staged before
+// the batch event observe the bytes through the channel's pending-install
+// index) and batching the accounting and the tracked-data install. tag is the
+// OOB logical tag: the FTL-defined identity of the logical sub-page this
+// program stores (fil passes the forward-map index), stamped into the page's
+// out-of-band metadata so mount-time recovery can rebuild the mapping from
+// flash alone. Raw and untagged programs pass -1. Like ReadAddr there is no
+// structural precheck (address bounds, in-order program pointer) — the
+// certificate or the executor's Flash.CheckProgram vouches — while injected
+// fault draws still run, and the address travels by reference.
+//
+// When staged is set there is no staging copy either: data is then a
 // whole-page Flash.StagingBuf the caller filled, and the flash takes it over
 // as this program's staged bytes — checksummed, observed by pending-aware
 // reads, and made the arena's page by the batch event. A staged buffer is
@@ -1305,6 +1199,12 @@ func (b *PlanBatch) ProgramAddr(now sim.Time, addr *Address, data []byte, staged
 	}
 	m[pageIdx] = pendingRef{batch: db, idx: idx}
 	return Result{Start: xferStart, Ready: done, Done: done}, nil
+}
+
+// ProgramTaggedTrusted is ProgramAddr with the address by value and a
+// payload the flash copies.
+func (b *PlanBatch) ProgramTaggedTrusted(now sim.Time, addr Address, data []byte, tag int64) (Result, error) {
+	return b.ProgramAddr(now, &addr, data, false, tag)
 }
 
 // Erase erases the block containing addr with Erase's timing and
@@ -1377,65 +1277,6 @@ func (b *PlanBatch) reset() {
 	b.open = false
 }
 
-// ProgramDeferred performs a page program with the timing and functional
-// block-state transition of Program, deferring the per-channel bookkeeping
-// — counters, energy, the tracked-data install — to an event in dom at the
-// transaction's completion time: a single-transaction PlanBatch. An error
-// claims nothing and schedules nothing.
-func (f *Flash) ProgramDeferred(e *sim.Engine, dom sim.DomainID, now sim.Time, addr Address, data []byte) (Result, error) {
-	return f.ProgramDeferredTagged(e, dom, now, addr, data, -1)
-}
-
-// ProgramDeferredTagged is ProgramDeferred with an OOB logical tag (see
-// PlanBatch.ProgramTagged).
-func (f *Flash) ProgramDeferredTagged(e *sim.Engine, dom sim.DomainID, now sim.Time, addr Address, data []byte, tag int64) (Result, error) {
-	b := f.BeginPlan(e, nil)
-	r, err := b.programIn(dom, now, addr, data, tag)
-	if err != nil {
-		b.Abort()
-		return r, err
-	}
-	b.Commit()
-	return r, nil
-}
-
-// EraseDeferred erases the block containing addr with the timing and
-// functional reset of Erase, deferring counters, energy and the
-// tracked-data presence clear into dom: a single-transaction PlanBatch.
-func (f *Flash) EraseDeferred(e *sim.Engine, dom sim.DomainID, now sim.Time, addr Address) (Result, error) {
-	b := f.BeginPlan(e, nil)
-	r, err := b.eraseIn(dom, now, addr)
-	if err != nil {
-		b.Abort()
-		return r, err
-	}
-	b.Commit()
-	return r, nil
-}
-
-// programIn / eraseIn run one batch op with an explicit target domain, so
-// the single-op wrappers work without a per-channel domain table.
-func (b *PlanBatch) programIn(dom sim.DomainID, now sim.Time, addr Address, data []byte, tag int64) (Result, error) {
-	b.domOverride(dom, addr)
-	return b.ProgramTagged(now, addr, data, tag)
-}
-
-func (b *PlanBatch) eraseIn(dom sim.DomainID, now sim.Time, addr Address) (Result, error) {
-	b.domOverride(dom, addr)
-	return b.Erase(now, addr)
-}
-
-// domOverride points the batch's per-channel domain table at dom for
-// addr's channel, using a pooled single-channel table.
-func (b *PlanBatch) domOverride(dom sim.DomainID, addr Address) {
-	f := b.f
-	if cap(f.domScratch) < f.geo.Channels {
-		f.domScratch = make([]sim.DomainID, f.geo.Channels)
-	}
-	b.doms = f.domScratch[:f.geo.Channels]
-	b.doms[addr.Channel] = dom
-}
-
 // CheckProgram reports the error a program of addr would fail with
 // (address out of range, overwrite, out-of-order page), without claiming
 // resources, mutating block state or scheduling anything. Single-op
@@ -1464,7 +1305,7 @@ func (f *Flash) CheckErase(addr Address) error {
 
 // accountProgram charges one page program to the channel's counters and
 // energy. Called exactly once per program, either synchronously (Program)
-// or from the deferred completion event (ProgramDeferred).
+// or from the die batch's completion event (PlanBatch.ProgramAddr).
 func (f *Flash) accountProgram(channel int) {
 	st := &f.chStats[channel]
 	st.Programs++
@@ -1485,8 +1326,8 @@ func (f *Flash) accountErase(channel int) {
 // pointer), which serial sections read. It also stamps the page's OOB
 // metadata: the caller's logical tag (-1 for raw untagged programs), the
 // next device-wide write sequence number, and the completion time the
-// power-loss cut tests against. Shared by Program and ProgramDeferred so
-// the two paths can never diverge in timing or state. di is addr's die
+// power-loss cut tests against. Shared by Program and PlanBatch.ProgramAddr
+// so the two paths can never diverge in timing or state. di is addr's die
 // index; the page's global number is returned for the caller's data install.
 func (f *Flash) claimProgram(now sim.Time, addr *Address, di int, tag int64) (xferStart, done sim.Time, pageIdx int64) {
 	ch := f.channels[addr.Channel]
@@ -1537,7 +1378,7 @@ func (f *Flash) Program(now sim.Time, addr Address, data []byte) (Result, error)
 }
 
 // ProgramTagged is Program with an OOB logical tag (see
-// PlanBatch.ProgramTagged).
+// PlanBatch.ProgramAddr).
 func (f *Flash) ProgramTagged(now sim.Time, addr Address, data []byte, tag int64) (Result, error) {
 	if err := f.CheckProgram(addr); err != nil {
 		return Result{}, err
@@ -1626,7 +1467,7 @@ func (f *Flash) commitEraseUndo(u *eraseUndoRec) {
 
 // claimErase reserves an erase's phases and applies the functional block
 // reset (erase count, in-order pointer, written map). Shared by Erase and
-// EraseDeferred. The returned undo record holds the destroyed state; the
+// PlanBatch.Erase. The returned undo record holds the destroyed state; the
 // synchronous caller marks it done (committed at claim), the deferred path
 // leaves it pending until the array operation's start time passes.
 func (f *Flash) claimErase(now sim.Time, addr *Address, di int) (cmdStart, done sim.Time, undo *eraseUndoRec) {

@@ -503,11 +503,56 @@ func BenchmarkProgramReadErase(b *testing.B) {
 	}
 }
 
-// TestReadDeferred verifies the deferred read path: timing identical to the
-// synchronous Read, bookkeeping and the tracked-data copy landing only when
-// the completion event dispatches, and a channel-pooled carrier that makes
-// steady-state deferred reads allocation-free.
-func TestReadDeferred(t *testing.T) {
+// readDeferred issues one deferred read the way fil's walked path does: the
+// probe validates and draws, the issue replays the draw.
+func readDeferred(t *testing.T, f *Flash, e *sim.Engine, dom sim.DomainID, now sim.Time, addr Address, dst []byte) Result {
+	t.Helper()
+	extra, err := f.ProbeReadExtra(now, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.ReadDeferredAddr(e, dom, now, &addr, dst, extra)
+}
+
+// onePlan runs op as a one-transaction PlanBatch in addr's channel domain:
+// the deferred program and erase paths, one op at a time.
+func onePlan(t *testing.T, f *Flash, e *sim.Engine, dom sim.DomainID, ch int, op func(b *PlanBatch) (Result, error)) Result {
+	t.Helper()
+	doms := make([]sim.DomainID, f.Geometry().Channels)
+	doms[ch] = dom
+	b := f.BeginPlan(e, doms)
+	r, err := op(b)
+	if err != nil {
+		b.Abort()
+		t.Fatal(err)
+	}
+	b.Commit()
+	return r
+}
+
+func programDeferred(t *testing.T, f *Flash, e *sim.Engine, dom sim.DomainID, now sim.Time, addr Address, data []byte) Result {
+	t.Helper()
+	if err := f.CheckProgram(addr); err != nil {
+		t.Fatal(err)
+	}
+	return onePlan(t, f, e, dom, addr.Channel, func(b *PlanBatch) (Result, error) {
+		return b.ProgramAddr(now, &addr, data, false, -1)
+	})
+}
+
+func eraseDeferred(t *testing.T, f *Flash, e *sim.Engine, dom sim.DomainID, now sim.Time, addr Address) Result {
+	t.Helper()
+	return onePlan(t, f, e, dom, addr.Channel, func(b *PlanBatch) (Result, error) {
+		return b.Erase(now, addr)
+	})
+}
+
+// checkDeferredRead holds one way of issuing a deferred read to the path's
+// contract: timing identical to the synchronous Read, the page bytes
+// delivered at issue, counters and energy landing only when the completion
+// event dispatches, and a channel-pooled carrier that makes steady-state
+// deferred reads allocation-free.
+func checkDeferredRead(t *testing.T, issue func(f *Flash, e *sim.Engine, dom sim.DomainID, now sim.Time, addr Address, dst []byte) Result) {
 	fSync := newTestFlash(t, Options{TrackData: true, Seed: 1})
 	fDef := newTestFlash(t, Options{TrackData: true, Seed: 1})
 	addr := Address{Channel: 2, Page: 0}
@@ -526,75 +571,13 @@ func TestReadDeferred(t *testing.T) {
 	e := sim.NewEngine()
 	dom := e.Domain(ChannelDomain(addr.Channel))
 	dst := make([]byte, 4096)
-	got, err := fDef.ReadDeferred(e, dom, now, addr, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
+	if got := issue(fDef, e, dom, now, addr, dst); got != want {
 		t.Fatalf("deferred timing %+v != sync %+v", got, want)
-	}
-	if n := fDef.Stats().Reads; n != 0 {
-		t.Fatalf("stats counted before completion: %d reads", n)
-	}
-	e.Run()
-	if fDef.Stats() != fSync.Stats() {
-		t.Fatalf("stats after completion %+v != sync %+v", fDef.Stats(), fSync.Stats())
-	}
-	if fDef.EnergyJoules() != fSync.EnergyJoules() {
-		t.Fatalf("energy %v != %v", fDef.EnergyJoules(), fSync.EnergyJoules())
-	}
-	if !bytes.Equal(dst, payload) {
-		t.Fatal("deferred copy did not deliver the page contents")
-	}
-
-	// Steady state reuses the pooled completion carrier: no allocations.
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := fDef.ReadDeferred(e, dom, e.Now(), addr, dst); err != nil {
-			t.Fatal(err)
-		}
-		e.Run()
-	})
-	if allocs != 0 {
-		t.Fatalf("deferred read allocated %v per op", allocs)
-	}
-}
-
-// TestReadDeferredEager locks in the eager-staged deferred read (the
-// precopy stage of two-stage fill installs): timing identical to the
-// synchronous Read, page bytes delivered into dst before any event
-// dispatches (and immune to a later erase + reprogram, like ReadDeferred's
-// staging), counters and energy landing only when the channel event runs,
-// and pooled carriers that keep steady state allocation-free.
-func TestReadDeferredEager(t *testing.T) {
-	fSync := newTestFlash(t, Options{TrackData: true, Seed: 1})
-	fDef := newTestFlash(t, Options{TrackData: true, Seed: 1})
-	addr := Address{Channel: 2, Page: 0}
-	payload := bytes.Repeat([]byte{0x3c}, 4096)
-	for _, f := range []*Flash{fSync, fDef} {
-		if _, err := f.Program(0, addr, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	now := sim.FromMicroseconds(5000)
-	want, err := fSync.Read(now, addr, make([]byte, 4096))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	e := sim.NewEngine()
-	dom := e.Domain(ChannelDomain(addr.Channel))
-	dst := make([]byte, 4096)
-	got, err := fDef.ReadDeferredEager(e, dom, now, addr, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("eager timing %+v != sync %+v", got, want)
 	}
 	// The consumer-side contract: bytes are complete at issue, so a
 	// continuation reading dst depends on no pending channel event.
 	if !bytes.Equal(dst, payload) {
-		t.Fatal("eager read did not deliver the page contents at issue")
+		t.Fatal("deferred read did not deliver the page contents at issue")
 	}
 	if n := fDef.Stats().Reads; n != 0 {
 		t.Fatalf("stats counted before completion: %d reads", n)
@@ -612,21 +595,33 @@ func TestReadDeferredEager(t *testing.T) {
 
 	// Steady state reuses the pooled completion carrier: no allocations.
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := fDef.ReadDeferredEager(e, dom, e.Now(), addr, dst); err != nil {
-			t.Fatal(err)
-		}
+		issue(fDef, e, dom, e.Now(), addr, dst)
 		e.Run()
 	})
 	if allocs != 0 {
-		t.Fatalf("eager deferred read allocated %v per op", allocs)
+		t.Fatalf("deferred read allocated %v per op", allocs)
 	}
 }
 
-// TestProgramDeferred verifies the deferred program path: timing and
-// functional block state identical to the synchronous Program, counters,
-// energy and the tracked-data install landing only when the completion
-// event dispatches, and pooled carriers that make steady state
-// allocation-free.
+// TestReadDeferred verifies the deferred read path issued the way fil's
+// walked path does, probe then replay.
+func TestReadDeferred(t *testing.T) {
+	checkDeferredRead(t, func(f *Flash, e *sim.Engine, dom sim.DomainID, now sim.Time, addr Address, dst []byte) Result {
+		return readDeferred(t, f, e, dom, now, addr, dst)
+	})
+}
+
+// TestReadDeferredEager holds the by-value certified wrapper to the same
+// contract: no probe, no drawn retry cost, everything else ReadDeferredAddr.
+func TestReadDeferredEager(t *testing.T) {
+	checkDeferredRead(t, (*Flash).ReadDeferredEagerTrusted)
+}
+
+// TestProgramDeferred verifies the deferred program path (a one-op
+// PlanBatch): timing and functional block state identical to the
+// synchronous Program, counters, energy and the tracked-data install landing
+// only when the completion event dispatches, and pooled carriers that make
+// steady state allocation-free.
 func TestProgramDeferred(t *testing.T) {
 	fSync := newTestFlash(t, Options{TrackData: true, Seed: 1})
 	fDef := newTestFlash(t, Options{TrackData: true, Seed: 1})
@@ -640,11 +635,7 @@ func TestProgramDeferred(t *testing.T) {
 
 	e := sim.NewEngine()
 	dom := e.Domain(ChannelDomain(addr.Channel))
-	got, err := fDef.ProgramDeferred(e, dom, 0, addr, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
+	if got := programDeferred(t, fDef, e, dom, 0, addr, payload); got != want {
 		t.Fatalf("deferred timing %+v != sync %+v", got, want)
 	}
 	if !fDef.PageWritten(addr) || fDef.NextProgramPage(addr) != 1 {
@@ -656,15 +647,13 @@ func TestProgramDeferred(t *testing.T) {
 	// A read staged before the install event must already observe the
 	// latched bytes (the pending-install index), like the synchronous path.
 	staged := make([]byte, 4096)
-	if _, err := fDef.ReadDeferred(e, dom, 0, addr, staged); err != nil {
-		t.Fatal(err)
+	readDeferred(t, fDef, e, dom, 0, addr, staged)
+	if !bytes.Equal(staged, payload) {
+		t.Fatal("read staged before install missed the pending program bytes")
 	}
 	e.Run()
 	if fDef.Stats().Programs != 1 || fDef.Stats().BytesWritten != 4096 {
 		t.Fatalf("stats after completion: %+v", fDef.Stats())
-	}
-	if !bytes.Equal(staged, payload) {
-		t.Fatal("read staged before install missed the pending program bytes")
 	}
 	rb := make([]byte, 4096)
 	if _, err := fDef.Read(sim.FromMicroseconds(50000), addr, rb); err != nil {
@@ -676,10 +665,14 @@ func TestProgramDeferred(t *testing.T) {
 
 	// Steady state reuses the pooled carrier: no allocations.
 	next := Address{Channel: 3, Block: 1}
+	doms := make([]sim.DomainID, fDef.Geometry().Channels)
+	doms[next.Channel] = dom
 	allocs := testing.AllocsPerRun(14, func() {
-		if _, err := fDef.ProgramDeferred(e, dom, e.Now(), next, payload); err != nil {
+		b := fDef.BeginPlan(e, doms)
+		if _, err := b.ProgramAddr(e.Now(), &next, payload, false, -1); err != nil {
 			t.Fatal(err)
 		}
+		b.Commit()
 		e.Run()
 		next.Page++
 	})
@@ -688,9 +681,9 @@ func TestProgramDeferred(t *testing.T) {
 	}
 }
 
-// TestEraseDeferred verifies the deferred erase path: functional reset at
-// issue, counters/energy/presence-clear at completion, byte-identical
-// totals versus the synchronous path.
+// TestEraseDeferred verifies the deferred erase path (a one-op PlanBatch):
+// functional reset at issue, counters/energy/presence-clear at completion,
+// byte-identical totals versus the synchronous path.
 func TestEraseDeferred(t *testing.T) {
 	fSync := newTestFlash(t, Options{TrackData: true, Seed: 1})
 	fDef := newTestFlash(t, Options{TrackData: true, Seed: 1})
@@ -709,11 +702,7 @@ func TestEraseDeferred(t *testing.T) {
 
 	e := sim.NewEngine()
 	dom := e.Domain(ChannelDomain(addr.Channel))
-	got, err := fDef.EraseDeferred(e, dom, now, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
+	if got := eraseDeferred(t, fDef, e, dom, now, addr); got != want {
 		t.Fatalf("deferred timing %+v != sync %+v", got, want)
 	}
 	if fDef.PageWritten(addr) || fDef.NextProgramPage(addr) != 0 {
@@ -730,10 +719,14 @@ func TestEraseDeferred(t *testing.T) {
 		t.Fatalf("EraseCount = %d", fDef.EraseCount(addr))
 	}
 
+	doms := make([]sim.DomainID, fDef.Geometry().Channels)
+	doms[addr.Channel] = dom
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := fDef.EraseDeferred(e, dom, e.Now(), addr); err != nil {
+		b := fDef.BeginPlan(e, doms)
+		if _, err := b.Erase(e.Now(), addr); err != nil {
 			t.Fatal(err)
 		}
+		b.Commit()
 		e.Run()
 	})
 	if allocs != 0 {
@@ -745,7 +738,7 @@ func TestEraseDeferred(t *testing.T) {
 // writes against in-flight deferred reads: a read is issued, then a GC-style
 // erase + reprogram of the same physical page runs entirely on the deferred
 // path before any completion event dispatches. The in-flight read must
-// return the pre-erase bytes (staged at issue), the post-drain arena must
+// return the pre-erase bytes (delivered at issue), the post-drain arena must
 // hold the new bytes (installs and clears dispatch in channel (time, seq)
 // order, which the die resource aligns with issue order), and the counters
 // must match a synchronous reference executing the same sequence.
@@ -774,19 +767,11 @@ func TestDeferredGCReprogramOrdering(t *testing.T) {
 	// Deferred run: same sequence, nothing dispatched until the end.
 	e := sim.NewEngine()
 	dom := e.Domain(ChannelDomain(addr.Channel))
-	if _, err := fDef.ProgramDeferred(e, dom, 0, addr, old); err != nil {
-		t.Fatal(err)
-	}
+	programDeferred(t, fDef, e, dom, 0, addr, old)
 	dst := make([]byte, 4096)
-	if _, err := fDef.ReadDeferred(e, dom, 0, addr, dst); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fDef.EraseDeferred(e, dom, 0, addr); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fDef.ProgramDeferred(e, dom, 0, addr, new_); err != nil {
-		t.Fatal(err)
-	}
+	readDeferred(t, fDef, e, dom, 0, addr, dst)
+	eraseDeferred(t, fDef, e, dom, 0, addr)
+	programDeferred(t, fDef, e, dom, 0, addr, new_)
 	e.Run()
 
 	if !bytes.Equal(dst, old) {
@@ -828,9 +813,7 @@ func TestReadDeferredSnapshotsAtIssue(t *testing.T) {
 	e := sim.NewEngine()
 	dom := e.Domain(ChannelDomain(addr.Channel))
 	dst := make([]byte, 4096)
-	if _, err := f.ReadDeferred(e, dom, 0, addr, dst); err != nil {
-		t.Fatal(err)
-	}
+	readDeferred(t, f, e, dom, 0, addr, dst)
 
 	// A GC cycle recycles the block before the completion event runs.
 	if _, err := f.Erase(0, addr); err != nil {

@@ -64,8 +64,8 @@
 // With the per-channel shards in place, the engine distinguishes two event
 // classes (MarkDomainLocal):
 //
-//   - Cross-domain (the default: host/HIL, CPU, ICL/DRAM, DMA, the fil
-//     continuation shard, default). These events may read or write any
+//   - Cross-domain (the default: host/HIL, CPU, ICL/DRAM, DMA, the fill
+//     publish shard, default). These events may read or write any
 //     simulator state and may schedule or cancel events anywhere. Firmware
 //     stage boundaries, cache installs, GC, transfers and request
 //     completions are all cross-domain: each can observe several channels.
@@ -77,7 +77,7 @@
 //     writes — and never call back into the engine: no scheduling, no
 //     cancels, no Now. In the full system they are exactly the deferred
 //     per-channel bookkeeping of flash transactions: read completions
-//     (nand.Flash.ReadDeferred) and the per-die plan batches of program
+//     (nand.Flash.ReadDeferredAddr) and the per-die plan batches of program
 //     installs and erase clears (nand.PlanBatch via fil.ExecuteOn).
 //
 // RunParallel exploits the split: it computes the horizon — the earliest
@@ -146,12 +146,12 @@
 //     pending-install index maps the physical page to those staged bytes
 //     until the install event runs: the buffer becomes the arena's page,
 //     and the buffer the page held before goes on the channel's free
-//     list. Every read-side copy (ReadDeferred's staging, plan reads,
+//     list. Every read-side copy (ReadDeferredAddr, plan reads,
 //     synchronous Read) consults the index before the arena, so a read
 //     issued after a program observes the programmed bytes whether or not
 //     the install has dispatched — and an in-flight read is immune to a
 //     later GC erase + reprogram of the same page because its own bytes
-//     were staged at its issue
+//     were delivered at its issue
 //     (TestReadDeferredSnapshotsAtIssue, TestDeferredGCReprogramOrdering).
 //
 //  3. Arena updates merge in channel order, aligned with issue order by
@@ -191,11 +191,8 @@
 // L, so dispatching C before L — the only reordering batching introduces
 // relative to the serial total order — leaves every state partition's
 // history unchanged. In the full system, core marks host, CPU and DMA
-// arbitration shards neutral (active architecture), and — with two-stage
-// fill installs, the default — the fil.publish and icl shards too (the
-// next two sections). The legacy fil continuation shard (single-stage fill
-// installs read line buffers that pending read completions write) stays
-// barrier-forcing.
+// arbitration shards neutral (active architecture), and the fil.publish and
+// icl shards too (the next two sections).
 //
 // The wall-clock win has three parts: batch-draining a shard skips the
 // per-event tournament read/repair the serial loop pays (measurable even
@@ -205,36 +202,33 @@
 // data-tracking systems — runs on real cores in parallel (RunParallel
 // clamps its fan-out to GOMAXPROCS; extra workers only add handoff cost).
 //
-// # Two-stage fill installs: precopy at issue, publish horizon-ordered
+// # Fill installs: precopy at issue, publish horizon-ordered
 //
 // The fill continuation — the cache install, memory charge and waiter
-// wakeup that follow a flash-backed fetch — originally had to ride a
-// barrier-forcing cross shard: the install read a line buffer that the
-// fetch's pending channel events were still writing (the deferred dst
-// copies), so dispatching it early would observe incomplete bytes. That
-// coupling cost one barrier per fill, the dominant tax on read-miss-heavy
+// wakeup that follow a flash-backed fetch — is a cross-domain event that
+// consumes page bytes a channel produced. Were those bytes written by the
+// fetch's channel events, the install would be coupled to them and would
+// have to force a barrier per fill, the dominant tax on read-miss-heavy
 // workloads whose windows average near one local event.
 //
-// The two-stage structure dissolves the coupling instead of scheduling
-// around it. The precopy stage delivers the page bytes into the fill's
-// line buffer at issue time (nand.Flash.ReadDeferredEager through
-// fil.ReadSubsStaged): the copy happens in the serial section, reads the
-// channel's pending-aware index — so it is channel-ordered by
-// construction, observing exactly the bytes the synchronous path would —
-// and is the only data movement (one copy, where the deferred-dst scheme
-// staged the same bytes at issue and copied them again inside the channel
-// event). The channel shards then carry only the reads' counters and
-// energy. The publish stage (core's fil.publish shard) installs the
-// completed buffer, and is horizon-ordered like any cross event — but
-// because its buffer was finished before the fill's bookkeeping was even
-// scheduled, it reads nothing that any pending domain-local event writes.
-// It therefore satisfies the channel-neutral condition above and is marked
+// The install is split in two stages so that no such coupling exists. The
+// precopy stage delivers the page bytes into the fill's line buffer at issue
+// time (nand.Flash.ReadDeferredAddr through fil.ReadSubsStaged): the copy
+// happens in the serial section, reads the channel's pending-aware index —
+// so it is channel-ordered by construction, observing exactly the bytes the
+// synchronous path would — and is the only data movement. The channel
+// shards carry only the reads' counters and energy. The publish stage
+// (core's fil.publish shard) installs the completed buffer, and is
+// horizon-ordered like any cross event — but because its buffer was
+// finished before the fill's bookkeeping was even scheduled, it reads
+// nothing that any pending domain-local event writes. It therefore
+// satisfies the channel-neutral condition above and is marked
 // MarkChannelNeutral in the active architecture: consecutive fills from
 // different channels batch past pending channel work instead of paying a
 // barrier each. Determinism is immediate: the publish consumes bytes fixed
 // at issue (identical in every mode), publishes dispatch in cross order
 // (batching never reorders cross events), and the accounting it skips past
-// merges per channel in shard order exactly as before.
+// merges per channel in shard order.
 //
 // Payload granularity. The bytes of the datapath move at the granularity
 // the cache is valid at, the sub-page, and none of the arguments here

@@ -53,8 +53,8 @@ func (e *Engine) checkSerial() {
 // starts with: once the eligible domain-local shards hold more than this
 // many pending events, a neutral cross head forces a window instead of
 // batching past them. With every cross shard of a workload neutral (the
-// active architecture after the two-stage fill installs), nothing else
-// would ever drain the local shards until the cross queue empties, so the
+// active architecture), nothing else would ever drain the local shards
+// until the cross queue empties, so the
 // backstop bounds the engine's latent event population — and doubles as a
 // parallelism pump, turning an otherwise run-length batching window into
 // periodic wide fan-outs. The bound is read from shard queue depths, so the
