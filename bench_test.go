@@ -254,42 +254,6 @@ func BenchmarkIntraParallelSystem(b *testing.B) {
 	b.Run("rand-read-workers4", func(b *testing.B) { run(b, workload.RandRead, 4096, 4) })
 }
 
-// BenchmarkSubmitPathIntra measures the synchronous Submit wrapper with the
-// pooled intra mode (System.SetIntraWorkers) on a data-tracking device —
-// the trace-replay shape the submit-path intra mode exists for — against
-// the plain serial drain.
-func BenchmarkSubmitPathIntra(b *testing.B) {
-	run := func(b *testing.B, workers int) {
-		d := config.SmallTestDevice()
-		d.Geometry.Channels = 8
-		d.Geometry.PackagesPerChannel = 1
-		d.Geometry.BlocksPerPlane = 10
-		s, err := core.NewSystem(config.PCSystem(d))
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.SetIntraWorkers(workers)
-		defer s.SetIntraWorkers(0)
-		gen, err := workload.NewFIO(workload.SeqRead, 16384, s.VolumeBytes(), 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := s.Precondition(16); err != nil {
-			b.Fatal(err)
-		}
-		buf := make([]byte, 16384)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.Submit(s.Now(), gen.Next(i), buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("serial", func(b *testing.B) { run(b, 0) })
-	b.Run("workers4", func(b *testing.B) { run(b, 4) })
-}
-
 // BenchmarkSubmitPath measures the raw simulator throughput of the full
 // I/O path (requests simulated per second of wall clock).
 func BenchmarkSubmitPath(b *testing.B) {

@@ -178,6 +178,12 @@ func main() {
 		// there would silently never fire. Reject instead of ignoring.
 		fatal(errors.New("-batch-submit and -scrub-every are incompatible: the vectored path has no evented runner for the scrub ticker"))
 	}
+	if *batchSub && *intraPar > 1 {
+		// Intra-device parallel dispatch belongs to the evented runner's
+		// engine; the vectored path drains its windows serially, so a worker
+		// count there would silently do nothing. Reject instead of ignoring.
+		fatal(errors.New("-batch-submit and -intra-parallel > 1 are incompatible: the vectored path drains its windows serially"))
+	}
 	if *rainWidth < 0 {
 		fatal(fmt.Errorf("bad -rain %d: want a non-negative stripe width", *rainWidth))
 	}
@@ -235,10 +241,6 @@ func main() {
 		if err != nil {
 			return err
 		}
-		// System-wide intra mode: the measured Run below uses it through the
-		// RunConfig fallback, and any synchronous Submit traffic (trace
-		// replay paths) drains through the pooled horizon dispatcher too.
-		s.SetIntraWorkers(*intraPar)
 		switch {
 		case *restPath != "":
 			// The image carries a complete device state (typically an
@@ -393,7 +395,7 @@ func main() {
 			}
 			fmt.Fprintln(w)
 		}
-		if *intraPar > 1 && !*batchSub {
+		if *intraPar > 1 {
 			st := res.Intra
 			fmt.Fprintf(w, "intra-parallel  %d horizons (%d fanned out over %d workers), %d local + %d cross events, %.1f local events/horizon\n",
 				st.Horizons, st.ParallelHorizons, *intraPar, st.LocalEvents, st.CrossEvents, st.MeanLocalPerHorizon())

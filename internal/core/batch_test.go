@@ -76,16 +76,11 @@ func renderBatchRun(out *bytes.Buffer, s *core.System, reqs []workload.Request, 
 // TestSubmitBatchGoldenEquivalence is the acceptance bar of the vectored
 // submit API: SubmitBatch over a mixed read/write vector must produce
 // byte-identical completion times, payload bytes, component statistics and
-// energy versus the same requests pushed one at a time through Submit — at
-// the serial drain and at every intra worker count. Run under -race
-// (AMBERSIM_INTRA_WORKERS matrix in ci.yml) it also proves the batched
-// window drain shares nothing across channel shards.
+// energy versus the same requests pushed one at a time through Submit, the
+// evented reference the inline path is proven against.
 func TestSubmitBatchGoldenEquivalence(t *testing.T) {
-	run := func(batched bool, workers int) string {
+	run := func(batched bool) string {
 		s := wideSystem(t)
-		if workers > 0 {
-			s.SetIntraWorkers(workers)
-		}
 		if err := s.Precondition(16); err != nil {
 			t.Fatal(err)
 		}
@@ -133,16 +128,11 @@ func TestSubmitBatchGoldenEquivalence(t *testing.T) {
 		}
 		return out.String()
 	}
-	serial := run(false, 0)
+	serial := run(false)
 	if len(serial) == 0 {
 		t.Fatal("empty golden")
 	}
-	if got := run(true, 0); got != serial {
+	if got := run(true); got != serial {
 		t.Fatalf("SubmitBatch diverged from per-request Submit:\n--- serial ---\n%s--- batched ---\n%s", serial, got)
-	}
-	for _, workers := range intraWorkerMatrix(t) {
-		if got := run(true, workers); got != serial {
-			t.Fatalf("SubmitBatch workers=%d diverged:\n--- serial ---\n%s--- batched ---\n%s", workers, serial, got)
-		}
 	}
 }

@@ -187,14 +187,6 @@ type System struct {
 	// Per-engine scheduling-domain cache (see domainsFor).
 	domTab []*engineDomains
 
-	// Submit-path intra mode (SetIntraWorkers): when > 1, the synchronous
-	// Submit wrapper drains its engine through RunParallelWith over a
-	// persistent worker pool instead of the serial Run, and Run uses it as
-	// the default for RunConfig.IntraWorkers == 0.
-	intraWorkers int
-	subPool      *sim.WorkerPool
-	submitIntra  sim.ParallelStats // accumulated over all pooled Submit drains
-
 	// Reusable state for the synchronous Submit wrapper.
 	subEngine   *sim.Engine
 	subStartFn  func()
@@ -518,25 +510,6 @@ func (s *System) Passive() bool { return s.passive }
 // Now returns the system's current simulated time.
 func (s *System) Now() sim.Time { return s.now }
 
-// SetIntraWorkers configures the system-wide intra-device dispatch
-// parallelism: with n > 1 the synchronous Submit wrapper (trace replay's
-// hot path) drains its private engine via sim.Engine.RunParallelWith over a
-// worker pool created once and reused across calls, and Run treats n as the
-// default when RunConfig.IntraWorkers is zero. Results are byte-identical
-// to the serial dispatch at any n. n <= 1 restores the plain serial drain
-// and releases the pool's goroutines.
-func (s *System) SetIntraWorkers(n int) {
-	if s.subPool != nil && n != s.intraWorkers {
-		s.subPool.Close()
-		s.subPool = nil
-	}
-	s.intraWorkers = n
-}
-
-// IntraWorkers returns the system-wide intra-device dispatch parallelism
-// configured with SetIntraWorkers.
-func (s *System) IntraWorkers() int { return s.intraWorkers }
-
 // BatchStats returns how many requests SubmitBatch has processed and how
 // many deferred-bookkeeping windows it drained for them — zero windows with
 // nonzero requests means every request fell back to the evented path.
@@ -550,11 +523,6 @@ func (s *System) BatchStats() (windows, requests uint64) {
 // size. The host scheduler's depth cap and the protocol's hardware queue
 // limit still clamp below it.
 const DefaultBatchWindow = 64
-
-// SubmitIntraStats returns the horizon structure accumulated over every
-// pooled synchronous Submit drain since SetIntraWorkers enabled the intra
-// mode (the zero value before then or with the mode off).
-func (s *System) SubmitIntraStats() sim.ParallelStats { return s.submitIntra }
 
 // SubmitEngineDomainStats returns the per-domain event counts of the
 // synchronous Submit path's engine, nil before the first Submit. Reporting

@@ -257,60 +257,6 @@ func TestWriteDeferredGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestSubmitIntraEquivalence locks in the submit-path intra mode: a system
-// with SetIntraWorkers draining its synchronous Submit engine through the
-// pooled horizon dispatcher must complete every request at the same time,
-// with the same component statistics and the same read-back bytes, as a
-// serial system replaying the same sequence.
-func TestSubmitIntraEquivalence(t *testing.T) {
-	run := func(workers int) (string, *core.System) {
-		s := wideSystem(t)
-		s.SetIntraWorkers(workers)
-		defer s.SetIntraWorkers(0) // release the pool goroutines
-		if err := s.Precondition(16); err != nil {
-			t.Fatal(err)
-		}
-		gen, err := workload.NewFIO(workload.RandWrite, 4096, s.VolumeBytes(), 21)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out bytes.Buffer
-		buf := make([]byte, 16384)
-		for i := 0; i < 300; i++ {
-			req := gen.Next(i)
-			data := buf[:req.Length]
-			for k := range data {
-				data[k] = byte(int(req.Offset) + k + i)
-			}
-			done, err := s.Submit(s.Now(), req, data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintf(&out, "req %d done %d\n", i, done)
-		}
-		renderState(&out, s)
-		renderData(t, &out, s)
-		return out.String(), s
-	}
-	serial, _ := run(0)
-	for _, workers := range intraWorkerMatrix(t) {
-		if workers <= 1 {
-			continue // the pooled path needs >= 2 workers to engage
-		}
-		got, s := run(workers)
-		if got != serial {
-			t.Fatalf("submit intra workers=%d diverged from serial:\n--- serial ---\n%s--- intra ---\n%s",
-				workers, serial, got)
-		}
-		st := s.SubmitIntraStats()
-		if st.LocalEvents == 0 || st.CrossEvents == 0 {
-			t.Fatalf("pooled submit drains recorded no horizon structure: %+v", st)
-		}
-	}
-	// Precondition and renderData above also exercised Run/Submit falling
-	// back to the system-wide setting (RunConfig.IntraWorkers == 0).
-}
-
 // TestIntraParallelGoldenEquivalence is the acceptance bar of the
 // horizon-synchronized execution model: a run with IntraWorkers > 1 must
 // produce byte-identical experiment tables, per-domain dispatch counts,

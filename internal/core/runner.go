@@ -32,9 +32,7 @@ type RunConfig struct {
 	// dispatch: between two cross-domain events, the per-NAND-channel
 	// domain-local shards step concurrently over up to this many workers
 	// (sim.Engine.RunParallel). Results are byte-identical to the serial
-	// dispatch at any worker count. Zero falls back to the system-wide
-	// System.SetIntraWorkers setting; <= 1 effective keeps the plain
-	// serial loop.
+	// dispatch at any worker count; <= 1 keeps the plain serial loop.
 	IntraWorkers int
 	// PowerLossAt cuts device power at this absolute simulated time (zero
 	// disables): the run's engine halts at the cut — a plain cross-domain
@@ -283,12 +281,8 @@ func (s *System) Run(gen workload.Generator, rc RunConfig) (*RunResult, error) {
 		}
 		e.AtIn(scrubDom, res.Start+rc.ScrubEvery, tick)
 	}
-	intraWorkers := rc.IntraWorkers
-	if intraWorkers == 0 {
-		intraWorkers = s.intraWorkers
-	}
-	if intraWorkers > 1 {
-		res.Intra = e.RunParallel(intraWorkers)
+	if rc.IntraWorkers > 1 {
+		res.Intra = e.RunParallel(rc.IntraWorkers)
 	} else {
 		e.Run()
 	}

@@ -2,14 +2,18 @@ package core_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"runtime"
 	"testing"
 
 	"amber/internal/config"
 	"amber/internal/core"
 	"amber/internal/icl"
 	"amber/internal/nand"
+	"amber/internal/proto"
 	"amber/internal/snap"
 	"amber/internal/workload"
 )
@@ -342,6 +346,240 @@ func FuzzSnapshotOpen(f *testing.F) {
 		if !errors.Is(err, snap.ErrTruncated) && !errors.Is(err, snap.ErrCorrupt) &&
 			!errors.Is(err, snap.ErrVersion) && !errors.Is(err, snap.ErrMismatch) {
 			t.Fatalf("untyped open error: %v", err)
+		}
+	})
+}
+
+// imageScenarios are three small fixed devices whose images between them
+// reach every branch of the layout: plain, RAIN with a fault model that
+// draws on fresh blocks, and an h-type protocol (the HBA resource). sha256
+// is the image hash recorded when format version 5 was frozen.
+var imageScenarios = []struct {
+	name   string
+	mutate func(*core.DeviceConfig)
+	sha256 string
+}{
+	{"plain", func(*core.DeviceConfig) {},
+		"5c1b5808fa63217425c7bb5213614a739f6369e750ca91ef613c122be4176523"},
+	{"rain-faults", func(d *core.DeviceConfig) {
+		d.RAINWidth = 3
+		d.Faults, _ = config.FaultProfile("wearout", 5)
+		d.Faults.WearEraseLimit = 0 // draw on fresh blocks: the short run wears none out
+	}, "72d79639c84e534a34f1782b53023dbb8286dbdbe55804311c1667e5c2decdc1"},
+	{"h-type", func(d *core.DeviceConfig) { d.Protocol = proto.SATA30() },
+		"b3e648ac352e7826e79eaba436f5b8a0295c01bd1cc767fcf6635d8b2345491e"},
+}
+
+// scenarioSystem builds SmallTestDevice with mutate applied and, when run
+// is set, drives it through a short seeded write+read run and drains it.
+func scenarioSystem(t testing.TB, mutate func(*core.DeviceConfig), run bool) *core.System {
+	t.Helper()
+	d := config.SmallTestDevice()
+	mutate(&d)
+	s, err := core.NewSystem(config.PCSystem(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !run {
+		return s
+	}
+	for i, p := range []workload.Pattern{workload.RandWrite, workload.RandRead} {
+		gen, err := workload.NewFIO(p, 4096, s.VolumeBytes(), uint64(31+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(gen, core.RunConfig{Requests: 300, IODepth: 8, WithData: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Drain()
+	return s
+}
+
+// TestSnapshotImageStable pins the on-disk layout to core.SnapshotVersion:
+// each scenario's image must hash to the constant recorded when the version
+// was frozen. A layout edit that forgets the version bump fails here; an
+// intended one bumps the version and re-records the constants.
+func TestSnapshotImageStable(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("energy accumulators are floats; the recorded hashes are amd64's")
+	}
+	for _, sc := range imageScenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			img, err := scenarioSystem(t, sc.mutate, true).Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(img)
+			if got := hex.EncodeToString(sum[:]); got != sc.sha256 {
+				t.Errorf("version %d image of %d bytes hashes to %s, want %s", core.SnapshotVersion, len(img), got, sc.sha256)
+			}
+		})
+	}
+}
+
+// TestModuleStateRoundTrip: for every module, encode → decode into a fresh
+// module → encode again must reproduce the bytes, with the section consumed
+// exactly — each state walk reads back all of what it writes and nothing
+// else.
+func TestModuleStateRoundTrip(t *testing.T) {
+	modules := []struct {
+		name string
+		enc  func(*core.System, *snap.Enc)
+		dec  func(*core.System, *snap.Dec) error
+	}{
+		{"nand", func(s *core.System, e *snap.Enc) { s.Flash.EncodeState(e) },
+			func(s *core.System, d *snap.Dec) error { return s.Flash.DecodeState(d) }},
+		{"ftl", func(s *core.System, e *snap.Enc) { s.FTL.EncodeState(e) },
+			func(s *core.System, d *snap.Dec) error { return s.FTL.DecodeState(d) }},
+		{"icl", func(s *core.System, e *snap.Enc) { s.ICL.EncodeState(e) },
+			func(s *core.System, d *snap.Dec) error { return s.ICL.DecodeState(d) }},
+		{"fil", func(s *core.System, e *snap.Enc) { s.FIL.EncodeState(e) },
+			func(s *core.System, d *snap.Dec) error { return s.FIL.DecodeState(d, s.FTL) }},
+		{"dram", func(s *core.System, e *snap.Enc) { s.DevDRAM.EncodeState(e) },
+			func(s *core.System, d *snap.Dec) error { return s.DevDRAM.DecodeState(d) }},
+		{"cpu", func(s *core.System, e *snap.Enc) { s.DevCPU.EncodeState(e) },
+			func(s *core.System, d *snap.Dec) error { return s.DevCPU.DecodeState(d) }},
+		{"host", func(s *core.System, e *snap.Enc) { s.Host.EncodeState(e) },
+			func(s *core.System, d *snap.Dec) error { return s.Host.DecodeState(d) }},
+		{"dma", func(s *core.System, e *snap.Enc) { s.DMA.EncodeState(e) },
+			func(s *core.System, d *snap.Dec) error { return s.DMA.DecodeState(d) }},
+	}
+	for _, sc := range imageScenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			s := scenarioSystem(t, sc.mutate, true)
+			fresh := scenarioSystem(t, sc.mutate, false)
+			for _, m := range modules {
+				var e, again snap.Enc
+				m.enc(s, &e)
+				if len(e.Bytes()) == 0 {
+					t.Errorf("%s: empty section", m.name)
+				}
+				d := snap.NewDec(e.Bytes())
+				if err := m.dec(fresh, d); err != nil {
+					t.Fatalf("%s: decode: %v", m.name, err)
+				}
+				if err := d.Done(); err != nil {
+					t.Errorf("%s: %v", m.name, err)
+				}
+				m.enc(fresh, &again)
+				if !bytes.Equal(e.Bytes(), again.Bytes()) {
+					t.Errorf("%s: re-encoded section differs (%d vs %d bytes)", m.name, len(again.Bytes()), len(e.Bytes()))
+				}
+			}
+			// core: the system header rides with the whole image.
+			img, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			whole := scenarioSystem(t, sc.mutate, false)
+			if err := whole.Restore(img); err != nil {
+				t.Fatalf("core: restore: %v", err)
+			}
+			if again, err := whole.Snapshot(); err != nil || !bytes.Equal(img, again) {
+				t.Errorf("core: re-snapshot differs (error %v)", err)
+			}
+		})
+	}
+}
+
+// headerLengthOffsets locates, in the snapshot body of a device without an
+// HBA, the two collection lengths of the system header: the scrub-queue
+// length and the flush-buffer slot count. It reads the fields before each
+// and re-encodes them — the encoding is canonical, so the re-encoding is as
+// long as what was read.
+func headerLengthOffsets(body []byte) (scrubLen, flushSlots int) {
+	d := snap.NewDec(body)
+	var e snap.Enc
+	e.I64(d.I64()) // now
+	e.I64(d.I64()) // lastEnd
+	e.U64(d.U64()) // reqs
+	e.U64(d.U64()) // bytesRead
+	e.U64(d.U64()) // bytesWritten
+	scrubLen = len(e.Bytes())
+	n := d.U64()
+	e.U64(n)
+	for ; n > 0; n-- {
+		e.U64(d.U64())
+	}
+	e.I64(d.I64()) // link: freeAt, busy, claims
+	e.I64(d.I64())
+	e.U64(d.U64())
+	e.Bool(d.Bool()) // hba presence
+	return scrubLen, len(e.Bytes())
+}
+
+// TestRestoreRejectsCraftedLengths: a checksum-valid image whose header
+// carries an absurd collection length must be refused with a typed error
+// before anything is allocated from it, the target untouched.
+func TestRestoreRejectsCraftedLengths(t *testing.T) {
+	mutate := imageScenarios[0].mutate
+	img, err := scenarioSystem(t, mutate, true).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const headerLen = 8 + 4 + 8 + 8
+	fp := binary.LittleEndian.Uint64(img[12:20])
+	body := img[headerLen : len(img)-8]
+	scrubLen, flushSlots := headerLengthOffsets(body)
+	if body[scrubLen] != 0 || body[flushSlots] != 4 {
+		t.Fatalf("header lengths read %d and %d, want an empty scrub queue and 4 flush-buffer slots", body[scrubLen], body[flushSlots])
+	}
+
+	target := scenarioSystem(t, mutate, false)
+	before, err := target.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []int{scrubLen, flushSlots} {
+		for _, n := range []uint64{1 << 40, 1 << 62} {
+			crafted := append([]byte(nil), body[:at]...)
+			crafted = binary.AppendUvarint(crafted, n)
+			crafted = append(crafted, body[at+1:]...)
+			err := target.Restore(snap.Seal(core.SnapshotVersion, fp, crafted))
+			if !errors.Is(err, snap.ErrCorrupt) && !errors.Is(err, snap.ErrTruncated) && !errors.Is(err, snap.ErrMismatch) {
+				t.Errorf("length %d at body offset %d: restore returned %v, want a typed snap error", n, at, err)
+			}
+			if after, serr := target.Snapshot(); serr != nil || !bytes.Equal(before, after) {
+				t.Errorf("length %d at body offset %d: failed restore mutated the target (snapshot error %v)", n, at, serr)
+			}
+		}
+	}
+}
+
+// FuzzRestoreBody fuzzes the module decoders behind the framing: a real
+// tiny-device body with repl written over it at off, re-sealed so the
+// checksum holds, must restore cleanly or fail with a typed snap error —
+// never panic, never allocate what a corrupt length asks for.
+func FuzzRestoreBody(f *testing.F) {
+	tiny := func(d *core.DeviceConfig) {
+		d.Geometry.PackagesPerChannel = 1
+		d.Geometry.BlocksPerPlane = 8
+		d.Geometry.PagesPerBlock = 8
+		d.Faults, _ = config.FaultProfile("wearout", 5)
+		d.Faults.WearEraseLimit = 0
+	}
+	img, err := scenarioSystem(f, tiny, true).Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	const headerLen = 8 + 4 + 8 + 8
+	fp := binary.LittleEndian.Uint64(img[12:20])
+	body := img[headerLen : len(img)-8]
+	scrubLen, flushSlots := headerLengthOffsets(body)
+	huge := binary.AppendUvarint(nil, 1<<40)
+	f.Add(uint32(0), []byte{})
+	f.Add(uint32(scrubLen), huge)
+	f.Add(uint32(flushSlots), huge)
+	f.Add(uint32(len(body)/2), []byte{0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add(uint32(len(body)-40), huge)
+	target := scenarioSystem(f, tiny, false)
+	f.Fuzz(func(t *testing.T, off uint32, repl []byte) {
+		b := append([]byte(nil), body...)
+		copy(b[int(off)%len(b):], repl)
+		err := target.Restore(snap.Seal(core.SnapshotVersion, fp, b))
+		if err != nil && !errors.Is(err, snap.ErrTruncated) && !errors.Is(err, snap.ErrCorrupt) && !errors.Is(err, snap.ErrMismatch) {
+			t.Fatalf("untyped restore error: %v", err)
 		}
 	})
 }

@@ -373,11 +373,6 @@ func (s *System) submitPassive(e *sim.Engine, req workload.Request, data []byte,
 // single request: it runs a private event engine to completion and returns
 // the completion time. The engine and its dispatch closures are reused
 // across calls, so a submit-per-call workload does not allocate them anew.
-// With SetIntraWorkers > 1 the drain goes through the horizon-synchronized
-// dispatcher over a worker pool that persists across calls (no per-call
-// goroutine setup), so data-tracking trace replays parallelize their
-// per-channel flash bookkeeping while staying byte-identical to the serial
-// drain.
 func (s *System) Submit(now sim.Time, req workload.Request, data []byte) (sim.Time, error) {
 	if now < s.now {
 		now = s.now
@@ -388,24 +383,9 @@ func (s *System) Submit(now sim.Time, req workload.Request, data []byte) (sim.Ti
 	s.subReq, s.subData = req, data
 	s.subDone, s.subErr = 0, nil
 	e.AtIn(s.domainsFor(e).host, now, s.subStartFn)
-	if s.intraWorkers > 1 {
-		s.drainSubmitIntra(e)
-	} else {
-		e.Run()
-	}
+	e.Run()
 	s.subReq, s.subData = workload.Request{}, nil
 	return s.subDone, s.subErr
-}
-
-// drainSubmitIntra is Submit's pooled horizon-synchronized drain, kept out
-// of Submit's body so the serial fast path stays lean.
-//
-//go:noinline
-func (s *System) drainSubmitIntra(e *sim.Engine) {
-	if s.subPool == nil {
-		s.subPool = sim.NewWorkerPool(e, s.intraWorkers)
-	}
-	s.submitIntra.Accumulate(e.RunParallelWith(s.subPool))
 }
 
 // submitEngine returns the synchronous submit paths' private engine,
@@ -434,8 +414,8 @@ func (s *System) submitEngine() *sim.Engine {
 // are scheduled for them at all; only the deferred per-channel flash
 // bookkeeping (accounting-only by construction, sim/doc.go) accumulates,
 // and drains once per window instead of once per request. The window is
-// bounded by the host scheduler's queue-depth cap, the protocol's hardware
-// queue limit, and the engine's SetBatchLimit backstop. Requests the inline
+// bounded by the host scheduler's queue-depth cap and the protocol's
+// hardware queue limit, under DefaultBatchWindow. Requests the inline
 // contract cannot cover — reads (their fills install in future events),
 // passive mode, an in-flight fill — fall back to the evented Submit after a
 // window drain, so mixed batches stay byte-identical too.
@@ -467,9 +447,6 @@ func (s *System) SubmitBatch(now sim.Time, reqs []workload.Request, datas [][]by
 	e := s.submitEngine()
 	e.Reset()
 	window := min(s.params.EffectiveQueueDepth(s.Host.BatchWindow(len(reqs))), DefaultBatchWindow)
-	if bl := e.BatchLimit(); window > bl {
-		window = bl
-	}
 	fill := 0
 	for i, req := range reqs {
 		var data []byte
@@ -528,11 +505,7 @@ func (s *System) drainWindow(e *sim.Engine, fill *int) {
 	if *fill == 0 && e.Pending() == 0 {
 		return
 	}
-	if s.intraWorkers > 1 {
-		s.drainSubmitIntra(e)
-	} else {
-		e.Run()
-	}
+	e.Run()
 	e.Reset()
 	// Inline erase claims ran outside the engine, where the dispatch clock
 	// that normally retires their power-loss undo snapshots never moves; the

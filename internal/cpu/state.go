@@ -1,78 +1,54 @@
 package cpu
 
 import (
-	"fmt"
+	"slices"
+	"strings"
 
-	"amber/internal/sim"
 	"amber/internal/snap"
 )
 
-func encodeMix(e *snap.Enc, m InstrMix) {
-	e.U64(m.Branch)
-	e.U64(m.Load)
-	e.U64(m.Store)
-	e.U64(m.Arith)
-	e.U64(m.FP)
-	e.U64(m.Other)
+func mixState(k *snap.Codec, m *InstrMix) {
+	snap.U(k, &m.Branch)
+	snap.U(k, &m.Load)
+	snap.U(k, &m.Store)
+	snap.U(k, &m.Arith)
+	snap.U(k, &m.FP)
+	snap.U(k, &m.Other)
 }
 
-func decodeMix(d *snap.Dec) InstrMix {
-	return InstrMix{
-		Branch: d.U64(),
-		Load:   d.U64(),
-		Store:  d.U64(),
-		Arith:  d.U64(),
-		FP:     d.U64(),
-		Other:  d.U64(),
+// state is the complex's image layout: per-core timelines, aggregate and
+// per-module instruction accounting (modules in sorted order for a
+// canonical image), and accumulated energy.
+func (c *Complex) state(k *snap.Codec) error {
+	if err := c.cores.Snap(k); err != nil {
+		return err
 	}
+	mixState(k, &c.total)
+	var mods []moduleMix
+	if !k.Decoding() {
+		mods = slices.Clone(c.perModule)
+		slices.SortFunc(mods, func(a, b moduleMix) int { return strings.Compare(a.name, b.name) })
+	}
+	snap.Slice(k, &mods, 1<<20)
+	for i := range mods {
+		name := []byte(mods[i].name)
+		k.Blob(&name)
+		mods[i].name = string(name)
+		mixState(k, &mods[i].mix)
+	}
+	if k.Decoding() {
+		c.perModule, c.lastMod = mods, 0
+	}
+	k.F64(&c.energyJ)
+	return k.Err()
 }
 
-// EncodeState serializes the complex's complete functional state: per-core
-// timelines, aggregate and per-module instruction accounting (modules in
-// sorted order for a canonical image), and accumulated energy.
+// EncodeState serializes the complex's complete functional state.
 func (c *Complex) EncodeState(e *snap.Enc) {
-	st := c.cores.State()
-	e.U64(uint64(len(st.Servers)))
-	for _, t := range st.Servers {
-		e.I64(int64(t))
-	}
-	e.I64(int64(st.Busy))
-	e.U64(st.Claims)
-	encodeMix(e, c.total)
-	mods := c.Modules()
-	e.U64(uint64(len(mods)))
-	for _, m := range mods {
-		e.Blob([]byte(m))
-		encodeMix(e, c.ModuleInstructions(m))
-	}
-	e.F64(c.energyJ)
+	_ = c.state(snap.Encoding(e)) // encoding cannot fail
 }
 
 // DecodeState reinstalls a state captured by EncodeState into c, which
-// must be freshly constructed with the identical configuration.
-func (c *Complex) DecodeState(d *snap.Dec) error {
-	if n := d.U64(); d.Err() == nil && n != uint64(c.cfg.Cores) {
-		return fmt.Errorf("%w: %d cpu cores, want %d", snap.ErrMismatch, n, c.cfg.Cores)
-	}
-	st := sim.PoolState{Servers: make([]sim.Time, c.cfg.Cores)}
-	for i := range st.Servers {
-		st.Servers[i] = sim.Time(d.I64())
-	}
-	st.Busy = sim.Duration(d.I64())
-	st.Claims = d.U64()
-	total := decodeMix(d)
-	nMods := d.Len(1 << 20)
-	c.perModule = c.perModule[:0]
-	c.lastMod = 0
-	for i := 0; i < nMods; i++ {
-		name := string(d.Blob())
-		c.perModule = append(c.perModule, moduleMix{name: name, mix: decodeMix(d)})
-	}
-	c.energyJ = d.F64()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	c.cores.SetState(st)
-	c.total = total
-	return nil
-}
+// must be freshly constructed with the identical configuration. On error c
+// must be discarded.
+func (c *Complex) DecodeState(d *snap.Dec) error { return c.state(snap.Decoding(d)) }

@@ -2,22 +2,21 @@ package dma
 
 import "amber/internal/snap"
 
-// EncodeState serializes the engine's counters. The link and host-memory
-// resources are owned by the system assembly and serialized there.
+// state is the engine's image layout: its counters. The link and
+// host-memory resources are owned by the system assembly and walked there.
+func (e *Engine) state(c *snap.Codec) error {
+	snap.U(c, &e.stats.Descriptors)
+	snap.U(c, &e.stats.Entries)
+	snap.U(c, &e.stats.BytesMoved)
+	snap.U(c, &e.stats.ListWalks)
+	snap.U(c, &e.stats.DescriptorBytes)
+	return c.Err()
+}
+
+// EncodeState serializes the engine's state.
 func (e *Engine) EncodeState(enc *snap.Enc) {
-	enc.U64(e.stats.Descriptors)
-	enc.U64(e.stats.Entries)
-	enc.U64(e.stats.BytesMoved)
-	enc.U64(e.stats.ListWalks)
-	enc.U64(e.stats.DescriptorBytes)
+	_ = e.state(snap.Encoding(enc)) // encoding cannot fail
 }
 
 // DecodeState reinstalls a state captured by EncodeState.
-func (e *Engine) DecodeState(d *snap.Dec) error {
-	e.stats.Descriptors = d.U64()
-	e.stats.Entries = d.U64()
-	e.stats.BytesMoved = d.U64()
-	e.stats.ListWalks = d.U64()
-	e.stats.DescriptorBytes = d.U64()
-	return d.Err()
-}
+func (e *Engine) DecodeState(d *snap.Dec) error { return e.state(snap.Decoding(d)) }

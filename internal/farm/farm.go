@@ -20,6 +20,7 @@ package farm
 
 import (
 	"fmt"
+	"slices"
 
 	"amber/internal/core"
 	"amber/internal/sim"
@@ -313,14 +314,14 @@ func (f *Farm) pickRead(g *group, u int64, tried []int) (int, bool) {
 		start := int((u / int64(f.cfg.Groups)) % int64(n))
 		for i := 0; i < n; i++ {
 			id := g.members[(start+i)%n]
-			if !contains(tried, id) {
+			if !slices.Contains(tried, id) {
 				return id, true
 			}
 		}
 	}
 	best, found := -1, false
 	for _, d := range f.devs {
-		if d.group != g.id || d.state != devReadOnly || contains(tried, d.id) {
+		if d.group != g.id || d.state != devReadOnly || slices.Contains(tried, d.id) {
 			continue
 		}
 		if d.exitSeq < f.unitSeq[u] {
@@ -331,15 +332,6 @@ func (f *Farm) pickRead(g *group, u int64, tried []int) (int, bool) {
 		}
 	}
 	return best, found
-}
-
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // dropMember removes id from its group's live set.

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -484,7 +485,7 @@ func (st *runState) copyBuf() []byte {
 
 // exec runs the round's device windows: serial below two active devices or
 // workers <= 1, otherwise a transient worker set claiming devices off an
-// atomic cursor (the sim.WorkerPool idiom, one level up).
+// atomic cursor (the idiom of sim.Engine.RunParallel's workers, one level up).
 func (f *Farm) exec(ops []op) {
 	for i := range ops {
 		d := f.devs[ops[i].dev]
@@ -806,7 +807,7 @@ func (st *runState) mergeRead(o *op, obs sim.Time) {
 			copy(st.tenants[c.tenant].data[c.dataOff:c.dataOff+c.length], c.winnerBuf)
 			st.readDigest = fnvBytes(st.readDigest, c.winnerBuf)
 			if st.model != nil && !st.skipVerify[c.unit] {
-				if !bytesEqual(c.winnerBuf, st.model[c.absOff:c.absOff+int64(c.length)]) {
+				if !bytes.Equal(c.winnerBuf, st.model[c.absOff:c.absOff+int64(c.length)]) {
 					f.stats.Corruptions++
 				}
 			}
@@ -816,18 +817,6 @@ func (st *runState) mergeRead(o *op, obs sim.Time) {
 	}
 	f.stats.FailedReads++
 	st.chainDone(c, c.maxObs, true)
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func (st *runState) mergeCopyRead(o *op, obs sim.Time) {

@@ -29,23 +29,30 @@ func (f *FIL) PowerLoss() {
 	f.readBufN = 0
 }
 
-// EncodeState serializes the FIL's functional state: the counters and the
-// certified-chain position. The issuer pointer itself is identity, not
-// state — DecodeState rebinds it.
+// state is the FIL's image layout: the counters and the certified-chain
+// position. The issuer pointer itself is identity, not state — the image
+// records only whether the binding was armed.
+func (f *FIL) state(c *snap.Codec, armed *bool) error {
+	snap.U(c, &f.stats.Reads)
+	snap.U(c, &f.stats.Programs)
+	snap.U(c, &f.stats.Erases)
+	snap.U(c, &f.stats.PlanCount)
+	snap.U(c, &f.stats.DepStalls)
+	snap.U(c, &f.stats.CertifiedPlans)
+	snap.U(c, &f.stats.PlanFaults)
+	snap.U(c, &f.stats.CertifiedReads)
+	snap.U(c, &f.stats.CertDisarms)
+	c.Bool(armed)
+	snap.U(c, &f.certNext)
+	snap.U(c, &f.certEpoch)
+	c.Bool(&f.forceWalk)
+	return c.Err()
+}
+
+// EncodeState serializes the FIL's functional state.
 func (f *FIL) EncodeState(e *snap.Enc) {
-	e.U64(f.stats.Reads)
-	e.U64(f.stats.Programs)
-	e.U64(f.stats.Erases)
-	e.U64(f.stats.PlanCount)
-	e.U64(f.stats.DepStalls)
-	e.U64(f.stats.CertifiedPlans)
-	e.U64(f.stats.PlanFaults)
-	e.U64(f.stats.CertifiedReads)
-	e.U64(f.stats.CertDisarms)
-	e.Bool(f.certIssuer != nil)
-	e.U64(f.certNext)
-	e.U64(f.certEpoch)
-	e.Bool(f.forceWalk)
+	armed := f.certIssuer != nil
+	_ = f.state(snap.Encoding(e), &armed) // encoding cannot fail
 }
 
 // DecodeState reinstalls a state captured by EncodeState. issuer is the
@@ -54,20 +61,8 @@ func (f *FIL) EncodeState(e *snap.Enc) {
 // the snapshot recorded — so a restored device honors or walks precisely
 // the plans the original would have.
 func (f *FIL) DecodeState(d *snap.Dec, issuer *ftl.FTL) error {
-	f.stats.Reads = d.U64()
-	f.stats.Programs = d.U64()
-	f.stats.Erases = d.U64()
-	f.stats.PlanCount = d.U64()
-	f.stats.DepStalls = d.U64()
-	f.stats.CertifiedPlans = d.U64()
-	f.stats.PlanFaults = d.U64()
-	f.stats.CertifiedReads = d.U64()
-	f.stats.CertDisarms = d.U64()
-	armed := d.Bool()
-	f.certNext = d.U64()
-	f.certEpoch = d.U64()
-	f.forceWalk = d.Bool()
-	if err := d.Err(); err != nil {
+	var armed bool
+	if err := f.state(snap.Decoding(d), &armed); err != nil {
 		return err
 	}
 	if armed {

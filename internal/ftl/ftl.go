@@ -125,23 +125,6 @@ type PageLoc struct {
 	Sub   int
 }
 
-// PageWrite is a program the FIL must issue, with the owning logical
-// super-page for accounting.
-type PageWrite struct {
-	Loc  PageLoc
-	LSPN int64
-	// GC marks migration writes (vs. host writes) for WAF accounting.
-	GC bool
-}
-
-// PageRead is a pre-read the FIL must issue (RMW fill or GC migration
-// source), with the owning logical super-page so its data can be paired
-// with the corresponding rewrite.
-type PageRead struct {
-	Loc  PageLoc
-	LSPN int64
-}
-
 // OpKind distinguishes plan operations. One byte: Op must fit a cache line.
 type OpKind uint8
 
@@ -276,39 +259,6 @@ func (c ReadCert) By(f *FTL) bool { return f != nil && c.issuer == f }
 
 // Epoch returns the flash mutation epoch the lookup was performed under.
 func (c ReadCert) Epoch() uint64 { return c.epoch }
-
-// Reads returns the plan's pre-reads in order.
-func (p Plan) Reads() []PageRead {
-	var out []PageRead
-	for _, op := range p.Ops {
-		if op.Kind == OpRead {
-			out = append(out, PageRead{Loc: op.Loc, LSPN: op.LSPN})
-		}
-	}
-	return out
-}
-
-// Writes returns the plan's programs in order.
-func (p Plan) Writes() []PageWrite {
-	var out []PageWrite
-	for _, op := range p.Ops {
-		if op.Kind == OpWrite {
-			out = append(out, PageWrite{Loc: op.Loc, LSPN: op.LSPN, GC: op.GC})
-		}
-	}
-	return out
-}
-
-// Erases returns the erased super-blocks in order.
-func (p Plan) Erases() []int {
-	var out []int
-	for _, op := range p.Ops {
-		if op.Kind == OpErase {
-			out = append(out, op.SB)
-		}
-	}
-	return out
-}
 
 // Stats aggregates FTL activity.
 type Stats struct {
@@ -617,17 +567,12 @@ func (f *FTL) checkLSPN(lspn int64) error {
 // Unmapped sub-pages are omitted; reading an entirely unmapped super-page
 // returns an empty slice (the device returns zeroes).
 func (f *FTL) Lookup(lspn int64) ([]PageLoc, error) {
-	return f.LookupInto(make([]PageLoc, 0, f.subCount), lspn)
-}
-
-// LookupInto is Lookup appending into dst, so the submit hot path can
-// reuse a per-request buffer. Pass dst[:0] to recycle capacity.
-func (f *FTL) LookupInto(dst []PageLoc, lspn int64) ([]PageLoc, error) {
-	locs, _, err := f.LookupCertified(dst, lspn)
+	locs, _, err := f.LookupCertified(make([]PageLoc, 0, f.subCount), lspn)
 	return locs, err
 }
 
-// LookupCertified is LookupInto stamping the result with a read
+// LookupCertified is Lookup appending into dst (pass dst[:0] to recycle a
+// per-request buffer's capacity) and stamping the result with a read
 // certificate: every returned location is mapped, and while the issuing
 // FTL's certified chain is armed, mapped ⇒ written — so an executor
 // honoring the certificate may skip per-address read validation. The
@@ -651,7 +596,7 @@ func (f *FTL) LookupCertified(dst []PageLoc, lspn int64) ([]PageLoc, ReadCert, e
 }
 
 // LookupSub returns where sub-page sub of lspn lives and whether it is
-// mapped at all — the single-sub form of LookupInto.
+// mapped at all — the single-sub form of Lookup.
 func (f *FTL) LookupSub(lspn int64, sub int) (PageLoc, bool) {
 	if f.checkLSPN(lspn) != nil || sub < 0 || sub >= f.subCount {
 		return PageLoc{}, false

@@ -29,6 +29,16 @@ func testConfig() Config {
 	}
 }
 
+// countOps counts the plan's operations of one kind.
+func countOps(plan Plan, kind OpKind) (n int) {
+	for _, op := range plan.Ops {
+		if op.Kind == kind {
+			n++
+		}
+	}
+	return n
+}
+
 func newTestFTL(t *testing.T, mutate func(*Config)) *FTL {
 	t.Helper()
 	cfg := testConfig()
@@ -127,7 +137,7 @@ func TestFullWriteMapsAllSubs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Writes()) != 4 || len(plan.Reads()) != 0 {
+	if countOps(plan, OpWrite) != 4 || countOps(plan, OpRead) != 0 {
 		t.Fatalf("plan = %+v", plan)
 	}
 	locs, err := f.Lookup(5)
@@ -199,10 +209,10 @@ func TestPartialUpdateRemapsOnlyDirty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Writes()) != 2 {
-		t.Fatalf("partial update wrote %d subs, want 2", len(plan.Writes()))
+	if countOps(plan, OpWrite) != 2 {
+		t.Fatalf("partial update wrote %d subs, want 2", countOps(plan, OpWrite))
 	}
-	if len(plan.Reads()) != 0 {
+	if countOps(plan, OpRead) != 0 {
 		t.Fatal("partial update must not pre-read")
 	}
 	after, _ := f.Lookup(2)
@@ -237,11 +247,11 @@ func TestRMWWithoutPartialUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Reads()) != 3 {
-		t.Fatalf("RMW pre-reads = %d, want 3", len(plan.Reads()))
+	if countOps(plan, OpRead) != 3 {
+		t.Fatalf("RMW pre-reads = %d, want 3", countOps(plan, OpRead))
 	}
-	if len(plan.Writes()) != 4 {
-		t.Fatalf("RMW writes = %d, want 4", len(plan.Writes()))
+	if countOps(plan, OpWrite) != 4 {
+		t.Fatalf("RMW writes = %d, want 4", countOps(plan, OpWrite))
 	}
 	s := f.Stats()
 	if s.RMWReads != 3 {
@@ -262,7 +272,7 @@ func TestEmptyDirtyMaskIsNoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Writes()) != 0 {
+	if countOps(plan, OpWrite) != 0 {
 		t.Fatal("all-clean mask should write nothing")
 	}
 }
@@ -327,11 +337,11 @@ func TestGCPlanOrdering(t *testing.T) {
 	if gcPlan == nil {
 		t.Fatal("no GC plan observed")
 	}
-	if len(gcPlan.Erases()) == 0 {
+	if countOps(*gcPlan, OpErase) == 0 {
 		t.Fatal("GC plan has no erase")
 	}
-	if gcPlan.Migrated != len(gcPlan.Reads()) {
-		t.Fatalf("migrated %d but %d reads", gcPlan.Migrated, len(gcPlan.Reads()))
+	if gcPlan.Migrated != countOps(*gcPlan, OpRead) {
+		t.Fatalf("migrated %d but %d reads", gcPlan.Migrated, countOps(*gcPlan, OpRead))
 	}
 }
 

@@ -3,59 +3,69 @@ package ftl
 import (
 	"fmt"
 
-	"amber/internal/sim"
 	"amber/internal/snap"
 )
 
-// EncodeState serializes the FTL's complete functional state: the forward
-// map, per-super-block metadata, the free reserve and open block, the
-// retirement order with the read-only latch, the counters and the plan
-// sequence. The reverse map, valid bits and valid counts are derived from
-// the forward map at decode time instead of being stored.
-func (f *FTL) EncodeState(e *snap.Enc) {
-	e.U64(uint64(len(f.fwd)))
-	for _, v := range f.fwd {
-		e.I64(v)
+// state is the FTL's image layout: the forward map, per-super-block
+// metadata, the free reserve and open block, the counters, the retirement
+// order with the read-only latch, and the plan sequence. The reverse map,
+// valid bits and valid counts are derived from the forward map at decode
+// time instead of being stored.
+func (f *FTL) state(c *snap.Codec) error {
+	if err := c.Same(len(f.fwd), "forward-map entries"); err != nil {
+		return err
+	}
+	for i := range f.fwd {
+		snap.I(c, &f.fwd[i])
 	}
 	for i := range f.sbs {
 		sb := &f.sbs[i]
-		for _, np := range sb.nextPage {
-			e.I64(int64(np))
+		for p := range sb.nextPage {
+			snap.I(c, &sb.nextPage[p])
 		}
-		e.U64(uint64(sb.eraseCount))
-		e.I64(int64(sb.lastWrite))
-		e.Bool(sb.closed)
-		e.Bool(sb.free)
-		e.Bool(sb.retired)
-		e.U64(uint64(sb.recon))
+		snap.U(c, &sb.eraseCount)
+		snap.I(c, &sb.lastWrite)
+		c.Bool(&sb.closed)
+		c.Bool(&sb.free)
+		c.Bool(&sb.retired)
+		snap.U(c, &sb.recon)
 	}
-	e.U64(uint64(len(f.freeSB)))
-	for _, sb := range f.freeSB {
-		e.Int(sb)
+	f.sbListState(c, &f.freeSB)
+	snap.I(c, &f.openSB)
+	snap.U(c, &f.stats.HostSubWrites)
+	snap.U(c, &f.stats.FlashSubWrites)
+	snap.U(c, &f.stats.GCRuns)
+	snap.U(c, &f.stats.GCMigrated)
+	snap.U(c, &f.stats.Erases)
+	snap.U(c, &f.stats.RMWReads)
+	snap.U(c, &f.stats.PartialRemaps)
+	snap.U(c, &f.stats.WearLevelMoves)
+	snap.U(c, &f.stats.Retirements)
+	snap.U(c, &f.stats.Replans)
+	snap.U(c, &f.stats.LostSubs)
+	snap.U(c, &f.stats.ParityWrites)
+	snap.U(c, &f.stats.Reconstructions)
+	snap.U(c, &f.stats.DoubleFaults)
+	snap.U(c, &f.stats.ScrubRuns)
+	snap.U(c, &f.stats.ScrubMigrated)
+	f.sbListState(c, &f.retireOrder)
+	c.Bool(&f.readOnly)
+	snap.U(c, &f.planSeq)
+	return c.Err()
+}
+
+// sbListState walks a list of super-block numbers, at most one entry per
+// super-block long.
+func (f *FTL) sbListState(c *snap.Codec, list *[]int) {
+	snap.Slice(c, list, f.sbCount)
+	for i := range *list {
+		snap.I(c, &(*list)[i])
 	}
-	e.Int(f.openSB)
-	e.U64(f.stats.HostSubWrites)
-	e.U64(f.stats.FlashSubWrites)
-	e.U64(f.stats.GCRuns)
-	e.U64(f.stats.GCMigrated)
-	e.U64(f.stats.Erases)
-	e.U64(f.stats.RMWReads)
-	e.U64(f.stats.PartialRemaps)
-	e.U64(f.stats.WearLevelMoves)
-	e.U64(f.stats.Retirements)
-	e.U64(f.stats.Replans)
-	e.U64(f.stats.LostSubs)
-	e.U64(f.stats.ParityWrites)
-	e.U64(f.stats.Reconstructions)
-	e.U64(f.stats.DoubleFaults)
-	e.U64(f.stats.ScrubRuns)
-	e.U64(f.stats.ScrubMigrated)
-	e.U64(uint64(len(f.retireOrder)))
-	for _, sb := range f.retireOrder {
-		e.Int(sb)
-	}
-	e.Bool(f.readOnly)
-	e.U64(f.planSeq)
+}
+
+// EncodeState serializes the FTL's complete functional state.
+func (f *FTL) EncodeState(e *snap.Enc) {
+	_ = f.state(snap.Encoding(e)) // encoding cannot fail
 }
 
 // DecodeState reinstalls a state captured by EncodeState into f, which
@@ -63,59 +73,14 @@ func (f *FTL) EncodeState(e *snap.Enc) {
 // reverse map, valid bits and per-super-block valid counts are rebuilt
 // from the decoded forward map. On error f must be discarded.
 func (f *FTL) DecodeState(d *snap.Dec) error {
-	if n := d.U64(); d.Err() == nil && n != uint64(len(f.fwd)) {
-		return fmt.Errorf("%w: forward map of %d entries, want %d", snap.ErrMismatch, n, len(f.fwd))
-	}
-	for i := range f.fwd {
-		f.fwd[i] = d.I64()
-	}
-	for i := range f.sbs {
-		sb := &f.sbs[i]
-		for p := range sb.nextPage {
-			sb.nextPage[p] = int32(d.I64())
-		}
-		sb.eraseCount = uint32(d.U64())
-		sb.lastWrite = sim.Time(d.I64())
-		sb.closed = d.Bool()
-		sb.free = d.Bool()
-		sb.retired = d.Bool()
-		sb.recon = uint32(d.U64())
-		sb.validSubs = 0
-	}
-	nFree := d.Len(f.sbCount)
-	f.freeSB = f.freeSB[:0]
-	for i := 0; i < nFree; i++ {
-		f.freeSB = append(f.freeSB, d.Int())
-	}
-	f.openSB = d.Int()
-	f.stats.HostSubWrites = d.U64()
-	f.stats.FlashSubWrites = d.U64()
-	f.stats.GCRuns = d.U64()
-	f.stats.GCMigrated = d.U64()
-	f.stats.Erases = d.U64()
-	f.stats.RMWReads = d.U64()
-	f.stats.PartialRemaps = d.U64()
-	f.stats.WearLevelMoves = d.U64()
-	f.stats.Retirements = d.U64()
-	f.stats.Replans = d.U64()
-	f.stats.LostSubs = d.U64()
-	f.stats.ParityWrites = d.U64()
-	f.stats.Reconstructions = d.U64()
-	f.stats.DoubleFaults = d.U64()
-	f.stats.ScrubRuns = d.U64()
-	f.stats.ScrubMigrated = d.U64()
-	nRet := d.Len(f.sbCount)
-	f.retireOrder = f.retireOrder[:0]
-	for i := 0; i < nRet; i++ {
-		f.retireOrder = append(f.retireOrder, d.Int())
-	}
-	f.readOnly = d.Bool()
-	f.planSeq = d.U64()
-	if err := d.Err(); err != nil {
+	if err := f.state(snap.Decoding(d)); err != nil {
 		return err
 	}
 
 	// Rebuild the derived maps from the forward map.
+	for i := range f.sbs {
+		f.sbs[i].validSubs = 0
+	}
 	for i := range f.rev {
 		f.rev[i] = -1
 		f.valid[i] = false

@@ -1,19 +1,20 @@
 package host
 
-import (
-	"amber/internal/sim"
-	"amber/internal/snap"
-)
+import "amber/internal/snap"
+
+// state is the host's own image layout, which follows the CPU complex's:
+// the memory-bandwidth resource and the capacity accountant.
+func (h *Host) state(c *snap.Codec) error {
+	h.Mem.Snap(c)
+	snap.I(c, &h.memUsed)
+	return c.Err()
+}
 
 // EncodeState serializes the host's complete functional state: the CPU
-// complex, the memory-bandwidth resource and the capacity accountant.
+// complex, then the host's own.
 func (h *Host) EncodeState(e *snap.Enc) {
 	h.CPU.EncodeState(e)
-	st := h.Mem.State()
-	e.I64(int64(st.FreeAt))
-	e.I64(int64(st.Busy))
-	e.U64(st.Claims)
-	e.I64(h.memUsed)
+	_ = h.state(snap.Encoding(e)) // encoding cannot fail
 }
 
 // DecodeState reinstalls a state captured by EncodeState into h, which
@@ -22,11 +23,5 @@ func (h *Host) DecodeState(d *snap.Dec) error {
 	if err := h.CPU.DecodeState(d); err != nil {
 		return err
 	}
-	h.Mem.SetState(sim.ResourceState{
-		FreeAt: sim.Time(d.I64()),
-		Busy:   sim.Duration(d.I64()),
-		Claims: d.U64(),
-	})
-	h.memUsed = d.I64()
-	return d.Err()
+	return h.state(snap.Decoding(d))
 }

@@ -297,7 +297,7 @@ func (r *refCache) encode() []byte {
 		e.U64(w)
 	}
 	e.I64(r.seqNext)
-	e.Int(r.seqStreak)
+	e.I64(int64(r.seqStreak))
 	e.Bool(r.preferClean)
 	for _, v := range []uint64{r.stats.ReadSubHits, r.stats.ReadSubMisses, r.stats.WriteSubHits, r.stats.WriteSubMisses,
 		r.stats.Evictions, r.stats.DirtyEvictions, r.stats.Readaheads, r.stats.ReadaheadHits, r.stats.Flushes} {
@@ -333,7 +333,7 @@ func (r *refCache) decode(img []byte) {
 	}
 	r.rng.SetState(rs)
 	r.seqNext = d.I64()
-	r.seqStreak = d.Int()
+	r.seqStreak = int(d.I64())
 	r.preferClean = d.Bool()
 	for _, p := range []*uint64{&r.stats.ReadSubHits, &r.stats.ReadSubMisses, &r.stats.WriteSubHits, &r.stats.WriteSubMisses,
 		&r.stats.Evictions, &r.stats.DirtyEvictions, &r.stats.Readaheads, &r.stats.ReadaheadHits, &r.stats.Flushes} {

@@ -33,104 +33,82 @@ func (c *Cache) Invalidate() {
 	c.preferClean = false
 }
 
-// EncodeState serializes the cache's complete functional state: every
-// frame (tag, valid/dirty masks, payload, replacement metadata), the
-// replacement clock, the RNG, the sequential detector and the statistics.
-func (c *Cache) EncodeState(e *snap.Enc) {
-	e.U64(uint64(len(c.sets)))
-	e.U64(uint64(c.ways))
+// state is the cache's image layout: every frame (tag, valid/dirty masks,
+// replacement metadata, payload), the replacement clock, the RNG, the
+// sequential detector and the statistics.
+func (c *Cache) state(k *snap.Codec) error {
+	if err := k.Same(len(c.sets), "cache sets"); err != nil {
+		return err
+	}
+	if err := k.Same(c.ways, "cache ways"); err != nil {
+		return err
+	}
 	for i := range c.sets {
 		for _, ln := range c.sets[i].frames {
-			e.I64(ln.lspn)
+			snap.I(k, &ln.lspn)
 			for i := range ln.valid {
-				e.Bool(ln.valid[i])
-				e.Bool(ln.dirty[i])
+				k.Bool(&ln.valid[i])
+				k.Bool(&ln.dirty[i])
 			}
-			e.Bool(ln.prefetched)
-			e.U64(ln.lastUse)
-			e.U64(ln.inserted)
+			k.Bool(&ln.prefetched)
+			snap.U(k, &ln.lastUse)
+			snap.U(k, &ln.inserted)
 			if c.cfg.TrackData {
-				e.Blob(ln.data)
+				if err := c.payloadState(k, ln); err != nil {
+					return err
+				}
 			}
 		}
 	}
-	e.U64(c.tick)
-	for _, w := range c.rng.State() {
-		e.U64(w)
+	snap.U(k, &c.tick)
+	c.rng.Snap(k)
+	snap.I(k, &c.seqNext)
+	snap.I(k, &c.seqStreak)
+	k.Bool(&c.preferClean)
+	snap.U(k, &c.stats.ReadSubHits)
+	snap.U(k, &c.stats.ReadSubMisses)
+	snap.U(k, &c.stats.WriteSubHits)
+	snap.U(k, &c.stats.WriteSubMisses)
+	snap.U(k, &c.stats.Evictions)
+	snap.U(k, &c.stats.DirtyEvictions)
+	snap.U(k, &c.stats.Readaheads)
+	snap.U(k, &c.stats.ReadaheadHits)
+	snap.U(k, &c.stats.Flushes)
+	return k.Err()
+}
+
+// payloadState walks a frame's payload, after its valid mask. Decoding
+// copies valid subs only: the fresh frame is zero, and an image is not
+// trusted to uphold the zero invariant for the rest.
+func (c *Cache) payloadState(k *snap.Codec, ln *line) error {
+	buf := ln.data
+	k.Blob(&buf)
+	if !k.Decoding() || k.Err() != nil {
+		return k.Err()
 	}
-	e.I64(c.seqNext)
-	e.Int(c.seqStreak)
-	e.Bool(c.preferClean)
-	e.U64(c.stats.ReadSubHits)
-	e.U64(c.stats.ReadSubMisses)
-	e.U64(c.stats.WriteSubHits)
-	e.U64(c.stats.WriteSubMisses)
-	e.U64(c.stats.Evictions)
-	e.U64(c.stats.DirtyEvictions)
-	e.U64(c.stats.Readaheads)
-	e.U64(c.stats.ReadaheadHits)
-	e.U64(c.stats.Flushes)
+	if len(buf) != len(ln.data) {
+		return fmt.Errorf("%w: cache line of %d bytes, want %d", snap.ErrMismatch, len(buf), len(ln.data))
+	}
+	ss := c.cfg.SubSize
+	for i, v := range ln.valid {
+		if v {
+			copy(ln.data[i*ss:(i+1)*ss], buf[i*ss:(i+1)*ss])
+		}
+	}
+	return nil
+}
+
+// EncodeState serializes the cache's complete functional state.
+func (c *Cache) EncodeState(e *snap.Enc) {
+	_ = c.state(snap.Encoding(e)) // encoding cannot fail
 }
 
 // DecodeState reinstalls a state captured by EncodeState into c, which
 // must be freshly constructed with the identical configuration. On error
 // c must be discarded.
 func (c *Cache) DecodeState(d *snap.Dec) error {
-	if n := d.U64(); d.Err() == nil && n != uint64(len(c.sets)) {
-		return fmt.Errorf("%w: %d cache sets, want %d", snap.ErrMismatch, n, len(c.sets))
-	}
-	if w := d.U64(); d.Err() == nil && w != uint64(c.ways) {
-		return fmt.Errorf("%w: %d cache ways, want %d", snap.ErrMismatch, w, c.ways)
-	}
-	for i := range c.sets {
-		for _, ln := range c.sets[i].frames {
-			ln.lspn = d.I64()
-			for i := range ln.valid {
-				ln.valid[i] = d.Bool()
-				ln.dirty[i] = d.Bool()
-			}
-			ln.prefetched = d.Bool()
-			ln.lastUse = d.U64()
-			ln.inserted = d.U64()
-			if c.cfg.TrackData {
-				buf := d.Blob()
-				if d.Err() != nil {
-					return d.Err()
-				}
-				if len(buf) != len(ln.data) {
-					return fmt.Errorf("%w: cache line of %d bytes, want %d", snap.ErrMismatch, len(buf), len(ln.data))
-				}
-				// Valid subs only: the fresh frame is zero, and an image is
-				// not trusted to uphold the zero invariant for the rest.
-				ss := c.cfg.SubSize
-				for i, v := range ln.valid {
-					if v {
-						copy(ln.data[i*ss:(i+1)*ss], buf[i*ss:(i+1)*ss])
-					}
-				}
-			}
-		}
-	}
-	c.tick = d.U64()
-	var rs [4]uint64
-	for i := range rs {
-		rs[i] = d.U64()
-	}
-	c.rng.SetState(rs)
-	c.seqNext = d.I64()
-	c.seqStreak = d.Int()
-	c.preferClean = d.Bool()
-	c.stats.ReadSubHits = d.U64()
-	c.stats.ReadSubMisses = d.U64()
-	c.stats.WriteSubHits = d.U64()
-	c.stats.WriteSubMisses = d.U64()
-	c.stats.Evictions = d.U64()
-	c.stats.DirtyEvictions = d.U64()
-	c.stats.Readaheads = d.U64()
-	c.stats.ReadaheadHits = d.U64()
-	c.stats.Flushes = d.U64()
-	if d.Err() != nil {
-		return d.Err()
+	if err := c.state(snap.Decoding(d)); err != nil {
+		return err
 	}
 	return c.reindex()
 }

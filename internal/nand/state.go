@@ -2,33 +2,32 @@ package nand
 
 import (
 	"fmt"
+	"math/bits"
 
-	"amber/internal/sim"
 	"amber/internal/snap"
 )
 
-// EncodeState serializes the flash's complete functional and timing state —
-// block condition, OOB stamps, tracked payloads, per-channel counters and
-// energy, resource reservations, the ISPP jitter cursor, the fault model's
-// counters and site log, and the bad-block table — so a restored flash
-// continues byte-identically. The engine must be drained: pending deferred
-// installs are volatile carrier state and have no serialized form (the
-// caller checks QuiescedForSnapshot).
-func (f *Flash) EncodeState(e *snap.Enc) {
+// state is the flash's image layout: resource reservations, block
+// condition, OOB stamps, tracked payloads, per-channel counters and energy,
+// the state epoch and program sequence, the ISPP jitter cursor, the
+// bad-block table, and the fault model's counters and site log. Pending
+// deferred installs are volatile carrier state and have no serialized form
+// (the engine must be drained; the caller checks QuiescedForSnapshot).
+func (f *Flash) state(c *snap.Codec) error {
 	for _, r := range f.channels {
-		encodeResource(e, r)
+		r.Snap(c)
 	}
 	for _, r := range f.dies {
-		encodeResource(e, r)
+		r.Snap(c)
 	}
 	for i := range f.blocks {
 		blk := &f.blocks[i]
-		e.U64(uint64(blk.eraseCount))
-		e.U64(uint64(blk.disturb))
-		e.I64(int64(blk.nextPage))
-		e.Bool(blk.bad)
-		for _, w := range blk.written {
-			e.Bool(w)
+		snap.U(c, &blk.eraseCount)
+		snap.U(c, &blk.disturb)
+		snap.I(c, &blk.nextPage)
+		c.Bool(&blk.bad)
+		for pg := range blk.written {
+			c.Bool(&blk.written[pg])
 		}
 	}
 	for i := range f.blocks {
@@ -36,66 +35,114 @@ func (f *Flash) EncodeState(e *snap.Enc) {
 		base := int64(i) * int64(f.geo.PagesPerBlock)
 		for pg := 0; pg < f.geo.PagesPerBlock; pg++ {
 			if !blk.written[pg] {
-				continue // invariant: unwritten pages carry the zero OOB
+				continue // invariant: unwritten pages carry the erased OOB, a fresh flash's too
 			}
 			o := &f.oob[base+int64(pg)]
-			e.I64(o.fi)
-			e.U64(o.seq)
-			e.I64(int64(o.doneAt))
-			e.U64(o.sum)
-			e.Bool(o.good)
-			e.U64(uint64(o.stripe))
+			snap.I(c, &o.fi)
+			snap.U(c, &o.seq)
+			snap.I(c, &o.doneAt)
+			snap.U(c, &o.sum)
+			c.Bool(&o.good)
+			snap.U(c, &o.stripe)
 		}
 	}
-	e.Bool(f.trackData)
+	if err := c.SameBool(f.trackData, "tracked data"); err != nil {
+		return err
+	}
 	if f.trackData {
-		for ch := range f.data {
-			a := f.data[ch]
-			var n uint64
-			for idx := int64(0); idx < f.pagesPerC; idx++ {
-				if a.has(idx) {
-					n++
-				}
-			}
-			e.U64(n)
-			for idx := int64(0); idx < f.pagesPerC; idx++ {
-				if a.has(idx) {
-					e.I64(idx)
-					e.Blob(a.get(idx))
-				}
+		for _, a := range f.data {
+			if err := f.arenaState(c, a); err != nil {
+				return err
 			}
 		}
 	}
 	for i := range f.chStats {
-		encodeFlashStats(e, &f.chStats[i])
+		s := &f.chStats[i]
+		snap.U(c, &s.Reads)
+		snap.U(c, &s.Programs)
+		snap.U(c, &s.Erases)
+		snap.U(c, &s.BytesRead)
+		snap.U(c, &s.BytesWritten)
+		snap.U(c, &s.MultiPlaneOps)
 	}
-	for _, v := range f.chEnergy {
-		e.F64(v)
+	for i := range f.chEnergy {
+		c.F64(&f.chEnergy[i])
 	}
-	e.U64(f.epoch)
-	e.U64(f.progSeq)
-	st := f.rng.State()
-	for _, s := range st {
-		e.U64(s)
+	snap.U(c, &f.epoch)
+	snap.U(c, &f.progSeq)
+	f.rng.Snap(c)
+	snap.Slice(c, &f.badOrder, len(f.blocks))
+	for i := range f.badOrder {
+		bi := int64(f.badOrder[i])
+		snap.I(c, &bi)
+		if c.Err() == nil && (bi < 0 || bi >= int64(len(f.blocks))) {
+			return fmt.Errorf("%w: bad-block index %d out of range", snap.ErrCorrupt, bi)
+		}
+		f.badOrder[i] = int32(bi)
 	}
-	e.U64(uint64(len(f.badOrder)))
-	for _, bi := range f.badOrder {
-		e.I64(int64(bi))
+	if err := c.SameBool(f.faults != nil, "fault model armed"); err != nil {
+		return err
 	}
-	e.Bool(f.faults != nil)
-	if f.faults != nil {
-		m := f.faults
-		e.U64(m.stats.ProgramFails)
-		e.U64(m.stats.EraseFails)
-		e.U64(m.stats.Uncorrectable)
-		e.U64(m.stats.ReadRetries)
-		e.U64(uint64(len(m.sites)))
-		for _, s := range m.sites {
-			e.Int(int(s.Op))
-			encodeAddr(e, s.Addr)
-			e.U64(uint64(s.EraseCount))
+	if m := f.faults; m != nil {
+		snap.U(c, &m.stats.ProgramFails)
+		snap.U(c, &m.stats.EraseFails)
+		snap.U(c, &m.stats.Uncorrectable)
+		snap.U(c, &m.stats.ReadRetries)
+		snap.Slice(c, &m.sites, maxFaultSites)
+		for i := range m.sites {
+			s := &m.sites[i]
+			snap.I(c, &s.Op)
+			snap.I(c, &s.Addr.Channel)
+			snap.I(c, &s.Addr.Package)
+			snap.I(c, &s.Addr.Die)
+			snap.I(c, &s.Addr.Plane)
+			snap.I(c, &s.Addr.Block)
+			snap.I(c, &s.Addr.Page)
+			snap.U(c, &s.EraseCount)
 		}
 	}
+	return c.Err()
+}
+
+// arenaState walks one channel's tracked payloads: a count, then each
+// present page's channel-local index and contents, indexes ascending.
+// Encoding steps idx to the next present page; decoding reads it.
+func (f *Flash) arenaState(c *snap.Codec, a *pageArena) error {
+	present := 0
+	for _, w := range a.present {
+		present += bits.OnesCount64(w)
+	}
+	idx := int64(-1)
+	for n := c.Len(present, int(f.pagesPerC)); n > 0; n-- {
+		var buf []byte
+		if !c.Decoding() {
+			for idx++; !a.has(idx); idx++ {
+			}
+			buf = a.get(idx)
+		}
+		snap.I(c, &idx)
+		c.Blob(&buf)
+		if !c.Decoding() {
+			continue
+		}
+		if c.Err() != nil {
+			return c.Err()
+		}
+		if idx < 0 || idx >= f.pagesPerC {
+			return fmt.Errorf("%w: arena page index %d out of range", snap.ErrCorrupt, idx)
+		}
+		if len(buf) != f.geo.PageSize {
+			return fmt.Errorf("%w: arena page of %d bytes, want %d", snap.ErrCorrupt, len(buf), f.geo.PageSize)
+		}
+		a.put(idx, buf)
+	}
+	return nil
+}
+
+// EncodeState serializes the flash's complete functional and timing state,
+// so a restored flash continues byte-identically.
+func (f *Flash) EncodeState(e *snap.Enc) {
+	_ = f.state(snap.Encoding(e)) // encoding cannot fail
 }
 
 // DecodeState reinstalls a state captured by EncodeState into f, which must
@@ -103,109 +150,7 @@ func (f *Flash) EncodeState(e *snap.Enc) {
 // configuration (the image fingerprint enforces this upstream). On error f
 // is left partially written and must be discarded — callers decode into a
 // scratch device and swap on success.
-func (f *Flash) DecodeState(d *snap.Dec) error {
-	for _, r := range f.channels {
-		decodeResource(d, r)
-	}
-	for _, r := range f.dies {
-		decodeResource(d, r)
-	}
-	for i := range f.blocks {
-		blk := &f.blocks[i]
-		blk.eraseCount = uint32(d.U64())
-		blk.disturb = uint32(d.U64())
-		blk.nextPage = int32(d.I64())
-		blk.bad = d.Bool()
-		for pg := range blk.written {
-			blk.written[pg] = d.Bool()
-		}
-	}
-	for i := range f.blocks {
-		blk := &f.blocks[i]
-		base := int64(i) * int64(f.geo.PagesPerBlock)
-		for pg := 0; pg < f.geo.PagesPerBlock; pg++ {
-			o := &f.oob[base+int64(pg)]
-			if !blk.written[pg] {
-				*o = pageOOB{fi: -1}
-				continue
-			}
-			o.fi = d.I64()
-			o.seq = d.U64()
-			o.doneAt = sim.Time(d.I64())
-			o.sum = d.U64()
-			o.good = d.Bool()
-			o.stripe = uint32(d.U64())
-		}
-	}
-	if tracked := d.Bool(); d.Err() == nil && tracked != f.trackData {
-		return fmt.Errorf("%w: image tracks data %v, device %v", snap.ErrMismatch, tracked, f.trackData)
-	}
-	if f.trackData {
-		for ch := range f.data {
-			a := f.data[ch]
-			n := d.Len(int(f.pagesPerC))
-			for i := 0; i < n; i++ {
-				idx := d.I64()
-				buf := d.Blob()
-				if d.Err() != nil {
-					return d.Err()
-				}
-				if idx < 0 || idx >= f.pagesPerC {
-					return fmt.Errorf("%w: arena page index %d out of range", snap.ErrCorrupt, idx)
-				}
-				if len(buf) != f.geo.PageSize {
-					return fmt.Errorf("%w: arena page of %d bytes, want %d", snap.ErrCorrupt, len(buf), f.geo.PageSize)
-				}
-				a.put(idx, buf)
-			}
-		}
-	}
-	for i := range f.chStats {
-		decodeFlashStats(d, &f.chStats[i])
-	}
-	for i := range f.chEnergy {
-		f.chEnergy[i] = d.F64()
-	}
-	f.epoch = d.U64()
-	f.progSeq = d.U64()
-	var st [4]uint64
-	for i := range st {
-		st[i] = d.U64()
-	}
-	f.rng.SetState(st)
-	nBad := d.Len(len(f.blocks))
-	f.badOrder = f.badOrder[:0]
-	for i := 0; i < nBad; i++ {
-		bi := d.I64()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if bi < 0 || bi >= int64(len(f.blocks)) {
-			return fmt.Errorf("%w: bad-block index %d out of range", snap.ErrCorrupt, bi)
-		}
-		f.badOrder = append(f.badOrder, int32(bi))
-	}
-	if hasFaults := d.Bool(); d.Err() == nil && hasFaults != (f.faults != nil) {
-		return fmt.Errorf("%w: image fault model armed %v, device %v", snap.ErrMismatch, hasFaults, f.faults != nil)
-	}
-	if f.faults != nil {
-		m := f.faults
-		m.stats.ProgramFails = d.U64()
-		m.stats.EraseFails = d.U64()
-		m.stats.Uncorrectable = d.U64()
-		m.stats.ReadRetries = d.U64()
-		nSites := d.Len(maxFaultSites)
-		m.sites = m.sites[:0]
-		for i := 0; i < nSites; i++ {
-			var s FaultSite
-			s.Op = OpKind(d.Int())
-			s.Addr = decodeAddr(d)
-			s.EraseCount = uint32(d.U64())
-			m.sites = append(m.sites, s)
-		}
-	}
-	return d.Err()
-}
+func (f *Flash) DecodeState(d *snap.Dec) error { return f.state(snap.Decoding(d)) }
 
 // QuiescedForSnapshot reports nil when no deferred bookkeeping is in
 // flight, the precondition for EncodeState (pending installs are volatile
@@ -220,53 +165,4 @@ func (f *Flash) QuiescedForSnapshot() error {
 		}
 	}
 	return nil
-}
-
-func encodeResource(e *snap.Enc, r *sim.Resource) {
-	st := r.State()
-	e.I64(int64(st.FreeAt))
-	e.I64(int64(st.Busy))
-	e.U64(st.Claims)
-}
-
-func decodeResource(d *snap.Dec, r *sim.Resource) {
-	var st sim.ResourceState
-	st.FreeAt = sim.Time(d.I64())
-	st.Busy = sim.Duration(d.I64())
-	st.Claims = d.U64()
-	r.SetState(st)
-}
-
-func encodeFlashStats(e *snap.Enc, s *Stats) {
-	e.U64(s.Reads)
-	e.U64(s.Programs)
-	e.U64(s.Erases)
-	e.U64(s.BytesRead)
-	e.U64(s.BytesWritten)
-	e.U64(s.MultiPlaneOps)
-}
-
-func decodeFlashStats(d *snap.Dec, s *Stats) {
-	s.Reads = d.U64()
-	s.Programs = d.U64()
-	s.Erases = d.U64()
-	s.BytesRead = d.U64()
-	s.BytesWritten = d.U64()
-	s.MultiPlaneOps = d.U64()
-}
-
-func encodeAddr(e *snap.Enc, a Address) {
-	e.Int(a.Channel)
-	e.Int(a.Package)
-	e.Int(a.Die)
-	e.Int(a.Plane)
-	e.Int(a.Block)
-	e.Int(a.Page)
-}
-
-func decodeAddr(d *snap.Dec) Address {
-	return Address{
-		Channel: d.Int(), Package: d.Int(), Die: d.Int(),
-		Plane: d.Int(), Block: d.Int(), Page: d.Int(),
-	}
 }

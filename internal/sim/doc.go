@@ -278,9 +278,9 @@
 //
 // With every cross shard neutral, nothing would drain the local shards
 // until the cross queue empties at the end of the run — unbounded pending
-// events, carriers and staged buffers. Engine.SetBatchLimit bounds the
-// accumulation: once the eligible local shards' queue depth exceeds the
-// limit (DefaultBatchLimit 4096), a neutral head forces a window anyway
+// events, carriers and staged buffers. The batch limit bounds the
+// accumulation: once the eligible local shards' queue depth exceeds
+// DefaultBatchLimit (4096), a neutral head forces a window anyway
 // (ParallelStats.LimitBarriers). The decision reads only shard queue
 // depths, so the window placement is a pure function of queue state —
 // identical at every worker count — and since batching a neutral event is

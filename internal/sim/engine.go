@@ -105,8 +105,8 @@ type Engine struct {
 	elig    []DomainID // RunParallel's per-window eligible-domain scratch
 
 	// batchLimit bounds how much pending domain-local work horizon batching
-	// may accumulate before RunParallel forces a window anyway (see
-	// SetBatchLimit and parallel.go).
+	// may accumulate before RunParallel forces a window anyway:
+	// DefaultBatchLimit outside this package's tests (see parallel.go).
 	batchLimit int
 
 	// inWindow is true between BeginWindow and EndWindow: the only legal

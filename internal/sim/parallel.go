@@ -62,22 +62,6 @@ func (e *Engine) checkSerial() {
 // every worker count.
 const DefaultBatchLimit = 4096
 
-// SetBatchLimit replaces the horizon-batching backstop (DefaultBatchLimit);
-// n < 1 restores the default. A smaller limit trades barrier frequency for
-// a tighter bound on pending domain-local work; results are byte-identical
-// at any limit (batching a neutral event is safe at any depth — the limit
-// only decides when to stop paying memory for saved barriers).
-func (e *Engine) SetBatchLimit(n int) {
-	e.checkSerial()
-	if n < 1 {
-		n = DefaultBatchLimit
-	}
-	e.batchLimit = n
-}
-
-// BatchLimit returns the current horizon-batching backstop.
-func (e *Engine) BatchLimit() int { return e.batchLimit }
-
 // MarkDomainLocal classifies dom as domain-local: its events touch only
 // per-domain state and never call the engine, so RunParallel may dispatch
 // them concurrently with other local domains between synchronization
@@ -260,7 +244,7 @@ type ParallelStats struct {
 	// un-batched loop would have paid.
 	BatchedCross uint64
 	// LimitBarriers counts windows a neutral cross head would have batched
-	// past but the batch limit forced anyway (Engine.SetBatchLimit): the
+	// past but the batch limit forced anyway (DefaultBatchLimit): the
 	// pending-local backstop draining accumulated channel work. They are
 	// included in Horizons.
 	LimitBarriers uint64
@@ -287,17 +271,6 @@ func (p ParallelStats) BarriersWithoutBatching() uint64 {
 	return p.Horizons + p.BatchedCross
 }
 
-// Accumulate adds o's counters into p, for callers aggregating the horizon
-// structure over many small drains (the pooled synchronous submit path).
-func (p *ParallelStats) Accumulate(o ParallelStats) {
-	p.Horizons += o.Horizons
-	p.ParallelHorizons += o.ParallelHorizons
-	p.LocalEvents += o.LocalEvents
-	p.CrossEvents += o.CrossEvents
-	p.BatchedCross += o.BatchedCross
-	p.LimitBarriers += o.LimitBarriers
-}
-
 // RunParallel dispatches events until the queue drains, like Run, but steps
 // domain-local shards concurrently between synchronization horizons over up
 // to `workers` goroutines (the calling goroutine is one of them). The
@@ -306,75 +279,21 @@ func (p *ParallelStats) Accumulate(o ParallelStats) {
 // With workers <= 1 the same horizon-structured loop runs entirely on the
 // calling goroutine, which is the reference mode for equivalence tests.
 //
-// The worker goroutines live for this call only; a caller draining the
-// engine many times (the synchronous submit path) should allocate one
-// WorkerPool and use RunParallelWith instead.
+// The worker goroutines live for this call only, and start on the first
+// window wide enough to fan out: none when workers <= 1 or every window is
+// single-domain.
 func (e *Engine) RunParallel(workers int) ParallelStats {
 	if len(e.locals) == 0 {
 		return e.runSerialDrain()
 	}
 	workers = clampWorkers(workers, len(e.locals))
-	var pool *WorkerPool
+	var st ParallelStats
+	var pool *workerPool
 	defer func() {
 		if pool != nil {
-			pool.Close()
+			pool.close()
 		}
 	}()
-	return e.runParallel(workers, func() *WorkerPool {
-		pool = NewWorkerPool(e, workers)
-		return pool
-	})
-}
-
-// RunParallelWith is RunParallel using a caller-owned WorkerPool, so
-// drains repeated on the same engine (one per synchronous Submit) reuse the
-// parked worker goroutines instead of spawning and joining a set per call.
-// The pool must have been created for this engine and stays usable (and
-// open) after the call returns.
-func (e *Engine) RunParallelWith(pool *WorkerPool) ParallelStats {
-	if pool.e != e {
-		panic("sim: RunParallelWith with a pool built for a different engine")
-	}
-	if len(e.locals) == 0 {
-		return e.runSerialDrain()
-	}
-	workers := clampWorkers(pool.workers, len(e.locals))
-	return e.runParallel(workers, func() *WorkerPool { return pool })
-}
-
-// clampWorkers bounds the window fan-out width: more workers than local
-// domains can never get work, and more workers than processors only add
-// handoff and context-switch cost to every window — on a single-processor
-// host the horizon loop runs entirely on the calling goroutine, which
-// still collects the batch-drain and horizon-batching wins. Results are
-// byte-identical at any width, so the clamp is purely a scheduling choice.
-func clampWorkers(workers, locals int) int {
-	if workers > locals {
-		workers = locals
-	}
-	if p := runtime.GOMAXPROCS(0); workers > p {
-		workers = p
-	}
-	return workers
-}
-
-// runSerialDrain is the no-local-domains degenerate mode: a plain serial
-// drain counted as cross events.
-func (e *Engine) runSerialDrain() ParallelStats {
-	var st ParallelStats
-	for !e.halted && e.Step() {
-		st.CrossEvents++
-	}
-	return st
-}
-
-// runParallel is the horizon loop shared by RunParallel and
-// RunParallelWith. getPool supplies the worker set on the first window wide
-// enough to fan out; it is not called when workers <= 1 or every window is
-// single-domain.
-func (e *Engine) runParallel(workers int, getPool func() *WorkerPool) ParallelStats {
-	var st ParallelStats
-	var pool *WorkerPool
 	for {
 		at, seq, cross, ok := e.nextCross()
 		if !ok {
@@ -426,10 +345,10 @@ func (e *Engine) runParallel(workers int, getPool func() *WorkerPool) ParallelSt
 				}
 			} else {
 				if pool == nil {
-					pool = getPool()
+					pool = newWorkerPool(e, workers)
 				}
 				st.ParallelHorizons++
-				st.LocalEvents += pool.run(eligible, at, seq, workers)
+				st.LocalEvents += pool.run(eligible, at, seq)
 			}
 			e.EndWindow()
 		}
@@ -450,34 +369,53 @@ func (e *Engine) runParallel(workers int, getPool func() *WorkerPool) ParallelSt
 	}
 }
 
-// WorkerPool is a reusable RunParallel worker set: workers-1 background
-// goroutines plus the coordinator drain an atomically indexed list of
-// eligible domains each window. Handoff is one unbuffered channel token per
-// participating worker (a happens-before edge for the window fields) and a
-// WaitGroup barrier back. RunParallel builds a transient one per call;
-// RunParallelWith reuses a caller-owned pool across drains. Close releases
-// the background goroutines; a closed pool must not be used again.
-type WorkerPool struct {
-	e       *Engine
-	workers int // total workers including the coordinating caller
-	nbg     int // background goroutines (workers - 1)
-	doms    []DomainID
-	at      Time
-	seq     uint64
-	next    int32 // atomic index into doms
-	events  int64 // atomic dispatched-count accumulator
-	start   chan struct{}
-	wg      sync.WaitGroup
+// clampWorkers bounds the window fan-out width: more workers than local
+// domains can never get work, and more workers than processors only add
+// handoff and context-switch cost to every window — on a single-processor
+// host the horizon loop runs entirely on the calling goroutine, which
+// still collects the batch-drain and horizon-batching wins. Results are
+// byte-identical at any width, so the clamp is purely a scheduling choice.
+func clampWorkers(workers, locals int) int {
+	if workers > locals {
+		workers = locals
+	}
+	if p := runtime.GOMAXPROCS(0); workers > p {
+		workers = p
+	}
+	return workers
 }
 
-// NewWorkerPool parks workers-1 background goroutines for horizon windows
-// on e. workers counts the calling goroutine too; values <= 1 park none
-// (the pool then only marks the intended width for RunParallelWith).
-func NewWorkerPool(e *Engine, workers int) *WorkerPool {
-	if workers < 1 {
-		workers = 1
+// runSerialDrain is the no-local-domains degenerate mode: a plain serial
+// drain counted as cross events.
+func (e *Engine) runSerialDrain() ParallelStats {
+	var st ParallelStats
+	for !e.halted && e.Step() {
+		st.CrossEvents++
 	}
-	p := &WorkerPool{e: e, workers: workers, nbg: workers - 1, start: make(chan struct{})}
+	return st
+}
+
+// workerPool is RunParallel's worker set: workers-1 background goroutines
+// plus the coordinator drain an atomically indexed list of eligible domains
+// each window. Handoff is one unbuffered channel token per participating
+// worker (a happens-before edge for the window fields) and a WaitGroup
+// barrier back. close releases the background goroutines.
+type workerPool struct {
+	e      *Engine
+	nbg    int // background goroutines (workers - 1)
+	doms   []DomainID
+	at     Time
+	seq    uint64
+	next   int32 // atomic index into doms
+	events int64 // atomic dispatched-count accumulator
+	start  chan struct{}
+	wg     sync.WaitGroup
+}
+
+// newWorkerPool parks workers-1 background goroutines for horizon windows
+// on e; workers counts the calling goroutine too.
+func newWorkerPool(e *Engine, workers int) *workerPool {
+	p := &workerPool{e: e, nbg: workers - 1, start: make(chan struct{})}
 	for w := 0; w < p.nbg; w++ {
 		go func() {
 			for range p.start {
@@ -490,7 +428,7 @@ func NewWorkerPool(e *Engine, workers int) *WorkerPool {
 }
 
 // drain steps eligible domains until the shared index runs out.
-func (p *WorkerPool) drain() {
+func (p *workerPool) drain() {
 	var n int64
 	for {
 		i := int(atomic.AddInt32(&p.next, 1)) - 1
@@ -504,21 +442,14 @@ func (p *WorkerPool) drain() {
 	}
 }
 
-// run fans one window out over at most `workers` total participants
-// (including the coordinating caller; the caller passes its clamped width,
-// which may be below the pool's parked-goroutine count) and blocks until
-// every domain is stepped.
-func (p *WorkerPool) run(doms []DomainID, at Time, seq uint64, workers int) uint64 {
+// run fans one window out over the coordinating caller and as many
+// background workers as there are further domains, and blocks until every
+// domain is stepped.
+func (p *workerPool) run(doms []DomainID, at Time, seq uint64) uint64 {
 	p.doms, p.at, p.seq = doms, at, seq
 	atomic.StoreInt32(&p.next, 0)
 	atomic.StoreInt64(&p.events, 0)
-	n := workers - 1
-	if n > p.nbg {
-		n = p.nbg
-	}
-	if n > len(doms)-1 {
-		n = len(doms) - 1 // the coordinator always takes at least one
-	}
+	n := min(p.nbg, len(doms)-1) // the coordinator always takes at least one
 	p.wg.Add(n)
 	for w := 0; w < n; w++ {
 		p.start <- struct{}{}
@@ -528,5 +459,5 @@ func (p *WorkerPool) run(doms []DomainID, at Time, seq uint64, workers int) uint
 	return uint64(atomic.LoadInt64(&p.events))
 }
 
-// Close releases the pool's background goroutines.
-func (p *WorkerPool) Close() { close(p.start) }
+// close releases the pool's background goroutines.
+func (p *workerPool) close() { close(p.start) }

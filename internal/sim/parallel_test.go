@@ -217,10 +217,7 @@ func TestBatchLimit(t *testing.T) {
 	stFree := free.e.RunParallel(4)
 
 	tight := newParallelHarness(nLocal, rounds, seed)
-	tight.e.SetBatchLimit(4)
-	if got := tight.e.BatchLimit(); got != 4 {
-		t.Fatalf("BatchLimit = %d, want 4", got)
-	}
+	tight.e.batchLimit = 4
 	stTight := tight.e.RunParallel(4)
 
 	if got, want := tight.fingerprint(), free.fingerprint(); got != want {
@@ -241,12 +238,6 @@ func TestBatchLimit(t *testing.T) {
 	}
 	if ca, cb := stTight.CrossEvents, stFree.CrossEvents; ca != cb {
 		t.Fatalf("cross event totals differ: %d vs %d", ca, cb)
-	}
-
-	// n < 1 restores the default.
-	tight.e.SetBatchLimit(0)
-	if got := tight.e.BatchLimit(); got != DefaultBatchLimit {
-		t.Fatalf("BatchLimit after reset = %d, want %d", got, DefaultBatchLimit)
 	}
 }
 
@@ -275,48 +266,6 @@ func TestMarkChannelNeutralGuards(t *testing.T) {
 	mustPanic("neutral mark on local domain", func() { e.MarkChannelNeutral(loc) })
 	mustPanic("local mark on neutral domain", func() { e.MarkDomainLocal(neu) })
 	mustPanic("neutral mark on unregistered domain", func() { e.MarkChannelNeutral(DomainID(99)) })
-}
-
-// TestWorkerPoolReuse drains one engine many times through a single
-// caller-owned pool — the synchronous submit path's shape — and checks each
-// drain matches a fresh serial reference.
-func TestWorkerPoolReuse(t *testing.T) {
-	const nLocal, rounds = 6, 10
-	pooled := newParallelHarness(nLocal, rounds, 7)
-	pool := NewWorkerPool(pooled.e, 4)
-	defer pool.Close()
-	for iter := 0; iter < 5; iter++ {
-		serial := newParallelHarness(nLocal, rounds, uint64(100+iter))
-		serial.e.Run()
-
-		// Re-drive the pooled harness with the same seed: reset its engine
-		// and logs, then drain through the persistent pool.
-		pooled.e.Reset()
-		pooled.rngState = uint64(100 + iter)
-		pooled.rounds = rounds
-		for d := range pooled.localLog {
-			pooled.localLog[d] = nil
-		}
-		for d := range pooled.localSum {
-			pooled.localSum[d] = 0
-		}
-		pooled.crossLog, pooled.neutralLog = nil, nil
-		pooled.e.ScheduleIn(pooled.crossA, 100, pooled.drive)
-		st := pooled.e.RunParallelWith(pool)
-
-		// The engine's lifetime dispatch counters survive Reset, so compare
-		// the observable run products instead of the full fingerprint.
-		obs := func(h *parallelHarness) string {
-			return fmt.Sprintf("now=%v pending=%d cross=%v local=%v sums=%v neutral=%v",
-				h.e.Now(), h.e.Pending(), h.crossLog, h.localLog, h.localSum, h.neutralLog)
-		}
-		if got, want := obs(pooled), obs(serial); got != want {
-			t.Fatalf("iter %d diverged:\nserial: %s\npooled: %s", iter, want, got)
-		}
-		if st.LocalEvents == 0 {
-			t.Fatalf("iter %d: no local events", iter)
-		}
-	}
 }
 
 // TestWindowGuards verifies the serial-call guards: engine mutation during

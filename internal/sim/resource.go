@@ -1,5 +1,7 @@
 package sim
 
+import "amber/internal/snap"
+
 // Resource is a single-server FCFS resource reserved by time spans.
 //
 // Callers "claim" a duration starting no earlier than now; the resource
@@ -124,6 +126,14 @@ func (r *Resource) SetState(st ResourceState) {
 	r.claims = st.Claims
 }
 
+// Snap walks the reservation state for a snapshot image (the name is
+// construction-time identity and is not included).
+func (r *Resource) Snap(c *snap.Codec) {
+	snap.I(c, &r.freeAt)
+	snap.I(c, &r.busy)
+	snap.U(c, &r.claims)
+}
+
 // Pool is a k-server resource: each claim is served by the server that
 // frees earliest. It models identical parallel units such as CPU cores.
 type Pool struct {
@@ -202,27 +212,16 @@ func (p *Pool) Reset() {
 	p.claims = 0
 }
 
-// PoolState is a Pool's serializable reservation state.
-type PoolState struct {
-	Servers []Time
-	Busy    Duration
-	Claims  uint64
-}
-
-// State captures the reservation state. The returned server slice is a copy.
-func (p *Pool) State() PoolState {
-	servers := make([]Time, len(p.servers))
-	copy(servers, p.servers)
-	return PoolState{Servers: servers, Busy: p.busy, Claims: p.claims}
-}
-
-// SetState reinstalls a previously captured reservation state. The server
-// count must match the pool's size.
-func (p *Pool) SetState(st PoolState) {
-	if len(st.Servers) != len(p.servers) {
-		panic("sim: pool SetState with mismatched server count")
+// Snap walks the reservation state for a snapshot image. The server count
+// is configuration: an image of a differently sized pool is a mismatch.
+func (p *Pool) Snap(c *snap.Codec) error {
+	if err := c.Same(len(p.servers), p.name+" servers"); err != nil {
+		return err
 	}
-	copy(p.servers, st.Servers)
-	p.busy = st.Busy
-	p.claims = st.Claims
+	for i := range p.servers {
+		snap.I(c, &p.servers[i])
+	}
+	snap.I(c, &p.busy)
+	snap.U(c, &p.claims)
+	return c.Err()
 }

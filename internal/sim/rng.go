@@ -1,6 +1,10 @@
 package sim
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"amber/internal/snap"
+)
 
 // RNG is a small deterministic pseudo-random generator (xoshiro256**) used
 // wherever the simulator needs randomness: ISPP latency draws, random cache
@@ -45,6 +49,15 @@ func (r *RNG) SetState(s [4]uint64) {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 1
 	}
+}
+
+// Snap walks the generator state for a snapshot image, with SetState's
+// all-zero guard on the way in.
+func (r *RNG) Snap(c *snap.Codec) {
+	for i := range r.s {
+		snap.U(c, &r.s[i])
+	}
+	r.SetState(r.s)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

@@ -7,6 +7,14 @@
 // caller can decode a whole module graph and check the error once, with no
 // partial mutation of live state (decode into fresh objects, swap on
 // success).
+//
+// A module states its image layout once, as a walk over its own fields with
+// a Codec: the same U, I, Bool, F64 and Blob calls write the fields when the
+// Codec wraps an Enc and fill them when it wraps a Dec, so the directions
+// cannot drift apart. The one rule of a walk: every collection length goes
+// through Len or Slice (variable size: bounds-checked on decode) or Same (a
+// size the configuration fixes: ErrMismatch unless the image agrees), never
+// a bare integer field, so no corrupt length can size an allocation.
 package snap
 
 import (
@@ -14,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Typed image errors, matched with errors.Is.
@@ -66,9 +75,6 @@ func (e *Enc) U64(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 
 // I64 appends a signed (zigzag) varint.
 func (e *Enc) I64(v int64) { e.buf = binary.AppendVarint(e.buf, v) }
-
-// Int appends a signed varint from an int.
-func (e *Enc) Int(v int) { e.I64(int64(v)) }
 
 // F64 appends a float64 as its fixed 8-byte IEEE-754 bit pattern (varint
 // packing would corrupt the exponent distribution of energy accumulators).
@@ -158,9 +164,6 @@ func (d *Dec) I64() int64 {
 	d.off += n
 	return v
 }
-
-// Int reads a signed varint as an int.
-func (d *Dec) Int() int { return int(d.I64()) }
 
 // F64 reads a fixed 8-byte float64.
 func (d *Dec) F64() float64 {
@@ -271,4 +274,117 @@ func Open(img []byte, version uint32, fingerprint uint64) ([]byte, error) {
 		return nil, fmt.Errorf("%w: body length %d, image holds %d", ErrTruncated, bodyLen, len(img)-headerLen-8)
 	}
 	return img[headerLen : headerLen+int(bodyLen)], nil
+}
+
+// Codec walks an image layout in one direction: Encoding writes the fields
+// it is shown and cannot fail, Decoding fills them under Dec's sticky error.
+type Codec struct {
+	e *Enc
+	d *Dec
+}
+
+// Encoding returns a Codec that appends every field it walks to e.
+func Encoding(e *Enc) *Codec { return &Codec{e: e} }
+
+// Decoding returns a Codec that fills every field it walks from d.
+func Decoding(d *Dec) *Codec { return &Codec{d: d} }
+
+// Decoding reports whether the walk fills fields (true) or writes them.
+func (c *Codec) Decoding() bool { return c.d != nil }
+
+// Err returns the decoder's sticky error; nil while encoding.
+func (c *Codec) Err() error {
+	if c.d != nil {
+		return c.d.err
+	}
+	return nil
+}
+
+// Integer is any integer-kinded field type.
+type Integer interface {
+	~int | ~int8 | ~int16 | ~int32 | ~int64 | ~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64
+}
+
+// U walks an integer field stored as an unsigned varint.
+func U[T Integer](c *Codec, p *T) {
+	if c.d != nil {
+		*p = T(c.d.U64())
+	} else {
+		c.e.U64(uint64(*p))
+	}
+}
+
+// I walks an integer field stored as a signed (zigzag) varint.
+func I[T Integer](c *Codec, p *T) {
+	if c.d != nil {
+		*p = T(c.d.I64())
+	} else {
+		c.e.I64(int64(*p))
+	}
+}
+
+// Bool walks a boolean field.
+func (c *Codec) Bool(p *bool) {
+	if c.d != nil {
+		*p = c.d.Bool()
+	} else {
+		c.e.Bool(*p)
+	}
+}
+
+// F64 walks a float64 field.
+func (c *Codec) F64(p *float64) {
+	if c.d != nil {
+		*p = c.d.F64()
+	} else {
+		c.e.F64(*p)
+	}
+}
+
+// Blob walks a length-prefixed byte string; decoded, *p aliases the image.
+func (c *Codec) Blob(p *[]byte) {
+	if c.d != nil {
+		*p = c.d.Blob()
+	} else {
+		c.e.Blob(*p)
+	}
+}
+
+// Len walks a variable-size collection's length: it writes n, or reads the
+// image's, bounds-checked against max like Dec.Len (0 after an error).
+func (c *Codec) Len(n, max int) int {
+	if c.d != nil {
+		return c.d.Len(max)
+	}
+	c.e.U64(uint64(n))
+	return n
+}
+
+// Slice walks *s's length like Len and, decoding, resizes *s to it for the
+// element walk that follows: the one place a decoded length sizes memory.
+func Slice[T any](c *Codec, s *[]T, max int) {
+	if n := c.Len(len(*s), max); c.d != nil {
+		*s = slices.Grow((*s)[:0], n)[:n]
+	}
+}
+
+// Same walks a count the live configuration fixes (what names it): it
+// writes have, or returns ErrMismatch unless the image carries the same.
+func (c *Codec) Same(have int, what string) error {
+	n := uint64(have)
+	U(c, &n)
+	if c.Err() == nil && n != uint64(have) {
+		return fmt.Errorf("%w: image has %d %s, device %d", ErrMismatch, n, what, have)
+	}
+	return c.Err()
+}
+
+// SameBool is Same for a presence flag the configuration fixes.
+func (c *Codec) SameBool(have bool, what string) error {
+	v := have
+	c.Bool(&v)
+	if c.Err() == nil && v != have {
+		return fmt.Errorf("%w: image has %s %v, device %v", ErrMismatch, what, v, have)
+	}
+	return c.Err()
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -17,7 +18,7 @@ func sampleBody() []byte {
 	e.U64(math.MaxUint64)
 	e.I64(math.MinInt64)
 	e.I64(-1)
-	e.Int(1 << 40)
+	e.I64(1 << 40)
 	e.F64(-4.4e-9)
 	e.F64(math.Inf(1))
 	e.Bool(true)
@@ -51,8 +52,8 @@ func TestRoundTrip(t *testing.T) {
 	if v := d.I64(); v != -1 {
 		t.Errorf("I64 = %d", v)
 	}
-	if v := d.Int(); v != 1<<40 {
-		t.Errorf("Int = %d", v)
+	if v := d.I64(); v != 1<<40 {
+		t.Errorf("I64 = %d", v)
 	}
 	if v := d.F64(); v != -4.4e-9 {
 		t.Errorf("F64 = %v", v)
@@ -150,7 +151,7 @@ func TestDecStickyErrors(t *testing.T) {
 		d.U64()
 		d.I64()
 		d.I64()
-		d.Int()
+		d.I64()
 		d.F64()
 		d.F64()
 		d.Bool()
@@ -194,5 +195,97 @@ func TestDecStickyErrors(t *testing.T) {
 	}
 	if d.Err() != first || first == nil {
 		t.Errorf("sticky error changed from %v to %v", first, d.Err())
+	}
+}
+
+// codecSample is a module-shaped value whose walk uses every Codec field
+// kind, a configuration-fixed count and a variable-size list.
+type codecSample struct {
+	ways  int
+	tick  uint32
+	delta int16
+	on    bool
+	joule float64
+	name  []byte
+	list  []int32
+}
+
+func (m *codecSample) state(c *Codec) error {
+	if err := c.Same(m.ways, "ways"); err != nil {
+		return err
+	}
+	if err := c.SameBool(m.on, "switch"); err != nil {
+		return err
+	}
+	U(c, &m.tick)
+	I(c, &m.delta)
+	c.Bool(&m.on)
+	c.F64(&m.joule)
+	c.Blob(&m.name)
+	Slice(c, &m.list, 4)
+	for i := range m.list {
+		I(c, &m.list[i])
+	}
+	return c.Err()
+}
+
+// TestCodecWalk: one walk writes what the hand-written Enc calls would, and
+// reads it back; Same and SameBool refuse a disagreeing image as a
+// mismatch; Slice refuses a length past its bound before allocating.
+func TestCodecWalk(t *testing.T) {
+	src := codecSample{ways: 4, tick: 1 << 31, delta: -300, on: true, joule: 2.5, name: []byte("icl"), list: []int32{7, -8, 9}}
+	var got, want Enc
+	if err := src.state(Encoding(&got)); err != nil {
+		t.Fatal(err)
+	}
+	want.U64(4)
+	want.Bool(true)
+	want.U64(1 << 31)
+	want.I64(-300)
+	want.Bool(true)
+	want.F64(2.5)
+	want.Blob([]byte("icl"))
+	want.U64(3)
+	want.I64(7)
+	want.I64(-8)
+	want.I64(9)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("walk wrote % x, want % x", got.Bytes(), want.Bytes())
+	}
+
+	dst := codecSample{ways: 4, on: true}
+	d := NewDec(got.Bytes())
+	if err := dst.state(Decoding(d)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if dst.tick != src.tick || dst.delta != src.delta || dst.joule != src.joule ||
+		string(dst.name) != "icl" || !slices.Equal(dst.list, src.list) {
+		t.Fatalf("walk read %+v, want %+v", dst, src)
+	}
+
+	for name, target := range map[string]codecSample{
+		"ways":   {ways: 8, on: true},
+		"switch": {ways: 4},
+	} {
+		if err := target.state(Decoding(NewDec(got.Bytes()))); !errors.Is(err, ErrMismatch) {
+			t.Errorf("%s disagrees: decode returned %v, want ErrMismatch", name, err)
+		}
+	}
+	if err := (&codecSample{ways: 4, on: true}).state(Decoding(NewDec(got.Bytes()[:5]))); !errors.Is(err, ErrTruncated) {
+		t.Errorf("truncated body: decode returned %v, want ErrTruncated", err)
+	}
+
+	long := src
+	long.list = make([]int32, 5)
+	var e Enc
+	if err := long.state(Encoding(&e)); err != nil {
+		t.Fatal(err)
+	}
+	over := codecSample{ways: 4, on: true}
+	if err := over.state(Decoding(NewDec(e.Bytes()))); !errors.Is(err, ErrCorrupt) || len(over.list) != 0 {
+		t.Errorf("list past its bound: decode returned %v with %d elements, want ErrCorrupt and none", err, len(over.list))
 	}
 }
