@@ -3,9 +3,9 @@
 // plus ablation benches for the §IV-C design choices, and holds the
 // microbenchmarks with no end-to-end workload of their own yet: the engine
 // hot loop and the horizon-synchronized dispatcher (on the two synthetic
-// loops defined and tested at the end of this file), the submit paths,
-// snapshot + restore against preconditioning, and the nine-member farm
-// storm. Run with:
+// loops defined and tested at the end of this file), the submit paths, the
+// read-miss path through Run, snapshot + restore against preconditioning,
+// and the nine-member farm storm. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -274,6 +274,41 @@ func BenchmarkSubmitPath(b *testing.B) {
 		if _, err := s.Submit(s.Now(), req, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRunReadMiss is bench/'s randread4k_miss as a microbenchmark: 4 KiB
+// random reads over the whole volume of the Table I geometry with 12 blocks
+// per plane (bench750), preconditioned and warmed, through one closed-loop
+// Run at queue depth 32. Nearly every read misses the ICL, so ns/op is the
+// miss path end to end — FTL lookup, staged flash read, fill, DMA — and
+// allocs/op is Run's per-request cost, which rounds to zero.
+func BenchmarkRunReadMiss(b *testing.B) {
+	d := config.Intel750()
+	d.Geometry.BlocksPerPlane = 12
+	d.TrackData = false
+	s, err := core.NewSystem(config.PCSystem(d))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Precondition(32); err != nil {
+		b.Fatal(err)
+	}
+	gen, err := workload.NewFIO(workload.RandRead, 4096, s.VolumeBytes(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.Run(gen, core.RunConfig{Requests: 20000, IODepth: 32}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	res, err := s.Run(gen, core.RunConfig{Requests: b.N, IODepth: 32})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if res.FailedReads > 0 {
+		b.Fatalf("%d of %d reads failed", res.FailedReads, b.N)
 	}
 }
 

@@ -419,11 +419,10 @@ func TestFillKeepsWriteLandedInFlight(t *testing.T) {
 	}
 }
 
-// TestReadMissAllocs gates the read path on its way to 0 allocs/op: a 4 KiB
-// timing-only read miss allocated 3 objects at PR 12, all of them startFill's
-// per-fill map[int]bool; the in-flight fill set is now a recycled bitmask.
+// TestReadMissAllocs holds the read path at 0 allocs/op: a 4 KiB timing-only
+// read miss through Submit runs on recycled ops, fills, masks and lookup
+// buffers.
 func TestReadMissAllocs(t *testing.T) {
-	const parentAllocs = 3
 	s := dataSystem(t, false, true)
 	gen, err := workload.NewFIO(workload.RandRead, 4096, s.VolumeBytes(), 3)
 	if err != nil {
@@ -445,8 +444,50 @@ func TestReadMissAllocs(t *testing.T) {
 	if hits, misses := st.ReadSubHits-before.ReadSubHits, st.ReadSubMisses-before.ReadSubMisses; misses < 10*hits {
 		t.Fatalf("%d hits, %d misses: the stream is not a miss stream", hits, misses)
 	}
-	if allocs >= parentAllocs {
-		t.Fatalf("a 4 KiB read miss allocates %.2f objects, want fewer than the parent's %d", allocs, parentAllocs)
+	if allocs != 0 {
+		t.Fatalf("a 4 KiB timing-only read miss allocates %.2f objects, want 0", allocs)
 	}
-	t.Logf("4 KiB timing-only read miss: %.2f allocs/op", allocs)
+}
+
+// TestRunClosedLoopAllocs gates Run's own per-request cost on the same
+// stream: the closed loop recycles one carrier per job, so what a run
+// allocates beyond its fixed set-up (engine, carriers, result) must not grow
+// with the request count — the difference between a run of 2N and a run of
+// N leaves room for the latency samples' slice doubling and nothing else.
+func TestRunClosedLoopAllocs(t *testing.T) {
+	const n = 4000
+	// The bench750 shape: a volume wide enough that two of the 32 reads in
+	// flight seldom want one sub-page (a coalesced read parks a closure).
+	d := config.Intel750()
+	d.Geometry.BlocksPerPlane = 12
+	d.TrackData = false
+	s, err := core.NewSystem(config.PCSystem(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Precondition(32); err != nil {
+		t.Fatal(err)
+	}
+	gen, err := workload.NewFIO(workload.RandRead, 4096, s.VolumeBytes(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(requests int) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := s.Run(gen, core.RunConfig{Requests: requests, IODepth: 32})
+		runtime.ReadMemStats(&after)
+		if err != nil || res.Latency.Count() != requests {
+			t.Fatalf("run of %d: %d completions, %v", requests, res.Latency.Count(), err)
+		}
+		return float64(after.Mallocs - before.Mallocs)
+	}
+	run(4 * n) // warm the op, fill, mask, die-batch and domain pools
+	short, long := run(n), run(2*n)
+	perReq := (long - short) / n
+	t.Logf("%.0f allocations for %d requests, %.0f for %d: %.4f per extra request", short, n, long, 2*n, perReq)
+	if perReq >= 0.05 {
+		t.Fatalf("Run allocates %.3f objects per extra request (%.0f for %d, %.0f for %d), want < 0.05",
+			perReq, short, n, long, 2*n)
+	}
 }

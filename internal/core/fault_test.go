@@ -2,13 +2,16 @@ package core_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
 	"amber/internal/config"
 	"amber/internal/core"
+	"amber/internal/ftl"
 	"amber/internal/nand"
+	"amber/internal/sim"
 	"amber/internal/workload"
 )
 
@@ -172,5 +175,95 @@ func TestFaultScheduleGoldenEquivalence(t *testing.T) {
 			}
 			t.Fatalf("workers=%d diverged from serial (length %d vs %d)", workers, len(serial), len(got))
 		}
+	}
+}
+
+// coldLineBehindDirtyCache returns a small system whose every cache frame
+// holds a dirty line while line 12 sits on flash only: the next fill of
+// line 12 evicts a line that needs a write-back.
+func coldLineBehindDirtyCache(t *testing.T) (s *core.System, line12 int64) {
+	t.Helper()
+	s = smallSystem(t, nil)
+	lineBytes := int64(s.Split.LineBytes())
+	write := func(line int64) {
+		t.Helper()
+		if _, err := s.Submit(s.Now(), workload.Request{Write: true, Offset: line * lineBytes, Length: 4096}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(12)
+	for line := int64(0); line < int64(s.ICL.Config().Lines); line++ {
+		write(line)
+	}
+	if s.ICL.Contains(12, 0) || s.ICL.DirtyLines() != s.ICL.Config().Lines {
+		t.Fatalf("set-up: line 12 cached %v, %d dirty lines", s.ICL.Contains(12, 0), s.ICL.DirtyLines())
+	}
+	return s, 12 * lineBytes
+}
+
+// TestFailedFillWakesCoalescedReaders: a read that coalesced onto another
+// read's fill must complete even when that fill's install fails. The device
+// latches read-only after both reads were admitted (an earlier latch would
+// have pinned the dirty frames), so the fill evicts a dirty line whose
+// write-back is refused; the fill's owner reports that, and the waiter —
+// which used to stay parked for ever — retries and reports its own outcome.
+func TestFailedFillWakesCoalescedReaders(t *testing.T) {
+	s, off := coldLineBehindDirtyCache(t)
+	e := sim.NewEngine()
+	flashReads := s.Flash.Stats().Reads
+	var fired [2]int
+	var errs [2]error
+	for k := range fired {
+		e.At(s.Now(), func() {
+			s.SubmitAsync(e, workload.Request{Offset: off, Length: 4096}, nil, func(_ sim.Time, err error) {
+				fired[k]++
+				errs[k] = err
+			})
+		})
+	}
+	e.At(s.Now(), s.FTL.ForceReadOnly)
+	e.Run()
+	if got := s.Flash.Stats().Reads - flashReads; got != 1 {
+		t.Fatalf("%d flash reads for two reads of one sub-page: the second did not coalesce", got)
+	}
+	if !errors.Is(errs[0], ftl.ErrReadOnly) {
+		t.Fatalf("the fill's owner reported %v, want the refused write-back", errs[0])
+	}
+	if fired != [2]int{1, 1} {
+		t.Fatalf("callbacks fired %v times, want once each (waiter's outcome: %v)", fired, errs[1])
+	}
+}
+
+// latchingGen is the same scenario as a Run stream: two reads of the cold
+// line, then a write whose generation latches the device read-only — after
+// the reads were admitted, before their fill lands.
+type latchingGen struct {
+	s    *core.System
+	cold int64
+}
+
+func (g *latchingGen) Name() string { return "latching" }
+
+func (g *latchingGen) Next(i int) workload.Request {
+	if i < 2 {
+		return workload.Request{Offset: g.cold, Length: 4096}
+	}
+	g.s.FTL.ForceReadOnly()
+	return workload.Request{Write: true, Length: 4096}
+}
+
+// TestRunAccountsForEveryRequest: every request Run issues ends as a latency
+// sample or a counted failure. With the coalesced reader left parked, Run
+// used to return two outcomes for three requests and no error; it now
+// refuses to report a run whose completions do not add up.
+func TestRunAccountsForEveryRequest(t *testing.T) {
+	s, off := coldLineBehindDirtyCache(t)
+	res, err := s.Run(&latchingGen{s: s, cold: off}, core.RunConfig{Requests: 3, IODepth: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Latency.Count() != 1 || res.FailedReads != 1 || res.FailedWrites != 1 {
+		t.Fatalf("%d latency samples, %d failed reads, %d failed writes for 3 requests; want one of each",
+			res.Latency.Count(), res.FailedReads, res.FailedWrites)
 	}
 }

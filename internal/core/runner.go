@@ -173,19 +173,16 @@ func (s *System) Run(gen workload.Generator, rc RunConfig) (*RunResult, error) {
 	ftlStats0 := s.FTL.Stats()
 	res.End = res.Start
 
-	var cpuCounter stats.Counter
-	nextSample := res.Start
-	if rc.SampleEvery > 0 {
-		cpuCounter.Delta(res.Start+1, s.Host.CPU.BusyTime().Seconds())
-		nextSample = res.Start + rc.SampleEvery
-	}
-
 	// Event-driven closed loop: each of the `depth` jobs keeps one request
 	// in flight, issuing its next the moment the previous completes. The
 	// shared engine makes concurrent requests claim resources in global
 	// time order.
 	e := sim.NewEngine()
-	doms := s.domainsFor(e)
+	l := &runLoop{s: s, e: e, host: s.domainsFor(e).host, gen: gen, rc: rc, res: res, nextSample: res.Start}
+	if rc.SampleEvery > 0 {
+		l.cpuCounter.Delta(res.Start+1, s.Host.CPU.BusyTime().Seconds())
+		l.nextSample = res.Start + rc.SampleEvery
+	}
 	// The power cut rides a plain cross-domain event (its own shard, never
 	// marked local or neutral), so horizon batching treats it as a barrier:
 	// the set of events dispatched before it is identical at any worker
@@ -195,72 +192,10 @@ func (s *System) Run(gen workload.Generator, rc RunConfig) (*RunResult, error) {
 		pwr := e.Domain("pwr")
 		e.AtIn(pwr, rc.PowerLossAt, func() { e.Halt() })
 	}
-	issued := 0
-	completed := 0
-	stopped := false
-	var runErr error
-	var issueNext func()
-	issueNext = func() {
-		if runErr != nil || stopped || issued >= rc.Requests {
-			return
-		}
-		i := issued
-		issued++
-		req := gen.Next(i)
-		var data []byte
-		if rc.WithData {
-			data = make([]byte, req.Length)
-			if req.Write {
-				for k := range data {
-					data[k] = byte(int(req.Offset) + k + i)
-				}
-			}
-		}
-		issue := e.Now()
-		s.SubmitAsync(e, req, data, func(done sim.Time, err error) {
-			completed++
-			if err != nil {
-				// Degradation errors are per-request outcomes, not run
-				// failures: a read-only device refuses writes and an
-				// uncorrectable page fails its read, but the host keeps
-				// issuing. Anything else is a simulator fault and aborts.
-				if errors.Is(err, ftl.ErrReadOnly) || errors.Is(err, nand.ErrUncorrectable) {
-					if req.Write {
-						res.FailedWrites++
-					} else {
-						res.FailedReads++
-					}
-					if rc.StopOnReadOnly && errors.Is(err, ftl.ErrReadOnly) {
-						stopped = true
-						return
-					}
-					e.AtIn(doms.host, e.Now(), issueNext)
-					return
-				}
-				if runErr == nil {
-					runErr = fmt.Errorf("core: request %d (%+v): %w", i, req, err)
-				}
-				return
-			}
-			res.Latency.Add(done - issue)
-			if done > res.End {
-				res.End = done
-			}
-			if rc.SampleEvery > 0 {
-				for done >= nextSample {
-					// Host CPU utilization over the window: busy-seconds
-					// rate divided by core count.
-					rate := cpuCounter.Delta(nextSample, s.Host.CPU.BusyTime().Seconds())
-					res.HostCPUUtil.Add(nextSample, rate/float64(s.cfg.Host.CPUs))
-					res.HostMemMB.Add(nextSample, float64(s.Host.MemUsed())/1e6)
-					nextSample += rc.SampleEvery
-				}
-			}
-			e.AtIn(doms.host, sim.MaxOf(done, e.Now()), issueNext)
-		})
-	}
 	for i := 0; i < depth; i++ {
-		e.AtIn(doms.host, res.Start, issueNext)
+		j := &runJob{l: l}
+		j.issueFn, j.doneFn = j.issue, j.done
+		e.AtIn(l.host, res.Start, j.issueFn)
 	}
 	if rc.ScrubEvery > 0 {
 		// The patrol tick self-reschedules only while the workload still
@@ -271,11 +206,11 @@ func (s *System) Run(gen workload.Generator, rc RunConfig) (*RunResult, error) {
 		scrubDom := e.Domain("scrub")
 		var tick func()
 		tick = func() {
-			if runErr != nil {
+			if l.err != nil {
 				return
 			}
 			s.scrubTick(e, e.Now())
-			if issued < rc.Requests && !stopped || completed < issued {
+			if l.issued < rc.Requests && !l.stopped || l.completed < l.issued {
 				e.AtIn(scrubDom, e.Now()+rc.ScrubEvery, tick)
 			}
 		}
@@ -296,12 +231,17 @@ func (s *System) Run(gen workload.Generator, rc RunConfig) (*RunResult, error) {
 	res.ScrubRuns = ftlStats.ScrubRuns - ftlStats0.ScrubRuns
 	res.ScrubMigrated = ftlStats.ScrubMigrated - ftlStats0.ScrubMigrated
 	res.ParityWrites = ftlStats.ParityWrites - ftlStats0.ParityWrites
-	if stopped {
+	if l.stopped {
 		res.StoppedEarly = true
-		res.Requests = issued
+		res.Requests = l.issued
 	}
-	if runErr != nil {
-		return nil, runErr
+	if l.err != nil {
+		return nil, l.err
+	}
+	if l.completed != l.issued && !e.Halted() && !l.stopped {
+		// Every issued request owes one completion; one that never came is a
+		// callback lost inside the simulator, not a result to report short.
+		return nil, fmt.Errorf("core: run drained with %d of %d issued requests completed", l.completed, l.issued)
 	}
 	if res.End > s.now {
 		s.now = res.End
@@ -323,6 +263,101 @@ func (s *System) Run(gen workload.Generator, rc RunConfig) (*RunResult, error) {
 	res.BytesRead = int64(s.bytesRead - bytesRead0)
 	res.BytesWritten = int64(s.bytesWritten - bytesWritten0)
 	return res, nil
+}
+
+// runLoop is the state Run's jobs share: the budget, the counts and what a
+// completion records.
+type runLoop struct {
+	s    *System
+	e    *sim.Engine
+	host sim.DomainID
+	gen  workload.Generator
+	rc   RunConfig
+	res  *RunResult
+
+	issued, completed int
+	stopped           bool
+	err               error
+
+	cpuCounter stats.Counter
+	nextSample sim.Time
+}
+
+// runJob is one slot of the closed loop. It carries its request in flight
+// and is reused for the next, with both callbacks bound once, so a request
+// costs no closure.
+type runJob struct {
+	l       *runLoop
+	i       int
+	req     workload.Request
+	issued  sim.Time
+	issueFn func()
+	doneFn  func(sim.Time, error)
+}
+
+func (j *runJob) issue() {
+	l := j.l
+	if l.err != nil || l.stopped || l.issued >= l.rc.Requests {
+		return
+	}
+	j.i = l.issued
+	l.issued++
+	j.req = l.gen.Next(j.i)
+	var data []byte
+	if l.rc.WithData {
+		data = make([]byte, j.req.Length)
+		if j.req.Write {
+			for k := range data {
+				data[k] = byte(int(j.req.Offset) + k + j.i)
+			}
+		}
+	}
+	j.issued = l.e.Now()
+	l.s.SubmitAsync(l.e, j.req, data, j.doneFn)
+}
+
+func (j *runJob) done(done sim.Time, err error) {
+	l := j.l
+	res, e := l.res, l.e
+	l.completed++
+	if err != nil {
+		// Degradation errors are per-request outcomes, not run
+		// failures: a read-only device refuses writes and an
+		// uncorrectable page fails its read, but the host keeps
+		// issuing. Anything else is a simulator fault and aborts.
+		if errors.Is(err, ftl.ErrReadOnly) || errors.Is(err, nand.ErrUncorrectable) {
+			if j.req.Write {
+				res.FailedWrites++
+			} else {
+				res.FailedReads++
+			}
+			if l.rc.StopOnReadOnly && errors.Is(err, ftl.ErrReadOnly) {
+				l.stopped = true
+				return
+			}
+			e.AtIn(l.host, e.Now(), j.issueFn)
+			return
+		}
+		if l.err == nil {
+			l.err = fmt.Errorf("core: request %d (%+v): %w", j.i, j.req, err)
+		}
+		return
+	}
+	res.Latency.Add(done - j.issued)
+	if done > res.End {
+		res.End = done
+	}
+	if l.rc.SampleEvery > 0 {
+		for done >= l.nextSample {
+			// Host CPU utilization over the window: busy-seconds
+			// rate divided by core count.
+			rate := l.cpuCounter.Delta(l.nextSample, l.s.Host.CPU.BusyTime().Seconds())
+			res.HostCPUUtil.Add(l.nextSample, rate/float64(l.s.cfg.Host.CPUs))
+			res.HostMemMB.Add(l.nextSample, float64(l.s.Host.MemUsed())/1e6)
+			l.nextSample += l.rc.SampleEvery
+		}
+	}
+	e.AtIn(l.host, sim.MaxOf(done, e.Now()), j.issueFn)
 }
 
 // Drain advances the system clock past all outstanding backend work

@@ -744,9 +744,8 @@ type fillOp struct {
 	s        *System
 	e        *sim.Engine
 	lspn     int64
-	subs     []int         // owned copy (the caller's slice may be scratch)
-	locs     []ftl.PageLoc // lookup buffer, reused
-	fetch    []ftl.PageLoc // mapped subset to read, reused
+	subs     []int         // owned copy (the caller's slice may be scratch), ascending
+	fetch    []ftl.PageLoc // where the mapped ones of subs live, in that order; reused
 	lineBuf  []byte        // line-layout staging buffer; a prefetch owns (and releases) its own
 	dsts     [][]byte      // per-fetch destination slices into lineBuf, reused
 	prefetch bool
@@ -816,20 +815,10 @@ func (s *System) startFill(e *sim.Engine, t sim.Time, lspn int64, subs []int, li
 	// the fill still serves the originally acknowledged bytes — the loss
 	// became a latency event. Bounded like plan-fault recovery.
 	for attempt := 0; ; attempt++ {
-		locs, cert, err := s.FTL.LookupCertified(fo.locs[:0], lspn)
+		fetch, cert, err := s.FTL.LookupSubs(fo.fetch[:0], lspn, fo.subs)
 		if err != nil {
 			fo.finish(0, err)
 			return
-		}
-		fo.locs = locs[:0]
-		fetch := fo.fetch[:0]
-		for _, loc := range locs {
-			for _, sub := range fo.subs {
-				if loc.Sub == sub {
-					fetch = append(fetch, loc)
-					break
-				}
-			}
 		}
 		fo.fetch = fetch[:0]
 		nFetch = len(fetch)
@@ -928,27 +917,29 @@ func (fo *fillOp) done() {
 		s.link.Claim(e.Now(), sim.TransferTime(int64(fo.nFetch*s.ICL.Config().SubSize), s.params.LinkBytesPerSec))
 	}
 	ev, err := s.ICL.Fill(fo.lspn, fo.subs, fo.lineBuf, fo.prefetch)
-	if err != nil {
-		fo.finish(0, err)
-		return
-	}
 	now := e.Now()
-	ready := s.cacheMemAccess(now, fo.lspn, len(fo.subs)*s.ICL.Config().SubSize, true)
-	if ev != nil && ev.IsDirty() {
-		flushDone, err := s.flushEviction(e, now, ev)
-		if err != nil {
-			fo.finish(0, err)
-			return
-		}
-		if flushDone > ready {
-			ready = flushDone
+	ready := now
+	if err == nil {
+		ready = s.cacheMemAccess(now, fo.lspn, len(fo.subs)*s.ICL.Config().SubSize, true)
+		if ev != nil && ev.IsDirty() {
+			var flushDone sim.Time
+			if flushDone, err = s.flushEviction(e, now, ev); flushDone > ready {
+				ready = flushDone
+			}
 		}
 	}
+	// Coalesced readers wake whether or not the install succeeded: this fill
+	// is no longer in s.filling, so a waiter left parked would never run. On
+	// failure each retries with a fill of its own and reports its own outcome.
 	if ws := s.waiters[fo.lspn]; len(ws) > 0 {
 		delete(s.waiters, fo.lspn)
 		for _, w := range ws {
 			w()
 		}
+	}
+	if err != nil {
+		fo.finish(0, err)
+		return
 	}
 	fo.finish(sim.MaxOf(fo.floor, ready), nil)
 }
@@ -956,8 +947,9 @@ func (fo *fillOp) done() {
 // zeroUnmapped clears the staging bytes of every sub of the fill that
 // flash does not deliver (fo.fetch[:fo.nFetch] is what it does): an
 // unmapped sub reads as zeroes, and a recycled buffer holds whatever its
-// last user left there. Both lists ascend by sub — the cache probes and the
-// FTL looks up in sub order — so one merge pass tells them apart.
+// last user left there. Both lists ascend by sub — the cache probes in sub
+// order and the FTL answers in the order asked — so one merge pass tells
+// them apart.
 func (fo *fillOp) zeroUnmapped() {
 	subSize := fo.s.ICL.Config().SubSize
 	fetch := fo.fetch[:fo.nFetch]

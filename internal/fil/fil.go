@@ -967,7 +967,7 @@ func (f *FIL) ReadSubs(now sim.Time, locs []ftl.PageLoc, dsts [][]byte) (sim.Tim
 // schedules, so an error leaves no completion events queued and no dst
 // written.
 //
-// cert is the read certificate stamped on locs by ftl.LookupCertified;
+// cert is the read certificate stamped on locs by ftl.LookupSubs;
 // while it is honored (readCertOK: chain armed, epochs matched, read-fault
 // draws off), the per-address validation walk is skipped entirely —
 // mapped ⇒ written holds by construction, so the walk could not have

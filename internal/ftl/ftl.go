@@ -359,7 +359,7 @@ type FTL struct {
 	planSeq uint64
 
 	// epochSource, when set (core wires it to nand.Flash.StateEpoch), lets
-	// LookupCertified stamp its results with the flash mutation epoch the
+	// LookupSubs stamp its results with the flash mutation epoch the
 	// mapping was read under — the freshness half of a read certificate.
 	epochSource func() uint64
 
@@ -375,6 +375,8 @@ type FTL struct {
 	// happened to move a sub of that very super-page earlier in the plan.
 	linkLSPN int64
 	lastRead []int32
+
+	allSubs []int // 0..subCount-1: LookupCertified's request, read-only
 }
 
 // New constructs an FTL over the given geometry.
@@ -392,6 +394,10 @@ func New(cfg Config) (*FTL, error) {
 		linkLSPN:   -1,
 	}
 	f.lastRead = make([]int32, f.subCount)
+	f.allSubs = make([]int, f.subCount)
+	for i := range f.allSubs {
+		f.allSubs[i] = i
+	}
 	f.dataPlanes = f.subCount
 	if cfg.RAINWidth > 0 {
 		f.rainW = cfg.RAINWidth
@@ -571,20 +577,33 @@ func (f *FTL) Lookup(lspn int64) ([]PageLoc, error) {
 	return locs, err
 }
 
-// LookupCertified is Lookup appending into dst (pass dst[:0] to recycle a
-// per-request buffer's capacity) and stamping the result with a read
-// certificate: every returned location is mapped, and while the issuing
-// FTL's certified chain is armed, mapped ⇒ written — so an executor
+// LookupCertified is LookupSubs over every sub-page of lspn, in sub order.
+func (f *FTL) LookupCertified(dst []PageLoc, lspn int64) ([]PageLoc, ReadCert, error) {
+	return f.LookupSubs(dst, lspn, f.allSubs)
+}
+
+// LookupSubs is the certified lookup, and costs what it is asked for: it
+// reads the forward-map entries of the named subs of lspn only and appends
+// the locations of the mapped ones to dst (pass dst[:0] to recycle a
+// per-request buffer's capacity) in the order subs names them — callers
+// that issue flash reads from the result pass ascending subs, the order
+// every claim sequence so far was recorded in. An LSPN or sub out of range
+// is an error and dst comes back as it was. The result is stamped with a
+// read certificate: every returned location is mapped, and while the
+// issuing FTL's certified chain is armed, mapped ⇒ written — so an executor
 // honoring the certificate may skip per-address read validation. The
 // certificate is zero (uncertified) when no epoch source is wired.
-func (f *FTL) LookupCertified(dst []PageLoc, lspn int64) ([]PageLoc, ReadCert, error) {
+func (f *FTL) LookupSubs(dst []PageLoc, lspn int64, subs []int) ([]PageLoc, ReadCert, error) {
 	if err := f.checkLSPN(lspn); err != nil {
-		return nil, ReadCert{}, err
+		return dst, ReadCert{}, err
 	}
+	row := f.fwd[f.fwdIndex(lspn, 0):f.fwdIndex(lspn+1, 0)]
 	locs := dst
-	for sub := 0; sub < f.subCount; sub++ {
-		packed := f.fwd[f.fwdIndex(lspn, sub)]
-		if packed >= 0 {
+	for _, sub := range subs {
+		if sub < 0 || sub >= len(row) {
+			return dst, ReadCert{}, fmt.Errorf("ftl: sub-page %d outside super-page of %d", sub, len(row))
+		}
+		if packed := row[sub]; packed >= 0 {
 			locs = append(locs, f.unpackLoc(packed, sub))
 		}
 	}
@@ -608,7 +627,7 @@ func (f *FTL) LookupSub(lspn int64, sub int) (PageLoc, bool) {
 	return f.unpackLoc(packed, sub), true
 }
 
-// SetEpochSource wires the flash mutation-epoch source LookupCertified
+// SetEpochSource wires the flash mutation-epoch source LookupSubs
 // stamps into read certificates (the core passes nand.Flash.StateEpoch).
 // Without a source, lookups return uncertified results and readers walk
 // validation as before.

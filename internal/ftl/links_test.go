@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"slices"
 	"testing"
 
 	"amber/internal/nand"
@@ -138,25 +139,28 @@ func linkStream(t *testing.T, cfg Config, full bool, n int, visit func(now sim.T
 	return f, now
 }
 
+// linkModes are the stream shapes the mapping tests run over: every plan
+// builder and both partial-write policies, with and without RAIN.
+var linkModes = []struct {
+	name   string
+	full   bool
+	mutate func(*Config)
+	// The tally fields TestPlanLinksMatchReference must see non-zero.
+	hostLinked, rereads, parityInside bool
+}{
+	{name: "full-line", full: true},
+	{name: "partial-update", hostLinked: true},
+	{name: "rmw", mutate: func(c *Config) { c.PartialUpdate = false }, hostLinked: true, rereads: true},
+	{name: "wear-level", mutate: func(c *Config) { c.WearLevelDelta = 2 }, hostLinked: true},
+	{name: "rain-partial", mutate: func(c *Config) { c.RAINWidth = 3 }, parityInside: true},
+	{name: "rain-rmw", mutate: func(c *Config) { c.RAINWidth = 3; c.PartialUpdate = false }, hostLinked: true, parityInside: true},
+}
+
 // TestPlanLinksMatchReference is the proof that executors may drop their
 // own (LSPN, Sub) → pre-read index: every plan the FTL certifies, from
 // every builder, carries exactly the links the reference pass derives.
 func TestPlanLinksMatchReference(t *testing.T) {
-	modes := []struct {
-		name   string
-		full   bool
-		mutate func(*Config)
-		// The tally fields that must come out non-zero in this mode.
-		hostLinked, rereads, parityInside bool
-	}{
-		{name: "full-line", full: true},
-		{name: "partial-update", hostLinked: true},
-		{name: "rmw", mutate: func(c *Config) { c.PartialUpdate = false }, hostLinked: true, rereads: true},
-		{name: "wear-level", mutate: func(c *Config) { c.WearLevelDelta = 2 }, hostLinked: true},
-		{name: "rain-partial", mutate: func(c *Config) { c.RAINWidth = 3 }, parityInside: true},
-		{name: "rain-rmw", mutate: func(c *Config) { c.RAINWidth = 3; c.PartialUpdate = false }, hostLinked: true, parityInside: true},
-	}
-	for _, m := range modes {
+	for _, m := range linkModes {
 		t.Run(m.name, func(t *testing.T) {
 			var tally linkTally
 			cfg := linkConfig(m.mutate)
@@ -307,6 +311,124 @@ func TestPlanLinksMatchReference(t *testing.T) {
 			}
 			if recovered == 0 || tally.linked == 0 {
 				t.Fatalf("%d recovery plans, %d linked writes: vacuous", recovered, tally.linked)
+			}
+		})
+	}
+}
+
+// TestLookupSubsMatchesFullLookup holds the sub-indexed lookup to the two
+// things it replaces: for any request it returns what the all-subs lookup
+// returns, filtered to the request and in the request's order, under an
+// equal certificate — and each location is the one the single-sub LookupSub
+// (its own code) reports, unmapped subs left out. The map it reads was built
+// by every plan builder, then holed by Trim and partly rewritten.
+func TestLookupSubsMatchesFullLookup(t *testing.T) {
+	for _, m := range linkModes {
+		t.Run(m.name, func(t *testing.T) {
+			f, now := linkStream(t, linkConfig(m.mutate), m.full, 600, nil)
+			rng := sim.NewRNG(17)
+			user, subCount := f.UserSuperPages(), f.SubPagesPerSuperPage()
+			for lspn := int64(0); lspn < user; lspn += 5 {
+				if err := f.Trim(lspn); err != nil {
+					t.Fatal(err)
+				}
+				if lspn%2 == 0 {
+					continue // stays wholly unmapped
+				}
+				dirty := make([]bool, subCount)
+				for s := range dirty {
+					dirty[s] = rng.Uint64n(2) == 0
+				}
+				dirty[0], dirty[subCount-1] = true, false
+				now += sim.Microsecond
+				if _, err := f.Write(now, lspn, dirty); err != nil {
+					t.Fatal(err)
+				}
+			}
+			epoch := uint64(40)
+			f.SetEpochSource(func() uint64 { return epoch })
+
+			var dst, full []PageLoc
+			subs := make([]int, 0, subCount)
+			unmapped, reversed := 0, 0
+			for i := 0; i < 4000; i++ {
+				lspn := int64(rng.Uint64n(uint64(user)))
+				subs = subs[:0]
+				switch kind := rng.Uint64n(8); kind {
+				case 0: // empty
+				case 1:
+					subs = append(subs, int(rng.Uint64n(uint64(subCount))))
+				default:
+					for s := 0; s < subCount; s++ {
+						if kind == 2 || rng.Uint64n(2) == 0 {
+							subs = append(subs, s)
+						}
+					}
+					if kind == 3 { // "in the order given" is not "ascending"
+						slices.Reverse(subs)
+						reversed++
+					}
+				}
+				epoch += rng.Uint64n(2)
+
+				var want []PageLoc
+				for _, sub := range subs {
+					if loc, ok := f.LookupSub(lspn, sub); ok {
+						want = append(want, loc)
+					} else {
+						unmapped++
+					}
+				}
+				var fullCert ReadCert
+				var err error
+				if full, fullCert, err = f.LookupCertified(full[:0], lspn); err != nil {
+					t.Fatal(err)
+				}
+				var filtered []PageLoc
+				for _, sub := range subs {
+					for _, loc := range full {
+						if loc.Sub == sub {
+							filtered = append(filtered, loc)
+						}
+					}
+				}
+				var cert ReadCert
+				if dst, cert, err = f.LookupSubs(dst[:0], lspn, subs); err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(dst, want) || !slices.Equal(dst, filtered) {
+					t.Fatalf("LSPN %d subs %v: got %v, LookupSub says %v, the full lookup filtered %v", lspn, subs, dst, want, filtered)
+				}
+				if cert != fullCert || !cert.By(f) || cert.Epoch() != epoch {
+					t.Fatalf("LSPN %d: certificate %+v, the full lookup's %+v, epoch %d", lspn, cert, fullCert, epoch)
+				}
+			}
+			if unmapped == 0 || reversed == 0 {
+				t.Fatalf("%d unmapped subs asked for, %d reversed requests: vacuous", unmapped, reversed)
+			}
+
+			// Out of range: an error, no certificate, nothing appended.
+			kept := append(dst[:0], PageLoc{SB: 1, Page: 2, Plane: 3, Sub: 4})
+			for _, bad := range []struct {
+				lspn int64
+				subs []int
+			}{
+				{-1, []int{0}}, {user, []int{0}}, {0, []int{0, subCount}}, {0, []int{1, -1}}, {1, []int{0, 1, subCount + 7}},
+			} {
+				got, cert, err := f.LookupSubs(kept, bad.lspn, bad.subs)
+				if err == nil || cert.Certified() || len(got) != 1 || got[0] != kept[0] {
+					t.Fatalf("LookupSubs(LSPN %d, subs %v) = %v, certified %v, err %v", bad.lspn, bad.subs, got, cert.Certified(), err)
+				}
+			}
+
+			all := make([]int, subCount)
+			for s := range all {
+				all[s] = s
+			}
+			if allocs := testing.AllocsPerRun(200, func() {
+				dst, _, _ = f.LookupSubs(dst[:0], 1, all)
+			}); allocs != 0 {
+				t.Fatalf("LookupSubs into a recycled buffer allocates %.1f objects", allocs)
 			}
 		})
 	}

@@ -154,17 +154,14 @@ type Eviction struct {
 	// Data is the line-layout contents when TrackData, else nil: the
 	// line's valid subs hold their bytes, every other sub is zero.
 	Data []byte
+
+	// nDirty is the number of set bits in Dirty. Only the cache makes
+	// evictions, and it counts as it sets the bits.
+	nDirty int
 }
 
 // IsDirty reports whether any sub-page needs a flash write.
-func (e Eviction) IsDirty() bool {
-	for _, d := range e.Dirty {
-		if d {
-			return true
-		}
-	}
-	return false
-}
+func (e Eviction) IsDirty() bool { return e.nDirty > 0 }
 
 // Stats aggregates cache activity.
 type Stats struct {
@@ -193,6 +190,8 @@ type line struct {
 	lspn       int64 // -1 = empty
 	valid      []bool
 	dirty      []bool
+	nValid     int // set bits of valid and of dirty: kept by every function
+	nDirty     int // that writes a mask, rebuilt from the masks on decode
 	data       []byte
 	prefetched bool
 	lastUse    uint64
@@ -247,10 +246,12 @@ type Cache struct {
 	// scratchEv is the reusable eviction record returned by Fill/Write:
 	// the submit path consumes it synchronously, so one preallocated
 	// buffer per cache avoids a Dirty-mask (and Data) copy per eviction.
-	// scratchValid is the evicted line's valid mask, kept so retiring the
-	// record clears exactly the subs its Data holds (retireScratch).
-	scratchEv    Eviction
-	scratchValid []bool
+	// scratchValid is the evicted line's valid mask (scratchNValid bits
+	// set), kept so retiring the record clears exactly the subs its Data
+	// holds (retireScratch).
+	scratchEv     Eviction
+	scratchValid  []bool
+	scratchNValid int
 
 	// scratchHits/scratchMisses/scratchRA back ReadResult slices, reused
 	// across Read calls for the same reason.
@@ -333,7 +334,7 @@ func (c *Cache) victim(lspn int64) *line {
 	if c.preferClean {
 		clean := c.scratchClean[:0]
 		for _, ln := range frames {
-			if !lineDirty(ln) {
+			if ln.nDirty == 0 {
 				clean = append(clean, ln)
 			}
 		}
@@ -408,7 +409,9 @@ func (c *Cache) evictInto(ln *line, lspn int64) *Eviction {
 		c.retireScratch()
 		c.scratchEv.LSPN = ln.lspn
 		c.scratchEv.Dirty, ln.dirty = ln.dirty, c.scratchEv.Dirty
+		c.scratchEv.nDirty, ln.nDirty = ln.nDirty, 0
 		c.scratchValid, ln.valid = ln.valid, c.scratchValid
+		c.scratchNValid, ln.nValid = ln.nValid, 0
 		if c.cfg.TrackData {
 			c.scratchEv.Data, ln.data = ln.data, c.scratchEv.Data
 		}
@@ -448,32 +451,37 @@ func (c *Cache) retireScratch() {
 		}
 		return
 	}
-	clearSubs(c.scratchValid, c.scratchEv.Dirty, c.scratchEv.Data, c.cfg.SubSize)
+	clearSubs(c.scratchValid, c.scratchEv.Dirty, &c.scratchNValid, &c.scratchEv.nDirty, c.scratchEv.Data, c.cfg.SubSize)
 }
 
-// clearSubs resets a frame's buffers in O(valid subs): every valid sub's
-// bytes are zeroed (data may be nil) and both masks cleared.
-func clearSubs(valid, dirty []bool, data []byte, subSize int) {
-	for s, v := range valid {
-		dirty[s] = false
-		if !v {
-			continue
+// clearSubs resets a frame's buffers: every valid sub's bytes are zeroed
+// (data may be nil), both masks cleared and their counts of set bits,
+// *nValid and *nDirty, zeroed. The walk ends at the last set bit, so a line
+// that held two subs costs two, wherever a full line would cost SubsPerLine.
+func clearSubs(valid, dirty []bool, nValid, nDirty *int, data []byte, subSize int) {
+	v, d := *nValid, *nDirty
+	for s := 0; v > 0 || d > 0; s++ {
+		if dirty[s] {
+			dirty[s] = false
+			d--
 		}
-		valid[s] = false
-		if data != nil {
-			clear(data[s*subSize : (s+1)*subSize])
+		if valid[s] {
+			valid[s] = false
+			v--
+			if data != nil {
+				clear(data[s*subSize : (s+1)*subSize])
+			}
 		}
 	}
+	*nValid, *nDirty = 0, 0
 }
 
-// lineDirty reports whether any sub of the frame is dirty.
-func lineDirty(ln *line) bool {
-	for _, d := range ln.dirty {
-		if d {
-			return true
-		}
+// setValid marks sub s of the frame's line valid.
+func (ln *line) setValid(s int) {
+	if !ln.valid[s] {
+		ln.valid[s] = true
+		ln.nValid++
 	}
-	return false
 }
 
 func (c *Cache) touch(ln *line) {
@@ -589,7 +597,7 @@ func (c *Cache) Fill(lspn int64, subs []int, data []byte, prefetched bool) (*Evi
 	var ev *Eviction
 	if ln == nil {
 		ln = c.victim(lspn)
-		if c.preferClean && ln.lspn >= 0 && lineDirty(ln) {
+		if c.preferClean && ln.lspn >= 0 && ln.nDirty > 0 {
 			// Degraded read-around: every candidate frame holds dirty
 			// data that can never flush on a read-only device. The
 			// caller's buffer already has the fetched bytes; serve them
@@ -600,7 +608,7 @@ func (c *Cache) Fill(lspn int64, subs []int, data []byte, prefetched bool) (*Evi
 	}
 	ln.prefetched = ln.prefetched || prefetched
 	for _, s := range subs {
-		ln.valid[s] = true
+		ln.setValid(s)
 		// A dirty sub was written while the fetch was in flight: the frame
 		// holds the newer bytes and the fetched copy is the stale one.
 		if c.cfg.TrackData && data != nil && !ln.dirty[s] {
@@ -637,8 +645,11 @@ func (c *Cache) WriteAt(lspn int64, firstSub, nSubs int, src []byte, off int) (*
 		c.stats.WriteSubHits += uint64(nSubs)
 	}
 	for s := firstSub; s < firstSub+nSubs; s++ {
-		ln.valid[s] = true
-		ln.dirty[s] = true
+		ln.setValid(s)
+		if !ln.dirty[s] {
+			ln.dirty[s] = true
+			ln.nDirty++
+		}
 	}
 	if c.cfg.TrackData && src != nil {
 		lo, hi := firstSub*c.cfg.SubSize, (firstSub+nSubs)*c.cfg.SubSize
@@ -668,15 +679,21 @@ func (c *Cache) FlushLine(lspn int64) *Eviction {
 	if ln == nil {
 		return nil
 	}
-	e := Eviction{LSPN: ln.lspn, Dirty: append([]bool(nil), ln.dirty...)}
+	e := c.flushCopy(ln)
+	return &e
+}
+
+// flushCopy cleans the frame's line and returns its eviction record, a copy
+// the caller may keep.
+func (c *Cache) flushCopy(ln *line) Eviction {
+	e := Eviction{LSPN: ln.lspn, Dirty: append([]bool(nil), ln.dirty...), nDirty: ln.nDirty}
 	if c.cfg.TrackData {
 		e.Data = append([]byte(nil), ln.data...)
 	}
-	for i := range ln.dirty {
-		ln.dirty[i] = false
-	}
+	clear(ln.dirty)
+	ln.nDirty = 0
 	c.stats.Flushes++
-	return &e
+	return e
 }
 
 // FlushAll returns eviction records for every dirty line (host FLUSH /
@@ -685,28 +702,9 @@ func (c *Cache) FlushAll() []Eviction {
 	var out []Eviction
 	for i := range c.sets {
 		for _, ln := range c.sets[i].frames {
-			if ln.lspn < 0 {
-				continue
+			if ln.lspn >= 0 && ln.nDirty > 0 {
+				out = append(out, c.flushCopy(ln))
 			}
-			dirty := false
-			for _, d := range ln.dirty {
-				if d {
-					dirty = true
-					break
-				}
-			}
-			if !dirty {
-				continue
-			}
-			e := Eviction{LSPN: ln.lspn, Dirty: append([]bool(nil), ln.dirty...)}
-			if c.cfg.TrackData {
-				e.Data = append([]byte(nil), ln.data...)
-			}
-			for i := range ln.dirty {
-				ln.dirty[i] = false
-			}
-			c.stats.Flushes++
-			out = append(out, e)
 		}
 	}
 	return out
@@ -723,14 +721,8 @@ func (c *Cache) DirtyLines() int {
 	n := 0
 	for i := range c.sets {
 		for _, ln := range c.sets[i].frames {
-			if ln.lspn < 0 {
-				continue
-			}
-			for _, d := range ln.dirty {
-				if d {
-					n++
-					break
-				}
+			if ln.lspn >= 0 && ln.nDirty > 0 {
+				n++
 			}
 		}
 	}

@@ -123,7 +123,7 @@ func (r *refCache) victim(lspn int64) *refLine {
 func (r *refCache) evictInto(ln *refLine, lspn int64) *Eviction {
 	var ev *Eviction
 	if ln.lspn >= 0 {
-		ev = &Eviction{LSPN: ln.lspn, Dirty: append([]bool(nil), ln.dirty...)}
+		ev = &Eviction{LSPN: ln.lspn, Dirty: append([]bool(nil), ln.dirty...), nDirty: scanSet(ln.dirty)}
 		if r.cfg.TrackData {
 			ev.Data = append([]byte(nil), ln.data...)
 		}
@@ -251,7 +251,7 @@ func (r *refCache) flushLine(lspn int64) *Eviction {
 	if ln == nil {
 		return nil
 	}
-	ev := &Eviction{LSPN: lspn, Dirty: append([]bool(nil), ln.dirty...)}
+	ev := &Eviction{LSPN: lspn, Dirty: append([]bool(nil), ln.dirty...), nDirty: scanSet(ln.dirty)}
 	if r.cfg.TrackData {
 		ev.Data = append([]byte(nil), ln.data...)
 	}
@@ -357,9 +357,41 @@ func sameEviction(got, want *Eviction) error {
 	if got == nil {
 		return nil
 	}
+	if got.IsDirty() != (scanSet(got.Dirty) > 0) {
+		return fmt.Errorf("evicted line %d: IsDirty %v over mask %v", got.LSPN, got.IsDirty(), got.Dirty)
+	}
 	if got.LSPN != want.LSPN || !slices.Equal(got.Dirty, want.Dirty) || !bytes.Equal(got.Data, want.Data) {
 		return fmt.Errorf("evicted line %d dirty %v, reference line %d dirty %v (data equal: %v)",
 			got.LSPN, got.Dirty, want.LSPN, want.Dirty, bytes.Equal(got.Data, want.Data))
+	}
+	return nil
+}
+
+// scanSet counts a mask's set bits the slow way.
+func scanSet(mask []bool) int {
+	n := 0
+	for _, b := range mask {
+		if b {
+			n++
+		}
+	}
+	return n
+}
+
+// checkCounts holds every count the cache keeps beside a mask — each
+// frame's, and the eviction scratch's — to a scan of that mask.
+func checkCounts(c *Cache) error {
+	for si := range c.sets {
+		for w, ln := range c.sets[si].frames {
+			if v, d := scanSet(ln.valid), scanSet(ln.dirty); ln.nValid != v || ln.nDirty != d {
+				return fmt.Errorf("set %d way %d (line %d): counts %d valid / %d dirty, masks hold %d / %d",
+					si, w, ln.lspn, ln.nValid, ln.nDirty, v, d)
+			}
+		}
+	}
+	if v, d := scanSet(c.scratchValid), scanSet(c.scratchEv.Dirty); c.scratchNValid != v || c.scratchEv.nDirty != d {
+		return fmt.Errorf("eviction scratch: counts %d valid / %d dirty, masks hold %d / %d",
+			c.scratchNValid, c.scratchEv.nDirty, v, d)
 	}
 	return nil
 }
@@ -370,7 +402,8 @@ func sameEviction(got, want *Eviction) error {
 // cache — through the indexed Cache and the scanning reference, for every
 // organisation and replacement policy. Probe results, evictions, Stats and
 // the EncodeState image must agree after every call: the index and the
-// victim order never choose a different frame than the scans.
+// victim order never choose a different frame than the scans. So must every
+// valid/dirty count with a scan of its mask, and IsDirty with the record's.
 func TestCacheMatchesScanningReference(t *testing.T) {
 	const ops = 4000
 	for ai, assoc := range []Assoc{FullyAssoc, SetAssoc, DirectMap} {
@@ -493,6 +526,9 @@ func TestCacheMatchesScanningReference(t *testing.T) {
 						}
 						if !bytes.Equal(encodeCache(c), ref.encode()) {
 							t.Fatalf("op %d %s(%d): EncodeState image differs from the reference's", op, what, lspn)
+						}
+						if err := checkCounts(c); err != nil {
+							t.Fatalf("op %d %s(%d): %v", op, what, lspn, err)
 						}
 					}
 					if c.Stats().Evictions == 0 || c.Stats().ReadSubHits == 0 || c.Stats().Readaheads == 0 {

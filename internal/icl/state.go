@@ -22,7 +22,7 @@ func (c *Cache) Invalidate() {
 			ln.lastUse = 0
 			ln.inserted = 0
 			ln.prev, ln.next = nil, nil
-			clearSubs(ln.valid, ln.dirty, ln.data, c.cfg.SubSize)
+			clearSubs(ln.valid, ln.dirty, &ln.nValid, &ln.nDirty, ln.data, c.cfg.SubSize)
 		}
 		st.head, st.tail, st.empty = nil, nil, 0
 	}
@@ -98,6 +98,17 @@ func (c *Cache) payloadState(k *snap.Codec, ln *line) error {
 	return nil
 }
 
+// countSet returns the number of set bits of a mask.
+func countSet(mask []bool) int {
+	n := 0
+	for _, b := range mask {
+		if b {
+			n++
+		}
+	}
+	return n
+}
+
 // EncodeState serializes the cache's complete functional state.
 func (c *Cache) EncodeState(e *snap.Enc) {
 	_ = c.state(snap.Encoding(e)) // encoding cannot fail
@@ -113,14 +124,14 @@ func (c *Cache) DecodeState(d *snap.Dec) error {
 	return c.reindex()
 }
 
-// reindex rebuilds the LSPN index and every set's victim order and empty
-// cursor from freshly decoded frames, refusing an image the index cannot
-// represent faithfully: a line outside the set its LSPN maps to (find would
-// never reach it), one LSPN in two frames (ambiguous), or a frame stamped
-// ahead of the replacement clock (a later touch would be stamped older than
-// it, and the order would stop mirroring the stamps). Within a set the
-// order is the policy's clock ascending, ties in way order — the frame a
-// scan for the minimum stamp picks first.
+// reindex rebuilds the LSPN index, every frame's mask counts and every set's
+// victim order and empty cursor from freshly decoded frames, refusing an
+// image the index cannot represent faithfully: a line outside the set its
+// LSPN maps to (find would never reach it), one LSPN in two frames
+// (ambiguous), or a frame stamped ahead of the replacement clock (a later
+// touch would be stamped older than it, and the order would stop mirroring
+// the stamps). Within a set the order is the policy's clock ascending, ties
+// in way order — the frame a scan for the minimum stamp picks first.
 func (c *Cache) reindex() error {
 	stamp := func(ln *line) uint64 {
 		if c.cfg.Replacement == LRU {
@@ -134,6 +145,7 @@ func (c *Cache) reindex() error {
 		st.empty = len(st.frames)
 		occupied = occupied[:0]
 		for w, ln := range st.frames {
+			ln.nValid, ln.nDirty = countSet(ln.valid), countSet(ln.dirty)
 			switch {
 			case ln.lspn < 0:
 				if st.empty == len(st.frames) {

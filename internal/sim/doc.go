@@ -400,10 +400,14 @@
 // the FIL executed to completion: a lookup that returns a physical
 // location is therefore proof the location was programmed, and the
 // per-address nand.CheckRead walk a staged read would pay re-derives
-// exactly that fact. ftl.FTL.LookupCertified stamps its result with a
+// exactly that fact. ftl.FTL.LookupSubs — the one lookup body, indexed by
+// the sub-pages asked for, so a one-sub fill reads one forward-map entry;
+// LookupCertified is its all-subs wrapper — stamps its result with a
 // ReadCert naming the issuer and the nand.Flash.StateEpoch it observed;
-// fil.ReadSubsStaged (and the core fill path above it) honor the cert and
-// skip the walk, counting fil.Stats.CertifiedReads. The cert is advisory,
+// fil.ReadSubsStaged (and the core fill path above it, which asks for the
+// missing subs in ascending order and issues the reads in the order
+// answered) honor the cert and skip the walk, counting
+// fil.Stats.CertifiedReads. The cert is advisory,
 // never load-bearing for safety: a stale epoch (cert observed an older
 // flash state) silently falls back to the walked path, and anything that
 // could break the invariant — a raw OCSSD channel op, an injected plan
