@@ -144,13 +144,13 @@ func BenchmarkAblation_GCPolicy(b *testing.B) {
 }
 
 // BenchmarkEngineHotLoop measures raw engine throughput under
-// schedule/cancel/step churn at a realistic total queue depth (hotLoop
-// below). The "global" case puts
-// every event in the default domain — the single global heap the engine
-// used before sharding — while "sharded" spreads the same population
-// across the Intel 750 preset's scheduling domains (12 NAND channels +
-// host + cpu + icl.dram + dma), so each dispatch sifts a heap 1/16th the
-// size plus an O(log S) tournament repair.
+// schedule/step churn at a realistic total queue depth (hotLoop below).
+// The "global" case is the same engine run with one domain: every event
+// sits in the default shard's heap and the tournament is a single leaf.
+// "sharded16" spreads the same population across the Intel 750 preset's
+// scheduling domains (12 NAND channels + host + cpu + icl.dram + dma), so
+// each dispatch sifts a heap 1/16th the size plus an O(log S) tournament
+// repair.
 func BenchmarkEngineHotLoop(b *testing.B) {
 	run := func(b *testing.B, domains int) {
 		h := newHotLoop(domains)
@@ -454,8 +454,7 @@ const (
 	hotLoopDomains = 16
 )
 
-// hotLoop is one prepared schedule/cancel/step churn run over a fresh
-// engine, its event population spread over a configurable number of
+// hotLoop is one prepared schedule/step churn run over a fresh engine, its event population spread over a configurable number of
 // scheduling domains.
 type hotLoop struct {
 	e    *sim.Engine
@@ -464,8 +463,8 @@ type hotLoop struct {
 	i    int
 }
 
-// newHotLoop builds an engine with the given number of domains (1 = the
-// single global heap) and fills it to hotLoopDepth pending events.
+// newHotLoop builds an engine with the given number of domains (1 = one
+// heap for everything) and fills it to hotLoopDepth pending events.
 func newHotLoop(domains int) *hotLoop {
 	h := &hotLoop{e: sim.NewEngine(), fn: func() {}}
 	h.doms = make([]sim.DomainID, domains)
@@ -479,16 +478,10 @@ func newHotLoop(domains int) *hotLoop {
 	return h
 }
 
-// op runs one churn iteration: a schedule, every seventh time a cancel
-// plus a replacement schedule, and one dispatch — queue depth stays at
-// hotLoopDepth.
+// op runs one churn iteration: a schedule and one dispatch — queue depth
+// stays at hotLoopDepth.
 func (h *hotLoop) op() {
-	dom := h.doms[h.i%len(h.doms)]
-	ev := h.e.ScheduleIn(dom, sim.Duration(500+h.i%977), h.fn)
-	if h.i%7 == 0 {
-		h.e.Cancel(ev)
-		h.e.ScheduleIn(dom, sim.Duration(600+h.i%199), h.fn)
-	}
+	h.e.ScheduleIn(h.doms[h.i%len(h.doms)], sim.Duration(500+h.i%977), h.fn)
 	h.e.Step()
 	h.i++
 }
@@ -599,12 +592,12 @@ func (l *intraLoop) run(workers int) sim.ParallelStats {
 }
 
 // TestHotLoopAllocFree asserts the harness's core property: after warmup
-// the schedule/cancel/step churn performs zero allocations per op, at every
+// the schedule/step churn performs zero allocations per op, at every
 // domain count the benchmarks run with.
 func TestHotLoopAllocFree(t *testing.T) {
 	for _, domains := range []int{1, 4, hotLoopDomains} {
 		h := newHotLoop(domains)
-		for i := 0; i < 5000; i++ { // reach the steady pool size
+		for i := 0; i < 5000; i++ { // reach the steady heap sizes
 			h.op()
 		}
 		if allocs := testing.AllocsPerRun(200, h.op); allocs != 0 {

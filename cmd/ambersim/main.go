@@ -147,45 +147,14 @@ func main() {
 		fatal(err)
 	}
 
-	var powerCut sim.Duration
-	if *powerLoss != "" {
-		d, err := time.ParseDuration(*powerLoss)
-		if err != nil || d <= 0 {
-			fatal(fmt.Errorf("bad -power-loss-at %q: want a positive duration like 50ms", *powerLoss))
-		}
-		powerCut = sim.Duration(d.Nanoseconds()) * sim.Nanosecond
-	}
-	if (*snapPath != "" || *restPath != "") && len(devices) > 1 {
-		fatal(fmt.Errorf("-snapshot and -restore apply to a single device, got %d", len(devices)))
-	}
-	if *batchSub && powerCut > 0 {
-		// SubmitBatch is synchronous: each call returns with the device
-		// quiescent, so there is no in-flight window for a cut to land in.
-		// Power-loss runs need the evented runner.
-		fatal(errors.New("-batch-submit and -power-loss-at are incompatible: the vectored path has no in-flight state to cut"))
-	}
-	var scrubEvery sim.Duration
-	if *scrubSpec != "" {
-		d, err := time.ParseDuration(*scrubSpec)
-		if err != nil || d <= 0 {
-			fatal(fmt.Errorf("bad -scrub-every %q: want a positive duration like 5ms", *scrubSpec))
-		}
-		scrubEvery = sim.Duration(d.Nanoseconds()) * sim.Nanosecond
-	}
-	if *batchSub && scrubEvery > 0 {
-		// The patrol scrubber is an engine-event ticker inside Run; the
-		// vectored path bypasses the evented runner entirely, so a cadence
-		// there would silently never fire. Reject instead of ignoring.
-		fatal(errors.New("-batch-submit and -scrub-every are incompatible: the vectored path has no evented runner for the scrub ticker"))
-	}
-	if *batchSub && *intraPar > 1 {
-		// Intra-device parallel dispatch belongs to the evented runner's
-		// engine; the vectored path drains its windows serially, so a worker
-		// count there would silently do nothing. Reject instead of ignoring.
-		fatal(errors.New("-batch-submit and -intra-parallel > 1 are incompatible: the vectored path drains its windows serially"))
-	}
-	if *rainWidth < 0 {
-		fatal(fmt.Errorf("bad -rain %d: want a non-negative stripe width", *rainWidth))
+	powerCut, scrubEvery, err := runFlags{
+		requests: *n, devices: len(devices), batchSubmit: *batchSub,
+		powerLossAt: *powerLoss, scrubEvery: *scrubSpec,
+		intraParallel: *intraPar, rain: *rainWidth,
+		snapshot: *snapPath, restore: *restPath,
+	}.validate()
+	if err != nil {
+		fatal(err)
 	}
 
 	if *farmGroups > 0 {
@@ -421,7 +390,7 @@ func main() {
 	}
 
 	outs := make([]strings.Builder, len(devices))
-	err := exp.ForEach(*parallel, len(devices), func(i int) error {
+	err = exp.ForEach(*parallel, len(devices), func(i int) error {
 		if err := runOne(devices[i], &outs[i]); err != nil {
 			return fmt.Errorf("%s: %w", devices[i], err)
 		}
@@ -436,6 +405,68 @@ func main() {
 		}
 		fmt.Print(outs[i].String())
 	}
+}
+
+// runFlags is the part of the flag set whose values constrain each other.
+type runFlags struct {
+	requests, devices       int
+	batchSubmit             bool
+	powerLossAt, scrubEvery string // durations as typed, "" = off
+	intraParallel, rain     int
+	snapshot, restore       string
+}
+
+// validate cross-checks the flags before any device is built — a bad
+// combination must not cost a preconditioning run first — and returns the
+// two parsed durations (zero = off).
+func (f runFlags) validate() (powerCut, scrubEvery sim.Duration, err error) {
+	if f.requests <= 0 {
+		return 0, 0, fmt.Errorf("bad -n %d: want a positive request count", f.requests)
+	}
+	if powerCut, err = flagDuration("-power-loss-at", f.powerLossAt, "50ms"); err != nil {
+		return 0, 0, err
+	}
+	if scrubEvery, err = flagDuration("-scrub-every", f.scrubEvery, "5ms"); err != nil {
+		return 0, 0, err
+	}
+	if (f.snapshot != "" || f.restore != "") && f.devices > 1 {
+		return 0, 0, fmt.Errorf("-snapshot and -restore apply to a single device, got %d", f.devices)
+	}
+	if f.rain < 0 {
+		return 0, 0, fmt.Errorf("bad -rain %d: want a non-negative stripe width", f.rain)
+	}
+	if f.batchSubmit {
+		switch {
+		case powerCut > 0:
+			// SubmitBatch is synchronous: each call returns with the device
+			// quiescent, so there is no in-flight window for a cut to land in.
+			return 0, 0, errors.New("-batch-submit and -power-loss-at are incompatible: the vectored path has no in-flight state to cut")
+		case scrubEvery > 0:
+			// The patrol scrubber is an engine-event ticker inside Run; the
+			// vectored path bypasses the evented runner entirely, so a cadence
+			// there would silently never fire. Reject instead of ignoring.
+			return 0, 0, errors.New("-batch-submit and -scrub-every are incompatible: the vectored path has no evented runner for the scrub ticker")
+		case f.intraParallel > 1:
+			// Intra-device parallel dispatch belongs to the evented runner's
+			// engine; the vectored path drains its windows serially, so a
+			// worker count there would silently do nothing.
+			return 0, 0, errors.New("-batch-submit and -intra-parallel > 1 are incompatible: the vectored path drains its windows serially")
+		}
+	}
+	return powerCut, scrubEvery, nil
+}
+
+// flagDuration parses the value of a flag that takes a positive duration;
+// "" leaves it off.
+func flagDuration(flag, value, example string) (sim.Duration, error) {
+	if value == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(value)
+	if err != nil || d <= 0 {
+		return 0, fmt.Errorf("bad %s %q: want a positive duration like %s", flag, value, example)
+	}
+	return sim.Duration(d.Nanoseconds()) * sim.Nanosecond, nil
 }
 
 // farmOptions carries the -farm-* flag set into runFarm.

@@ -149,6 +149,7 @@ type System struct {
 	flushBuf *sim.Pool
 
 	passive bool
+	pblk    map[string]string // firmware module name -> the name pblk charges it under
 	now     sim.Time
 	lastEnd int64 // sequential-merge detector for the scheduler model
 
@@ -265,17 +266,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Durable bad-block table: every retirement the FTL decides is stamped
-	// into the flash's grown-bad-block list (one entry per plane block of
-	// the super-block), which is what mount-time recovery replays to rebuild
-	// the retirement order — and the read-only latch — from flash state
-	// alone.
-	translator.SetRetireHook(func(sb int) {
-		for plane := 0; plane < d.Geometry.TotalPlanes(); plane++ {
-			addr := translator.Address(ftl.PageLoc{SB: sb, Plane: plane})
-			flash.MarkBadBlock(d.Geometry.BlockIndex(addr))
-		}
-	})
 	f, err := fil.New(flash, translator.Address)
 	if err != nil {
 		return nil, err
@@ -344,29 +334,22 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		DevCPU:  devCPU,
 		DevDRAM: devDRAM,
 		Flash:   flash,
-		FTL:     translator,
 		ICL:     cache,
 		FIL:     f,
 		DMA:     engine,
 		Split:   split,
 		link:    link,
 		passive: d.Passive,
+		pblk:    make(map[string]string),
 		lastEnd: -1,
 		filling: make(map[int64]subMask),
 		waiters: make(map[int64][]func()),
 	}
-	// Certified plans: the FTL and flash were constructed together above,
-	// so they are in lockstep by definition — the binding that lets the FIL
-	// execute the FTL's plans without the prevalidation double-walk. The
-	// whole I/O path keeps the chain armed (no raw OCSSD traffic crosses
-	// it); anything that breaks lockstep disarms automatically.
-	if err := f.AcceptCertified(translator); err != nil {
+	// The FTL and flash were constructed together above, so they are in
+	// lockstep by definition, which is what bindFTL's certificate asserts.
+	if err := s.bindFTL(translator); err != nil {
 		return nil, err
 	}
-	// Read certificates: lookups stamp the flash mutation epoch they were
-	// performed under, so the FIL can honor "mapped ⇒ written" on the read
-	// side and skip the per-address validation walk while the chain holds.
-	translator.SetEpochSource(flash.StateEpoch)
 	s.allSubs = make([]int, translator.SubPagesPerSuperPage())
 	for i := range s.allSubs {
 		s.allSubs[i] = i
@@ -394,6 +377,36 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		}
 	}
 	return s, nil
+}
+
+// bindFTL wires an FTL that is in lockstep with the flash — the one
+// NewSystem built beside it, or the one Mount rebuilt from its OOB stamps —
+// into the firmware stack.
+func (s *System) bindFTL(t *ftl.FTL) error {
+	// Durable bad-block table: every retirement the FTL decides is stamped
+	// into the flash's grown-bad-block list (one entry per plane block of
+	// the super-block), which is what mount-time recovery replays to rebuild
+	// the retirement order — and the read-only latch — from flash state
+	// alone.
+	flash, g := s.Flash, s.cfg.Device.Geometry
+	t.SetRetireHook(func(sb int) {
+		for plane := 0; plane < g.TotalPlanes(); plane++ {
+			addr := t.Address(ftl.PageLoc{SB: sb, Plane: plane})
+			flash.MarkBadBlock(g.BlockIndex(addr))
+		}
+	})
+	// Read certificates: lookups stamp the flash mutation epoch they were
+	// performed under, so the FIL can honor "mapped ⇒ written" on the read
+	// side and skip the per-address validation walk while the chain holds.
+	// A certificate names its issuer, so those an earlier FTL minted are
+	// rejected from here on.
+	t.SetEpochSource(flash.StateEpoch)
+	s.FTL = t
+	// Certified plans: the binding that lets the FIL execute the FTL's
+	// plans without the prevalidation double-walk. The whole I/O path keeps
+	// the chain armed (no raw OCSSD traffic crosses it); anything that
+	// breaks lockstep disarms automatically.
+	return s.FIL.AcceptCertified(t)
 }
 
 // engineDomains is one engine's resolved scheduling-domain ids: the shard
@@ -597,8 +610,14 @@ func (s *System) coreFor(module int) int {
 // runs the same logic), returning completion.
 func (s *System) chargeFirmware(now sim.Time, module int, name string, mix cpu.InstrMix) sim.Time {
 	if s.passive && module > 0 {
-		// ICL/FTL/FIL-scheduling logic executes in pblk on the host.
-		return s.Host.ExecutePinned(now, module%s.cfg.Host.CPUs, "pblk."+name, mix)
+		// ICL/FTL/FIL-scheduling logic executes in pblk on the host. Its
+		// module names are formatted once each, not per charge.
+		hostName, ok := s.pblk[name]
+		if !ok {
+			hostName = "pblk." + name
+			s.pblk[name] = hostName
+		}
+		return s.Host.ExecutePinned(now, module%s.cfg.Host.CPUs, hostName, mix)
 	}
 	_, end := s.DevCPU.Execute(now, s.coreFor(module), name, mix)
 	return end

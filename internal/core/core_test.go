@@ -429,6 +429,46 @@ func TestSubmitAllocLean(t *testing.T) {
 	}
 }
 
+// TestPassiveSubmitAllocsLikeActive: a passive (OCSSD/pblk) request rides
+// the same pooled op as an active one, so a steady-state 4 KiB timing-only
+// Submit allocates no more on the passive architecture than on the active
+// one, reads and writes alike.
+func TestPassiveSubmitAllocsLikeActive(t *testing.T) {
+	steady := func(pattern workload.Pattern, passive bool) float64 {
+		d := config.SmallTestDevice()
+		d.TrackData = false
+		if passive {
+			d.Passive = true
+			d.Protocol = proto.OCSSD20()
+		}
+		s, err := core.NewSystem(config.PCSystem(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen, err := workload.NewFIO(pattern, 4096, s.VolumeBytes(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		submit := func() {
+			if _, err := s.Submit(s.Now(), gen.Next(i), nil); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+		for i < 2000 { // warm every pool through eviction and GC territory
+			submit()
+		}
+		return testing.AllocsPerRun(500, submit)
+	}
+	for _, pattern := range []workload.Pattern{workload.RandWrite, workload.RandRead} {
+		active, passive := steady(pattern, false), steady(pattern, true)
+		if passive > active {
+			t.Errorf("%v: passive Submit allocated %.2f objects/op, active %.2f", pattern, passive, active)
+		}
+	}
+}
+
 // TestSubmitDeterministicAcrossRuns guards the scratch-and-pool refactor
 // against order dependence: completion times must not depend on map
 // iteration order or on which recycled op/fill struct a request happens

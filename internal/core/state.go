@@ -194,19 +194,7 @@ func (s *System) Mount() (ftl.MountReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	d := s.cfg.Device
-	mounted.SetRetireHook(func(sb int) {
-		for plane := 0; plane < d.Geometry.TotalPlanes(); plane++ {
-			addr := mounted.Address(ftl.PageLoc{SB: sb, Plane: plane})
-			s.Flash.MarkBadBlock(d.Geometry.BlockIndex(addr))
-		}
-	})
-	s.FTL = mounted
-	// Certificates minted by the pre-cut FTL are rejected by issuer
-	// identity; the mounted FTL mints fresh ones against the same epoch
-	// source.
-	mounted.SetEpochSource(s.Flash.StateEpoch)
-	if err := s.FIL.AcceptCertified(mounted); err != nil {
+	if err := s.bindFTL(mounted); err != nil {
 		return rep, err
 	}
 	s.now += rep.ScanTime

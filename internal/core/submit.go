@@ -24,12 +24,17 @@ import (
 // the FTL has usually latched read-only anyway).
 const maxFaultRetries = 8
 
-// submitOp pipeline stages.
+// submitOp pipeline stages. The last two are the passive (OCSSD/pblk)
+// architecture's: its cache and FTL run on the host, so a request is served
+// host-side and only misses and flushes cross the link, as vector commands
+// charged inside startFill / flushEviction.
 const (
-	opDispatch = iota // after queue/parse firmware: start DMA + line ops
-	opWriteOps        // write payload transferred: run the line writes
-	opReadDMA         // all lines staged in cache: move payload to host
-	opFinish          // completion firmware, CQ/interrupt, host ISR
+	opDispatch   = iota // after queue/parse firmware: start DMA + line ops
+	opWriteOps          // write payload transferred: run the line writes
+	opReadDMA           // all lines staged in cache: move payload to host
+	opFinish            // completion firmware, CQ/interrupt, host ISR
+	opHostServe         // passive: kernel submission done, run the line ops
+	opHostFinish        // passive: host-side completion
 )
 
 // submitOp is one in-flight host request.
@@ -105,29 +110,10 @@ func (op *submitOp) step() {
 			e.AtIn(op.doms.icl, xferDone, op.stepFn)
 			return
 		}
-		op.pending = len(op.lines)
-		op.ready = walked
-		for i := range op.lines {
-			ln := op.lines[i]
-			s.readLineAsync(e, ln, linePayload(ln, op.data), op.lineFn)
-		}
+		op.readLines(walked)
 
 	case opWriteOps:
-		opsDone := e.Now()
-		for i := range op.lines {
-			ln := op.lines[i]
-			done, err := s.writeLine(e, e.Now(), ln, linePayload(ln, op.data))
-			if err != nil {
-				op.fail(err)
-				return
-			}
-			if done > opsDone {
-				opsDone = done
-			}
-		}
-		s.bytesWritten += uint64(op.req.Length)
-		op.stage = opFinish
-		e.AtIn(op.doms.host, sim.MaxOf(opsDone, e.Now()), op.stepFn)
+		op.writeLines(opFinish)
 
 	case opReadDMA:
 		// All lines staged in cache memory: move the payload to the host.
@@ -137,15 +123,64 @@ func (op *submitOp) step() {
 		e.AtIn(op.doms.host, sim.MaxOf(xferDone, e.Now()), op.stepFn)
 
 	case opFinish:
-		complete := s.completeRequest(e.Now())
-		cb := op.cb
-		s.releaseOp(op)
-		cb(complete, nil)
+		op.complete(s.completeRequest(e.Now()))
+
+	case opHostServe:
+		if op.req.Write {
+			op.writeLines(opHostFinish)
+			return
+		}
+		op.readLines(e.Now())
+
+	case opHostFinish:
+		// Its own event so the host-CPU claim happens in global time order,
+		// not call order.
+		op.complete(s.retire(s.Host.Complete(e.Now(), s.params.CompleteInstr/2)))
 	}
 }
 
-// lineDone collects one line read. When the last line lands, the payload
-// DMA stage is scheduled at the latest line-ready time.
+// writeLines runs the request's line writes inside the current event and
+// schedules the completion stage next when the last one's data is in cache.
+func (op *submitOp) writeLines(next int) {
+	s, e := op.s, op.e
+	opsDone := e.Now()
+	for i := range op.lines {
+		ln := op.lines[i]
+		done, err := s.writeLine(e, e.Now(), ln, linePayload(ln, op.data))
+		if err != nil {
+			op.fail(err)
+			return
+		}
+		if done > opsDone {
+			opsDone = done
+		}
+	}
+	s.bytesWritten += uint64(op.req.Length)
+	op.stage = next
+	e.AtIn(op.doms.host, opsDone, op.stepFn)
+}
+
+// readLines probes the cache per line; lineDone collects them. floor is the
+// earliest the payload may move on.
+func (op *submitOp) readLines(floor sim.Time) {
+	op.pending = len(op.lines)
+	op.ready = floor
+	for i := range op.lines {
+		ln := op.lines[i]
+		op.s.readLineAsync(op.e, ln, linePayload(ln, op.data), op.lineFn)
+	}
+}
+
+// complete retires the op and reports the request's completion time.
+func (op *submitOp) complete(t sim.Time) {
+	cb := op.cb
+	op.s.releaseOp(op)
+	cb(t, nil)
+}
+
+// lineDone collects one line read. When the last line lands, the next stage
+// is scheduled at the latest line-ready time: the payload DMA, or for a
+// passive request — whose payload is in host memory already — the completion.
 func (op *submitOp) lineDone(t sim.Time, err error) {
 	if err != nil && !op.failed {
 		op.failed = true
@@ -164,8 +199,15 @@ func (op *submitOp) lineDone(t sim.Time, err error) {
 		op.s.releaseOp(op)
 		return
 	}
+	at := sim.MaxOf(op.ready, op.e.Now())
+	if op.s.passive {
+		op.s.bytesRead += uint64(op.req.Length)
+		op.stage = opHostFinish
+		op.e.AtIn(op.doms.host, at, op.stepFn)
+		return
+	}
 	op.stage = opReadDMA
-	op.e.AtIn(op.doms.dma, sim.MaxOf(op.ready, op.e.Now()), op.stepFn)
+	op.e.AtIn(op.doms.dma, at, op.stepFn)
 }
 
 // SubmitAsync pushes one host request through the full stack, staged on
@@ -190,19 +232,23 @@ func (s *System) SubmitAsync(e *sim.Engine, req workload.Request, data []byte, c
 		cb(0, err)
 		return
 	}
+	op := s.acquireOp(e, req, data, cb)
 	if s.passive {
-		// Passive storage (§V-E): pblk runs the cache and FTL on the host,
-		// so requests are served host-side; only cache misses and flushes
-		// cross the link as OCSSD vector commands (charged inside
-		// startFill / flushEviction).
-		s.submitPassive(e, req, data, cb)
+		// Passive storage (§V-E): the kernel submission runs, then pblk
+		// serves the request from its host-side cache.
+		subEnd := s.hostSubmit(e.Now(), req)
+		var err error
+		if op.lines, err = s.Split.SplitInto(op.lines[:0], req.Offset, req.Length); err != nil {
+			op.fail(err)
+			return
+		}
+		op.stage = opHostServe
+		e.AtIn(op.doms.host, subEnd, op.stepFn)
 		return
 	}
-	op := s.acquireOp(e, req, data, cb)
 	parsed, err := s.submitStage1(e.Now(), req, data, &op.lines, &op.pl)
 	if err != nil {
-		s.releaseOp(op)
-		cb(0, err)
+		op.fail(err)
 		return
 	}
 	op.stage = opDispatch
@@ -301,72 +347,6 @@ func (s *System) retire(complete sim.Time) sim.Time {
 		s.now = complete
 	}
 	return complete
-}
-
-// submitPassive is the OCSSD/pblk request path: the kernel submission
-// runs, then pblk serves the request from its host-side cache; flash
-// traffic happens only for misses and write-back flushes, as vector
-// commands issued by lightNVM.
-func (s *System) submitPassive(e *sim.Engine, req workload.Request, data []byte, cb func(sim.Time, error)) {
-	doms := s.domainsFor(e)
-	subEnd := s.hostSubmit(e.Now(), req)
-
-	lines, err := s.Split.Split(req.Offset, req.Length)
-	if err != nil {
-		cb(0, err)
-		return
-	}
-
-	finish := func(done sim.Time) {
-		// Stage the completion as its own event so the host-CPU claim
-		// happens in global time order, not call order.
-		e.AtIn(doms.host, sim.MaxOf(done, e.Now()), func() {
-			cb(s.retire(s.Host.Complete(e.Now(), s.params.CompleteInstr/2)), nil)
-		})
-	}
-
-	e.AtIn(doms.host, subEnd, func() {
-		if req.Write {
-			done := e.Now()
-			for _, ln := range lines {
-				d, err := s.writeLine(e, e.Now(), ln, linePayload(ln, data))
-				if err != nil {
-					cb(0, err)
-					return
-				}
-				if d > done {
-					done = d
-				}
-			}
-			s.bytesWritten += uint64(req.Length)
-			finish(done)
-			return
-		}
-		pending := len(lines)
-		ready := e.Now()
-		failed := false
-		lineDone := func(t sim.Time, err error) {
-			if failed {
-				return
-			}
-			if err != nil {
-				failed = true
-				cb(0, err)
-				return
-			}
-			if t > ready {
-				ready = t
-			}
-			pending--
-			if pending == 0 {
-				s.bytesRead += uint64(req.Length)
-				finish(ready)
-			}
-		}
-		for _, ln := range lines {
-			s.readLineAsync(e, ln, linePayload(ln, data), lineDone)
-		}
-	})
 }
 
 // Submit is the synchronous convenience wrapper around SubmitAsync for a

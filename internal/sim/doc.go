@@ -1,6 +1,6 @@
 // Package sim provides the discrete-event simulation core used by every
-// Amber subsystem: a picosecond-resolution clock, a cancellable event
-// queue, time-reservation resources that model contention on buses, dies,
+// Amber subsystem: a picosecond-resolution clock, an event queue,
+// time-reservation resources that model contention on buses, dies,
 // controllers and CPU cores, and a deterministic RNG.
 //
 // All of Amber is single-threaded and deterministic: components reserve
@@ -8,54 +8,52 @@
 // events; the engine dispatches events in non-decreasing time order, with
 // FIFO ordering among events at the same instant.
 //
-// # Engine design: pooled records, sharded index heaps, generation handles
+// # Engine design: events inline in sharded heaps
 //
 // The engine is the innermost loop of every experiment — the Fig. 16
-// simulation-speed claim lives or dies here — so its data layout is chosen
-// to make Schedule/Step allocation-free and cache-friendly in steady state:
+// simulation-speed claim lives or dies here — so it stores what it
+// dispatches and nothing else, laid out to make Schedule/Step
+// allocation-free and cache-friendly in steady state:
 //
-//   - Event records live in one flat []eventRecord slice. A fired or
-//     cancelled record's slot goes onto a free list and is reused by the
-//     next Schedule, so a workload with bounded in-flight events reaches a
-//     fixed pool size and never allocates again. The callback reference is
-//     cleared on release to keep closures collectable.
+//   - An event is {time, sequence, callback}, and it lives inline in the
+//     heap of the scheduling domain it was scheduled into — there is no
+//     separate record, handle or free list. Scheduling appends to the
+//     shard's []event and sifts up; dispatch pops the head, clearing the
+//     vacated tail slot so the closure stays collectable, and only then
+//     calls it — by value, with no pointer into the array — so a callback
+//     may schedule into the shard being dispatched even when that append
+//     moves the heap (TestEngineCallbackSchedulesIntoOwnShard). The
+//     arrays only grow, so a workload with bounded in-flight events per
+//     domain reaches fixed capacities and never allocates again. Nothing
+//     outside the engine can name a queued event, so there is no cancel: an
+//     event fires, or a Reset drops it, and a timeout whose guarded event
+//     already happened tests a flag in its callback.
 //
 //   - Ordering is sharded by scheduling domain: each domain (registered
 //     with Engine.Domain, targeted with ScheduleIn/AtIn, one per NAND
 //     channel plus host/HIL, ICL/DRAM, CPU, DMA and a default shard in a
-//     full system) owns an index-based 4-ary min-heap — a []int32 of
-//     record ids keyed by (time, sequence). Compared to the pointer-based
-//     binary container/heap this needs no per-event heap object, no
-//     interface boxing on push/pop, walks half the levels per sift, and
-//     touches a quarter the cache lines; sharding additionally cuts the
-//     sift depth from log4(N_total) to log4(N_shard) on the dominant
-//     per-channel traffic.
+//     full system) owns a 4-ary min-heap keyed by (time, sequence).
+//     Compared to the pointer-based binary container/heap this needs no
+//     per-event heap object, no interface boxing on push/pop, walks half
+//     the levels per sift, and compares keys that sit in the array being
+//     sifted; sharding additionally cuts the sift depth from log4(N_total)
+//     to log4(N_shard) on the dominant per-channel traffic.
 //
 //   - The global minimum is read from a tournament (winner) tree over the
 //     shard heads. Each node caches the winning head's (time, sequence)
 //     key inline, so when one shard's head changes — push of a new head,
-//     dispatch, head cancel — repairing replays only that leaf's root
-//     path, one sibling load and compare per level with an early exit
-//     once a node's value stops changing: O(log S) worst case. Dispatch
-//     order is provably identical to one global heap: the sequence
-//     counter is engine-global and unique, every comparison (in-shard and
-//     cross-shard) is by the same (time, sequence) key, so the tournament
-//     winner is the global minimum and FIFO among equal times holds
-//     across shards. The golden equivalence test locks this in against an
-//     independent single-queue reference through random Schedule/Cancel/
-//     Step/RunUntil/Reset interleavings.
+//     dispatch — repairing replays only that leaf's root path, one sibling
+//     load and compare per level with an early exit once a node's value
+//     stops changing: O(log S) worst case. Dispatch order is provably
+//     identical to one global heap: the sequence counter is engine-global
+//     and unique, every comparison (in-shard and cross-shard) is by the
+//     same (time, sequence) key, so the tournament winner is the global
+//     minimum and FIFO among equal times holds across shards. The golden
+//     equivalence test locks this in against an independent single-queue
+//     reference through random Schedule/Step/RunUntil/Reset interleavings.
 //
-//   - The Event handle returned by Schedule/At is a value
-//     {engine, slot id, generation}. Each release bumps the slot's
-//     generation, so a stale handle (its event fired or was cancelled, the
-//     slot possibly reused) simply compares unequal: Pending reports
-//     false and Cancel is a no-op. This keeps the timeout pattern — keep a
-//     handle, cancel it if the guarded event happens first — safe with
-//     aggressive slot reuse, with no allocation and no epoch bookkeeping
-//     at the call sites.
-//
-//   - Reset rewinds the clock and recycles all queued records, keeping the
-//     pool, the registered domains and the lifetime per-domain dispatch
+//   - Reset rewinds the clock and empties every heap, keeping their
+//     storage, the registered domains and the lifetime per-domain dispatch
 //     counters. The synchronous core.Submit wrapper reuses one engine this
 //     way for its per-request private simulation.
 //
@@ -66,7 +64,7 @@
 //
 //   - Cross-domain (the default: host/HIL, CPU, ICL/DRAM, DMA, the fill
 //     publish shard, default). These events may read or write any
-//     simulator state and may schedule or cancel events anywhere. Firmware
+//     simulator state and may schedule events anywhere. Firmware
 //     stage boundaries, cache installs, GC, transfers and request
 //     completions are all cross-domain: each can observe several channels.
 //
@@ -75,7 +73,7 @@
 //     accumulator, its pooled completion carriers, its tracked-data arena
 //     and pending-install index, and destination slices no other event
 //     writes — and never call back into the engine: no scheduling, no
-//     cancels, no Now. In the full system they are exactly the deferred
+//     Now. In the full system they are exactly the deferred
 //     per-channel bookkeeping of flash transactions: read completions
 //     (nand.Flash.ReadDeferredAddr) and the per-die plan batches of program
 //     installs and erase clears (nand.PlanBatch via fil.ExecuteOn).
@@ -86,8 +84,10 @@
 // to that key (StepDomainUntil, one shard per worker at a time, enforced
 // by an atomic owner guard that panics if two workers ever step one
 // shard), barriers (EndWindow, which merges the staged pending/dispatched
-// deltas, freed record slots in fixed domain order, and the clock), then
-// dispatches the horizon event serially and repeats.
+// deltas and the clock), then dispatches the horizon event serially and
+// repeats. A shard's events live in its own heap, so a worker stepping it
+// reads and writes no engine memory another worker touches: the window has
+// no shared mutable structure at all.
 //
 // Why this is byte-identical to the serial dispatch, at any worker count:
 //

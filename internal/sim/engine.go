@@ -5,34 +5,6 @@ import (
 	"math"
 )
 
-// Event is a generation-stamped handle to a scheduled callback. It is a
-// small value (not a pointer into the engine), safe to copy and to keep
-// after the event fires: a stale handle simply reports Pending() == false
-// and cancels as a no-op. The zero Event is a valid "no event" handle.
-type Event struct {
-	engine *Engine
-	id     int32
-	gen    uint32
-}
-
-// At reports the simulated time at which the event will fire, or zero if
-// the handle is stale (fired or cancelled).
-func (ev Event) At() Time {
-	if !ev.Pending() {
-		return 0
-	}
-	return ev.engine.records[ev.id].at
-}
-
-// Pending reports whether the event is still queued.
-func (ev Event) Pending() bool {
-	if ev.engine == nil || ev.id < 0 || int(ev.id) >= len(ev.engine.records) {
-		return false
-	}
-	rec := &ev.engine.records[ev.id]
-	return rec.gen == ev.gen && rec.heapIdx >= 0
-}
-
 // DomainID names one scheduling domain (shard) of an Engine. The zero
 // value is the default domain every event lands in unless the caller
 // schedules with ScheduleIn/AtIn.
@@ -41,35 +13,38 @@ type DomainID int32
 // DefaultDomain is the domain Schedule and At use.
 const DefaultDomain DomainID = 0
 
-// eventRecord is one pooled event slot. Records live in a flat slice and
-// are reused through a free list; the generation counter invalidates
-// handles to freed slots.
-type eventRecord struct {
-	at      Time
-	seq     uint64
-	fn      func()
-	gen     uint32
-	heapIdx int32    // index into the owning shard's heap, -1 when free/fired/cancelled
-	dom     DomainID // owning shard while queued
+// event is one queued callback. Events live inline in their shard's heap
+// and nowhere else: scheduling appends one, dispatch pops it, and nothing
+// outside the engine can name it.
+type event struct {
+	at  Time
+	seq uint64
+	fn  func()
 }
 
-// shard is one scheduling domain: a pooled 4-ary min-heap of record ids
-// plus its lifetime dispatch counter. The window fields exist for
-// domain-local shards stepped inside a parallel window (see parallel.go):
-// while a window is open exactly one worker owns the shard (enforced by the
-// owner guard) and accumulates dispatch bookkeeping locally; EndWindow
-// merges it back into the engine serially.
+// before reports whether ev fires ahead of the key (at, seq): FIFO among
+// equal times. The sequence counter is engine-global, so the order is total
+// across shards.
+func (ev *event) before(at Time, seq uint64) bool {
+	return ev.at < at || (ev.at == at && ev.seq < seq)
+}
+
+// shard is one scheduling domain: a 4-ary min-heap of events plus its
+// lifetime dispatch counter. The window fields exist for domain-local
+// shards stepped inside a parallel window (see parallel.go): while a window
+// is open exactly one worker owns the shard (enforced by the owner guard)
+// and accumulates dispatch bookkeeping locally; EndWindow merges it back
+// into the engine serially.
 type shard struct {
 	name       string
-	heap       []int32 // record ids ordered as a 4-ary min-heap by (at, seq)
+	heap       []event // 4-ary min-heap ordered by (at, seq)
 	dispatched uint64
 
-	local   bool    // domain-local: steppable inside a parallel window
-	neutral bool    // channel-neutral cross shard: batchable past pending locals
-	owner   int32   // CAS guard: 1 while a worker steps the shard, else 0
-	freed   []int32 // records released during the open window
-	popped  int     // events dispatched during the open window
-	maxAt   Time    // latest event time dispatched during the open window
+	local   bool  // domain-local: steppable inside a parallel window
+	neutral bool  // channel-neutral cross shard: batchable past pending locals
+	owner   int32 // CAS guard: 1 while a worker steps the shard, else 0
+	popped  int   // events dispatched during the open window
+	maxAt   Time  // latest event time dispatched during the open window
 }
 
 // DomainStat reports one domain's activity.
@@ -82,11 +57,11 @@ type DomainStat struct {
 
 // Engine is the discrete-event simulator. The zero value is not usable;
 // construct with NewEngine. Scheduling and dispatch are allocation-free in
-// steady state: event records are pooled in a flat slice, each scheduling
-// domain orders its own events in an index-based 4-ary min-heap, and the
-// global minimum is read from a tournament (winner) tree over the shard
-// heads that is repaired in O(log S) when a single shard's head changes
-// (see doc.go for the layout rationale). Dispatch order is identical to a
+// steady state: each scheduling domain keeps its own events inline in a
+// 4-ary min-heap whose backing array is reused, and the global minimum is
+// read from a tournament (winner) tree over the shard heads that is
+// repaired in O(log S) when a single shard's head changes (see doc.go for
+// the layout rationale). Dispatch order is identical to a
 // single global heap: the tree compares shard heads by (time, sequence)
 // and the sequence counter is engine-global, so FIFO among equal times
 // holds across shards.
@@ -95,9 +70,6 @@ type Engine struct {
 	seq        uint64
 	dispatched uint64
 	pending    int
-
-	records []eventRecord // slot storage, indexed by Event.id
-	free    []int32       // free-list of record slots
 
 	shards  []shard
 	domains map[string]DomainID
@@ -112,7 +84,7 @@ type Engine struct {
 	// inWindow is true between BeginWindow and EndWindow: the only legal
 	// engine calls are then StepDomainUntil on distinct domain-local shards
 	// (possibly from concurrent workers). Every serial mutator checks it, so
-	// a window callback that tries to schedule, cancel or step fails loudly
+	// a window callback that tries to schedule or step fails loudly
 	// instead of racing.
 	inWindow bool
 
@@ -218,21 +190,15 @@ func (e *Engine) Pending() int { return e.pending }
 func (e *Engine) Dispatched() uint64 { return e.dispatched }
 
 // Reset drops all queued events and rewinds the clock to zero, keeping the
-// pooled storage and the registered domains so a reused engine schedules
+// heaps' storage and the registered domains so a reused engine schedules
 // without reallocating. The dispatched counters (global and per-domain)
 // are preserved (they track lifetime work for the simulation-speed
-// metric). All outstanding handles become stale.
+// metric).
 func (e *Engine) Reset() {
 	e.checkSerial()
 	for s := range e.shards {
 		sh := &e.shards[s]
-		for _, id := range sh.heap {
-			rec := &e.records[id]
-			rec.fn = nil
-			rec.gen++
-			rec.heapIdx = -1
-			e.free = append(e.free, id)
-		}
+		clear(sh.heap) // drop the callback references
 		sh.heap = sh.heap[:0]
 	}
 	// Every shard is now empty; the tree is all sentinels.
@@ -260,26 +226,27 @@ func (e *Engine) Halted() bool { return e.halted }
 // Schedule queues fn to run after delay in the default domain. A zero
 // delay fires on the next Step at the current time, after previously
 // queued same-time events.
-func (e *Engine) Schedule(delay Duration, fn func()) Event {
-	return e.AtIn(DefaultDomain, e.now+delay, fn)
+func (e *Engine) Schedule(delay Duration, fn func()) {
+	e.AtIn(DefaultDomain, e.now+delay, fn)
 }
 
 // ScheduleIn queues fn to run after delay in the given domain. The domain
 // only selects the shard that orders the event; dispatch order across the
 // whole engine is the same for every placement.
-func (e *Engine) ScheduleIn(dom DomainID, delay Duration, fn func()) Event {
-	return e.AtIn(dom, e.now+delay, fn)
+func (e *Engine) ScheduleIn(dom DomainID, delay Duration, fn func()) {
+	e.AtIn(dom, e.now+delay, fn)
 }
 
 // At queues fn to run at absolute time t in the default domain.
 // Scheduling in the past is a programming error and panics: it would
 // silently reorder causality.
-func (e *Engine) At(t Time, fn func()) Event {
-	return e.AtIn(DefaultDomain, t, fn)
+func (e *Engine) At(t Time, fn func()) {
+	e.AtIn(DefaultDomain, t, fn)
 }
 
-// AtIn queues fn to run at absolute time t in the given domain.
-func (e *Engine) AtIn(dom DomainID, t Time, fn func()) Event {
+// AtIn queues fn to run at absolute time t in the given domain. A queued
+// event cannot be withdrawn: it fires, or a Reset drops it.
+func (e *Engine) AtIn(dom DomainID, t Time, fn func()) {
 	e.checkSerial()
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
@@ -290,69 +257,18 @@ func (e *Engine) AtIn(dom DomainID, t Time, fn func()) Event {
 	if dom < 0 || int(dom) >= len(e.shards) {
 		panic(fmt.Sprintf("sim: scheduling into unregistered domain %d", dom))
 	}
-	var id int32
-	if n := len(e.free); n > 0 {
-		id = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		id = int32(len(e.records))
-		e.records = append(e.records, eventRecord{heapIdx: -1})
-	}
-	rec := &e.records[id]
-	rec.at = t
-	rec.seq = e.seq
-	rec.fn = fn
-	rec.dom = dom
-	e.seq++
 	sh := &e.shards[dom]
-	rec.heapIdx = int32(len(sh.heap))
-	sh.heap = append(sh.heap, id)
-	e.siftUp(sh.heap, int(rec.heapIdx))
+	sh.heap = append(sh.heap, event{at: t, seq: e.seq, fn: fn})
+	e.seq++
 	e.pending++
-	if sh.heap[0] == id {
+	if siftUp(sh.heap, len(sh.heap)-1) == 0 {
 		// Only a new shard head can change the tournament outcome.
 		e.repair(int(dom))
 	}
-	return Event{engine: e, id: id, gen: rec.gen}
-}
-
-// Cancel removes a pending event. Cancelling a fired, already-cancelled or
-// stale event is a harmless no-op, which simplifies timeout patterns.
-func (e *Engine) Cancel(ev Event) {
-	e.checkSerial()
-	if ev.engine != e || ev.id < 0 || int(ev.id) >= len(e.records) {
-		return
-	}
-	rec := &e.records[ev.id]
-	if rec.gen != ev.gen || rec.heapIdx < 0 {
-		return
-	}
-	dom := rec.dom
-	i := int(rec.heapIdx)
-	e.heapRemoveAt(&e.shards[dom], i)
-	e.release(ev.id)
-	e.pending--
-	if i == 0 {
-		// The shard lost its head (a non-head removal cannot promote a
-		// new minimum), so the tournament must be replayed on its path.
-		e.repair(int(dom))
-	}
-}
-
-// release returns a record slot to the free list, bumping its generation so
-// outstanding handles go stale.
-func (e *Engine) release(id int32) {
-	rec := &e.records[id]
-	rec.fn = nil
-	rec.gen++
-	rec.heapIdx = -1
-	e.free = append(e.free, id)
 }
 
 // Step fires the earliest event across all domains and advances the clock
-// to it. It returns false when every shard is empty. The fired record is
-// recycled before its callback runs, so callbacks can schedule freely
-// without growing the pool.
+// to it. It returns false when every shard is empty.
 func (e *Engine) Step() bool {
 	e.checkSerial()
 	head := e.tree[1]
@@ -368,20 +284,18 @@ func (e *Engine) Step() bool {
 // Step resolves w from the tournament winner; RunParallel's horizon loop
 // resolves it from the cross-domain scan, which also lets it dispatch a
 // channel-neutral cross head while earlier domain-local events are still
-// pending (see parallel.go).
+// pending (see parallel.go). The event leaves the heap before its callback
+// runs, so the callback may schedule into the shard being dispatched, even
+// when that append moves the heap.
 func (e *Engine) stepShard(w int) {
 	sh := &e.shards[w]
-	id := sh.heap[0]
-	e.heapRemoveAt(sh, 0)
+	ev := sh.popHead()
 	sh.dispatched++
 	e.repair(w)
-	rec := &e.records[id]
-	fn := rec.fn
-	e.now = rec.at
-	e.release(id)
+	e.now = ev.at
 	e.pending--
 	e.dispatched++
-	fn()
+	ev.fn()
 }
 
 // Run dispatches events until the queue drains or Halt stops the engine.
@@ -411,8 +325,8 @@ func (e *Engine) RunUntil(t Time) {
 // Tournament tree. The leaves are the shard heads; each internal node
 // caches the winner (earlier (at, seq)) of its two children, so reading
 // the global minimum is O(1) and repairing after one shard's head change
-// replays only that leaf's root path: O(log S) comparisons, each touching
-// the two record structs involved. Compared to re-heapifying one global
+// replays only that leaf's root path: O(log S) comparisons of keys held
+// inline in the tree. Compared to re-heapifying one global
 // queue, a dispatch costs log4(N_shard) sift steps plus log2(S) match
 // replays instead of log4(N_total) sift steps.
 
@@ -435,8 +349,8 @@ func (e *Engine) leafNode(s int) treeNode {
 	if s >= len(e.shards) || len(e.shards[s].heap) == 0 {
 		return emptyNode
 	}
-	rec := &e.records[e.shards[s].heap[0]]
-	return treeNode{at: rec.at, key: rec.seq<<16 | uint64(s)}
+	head := &e.shards[s].heap[0]
+	return treeNode{at: head.at, key: head.seq<<16 | uint64(s)}
 }
 
 // rebuildTree recomputes every node from the current shard heads. Only
@@ -455,7 +369,7 @@ func (e *Engine) rebuildTree() {
 }
 
 // repair replays the matches on shard s's path to the root after its head
-// changed (new head, head dispatched/cancelled, or shard emptied). The
+// changed (new head, head dispatched, or shard emptied). The
 // candidate winner is carried upward so each level costs one sibling load
 // and one comparison, and the walk stops as soon as a node's stored value
 // is already the recomputed winner: every node off the path is correct by
@@ -481,80 +395,55 @@ func (e *Engine) repair(s int) {
 
 // Each shard heap is 4-ary: children of node i are 4i+1..4i+4. Compared to
 // the binary container/heap it does ~half the levels per sift with better
-// locality over the flat []int32, and needs no interface boxing.
+// locality over the flat []event, and needs no interface boxing.
 
-// less orders records by (time, sequence): FIFO among equal times. The
-// sequence counter is engine-global, so the order is total across shards.
-func (e *Engine) less(a, b int32) bool {
-	ra, rb := &e.records[a], &e.records[b]
-	if ra.at != rb.at {
-		return ra.at < rb.at
-	}
-	return ra.seq < rb.seq
-}
-
-func (e *Engine) siftUp(heap []int32, i int) {
-	id := heap[i]
+// siftUp moves the event at index i toward the root until its parent fires
+// no later than it does, and returns the index it settles at.
+func siftUp(heap []event, i int) int {
+	ev := heap[i]
 	for i > 0 {
 		parent := (i - 1) / 4
-		pid := heap[parent]
-		if !e.less(id, pid) {
+		if !ev.before(heap[parent].at, heap[parent].seq) {
 			break
 		}
-		heap[i] = pid
-		e.records[pid].heapIdx = int32(i)
+		heap[i] = heap[parent]
 		i = parent
 	}
-	heap[i] = id
-	e.records[id].heapIdx = int32(i)
+	heap[i] = ev
+	return i
 }
 
-func (e *Engine) siftDown(heap []int32, i int) {
-	id := heap[i]
-	n := len(heap)
+// popHead removes and returns the shard's head event, restoring heap order
+// by sinking the last event from the root.
+func (sh *shard) popHead() event {
+	heap := sh.heap
+	head := heap[0]
+	n := len(heap) - 1
+	ev := heap[n]
+	heap[n] = event{} // drop the callback reference
+	heap = heap[:n]
+	sh.heap = heap
+	if n == 0 {
+		return head
+	}
+	i := 0
 	for {
 		first := 4*i + 1
 		if first >= n {
 			break
 		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
+		best, last := first, min(first+4, n)
 		for c := first + 1; c < last; c++ {
-			if e.less(heap[c], heap[best]) {
+			if heap[c].before(heap[best].at, heap[best].seq) {
 				best = c
 			}
 		}
-		bid := heap[best]
-		if !e.less(bid, id) {
+		if !heap[best].before(ev.at, ev.seq) {
 			break
 		}
-		heap[i] = bid
-		e.records[bid].heapIdx = int32(i)
+		heap[i] = heap[best]
 		i = best
 	}
-	heap[i] = id
-	e.records[id].heapIdx = int32(i)
-}
-
-// heapRemoveAt deletes the shard-heap entry at index i, restoring heap
-// order. The record itself is untouched (the caller releases or reads it).
-func (e *Engine) heapRemoveAt(sh *shard, i int) {
-	n := len(sh.heap) - 1
-	moved := sh.heap[n]
-	removed := sh.heap[i]
-	sh.heap = sh.heap[:n]
-	e.records[removed].heapIdx = -1
-	if i == n {
-		return
-	}
-	sh.heap[i] = moved
-	e.records[moved].heapIdx = int32(i)
-	if i > 0 && e.less(moved, sh.heap[(i-1)/4]) {
-		e.siftUp(sh.heap, i)
-	} else {
-		e.siftDown(sh.heap, i)
-	}
+	heap[i] = ev
+	return head
 }

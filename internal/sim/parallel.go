@@ -17,7 +17,7 @@ import (
 //   - domain-local (marked with MarkDomainLocal): its events touch only
 //     state owned by that domain (per-NAND-channel buses, dies, counters,
 //     tracked-page copies) and never call back into the engine — no
-//     scheduling, no cancels, no Step. Between two cross-domain events,
+//     scheduling, no Step. Between two cross-domain events,
 //     events in distinct domain-local shards are causally independent, so
 //     they may be dispatched concurrently by different workers without
 //     changing any observable result.
@@ -45,7 +45,7 @@ import (
 // this turns such bugs into a deterministic panic instead of a data race.
 func (e *Engine) checkSerial() {
 	if e.inWindow {
-		panic("sim: engine call during an open parallel window (domain-local events must not schedule, cancel or step)")
+		panic("sim: engine call during an open parallel window (domain-local events must not schedule or step)")
 	}
 }
 
@@ -132,12 +132,10 @@ func (e *Engine) NextCrossDomainTime() (at Time, seq uint64, ok bool) {
 func (e *Engine) nextCross() (at Time, seq uint64, shard int, ok bool) {
 	best := emptyNode
 	for s := range e.shards {
-		sh := &e.shards[s]
-		if sh.local || len(sh.heap) == 0 {
+		if e.shards[s].local {
 			continue
 		}
-		rec := &e.records[sh.heap[0]]
-		if n := (treeNode{at: rec.at, key: rec.seq<<16 | uint64(s)}); n.beats(best) {
+		if n := e.leafNode(s); n.beats(best) { // an empty shard's leaf beats nothing
 			best = n
 		}
 	}
@@ -161,9 +159,9 @@ func (e *Engine) BeginWindow() {
 // shard whose (time, sequence) key is strictly before (horizon,
 // horizonSeq), in shard order, and returns the number dispatched. It is the
 // one engine call legal inside an open window and may run concurrently
-// with StepDomainUntil on other shards: all bookkeeping it touches is
-// owned by the shard (an atomic owner guard panics if two workers ever
-// step the same shard). Freed records, the pending delta and the clock
+// with StepDomainUntil on other shards: every word it reads or writes — the
+// heap included — is owned by the shard (an atomic owner guard panics if
+// two workers ever step the same shard). The pending delta and the clock
 // advance are staged on the shard and merged serially by EndWindow.
 func (e *Engine) StepDomainUntil(dom DomainID, horizon Time, horizonSeq uint64) int {
 	if !e.inWindow {
@@ -180,34 +178,24 @@ func (e *Engine) StepDomainUntil(dom DomainID, horizon Time, horizonSeq uint64) 
 		panic(fmt.Sprintf("sim: shard %q stepped by two workers concurrently", sh.name))
 	}
 	n := 0
-	for len(sh.heap) > 0 {
-		id := sh.heap[0]
-		rec := &e.records[id]
-		if rec.at > horizon || (rec.at == horizon && rec.seq >= horizonSeq) {
-			break
-		}
-		e.heapRemoveAt(sh, 0)
+	for len(sh.heap) > 0 && sh.heap[0].before(horizon, horizonSeq) {
+		ev := sh.popHead()
 		sh.dispatched++
 		sh.popped++
-		if rec.at > sh.maxAt {
-			sh.maxAt = rec.at
+		if ev.at > sh.maxAt {
+			sh.maxAt = ev.at
 		}
-		fn := rec.fn
-		rec.fn = nil
-		rec.gen++
-		sh.freed = append(sh.freed, id)
 		n++
-		fn()
+		ev.fn()
 	}
 	atomic.StoreInt32(&sh.owner, 0)
 	return n
 }
 
 // EndWindow closes a parallel window: it merges each local shard's staged
-// bookkeeping back into the engine — pending and dispatched counters, freed
-// record slots (in domain registration order, so the free list stays
-// deterministic), the clock (to the latest event dispatched in the window)
-// — and repairs the tournament leaves of the shards that changed.
+// bookkeeping back into the engine — pending and dispatched counters and
+// the clock (to the latest event dispatched in the window) — and repairs
+// the tournament leaves of the shards that changed.
 func (e *Engine) EndWindow() {
 	if !e.inWindow {
 		panic("sim: EndWindow without BeginWindow")
@@ -220,8 +208,6 @@ func (e *Engine) EndWindow() {
 		}
 		e.pending -= sh.popped
 		e.dispatched += uint64(sh.popped)
-		e.free = append(e.free, sh.freed...)
-		sh.freed = sh.freed[:0]
 		sh.popped = 0
 		if sh.maxAt > e.now {
 			e.now = sh.maxAt
@@ -283,9 +269,6 @@ func (p ParallelStats) BarriersWithoutBatching() uint64 {
 // window wide enough to fan out: none when workers <= 1 or every window is
 // single-domain.
 func (e *Engine) RunParallel(workers int) ParallelStats {
-	if len(e.locals) == 0 {
-		return e.runSerialDrain()
-	}
 	workers = clampWorkers(workers, len(e.locals))
 	var st ParallelStats
 	var pool *workerPool
@@ -307,8 +290,7 @@ func (e *Engine) RunParallel(workers int) ParallelStats {
 			if len(sh.heap) == 0 {
 				continue
 			}
-			rec := &e.records[sh.heap[0]]
-			if rec.at < at || (rec.at == at && rec.seq < seq) {
+			if sh.heap[0].before(at, seq) {
 				eligible = append(eligible, dom)
 				// Queue depth is a cheap upper bound on the shard's eligible
 				// events (some may lie past the horizon); exactness doesn't
@@ -383,16 +365,6 @@ func clampWorkers(workers, locals int) int {
 		workers = p
 	}
 	return workers
-}
-
-// runSerialDrain is the no-local-domains degenerate mode: a plain serial
-// drain counted as cross events.
-func (e *Engine) runSerialDrain() ParallelStats {
-	var st ParallelStats
-	for !e.halted && e.Step() {
-		st.CrossEvents++
-	}
-	return st
 }
 
 // workerPool is RunParallel's worker set: workers-1 background goroutines

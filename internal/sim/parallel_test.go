@@ -137,7 +137,8 @@ func TestRunParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunParallelNoLocals degrades to a plain serial drain.
+// TestRunParallelNoLocals: with no local domain every event is a cross
+// event, dispatched in order with no window.
 func TestRunParallelNoLocals(t *testing.T) {
 	e := NewEngine()
 	n := 0
@@ -291,7 +292,6 @@ func TestWindowGuards(t *testing.T) {
 
 	e.BeginWindow()
 	mustPanic("AtIn during window", func() { e.At(100, func() {}) })
-	mustPanic("Cancel during window", func() { e.Cancel(Event{}) })
 	mustPanic("Step during window", func() { e.Step() })
 	mustPanic("Reset during window", func() { e.Reset() })
 	mustPanic("nested BeginWindow", func() { e.BeginWindow() })

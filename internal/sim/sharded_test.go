@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -12,7 +13,7 @@ import (
 // dispatch contract: one flat queue kept sorted by (at, seq) with stable
 // insertion. The sharded engine must stay byte-identical to it — same
 // (time, dispatch-sequence, tag) order — through any interleaving of
-// Schedule, Cancel, Step, RunUntil and Reset.
+// Schedule, Step, RunUntil and Reset.
 
 type refEvent struct {
 	at  Time
@@ -26,7 +27,7 @@ type refScheduler struct {
 	evts []refEvent
 }
 
-func (r *refScheduler) schedule(d Duration, tag int) uint64 {
+func (r *refScheduler) schedule(d Duration, tag int) {
 	at := r.now + d
 	seq := r.seq
 	r.seq++
@@ -37,18 +38,6 @@ func (r *refScheduler) schedule(d Duration, tag int) uint64 {
 	r.evts = append(r.evts, refEvent{})
 	copy(r.evts[i+1:], r.evts[i:])
 	r.evts[i] = refEvent{at: at, seq: seq, tag: tag}
-	return seq
-}
-
-// cancel removes the event with the given schedule sequence; cancelling a
-// fired or already-cancelled event is a no-op, like Engine.Cancel.
-func (r *refScheduler) cancel(seq uint64) {
-	for i := range r.evts {
-		if r.evts[i].seq == seq {
-			r.evts = append(r.evts[:i], r.evts[i+1:]...)
-			return
-		}
-	}
 }
 
 func (r *refScheduler) step() (Time, int, bool) {
@@ -83,8 +72,8 @@ func (r *refScheduler) reset() {
 
 // TestEngineGoldenDispatchEquivalence drives the sharded engine and the
 // single-queue reference through the same seeded random workload —
-// schedules spread across many domains, cancels of live and stale handles,
-// single steps, RunUntil sweeps and full Resets — and asserts the dispatch
+// schedules spread across many domains, single steps, RunUntil sweeps and
+// full Resets — and asserts the dispatch
 // sequences (time, callback tag) are identical. This is the cross-check
 // that sharding plus the tournament tree is a pure data-structure change:
 // the global (time, seq) order, including FIFO among equal times across
@@ -101,11 +90,6 @@ func TestEngineGoldenDispatchEquivalence(t *testing.T) {
 			ref := &refScheduler{}
 			rng := NewRNG(seed)
 
-			type live struct {
-				ev  Event
-				seq uint64
-			}
-			var handles []live // includes stale ones: cancels hit both kinds
 			var gotAt, wantAt []Time
 			var gotTag, wantTag []int
 			tag := 0
@@ -132,22 +116,13 @@ func TestEngineGoldenDispatchEquivalence(t *testing.T) {
 
 			for op := 0; op < 20000; op++ {
 				switch r := rng.Intn(100); {
-				case r < 55: // schedule into a random domain
+				case r < 60: // schedule into a random domain
 					d := Duration(rng.Intn(50)) // small range: many time ties
 					dom := doms[rng.Intn(len(doms))]
 					tg := tag
 					tag++
-					ev := e.ScheduleIn(dom, d, record(tg))
-					seq := ref.schedule(d, tg)
-					handles = append(handles, live{ev, seq})
-				case r < 65: // cancel a random (possibly stale) handle
-					if len(handles) > 0 {
-						h := handles[rng.Intn(len(handles))]
-						if h.ev.Pending() {
-							ref.cancel(h.seq)
-						}
-						e.Cancel(h.ev)
-					}
+					e.ScheduleIn(dom, d, record(tg))
+					ref.schedule(d, tg)
 				case r < 90: // dispatch one event
 					stepBoth()
 				case r < 97: // RunUntil a nearby horizon
@@ -164,7 +139,6 @@ func TestEngineGoldenDispatchEquivalence(t *testing.T) {
 				default: // full reset
 					e.Reset()
 					ref.reset()
-					handles = handles[:0]
 				}
 				if e.Pending() != len(ref.evts) {
 					t.Fatalf("op %d: Pending %d vs reference %d", op, e.Pending(), len(ref.evts))
@@ -294,26 +268,70 @@ func TestEngineDomainStats(t *testing.T) {
 	}
 }
 
-// TestEngineCancelShardHead cancels the head of a non-default shard while
-// another shard holds the global minimum, exercising tournament repair on
-// the cancel path.
-func TestEngineCancelShardHead(t *testing.T) {
+// TestEngineCallbackSchedulesIntoOwnShard dispatches the head of a shard
+// whose heap is filled exactly to its capacity, from a callback that
+// schedules two more events into that same shard: the first takes the slot
+// the pop freed, the second makes append move the heap while its former
+// head is still running. Dispatch order and Pending — read inside the
+// callback too — must match the reference, which holds only if the engine
+// takes the event out of the heap before calling it and keeps no pointer
+// into the old array.
+func TestEngineCallbackSchedulesIntoOwnShard(t *testing.T) {
 	e := NewEngine()
-	d := e.Domain("a")
-	var fired []int
-	e.Schedule(5*Nanosecond, func() { fired = append(fired, 0) })
-	head := e.ScheduleIn(d, 2*Nanosecond, func() { fired = append(fired, 1) })
-	e.ScheduleIn(d, 7*Nanosecond, func() { fired = append(fired, 2) })
-	e.Cancel(head) // shard d's head (and global minimum) goes away
-	e.Run()
-	if len(fired) != 2 || fired[0] != 0 || fired[1] != 2 {
-		t.Fatalf("dispatch after head cancel: %v", fired)
+	dom := e.Domain("a")
+	ref := &refScheduler{}
+	var got, want []int
+	tag := 0
+	schedule := func(d Duration, then func()) {
+		tg := tag
+		tag++
+		ref.schedule(d, tg)
+		e.ScheduleIn(dom, d, func() {
+			got = append(got, tg)
+			if then != nil {
+				then()
+			}
+		})
+	}
+	checkPending := func(when string) {
+		t.Helper()
+		if e.Pending() != len(ref.evts) {
+			t.Fatalf("%s: Pending %d vs reference %d", when, e.Pending(), len(ref.evts))
+		}
+	}
+	schedule(1, func() {
+		checkPending("entering the head callback")
+		schedule(0, nil) // same instant, later sequence: fires next
+		schedule(3, nil) // one past capacity: the heap moves mid-dispatch
+		checkPending("leaving the head callback")
+	})
+	heap := &e.shards[dom].heap
+	for len(*heap) < 8 || len(*heap) < cap(*heap) {
+		schedule(Duration(2+tag%5), nil)
+	}
+	full := cap(*heap)
+	for {
+		_, tg, ok := ref.step()
+		if stepped := e.Step(); stepped != ok {
+			t.Fatalf("Step=%v, reference=%v", stepped, ok)
+		}
+		if !ok {
+			break
+		}
+		want = append(want, tg)
+		checkPending("after a step")
+	}
+	if cap(*heap) <= full {
+		t.Fatalf("heap capacity %d never grew past %d: the callback did not force a reallocation", cap(*heap), full)
+	}
+	if !reflect.DeepEqual(got, want) || len(got) != tag {
+		t.Fatalf("dispatch order %v, reference %v (%d scheduled)", got, want, tag)
 	}
 }
 
 // TestEngineHotLoopAllocFree is the multi-domain counterpart of
-// TestEngineScheduleStepAllocFree: schedule/cancel/step churn across many
-// shards at steady queue depth must not allocate.
+// TestEngineScheduleStepAllocFree: schedule/step churn across many shards
+// at steady queue depth must not allocate.
 func TestEngineHotLoopAllocFree(t *testing.T) {
 	e := NewEngine()
 	doms := make([]DomainID, 13)
@@ -322,7 +340,7 @@ func TestEngineHotLoopAllocFree(t *testing.T) {
 		doms[i] = e.Domain(fmt.Sprintf("nand.ch%d", i-1))
 	}
 	fn := func() {}
-	// Warm the pool and the shard heaps to steady depth.
+	// Warm the shard heaps to steady depth.
 	for i := 0; i < 64*len(doms); i++ {
 		e.ScheduleIn(doms[i%len(doms)], Duration(i%97)*Nanosecond, fn)
 	}
@@ -332,16 +350,11 @@ func TestEngineHotLoopAllocFree(t *testing.T) {
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(2000, func() {
-		dom := doms[i%len(doms)]
-		ev := e.ScheduleIn(dom, Duration(50+i%13)*Nanosecond, fn)
-		if i%5 == 0 {
-			e.Cancel(ev)
-			e.ScheduleIn(dom, Duration(60+i%7)*Nanosecond, fn)
-		}
+		e.ScheduleIn(doms[i%len(doms)], Duration(50+i%13)*Nanosecond, fn)
 		e.Step()
 		i++
 	})
 	if allocs != 0 {
-		t.Fatalf("sharded schedule/cancel/step allocated %.1f objects per run, want 0", allocs)
+		t.Fatalf("sharded schedule/step allocated %.1f objects per run, want 0", allocs)
 	}
 }
