@@ -179,7 +179,6 @@ type System struct {
 	// carriers with their step callbacks bound once.
 	opFree   []*submitOp
 	fillFree []*fillOp
-	allSubs  []int // 0..SubPagesPerSuperPage-1, shared read-only by prefetches
 	// lineBufFree recycles the line-sized staging buffers of data-tracking
 	// reads, prefetches and partial-sub merges (acquireLineBuf); its
 	// high-water mark is the most lines ever staged at once.
@@ -349,10 +348,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	// lockstep by definition, which is what bindFTL's certificate asserts.
 	if err := s.bindFTL(translator); err != nil {
 		return nil, err
-	}
-	s.allSubs = make([]int, translator.SubPagesPerSuperPage())
-	for i := range s.allSubs {
-		s.allSubs[i] = i
 	}
 	if d.Protocol.HostControllerCopy {
 		s.hba = sim.NewResource("hba")

@@ -966,7 +966,7 @@ func (s *System) prefetch(e *sim.Engine, lspn int64) {
 		// data, or later hits would serve zeroes. The fill releases it.
 		buf = s.acquireLineBuf()
 	}
-	s.startFill(e, e.Now(), lspn, s.allSubs, buf, true, 0, noopFill)
+	s.startFill(e, e.Now(), lspn, s.FTL.AllSubs(), buf, true, 0, noopFill)
 }
 
 // flushEviction writes a displaced dirty line back through FTL and FIL,

@@ -6,7 +6,7 @@ import (
 	"amber/internal/sim"
 )
 
-func newEngine(t *testing.T, mode Mode, hostCopy bool) *Engine {
+func newEngine(t testing.TB, mode Mode, hostCopy bool) *Engine {
 	t.Helper()
 	e, err := New(Config{
 		Link:               sim.NewResource("link"),

@@ -27,8 +27,17 @@
 // index, hence so is that term, and its maximum sits at an end point: j = 0
 // (bank faster than bus) or j = k-1 (bus faster than bank). Every burst's
 // completion is below the last one's, so the access completes at the
-// largest run end. The per-burst walk survives as the reference in
-// dram_test.go, which holds every observable equal to it.
+// largest run end.
+//
+// Nor are runs located one by one: bankOf divides the first run's address
+// into bank, row and offset, and every later run starts where the last ended
+// — the next row, so the next bank, and the next row index once the banks
+// wrap; further on only when a burst is larger than a row. The claims and
+// their order are those of calling bankOf per run, at one division per
+// access instead of two per row. The per-burst walk, a division per burst,
+// survives as the reference in reference_test.go, which holds every
+// observable equal to it, bank counts and row sizes that are no powers of
+// two included.
 //
 // Dynamic energy is counts times per-event energy — activates, read bursts
 // and write bursts are integer counters and EnergyJoules multiplies them
@@ -152,7 +161,8 @@ type Stats struct {
 
 type bank struct {
 	res     *sim.Resource
-	openRow int64 // -1 when precharged
+	bus     *sim.Resource // the data bus of the bank's channel
+	openRow int64         // -1 when precharged
 }
 
 // DRAM is the internal memory subsystem. Not safe for concurrent use.
@@ -164,6 +174,7 @@ type DRAM struct {
 
 	// Per-configuration constants, derived once in New.
 	burstBytes int64
+	rowBursts  int64        // bursts in a row-run that starts on a row boundary
 	burstTime  sim.Duration // data-bus occupancy of one burst
 	hitDur     sim.Duration // CL: column access to an open row
 	missDur    sim.Duration // RP+RCD+CL: precharge, activate, column access
@@ -189,6 +200,7 @@ func New(cfg Config, pow Power) (*DRAM, error) {
 		pow:        pow,
 		burstBytes: int64(cfg.BurstBytes()),
 		burstTime:  cfg.BurstTime(),
+		rowBursts:  (int64(cfg.RowBytes) + int64(cfg.BurstBytes()) - 1) / int64(cfg.BurstBytes()),
 		hitDur:     sim.Duration(cfg.CL) * ct,
 		missDur:    sim.Duration(cfg.RP+cfg.RCD+cfg.CL) * ct,
 		closeDur:   sim.Duration(cfg.RCD+cfg.CL) * ct,
@@ -199,7 +211,7 @@ func New(cfg Config, pow Power) (*DRAM, error) {
 	}
 	d.banks = make([]bank, cfg.TotalBanks())
 	for i := range d.banks {
-		d.banks[i] = bank{res: sim.NewResource(fmt.Sprintf("dram.bank%d", i)), openRow: -1}
+		d.banks[i] = bank{res: sim.NewResource(fmt.Sprintf("dram.bank%d", i)), bus: d.bus[i%cfg.Channels], openRow: -1}
 	}
 	return d, nil
 }
@@ -235,11 +247,14 @@ func (d *DRAM) Access(now sim.Time, addr int64, n int, write bool) sim.Time {
 		d.rdBursts += uint64(bursts)
 	}
 	done := now
-	a := addr
+	bi, row := d.bankOf(addr)
+	off := addr % rowBytes
 	for bursts > 0 {
-		bi, row := d.bankOf(a)
 		bk := &d.banks[bi]
-		k := (rowBytes - a%rowBytes + d.burstBytes - 1) / d.burstBytes
+		k := d.rowBursts
+		if off != 0 {
+			k = (rowBytes - off + d.burstBytes - 1) / d.burstBytes
+		}
 		if k > bursts {
 			k = bursts
 		}
@@ -265,11 +280,17 @@ func (d *DRAM) Access(now sim.Time, addr int64, n int, write bool) sim.Time {
 		// back; burst i reaches the bus at ready + i·rest.
 		_, ready := bk.res.Claim(now, first)
 		bk.res.ClaimRun(now, 0, rest, int(k-1))
-		if end := d.bus[bi%d.cfg.Channels].ClaimRun(ready, rest, d.burstTime, int(k)); end > done {
+		if end := bk.bus.ClaimRun(ready, rest, d.burstTime, int(k)); end > done {
 			done = end
 		}
-		a += k * d.burstBytes
 		bursts -= k
+		// Unless the access ended, the run crossed into the next row — or
+		// further, when a burst is larger than a row.
+		for off += k * d.burstBytes; off >= rowBytes; off -= rowBytes {
+			if bi++; bi == len(d.banks) {
+				bi, row = 0, row+1
+			}
+		}
 	}
 	if write {
 		d.stats.Writes++

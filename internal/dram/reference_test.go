@@ -121,56 +121,68 @@ func compareToRef(t *testing.T, step int, d *DRAM, r *refDRAM) {
 // TestAccessMatchesPerBurstReference drives random access streams — 1 B to
 // two cache lines, unaligned addresses, reads and writes, idle gaps and
 // pile-ups — through Access and the per-burst reference, for both page
-// policies, one and two channels, and bank service both slower and faster
-// than the bus. Returned time, Stats, every bank and bus timeline, open rows
-// and energy must agree after every access.
+// policies, one and two channels, bank service both slower and faster than
+// the bus, and four organizations: the DDR3L one, and bank counts and row
+// sizes that are no powers of two — 6 banks; 3 banks of 1000-byte rows, which
+// bursts straddle; 5 banks of 24-byte rows, smaller than a burst, so a
+// row-run is one burst and the next starts two rows on. The reference locates
+// every burst by division; Access divides once and steps. Returned time,
+// Stats, every bank and bus timeline, open rows and energy must agree after
+// every access.
 func TestAccessMatchesPerBurstReference(t *testing.T) {
 	const lineBytes = 120 * 8192
-	for _, policy := range []PagePolicy{OpenPage, ClosePage} {
-		for _, channels := range []int{1, 2} {
-			for _, cl := range []int{11, 2} { // CL 11: h > bt; CL 2: h < bt
-				t.Run(fmt.Sprintf("%v/ch%d/cl%d", policy, channels, cl), func(t *testing.T) {
-					cfg := DDR3L1600(1 << 30)
-					cfg.Policy, cfg.Channels, cfg.CL = policy, channels, cl
-					d, err := New(cfg, DefaultPower())
-					if err != nil {
-						t.Fatal(err)
+	for _, org := range []struct{ banks, rowBytes int }{{8, 2048}, {6, 2048}, {3, 1000}, {5, 24}} {
+		for _, policy := range []PagePolicy{OpenPage, ClosePage} {
+			for _, channels := range []int{1, 2} {
+				for _, cl := range []int{11, 2} { // CL 11: h > bt; CL 2: h < bt
+					name, steps := fmt.Sprintf("%v/ch%d/cl%d", policy, channels, cl), 400
+					if org.banks != 8 || org.rowBytes != 2048 {
+						name, steps = name+fmt.Sprintf("/%dx%d", org.banks, org.rowBytes), 150
 					}
-					ref := newRefDRAM(cfg, DefaultPower())
-					rng := sim.NewRNG(uint64(7 + 31*channels + cl))
-					now := sim.Time(0)
-					for step := 0; step < 400; step++ {
-						var n int
-						switch rng.Intn(4) {
-						case 0:
-							n = 1 + rng.Intn(64)
-						case 1:
-							n = 1 + rng.Intn(8192)
-						case 2:
-							n = 4096
-						default:
-							n = 1 + rng.Intn(2*lineBytes)
+					t.Run(name, func(t *testing.T) {
+						cfg := DDR3L1600(1 << 30)
+						cfg.BanksPerRank, cfg.RowBytes = org.banks, org.rowBytes
+						cfg.Policy, cfg.Channels, cfg.CL = policy, channels, cl
+						d, err := New(cfg, DefaultPower())
+						if err != nil {
+							t.Fatal(err)
 						}
-						addr := int64(rng.Intn(1<<30 - 2*lineBytes))
-						if rng.Intn(3) == 0 {
-							addr &^= 4095
+						ref := newRefDRAM(cfg, DefaultPower())
+						rng := sim.NewRNG(uint64(7 + 31*channels + cl))
+						now := sim.Time(0)
+						for step := 0; step < steps; step++ {
+							var n int
+							switch rng.Intn(4) {
+							case 0:
+								n = 1 + rng.Intn(64)
+							case 1:
+								n = 1 + rng.Intn(8192)
+							case 2:
+								n = 4096
+							default:
+								n = 1 + rng.Intn(2*lineBytes)
+							}
+							addr := int64(rng.Intn(1<<30 - 2*lineBytes))
+							if rng.Intn(3) == 0 {
+								addr &^= 4095
+							}
+							write := rng.Intn(2) == 0
+							// Mostly pile onto busy banks; sometimes let them drain.
+							switch rng.Intn(4) {
+							case 0:
+								now += sim.Time(rng.Intn(2_000_000))
+							case 1:
+								now = sim.MaxOf(now, d.busyUntil) + sim.Time(rng.Intn(1000))
+							}
+							got := d.Access(now, addr, n, write)
+							want := ref.access(now, addr, n, write)
+							if got != want {
+								t.Fatalf("step %d: Access(%d, %d, %d, %v) = %d, reference %d", step, now, addr, n, write, got, want)
+							}
+							compareToRef(t, step, d, ref)
 						}
-						write := rng.Intn(2) == 0
-						// Mostly pile onto busy banks; sometimes let them drain.
-						switch rng.Intn(4) {
-						case 0:
-							now += sim.Time(rng.Intn(2_000_000))
-						case 1:
-							now = sim.MaxOf(now, d.busyUntil) + sim.Time(rng.Intn(1000))
-						}
-						got := d.Access(now, addr, n, write)
-						want := ref.access(now, addr, n, write)
-						if got != want {
-							t.Fatalf("step %d: Access(%d, %d, %d, %v) = %d, reference %d", step, now, addr, n, write, got, want)
-						}
-						compareToRef(t, step, d, ref)
-					}
-				})
+					})
+				}
 			}
 		}
 	}

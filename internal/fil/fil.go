@@ -126,6 +126,7 @@ type FIL struct {
 	// pre-read nothing consumed) goes back to the flash then.
 	recs     []planRec
 	sbTimes  []sbTime // per-super-block erase completion / latest touch
+	sbLast   [2]int   // sbSlot's cache: the last two sbTimes indices its scan found
 	readBufs [][]byte
 	readBufN int
 
@@ -394,13 +395,25 @@ func HostData(lspn int64, dirty []bool, data []byte, subSize int) PlanData {
 // returned pointer is valid until the next sbSlot call (the slice may
 // grow); callers must not hold it across calls.
 func (f *FIL) sbSlot(sb int) *sbTime {
-	for i := range f.sbTimes {
-		if f.sbTimes[i].sb == sb {
-			return &f.sbTimes[i]
-		}
+	// A migration alternates between two super-blocks, the victim and the
+	// open one: try the last two slots the scan found first. An index left
+	// from an earlier plan is harmless — a slot whose sb matches is the slot.
+	t := f.sbTimes
+	if i := f.sbLast[0]; i < len(t) && t[i].sb == sb {
+		return &t[i]
 	}
-	f.sbTimes = append(f.sbTimes, sbTime{sb: sb})
-	return &f.sbTimes[len(f.sbTimes)-1]
+	if i := f.sbLast[1]; i < len(t) && t[i].sb == sb {
+		return &t[i]
+	}
+	i := 0
+	for i < len(t) && t[i].sb != sb {
+		i++
+	}
+	if i == len(t) {
+		f.sbTimes = append(t, sbTime{sb: sb})
+	}
+	f.sbLast[0], f.sbLast[1] = i, f.sbLast[0]
+	return &f.sbTimes[i]
 }
 
 // parityPayload assembles the RAIN parity payload of op — the XOR of the
@@ -782,7 +795,10 @@ func (f *FIL) execute(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan f
 
 	n := len(plan.Ops)
 	if cap(f.recs) < n {
-		f.recs = make([]planRec, n+n/4)
+		// As large as the plan's own buffer, which the FTL sizes once for a
+		// whole GC storm: the table grows when that buffer does, not with
+		// every plan a few ops longer than the last.
+		f.recs = make([]planRec, cap(plan.Ops))
 	}
 	recs := f.recs[:n]
 	f.sbTimes = f.sbTimes[:0]

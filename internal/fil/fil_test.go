@@ -821,3 +821,33 @@ func TestCertifiedChainFaultDisarm(t *testing.T) {
 		t.Fatalf("re-armed chain did not take the fast path (CertifiedPlans %d -> %d)", certAtFault, got)
 	}
 }
+
+// TestSBSlotCacheFindsTheSlot walks sbSlot through random super-block
+// sequences — long alternations between two, as a migration makes them, and
+// jumps among many — across plan boundaries that empty the table under the
+// two cached indices: the slot returned is always the one for the
+// super-block asked for, and still holds what was last stored in it.
+func TestSBSlotCacheFindsTheSlot(t *testing.T) {
+	f := &FIL{}
+	rng := sim.NewRNG(5)
+	var stored map[int]sim.Time
+	for step := 0; step < 20000; step++ {
+		if step%500 == 0 {
+			f.sbTimes = f.sbTimes[:0] // a new plan; the cache is left as it is
+			stored = make(map[int]sim.Time)
+		}
+		sb := rng.Intn(2)
+		if rng.Intn(4) == 0 {
+			sb = rng.Intn(9)
+		}
+		slot := f.sbSlot(sb)
+		if slot.sb != sb || slot.touched != stored[sb] {
+			t.Fatalf("step %d: sbSlot(%d) = %+v, last stored %d", step, sb, *slot, stored[sb])
+		}
+		slot.touched = sim.Time(step + 1)
+		stored[sb] = slot.touched
+	}
+	if len(f.sbTimes) > 9 {
+		t.Fatalf("%d slots for 9 super-blocks", len(f.sbTimes))
+	}
+}

@@ -376,7 +376,7 @@ type FTL struct {
 	linkLSPN int64
 	lastRead []int32
 
-	allSubs []int // 0..subCount-1: LookupCertified's request, read-only
+	allSubs []int // 0..subCount-1, read-only (AllSubs)
 }
 
 // New constructs an FTL over the given geometry.
@@ -577,6 +577,11 @@ func (f *FTL) Lookup(lspn int64) ([]PageLoc, error) {
 	return locs, err
 }
 
+// AllSubs returns 0..SubPagesPerSuperPage-1, the request for a whole
+// super-page (LookupSubs, the core's prefetch fills). Shared: callers must
+// not write to it.
+func (f *FTL) AllSubs() []int { return f.allSubs }
+
 // LookupCertified is LookupSubs over every sub-page of lspn, in sub order.
 func (f *FTL) LookupCertified(dst []PageLoc, lspn int64) ([]PageLoc, ReadCert, error) {
 	return f.LookupSubs(dst, lspn, f.allSubs)
@@ -679,6 +684,7 @@ func (f *FTL) allocOpen(now sim.Time, plan *Plan) error {
 	}
 	if !f.inGC && len(f.freeSB) <= f.cfg.GCFreeThreshold {
 		f.inGC = true
+		f.reserveStorm(plan)
 		// Bounded collection: plane-skewed partial updates can make a single
 		// collect net-zero (migration consumes a block as the erase frees
 		// one), so cap the work per allocation instead of insisting the

@@ -96,28 +96,67 @@ func (f *FTL) eraseSB(sb int, plan *Plan) {
 	plan.Ops = append(plan.Ops, Op{Kind: OpErase, SB: sb})
 }
 
-// selectVictim returns the best GC victim, or -1 if none qualifies. The
-// open super-block and free blocks are excluded. A block with zero valid
-// sub-pages is always the best possible victim under both policies.
+// collectable reports whether sb may be a GC victim: the open super-block,
+// free and retired blocks are excluded, and so are blocks collecting which
+// gains nothing.
+func (f *FTL) collectable(sb int) bool {
+	blk := &f.sbs[sb]
+	if blk.free || blk.retired || sb == f.openSB {
+		return false
+	}
+	written := 0
+	for _, np := range blk.nextPage {
+		written += int(np)
+	}
+	if written == 0 {
+		return false // nothing ever written; erasing gains nothing
+	}
+	// Fully valid: migration would consume what the erase frees.
+	return int(blk.validSubs) != f.fullSubs()
+}
+
+// reserveStorm gives the plan, in one exact-size allocation, room for the
+// collection loop allocOpen is about to run and for the write around it, so
+// that a storm — on the bench device one write migrating the whole volume in
+// ~295 000 ops — neither climbs append's growth ladder, copying megabytes a
+// step, nor leaves Write a scratch larger than it needed. The loop migrates
+// only sub-pages valid in a collectable super-block now (what it writes lands
+// in fully valid blocks or the open one, never a victim): a read and a
+// rewrite each, at most an erase per super-block and, under RAIN, about a
+// parity program per stripe row; the write around it is a super-page of
+// pre-reads and one of rewrites, wherever in it the storm starts. A plan that
+// outgrows this all the same falls back to append.
+func (f *FTL) reserveStorm(plan *Plan) {
+	subs := 0
+	for sb := range f.sbs {
+		if f.collectable(sb) {
+			subs += int(f.sbs[sb].validSubs)
+		}
+	}
+	need := max(len(plan.Ops), 2*f.subCount) + 2*subs + f.sbCount
+	if f.rainW > 0 {
+		need += (subs+f.subCount)/f.rainW + f.subCount/(f.rainW+1)
+	}
+	if need <= cap(plan.Ops) {
+		return
+	}
+	ops := make([]Op, len(plan.Ops), need)
+	copy(ops, plan.Ops)
+	plan.Ops = ops
+}
+
+// selectVictim returns the best GC victim, or -1 if none qualifies. A block
+// with zero valid sub-pages is always the best possible victim under both
+// policies.
 func (f *FTL) selectVictim(now sim.Time) int {
 	best := -1
 	var bestScore float64
 	totalSubs := float64(f.fullSubs())
 	for sb := range f.sbs {
-		blk := &f.sbs[sb]
-		if blk.free || blk.retired || sb == f.openSB {
+		if !f.collectable(sb) {
 			continue
 		}
-		written := 0
-		for _, np := range blk.nextPage {
-			written += int(np)
-		}
-		if written == 0 {
-			continue // nothing ever written; erasing gains nothing
-		}
-		if int(blk.validSubs) == f.fullSubs() {
-			continue // fully valid: migration would consume what the erase frees
-		}
+		blk := &f.sbs[sb]
 		var score float64
 		switch f.cfg.GCPolicy {
 		case CostBenefit:

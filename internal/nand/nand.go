@@ -452,6 +452,9 @@ type Flash struct {
 	// page's data phase: every read and program claims it, so the float
 	// conversion behind it runs once, in New.
 	xferPage sim.Duration
+	// readLat and progLat are the nominal tR and tPROG of each page class
+	// (pageClass), computed once for the same reason.
+	readLat, progLat []sim.Duration
 
 	channels []*sim.Resource // one per channel bus
 	dies     []*sim.Resource // one per die
@@ -583,6 +586,8 @@ func New(geo Geometry, tim Timing, pow Power, cell CellType, opt Options) (*Flas
 		pow:       pow,
 		cell:      cell,
 		xferPage:  tim.XferTime(geo.PageSize),
+		readLat:   classLatencies(cell.LatencyClasses(), tim.ReadFast, tim.ReadSlow),
+		progLat:   classLatencies(cell.LatencyClasses(), tim.ProgFast, tim.ProgSlow),
 		trackData: opt.TrackData,
 		rng:       sim.NewRNG(opt.Seed ^ 0xa3b1), // decorrelate from other consumers of the same seed
 	}
@@ -598,8 +603,9 @@ func New(geo Geometry, tim Timing, pow Power, cell CellType, opt Options) (*Flas
 		f.dies[i] = sim.NewResource(fmt.Sprintf("nand.die%d", i))
 	}
 	f.blocks = make([]blockState, geo.TotalBlocks())
+	written := make([]bool, geo.TotalPages()) // one backing array, a block's pages each
 	for i := range f.blocks {
-		f.blocks[i].written = make([]bool, geo.PagesPerBlock)
+		f.blocks[i].written = written[i*geo.PagesPerBlock : (i+1)*geo.PagesPerBlock : (i+1)*geo.PagesPerBlock]
 	}
 	f.oob = make([]pageOOB, geo.TotalPages())
 	for i := range f.oob {
@@ -700,12 +706,12 @@ func (f *Flash) pageClass(page int) int {
 // readLatency returns tR for the page, interpolating between fast and slow
 // classes.
 func (f *Flash) readLatency(page int) sim.Duration {
-	return f.classLatency(page, f.tim.ReadFast, f.tim.ReadSlow)
+	return f.readLat[f.pageClass(page)]
 }
 
 // progLatency returns tPROG for the page with ISPP jitter applied.
 func (f *Flash) progLatency(page int) sim.Duration {
-	base := f.classLatency(page, f.tim.ProgFast, f.tim.ProgSlow)
+	base := f.progLat[f.pageClass(page)]
 	if f.tim.ISPPJitter == 0 {
 		return base
 	}
@@ -715,14 +721,16 @@ func (f *Flash) progLatency(page int) sim.Duration {
 	return sim.FromSeconds(base.Seconds() * factor)
 }
 
-func (f *Flash) classLatency(page int, fast, slow sim.Duration) sim.Duration {
-	classes := f.cell.LatencyClasses()
-	if classes == 1 || slow == fast {
-		return fast
+// classLatencies returns the nominal latency of every page class, spread
+// evenly from fast (class 0) to slow (the last).
+func classLatencies(classes int, fast, slow sim.Duration) []sim.Duration {
+	lat := make([]sim.Duration, classes)
+	lat[0] = fast
+	for cl := 1; cl < classes; cl++ {
+		span := float64(slow-fast) / float64(classes-1)
+		lat[cl] = fast + sim.Duration(span*float64(cl))
 	}
-	cl := f.pageClass(page)
-	span := float64(slow-fast) / float64(classes-1)
-	return fast + sim.Duration(span*float64(cl))
+	return lat
 }
 
 // CheckRead reports the error a read of addr would fail with (address out
