@@ -17,6 +17,7 @@ package amber_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -313,6 +314,47 @@ func BenchmarkRunReadMiss(b *testing.B) {
 	if _, err := s.Run(gen, core.RunConfig{Requests: 20000, IODepth: 32}); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	res, err := s.Run(gen, core.RunConfig{Requests: b.N, IODepth: 32})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if res.FailedReads > 0 {
+		b.Fatalf("%d of %d reads failed", res.FailedReads, b.N)
+	}
+}
+
+// cachedRead750 is bench/'s hotread4k_cached up to its timed section: bench750,
+// then the leading 256 MiB of the volume read once line by line at queue
+// depth 32, so that every 4 KiB random read of the returned stream hits the
+// ICL and the flash stays idle.
+func cachedRead750(tb testing.TB, seed uint64) (*core.System, workload.Generator) {
+	tb.Helper()
+	s := bench750(tb)
+	line := int64(s.Split.LineBytes())
+	span := int64(256<<20) / line * line
+	pre, err := workload.NewFIO(workload.SeqRead, int(line), span, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := s.Run(pre, core.RunConfig{Requests: int(span / line), IODepth: 32}); err != nil {
+		tb.Fatal(err)
+	}
+	s.Drain()
+	gen, err := workload.NewFIO(workload.RandRead, 4096, span, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s, gen
+}
+
+// BenchmarkRunCachedRead is bench/'s hotread4k_cached as a microbenchmark:
+// what a request costs when nothing below the cache runs — kernel submit and
+// ISR, HIL parse and completion, the ICL probe, one DRAM access, the payload
+// DMA and four engine events. allocs/op is Run's per-request cost, zero.
+func BenchmarkRunCachedRead(b *testing.B) {
+	s, gen := cachedRead750(b, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	res, err := s.Run(gen, core.RunConfig{Requests: b.N, IODepth: 32})
@@ -791,5 +833,73 @@ func TestWorkGateGCStorm(t *testing.T) {
 	}
 	if !slices.Equal(probe.storms, want) {
 		t.Fatalf("collection steps (request seen at, collects, sub-pages migrated)\n got %v\nwant %v", probe.storms, want)
+	}
+}
+
+// TestWorkGateCachedRead pins the work behind bench/'s hotread4k_cached — its
+// device, pre-read span, stream, seed and depth — in counts that repeat
+// exactly per seed: what the cost model charges a request that hits the
+// cache, module by module, and how many events, DRAM accesses and DMA
+// descriptors carry it. The wall clock on a shared box cannot resolve a few
+// per cent; these move by one instruction.
+func TestWorkGateCachedRead(t *testing.T) {
+	s, gen := cachedRead750(t, 11)
+	const n = 20000
+	type counts struct {
+		dev, hil, icl, hilComplete, host uint64
+		dram, descriptors, hits, misses  uint64
+	}
+	read := func() counts {
+		dr, ic := s.DevDRAM.Stats(), s.ICL.Stats()
+		return counts{
+			dev:         s.DevCPU.Instructions().Total(),
+			hil:         s.DevCPU.ModuleInstructions("hil").Total(),
+			icl:         s.DevCPU.ModuleInstructions("icl").Total(),
+			hilComplete: s.DevCPU.ModuleInstructions("hil.complete").Total(),
+			host:        s.Host.CPU.Instructions().Total(),
+			dram:        dr.Reads + dr.Writes,
+			descriptors: s.DMA.Stats().Descriptors,
+			hits:        ic.ReadSubHits,
+			misses:      ic.ReadSubMisses,
+		}
+	}
+	before := read()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	res, err := s.Run(gen, core.RunConfig{Requests: n, IODepth: 32})
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := read()
+	got := counts{
+		dev: after.dev - before.dev, hil: after.hil - before.hil, icl: after.icl - before.icl,
+		hilComplete: after.hilComplete - before.hilComplete, host: after.host - before.host,
+		dram: after.dram - before.dram, descriptors: after.descriptors - before.descriptors,
+		hits: after.hits - before.hits, misses: after.misses - before.misses,
+	}
+	// Per request: hil = doorbell 520 + NVMe parse 420, icl = one lookup 160,
+	// hil.complete 300 — 1 400 device instructions and nothing under ftl or
+	// fil; host = submit 9 000 + BFQ 17 000 (a random stream never merges)
+	// + ISR 7 000; one DRAM read of the sub-page and one DMA descriptor.
+	want := counts{
+		dev: 1400 * n, hil: 940 * n, icl: 160 * n, hilComplete: 300 * n, host: 33000 * n,
+		dram: n, descriptors: n, hits: n, misses: 0,
+	}
+	if got != want {
+		t.Errorf("work of %d cached reads\n got %+v\nwant %+v", n, got, want)
+	}
+	// Four events a request (issue, parse done, payload DMA, completion) and
+	// one to start each of the 32 jobs.
+	if wantEvents := uint64(4*n + 32); res.Events != wantEvents {
+		t.Errorf("engine events %d, want %d", res.Events, wantEvents)
+	}
+	if res.FailedReads != 0 {
+		t.Errorf("%d reads failed", res.FailedReads)
+	}
+	// Run allocates per run (its jobs, the latency samples' growth), not per
+	// request.
+	if allocs := m1.Mallocs - m0.Mallocs; allocs > n/100 {
+		t.Errorf("%d allocations over %d requests, want none per request", allocs, n)
 	}
 }

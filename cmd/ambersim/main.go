@@ -24,15 +24,22 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"sort"
 	"strings"
 	"time"
 
 	"amber/internal/config"
 	"amber/internal/core"
+	"amber/internal/cpu"
+	"amber/internal/dma"
 	"amber/internal/exp"
 	"amber/internal/farm"
+	"amber/internal/fil"
+	"amber/internal/ftl"
 	"amber/internal/host"
+	"amber/internal/icl"
+	"amber/internal/nand"
 	"amber/internal/sim"
 	"amber/internal/workload"
 )
@@ -189,209 +196,20 @@ func main() {
 		return
 	}
 
-	runOne := func(dev string, w io.Writer) error {
-		d, err := config.Device(dev)
-		if err != nil {
-			return err
-		}
-		d.Faults, err = config.FaultProfile(*faultProf, *faultSeed)
-		if err != nil {
-			return err
-		}
-		d.RAINWidth = *rainWidth
-		cfg := config.PCSystem(d)
-		if *mobile {
-			cfg = config.MobileSystem(d)
-		}
-		cfg.Host.Scheduler = schedKind
-		cfg.ContiguousDMA = *contigDMA
-
-		s, err := core.NewSystem(cfg)
-		if err != nil {
-			return err
-		}
-		switch {
-		case *restPath != "":
-			// The image carries a complete device state (typically an
-			// already-preconditioned one), so preconditioning is skipped.
-			img, err := os.ReadFile(*restPath)
-			if err != nil {
-				return err
-			}
-			if err := s.Restore(img); err != nil {
-				return fmt.Errorf("restore %s: %w", *restPath, err)
-			}
-			fmt.Fprintf(os.Stderr, "%s: restored %d-byte state image from %s\n", dev, len(img), *restPath)
-		case !*noPrecond:
-			fmt.Fprintln(os.Stderr, dev+": preconditioning to steady state...")
-			if err := s.Precondition(32); err != nil {
-				return err
-			}
-		}
-
-		var gen workload.Generator
-		if *trace != "" {
-			gen, err = workload.NewTrace(traceParams, s.VolumeBytes(), *seed)
-		} else {
-			gen, err = workload.NewFIO(pattern, *bs, s.VolumeBytes(), *seed)
-		}
-		if err != nil {
-			return err
-		}
-
-		rc := core.RunConfig{Requests: *n, IODepth: *depth, IntraWorkers: *intraPar, ScrubEvery: scrubEvery}
-		if powerCut > 0 {
-			rc.PowerLossAt = s.Now() + powerCut
-		}
-		var res *core.RunResult
-		if *batchSub {
-			// Vectored path: pre-generate the whole request stream and hand
-			// it to SubmitBatch in one call. The device windows internally
-			// (scheduler dispatch window, protocol queue depth, engine batch
-			// limit) and drains deferred bookkeeping once per window instead
-			// of once per request; results are byte-identical to a Submit
-			// loop, so every footer counter below means the same thing.
-			reqs := make([]workload.Request, *n)
-			var bytesRead, bytesWritten int64
-			for i := range reqs {
-				reqs[i] = gen.Next(i)
-				if reqs[i].Write {
-					bytesWritten += int64(reqs[i].Length)
-				} else {
-					bytesRead += int64(reqs[i].Length)
-				}
-			}
-			start := s.Now()
-			times := make([]sim.Time, len(reqs))
-			end, err := s.SubmitBatch(start, reqs, nil, times)
-			if err != nil {
-				return err
-			}
-			res = &core.RunResult{
-				Workload: gen.Name(), Requests: *n, Depth: 1,
-				BytesRead: bytesRead, BytesWritten: bytesWritten,
-				Start: start, End: end,
-			}
-			// Under the serial depth-1 contract request i issues the moment
-			// request i-1 completes, so per-request latency is the gap
-			// between consecutive completion stamps.
-			prev := start
-			for _, done := range times {
-				if done < prev { // contract says nondecreasing; stay safe
-					done = prev
-				}
-				res.Latency.Add(done - prev)
-				prev = done
-			}
-		} else {
-			res, err = s.Run(gen, rc)
-			if err != nil {
-				return err
-			}
-		}
-
-		el := res.Elapsed()
-		fmt.Fprintf(w, "workload        %s\n", res.Workload)
-		fmt.Fprintf(w, "device          %s (%s, %d dies)\n", d.Name, d.Protocol.Kind, d.Geometry.TotalDies())
-		if *batchSub {
-			fmt.Fprintf(w, "requests        %d vectored (serial depth-1 contract)\n", res.Requests)
-		} else {
-			fmt.Fprintf(w, "requests        %d at depth %d (effective)\n", res.Requests, res.Depth)
-		}
-		fmt.Fprintf(w, "simulated time  %v\n", el)
-		fmt.Fprintf(w, "bandwidth       %.1f MB/s (%.0f IOPS)\n", res.BandwidthMBps(), res.IOPS())
-		fmt.Fprintf(w, "latency         avg %.1f us, p50 %.1f, p95 %.1f, p99 %.1f, max %.1f\n",
-			res.AvgLatencyUs(), res.Latency.Percentile(50), res.Latency.Percentile(95),
-			res.Latency.Percentile(99), res.Latency.Max())
-
-		fs := s.FTL.Stats()
-		fmt.Fprintf(w, "ftl             WAF %.2f, GC runs %d, migrated %d, erases %d\n",
-			fs.WAF(), fs.GCRuns, fs.GCMigrated, fs.Erases)
-		cs := s.ICL.Stats()
-		fmt.Fprintf(w, "icl             hit rate %.1f%%, readaheads %d, evictions %d\n",
-			cs.HitRate()*100, cs.Readaheads, cs.Evictions)
-		im := s.DevCPU.Instructions()
-		fmt.Fprintf(w, "firmware        %.1fM instructions (%.0f%% load/store)\n",
-			float64(im.Total())/1e6, im.LoadStoreFraction()*100)
-		ds := s.DMA.Stats()
-		fmt.Fprintf(w, "dma             %d descriptors / %d entries (%s mode), %.1f MB moved\n",
-			ds.Descriptors, ds.Entries, s.DMA.Mode(), float64(ds.BytesMoved)/1e6)
-		// The certified-plan counter surfaces the fast path: plans the FIL
-		// executed without the prevalidation walk.
-		fils := s.FIL.Stats()
-		fmt.Fprintf(w, "fil             %d plans (%d certified fast-path)\n",
-			fils.PlanCount, fils.CertifiedPlans)
-		if *batchSub {
-			windows, batched := s.BatchStats()
-			fmt.Fprintf(w, "batch           %d windows over %d requests; certified reads %d, cert disarms %d\n",
-				windows, batched, fils.CertifiedReads, fils.CertDisarms)
-		}
-		if res.PowerLost {
-			pl := res.PowerLoss.Flash
-			fmt.Fprintf(w, "power loss      cut at %v: %d in-flight programs (%d torn / %d committed), %d erases undone, %d dirty cache lines lost\n",
-				rc.PowerLossAt, pl.InFlight, pl.Torn, pl.Committed, pl.ErasesUndone, res.PowerLoss.DirtyLinesLost)
-			m := res.Mount
-			fmt.Fprintf(w, "recovery        mount scan %v, %d mappings recovered, %d torn pages discarded, %d stale skipped, %d retired replayed, cleanup erased %d, squeezed %d blocks (%d sub-pages)\n",
-				m.ScanTime, m.RecoveredSubs, m.TornDiscarded, m.StaleSkipped, m.RetiredSBs, m.CleanupErases, m.SqueezedSBs, m.SqueezedSubs)
-		}
-		if *rainWidth > 0 || scrubEvery > 0 {
-			fmt.Fprintf(w, "rain/scrub      %d parity writes, %d reconstructions, %d double faults; %d scrub runs migrated %d sub-pages\n",
-				fs.ParityWrites, fs.Reconstructions, fs.DoubleFaults, fs.ScrubRuns, fs.ScrubMigrated)
-		}
-		if s.Flash.FaultsEnabled() {
-			fst := s.Flash.FaultStats()
-			state := "healthy"
-			if s.FTL.ReadOnly() {
-				state = "READ-ONLY"
-			}
-			fmt.Fprintf(w, "faults          %d program / %d erase / %d uncorrectable, %d read retries; retired %v, spare headroom %d, %d failed writes / %d failed reads [%s]\n",
-				fst.ProgramFails, fst.EraseFails, fst.Uncorrectable, fst.ReadRetries,
-				s.FTL.RetiredSuperBlocks(), s.FTL.SpareHeadroom(), res.FailedWrites, res.FailedReads, state)
-		}
-		if !*batchSub {
-			fmt.Fprintf(w, "engine          %d events", res.Events)
-			// The busiest scheduling domains, most-loaded first.
-			sort.Slice(res.DomainEvents, func(i, j int) bool {
-				return res.DomainEvents[i].Dispatched > res.DomainEvents[j].Dispatched
-			})
-			shown := 0
-			for _, d := range res.DomainEvents {
-				if d.Dispatched == 0 || shown == 4 {
-					break
-				}
-				fmt.Fprintf(w, "  %s %d", d.Name, d.Dispatched)
-				shown++
-			}
-			fmt.Fprintln(w)
-		}
-		if *intraPar > 1 {
-			st := res.Intra
-			fmt.Fprintf(w, "intra-parallel  %d horizons (%d fanned out over %d workers), %d local + %d cross events, %.1f local events/horizon\n",
-				st.Horizons, st.ParallelHorizons, *intraPar, st.LocalEvents, st.CrossEvents, st.MeanLocalPerHorizon())
-			fmt.Fprintf(w, "horizon-batch   %d cross events batched past pending channel work: %d barriers instead of %d (%d forced by the batch limit)\n",
-				st.BatchedCross, st.Barriers(), st.BarriersWithoutBatching(), st.LimitBarriers)
-		}
-		full := s.Now() - 0
-		fmt.Fprintf(w, "power (avg)     cpu %.2f W, dram %.2f W, nand %.2f W\n",
-			s.DevCPU.AveragePowerW(full), s.DevDRAM.AveragePowerW(full), s.Flash.AveragePowerW(full))
-		fmt.Fprintf(w, "host            cpu busy %v, mem used %d MB\n",
-			s.Host.CPU.BusyTime(), s.Host.MemUsed()>>20)
-		if *snapPath != "" {
-			img, err := s.Snapshot()
-			if err != nil {
-				return fmt.Errorf("snapshot: %w", err)
-			}
-			if err := os.WriteFile(*snapPath, img, 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "snapshot        %d-byte state image -> %s\n", len(img), *snapPath)
-		}
-		return nil
+	o := runOptions{
+		sched: schedKind, mobile: *mobile, contigDMA: *contigDMA,
+		faultProfile: *faultProf, faultSeed: *faultSeed, rain: *rainWidth,
+		restore: *restPath, snapshot: *snapPath, precondition: !*noPrecond,
+		pattern: pattern, blockSize: *bs, seed: *seed,
+		requests: *n, depth: *depth, intraWorkers: *intraPar, batchSubmit: *batchSub,
+		scrubEvery: scrubEvery, powerCut: powerCut,
 	}
-
+	if *trace != "" {
+		o.trace = &traceParams
+	}
 	outs := make([]strings.Builder, len(devices))
 	err = exp.ForEach(*parallel, len(devices), func(i int) error {
-		if err := runOne(devices[i], &outs[i]); err != nil {
+		if err := runOne(devices[i], &outs[i], o); err != nil {
 			return fmt.Errorf("%s: %w", devices[i], err)
 		}
 		return nil
@@ -405,6 +223,278 @@ func main() {
 		}
 		fmt.Print(outs[i].String())
 	}
+}
+
+// runOptions is the flag set as one device's run needs it: names resolved,
+// durations parsed, combinations already validated.
+type runOptions struct {
+	sched                host.SchedulerKind
+	mobile, contigDMA    bool
+	faultProfile         string
+	faultSeed            uint64
+	rain                 int
+	restore, snapshot    string // image paths, "" = off
+	precondition         bool
+	trace                *workload.TraceParams // nil = the fio pattern
+	pattern              workload.Pattern
+	blockSize            int
+	seed                 uint64
+	requests, depth      int
+	intraWorkers         int
+	batchSubmit          bool
+	scrubEvery, powerCut sim.Duration
+}
+
+// runOne builds the named device, brings it to its starting state, runs the
+// workload and writes the report to w.
+func runOne(dev string, w io.Writer, o runOptions) error {
+	d, err := config.Device(dev)
+	if err != nil {
+		return err
+	}
+	d.Faults, err = config.FaultProfile(o.faultProfile, o.faultSeed)
+	if err != nil {
+		return err
+	}
+	d.RAINWidth = o.rain
+	cfg := config.PCSystem(d)
+	if o.mobile {
+		cfg = config.MobileSystem(d)
+	}
+	cfg.Host.Scheduler = o.sched
+	cfg.ContiguousDMA = o.contigDMA
+
+	s, err := core.NewSystem(cfg)
+	if err != nil {
+		return err
+	}
+	switch {
+	case o.restore != "":
+		// The image carries a complete device state (typically an
+		// already-preconditioned one), so preconditioning is skipped.
+		img, err := os.ReadFile(o.restore)
+		if err != nil {
+			return err
+		}
+		if err := s.Restore(img); err != nil {
+			return fmt.Errorf("restore %s: %w", o.restore, err)
+		}
+		fmt.Fprintf(os.Stderr, "%s: restored %d-byte state image from %s\n", dev, len(img), o.restore)
+	case o.precondition:
+		fmt.Fprintln(os.Stderr, dev+": preconditioning to steady state...")
+		if err := s.Precondition(32); err != nil {
+			return err
+		}
+	}
+
+	var gen workload.Generator
+	if o.trace != nil {
+		gen, err = workload.NewTrace(*o.trace, s.VolumeBytes(), o.seed)
+	} else {
+		gen, err = workload.NewFIO(o.pattern, o.blockSize, s.VolumeBytes(), o.seed)
+	}
+	if err != nil {
+		return err
+	}
+
+	rc := core.RunConfig{Requests: o.requests, IODepth: o.depth, IntraWorkers: o.intraWorkers, ScrubEvery: o.scrubEvery}
+	if o.powerCut > 0 {
+		rc.PowerLossAt = s.Now() + o.powerCut
+	}
+	// Everything below the latency row is a counter that has been running
+	// since construction, through preconditioning or a restored image's
+	// history: the report prints what the measured run added.
+	base := readCounters(s)
+	var res *core.RunResult
+	if o.batchSubmit {
+		// Vectored path: pre-generate the whole request stream and hand
+		// it to SubmitBatch in one call. The device windows internally
+		// (scheduler dispatch window, protocol queue depth, engine batch
+		// limit) and drains deferred bookkeeping once per window instead
+		// of once per request; results are byte-identical to a Submit
+		// loop, so every footer counter below means the same thing.
+		reqs := make([]workload.Request, o.requests)
+		var bytesRead, bytesWritten int64
+		for i := range reqs {
+			reqs[i] = gen.Next(i)
+			if reqs[i].Write {
+				bytesWritten += int64(reqs[i].Length)
+			} else {
+				bytesRead += int64(reqs[i].Length)
+			}
+		}
+		start := s.Now()
+		times := make([]sim.Time, len(reqs))
+		end, err := s.SubmitBatch(start, reqs, nil, times)
+		if err != nil {
+			return err
+		}
+		res = &core.RunResult{
+			Workload: gen.Name(), Requests: o.requests, Depth: 1,
+			BytesRead: bytesRead, BytesWritten: bytesWritten,
+			Start: start, End: end,
+		}
+		// Under the serial depth-1 contract request i issues the moment
+		// request i-1 completes, so per-request latency is the gap
+		// between consecutive completion stamps.
+		prev := start
+		for _, done := range times {
+			if done < prev { // contract says nondecreasing; stay safe
+				done = prev
+			}
+			res.Latency.Add(done - prev)
+			prev = done
+		}
+	} else {
+		res, err = s.Run(gen, rc)
+		if err != nil {
+			return err
+		}
+	}
+
+	el := res.Elapsed()
+	fmt.Fprintf(w, "workload        %s\n", res.Workload)
+	fmt.Fprintf(w, "device          %s (%s, %d dies)\n", d.Name, d.Protocol.Kind, d.Geometry.TotalDies())
+	if o.batchSubmit {
+		fmt.Fprintf(w, "requests        %d vectored (serial depth-1 contract)\n", res.Requests)
+	} else {
+		fmt.Fprintf(w, "requests        %d at depth %d (effective)\n", res.Requests, res.Depth)
+	}
+	fmt.Fprintf(w, "simulated time  %v\n", el)
+	fmt.Fprintf(w, "bandwidth       %.1f MB/s (%.0f IOPS)\n", res.BandwidthMBps(), res.IOPS())
+	fmt.Fprintf(w, "latency         avg %.1f us, p50 %.1f, p95 %.1f, p99 %.1f, max %.1f\n",
+		res.AvgLatencyUs(), res.Latency.Percentile(50), res.Latency.Percentile(95),
+		res.Latency.Percentile(99), res.Latency.Max())
+
+	if res.PowerLost {
+		// The mounted FTL restarted its lifetime counters inside the window.
+		base.ftl = ftl.Stats{}
+	}
+	now := readCounters(s)
+	fs := since(now.ftl, base.ftl)
+	fmt.Fprintf(w, "ftl             WAF %.2f, GC runs %d, migrated %d, erases %d\n",
+		fs.WAF(), fs.GCRuns, fs.GCMigrated, fs.Erases)
+	cs := since(now.icl, base.icl)
+	fmt.Fprintf(w, "icl             hit rate %.1f%%, readaheads %d, evictions %d\n",
+		cs.HitRate()*100, cs.Readaheads, cs.Evictions)
+	im := since(now.firmware, base.firmware)
+	fmt.Fprintf(w, "firmware        %.1fM instructions (%.0f%% load/store)\n",
+		float64(im.Total())/1e6, im.LoadStoreFraction()*100)
+	ds := since(now.dma, base.dma)
+	fmt.Fprintf(w, "dma             %d descriptors / %d entries (%s mode), %.1f MB moved\n",
+		ds.Descriptors, ds.Entries, s.DMA.Mode(), float64(ds.BytesMoved)/1e6)
+	// The certified-plan counter surfaces the fast path: plans the FIL
+	// executed without the prevalidation walk.
+	fils := since(now.fil, base.fil)
+	fmt.Fprintf(w, "fil             %d plans (%d certified fast-path)\n",
+		fils.PlanCount, fils.CertifiedPlans)
+	if o.batchSubmit {
+		windows, batched := s.BatchStats()
+		fmt.Fprintf(w, "batch           %d windows over %d requests; certified reads %d, cert disarms %d\n",
+			windows, batched, fils.CertifiedReads, fils.CertDisarms)
+	}
+	if res.PowerLost {
+		pl := res.PowerLoss.Flash
+		fmt.Fprintf(w, "power loss      cut at %v: %d in-flight programs (%d torn / %d committed), %d erases undone, %d dirty cache lines lost\n",
+			rc.PowerLossAt, pl.InFlight, pl.Torn, pl.Committed, pl.ErasesUndone, res.PowerLoss.DirtyLinesLost)
+		m := res.Mount
+		fmt.Fprintf(w, "recovery        mount scan %v, %d mappings recovered, %d torn pages discarded, %d stale skipped, %d retired replayed, cleanup erased %d, squeezed %d blocks (%d sub-pages)\n",
+			m.ScanTime, m.RecoveredSubs, m.TornDiscarded, m.StaleSkipped, m.RetiredSBs, m.CleanupErases, m.SqueezedSBs, m.SqueezedSubs)
+	}
+	if o.rain > 0 || o.scrubEvery > 0 {
+		fmt.Fprintf(w, "rain/scrub      %d parity writes, %d reconstructions, %d double faults; %d scrub runs migrated %d sub-pages\n",
+			fs.ParityWrites, fs.Reconstructions, fs.DoubleFaults, fs.ScrubRuns, fs.ScrubMigrated)
+	}
+	if s.Flash.FaultsEnabled() {
+		fst := since(now.faults, base.faults)
+		state := "healthy"
+		if s.FTL.ReadOnly() {
+			state = "READ-ONLY"
+		}
+		fmt.Fprintf(w, "faults          %d program / %d erase / %d uncorrectable, %d read retries; retired %v, spare headroom %d, %d failed writes / %d failed reads [%s]\n",
+			fst.ProgramFails, fst.EraseFails, fst.Uncorrectable, fst.ReadRetries,
+			s.FTL.RetiredSuperBlocks(), s.FTL.SpareHeadroom(), res.FailedWrites, res.FailedReads, state)
+	}
+	if !o.batchSubmit {
+		fmt.Fprintf(w, "engine          %d events", res.Events)
+		// The busiest scheduling domains, most-loaded first.
+		sort.Slice(res.DomainEvents, func(i, j int) bool {
+			return res.DomainEvents[i].Dispatched > res.DomainEvents[j].Dispatched
+		})
+		shown := 0
+		for _, d := range res.DomainEvents {
+			if d.Dispatched == 0 || shown == 4 {
+				break
+			}
+			fmt.Fprintf(w, "  %s %d", d.Name, d.Dispatched)
+			shown++
+		}
+		fmt.Fprintln(w)
+	}
+	if o.intraWorkers > 1 {
+		st := res.Intra
+		fmt.Fprintf(w, "intra-parallel  %d horizons (%d fanned out over %d workers), %d local + %d cross events, %.1f local events/horizon\n",
+			st.Horizons, st.ParallelHorizons, o.intraWorkers, st.LocalEvents, st.CrossEvents, st.MeanLocalPerHorizon())
+		fmt.Fprintf(w, "horizon-batch   %d cross events batched past pending channel work: %d barriers instead of %d (%d forced by the batch limit)\n",
+			st.BatchedCross, st.Barriers(), st.BarriersWithoutBatching(), st.LimitBarriers)
+	}
+	// Average power over the measured window: the dynamic energy the run
+	// added plus leakage and background for its duration (as exp.Figure13b).
+	watts := func(total, dynBefore float64) float64 {
+		if el == 0 {
+			return 0
+		}
+		return (total - dynBefore) / el.Seconds()
+	}
+	fmt.Fprintf(w, "power (avg)     cpu %.2f W, dram %.2f W, nand %.2f W\n",
+		watts(s.DevCPU.TotalEnergyJoules(el), base.cpuJ), watts(s.DevDRAM.TotalEnergyJoules(el), base.dramJ),
+		watts(s.Flash.TotalEnergyJoules(el), base.nandJ))
+	fmt.Fprintf(w, "host            cpu busy %v, mem used %d MB\n",
+		now.hostBusy-base.hostBusy, s.Host.MemUsed()>>20)
+	if o.snapshot != "" {
+		img, err := s.Snapshot()
+		if err != nil {
+			return fmt.Errorf("snapshot: %w", err)
+		}
+		if err := os.WriteFile(o.snapshot, img, 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "snapshot        %d-byte state image -> %s\n", len(img), o.snapshot)
+	}
+	return nil
+}
+
+// counters is every cumulative count and energy the report prints, read at
+// one instant; the report is the difference of two.
+type counters struct {
+	ftl      ftl.Stats
+	icl      icl.Stats
+	firmware cpu.InstrMix
+	dma      dma.Stats
+	fil      fil.Stats
+	faults   nand.FaultStats
+	hostBusy sim.Duration
+	// Dynamic energy so far, joules.
+	cpuJ, dramJ, nandJ float64
+}
+
+func readCounters(s *core.System) counters {
+	return counters{
+		ftl: s.FTL.Stats(), icl: s.ICL.Stats(), firmware: s.DevCPU.Instructions(),
+		dma: s.DMA.Stats(), fil: s.FIL.Stats(), faults: s.Flash.FaultStats(),
+		hostBusy: s.Host.CPU.BusyTime(),
+		cpuJ:     s.DevCPU.EnergyJoules(), dramJ: s.DevDRAM.EnergyJoules(), nandJ: s.Flash.EnergyJoules(),
+	}
+}
+
+// since returns now − before field by field, for the modules' stats structs:
+// every field of each is a uint64 counter.
+func since[T any](now, before T) T {
+	d, b := reflect.ValueOf(&now).Elem(), reflect.ValueOf(before)
+	for i := 0; i < d.NumField(); i++ {
+		d.Field(i).SetUint(d.Field(i).Uint() - b.Field(i).Uint())
+	}
+	return now
 }
 
 // runFlags is the part of the flag set whose values constrain each other.

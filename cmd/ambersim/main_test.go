@@ -1,10 +1,13 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"amber/internal/host"
 	"amber/internal/sim"
+	"amber/internal/workload"
 )
 
 // TestRunFlagsValidate pins the up-front flag cross-checks: every rejected
@@ -45,6 +48,65 @@ func TestRunFlagsValidate(t *testing.T) {
 			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.wantErr)
 		case err == nil && (cut != c.cut || scrub != c.scrub):
 			t.Errorf("%s: parsed durations %v, %v, want %v, %v", c.name, cut, scrub, c.cut, c.scrub)
+		}
+	}
+}
+
+// report runs one preconditioned intel750 workload through runOne and returns
+// the report's rows by label.
+func report(t *testing.T, pattern workload.Pattern, blockSize, requests int) map[string]string {
+	t.Helper()
+	var out strings.Builder
+	err := runOne("intel750", &out, runOptions{
+		sched: host.BFQ, precondition: true, faultProfile: "off",
+		pattern: pattern, blockSize: blockSize, seed: 42, requests: requests, depth: 32,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		label := strings.TrimSpace(line[:16])
+		rows[label] = strings.TrimSpace(line[16:])
+	}
+	return rows
+}
+
+// TestReportCoversTheMeasuredRun: every row of the report describes the
+// measured requests, not the device's history — preconditioning an intel750
+// moves 1.18 million descriptors and runs 80 M firmware instructions, which
+// used to drown 2 000 requests in the dma, firmware and power rows so that
+// any two workloads printed the same ones.
+func TestReportCoversTheMeasuredRun(t *testing.T) {
+	const n = 2000
+	read := report(t, workload.SeqRead, 4096, n)
+	write := report(t, workload.RandWrite, 4096, n)
+	big := report(t, workload.SeqRead, 16384, n)
+
+	for _, row := range []string{"icl", "firmware", "fil", "power (avg)", "host"} {
+		if read[row] == "" || read[row] == write[row] {
+			t.Errorf("%s row is %q for seq-read and %q for rand-write: want two different rows", row, read[row], write[row])
+		}
+	}
+	// A 4 KiB request is one host page in either direction — one descriptor,
+	// so here the two dma rows agree; four pages make four.
+	for name, c := range map[string]struct {
+		rows map[string]string
+		per  int
+	}{"seq-read 4k": {read, 1}, "rand-write 4k": {write, 1}, "seq-read 16k": {big, 4}} {
+		var desc, entries int
+		if _, err := fmt.Sscanf(c.rows["dma"], "%d descriptors / %d entries", &desc, &entries); err != nil {
+			t.Fatalf("%s: dma row %q: %v", name, c.rows["dma"], err)
+		}
+		if desc != c.per*n || entries != c.per*n {
+			t.Errorf("%s: dma row %q, want %d descriptors and entries for %d requests", name, c.rows["dma"], c.per*n, n)
+		}
+		var minstr float64
+		if _, err := fmt.Sscanf(c.rows["firmware"], "%fM instructions", &minstr); err != nil {
+			t.Fatalf("%s: firmware row %q: %v", name, c.rows["firmware"], err)
+		}
+		if per := minstr * 1e6 / n; per < 1000 || per > 5000 {
+			t.Errorf("%s: firmware row %q is %.0f instructions a request, want the low thousands", name, c.rows["firmware"], per)
 		}
 	}
 }

@@ -149,7 +149,7 @@ type System struct {
 	flushBuf *sim.Pool
 
 	passive bool
-	pblk    map[string]string // firmware module name -> the name pblk charges it under
+	fw      fwCharges // the cost model's per-request constants (mixes.go)
 	now     sim.Time
 	lastEnd int64 // sequential-merge detector for the scheduler model
 
@@ -339,7 +339,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		Split:   split,
 		link:    link,
 		passive: d.Passive,
-		pblk:    make(map[string]string),
 		lastEnd: -1,
 		filling: make(map[int64]subMask),
 		waiters: make(map[int64][]func()),
@@ -353,6 +352,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		s.hba = sim.NewResource("hba")
 	}
 	s.flushBuf = sim.NewPool("flushbuf", d.Geometry.TotalPlanes())
+	s.compileCharges()
 
 	// Memory accounting: the firmware's cache and mapping tables live in
 	// the internal DRAM for active storage; pblk moves them to the host
@@ -587,33 +587,4 @@ func (s *System) listKind() dma.ListKind {
 	default:
 		return dma.PRP
 	}
-}
-
-// coreFor maps a firmware module to its pinned embedded core, clamped to
-// the configured core count (the default 3-core layout pins HIL to core 0,
-// ICL/FTL to core 1, FIL to core 2).
-func (s *System) coreFor(module int) int {
-	c := s.cfg.Device.CPU.Cores
-	if module >= c {
-		return c - 1
-	}
-	return module
-}
-
-// chargeFirmware charges an instruction mix either to the pinned embedded
-// core (active storage) or to the host CPU (passive storage, where pblk
-// runs the same logic), returning completion.
-func (s *System) chargeFirmware(now sim.Time, module int, name string, mix cpu.InstrMix) sim.Time {
-	if s.passive && module > 0 {
-		// ICL/FTL/FIL-scheduling logic executes in pblk on the host. Its
-		// module names are formatted once each, not per charge.
-		hostName, ok := s.pblk[name]
-		if !ok {
-			hostName = "pblk." + name
-			s.pblk[name] = hostName
-		}
-		return s.Host.ExecutePinned(now, module%s.cfg.Host.CPUs, hostName, mix)
-	}
-	_, end := s.DevCPU.Execute(now, s.coreFor(module), name, mix)
-	return end
 }

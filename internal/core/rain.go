@@ -176,7 +176,7 @@ func (s *System) executeReconstruct(e *sim.Engine, t sim.Time, lspn int64, sub, 
 		copy(s.reconData[sub*subSize:(sub+1)*subSize], data)
 		hd = fil.HostData(lspn, s.reconDirty, s.reconData, subSize)
 	}
-	t2 := s.chargeFirmware(t, 1, "ftl.rain", s.filScheduleMix(len(plan.Ops)))
+	t2 := s.chargeFirmware(t, modRAIN, s.filScheduleMix(len(plan.Ops)))
 	res, rerr, _ := s.runPlan(e, t2, plan, hd, nil)
 	if rerr != nil {
 		return t2, false
@@ -211,7 +211,7 @@ func (s *System) noteRecon(e *sim.Engine, t sim.Time, sb int) sim.Time {
 	if len(plan.Ops) == 0 && err == nil {
 		return t
 	}
-	t2 := s.chargeFirmware(t, 1, "ftl.retire", s.filScheduleMix(len(plan.Ops)))
+	t2 := s.chargeFirmware(t, modRetire, s.filScheduleMix(len(plan.Ops)))
 	res, _, _ := s.runPlan(e, t2, plan, fil.PlanData{}, nil)
 	if res.Done > t2 {
 		t2 = res.Done
@@ -302,7 +302,7 @@ func (s *System) scrubTick(e *sim.Engine, t sim.Time) {
 	if len(plan.Ops) == 0 {
 		return
 	}
-	t2 := s.chargeFirmware(t, 1, "ftl.scrub", s.gcMix(moved))
+	t2 := s.chargeFirmware(t, modScrub, s.gcMix(moved))
 	s.runPlan(e, t2, plan, fil.PlanData{}, nil)
 	s.drainRainRepairs(e, t2)
 }

@@ -308,10 +308,8 @@ func (s *System) submitStage1(now sim.Time, req workload.Request, data []byte, l
 		// The h-type host controller serializes command issue.
 		_, t = s.hba.Claim(t, s.params.ControllerLatency)
 	}
-	_, fetched := s.link.Claim(t, s.params.CmdFetchTime())
-	arrived := fetched + s.params.ControllerLatency
-	_, parsed = s.DevCPU.Execute(arrived, s.coreFor(0), "hil",
-		s.params.QueueMix.Add(s.params.ParseMix))
+	_, fetched := s.link.Claim(t, s.fw.cmdFetch)
+	parsed = s.fw.hil.run(fetched + s.params.ControllerLatency)
 
 	if *lines, err = s.Split.SplitInto((*lines)[:0], req.Offset, req.Length); err != nil {
 		return 0, err
@@ -329,8 +327,8 @@ func (s *System) submitStage1(now sim.Time, req workload.Request, data []byte, l
 // carries it, the interrupt fires, the host ISR retires the request. It
 // returns the completion time, having advanced the system clock to it.
 func (s *System) completeRequest(t sim.Time) sim.Time {
-	_, composed := s.DevCPU.Execute(t, s.coreFor(0), "hil.complete", s.params.CompleteMix)
-	_, cqDone := s.link.Claim(composed, s.params.CompletionTime())
+	composed := s.fw.hilComplete.run(t)
+	_, cqDone := s.link.Claim(composed, s.fw.completion)
 	intr := cqDone + s.params.InterruptLatency
 	if s.hba != nil {
 		// The single h-type I/O path serializes completions too (§II-A).
@@ -613,7 +611,7 @@ func (s *System) flashSub(lspn int64, sub int, dst []byte) {
 // line's part of the request buffer (nil when timing-only): it is the
 // cache's source directly, placed at its true in-line offset.
 func (s *System) writeLine(e *sim.Engine, t sim.Time, ln hil.Line, payload []byte) (sim.Time, error) {
-	t2 := s.chargeFirmware(t, 1, "icl", s.iclInsertMix())
+	t2 := s.fw.iclInsert.run(t)
 	src, off := payload, ln.LineOff
 	var merged []byte
 	if payload != nil && s.ICL.Config().TrackData {
@@ -674,7 +672,7 @@ func (s *System) readLineAsync(e *sim.Engine, ln hil.Line, dst []byte, cb func(s
 // buffer (line layout), nil when timing-only.
 func (s *System) readLineAttempt(e *sim.Engine, ln hil.Line, lineBuf []byte, cb func(sim.Time, error), retried bool) {
 	t := e.Now()
-	t2 := s.chargeFirmware(t, 1, "icl", s.iclLookupMix())
+	t2 := s.fw.iclLookup.run(t)
 	res, err := s.ICL.Read(ln.LSPN, ln.FirstSub, ln.NumSubs, lineBuf)
 	if err != nil {
 		cb(0, err)
@@ -786,7 +784,7 @@ func (s *System) startFill(e *sim.Engine, t sim.Time, lspn int64, subs []int, li
 	fo.floor = floor
 	fo.cb = cb
 
-	t2 := s.chargeFirmware(t, 1, "ftl", s.ftlTranslateMix())
+	t2 := s.fw.ftlTranslate.run(t)
 	doms := s.domainsFor(e)
 	flashDone := t2
 	var nFetch int
@@ -806,12 +804,12 @@ func (s *System) startFill(e *sim.Engine, t sim.Time, lspn int64, subs []int, li
 			// Unmapped subs read as zeroes with no flash work.
 			break
 		}
-		t3 := s.chargeFirmware(t2, 2, "fil", s.filScheduleMix(len(fetch)))
+		t3 := s.chargeFirmware(t2, modFIL, s.filScheduleMix(len(fetch)))
 		if s.passive {
 			// OCSSD vector read command + device-side thin parse, then the
 			// data crosses the link back to the host buffer.
-			_, t3 = s.link.Claim(t3, s.params.CmdFetchTime())
-			_, t3 = s.DevCPU.Execute(t3, s.coreFor(0), "hil", s.params.ParseMix)
+			_, t3 = s.link.Claim(t3, s.fw.cmdFetch)
+			t3 = s.fw.hilParse.run(t3)
 		}
 		var dsts [][]byte
 		if lineBuf != nil {
@@ -978,7 +976,7 @@ func (s *System) prefetch(e *sim.Engine, lspn int64) {
 // windows to writes and GC; without one (the synchronous Flush), the plan
 // executes synchronously.
 func (s *System) flushEviction(e *sim.Engine, t sim.Time, ev *iclEviction) (sim.Time, error) {
-	t2 := s.chargeFirmware(t, 1, "ftl", s.ftlTranslateMix())
+	t2 := s.fw.ftlTranslate.run(t)
 	plan, err := s.FTL.Write(t2, ev.LSPN, ev.Dirty)
 	// A mid-plan FTL error (allocation exhausted on a degrading device)
 	// still returns the partial plan covering every mutation the model
@@ -991,7 +989,7 @@ func (s *System) flushEviction(e *sim.Engine, t sim.Time, ev *iclEviction) (sim.
 	}
 	err = nil
 	if plan.GCRuns > 0 {
-		t2 = s.chargeFirmware(t2, 1, "ftl.gc", s.gcMix(plan.Migrated))
+		t2 = s.chargeFirmware(t2, modGC, s.gcMix(plan.Migrated))
 	}
 	nWrites := 0
 	for _, op := range plan.Ops {
@@ -999,7 +997,7 @@ func (s *System) flushEviction(e *sim.Engine, t sim.Time, ev *iclEviction) (sim.
 			nWrites++
 		}
 	}
-	t3 := s.chargeFirmware(t2, 2, "fil", s.filScheduleMix(nWrites))
+	t3 := s.chargeFirmware(t2, modFIL, s.filScheduleMix(nWrites))
 	if s.passive && nWrites > 0 {
 		// OCSSD vector write: command plus the dirty payload cross the link
 		// before the device programs it.
@@ -1009,9 +1007,9 @@ func (s *System) flushEviction(e *sim.Engine, t sim.Time, ev *iclEviction) (sim.
 				dirtyBytes += s.ICL.Config().SubSize
 			}
 		}
-		_, t3 = s.link.Claim(t3, s.params.CmdFetchTime()+
+		_, t3 = s.link.Claim(t3, s.fw.cmdFetch+
 			sim.TransferTime(int64(dirtyBytes), s.params.LinkBytesPerSec))
-		_, t3 = s.DevCPU.Execute(t3, s.coreFor(0), "hil", s.params.ParseMix)
+		t3 = s.fw.hilParse.run(t3)
 	}
 	hostData := fil.HostData(ev.LSPN, ev.Dirty, ev.Data, s.ICL.Config().SubSize)
 	res, err, pending := s.runPlan(e, t3, plan, hostData, pending)
@@ -1077,7 +1075,7 @@ func (s *System) runPlan(e *sim.Engine, t sim.Time, plan ftl.Plan, hostData fil.
 		if grown := attempt + 1 + len(rplan.Ops) + maxFaultRetries; grown > maxAttempts {
 			maxAttempts = grown
 		}
-		t = s.chargeFirmware(t, 1, "ftl.recover", s.filScheduleMix(len(rplan.Ops)))
+		t = s.chargeFirmware(t, modRecover, s.filScheduleMix(len(rplan.Ops)))
 		plan = rplan
 		res, err = execute(plan)
 		if err == nil && pending == nil {

@@ -5,6 +5,29 @@
 // core the module is pinned to, and integrates a McPAT-style power model
 // (dynamic energy-per-instruction plus per-core leakage). The same model
 // doubles as the host CPU's kernel-path cost model (§III-B, Fig. 13c).
+//
+// # Compiled charges
+//
+// Almost every charge a request makes is the same (module, mix) pair as on
+// the request before, so its cost is worked out once: Compile evaluates the
+// duration (ExecTime's expression) and the dynamic energy
+// (EnergyPerInstrJ * float64(mix.Total())) of one run, and Run / RunAny
+// then claim a core for that duration and add — integers into the total and
+// the module's counters, one float into the energy. Execute and ExecuteAny
+// are Compile followed by Run on a value that lives for the call, so there
+// is one accounting path. Three rules keep every simulated observable what
+// per-call evaluation produced:
+//
+//   - Same expression, once. A compiled float is produced by the expression
+//     and operands a per-call evaluation would use; nothing is refactored
+//     algebraically (n runs are never priced as n * one run).
+//   - Energy is summed per run, in run order. Float addition is not
+//     associative and the energy is in snapshot images and golden tables:
+//     each Run adds its own product to the accumulator, never a batch.
+//   - The module slot is a hint. A Charge caches where its module's counters
+//     sat, and every run checks that slot's name first: DecodeState replaces
+//     the table in sorted order, so an index alone would go stale. Compile
+//     itself registers nothing — a module exists once a charge of it ran.
 package cpu
 
 import (
@@ -45,6 +68,16 @@ func (m InstrMix) Add(o InstrMix) InstrMix {
 		FP:     m.FP + o.FP,
 		Other:  m.Other + o.Other,
 	}
+}
+
+// add accumulates o into m in place.
+func (m *InstrMix) add(o *InstrMix) {
+	m.Branch += o.Branch
+	m.Load += o.Load
+	m.Store += o.Store
+	m.Arith += o.Arith
+	m.FP += o.FP
+	m.Other += o.Other
 }
 
 // Scale returns the mix with every category multiplied by k.
@@ -107,8 +140,9 @@ type Complex struct {
 
 	total InstrMix
 	// perModule is a small append-only list (the firmware stack has ~10
-	// module names, charged millions of times): a linear scan with a
-	// last-hit cache beats hashing the module string on every Execute.
+	// module names, charged millions of times): a compiled Charge remembers
+	// its index, a fresh one starts from the last index a scan found, and
+	// either beats hashing the module string on every run.
 	perModule []moduleMix
 	lastMod   int
 	energyJ   float64
@@ -141,48 +175,93 @@ func (c *Complex) ExecTime(mix InstrMix) sim.Duration {
 	return sim.FromSeconds(cycles / (c.cfg.FrequencyMHz * 1e6))
 }
 
-// Execute runs the mix for the named module on the given core (pinned),
-// queueing behind earlier work on that core, and returns the service
-// interval.
-func (c *Complex) Execute(now sim.Time, core int, module string, mix InstrMix) (start, end sim.Time) {
+// Charge is one module's instruction mix compiled against a Complex: what
+// a run of it costs, worked out once (see the package comment). The zero
+// Charge is not usable; Compile makes them. A Charge belongs to the Complex
+// that compiled it and, like the Complex, to one goroutine.
+type Charge struct {
+	module string
+	mix    InstrMix
+	dur    sim.Duration // ExecTime(mix)
+	energy float64      // dynamic energy of one run
+	slot   int          // where perModule held module last; checked by name on every run
+}
+
+// Compile prices mix for the named module. It registers nothing: a module
+// first appears in Modules and in the state image when a charge of it runs.
+func (c *Complex) Compile(module string, mix InstrMix) Charge {
+	var ch Charge
+	c.compile(&ch, module, &mix)
+	return ch
+}
+
+// compile fills ch in place. Execute prices a mix on every call, and there
+// handing the 88-byte Charge back by value costs more than the accounting
+// it carries (BenchmarkCharge/Execute: a quarter slower through Compile).
+func (c *Complex) compile(ch *Charge, module string, mix *InstrMix) {
+	ch.module = module
+	ch.mix = *mix
+	ch.dur = c.ExecTime(*mix)
+	ch.energy = c.pow.EnergyPerInstrJ * float64(mix.Total())
+	ch.slot = c.lastMod
+}
+
+// Run executes the compiled charge on the given core (pinned; a core out of
+// range is core 0), queueing behind earlier work on that core, and returns
+// the service interval.
+func (c *Complex) Run(now sim.Time, core int, ch *Charge) (start, end sim.Time) {
 	if core < 0 || core >= c.cfg.Cores {
 		core = 0
 	}
-	start, end = c.cores.ClaimServer(core, now, c.ExecTime(mix))
-	c.account(module, mix)
+	start, end = c.cores.ClaimServer(core, now, ch.dur)
+	c.account(ch)
 	return start, end
 }
 
-// ExecuteAny runs the mix on the earliest-free core, for work that is not
-// pinned (e.g. background GC).
+// RunAny executes the compiled charge on the earliest-free core, for work
+// that is not pinned (e.g. the kernel paths).
+func (c *Complex) RunAny(now sim.Time, ch *Charge) (start, end sim.Time) {
+	start, end, _ = c.cores.Claim(now, ch.dur)
+	c.account(ch)
+	return start, end
+}
+
+// Execute compiles the mix for the named module and runs it once on the
+// given core: the form for charges whose mix differs from call to call.
+func (c *Complex) Execute(now sim.Time, core int, module string, mix InstrMix) (start, end sim.Time) {
+	var ch Charge
+	c.compile(&ch, module, &mix)
+	return c.Run(now, core, &ch)
+}
+
+// ExecuteAny is Execute on the earliest-free core.
 func (c *Complex) ExecuteAny(now sim.Time, module string, mix InstrMix) (start, end sim.Time) {
-	start, end, _ = c.cores.Claim(now, c.ExecTime(mix))
-	c.account(module, mix)
-	return start, end
+	var ch Charge
+	c.compile(&ch, module, &mix)
+	return c.RunAny(now, &ch)
 }
 
-func (c *Complex) account(module string, mix InstrMix) {
-	c.total = c.total.Add(mix)
-	slot := c.moduleSlot(module)
-	slot.mix = slot.mix.Add(mix)
-	c.energyJ += c.pow.EnergyPerInstrJ * float64(mix.Total())
-}
-
-// moduleSlot returns (appending if new) module's accounting slot. The
-// returned pointer is valid until the next moduleSlot call.
-func (c *Complex) moduleSlot(module string) *moduleMix {
-	if c.lastMod < len(c.perModule) && c.perModule[c.lastMod].name == module {
-		return &c.perModule[c.lastMod]
+func (c *Complex) account(ch *Charge) {
+	c.total.add(&ch.mix)
+	if ch.slot >= len(c.perModule) || c.perModule[ch.slot].name != ch.module {
+		ch.slot = c.moduleSlot(ch.module)
 	}
+	c.perModule[ch.slot].mix.add(&ch.mix)
+	c.energyJ += ch.energy
+}
+
+// moduleSlot returns (appending if new) the index of module's accounting
+// slot.
+func (c *Complex) moduleSlot(module string) int {
 	for i := range c.perModule {
 		if c.perModule[i].name == module {
 			c.lastMod = i
-			return &c.perModule[i]
+			return i
 		}
 	}
 	c.lastMod = len(c.perModule)
 	c.perModule = append(c.perModule, moduleMix{name: module})
-	return &c.perModule[c.lastMod]
+	return c.lastMod
 }
 
 // Instructions returns the cumulative instruction mix.

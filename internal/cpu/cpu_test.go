@@ -188,15 +188,3 @@ func approx(a, b, eps float64) bool {
 	d := a - b
 	return d < eps && d > -eps
 }
-
-func BenchmarkExecute(b *testing.B) {
-	c, err := New(Config{Cores: 3, FrequencyMHz: 500, IPC: 1}, DefaultPower())
-	if err != nil {
-		b.Fatal(err)
-	}
-	mix := Mix(400)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Execute(sim.Time(i), i%3, "bench", mix)
-	}
-}

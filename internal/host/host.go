@@ -100,6 +100,29 @@ type Host struct {
 	Mem *sim.Resource
 
 	memUsed int64
+
+	// Compiled kernel-path charges (cpu.Charge), each kept with the
+	// instruction budget it was compiled for and recompiled when a call
+	// asks for another: a submission's by whether it merges, the ISR's one.
+	submit [2]kernelCharge
+	isr    kernelCharge
+}
+
+// kernelCharge memoizes the compiled charge of one kernel path, keyed by its
+// instruction total — callers pass the same budget on every request, but
+// nothing holds them to it.
+type kernelCharge struct {
+	instr uint64
+	ok    bool
+	ch    cpu.Charge
+}
+
+func (k *kernelCharge) run(c *cpu.Complex, now sim.Time, module string, instr uint64) sim.Time {
+	if !k.ok || k.instr != instr {
+		*k = kernelCharge{instr: instr, ok: true, ch: c.Compile(module, cpu.Mix(instr))}
+	}
+	_, end := c.RunAny(now, &k.ch)
+	return end
 }
 
 // New constructs a Host.
@@ -171,16 +194,17 @@ func (h *Host) BatchWindow(requested int) int {
 // Submit charges the kernel submission path (block layer + scheduler +
 // driver instructions) on a host core and returns its completion time.
 func (h *Host) Submit(now sim.Time, sequential bool, driverInstr uint64) sim.Time {
-	mix := cpu.Mix(driverInstr + h.schedulerInstr(sequential))
-	_, end := h.CPU.ExecuteAny(now, "kernel.submit", mix)
-	return end
+	k := &h.submit[0]
+	if sequential {
+		k = &h.submit[1]
+	}
+	return k.run(h.CPU, now, "kernel.submit", driverInstr+h.schedulerInstr(sequential))
 }
 
 // Complete charges the interrupt service routine and completion path and
 // returns its completion time.
 func (h *Host) Complete(now sim.Time, isrInstr uint64) sim.Time {
-	_, end := h.CPU.ExecuteAny(now, "kernel.isr", cpu.Mix(isrInstr))
-	return end
+	return h.isr.run(h.CPU, now, "kernel.isr", isrInstr)
 }
 
 // ExecutePinned charges arbitrary host work (pblk, lightNVM) on a specific

@@ -1,10 +1,12 @@
 package host
 
 import (
+	"bytes"
 	"testing"
 
 	"amber/internal/cpu"
 	"amber/internal/sim"
+	"amber/internal/snap"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -127,5 +129,79 @@ func TestExecutePinnedAndUtilization(t *testing.T) {
 	}
 	if u := h.CPUUtilization(20 * sim.Microsecond); u <= 0 {
 		t.Fatal("utilization should be positive")
+	}
+}
+
+// refSubmit and refComplete are the unmemoized kernel paths Submit and
+// Complete are held equal to: the mix rebuilt from the arguments and priced
+// on every call. They exist only here.
+func refSubmit(h *Host, now sim.Time, sequential bool, driverInstr uint64) sim.Time {
+	_, end := h.CPU.ExecuteAny(now, "kernel.submit", cpu.Mix(driverInstr+h.schedulerInstr(sequential)))
+	return end
+}
+
+func refComplete(h *Host, now sim.Time, isrInstr uint64) sim.Time {
+	_, end := h.CPU.ExecuteAny(now, "kernel.isr", cpu.Mix(isrInstr))
+	return end
+}
+
+// TestKernelChargesMatchUnmemoized drives Submit and Complete with the
+// budgets a real system passes (one driver budget; the ISR budget and the
+// passive path's half of it) and with budgets that change from call to call
+// — alternating, repeating, zero — under each scheduler, a twin host taking
+// the same calls through the unmemoized reference. Times must agree call by
+// call and the CPU images after each, across a state round trip too.
+func TestKernelChargesMatchUnmemoized(t *testing.T) {
+	image := func(h *Host) []byte {
+		var e snap.Enc
+		h.EncodeState(&e)
+		return e.Bytes()
+	}
+	for _, k := range []SchedulerKind{NoopSched, CFQ, BFQ} {
+		t.Run(k.String(), func(t *testing.T) {
+			cfg := Mobile()
+			cfg.Scheduler = k
+			got, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, _ := New(cfg)
+			rng := sim.NewRNG(uint64(k) + 3)
+			driver := []uint64{9000, 11000, 0, 14000}
+			isr := []uint64{7000, 3500, 0, 11000}
+			var now sim.Time
+			for step := 0; step < 4000; step++ {
+				now += sim.Time(rng.Intn(2_000_000))
+				// Long runs of one budget, then stretches where every call
+				// brings another one.
+				pick := 0
+				if step/200%2 == 1 {
+					pick = rng.Intn(4)
+				}
+				var g, w sim.Time
+				switch rng.Intn(3) {
+				case 0:
+					seq := rng.Intn(2) == 0
+					g, w = got.Submit(now, seq, driver[pick]), refSubmit(ref, now, seq, driver[pick])
+				case 1:
+					g, w = got.Complete(now, isr[pick]), refComplete(ref, now, isr[pick])
+				default:
+					// The two ISR budgets of one protocol, back to back.
+					g, w = got.Complete(now, isr[step%2]), refComplete(ref, now, isr[step%2])
+				}
+				if g != w {
+					t.Fatalf("step %d: end %d, reference %d", step, g, w)
+				}
+				if step%97 == 0 {
+					if err := got.DecodeState(snap.NewDec(image(got))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !bytes.Equal(image(got), image(ref)) {
+					t.Fatalf("step %d: host images differ (energy %v vs %v)", step,
+						got.CPU.EnergyJoules(), ref.CPU.EnergyJoules())
+				}
+			}
+		})
 	}
 }

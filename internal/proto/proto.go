@@ -151,12 +151,15 @@ func (p Params) EffectiveQueueDepth(requested int) int {
 	return requested
 }
 
-// CmdFetchTime returns link occupancy for fetching one command.
+// CmdFetchTime returns link occupancy for fetching one command. It copies
+// the whole Params to work out a constant: core evaluates it once per
+// system, at construction, and nothing calls it per request.
 func (p Params) CmdFetchTime() sim.Duration {
 	return sim.TransferTime(int64(p.CmdFetchBytes), p.LinkBytesPerSec)
 }
 
-// CompletionTime returns link occupancy for one completion record.
+// CompletionTime returns link occupancy for one completion record; like
+// CmdFetchTime it is evaluated once per system, not per request.
 func (p Params) CompletionTime() sim.Duration {
 	return sim.TransferTime(int64(p.CompletionBytes), p.LinkBytesPerSec)
 }

@@ -122,7 +122,10 @@
 // through the full stack (core's TestIntraParallelGoldenEquivalence and
 // TestWriteDeferredGoldenEquivalence: identical experiment tables,
 // per-domain dispatch counts and payload bytes through GC-triggering
-// workloads).
+// workloads). Costs worked out ahead of time fall under the same rule as
+// those float accumulators: package cpu's compiled charges evaluate each
+// float once, by the expression a per-call evaluation uses, and still add
+// energy one run at a time in run order (cpu's package comment).
 //
 // # Deferred writes: why staged-at-issue data and channel-ordered merges
 // preserve the serial observable state
