@@ -2,10 +2,9 @@
 // the paper's evaluation (one benchmark per table/figure, DESIGN.md §4)
 // plus ablation benches for the §IV-C design choices, and holds the
 // microbenchmarks with no end-to-end workload of their own yet: the engine
-// hot loop and the horizon-synchronized dispatcher (on the two synthetic
-// loops defined and tested at the end of this file), the submit paths, the
-// read-miss path through Run, snapshot + restore against preconditioning,
-// and the nine-member farm storm. Run with:
+// hot loop (on the synthetic loop defined and tested at the end of this
+// file), the submit paths, the read-miss path through Run, snapshot + restore
+// against preconditioning, and the nine-member farm storm. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -15,10 +14,10 @@
 package amber_test
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,6 +25,7 @@ import (
 	"amber/internal/core"
 	"amber/internal/exp"
 	"amber/internal/farm"
+	"amber/internal/fil"
 	"amber/internal/ftl"
 	"amber/internal/refdata"
 	"amber/internal/sim"
@@ -168,94 +168,6 @@ func BenchmarkEngineHotLoop(b *testing.B) {
 	}
 	b.Run("global", func(b *testing.B) { run(b, 1) })
 	b.Run("sharded16", func(b *testing.B) { run(b, hotLoopDomains) })
-}
-
-// BenchmarkIntraParallel measures horizon-synchronized parallel intra-device
-// dispatch on intraLoop below: 16 channel shards each receiving
-// page-copy events between horizons (the shape of deferred flash bookkeeping
-// on a data-tracking device). "serial" is the plain single-goroutine
-// dispatcher; the worker variants fan the channel shards out between
-// synchronization horizons. Wall-clock speedup requires multiple cores
-// (GOMAXPROCS); on a single-core machine the variants measure the barrier
-// overhead instead.
-func BenchmarkIntraParallel(b *testing.B) {
-	const channels, perChannel, rounds = 16, 64, 25
-	run := func(b *testing.B, workers int) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			l := newIntraLoop(channels, perChannel, 0, rounds)
-			l.run(workers)
-			if got, want := l.e.Dispatched(), uint64(channels*perChannel*rounds+rounds+1); got != want {
-				b.Fatalf("dispatched %d events, want %d", got, want)
-			}
-		}
-	}
-	b.Run("serial", func(b *testing.B) { run(b, 0) })
-	b.Run("workers2", func(b *testing.B) { run(b, 2) })
-	b.Run("workers4", func(b *testing.B) { run(b, 4) })
-
-	// The batched variant interleaves channel-neutral cross events between
-	// the local bursts (half of perChannel per horizon): with horizon
-	// batching they dispatch without draining the channel shards, so the
-	// barrier count stays one per horizon instead of growing with the
-	// neutral traffic.
-	runNeutral := func(b *testing.B, workers int) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			l := newIntraLoop(channels, perChannel, perChannel/2, rounds)
-			st := l.run(workers)
-			if workers > 0 && st.BatchedCross == 0 {
-				b.Fatal("no cross events batched")
-			}
-		}
-	}
-	b.Run("neutral-serial", func(b *testing.B) { runNeutral(b, 0) })
-	b.Run("neutral-workers4", func(b *testing.B) { runNeutral(b, 4) })
-}
-
-// BenchmarkIntraParallelSystem measures the full-system effect on a wide
-// (8-channel) data-tracking device: serial dispatch vs horizon-synchronized
-// dispatch at 4 workers, under sequential reads (PR 3's original fast
-// path), GC-triggering 4K random writes (deferred program/erase
-// bookkeeping), and 4K random reads (the small-window class horizon
-// batching targets). The modes are byte-identical in results (locked by
-// the core golden equivalence tests); this benchmark records their
-// wall-clock cost.
-func BenchmarkIntraParallelSystem(b *testing.B) {
-	build := func() *core.System {
-		d := config.SmallTestDevice()
-		d.Geometry.Channels = 8
-		d.Geometry.PackagesPerChannel = 1
-		d.Geometry.BlocksPerPlane = 10
-		s, err := core.NewSystem(config.PCSystem(d))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := s.Precondition(16); err != nil {
-			b.Fatal(err)
-		}
-		return s
-	}
-	run := func(b *testing.B, pattern workload.Pattern, bs, workers int) {
-		s := build()
-		gen, err := workload.NewFIO(pattern, bs, s.VolumeBytes(), 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.Run(gen, core.RunConfig{Requests: 300, IODepth: 16, IntraWorkers: workers, WithData: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("seq-read-serial", func(b *testing.B) { run(b, workload.SeqRead, 16384, 0) })
-	b.Run("seq-read-workers4", func(b *testing.B) { run(b, workload.SeqRead, 16384, 4) })
-	b.Run("rand-write-serial", func(b *testing.B) { run(b, workload.RandWrite, 4096, 0) })
-	b.Run("rand-write-workers4", func(b *testing.B) { run(b, workload.RandWrite, 4096, 4) })
-	b.Run("rand-read-serial", func(b *testing.B) { run(b, workload.RandRead, 4096, 0) })
-	b.Run("rand-read-workers4", func(b *testing.B) { run(b, workload.RandRead, 4096, 4) })
 }
 
 // BenchmarkSubmitPath measures the raw simulator throughput of the full
@@ -563,111 +475,6 @@ func (h *hotLoop) op() {
 	h.i++
 }
 
-// intraLoop is the intra-device parallelism harness: one cross-domain
-// pacing event per synchronization horizon plus bursts of domain-local
-// events across the channel shards, each carrying a page-sized payload copy
-// — the shape of a multi-channel device's deferred flash bookkeeping under
-// horizon-synchronized dispatch (sim.Engine.RunParallel).
-type intraLoop struct {
-	e       *sim.Engine
-	locals  []sim.DomainID
-	cross   sim.DomainID
-	neutral sim.DomainID // channel-neutral cross shard (horizon batching)
-
-	src, dst [][]byte // per-channel payload pages
-	counts   []uint64 // per-channel dispatched local events
-
-	perChannel int
-	neutralPer int // channel-neutral events interleaved per horizon
-	rounds     int
-	round      int
-
-	localFns  []func() // per-channel local event bodies, bound once
-	crossFn   func()
-	neutralFn func()
-	neutrals  uint64 // dispatched neutral events
-}
-
-// intraPageBytes is the payload each local event copies: one 4 KiB flash
-// page.
-const intraPageBytes = 4096
-
-// newIntraLoop builds the harness: `channels` domain-local shards that each
-// receive `perChannel` copy events between consecutive horizons, for
-// `rounds` horizons, with `neutralPer` channel-neutral cross events
-// additionally interleaved between each horizon's local bursts — the shape
-// of a request stream whose host/CPU/DMA stage boundaries commute with the
-// channels' deferred flash bookkeeping. Under RunParallel, each neutral
-// event dispatches through the horizon-batching fast path (no barrier) while
-// an un-batched loop would have drained and synchronized before every one.
-func newIntraLoop(channels, perChannel, neutralPer, rounds int) *intraLoop {
-	l := &intraLoop{
-		e:          sim.NewEngine(),
-		perChannel: perChannel,
-		neutralPer: neutralPer,
-		rounds:     rounds,
-	}
-	l.cross = l.e.Domain("cross")
-	l.neutral = l.e.Domain("cross.neutral")
-	l.e.MarkChannelNeutral(l.neutral)
-	l.neutralFn = func() { l.neutrals++ }
-	l.counts = make([]uint64, channels)
-	for ch := 0; ch < channels; ch++ {
-		dom := l.e.Domain(fmt.Sprintf("ch%d", ch))
-		l.e.MarkDomainLocal(dom)
-		l.locals = append(l.locals, dom)
-		src := make([]byte, intraPageBytes)
-		for i := range src {
-			src[i] = byte(ch + i)
-		}
-		l.src = append(l.src, src)
-		l.dst = append(l.dst, make([]byte, intraPageBytes))
-		l.localFns = append(l.localFns, func() {
-			copy(l.dst[ch], l.src[ch])
-			l.counts[ch]++
-		})
-	}
-	l.crossFn = l.pace
-	return l
-}
-
-// pace is the cross-domain horizon driver: it fills every channel's window
-// with copy events, then schedules the next horizon.
-func (l *intraLoop) pace() {
-	if l.round >= l.rounds {
-		return
-	}
-	l.round++
-	const period = sim.Duration(1000 * 1000) // 1 us of simulated time per horizon
-	step := period / sim.Duration(l.perChannel+1)
-	for i := 0; i < l.perChannel; i++ {
-		at := sim.Duration(i+1) * step
-		for ch := range l.locals {
-			l.e.ScheduleIn(l.locals[ch], at, l.localFns[ch])
-		}
-	}
-	// Channel-neutral cross events land strictly between local events
-	// (half-step offsets), so each one finds local work pending: without
-	// the neutral mark it would split the window and cost a barrier.
-	for i := 0; i < l.neutralPer; i++ {
-		at := sim.Duration(i+1)*step + step/2
-		l.e.ScheduleIn(l.neutral, at, l.neutralFn)
-	}
-	l.e.ScheduleIn(l.cross, period, l.crossFn)
-}
-
-// run drains the loop: workers <= 0 uses the plain serial dispatcher
-// (Engine.Run), workers >= 1 the horizon-synchronized parallel one.
-func (l *intraLoop) run(workers int) sim.ParallelStats {
-	l.round = 0
-	l.e.ScheduleIn(l.cross, 0, l.crossFn)
-	if workers <= 0 {
-		l.e.Run()
-		return sim.ParallelStats{}
-	}
-	return l.e.RunParallel(workers)
-}
-
 // TestHotLoopAllocFree asserts the harness's core property: after warmup
 // the schedule/step churn performs zero allocations per op, at every
 // domain count the benchmarks run with.
@@ -711,69 +518,6 @@ func TestHotLoopStableEventCounts(t *testing.T) {
 	}
 	if want == 0 {
 		t.Fatal("degenerate run: nothing dispatched")
-	}
-}
-
-// TestIntraLoopEquivalence locks the harness to the engine's horizon
-// contract: serial dispatch and the horizon loop over several workers must
-// produce identical per-channel counts, payload bytes and dispatch totals.
-func TestIntraLoopEquivalence(t *testing.T) {
-	const channels, perChannel, rounds = 8, 16, 25
-
-	serial := newIntraLoop(channels, perChannel, 0, rounds)
-	serial.run(0)
-
-	parallel := newIntraLoop(channels, perChannel, 0, rounds)
-	st := parallel.run(4)
-
-	if serial.e.Dispatched() != parallel.e.Dispatched() {
-		t.Fatalf("dispatched %d (serial) != %d (parallel)", serial.e.Dispatched(), parallel.e.Dispatched())
-	}
-	for ch := 0; ch < channels; ch++ {
-		if serial.counts[ch] != parallel.counts[ch] {
-			t.Fatalf("ch%d count %d != %d", ch, serial.counts[ch], parallel.counts[ch])
-		}
-		if serial.counts[ch] != uint64(perChannel*rounds) {
-			t.Fatalf("ch%d count %d, want %d", ch, serial.counts[ch], perChannel*rounds)
-		}
-		if !bytes.Equal(serial.dst[ch], parallel.dst[ch]) {
-			t.Fatalf("ch%d payload bytes diverged", ch)
-		}
-	}
-	if st.Horizons == 0 || st.LocalEvents != uint64(channels*perChannel*rounds) {
-		t.Fatalf("horizon stats %+v, want %d local events", st, channels*perChannel*rounds)
-	}
-}
-
-// TestIntraLoopNeutralBatching verifies the horizon-batching harness: every
-// interleaved channel-neutral cross event dispatches through the batched
-// fast path (it always has local work pending), the barrier count stays at
-// one window per horizon, and the results match the serial dispatch.
-func TestIntraLoopNeutralBatching(t *testing.T) {
-	const channels, perChannel, neutralPer, rounds = 8, 16, 8, 25
-
-	serial := newIntraLoop(channels, perChannel, neutralPer, rounds)
-	serial.run(0)
-
-	parallel := newIntraLoop(channels, perChannel, neutralPer, rounds)
-	st := parallel.run(4)
-
-	if serial.e.Dispatched() != parallel.e.Dispatched() {
-		t.Fatalf("dispatched %d (serial) != %d (parallel)", serial.e.Dispatched(), parallel.e.Dispatched())
-	}
-	if got, want := parallel.neutrals, uint64(neutralPer*rounds); got != want {
-		t.Fatalf("neutral events %d, want %d", got, want)
-	}
-	for ch := 0; ch < channels; ch++ {
-		if !bytes.Equal(serial.dst[ch], parallel.dst[ch]) {
-			t.Fatalf("ch%d payload bytes diverged", ch)
-		}
-	}
-	if got, want := st.BatchedCross, uint64(neutralPer*rounds); got != want {
-		t.Fatalf("BatchedCross = %d, want %d (every neutral event interleaves with pending local work)", got, want)
-	}
-	if st.BarriersWithoutBatching()-st.Barriers() != st.BatchedCross {
-		t.Fatalf("barrier accounting inconsistent: %+v", st)
 	}
 }
 
@@ -900,6 +644,96 @@ func TestWorkGateCachedRead(t *testing.T) {
 	// Run allocates per run (its jobs, the latency samples' growth), not per
 	// request.
 	if allocs := m1.Mallocs - m0.Mallocs; allocs > n/100 {
+		t.Errorf("%d allocations over %d requests, want none per request", allocs, n)
+	}
+}
+
+// TestWorkGateReadMiss pins the work behind bench/'s randread4k_miss — its
+// device, stream, seed, warm-up and depth — in counts that repeat exactly per
+// seed: the events that carry a 4 KiB read the cache misses, by scheduling
+// domain, and the flash reads, DRAM accesses and DMA descriptors behind it.
+// The dispatch loop under these counts is the only one there is; a change to
+// it that dispatches one event more or fewer fails here.
+func TestWorkGateReadMiss(t *testing.T) {
+	s := bench750(t)
+	gen, err := workload.NewFIO(workload.RandRead, 4096, s.VolumeBytes(), 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20000
+	if _, err := s.Run(gen, core.RunConfig{Requests: n, IODepth: 32}); err != nil {
+		t.Fatal(err)
+	}
+	s.Drain()
+	type counts struct {
+		events, host, cpu, dma, publish, nand uint64
+		flashReads, dram, descriptors         uint64
+		hits, misses                          uint64
+	}
+	read := func() counts {
+		dr, ic := s.DevDRAM.Stats(), s.ICL.Stats()
+		return counts{
+			flashReads:  s.Flash.Stats().Reads,
+			dram:        dr.Reads + dr.Writes,
+			descriptors: s.DMA.Stats().Descriptors,
+			hits:        ic.ReadSubHits,
+			misses:      ic.ReadSubMisses,
+		}
+	}
+	before := read()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	res, err := s.Run(gen, core.RunConfig{Requests: n, IODepth: 32})
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := read()
+	got := counts{
+		events:     res.Events,
+		flashReads: after.flashReads - before.flashReads, dram: after.dram - before.dram,
+		descriptors: after.descriptors - before.descriptors,
+		hits:        after.hits - before.hits, misses: after.misses - before.misses,
+	}
+	var other uint64
+	for _, d := range res.DomainEvents {
+		switch {
+		case d.Name == "host":
+			got.host = d.Dispatched
+		case d.Name == "cpu":
+			got.cpu = d.Dispatched
+		case d.Name == "dma":
+			got.dma = d.Dispatched
+		case d.Name == fil.PublishDomain:
+			got.publish = d.Dispatched
+		case strings.HasPrefix(d.Name, "nand.ch"):
+			got.nand += d.Dispatched
+		default:
+			other += d.Dispatched
+		}
+	}
+	// Per request: issue and completion on host (plus one event to start each
+	// of the 32 jobs), one parse on cpu, one payload DMA; a fill publish for
+	// every request that did not coalesce onto a fill in flight; and a flash
+	// read — one deferred channel event each — for every sub-page fetched,
+	// the missed ones and their read-ahead.
+	want := counts{
+		events: 163854, host: 2*n + 32, cpu: n, dma: n, publish: 19539, nand: 64283,
+		flashReads: 64283, dram: 20376, descriptors: n, hits: 837, misses: 19182,
+	}
+	if got != want {
+		t.Errorf("work of %d missed reads\n got %+v\nwant %+v", n, got, want)
+	}
+	if other != 0 {
+		t.Errorf("%d events outside host, cpu, dma, %s and the channels", other, fil.PublishDomain)
+	}
+	if res.FailedReads != 0 {
+		t.Errorf("%d reads failed", res.FailedReads)
+	}
+	// Run allocates per run (its jobs and engine, the latency samples' and the
+	// channel pools' growth: a few hundred to a thousand here), not per
+	// request.
+	if allocs := m1.Mallocs - m0.Mallocs; allocs > n/10 {
 		t.Errorf("%d allocations over %d requests, want none per request", allocs, n)
 	}
 }

@@ -8,23 +8,22 @@
 //	amberbench -quick           # reduced request counts / sweep resolution
 //	amberbench -only fig8,fig9  # a subset
 //	amberbench -parallel 8      # fan independent device sims out over 8 workers
-//	amberbench -intra-parallel 4 # channel shards step concurrently inside each run
 //	amberbench -json out.json   # the same tables, machine-readable
 //	amberbench -list
 //
 // The -parallel fan-out is across independent core.System configurations
-// inside each experiment; -intra-parallel additionally parallelizes the
-// event dispatch inside each measured run between synchronization horizons
-// (sim.Engine.RunParallel). Both are byte-identical to a serial run at any
-// worker count. Host speed is measured elsewhere: bench/ (bash bench/run.sh)
-// for the end-to-end workloads, go test -bench in the root package for the
+// inside each experiment and is byte-identical to a serial run at any worker
+// count. Host speed is measured elsewhere: bench/ (bash bench/run.sh) for the
+// end-to-end workloads, go test -bench in the root package for the
 // microbenchmarks.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -52,22 +51,31 @@ type jsonExperiment struct {
 	Rows        [][]string `json:"rows"`
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("amberbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		quick    = flag.Bool("quick", false, "reduced request counts and sweep resolution")
-		only     = flag.String("only", "", "comma-separated experiment ids (default: all)")
-		list     = flag.Bool("list", false, "list experiment ids and exit")
-		parallel = flag.Int("parallel", 0, "workers for independent device sims per experiment (0 = serial, -1 = NumCPU)")
-		intraPar = flag.Int("intra-parallel", 0, "workers for horizon-synchronized dispatch inside each measured run (channel shards step concurrently; byte-identical tables; 0/1 = serial)")
-		jsonOut  = flag.String("json", "", "write the experiment tables, machine-readable, to this file")
+		quick    = fs.Bool("quick", false, "reduced request counts and sweep resolution")
+		only     = fs.String("only", "", "comma-separated experiment ids (default: all)")
+		list     = fs.Bool("list", false, "list experiment ids and exit")
+		parallel = fs.Int("parallel", 0, "workers for independent device sims per experiment (0 = serial, -1 = NumCPU)")
+		jsonOut  = fs.String("json", "", "write the experiment tables, machine-readable, to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, e := range exp.All() {
-			fmt.Println(e.ID)
+			fmt.Fprintln(stdout, e.ID)
 		}
-		return
+		return 0
 	}
 
 	workers := *parallel
@@ -84,14 +92,26 @@ func main() {
 		for _, id := range strings.Split(*only, ",") {
 			id = strings.TrimSpace(id)
 			if !known[id] {
-				fmt.Fprintf(os.Stderr, "amberbench: unknown experiment id %q (see -list)\n", id)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "amberbench: unknown experiment id %q (see -list)\n", id)
+				return 2
 			}
 			want[id] = true
 		}
 	}
 
-	o := exp.Options{Quick: *quick, Parallel: workers, IntraWorkers: *intraPar}
+	// The report file is created before the first experiment: an unwritable
+	// path must not cost the suite's run time first.
+	var jsonFile *os.File
+	if *jsonOut != "" {
+		f, err := os.Create(*jsonOut)
+		if err != nil {
+			fmt.Fprintf(stderr, "amberbench: %v\n", err)
+			return 1
+		}
+		jsonFile = f
+	}
+
+	o := exp.Options{Quick: *quick, Parallel: workers}
 	report := jsonReport{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GoVersion:   runtime.Version(),
@@ -107,32 +127,34 @@ func main() {
 		start := time.Now()
 		t, err := e.Run(o)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "amberbench: %s: %v\n", e.ID, err)
+			fmt.Fprintf(stderr, "amberbench: %s: %v\n", e.ID, err)
 			failed++
 			continue
 		}
 		wall := time.Since(start)
-		t.Fprint(os.Stdout)
-		fmt.Printf("  [%s completed in %v]\n\n", e.ID, wall.Round(time.Millisecond))
+		t.Fprint(stdout)
+		fmt.Fprintf(stdout, "  [%s completed in %v]\n\n", e.ID, wall.Round(time.Millisecond))
 		report.Experiments = append(report.Experiments, jsonExperiment{
 			ID: t.ID, Title: t.Title, WallSeconds: wall.Seconds(),
 			Header: t.Header, Rows: t.Rows,
 		})
 	}
 
-	if *jsonOut != "" {
+	if jsonFile != nil {
 		data, err := json.MarshalIndent(&report, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "amberbench: %v\n", err)
-			os.Exit(1)
+		if err == nil {
+			_, err = jsonFile.Write(append(data, '\n'))
 		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "amberbench: %v\n", err)
-			os.Exit(1)
+		if err == nil {
+			err = jsonFile.Close()
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "amberbench: %v\n", err)
+			return 1
 		}
 	}
 	if failed > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

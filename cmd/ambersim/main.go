@@ -8,7 +8,6 @@
 //	ambersim -device intel750 -workload rand-read -bs 4096 -depth 32 -n 20000
 //	ambersim -device zssd -trace 24HRS -n 10000
 //	ambersim -device intel750,zssd,850pro -parallel 3   # one system per device, simulated concurrently
-//	ambersim -device intel750 -intra-parallel 4         # channel shards step concurrently between horizons
 //	ambersim -device intel750 -batch-submit -n 20000    # vectored SubmitBatch path, per-window bookkeeping
 //	ambersim -device intel750 -rain 3 -scrub-every 5ms -fault-profile wearout   # die-level RAIN parity + patrol scrub
 //	ambersim -list
@@ -59,9 +58,8 @@ func main() {
 		seed      = flag.Uint64("seed", 42, "workload seed")
 		parallel  = flag.Int("parallel", 0, "concurrently simulated devices (0/1 = serial)")
 		contigDMA = flag.Bool("contig-dma", false, "model payload buffers as physically contiguous host pages (Timing-mode DMA batches descriptors)")
-		intraPar  = flag.Int("intra-parallel", 0, "workers for horizon-synchronized intra-device dispatch: NAND channel shards step concurrently between cross-domain events, byte-identical to serial (0/1 = serial)")
 		faultProf = flag.String("fault-profile", "off", "deterministic NAND fault injection: off|light|heavy|wearout")
-		faultSeed = flag.Uint64("fault-seed", 1, "seed for the injected fault schedule (same seed + same workload = same faults at any worker count)")
+		faultSeed = flag.Uint64("fault-seed", 1, "seed for the injected fault schedule (same seed + same workload = same faults)")
 		powerLoss = flag.String("power-loss-at", "", "cut device power this long into the measured run (e.g. 50ms): volatile state is lost, in-flight programs resolve torn-or-committed by a seeded draw, then the device remounts from OOB and the run reports the recovery")
 		snapPath  = flag.String("snapshot", "", "after the run, write the device's full functional state to this file as a checksummed versioned image")
 		restPath  = flag.String("restore", "", "before the run, restore device state from this snapshot image (skips preconditioning; the image carries the device's steady state)")
@@ -155,9 +153,8 @@ func main() {
 	}
 
 	powerCut, scrubEvery, err := runFlags{
-		requests: *n, devices: len(devices), batchSubmit: *batchSub,
-		powerLossAt: *powerLoss, scrubEvery: *scrubSpec,
-		intraParallel: *intraPar, rain: *rainWidth,
+		requests: *n, blockSize: *bs, devices: len(devices), batchSubmit: *batchSub,
+		powerLossAt: *powerLoss, scrubEvery: *scrubSpec, rain: *rainWidth,
 		snapshot: *snapPath, restore: *restPath,
 	}.validate()
 	if err != nil {
@@ -201,7 +198,7 @@ func main() {
 		faultProfile: *faultProf, faultSeed: *faultSeed, rain: *rainWidth,
 		restore: *restPath, snapshot: *snapPath, precondition: !*noPrecond,
 		pattern: pattern, blockSize: *bs, seed: *seed,
-		requests: *n, depth: *depth, intraWorkers: *intraPar, batchSubmit: *batchSub,
+		requests: *n, depth: *depth, batchSubmit: *batchSub,
 		scrubEvery: scrubEvery, powerCut: powerCut,
 	}
 	if *trace != "" {
@@ -240,7 +237,6 @@ type runOptions struct {
 	blockSize            int
 	seed                 uint64
 	requests, depth      int
-	intraWorkers         int
 	batchSubmit          bool
 	scrubEvery, powerCut sim.Duration
 }
@@ -297,7 +293,7 @@ func runOne(dev string, w io.Writer, o runOptions) error {
 		return err
 	}
 
-	rc := core.RunConfig{Requests: o.requests, IODepth: o.depth, IntraWorkers: o.intraWorkers, ScrubEvery: o.scrubEvery}
+	rc := core.RunConfig{Requests: o.requests, IODepth: o.depth, ScrubEvery: o.scrubEvery}
 	if o.powerCut > 0 {
 		rc.PowerLossAt = s.Now() + o.powerCut
 	}
@@ -309,10 +305,10 @@ func runOne(dev string, w io.Writer, o runOptions) error {
 	if o.batchSubmit {
 		// Vectored path: pre-generate the whole request stream and hand
 		// it to SubmitBatch in one call. The device windows internally
-		// (scheduler dispatch window, protocol queue depth, engine batch
-		// limit) and drains deferred bookkeeping once per window instead
-		// of once per request; results are byte-identical to a Submit
-		// loop, so every footer counter below means the same thing.
+		// (scheduler dispatch window, protocol queue depth,
+		// core.DefaultBatchWindow) and drains deferred bookkeeping once per
+		// window instead of once per request; results are byte-identical to
+		// a Submit loop, so every footer counter below means the same thing.
 		reqs := make([]workload.Request, o.requests)
 		var bytesRead, bytesWritten int64
 		for i := range reqs {
@@ -431,13 +427,6 @@ func runOne(dev string, w io.Writer, o runOptions) error {
 		}
 		fmt.Fprintln(w)
 	}
-	if o.intraWorkers > 1 {
-		st := res.Intra
-		fmt.Fprintf(w, "intra-parallel  %d horizons (%d fanned out over %d workers), %d local + %d cross events, %.1f local events/horizon\n",
-			st.Horizons, st.ParallelHorizons, o.intraWorkers, st.LocalEvents, st.CrossEvents, st.MeanLocalPerHorizon())
-		fmt.Fprintf(w, "horizon-batch   %d cross events batched past pending channel work: %d barriers instead of %d (%d forced by the batch limit)\n",
-			st.BatchedCross, st.Barriers(), st.BarriersWithoutBatching(), st.LimitBarriers)
-	}
 	// Average power over the measured window: the dynamic energy the run
 	// added plus leakage and background for its duration (as exp.Figure13b).
 	watts := func(total, dynBefore float64) float64 {
@@ -499,10 +488,10 @@ func since[T any](now, before T) T {
 
 // runFlags is the part of the flag set whose values constrain each other.
 type runFlags struct {
-	requests, devices       int
+	requests, blockSize     int
+	devices, rain           int
 	batchSubmit             bool
 	powerLossAt, scrubEvery string // durations as typed, "" = off
-	intraParallel, rain     int
 	snapshot, restore       string
 }
 
@@ -512,6 +501,9 @@ type runFlags struct {
 func (f runFlags) validate() (powerCut, scrubEvery sim.Duration, err error) {
 	if f.requests <= 0 {
 		return 0, 0, fmt.Errorf("bad -n %d: want a positive request count", f.requests)
+	}
+	if f.blockSize <= 0 {
+		return 0, 0, fmt.Errorf("bad -bs %d: want a positive block size", f.blockSize)
 	}
 	if powerCut, err = flagDuration("-power-loss-at", f.powerLossAt, "50ms"); err != nil {
 		return 0, 0, err
@@ -536,11 +528,6 @@ func (f runFlags) validate() (powerCut, scrubEvery sim.Duration, err error) {
 			// vectored path bypasses the evented runner entirely, so a cadence
 			// there would silently never fire. Reject instead of ignoring.
 			return 0, 0, errors.New("-batch-submit and -scrub-every are incompatible: the vectored path has no evented runner for the scrub ticker")
-		case f.intraParallel > 1:
-			// Intra-device parallel dispatch belongs to the evented runner's
-			// engine; the vectored path drains its windows serially, so a
-			// worker count there would silently do nothing.
-			return 0, 0, errors.New("-batch-submit and -intra-parallel > 1 are incompatible: the vectored path drains its windows serially")
 		}
 	}
 	return powerCut, scrubEvery, nil

@@ -5,8 +5,8 @@
 // fail with ftl.ErrReadOnly; reads keep serving).
 //
 // The schedule is a pure function of the fault seed and the request
-// stream: rerunning this program, serially or with intra-parallel
-// workers, reproduces the same faults at the same operations.
+// stream: rerunning this program reproduces the same faults at the same
+// operations.
 package main
 
 import (

@@ -22,7 +22,7 @@
 //     a newer acknowledged one) fails the demo.
 //
 // The whole cycle is deterministic: same seeds, same cut time, same
-// recovery — serially or at any intra-parallel worker count.
+// recovery.
 package main
 
 import (

@@ -229,7 +229,7 @@ func MobileSystem(d core.DeviceConfig) core.SystemConfig {
 
 // FaultProfile returns a named deterministic fault-injection preset.
 // The seed fixes the fault schedule: the same seed with the same request
-// stream draws identical faults at any intra-parallel worker count.
+// stream draws identical faults.
 //
 //	off     — no injection (the zero FaultConfig)
 //	light   — rare failures on a healthy device, wear from 3000 erases

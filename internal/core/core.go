@@ -408,49 +408,20 @@ func (s *System) bindFTL(t *ftl.FTL) error {
 // each subsystem's stage-boundary events are ordered in. Resolving names
 // once per engine keeps the hot path free of map lookups.
 //
-// The domains split into the three classes the horizon-synchronized engine
-// distinguishes (sim.MarkDomainLocal / sim.MarkChannelNeutral, doc.go):
-//
-//   - The per-channel nand shards are domain-local: they carry only the
-//     deferred per-channel flash bookkeeping — read completions and the
-//     per-die plan batches of program installs and erase clears
-//     (nand.ReadDeferredAddr, nand.PlanBatch) — which touches nothing outside
-//     its channel.
-//
-//   - host, cpu and dma are additionally marked channel-neutral in the
-//     active (non-passive) architecture: request issue, parse/dispatch and
-//     payload-transfer arbitration never read per-channel counters, energy
-//     or installed page contents (flash issue paths stage bytes through the
-//     pending-aware index, see doc.go's safety condition), so RunParallel
-//     may batch them past pending channel work without a barrier. The
-//     passive (OCSSD/pblk) architecture serves requests host-side and
-//     programs flash from host events, so it marks nothing neutral.
-//
-//   - pub and icl are neutral in the active architecture too. A publish
-//     event installs a fill whose line buffer was completed at issue
-//     (fil.ReadSubsStaged), so it reads nothing pending channel events
-//     write; the icl write-back stage only issues flash work — claims,
-//     functional block state, staged program bytes all live in serial
-//     sections — and never reads channel counters, energy or arena pages
-//     except through the pending-aware staging path. sim/doc.go carries both
-//     proofs.
-//
-//   - fil carries no events. It stays registered because a domain's id and
-//     name are part of sim.Engine.DomainStats, which every recorded run
-//     digest covers: dropping it renumbers pub and the channel shards.
-//
-// That classification is what makes RunConfig.IntraWorkers sound and
-// cheap: channels step concurrently between horizons, channel-coupled
-// events dispatch serially in global order, and channel-neutral traffic
-// amortizes the barriers.
+// The per-channel nand shards carry only the deferred per-channel flash
+// bookkeeping — read completions and the per-die plan batches of program
+// installs and erase clears (nand.ReadDeferredAddr, nand.PlanBatch). fil
+// carries no events: it stays registered because a domain's id and name are
+// part of sim.Engine.DomainStats, which every recorded run digest covers,
+// and dropping it renumbers pub and the channel shards.
 type engineDomains struct {
 	e    *sim.Engine
-	host sim.DomainID   // request issue slots, kernel submit/complete (neutral)
-	cpu  sim.DomainID   // firmware parse boundaries (neutral)
-	icl  sim.DomainID   // cache/DRAM write-back boundaries (neutral)
-	dma  sim.DomainID   // payload-transfer boundaries (neutral)
-	pub  sim.DomainID   // fill publishes (neutral: staged line buffers)
-	nand []sim.DomainID // per-channel deferred flash bookkeeping (domain-local)
+	host sim.DomainID   // request issue slots, kernel submit/complete
+	cpu  sim.DomainID   // firmware parse boundaries
+	icl  sim.DomainID   // cache/DRAM write-back boundaries
+	dma  sim.DomainID   // payload-transfer boundaries
+	pub  sim.DomainID   // fill publishes (staged line buffers)
+	nand []sim.DomainID // per-channel deferred flash bookkeeping
 }
 
 // domainsFor resolves (registering on first use) this system's scheduling
@@ -477,14 +448,6 @@ func (s *System) domainsFor(e *sim.Engine) *engineDomains {
 	d.nand = make([]sim.DomainID, channels)
 	for ch := 0; ch < channels; ch++ {
 		d.nand[ch] = e.Domain(nand.ChannelDomain(ch))
-		e.MarkDomainLocal(d.nand[ch])
-	}
-	if !s.passive {
-		e.MarkChannelNeutral(d.host)
-		e.MarkChannelNeutral(d.cpu)
-		e.MarkChannelNeutral(d.dma)
-		e.MarkChannelNeutral(d.pub)
-		e.MarkChannelNeutral(d.icl)
 	}
 	if len(s.domTab) >= 4 {
 		// Stale entries from completed Run loops: keep the long-lived

@@ -95,7 +95,7 @@ func renderFaultData(out *bytes.Buffer, s *core.System) {
 // overwrite storm plus a read phase and renders every observable — run
 // rows with failure counters, fault sites, retirement order, component
 // stats, payload fingerprints — into one golden string.
-func faultTrajectory(t *testing.T, s *core.System, workers int) string {
+func faultTrajectory(t *testing.T, s *core.System) string {
 	t.Helper()
 	if err := s.Precondition(16); err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func faultTrajectory(t *testing.T, s *core.System, workers int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(wgen, core.RunConfig{Requests: 600, IODepth: 16, IntraWorkers: workers, WithData: true})
+	res, err := s.Run(wgen, core.RunConfig{Requests: 600, IODepth: 16, WithData: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func faultTrajectory(t *testing.T, s *core.System, workers int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = s.Run(rgen, core.RunConfig{Requests: 300, IODepth: 16, IntraWorkers: workers})
+	res, err = s.Run(rgen, core.RunConfig{Requests: 300, IODepth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,47 +135,23 @@ func faultTrajectory(t *testing.T, s *core.System, workers int) string {
 	return out.String()
 }
 
-// TestFaultScheduleGoldenEquivalence is the acceptance bar for
-// deterministic fault injection: with a fixed seed, a GC-heavy trajectory
-// must draw the identical fault schedule — same fault sites in the same
-// order, same retirements, same replans, same lost pages, same payload
-// bytes — at every intra-parallel worker count as under plain serial
-// dispatch. Faults, like claims, are drawn only in serial sections, so the
-// schedule is a property of the op sequence alone. Run under -race (with
-// the AMBERSIM_INTRA_WORKERS CI matrix) this also proves the fault path
-// adds no data races.
+// TestFaultScheduleGoldenEquivalence pins deterministic fault injection:
+// with a fixed seed, a GC-heavy trajectory draws the committed fault
+// schedule — same fault sites in the same order, same retirements, same
+// replans, same lost pages, same payload bytes. Faults, like claims, are
+// drawn at issue, so the schedule is a property of the op sequence alone.
 func TestFaultScheduleGoldenEquivalence(t *testing.T) {
-	serial := faultTrajectory(t, faultSystem(t), 0)
+	got := faultTrajectory(t, faultSystem(t))
 
-	// The equivalence is vacuous unless faults actually fired and retired
-	// blocks on this trajectory.
-	if !strings.Contains(serial, "site 0") {
-		t.Fatalf("trajectory drew no faults; raise the probabilities:\n%s", serial)
+	// The pin is vacuous unless faults actually fired and retired blocks on
+	// this trajectory.
+	if !strings.Contains(got, "site 0") {
+		t.Fatalf("trajectory drew no faults; raise the probabilities:\n%s", got)
 	}
-	if strings.Contains(serial, "retired []") {
-		t.Fatalf("trajectory retired no blocks; the equivalence must cover retirement order:\n%s", serial)
+	if strings.Contains(got, "retired []") {
+		t.Fatalf("trajectory retired no blocks; the pin must cover retirement order:\n%s", got)
 	}
-
-	for _, workers := range intraWorkerMatrix(t) {
-		got := faultTrajectory(t, faultSystem(t), workers)
-		if got != serial {
-			sl := strings.Split(serial, "\n")
-			gl := strings.Split(got, "\n")
-			for i := 0; i < len(sl) || i < len(gl); i++ {
-				var a, b string
-				if i < len(sl) {
-					a = sl[i]
-				}
-				if i < len(gl) {
-					b = gl[i]
-				}
-				if a != b {
-					t.Fatalf("workers=%d fault schedule diverged at line %d:\nserial: %s\nworkers: %s", workers, i, a, b)
-				}
-			}
-			t.Fatalf("workers=%d diverged from serial (length %d vs %d)", workers, len(serial), len(got))
-		}
-	}
+	checkPin(t, "fault", got)
 }
 
 // coldLineBehindDirtyCache returns a small system whose every cache frame

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"amber/internal/core"
@@ -14,7 +15,7 @@ import (
 // bytes, then flushes and drains so every byte is acknowledged durable on
 // flash. It returns the generator seed so callers can replay the request
 // sequence and reconstruct the exact payload of every line.
-func seqFillDurable(t *testing.T, s *core.System, workers int) (bs int, n int, seed int) {
+func seqFillDurable(t *testing.T, s *core.System) (bs int, n int, seed int) {
 	t.Helper()
 	bs = s.Split.LineBytes()
 	n = int(s.VolumeBytes() / int64(bs))
@@ -23,7 +24,7 @@ func seqFillDurable(t *testing.T, s *core.System, workers int) (bs int, n int, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(gen, core.RunConfig{Requests: n, IODepth: 16, IntraWorkers: workers, WithData: true}); err != nil {
+	if _, err := s.Run(gen, core.RunConfig{Requests: n, IODepth: 16, WithData: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Flush(s.Now()); err != nil {
@@ -48,10 +49,10 @@ func runPayload(req workload.Request, i int) []byte {
 // and a post-mount write+read phase, rendering every observable — run rows,
 // the power-loss resolution, the mount report, component stats and payload
 // fingerprints — into one golden string.
-func powerTrajectory(t *testing.T, s *core.System, workers int) string {
+func powerTrajectory(t *testing.T, s *core.System) string {
 	t.Helper()
 	var out bytes.Buffer
-	seqFillDurable(t, s, workers)
+	seqFillDurable(t, s)
 
 	// Phase 1: uncut storm segment — establishes GC churn and a reference
 	// duration for placing the cut.
@@ -59,7 +60,7 @@ func powerTrajectory(t *testing.T, s *core.System, workers int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(wgen, core.RunConfig{Requests: 300, IODepth: 16, IntraWorkers: workers, WithData: true})
+	res, err := s.Run(wgen, core.RunConfig{Requests: 300, IODepth: 16, WithData: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func powerTrajectory(t *testing.T, s *core.System, workers int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = s.Run(w2gen, core.RunConfig{Requests: 600, IODepth: 16, IntraWorkers: workers, WithData: true, PowerLossAt: cut})
+	res, err = s.Run(w2gen, core.RunConfig{Requests: 600, IODepth: 16, WithData: true, PowerLossAt: cut})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func powerTrajectory(t *testing.T, s *core.System, workers int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = s.Run(w3gen, core.RunConfig{Requests: 200, IODepth: 16, IntraWorkers: workers, WithData: true})
+	res, err = s.Run(w3gen, core.RunConfig{Requests: 200, IODepth: 16, WithData: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,27 +108,14 @@ func powerTrajectory(t *testing.T, s *core.System, workers int) string {
 	return out.String()
 }
 
-// TestPowerLossRecoveryGoldenEquivalence is the acceptance bar for
-// deterministic power-loss emulation: a cut dropped into a GC-heavy
-// overwrite storm must resolve the identical in-flight set
-// torn-or-committed, rebuild the identical mapping at mount, and leave the
-// device continuing byte-identically — at every intra-parallel worker count
-// versus the plain serial dispatch. The cut rides a plain cross-domain
-// event (a barrier), so the dispatched prefix is a property of the event
-// sequence alone. Run under -race (AMBERSIM_INTRA_WORKERS matrix) it also
-// proves the cut and mount paths add no data races.
+// TestPowerLossRecoveryGoldenEquivalence pins deterministic power-loss
+// emulation: a cut dropped into a GC-heavy overwrite storm resolves the
+// committed in-flight set torn-or-committed, rebuilds the committed mapping
+// at mount, and leaves the device continuing as committed. The cut is one
+// event in the engine's (time, sequence) order, so the dispatched prefix is
+// a property of the event sequence alone.
 func TestPowerLossRecoveryGoldenEquivalence(t *testing.T) {
-	serial := powerTrajectory(t, wideSystem(t), 0)
-	if len(serial) == 0 {
-		t.Fatal("empty trajectory")
-	}
-	for _, workers := range intraWorkerMatrix(t) {
-		got := powerTrajectory(t, wideSystem(t), workers)
-		if got != serial {
-			t.Fatalf("workers=%d power-loss trajectory diverged from serial:\n--- serial ---\n%s--- workers=%d ---\n%s",
-				workers, serial, workers, got)
-		}
-	}
+	checkPin(t, "power-loss", powerTrajectory(t, wideSystem(t)))
 }
 
 // TestPowerLossFlushedRemountExact is the quiescent-cut durability bar: if
@@ -137,7 +125,7 @@ func TestPowerLossRecoveryGoldenEquivalence(t *testing.T) {
 // nothing lost.
 func TestPowerLossFlushedRemountExact(t *testing.T) {
 	s := wideSystem(t)
-	bs, n, seed := seqFillDurable(t, s, 0)
+	bs, n, seed := seqFillDurable(t, s)
 
 	// Cut power during a pure read run: reads hold no volatile payloads the
 	// device promised to keep, so recovery must be lossless.
@@ -187,18 +175,18 @@ func TestPowerLossFlushedRemountExact(t *testing.T) {
 // time, and a full-volume read-back where every 4 KiB block must hold either
 // its durable baseline payload or the payload of some storm write to that
 // offset — a torn or lost acknowledged write would surface as an unmapped
-// (zero) or mismatched read. It returns a digest of the recovery for
-// cross-worker-count comparison, plus the flash resolution counts.
-func powerCutDigest(t *testing.T, cut sim.Time, stormReqs int, workers int) (string, core.PowerLossReport) {
+// (zero) or mismatched read. It returns a digest of the recovery plus the
+// flash resolution counts.
+func powerCutDigest(t *testing.T, cut sim.Time, stormReqs int) (string, core.PowerLossReport) {
 	t.Helper()
 	s := wideSystem(t)
-	bs, n, seed := seqFillDurable(t, s, workers)
+	bs, n, seed := seqFillDurable(t, s)
 
 	wgen, err := workload.NewFIO(workload.RandWrite, 4096, s.VolumeBytes(), 29)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(wgen, core.RunConfig{Requests: stormReqs, IODepth: 16, IntraWorkers: workers, WithData: true, PowerLossAt: cut})
+	res, err := s.Run(wgen, core.RunConfig{Requests: stormReqs, IODepth: 16, WithData: true, PowerLossAt: cut})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,15 +248,14 @@ func powerCutDigest(t *testing.T, cut sim.Time, stormReqs int, workers int) (str
 // overwrite storm and holds every recovery to two bars at once: durability
 // (after mount, every 4 KiB block serves its durable baseline or a storm
 // payload — never torn data, never a lost acknowledged write) and
-// determinism (the full recovery digest — resolution counts, mount report,
-// volume read-back checksum — is byte-identical at every intra-parallel
-// worker count versus serial dispatch).
+// determinism (the recovery digests of all five cuts — resolution counts,
+// mount report, volume read-back checksum — hash to the committed pin).
 func TestPowerLossSweepGoldenEquivalence(t *testing.T) {
 	const stormReqs = 500
 
-	// Probe the storm span serially and uncut to place the sweep.
+	// Probe the storm span uncut to place the sweep.
 	probe := wideSystem(t)
-	seqFillDurable(t, probe, 0)
+	seqFillDurable(t, probe)
 	pgen, err := workload.NewFIO(workload.RandWrite, 4096, probe.VolumeBytes(), 29)
 	if err != nil {
 		t.Fatal(err)
@@ -287,11 +274,11 @@ func TestPowerLossSweepGoldenEquivalence(t *testing.T) {
 		cuts[i] = pres.Start + sim.Time(float64(span)*f)
 	}
 
-	serial := make([]string, len(cuts))
+	var digests strings.Builder
 	inFlight, torn, undone := 0, 0, 0
-	for i, cut := range cuts {
-		var rep core.PowerLossReport
-		serial[i], rep = powerCutDigest(t, cut, stormReqs, 0)
+	for _, cut := range cuts {
+		digest, rep := powerCutDigest(t, cut, stormReqs)
+		digests.WriteString(digest + "\n")
 		inFlight += rep.Flash.InFlight
 		torn += rep.Flash.Torn
 		undone += rep.Flash.ErasesUndone
@@ -300,16 +287,7 @@ func TestPowerLossSweepGoldenEquivalence(t *testing.T) {
 		t.Fatalf("sweep is vacuous: %d in-flight programs, %d torn across all cuts", inFlight, torn)
 	}
 	t.Logf("sweep: %d in-flight, %d torn, %d erases undone across %d cuts", inFlight, torn, undone, len(cuts))
-
-	for _, workers := range intraWorkerMatrix(t) {
-		for i, cut := range cuts {
-			got, _ := powerCutDigest(t, cut, stormReqs, workers)
-			if got != serial[i] {
-				t.Fatalf("workers=%d cut %v recovery diverged from serial:\nserial: %s\nworkers: %s",
-					workers, cut, serial[i], got)
-			}
-		}
-	}
+	checkPin(t, "power-cut-sweep", digests.String())
 }
 
 // TestReadCertPowerLossMountDisarm pins the read-certificate lifecycle
@@ -319,7 +297,7 @@ func TestPowerLossSweepGoldenEquivalence(t *testing.T) {
 // resumes — with the pre-cut issuer's certificates rejected by identity.
 func TestReadCertPowerLossMountDisarm(t *testing.T) {
 	s := wideSystem(t)
-	seqFillDurable(t, s, 0)
+	seqFillDurable(t, s)
 
 	readRun := func(seed uint64) {
 		t.Helper()

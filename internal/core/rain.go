@@ -22,10 +22,9 @@ import (
 //     (noteRainFault / drainRainRepairs).
 //
 //   - Patrol: a periodic scrub tick (RunConfig.ScrubEvery, its own
-//     engine domain so the dispatch prefix is worker-count invariant)
-//     refreshes the super-block under the most read-disturb/retention
-//     stress — migrate valid data onto young cells, erase — before the
-//     stress becomes uncorrectable.
+//     engine domain) refreshes the super-block under the most
+//     read-disturb/retention stress — migrate valid data onto young cells,
+//     erase — before the stress becomes uncorrectable.
 //
 // The two halves meet in the scrub-or-retire policy (noteRecon): a block
 // that keeps sourcing reconstructions is scrubbed when a patrol is armed

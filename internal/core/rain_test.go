@@ -35,9 +35,9 @@ func rainSystem(t *testing.T) *core.System {
 	// Read-fault pressure only: program/erase faults retire blocks, and on
 	// this RAIN-shrunk geometry the recovery migrations cascade into spare
 	// exhaustion before the read storm reconstructs anything (their
-	// worker-count equivalence is TestFaultScheduleGoldenEquivalence's
-	// job). Reads draw hard — disturb and retention growth push repeat
-	// reads over the uncorrectable threshold mid-storm.
+	// schedule is TestFaultScheduleGoldenEquivalence's job). Reads draw
+	// hard — disturb and retention growth push repeat reads over the
+	// uncorrectable threshold mid-storm.
 	d.Faults = nand.FaultConfig{
 		Seed:             99,
 		ReadFailProb:     0.05,
@@ -57,7 +57,7 @@ func rainSystem(t *testing.T) *core.System {
 // overwrite storm plus a read storm and renders every observable — run
 // rows with failure and reconstruction counters, fault sites, component
 // stats, payload fingerprints — into one golden string.
-func rainTrajectory(t *testing.T, s *core.System, workers int) string {
+func rainTrajectory(t *testing.T, s *core.System) string {
 	t.Helper()
 	if err := s.Precondition(16); err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func rainTrajectory(t *testing.T, s *core.System, workers int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(wgen, core.RunConfig{Requests: 600, IODepth: 16, IntraWorkers: workers, WithData: true})
+	res, err := s.Run(wgen, core.RunConfig{Requests: 600, IODepth: 16, WithData: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func rainTrajectory(t *testing.T, s *core.System, workers int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = s.Run(rgen, core.RunConfig{Requests: 400, IODepth: 16, IntraWorkers: workers})
+	res, err = s.Run(rgen, core.RunConfig{Requests: 400, IODepth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,22 +99,19 @@ func rainTrajectory(t *testing.T, s *core.System, workers int) string {
 	return out.String()
 }
 
-// TestRAINReconstructGoldenEquivalence is the acceptance bar for die-level
-// RAIN: a fault-armed striped trajectory — parity writes, uncorrectable
-// draws, stripe reconstructions, remaps — must render byte-identical
-// goldens at every intra-parallel worker count versus plain serial
-// dispatch. Reconstruction plans are built in serial sections from the
-// same certified lookups the serial leg sees, so the repaired payloads and
-// the post-repair mapping are a property of the op sequence alone. Run
-// under -race (AMBERSIM_INTRA_WORKERS matrix) this also proves the
-// reconstruction path adds no data races.
+// TestRAINReconstructGoldenEquivalence pins die-level RAIN: a fault-armed
+// striped trajectory — parity writes, uncorrectable draws, stripe
+// reconstructions, remaps — renders to the committed digest. Reconstruction
+// plans are built from the same certified lookups host reads see, so the
+// repaired payloads and the post-repair mapping are a property of the op
+// sequence alone.
 func TestRAINReconstructGoldenEquivalence(t *testing.T) {
-	serial := rainTrajectory(t, rainSystem(t), 0)
+	got := rainTrajectory(t, rainSystem(t))
 
-	// The equivalence is vacuous unless parity was written and stripes
-	// actually reconstructed somewhere on the trajectory.
+	// The pin is vacuous unless parity was written and stripes actually
+	// reconstructed somewhere on the trajectory.
 	var totRecon, totParity uint64
-	for _, line := range strings.Split(serial, "\n") {
+	for _, line := range strings.Split(got, "\n") {
 		var recon, double, parity uint64
 		if _, err := fmt.Sscanf(line, "  recon %d double %d parity %d", &recon, &double, &parity); err == nil {
 			totRecon += recon
@@ -122,32 +119,12 @@ func TestRAINReconstructGoldenEquivalence(t *testing.T) {
 		}
 	}
 	if totParity == 0 {
-		t.Fatalf("trajectory wrote no parity:\n%s", serial)
+		t.Fatalf("trajectory wrote no parity:\n%s", got)
 	}
 	if totRecon == 0 {
-		t.Fatalf("trajectory reconstructed nothing; raise the read-fault pressure:\n%s", serial)
+		t.Fatalf("trajectory reconstructed nothing; raise the read-fault pressure:\n%s", got)
 	}
-
-	for _, workers := range intraWorkerMatrix(t) {
-		got := rainTrajectory(t, rainSystem(t), workers)
-		if got != serial {
-			sl := strings.Split(serial, "\n")
-			gl := strings.Split(got, "\n")
-			for i := 0; i < len(sl) || i < len(gl); i++ {
-				var a, b string
-				if i < len(sl) {
-					a = sl[i]
-				}
-				if i < len(gl) {
-					b = gl[i]
-				}
-				if a != b {
-					t.Fatalf("workers=%d RAIN trajectory diverged at line %d:\nserial: %s\nworkers: %s", workers, i, a, b)
-				}
-			}
-			t.Fatalf("workers=%d diverged from serial (length %d vs %d)", workers, len(serial), len(got))
-		}
-	}
+	checkPin(t, "rain", got)
 }
 
 // TestRAINReconstructFaultPayload proves reconstruction returns the

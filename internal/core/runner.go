@@ -28,19 +28,14 @@ type RunConfig struct {
 	// WithData attaches payload buffers to every request so real bytes
 	// move end to end (requires a TrackData system for integrity checks).
 	WithData bool
-	// IntraWorkers enables horizon-synchronized parallel intra-device
-	// dispatch: between two cross-domain events, the per-NAND-channel
-	// domain-local shards step concurrently over up to this many workers
-	// (sim.Engine.RunParallel). Results are byte-identical to the serial
-	// dispatch at any worker count; <= 1 keeps the plain serial loop.
-	IntraWorkers int
 	// PowerLossAt cuts device power at this absolute simulated time (zero
-	// disables): the run's engine halts at the cut — a plain cross-domain
-	// event, so the dispatched prefix is identical at any worker count —
-	// all volatile firmware state is discarded with in-flight programs
-	// resolved torn-or-committed by the seeded fault draw, and mount-time
-	// recovery rebuilds the FTL from OOB stamps before the run returns.
-	// Requests in flight at the cut never complete and are not counted.
+	// disables): the run's engine halts at the cut — one event in the
+	// engine's (time, sequence) order, so the dispatched prefix is a
+	// property of the event sequence — all volatile firmware state is
+	// discarded with in-flight programs resolved torn-or-committed by the
+	// seeded fault draw, and mount-time recovery rebuilds the FTL from OOB
+	// stamps before the run returns. Requests in flight at the cut never
+	// complete and are not counted.
 	PowerLossAt sim.Time
 	// StopOnReadOnly stops issuing new requests after the first write the
 	// device refuses with ftl.ErrReadOnly, instead of grinding through the
@@ -51,11 +46,11 @@ type RunConfig struct {
 	// disables): each tick refreshes at most one super-block — forced
 	// scrubs queued by RAIN reconstruction pressure first, then the block
 	// under the most read-disturb/retention stress. The tick rides its own
-	// scheduling domain (a plain cross-domain shard, like the power cut),
-	// so the dispatched prefix — and every simulated byte — is identical
-	// at any RunConfig.IntraWorkers count. Arming a scrubber also flips
-	// the scrub-or-retire policy: blocks under reconstruction pressure are
-	// refreshed instead of retired, deferring the read-only latch.
+	// scheduling domain, like the power cut, so where it lands in the
+	// request stream is decided by the engine's (time, sequence) order
+	// alone. Arming a scrubber also flips the scrub-or-retire policy:
+	// blocks under reconstruction pressure are refreshed instead of
+	// retired, deferring the read-only latch.
 	ScrubEvery sim.Duration
 }
 
@@ -79,11 +74,6 @@ type RunResult struct {
 	// and how they spread across the scheduling-domain shards.
 	Events       uint64
 	DomainEvents []sim.DomainStat
-
-	// Intra reports the horizon structure when the run used
-	// RunConfig.IntraWorkers > 1 (zero value otherwise): synchronization
-	// horizons, events stepped inside windows vs dispatched serially.
-	Intra sim.ParallelStats
 
 	// Degradation under injected faults: writes refused because the device
 	// latched read-only, reads lost to uncorrectable errors, and whether
@@ -183,11 +173,9 @@ func (s *System) Run(gen workload.Generator, rc RunConfig) (*RunResult, error) {
 		l.cpuCounter.Delta(res.Start+1, s.Host.CPU.BusyTime().Seconds())
 		l.nextSample = res.Start + rc.SampleEvery
 	}
-	// The power cut rides a plain cross-domain event (its own shard, never
-	// marked local or neutral), so horizon batching treats it as a barrier:
-	// the set of events dispatched before it is identical at any worker
-	// count, and the cut point is registered before any workload event so
-	// its sequence number orders it ahead of same-time traffic.
+	// The power cut rides an event in its own shard, registered before any
+	// workload event so its sequence number orders it ahead of same-time
+	// traffic.
 	if rc.PowerLossAt > 0 {
 		pwr := e.Domain("pwr")
 		e.AtIn(pwr, rc.PowerLossAt, func() { e.Halt() })
@@ -216,11 +204,7 @@ func (s *System) Run(gen workload.Generator, rc RunConfig) (*RunResult, error) {
 		}
 		e.AtIn(scrubDom, res.Start+rc.ScrubEvery, tick)
 	}
-	if rc.IntraWorkers > 1 {
-		res.Intra = e.RunParallel(rc.IntraWorkers)
-	} else {
-		e.Run()
-	}
+	e.Run()
 	res.Events = e.Dispatched()
 	res.DomainEvents = e.DomainStats()
 	// RAIN/scrub deltas come off the live FTL before a power-loss mount

@@ -23,7 +23,7 @@ import (
 // (still live, positioned exactly at the snapshot point) and the image.
 func snapshotImage(t *testing.T, s *core.System) []byte {
 	t.Helper()
-	seqFillDurable(t, s, 0)
+	seqFillDurable(t, s)
 	gen, err := workload.NewFIO(workload.RandWrite, 4096, s.VolumeBytes(), 21)
 	if err != nil {
 		t.Fatal(err)
@@ -45,14 +45,14 @@ func snapshotImage(t *testing.T, s *core.System) []byte {
 // snapshotTail continues a system past the snapshot point — an overwrite
 // storm, then a full payload read-back — and renders every observable into
 // a golden string.
-func snapshotTail(t *testing.T, s *core.System, workers int) string {
+func snapshotTail(t *testing.T, s *core.System) string {
 	t.Helper()
 	var out bytes.Buffer
 	gen, err := workload.NewFIO(workload.RandWrite, 4096, s.VolumeBytes(), 23)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(gen, core.RunConfig{Requests: 200, IODepth: 16, IntraWorkers: workers, WithData: true})
+	res, err := s.Run(gen, core.RunConfig{Requests: 200, IODepth: 16, WithData: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,61 +64,59 @@ func snapshotTail(t *testing.T, s *core.System, workers int) string {
 
 // TestSnapshotRestoreGoldenEquivalence is the snapshot acceptance bar:
 // restore(snapshot(S)) must continue byte-identical to S itself — same run
-// timings, same component stats and energy, same payload fingerprints — at
-// every intra-parallel worker count. A snapshot taken from the restored
+// timings, same component stats and energy, same payload fingerprints — and
+// that continuation is the committed one. A snapshot taken from the restored
 // system must also reproduce the image byte for byte (the state round-trips
 // with no drift).
 func TestSnapshotRestoreGoldenEquivalence(t *testing.T) {
 	s := wideSystem(t)
 	img := snapshotImage(t, s)
-	want := snapshotTail(t, s, 0) // the original continues
+	want := snapshotTail(t, s) // the original continues
+	checkPin(t, "snapshot-tail", want)
 	// Version 5: the system header carries no per-fill-path counters.
 	if v := binary.LittleEndian.Uint32(img[8:12]); v != 5 || core.SnapshotVersion != 5 {
 		t.Fatalf("image carries format version %d, core.SnapshotVersion is %d, want 5", v, core.SnapshotVersion)
 	}
 
-	for _, workers := range intraWorkerMatrix(t) {
-		r := wideSystem(t)
-		if err := r.Restore(img); err != nil {
-			t.Fatalf("restore: %v", err)
-		}
-		// The restored stamps are checksums of the restored payloads.
-		g, pages := r.Flash.Geometry(), 0
-		for ch := 0; ch < g.Channels; ch++ {
-			for pkg := 0; pkg < g.PackagesPerChannel; pkg++ {
-				for die := 0; die < g.DiesPerPackage; die++ {
-					for pl := 0; pl < g.PlanesPerDie; pl++ {
-						for blk := 0; blk < g.BlocksPerPlane; blk++ {
-							for pg := 0; pg < g.PagesPerBlock; pg++ {
-								a := nand.Address{Channel: ch, Package: pkg, Die: die, Plane: pl, Block: blk, Page: pg}
-								if !r.Flash.PageWritten(a) {
-									continue
-								}
-								pages++
-								if !r.Flash.VerifyPage(a) {
-									t.Fatalf("restored page %v fails VerifyPage", a)
-								}
+	r := wideSystem(t)
+	if err := r.Restore(img); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	// The restored stamps are checksums of the restored payloads.
+	g, pages := r.Flash.Geometry(), 0
+	for ch := 0; ch < g.Channels; ch++ {
+		for pkg := 0; pkg < g.PackagesPerChannel; pkg++ {
+			for die := 0; die < g.DiesPerPackage; die++ {
+				for pl := 0; pl < g.PlanesPerDie; pl++ {
+					for blk := 0; blk < g.BlocksPerPlane; blk++ {
+						for pg := 0; pg < g.PagesPerBlock; pg++ {
+							a := nand.Address{Channel: ch, Package: pkg, Die: die, Plane: pl, Block: blk, Page: pg}
+							if !r.Flash.PageWritten(a) {
+								continue
+							}
+							pages++
+							if !r.Flash.VerifyPage(a) {
+								t.Fatalf("restored page %v fails VerifyPage", a)
 							}
 						}
 					}
 				}
 			}
 		}
-		if pages == 0 {
-			t.Fatal("restored flash holds no written page")
-		}
-		img2, err := r.Snapshot()
-		if err != nil {
-			t.Fatalf("re-snapshot: %v", err)
-		}
-		if !bytes.Equal(img, img2) {
-			t.Fatalf("snapshot(restore(img)) differs from img: %d vs %d bytes", len(img2), len(img))
-		}
-		got := snapshotTail(t, r, workers)
-		if got != want {
-			t.Fatalf("workers=%d restored trajectory diverged from original:\n--- original ---\n%s--- restored ---\n%s",
-				workers, want, got)
-		}
+	}
+	if pages == 0 {
+		t.Fatal("restored flash holds no written page")
+	}
+	img2, err := r.Snapshot()
+	if err != nil {
+		t.Fatalf("re-snapshot: %v", err)
+	}
+	if !bytes.Equal(img, img2) {
+		t.Fatalf("snapshot(restore(img)) differs from img: %d vs %d bytes", len(img2), len(img))
+	}
+	got := snapshotTail(t, r)
+	if got != want {
+		t.Fatalf("restored trajectory diverged from original:\n--- original ---\n%s--- restored ---\n%s", want, got)
 	}
 }
 
@@ -167,7 +165,7 @@ func TestSnapshotLoaderFaults(t *testing.T) {
 	}
 
 	target := wideSystem(t)
-	seqFillDurable(t, target, 0)
+	seqFillDurable(t, target)
 	before, err := target.Snapshot()
 	if err != nil {
 		t.Fatal(err)

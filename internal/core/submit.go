@@ -101,10 +101,8 @@ func (op *submitOp) step() {
 		now := e.Now()
 		walked := s.DMA.WalkList(now, op.pl)
 		if op.req.Write {
-			// The write-ops stage flushes evictions into flash, so it rides
-			// the icl shard — kept apart from dma because its neutrality
-			// stands on its own proof (the eviction flush only issues flash
-			// work, doc.go).
+			// The write-ops stage flushes evictions into flash; it rides the
+			// icl shard.
 			xferDone := s.DMA.Transfer(walked, op.pl, true)
 			op.stage = opWriteOps
 			e.AtIn(op.doms.icl, xferDone, op.stepFn)
@@ -861,13 +859,10 @@ func (s *System) startFill(e *sim.Engine, t sim.Time, lspn int64, subs []int, li
 	}
 
 	// The continuation installs into the ICL, charges cache memory and
-	// wakes coalesced waiters — cross-channel state — so it must ride a
-	// cross-domain shard for the intra-parallel horizon computation to be
-	// sound. Flash-backed fills publish through the fil.publish shard
-	// (channel-neutral in the active architecture: the staged line buffer
-	// is complete at issue, so the publish batches past pending channel
-	// work). Fills with no flash work (all subs unmapped, pure cache-side
-	// traffic) ride the icl shard.
+	// wakes coalesced waiters. Flash-backed fills publish through the
+	// fil.publish shard (the staged line buffer is complete at issue);
+	// fills with no flash work (all subs unmapped, pure cache-side traffic)
+	// ride the icl shard.
 	dom := doms.icl
 	if nFetch > 0 {
 		dom = doms.pub
@@ -971,10 +966,9 @@ func (s *System) prefetch(e *sim.Engine, lspn int64) {
 // returning when the victim's data has left the cache memory (host writes
 // programmed; background GC may continue past this point). With an engine,
 // the plan executes on the deferred path (fil.ExecuteOn): each program's
-// and erase's per-channel bookkeeping rides the owning channel's
-// domain-local shard in per-die batches, widening the intra-parallel
-// windows to writes and GC; without one (the synchronous Flush), the plan
-// executes synchronously.
+// and erase's per-channel bookkeeping rides the owning channel's shard in
+// per-die batches; without one (the synchronous Flush), the plan executes
+// synchronously.
 func (s *System) flushEviction(e *sim.Engine, t sim.Time, ev *iclEviction) (sim.Time, error) {
 	t2 := s.fw.ftlTranslate.run(t)
 	plan, err := s.FTL.Write(t2, ev.LSPN, ev.Dirty)

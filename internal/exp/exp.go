@@ -77,12 +77,6 @@ type Options struct {
 	// serially. Results are byte-identical at any worker count: every
 	// task owns its systems and writes into an index-addressed slot.
 	Parallel int
-	// IntraWorkers enables horizon-synchronized parallel dispatch inside
-	// each measured run (core.RunConfig.IntraWorkers): NAND channel shards
-	// step concurrently between cross-domain events. Orthogonal to
-	// Parallel (across systems vs within one system) and byte-identical
-	// to serial at any worker count, so tables never change.
-	IntraWorkers int
 }
 
 // requests returns the per-point request budget.
@@ -131,12 +125,12 @@ func newSystem(deviceName string, mutate func(*core.SystemConfig)) (*core.System
 }
 
 // runPoint measures one (pattern, depth) point.
-func runPoint(o Options, s *core.System, p workload.Pattern, blockSize, depth, n int) (*core.RunResult, error) {
+func runPoint(s *core.System, p workload.Pattern, blockSize, depth, n int) (*core.RunResult, error) {
 	gen, err := workload.NewFIO(p, blockSize, s.VolumeBytes(), 11)
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.Run(gen, core.RunConfig{Requests: n, IODepth: depth, IntraWorkers: o.IntraWorkers})
+	res, err := s.Run(gen, core.RunConfig{Requests: n, IODepth: depth})
 	if err != nil {
 		return nil, err
 	}

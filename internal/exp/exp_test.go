@@ -87,28 +87,6 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestIntraWorkersDeterminism locks in the orthogonal guarantee for
-// horizon-synchronized dispatch inside each measured run: tables are
-// byte-identical whether the runs dispatch serially or step their channel
-// shards concurrently (the engine-level contract of
-// sim.Engine.RunParallel, surfaced through Options.IntraWorkers).
-func TestIntraWorkersDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs two full quick experiments")
-	}
-	serial, err := Figure14(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	intra, err := Figure14(Options{Quick: true, IntraWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.String() != intra.String() {
-		t.Fatalf("intra-parallel run diverged from serial:\n--- serial ---\n%s--- intra ---\n%s", serial, intra)
-	}
-}
-
 func TestForEachPropagatesFirstError(t *testing.T) {
 	errs := []error{nil, errTest(1), errTest(2)}
 	got := forEach(Options{Parallel: 3}, 3, func(i int) error { return errs[i] })

@@ -89,7 +89,7 @@ func baselineFigure(o Options, latency bool) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		res, err := runPoint(o, amber, pats[pi], 4096, depths[di], n)
+		res, err := runPoint(amber, pats[pi], 4096, depths[di], n)
 		if err != nil {
 			return err
 		}
@@ -209,7 +209,7 @@ func validationFigure(o Options, latency bool) (*Table, error) {
 			var refRow, simRow []float64
 			for _, d := range depths {
 				i := depthIndex(d)
-				res, err := runPoint(o, s, p, 4096, d, n)
+				res, err := runPoint(s, p, 4096, d, n)
 				if err != nil {
 					return err
 				}
@@ -290,7 +290,7 @@ func Figure10(o Options) (*Table, error) {
 				if kb >= 256 {
 					nn = n / 4 // large blocks move 64x the data per request
 				}
-				res, err := runPoint(o, s, p, kb*1024, 32, nn)
+				res, err := runPoint(s, p, kb*1024, 32, nn)
 				if err != nil {
 					return err
 				}
@@ -363,7 +363,7 @@ func Figure11(o Options) (*Table, error) {
 			return err
 		}
 		s.Drain()
-		res, err := runPoint(o, s, workload.RandWrite, bs, 32, n)
+		res, err := runPoint(s, workload.RandWrite, bs, 32, n)
 		if err != nil {
 			return err
 		}
@@ -648,7 +648,7 @@ func Figure14(o Options) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		res, err := runPoint(o, s, workload.SeqRead, 131072, 32, n/4)
+		res, err := runPoint(s, workload.SeqRead, 131072, 32, n/4)
 		if err != nil {
 			return err
 		}
@@ -691,7 +691,7 @@ func Figure15a(o Options) (*Table, error) {
 		if blocks[bi] > 4096 {
 			nn = n / 4
 		}
-		res, err := runPoint(o, s, pats[pi], blocks[bi], 32, nn)
+		res, err := runPoint(s, pats[pi], blocks[bi], 32, nn)
 		if err != nil {
 			return err
 		}
@@ -814,7 +814,7 @@ func Figure16(o Options) (*Table, error) {
 		return nil, err
 	}
 	start := time.Now()
-	if _, err := runPoint(o, s, workload.RandRead, 4096, 16, n); err != nil {
+	if _, err := runPoint(s, workload.RandRead, 4096, 16, n); err != nil {
 		return nil, err
 	}
 	el := time.Since(start).Seconds()
@@ -846,7 +846,7 @@ func TableIV(o Options) (*Table, error) {
 		{"data transfer emulation (real bytes)", "yes", "dma, nand.Options.TrackData"},
 		{"functional + timing DMA modes", "yes", "dma.Mode"},
 		{"parallel multi-system experiment harness", "yes", "exp.Options.Parallel"},
-		{"intra-device parallel dispatch (horizon-synchronized)", "yes", "sim.Engine.RunParallel, core.RunConfig.IntraWorkers"},
+		{"intra-device parallel dispatch (horizon-synchronized)", "no", "retired: channel-local work is 1-5% of a run's time"},
 	}
 	t.Rows = rows
 	return t, nil

@@ -1,8 +1,7 @@
 // Package farm simulates a shelf of SSDs behind one host: N core.Systems
 // sharing one virtual clock, fronted by a multiplexer that stripes tenant
-// requests across replica groups. It lifts the domain-local vs cross-domain
-// split of sim/parallel.go one level up — devices are natural parallel
-// domains that interact only through the host — and adds the failure modes
+// requests across replica groups. Devices are natural parallel domains —
+// they interact only through the host — and the farm adds the failure modes
 // that only exist at farm width: whole-device death, a device-level
 // read-only latch (riding ftl.ErrReadOnly), and latency-storm windows,
 // answered by host-side retry with backoff, request timeouts, hedged

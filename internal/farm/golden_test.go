@@ -1,7 +1,6 @@
 package farm
 
 import (
-	"os"
 	"strconv"
 	"testing"
 
@@ -9,20 +8,9 @@ import (
 	"amber/internal/sim"
 )
 
-// farmWorkerMatrix mirrors the core intraWorkerMatrix contract: CI's race
-// matrix pins one worker count per job via AMBERSIM_INTRA_WORKERS; without
-// the variable the full {1, 2, 4} set runs against the serial reference.
-func farmWorkerMatrix(t *testing.T) []int {
-	t.Helper()
-	if v := os.Getenv("AMBERSIM_INTRA_WORKERS"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			t.Fatalf("bad AMBERSIM_INTRA_WORKERS %q", v)
-		}
-		return []int{n}
-	}
-	return []int{1, 2, 4}
-}
+// farmWorkers are the device-window worker counts the goldens compare
+// against the serial reference.
+var farmWorkers = []int{1, 2, 4}
 
 // stormFaults is the golden fault schedule: seed 4 over a 4x2+1 farm
 // resolves to one whole-device death (with spare failover and a completed
@@ -84,8 +72,8 @@ func goldenRun(t *testing.T, workers int, faults FaultConfig) (string, Stats) {
 // and hedge traffic, and one full hot-spare rebuild must produce a
 // byte-identical trajectory — retry counts, hedge winners, failover order,
 // event timeline, and the rebuilt spare's reconstructed payload digest —
-// at every worker count. Under -race (the AMBERSIM_INTRA_WORKERS CI
-// matrix) it also proves the device-window workers share nothing.
+// at every worker count. Under -race it also proves the device-window
+// workers share nothing.
 func TestFarmFaultStormGoldenEquivalence(t *testing.T) {
 	base, s := goldenRun(t, 0, stormFaults())
 	// The storm must actually exercise every robustness path.
@@ -101,7 +89,7 @@ func TestFarmFaultStormGoldenEquivalence(t *testing.T) {
 	if s.Corruptions != 0 {
 		t.Fatalf("payload verification failed:\n%s", s.String())
 	}
-	for _, w := range farmWorkerMatrix(t) {
+	for _, w := range farmWorkers {
 		got, _ := goldenRun(t, w, stormFaults())
 		if got != base {
 			t.Fatalf("workers=%d trajectory diverged from serial\n--- serial ---\n%s--- workers=%d ---\n%s",
@@ -118,7 +106,7 @@ func TestFarmCleanGoldenEquivalence(t *testing.T) {
 	if s.Corruptions != 0 || s.FailedReads != 0 || s.FailedWrites != 0 || len(s.Events) != 0 {
 		t.Fatalf("clean run degraded:\n%s", s.String())
 	}
-	for _, w := range farmWorkerMatrix(t) {
+	for _, w := range farmWorkers {
 		got, _ := goldenRun(t, w, FaultConfig{})
 		if got != base {
 			t.Fatalf("workers=%d trajectory diverged from serial\n--- serial ---\n%s--- workers=%d ---\n%s",

@@ -15,8 +15,7 @@ import (
 	"amber/internal/workload"
 )
 
-// The farm executes in rounds, the farm-level analogue of the
-// horizon-synchronized windows in sim/parallel.go:
+// The farm executes in rounds:
 //
 //  1. Host phase (serial): decide every device operation that exists this
 //     round — new tenant arrivals, retry/hedge legs carried over from the
@@ -485,7 +484,7 @@ func (st *runState) copyBuf() []byte {
 
 // exec runs the round's device windows: serial below two active devices or
 // workers <= 1, otherwise a transient worker set claiming devices off an
-// atomic cursor (the idiom of sim.Engine.RunParallel's workers, one level up).
+// atomic cursor.
 func (f *Farm) exec(ops []op) {
 	for i := range ops {
 		d := f.devs[ops[i].dev]

@@ -19,25 +19,19 @@ import (
 // AddrFunc converts an FTL page location to a NAND physical address.
 type AddrFunc func(ftl.PageLoc) nand.Address
 
-// Domain names a reserved cross-domain scheduling shard: no event rides it.
+// Domain names a reserved scheduling shard: no event rides it.
 // The core registers it on every engine all the same, because a domain's id
 // and name are part of sim.Engine.DomainStats and through it of every
 // recorded run digest.
 const Domain = "fil"
 
-// PublishDomain names the cross-domain shard where the core places the
-// continuation of a flash-backed cache fill: the cache install, memory
-// charge and waiter wakeups. Those read and write state spanning channels
-// (ICL lines, MSHR maps, DRAM timing), so — unlike the per-channel
-// bookkeeping events in nand.ChannelDomain shards — they must never ride in
-// a domain-local shard: the engine's horizon computation assumes every
-// cross-channel effect lives in a cross-domain shard. A publish event reads
-// no state that pending domain-local events write — its line buffer was
-// complete (ReadSubsStaged) before the fill's channel bookkeeping was even
-// scheduled — so the core marks this shard channel-neutral in the active
-// architecture and the engine batches consecutive publishes past pending
-// channel work instead of paying a barrier per fill
-// (sim.Engine.MarkChannelNeutral, sim/doc.go).
+// PublishDomain names the shard where the core places the continuation of a
+// flash-backed cache fill: the cache install, memory charge and waiter
+// wakeups. Those read and write state spanning channels (ICL lines, MSHR
+// maps, DRAM timing), unlike the per-channel bookkeeping events in the
+// nand.ChannelDomain shards. A publish event reads nothing those pending
+// bookkeeping events write: its line buffer was complete (ReadSubsStaged)
+// before the fill's channel bookkeeping was even scheduled (sim/doc.go).
 const PublishDomain = "fil.publish"
 
 // Stats aggregates FIL activity.
@@ -614,8 +608,7 @@ func (f *FIL) Execute(now sim.Time, plan ftl.Plan, hostData PlanData) (Result, e
 // ExecuteOn is Execute with every flash transaction's per-channel
 // bookkeeping — counters, energy, tracked-data installs and presence
 // clears — deferred into the owning channel's scheduling domain through a
-// nand.PlanBatch: chDoms[channel] is the channel's domain-local shard, and
-// the whole plan schedules one batched completion event per touched die
+// nand.PlanBatch: chDoms[channel] is the channel's shard, and the whole plan schedules one batched completion event per touched die
 // (not per op), keeping the deferred path's engine traffic negligible even
 // for thousand-op GC plans. Plan pre-reads deliver their bytes at issue (a
 // dependent rewrite consumes them within this same call). Timing,
@@ -623,10 +616,7 @@ func (f *FIL) Execute(now sim.Time, plan ftl.Plan, hostData PlanData) (Result, e
 // Execute — per-channel float energy is the one exception: the same
 // values accumulate in per-die-batch grouped order rather than Execute's
 // op-issue order, so the sums may differ in the last ulp between the two
-// paths (each path is individually deterministic and byte-identical at
-// any worker count). The deferred events let an intra-parallel engine run the
-// channels' completion work concurrently between horizons, extending PR 3's
-// read-only windows to writes and GC.
+// paths (each path is individually deterministic).
 //
 // On either path, a plan nobody vouches for is prevalidated whole before
 // any transaction claims resources or schedules, so a structural error
@@ -970,16 +960,12 @@ func (f *FIL) ReadSubs(now sim.Time, locs []ftl.PageLoc, dsts [][]byte) (sim.Tim
 // ReadSubsStaged is ReadSubs on the deferred path: each read's page bytes are
 // delivered into its dst at issue time and its per-channel accounting rides
 // the owning channel's scheduling domain (nand.Flash.ReadDeferredAddr;
-// chDoms[channel] is the channel's domain-local shard), where an
-// intra-parallel engine runs the channels' completion work concurrently
-// between horizons. When this call returns, every dst already holds the
-// bytes a synchronous ReadSubs would have produced; timing is identical to
-// ReadSubs. This is the precopy stage of the core's fill installs: because
-// the caller's buffer is complete before any completion event exists, the
-// fill's publish continuation depends on no pending channel work and may
-// ride a channel-neutral shard (PublishDomain), letting the engine batch
-// consecutive publishes past pending channel bookkeeping instead of paying
-// one barrier per fill. Every address is validated before any read claims or
+// chDoms[channel] is the channel's shard). When this call returns, every dst
+// already holds the bytes a synchronous ReadSubs would have produced; timing
+// is identical to ReadSubs. This is the precopy stage of the core's fill
+// installs: the caller's buffer is complete before any completion event
+// exists, so the fill's publish continuation (PublishDomain) depends on no
+// pending channel work. Every address is validated before any read claims or
 // schedules, so an error leaves no completion events queued and no dst
 // written.
 //

@@ -186,14 +186,13 @@ func TestDepStallsCounted(t *testing.T) {
 	}
 }
 
-// chDomsFor registers (and marks domain-local) one scheduling domain per
-// NAND channel on e, the shape core.domainsFor builds for a full system.
+// chDomsFor registers one scheduling domain per NAND channel on e, the shape
+// core.domainsFor builds for a full system.
 func chDomsFor(t *testing.T, e *sim.Engine, fl *nand.Flash) []sim.DomainID {
 	t.Helper()
 	doms := make([]sim.DomainID, fl.Geometry().Channels)
 	for ch := range doms {
 		doms[ch] = e.Domain(nand.ChannelDomain(ch))
-		e.MarkDomainLocal(doms[ch])
 	}
 	return doms
 }

@@ -280,7 +280,6 @@ func BenchmarkExecuteOnGCPlan(b *testing.B) {
 			doms := make([]sim.DomainID, g.Channels)
 			for ch := range doms {
 				doms[ch] = e.Domain(nand.ChannelDomain(ch))
-				e.MarkDomainLocal(doms[ch])
 			}
 			subs := tr.SubPagesPerSuperPage()
 			dirty := make([]bool, subs)

@@ -40,8 +40,8 @@ func (f *Flash) PageOOB(addr Address) OOBInfo {
 
 // SetPageStripe stamps the written page at addr with a RAIN stripe
 // membership mask. The stamp is part of the page's OOB metadata, written
-// by the same array operation as the parity payload — callers invoke it in
-// the same serial section as the parity program, and a power cut that
+// by the same array operation as the parity payload — callers invoke it
+// right after issuing the parity program, and a power cut that
 // tears the program clears the whole stamp (good=false) with it.
 func (f *Flash) SetPageStripe(addr Address, mask uint32) {
 	f.oob[f.geo.PageIndex(addr)].stripe = mask

@@ -66,9 +66,9 @@ func IsInjectedFault(err error) bool {
 //
 // Every draw is a pure function of (Seed, physical page or block index, the
 // block's erase count, retry attempt) — no wall clock, no shared generator
-// state — so the fault schedule is a property of the op sequence alone:
-// serial and horizon-parallel runs, or a prevalidation probe and the later
-// issue-time draw of the same read, always agree (see sim/doc.go).
+// state — so the fault schedule is a property of the op sequence alone: a
+// prevalidation probe and the later issue-time draw of the same read always
+// agree (see sim/doc.go).
 type FaultConfig struct {
 	// Seed decorrelates fault schedules between runs/devices.
 	Seed uint64
@@ -176,19 +176,18 @@ const (
 // interrupted array operation left the page torn (checksum-bad, payload
 // lost), false means it latched enough charge to commit. Like every fault
 // draw it is a pure function — of (seed, physical page, the program's
-// write sequence number) — so the resolution is independent of dispatch
-// order and identical for serial and horizon-parallel runs that cut power
-// at the same point. The split is even: an array operation interrupted at
-// a uniformly random point is modeled as a coin flip.
+// write sequence number) — so the resolution depends only on where the cut
+// lands in the issue stream. The split is even: an array operation
+// interrupted at a uniformly random point is modeled as a coin flip.
 func tornDraw(seed uint64, pageIdx int64, seq uint64) bool {
 	h := mix64(seed ^ (faultKindTorn + uint64(pageIdx)*0x9e3779b97f4a7c15))
 	h = mix64(h ^ seq)
 	return h&1 == 1
 }
 
-// faultModel draws injected faults. All draws run in serial sections (claim
-// paths and validation probes), so plain fields suffice; nothing here is
-// touched by domain-local completion events.
+// faultModel draws injected faults. All draws run at issue (claim paths and
+// validation probes); nothing here is touched by the channels' deferred
+// completion events.
 type faultModel struct {
 	cfg      FaultConfig
 	retries  int          // resolved MaxReadRetries

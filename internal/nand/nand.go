@@ -436,13 +436,10 @@ func (a *pageArena) clearRange(base int64, n int) {
 	}
 }
 
-// Flash is the storage complex. Programs, erases and synchronous reads are
-// not safe for concurrent use; the deferred completion events that
-// ReadDeferredAddr and PlanBatch.Commit schedule touch only
-// per-channel state (the channel-indexed accumulators below, the channel's
-// own tracked-data arena and pending-install index), so an engine with the
-// channel domains marked domain-local may dispatch completions of
-// different channels concurrently (sim.Engine.RunParallel).
+// Flash is the storage complex. It is not safe for concurrent use. The
+// deferred completion events that ReadDeferredAddr and PlanBatch.Commit
+// schedule touch only per-channel state (the channel-indexed accumulators
+// below, the channel's own tracked-data arena and pending-install index).
 type Flash struct {
 	geo  Geometry
 	tim  Timing
@@ -486,22 +483,22 @@ type Flash struct {
 
 	// faults draws injected program/erase/read failures; nil when fault
 	// injection is disabled, so the hot paths pay one nil check. All draws
-	// and stat updates happen in serial sections (issue time), never inside
-	// deferred completion events.
+	// and stat updates happen at issue time, never inside deferred
+	// completion events.
 	faults *faultModel
 
 	// Activity counters and dynamic energy are accumulated per channel and
-	// merged (in channel order, so float sums stay deterministic) by
-	// Stats/EnergyJoules: a channel's deferred completion events may then
-	// run concurrently with other channels' without sharing a counter.
+	// merged (in channel order, so the float sum has one order) by
+	// Stats/EnergyJoules: a channel's deferred completion events share no
+	// counter with another channel's.
 	chStats  []Stats
 	chEnergy []float64
 
 	// readOps pools deferred read-completion carriers per channel, dieOps
 	// the per-die plan-batch carriers and pageBufs their staging buffers:
-	// acquire happens at schedule time (serial sections), release inside
-	// the channel's own completion event, so no two events ever touch one
-	// free list. Only a serial section looks across the lists (StagingBuf).
+	// acquire happens at schedule time (issue), release inside the
+	// channel's own completion event. Only issue code looks across the
+	// lists (StagingBuf).
 	readOps  [][]*readCompletion
 	dieOps   [][]*dieBatch
 	pageBufs [][][]byte
@@ -537,11 +534,10 @@ type Flash struct {
 	// pendingProg indexes, per channel, the deferred program installs that
 	// have been issued but whose batch event has not yet dispatched: global
 	// physical page number -> the batch record holding the staged bytes.
-	// Serial sections consult it when staging a read of the same page (the
-	// die register already latched the data), and the channel's own batch
-	// event removes its entry — the two access classes never overlap in
-	// time, and other channels' events never touch it. Nil maps until a
-	// channel's first tracked deferred program.
+	// Issue code consults it when staging a read of the same page (the die
+	// register already latched the data), and the channel's own batch event
+	// removes its entry; other channels' events never touch it. Nil maps
+	// until a channel's first tracked deferred program.
 	pendingProg []map[int64]pendingRef
 }
 
@@ -761,7 +757,7 @@ func (f *Flash) claimRead(now sim.Time, addr *Address, di int, extra sim.Duratio
 	_, ready = die.Claim(cmdEnd, f.readLatency(addr.Page)+extra)
 	_, done = ch.Claim(ready, f.xferPage)
 	if f.faults != nil && f.faults.cfg.ReadDisturbLimit > 0 {
-		// Read disturb accrues at claim time, in the serial section — after
+		// Read disturb accrues at claim time, at issue — after
 		// this read's own draw (taken before claimRead on every path), so a
 		// read is stressed by its predecessors, never by itself.
 		f.blocks[f.geo.blockOfDie(di, addr)].disturb++
@@ -846,7 +842,7 @@ func (f *Flash) acquireReadCompletion(ch int) *readCompletion {
 
 // complete is the deferred event body. It touches only channel-owned state:
 // the channel's counters and energy accumulator and the channel's own op
-// pool — the domain-local contract that lets channels step concurrently.
+// pool.
 func (op *readCompletion) complete() {
 	f := op.f
 	f.accountRead(op.ch)
@@ -861,10 +857,8 @@ func (op *readCompletion) complete() {
 // returns are fixed when it is issued: the array read latches its data
 // before any later erase or program can touch the block (the die resource
 // serializes them). Because dst is complete when this call returns, a
-// continuation that reads it depends on none of this channel's pending
-// events: that independence is what lets the core's fill installs ride a
-// channel-neutral publish shard (horizon batching) instead of forcing a
-// barrier per fill.
+// continuation that reads it — the core's fill publish — depends on none of
+// this channel's pending events.
 //
 // There is no validation and no fault draw here. The caller either ran both
 // through ProbeReadExtra and passes the drawn retry cost in extra — the
@@ -916,7 +910,7 @@ type planOpRec struct {
 // Reads, and every op of a timing-only (no data tracking) flash, leave no
 // per-op record — only the per-kind counters, replayed as individual
 // accountX calls so the per-channel energy accumulation stays a same-order
-// float sum at any worker count. Keeping timing-only plans record-free
+// float sum. Keeping timing-only plans record-free
 // matters: large sweeps run thousands of GC ops per plan, and writing a
 // record per op would drag a cache line of scratch through the hot path
 // for bookkeeping that reduces to six integers.
@@ -946,21 +940,20 @@ func (f *Flash) acquireDieBatch(ch int) *dieBatch {
 // StagingBuf hands out a page-size staging buffer: from channel ch's free
 // list, else from any other channel's, else a new one. A program that copies
 // its payload stages it in one; a caller outside the package borrows one for
-// page bytes a later program of the same serial section will carry on — a
-// plan pre-read fills it and the rewrite hands it to PlanBatch.ProgramAddr
+// page bytes a later program of the same plan will carry on — a plan
+// pre-read fills it and the rewrite hands it to PlanBatch.ProgramAddr
 // (staged), which installs that very buffer instead of a copy of it. A
 // borrowed buffer no program took goes back through ReleaseStagingBuf
-// before the serial section ends.
+// before the plan's execution returns.
 //
-// Buffers are taken in serial sections; a staged one ends as the arena's
-// page, and the buffer that page held before is put on the free list of the
-// channel it was programmed on, by that channel's batch event. So lists fill
-// where pages land and drain where they are taken: looking past an empty
-// list is what keeps that drift from allocating, and bounds the buffers in
-// existence by the arena plus the most ever staged at once. Serial sections
-// never overlap a channel event, so reaching into another channel's list is
-// safe here and only here. The contents are whatever the last user left:
-// every taker overwrites or pads the whole page before anything reads it.
+// Buffers are taken at issue; a staged one ends as the arena's page, and the
+// buffer that page held before is put on the free list of the channel it was
+// programmed on, by that channel's batch event. So lists fill where pages
+// land and drain where they are taken: looking past an empty list is what
+// keeps that drift from allocating, and bounds the buffers in existence by
+// the arena plus the most ever staged at once. The contents are whatever the
+// last user left: every taker overwrites or pads the whole page before
+// anything reads it.
 func (f *Flash) StagingBuf(ch int) []byte {
 	if buf := f.popPageBuf(ch); buf != nil {
 		return buf
@@ -985,16 +978,14 @@ func (f *Flash) popPageBuf(ch int) []byte {
 }
 
 // ReleaseStagingBuf returns a StagingBuf that no staged program took over.
-// Serial sections only — which is why any free list will do: the next taker
-// looks through all of them.
+// Any free list will do: the next taker looks through all of them.
 func (f *Flash) ReleaseStagingBuf(buf []byte) {
 	f.pageBufs[0] = append(f.pageBufs[0], buf)
 }
 
 // apply is the batch event body. It touches only channel-owned state: the
 // channel's counters and energy accumulator, its arena, its pendingProg
-// index and its own pools — the domain-local contract that lets channels
-// step concurrently.
+// index and its own pools.
 func (b *dieBatch) apply() {
 	f := b.f
 	for i := int32(0); i < b.nReads; i++ {
@@ -1065,7 +1056,7 @@ func (b *dieBatch) release() {
 // per-channel bookkeeping path: Read, Program and Erase have the timing and
 // functional state transitions of their synchronous counterparts, but their
 // counters, energy and tracked-data effects ride the owning channel's
-// domain-local shard, grouped into one event per touched die and scheduled
+// shard, grouped into one event per touched die and scheduled
 // by Commit. Obtain with Flash.BeginPlan; a batch must end with exactly one
 // Commit (schedules the events) or Abort (discards the bookkeeping after a
 // caller-detected failure). Only one plan may be open per Flash at a time
@@ -1081,7 +1072,7 @@ type PlanBatch struct {
 }
 
 // BeginPlan opens the deferred batching context for one plan's flash
-// transactions. chDoms[channel] names the channel's domain-local shard.
+// transactions. chDoms[channel] names the channel's shard.
 func (f *Flash) BeginPlan(e *sim.Engine, chDoms []sim.DomainID) *PlanBatch {
 	b := &f.plan
 	if b.open {
@@ -1331,7 +1322,7 @@ func (f *Flash) accountErase(channel int) {
 // claimProgram reserves a program's two phases — the data streams over the
 // channel into the die's register, then the die programs the array — and
 // applies the functional block-state transition (written, in-order
-// pointer), which serial sections read. It also stamps the page's OOB
+// pointer), which later issues read. It also stamps the page's OOB
 // metadata: the caller's logical tag (-1 for raw untagged programs), the
 // next device-wide write sequence number, and the completion time the
 // power-loss cut tests against. Shared by Program and PlanBatch.ProgramAddr

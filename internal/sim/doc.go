@@ -57,78 +57,37 @@
 //     counters. The synchronous core.Submit wrapper reuses one engine this
 //     way for its per-request private simulation.
 //
-// # Domain-local vs cross-domain events, horizon-synchronized parallelism
+// # Determinism: one total (time, sequence) order
 //
-// With the per-channel shards in place, the engine distinguishes two event
-// classes (MarkDomainLocal):
+// Engine.Run is the only way events fire, and it fires them one at a time
+// on the calling goroutine, in the order of their (time, sequence) keys. The
+// sequence counter is engine-global and every event gets its number when it
+// is scheduled, so a run is a pure function of the seed, the configuration
+// and the request stream: there is no second dispatcher, no worker count and
+// no window structure for a result to depend on. Every argument below is an
+// argument about that one order.
 //
-//   - Cross-domain (the default: host/HIL, CPU, ICL/DRAM, DMA, the fill
-//     publish shard, default). These events may read or write any
-//     simulator state and may schedule events anywhere. Firmware
-//     stage boundaries, cache installs, GC, transfers and request
-//     completions are all cross-domain: each can observe several channels.
+// Scheduling domains only choose the heap an event waits in. In a full
+// system host/HIL, CPU, ICL/DRAM, DMA and the fill-publish shard carry the
+// firmware stage boundaries, cache installs, GC, transfers and request
+// completions; the per-NAND-channel shards carry the deferred per-channel
+// bookkeeping of flash transactions — read completions
+// (nand.Flash.ReadDeferredAddr) and the per-die plan batches of program
+// installs and erase clears (nand.PlanBatch via fil.ExecuteOn) — which
+// touches only the channel's counters and energy accumulator, its pooled
+// completion carriers, its tracked-data arena and pending-install index,
+// and never schedules. Per-channel float accumulators are summed in channel
+// order, and costs worked out ahead of time fall under the same rule:
+// package cpu's compiled charges evaluate each float once, by the
+// expression a per-call evaluation uses, and still add energy one run at a
+// time in run order (cpu's package comment).
 //
-//   - Domain-local (the per-NAND-channel shards). These events touch only
-//     state owned by their channel — the channel's counters and energy
-//     accumulator, its pooled completion carriers, its tracked-data arena
-//     and pending-install index, and destination slices no other event
-//     writes — and never call back into the engine: no scheduling, no
-//     Now. In the full system they are exactly the deferred
-//     per-channel bookkeeping of flash transactions: read completions
-//     (nand.Flash.ReadDeferredAddr) and the per-die plan batches of program
-//     installs and erase clears (nand.PlanBatch via fil.ExecuteOn).
-//
-// RunParallel exploits the split: it computes the horizon — the earliest
-// cross-domain (time, sequence) key (NextCrossDomainTime) — opens a window
-// (BeginWindow), lets workers drain every domain-local shard strictly up
-// to that key (StepDomainUntil, one shard per worker at a time, enforced
-// by an atomic owner guard that panics if two workers ever step one
-// shard), barriers (EndWindow, which merges the staged pending/dispatched
-// deltas and the clock), then dispatches the horizon event serially and
-// repeats. A shard's events live in its own heap, so a worker stepping it
-// reads and writes no engine memory another worker touches: the window has
-// no shared mutable structure at all.
-//
-// Why this is byte-identical to the serial dispatch, at any worker count:
-//
-//  1. Every scheduling call happens in a serial section (cross-domain
-//     callbacks or setup code) — domain-local events never schedule — so
-//     the global sequence counter assigns the same (time, sequence) key to
-//     every event in both modes, and a window's event set is fixed when it
-//     opens.
-//
-//  2. Within one domain, StepDomainUntil pops the shard heap in (time,
-//     sequence) order — the same relative order the serial loop dispatches
-//     those events in.
-//
-//  3. Two domain-local events in different domains commute: their state
-//     partitions are disjoint by the domain-local contract, so dispatching
-//     them in either order (or concurrently) yields the same final state.
-//     Serial-call guards turn contract violations into panics, and the
-//     race job keeps the no-shared-state claim honest under -race.
-//
-//  4. A domain-local event L and a cross-domain event C do not commute (C
-//     may read L's channel state), but their relative order is preserved
-//     exactly: the window dispatches precisely the local events whose key
-//     is strictly before C's key — the same set that precedes C in the
-//     serial total order, including same-time events, which the strict
-//     (time, sequence) bound orders by their engine-global sequence.
-//
-// So the dispatch order restricted to every state partition is identical
-// to serial, all cross-partition reads observe identical state, and the
-// merged bookkeeping (counters in fixed domain order, per-channel float
-// accumulators summed in channel order) is deterministic. The golden tests
-// lock this in at the engine level (TestRunParallelEquivalence) and
-// through the full stack (core's TestIntraParallelGoldenEquivalence and
-// TestWriteDeferredGoldenEquivalence: identical experiment tables,
-// per-domain dispatch counts and payload bytes through GC-triggering
-// workloads). Costs worked out ahead of time fall under the same rule as
-// those float accumulators: package cpu's compiled charges evaluate each
-// float once, by the expression a per-call evaluation uses, and still add
-// energy one run at a time in run order (cpu's package comment).
+// Concurrency exists one level up only: the device farm (below) and
+// exp.Options.Parallel / ambersim -parallel run whole Systems, each with its
+// own engine, on separate goroutines.
 //
 // # Deferred writes: why staged-at-issue data and channel-ordered merges
-// preserve the serial observable state
+// preserve the synchronous observable state
 //
 // Deferring a program or erase is subtler than deferring a read, because
 // writes change what later reads observe. Three mechanisms keep the
@@ -136,10 +95,10 @@
 //
 //  1. Functional state transitions stay at issue. The block's written map,
 //     in-order program pointer and erase count mutate synchronously when
-//     the transaction is issued (in a serial section), so every later
-//     serial-section check — CheckRead, CheckProgram, plan prevalidation —
-//     sees exactly the state the synchronous path would show. Only the
-//     bookkeeping (counters, energy, tracked-data arena updates) defers.
+//     the transaction is issued, so every later issue-time check —
+//     CheckRead, CheckProgram, plan prevalidation — sees exactly the state
+//     the synchronous path would show. Only the bookkeeping (counters,
+//     energy, tracked-data arena updates) defers.
 //
 //  2. Data is latched at issue. A program's page bytes are copied into a
 //     pooled staging buffer when it issues (physically: the die register
@@ -170,148 +129,54 @@
 //     synchronous sequence of puts and clears. (Same-page traffic always
 //     shares a die, so cross-die timing never reorders a page's history.)
 //
-// # Horizon batching: the channel-neutral safety condition
-//
-// Small-window workloads (4K random reads) average near one local event
-// per horizon, so the per-horizon barrier dominates. A cross-domain shard
-// may opt out of forcing barriers by being marked channel-neutral
-// (MarkChannelNeutral): RunParallel then dispatches its head events while
-// eligible domain-local events are still pending, deferring the drain to
-// the next channel-coupled horizon and batching consecutive neutral cross
-// events between two barriers.
-//
-// The safety condition a neutral shard's events must satisfy: they do not
-// read or write any state that pending domain-local events write — the
-// per-channel counters and energy accumulators, arena pages except
-// through the pending-aware staging path of mechanism 2 (which returns
-// identical bytes whether the pending install has run or not, so the
-// interleaving is unobservable), and in-flight read destination buffers.
-// Issuing new flash transactions from a neutral event is fine: claims,
-// functional block state and the pending index live in serial sections and
-// commute with pending bookkeeping (carrier-pool push/pop interleavings
-// can change which pooled object is reused, never an observable). Under
-// that condition a neutral event C commutes with every pending local event
-// L, so dispatching C before L — the only reordering batching introduces
-// relative to the serial total order — leaves every state partition's
-// history unchanged. In the full system, core marks host, CPU and DMA
-// arbitration shards neutral (active architecture), and the fil.publish and
-// icl shards too (the next two sections).
-//
-// The wall-clock win has three parts: batch-draining a shard skips the
-// per-event tournament read/repair the serial loop pays (measurable even
-// single-threaded), horizon batching cuts barrier frequency on
-// small-window workloads, and with GOMAXPROCS > 1 the channel shards'
-// work — dominated by tracked-data page copies and installs on
-// data-tracking systems — runs on real cores in parallel (RunParallel
-// clamps its fan-out to GOMAXPROCS; extra workers only add handoff cost).
-//
-// # Fill installs: precopy at issue, publish horizon-ordered
+// # Fill installs: precopy at issue, publish as an event
 //
 // The fill continuation — the cache install, memory charge and waiter
-// wakeup that follow a flash-backed fetch — is a cross-domain event that
-// consumes page bytes a channel produced. Were those bytes written by the
-// fetch's channel events, the install would be coupled to them and would
-// have to force a barrier per fill, the dominant tax on read-miss-heavy
-// workloads whose windows average near one local event.
-//
-// The install is split in two stages so that no such coupling exists. The
-// precopy stage delivers the page bytes into the fill's line buffer at issue
-// time (nand.Flash.ReadDeferredAddr through fil.ReadSubsStaged): the copy
-// happens in the serial section, reads the channel's pending-aware index —
-// so it is channel-ordered by construction, observing exactly the bytes the
+// wakeup that follow a flash-backed fetch — consumes page bytes a channel
+// produced. The install is split in two stages. The precopy stage delivers
+// the page bytes into the fill's line buffer at issue time
+// (nand.Flash.ReadDeferredAddr through fil.ReadSubsStaged): the copy reads
+// the channel's pending-aware index — so it observes exactly the bytes the
 // synchronous path would — and is the only data movement. The channel
 // shards carry only the reads' counters and energy. The publish stage
-// (core's fil.publish shard) installs the completed buffer, and is
-// horizon-ordered like any cross event — but because its buffer was
-// finished before the fill's bookkeeping was even scheduled, it reads
-// nothing that any pending domain-local event writes. It therefore
-// satisfies the channel-neutral condition above and is marked
-// MarkChannelNeutral in the active architecture: consecutive fills from
-// different channels batch past pending channel work instead of paying a
-// barrier each. Determinism is immediate: the publish consumes bytes fixed
-// at issue (identical in every mode), publishes dispatch in cross order
-// (batching never reorders cross events), and the accounting it skips past
-// merges per channel in shard order.
+// (core's fil.publish shard) installs the completed buffer at the fetch's
+// completion time; its buffer was finished before the fill's bookkeeping was
+// even scheduled, so it reads nothing a pending channel event writes.
 //
-// Payload granularity. The bytes of the datapath move at the granularity
-// the cache is valid at, the sub-page, and none of the arguments here
-// depend on how big the buffers around them are. A host write's payload is
-// the cache's source directly (icl.Cache.WriteAt, at its true in-line
-// offset); an eviction clears only the subs the outgoing line had valid;
-// a read or prefetch stages through a line buffer recycled from a free
-// list on core.System, uncleared. What changed against the line-sized
-// scheme is buffer ownership only: staged page bytes still land at issue,
-// in the serial section, through the pending-aware index, into a buffer
-// nothing else touches until the publish that consumes it (a demand read's
-// buffer returns to the list at the request's completion, a prefetch's at
-// the fill's), and sub-pages a fill finds unmapped are zeroed at issue as
-// well, since a recycled buffer is not. One new reader of flash bytes
-// exists: a write that covers part of an uncached sub-page merges the
-// sub's current contents under the payload (core's widenPartialWrite,
-// nand.Flash.PagePayload). It runs inside the write-ops event, copies
-// through the same pending-aware index as a plan pre-read — identical
-// bytes whether or not a pending install has run — and makes no claim,
-// draw or counter update, so it falls under the icl shard's audit below
-// unchanged and simulated time cannot tell it from zero-padding.
+// Payload granularity. The bytes of the datapath move at the granularity the
+// cache is valid at, the sub-page, and none of the arguments here depend on
+// how big the buffers around them are. A host write's payload is the cache's
+// source directly (icl.Cache.WriteAt, at its true in-line offset); an
+// eviction clears only the subs the outgoing line had valid; a read or
+// prefetch stages through a line buffer recycled from a free list on
+// core.System, uncleared. What changed against the line-sized scheme is
+// buffer ownership only: staged page bytes still land at issue, through the
+// pending-aware index, into a buffer nothing else touches until the publish
+// that consumes it (a demand read's buffer returns to the list at the
+// request's completion, a prefetch's at the fill's), and sub-pages a fill
+// finds unmapped are zeroed at issue as well, since a recycled buffer is not.
+// One new reader of flash bytes exists: a write that covers part of an
+// uncached sub-page merges the sub's current contents under the payload
+// (core's widenPartialWrite, nand.Flash.PagePayload). It runs inside the
+// write-ops event, copies through the same pending-aware index as a plan
+// pre-read — identical bytes whether or not a pending install has run — and
+// makes no claim, draw or counter update, so simulated time cannot tell it
+// from zero-padding.
 //
-// # The icl write-back shard is channel-neutral: proof obligation
+// # Fault-schedule determinism
 //
-// Marking the icl shard (write-ops stages, eviction flushes, no-flash
-// fills) neutral carries a proof obligation under the same condition: its
-// events must not read or write any state pending domain-local events
-// write. The discharge is an audit of everything a write-ops event does:
-// ICL probes and installs (cross-owned line state), DRAM and flush-buffer
-// claims (serial-section resources), FTL mapping mutations (cross-owned),
-// and the eviction flush itself — fil.ExecuteOn — which *issues* flash
-// transactions. Issuing is exactly the case the safety condition already
-// blesses: resource claims, functional block state, the certified-plan
-// epoch and the pending-install index all live in serial sections and
-// commute with pending bookkeeping; plan pre-reads (GC migrations, RMW
-// fills) copy their bytes at issue through the pending-aware index, which
-// returns identical bytes whether or not the pending install has run; and
-// the per-channel counters, energy and arena mutations the flush *causes*
-// are scheduled as new channel-shard events with later keys, not touched
-// directly. Nothing in the path reads a channel counter, an energy
-// accumulator, an arena page outside the staging path, or an in-flight
-// destination buffer. With fills published neutrally and the icl shard
-// neutral, every cross shard of the active architecture batches, which is
-// what extends horizon batching to write-heavy traffic.
+// The nand fault-injection subsystem (nand.FaultConfig) draws a fault
+// schedule — which operations fail, in which order, with which recovery
+// consequences — that is a pure function of the seed and the request
+// stream, independent of wall-clock. Three properties make it so:
 //
-// # The batch limit: bounding deferred channel work
-//
-// With every cross shard neutral, nothing would drain the local shards
-// until the cross queue empties at the end of the run — unbounded pending
-// events, carriers and staged buffers. The batch limit bounds the
-// accumulation: once the eligible local shards' queue depth exceeds
-// DefaultBatchLimit (4096), a neutral head forces a window anyway
-// (ParallelStats.LimitBarriers). The decision reads only shard queue
-// depths, so the window placement is a pure function of queue state —
-// identical at every worker count — and since batching a neutral event is
-// safe at any depth, the limit affects only when barriers are paid, never
-// what any event observes. The forced windows double as the parallelism
-// pump on wide workloads: accumulated channel work fans out over the
-// worker pool in large, efficient windows instead of the per-fill slivers
-// the barrier-per-fill structure produced.
-//
-// # Fault-schedule determinism under horizon-parallel execution
-//
-// The nand fault-injection subsystem (nand.FaultConfig) must draw the
-// same fault schedule — which operations fail, in which order, with which
-// recovery consequences — at any worker count, or the byte-identical
-// guarantee above would silently exclude the most interesting runs. Three
-// properties make the schedule a pure function of the seed and the
-// request stream, independent of wall-clock and of the horizon structure:
-//
-//  1. Draws happen at issue time, in serial sections. Every fault
-//     decision — program, erase, and the read-retry ladder — is evaluated
-//     when the transaction is issued (after its Check* validation,
-//     before any claim or functional mutation), and issuing only ever
-//     happens from cross-domain callbacks or setup code. Domain-local
-//     channel events never draw: the bookkeeping they defer (counters,
-//     energy, arena installs) is downstream of an already-decided issue.
-//     So the set of draws and their interleaving is fixed by the serial
-//     total order of issues, which mechanisms 1-4 above already prove
-//     identical at every worker count.
+//  1. Draws happen at issue time. Every fault decision — program, erase,
+//     and the read-retry ladder — is evaluated when the transaction is
+//     issued (after its Check* validation, before any claim or functional
+//     mutation). The channels' deferred events never draw: the bookkeeping
+//     they carry (counters, energy, arena installs) is downstream of an
+//     already-decided issue. So the set of draws and their interleaving is
+//     fixed by the order of issues, which is the engine's one total order.
 //
 //  2. Draws are stateless. A draw is a pure hash of (seed, operation
 //     kind, physical index, the block's erase count, retry attempt) — no
@@ -323,38 +188,32 @@
 //     and queues nothing — the same error-implies-no-mutation contract
 //     prevalidation already provides), and the schedule depends only on
 //     each operation's own history (the erase count its block has
-//     reached), which is functional state mutated at issue in serial
-//     sections.
+//     reached), which is functional state mutated at issue.
 //
-//  3. Fault accounting stays serial. FaultStats increments and
+//  3. Fault accounting happens at issue too. FaultStats increments and
 //     fault-site records happen inside the issue draw, never inside a
-//     channel event, so the stats read identically at any worker count
-//     without merge rules.
+//     channel event.
 //
 // The recovery path inherits determinism from the same argument: a plan
-// fault surfaces from a serial-section issue, the FIL commits the
-// executed prefix and disarms the certified chain serially, and the
-// FTL's recovery replan is a pure function of its (serial) mapping
-// state. The core golden test locks the whole chain in: a GC-heavy run
-// with faults enabled renders identical fault sites, retirement order,
-// stats and payload bytes at workers 1, 2 and 4.
+// fault surfaces from an issue, the FIL commits the executed prefix and
+// disarms the certified chain there and then, and the FTL's recovery replan
+// is a pure function of its mapping state. core's
+// TestFaultScheduleGoldenEquivalence pins the whole chain: a GC-heavy run
+// with faults enabled renders its fault sites, retirement order, stats and
+// payload bytes to a committed digest.
 //
-// # Power-loss determinism: the durable/volatile split under parallelism
+// # Power-loss determinism: the durable/volatile split
 //
 // The durability subsystem (nand.Flash.PowerLoss, ftl Mount/recovery,
-// core snapshot/restore) rides on the same horizon structure, and its
-// guarantee is the same one: an emulated power cut at simulated time T
-// produces the identical post-recovery device at any worker count. Four
-// rules make that hold:
+// core snapshot/restore) gives the same guarantee: an emulated power cut at
+// simulated time T produces one post-recovery device. Four rules make that
+// hold:
 //
-//  1. The cut is a cross-domain event. core schedules PowerLossAt as a
-//     plain cross event in its own domain, so RunParallel barriers before
-//     dispatching it: every domain-local event with key strictly before
-//     the cut has run, every one after it has not, and that prefix is the
-//     same set the serial loop would have dispatched (property 4 of the
-//     window argument above). The volatile/durable classification of
-//     every byte of simulator state is therefore fixed by the serial
-//     total order, not by which worker happened to run what.
+//  1. The cut is an event. core schedules PowerLossAt in its own domain,
+//     registered before any workload event, and its callback halts the
+//     engine: every event with a key before the cut's has run, every one
+//     after it has not. The volatile/durable classification of every byte
+//     of simulator state is therefore fixed by the engine's total order.
 //
 //  2. Durable state is exactly what reached NAND. The cut discards all
 //     volatile firmware state — ICL cache lines and flush buffers,
@@ -387,14 +246,13 @@
 //     versioned, config-fingerprinted image (package snap); Restore
 //     decodes into a fresh system and swaps only on full success, so a
 //     corrupt or skewed image fails with a typed error and an untouched
-//     target. A drained system has no pending events, so the image is
-//     mode-independent by construction, and restore(snapshot(S))
-//     continues byte-identical to S at any worker count.
+//     target. A drained system has no pending events, so
+//     restore(snapshot(S)) continues byte-identical to S.
 //
-// The golden tests lock the chain in end to end: power-loss recovery and
-// cut-time sweeps compare serial against workers 1, 2 and 4 under -race,
-// and the snapshot round-trip asserts re-snapshot byte-equality plus an
-// identical continuation trajectory.
+// The golden tests pin the chain end to end: the power-loss recovery
+// trajectory and a five-cut sweep render to committed digests, and the
+// snapshot round-trip asserts re-snapshot byte-equality plus a continuation
+// identical to the original's and to its committed digest.
 //
 // # Read certificates: mapped implies written while the chain is armed
 //
@@ -456,44 +314,36 @@
 //
 // # Batch windows: amortized bookkeeping with serial semantics
 //
-// core.System.SubmitBatch is the vectored entry over the same machinery:
-// it runs each request through the identical inline or evented path a
-// Submit loop would use, but drains the shared engine once per window —
-// min(host scheduler dispatch window, protocol queue depth,
-// core.DefaultBatchWindow, engine batch limit) requests — instead of once
-// per request. Determinism needs no new argument: the deferred events a
-// window accumulates are the same channel-neutral bookkeeping horizon
-// batching already proved commutes with issue (counters, energy, arena
-// installs make no resource claims and are keyed in per-channel order),
-// so draining them at the window boundary dispatches the same multiset in
-// the same per-channel order as draining after every request. The one
-// subtlety is the engine clock: the drain rewinds it (Engine.Reset), so
-// maintenance that prunes by engine time — the power-loss erase-undo
-// journal — is pruned explicitly against the host clock instead
-// (nand.Flash.PruneEraseUndo), which is sound because SubmitBatch is
-// synchronous: no power cut can land before the call returns, so the host
-// clock lower-bounds every future cut time. The golden equivalence test
-// locks the contract in: SubmitBatch against a Submit loop over a
-// GC-heavy mixed stream, byte-identical payloads, stats and completion
-// times at workers 1, 2 and 4.
+// core.System.SubmitBatch is the vectored entry over the same machinery: it
+// runs each request through the identical inline or evented path a Submit
+// loop would use, but drains the shared engine once per window — min(host
+// scheduler dispatch window, protocol queue depth, core.DefaultBatchWindow)
+// requests — instead of once per request. The deferred events a window
+// accumulates are per-channel bookkeeping that commutes with issue (counters,
+// energy, arena installs make no resource claims, are keyed in per-channel
+// order, and every reader of the arena goes through the pending-aware index),
+// so draining them at the window boundary dispatches the same multiset in the
+// same per-channel order as draining after every request. The one subtlety is
+// the engine clock: the drain rewinds it (Engine.Reset), so maintenance that
+// prunes by engine time — the power-loss erase-undo journal — is pruned
+// explicitly against the host clock instead (nand.Flash.PruneEraseUndo),
+// which is sound because SubmitBatch is synchronous: no power cut can land
+// before the call returns, so the host clock lower-bounds every future cut
+// time. The golden equivalence test locks the contract in: SubmitBatch
+// against a Submit loop over a GC-heavy mixed stream, byte-identical
+// payloads, stats and completion times.
 //
 // # Scrub-domain determinism: patrol ticks as their own event domain
 //
 // The patrol scrubber (core.RunConfig.ScrubEvery) follows the power-loss
-// playbook for background machinery under horizon parallelism: its ticks
-// live in a dedicated engine domain ("scrub", like "powerloss"), so the
-// scheduler's cross-domain ordering — not worker scheduling — decides
-// where in the request stream each tick lands. A tick dispatches exactly
-// when every domain's horizon has passed it, which is a property of the
-// event multiset alone; at that point the scrubber reads the FTL's
-// disturb/retention risk ranking (pure model state, identical at any
-// worker count because every plan that shaped it dispatched identically)
-// and emits its migration plan through the same certified serial section
-// host writes use. The prefix of dispatched events before a tick is
-// therefore byte-identical at workers 1, 2 and 4, which is what lets the
-// scrub-enabled wear-out golden compare trajectories across the matrix —
-// and what makes "scrub strictly defers the read-only latch" a testable
-// claim instead of a race-dependent tendency.
+// playbook for background machinery: its ticks live in a dedicated engine
+// domain ("scrub", like "pwr"), so where in the request stream each tick
+// lands is decided by its (time, sequence) key — a property of the event
+// multiset alone. At that point the scrubber reads the FTL's
+// disturb/retention risk ranking (pure model state) and emits its migration
+// plan through the same certified path host writes use. That is what makes
+// "scrub strictly defers the read-only latch" a testable claim instead of a
+// tendency.
 //
 // # RAIN reconstruction: the XOR identity is a property of durable state
 //
@@ -505,12 +355,11 @@
 // until the erase, the XOR identity over the row's physical contents is
 // invariant — reconstruction reads no firmware RAM, only pages whose OOB
 // stamps (tag, sequence, checksum verdict, stripe mask) prove membership.
-// That is what makes an uncorrectable read's recovery deterministic at
-// any worker count: core.System reassembles the page in the serial
-// section that owns the faulted plan (stripe peers resolved from the
-// mapping model, payloads XOR-ed from tracked flash state), executes a
-// certified re-homing plan, and the repaired mapping is a pure function
-// of the op sequence — the same function the serial drain computes. A
+// That is what makes an uncorrectable read's recovery deterministic:
+// core.System reassembles the page inside the event that issued the
+// faulted plan (stripe peers resolved from the mapping model, payloads
+// XOR-ed from tracked flash state), executes a certified re-homing plan,
+// and the repaired mapping is a pure function of the op sequence. A
 // missing or torn member is a double fault and degrades to the honest
 // loss path (unmap, counted), never to serving reassembled-wrong bytes;
 // parity membership itself survives power loss because the stripe mask
@@ -520,9 +369,10 @@
 //
 // # Farm determinism: device-local windows, host-ordered cross traffic
 //
-// The device farm (internal/farm) lifts the domain-local vs cross-domain
-// split one level up: each member System is a whole parallel domain, and
-// the only cross-domain actor is the host multiplexer. Execution is
+// The device farm (internal/farm) is where this repository runs simulation
+// work concurrently: each member System — engine and all — is a whole
+// parallel domain, and the only actor that reaches across them is the host
+// multiplexer. Execution is
 // round-lockstep. A serial host phase runs first and fixes everything the
 // round will do — it retires or retries the previous round's completions,
 // admits new tenant arrivals, decomposes them into per-device ops

@@ -30,21 +30,11 @@ func (ev *event) before(at Time, seq uint64) bool {
 }
 
 // shard is one scheduling domain: a 4-ary min-heap of events plus its
-// lifetime dispatch counter. The window fields exist for domain-local
-// shards stepped inside a parallel window (see parallel.go): while a window
-// is open exactly one worker owns the shard (enforced by the owner guard)
-// and accumulates dispatch bookkeeping locally; EndWindow merges it back
-// into the engine serially.
+// lifetime dispatch counter.
 type shard struct {
 	name       string
 	heap       []event // 4-ary min-heap ordered by (at, seq)
 	dispatched uint64
-
-	local   bool  // domain-local: steppable inside a parallel window
-	neutral bool  // channel-neutral cross shard: batchable past pending locals
-	owner   int32 // CAS guard: 1 while a worker steps the shard, else 0
-	popped  int   // events dispatched during the open window
-	maxAt   Time  // latest event time dispatched during the open window
 }
 
 // DomainStat reports one domain's activity.
@@ -73,24 +63,10 @@ type Engine struct {
 
 	shards  []shard
 	domains map[string]DomainID
-	locals  []DomainID // domains marked domain-local, in registration order
-	elig    []DomainID // RunParallel's per-window eligible-domain scratch
-
-	// batchLimit bounds how much pending domain-local work horizon batching
-	// may accumulate before RunParallel forces a window anyway:
-	// DefaultBatchLimit outside this package's tests (see parallel.go).
-	batchLimit int
-
-	// inWindow is true between BeginWindow and EndWindow: the only legal
-	// engine calls are then StepDomainUntil on distinct domain-local shards
-	// (possibly from concurrent workers). Every serial mutator checks it, so
-	// a window callback that tries to schedule or step fails loudly
-	// instead of racing.
-	inWindow bool
 
 	// halted is set by Halt (a power-loss event body): the drain loops —
-	// Run, RunUntil, RunParallel — return after the current dispatch
-	// completes, leaving every later event queued. Reset clears it.
+	// Run and RunUntil — return after the current dispatch completes,
+	// leaving every later event queued. Reset clears it.
 	halted bool
 
 	// Tournament (winner) tree over shard heads: tree[leafCap+s] mirrors
@@ -130,7 +106,7 @@ func (n treeNode) beats(m treeNode) bool {
 // NewEngine returns an empty engine at time zero with only the default
 // domain registered.
 func NewEngine() *Engine {
-	e := &Engine{domains: make(map[string]DomainID, 4), batchLimit: DefaultBatchLimit}
+	e := &Engine{domains: make(map[string]DomainID, 4)}
 	e.shards = append(e.shards, shard{name: "default"})
 	e.domains["default"] = DefaultDomain
 	e.growTree()
@@ -145,7 +121,6 @@ func (e *Engine) Domain(name string) DomainID {
 	if id, ok := e.domains[name]; ok {
 		return id
 	}
-	e.checkSerial()
 	if len(e.shards) >= 1<<16 {
 		panic("sim: too many scheduling domains (max 65536)")
 	}
@@ -162,6 +137,15 @@ func (e *Engine) NumDomains() int { return len(e.shards) }
 
 // DomainName returns the name of a registered domain.
 func (e *Engine) DomainName(dom DomainID) string { return e.shards[dom].name }
+
+// Kept for the frozen bench/replay.go, which calls it on every channel
+// domain (ROADMAP, "Pinned"): it checks that dom is registered and does
+// nothing else. The engine has one dispatch loop and no classes of domain.
+func (e *Engine) MarkDomainLocal(dom DomainID) {
+	if dom < 0 || int(dom) >= len(e.shards) {
+		panic(fmt.Sprintf("sim: marking unregistered domain %d local", dom))
+	}
+}
 
 // DomainStats returns per-domain lifetime dispatch counts and queue
 // depths, in registration order. It allocates; it is a reporting call,
@@ -195,7 +179,6 @@ func (e *Engine) Dispatched() uint64 { return e.dispatched }
 // are preserved (they track lifetime work for the simulation-speed
 // metric).
 func (e *Engine) Reset() {
-	e.checkSerial()
 	for s := range e.shards {
 		sh := &e.shards[s]
 		clear(sh.heap) // drop the callback references
@@ -211,13 +194,11 @@ func (e *Engine) Reset() {
 	e.halted = false
 }
 
-// Halt stops the drain loops: after the event that calls it returns, Run,
-// RunUntil and RunParallel exit with every later event still queued. It is
-// the mechanism behind deterministic power-loss injection — the cut event
-// halts the engine at an exact (time, sequence) point, and because it rides
-// a plain cross-domain shard, the horizon-parallel drain reaches it only
-// after every earlier event dispatched at any worker count. Reset clears
-// the flag.
+// Halt stops the drain loops: after the event that calls it returns, Run
+// and RunUntil exit with every later event still queued. It is the mechanism
+// behind deterministic power-loss injection — the cut event halts the engine
+// at an exact (time, sequence) point, after every earlier event and before
+// every later one. Reset clears the flag.
 func (e *Engine) Halt() { e.halted = true }
 
 // Halted reports whether Halt stopped the engine since the last Reset.
@@ -247,7 +228,6 @@ func (e *Engine) At(t Time, fn func()) {
 // AtIn queues fn to run at absolute time t in the given domain. A queued
 // event cannot be withdrawn: it fires, or a Reset drops it.
 func (e *Engine) AtIn(dom DomainID, t Time, fn func()) {
-	e.checkSerial()
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -268,26 +248,15 @@ func (e *Engine) AtIn(dom DomainID, t Time, fn func()) {
 }
 
 // Step fires the earliest event across all domains and advances the clock
-// to it. It returns false when every shard is empty.
+// to it. It returns false when every shard is empty. The event leaves its
+// heap before its callback runs, so the callback may schedule into the shard
+// being dispatched, even when that append moves the heap.
 func (e *Engine) Step() bool {
-	e.checkSerial()
 	head := e.tree[1]
 	if head == emptyNode {
 		return false
 	}
-	e.stepShard(int(head.key & 0xffff))
-	return true
-}
-
-// stepShard fires the head event of shard w — which the caller has
-// determined is the event to dispatch next — and advances the clock to it.
-// Step resolves w from the tournament winner; RunParallel's horizon loop
-// resolves it from the cross-domain scan, which also lets it dispatch a
-// channel-neutral cross head while earlier domain-local events are still
-// pending (see parallel.go). The event leaves the heap before its callback
-// runs, so the callback may schedule into the shard being dispatched, even
-// when that append moves the heap.
-func (e *Engine) stepShard(w int) {
+	w := int(head.key & 0xffff)
 	sh := &e.shards[w]
 	ev := sh.popHead()
 	sh.dispatched++
@@ -296,6 +265,7 @@ func (e *Engine) stepShard(w int) {
 	e.pending--
 	e.dispatched++
 	ev.fn()
+	return true
 }
 
 // Run dispatches events until the queue drains or Halt stops the engine.
