@@ -153,7 +153,8 @@ func main() {
 	}
 
 	powerCut, scrubEvery, err := runFlags{
-		requests: *n, blockSize: *bs, devices: len(devices), batchSubmit: *batchSub,
+		requests: *n, blockSize: *bs, depth: *depth, tenants: *farmTenants,
+		devices: len(devices), batchSubmit: *batchSub,
 		powerLossAt: *powerLoss, scrubEvery: *scrubSpec, rain: *rainWidth,
 		snapshot: *snapPath, restore: *restPath,
 	}.validate()
@@ -489,6 +490,7 @@ func since[T any](now, before T) T {
 // runFlags is the part of the flag set whose values constrain each other.
 type runFlags struct {
 	requests, blockSize     int
+	depth, tenants          int // -depth and -farm-tenants
 	devices, rain           int
 	batchSubmit             bool
 	powerLossAt, scrubEvery string // durations as typed, "" = off
@@ -504,6 +506,14 @@ func (f runFlags) validate() (powerCut, scrubEvery sim.Duration, err error) {
 	}
 	if f.blockSize <= 0 {
 		return 0, 0, fmt.Errorf("bad -bs %d: want a positive block size", f.blockSize)
+	}
+	// The layers below clamp both to 1; a run at a depth or a tenant count
+	// nobody asked for is not what the report would say it was.
+	if f.depth <= 0 {
+		return 0, 0, fmt.Errorf("bad -depth %d: want a positive queue depth", f.depth)
+	}
+	if f.tenants <= 0 {
+		return 0, 0, fmt.Errorf("bad -farm-tenants %d: want a positive tenant count", f.tenants)
 	}
 	if powerCut, err = flagDuration("-power-loss-at", f.powerLossAt, "50ms"); err != nil {
 		return 0, 0, err
@@ -587,9 +597,6 @@ func runFarm(dev string, o farmOptions) error {
 	if err != nil {
 		return err
 	}
-	if o.tenants < 1 {
-		o.tenants = 1
-	}
 	per := o.requests / o.tenants
 	if per < 1 {
 		per = 1
@@ -611,8 +618,14 @@ func runFarm(dev string, o farmOptions) error {
 	w := os.Stdout
 	fmt.Fprintf(w, "device farm     %d devices (%d groups x %d replicas + %d spares) of %s, unit %d B, volume %d MB\n",
 		f.Devices(), o.groups, o.replicas, o.spares, dev, f.UnitBytes(), f.VolumeBytes()>>20)
-	fmt.Fprintf(w, "farm traffic    %d requests over %d tenants, %d device sub-ops, workers %d (wall %v)\n",
-		s.Requests, o.tenants, s.SubOps, o.workers, wall.Round(time.Millisecond))
+	// -n splits evenly: every tenant gets the same budget, at least one
+	// request, and the remainder is not run.
+	requests := fmt.Sprintf("%d requests", s.Requests)
+	if s.Requests != uint64(o.requests) {
+		requests = fmt.Sprintf("%d of %d requested", s.Requests, o.requests)
+	}
+	fmt.Fprintf(w, "farm traffic    %s over %d tenants, %d device sub-ops, workers %d (wall %v)\n",
+		requests, o.tenants, s.SubOps, o.workers, wall.Round(time.Millisecond))
 	avg := sim.Duration(0)
 	if s.Requests > 0 {
 		avg = res.LatencySum / sim.Duration(s.Requests)

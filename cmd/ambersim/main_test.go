@@ -14,7 +14,7 @@ import (
 // combination names the offending flag, and a good set yields the parsed
 // durations.
 func TestRunFlagsValidate(t *testing.T) {
-	good := runFlags{requests: 100, blockSize: 4096, devices: 1}
+	good := runFlags{requests: 100, blockSize: 4096, depth: 32, tenants: 4, devices: 1}
 	with := func(edit func(*runFlags)) runFlags {
 		f := good
 		edit(&f)
@@ -31,6 +31,10 @@ func TestRunFlagsValidate(t *testing.T) {
 		{"evented n=0", with(func(f *runFlags) { f.requests = 0 }), "bad -n 0", 0, 0},
 		{"bs=0", with(func(f *runFlags) { f.blockSize = 0 }), "bad -bs 0", 0, 0},
 		{"bs=-512", with(func(f *runFlags) { f.blockSize = -512 }), "bad -bs -512", 0, 0},
+		{"depth=0", with(func(f *runFlags) { f.depth = 0 }), "bad -depth 0", 0, 0},
+		{"depth=-5", with(func(f *runFlags) { f.depth = -5 }), "bad -depth -5", 0, 0},
+		{"farm-tenants=0", with(func(f *runFlags) { f.tenants = 0 }), "bad -farm-tenants 0", 0, 0},
+		{"farm-tenants=-2", with(func(f *runFlags) { f.tenants = -2 }), "bad -farm-tenants -2", 0, 0},
 		{"batch-submit power-loss", with(func(f *runFlags) { f.batchSubmit, f.powerLossAt = true, "50ms" }), "-power-loss-at are incompatible", 0, 0},
 		{"batch-submit scrub", with(func(f *runFlags) { f.batchSubmit, f.scrubEvery = true, "5ms" }), "-scrub-every are incompatible", 0, 0},
 		{"bad power-loss duration", with(func(f *runFlags) { f.powerLossAt = "-3ms" }), "bad -power-loss-at", 0, 0},

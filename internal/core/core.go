@@ -404,16 +404,16 @@ func (s *System) bindFTL(t *ftl.FTL) error {
 	return s.FIL.AcceptCertified(t)
 }
 
-// engineDomains is one engine's resolved scheduling-domain ids: the shard
-// each subsystem's stage-boundary events are ordered in. Resolving names
+// engineDomains is one engine's resolved scheduling-domain ids: the label
+// each subsystem's stage-boundary events are scheduled and counted under. Resolving names
 // once per engine keeps the hot path free of map lookups.
 //
-// The per-channel nand shards carry only the deferred per-channel flash
+// The per-channel nand domains carry only the deferred per-channel flash
 // bookkeeping — read completions and the per-die plan batches of program
 // installs and erase clears (nand.ReadDeferredAddr, nand.PlanBatch). fil
 // carries no events: it stays registered because a domain's id and name are
 // part of sim.Engine.DomainStats, which every recorded run digest covers,
-// and dropping it renumbers pub and the channel shards.
+// and dropping it renumbers pub and the channel domains.
 type engineDomains struct {
 	e    *sim.Engine
 	host sim.DomainID   // request issue slots, kernel submit/complete
@@ -497,7 +497,7 @@ const DefaultBatchWindow = 64
 
 // SubmitEngineDomainStats returns the per-domain event counts of the
 // synchronous Submit path's engine, nil before the first Submit. Reporting
-// tools use it to show how engine traffic spreads across shards.
+// tools use it to show how engine traffic spreads across domains.
 func (s *System) SubmitEngineDomainStats() []sim.DomainStat {
 	if s.subEngine == nil {
 		return nil

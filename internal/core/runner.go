@@ -71,7 +71,7 @@ type RunResult struct {
 	HostMemMB   stats.Series // resident host memory in MB
 
 	// Engine activity of this run's event loop: total dispatched events
-	// and how they spread across the scheduling-domain shards.
+	// and how they spread across the scheduling domains.
 	Events       uint64
 	DomainEvents []sim.DomainStat
 
@@ -173,7 +173,7 @@ func (s *System) Run(gen workload.Generator, rc RunConfig) (*RunResult, error) {
 		l.cpuCounter.Delta(res.Start+1, s.Host.CPU.BusyTime().Seconds())
 		l.nextSample = res.Start + rc.SampleEvery
 	}
-	// The power cut rides an event in its own shard, registered before any
+	// The power cut rides an event in its own domain, scheduled before any
 	// workload event so its sequence number orders it ahead of same-time
 	// traffic.
 	if rc.PowerLossAt > 0 {

@@ -102,7 +102,7 @@ func (op *submitOp) step() {
 		walked := s.DMA.WalkList(now, op.pl)
 		if op.req.Write {
 			// The write-ops stage flushes evictions into flash; it rides the
-			// icl shard.
+			// icl domain.
 			xferDone := s.DMA.Transfer(walked, op.pl, true)
 			op.stage = opWriteOps
 			e.AtIn(op.doms.icl, xferDone, op.stepFn)
@@ -820,7 +820,7 @@ func (s *System) startFill(e *sim.Engine, t sim.Time, lspn int64, subs []int, li
 		}
 		// Precopy stage of the install: the page bytes land in the fill's
 		// line buffer at issue (pending-aware, one copy), so the channel
-		// shards carry only the reads' accounting and the publish below
+		// domains carry only the reads' accounting and the publish below
 		// depends on no pending channel event. The lookup's read
 		// certificate rides along: while the FTL↔flash chain is armed, the
 		// per-address validation walk is skipped (mapped ⇒ written by
@@ -860,9 +860,9 @@ func (s *System) startFill(e *sim.Engine, t sim.Time, lspn int64, subs []int, li
 
 	// The continuation installs into the ICL, charges cache memory and
 	// wakes coalesced waiters. Flash-backed fills publish through the
-	// fil.publish shard (the staged line buffer is complete at issue);
+	// fil.publish domain (the staged line buffer is complete at issue);
 	// fills with no flash work (all subs unmapped, pure cache-side traffic)
-	// ride the icl shard.
+	// ride the icl domain.
 	dom := doms.icl
 	if nFetch > 0 {
 		dom = doms.pub
@@ -966,7 +966,7 @@ func (s *System) prefetch(e *sim.Engine, lspn int64) {
 // returning when the victim's data has left the cache memory (host writes
 // programmed; background GC may continue past this point). With an engine,
 // the plan executes on the deferred path (fil.ExecuteOn): each program's
-// and erase's per-channel bookkeeping rides the owning channel's shard in
+// and erase's per-channel bookkeeping rides the owning channel's domain in
 // per-die batches; without one (the synchronous Flush), the plan executes
 // synchronously.
 func (s *System) flushEviction(e *sim.Engine, t sim.Time, ev *iclEviction) (sim.Time, error) {

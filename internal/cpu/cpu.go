@@ -37,7 +37,7 @@ import (
 	"amber/internal/sim"
 )
 
-// Domain names the scheduling domain (sim.Engine shard) that orders
+// Domain names the sim.Engine scheduling domain that labels
 // firmware-execution stage boundaries: events whose time was produced by a
 // device-CPU Execute claim.
 const Domain = "cpu"

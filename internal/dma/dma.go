@@ -36,7 +36,7 @@ import (
 	"amber/internal/sim"
 )
 
-// Domain names the scheduling domain (sim.Engine shard) that orders
+// Domain names the sim.Engine scheduling domain that labels
 // payload-transfer stage boundaries: events whose time was produced by a
 // DMA Transfer completion.
 const Domain = "dma"

@@ -50,7 +50,7 @@ import (
 	"amber/internal/sim"
 )
 
-// Domain names the scheduling domain (sim.Engine shard) that orders
+// Domain names the sim.Engine scheduling domain that labels
 // ICL/DRAM stage boundaries: events whose time was produced by cache-memory
 // accesses and write-back completions.
 const Domain = "icl.dram"

@@ -19,17 +19,17 @@ import (
 // AddrFunc converts an FTL page location to a NAND physical address.
 type AddrFunc func(ftl.PageLoc) nand.Address
 
-// Domain names a reserved scheduling shard: no event rides it.
+// Domain names a reserved scheduling domain: no event rides it.
 // The core registers it on every engine all the same, because a domain's id
 // and name are part of sim.Engine.DomainStats and through it of every
 // recorded run digest.
 const Domain = "fil"
 
-// PublishDomain names the shard where the core places the continuation of a
+// PublishDomain names the domain where the core places the continuation of a
 // flash-backed cache fill: the cache install, memory charge and waiter
 // wakeups. Those read and write state spanning channels (ICL lines, MSHR
 // maps, DRAM timing), unlike the per-channel bookkeeping events in the
-// nand.ChannelDomain shards. A publish event reads nothing those pending
+// nand.ChannelDomain domains. A publish event reads nothing those pending
 // bookkeeping events write: its line buffer was complete (ReadSubsStaged)
 // before the fill's channel bookkeeping was even scheduled (sim/doc.go).
 const PublishDomain = "fil.publish"
@@ -608,7 +608,8 @@ func (f *FIL) Execute(now sim.Time, plan ftl.Plan, hostData PlanData) (Result, e
 // ExecuteOn is Execute with every flash transaction's per-channel
 // bookkeeping — counters, energy, tracked-data installs and presence
 // clears — deferred into the owning channel's scheduling domain through a
-// nand.PlanBatch: chDoms[channel] is the channel's shard, and the whole plan schedules one batched completion event per touched die
+// nand.PlanBatch: chDoms[channel] is the channel's domain, and the whole plan
+// schedules one batched completion event per touched die
 // (not per op), keeping the deferred path's engine traffic negligible even
 // for thousand-op GC plans. Plan pre-reads deliver their bytes at issue (a
 // dependent rewrite consumes them within this same call). Timing,
@@ -960,7 +961,7 @@ func (f *FIL) ReadSubs(now sim.Time, locs []ftl.PageLoc, dsts [][]byte) (sim.Tim
 // ReadSubsStaged is ReadSubs on the deferred path: each read's page bytes are
 // delivered into its dst at issue time and its per-channel accounting rides
 // the owning channel's scheduling domain (nand.Flash.ReadDeferredAddr;
-// chDoms[channel] is the channel's shard). When this call returns, every dst
+// chDoms[channel] is the channel's domain). When this call returns, every dst
 // already holds the bytes a synchronous ReadSubs would have produced; timing
 // is identical to ReadSubs. This is the precopy stage of the core's fill
 // installs: the caller's buffer is complete before any completion event

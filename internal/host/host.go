@@ -13,7 +13,7 @@ import (
 	"amber/internal/sim"
 )
 
-// Domain names the scheduling domain (sim.Engine shard) that orders
+// Domain names the sim.Engine scheduling domain that labels
 // host-side events: request issue slots, kernel submission boundaries and
 // completion/ISR events (the host/HIL traffic).
 const Domain = "host"

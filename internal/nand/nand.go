@@ -114,9 +114,8 @@ func (g Geometry) TotalPages() int64 {
 // CapacityBytes returns raw capacity in bytes.
 func (g Geometry) CapacityBytes() int64 { return g.TotalPages() * int64(g.PageSize) }
 
-// ChannelDomain names the scheduling domain (sim.Engine shard) that orders
-// flash-completion events of one channel. Each channel gets its own shard
-// so the dominant per-channel traffic sifts within a per-channel heap.
+// ChannelDomain names the scheduling domain that the flash-completion
+// events of one channel are scheduled and counted under.
 func ChannelDomain(channel int) string {
 	return "nand.ch" + strconv.Itoa(channel)
 }
@@ -472,10 +471,7 @@ type Flash struct {
 	// data holds one tracked-page arena per channel, indexed by
 	// channel-local physical page number (the channel is the geometry's
 	// most significant dimension, so each channel's pages are one
-	// contiguous global range). The split keeps chunk allocations and
-	// presence-bitmap words channel-disjoint, which is what lets deferred
-	// program installs and erase clears of different channels run
-	// concurrently inside one parallel window.
+	// contiguous global range).
 	data      []*pageArena
 	pagesPerC int64 // physical pages per channel
 
@@ -1056,7 +1052,7 @@ func (b *dieBatch) release() {
 // per-channel bookkeeping path: Read, Program and Erase have the timing and
 // functional state transitions of their synchronous counterparts, but their
 // counters, energy and tracked-data effects ride the owning channel's
-// shard, grouped into one event per touched die and scheduled
+// domain, grouped into one event per touched die and scheduled
 // by Commit. Obtain with Flash.BeginPlan; a batch must end with exactly one
 // Commit (schedules the events) or Abort (discards the bookkeeping after a
 // caller-detected failure). Only one plan may be open per Flash at a time
@@ -1072,7 +1068,7 @@ type PlanBatch struct {
 }
 
 // BeginPlan opens the deferred batching context for one plan's flash
-// transactions. chDoms[channel] names the channel's shard.
+// transactions. chDoms[channel] names the channel's domain.
 func (f *Flash) BeginPlan(e *sim.Engine, chDoms []sim.DomainID) *PlanBatch {
 	b := &f.plan
 	if b.open {

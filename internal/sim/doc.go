@@ -8,54 +8,56 @@
 // events; the engine dispatches events in non-decreasing time order, with
 // FIFO ordering among events at the same instant.
 //
-// # Engine design: events inline in sharded heaps
+// # Engine design: one queue, events inline
 //
 // The engine is the innermost loop of every experiment — the Fig. 16
 // simulation-speed claim lives or dies here — so it stores what it
 // dispatches and nothing else, laid out to make Schedule/Step
 // allocation-free and cache-friendly in steady state:
 //
-//   - An event is {time, sequence, callback}, and it lives inline in the
-//     heap of the scheduling domain it was scheduled into — there is no
-//     separate record, handle or free list. Scheduling appends to the
-//     shard's []event and sifts up; dispatch pops the head, clearing the
-//     vacated tail slot so the closure stays collectable, and only then
+//   - An event is {time, key, callback}, 24 bytes, and it lives inline in
+//     the engine's one []event — there is no separate record, handle or free
+//     list. Scheduling appends and sifts up; dispatch pops the head, clearing
+//     the vacated tail slot so the closure stays collectable, and only then
 //     calls it — by value, with no pointer into the array — so a callback
-//     may schedule into the shard being dispatched even when that append
-//     moves the heap (TestEngineCallbackSchedulesIntoOwnShard). The
-//     arrays only grow, so a workload with bounded in-flight events per
-//     domain reaches fixed capacities and never allocates again. Nothing
-//     outside the engine can name a queued event, so there is no cancel: an
-//     event fires, or a Reset drops it, and a timeout whose guarded event
-//     already happened tests a flag in its callback.
+//     may schedule even when that append moves the heap
+//     (TestEngineCallbackSchedulesIntoOwnShard). The array only grows, so a
+//     workload with bounded in-flight events reaches a fixed capacity and
+//     never allocates again. Nothing outside the engine can name a queued
+//     event, so there is no cancel: an event fires, or a Reset drops it, and
+//     a timeout whose guarded event already happened tests a flag in its
+//     callback.
 //
-//   - Ordering is sharded by scheduling domain: each domain (registered
-//     with Engine.Domain, targeted with ScheduleIn/AtIn, one per NAND
-//     channel plus host/HIL, ICL/DRAM, CPU, DMA and a default shard in a
-//     full system) owns a 4-ary min-heap keyed by (time, sequence).
-//     Compared to the pointer-based binary container/heap this needs no
-//     per-event heap object, no interface boxing on push/pop, walks half
-//     the levels per sift, and compares keys that sit in the array being
-//     sifted; sharding additionally cuts the sift depth from log4(N_total)
-//     to log4(N_shard) on the dominant per-channel traffic.
+//   - The queue is a 4-ary min-heap ordered by (time, sequence). Compared
+//     to the pointer-based binary container/heap this needs no per-event
+//     heap object, no interface boxing on push/pop, walks half the levels
+//     per sift, and compares keys that sit in the array being sifted, a
+//     node's four children in at most two cache lines. The populations are
+//     small — 32 events on a cached-read run at depth 32, a few hundred on
+//     the miss, GC and trace workloads, about 1 400 at their peak — so a sift
+//     is two to four levels. The comparison is one subtract-with-borrow over
+//     (time, key) taken as a 128-bit number: which of four children fires
+//     first is decided by the data, and a branch on it mispredicts.
 //
-//   - The global minimum is read from a tournament (winner) tree over the
-//     shard heads. Each node caches the winning head's (time, sequence)
-//     key inline, so when one shard's head changes — push of a new head,
-//     dispatch — repairing replays only that leaf's root path, one sibling
-//     load and compare per level with an early exit once a node's value
-//     stops changing: O(log S) worst case. Dispatch order is provably
-//     identical to one global heap: the sequence counter is engine-global
-//     and unique, every comparison (in-shard and cross-shard) is by the
-//     same (time, sequence) key, so the tournament winner is the global
-//     minimum and FIFO among equal times holds across shards. The golden
-//     equivalence test locks this in against an independent single-queue
-//     reference through random Schedule/Step/RunUntil/Reset interleavings.
+//   - A scheduling domain (registered with Engine.Domain, targeted with
+//     ScheduleIn/AtIn: host, cpu, icl.dram, dma, fil.publish and one per
+//     NAND channel in a full system) is a label, not a queue. key packs
+//     sequence<<16 | domain: the sequence counter is engine-global and
+//     unique, so the low bits never decide a comparison and FIFO among equal
+//     times holds across domains, while dispatch reads the label back to
+//     bump that domain's counter — the per-domain traffic DomainStats
+//     reports and every run digest covers. What is pending per domain is
+//     counted from the queue when DomainStats asks, not kept per event. The
+//     golden equivalence test and FuzzEngineOrder hold the order, and the
+//     counters after every operation, to an independent single-queue
+//     reference through random Schedule/Step/RunUntil/Run/Halt/Reset
+//     interleavings, scheduling from inside callbacks and domains registered
+//     with events queued.
 //
-//   - Reset rewinds the clock and empties every heap, keeping their
-//     storage, the registered domains and the lifetime per-domain dispatch
-//     counters. The synchronous core.Submit wrapper reuses one engine this
-//     way for its per-request private simulation.
+//   - Reset rewinds the clock and empties the heap, keeping its storage,
+//     the registered domains and the lifetime per-domain dispatch counters.
+//     The synchronous core.Submit wrapper reuses one engine this way for its
+//     per-request private simulation.
 //
 // # Determinism: one total (time, sequence) order
 //
@@ -67,10 +69,10 @@
 // no window structure for a result to depend on. Every argument below is an
 // argument about that one order.
 //
-// Scheduling domains only choose the heap an event waits in. In a full
-// system host/HIL, CPU, ICL/DRAM, DMA and the fill-publish shard carry the
-// firmware stage boundaries, cache installs, GC, transfers and request
-// completions; the per-NAND-channel shards carry the deferred per-channel
+// Scheduling domains say what an event is for, never when it fires. In a
+// full system host/HIL, CPU, ICL/DRAM, DMA and the fill-publish domain carry
+// the firmware stage boundaries, cache installs, GC, transfers and request
+// completions; the per-NAND-channel domains carry the deferred per-channel
 // bookkeeping of flash transactions — read completions
 // (nand.Flash.ReadDeferredAddr) and the per-die plan batches of program
 // installs and erase clears (nand.PlanBatch via fil.ExecuteOn) — which
@@ -117,8 +119,8 @@
 //     (TestReadDeferredSnapshotsAtIssue, TestDeferredGCReprogramOrdering).
 //
 //  3. Arena updates merge in channel order, aligned with issue order by
-//     die serialization. A channel shard dispatches its events in (time,
-//     seq) order. Installs and clears are grouped per (plan, die)
+//     die serialization. A channel's events dispatch in (time, seq)
+//     order. Installs and clears are grouped per (plan, die)
 //     (nand.dieBatch) and scheduled at the die's last completion time;
 //     because the die and channel resources serialize every claim, any
 //     transaction of a later plan on the same die completes strictly
@@ -138,8 +140,8 @@
 // (nand.Flash.ReadDeferredAddr through fil.ReadSubsStaged): the copy reads
 // the channel's pending-aware index — so it observes exactly the bytes the
 // synchronous path would — and is the only data movement. The channel
-// shards carry only the reads' counters and energy. The publish stage
-// (core's fil.publish shard) installs the completed buffer at the fetch's
+// domains carry only the reads' counters and energy. The publish stage
+// (core's fil.publish domain) installs the completed buffer at the fetch's
 // completion time; its buffer was finished before the fill's bookkeeping was
 // even scheduled, so it reads nothing a pending channel event writes.
 //

@@ -2,38 +2,50 @@ package sim
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
 )
 
-// DomainID names one scheduling domain (shard) of an Engine. The zero
-// value is the default domain every event lands in unless the caller
-// schedules with ScheduleIn/AtIn.
+// DomainID names one scheduling domain of an Engine: a label an event is
+// scheduled under and counted by. The zero value is the default domain every
+// event lands in unless the caller schedules with ScheduleIn/AtIn.
 type DomainID int32
 
 // DefaultDomain is the domain Schedule and At use.
 const DefaultDomain DomainID = 0
 
-// event is one queued callback. Events live inline in their shard's heap
-// and nowhere else: scheduling appends one, dispatch pops it, and nothing
-// outside the engine can name it.
+// domainBits is the width of the domain label in an event's key.
+const domainBits = 16
+
+// event is one queued callback. Events live inline in the engine's heap and
+// nowhere else: scheduling appends one, dispatch pops it, and nothing
+// outside the engine can name it. key packs seq<<domainBits | domain: the
+// sequence counter is engine-global and unique, so at equal times keys
+// compare as sequence numbers (FIFO; the domain bits never decide) and the
+// label rides along in a 24-byte event. The packing caps an engine at 65536
+// domains and 2^48 events per Reset, both far beyond any simulation.
 type event struct {
 	at  Time
-	seq uint64
+	key uint64
 	fn  func()
 }
 
-// before reports whether ev fires ahead of the key (at, seq): FIFO among
-// equal times. The sequence counter is engine-global, so the order is total
-// across shards.
-func (ev *event) before(at Time, seq uint64) bool {
-	return ev.at < at || (ev.at == at && ev.seq < seq)
+// less is 1 when ev fires ahead of o and 0 otherwise: by time, FIFO among
+// equal times. (at, key) is compared as one 128-bit number by subtracting
+// with borrow, so the answer is a value and popHead can pick the earliest of
+// four children without a branch the data decides.
+func (ev *event) less(o *event) int {
+	_, borrow := bits.Sub64(ev.key, o.key, 0)
+	_, borrow = bits.Sub64(uint64(ev.at), uint64(o.at), borrow)
+	return int(borrow)
 }
 
-// shard is one scheduling domain: a 4-ary min-heap of events plus its
-// lifetime dispatch counter.
-type shard struct {
+// dom returns the label ev was scheduled under.
+func (ev *event) dom() DomainID { return DomainID(ev.key & (1<<domainBits - 1)) }
+
+// domain is one registered scheduling domain: its name and how many events
+// have fired under it.
+type domain struct {
 	name       string
-	heap       []event // 4-ary min-heap ordered by (at, seq)
 	dispatched uint64
 }
 
@@ -47,70 +59,32 @@ type DomainStat struct {
 
 // Engine is the discrete-event simulator. The zero value is not usable;
 // construct with NewEngine. Scheduling and dispatch are allocation-free in
-// steady state: each scheduling domain keeps its own events inline in a
-// 4-ary min-heap whose backing array is reused, and the global minimum is
-// read from a tournament (winner) tree over the shard heads that is
-// repaired in O(log S) when a single shard's head changes (see doc.go for
-// the layout rationale). Dispatch order is identical to a
-// single global heap: the tree compares shard heads by (time, sequence)
-// and the sequence counter is engine-global, so FIFO among equal times
-// holds across shards.
+// steady state: every queued event sits inline in one 4-ary min-heap ordered
+// by (time, sequence) whose backing array is reused (doc.go has the
+// rationale). A scheduling domain is a label: it decides which counter a
+// dispatch bumps, never when an event fires.
 type Engine struct {
 	now        Time
 	seq        uint64
 	dispatched uint64
-	pending    int
 
-	shards  []shard
-	domains map[string]DomainID
+	heap    []event // 4-ary min-heap ordered by (at, key)
+	domains []domain
+	ids     map[string]DomainID
 
 	// halted is set by Halt (a power-loss event body): the drain loops —
 	// Run and RunUntil — return after the current dispatch completes,
 	// leaving every later event queued. Reset clears it.
 	halted bool
-
-	// Tournament (winner) tree over shard heads: tree[leafCap+s] mirrors
-	// shard s's head, each internal node caches the winner of its two
-	// children, tree[1] is the overall winner. Nodes carry the head
-	// event's (at, seq) key inline, so replaying a match after one
-	// shard's head changes is a single sibling load and compare per
-	// level — no pointer chasing into the shard heaps — with an early
-	// exit as soon as a path node's value stops changing: O(log S) worst
-	// case, often O(1). leafCap is the smallest power of two
-	// >= len(shards).
-	tree    []treeNode
-	leafCap int
-}
-
-// treeNode is one tournament slot: a shard-head key ordered by (at, seq).
-// key packs seq<<16 | shard, which both identifies the winning shard and
-// breaks same-time ties exactly like the heap comparison (the sequence
-// counter is engine-global and unique; the shard bits are only reached on
-// a seq tie, which cannot happen). The packing caps an engine at 65535
-// domains and 2^48 lifetime events per Reset — both far beyond any
-// simulation.
-type treeNode struct {
-	at  Time
-	key uint64
-}
-
-// emptyNode loses to every real head: its at is the maximum Time and its
-// key compares above every packed (seq, shard).
-var emptyNode = treeNode{at: Time(math.MaxInt64), key: ^uint64(0)}
-
-// beats reports whether n's head fires before m's.
-func (n treeNode) beats(m treeNode) bool {
-	return n.at < m.at || (n.at == m.at && n.key < m.key)
 }
 
 // NewEngine returns an empty engine at time zero with only the default
 // domain registered.
 func NewEngine() *Engine {
-	e := &Engine{domains: make(map[string]DomainID, 4)}
-	e.shards = append(e.shards, shard{name: "default"})
-	e.domains["default"] = DefaultDomain
-	e.growTree()
-	return e
+	return &Engine{
+		domains: []domain{{name: "default"}},
+		ids:     map[string]DomainID{"default": DefaultDomain},
+	}
 }
 
 // Domain returns the id of the named scheduling domain, registering it on
@@ -118,47 +92,45 @@ func NewEngine() *Engine {
 // expected to resolve domains at setup time and reuse the ids in the hot
 // path. "default" names the default domain.
 func (e *Engine) Domain(name string) DomainID {
-	if id, ok := e.domains[name]; ok {
+	if id, ok := e.ids[name]; ok {
 		return id
 	}
-	if len(e.shards) >= 1<<16 {
+	if len(e.domains) >= 1<<domainBits {
 		panic("sim: too many scheduling domains (max 65536)")
 	}
-	id := DomainID(len(e.shards))
-	e.shards = append(e.shards, shard{name: name})
-	e.domains[name] = id
-	e.growTree()
+	id := DomainID(len(e.domains))
+	e.domains = append(e.domains, domain{name: name})
+	e.ids[name] = id
 	return id
 }
 
 // NumDomains returns the number of registered domains (including the
 // default one).
-func (e *Engine) NumDomains() int { return len(e.shards) }
+func (e *Engine) NumDomains() int { return len(e.domains) }
 
 // DomainName returns the name of a registered domain.
-func (e *Engine) DomainName(dom DomainID) string { return e.shards[dom].name }
+func (e *Engine) DomainName(dom DomainID) string { return e.domains[dom].name }
 
 // Kept for the frozen bench/replay.go, which calls it on every channel
 // domain (ROADMAP, "Pinned"): it checks that dom is registered and does
 // nothing else. The engine has one dispatch loop and no classes of domain.
 func (e *Engine) MarkDomainLocal(dom DomainID) {
-	if dom < 0 || int(dom) >= len(e.shards) {
+	if dom < 0 || int(dom) >= len(e.domains) {
 		panic(fmt.Sprintf("sim: marking unregistered domain %d local", dom))
 	}
 }
 
 // DomainStats returns per-domain lifetime dispatch counts and queue
-// depths, in registration order. It allocates; it is a reporting call,
-// not a hot-path one.
+// depths, in registration order. It allocates, and counts what is pending
+// under each label by walking the whole queue; it is a reporting call, not
+// a hot-path one.
 func (e *Engine) DomainStats() []DomainStat {
-	out := make([]DomainStat, len(e.shards))
-	for i := range e.shards {
-		out[i] = DomainStat{
-			ID:         DomainID(i),
-			Name:       e.shards[i].name,
-			Dispatched: e.shards[i].dispatched,
-			Pending:    len(e.shards[i].heap),
-		}
+	out := make([]DomainStat, len(e.domains))
+	for i, d := range e.domains {
+		out[i] = DomainStat{ID: DomainID(i), Name: d.name, Dispatched: d.dispatched}
+	}
+	for i := range e.heap {
+		out[e.heap[i].dom()].Pending++
 	}
 	return out
 }
@@ -167,28 +139,19 @@ func (e *Engine) DomainStats() []DomainStat {
 func (e *Engine) Now() Time { return e.now }
 
 // Pending returns the number of queued events across all domains.
-func (e *Engine) Pending() int { return e.pending }
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // Dispatched returns the total number of events fired so far. It is used by
 // the simulation-speed experiment (Fig. 16) as the work metric.
 func (e *Engine) Dispatched() uint64 { return e.dispatched }
 
 // Reset drops all queued events and rewinds the clock to zero, keeping the
-// heaps' storage and the registered domains so a reused engine schedules
+// heap's storage and the registered domains so a reused engine schedules
 // without reallocating. The dispatched counters (global and per-domain)
-// are preserved (they track lifetime work for the simulation-speed
-// metric).
+// are preserved: they track lifetime work for the simulation-speed metric.
 func (e *Engine) Reset() {
-	for s := range e.shards {
-		sh := &e.shards[s]
-		clear(sh.heap) // drop the callback references
-		sh.heap = sh.heap[:0]
-	}
-	// Every shard is now empty; the tree is all sentinels.
-	for i := range e.tree {
-		e.tree[i] = emptyNode
-	}
-	e.pending = 0
+	clear(e.heap) // drop the callback references
+	e.heap = e.heap[:0]
 	e.now = 0
 	e.seq = 0
 	e.halted = false
@@ -212,8 +175,8 @@ func (e *Engine) Schedule(delay Duration, fn func()) {
 }
 
 // ScheduleIn queues fn to run after delay in the given domain. The domain
-// only selects the shard that orders the event; dispatch order across the
-// whole engine is the same for every placement.
+// only selects the counter the dispatch is reported under; dispatch order
+// is the same for every placement.
 func (e *Engine) ScheduleIn(dom DomainID, delay Duration, fn func()) {
 	e.AtIn(dom, e.now+delay, fn)
 }
@@ -234,36 +197,26 @@ func (e *Engine) AtIn(dom DomainID, t Time, fn func()) {
 	if fn == nil {
 		panic("sim: scheduling nil event function")
 	}
-	if dom < 0 || int(dom) >= len(e.shards) {
+	if dom < 0 || int(dom) >= len(e.domains) {
 		panic(fmt.Sprintf("sim: scheduling into unregistered domain %d", dom))
 	}
-	sh := &e.shards[dom]
-	sh.heap = append(sh.heap, event{at: t, seq: e.seq, fn: fn})
+	e.heap = append(e.heap, event{at: t, key: e.seq<<domainBits | uint64(dom), fn: fn})
 	e.seq++
-	e.pending++
-	if siftUp(sh.heap, len(sh.heap)-1) == 0 {
-		// Only a new shard head can change the tournament outcome.
-		e.repair(int(dom))
-	}
+	siftUp(e.heap, len(e.heap)-1)
 }
 
-// Step fires the earliest event across all domains and advances the clock
-// to it. It returns false when every shard is empty. The event leaves its
-// heap before its callback runs, so the callback may schedule into the shard
-// being dispatched, even when that append moves the heap.
+// Step fires the earliest queued event and advances the clock to it. It
+// returns false when the queue is empty. The event leaves the heap before
+// its callback runs, so the callback may schedule, even when that append
+// moves the heap.
 func (e *Engine) Step() bool {
-	head := e.tree[1]
-	if head == emptyNode {
+	if len(e.heap) == 0 {
 		return false
 	}
-	w := int(head.key & 0xffff)
-	sh := &e.shards[w]
-	ev := sh.popHead()
-	sh.dispatched++
-	e.repair(w)
+	ev := e.popHead()
 	e.now = ev.at
-	e.pending--
 	e.dispatched++
+	e.domains[ev.dom()].dispatched++
 	ev.fn()
 	return true
 }
@@ -278,10 +231,7 @@ func (e *Engine) Run() {
 // Events scheduled beyond t remain queued. A Halt stops the loop early
 // without advancing the clock.
 func (e *Engine) RunUntil(t Time) {
-	for !e.halted {
-		if head := e.tree[1]; head == emptyNode || head.at > t {
-			break
-		}
+	for !e.halted && len(e.heap) > 0 && e.heap[0].at <= t {
 		e.Step()
 	}
 	if e.halted {
@@ -292,107 +242,33 @@ func (e *Engine) RunUntil(t Time) {
 	}
 }
 
-// Tournament tree. The leaves are the shard heads; each internal node
-// caches the winner (earlier (at, seq)) of its two children, so reading
-// the global minimum is O(1) and repairing after one shard's head change
-// replays only that leaf's root path: O(log S) comparisons of keys held
-// inline in the tree. Compared to re-heapifying one global
-// queue, a dispatch costs log4(N_shard) sift steps plus log2(S) match
-// replays instead of log4(N_total) sift steps.
-
-// growTree resizes the tree to the next power of two covering all shards
-// and rebuilds it. Called only from Domain registration.
-func (e *Engine) growTree() {
-	leafCap := 1
-	for leafCap < len(e.shards) {
-		leafCap *= 2
-	}
-	if leafCap != e.leafCap {
-		e.leafCap = leafCap
-		e.tree = make([]treeNode, 2*leafCap)
-	}
-	e.rebuildTree()
-}
-
-// leafNode builds the tournament leaf for shard s from its current head.
-func (e *Engine) leafNode(s int) treeNode {
-	if s >= len(e.shards) || len(e.shards[s].heap) == 0 {
-		return emptyNode
-	}
-	head := &e.shards[s].heap[0]
-	return treeNode{at: head.at, key: head.seq<<16 | uint64(s)}
-}
-
-// rebuildTree recomputes every node from the current shard heads. Only
-// domain registration pays this O(S); steady-state mutations use repair.
-func (e *Engine) rebuildTree() {
-	for i := 0; i < e.leafCap; i++ {
-		e.tree[e.leafCap+i] = e.leafNode(i)
-	}
-	for k := e.leafCap - 1; k >= 1; k-- {
-		win := e.tree[2*k]
-		if e.tree[2*k+1].beats(win) {
-			win = e.tree[2*k+1]
-		}
-		e.tree[k] = win
-	}
-}
-
-// repair replays the matches on shard s's path to the root after its head
-// changed (new head, head dispatched, or shard emptied). The
-// candidate winner is carried upward so each level costs one sibling load
-// and one comparison, and the walk stops as soon as a node's stored value
-// is already the recomputed winner: every node off the path is correct by
-// construction, so an unchanged path node proves the ancestors are
-// consistent too.
-func (e *Engine) repair(s int) {
-	k := e.leafCap + s
-	cand := e.leafNode(s)
-	for {
-		if e.tree[k] == cand {
-			return
-		}
-		e.tree[k] = cand
-		if k == 1 {
-			return
-		}
-		if sib := e.tree[k^1]; sib.beats(cand) {
-			cand = sib
-		}
-		k >>= 1
-	}
-}
-
-// Each shard heap is 4-ary: children of node i are 4i+1..4i+4. Compared to
-// the binary container/heap it does ~half the levels per sift with better
-// locality over the flat []event, and needs no interface boxing.
+// The heap is 4-ary: the children of node i are 4i+1..4i+4.
 
 // siftUp moves the event at index i toward the root until its parent fires
-// no later than it does, and returns the index it settles at.
-func siftUp(heap []event, i int) int {
+// no later than it does.
+func siftUp(heap []event, i int) {
 	ev := heap[i]
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !ev.before(heap[parent].at, heap[parent].seq) {
+		if ev.less(&heap[parent]) == 0 {
 			break
 		}
 		heap[i] = heap[parent]
 		i = parent
 	}
 	heap[i] = ev
-	return i
 }
 
-// popHead removes and returns the shard's head event, restoring heap order
-// by sinking the last event from the root.
-func (sh *shard) popHead() event {
-	heap := sh.heap
+// popHead removes and returns the earliest event, restoring heap order by
+// sinking the last event from the root.
+func (e *Engine) popHead() event {
+	heap := e.heap
 	head := heap[0]
 	n := len(heap) - 1
 	ev := heap[n]
 	heap[n] = event{} // drop the callback reference
 	heap = heap[:n]
-	sh.heap = heap
+	e.heap = heap
 	if n == 0 {
 		return head
 	}
@@ -404,11 +280,9 @@ func (sh *shard) popHead() event {
 		}
 		best, last := first, min(first+4, n)
 		for c := first + 1; c < last; c++ {
-			if heap[c].before(heap[best].at, heap[best].seq) {
-				best = c
-			}
+			best += (c - best) & -heap[c].less(&heap[best]) // best = c if c is earlier
 		}
-		if !heap[best].before(ev.at, ev.seq) {
+		if heap[best].less(&ev) == 0 {
 			break
 		}
 		heap[i] = heap[best]

@@ -305,7 +305,7 @@ func TestEngineCallbackSchedulesIntoOwnShard(t *testing.T) {
 		schedule(3, nil) // one past capacity: the heap moves mid-dispatch
 		checkPending("leaving the head callback")
 	})
-	heap := &e.shards[dom].heap
+	heap := &e.heap
 	for len(*heap) < 8 || len(*heap) < cap(*heap) {
 		schedule(Duration(2+tag%5), nil)
 	}
