@@ -832,3 +832,225 @@ func TestWorkGateMixedMSNFS(t *testing.T) {
 		t.Errorf("%d allocations over %d requests, want none per request", allocs, n)
 	}
 }
+
+// eventsByDomain sums engine events by the domain groups the work gates pin:
+// host, cpu, icl.dram, dma, fil.publish and the channels (nand.ch*); anything
+// else lands in other.
+type eventsByDomain struct{ host, cpu, iclDRAM, dma, publish, nand, other uint64 }
+
+func groupEvents(ds []sim.DomainStat) eventsByDomain {
+	var g eventsByDomain
+	for _, d := range ds {
+		switch {
+		case d.Name == "host":
+			g.host += d.Dispatched
+		case d.Name == "cpu":
+			g.cpu += d.Dispatched
+		case d.Name == "icl.dram":
+			g.iclDRAM += d.Dispatched
+		case d.Name == "dma":
+			g.dma += d.Dispatched
+		case d.Name == fil.PublishDomain:
+			g.publish += d.Dispatched
+		case strings.HasPrefix(d.Name, "nand.ch"):
+			g.nand += d.Dispatched
+		default:
+			g.other += d.Dispatched
+		}
+	}
+	return g
+}
+
+// setupWork is what building and preconditioning one device did: the fill
+// Run's engine events, the DRAM, flash, FIL and FTL counters after the
+// closing Flush.
+type setupWork struct {
+	events                        uint64
+	byDomain                      eventsByDomain
+	dramWrites, dramBytes         uint64
+	dramReads                     uint64
+	rowHits, rowMisses, activates uint64
+	programs, erases              uint64
+	plans, certified              uint64
+	gcRuns                        uint64
+}
+
+// TestWorkGatePrecondition pins the set-up every figure of the suite and
+// validate_sweep pay — each reference device built and its volume filled at
+// queue depth 32 — in counts that repeat exactly: the fill Run's engine events
+// in total and by domain, what the DRAM did (full-line writes, row hits,
+// misses and activates), the flash programs and erases, the FIL's plans and
+// how many of them were certified, and the FTL's collections. The fill is
+// Precondition's own steps (one sequential write of the volume, the closing
+// Flush, Drain) run by hand so that the Run's events are visible, and a twin
+// device preconditioned through Precondition must end with the same counters
+// at the same simulated time. Set-up speed work must leave every number here
+// alone.
+func TestWorkGatePrecondition(t *testing.T) {
+	// Every device fills its volume in 4 915 cache lines: one host issue and
+	// completion each (and 32 job starts), one firmware parse, one full-line
+	// DRAM write landing in icl.dram, and one deferred channel event per die
+	// batch of each write-back plan — 93 % of the events. The full-line writes
+	// are the DRAM's only traffic: 480 rows of 64 bursts per line on intel750
+	// (960 KiB), 256 on the others (512 KiB), one miss and 63 hits a row over
+	// 8 banks. Each line is one plan of sub-page programs. Certified plans are
+	// counted on the engine path only, so the difference is the lines the
+	// closing Flush writes back outside the engine (the ICL's 764 or 716 or
+	// 1 433 lines). No fill collects.
+	want := map[string]setupWork{
+		"intel750": {events: 268752, byDomain: eventsByDomain{host: 9862, cpu: 4915, iclDRAM: 4915, nand: 249060},
+			dramWrites: 4915, dramBytes: 4831641600, rowHits: 148629600, rowMisses: 2359200, activates: 2359200,
+			programs: 589800, plans: 4915, certified: 4151},
+		"850pro": {events: 154060, byDomain: eventsByDomain{host: 9862, cpu: 4915, iclDRAM: 4915, nand: 134368},
+			dramWrites: 4915, dramBytes: 2576875520, rowHits: 79269120, rowMisses: 1258240, activates: 1258240,
+			programs: 314560, plans: 4915, certified: 4199},
+		"zssd": {events: 131116, byDomain: eventsByDomain{host: 9862, cpu: 4915, iclDRAM: 4915, nand: 111424},
+			dramWrites: 4915, dramBytes: 2576875520, rowHits: 79269120, rowMisses: 1258240, activates: 1258240,
+			programs: 314560, plans: 4915, certified: 3482},
+		"983dct": {events: 131116, byDomain: eventsByDomain{host: 9862, cpu: 4915, iclDRAM: 4915, nand: 111424},
+			dramWrites: 4915, dramBytes: 2576875520, rowHits: 79269120, rowMisses: 1258240, activates: 1258240,
+			programs: 314560, plans: 4915, certified: 3482},
+	}
+	for _, name := range refdata.DeviceNames() {
+		t.Run(name, func(t *testing.T) {
+			d, err := config.Device(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			build := func() *core.System {
+				s, err := core.NewSystem(config.PCSystem(d))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			s := build()
+			gen, err := workload.NewFIO(workload.SeqWrite, s.Split.LineBytes(), s.VolumeBytes(), d.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Run(gen, core.RunConfig{Requests: int(s.VolumeBytes() / int64(s.Split.LineBytes())), IODepth: 32, StopOnReadOnly: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Flush(s.Now()); err != nil {
+				t.Fatal(err)
+			}
+			s.Drain()
+			read := func(s *core.System) setupWork {
+				dr, fl, fs, ft := s.DevDRAM.Stats(), s.Flash.Stats(), s.FIL.Stats(), s.FTL.Stats()
+				return setupWork{
+					dramWrites: dr.Writes, dramBytes: dr.BytesWritten, dramReads: dr.Reads,
+					rowHits: dr.RowHits, rowMisses: dr.RowMisses, activates: dr.Activates,
+					programs: fl.Programs, erases: fl.Erases,
+					plans: fs.PlanCount, certified: fs.CertifiedPlans,
+					gcRuns: ft.GCRuns,
+				}
+			}
+			got := read(s)
+			twin := build()
+			if err := twin.Precondition(32); err != nil {
+				t.Fatal(err)
+			}
+			if tw := read(twin); tw != got || twin.Now() != s.Now() {
+				t.Fatalf("the hand-run fill is not Precondition: %+v at %v, Precondition %+v at %v", got, s.Now(), tw, twin.Now())
+			}
+			got.events, got.byDomain = res.Events, groupEvents(res.DomainEvents)
+			if res.FailedWrites != 0 || res.StoppedEarly {
+				t.Errorf("fill failed %d writes (stopped early: %v)", res.FailedWrites, res.StoppedEarly)
+			}
+			if got != want[name] {
+				t.Errorf("set-up work of %s\n got %+v\nwant %+v", name, got, want[name])
+			}
+		})
+	}
+}
+
+// TestWorkGateBatchRandWrite pins the work behind bench/'s batch_randwrite4k —
+// randwrite4k_gc's device, stream and seed through SubmitBatch in 64-request
+// windows, after bench's warm-up (20 000 requests rounded up to a window) — in
+// counts that repeat exactly per seed: the windows, the Submit engine's events
+// by domain, the FIL's plan ops, the flash reads, programs and erases, the
+// collections and the sub-pages they migrated, DRAM accesses, DMA descriptors
+// and allocations.
+func TestWorkGateBatchRandWrite(t *testing.T) {
+	const window, warm, n = 64, 20032, 20032
+	s := bench750(t)
+	gen, err := workload.NewFIO(workload.RandWrite, 4096, s.VolumeBytes(), 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, times := make([]workload.Request, window), make([]sim.Time, window)
+	pos := 0
+	windows := func(count int) {
+		for done := 0; done < count; done += window {
+			for k := range reqs {
+				reqs[k] = gen.Next(pos)
+				pos++
+			}
+			if _, err := s.SubmitBatch(s.Now(), reqs, nil, times); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	windows(warm)
+	s.Drain()
+	type counts struct {
+		windows                         uint64
+		events                          eventsByDomain
+		planReads, planProgs, planErase uint64
+		flashReads, flashPrograms       uint64
+		flashErases                     uint64
+		collects, migrated              uint64
+		dram, descriptors               uint64
+	}
+	read := func() counts {
+		wins, _ := s.BatchStats()
+		fl, fs, ft, dr := s.Flash.Stats(), s.FIL.Stats(), s.FTL.Stats(), s.DevDRAM.Stats()
+		return counts{
+			windows: wins, events: groupEvents(s.SubmitEngineDomainStats()),
+			planReads: fs.Reads, planProgs: fs.Programs, planErase: fs.Erases,
+			flashReads: fl.Reads, flashPrograms: fl.Programs, flashErases: fl.Erases,
+			collects: ft.GCRuns, migrated: ft.GCMigrated,
+			dram: dr.Reads + dr.Writes, descriptors: s.DMA.Stats().Descriptors,
+		}
+	}
+	before := read()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	windows(n)
+	runtime.ReadMemStats(&m1)
+	after := read()
+	e0, e1 := before.events, after.events
+	got := counts{
+		windows: after.windows - before.windows,
+		events: eventsByDomain{host: e1.host - e0.host, cpu: e1.cpu - e0.cpu, iclDRAM: e1.iclDRAM - e0.iclDRAM,
+			dma: e1.dma - e0.dma, publish: e1.publish - e0.publish, nand: e1.nand - e0.nand, other: e1.other - e0.other},
+		planReads: after.planReads - before.planReads, planProgs: after.planProgs - before.planProgs,
+		planErase:  after.planErase - before.planErase,
+		flashReads: after.flashReads - before.flashReads, flashPrograms: after.flashPrograms - before.flashPrograms,
+		flashErases: after.flashErases - before.flashErases,
+		collects:    after.collects - before.collects, migrated: after.migrated - before.migrated,
+		dram: after.dram - before.dram, descriptors: after.descriptors - before.descriptors,
+	}
+	// 313 windows of 64. A vector's requests raise no host, cpu or dma events
+	// (SubmitBatch settles them in line); what reaches the engine is one
+	// deferred channel event per die batch of a plan. Each request's payload
+	// lands in the cache by one DMA descriptor and one DRAM access, and two
+	// collection
+	// storms fall inside the window — 22 collects migrating the 147 360
+	// sub-page volume twice (TestWorkGateGCStorm), which is nearly every
+	// flash read and program.
+	want := counts{
+		windows: 313, events: eventsByDomain{nand: 19522},
+		planReads: 294720, planProgs: 314397, planErase: 2640,
+		flashReads: 294720, flashPrograms: 314397, flashErases: 2640,
+		collects: 22, migrated: 294720, dram: n, descriptors: n,
+	}
+	if got != want {
+		t.Errorf("work of %d batched writes\n got %+v\nwant %+v", n, got, want)
+	}
+	if allocs := m1.Mallocs - m0.Mallocs; allocs > n/10 {
+		t.Errorf("%d allocations over %d requests, want none per request", allocs, n)
+	}
+}

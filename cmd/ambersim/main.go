@@ -154,7 +154,9 @@ func main() {
 
 	powerCut, scrubEvery, err := runFlags{
 		requests: *n, blockSize: *bs, depth: *depth, tenants: *farmTenants,
-		devices: len(devices), batchSubmit: *batchSub,
+		devices: len(devices), parallel: *parallel,
+		groups: *farmGroups, workers: *farmWorkers, mixed: *farmMixed,
+		batchSubmit: *batchSub,
 		powerLossAt: *powerLoss, scrubEvery: *scrubSpec, rain: *rainWidth,
 		snapshot: *snapPath, restore: *restPath,
 	}.validate()
@@ -492,6 +494,8 @@ type runFlags struct {
 	requests, blockSize     int
 	depth, tenants          int // -depth and -farm-tenants
 	devices, rain           int
+	parallel                int // -parallel
+	groups, workers, mixed  int // -farm-groups, -farm-workers and -farm-mixed-writes
 	batchSubmit             bool
 	powerLossAt, scrubEvery string // durations as typed, "" = off
 	snapshot, restore       string
@@ -514,6 +518,21 @@ func (f runFlags) validate() (powerCut, scrubEvery sim.Duration, err error) {
 	}
 	if f.tenants <= 0 {
 		return 0, 0, fmt.Errorf("bad -farm-tenants %d: want a positive tenant count", f.tenants)
+	}
+	// Zero means off (or serial) for these four; a negative count would run
+	// as zero — a single-device run for -farm-groups — and say nothing.
+	for _, c := range []struct {
+		flag, want string
+		v          int
+	}{
+		{"-farm-groups", "group count (0 = single device)", f.groups},
+		{"-farm-workers", "worker count", f.workers},
+		{"-farm-mixed-writes", "write count", f.mixed},
+		{"-parallel", "device count", f.parallel},
+	} {
+		if c.v < 0 {
+			return 0, 0, fmt.Errorf("bad %s %d: want a non-negative %s", c.flag, c.v, c.want)
+		}
 	}
 	if powerCut, err = flagDuration("-power-loss-at", f.powerLossAt, "50ms"); err != nil {
 		return 0, 0, err

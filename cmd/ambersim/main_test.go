@@ -40,6 +40,10 @@ func TestRunFlagsValidate(t *testing.T) {
 		{"bad power-loss duration", with(func(f *runFlags) { f.powerLossAt = "-3ms" }), "bad -power-loss-at", 0, 0},
 		{"bad scrub duration", with(func(f *runFlags) { f.scrubEvery = "soon" }), "bad -scrub-every", 0, 0},
 		{"negative rain", with(func(f *runFlags) { f.rain = -1 }), "bad -rain", 0, 0},
+		{"farm-groups=-1", with(func(f *runFlags) { f.groups = -1 }), "bad -farm-groups -1", 0, 0},
+		{"farm-workers=-3", with(func(f *runFlags) { f.workers = -3 }), "bad -farm-workers -3", 0, 0},
+		{"farm-mixed-writes=-5", with(func(f *runFlags) { f.mixed = -5 }), "bad -farm-mixed-writes -5", 0, 0},
+		{"parallel=-2", with(func(f *runFlags) { f.parallel = -2 }), "bad -parallel -2", 0, 0},
 		{"snapshot of two devices", with(func(f *runFlags) { f.snapshot, f.devices = "img", 2 }), "single device", 0, 0},
 		{"good evented", with(func(f *runFlags) { f.powerLossAt, f.scrubEvery, f.rain = "50ms", "5ms", 3 }), "", 50 * sim.Millisecond, 5 * sim.Millisecond},
 		{"good batch-submit", with(func(f *runFlags) { f.batchSubmit = true }), "", 0, 0},

@@ -34,10 +34,13 @@
 // — the next row, so the next bank, and the next row index once the banks
 // wrap; further on only when a burst is larger than a row. The claims and
 // their order are those of calling bankOf per run, at one division per
-// access instead of two per row. The per-burst walk, a division per burst,
-// survives as the reference in reference_test.go, which holds every
-// observable equal to it, bank counts and row sizes that are no powers of
-// two included.
+// access instead of two per row. Nor, in a long access, are the runs settled
+// one by one: when rows are whole bursts, every pass over all banks after the
+// first run repeats the one before a row on, and passes settles any number of
+// them in O(banks) with the same max-plus argument. The per-burst walk, a
+// division per burst, survives as the reference in reference_test.go, which
+// holds every observable equal to it, bank counts and row sizes that are no
+// powers of two included.
 //
 // Dynamic energy is counts times per-event energy — activates, read bursts
 // and write bursts are integer counters and EnergyJoules multiplies them
@@ -46,6 +49,7 @@ package dram
 
 import (
 	"fmt"
+	"math"
 
 	"amber/internal/sim"
 )
@@ -174,7 +178,11 @@ type DRAM struct {
 
 	// Per-configuration constants, derived once in New.
 	burstBytes int64
-	rowBursts  int64        // bursts in a row-run that starts on a row boundary
+	rowBursts  int64 // bursts in a row-run that starts on a row boundary
+	// passBursts is the bursts of one whole pass over every bank, one row-run
+	// each, when rows are whole bursts; otherwise runs differ in length from
+	// row to row and no pass repeats, and it is larger than any access.
+	passBursts int64
 	burstTime  sim.Duration // data-bus occupancy of one burst
 	hitDur     sim.Duration // CL: column access to an open row
 	missDur    sim.Duration // RP+RCD+CL: precharge, activate, column access
@@ -205,6 +213,10 @@ func New(cfg Config, pow Power) (*DRAM, error) {
 		missDur:    sim.Duration(cfg.RP+cfg.RCD+cfg.CL) * ct,
 		closeDur:   sim.Duration(cfg.RCD+cfg.CL) * ct,
 	}
+	d.passBursts = math.MaxInt64
+	if int64(cfg.RowBytes)%d.burstBytes == 0 {
+		d.passBursts = int64(cfg.TotalBanks()) * d.rowBursts
+	}
 	d.bus = make([]*sim.Resource, cfg.Channels)
 	for i := range d.bus {
 		d.bus[i] = sim.NewResource(fmt.Sprintf("dram.ch%d", i))
@@ -233,8 +245,18 @@ func (d *DRAM) bankOf(addr int64) (bankIndex int, row int64) {
 
 // Access performs a read or write of n bytes starting at addr, decomposed
 // into bursts, and returns when the last burst completes. Row-buffer state
-// and bank/bus contention determine the latency. The cost is per row-run,
-// not per burst (see the package comment).
+// and bank/bus contention determine the latency.
+//
+// An access is settled in three parts: its leading row-runs, one by one, up
+// to where runs start less than a burst into their row; then, when rows are
+// whole bursts, every whole pass over all banks at once (passes); then the
+// trailing row-runs, one by one, the last possibly partial. A run costs O(1)
+// (see the package comment) and the passes O(banks) however many there are,
+// so a 960 KiB cache line over 8 banks of 2 KiB rows is a few runs and one
+// call instead of 480 runs. The per-burst walk in reference_test.go is what
+// all three parts are held equal to — returned time, Stats, every bank and
+// bus timeline, open rows and energy — by TestAccessMatchesPerBurstReference
+// (its whole-pass size class included) and FuzzAccessMatchesReference.
 func (d *DRAM) Access(now sim.Time, addr int64, n int, write bool) sim.Time {
 	if n <= 0 {
 		return now
@@ -250,6 +272,20 @@ func (d *DRAM) Access(now sim.Time, addr int64, n int, write bool) sim.Time {
 	bi, row := d.bankOf(addr)
 	off := addr % rowBytes
 	for bursts > 0 {
+		if off < d.burstBytes && bursts >= d.passBursts {
+			// Rows are whole bursts and this run starts in a row's first
+			// burst: it and every run after it cover one row in rowBursts
+			// bursts and step one bank on, so whole passes repeat until the
+			// access has less than one left. They leave bank and offset where
+			// they were, one row on per pass.
+			p := bursts / d.passBursts
+			if end := d.passes(now, bi, row, p); end > done {
+				done = end
+			}
+			bursts -= p * d.passBursts
+			row += p
+			continue
+		}
 		bk := &d.banks[bi]
 		k := d.rowBursts
 		if off != 0 {
@@ -301,6 +337,79 @@ func (d *DRAM) Access(now sim.Time, addr int64, n int, write bool) sim.Time {
 	}
 	if done > d.busyUntil {
 		d.busyUntil = done
+	}
+	return done
+}
+
+// passes settles the next p·banks row-runs of an access — p whole passes
+// over every bank, each run a whole row of rowBursts bursts queued at now,
+// the first at bank s in row row (the banks before s are one row further
+// on) — and returns the last burst's completion: the state and result of
+// running them one by one through Access's per-run code, in O(banks).
+//
+// Per bank, the first pass is a hit when its row is the open one and a miss
+// otherwise; every later pass is one row on, so a miss and k−1 hits (close
+// page: k activates each). Its claims all queue at now, so every one after
+// the first finds the bank busy and adds: the bank's ready time in pass t is
+// ready₀ + t·period, linear in t, and its busy time and claims are sums.
+// Each bus sees its banks' runs in pass order, each run "end = max(end +
+// k·bt, ready + runBus)" (sim.Resource.ClaimRun), so after N runs its end is
+// the larger of "the backlog never drains" (freeAt + N·k·bt) and, over every
+// run, "this run starts on arrival and the rest follow back to back" (its
+// ready + runBus + the bursts of the bus's runs after it × bt). Per bank
+// that term is linear in the pass index too, so its largest value is at the
+// first pass or the last: two terms a bank instead of one a run.
+func (d *DRAM) passes(now sim.Time, s int, row int64, p int64) sim.Time {
+	k := sim.Duration(d.rowBursts)
+	bt := d.burstTime
+	// rest is every burst of a run after its first; again is the first of a
+	// bank's every pass after its first.
+	rest, again := d.hitDur, d.missDur
+	if d.cfg.Policy == ClosePage {
+		rest, again = d.closeDur, d.closeDur
+	}
+	n := sim.Duration(p)
+	period := again + (k-1)*rest
+	runBus := max(k*bt, (k-1)*rest+bt)
+	nb, nch := len(d.banks), len(d.bus)
+	m := nb / nch                       // banks per bus
+	passBus := sim.Duration(m) * k * bt // one pass's occupancy of each bus
+	done := now
+	for c, bus := range d.bus {
+		end := bus.FreeAt() + n*passBus
+		// Bus c's banks sit at every nch-th pass position from j0; q counts
+		// them, so m-1-q of the bus's runs follow each in its pass.
+		j0 := ((c-s)%nch + nch) % nch
+		for j, q := j0, 0; j < nb; j, q = j+nch, q+1 {
+			i, r := s+j, row
+			if i >= nb {
+				i, r = i-nb, r+1
+			}
+			bk := &d.banks[i]
+			first := again
+			if d.cfg.Policy == ClosePage {
+				d.stats.Activates += uint64(p) * uint64(k)
+			} else {
+				misses := uint64(p)
+				if bk.openRow == r {
+					first, misses = rest, misses-1
+				}
+				d.stats.RowHits += uint64(p)*uint64(k-1) + uint64(p) - misses
+				d.stats.RowMisses += misses
+				d.stats.Activates += misses
+				bk.openRow = r + p - 1
+			}
+			_, ready := bk.res.Claim(now, first)
+			bk.res.ClaimRun(now, 0, rest, int(p*int64(k-1)))
+			bk.res.ClaimRun(now, 0, again, int(p-1))
+			after := sim.Duration(m-1-q) * k * bt
+			end = max(end, ready+runBus+(n-1)*passBus+after, ready+(n-1)*period+runBus+after)
+		}
+		st := bus.State()
+		bus.SetState(sim.ResourceState{FreeAt: end, Busy: st.Busy + n*passBus, Claims: st.Claims + uint64(p)*uint64(m)*uint64(k)})
+		if end > done {
+			done = end
+		}
 	}
 	return done
 }

@@ -118,20 +118,39 @@ func compareToRef(t *testing.T, step int, d *DRAM, r *refDRAM) {
 	}
 }
 
+// accessBoth runs one access through Access and the reference and fails
+// unless both return the same time and every observable agrees after it.
+func accessBoth(t *testing.T, step int, d *DRAM, ref *refDRAM, now sim.Time, addr int64, n int, write bool) {
+	t.Helper()
+	got := d.Access(now, addr, n, write)
+	want := ref.access(now, addr, n, write)
+	if got != want {
+		t.Fatalf("step %d: Access(%d, %d, %d, %v) = %d, reference %d", step, now, addr, n, write, got, want)
+	}
+	compareToRef(t, step, d, ref)
+}
+
 // TestAccessMatchesPerBurstReference drives random access streams — 1 B to
 // two cache lines, unaligned addresses, reads and writes, idle gaps and
 // pile-ups — through Access and the per-burst reference, for both page
 // policies, one and two channels, bank service both slower and faster than
-// the bus, and four organizations: the DDR3L one, and bank counts and row
+// the bus, and six organizations: the DDR3L one, and bank counts and row
 // sizes that are no powers of two — 6 banks; 3 banks of 1000-byte rows, which
 // bursts straddle; 5 banks of 24-byte rows, smaller than a burst, so a
-// row-run is one burst and the next starts two rows on. The reference locates
-// every burst by division; Access divides once and steps. Returned time,
-// Stats, every bank and bus timeline, open rows and energy must agree after
-// every access.
+// row-run is one burst and the next starts two rows on; 5 banks of 2 KiB and
+// 7 of 96-byte rows, odd bank counts whose rows are whole bursts. The
+// reference locates every burst by division; Access divides once and steps.
+// Returned time, Stats, every bank and bus timeline, open rows and energy
+// must agree after every access.
+//
+// After the random stream comes the whole-pass size class: up to eight cache
+// lines starting at every bank, once inside a row's first burst and once
+// anywhere in the row, half of them in the row the bank has open — so Access
+// settles many whole passes at once (passes), with the first pass hitting or
+// missing, behind leading and trailing row-runs of every length.
 func TestAccessMatchesPerBurstReference(t *testing.T) {
 	const lineBytes = 120 * 8192
-	for _, org := range []struct{ banks, rowBytes int }{{8, 2048}, {6, 2048}, {3, 1000}, {5, 24}} {
+	for _, org := range []struct{ banks, rowBytes int }{{8, 2048}, {6, 2048}, {3, 1000}, {5, 24}, {5, 2048}, {7, 96}} {
 		for _, policy := range []PagePolicy{OpenPage, ClosePage} {
 			for _, channels := range []int{1, 2} {
 				for _, cl := range []int{11, 2} { // CL 11: h > bt; CL 2: h < bt
@@ -174,18 +193,81 @@ func TestAccessMatchesPerBurstReference(t *testing.T) {
 							case 1:
 								now = sim.MaxOf(now, d.busyUntil) + sim.Time(rng.Intn(1000))
 							}
-							got := d.Access(now, addr, n, write)
-							want := ref.access(now, addr, n, write)
-							if got != want {
-								t.Fatalf("step %d: Access(%d, %d, %d, %v) = %d, reference %d", step, now, addr, n, write, got, want)
+							accessBoth(t, step, d, ref, now, addr, n, write)
+						}
+						rowBytes, burst := int64(org.rowBytes), cfg.BurstBytes()
+						for b := range d.banks {
+							for _, off := range []int64{int64(rng.Intn(burst)) % rowBytes, int64(rng.Intn(org.rowBytes))} {
+								row := int64(rng.Intn(1 << 12))
+								if open := d.banks[b].openRow; open >= 0 && rng.Intn(2) == 0 {
+									row = open
+								}
+								addr := (row*int64(len(d.banks))+int64(b))*rowBytes + off
+								now += sim.Time(rng.Intn(1_000_000))
+								accessBoth(t, steps+b, d, ref, now, addr, 1+rng.Intn(8*lineBytes), rng.Intn(2) == 0)
 							}
-							compareToRef(t, step, d, ref)
 						}
 					})
 				}
 			}
 		}
 	}
+}
+
+// FuzzAccessMatchesReference draws an organization — 1 to 9 banks a rank, 1
+// to 3 channels, rows of whole bursts or not (24 to 2048 bytes), CL 1 to 16,
+// either page policy — and up to 64 accesses from the fuzz bytes, and holds
+// Access to the per-burst reference after every one. Seven bytes an access:
+// three of address over 64 rows a bank (rows come back, and with them open
+// rows), three of length up to 16 whole passes and two rows, and one of
+// direction, clock and "the previous address again" (re-reading a region
+// whose rows are open: the first pass hits).
+func FuzzAccessMatchesReference(f *testing.F) {
+	f.Add([]byte{7, 0, 7, 10, 0, 0, 0, 0, 0, 255, 255, 0, 0, 0, 0, 0, 0, 255, 255, 0, 8})
+	f.Add([]byte{2, 1, 3, 1, 1, 16, 0, 0, 1, 2, 3, 9, 8, 0, 9, 8, 7, 6, 5, 4, 2})
+	f.Add([]byte{4, 0, 4, 3, 0, 100, 0, 0, 0, 16, 0, 0, 200, 0, 0, 255, 255, 255, 10, 0, 0, 0, 1, 0, 0, 12})
+	rowSizes := []int{24, 32, 64, 96, 100, 160, 1000, 2048}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		cfg := DDR3L1600(1 << 30)
+		cfg.BanksPerRank = 1 + int(data[0]%9)
+		cfg.Channels = 1 + int(data[1]%3)
+		cfg.RowBytes = rowSizes[data[2]%8]
+		cfg.CL = 1 + int(data[3]%16)
+		if data[4]&1 != 0 {
+			cfg.Policy = ClosePage
+		}
+		d, err := New(cfg, DefaultPower())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefDRAM(cfg, DefaultPower())
+		rowBytes := int64(cfg.RowBytes)
+		span := 64 * int64(cfg.TotalBanks()) * rowBytes
+		maxN := 16*int64(cfg.TotalBanks())*rowBytes + 2*rowBytes
+		now, addr := sim.Time(0), int64(0)
+		data = data[5:]
+		for step := 0; step < 64 && len(data) >= 7; step++ {
+			a := int64(data[0]) | int64(data[1])<<8 | int64(data[2])<<16
+			n := int64(data[3]) | int64(data[4])<<8 | int64(data[5])<<16
+			op := data[6]
+			data = data[7:]
+			if op&8 == 0 {
+				addr = a % span
+			}
+			switch op >> 4 & 3 {
+			case 1:
+				now += sim.Time(op>>6) * 1000
+			case 2:
+				now = sim.MaxOf(now, d.busyUntil)
+			case 3:
+				now += 10 * sim.Microsecond
+			}
+			accessBoth(t, step, d, ref, now, addr, int(1+n%maxN), op&1 != 0)
+		}
+	})
 }
 
 func BenchmarkAccessLine(b *testing.B) {

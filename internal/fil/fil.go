@@ -9,6 +9,7 @@
 package fil
 
 import (
+	"errors"
 	"fmt"
 
 	"amber/internal/ftl"
@@ -590,9 +591,10 @@ func (f *FIL) prevalidatePlan(plan ftl.Plan) error {
 }
 
 // Execute runs an FTL plan against the flash synchronously, walking the
-// plan's causal op order. hostData supplies payload bytes for host writes
-// (the zero PlanData when data tracking is off or the plan has no host
-// writes).
+// plan's causal op order through an engine-less nand.PlanBatch: every
+// transaction's counters, energy and tracked-data effects apply at issue, in
+// op order. hostData supplies payload bytes for host writes (the zero
+// PlanData when data tracking is off or the plan has no host writes).
 //
 // Dependency timing: every op starts no earlier than `now`; a GC/RMW
 // rewrite additionally waits for the completion of the pre-read it is
@@ -638,12 +640,14 @@ func (f *FIL) ExecuteOn(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan
 // planRun is the state of one plan execution, kept on execute's stack so
 // the op loop's helpers are plain method calls: no closure per op.
 type planRun struct {
-	f     *FIL
-	batch *nand.PlanBatch // nil: synchronous issue (Execute)
+	f *FIL
+	// batch issues every op: opened on ExecuteOn's engine, or engine-less
+	// for Execute, where each op's bookkeeping applies at issue.
+	batch *nand.PlanBatch
 	// trusted: the plan's certificate is honored — addresses come straight
-	// from the plane table, links from Op.Src, and batched issues skip the
-	// flash's structural prechecks. Otherwise addresses and links come from
-	// prevalidatePlan and every batched issue is prechecked.
+	// from the plane table, links from Op.Src, and issues skip the flash's
+	// structural prechecks. Otherwise addresses and links come from
+	// prevalidatePlan and every read and program is prechecked.
 	trusted  bool
 	nextAddr int // cursor into f.planAddrs (walked plans)
 	res      Result
@@ -673,22 +677,17 @@ func (k *planRun) touch(sb int, t sim.Time) {
 	}
 }
 
-// The three issue helpers are the only place the synchronous and the
-// deferred path differ: straight flash calls (which validate per op), or
-// the plan batch, whose entry points check nothing structural — a walked
-// plan runs the flash's own precheck first, a trusted one holds the
-// certificate that already proved what the precheck would re-derive; the
-// fault draw stays live either way. The address goes to the batch by
-// pointer, all the way to the claim: passing *addr by value makes the
-// compiler reload the 48 bytes addrInto just stored 8 at a time with 16-byte
-// loads, a failed store-to-load forward per op.
+// The batch's issue entry points check nothing structural: a walked plan
+// runs the flash's own precheck first, a trusted one holds the certificate
+// that already proved what the precheck would re-derive; the fault draw
+// stays live either way. The address goes to the batch by pointer, all the
+// way to the claim: passing *addr by value makes the compiler reload the 48
+// bytes addrInto just stored 8 at a time with 16-byte loads, a failed
+// store-to-load forward per op.
 
 func (k *planRun) read(start sim.Time, addr *nand.Address, dst []byte) (nand.Result, error) {
-	if k.batch == nil {
-		return k.f.flash.Read(start, *addr, dst)
-	}
 	if !k.trusted {
-		if err := k.f.flash.CheckRead(*addr); err != nil {
+		if err := k.f.flash.CheckRead(addr); err != nil {
 			return nand.Result{}, err
 		}
 	}
@@ -696,20 +695,13 @@ func (k *planRun) read(start sim.Time, addr *nand.Address, dst []byte) (nand.Res
 }
 
 // program issues one page program. staged: data is a staging buffer this
-// call disposes of — the batch installs from it as it is
-// (nand.PlanBatch.ProgramAddr); the synchronous flash copies like for any
-// other payload, and a failed precheck programs nothing, so there the buffer
-// goes straight back to the flash.
+// call disposes of — the batch installs from it as it is, or copies it and
+// gives it back when engine-less (nand.PlanBatch.ProgramAddr); a failed
+// precheck programs nothing, so there the buffer goes straight back to the
+// flash.
 func (k *planRun) program(start sim.Time, addr *nand.Address, data []byte, staged bool, tag int64) (nand.Result, error) {
-	if k.batch == nil {
-		r, err := k.f.flash.ProgramTagged(start, *addr, data, tag)
-		if staged {
-			k.f.flash.ReleaseStagingBuf(data)
-		}
-		return r, err
-	}
 	if !k.trusted {
-		if err := k.f.flash.CheckProgram(*addr); err != nil {
+		if err := k.f.flash.CheckProgram(addr); err != nil {
 			if staged {
 				k.f.flash.ReleaseStagingBuf(data)
 			}
@@ -717,13 +709,6 @@ func (k *planRun) program(start sim.Time, addr *nand.Address, data []byte, stage
 		}
 	}
 	return k.batch.ProgramAddr(start, addr, data, staged, tag)
-}
-
-func (k *planRun) erase(start sim.Time, addr *nand.Address) (nand.Result, error) {
-	if k.batch == nil {
-		return k.f.flash.Erase(start, *addr)
-	}
-	return k.batch.Erase(start, *addr)
 }
 
 // fail ends the plan on the error of op i. An injected fault is a
@@ -735,13 +720,14 @@ func (k *planRun) erase(start sim.Time, addr *nand.Address) (nand.Result, error)
 // trusted path no structural check can fail by construction — tripping one
 // there means the lockstep invariant itself broke, and continuing (or
 // returning with the valid prefix claimed) would corrupt state silently.
+// The one structural error no certificate speaks for is an engine-less
+// batch refusing a channel with deferred installs in flight: that is the
+// caller's sequencing, not the plan, and it returns as an error.
 func (k *planRun) fail(i int, op *ftl.Op, plane int, what string, err error) error {
 	f := k.f
 	f.releaseReads()
 	if nand.IsInjectedFault(err) {
-		if k.batch != nil {
-			k.batch.Commit()
-		}
+		k.batch.Commit()
 		f.disarm()
 		f.stats.PlanFaults++
 		return &PlanFault{Executed: i, Op: *op, Plane: plane, Err: err}
@@ -751,17 +737,15 @@ func (k *planRun) fail(i int, op *ftl.Op, plane int, what string, err error) err
 	} else {
 		err = fmt.Errorf("fil: plan %s %v: %w", what, op.Loc, err)
 	}
-	if k.batch != nil {
-		k.batch.Abort()
-		if k.trusted {
-			panic("fil: certified plan failed mid-execution (certification invariant broken): " + err.Error())
-		}
+	k.batch.Abort()
+	if k.trusted && !errors.Is(err, nand.ErrDeferredInFlight) {
+		panic("fil: certified plan failed mid-execution (certification invariant broken): " + err.Error())
 	}
 	return err
 }
 
-// execute is the one plan kernel behind Execute (e nil: synchronous issue)
-// and ExecuteOn: one sequential pass over the ops with no hashing, no
+// execute is the one plan kernel behind Execute (e nil: an engine-less
+// batch) and ExecuteOn: one sequential pass over the ops with no hashing, no
 // division and no wide by-value struct per op.
 func (f *FIL) execute(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan ftl.Plan, hostData PlanData) (Result, error) {
 	k := planRun{f: f, res: Result{Done: now}}
@@ -775,14 +759,12 @@ func (f *FIL) execute(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan f
 			return k.res, err
 		}
 	}
-	if e != nil {
-		if k.trusted {
-			// Counted on the deferred path only, as it always was: the
-			// counter is part of every golden digest.
-			f.stats.CertifiedPlans++
-		}
-		k.batch = f.flash.BeginPlan(e, chDoms)
+	if k.trusted && e != nil {
+		// Counted on the engine path only, as it always was: the counter is
+		// part of every golden digest.
+		f.stats.CertifiedPlans++
 	}
+	k.batch = f.flash.BeginPlan(e, chDoms)
 
 	n := len(plan.Ops)
 	if cap(f.recs) < n {
@@ -899,7 +881,7 @@ func (f *FIL) execute(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan f
 			for plane := range f.planes {
 				addr = f.planes[plane]
 				addr.Block = op.SB
-				r, err := k.erase(start, &addr)
+				r, err := k.batch.Erase(start, addr)
 				if err != nil {
 					return k.res, k.fail(i, op, plane, "erase", err)
 				}
@@ -917,9 +899,7 @@ func (f *FIL) execute(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan f
 			return k.res, k.fail(i, op, -1, "op", fmt.Errorf("unknown kind %d", op.Kind))
 		}
 	}
-	if k.batch != nil {
-		k.batch.Commit()
-	}
+	k.batch.Commit()
 	f.releaseReads()
 	f.stats.PlanCount++
 	if inSeq {

@@ -538,6 +538,9 @@ func linkOps(ops []Op) {
 	}
 }
 
+// physIndex is loc's index in the physical sub-page arrays (rev, valid),
+// super-block major. It is also how the forward map packs a location: a
+// mapped sub's fwd entry is its physical index, and unpackLoc inverts it.
 func (f *FTL) physIndex(loc PageLoc) int64 {
 	return (int64(loc.SB)*int64(f.pagesPerSB)+int64(loc.Page))*int64(f.subCount) + int64(loc.Plane)
 }
@@ -546,8 +549,14 @@ func (f *FTL) fwdIndex(lspn int64, sub int) int64 {
 	return lspn*int64(f.subCount) + int64(sub)
 }
 
-func (f *FTL) packLoc(loc PageLoc) int64 {
-	return (int64(loc.SB)*int64(f.pagesPerSB)+int64(loc.Page))*int64(f.subCount) + int64(loc.Plane)
+// invalidate drops the physical sub-page pi — a forward-map entry as it is —
+// from the valid set and its super-block's count, if it is still there.
+func (f *FTL) invalidate(pi int64) {
+	if f.valid[pi] {
+		f.valid[pi] = false
+		f.rev[pi] = -1
+		f.sbs[pi/(int64(f.pagesPerSB)*int64(f.subCount))].validSubs--
+	}
 }
 
 func (f *FTL) unpackLoc(packed int64, sub int) PageLoc {
@@ -743,8 +752,12 @@ func (f *FTL) popFreeSB() int {
 // A write of the super-page under Write takes lastRead's answer instead —
 // looked up only now, after allocOpen, because the GC allocOpen may run can
 // migrate the very sub about to be written, and that migration's read is
-// then the last one preceding this write.
-func (f *FTL) appendSub(now sim.Time, lspn int64, sub int, gc bool, src int32, plan *Plan) error {
+// then the last one preceding this write. For the same reason old, where
+// the sub is valid now, is read from the forward map after allocOpen — unless
+// the caller passes it (old >= 0): a migration holds its victim's physical
+// index, and nothing allocOpen runs moves a victim's subs (collection is
+// suspended, or the victim is retired and never collectable).
+func (f *FTL) appendSub(now sim.Time, lspn int64, sub int, gc bool, src int32, old int64, plan *Plan) error {
 	if err := f.allocOpen(now, plan); err != nil {
 		return err
 	}
@@ -771,24 +784,18 @@ func (f *FTL) appendSub(now sim.Time, lspn int64, sub int, gc bool, src int32, p
 	op := plan.push(OpWrite)
 	op.Loc.SB, op.Loc.Page, op.Loc.Plane, op.Loc.Sub = f.openSB, int(sb.nextPage[plane]), plane, sub
 	op.LSPN, op.GC, op.Src = lspn, gc, src
-	loc := &op.Loc
+	pi := f.physIndex(op.Loc)
 	sb.nextPage[plane]++
 	sb.lastWrite = now
 
-	// Invalidate old location.
 	fi := f.fwdIndex(lspn, sub)
-	if old := f.fwd[fi]; old >= 0 {
-		oldLoc := f.unpackLoc(old, sub)
-		pi := f.physIndex(oldLoc)
-		if f.valid[pi] {
-			f.valid[pi] = false
-			f.rev[pi] = -1
-			f.sbs[oldLoc.SB].validSubs--
-		}
+	if old < 0 {
+		old = f.fwd[fi]
 	}
-	// Install new mapping.
-	pi := f.physIndex(*loc)
-	f.fwd[fi] = f.packLoc(*loc)
+	if old >= 0 {
+		f.invalidate(old)
+	}
+	f.fwd[fi] = pi
 	f.rev[pi] = fi
 	f.valid[pi] = true
 	sb.validSubs++
@@ -874,7 +881,7 @@ func (f *FTL) Write(now sim.Time, lspn int64, dirty []bool) (Plan, error) {
 		if !gc {
 			f.stats.HostSubWrites++
 		}
-		return f.appendSub(now, lspn, sub, gc, 0, &plan)
+		return f.appendSub(now, lspn, sub, gc, 0, -1, &plan)
 	}
 
 	switch {
@@ -913,7 +920,7 @@ func (f *FTL) Write(now sim.Time, lspn int64, dirty []bool) (Plan, error) {
 			if !gcWrite {
 				f.stats.HostSubWrites++
 			}
-			if err := f.appendSub(now, lspn, sub, gcWrite, 0, &plan); err != nil {
+			if err := f.appendSub(now, lspn, sub, gcWrite, 0, -1, &plan); err != nil {
 				return plan, err
 			}
 		}
@@ -936,13 +943,7 @@ func (f *FTL) Trim(lspn int64) error {
 	for sub := 0; sub < f.subCount; sub++ {
 		fi := f.fwdIndex(lspn, sub)
 		if packed := f.fwd[fi]; packed >= 0 {
-			loc := f.unpackLoc(packed, sub)
-			pi := f.physIndex(loc)
-			if f.valid[pi] {
-				f.valid[pi] = false
-				f.rev[pi] = -1
-				f.sbs[loc.SB].validSubs--
-			}
+			f.invalidate(packed)
 			f.fwd[fi] = -1
 		}
 	}

@@ -46,8 +46,9 @@ func (f *FTL) migrateSuperBlock(now sim.Time, sb int, plan *Plan, mode migrateMo
 			if !f.valid[pi] {
 				continue
 			}
-			lspn := f.rev[pi] / int64(f.subCount)
-			sub := int(f.rev[pi] % int64(f.subCount))
+			fi := f.rev[pi]
+			lspn := fi / int64(f.subCount)
+			sub := int(fi - lspn*int64(f.subCount))
 			op := plan.push(OpRead)
 			op.Loc.SB, op.Loc.Page, op.Loc.Plane, op.Loc.Sub = sb, page, plane, sub
 			op.LSPN = lspn
@@ -55,7 +56,7 @@ func (f *FTL) migrateSuperBlock(now sim.Time, sb int, plan *Plan, mode migrateMo
 			if lspn == f.linkLSPN {
 				f.lastRead[sub] = read
 			}
-			if err := f.appendSub(now, lspn, sub, true, read, plan); err != nil {
+			if err := f.appendSub(now, lspn, sub, true, read, pi, plan); err != nil {
 				return err
 			}
 			switch mode {

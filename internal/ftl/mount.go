@@ -136,17 +136,13 @@ func Mount(cfg Config, flash *nand.Flash) (*FTL, MountReport, error) {
 				}
 				if old := f.fwd[oob.FI]; old >= 0 {
 					// This claimant supersedes an earlier-scanned winner.
-					oldLoc := f.unpackLoc(old, sub)
-					pi := f.physIndex(oldLoc)
-					f.valid[pi] = false
-					f.rev[pi] = -1
-					f.sbs[oldLoc.SB].validSubs--
+					f.invalidate(old)
 					rep.RecoveredSubs--
 					rep.StaleSkipped++
 				}
 				bestSeq[oob.FI] = oob.Seq
 				pi := f.physIndex(loc)
-				f.fwd[oob.FI] = f.packLoc(loc)
+				f.fwd[oob.FI] = pi
 				f.rev[pi] = oob.FI
 				f.valid[pi] = true
 				blk.validSubs++
@@ -314,7 +310,7 @@ func (f *FTL) MountSqueeze(now sim.Time) (Plan, int, int, error) {
 		f.eraseSB(victim, &plan)
 		for _, m := range moves {
 			burn = true
-			if err := f.appendSub(now, m.lspn, m.sub, true, 0, &plan); err != nil {
+			if err := f.appendSub(now, m.lspn, m.sub, true, 0, -1, &plan); err != nil {
 				return plan, blocks, subs, err
 			}
 			burn = false

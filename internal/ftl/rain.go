@@ -145,7 +145,7 @@ func (f *FTL) PlanReconstruct(now sim.Time, lspn int64, sub int, aux []PageLoc) 
 	for _, p := range aux {
 		plan.Ops = append(plan.Ops, Op{Kind: OpRead, Loc: p, LSPN: -1})
 	}
-	if err := f.appendSub(now, lspn, sub, true, 0, &plan); err != nil {
+	if err := f.appendSub(now, lspn, sub, true, 0, -1, &plan); err != nil {
 		return plan, err
 	}
 	f.stats.Reconstructions++

@@ -51,14 +51,7 @@ func (f *FTL) loseSub(fi int64) {
 	if packed < 0 {
 		return
 	}
-	sub := int(fi % int64(f.subCount))
-	loc := f.unpackLoc(packed, sub)
-	pi := f.physIndex(loc)
-	if f.valid[pi] {
-		f.valid[pi] = false
-		f.rev[pi] = -1
-		f.sbs[loc.SB].validSubs--
-	}
+	f.invalidate(packed)
 	f.fwd[fi] = -1
 	f.stats.LostSubs++
 }
@@ -367,7 +360,7 @@ func (f *FTL) RecoverPlanFault(now sim.Time, plan Plan, executed int, cause erro
 		}
 	}
 	for i, m := range moves {
-		if err := f.appendSub(now, m.op.LSPN, m.op.Loc.Sub, m.gc, 0, &out); err != nil {
+		if err := f.appendSub(now, m.op.LSPN, m.op.Loc.Sub, m.gc, 0, -1, &out); err != nil {
 			// No space to re-place the remaining stranded writes: their
 			// mappings point at pages the fault kept the flash from ever
 			// programming, so unmap them — honest data loss — instead of

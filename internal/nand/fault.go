@@ -388,7 +388,7 @@ func (f *Flash) readFaultExtra(now sim.Time, addr Address) (sim.Duration, error)
 // charges the uncorrectable (it is where the caller observes the loss);
 // the issue that would double-charge it never happens.
 func (f *Flash) ProbeRead(now sim.Time, addr Address) error {
-	if err := f.CheckRead(addr); err != nil {
+	if err := f.CheckRead(&addr); err != nil {
 		return err
 	}
 	m := f.faults
@@ -416,7 +416,7 @@ func (f *Flash) ProbeRead(now sim.Time, addr Address) error {
 // probe-pass ⇒ issue-pass contract. Retry rungs are charged here (the
 // probe IS the read's draw); a failing probe charges the uncorrectable.
 func (f *Flash) ProbeReadExtra(now sim.Time, addr Address) (sim.Duration, error) {
-	if err := f.CheckRead(addr); err != nil {
+	if err := f.CheckRead(&addr); err != nil {
 		return 0, err
 	}
 	return f.readFaultExtra(now, addr)

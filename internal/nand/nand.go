@@ -449,8 +449,10 @@ type Flash struct {
 	// conversion behind it runs once, in New.
 	xferPage sim.Duration
 	// readLat and progLat are the nominal tR and tPROG of each page class
-	// (pageClass), computed once for the same reason.
+	// (pageClass), computed once for the same reason; progSec is progLat in
+	// seconds, what ISPP jitter scales.
 	readLat, progLat []sim.Duration
+	progSec          []float64
 
 	channels []*sim.Resource // one per channel bus
 	dies     []*sim.Resource // one per die
@@ -501,8 +503,9 @@ type Flash struct {
 
 	// plan is the reusable accumulation context for BeginPlan (one plan
 	// executes at a time; its committed die batches stay in flight
-	// independently).
-	plan PlanBatch
+	// independently). direct is an engine-less batch that is never opened:
+	// Read, ProgramTagged and Erase issue through it one transaction at a time.
+	plan, direct PlanBatch
 
 	// epoch counts functional block-state transitions (programs and erases,
 	// on any path — synchronous, deferred, batched). It backs the certified
@@ -583,6 +586,10 @@ func New(geo Geometry, tim Timing, pow Power, cell CellType, opt Options) (*Flas
 		trackData: opt.TrackData,
 		rng:       sim.NewRNG(opt.Seed ^ 0xa3b1), // decorrelate from other consumers of the same seed
 	}
+	f.progSec = make([]float64, len(f.progLat))
+	for i, d := range f.progLat {
+		f.progSec[i] = d.Seconds()
+	}
 	if opt.Faults.Enabled() {
 		f.faults = newFaultModel(opt.Faults, tim)
 	}
@@ -609,7 +616,7 @@ func New(geo Geometry, tim Timing, pow Power, cell CellType, opt Options) (*Flas
 	f.dieOps = make([][]*dieBatch, geo.Channels)
 	f.pageBufs = make([][][]byte, geo.Channels)
 	f.pagesPerC = geo.TotalPages() / int64(geo.Channels)
-	f.plan.f = f
+	f.plan.f, f.direct.f = f, f
 	f.plan.dies = make([]*dieBatch, geo.TotalDies())
 	if opt.TrackData {
 		f.data = make([]*pageArena, geo.Channels)
@@ -703,14 +710,14 @@ func (f *Flash) readLatency(page int) sim.Duration {
 
 // progLatency returns tPROG for the page with ISPP jitter applied.
 func (f *Flash) progLatency(page int) sim.Duration {
-	base := f.progLat[f.pageClass(page)]
+	class := f.pageClass(page)
 	if f.tim.ISPPJitter == 0 {
-		return base
+		return f.progLat[class]
 	}
 	// ISPP: the number of program pulses varies with cell condition, so the
 	// latency jitters around its class nominal.
 	factor := 1 + f.rng.Range(-f.tim.ISPPJitter, f.tim.ISPPJitter)
-	return sim.FromSeconds(base.Seconds() * factor)
+	return sim.FromSeconds(f.progSec[class] * factor)
 }
 
 // classLatencies returns the nominal latency of every page class, spread
@@ -729,12 +736,12 @@ func classLatencies(classes int, fast, slow sim.Duration) []sim.Duration {
 // of range, page unwritten), without claiming resources or scheduling
 // anything. Callers batching deferred reads validate every address first so
 // a mid-batch failure cannot leave completion events queued.
-func (f *Flash) CheckRead(addr Address) error {
-	if err := f.geo.CheckAddress(addr); err != nil {
+func (f *Flash) CheckRead(addr *Address) error {
+	if err := f.geo.CheckAddress(*addr); err != nil {
 		return err
 	}
-	if !f.blocks[f.geo.BlockIndex(addr)].written[addr.Page] {
-		return fmt.Errorf("%w %v", ErrUnwritten, addr)
+	if !f.blocks[f.geo.BlockIndex(*addr)].written[addr.Page] {
+		return fmt.Errorf("%w %v", ErrUnwritten, *addr)
 	}
 	return nil
 }
@@ -743,8 +750,8 @@ func (f *Flash) CheckRead(addr Address) error {
 // occupies the channel briefly, then the die runs the array read, then the
 // data streams back over the channel. extra stretches the die phase with
 // the read-retry ladder's cost (zero when the first rung succeeded). Shared
-// by Read, ReadDeferredAddr and PlanBatch.ReadAddr so the paths can never
-// diverge in timing.
+// by ReadDeferredAddr and PlanBatch.ReadAddr so the paths can never diverge
+// in timing.
 // di is addr's die index (the caller computed it once for the whole op).
 func (f *Flash) claimRead(now sim.Time, addr *Address, di int, extra sim.Duration) (cmdStart, ready, done sim.Time) {
 	ch := f.channels[addr.Channel]
@@ -763,19 +770,13 @@ func (f *Flash) claimRead(now sim.Time, addr *Address, di int, extra sim.Duratio
 
 // Read performs a page read: the die is busy for tR, then the channel is
 // occupied streaming the page out. If data tracking is on and dst is
-// non-nil, dst receives the page contents.
+// non-nil, dst receives the page contents. It is CheckRead, then
+// PlanBatch.ReadAddr on an engine-less batch.
 func (f *Flash) Read(now sim.Time, addr Address, dst []byte) (Result, error) {
-	if err := f.CheckRead(addr); err != nil {
+	if err := f.CheckRead(&addr); err != nil {
 		return Result{}, err
 	}
-	extra, err := f.readFaultExtra(now, addr)
-	if err != nil {
-		return Result{}, err
-	}
-	cmdStart, ready, done := f.claimRead(now, &addr, f.geo.DieIndex(addr), extra)
-	f.accountRead(addr.Channel)
-	f.copyOut(f.geo.PageIndex(addr), dst)
-	return Result{Start: cmdStart, Ready: ready, Done: done}, nil
+	return f.direct.ReadAddr(now, &addr, dst)
 }
 
 // accountRead charges one page read to the channel's counters and energy.
@@ -1048,16 +1049,20 @@ func (b *dieBatch) release() {
 	b.f.dieOps[b.ch] = append(b.f.dieOps[b.ch], b)
 }
 
-// PlanBatch routes one plan's flash transactions through the deferred
-// per-channel bookkeeping path: Read, Program and Erase have the timing and
-// functional state transitions of their synchronous counterparts, but their
-// counters, energy and tracked-data effects ride the owning channel's
-// domain, grouped into one event per touched die and scheduled
-// by Commit. Obtain with Flash.BeginPlan; a batch must end with exactly one
-// Commit (schedules the events) or Abort (discards the bookkeeping after a
-// caller-detected failure). Only one plan may be open per Flash at a time
-// — the FIL's serial plan execution guarantees it — while committed
-// batches from earlier plans may still be in flight.
+// PlanBatch is the one way a flash transaction issues: ReadAddr, ProgramAddr
+// and Erase claim the channel and die, apply the functional state transition
+// and draw the injected fault, and differ only in when the transaction's
+// bookkeeping — counters, energy, tracked-data install or clear — lands.
+// Opened on an engine, it rides the owning channel's domain, grouped into one
+// event per touched die and scheduled by Commit. Opened without one (a nil
+// engine), each transaction applies its bookkeeping at issue, in issue order,
+// and refuses a tracked program or erase on a channel with deferred installs
+// in flight (ErrDeferredInFlight); Flash.Read, ProgramTagged and Erase are
+// that mode one transaction at a time. Obtain with Flash.BeginPlan; a batch
+// must end with exactly one Commit (schedules the events) or Abort (discards
+// the bookkeeping after a caller-detected failure). Only one plan may be open
+// per Flash at a time — the FIL's serial plan execution guarantees it — while
+// committed batches from earlier plans may still be in flight.
 type PlanBatch struct {
 	f    *Flash
 	e    *sim.Engine
@@ -1067,8 +1072,9 @@ type PlanBatch struct {
 	open bool
 }
 
-// BeginPlan opens the deferred batching context for one plan's flash
-// transactions. chDoms[channel] names the channel's domain.
+// BeginPlan opens the batching context for one plan's flash transactions.
+// chDoms[channel] names the channel's domain on e; with a nil e the batch
+// applies every transaction's bookkeeping at issue and chDoms is unused.
 func (f *Flash) BeginPlan(e *sim.Engine, chDoms []sim.DomainID) *PlanBatch {
 	b := &f.plan
 	if b.open {
@@ -1102,11 +1108,11 @@ func (b *PlanBatch) record(di, ch int, done sim.Time) (*planOpRec, *dieBatch, in
 	return &db.ops[i], db, i
 }
 
-// ReadAddr performs a page read with Flash.Read's timing, delivering the page
-// bytes into dst at issue (a dependent rewrite consumes them within the same
-// serial call; copyOut is pending-aware, so bytes latched by earlier
-// not-yet-installed programs are observed) and batching the per-channel
-// accounting. dst is not retained. There is no structural precheck (address
+// ReadAddr performs a page read, delivering the page bytes into dst at issue
+// (a dependent rewrite consumes them within the same serial call; copyOut is
+// pending-aware, so bytes latched by earlier not-yet-installed programs are
+// observed) and batching the per-channel accounting — or, engine-less,
+// applying it. dst is not retained. There is no structural precheck (address
 // bounds, page written): a certified plan's issuing FTL proved both at
 // construction time against a flash it is in lockstep with, and a walked
 // plan's executor runs Flash.CheckRead first. Injected fault draws still run
@@ -1130,7 +1136,11 @@ func (b *PlanBatch) ReadAddr(now sim.Time, addr *Address, dst []byte) (Result, e
 	if f.trackData && dst != nil {
 		f.copyOut(f.geo.pageOfDie(di, addr), dst)
 	}
-	b.die(di, addr.Channel, done).nReads++
+	if b.e == nil {
+		f.accountRead(addr.Channel)
+	} else {
+		b.die(di, addr.Channel, done).nReads++
+	}
 	return Result{Start: cmdStart, Ready: ready, Done: done}, nil
 }
 
@@ -1139,11 +1149,13 @@ func (b *PlanBatch) ReadTrusted(now sim.Time, addr Address, dst []byte) (Result,
 	return b.ReadAddr(now, &addr, dst)
 }
 
-// ProgramAddr performs a page program with Flash.ProgramTagged's timing and
-// functional block-state transition, staging the page bytes into a pooled
-// buffer at issue (the caller's buffer is not retained; reads staged before
-// the batch event observe the bytes through the channel's pending-install
-// index) and batching the accounting and the tracked-data install. tag is the
+// ProgramAddr performs a page program and its functional block-state
+// transition, staging the page bytes into a pooled buffer at issue (the
+// caller's buffer is not retained; reads staged before the batch event
+// observe the bytes through the channel's pending-install index) and
+// batching the accounting and the tracked-data install — or, engine-less,
+// applying both: the bytes are copied into the page (zero-padded) and a
+// staged buffer goes back to the pool. tag is the
 // OOB logical tag: the FTL-defined identity of the logical sub-page this
 // program stores (fil passes the forward-map index), stamped into the page's
 // out-of-band metadata so mount-time recovery can rebuild the mapping from
@@ -1159,19 +1171,38 @@ func (b *PlanBatch) ReadTrusted(now sim.Time, addr Address, dst []byte) (Result,
 // the flash's from this call on, whatever it returns.
 func (b *PlanBatch) ProgramAddr(now sim.Time, addr *Address, data []byte, staged bool, tag int64) (Result, error) {
 	f := b.f
-	if f.faults != nil {
-		if err := f.drawProgramFault(*addr); err != nil {
-			if staged {
-				f.ReleaseStagingBuf(data)
-			}
-			return Result{}, err
+	var err error
+	if b.e == nil {
+		err = f.syncMutateErr(addr.Channel)
+	}
+	if err == nil && f.faults != nil {
+		err = f.drawProgramFault(*addr)
+	}
+	if err != nil {
+		if staged {
+			f.ReleaseStagingBuf(data)
 		}
+		return Result{}, err
 	}
 	di := f.geo.dieOf(addr)
 	xferStart, done, pageIdx := f.claimProgram(now, addr, di, tag)
-	if !f.trackData {
+	res := Result{Start: xferStart, Ready: done, Done: done}
+	switch {
+	case b.e == nil:
+		f.accountProgram(addr.Channel)
+		if f.trackData && data != nil {
+			f.checkNoPendingInstalls(addr.Channel)
+			arena, local := f.data[addr.Channel], f.chanLocal(pageIdx)
+			arena.put(local, data)
+			f.oob[pageIdx].sum = pageSum(arena.get(local))
+		}
+		if staged {
+			f.ReleaseStagingBuf(data)
+		}
+		return res, nil
+	case !f.trackData:
 		b.die(di, addr.Channel, done).nProgs++
-		return Result{Start: xferStart, Ready: done, Done: done}, nil
+		return res, nil
 	}
 	rec, db, idx := b.record(di, addr.Channel, done)
 	rec.kind = OpProgram
@@ -1193,7 +1224,7 @@ func (b *PlanBatch) ProgramAddr(now sim.Time, addr *Address, data []byte, staged
 		f.pendingProg[addr.Channel] = m
 	}
 	m[pageIdx] = pendingRef{batch: db, idx: idx}
-	return Result{Start: xferStart, Ready: done, Done: done}, nil
+	return res, nil
 }
 
 // ProgramTaggedTrusted is ProgramAddr with the address by value and a
@@ -1202,35 +1233,54 @@ func (b *PlanBatch) ProgramTaggedTrusted(now sim.Time, addr Address, data []byte
 	return b.ProgramAddr(now, &addr, data, false, tag)
 }
 
-// Erase erases the block containing addr with Erase's timing and
-// functional reset, batching the accounting and the tracked-data presence
-// clear. The clear applies after every earlier-completing program install
-// of the same die (in-batch records keep issue order; cross-plan batches
-// order by the die's serialized completions), so an erase + reprogram
-// sequence converges to the synchronous arena state, and in-flight
-// deferred reads are immune because they stage their bytes at issue.
+// Erase erases the block containing addr (its Page field is ignored) with
+// its timing and functional reset, batching the accounting and the
+// tracked-data presence clear. The clear applies after every
+// earlier-completing program install of the same die (in-batch records keep
+// issue order; cross-plan batches order by the die's serialized
+// completions), so an erase + reprogram sequence converges to the engine-less
+// arena state, and in-flight deferred reads are immune because they stage
+// their bytes at issue. Engine-less, the clear and the accounting apply at
+// issue and the erase is committed at claim: its undo record is never
+// restored.
 func (b *PlanBatch) Erase(now sim.Time, addr Address) (Result, error) {
 	f := b.f
 	addr.Page = 0
 	if err := f.geo.CheckAddress(addr); err != nil {
 		return Result{}, err
 	}
+	if b.e == nil {
+		if err := f.syncMutateErr(addr.Channel); err != nil {
+			return Result{}, err
+		}
+	}
 	if err := f.drawEraseFault(addr); err != nil {
 		return Result{}, err
 	}
 	di := f.geo.dieOf(&addr)
-	bi := f.geo.blockOfDie(di, &addr)
-	f.pruneEraseUndo(b.e.Now())
-	cmdStart, done, _ := f.claimErase(now, &addr, di)
-	if !f.trackData {
-		b.die(di, addr.Channel, done).nErases++
-		return Result{Start: cmdStart, Ready: done, Done: done}, nil
+	base := int64(f.geo.blockOfDie(di, &addr)) * int64(f.geo.PagesPerBlock)
+	if b.e != nil {
+		f.pruneEraseUndo(b.e.Now())
 	}
-	rec, _, _ := b.record(di, addr.Channel, done)
-	rec.kind = OpErase
-	rec.pageLocal = f.chanLocal(int64(bi) * int64(f.geo.PagesPerBlock))
-	rec.clearN = f.geo.PagesPerBlock
-	return Result{Start: cmdStart, Ready: done, Done: done}, nil
+	cmdStart, done, undo := f.claimErase(now, &addr, di)
+	res := Result{Start: cmdStart, Ready: done, Done: done}
+	switch {
+	case b.e == nil:
+		f.commitEraseUndo(undo)
+		if f.trackData {
+			f.checkNoPendingInstalls(addr.Channel)
+			f.data[addr.Channel].clearRange(f.chanLocal(base), f.geo.PagesPerBlock)
+		}
+		f.accountErase(addr.Channel)
+	case !f.trackData:
+		b.die(di, addr.Channel, done).nErases++
+	default:
+		rec, _, _ := b.record(di, addr.Channel, done)
+		rec.kind = OpErase
+		rec.pageLocal = f.chanLocal(base)
+		rec.clearN = f.geo.PagesPerBlock
+	}
+	return res, nil
 }
 
 // Commit schedules every touched die's batch as one event in its channel's
@@ -1277,16 +1327,16 @@ func (b *PlanBatch) reset() {
 // resources, mutating block state or scheduling anything. Single-op
 // prevalidation only: callers batching deferred programs of one plan must
 // overlay in-plan state changes themselves (fil's plan prevalidation).
-func (f *Flash) CheckProgram(addr Address) error {
-	if err := f.geo.CheckAddress(addr); err != nil {
+func (f *Flash) CheckProgram(addr *Address) error {
+	if err := f.geo.CheckAddress(*addr); err != nil {
 		return err
 	}
-	blk := &f.blocks[f.geo.BlockIndex(addr)]
+	blk := &f.blocks[f.geo.BlockIndex(*addr)]
 	if blk.written[addr.Page] {
-		return fmt.Errorf("%w: %v", ErrOverwrite, addr)
+		return fmt.Errorf("%w: %v", ErrOverwrite, *addr)
 	}
 	if int32(addr.Page) != blk.nextPage {
-		return fmt.Errorf("%w: page %d at %v (next is %d)", ErrOutOfOrder, addr.Page, addr, blk.nextPage)
+		return fmt.Errorf("%w: page %d at %v (next is %d)", ErrOutOfOrder, addr.Page, *addr, blk.nextPage)
 	}
 	return nil
 }
@@ -1299,8 +1349,8 @@ func (f *Flash) CheckErase(addr Address) error {
 }
 
 // accountProgram charges one page program to the channel's counters and
-// energy. Called exactly once per program, either synchronously (Program)
-// or from the die batch's completion event (PlanBatch.ProgramAddr).
+// energy. Called exactly once per program (PlanBatch.ProgramAddr): at issue
+// on an engine-less batch, else from the die batch's completion event.
 func (f *Flash) accountProgram(channel int) {
 	st := &f.chStats[channel]
 	st.Programs++
@@ -1321,9 +1371,8 @@ func (f *Flash) accountErase(channel int) {
 // pointer), which later issues read. It also stamps the page's OOB
 // metadata: the caller's logical tag (-1 for raw untagged programs), the
 // next device-wide write sequence number, and the completion time the
-// power-loss cut tests against. Shared by Program and PlanBatch.ProgramAddr
-// so the two paths can never diverge in timing or state. di is addr's die
-// index; the page's global number is returned for the caller's data install.
+// power-loss cut tests against. di is addr's die index; the page's global
+// number is returned for the caller's data install.
 func (f *Flash) claimProgram(now sim.Time, addr *Address, di int, tag int64) (xferStart, done sim.Time, pageIdx int64) {
 	ch := f.channels[addr.Channel]
 	die := f.dies[di]
@@ -1373,25 +1422,13 @@ func (f *Flash) Program(now sim.Time, addr Address, data []byte) (Result, error)
 }
 
 // ProgramTagged is Program with an OOB logical tag (see
-// PlanBatch.ProgramAddr).
+// PlanBatch.ProgramAddr): CheckProgram, then ProgramAddr on an engine-less
+// batch.
 func (f *Flash) ProgramTagged(now sim.Time, addr Address, data []byte, tag int64) (Result, error) {
-	if err := f.CheckProgram(addr); err != nil {
+	if err := f.CheckProgram(&addr); err != nil {
 		return Result{}, err
 	}
-	if err := f.syncMutateErr(addr.Channel); err != nil {
-		return Result{}, err
-	}
-	if err := f.drawProgramFault(addr); err != nil {
-		return Result{}, err
-	}
-	xferStart, done, pageIdx := f.claimProgram(now, &addr, f.geo.DieIndex(addr), tag)
-	f.accountProgram(addr.Channel)
-	if f.trackData && data != nil {
-		f.checkNoPendingInstalls(addr.Channel)
-		f.data[addr.Channel].put(f.chanLocal(pageIdx), data)
-		f.oob[pageIdx].sum = pageSum(f.data[addr.Channel].get(f.chanLocal(pageIdx)))
-	}
-	return Result{Start: xferStart, Ready: done, Done: done}, nil
+	return f.direct.ProgramAddr(now, &addr, data, false, tag)
 }
 
 // eraseUndoRec snapshots the block state one claimed erase destroyed, so a
@@ -1404,7 +1441,7 @@ type eraseUndoRec struct {
 	nextPage   int32
 	written    []bool
 	oob        []pageOOB
-	// done marks an erase committed at claim time: the synchronous path
+	// done marks an erase committed at claim time: an engine-less batch
 	// runs with the engine drained and clears the tracked arena
 	// immediately, so its snapshot must never be restored.
 	done bool
@@ -1449,8 +1486,8 @@ func (f *Flash) acquireEraseUndo() *eraseUndoRec {
 	}
 }
 
-// commitEraseUndo marks an erase committed at claim time (the synchronous
-// path: the tracked arena is cleared immediately, so the snapshot must never
+// commitEraseUndo marks an erase committed at claim time (an engine-less
+// batch: the tracked arena is cleared immediately, so the snapshot must never
 // be restored) and recycles the record.
 func (f *Flash) commitEraseUndo(u *eraseUndoRec) {
 	u.done = true
@@ -1461,10 +1498,10 @@ func (f *Flash) commitEraseUndo(u *eraseUndoRec) {
 }
 
 // claimErase reserves an erase's phases and applies the functional block
-// reset (erase count, in-order pointer, written map). Shared by Erase and
-// PlanBatch.Erase. The returned undo record holds the destroyed state; the
-// synchronous caller marks it done (committed at claim), the deferred path
-// leaves it pending until the array operation's start time passes.
+// reset (erase count, in-order pointer, written map) for PlanBatch.Erase. The
+// returned undo record holds the destroyed state; an engine-less batch marks
+// it done (committed at claim), an engine's leaves it pending until the array
+// operation's start time passes.
 func (f *Flash) claimErase(now sim.Time, addr *Address, di int) (cmdStart, done sim.Time, undo *eraseUndoRec) {
 	bi := f.geo.blockOfDie(di, addr)
 	blk := &f.blocks[bi]
@@ -1495,30 +1532,11 @@ func (f *Flash) claimErase(now sim.Time, addr *Address, di int) (cmdStart, done 
 	return cmdStart, done, undo
 }
 
-// Erase erases the block containing addr (its Page field is ignored).
-// Like Program, it fails with ErrDeferredInFlight while deferred installs
-// are in flight on the channel.
+// Erase erases the block containing addr (its Page field is ignored): the
+// engine-less PlanBatch.Erase. Like Program, it fails with
+// ErrDeferredInFlight while deferred installs are in flight on the channel.
 func (f *Flash) Erase(now sim.Time, addr Address) (Result, error) {
-	addr.Page = 0
-	if err := f.geo.CheckAddress(addr); err != nil {
-		return Result{}, err
-	}
-	if err := f.syncMutateErr(addr.Channel); err != nil {
-		return Result{}, err
-	}
-	if err := f.drawEraseFault(addr); err != nil {
-		return Result{}, err
-	}
-	bi := f.geo.BlockIndex(addr)
-	cmdStart, done, undo := f.claimErase(now, &addr, f.geo.DieIndex(addr))
-	f.commitEraseUndo(undo)
-	if f.trackData {
-		f.checkNoPendingInstalls(addr.Channel)
-		base := int64(bi) * int64(f.geo.PagesPerBlock)
-		f.data[addr.Channel].clearRange(f.chanLocal(base), f.geo.PagesPerBlock)
-	}
-	f.accountErase(addr.Channel)
-	return Result{Start: cmdStart, Ready: done, Done: done}, nil
+	return f.direct.Erase(now, addr)
 }
 
 // PageWritten reports whether the page at addr currently holds data.

@@ -532,7 +532,7 @@ func onePlan(t *testing.T, f *Flash, e *sim.Engine, dom sim.DomainID, ch int, op
 
 func programDeferred(t *testing.T, f *Flash, e *sim.Engine, dom sim.DomainID, now sim.Time, addr Address, data []byte) Result {
 	t.Helper()
-	if err := f.CheckProgram(addr); err != nil {
+	if err := f.CheckProgram(&addr); err != nil {
 		t.Fatal(err)
 	}
 	return onePlan(t, f, e, dom, addr.Channel, func(b *PlanBatch) (Result, error) {
