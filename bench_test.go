@@ -14,6 +14,8 @@
 package amber_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"slices"
@@ -1052,5 +1054,177 @@ func TestWorkGateBatchRandWrite(t *testing.T) {
 	}
 	if allocs := m1.Mallocs - m0.Mallocs; allocs > n/10 {
 		t.Errorf("%d allocations over %d requests, want none per request", allocs, n)
+	}
+}
+
+// bench750d builds bench/'s device of that name — bench750's geometry shrunk
+// to 4 blocks per plane of 32 pages behind a 16-line cache, with real payload
+// bytes — and preconditions it at queue depth 32.
+func bench750d(tb testing.TB) *core.System {
+	tb.Helper()
+	d := config.Intel750()
+	d.Geometry.BlocksPerPlane = 4
+	d.Geometry.PagesPerBlock = 32
+	d.CacheLines = 16
+	d.TrackData = true
+	s, err := core.NewSystem(config.PCSystem(d))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := s.Precondition(32); err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// rw8k is bench/'s batch_rw8k_data stream: 8 KiB requests in 64-request
+// windows, three of random writes whose payload is a xorshift stream keyed by
+// (block, version), then one of reads of blocks already written, whose bytes
+// are checked against the version each block last took.
+type rw8k struct {
+	offsets workload.Generator
+	pick    *sim.RNG
+	version []uint32
+	written []int64
+	window  int
+}
+
+const rw8kIO = 8192
+
+func newRW8k(tb testing.TB, vol int64, seed uint64) *rw8k {
+	tb.Helper()
+	g, err := workload.NewFIO(workload.RandWrite, rw8kIO, vol, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &rw8k{offsets: g, pick: sim.NewRNG(seed ^ 0xda7a), version: make([]uint32, vol/rw8kIO)}
+}
+
+func rw8kPayload(buf []byte, block int64, version uint32) {
+	x := uint64(block)*0x9e3779b97f4a7c15 ^ uint64(version)<<32 ^ 0xa5a5a5a5
+	for i := 0; i+8 <= len(buf); i += 8 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		binary.LittleEndian.PutUint64(buf[i:], x)
+	}
+}
+
+// next fills the next window and reports whether it reads.
+func (d *rw8k) next(reqs []workload.Request, bufs [][]byte) (read bool) {
+	read = d.window%4 == 3
+	d.window++
+	for k := range reqs {
+		if read {
+			block := d.written[d.pick.Intn(len(d.written))]
+			reqs[k] = workload.Request{Offset: block * rw8kIO, Length: rw8kIO}
+			continue
+		}
+		r := d.offsets.Next(0)
+		block := r.Offset / rw8kIO
+		if d.version[block] == 0 {
+			d.written = append(d.written, block)
+		}
+		d.version[block]++
+		rw8kPayload(bufs[k], block, d.version[block])
+		reqs[k] = r
+	}
+	return read
+}
+
+// mismatches counts the read-backs in bufs that are not what was written.
+func (d *rw8k) mismatches(reqs []workload.Request, bufs [][]byte, want []byte) int {
+	bad := 0
+	for k, r := range reqs {
+		block := r.Offset / rw8kIO
+		rw8kPayload(want, block, d.version[block])
+		if !bytes.Equal(bufs[k], want) {
+			bad++
+		}
+	}
+	return bad
+}
+
+// TestWorkGateBatchRW8kData pins the work behind bench/'s batch_rw8k_data —
+// its device, stream, seed and warm-up — in counts that repeat exactly per
+// seed: the windows, the Submit engine's events by domain, the flash reads,
+// programs and erases, the collections, DRAM accesses, DMA descriptors,
+// read-back mismatches and allocations. It is the one bench workload whose
+// plans carry tracked bytes, so the one whose channel events install pages.
+func TestWorkGateBatchRW8kData(t *testing.T) {
+	const window, warm, n = 64, 1024, 8192
+	s := bench750d(t)
+	stream := newRW8k(t, s.VolumeBytes(), 11)
+	reqs, times := make([]workload.Request, window), make([]sim.Time, window)
+	bufs := make([][]byte, window)
+	for k := range bufs {
+		bufs[k] = make([]byte, rw8kIO)
+	}
+	want := make([]byte, rw8kIO)
+	mismatches := 0
+	windows := func(count int) {
+		for done := 0; done < count; done += window {
+			read := stream.next(reqs, bufs)
+			if _, err := s.SubmitBatch(s.Now(), reqs, bufs, times); err != nil {
+				t.Fatal(err)
+			}
+			if read {
+				mismatches += stream.mismatches(reqs, bufs, want)
+			}
+		}
+	}
+	windows(warm)
+	s.Drain()
+	type counts struct {
+		windows                   uint64
+		events                    eventsByDomain
+		flashReads, flashPrograms uint64
+		flashErases, collects     uint64
+		dram, descriptors         uint64
+	}
+	read := func() counts {
+		wins, _ := s.BatchStats()
+		fl, ft, dr := s.Flash.Stats(), s.FTL.Stats(), s.DevDRAM.Stats()
+		return counts{
+			windows: wins, events: groupEvents(s.SubmitEngineDomainStats()),
+			flashReads: fl.Reads, flashPrograms: fl.Programs, flashErases: fl.Erases,
+			collects: ft.GCRuns, dram: dr.Reads + dr.Writes, descriptors: s.DMA.Stats().Descriptors,
+		}
+	}
+	before := read()
+	mismatches = 0
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	windows(n)
+	runtime.ReadMemStats(&m1)
+	after := read()
+	e0, e1 := before.events, after.events
+	got := counts{
+		windows: after.windows - before.windows,
+		events: eventsByDomain{host: e1.host - e0.host, cpu: e1.cpu - e0.cpu, iclDRAM: e1.iclDRAM - e0.iclDRAM,
+			dma: e1.dma - e0.dma, publish: e1.publish - e0.publish, nand: e1.nand - e0.nand, other: e1.other - e0.other},
+		flashReads: after.flashReads - before.flashReads, flashPrograms: after.flashPrograms - before.flashPrograms,
+		flashErases: after.flashErases - before.flashErases, collects: after.collects - before.collects,
+		dram: after.dram - before.dram, descriptors: after.descriptors - before.descriptors,
+	}
+	// 128 vectors of 64: the 96 write vectors settle in line, one batch
+	// window each, and the 32 read vectors take the evented path — issue and
+	// completion on host, a parse on cpu and a payload DMA per read, and a
+	// fill publish per read that did not coalesce. One deferred channel event
+	// per sub-page read and per die batch of a plan. Three collections fall
+	// inside the window.
+	wantCounts := counts{
+		windows: 96, events: eventsByDomain{host: 4096, cpu: 2048, dma: 2048, publish: 2157, nand: 26411},
+		flashReads: 27925, flashPrograms: 13801, flashErases: 360, collects: 3,
+		dram: 8344, descriptors: 16384,
+	}
+	if got != wantCounts {
+		t.Errorf("work of %d batched 8 KiB requests\n got %+v\nwant %+v", n, got, wantCounts)
+	}
+	if mismatches != 0 {
+		t.Errorf("%d of %d read-backs differ from what was written", mismatches, n/4)
+	}
+	if allocs := m1.Mallocs - m0.Mallocs; allocs > n {
+		t.Errorf("%d allocations over %d requests, want fewer than one per request", allocs, n)
 	}
 }
