@@ -432,7 +432,10 @@ func BenchmarkFarmStorm(b *testing.B) {
 // from what bench/'s workloads keep queued on bench750 at depth 32 (counted
 // at every dispatch, PR 24): 32 on hotread4k_cached, a mean of 156 on
 // randwrite4k_gc, 167 on randread4k_miss and 322 on mixed_msnfs, whose peak
-// is 1 396. hotLoopDomains is how many labels the population is spread over:
+// is 1 396. Since flash transactions are counted at issue those three keep
+// far fewer queued — means of 32, 33 and 35, peaks of 32, 41 and 48 — so the
+// depth is now a stress size above every bench workload rather than their
+// level. hotLoopDomains is how many labels the population is spread over:
 // the Intel 750 preset's 12 NAND channels plus host, cpu, icl.dram and dma
 // (16 with the default domain). Labels do not change what the queue does;
 // the tests below hold the loop to that.
@@ -541,6 +544,18 @@ func (g *gcProbe) Next(i int) workload.Request {
 	return g.Generator.Next(i)
 }
 
+// checkFlashMatchesFIL holds every work gate to a stack invariant: the flash
+// counted exactly the reads, programs and erases the FIL issued. Every flash
+// transaction is counted when it is issued, on every path.
+func checkFlashMatchesFIL(t *testing.T, s *core.System) {
+	t.Helper()
+	fl, fs := s.Flash.Stats(), s.FIL.Stats()
+	if fl.Reads != fs.Reads || fl.Programs != fs.Programs || fl.Erases != fs.Erases {
+		t.Errorf("flash counted %d reads, %d programs, %d erases; the FIL issued %d, %d, %d",
+			fl.Reads, fl.Programs, fl.Erases, fs.Reads, fs.Programs, fs.Erases)
+	}
+}
+
 // TestWorkGateGCStorm pins the work behind bench/'s randwrite4k_gc — its
 // device, stream, seed and depth — in counts that repeat exactly, so a change
 // in how much garbage collection the workload does fails here whatever the
@@ -577,6 +592,7 @@ func TestWorkGateGCStorm(t *testing.T) {
 	if !slices.Equal(probe.storms, want) {
 		t.Fatalf("collection steps (request seen at, collects, sub-pages migrated)\n got %v\nwant %v", probe.storms, want)
 	}
+	checkFlashMatchesFIL(t, s)
 }
 
 // TestWorkGateCachedRead pins the work behind bench/'s hotread4k_cached — its
@@ -645,6 +661,7 @@ func TestWorkGateCachedRead(t *testing.T) {
 	if allocs := m1.Mallocs - m0.Mallocs; allocs > n/100 {
 		t.Errorf("%d allocations over %d requests, want none per request", allocs, n)
 	}
+	checkFlashMatchesFIL(t, s)
 }
 
 // TestWorkGateReadMiss pins the work behind bench/'s randread4k_miss — its
@@ -714,10 +731,10 @@ func TestWorkGateReadMiss(t *testing.T) {
 	// Per request: issue and completion on host (plus one event to start each
 	// of the 32 jobs), one parse on cpu, one payload DMA; a fill publish for
 	// every request that did not coalesce onto a fill in flight; and a flash
-	// read — one deferred channel event each — for every sub-page fetched,
-	// the missed ones and their read-ahead.
+	// read for every sub-page fetched, the missed ones and their read-ahead —
+	// counted at issue, with no channel event.
 	want := counts{
-		events: 163854, host: 2*n + 32, cpu: n, dma: n, publish: 19539, nand: 64283,
+		events: 99571, host: 2*n + 32, cpu: n, dma: n, publish: 19539, nand: 0,
 		flashReads: 64283, dram: 20376, descriptors: n, hits: 837, misses: 19182,
 	}
 	if got != want {
@@ -729,12 +746,12 @@ func TestWorkGateReadMiss(t *testing.T) {
 	if res.FailedReads != 0 {
 		t.Errorf("%d reads failed", res.FailedReads)
 	}
-	// Run allocates per run (its jobs and engine, the latency samples' and the
-	// channel pools' growth: a few hundred to a thousand here), not per
-	// request.
+	// Run allocates per run (its jobs and engine, the latency samples'
+	// growth: a few hundred here), not per request.
 	if allocs := m1.Mallocs - m0.Mallocs; allocs > n/10 {
 		t.Errorf("%d allocations over %d requests, want none per request", allocs, n)
 	}
+	checkFlashMatchesFIL(t, s)
 }
 
 // TestWorkGateMixedMSNFS pins the work behind bench/'s mixed_msnfs — its
@@ -810,12 +827,13 @@ func TestWorkGateMixedMSNFS(t *testing.T) {
 	// of the 32 jobs) and one parse on cpu. A read's payload leaves by one dma
 	// event (13 432 reads), a write's lands in the cache by one icl.dram event
 	// (6 568 writes); a fill publish for every read that did not coalesce onto
-	// a fill in flight; one deferred channel event per sub-page read and per
-	// die batch of a plan. One collection storm falls inside the window: 11
+	// a fill in flight. Flash reads, programs and erases are counted at issue
+	// and raise no channel event on this timing-only device. One collection
+	// storm falls inside the window: 11
 	// collects that migrate the whole 147 360 sub-page volume (see
 	// TestWorkGateGCStorm), which is most of the flash reads and programs.
 	want := counts{
-		events: 228277, host: 2*n + 32, cpu: n, iclDRAM: 6568, dma: 13432, publish: 13236, nand: 135009,
+		events: 93268, host: 2*n + 32, cpu: n, iclDRAM: 6568, dma: 13432, publish: 13236, nand: 0,
 		flashReads: 269909, flashPrograms: 159881, collects: 11, migrated: 147360,
 		dram: 21192, descriptors: 54696, hits: 2241, misses: 22678,
 	}
@@ -833,6 +851,7 @@ func TestWorkGateMixedMSNFS(t *testing.T) {
 	if allocs := m1.Mallocs - m0.Mallocs; allocs > n/10 {
 		t.Errorf("%d allocations over %d requests, want none per request", allocs, n)
 	}
+	checkFlashMatchesFIL(t, s)
 }
 
 // eventsByDomain sums engine events by the domain groups the work gates pin:
@@ -890,9 +909,9 @@ type setupWork struct {
 // alone.
 func TestWorkGatePrecondition(t *testing.T) {
 	// Every device fills its volume in 4 915 cache lines: one host issue and
-	// completion each (and 32 job starts), one firmware parse, one full-line
-	// DRAM write landing in icl.dram, and one deferred channel event per die
-	// batch of each write-back plan — 93 % of the events. The full-line writes
+	// completion each (and 32 job starts), one firmware parse and one
+	// full-line DRAM write landing in icl.dram. The write-back plans' programs
+	// are counted at issue and raise no channel event. The full-line writes
 	// are the DRAM's only traffic: 480 rows of 64 bursts per line on intel750
 	// (960 KiB), 256 on the others (512 KiB), one miss and 63 hits a row over
 	// 8 banks. Each line is one plan of sub-page programs. Certified plans are
@@ -900,16 +919,16 @@ func TestWorkGatePrecondition(t *testing.T) {
 	// closing Flush writes back outside the engine (the ICL's 764 or 716 or
 	// 1 433 lines). No fill collects.
 	want := map[string]setupWork{
-		"intel750": {events: 268752, byDomain: eventsByDomain{host: 9862, cpu: 4915, iclDRAM: 4915, nand: 249060},
+		"intel750": {events: 19692, byDomain: eventsByDomain{host: 9862, cpu: 4915, iclDRAM: 4915},
 			dramWrites: 4915, dramBytes: 4831641600, rowHits: 148629600, rowMisses: 2359200, activates: 2359200,
 			programs: 589800, plans: 4915, certified: 4151},
-		"850pro": {events: 154060, byDomain: eventsByDomain{host: 9862, cpu: 4915, iclDRAM: 4915, nand: 134368},
+		"850pro": {events: 19692, byDomain: eventsByDomain{host: 9862, cpu: 4915, iclDRAM: 4915},
 			dramWrites: 4915, dramBytes: 2576875520, rowHits: 79269120, rowMisses: 1258240, activates: 1258240,
 			programs: 314560, plans: 4915, certified: 4199},
-		"zssd": {events: 131116, byDomain: eventsByDomain{host: 9862, cpu: 4915, iclDRAM: 4915, nand: 111424},
+		"zssd": {events: 19692, byDomain: eventsByDomain{host: 9862, cpu: 4915, iclDRAM: 4915},
 			dramWrites: 4915, dramBytes: 2576875520, rowHits: 79269120, rowMisses: 1258240, activates: 1258240,
 			programs: 314560, plans: 4915, certified: 3482},
-		"983dct": {events: 131116, byDomain: eventsByDomain{host: 9862, cpu: 4915, iclDRAM: 4915, nand: 111424},
+		"983dct": {events: 19692, byDomain: eventsByDomain{host: 9862, cpu: 4915, iclDRAM: 4915},
 			dramWrites: 4915, dramBytes: 2576875520, rowHits: 79269120, rowMisses: 1258240, activates: 1258240,
 			programs: 314560, plans: 4915, certified: 3482},
 	}
@@ -964,6 +983,8 @@ func TestWorkGatePrecondition(t *testing.T) {
 			if got != want[name] {
 				t.Errorf("set-up work of %s\n got %+v\nwant %+v", name, got, want[name])
 			}
+			checkFlashMatchesFIL(t, s)
+			checkFlashMatchesFIL(t, twin)
 		})
 	}
 }
@@ -1036,15 +1057,14 @@ func TestWorkGateBatchRandWrite(t *testing.T) {
 		dram: after.dram - before.dram, descriptors: after.descriptors - before.descriptors,
 	}
 	// 313 windows of 64. A vector's requests raise no host, cpu or dma events
-	// (SubmitBatch settles them in line); what reaches the engine is one
-	// deferred channel event per die batch of a plan. Each request's payload
-	// lands in the cache by one DMA descriptor and one DRAM access, and two
-	// collection
-	// storms fall inside the window — 22 collects migrating the 147 360
-	// sub-page volume twice (TestWorkGateGCStorm), which is nearly every
-	// flash read and program.
+	// (SubmitBatch settles them in line), and on this timing-only device a
+	// plan's flash ops raise no channel event either: nothing reaches the
+	// engine. Each request's payload lands in the cache by one DMA descriptor
+	// and one DRAM access, and two collection storms fall inside the window —
+	// 22 collects migrating the 147 360 sub-page volume twice
+	// (TestWorkGateGCStorm), which is nearly every flash read and program.
 	want := counts{
-		windows: 313, events: eventsByDomain{nand: 19522},
+		windows: 313, events: eventsByDomain{},
 		planReads: 294720, planProgs: 314397, planErase: 2640,
 		flashReads: 294720, flashPrograms: 314397, flashErases: 2640,
 		collects: 22, migrated: 294720, dram: n, descriptors: n,
@@ -1055,6 +1075,7 @@ func TestWorkGateBatchRandWrite(t *testing.T) {
 	if allocs := m1.Mallocs - m0.Mallocs; allocs > n/10 {
 		t.Errorf("%d allocations over %d requests, want none per request", allocs, n)
 	}
+	checkFlashMatchesFIL(t, s)
 }
 
 // bench750d builds bench/'s device of that name — bench750's geometry shrunk
@@ -1210,11 +1231,11 @@ func TestWorkGateBatchRW8kData(t *testing.T) {
 	// 128 vectors of 64: the 96 write vectors settle in line, one batch
 	// window each, and the 32 read vectors take the evented path — issue and
 	// completion on host, a parse on cpu and a payload DMA per read, and a
-	// fill publish per read that did not coalesce. One deferred channel event
-	// per sub-page read and per die batch of a plan. Three collections fall
-	// inside the window.
+	// fill publish per read that did not coalesce. A plan raises one channel
+	// event per die it wrote payload bytes to, which lands them; its reads
+	// raise none. Three collections fall inside the window.
 	wantCounts := counts{
-		windows: 96, events: eventsByDomain{host: 4096, cpu: 2048, dma: 2048, publish: 2157, nand: 26411},
+		windows: 96, events: eventsByDomain{host: 4096, cpu: 2048, dma: 2048, publish: 2157, nand: 6166},
 		flashReads: 27925, flashPrograms: 13801, flashErases: 360, collects: 3,
 		dram: 8344, descriptors: 16384,
 	}
@@ -1224,7 +1245,11 @@ func TestWorkGateBatchRW8kData(t *testing.T) {
 	if mismatches != 0 {
 		t.Errorf("%d of %d read-backs differ from what was written", mismatches, n/4)
 	}
+	// The staging-buffer and die-batch pools still grow with the payload
+	// bytes in flight over this window, so the bound is under one allocation
+	// a request rather than none.
 	if allocs := m1.Mallocs - m0.Mallocs; allocs > n {
 		t.Errorf("%d allocations over %d requests, want fewer than one per request", allocs, n)
 	}
+	checkFlashMatchesFIL(t, s)
 }

@@ -408,12 +408,13 @@ func (s *System) bindFTL(t *ftl.FTL) error {
 // each subsystem's stage-boundary events are scheduled and counted under. Resolving names
 // once per engine keeps the hot path free of map lookups.
 //
-// The per-channel nand domains carry only the deferred per-channel flash
-// bookkeeping — read completions and the per-die plan batches of program
-// installs and erase clears (nand.ReadDeferredAddr, nand.PlanBatch). fil
-// carries no events: it stays registered because a domain's id and name are
-// part of sim.Engine.DomainStats, which every recorded run digest covers,
-// and dropping it renumbers pub and the channel domains.
+// The per-channel nand domains carry only the per-die plan batches that land
+// tracked page bytes — program installs and erase clears (nand.PlanBatch).
+// Every flash transaction is counted and charged at issue, so a timing-only
+// device dispatches nothing in them. fil carries no events: it stays
+// registered because a domain's id and name are part of
+// sim.Engine.DomainStats, which every recorded run digest covers, and
+// dropping it renumbers pub and the channel domains.
 type engineDomains struct {
 	e    *sim.Engine
 	host sim.DomainID   // request issue slots, kernel submit/complete
@@ -421,7 +422,7 @@ type engineDomains struct {
 	icl  sim.DomainID   // cache/DRAM write-back boundaries
 	dma  sim.DomainID   // payload-transfer boundaries
 	pub  sim.DomainID   // fill publishes (staged line buffers)
-	nand []sim.DomainID // per-channel deferred flash bookkeeping
+	nand []sim.DomainID // per-channel tracked-data die batches
 }
 
 // domainsFor resolves (registering on first use) this system's scheduling
@@ -482,14 +483,14 @@ func (s *System) Passive() bool { return s.passive }
 func (s *System) Now() sim.Time { return s.now }
 
 // BatchStats returns how many requests SubmitBatch has processed and how
-// many deferred-bookkeeping windows it drained for them — zero windows with
+// many batch windows it drained for them — zero windows with
 // nonzero requests means every request fell back to the evented path.
 func (s *System) BatchStats() (windows, requests uint64) {
 	return s.batchWindows, s.batchReqs
 }
 
 // DefaultBatchWindow is SubmitBatch's submission-window ceiling: deferred
-// per-channel bookkeeping drains at least this often even for arbitrarily
+// tracked-data installs drain at least this often even for arbitrarily
 // long request vectors, keeping the engine's event pool at its steady-state
 // size. The host scheduler's depth cap and the protocol's hardware queue
 // limit still clamp below it.

@@ -240,6 +240,9 @@ func powerCutDigest(t *testing.T, cut sim.Time, stormReqs int) (string, core.Pow
 			sum += uint64(b) * uint64(j+1)
 		}
 	}
+	if err := flashMatchesFIL(s); err != nil {
+		t.Fatalf("cut %v: %v", cut, err)
+	}
 	digest := fmt.Sprintf("cut %v loss %+v mount %+v readsum %d", cut, res.PowerLoss, res.Mount, sum)
 	return digest, res.PowerLoss
 }

@@ -387,9 +387,9 @@ func (s *System) submitEngine() *sim.Engine {
 // their stage boundaries (parse done, payload transferred, lines written,
 // completion composed) are pure time arithmetic over the same resource
 // claims the evented pipeline makes, in the same order, so no engine events
-// are scheduled for them at all; only the deferred per-channel flash
-// bookkeeping (accounting-only by construction, sim/doc.go) accumulates,
-// and drains once per window instead of once per request. The window is
+// are scheduled for them at all; only the die batches that land tracked
+// page bytes in their channel (sim/doc.go) accumulate, and drain once per
+// window instead of once per request. The window is
 // bounded by the host scheduler's queue-depth cap and the protocol's
 // hardware queue limit, under DefaultBatchWindow. Requests the inline
 // contract cannot cover — reads (their fills install in future events),
@@ -443,12 +443,12 @@ func (s *System) SubmitBatch(now sim.Time, reqs []workload.Request, datas [][]by
 			}
 		} else {
 			// The evented path resets the shared engine, so pending window
-			// bookkeeping must land first.
+			// installs must land first.
 			s.drainWindow(e, &fill)
 			done, err = s.Submit(cur, req, data)
 			// Submit drained the shared engine but left its clock at the
-			// request's completion; the next inline write schedules flash
-			// bookkeeping at claim times that may precede it.
+			// request's completion; the next inline write schedules die
+			// batches at claim times that may precede it.
 			e.Reset()
 		}
 		if err != nil {
@@ -472,8 +472,8 @@ func (s *System) SubmitBatch(now sim.Time, reqs []workload.Request, datas [][]by
 	return last, nil
 }
 
-// drainWindow dispatches the deferred bookkeeping a batch window
-// accumulated and resets the shared engine (times rewind to zero, exactly
+// drainWindow dispatches the die batches a batch window accumulated and
+// resets the shared engine (times rewind to zero, exactly
 // the state a fresh Submit would start from). fill counts the inline
 // requests since the last drain; an empty window drains nothing and is not
 // counted.
@@ -497,9 +497,8 @@ func (s *System) drainWindow(e *sim.Engine, fill *int) {
 // evented pipeline would make is made here, at the same time, in the same
 // order — stage 1 and the completion path are the very same helpers, and the
 // stage events elided in between carried no claims of their own, only the
-// times the claims below derive directly. Deferred per-channel flash
-// bookkeeping is scheduled on e as usual and left for the caller's window
-// drain.
+// times the claims below derive directly. A plan's tracked-data die batches
+// are scheduled on e as usual and left for the caller's window drain.
 func (s *System) submitInline(e *sim.Engine, now sim.Time, req workload.Request, data []byte) (sim.Time, error) {
 	if err := s.admit(req, data); err != nil {
 		return 0, err
@@ -604,7 +603,7 @@ func (s *System) flashSub(lspn int64, sub int, dst []byte) {
 // flushes the displaced victim if dirty. Completion is when the data is in
 // cache memory and the victim's frame was safely flushed. All claims start
 // at t (the caller invokes it inside an event at t). e routes the flush's
-// flash bookkeeping through the deferred per-channel path; nil (the
+// tracked-data installs through the deferred per-channel path; nil (the
 // engine-less Flush) falls back to synchronous execution. payload is the
 // line's part of the request buffer (nil when timing-only): it is the
 // cache's source directly, placed at its true in-line offset.
@@ -965,10 +964,10 @@ func (s *System) prefetch(e *sim.Engine, lspn int64) {
 // flushEviction writes a displaced dirty line back through FTL and FIL,
 // returning when the victim's data has left the cache memory (host writes
 // programmed; background GC may continue past this point). With an engine,
-// the plan executes on the deferred path (fil.ExecuteOn): each program's
-// and erase's per-channel bookkeeping rides the owning channel's domain in
-// per-die batches; without one (the synchronous Flush), the plan executes
-// synchronously.
+// the plan executes on the deferred path (fil.ExecuteOn): each tracked
+// program's install and erase's presence clear rides the owning channel's
+// domain in per-die batches; without one (the synchronous Flush), the plan
+// executes synchronously. Counters and energy land at issue either way.
 func (s *System) flushEviction(e *sim.Engine, t sim.Time, ev *iclEviction) (sim.Time, error) {
 	t2 := s.fw.ftlTranslate.run(t)
 	plan, err := s.FTL.Write(t2, ev.LSPN, ev.Dirty)

@@ -20,13 +20,13 @@ import (
 // purpose updates its line from the failure message, which prints the
 // trajectory and its digest.
 var trajectoryPins = map[string]uint64{
-	"write-deferred":  0xa93d1d863ee75b4c,
-	"two-stage-fill":  0xebdc7322301563eb,
-	"fault":           0x8699702e5af5132e,
-	"power-loss":      0x4503257771091b25,
+	"write-deferred":  0x2acd942c713a5626,
+	"two-stage-fill":  0x4f8005649f31b911,
+	"fault":           0x1b3bb318db643df6,
+	"power-loss":      0x2fe6931dcf92e372,
 	"power-cut-sweep": 0x3476cd5c1f2cfb13,
-	"rain":            0xfac74542027ad776,
-	"snapshot-tail":   0xe0810b11f6794f3a,
+	"rain":            0xb7ba8e47087b5415,
+	"snapshot-tail":   0xc9a473b681d94bf6,
 }
 
 // checkPin fails unless rendered hashes to the digest committed under name.
@@ -79,9 +79,27 @@ func renderRun(out *bytes.Buffer, name string, res *core.RunResult) {
 	}
 }
 
+// flashMatchesFIL checks a stack invariant: the flash counted exactly the
+// reads, programs and erases the FIL issued — every transaction is counted
+// at issue, on every path, power cuts included.
+func flashMatchesFIL(s *core.System) error {
+	fl, fs := s.Flash.Stats(), s.FIL.Stats()
+	if fl.Reads != fs.Reads || fl.Programs != fs.Programs || fl.Erases != fs.Erases {
+		return fmt.Errorf("flash counted %d reads, %d programs, %d erases; the FIL issued %d, %d, %d",
+			fl.Reads, fl.Programs, fl.Erases, fs.Reads, fs.Programs, fs.Erases)
+	}
+	return nil
+}
+
 // renderState writes the component statistics — flash counters and energy
-// (total and per channel), FTL, ICL, FIL, clock — into the golden buffer.
+// (total and per channel), FTL, ICL, FIL, clock — into the golden buffer,
+// after checking flashMatchesFIL. It has no *testing.T to fail (the batch
+// golden reaches it through a helper that does not pass one), so a broken
+// invariant panics.
 func renderState(out *bytes.Buffer, s *core.System) {
+	if err := flashMatchesFIL(s); err != nil {
+		panic("stack invariant: " + err.Error())
+	}
 	fs := s.Flash.Stats()
 	fmt.Fprintf(out, "flash %+v energy %.18g\n", fs, s.Flash.EnergyJoules())
 	for ch := 0; ch < s.Config().Device.Geometry.Channels; ch++ {

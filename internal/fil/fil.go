@@ -29,10 +29,10 @@ const Domain = "fil"
 // PublishDomain names the domain where the core places the continuation of a
 // flash-backed cache fill: the cache install, memory charge and waiter
 // wakeups. Those read and write state spanning channels (ICL lines, MSHR
-// maps, DRAM timing), unlike the per-channel bookkeeping events in the
-// nand.ChannelDomain domains. A publish event reads nothing those pending
-// bookkeeping events write: its line buffer was complete (ReadSubsStaged)
-// before the fill's channel bookkeeping was even scheduled (sim/doc.go).
+// maps, DRAM timing), unlike the die-batch events in the nand.ChannelDomain
+// domains, which land one channel's tracked page bytes. A publish event reads
+// nothing those events write: its line buffer was complete (ReadSubsStaged)
+// when the publish was scheduled (sim/doc.go).
 const PublishDomain = "fil.publish"
 
 // Stats aggregates FIL activity.
@@ -60,9 +60,9 @@ type Stats struct {
 // PlanFault reports a plan stopped mid-execution by an injected flash
 // fault. Unlike a structural error (which prevalidation guarantees arrives
 // with nothing issued), a fault interrupts real work: the plan's first
-// Executed ops claimed resources, transitioned block state and scheduled
-// their bookkeeping — only the op at index Executed (and everything after
-// it) did not happen. The executor disarms its certified chain before
+// Executed ops claimed resources, transitioned block state, were counted and
+// scheduled their tracked-data installs — only the op at index Executed (and
+// everything after it) did not happen. The executor disarms its certified chain before
 // returning one: the issuing FTL's model and the flash have diverged, and
 // no later certificate can be trusted until recovery completes and
 // AcceptCertified re-arms the binding. Err wraps the nand sentinel
@@ -518,8 +518,8 @@ func (f *FIL) pvNextOf(block int32, addr nand.Address) int32 {
 // the issue pass; erases go through the plane table), checks geometry bounds, and
 // simulates the in-order program pointer of every touched block so
 // overwrites, out-of-order programs and reads of unwritten pages are caught
-// up front. A mid-plan error therefore leaves no completion events queued
-// and no flash state mutated.
+// up front. A mid-plan error therefore leaves nothing claimed, counted or
+// scheduled and no flash state mutated.
 //
 // The walk also derives the plan links into f.links by the reference rule
 // (ftl.Op.Src: a data write consumes the last preceding read of the same
@@ -607,19 +607,14 @@ func (f *FIL) Execute(now sim.Time, plan ftl.Plan, hostData PlanData) (Result, e
 	return f.execute(nil, nil, now, plan, hostData)
 }
 
-// ExecuteOn is Execute with every flash transaction's per-channel
-// bookkeeping — counters, energy, tracked-data installs and presence
-// clears — deferred into the owning channel's scheduling domain through a
-// nand.PlanBatch: chDoms[channel] is the channel's domain, and the whole plan
-// schedules one batched completion event per touched die
-// (not per op), keeping the deferred path's engine traffic negligible even
-// for thousand-op GC plans. Plan pre-reads deliver their bytes at issue (a
-// dependent rewrite consumes them within this same call). Timing,
-// dependency ordering, data and every integer counter are identical to
-// Execute — per-channel float energy is the one exception: the same
-// values accumulate in per-die-batch grouped order rather than Execute's
-// op-issue order, so the sums may differ in the last ulp between the two
-// paths (each path is individually deterministic).
+// ExecuteOn is Execute with every tracked-data install and presence clear
+// deferred into the owning channel's scheduling domain through a
+// nand.PlanBatch: chDoms[channel] is the channel's domain, and the plan
+// schedules one batched event per die it wrote tracked data to (not per op),
+// none on a timing-only flash. Counters and energy are charged at issue on
+// both paths. Plan pre-reads deliver their bytes at issue (a dependent
+// rewrite consumes them within this same call). Timing, dependency
+// ordering, data, counters and energy are identical to Execute.
 //
 // On either path, a plan nobody vouches for is prevalidated whole before
 // any transaction claims resources or schedules, so a structural error
@@ -642,7 +637,7 @@ func (f *FIL) ExecuteOn(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan
 type planRun struct {
 	f *FIL
 	// batch issues every op: opened on ExecuteOn's engine, or engine-less
-	// for Execute, where each op's bookkeeping applies at issue.
+	// for Execute, where each op's tracked-data effects apply at issue.
 	batch *nand.PlanBatch
 	// trusted: the plan's certificate is honored — addresses come straight
 	// from the plane table, links from Op.Src, and issues skip the flash's
@@ -713,7 +708,7 @@ func (k *planRun) program(start sim.Time, addr *nand.Address, data []byte, stage
 
 // fail ends the plan on the error of op i. An injected fault is a
 // recoverable runtime event on every path: the executed prefix's batched
-// bookkeeping is committed (those transactions really happened), the
+// installs and clears are committed (those transactions really happened), the
 // certified chain is disarmed, and the typed report is built for the
 // recovery orchestration. Anything else is structural and abandons the
 // batch; the walk guarantees that arrives with nothing issued, and on the
@@ -811,8 +806,8 @@ func (f *FIL) execute(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan f
 				// — the parity program itself is the only flash cost. The
 				// membership mask stamps the page's OOB in this same serial
 				// section (a torn cut clears both); on the deferred path only
-				// the program's bookkeeping defers into the channel domain,
-				// like any other batched program.
+				// the program's tracked install defers into the channel
+				// domain, like any other batched program.
 				r, err := k.program(start, &addr, f.parityPayload(op), false, planTag(op, planes))
 				if err != nil {
 					return k.res, k.fail(i, op, -1, "parity program", err)
@@ -938,17 +933,16 @@ func (f *FIL) ReadSubs(now sim.Time, locs []ftl.PageLoc, dsts [][]byte) (sim.Tim
 	return done, nil
 }
 
-// ReadSubsStaged is ReadSubs on the deferred path: each read's page bytes are
-// delivered into its dst at issue time and its per-channel accounting rides
-// the owning channel's scheduling domain (nand.Flash.ReadDeferredAddr;
-// chDoms[channel] is the channel's domain). When this call returns, every dst
-// already holds the bytes a synchronous ReadSubs would have produced; timing
-// is identical to ReadSubs. This is the precopy stage of the core's fill
-// installs: the caller's buffer is complete before any completion event
-// exists, so the fill's publish continuation (PublishDomain) depends on no
-// pending channel work. Every address is validated before any read claims or
-// schedules, so an error leaves no completion events queued and no dst
-// written.
+// ReadSubsStaged is ReadSubs on the staged path: each read's page bytes are
+// delivered into its dst and its counters and energy charged at issue time
+// (nand.Flash.ReadDeferredAddr), and nothing is scheduled. When this call
+// returns, every dst already holds the bytes a synchronous ReadSubs would
+// have produced; timing is identical to ReadSubs. This is the precopy stage
+// of the core's fill installs: the caller's buffer is complete when the
+// fill's publish continuation (PublishDomain) is scheduled. Every address is
+// validated before any read claims, so an error leaves nothing claimed and
+// no dst written. e and chDoms are unused; bench/replay.go calls this
+// signature.
 //
 // cert is the read certificate stamped on locs by ftl.LookupSubs;
 // while it is honored (readCertOK: chain armed, epochs matched, read-fault
@@ -957,7 +951,7 @@ func (f *FIL) ReadSubs(now sim.Time, locs []ftl.PageLoc, dsts [][]byte) (sim.Tim
 // changed outcome or timing. Claims, accounting and delivered bytes are
 // identical on both paths. Pass the zero ReadCert for hand-built location
 // lists; they always walk.
-func (f *FIL) ReadSubsStaged(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, locs []ftl.PageLoc, dsts [][]byte, cert ftl.ReadCert) (sim.Time, error) {
+func (f *FIL) ReadSubsStaged(_ *sim.Engine, _ []sim.DomainID, now sim.Time, locs []ftl.PageLoc, dsts [][]byte, cert ftl.ReadCert) (sim.Time, error) {
 	addrs := f.addrScratch[:0]
 	extras := f.extraScratch[:0]
 	if f.readCertOK(cert) {
@@ -975,8 +969,8 @@ func (f *FIL) ReadSubsStaged(e *sim.Engine, chDoms []sim.DomainID, now sim.Time,
 			// pure in state that cannot change before the issue pass below (the
 			// disturb bump lands at claim, after each read's draw), so a batch
 			// whose every probe passes cannot fault at issue — an uncorrectable
-			// read surfaces here, with no completion events queued and no dst
-			// written, same contract as a structural failure. The issue pass
+			// read surfaces here, with nothing claimed and no dst written,
+			// same contract as a structural failure. The issue pass
 			// replays the probe's draw instead of re-drawing: issued reads bump
 			// their block's disturb counter, and a later read of the same block
 			// in this batch must not see its batchmate's bump mid-flight.
@@ -1000,7 +994,7 @@ func (f *FIL) ReadSubsStaged(e *sim.Engine, chDoms []sim.DomainID, now sim.Time,
 			dst = dsts[i]
 		}
 		addr := &addrs[i]
-		r := f.flash.ReadDeferredAddr(e, chDoms[addr.Channel], now, addr, dst, extras[i])
+		r := f.flash.ReadDeferredAddr(now, addr, dst, extras[i])
 		f.stats.Reads++
 		if r.Done > done {
 			done = r.Done

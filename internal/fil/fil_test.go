@@ -251,9 +251,14 @@ func TestExecuteOnEquivalence(t *testing.T) {
 	if trDef.Stats().GCMigrated == 0 {
 		t.Fatal("GC never migrated; equivalence is vacuous")
 	}
-	e.Run() // drain the deferred bookkeeping
+	e.Run() // land the deferred installs and clears
 	if flSync.Stats() != flDef.Stats() {
 		t.Fatalf("flash stats diverged: sync %+v deferred %+v", flSync.Stats(), flDef.Stats())
+	}
+	// Both paths charge energy at issue, in op order: the float sums match
+	// to the bit.
+	if flSync.EnergyJoules() != flDef.EnergyJoules() {
+		t.Fatalf("flash energy diverged: sync %v deferred %v", flSync.EnergyJoules(), flDef.EnergyJoules())
 	}
 	if fSync.Stats() != fDef.Stats() {
 		t.Fatalf("fil stats diverged: sync %+v deferred %+v", fSync.Stats(), fDef.Stats())
@@ -584,7 +589,7 @@ func TestStatsSingleCountAcrossPaths(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.Run() // drain deferred bookkeeping before the raw (synchronous) ops
+	e.Run() // land the deferred installs before the raw (synchronous) ops
 
 	// Raw OCSSD traffic on a block with in-order program room (both stacks
 	// ran identical plans, so one scan serves both), same sequence each.

@@ -240,7 +240,10 @@ func TestExecuteOnSteadyStateAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.Run()
+			// Advance the dispatch clock to the plan's end even when nothing
+			// is queued (a timing-only flash schedules no event): the next
+			// plan's erases prune the undo journal against it.
+			e.RunUntil(res.Done)
 			now = res.Done + sim.Microsecond
 		}
 		for i < 12*user {
@@ -307,7 +310,7 @@ func BenchmarkExecuteOnGCPlan(b *testing.B) {
 					b.Fatal(err)
 				}
 				exec(plan, HostData(lspn, dirty, payload, g.PageSize))
-				e.Run()
+				e.RunUntil(now) // the dispatch clock the erase-undo journal prunes by
 			}
 			// One super-block's worth of super-pages: fills block A exactly.
 			for lspn := int64(0); lspn < int64(g.PagesPerBlock); lspn++ {
@@ -331,7 +334,7 @@ func BenchmarkExecuteOnGCPlan(b *testing.B) {
 				b.StartTimer()
 				exec(plan, PlanData{})
 				b.StopTimer()
-				e.Run()
+				e.RunUntil(now)
 			}
 			b.StopTimer()
 			migrate() // grows every scratch to the plan's size: the loop below is steady state

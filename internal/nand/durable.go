@@ -7,9 +7,12 @@ import "amber/internal/sim"
 // The durable state of the storage complex is exactly what physically lives
 // in the NAND array — block erase counts, programmed-page bitmaps and
 // in-order pointers, page payloads, per-page OOB stamps, and the grown
-// bad-block table. Everything else (pending deferred bookkeeping, staged
-// page buffers, pooled carriers, accounting not yet applied) is firmware
-// RAM and is discarded by PowerLoss.
+// bad-block table. Everything else (pending tracked-data installs and
+// clears, staged page buffers, pooled carriers) is firmware RAM and is
+// discarded by PowerLoss. The activity counters and energy are neither:
+// they are the simulator's record of what was issued, charged at issue, so
+// an op issued before a cut stays counted even if it would have completed
+// after it.
 
 // OOBInfo is the readable view of one page's out-of-band metadata, the
 // input to mount-time FTL recovery.
@@ -178,11 +181,12 @@ func (f *Flash) landPending(pageIdx int64) {
 // their OOB checksum, pending erase presence-clears are applied (an
 // interrupted erase completes — the model's deterministic resolution
 // rule), and all volatile firmware-side state — pending install indexes,
-// pooled deferred carriers, staged page buffers — is discarded.
+// pooled die-batch carriers, staged page buffers — is discarded. Counters
+// and energy are left as issued.
 //
 // The caller must have stopped dispatching events first (sim.Engine.Halt):
-// every deferred bookkeeping event still queued is abandoned, which is the
-// point — that bookkeeping was firmware RAM. Because the in-flight set is
+// every die-batch event still queued is abandoned, which is the point —
+// its pending installs were firmware RAM. Because the in-flight set is
 // decided purely by comparing each page's OOB completion stamp against the
 // cut time, and the draw is a pure function of (seed, page, write
 // sequence), the resolution is identical at any dispatch parallelism.
@@ -259,8 +263,7 @@ func (f *Flash) PowerLoss(now sim.Time, seed uint64) PowerLossReport {
 			f.pendingProg[ch] = nil
 		}
 	}
-	for ch := range f.readOps {
-		f.readOps[ch] = nil
+	for ch := range f.dieOps {
 		f.dieOps[ch] = nil
 		f.pageBufs[ch] = nil
 	}

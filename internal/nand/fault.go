@@ -186,8 +186,8 @@ func tornDraw(seed uint64, pageIdx int64, seq uint64) bool {
 }
 
 // faultModel draws injected faults. All draws run at issue (claim paths and
-// validation probes); nothing here is touched by the channels' deferred
-// completion events.
+// validation probes); nothing here is touched by the channels' die-batch
+// events.
 type faultModel struct {
 	cfg      FaultConfig
 	retries  int          // resolved MaxReadRetries

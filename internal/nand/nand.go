@@ -435,10 +435,11 @@ func (a *pageArena) clearRange(base int64, n int) {
 	}
 }
 
-// Flash is the storage complex. It is not safe for concurrent use. The
-// deferred completion events that ReadDeferredAddr and PlanBatch.Commit
-// schedule touch only per-channel state (the channel-indexed accumulators
-// below, the channel's own tracked-data arena and pending-install index).
+// Flash is the storage complex. It is not safe for concurrent use. Every
+// transaction is counted and charged when it is issued; the only events it
+// schedules are PlanBatch.Commit's die batches, which land tracked page
+// bytes and touch only per-channel state (the channel's own tracked-data
+// arena, pending-install index and pools).
 type Flash struct {
 	geo  Geometry
 	tim  Timing
@@ -481,23 +482,19 @@ type Flash struct {
 
 	// faults draws injected program/erase/read failures; nil when fault
 	// injection is disabled, so the hot paths pay one nil check. All draws
-	// and stat updates happen at issue time, never inside deferred
-	// completion events.
+	// and stat updates happen at issue time, never inside a die-batch event.
 	faults *faultModel
 
-	// Activity counters and dynamic energy are accumulated per channel and
-	// merged (in channel order, so the float sum has one order) by
-	// Stats/EnergyJoules: a channel's deferred completion events share no
-	// counter with another channel's.
+	// Activity counters and dynamic energy are accumulated per channel, in
+	// issue order, and merged in channel order by Stats/EnergyJoules, so
+	// the float sum has one order.
 	chStats  []Stats
 	chEnergy []float64
 
-	// readOps pools deferred read-completion carriers per channel, dieOps
-	// the per-die plan-batch carriers and pageBufs their staging buffers:
-	// acquire happens at schedule time (issue), release inside the
-	// channel's own completion event. Only issue code looks across the
-	// lists (StagingBuf).
-	readOps  [][]*readCompletion
+	// dieOps pools the per-die plan-batch carriers per channel and pageBufs
+	// their staging buffers: acquire happens at issue, release inside the
+	// channel's own batch event. Only issue code looks across the lists
+	// (StagingBuf).
 	dieOps   [][]*dieBatch
 	pageBufs [][][]byte
 
@@ -612,7 +609,6 @@ func New(geo Geometry, tim Timing, pow Power, cell CellType, opt Options) (*Flas
 	}
 	f.chStats = make([]Stats, geo.Channels)
 	f.chEnergy = make([]float64, geo.Channels)
-	f.readOps = make([][]*readCompletion, geo.Channels)
 	f.dieOps = make([][]*dieBatch, geo.Channels)
 	f.pageBufs = make([][][]byte, geo.Channels)
 	f.pagesPerC = geo.TotalPages() / int64(geo.Channels)
@@ -734,8 +730,8 @@ func classLatencies(classes int, fast, slow sim.Duration) []sim.Duration {
 
 // CheckRead reports the error a read of addr would fail with (address out
 // of range, page unwritten), without claiming resources or scheduling
-// anything. Callers batching deferred reads validate every address first so
-// a mid-batch failure cannot leave completion events queued.
+// anything. Callers batching staged reads validate every address first so
+// a mid-batch failure leaves nothing claimed.
 func (f *Flash) CheckRead(addr *Address) error {
 	if err := f.geo.CheckAddress(*addr); err != nil {
 		return err
@@ -815,47 +811,14 @@ func (f *Flash) copyOut(pageIdx int64, dst []byte) {
 	clear(dst[n:min(len(dst), f.geo.PageSize)])
 }
 
-// readCompletion carries one deferred read's per-channel accounting (counters
-// and energy) into the channel's scheduling domain. Pooled per channel with
-// the callback bound once, so steady-state deferred reads schedule without
-// allocating.
-type readCompletion struct {
-	f  *Flash
-	ch int
-	fn func()
-}
-
-func (f *Flash) acquireReadCompletion(ch int) *readCompletion {
-	free := f.readOps[ch]
-	if n := len(free); n > 0 {
-		op := free[n-1]
-		f.readOps[ch] = free[:n-1]
-		return op
-	}
-	op := &readCompletion{f: f, ch: ch}
-	op.fn = op.complete
-	return op
-}
-
-// complete is the deferred event body. It touches only channel-owned state:
-// the channel's counters and energy accumulator and the channel's own op
-// pool.
-func (op *readCompletion) complete() {
-	f := op.f
-	f.accountRead(op.ch)
-	f.readOps[op.ch] = append(f.readOps[op.ch], op)
-}
-
 // ReadDeferredAddr performs a page read with the timing of Read, delivering
 // the page bytes into dst at issue (pending-aware, exactly what a
-// synchronous Read would deliver) and deferring the channel's counters and
-// energy to an event scheduled in dom — the channel's scheduling domain
-// (ChannelDomain) — at the transaction's completion time. The bytes a read
-// returns are fixed when it is issued: the array read latches its data
-// before any later erase or program can touch the block (the die resource
-// serializes them). Because dst is complete when this call returns, a
-// continuation that reads it — the core's fill publish — depends on none of
-// this channel's pending events.
+// synchronous Read would deliver) and charging the channel's counters and
+// energy at issue too: it schedules nothing. The bytes a read returns are
+// fixed when it is issued: the array read latches its data before any later
+// erase or program can touch the block (the die resource serializes them).
+// Because dst is complete when this call returns, a continuation that reads
+// it — the core's fill publish — depends on no pending channel event.
 //
 // There is no validation and no fault draw here. The caller either ran both
 // through ProbeReadExtra and passes the drawn retry cost in extra — the
@@ -865,23 +828,24 @@ func (op *readCompletion) complete() {
 // written (ftl.ReadCert) with read-fault draws off (ReadFaultsArmed false),
 // and passes zero. The address travels by pointer (see dieOf); *addr is not
 // retained.
-func (f *Flash) ReadDeferredAddr(e *sim.Engine, dom sim.DomainID, now sim.Time, addr *Address, dst []byte, extra sim.Duration) Result {
+func (f *Flash) ReadDeferredAddr(now sim.Time, addr *Address, dst []byte, extra sim.Duration) Result {
 	di := f.geo.dieOf(addr)
 	cmdStart, ready, done := f.claimRead(now, addr, di, extra)
 	f.copyOut(f.geo.pageOfDie(di, addr), dst)
-	e.AtIn(dom, done, f.acquireReadCompletion(addr.Channel).fn)
+	f.accountRead(addr.Channel)
 	return Result{Start: cmdStart, Ready: ready, Done: done}
 }
 
 // ReadDeferredEagerTrusted is the certified form of ReadDeferredAddr (no
-// drawn retry cost) with the address by value.
-func (f *Flash) ReadDeferredEagerTrusted(e *sim.Engine, dom sim.DomainID, now sim.Time, addr Address, dst []byte) Result {
-	return f.ReadDeferredAddr(e, dom, now, &addr, dst, 0)
+// drawn retry cost) with the address by value. The engine and domain are
+// unused; bench/replay.go calls this signature.
+func (f *Flash) ReadDeferredEagerTrusted(_ *sim.Engine, _ sim.DomainID, now sim.Time, addr Address, dst []byte) Result {
+	return f.ReadDeferredAddr(now, &addr, dst, 0)
 }
 
-// planOpRec is one transaction's deferred per-channel bookkeeping inside a
-// die batch: what to account and, for tracked data, what to install or
-// clear when the batch event dispatches.
+// planOpRec is one tracked-data transaction's deferred work inside a die
+// batch: the page to install or the pages to clear when the batch event
+// dispatches.
 type planOpRec struct {
 	kind      OpKind
 	pageIdx   int64  // program: global page number (pendingProg key)
@@ -892,34 +856,25 @@ type planOpRec struct {
 	tracked   bool // program install registered in pendingProg
 }
 
-// dieBatch accumulates every transaction one plan issues against one die
-// and carries their combined per-channel bookkeeping — counters, energy,
-// tracked-data installs and clears — into the owning channel's scheduling
-// domain as a single event at the die's last completion time. Batching per
-// die rather than per op cuts the deferred path's event count from O(plan
-// ops) to O(touched dies) while preserving the serial observable state: a
-// die's array operations complete in issue order (the die and channel
-// resources serialize every claim), so a later plan's batch on the same
-// die always carries a later (time, seq) key than an earlier plan's, and
-// records within a batch apply in issue order — exactly the per-op
-// dispatch order, grouped.
+// dieBatch accumulates the tracked-data records one plan issues against one
+// die — program installs and erase clears — and lands them in the owning
+// channel's scheduling domain as a single event at the latest completion
+// among them. Batching per die rather than per op keeps the event count at
+// O(touched dies) while preserving the serial observable state: a die's
+// array operations complete in issue order (the die and channel resources
+// serialize every claim), so a later plan's batch on the same die always
+// carries a later (time, seq) key than an earlier plan's, and records within
+// a batch apply in issue order — exactly the per-op order, grouped.
 //
 // Reads, and every op of a timing-only (no data tracking) flash, leave no
-// per-op record — only the per-kind counters, replayed as individual
-// accountX calls so the per-channel energy accumulation stays a same-order
-// float sum. Keeping timing-only plans record-free
-// matters: large sweeps run thousands of GC ops per plan, and writing a
-// record per op would drag a cache line of scratch through the hot path
-// for bookkeeping that reduces to six integers.
+// record and acquire no batch: their counters and energy land at issue, so
+// a timing-only flash schedules nothing.
 type dieBatch struct {
-	f       *Flash
-	ch      int
-	at      sim.Time // latest completion among the batch's transactions
-	nReads  int32
-	nProgs  int32 // timing-only programs (tracked programs carry records)
-	nErases int32 // timing-only erases
-	ops     []planOpRec
-	fn      func() // op.apply, bound once
+	f   *Flash
+	ch  int
+	at  sim.Time // latest completion among the batch's records
+	ops []planOpRec
+	fn  func() // b.apply, bound once
 }
 
 func (f *Flash) acquireDieBatch(ch int) *dieBatch {
@@ -981,24 +936,13 @@ func (f *Flash) ReleaseStagingBuf(buf []byte) {
 }
 
 // apply is the batch event body. It touches only channel-owned state: the
-// channel's counters and energy accumulator, its arena, its pendingProg
-// index and its own pools.
+// channel's arena, its pendingProg index and its own pools.
 func (b *dieBatch) apply() {
 	f := b.f
-	for i := int32(0); i < b.nReads; i++ {
-		f.accountRead(b.ch)
-	}
-	for i := int32(0); i < b.nProgs; i++ {
-		f.accountProgram(b.ch)
-	}
-	for i := int32(0); i < b.nErases; i++ {
-		f.accountErase(b.ch)
-	}
 	for i := range b.ops {
 		rec := &b.ops[i]
 		switch rec.kind {
 		case OpProgram:
-			f.accountProgram(b.ch)
 			if rec.tracked {
 				if rec.hasData {
 					// The staged buffer becomes the page; what the page held
@@ -1009,7 +953,6 @@ func (b *dieBatch) apply() {
 				}
 			}
 		case OpErase:
-			f.accountErase(b.ch)
 			if rec.clearN > 0 {
 				f.data[b.ch].clearRange(rec.pageLocal, rec.clearN)
 			}
@@ -1045,24 +988,24 @@ func (b *dieBatch) dropRecord(i int) {
 func (b *dieBatch) release() {
 	b.ops = b.ops[:0]
 	b.at = 0
-	b.nReads, b.nProgs, b.nErases = 0, 0, 0
 	b.f.dieOps[b.ch] = append(b.f.dieOps[b.ch], b)
 }
 
 // PlanBatch is the one way a flash transaction issues: ReadAddr, ProgramAddr
-// and Erase claim the channel and die, apply the functional state transition
-// and draw the injected fault, and differ only in when the transaction's
-// bookkeeping — counters, energy, tracked-data install or clear — lands.
+// and Erase claim the channel and die, apply the functional state transition,
+// draw the injected fault and charge the channel's counters and energy, all
+// at issue. They differ only in when a tracked-data install or clear lands.
 // Opened on an engine, it rides the owning channel's domain, grouped into one
-// event per touched die and scheduled by Commit. Opened without one (a nil
-// engine), each transaction applies its bookkeeping at issue, in issue order,
-// and refuses a tracked program or erase on a channel with deferred installs
-// in flight (ErrDeferredInFlight); Flash.Read, ProgramTagged and Erase are
-// that mode one transaction at a time. Obtain with Flash.BeginPlan; a batch
-// must end with exactly one Commit (schedules the events) or Abort (discards
-// the bookkeeping after a caller-detected failure). Only one plan may be open
-// per Flash at a time — the FIL's serial plan execution guarantees it — while
-// committed batches from earlier plans may still be in flight.
+// event per die the plan wrote tracked data to and scheduled by Commit.
+// Opened without one (a nil engine), each transaction applies it at issue,
+// in issue order, and refuses a tracked program or erase on a channel with
+// deferred installs in flight (ErrDeferredInFlight); Flash.Read,
+// ProgramTagged and Erase are that mode one transaction at a time. Obtain
+// with Flash.BeginPlan; a batch must end with exactly one Commit (schedules
+// the events) or Abort (discards the pending installs and clears after a
+// caller-detected failure). Only one plan may be open per Flash at a time —
+// the FIL's serial plan execution guarantees it — while committed batches
+// from earlier plans may still be in flight.
 type PlanBatch struct {
 	f    *Flash
 	e    *sim.Engine
@@ -1074,7 +1017,7 @@ type PlanBatch struct {
 
 // BeginPlan opens the batching context for one plan's flash transactions.
 // chDoms[channel] names the channel's domain on e; with a nil e the batch
-// applies every transaction's bookkeeping at issue and chDoms is unused.
+// lands every tracked install and clear at issue and chDoms is unused.
 func (f *Flash) BeginPlan(e *sim.Engine, chDoms []sim.DomainID) *PlanBatch {
 	b := &f.plan
 	if b.open {
@@ -1084,9 +1027,10 @@ func (f *Flash) BeginPlan(e *sim.Engine, chDoms []sim.DomainID) *PlanBatch {
 	return b
 }
 
-// die returns (acquiring if needed) the batch of die di on channel ch,
-// tracking the die's latest completion time.
-func (b *PlanBatch) die(di, ch int, done sim.Time) *dieBatch {
+// record appends a tracked-data record completing at done to the batch of
+// die di on channel ch — acquiring the batch on the die's first record —
+// and returns the record and its location.
+func (b *PlanBatch) record(di, ch int, done sim.Time) (*planOpRec, *dieBatch, int32) {
 	db := b.dies[di]
 	if db == nil {
 		db = b.f.acquireDieBatch(ch)
@@ -1096,23 +1040,16 @@ func (b *PlanBatch) die(di, ch int, done sim.Time) *dieBatch {
 	if done > db.at {
 		db.at = done
 	}
-	return db
-}
-
-// record appends a tracked-data bookkeeping record to the batch of die di
-// on channel ch, returning the record and its location.
-func (b *PlanBatch) record(di, ch int, done sim.Time) (*planOpRec, *dieBatch, int32) {
-	db := b.die(di, ch, done)
 	db.ops = append(db.ops, planOpRec{})
 	i := int32(len(db.ops) - 1)
 	return &db.ops[i], db, i
 }
 
-// ReadAddr performs a page read, delivering the page bytes into dst at issue
-// (a dependent rewrite consumes them within the same serial call; copyOut is
-// pending-aware, so bytes latched by earlier not-yet-installed programs are
-// observed) and batching the per-channel accounting — or, engine-less,
-// applying it. dst is not retained. There is no structural precheck (address
+// ReadAddr performs a page read, delivering the page bytes into dst and
+// charging the channel's counters and energy at issue (a dependent rewrite
+// consumes the bytes within the same serial call; copyOut is pending-aware,
+// so bytes latched by earlier not-yet-installed programs are observed). dst
+// is not retained. There is no structural precheck (address
 // bounds, page written): a certified plan's issuing FTL proved both at
 // construction time against a flash it is in lockstep with, and a walked
 // plan's executor runs Flash.CheckRead first. Injected fault draws still run
@@ -1136,11 +1073,7 @@ func (b *PlanBatch) ReadAddr(now sim.Time, addr *Address, dst []byte) (Result, e
 	if f.trackData && dst != nil {
 		f.copyOut(f.geo.pageOfDie(di, addr), dst)
 	}
-	if b.e == nil {
-		f.accountRead(addr.Channel)
-	} else {
-		b.die(di, addr.Channel, done).nReads++
-	}
+	f.accountRead(addr.Channel)
 	return Result{Start: cmdStart, Ready: ready, Done: done}, nil
 }
 
@@ -1150,12 +1083,12 @@ func (b *PlanBatch) ReadTrusted(now sim.Time, addr Address, dst []byte) (Result,
 }
 
 // ProgramAddr performs a page program and its functional block-state
-// transition, staging the page bytes into a pooled buffer at issue (the
-// caller's buffer is not retained; reads staged before the batch event
-// observe the bytes through the channel's pending-install index) and
-// batching the accounting and the tracked-data install — or, engine-less,
-// applying both: the bytes are copied into the page (zero-padded) and a
-// staged buffer goes back to the pool. tag is the
+// transition and charges the channel's counters and energy at issue. On a
+// tracked flash it stages the page bytes into a pooled buffer (the caller's
+// buffer is not retained; reads staged before the batch event observe the
+// bytes through the channel's pending-install index) and batches the
+// install — or, engine-less, applies it: the bytes are copied into the page
+// (zero-padded) and a staged buffer goes back to the pool. tag is the
 // OOB logical tag: the FTL-defined identity of the logical sub-page this
 // program stores (fil passes the forward-map index), stamped into the page's
 // out-of-band metadata so mount-time recovery can rebuild the mapping from
@@ -1186,10 +1119,10 @@ func (b *PlanBatch) ProgramAddr(now sim.Time, addr *Address, data []byte, staged
 	}
 	di := f.geo.dieOf(addr)
 	xferStart, done, pageIdx := f.claimProgram(now, addr, di, tag)
+	f.accountProgram(addr.Channel)
 	res := Result{Start: xferStart, Ready: done, Done: done}
 	switch {
 	case b.e == nil:
-		f.accountProgram(addr.Channel)
 		if f.trackData && data != nil {
 			f.checkNoPendingInstalls(addr.Channel)
 			arena, local := f.data[addr.Channel], f.chanLocal(pageIdx)
@@ -1201,7 +1134,6 @@ func (b *PlanBatch) ProgramAddr(now sim.Time, addr *Address, data []byte, staged
 		}
 		return res, nil
 	case !f.trackData:
-		b.die(di, addr.Channel, done).nProgs++
 		return res, nil
 	}
 	rec, db, idx := b.record(di, addr.Channel, done)
@@ -1234,15 +1166,22 @@ func (b *PlanBatch) ProgramTaggedTrusted(now sim.Time, addr Address, data []byte
 }
 
 // Erase erases the block containing addr (its Page field is ignored) with
-// its timing and functional reset, batching the accounting and the
-// tracked-data presence clear. The clear applies after every
-// earlier-completing program install of the same die (in-batch records keep
-// issue order; cross-plan batches order by the die's serialized
-// completions), so an erase + reprogram sequence converges to the engine-less
-// arena state, and in-flight deferred reads are immune because they stage
-// their bytes at issue. Engine-less, the clear and the accounting apply at
+// its timing and functional reset, charging the channel's counters and
+// energy at issue and batching the tracked-data presence clear. The clear
+// applies after every earlier-completing program install of the same die
+// (in-batch records keep issue order; cross-plan batches order by the die's
+// serialized completions), so an erase + reprogram sequence converges to
+// the engine-less arena state, and in-flight deferred reads are immune
+// because they stage their bytes at issue. Engine-less, the clear applies at
 // issue and the erase is committed at claim: its undo record is never
 // restored.
+//
+// On an engine the erase journals its undo record, and first prunes the
+// records whose array operation started by the engine's dispatch clock
+// (b.e.Now()), not by this erase's issue time: a cut may still land between
+// the two, and it needs those records. Pruning therefore relies on the
+// caller's dispatch clock advancing; a caller that issues outside a running
+// engine prunes with Flash.PruneEraseUndo.
 func (b *PlanBatch) Erase(now sim.Time, addr Address) (Result, error) {
 	f := b.f
 	addr.Page = 0
@@ -1263,6 +1202,7 @@ func (b *PlanBatch) Erase(now sim.Time, addr Address) (Result, error) {
 		f.pruneEraseUndo(b.e.Now())
 	}
 	cmdStart, done, undo := f.claimErase(now, &addr, di)
+	f.accountErase(addr.Channel)
 	res := Result{Start: cmdStart, Ready: done, Done: done}
 	switch {
 	case b.e == nil:
@@ -1271,10 +1211,7 @@ func (b *PlanBatch) Erase(now sim.Time, addr Address) (Result, error) {
 			f.checkNoPendingInstalls(addr.Channel)
 			f.data[addr.Channel].clearRange(f.chanLocal(base), f.geo.PagesPerBlock)
 		}
-		f.accountErase(addr.Channel)
-	case !f.trackData:
-		b.die(di, addr.Channel, done).nErases++
-	default:
+	case f.trackData:
 		rec, _, _ := b.record(di, addr.Channel, done)
 		rec.kind = OpErase
 		rec.pageLocal = f.chanLocal(base)
@@ -1283,9 +1220,10 @@ func (b *PlanBatch) Erase(now sim.Time, addr Address) (Result, error) {
 	return res, nil
 }
 
-// Commit schedules every touched die's batch as one event in its channel's
-// domain at the die's latest completion time, then closes the plan
-// context. The batches release themselves (and their staged buffers) back
+// Commit schedules every die batch the plan recorded tracked data in as one
+// event in its channel's domain at the latest completion among its records,
+// then closes the plan context. A plan without tracked data schedules
+// nothing. The batches release themselves (and their staged buffers) back
 // to their channel's pools when they dispatch.
 func (b *PlanBatch) Commit() {
 	for _, di := range b.used {
@@ -1296,10 +1234,11 @@ func (b *PlanBatch) Commit() {
 	b.reset()
 }
 
-// Abort discards the batched bookkeeping without scheduling it, for a
-// caller abandoning a plan whose error preceded any issued transaction.
-// Resource claims and functional block-state transitions made through the
-// batch are not rolled back — which is why fil.ExecuteOn only Aborts for
+// Abort discards the batched installs and clears without scheduling them,
+// for a caller abandoning a plan whose error preceded any issued
+// transaction. Resource claims, counters and functional block-state
+// transitions made through the batch are not rolled back — which is why
+// fil.ExecuteOn only Aborts for
 // structural errors its prevalidation guarantees arrive with nothing
 // issued; a mid-plan injected fault instead Commits the executed prefix
 // (those transactions really happened) and reports a PlanFault. Pending-
@@ -1349,8 +1288,7 @@ func (f *Flash) CheckErase(addr Address) error {
 }
 
 // accountProgram charges one page program to the channel's counters and
-// energy. Called exactly once per program (PlanBatch.ProgramAddr): at issue
-// on an engine-less batch, else from the die batch's completion event.
+// energy. Called exactly once per program, at issue (PlanBatch.ProgramAddr).
 func (f *Flash) accountProgram(channel int) {
 	st := &f.chStats[channel]
 	st.Programs++
@@ -1359,7 +1297,7 @@ func (f *Flash) accountProgram(channel int) {
 }
 
 // accountErase charges one block erase to the channel's counters and
-// energy. Called exactly once per erase, like accountProgram.
+// energy. Called exactly once per erase, at issue (PlanBatch.Erase).
 func (f *Flash) accountErase(channel int) {
 	f.chStats[channel].Erases++
 	f.chEnergy[channel] += f.pow.EraseEnergyJ

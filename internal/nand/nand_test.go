@@ -503,15 +503,15 @@ func BenchmarkProgramReadErase(b *testing.B) {
 	}
 }
 
-// readDeferred issues one deferred read the way fil's walked path does: the
+// readDeferred issues one staged read the way fil's walked path does: the
 // probe validates and draws, the issue replays the draw.
-func readDeferred(t *testing.T, f *Flash, e *sim.Engine, dom sim.DomainID, now sim.Time, addr Address, dst []byte) Result {
+func readDeferred(t *testing.T, f *Flash, now sim.Time, addr Address, dst []byte) Result {
 	t.Helper()
 	extra, err := f.ProbeReadExtra(now, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f.ReadDeferredAddr(e, dom, now, &addr, dst, extra)
+	return f.ReadDeferredAddr(now, &addr, dst, extra)
 }
 
 // onePlan runs op as a one-transaction PlanBatch in addr's channel domain:
@@ -547,11 +547,10 @@ func eraseDeferred(t *testing.T, f *Flash, e *sim.Engine, dom sim.DomainID, now 
 	})
 }
 
-// checkDeferredRead holds one way of issuing a deferred read to the path's
+// checkDeferredRead holds one way of issuing a staged read to the path's
 // contract: timing identical to the synchronous Read, the page bytes
-// delivered at issue, counters and energy landing only when the completion
-// event dispatches, and a channel-pooled carrier that makes steady-state
-// deferred reads allocation-free.
+// delivered and the counters and energy charged at issue, nothing scheduled
+// on the engine, and no allocation.
 func checkDeferredRead(t *testing.T, issue func(f *Flash, e *sim.Engine, dom sim.DomainID, now sim.Time, addr Address, dst []byte) Result) {
 	fSync := newTestFlash(t, Options{TrackData: true, Seed: 1})
 	fDef := newTestFlash(t, Options{TrackData: true, Seed: 1})
@@ -572,56 +571,50 @@ func checkDeferredRead(t *testing.T, issue func(f *Flash, e *sim.Engine, dom sim
 	dom := e.Domain(ChannelDomain(addr.Channel))
 	dst := make([]byte, 4096)
 	if got := issue(fDef, e, dom, now, addr, dst); got != want {
-		t.Fatalf("deferred timing %+v != sync %+v", got, want)
+		t.Fatalf("staged timing %+v != sync %+v", got, want)
 	}
 	// The consumer-side contract: bytes are complete at issue, so a
-	// continuation reading dst depends on no pending channel event.
+	// continuation reading dst depends on no channel event.
 	if !bytes.Equal(dst, payload) {
-		t.Fatal("deferred read did not deliver the page contents at issue")
+		t.Fatal("staged read did not deliver the page contents at issue")
 	}
-	if n := fDef.Stats().Reads; n != 0 {
-		t.Fatalf("stats counted before completion: %d reads", n)
+	if n := e.Pending(); n != 0 {
+		t.Fatalf("staged read scheduled %d events", n)
 	}
-	e.Run()
 	if fDef.Stats() != fSync.Stats() {
-		t.Fatalf("stats after completion %+v != sync %+v", fDef.Stats(), fSync.Stats())
+		t.Fatalf("stats at issue %+v != sync %+v", fDef.Stats(), fSync.Stats())
 	}
 	if fDef.EnergyJoules() != fSync.EnergyJoules() {
-		t.Fatalf("energy %v != %v", fDef.EnergyJoules(), fSync.EnergyJoules())
-	}
-	if !bytes.Equal(dst, payload) {
-		t.Fatal("dst changed after the accounting event")
+		t.Fatalf("energy at issue %v != sync %v", fDef.EnergyJoules(), fSync.EnergyJoules())
 	}
 
-	// Steady state reuses the pooled completion carrier: no allocations.
 	allocs := testing.AllocsPerRun(100, func() {
-		issue(fDef, e, dom, e.Now(), addr, dst)
-		e.Run()
+		issue(fDef, e, dom, now, addr, dst)
 	})
 	if allocs != 0 {
-		t.Fatalf("deferred read allocated %v per op", allocs)
+		t.Fatalf("staged read allocated %v per op", allocs)
 	}
 }
 
-// TestReadDeferred verifies the deferred read path issued the way fil's
+// TestReadDeferred verifies the staged read path issued the way fil's
 // walked path does, probe then replay.
 func TestReadDeferred(t *testing.T) {
-	checkDeferredRead(t, func(f *Flash, e *sim.Engine, dom sim.DomainID, now sim.Time, addr Address, dst []byte) Result {
-		return readDeferred(t, f, e, dom, now, addr, dst)
+	checkDeferredRead(t, func(f *Flash, _ *sim.Engine, _ sim.DomainID, now sim.Time, addr Address, dst []byte) Result {
+		return readDeferred(t, f, now, addr, dst)
 	})
 }
 
 // TestReadDeferredEager holds the by-value certified wrapper to the same
-// contract: no probe, no drawn retry cost, everything else ReadDeferredAddr.
+// contract: no probe, no drawn retry cost, and its engine left untouched.
 func TestReadDeferredEager(t *testing.T) {
 	checkDeferredRead(t, (*Flash).ReadDeferredEagerTrusted)
 }
 
 // TestProgramDeferred verifies the deferred program path (a one-op
-// PlanBatch): timing and functional block state identical to the
-// synchronous Program, counters, energy and the tracked-data install landing
-// only when the completion event dispatches, and pooled carriers that make
-// steady state allocation-free.
+// PlanBatch): timing, functional block state, counters and energy identical
+// to the synchronous Program at issue; on a tracked flash, one batch event
+// that lands the install, and pooled carriers that make steady state
+// allocation-free; on a timing-only flash, no event at all.
 func TestProgramDeferred(t *testing.T) {
 	fSync := newTestFlash(t, Options{TrackData: true, Seed: 1})
 	fDef := newTestFlash(t, Options{TrackData: true, Seed: 1})
@@ -641,19 +634,22 @@ func TestProgramDeferred(t *testing.T) {
 	if !fDef.PageWritten(addr) || fDef.NextProgramPage(addr) != 1 {
 		t.Fatal("functional block state must transition at issue")
 	}
-	if n := fDef.Stats().Programs; n != 0 {
-		t.Fatalf("stats counted before completion: %d programs", n)
+	if fDef.Stats() != fSync.Stats() || fDef.EnergyJoules() != fSync.EnergyJoules() {
+		t.Fatalf("stats at issue %+v (%v J) != sync %+v (%v J)", fDef.Stats(), fDef.EnergyJoules(), fSync.Stats(), fSync.EnergyJoules())
+	}
+	if n := e.Pending(); n != 1 {
+		t.Fatalf("one tracked program scheduled %d events, want its die's batch", n)
 	}
 	// A read staged before the install event must already observe the
 	// latched bytes (the pending-install index), like the synchronous path.
 	staged := make([]byte, 4096)
-	readDeferred(t, fDef, e, dom, 0, addr, staged)
+	readDeferred(t, fDef, 0, addr, staged)
 	if !bytes.Equal(staged, payload) {
 		t.Fatal("read staged before install missed the pending program bytes")
 	}
 	e.Run()
 	if fDef.Stats().Programs != 1 || fDef.Stats().BytesWritten != 4096 {
-		t.Fatalf("stats after completion: %+v", fDef.Stats())
+		t.Fatalf("stats after the install: %+v", fDef.Stats())
 	}
 	rb := make([]byte, 4096)
 	if _, err := fDef.Read(sim.FromMicroseconds(50000), addr, rb); err != nil {
@@ -679,17 +675,31 @@ func TestProgramDeferred(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("deferred program allocated %v per op", allocs)
 	}
+
+	// Timing-only: counted at issue, nothing scheduled.
+	fTiming := newTestFlash(t, Options{Seed: 1})
+	if got := programDeferred(t, fTiming, e, dom, 0, addr, payload); got != want {
+		t.Fatalf("timing-only timing %+v != sync %+v", got, want)
+	}
+	if n := e.Pending(); n != 0 {
+		t.Fatalf("timing-only program scheduled %d events", n)
+	}
+	if fTiming.Stats() != fSync.Stats() || fTiming.EnergyJoules() != fSync.EnergyJoules() {
+		t.Fatalf("timing-only stats %+v != sync %+v", fTiming.Stats(), fSync.Stats())
+	}
 }
 
 // TestEraseDeferred verifies the deferred erase path (a one-op PlanBatch):
-// functional reset at issue, counters/energy/presence-clear at completion,
-// byte-identical totals versus the synchronous path.
+// functional reset, counters and energy at issue, byte-identical totals
+// versus the synchronous path, one batch event for the tracked presence
+// clear and none on a timing-only flash.
 func TestEraseDeferred(t *testing.T) {
 	fSync := newTestFlash(t, Options{TrackData: true, Seed: 1})
 	fDef := newTestFlash(t, Options{TrackData: true, Seed: 1})
+	fTiming := newTestFlash(t, Options{Seed: 1})
 	addr := Address{Channel: 1, Page: 0}
 	payload := bytes.Repeat([]byte{0x77}, 4096)
-	for _, f := range []*Flash{fSync, fDef} {
+	for _, f := range []*Flash{fSync, fDef, fTiming} {
 		if _, err := f.Program(0, addr, payload); err != nil {
 			t.Fatal(err)
 		}
@@ -708,15 +718,25 @@ func TestEraseDeferred(t *testing.T) {
 	if fDef.PageWritten(addr) || fDef.NextProgramPage(addr) != 0 {
 		t.Fatal("functional reset must apply at issue")
 	}
-	if n := fDef.Stats().Erases; n != 0 {
-		t.Fatalf("stats counted before completion: %d erases", n)
+	if fDef.Stats() != fSync.Stats() || fDef.EnergyJoules() != fSync.EnergyJoules() {
+		t.Fatalf("stats at issue %+v (%v J) != sync %+v (%v J)", fDef.Stats(), fDef.EnergyJoules(), fSync.Stats(), fSync.EnergyJoules())
+	}
+	if n := e.Pending(); n != 1 {
+		t.Fatalf("one tracked erase scheduled %d events, want its die's batch", n)
 	}
 	e.Run()
-	if fDef.Stats() != fSync.Stats() {
-		t.Fatalf("stats after completion %+v != sync %+v", fDef.Stats(), fSync.Stats())
-	}
 	if fDef.EraseCount(addr) != 1 {
 		t.Fatalf("EraseCount = %d", fDef.EraseCount(addr))
+	}
+
+	if got := eraseDeferred(t, fTiming, e, dom, now, addr); got != want {
+		t.Fatalf("timing-only timing %+v != sync %+v", got, want)
+	}
+	if n := e.Pending(); n != 0 {
+		t.Fatalf("timing-only erase scheduled %d events", n)
+	}
+	if fTiming.Stats() != fSync.Stats() || fTiming.EnergyJoules() != fSync.EnergyJoules() {
+		t.Fatalf("timing-only stats %+v != sync %+v", fTiming.Stats(), fSync.Stats())
 	}
 
 	doms := make([]sim.DomainID, fDef.Geometry().Channels)
@@ -734,10 +754,75 @@ func TestEraseDeferred(t *testing.T) {
 	}
 }
 
+// TestPlanBatchEventsPerDie holds a plan's events to what its tracked data
+// needs: one batch per die the plan programmed or erased, scheduled at the
+// latest completion among that die's records, none for reads, and none at
+// all on a timing-only flash — whose counters match the tracked flash's at
+// issue all the same.
+func TestPlanBatchEventsPerDie(t *testing.T) {
+	plan := func(f *Flash, e *sim.Engine) (last [3]sim.Time) {
+		t.Helper()
+		// Die (0,0) holds a written page to read; die (1,0) is programmed
+		// twice, die (2,1) once and erased.
+		src := Address{Channel: 0, Page: 0}
+		if _, err := f.Program(0, src, nil); err != nil {
+			t.Fatal(err)
+		}
+		b := f.BeginPlan(e, testChannelDomains(e, f))
+		now := sim.FromMicroseconds(1000)
+		if _, err := b.ReadAddr(now, &src, nil); err != nil {
+			t.Fatal(err)
+		}
+		a := Address{Channel: 1}
+		for pg := 0; pg < 2; pg++ {
+			a.Page = pg
+			r, err := b.ProgramAddr(now, &a, []byte{byte(pg + 1)}, false, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last[0] = r.Done
+		}
+		c := Address{Channel: 2, Package: 1}
+		r, err := b.ProgramAddr(now, &c, []byte{9}, false, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last[1] = r.Done
+		if r, err = b.Erase(r.Done, Address{Channel: 2, Package: 1, Block: 1}); err != nil {
+			t.Fatal(err)
+		}
+		last[2] = r.Done
+		b.Commit()
+		return last
+	}
+	fTracked := newTestFlash(t, Options{TrackData: true, Seed: 1})
+	e := sim.NewEngine()
+	last := plan(fTracked, e)
+	if n := e.Pending(); n != 2 {
+		t.Fatalf("tracked plan on two written dies scheduled %d events, want 2", n)
+	}
+	if e.Step(); e.Now() != last[0] {
+		t.Fatalf("first batch at %v, want the die's last program at %v", e.Now(), last[0])
+	}
+	if e.Step(); e.Now() != max(last[1], last[2]) {
+		t.Fatalf("second batch at %v, want the die's last record at %v", e.Now(), max(last[1], last[2]))
+	}
+
+	fTiming := newTestFlash(t, Options{Seed: 1})
+	eTiming := sim.NewEngine()
+	plan(fTiming, eTiming)
+	if n := eTiming.Pending(); n != 0 {
+		t.Fatalf("timing-only plan scheduled %d events", n)
+	}
+	if fTiming.Stats() != fTracked.Stats() || fTiming.EnergyJoules() != fTracked.EnergyJoules() {
+		t.Fatalf("timing-only stats %+v != tracked %+v", fTiming.Stats(), fTracked.Stats())
+	}
+}
+
 // TestDeferredGCReprogramOrdering is the golden ordering test for deferred
 // writes against in-flight deferred reads: a read is issued, then a GC-style
 // erase + reprogram of the same physical page runs entirely on the deferred
-// path before any completion event dispatches. The in-flight read must
+// path before any batch event dispatches. The in-flight read must
 // return the pre-erase bytes (delivered at issue), the post-drain arena must
 // hold the new bytes (installs and clears dispatch in channel (time, seq)
 // order, which the die resource aligns with issue order), and the counters
@@ -769,7 +854,7 @@ func TestDeferredGCReprogramOrdering(t *testing.T) {
 	dom := e.Domain(ChannelDomain(addr.Channel))
 	programDeferred(t, fDef, e, dom, 0, addr, old)
 	dst := make([]byte, 4096)
-	readDeferred(t, fDef, e, dom, 0, addr, dst)
+	readDeferred(t, fDef, 0, addr, dst)
 	eraseDeferred(t, fDef, e, dom, 0, addr)
 	programDeferred(t, fDef, e, dom, 0, addr, new_)
 	e.Run()
@@ -797,11 +882,11 @@ func TestDeferredGCReprogramOrdering(t *testing.T) {
 }
 
 // TestReadDeferredSnapshotsAtIssue locks in the data semantics of the
-// deferred path: the bytes a read returns are fixed when it is issued (the
+// staged path: the bytes a read returns are fixed when it is issued (the
 // array read latches them), so an erase + reprogram of the same physical
-// page that executes before the completion event dispatches must not leak
-// the new contents into the in-flight read — exactly what the synchronous
-// Read guarantees by copying immediately.
+// page issued before the read completes must not leak the new contents into
+// the in-flight read — exactly what the synchronous Read guarantees by
+// copying immediately.
 func TestReadDeferredSnapshotsAtIssue(t *testing.T) {
 	f := newTestFlash(t, Options{TrackData: true})
 	addr := Address{Page: 0}
@@ -810,12 +895,10 @@ func TestReadDeferredSnapshotsAtIssue(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e := sim.NewEngine()
-	dom := e.Domain(ChannelDomain(addr.Channel))
 	dst := make([]byte, 4096)
-	readDeferred(t, f, e, dom, 0, addr, dst)
+	readDeferred(t, f, 0, addr, dst)
 
-	// A GC cycle recycles the block before the completion event runs.
+	// A GC cycle recycles the block before the read completes.
 	if _, err := f.Erase(0, addr); err != nil {
 		t.Fatal(err)
 	}
@@ -823,7 +906,6 @@ func TestReadDeferredSnapshotsAtIssue(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e.Run()
 	if !bytes.Equal(dst, old) {
 		t.Fatalf("in-flight read observed post-erase contents: got %x... want %x...", dst[:4], old[:4])
 	}

@@ -152,9 +152,9 @@ func (f *Flash) EncodeState(e *snap.Enc) {
 // scratch device and swap on success.
 func (f *Flash) DecodeState(d *snap.Dec) error { return f.state(snap.Decoding(d)) }
 
-// QuiescedForSnapshot reports nil when no deferred bookkeeping is in
-// flight, the precondition for EncodeState (pending installs are volatile
-// carrier state with no serialized form).
+// QuiescedForSnapshot reports nil when no tracked-data install or clear is
+// in flight, the precondition for EncodeState (pending installs are
+// volatile carrier state with no serialized form).
 func (f *Flash) QuiescedForSnapshot() error {
 	if f.plan.open {
 		return fmt.Errorf("nand: snapshot with a plan batch open")

@@ -33,9 +33,10 @@
 //     heap object, no interface boxing on push/pop, walks half the levels
 //     per sift, and compares keys that sit in the array being sifted, a
 //     node's four children in at most two cache lines. The populations are
-//     small — 32 events on a cached-read run at depth 32, a few hundred on
-//     the miss, GC and trace workloads, about 1 400 at their peak — so a sift
-//     is two to four levels. The comparison is one subtract-with-borrow over
+//     small — at depth 32, 32 events on a cached-read run and means of 32
+//     to 35 (peaks under 50) on the timing-only miss, GC and trace
+//     workloads, whose flash transactions raise no event — so a sift is two
+//     to three levels. The comparison is one subtract-with-borrow over
 //     (time, key) taken as a 128-bit number: which of four children fires
 //     first is decided by the data, and a branch on it mispredicts.
 //
@@ -72,14 +73,15 @@
 // Scheduling domains say what an event is for, never when it fires. In a
 // full system host/HIL, CPU, ICL/DRAM, DMA and the fill-publish domain carry
 // the firmware stage boundaries, cache installs, GC, transfers and request
-// completions; the per-NAND-channel domains carry the deferred per-channel
-// bookkeeping of flash transactions — read completions
-// (nand.Flash.ReadDeferredAddr) and the per-die plan batches of program
-// installs and erase clears (nand.PlanBatch via fil.ExecuteOn) — which
-// touches only the channel's counters and energy accumulator, its pooled
-// completion carriers, its tracked-data arena and pending-install index,
-// and never schedules. Per-channel float accumulators are summed in channel
-// order, and costs worked out ahead of time fall under the same rule:
+// completions; the per-NAND-channel domains carry only the per-die plan
+// batches that land tracked page bytes — program installs and erase clears
+// (nand.PlanBatch via fil.ExecuteOn) — which touch only the channel's
+// tracked-data arena, pending-install index and pooled carriers, and never
+// schedule. Every flash transaction is counted and charged when it is
+// issued, so a read never raises a channel event and a timing-only device
+// raises none at all. Per-channel float accumulators add in issue order and
+// are summed in channel order, and costs worked out ahead of time fall under
+// the same rule:
 // package cpu's compiled charges evaluate each float once, by the
 // expression a per-call evaluation uses, and still add energy one run at a
 // time in run order (cpu's package comment).
@@ -91,16 +93,17 @@
 // # Deferred writes: why staged-at-issue data and channel-ordered merges
 // preserve the synchronous observable state
 //
-// Deferring a program or erase is subtler than deferring a read, because
-// writes change what later reads observe. Three mechanisms keep the
-// deferred path's observable state identical to synchronous execution:
+// Only tracked page bytes defer — a program's install, an erase's presence
+// clear — and they need care, because writes change what later reads
+// observe. Three mechanisms keep the deferred path's observable state
+// identical to synchronous execution:
 //
 //  1. Functional state transitions stay at issue. The block's written map,
 //     in-order program pointer and erase count mutate synchronously when
 //     the transaction is issued, so every later issue-time check —
 //     CheckRead, CheckProgram, plan prevalidation — sees exactly the state
-//     the synchronous path would show. Only the bookkeeping (counters,
-//     energy, tracked-data arena updates) defers.
+//     the synchronous path would show. Counters and energy are charged at
+//     issue too; only the tracked-data arena updates defer.
 //
 //  2. Data is latched at issue. A program's page bytes are copied into a
 //     pooled staging buffer when it issues (physically: the die register
@@ -139,11 +142,11 @@
 // the page bytes into the fill's line buffer at issue time
 // (nand.Flash.ReadDeferredAddr through fil.ReadSubsStaged): the copy reads
 // the channel's pending-aware index — so it observes exactly the bytes the
-// synchronous path would — and is the only data movement. The channel
-// domains carry only the reads' counters and energy. The publish stage
-// (core's fil.publish domain) installs the completed buffer at the fetch's
-// completion time; its buffer was finished before the fill's bookkeeping was
-// even scheduled, so it reads nothing a pending channel event writes.
+// synchronous path would — and is the only data movement; the reads' counters
+// and energy are charged with it, and nothing is scheduled in the channel
+// domains. The publish stage (core's fil.publish domain) installs the
+// completed buffer at the fetch's completion time; its buffer was finished at
+// issue, so it reads nothing a pending channel event writes.
 //
 // Payload granularity. The bytes of the datapath move at the granularity the
 // cache is valid at, the sub-page, and none of the arguments here depend on
@@ -175,10 +178,10 @@
 //  1. Draws happen at issue time. Every fault decision — program, erase,
 //     and the read-retry ladder — is evaluated when the transaction is
 //     issued (after its Check* validation, before any claim or functional
-//     mutation). The channels' deferred events never draw: the bookkeeping
-//     they carry (counters, energy, arena installs) is downstream of an
-//     already-decided issue. So the set of draws and their interleaving is
-//     fixed by the order of issues, which is the engine's one total order.
+//     mutation). The channels' die-batch events never draw: the arena
+//     installs and clears they carry are downstream of an already-decided
+//     issue. So the set of draws and their interleaving is fixed by the
+//     order of issues, which is the engine's one total order.
 //
 //  2. Draws are stateless. A draw is a pure hash of (seed, operation
 //     kind, physical index, the block's erase count, retry attempt) — no
@@ -219,10 +222,13 @@
 //
 //  2. Durable state is exactly what reached NAND. The cut discards all
 //     volatile firmware state — ICL cache lines and flush buffers,
-//     staged pageBufs, in-flight plans, the deferred per-channel
-//     bookkeeping — and keeps only the arena pages and per-page OOB
+//     staged pageBufs, in-flight plans, the pending tracked-data
+//     installs — and keeps only the arena pages and per-page OOB
 //     stamps (logical tag, device-wide write sequence, checksum) that
-//     programs physically completed. A program in flight at T resolves
+//     programs physically completed. The activity counters and energy are
+//     the simulator's record of what was issued, not device state: charged
+//     at issue, they count an op issued before the cut even when it would
+//     have completed after it, so the flash and the FIL always agree. A program in flight at T resolves
 //     torn-or-committed by a stateless seeded draw keyed on (seed,
 //     physical page, write sequence) — the same draw discipline as fault
 //     injection: no shared RNG cursor, so the resolution is a pure
@@ -321,11 +327,11 @@
 // loop would use, but drains the shared engine once per window — min(host
 // scheduler dispatch window, protocol queue depth, core.DefaultBatchWindow)
 // requests — instead of once per request. The deferred events a window
-// accumulates are per-channel bookkeeping that commutes with issue (counters,
-// energy, arena installs make no resource claims, are keyed in per-channel
-// order, and every reader of the arena goes through the pending-aware index),
-// so draining them at the window boundary dispatches the same multiset in the
-// same per-channel order as draining after every request. The one subtlety is
+// accumulates are die batches that commute with issue (arena installs and
+// clears make no resource claims, are keyed in per-channel order, and every
+// reader of the arena goes through the pending-aware index), so draining them
+// at the window boundary dispatches the same multiset in the same per-channel
+// order as draining after every request. The one subtlety is
 // the engine clock: the drain rewinds it (Engine.Reset), so maintenance that
 // prunes by engine time — the power-loss erase-undo journal — is pruned
 // explicitly against the host clock instead (nand.Flash.PruneEraseUndo),
