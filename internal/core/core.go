@@ -411,10 +411,9 @@ func (s *System) bindFTL(t *ftl.FTL) error {
 // The per-channel nand domains carry only the per-die plan batches that land
 // tracked page bytes — program installs and erase clears (nand.PlanBatch).
 // Every flash transaction is counted and charged at issue, so a timing-only
-// device dispatches nothing in them. fil carries no events: it stays
-// registered because a domain's id and name are part of
-// sim.Engine.DomainStats, which every recorded run digest covers, and
-// dropping it renumbers pub and the channel domains.
+// device dispatches nothing in them. A domain's id and name are part of
+// sim.Engine.DomainStats, which every recorded run digest covers, so the
+// registration order below is pinned (TestEngineDomainTableStable).
 type engineDomains struct {
 	e    *sim.Engine
 	host sim.DomainID   // request issue slots, kernel submit/complete
@@ -443,7 +442,6 @@ func (s *System) domainsFor(e *sim.Engine) *engineDomains {
 		icl:  e.Domain(dram.Domain),
 		dma:  e.Domain(dma.Domain),
 	}
-	e.Domain(fil.Domain) // reserved id, no events (see engineDomains)
 	d.pub = e.Domain(fil.PublishDomain)
 	channels := s.cfg.Device.Geometry.Channels
 	d.nand = make([]sim.DomainID, channels)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"strings"
 	"testing"
 
 	"amber/internal/config"
@@ -267,8 +268,8 @@ func TestTwoStageFillGoldenEquivalence(t *testing.T) {
 }
 
 // TestTwoStageFillBatching verifies the staged structure on a 4K random-read
-// miss-heavy workload: every flash-backed fill rides the fil.publish shard,
-// none the reserved fil shard.
+// miss-heavy workload: flash-backed fills ride the fil.publish domain, and
+// the staged reads raise no channel event.
 func TestTwoStageFillBatching(t *testing.T) {
 	s := wideSystem(t)
 	if err := s.Precondition(16); err != nil {
@@ -282,17 +283,17 @@ func TestTwoStageFillBatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var published, reserved uint64
+	var published, channels uint64
 	for _, d := range res.DomainEvents {
-		switch d.Name {
-		case fil.PublishDomain:
+		switch {
+		case d.Name == fil.PublishDomain:
 			published = d.Dispatched
-		case fil.Domain:
-			reserved = d.Dispatched
+		case strings.HasPrefix(d.Name, "nand.ch"):
+			channels += d.Dispatched
 		}
 	}
-	if published == 0 || reserved != 0 {
-		t.Fatalf("fills published through %s: %d, through %s: %d", fil.PublishDomain, published, fil.Domain, reserved)
+	if published == 0 || channels != 0 {
+		t.Fatalf("fills published through %s: %d; channel events: %d", fil.PublishDomain, published, channels)
 	}
 	// The certified fast path served the trajectory too: every deferred
 	// plan execution skipped the walk (PlanCount also counts Flush's
@@ -305,14 +306,13 @@ func TestTwoStageFillBatching(t *testing.T) {
 // TestEngineDomainTableStable pins the names and ids of the scheduling
 // domains a System registers on a fresh engine. sim.Engine.DomainStats is
 // part of every recorded run digest, so a domain added, dropped or reordered
-// here — the event-less fil shard in particular, which exists only to hold
-// its id — moves every digest; this fails first, in milliseconds.
+// here moves every digest; this fails first, in milliseconds.
 func TestEngineDomainTableStable(t *testing.T) {
 	s := wideSystem(t)
 	if _, err := s.Submit(0, workload.Request{Write: true, Offset: 0, Length: 4096}, nil); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"default", "host", "cpu", "icl.dram", "dma", "fil", "fil.publish"}
+	want := []string{"default", "host", "cpu", "icl.dram", "dma", "fil.publish"}
 	for ch := 0; ch < s.Config().Device.Geometry.Channels; ch++ {
 		want = append(want, nand.ChannelDomain(ch))
 	}

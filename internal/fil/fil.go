@@ -20,12 +20,6 @@ import (
 // AddrFunc converts an FTL page location to a NAND physical address.
 type AddrFunc func(ftl.PageLoc) nand.Address
 
-// Domain names a reserved scheduling domain: no event rides it.
-// The core registers it on every engine all the same, because a domain's id
-// and name are part of sim.Engine.DomainStats and through it of every
-// recorded run digest.
-const Domain = "fil"
-
 // PublishDomain names the domain where the core places the continuation of a
 // flash-backed cache fill: the cache install, memory charge and waiter
 // wakeups. Those read and write state spanning channels (ICL lines, MSHR
@@ -62,10 +56,10 @@ type Stats struct {
 // with nothing issued), a fault interrupts real work: the plan's first
 // Executed ops claimed resources, transitioned block state, were counted and
 // scheduled their tracked-data installs — only the op at index Executed (and
-// everything after it) did not happen. The executor disarms its certified chain before
-// returning one: the issuing FTL's model and the flash have diverged, and
-// no later certificate can be trusted until recovery completes and
-// AcceptCertified re-arms the binding. Err wraps the nand sentinel
+// everything after it) did not happen. The executor disarms its certified
+// chain before returning one: the issuing FTL's model and the flash have
+// diverged, and no later certificate can be trusted until recovery
+// completes and AcceptCertified re-arms the binding. Err wraps the nand sentinel
 // (ErrProgramFail, ErrEraseFail, ErrUncorrectable) with address context.
 type PlanFault struct {
 	Executed int    // plan ops fully executed before the fault

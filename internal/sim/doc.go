@@ -228,8 +228,9 @@
 //     programs physically completed. The activity counters and energy are
 //     the simulator's record of what was issued, not device state: charged
 //     at issue, they count an op issued before the cut even when it would
-//     have completed after it, so the flash and the FIL always agree. A program in flight at T resolves
-//     torn-or-committed by a stateless seeded draw keyed on (seed,
+//     have completed after it, so the flash and the FIL always agree. A
+//     program in flight at T resolves torn-or-committed by a stateless
+//     seeded draw keyed on (seed,
 //     physical page, write sequence) — the same draw discipline as fault
 //     injection: no shared RNG cursor, so the resolution is a pure
 //     function of the cut time and the issue stream. Claimed-but-unstarted
