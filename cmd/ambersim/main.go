@@ -416,8 +416,9 @@ func runOne(dev string, w io.Writer, o runOptions) error {
 	}
 	if !o.batchSubmit {
 		fmt.Fprintf(w, "engine          %d events", res.Events)
-		// The busiest scheduling domains, most-loaded first.
-		sort.Slice(res.DomainEvents, func(i, j int) bool {
+		// The busiest scheduling domains, most-loaded first, ties in
+		// registration order.
+		sort.SliceStable(res.DomainEvents, func(i, j int) bool {
 			return res.DomainEvents[i].Dispatched > res.DomainEvents[j].Dispatched
 		})
 		shown := 0

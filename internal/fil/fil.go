@@ -59,8 +59,9 @@ type Stats struct {
 // everything after it) did not happen. The executor disarms its certified
 // chain before returning one: the issuing FTL's model and the flash have
 // diverged, and no later certificate can be trusted until recovery
-// completes and AcceptCertified re-arms the binding. Err wraps the nand sentinel
-// (ErrProgramFail, ErrEraseFail, ErrUncorrectable) with address context.
+// completes and AcceptCertified re-arms the binding. Err wraps the nand
+// sentinel (ErrProgramFail, ErrEraseFail, ErrUncorrectable) with address
+// context.
 type PlanFault struct {
 	Executed int    // plan ops fully executed before the fault
 	Op       ftl.Op // the faulting op
@@ -935,8 +936,8 @@ func (f *FIL) ReadSubs(now sim.Time, locs []ftl.PageLoc, dsts [][]byte) (sim.Tim
 // of the core's fill installs: the caller's buffer is complete when the
 // fill's publish continuation (PublishDomain) is scheduled. Every address is
 // validated before any read claims, so an error leaves nothing claimed and
-// no dst written. e and chDoms are unused; bench/replay.go calls this
-// signature.
+// no dst written. The engine and domain arguments are unused;
+// bench/replay.go calls this signature.
 //
 // cert is the read certificate stamped on locs by ftl.LookupSubs;
 // while it is honored (readCertOK: chain armed, epochs matched, read-fault

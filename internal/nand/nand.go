@@ -1049,10 +1049,10 @@ func (b *PlanBatch) record(di, ch int, done sim.Time) (*planOpRec, *dieBatch, in
 // charging the channel's counters and energy at issue (a dependent rewrite
 // consumes the bytes within the same serial call; copyOut is pending-aware,
 // so bytes latched by earlier not-yet-installed programs are observed). dst
-// is not retained. There is no structural precheck (address
-// bounds, page written): a certified plan's issuing FTL proved both at
-// construction time against a flash it is in lockstep with, and a walked
-// plan's executor runs Flash.CheckRead first. Injected fault draws still run
+// is not retained. There is no structural precheck (address bounds, page
+// written): a certified plan's issuing FTL proved both at construction time
+// against a flash it is in lockstep with, and a walked plan's executor runs
+// Flash.CheckRead first. Injected fault draws still run
 // — a certificate trusts the model, not the silicon: the retry ladder's
 // latency stretches the claim, an uncorrectable draw returns with nothing
 // claimed. The address travels by reference: the per-op caller fills one
