@@ -40,6 +40,7 @@ import (
 	"amber/internal/icl"
 	"amber/internal/nand"
 	"amber/internal/sim"
+	"amber/internal/stats"
 	"amber/internal/workload"
 )
 
@@ -361,9 +362,11 @@ func runOne(dev string, w io.Writer, o runOptions) error {
 	}
 	fmt.Fprintf(w, "simulated time  %v\n", el)
 	fmt.Fprintf(w, "bandwidth       %.1f MB/s (%.0f IOPS)\n", res.BandwidthMBps(), res.IOPS())
-	fmt.Fprintf(w, "latency         avg %.1f us, p50 %.1f, p95 %.1f, p99 %.1f, max %.1f\n",
+	// avg and max are exact; the percentiles are histogram midpoints, within
+	// the bound the row states of the exact samples.
+	fmt.Fprintf(w, "latency         avg %.1f us, p50 %.1f, p95 %.1f, p99 %.1f, max %.1f (percentiles ±%.1f %%)\n",
 		res.AvgLatencyUs(), res.Latency.Percentile(50), res.Latency.Percentile(95),
-		res.Latency.Percentile(99), res.Latency.Max())
+		res.Latency.Percentile(99), res.Latency.Max(), stats.PercentileBound*100)
 
 	if res.PowerLost {
 		// The mounted FTL restarted its lifetime counters inside the window.

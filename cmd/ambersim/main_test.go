@@ -119,3 +119,21 @@ func TestReportCoversTheMeasuredRun(t *testing.T) {
 		}
 	}
 }
+
+// TestLatencyRowStatesBound pins the latency row's shape: the exact average,
+// three ordered percentiles, the exact maximum, and the histogram's stated
+// percentile bound.
+func TestLatencyRowStatesBound(t *testing.T) {
+	row := report(t, workload.RandRead, 4096, 500)["latency"]
+	const bound = " (percentiles ±0.4 %)"
+	var avg, p50, p95, p99, most float64
+	if _, err := fmt.Sscanf(strings.TrimSuffix(row, bound), "avg %f us, p50 %f, p95 %f, p99 %f, max %f", &avg, &p50, &p95, &p99, &most); err != nil {
+		t.Fatalf("latency row %q: %v", row, err)
+	}
+	if !strings.HasSuffix(row, bound) {
+		t.Errorf("latency row %q does not end with %q", row, bound)
+	}
+	if !(0 < p50 && p50 <= p95 && p95 <= p99 && p99 <= most && avg <= most) {
+		t.Errorf("latency row %q: want 0 < p50 <= p95 <= p99 <= max and avg <= max", row)
+	}
+}

@@ -21,13 +21,13 @@ import (
 // purpose updates its line from the failure message, which prints the
 // trajectory and its digest.
 var trajectoryPins = map[string]uint64{
-	"write-deferred":  0x2acd942c713a5626,
-	"two-stage-fill":  0x4f8005649f31b911,
-	"fault":           0x1b3bb318db643df6,
-	"power-loss":      0x2fe6931dcf92e372,
+	"write-deferred":  0xa87879223407995f,
+	"two-stage-fill":  0x4188eea90ae0c8f0,
+	"fault":           0xbf44ac334463ca78,
+	"power-loss":      0xfcda57156333c970,
 	"power-cut-sweep": 0x3476cd5c1f2cfb13,
-	"rain":            0xb7ba8e47087b5415,
-	"snapshot-tail":   0xc9a473b681d94bf6,
+	"rain":            0x482d97ad9dcc4de2,
+	"snapshot-tail":   0xfc86851ea38ee566,
 }
 
 // checkPin fails unless rendered hashes to the digest committed under name.
@@ -61,7 +61,8 @@ func wideSystem(t *testing.T) *core.System {
 }
 
 // renderRow writes one run's experiment-table row (no per-domain lines)
-// into the golden buffer.
+// into the golden buffer. Its p50 and p95 are histogram percentiles, within
+// stats.PercentileBound of the exact samples.
 func renderRow(out *bytes.Buffer, name string, res *core.RunResult) {
 	fmt.Fprintf(out, "%s | reqs %d depth %d | %d..%d | rd %d wr %d | lat mean %.6f p50 %.6f p95 %.6f max %.6f | events %d\n",
 		name, res.Requests, res.Depth, res.Start, res.End, res.BytesRead, res.BytesWritten,

@@ -2,48 +2,101 @@
 // uses: latency distributions, bandwidth computation, windowed time series
 // (kernel CPU utilization and DRAM usage over time, Fig. 15), and error
 // metrics against reference curves.
+//
+// Latency is a log-linear histogram over the integer picosecond duration
+// (the HdrHistogram layout). Durations below 2^8 ps have a bucket each;
+// above, each power of two [2^e, 2^(e+1)) is one row of 2^7 equal buckets
+// 2^(e-7) ps wide, so no bucket is wider than 2^-7 of the values it holds.
+// A row is allocated when its power of two is first reached: a run of
+// microsecond-to-millisecond latencies holds a dozen 1 KiB rows, and no run
+// can hold more than 58 (58 KiB) however many requests it completes. Count,
+// Min, Max and Mean are exact; a percentile is the midpoint of the bucket
+// holding the nearest-rank sample, clamped to [Min, Max], and is therefore
+// within 2^-8 (0.39 %) of that sample.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 
 	"amber/internal/sim"
 )
 
-// Latency collects a latency distribution in microseconds.
+const (
+	// subBits is log2 of the buckets per power of two: 2^7 linear buckets,
+	// the widest 2^-7 of the smallest value they hold.
+	subBits  = 7
+	subCount = 1 << subBits
+	// nRows covers every uint64: row 0 holds [0, 2^7) and row r >= 1 holds
+	// [2^(r+6), 2^(r+7)), so 2^63..2^64-1 is row 57.
+	nRows = 64 - subBits + 1
+)
+
+// PercentileBound is the largest relative distance between a percentile
+// Latency reports and the exact nearest-rank sample: half a bucket, 2^-8.
+const PercentileBound = 1.0 / (1 << (subBits + 1))
+
+// Latency collects a latency distribution in microseconds. The zero value is
+// empty and ready; Add allocates only the first time a power of two of
+// picoseconds is reached.
 type Latency struct {
-	samples []float64
-	sorted  bool
-	sum     float64
-	min     float64
-	max     float64
+	n    int
+	sum  float64 // in Add order, so Mean is the same float as a slice's
+	min  float64
+	max  float64
+	rows [nRows]*[subCount]uint64
+}
+
+// bucket returns the histogram row and bucket of a duration in picoseconds.
+func bucket(ps uint64) (row, sub int) {
+	r := bits.Len64(ps) - subBits
+	if r <= 0 {
+		return 0, int(ps)
+	}
+	return r, int(ps>>(r-1)) & (subCount - 1)
+}
+
+// midpoint returns the centre, in picoseconds, of the integers bucket (row,
+// sub) holds.
+func midpoint(row, sub int) float64 {
+	if row == 0 {
+		return float64(sub)
+	}
+	shift := row - 1
+	lo := uint64(subCount+sub) << shift
+	return float64(lo) + float64(uint64(1)<<shift-1)/2
 }
 
 // Add records one latency.
 func (l *Latency) Add(d sim.Duration) {
 	v := d.Microseconds()
-	if len(l.samples) == 0 || v < l.min {
+	if l.n == 0 || v < l.min {
 		l.min = v
 	}
-	if len(l.samples) == 0 || v > l.max {
+	if l.n == 0 || v > l.max {
 		l.max = v
 	}
-	l.samples = append(l.samples, v)
-	l.sorted = false
+	l.n++
 	l.sum += v
+	r, s := bucket(uint64(d))
+	row := l.rows[r]
+	if row == nil {
+		row = new([subCount]uint64)
+		l.rows[r] = row
+	}
+	row[s]++
 }
 
 // Count returns the sample count.
-func (l *Latency) Count() int { return len(l.samples) }
+func (l *Latency) Count() int { return l.n }
 
 // Mean returns the average latency in microseconds.
 func (l *Latency) Mean() float64 {
-	if len(l.samples) == 0 {
+	if l.n == 0 {
 		return 0
 	}
-	return l.sum / float64(len(l.samples))
+	return l.sum / float64(l.n)
 }
 
 // Min returns the smallest sample in microseconds.
@@ -52,28 +105,37 @@ func (l *Latency) Min() float64 { return l.min }
 // Max returns the largest sample in microseconds.
 func (l *Latency) Max() float64 { return l.max }
 
-// Percentile returns the p-th percentile (0 < p <= 100) in microseconds,
-// using nearest-rank on the sorted samples.
+// Percentile returns the p-th percentile in microseconds by nearest rank:
+// Min for p <= 0 and Max for p >= 100, both exact, and otherwise the
+// midpoint of the rank's bucket clamped to [Min, Max], within
+// PercentileBound of the exact sample.
 func (l *Latency) Percentile(p float64) float64 {
-	n := len(l.samples)
-	if n == 0 {
+	if l.n == 0 {
 		return 0
 	}
-	if !l.sorted {
-		sort.Float64s(l.samples)
-		l.sorted = true
-	}
 	if p <= 0 {
-		return l.samples[0]
+		return l.min
 	}
 	if p >= 100 {
-		return l.samples[n-1]
+		return l.max
 	}
-	rank := int(math.Ceil(p / 100 * float64(n)))
-	if rank < 1 {
+	rank := math.Ceil(p / 100 * float64(l.n))
+	if !(rank >= 1) { // NaN p ranks first, as it always has
 		rank = 1
 	}
-	return l.samples[rank-1]
+	var seen uint64
+	for r, row := range l.rows {
+		if row == nil {
+			continue
+		}
+		for s, c := range row {
+			if seen += c; seen >= uint64(rank) {
+				v := midpoint(r, s) / float64(sim.Microsecond)
+				return min(max(v, l.min), l.max)
+			}
+		}
+	}
+	return l.max // unreachable: the rows hold l.n >= rank samples
 }
 
 // BandwidthMBps converts bytes moved over a window into MB/s (decimal
