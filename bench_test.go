@@ -1169,9 +1169,10 @@ func (d *rw8k) mismatches(reqs []workload.Request, bufs [][]byte, want []byte) i
 // TestWorkGateBatchRW8kData pins the work behind bench/'s batch_rw8k_data —
 // its device, stream, seed and warm-up — in counts that repeat exactly per
 // seed: the windows, the Submit engine's events by domain, the flash reads,
-// programs and erases, the collections, DRAM accesses, DMA descriptors,
-// read-back mismatches and allocations. It is the one bench workload whose
-// plans carry tracked bytes, so the one whose channel events install pages.
+// programs and erases, the collections, DRAM accesses, DMA descriptors, the
+// payload bytes the cache, the flash and core copy and zero, read-back
+// mismatches and allocations. It is the one bench workload whose plans carry
+// tracked bytes, so the one whose channel events install pages.
 func TestWorkGateBatchRW8kData(t *testing.T) {
 	const window, warm, n = 64, 1024, 8192
 	s := bench750d(t)
@@ -1202,15 +1203,24 @@ func TestWorkGateBatchRW8kData(t *testing.T) {
 		flashReads, flashPrograms uint64
 		flashErases, collects     uint64
 		dram, descriptors         uint64
+		// Payload bytes copied and zeroed by the cache, the flash and core's
+		// line staging.
+		iclCopied, iclZeroed   uint64
+		nandCopied, nandZeroed uint64
+		coreCopied, coreZeroed uint64
 	}
 	read := func() counts {
 		wins, _ := s.BatchStats()
 		fl, ft, dr := s.Flash.Stats(), s.FTL.Stats(), s.DevDRAM.Stats()
-		return counts{
+		c := counts{
 			windows: wins, events: groupEvents(s.SubmitEngineDomainStats()),
 			flashReads: fl.Reads, flashPrograms: fl.Programs, flashErases: fl.Erases,
 			collects: ft.GCRuns, dram: dr.Reads + dr.Writes, descriptors: s.DMA.Stats().Descriptors,
 		}
+		c.iclCopied, c.iclZeroed = s.ICL.PayloadBytes()
+		c.nandCopied, c.nandZeroed = s.Flash.PayloadBytes()
+		c.coreCopied, c.coreZeroed = s.PayloadBytes()
+		return c
 	}
 	before := read()
 	mismatches = 0
@@ -1227,17 +1237,27 @@ func TestWorkGateBatchRW8kData(t *testing.T) {
 		flashReads: after.flashReads - before.flashReads, flashPrograms: after.flashPrograms - before.flashPrograms,
 		flashErases: after.flashErases - before.flashErases, collects: after.collects - before.collects,
 		dram: after.dram - before.dram, descriptors: after.descriptors - before.descriptors,
+		iclCopied: after.iclCopied - before.iclCopied, iclZeroed: after.iclZeroed - before.iclZeroed,
+		nandCopied: after.nandCopied - before.nandCopied, nandZeroed: after.nandZeroed - before.nandZeroed,
+		coreCopied: after.coreCopied - before.coreCopied, coreZeroed: after.coreZeroed - before.coreZeroed,
 	}
 	// 128 vectors of 64: the 96 write vectors settle in line, one batch
 	// window each, and the 32 read vectors take the evented path — issue and
 	// completion on host, a parse on cpu and a payload DMA per read, and a
 	// fill publish per read that did not coalesce. A plan raises one channel
 	// event per die it wrote payload bytes to, which lands them; its reads
-	// raise none. Three collections fall inside the window.
+	// raise none. Three collections fall inside the window. Payload bytes:
+	// core copies each read's 8 KiB out of its line buffer and zeroes nothing
+	// (the writes are sub-page aligned, every fill is mapped); the flash
+	// copies whole 8 KiB pages, padding none; the cache zeroes about as many
+	// bytes as it copies, clearing the subs each evicted line had valid.
 	wantCounts := counts{
 		windows: 96, events: eventsByDomain{host: 4096, cpu: 2048, dma: 2048, publish: 2157, nand: 6166},
 		flashReads: 27925, flashPrograms: 13801, flashErases: 360, collects: 3,
 		dram: 8344, descriptors: 16384,
+		iclCopied: 216530944, iclZeroed: 212008960,
+		nandCopied: 278921216, nandZeroed: 0,
+		coreCopied: 2048 * rw8kIO, coreZeroed: 0,
 	}
 	if got != wantCounts {
 		t.Errorf("work of %d batched 8 KiB requests\n got %+v\nwant %+v", n, got, wantCounts)

@@ -183,6 +183,9 @@ type System struct {
 	// reads, prefetches and partial-sub merges (acquireLineBuf); its
 	// high-water mark is the most lines ever staged at once.
 	lineBufFree [][]byte
+	// stagedCopied and stagedZeroed count the payload bytes copied and zeroed
+	// in those buffers and out of them (PayloadBytes); no image holds them.
+	stagedCopied, stagedZeroed uint64
 
 	// Per-engine scheduling-domain cache (see domainsFor).
 	domTab []*engineDomains
@@ -485,6 +488,16 @@ func (s *System) Now() sim.Time { return s.now }
 // nonzero requests means every request fell back to the evented path.
 func (s *System) BatchStats() (windows, requests uint64) {
 	return s.batchWindows, s.batchReqs
+}
+
+// PayloadBytes returns the payload bytes core has copied and zeroed staging
+// lines: a read's bytes copied from its line buffer to the request buffer, a
+// partial write's payload merged over its flash sub-pages, and the subs a
+// fill or a merge finds unmapped, zeroed. The bytes the cache and the flash
+// move are theirs to count (icl.Cache.PayloadBytes, nand.Flash.PayloadBytes).
+// A timing-only system moves none.
+func (s *System) PayloadBytes() (copied, zeroed uint64) {
+	return s.stagedCopied, s.stagedZeroed
 }
 
 // DefaultBatchWindow is SubmitBatch's submission-window ceiling: deferred

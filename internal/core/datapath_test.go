@@ -117,6 +117,16 @@ func TestSubmitBatchMixedVectorMatchesSubmitLoop(t *testing.T) {
 	}
 }
 
+// payloadBytes lists the payload bytes the cache, the flash and core have
+// copied and zeroed, in that order.
+func payloadBytes(s *core.System) [6]uint64 {
+	var b [6]uint64
+	b[0], b[1] = s.ICL.PayloadBytes()
+	b[2], b[3] = s.Flash.PayloadBytes()
+	b[4], b[5] = s.PayloadBytes()
+	return b
+}
+
 func firstDiff(a, b string) int {
 	n := min(len(a), len(b))
 	for i := 0; i < n; i++ {
@@ -163,9 +173,19 @@ func TestUnalignedPayloadsPreserved(t *testing.T) {
 		return out.String(), s, shadow
 	}
 	tracked, s, shadow := run(true)
-	if timingOnly, _, _ := run(false); tracked != timingOnly {
+	timingOnly, t0, _ := run(false)
+	if tracked != timingOnly {
 		t.Errorf("merging partial sub-pages moved simulated time or statistics (first difference at byte %d)",
 			firstDiff(tracked, timingOnly))
+	}
+	// Payload bytes are counted where they move, and only there: the writes
+	// copy into the cache, the merges copy flash sub-pages and the payload
+	// over them, and the timing-only device moves nothing.
+	if b := payloadBytes(t0); b != [6]uint64{} {
+		t.Errorf("timing-only device counted payload bytes: %v", b)
+	}
+	if b := payloadBytes(s); b[0] == 0 || b[2] == 0 || b[4] == 0 {
+		t.Errorf("payload copies uncounted (icl, nand, core copied and zeroed): %v", b)
 	}
 	bad := 0
 	got := make([]byte, 3*bs)

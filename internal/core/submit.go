@@ -585,7 +585,7 @@ func (s *System) widenPartialWrite(ln hil.Line, payload []byte) (src []byte, off
 			s.flashSub(ln.LSPN, last, buf[whi-subSize:whi])
 		}
 	}
-	copy(buf[lo:hi], payload)
+	s.stagedCopied += uint64(copy(buf[lo:hi], payload))
 	return buf[wlo:whi], wlo, buf
 }
 
@@ -597,6 +597,7 @@ func (s *System) flashSub(lspn int64, sub int, dst []byte) {
 		return
 	}
 	clear(dst)
+	s.stagedZeroed += uint64(len(dst))
 }
 
 // writeLine stores one line into the ICL (write-back, write-allocate) and
@@ -658,7 +659,7 @@ func (s *System) readLineAsync(e *sim.Engine, ln hil.Line, dst []byte, cb func(s
 	buf := s.acquireLineBuf()
 	s.readLineAttempt(e, ln, buf, func(t sim.Time, err error) {
 		if err == nil {
-			copy(dst, buf[ln.LineOff:ln.LineOff+ln.ByteLen])
+			s.stagedCopied += uint64(copy(dst, buf[ln.LineOff:ln.LineOff+ln.ByteLen]))
 		}
 		s.releaseLineBuf(buf)
 		cb(t, err)
@@ -931,6 +932,7 @@ func (fo *fillOp) zeroUnmapped() {
 			continue
 		}
 		clear(fo.lineBuf[sub*subSize : (sub+1)*subSize])
+		fo.s.stagedZeroed += uint64(subSize)
 	}
 }
 

@@ -231,6 +231,11 @@ type Cache struct {
 	rng   *sim.RNG
 	stats Stats
 
+	// copied and zeroed count the tracked payload bytes the cache has moved
+	// into or out of frames and cleared in them (PayloadBytes). They are the
+	// observer's, like stats, but no Stats field and no part of an image.
+	copied, zeroed uint64
+
 	// Sequential detector state for readahead (§IV-C): the next expected
 	// LSPN and the current streak length.
 	seqNext   int64
@@ -307,6 +312,12 @@ func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
+
+// PayloadBytes returns the tracked payload bytes the cache has copied — hit
+// subs out to a reader, fills and writes into frames, flushed lines out to
+// their records — and zeroed, clearing the subs an evicted or invalidated
+// line had valid. A cache without TrackData moves none.
+func (c *Cache) PayloadBytes() (copied, zeroed uint64) { return c.copied, c.zeroed }
 
 func (c *Cache) setOf(lspn int64) *set {
 	return &c.sets[int(lspn%int64(len(c.sets)))]
@@ -451,14 +462,15 @@ func (c *Cache) retireScratch() {
 		}
 		return
 	}
-	clearSubs(c.scratchValid, c.scratchEv.Dirty, &c.scratchNValid, &c.scratchEv.nDirty, c.scratchEv.Data, c.cfg.SubSize)
+	c.clearSubs(c.scratchValid, c.scratchEv.Dirty, &c.scratchNValid, &c.scratchEv.nDirty, c.scratchEv.Data)
 }
 
 // clearSubs resets a frame's buffers: every valid sub's bytes are zeroed
 // (data may be nil), both masks cleared and their counts of set bits,
 // *nValid and *nDirty, zeroed. The walk ends at the last set bit, so a line
 // that held two subs costs two, wherever a full line would cost SubsPerLine.
-func clearSubs(valid, dirty []bool, nValid, nDirty *int, data []byte, subSize int) {
+func (c *Cache) clearSubs(valid, dirty []bool, nValid, nDirty *int, data []byte) {
+	subSize := c.cfg.SubSize
 	v, d := *nValid, *nDirty
 	for s := 0; v > 0 || d > 0; s++ {
 		if dirty[s] {
@@ -470,6 +482,7 @@ func clearSubs(valid, dirty []bool, nValid, nDirty *int, data []byte, subSize in
 			v--
 			if data != nil {
 				clear(data[s*subSize : (s+1)*subSize])
+				c.zeroed += uint64(subSize)
 			}
 		}
 	}
@@ -532,6 +545,7 @@ func (c *Cache) Read(lspn int64, firstSub, nSubs int, dst []byte) (ReadResult, e
 			}
 			if c.cfg.TrackData && dst != nil {
 				copy(dst[s*c.cfg.SubSize:(s+1)*c.cfg.SubSize], ln.data[s*c.cfg.SubSize:(s+1)*c.cfg.SubSize])
+				c.copied += uint64(c.cfg.SubSize)
 			}
 		} else {
 			res.MissSubs = append(res.MissSubs, s)
@@ -613,6 +627,7 @@ func (c *Cache) Fill(lspn int64, subs []int, data []byte, prefetched bool) (*Evi
 		// holds the newer bytes and the fetched copy is the stale one.
 		if c.cfg.TrackData && data != nil && !ln.dirty[s] {
 			copy(ln.data[s*c.cfg.SubSize:(s+1)*c.cfg.SubSize], data[s*c.cfg.SubSize:(s+1)*c.cfg.SubSize])
+			c.copied += uint64(c.cfg.SubSize)
 		}
 	}
 	c.touch(ln)
@@ -661,6 +676,7 @@ func (c *Cache) WriteAt(lspn int64, firstSub, nSubs int, src []byte, off int) (*
 		}
 		if lo < hi {
 			copy(ln.data[lo:hi], src[lo-off:hi-off])
+			c.copied += uint64(hi - lo)
 		}
 	}
 	c.touch(ln)
@@ -689,6 +705,7 @@ func (c *Cache) flushCopy(ln *line) Eviction {
 	e := Eviction{LSPN: ln.lspn, Dirty: append([]bool(nil), ln.dirty...), nDirty: ln.nDirty}
 	if c.cfg.TrackData {
 		e.Data = append([]byte(nil), ln.data...)
+		c.copied += uint64(len(ln.data))
 	}
 	clear(ln.dirty)
 	ln.nDirty = 0

@@ -57,6 +57,40 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestPayloadBytes counts the bytes each call moves: a write the part of its
+// source inside its subs, a read and a fill a whole sub each, a flush the
+// whole line, and retiring an eviction record the subs the evicted line had
+// valid. A timing-only cache counts nothing.
+func TestPayloadBytes(t *testing.T) {
+	for _, track := range []bool{true, false} {
+		c := newCache(t, func(cfg *Config) { cfg.Lines, cfg.ReadaheadThreshold, cfg.TrackData = 1, 0, track })
+		line := make([]byte, 2048)
+		steps := []struct {
+			op             func() error
+			copied, zeroed uint64
+		}{
+			{func() error { _, err := c.WriteAt(0, 1, 2, line[:700], 600); return err }, 700, 0},
+			{func() error { _, err := c.Read(0, 0, 4, line); return err }, 700 + 1024, 0},
+			{func() error { _, err := c.Fill(0, []int{0, 1}, line, false); return err }, 1724 + 512, 0}, // sub 1 is dirty: kept
+			{func() error { _, err := c.Write(1, 0, 1, line); return err }, 2236 + 512, 0},              // evicts line 0
+			{func() error { _, err := c.Write(2, 0, 1, line); return err }, 2748 + 512, 3 * 512},        // retires line 0's record
+			{func() error { c.FlushAll(); return nil }, 3260 + 2048, 1536},
+		}
+		for i, st := range steps {
+			if err := st.op(); err != nil {
+				t.Fatal(err)
+			}
+			want := [2]uint64{st.copied, st.zeroed}
+			if !track {
+				want = [2]uint64{}
+			}
+			if cp, z := c.PayloadBytes(); [2]uint64{cp, z} != want {
+				t.Fatalf("TrackData=%v step %d: copied %d, zeroed %d; want %v", track, i, cp, z, want)
+			}
+		}
+	}
+}
+
 func TestReadMissThenFillHit(t *testing.T) {
 	c := newCache(t, nil)
 	res, err := c.Read(5, 0, 4, nil)

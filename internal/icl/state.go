@@ -22,7 +22,7 @@ func (c *Cache) Invalidate() {
 			ln.lastUse = 0
 			ln.inserted = 0
 			ln.prev, ln.next = nil, nil
-			clearSubs(ln.valid, ln.dirty, &ln.nValid, &ln.nDirty, ln.data, c.cfg.SubSize)
+			c.clearSubs(ln.valid, ln.dirty, &ln.nValid, &ln.nDirty, ln.data)
 		}
 		st.head, st.tail, st.empty = nil, nil, 0
 	}

@@ -168,7 +168,7 @@ func (f *Flash) landPending(pageIdx int64) {
 	rec := &ref.batch.ops[ref.idx]
 	if rec.hasData {
 		if pageSum(rec.buf) == f.oob[pageIdx].sum {
-			f.data[ch].put(f.chanLocal(pageIdx), rec.buf)
+			f.countPayload(f.data[ch].put(f.chanLocal(pageIdx), rec.buf), f.geo.PageSize)
 		}
 	} else if f.oob[pageIdx].sum == 0 {
 		f.data[ch].clearRange(f.chanLocal(pageIdx), 1)

@@ -402,12 +402,14 @@ func (a *pageArena) has(idx int64) bool {
 }
 
 // put copies data (shorter payloads are zero-padded) in as page idx's
-// contents: the synchronous program, the snapshot decoder and the power cut
-// landing an abandoned install.
-func (a *pageArena) put(idx int64, data []byte) {
+// contents and returns the bytes copied: the synchronous program, the
+// snapshot decoder and the power cut landing an abandoned install.
+func (a *pageArena) put(idx int64, data []byte) (copied int) {
 	dst := *a.entry(idx)
-	clear(dst[copy(dst, data):])
+	copied = copy(dst, data)
+	clear(dst[copied:])
 	a.present[idx/64] |= 1 << (uint(idx) % 64)
+	return copied
 }
 
 // install makes buf, a whole page the caller gives up, page idx's contents
@@ -490,6 +492,11 @@ type Flash struct {
 	// the float sum has one order.
 	chStats  []Stats
 	chEnergy []float64
+
+	// copied and zeroed count the tracked payload bytes the flash has moved
+	// between caller buffers and pages and cleared in them (PayloadBytes):
+	// no Stats field and no part of an image.
+	copied, zeroed uint64
 
 	// dieOps pools the per-die plan-batch carriers per channel and pageBufs
 	// their staging buffers: acquire happens at issue, release inside the
@@ -659,6 +666,21 @@ func (f *Flash) Stats() Stats {
 	return s
 }
 
+// PayloadBytes returns the tracked payload bytes the flash has copied and
+// zeroed: a read's page delivered into the caller's buffer and zero-padded
+// (copyOut, PagePayload included), a synchronous program or a power cut's
+// landed install written into its page (put), and a deferred program's
+// payload staged into a staging buffer. A timing-only flash moves none, and
+// restoring an image counts nothing.
+func (f *Flash) PayloadBytes() (copied, zeroed uint64) { return f.copied, f.zeroed }
+
+// countPayload records n payload bytes copied into a span of span bytes
+// whose rest was zeroed.
+func (f *Flash) countPayload(n, span int) {
+	f.copied += uint64(n)
+	f.zeroed += uint64(span - n)
+}
+
 // ChannelStats returns channel ch's activity counters.
 func (f *Flash) ChannelStats(ch int) Stats { return f.chStats[ch] }
 
@@ -795,20 +817,17 @@ func (f *Flash) copyOut(pageIdx int64, dst []byte) {
 		return
 	}
 	ch := int(pageIdx / f.pagesPerC)
-	if m := f.pendingProg[ch]; m != nil {
-		if ref, ok := m[pageIdx]; ok {
-			rec := &ref.batch.ops[ref.idx]
-			var n int
-			if rec.hasData {
-				n = copy(dst, rec.buf)
-			}
-			clear(dst[n:min(len(dst), f.geo.PageSize)])
-			return
+	var n int
+	if ref, ok := f.pendingProg[ch][pageIdx]; ok {
+		if rec := &ref.batch.ops[ref.idx]; rec.hasData {
+			n = copy(dst, rec.buf)
 		}
+	} else {
+		n = copy(dst, f.data[ch].get(f.chanLocal(pageIdx)))
 	}
-	stored := f.data[ch].get(f.chanLocal(pageIdx))
-	n := copy(dst, stored)
-	clear(dst[n:min(len(dst), f.geo.PageSize)])
+	end := min(len(dst), f.geo.PageSize)
+	clear(dst[n:end])
+	f.countPayload(n, end)
 }
 
 // ReadDeferredAddr performs a page read with the timing of Read, delivering
@@ -1126,7 +1145,7 @@ func (b *PlanBatch) ProgramAddr(now sim.Time, addr *Address, data []byte, staged
 		if f.trackData && data != nil {
 			f.checkNoPendingInstalls(addr.Channel)
 			arena, local := f.data[addr.Channel], f.chanLocal(pageIdx)
-			arena.put(local, data)
+			f.countPayload(arena.put(local, data), f.geo.PageSize)
 			f.oob[pageIdx].sum = pageSum(arena.get(local))
 		}
 		if staged {
@@ -1144,7 +1163,9 @@ func (b *PlanBatch) ProgramAddr(now sim.Time, addr *Address, data []byte, staged
 			rec.buf = data
 		} else {
 			rec.buf = f.StagingBuf(addr.Channel)
-			clear(rec.buf[copy(rec.buf, data):])
+			n := copy(rec.buf, data)
+			clear(rec.buf[n:])
+			f.countPayload(n, len(rec.buf))
 		}
 		rec.hasData = true
 		f.oob[pageIdx].sum = pageSum(rec.buf)
