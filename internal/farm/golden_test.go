@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"hash/fnv"
 	"strconv"
 	"testing"
 
@@ -11,6 +12,28 @@ import (
 // farmWorkers are the device-window worker counts the goldens compare
 // against the serial reference.
 var farmWorkers = []int{1, 2, 4}
+
+// farmPins holds the FNV-64a of each golden run's serial trajectory followed
+// by its Stats.String(). The worker matrix only proves the parallel windows
+// agree with the serial run; these notice a change that moves the farm's
+// outcome the same way at every worker count. A PR that moves the farm on
+// purpose updates its line from the failure message.
+var farmPins = map[string]uint64{
+	"fault-storm": 0xa52fee01e456b83e,
+	"clean":       0x9f31c4a1ce9ce1ab,
+}
+
+// checkFarmPin fails unless the serial trajectory and stats hash to the
+// digest committed under name.
+func checkFarmPin(t *testing.T, name, traj string, s Stats) {
+	t.Helper()
+	h := fnv.New64a()
+	h.Write([]byte(traj))
+	h.Write([]byte(s.String()))
+	if got, want := h.Sum64(), farmPins[name]; got != want {
+		t.Fatalf("%s farm digest %#x, pinned %#x:\n%s%s", name, got, want, traj, s.String())
+	}
+}
 
 // stormFaults is the golden fault schedule: seed 4 over a 4x2+1 farm
 // resolves to one whole-device death (with spare failover and a completed
@@ -89,6 +112,7 @@ func TestFarmFaultStormGoldenEquivalence(t *testing.T) {
 	if s.Corruptions != 0 {
 		t.Fatalf("payload verification failed:\n%s", s.String())
 	}
+	checkFarmPin(t, "fault-storm", base, s)
 	for _, w := range farmWorkers {
 		got, _ := goldenRun(t, w, stormFaults())
 		if got != base {
@@ -106,6 +130,7 @@ func TestFarmCleanGoldenEquivalence(t *testing.T) {
 	if s.Corruptions != 0 || s.FailedReads != 0 || s.FailedWrites != 0 || len(s.Events) != 0 {
 		t.Fatalf("clean run degraded:\n%s", s.String())
 	}
+	checkFarmPin(t, "clean", base, s)
 	for _, w := range farmWorkers {
 		got, _ := goldenRun(t, w, FaultConfig{})
 		if got != base {
