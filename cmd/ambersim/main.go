@@ -157,6 +157,7 @@ func main() {
 		requests: *n, blockSize: *bs, depth: *depth, tenants: *farmTenants,
 		devices: len(devices), parallel: *parallel,
 		groups: *farmGroups, workers: *farmWorkers, mixed: *farmMixed,
+		deathProb: *farmDeath, roProb: *farmRO, stormProb: *farmStorm,
 		batchSubmit: *batchSub,
 		powerLossAt: *powerLoss, scrubEvery: *scrubSpec, rain: *rainWidth,
 		snapshot: *snapPath, restore: *restPath,
@@ -495,14 +496,15 @@ func since[T any](now, before T) T {
 
 // runFlags is the part of the flag set whose values constrain each other.
 type runFlags struct {
-	requests, blockSize     int
-	depth, tenants          int // -depth and -farm-tenants
-	devices, rain           int
-	parallel                int // -parallel
-	groups, workers, mixed  int // -farm-groups, -farm-workers and -farm-mixed-writes
-	batchSubmit             bool
-	powerLossAt, scrubEvery string // durations as typed, "" = off
-	snapshot, restore       string
+	requests, blockSize          int
+	depth, tenants               int // -depth and -farm-tenants
+	devices, rain                int
+	parallel                     int     // -parallel
+	groups, workers, mixed       int     // -farm-groups, -farm-workers and -farm-mixed-writes
+	deathProb, roProb, stormProb float64 // -farm-death-prob, -farm-readonly-prob, -farm-storm-prob
+	batchSubmit                  bool
+	powerLossAt, scrubEvery      string // durations as typed, "" = off
+	snapshot, restore            string
 }
 
 // validate cross-checks the flags before any device is built — a bad
@@ -536,6 +538,20 @@ func (f runFlags) validate() (powerCut, scrubEvery sim.Duration, err error) {
 	} {
 		if c.v < 0 {
 			return 0, 0, fmt.Errorf("bad %s %d: want a non-negative %s", c.flag, c.v, c.want)
+		}
+	}
+	// Written so that NaN, which fails every comparison, is rejected too
+	// instead of silently never firing.
+	for _, c := range []struct {
+		flag string
+		p    float64
+	}{
+		{"-farm-death-prob", f.deathProb},
+		{"-farm-readonly-prob", f.roProb},
+		{"-farm-storm-prob", f.stormProb},
+	} {
+		if !(c.p >= 0 && c.p <= 1) {
+			return 0, 0, fmt.Errorf("bad %s %v: want a probability in [0,1]", c.flag, c.p)
 		}
 	}
 	if powerCut, err = flagDuration("-power-loss-at", f.powerLossAt, "50ms"); err != nil {

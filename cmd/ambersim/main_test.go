@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -44,9 +45,14 @@ func TestRunFlagsValidate(t *testing.T) {
 		{"farm-workers=-3", with(func(f *runFlags) { f.workers = -3 }), "bad -farm-workers -3", 0, 0},
 		{"farm-mixed-writes=-5", with(func(f *runFlags) { f.mixed = -5 }), "bad -farm-mixed-writes -5", 0, 0},
 		{"parallel=-2", with(func(f *runFlags) { f.parallel = -2 }), "bad -parallel -2", 0, 0},
+		{"farm-death-prob=NaN", with(func(f *runFlags) { f.groups, f.deathProb = 2, math.NaN() }), "bad -farm-death-prob NaN", 0, 0},
+		{"farm-readonly-prob=+Inf", with(func(f *runFlags) { f.roProb = math.Inf(1) }), "bad -farm-readonly-prob +Inf", 0, 0},
+		{"farm-storm-prob=-0.5", with(func(f *runFlags) { f.stormProb = -0.5 }), "bad -farm-storm-prob -0.5", 0, 0},
+		{"farm-storm-prob=-Inf", with(func(f *runFlags) { f.stormProb = math.Inf(-1) }), "bad -farm-storm-prob -Inf", 0, 0},
 		{"snapshot of two devices", with(func(f *runFlags) { f.snapshot, f.devices = "img", 2 }), "single device", 0, 0},
 		{"good evented", with(func(f *runFlags) { f.powerLossAt, f.scrubEvery, f.rain = "50ms", "5ms", 3 }), "", 50 * sim.Millisecond, 5 * sim.Millisecond},
 		{"good batch-submit", with(func(f *runFlags) { f.batchSubmit = true }), "", 0, 0},
+		{"good farm probabilities", with(func(f *runFlags) { f.groups, f.deathProb, f.roProb, f.stormProb = 2, 0, 0.5, 1 }), "", 0, 0},
 	}
 	for _, c := range cases {
 		cut, scrub, err := c.flags.validate()

@@ -205,14 +205,6 @@ type System struct {
 	batchWindows uint64
 	batchReqs    uint64
 
-	// Farm-level fault-injection hooks (SetDeviceDown / SetServiceDelay /
-	// ForceReadOnly): a latched whole-device failure and a transient extra
-	// per-request service delay, both driven by internal/farm's seeded
-	// device fault schedule. Plain fields checked with single branches on
-	// the submit paths so the hooks cost nothing when unused.
-	down         bool
-	serviceDelay sim.Duration
-
 	reqs         uint64
 	bytesRead    uint64
 	bytesWritten uint64
@@ -521,27 +513,6 @@ func (s *System) SubmitEngineDomainStats() []sim.DomainStat {
 func (s *System) VolumeBytes() int64 {
 	return s.FTL.UserSuperPages() * int64(s.FTL.SuperPageBytes())
 }
-
-// ErrDeviceDown reports a whole-device failure injected through
-// SetDeviceDown: the device stopped responding entirely (controller crash,
-// power rail, hot unplug). Unlike ftl.ErrReadOnly it fails reads and
-// writes alike; the farm host observes it as a request timeout.
-var ErrDeviceDown = fmt.Errorf("core: device down")
-
-// SetDeviceDown latches (or clears) an injected whole-device failure.
-// While down, every submit path fails immediately with ErrDeviceDown and
-// no device state advances. The functional state is preserved — a farm
-// rebuild decides what survives, not the device.
-func (s *System) SetDeviceDown(down bool) { s.down = down }
-
-// DeviceDown reports whether an injected whole-device failure is latched.
-func (s *System) DeviceDown() bool { return s.down }
-
-// SetServiceDelay adds d to the issue time of every subsequent synchronous
-// Submit / SubmitBatch request — a controller-level stall (thermal
-// throttle, internal housekeeping storm) that shifts the whole request
-// later without touching per-stage timing. Zero restores normal service.
-func (s *System) SetServiceDelay(d sim.Duration) { s.serviceDelay = d }
 
 // ForceReadOnly latches the device read-only through the FTL's organic
 // wear-out path (ftl.ForceReadOnly): writes refuse with ftl.ErrReadOnly,

@@ -255,8 +255,7 @@ func (s *System) SubmitAsync(e *sim.Engine, req workload.Request, data []byte, c
 
 // admit is the admission check every submit path runs before it claims or
 // mutates anything: the request lies inside the volume, its buffer covers
-// it, the device answers (SetDeviceDown), and a write finds the device
-// writable.
+// it, and a write finds the device writable.
 func (s *System) admit(req workload.Request, data []byte) error {
 	if req.Length <= 0 || req.Offset < 0 || req.Offset+int64(req.Length) > s.VolumeBytes() {
 		return fmt.Errorf("core: request [%d,+%d) outside volume of %d bytes",
@@ -264,13 +263,6 @@ func (s *System) admit(req workload.Request, data []byte) error {
 	}
 	if data != nil && len(data) < req.Length {
 		return fmt.Errorf("core: data buffer shorter than request")
-	}
-	if s.down {
-		// Injected whole-device failure: the device no longer answers
-		// anything. The host layer above decides when the silence is
-		// observed (its request timeout).
-		return fmt.Errorf("core: request [%d,+%d) lost: %w",
-			req.Offset, req.Length, ErrDeviceDown)
 	}
 	if s.FTL.ReadOnly() {
 		if req.Write {
@@ -353,7 +345,6 @@ func (s *System) Submit(now sim.Time, req workload.Request, data []byte) (sim.Ti
 	if now < s.now {
 		now = s.now
 	}
-	now += s.serviceDelay
 	e := s.submitEngine()
 	e.Reset()
 	s.subReq, s.subData = req, data
@@ -504,7 +495,7 @@ func (s *System) submitInline(e *sim.Engine, now sim.Time, req workload.Request,
 		return 0, err
 	}
 	var pl dma.PointerList
-	parsed, err := s.submitStage1(now+s.serviceDelay, req, data, &s.batchLines, &pl)
+	parsed, err := s.submitStage1(now, req, data, &s.batchLines, &pl)
 	if err != nil {
 		return 0, err
 	}

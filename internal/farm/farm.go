@@ -7,14 +7,29 @@
 // answered by host-side retry with backoff, request timeouts, hedged
 // reads, replica failover, and hot-spare rebuild.
 //
-// Execution is round-based lockstep (see run.go): a serial host phase
-// decides which device operations exist and at what issue times, a
-// parallel window executes each device's queue independently (one device
-// is touched by exactly one worker), and a serial merge phase folds the
-// results back into host policy state in creation order. Worker count
-// therefore never influences any result — the golden fault-storm test
-// asserts byte-identical trajectories serial vs workers {1,2,4}. The
-// determinism argument is spelled out in sim/doc.go.
+// Execution is round-based lockstep:
+//
+//  1. Host phase (serial): decide every device operation that exists this
+//     round — new tenant arrivals, retry/hedge legs carried over from the
+//     previous merge, rebuild copies — each with its device, payload and
+//     issue time, before any device clock moves.
+//  2. Device windows (parallel): each device executes its queue in
+//     (issue time, creation order) through its own System's Submit; one
+//     device is owned by exactly one worker and no worker touches another
+//     device's state. The farm applies a member's faults itself at that
+//     boundary: a dead member is never called again, and a storm shifts
+//     the op's issue time by StormPenalty.
+//  3. Merge phase (serial): results are folded back into host policy state
+//     in op creation order — kicks, failovers, retry/hedge decisions,
+//     rebuild bookkeeping, tenant completions — an order fixed by the host
+//     phase that created the ops, not by which worker finished first.
+//
+// Fault draws are pure functions of (seed, device index, fault kind), fixed
+// at construction, and are applied by the op's issue time, so a window's
+// outcome depends only on its own queue. Worker count therefore never
+// appears in any value the farm computes: the golden tests pin the whole
+// trajectory — counters, event timeline, per-device content digests —
+// byte-identical serial and at workers {1, 2, 4}, and to a committed digest.
 package farm
 
 import (
@@ -128,7 +143,7 @@ type device struct {
 	// replica may serve unit u only while exitSeq >= unitSeq[u].
 	exitSeq uint64
 	faults  devFaults
-	downHit bool // death latch applied to sys
+	downHit bool // death latch: sys is never called again
 	roHit   bool // read-only latch applied to sys
 	q       []int32
 }

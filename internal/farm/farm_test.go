@@ -1,10 +1,15 @@
 package farm
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"amber/internal/config"
+	"amber/internal/core"
+	"amber/internal/icl"
 	"amber/internal/sim"
+	"amber/internal/workload"
 )
 
 // testFarm builds a small farm over the standard test device. Faults are
@@ -167,7 +172,7 @@ func TestFarmLatencyStormHedging(t *testing.T) {
 	}
 }
 
-// TestFarmTimesSentinelAfterDeath: requests that run into a fully dead
+// TestFarmAllReplicasDead: requests that run into a fully dead
 // group fail cleanly and are counted — nothing panics, nothing stalls.
 func TestFarmAllReplicasDead(t *testing.T) {
 	f := testFarm(t, 1, 2, 0, 0, FaultConfig{})
@@ -212,6 +217,106 @@ func TestFarmSnapshotClonesIdentical(t *testing.T) {
 		dig, _ := f.deviceDigest(d)
 		if dig != base {
 			t.Fatalf("device %d clone digest %016x != device 0 %016x", d.id, dig, base)
+		}
+	}
+}
+
+// memberState is what a member's System shows of the requests it served:
+// its clock, its cache counters and the events its submit engine fired.
+type memberState struct {
+	now        sim.Time
+	cache      icl.Stats
+	dispatched uint64
+}
+
+func probeMember(sys *core.System) memberState {
+	m := memberState{now: sys.Now(), cache: sys.ICL.Stats()}
+	for _, d := range sys.SubmitEngineDomainStats() {
+		m.dispatched += d.Dispatched
+	}
+	return m
+}
+
+// TestFarmFaultBoundary drives one member's ops through execOp next to a
+// fault-free twin. A member is never called once dead: from the op that
+// observes the death on, its state stays what it was at the death. A
+// storm shifts an idle member's completion by exactly StormPenalty, and
+// ops outside the window complete as on the twin.
+func TestFarmFaultBoundary(t *testing.T) {
+	const penalty = 8 * sim.Millisecond
+	ms := func(x float64) sim.Time { return sim.Time(x * float64(sim.Millisecond)) }
+	cases := []struct {
+		name   string
+		faults devFaults
+		issues []sim.Time
+		// deadFrom is the first op answered errDeviceDown (-1: none);
+		// served reports whether the device ran that op before dying.
+		deadFrom int
+		served   bool
+		shift    []sim.Duration // per op before deadFrom: done - twin's done
+	}{
+		{name: "death at issue", faults: devFaults{deadAt: ms(5)},
+			issues: []sim.Time{ms(1), ms(2), ms(6), ms(7)}, deadFrom: 2, shift: []sim.Duration{0, 0}},
+		{name: "death while serving", faults: devFaults{deadAt: ms(1) + 1},
+			issues: []sim.Time{ms(1), ms(2), ms(3)}, deadFrom: 0, served: true},
+		{name: "storm", faults: devFaults{stormStart: ms(1), stormEnd: ms(2)},
+			issues: []sim.Time{ms(1.5), ms(50)}, deadFrom: -1, shift: []sim.Duration{penalty, 0}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := testFarm(t, 1, 1, 0, 0, FaultConfig{StormPenalty: penalty})
+			twin := testFarm(t, 1, 1, 0, 0, FaultConfig{StormPenalty: penalty})
+			d, tw := f.devs[0], twin.devs[0]
+			d.faults = tc.faults
+			var atDeath memberState
+			for i, at := range tc.issues {
+				req := workload.Request{Write: i%2 == 0, Length: 4096}
+				o, ot := op{req: req, issue: at}, op{req: req, issue: at}
+				if i == tc.deadFrom && !tc.served {
+					atDeath = probeMember(d.sys)
+				}
+				f.execOp(d, &o)
+				twin.execOp(tw, &ot)
+				if ot.err != nil {
+					t.Fatalf("op %d: twin failed: %v", i, ot.err)
+				}
+				if tc.deadFrom < 0 || i < tc.deadFrom {
+					if o.err != nil {
+						t.Fatalf("op %d: %v", i, o.err)
+					}
+					if got := o.done - ot.done; got != tc.shift[i] {
+						t.Fatalf("op %d at %d: done %d, twin %d: shift %d, want %d",
+							i, at, o.done, ot.done, got, tc.shift[i])
+					}
+					continue
+				}
+				if !errors.Is(o.err, errDeviceDown) || !d.downHit {
+					t.Fatalf("op %d at %d: err %v downHit %v, want the death", i, at, o.err, d.downHit)
+				}
+				if i == tc.deadFrom && tc.served {
+					atDeath = probeMember(d.sys)
+				}
+				if got := probeMember(d.sys); got != atDeath {
+					t.Fatalf("op %d reached a dead member: %+v, at death %+v", i, got, atDeath)
+				}
+			}
+		})
+	}
+}
+
+// TestFaultConfigRejectsNonProbabilities: every probability outside [0,1],
+// NaN and the infinities included, fails New instead of never firing.
+func TestFaultConfigRejectsNonProbabilities(t *testing.T) {
+	for _, p := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.1, 1.5} {
+		for _, fc := range []FaultConfig{{DeathProb: p}, {ReadOnlyProb: p}, {StormProb: p}} {
+			if err := fc.validate(); err == nil {
+				t.Fatalf("%+v accepted", fc)
+			}
+		}
+	}
+	for _, p := range []float64{0, 0.5, 1} {
+		if err := (FaultConfig{DeathProb: p, ReadOnlyProb: p, StormProb: p}).validate(); err != nil {
+			t.Fatalf("probability %v rejected: %v", p, err)
 		}
 	}
 }

@@ -1,10 +1,18 @@
 package farm
 
 import (
+	"errors"
 	"fmt"
 
 	"amber/internal/sim"
 )
+
+// errDeviceDown reports a scheduled whole-device failure: the device stopped
+// responding entirely (controller crash, power rail, hot unplug). Unlike
+// ftl.ErrReadOnly it fails reads and writes alike; the host observes it as
+// a request timeout. The device's functional state is preserved — a
+// rebuild decides what survives, not the device.
+var errDeviceDown = errors.New("farm: device down")
 
 // FaultConfig is the seeded device-level fault schedule. Every draw is a
 // pure function of (Seed, device index, fault kind) — no shared RNG state,
@@ -40,7 +48,7 @@ func (c FaultConfig) Enabled() bool {
 
 func (c FaultConfig) validate() error {
 	for _, p := range []float64{c.DeathProb, c.ReadOnlyProb, c.StormProb} {
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) { // also rejects NaN
 			return fmt.Errorf("farm: fault probability %v outside [0,1]", p)
 		}
 	}

@@ -9,29 +9,10 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"amber/internal/core"
 	"amber/internal/ftl"
 	"amber/internal/sim"
 	"amber/internal/workload"
 )
-
-// The farm executes in rounds:
-//
-//  1. Host phase (serial): decide every device operation that exists this
-//     round — new tenant arrivals, retry/hedge legs carried over from the
-//     previous merge, rebuild copies — each stamped with its issue time.
-//  2. Device windows (parallel): each device executes its queue in
-//     (issue time, creation order), fully independently; one device is
-//     owned by exactly one worker. Fault draws are pure functions of the
-//     schedule and the op's issue time, so a window's outcome depends only
-//     on its own queue.
-//  3. Merge phase (serial): results are folded back into host policy state
-//     in op creation order — kicks, failovers, retry/hedge decisions,
-//     rebuild bookkeeping, tenant completions.
-//
-// Worker count influences nothing but wall-clock time; the golden
-// fault-storm test pins the whole trajectory byte-identical at workers
-// {1, 2, 4} vs serial.
 
 type opKind uint8
 
@@ -539,35 +520,34 @@ func (f *Farm) execDevice(d *device, ops []op) {
 	for _, qi := range d.q {
 		f.execOp(d, &ops[qi])
 	}
-	d.sys.SetServiceDelay(0)
 	d.q = d.q[:0]
 }
 
 // execOp applies the device's fault schedule at the op's issue time, then
-// submits through the ordinary synchronous path.
+// submits through the ordinary synchronous path. A dead device is never
+// called; a storm shifts the clamped issue time by the penalty.
 func (f *Farm) execOp(d *device, o *op) {
 	df := &d.faults
-	var delay sim.Duration
-	if df.stormStart > 0 && o.issue >= df.stormStart && o.issue < df.stormEnd {
-		delay = f.cfg.Faults.StormPenalty
-	}
-	d.sys.SetServiceDelay(delay)
 	if df.roAt > 0 && !d.roHit && o.issue >= df.roAt {
 		d.sys.ForceReadOnly()
 		d.roHit = true
 	}
-	if df.deadAt > 0 && !d.downHit && o.issue >= df.deadAt {
-		d.sys.SetDeviceDown(true)
+	if df.deadAt > 0 && o.issue >= df.deadAt {
 		d.downHit = true
 	}
-	done, err := d.sys.Submit(o.issue, o.req, o.buf)
+	if d.downHit {
+		o.done, o.err = 0, errDeviceDown
+		return
+	}
+	at := o.issue
+	if df.stormStart > 0 && o.issue >= df.stormStart && o.issue < df.stormEnd {
+		at = sim.MaxOf(o.issue, d.sys.Now()) + f.cfg.Faults.StormPenalty
+	}
+	done, err := d.sys.Submit(at, o.req, o.buf)
 	if err == nil && df.deadAt > 0 && done > df.deadAt {
 		// The device died while serving: the completion never escaped.
-		if !d.downHit {
-			d.sys.SetDeviceDown(true)
-			d.downHit = true
-		}
-		done, err = 0, core.ErrDeviceDown
+		d.downHit = true
+		done, err = 0, errDeviceDown
 	}
 	o.done, o.err = done, err
 }
@@ -579,7 +559,7 @@ func (st *runState) observe(o *op) sim.Time {
 	if o.err == nil {
 		return o.done
 	}
-	if errors.Is(o.err, core.ErrDeviceDown) {
+	if errors.Is(o.err, errDeviceDown) {
 		st.f.stats.Timeouts++
 		return o.issue + st.f.pol.RequestTimeout
 	}
@@ -616,7 +596,7 @@ func (st *runState) merge() {
 // death and read-only latches remove the device from service and may
 // trigger a spare failover.
 func (st *runState) kickFromError(o *op, obs sim.Time) {
-	if errors.Is(o.err, core.ErrDeviceDown) {
+	if errors.Is(o.err, errDeviceDown) {
 		st.kickDead(o.dev, obs)
 		return
 	}

@@ -103,7 +103,7 @@ func (f *Farm) Fingerprint() string {
 	fmt.Fprintf(&b, "now=%d writeSeq=%d\n", uint64(f.now), f.writeSeq)
 	for _, d := range f.devs {
 		fmt.Fprintf(&b, "dev%d state=%s group=%d exitSeq=%d", d.id, d.state, d.group, d.exitSeq)
-		if d.state == devDead || d.sys.DeviceDown() {
+		if d.state == devDead || d.downHit {
 			b.WriteString(" digest=down\n")
 			continue
 		}

@@ -376,33 +376,11 @@
 // fixed scan order, with ftl.ParityCatchup re-emitting parity the cut
 // stranded.
 //
-// # Farm determinism: device-local windows, host-ordered cross traffic
+// # Whole systems in parallel
 //
-// The device farm (internal/farm) is where this repository runs simulation
-// work concurrently: each member System — engine and all — is a whole
-// parallel domain, and the only actor that reaches across them is the host
-// multiplexer. Execution is
-// round-lockstep. A serial host phase runs first and fixes everything the
-// round will do — it retires or retries the previous round's completions,
-// admits new tenant arrivals, decomposes them into per-device ops
-// (mirrored writes, hedged or failed-over reads), and issues the next
-// hot-spare rebuild batch — assigning every op its device, payload and
-// issue time before any device clock moves. Then the device windows open:
-// one worker per device executes that device's ops through its own
-// SubmitBatch, never touching another device's state. Finally a serial
-// merge folds completions back in op-creation order, so retry/hedge/
-// failover decisions in the next host phase see results in an order fixed
-// by the host phase that created the ops, not by which worker finished
-// first. Fault injection keeps the same discipline: whole-device deaths,
-// read-only latches and latency storms are drawn by a pure function of
-// (seed, device index, fault kind) via a splitmix64 mix, so the schedule
-// is computed once at construction and is trivially worker-invariant.
-// Worker count therefore never appears in any value the simulation
-// computes, and the farm golden test pins it the strong way: a seeded
-// fault storm across nine devices — death, failover, rebuild, hedging,
-// retries and timeouts all exercised — must produce byte-identical stats,
-// event timelines and per-device content digests serial and at workers
-// 1, 2 and 4.
+// Whole Systems may run on separate goroutines, each with its own engine;
+// nothing in this package is shared between them. internal/farm does so
+// and documents why its results do not depend on the worker count.
 //
 // # Resources
 //
