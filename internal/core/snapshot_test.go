@@ -316,6 +316,153 @@ func TestSnapshotRefusesUnindexableCache(t *testing.T) {
 	}
 }
 
+// rewriteForward re-encodes the forward map at the head of an
+// ftl.EncodeState section with edit applied to each entry; the rest of the
+// section is kept verbatim.
+func rewriteForward(section []byte, edit func(i int, v *int64)) []byte {
+	walk := func(edit func(int, *int64)) []byte {
+		d := snap.NewDec(section)
+		var e snap.Enc
+		n := d.U64()
+		e.U64(n)
+		for i := 0; i < int(n); i++ {
+			v := d.I64()
+			edit(i, &v)
+			e.I64(v)
+		}
+		return e.Bytes()
+	}
+	consumed := len(walk(func(int, *int64) {}))
+	return append(walk(edit), section[consumed:]...)
+}
+
+// rewriteFirstStamp re-encodes a nand.EncodeState section of a flash of
+// geometry g with edit applied to the tag and sequence of the first OOB
+// stamp — the lowest written page's; the rest of the section is kept
+// verbatim. Nil when no page is written.
+func rewriteFirstStamp(section []byte, g nand.Geometry, edit func(fi *int64, seq *uint64)) []byte {
+	walk := func(edit func(*int64, *uint64)) []byte {
+		d := snap.NewDec(section)
+		var e snap.Enc
+		for r := 0; r < g.Channels+g.TotalDies(); r++ { // resource reservations
+			e.I64(d.I64())
+			e.I64(d.I64())
+			e.U64(d.U64())
+		}
+		written := 0
+		for b := 0; b < g.TotalBlocks(); b++ {
+			e.U64(d.U64()) // erase count
+			e.U64(d.U64()) // disturb
+			e.I64(d.I64()) // next page
+			e.Bool(d.Bool())
+			for pg := 0; pg < g.PagesPerBlock; pg++ {
+				w := d.Bool()
+				e.Bool(w)
+				if w {
+					written++
+				}
+			}
+		}
+		if written == 0 {
+			return nil
+		}
+		fi, seq := d.I64(), d.U64()
+		edit(&fi, &seq)
+		e.I64(fi)
+		e.U64(seq)
+		return e.Bytes()
+	}
+	unedited := walk(func(*int64, *uint64) {})
+	if unedited == nil {
+		return nil
+	}
+	return append(walk(edit), section[len(unedited):]...)
+}
+
+// TestSnapshotRefusesUnnarrowableFields: the forward map and the OOB stamps
+// hold 32-bit tags and a 63-bit sequence, while the image carries varints of
+// the wide values. An image value the narrow field cannot hold must be
+// refused as corrupt, never truncated: a forward entry below -1 or past the
+// physical sub-pages (2^32 + k would alias onto sub k), an OOB tag outside
+// int32, a sequence with the good flag's bit set. The target stays
+// untouched, and the unedited image still restores.
+func TestSnapshotRefusesUnnarrowableFields(t *testing.T) {
+	s := wideSystem(t)
+	img := snapshotImage(t, s)
+	const headerLen = 8 + 4 + 8 + 8
+	fp := binary.LittleEndian.Uint64(img[12:20])
+	body := img[headerLen : len(img)-8]
+	locate := func(encode func(*snap.Enc)) (int, []byte) {
+		var e snap.Enc
+		encode(&e)
+		at := bytes.Index(body, e.Bytes())
+		if at < 0 {
+			t.Fatal("section not found in the image body")
+		}
+		return at, e.Bytes()
+	}
+	flashAt, flashSec := locate(s.Flash.EncodeState)
+	ftlAt, ftlSec := locate(s.FTL.EncodeState)
+	splice := func(at int, old, section []byte) []byte {
+		b := append([]byte(nil), body[:at]...)
+		b = append(b, section...)
+		b = append(b, body[at+len(old):]...)
+		return snap.Seal(core.SnapshotVersion, fp, b)
+	}
+	forward := func(edit func(v int64) int64) []byte {
+		done := false
+		return splice(ftlAt, ftlSec, rewriteForward(ftlSec, func(_ int, v *int64) {
+			if !done && *v >= 0 {
+				*v, done = edit(*v), true
+			}
+		}))
+	}
+	stamp := func(edit func(fi *int64, seq *uint64)) []byte {
+		sec := rewriteFirstStamp(flashSec, s.Flash.Geometry(), edit)
+		if sec == nil {
+			t.Fatal("no written page in the flash section")
+		}
+		return splice(flashAt, flashSec, sec)
+	}
+	physSubs := s.Flash.Geometry().TotalPages()
+
+	if !bytes.Equal(forward(func(v int64) int64 { return v }), img) ||
+		!bytes.Equal(stamp(func(*int64, *uint64) {}), img) {
+		t.Fatal("an unedited rewrite does not reproduce the image")
+	}
+	cases := []struct {
+		name string
+		img  []byte
+	}{
+		{"forward-below-minus-one", forward(func(int64) int64 { return -5 })},
+		{"forward-aliases-past-32-bits", forward(func(v int64) int64 { return v + 1<<32 })},
+		{"forward-past-physical", forward(func(int64) int64 { return physSubs })},
+		{"oob-tag-above-int32", stamp(func(fi *int64, _ *uint64) { *fi = 1 << 31 })},
+		{"oob-tag-below-int32", stamp(func(fi *int64, _ *uint64) { *fi = -1<<31 - 1 })},
+		{"oob-seq-top-bit", stamp(func(_ *int64, seq *uint64) { *seq |= 1 << 63 })},
+	}
+	target := wideSystem(t)
+	seqFillDurable(t, target)
+	before, err := target.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := target.Restore(tc.img); !errors.Is(err, snap.ErrCorrupt) {
+				t.Fatalf("restore returned %v, want snap.ErrCorrupt", err)
+			}
+			after, serr := target.Snapshot()
+			if serr != nil || !bytes.Equal(before, after) {
+				t.Fatalf("failed restore mutated the target (snapshot error %v)", serr)
+			}
+		})
+	}
+	if err := target.Restore(img); err != nil {
+		t.Fatalf("restore of intact image: %v", err)
+	}
+}
+
 // FuzzSnapshotOpen fuzzes the image loader's framing validation: arbitrary
 // byte soup must produce a typed error or a clean open — never a panic or
 // an out-of-bounds slice.

@@ -15,6 +15,7 @@ package ftl
 import (
 	"errors"
 	"fmt"
+	"math"
 	"unsafe"
 
 	"amber/internal/nand"
@@ -322,13 +323,17 @@ type FTL struct {
 	rainW      int
 	dataPlanes int
 
-	// forward map: lspn*subCount+sub -> packed (sb, page, plane), -1 unmapped.
-	fwd []int64
-	// reverse map: physical sub-page -> fwd index (lspn*subCount+sub),
-	// -1 invalid/unwritten.
-	rev []int64
-	// valid bit per physical sub-page.
-	valid []bool
+	// fwd maps lspn*subCount+sub to the physical index (physIndex: packed
+	// sb, page, plane) of the sub-page holding it, -1 unmapped; rev maps a
+	// physical index back to its fwd index, -1 when the sub-page holds
+	// nothing valid. A physical sub-page is valid iff its rev entry is >= 0:
+	// every writer sets and clears both directions together, and
+	// CheckInvariants walks both. 4 bytes an entry (New bounds the physical
+	// sub-pages to int32; code widens an entry to int64 on load): 4 bytes
+	// per physical sub-page plus 4 per user sub-page, the largest per-page
+	// metadata after the flash's OOB stamps.
+	fwd []int32
+	rev []int32
 
 	sbs    []superBlock
 	freeSB []int // stack of free super-blocks
@@ -418,16 +423,18 @@ func New(cfg Config) (*FTL, error) {
 	if f.userLSPNs < 1 {
 		return nil, fmt.Errorf("ftl: over-provisioning leaves no user capacity")
 	}
-	f.fwd = make([]int64, f.userLSPNs*int64(f.subCount))
+	physSubs := int64(f.sbCount) * int64(f.pagesPerSB) * int64(f.subCount)
+	if physSubs > math.MaxInt32 {
+		return nil, fmt.Errorf("ftl: geometry has %d physical sub-pages, more than 32-bit maps can index", physSubs)
+	}
+	f.fwd = make([]int32, f.userLSPNs*int64(f.subCount))
 	for i := range f.fwd {
 		f.fwd[i] = -1
 	}
-	physSubs := int64(f.sbCount) * int64(f.pagesPerSB) * int64(f.subCount)
-	f.rev = make([]int64, physSubs)
+	f.rev = make([]int32, physSubs)
 	for i := range f.rev {
 		f.rev[i] = -1
 	}
-	f.valid = make([]bool, physSubs)
 	f.sbs = make([]superBlock, f.sbCount)
 	f.freeSB = make([]int, 0, f.sbCount)
 	for i := f.sbCount - 1; i >= 0; i-- {
@@ -538,9 +545,9 @@ func linkOps(ops []Op) {
 	}
 }
 
-// physIndex is loc's index in the physical sub-page arrays (rev, valid),
-// super-block major. It is also how the forward map packs a location: a
-// mapped sub's fwd entry is its physical index, and unpackLoc inverts it.
+// physIndex is loc's index in the reverse map, super-block major. It is
+// also how the forward map packs a location: a mapped sub's fwd entry is
+// its physical index, and unpackLoc inverts it.
 func (f *FTL) physIndex(loc PageLoc) int64 {
 	return (int64(loc.SB)*int64(f.pagesPerSB)+int64(loc.Page))*int64(f.subCount) + int64(loc.Plane)
 }
@@ -552,8 +559,7 @@ func (f *FTL) fwdIndex(lspn int64, sub int) int64 {
 // invalidate drops the physical sub-page pi — a forward-map entry as it is —
 // from the valid set and its super-block's count, if it is still there.
 func (f *FTL) invalidate(pi int64) {
-	if f.valid[pi] {
-		f.valid[pi] = false
+	if f.rev[pi] >= 0 {
 		f.rev[pi] = -1
 		f.sbs[pi/(int64(f.pagesPerSB)*int64(f.subCount))].validSubs--
 	}
@@ -618,7 +624,7 @@ func (f *FTL) LookupSubs(dst []PageLoc, lspn int64, subs []int) ([]PageLoc, Read
 			return dst, ReadCert{}, fmt.Errorf("ftl: sub-page %d outside super-page of %d", sub, len(row))
 		}
 		if packed := row[sub]; packed >= 0 {
-			locs = append(locs, f.unpackLoc(packed, sub))
+			locs = append(locs, f.unpackLoc(int64(packed), sub))
 		}
 	}
 	var cert ReadCert
@@ -634,7 +640,7 @@ func (f *FTL) LookupSub(lspn int64, sub int) (PageLoc, bool) {
 	if f.checkLSPN(lspn) != nil || sub < 0 || sub >= f.subCount {
 		return PageLoc{}, false
 	}
-	packed := f.fwd[f.fwdIndex(lspn, sub)]
+	packed := int64(f.fwd[f.fwdIndex(lspn, sub)])
 	if packed < 0 {
 		return PageLoc{}, false
 	}
@@ -790,14 +796,13 @@ func (f *FTL) appendSub(now sim.Time, lspn int64, sub int, gc bool, src int32, o
 
 	fi := f.fwdIndex(lspn, sub)
 	if old < 0 {
-		old = f.fwd[fi]
+		old = int64(f.fwd[fi])
 	}
 	if old >= 0 {
 		f.invalidate(old)
 	}
-	f.fwd[fi] = pi
-	f.rev[pi] = fi
-	f.valid[pi] = true
+	f.fwd[fi] = int32(pi)
+	f.rev[pi] = int32(fi)
 	sb.validSubs++
 
 	f.stats.FlashSubWrites++
@@ -909,7 +914,7 @@ func (f *FTL) Write(now sim.Time, lspn int64, dirty []bool) (Plan, error) {
 		for sub := 0; sub < f.subCount; sub++ {
 			if !dirty[sub] {
 				if packed := f.fwd[f.fwdIndex(lspn, sub)]; packed >= 0 {
-					plan.Ops = append(plan.Ops, Op{Kind: OpRead, Loc: f.unpackLoc(packed, sub), LSPN: lspn})
+					plan.Ops = append(plan.Ops, Op{Kind: OpRead, Loc: f.unpackLoc(int64(packed), sub), LSPN: lspn})
 					f.lastRead[sub] = int32(len(plan.Ops))
 					f.stats.RMWReads++
 				}
@@ -943,7 +948,7 @@ func (f *FTL) Trim(lspn int64) error {
 	for sub := 0; sub < f.subCount; sub++ {
 		fi := f.fwdIndex(lspn, sub)
 		if packed := f.fwd[fi]; packed >= 0 {
-			f.invalidate(packed)
+			f.invalidate(int64(packed))
 			f.fwd[fi] = -1
 		}
 	}
@@ -985,37 +990,43 @@ func (f *FTL) MaxEraseSpread() uint32 {
 // GC-scoring aid).
 func (f *FTL) ValidSubs(sb int) int { return int(f.sbs[sb].validSubs) }
 
-// CheckInvariants verifies internal consistency: the forward map is
-// injective, reverse entries match forward entries, and per-super-block
-// valid counts equal the valid bits. It is used by property tests and is
-// cheap enough to call after every operation on small geometries.
+// CheckInvariants verifies internal consistency in both directions: every
+// mapped forward entry names a physical sub-page whose reverse entry names
+// it back, every valid physical sub-page (reverse entry >= 0) is mapped back
+// by the forward entry it names, and per-super-block valid counts equal the
+// valid sub-pages in the block. The forward map is injective by the first
+// walk alone: a physical sub-page's one reverse entry names one forward
+// entry. It is used by property tests and is cheap enough to call after
+// every operation on small geometries.
 func (f *FTL) CheckInvariants() error {
-	counts := make([]int32, f.sbCount)
-	seen := make(map[int64]int64) // physical sub index -> lspn
-	for lspn := int64(0); lspn < f.userLSPNs; lspn++ {
-		for sub := 0; sub < f.subCount; sub++ {
-			packed := f.fwd[f.fwdIndex(lspn, sub)]
-			if packed < 0 {
-				continue
-			}
-			loc := f.unpackLoc(packed, sub)
-			pi := f.physIndex(loc)
-			if prev, dup := seen[pi]; dup {
-				return fmt.Errorf("ftl: physical sub %v mapped by both LSPN %d and %d", loc, prev, lspn)
-			}
-			seen[pi] = lspn
-			if !f.valid[pi] {
-				return fmt.Errorf("ftl: mapped sub %v not marked valid", loc)
-			}
-			if f.rev[pi] != f.fwdIndex(lspn, sub) {
-				return fmt.Errorf("ftl: reverse map of %v is %d, want %d", loc, f.rev[pi], f.fwdIndex(lspn, sub))
-			}
-			counts[loc.SB]++
+	for fi, packed := range f.fwd {
+		if packed < 0 {
+			continue
+		}
+		if int(packed) >= len(f.rev) {
+			return fmt.Errorf("ftl: forward entry %d maps to physical sub %d, past %d", fi, packed, len(f.rev))
+		}
+		if f.rev[packed] != int32(fi) {
+			loc := f.unpackLoc(int64(packed), fi%f.subCount)
+			return fmt.Errorf("ftl: reverse map of %v is %d, want %d", loc, f.rev[packed], fi)
 		}
 	}
+	perSB := f.pagesPerSB * f.subCount
 	for sb := range f.sbs {
-		if counts[sb] != f.sbs[sb].validSubs {
-			return fmt.Errorf("ftl: SB %d valid count %d, recomputed %d", sb, f.sbs[sb].validSubs, counts[sb])
+		var valid int32
+		for pi := sb * perSB; pi < (sb+1)*perSB; pi++ {
+			fi := f.rev[pi]
+			if fi < 0 {
+				continue
+			}
+			if int(fi) >= len(f.fwd) || f.fwd[fi] != int32(pi) {
+				return fmt.Errorf("ftl: physical sub %v names forward entry %d, which does not map it back",
+					f.unpackLoc(int64(pi), int(fi)%f.subCount), fi)
+			}
+			valid++
+		}
+		if valid != f.sbs[sb].validSubs {
+			return fmt.Errorf("ftl: SB %d valid count %d, recomputed %d", sb, f.sbs[sb].validSubs, valid)
 		}
 	}
 	return nil

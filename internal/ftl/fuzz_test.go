@@ -162,7 +162,7 @@ func checkMountedMappings(t *testing.T, f *FTL, flash *nand.Flash) {
 			if packed < 0 {
 				continue
 			}
-			loc := f.unpackLoc(packed, sub)
+			loc := f.unpackLoc(int64(packed), sub)
 			addr := f.Address(loc)
 			if !flash.PageWritten(addr) {
 				t.Fatalf("LSPN %d sub %d mapped to unwritten page %v", lspn, sub, loc)

@@ -43,10 +43,10 @@ func (f *FTL) migrateSuperBlock(now sim.Time, sb int, plan *Plan, mode migrateMo
 	for page := 0; page < f.pagesPerSB; page++ {
 		for plane := 0; plane < f.subCount; plane++ {
 			pi := base + int64(page)*int64(f.subCount) + int64(plane)
-			if !f.valid[pi] {
+			fi := int64(f.rev[pi])
+			if fi < 0 {
 				continue
 			}
-			fi := f.rev[pi]
 			lspn := fi / int64(f.subCount)
 			sub := int(fi - lspn*int64(f.subCount))
 			op := plan.push(OpRead)
@@ -79,10 +79,10 @@ func (f *FTL) migrateSuperBlock(now sim.Time, sb int, plan *Plan, mode migrateMo
 // free list.
 func (f *FTL) eraseSB(sb int, plan *Plan) {
 	blk := &f.sbs[sb]
-	base := int64(sb) * int64(f.pagesPerSB) * int64(f.subCount)
-	for i := int64(0); i < int64(f.pagesPerSB)*int64(f.subCount); i++ {
-		f.valid[base+i] = false
-		f.rev[base+i] = -1
+	perSB := int64(f.pagesPerSB) * int64(f.subCount)
+	rev := f.rev[int64(sb)*perSB : int64(sb+1)*perSB]
+	for i := range rev {
+		rev[i] = -1
 	}
 	for p := range blk.nextPage {
 		blk.nextPage[p] = 0

@@ -136,15 +136,14 @@ func Mount(cfg Config, flash *nand.Flash) (*FTL, MountReport, error) {
 				}
 				if old := f.fwd[oob.FI]; old >= 0 {
 					// This claimant supersedes an earlier-scanned winner.
-					f.invalidate(old)
+					f.invalidate(int64(old))
 					rep.RecoveredSubs--
 					rep.StaleSkipped++
 				}
 				bestSeq[oob.FI] = oob.Seq
 				pi := f.physIndex(loc)
-				f.fwd[oob.FI] = pi
-				f.rev[pi] = oob.FI
-				f.valid[pi] = true
+				f.fwd[oob.FI] = int32(pi)
+				f.rev[pi] = int32(oob.FI)
 				blk.validSubs++
 				rep.RecoveredSubs++
 			}
@@ -298,11 +297,12 @@ func (f *FTL) MountSqueeze(now sim.Time) (Plan, int, int, error) {
 		for page := 0; page < f.pagesPerSB; page++ {
 			for plane := 0; plane < f.subCount; plane++ {
 				pi := base + int64(page)*int64(f.subCount) + int64(plane)
-				if !f.valid[pi] {
+				fi := int64(f.rev[pi])
+				if fi < 0 {
 					continue
 				}
-				lspn := f.rev[pi] / int64(f.subCount)
-				sub := int(f.rev[pi] % int64(f.subCount))
+				lspn := fi / int64(f.subCount)
+				sub := int(fi % int64(f.subCount))
 				plan.Ops = append(plan.Ops, Op{Kind: OpRead, Loc: PageLoc{SB: victim, Page: page, Plane: plane, Sub: sub}, LSPN: lspn})
 				moves = append(moves, move{lspn: lspn, sub: sub})
 			}

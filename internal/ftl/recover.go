@@ -47,7 +47,7 @@ func (f *FTL) retireSB(sb int) {
 // unmapped zeroes from now on — data loss, surfaced honestly instead of
 // serving stale bytes.
 func (f *FTL) loseSub(fi int64) {
-	packed := f.fwd[fi]
+	packed := int64(f.fwd[fi])
 	if packed < 0 {
 		return
 	}
@@ -283,7 +283,7 @@ func (f *FTL) RecoverPlanFault(now sim.Time, plan Plan, executed int, cause erro
 				// mapping; one superseded later in the plan (or whose
 				// data an uncorrectable read lost) needs neither a
 				// mapping nor a burn on a block nothing programs again.
-				if packed := f.fwd[fi]; packed >= 0 && f.unpackLoc(packed, op.Loc.Sub) == op.Loc {
+				if packed := f.fwd[fi]; packed >= 0 && f.unpackLoc(int64(packed), op.Loc.Sub) == op.Loc {
 					gc := op.GC
 					if op.GC {
 						switch ensureData(op, fi) {

@@ -8,15 +8,25 @@ import (
 
 // state is the FTL's image layout: the forward map, per-super-block
 // metadata, the free reserve and open block, the counters, the retirement
-// order with the read-only latch, and the plan sequence. The reverse map,
-// valid bits and valid counts are derived from the forward map at decode
-// time instead of being stored.
+// order with the read-only latch, and the plan sequence. The reverse map
+// and valid counts are derived from the forward map at decode time instead
+// of being stored. A forward entry travels as the varint of its widened
+// value, and decoding refuses one outside [-1, physical sub-pages) rather
+// than narrowing it onto some other sub-page.
 func (f *FTL) state(c *snap.Codec) error {
 	if err := c.Same(len(f.fwd), "forward-map entries"); err != nil {
 		return err
 	}
 	for i := range f.fwd {
-		snap.I(c, &f.fwd[i])
+		v := int64(f.fwd[i])
+		snap.I(c, &v)
+		if !c.Decoding() {
+			continue
+		}
+		if c.Err() == nil && (v < -1 || v >= int64(len(f.rev))) {
+			return fmt.Errorf("%w: forward entry %d maps to %d, outside [-1, %d)", snap.ErrCorrupt, i, v, len(f.rev))
+		}
+		f.fwd[i] = int32(v)
 	}
 	for i := range f.sbs {
 		sb := &f.sbs[i]
@@ -70,39 +80,30 @@ func (f *FTL) EncodeState(e *snap.Enc) {
 
 // DecodeState reinstalls a state captured by EncodeState into f, which
 // must be freshly constructed with the identical configuration. The
-// reverse map, valid bits and per-super-block valid counts are rebuilt
-// from the decoded forward map. On error f must be discarded.
+// reverse map and per-super-block valid counts are rebuilt from the
+// decoded forward map. On error f must be discarded.
 func (f *FTL) DecodeState(d *snap.Dec) error {
 	if err := f.state(snap.Decoding(d)); err != nil {
 		return err
 	}
 
-	// Rebuild the derived maps from the forward map.
+	// Rebuild the derived state from the forward map, whose entries the
+	// walk bounded to [-1, len(rev)).
 	for i := range f.sbs {
 		f.sbs[i].validSubs = 0
 	}
 	for i := range f.rev {
 		f.rev[i] = -1
-		f.valid[i] = false
 	}
-	for fi := range f.fwd {
-		packed := f.fwd[fi]
+	for fi, packed := range f.fwd {
 		if packed < 0 {
 			continue
 		}
-		sub := fi % f.subCount
-		loc := f.unpackLoc(packed, sub)
-		if loc.SB < 0 || loc.SB >= f.sbCount || loc.Page < 0 || loc.Page >= f.pagesPerSB ||
-			loc.Plane < 0 || loc.Plane >= f.subCount {
-			return fmt.Errorf("%w: forward entry %d decodes to out-of-range %+v", snap.ErrCorrupt, fi, loc)
+		if f.rev[packed] >= 0 {
+			return fmt.Errorf("%w: physical sub %+v mapped twice", snap.ErrCorrupt, f.unpackLoc(int64(packed), fi%f.subCount))
 		}
-		pi := f.physIndex(loc)
-		if f.valid[pi] {
-			return fmt.Errorf("%w: physical sub %+v mapped twice", snap.ErrCorrupt, loc)
-		}
-		f.rev[pi] = int64(fi)
-		f.valid[pi] = true
-		f.sbs[loc.SB].validSubs++
+		f.rev[packed] = int32(fi)
+		f.sbs[int(packed)/(f.pagesPerSB*f.subCount)].validSubs++
 	}
 	for _, sb := range f.freeSB {
 		if sb < 0 || sb >= f.sbCount {

@@ -38,7 +38,7 @@ type OOBInfo struct {
 // programmed since their block's last erase return FI -1, Seq 0.
 func (f *Flash) PageOOB(addr Address) OOBInfo {
 	o := &f.oob[f.geo.PageIndex(addr)]
-	return OOBInfo{FI: o.fi, Seq: o.seq, Good: o.good, Stripe: o.stripe}
+	return OOBInfo{FI: int64(o.fi), Seq: o.seqNo(), Good: o.good(), Stripe: o.stripe}
 }
 
 // SetPageStripe stamps the written page at addr with a RAIN stripe
@@ -52,10 +52,11 @@ func (f *Flash) SetPageStripe(addr Address, mask uint32) {
 
 // TamperOOB corrupts one field of a page's OOB stamp, selected by mode
 // (modulo the field count): flip the checksum verdict, bit-flip the
-// logical tag, the sequence number, the payload checksum, or the stripe
-// mask. A test-only hook for fuzzing mount-time recovery against torn and
-// bit-rotted OOB images; it models silent spare-area corruption, so no
-// counters or epochs move.
+// logical tag, the sequence number, the payload checksum (a no-op on a
+// timing-only flash, which keeps none), or the stripe mask. A test-only
+// hook for fuzzing mount-time recovery against torn and bit-rotted OOB
+// images; it models silent spare-area corruption, so no counters or epochs
+// move.
 func (f *Flash) TamperOOB(pageIdx int64, mode uint8) {
 	if pageIdx < 0 || pageIdx >= int64(len(f.oob)) {
 		return
@@ -63,13 +64,15 @@ func (f *Flash) TamperOOB(pageIdx int64, mode uint8) {
 	o := &f.oob[pageIdx]
 	switch mode % 5 {
 	case 0:
-		o.good = !o.good
+		o.seq ^= oobGood
 	case 1:
 		o.fi ^= 1 << (mode % 32)
 	case 2:
 		o.seq ^= 1 << (mode % 48)
 	case 3:
-		o.sum ^= 1 << (mode % 64)
+		if f.sums != nil {
+			f.sums[pageIdx] ^= 1 << (mode % 64)
+		}
 	case 4:
 		o.stripe ^= 1 << (mode % 16)
 	}
@@ -81,18 +84,17 @@ func (f *Flash) TamperOOB(pageIdx int64, mode uint8) {
 // is carried by the Good flag alone.
 func (f *Flash) VerifyPage(addr Address) bool {
 	pageIdx := f.geo.PageIndex(addr)
-	o := &f.oob[pageIdx]
-	if !o.good {
+	if !f.oob[pageIdx].good() {
 		return false
 	}
-	if !f.trackData || o.sum == 0 {
+	if !f.trackData || f.sums[pageIdx] == 0 {
 		return true
 	}
 	data := f.data[int(pageIdx/f.pagesPerC)].get(f.chanLocal(pageIdx))
 	if data == nil {
 		return false
 	}
-	return pageSum(data) == o.sum
+	return pageSum(data) == f.sums[pageIdx]
 }
 
 // MarkBadBlock records the block at global index bi in the durable grown
@@ -167,10 +169,10 @@ func (f *Flash) landPending(pageIdx int64) {
 	}
 	rec := &ref.batch.ops[ref.idx]
 	if rec.hasData {
-		if pageSum(rec.buf) == f.oob[pageIdx].sum {
+		if pageSum(rec.buf) == f.sums[pageIdx] {
 			f.countPayload(f.data[ch].put(f.chanLocal(pageIdx), rec.buf), f.geo.PageSize)
 		}
-	} else if f.oob[pageIdx].sum == 0 {
+	} else if f.sums[pageIdx] == 0 {
 		f.data[ch].clearRange(f.chanLocal(pageIdx), 1)
 	}
 }
@@ -213,6 +215,9 @@ func (f *Flash) PowerLoss(now sim.Time, seed uint64) PowerLossReport {
 		copy(blk.written, u.written)
 		base := int64(u.bi) * int64(f.geo.PagesPerBlock)
 		copy(f.oob[base:base+int64(f.geo.PagesPerBlock)], u.oob)
+		if f.sums != nil {
+			copy(f.sums[base:base+int64(f.geo.PagesPerBlock)], u.sums)
+		}
 		rep.ErasesUndone++
 	}
 	f.eraseUndo = nil
@@ -227,8 +232,9 @@ func (f *Flash) PowerLoss(now sim.Time, seed uint64) PowerLossReport {
 				if f.trackData {
 					ch := int(pageIdx / f.pagesPerC)
 					f.data[ch].clearRange(f.chanLocal(pageIdx), 1)
+					f.sums[pageIdx] = 0
 				}
-				f.oob[pageIdx] = pageOOB{fi: -1}
+				f.oob[pageIdx] = erasedOOB
 				continue
 			}
 			o := &f.oob[pageIdx]
@@ -241,13 +247,13 @@ func (f *Flash) PowerLoss(now sim.Time, seed uint64) PowerLossReport {
 				continue
 			}
 			rep.InFlight++
-			if tornDraw(seed, pageIdx, o.seq) {
+			if tornDraw(seed, pageIdx, o.seqNo()) {
 				rep.Torn++
-				o.good = false
-				o.sum = 0
+				o.setGood(false)
 				if f.trackData {
 					ch := int(pageIdx / f.pagesPerC)
 					f.data[ch].clearRange(f.chanLocal(pageIdx), 1)
+					f.sums[pageIdx] = 0
 				}
 				continue
 			}

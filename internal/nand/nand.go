@@ -13,7 +13,9 @@ package nand
 
 import (
 	"fmt"
+	"math"
 	"strconv"
+	"unsafe"
 
 	"amber/internal/sim"
 )
@@ -333,24 +335,51 @@ type blockState struct {
 // pageOOB models the out-of-band (spare) area real NAND pages carry: the
 // firmware stamps every program with the owning logical sub-page (fi, an
 // FTL-defined tag; -1 for untagged raw programs), a device-wide
-// monotonically increasing write sequence number, and a payload checksum.
-// Mount-time recovery rebuilds the whole mapping table from these stamps
-// alone: the highest sequence number wins a logical sub-page, and a failed
-// checksum (modeled by the good flag, cleared when a power cut tears the
-// program) marks the page unwritten. doneAt records when the array
-// operation completes, which is what decides whether a power cut at time T
-// caught the program in flight.
+// monotonically increasing write sequence number, and a payload checksum
+// (kept beside it in Flash.sums, on a tracked flash only). Mount-time
+// recovery rebuilds the whole mapping table from these stamps alone: the
+// highest sequence number wins a logical sub-page, and a failed checksum
+// (modeled by the good flag, cleared when a power cut tears the program)
+// marks the page unwritten. doneAt records when the array operation
+// completes, which is what decides whether a power cut at time T caught the
+// program in flight.
+//
+// Every physical page carries one, so the layout is a budget: 24 bytes
+// (asserted below). The good flag is the top bit of seq — the write
+// sequence counts programs one by one from 1 and never reaches bit 63 — and
+// fi is 32 bits, because the FTL's forward-map indices are (ftl.New bounds
+// them) and New bounds the page count the same way.
 type pageOOB struct {
-	fi     int64
-	seq    uint64
+	seq    uint64 // oobGood | the write sequence number (seqNo); 0 when erased
 	doneAt sim.Time
-	sum    uint64 // pageSum of the tracked payload; 0: programmed without one, nothing to verify
-	good   bool
+	fi     int32
 	// stripe tags a RAIN parity page with its stripe membership mask (bit
 	// i set: data plane i of the page's parity group is covered). Zero for
 	// data and non-RAIN pages. Durable, like every OOB stamp, so mount
-	// rebuilds parity membership from flash alone.
+	// rebuilds parity membership from flash alone. 32 bits: a RAIN group
+	// may have 32 data planes.
 	stripe uint32
+}
+
+// Compile-time proof of the 24-byte budget: any other size makes the
+// constant index out of range.
+var _ = [1]struct{}{}[unsafe.Sizeof(pageOOB{})-24]
+
+// oobGood is the good flag's bit in pageOOB.seq.
+const oobGood = 1 << 63
+
+// erasedOOB is the stamp of a page not programmed since its block's erase.
+var erasedOOB = pageOOB{fi: -1}
+
+func (o *pageOOB) good() bool     { return o.seq&oobGood != 0 }
+func (o *pageOOB) seqNo() uint64  { return o.seq &^ oobGood }
+func (o *pageOOB) setGood(g bool) { o.seq = o.seqNo() | goodBit(g) }
+
+func goodBit(g bool) uint64 {
+	if g {
+		return oobGood
+	}
+	return 0
 }
 
 // arenaChunkPages is the number of physical pages per arena chunk. Chunks
@@ -462,9 +491,15 @@ type Flash struct {
 	blocks   []blockState
 
 	// oob holds the per-page out-of-band metadata, indexed by global
-	// physical page number; progSeq is the device-wide write sequence
-	// counter its stamps draw from. Both are durable across power loss.
+	// physical page number — 24 bytes a page, most of a timing-only
+	// flash's heap; progSeq is the device-wide write sequence counter its
+	// stamps draw from. sums holds each page's payload checksum (pageSum of
+	// the tracked payload; 0: programmed without one, nothing to verify),
+	// 8 bytes a page, on a tracked flash only: nil on a timing-only one,
+	// where every checksum would be 0. All three are durable across power
+	// loss.
 	oob     []pageOOB
+	sums    []uint64
 	progSeq uint64
 
 	// badOrder lists grown bad blocks (global block indices) in the order
@@ -579,6 +614,9 @@ func New(geo Geometry, tim Timing, pow Power, cell CellType, opt Options) (*Flas
 	if err := opt.Faults.Validate(); err != nil {
 		return nil, err
 	}
+	if n := geo.TotalPages(); n > math.MaxInt32 {
+		return nil, fmt.Errorf("nand: geometry has %d physical pages, more than the %d 32-bit OOB tags can name", n, math.MaxInt32)
+	}
 	f := &Flash{
 		geo:       geo,
 		tim:       tim,
@@ -612,7 +650,7 @@ func New(geo Geometry, tim Timing, pow Power, cell CellType, opt Options) (*Flas
 	}
 	f.oob = make([]pageOOB, geo.TotalPages())
 	for i := range f.oob {
-		f.oob[i].fi = -1
+		f.oob[i] = erasedOOB
 	}
 	f.chStats = make([]Stats, geo.Channels)
 	f.chEnergy = make([]float64, geo.Channels)
@@ -622,6 +660,7 @@ func New(geo Geometry, tim Timing, pow Power, cell CellType, opt Options) (*Flas
 	f.plan.f, f.direct.f = f, f
 	f.plan.dies = make([]*dieBatch, geo.TotalDies())
 	if opt.TrackData {
+		f.sums = make([]uint64, geo.TotalPages())
 		f.data = make([]*pageArena, geo.Channels)
 		for ch := range f.data {
 			f.data[ch] = newPageArena(f.pagesPerC, geo.PageSize)
@@ -1111,10 +1150,12 @@ func (b *PlanBatch) ReadTrusted(now sim.Time, addr Address, dst []byte) (Result,
 // OOB logical tag: the FTL-defined identity of the logical sub-page this
 // program stores (fil passes the forward-map index), stamped into the page's
 // out-of-band metadata so mount-time recovery can rebuild the mapping from
-// flash alone. Raw and untagged programs pass -1. Like ReadAddr there is no
-// structural precheck (address bounds, in-order program pointer) — the
-// certificate or the executor's Flash.CheckProgram vouches — while injected
-// fault draws still run, and the address travels by reference.
+// flash alone. Raw and untagged programs pass -1. The stamp holds 32 bits:
+// a tag outside int32 is the caller's error (ProgramTagged refuses one).
+// Like ReadAddr there is no structural precheck (address bounds, in-order
+// program pointer) — the certificate or the executor's Flash.CheckProgram
+// vouches — while injected fault draws still run, and the address travels
+// by reference.
 //
 // When staged is set there is no staging copy either: data is then a
 // whole-page Flash.StagingBuf the caller filled, and the flash takes it over
@@ -1146,7 +1187,7 @@ func (b *PlanBatch) ProgramAddr(now sim.Time, addr *Address, data []byte, staged
 			f.checkNoPendingInstalls(addr.Channel)
 			arena, local := f.data[addr.Channel], f.chanLocal(pageIdx)
 			f.countPayload(arena.put(local, data), f.geo.PageSize)
-			f.oob[pageIdx].sum = pageSum(arena.get(local))
+			f.sums[pageIdx] = pageSum(arena.get(local))
 		}
 		if staged {
 			f.ReleaseStagingBuf(data)
@@ -1168,7 +1209,7 @@ func (b *PlanBatch) ProgramAddr(now sim.Time, addr *Address, data []byte, staged
 			f.countPayload(n, len(rec.buf))
 		}
 		rec.hasData = true
-		f.oob[pageIdx].sum = pageSum(rec.buf)
+		f.sums[pageIdx] = pageSum(rec.buf)
 	}
 	rec.tracked = true
 	m := f.pendingProg[addr.Channel]
@@ -1343,7 +1384,10 @@ func (f *Flash) claimProgram(now sim.Time, addr *Address, di int, tag int64) (xf
 	f.epoch++
 	f.progSeq++
 	pageIdx = f.geo.pageOfDie(di, addr)
-	f.oob[pageIdx] = pageOOB{fi: tag, seq: f.progSeq, doneAt: done, good: true}
+	f.oob[pageIdx] = pageOOB{seq: f.progSeq | oobGood, doneAt: done, fi: int32(tag)}
+	if f.sums != nil {
+		f.sums[pageIdx] = 0 // the caller stamps the payload's, if it has one
+	}
 	return xferStart, done, pageIdx
 }
 
@@ -1382,8 +1426,12 @@ func (f *Flash) Program(now sim.Time, addr Address, data []byte) (Result, error)
 
 // ProgramTagged is Program with an OOB logical tag (see
 // PlanBatch.ProgramAddr): CheckProgram, then ProgramAddr on an engine-less
-// batch.
+// batch. A tag the 32-bit stamp cannot hold is refused before anything is
+// claimed.
 func (f *Flash) ProgramTagged(now sim.Time, addr Address, data []byte, tag int64) (Result, error) {
+	if tag < math.MinInt32 || tag > math.MaxInt32 {
+		return Result{}, fmt.Errorf("nand: OOB tag %d outside the 32-bit stamp", tag)
+	}
 	if err := f.CheckProgram(&addr); err != nil {
 		return Result{}, err
 	}
@@ -1391,7 +1439,11 @@ func (f *Flash) ProgramTagged(now sim.Time, addr Address, data []byte, tag int64
 }
 
 // eraseUndoRec snapshots the block state one claimed erase destroyed, so a
-// power cut before the erase's array operation started can put it back.
+// power cut before the erase's array operation started can put it back. It
+// copies the block's stamps — 25 bytes a page, plus 8 for the checksums on
+// a tracked flash (sums is nil on a timing-only one) — and the pool keeps
+// every record a burst of erases needed, so the per-page cost is paid once
+// per block in flight.
 type eraseUndoRec struct {
 	bi         int
 	start      sim.Time // array-operation start on the die
@@ -1400,6 +1452,7 @@ type eraseUndoRec struct {
 	nextPage   int32
 	written    []bool
 	oob        []pageOOB
+	sums       []uint64
 	// done marks an erase committed at claim time: an engine-less batch
 	// runs with the engine drained and clears the tracked arena
 	// immediately, so its snapshot must never be restored.
@@ -1439,10 +1492,14 @@ func (f *Flash) acquireEraseUndo() *eraseUndoRec {
 		u.done = false
 		return u
 	}
-	return &eraseUndoRec{
+	u := &eraseUndoRec{
 		written: make([]bool, f.geo.PagesPerBlock),
 		oob:     make([]pageOOB, f.geo.PagesPerBlock),
 	}
+	if f.sums != nil {
+		u.sums = make([]uint64, f.geo.PagesPerBlock)
+	}
+	return u
 }
 
 // commitEraseUndo marks an erase committed at claim time (an engine-less
@@ -1468,7 +1525,7 @@ func (f *Flash) claimErase(now sim.Time, addr *Address, di int) (cmdStart, done 
 	die := f.dies[di]
 	cmdStart, cmdEnd := ch.Claim(now, f.tim.CmdCycles)
 	opStart, done := die.Claim(cmdEnd, f.tim.Erase)
-	base := int64(bi) * int64(f.geo.PagesPerBlock)
+	base, end := int64(bi)*int64(f.geo.PagesPerBlock), int64(bi+1)*int64(f.geo.PagesPerBlock)
 	undo = f.acquireEraseUndo()
 	undo.bi = bi
 	undo.start = opStart
@@ -1476,7 +1533,7 @@ func (f *Flash) claimErase(now sim.Time, addr *Address, di int) (cmdStart, done 
 	undo.disturb = blk.disturb
 	undo.nextPage = blk.nextPage
 	copy(undo.written, blk.written)
-	copy(undo.oob, f.oob[base:base+int64(f.geo.PagesPerBlock)])
+	copy(undo.oob, f.oob[base:end])
 	f.eraseUndo = append(f.eraseUndo, undo)
 	blk.eraseCount++
 	blk.disturb = 0
@@ -1484,8 +1541,13 @@ func (f *Flash) claimErase(now sim.Time, addr *Address, di int) (cmdStart, done 
 	for i := range blk.written {
 		blk.written[i] = false
 	}
-	for i := 0; i < f.geo.PagesPerBlock; i++ {
-		f.oob[base+int64(i)] = pageOOB{fi: -1}
+	oob := f.oob[base:end]
+	for i := range oob {
+		oob[i] = erasedOOB
+	}
+	if f.sums != nil {
+		copy(undo.sums, f.sums[base:end])
+		clear(f.sums[base:end])
 	}
 	f.epoch++
 	return cmdStart, done, undo

@@ -143,7 +143,7 @@ func TestSumFinalNeverZero(t *testing.T) {
 	if _, err := f.Program(0, addr, make([]byte, 4096)); err != nil {
 		t.Fatal(err)
 	}
-	if f.oob[f.geo.PageIndex(addr)].sum == 0 {
+	if f.sums[f.geo.PageIndex(addr)] == 0 {
 		t.Fatal("a tracked all-zero payload was stamped with sum 0")
 	}
 }

@@ -2,6 +2,7 @@ package nand
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"amber/internal/snap"
@@ -37,13 +38,9 @@ func (f *Flash) state(c *snap.Codec) error {
 			if !blk.written[pg] {
 				continue // invariant: unwritten pages carry the erased OOB, a fresh flash's too
 			}
-			o := &f.oob[base+int64(pg)]
-			snap.I(c, &o.fi)
-			snap.U(c, &o.seq)
-			snap.I(c, &o.doneAt)
-			snap.U(c, &o.sum)
-			c.Bool(&o.good)
-			snap.U(c, &o.stripe)
+			if err := f.oobState(c, base+int64(pg)); err != nil {
+				return err
+			}
 		}
 	}
 	if err := c.SameBool(f.trackData, "tracked data"); err != nil {
@@ -70,6 +67,9 @@ func (f *Flash) state(c *snap.Codec) error {
 	}
 	snap.U(c, &f.epoch)
 	snap.U(c, &f.progSeq)
+	if c.Err() == nil && f.progSeq&oobGood != 0 {
+		return fmt.Errorf("%w: write sequence %#x past 63 bits", snap.ErrCorrupt, f.progSeq)
+	}
 	f.rng.Snap(c)
 	snap.Slice(c, &f.badOrder, len(f.blocks))
 	for i := range f.badOrder {
@@ -102,6 +102,44 @@ func (f *Flash) state(c *snap.Codec) error {
 		}
 	}
 	return c.Err()
+}
+
+// oobState walks page idx's OOB stamp in the layout it had as six separate
+// fields — tag, sequence, completion, checksum, good flag, stripe — so the
+// compact stamp leaves the image as it was. Decoding reads the wide values
+// and refuses what the stamp cannot hold instead of truncating it: a tag
+// outside int32, a sequence with the good flag's bit set, a checksum on a
+// flash that keeps none.
+func (f *Flash) oobState(c *snap.Codec, idx int64) error {
+	o := &f.oob[idx]
+	fi, seq, good := int64(o.fi), o.seqNo(), o.good()
+	var sum uint64
+	if f.sums != nil {
+		sum = f.sums[idx]
+	}
+	snap.I(c, &fi)
+	snap.U(c, &seq)
+	snap.I(c, &o.doneAt)
+	snap.U(c, &sum)
+	c.Bool(&good)
+	snap.U(c, &o.stripe)
+	if !c.Decoding() || c.Err() != nil {
+		return c.Err()
+	}
+	switch {
+	case fi < math.MinInt32 || fi > math.MaxInt32:
+		return fmt.Errorf("%w: OOB tag %d of page %d outside int32", snap.ErrCorrupt, fi, idx)
+	case seq&oobGood != 0:
+		return fmt.Errorf("%w: OOB sequence %#x of page %d past 63 bits", snap.ErrCorrupt, seq, idx)
+	case sum != 0 && f.sums == nil:
+		return fmt.Errorf("%w: OOB checksum on page %d of a timing-only flash", snap.ErrCorrupt, idx)
+	}
+	o.fi = int32(fi)
+	o.seq = seq | goodBit(good)
+	if f.sums != nil {
+		f.sums[idx] = sum
+	}
+	return nil
 }
 
 // arenaState walks one channel's tracked payloads: a count, then each
