@@ -311,8 +311,8 @@ func runOne(dev string, w io.Writer, o runOptions) error {
 		// Vectored path: pre-generate the whole request stream and hand
 		// it to SubmitBatch in one call. The device windows internally
 		// (scheduler dispatch window, protocol queue depth,
-		// core.DefaultBatchWindow) and drains deferred bookkeeping once per
-		// window instead of once per request; results are byte-identical to
+		// core.DefaultBatchWindow) and resets its engine once per window
+		// instead of once per request; results are byte-identical to
 		// a Submit loop, so every footer counter below means the same thing.
 		reqs := make([]workload.Request, o.requests)
 		var bytesRead, bytesWritten int64

@@ -70,8 +70,8 @@ func main() {
 
 	// Vectored submission: hand the device a whole request stream at once.
 	// SubmitBatch keeps the serial depth-1 contract — results are
-	// byte-identical to calling Submit in a loop — but drains deferred
-	// bookkeeping once per window instead of once per request.
+	// byte-identical to calling Submit in a loop — but resets its engine
+	// once per window instead of once per request.
 	batch := make([]workload.Request, 256)
 	datas := make([][]byte, len(batch))
 	for i := range batch {

@@ -403,10 +403,9 @@ func (s *System) bindFTL(t *ftl.FTL) error {
 // each subsystem's stage-boundary events are scheduled and counted under. Resolving names
 // once per engine keeps the hot path free of map lookups.
 //
-// The per-channel nand domains carry only the per-die plan batches that land
-// tracked page bytes — program installs and erase clears (nand.PlanBatch).
-// Every flash transaction is counted and charged at issue, so a timing-only
-// device dispatches nothing in them. A domain's id and name are part of
+// The per-channel nand domains carry no events: every flash transaction,
+// tracked page bytes included, takes effect at issue (nand.PlanBatch). They
+// stay registered because a domain's id and name are part of
 // sim.Engine.DomainStats, which every recorded run digest covers, so the
 // registration order below is pinned (TestEngineDomainTableStable).
 type engineDomains struct {
@@ -416,7 +415,7 @@ type engineDomains struct {
 	icl  sim.DomainID   // cache/DRAM write-back boundaries
 	dma  sim.DomainID   // payload-transfer boundaries
 	pub  sim.DomainID   // fill publishes (staged line buffers)
-	nand []sim.DomainID // per-channel tracked-data die batches
+	nand []sim.DomainID // per-channel, eventless (fil.ExecuteOn takes them)
 }
 
 // domainsFor resolves (registering on first use) this system's scheduling
@@ -492,11 +491,10 @@ func (s *System) PayloadBytes() (copied, zeroed uint64) {
 	return s.stagedCopied, s.stagedZeroed
 }
 
-// DefaultBatchWindow is SubmitBatch's submission-window ceiling: deferred
-// tracked-data installs drain at least this often even for arbitrarily
-// long request vectors, keeping the engine's event pool at its steady-state
-// size. The host scheduler's depth cap and the protocol's hardware queue
-// limit still clamp below it.
+// DefaultBatchWindow is SubmitBatch's submission-window ceiling: the shared
+// engine is reset, and the erase-undo journal pruned, at least this often
+// even for arbitrarily long request vectors. The host scheduler's depth cap
+// and the protocol's hardware queue limit still clamp below it.
 const DefaultBatchWindow = 64
 
 // SubmitEngineDomainStats returns the per-domain event counts of the

@@ -502,7 +502,7 @@ func TestRunClosedLoopAllocs(t *testing.T) {
 		}
 		return float64(after.Mallocs - before.Mallocs)
 	}
-	run(4 * n) // warm the op, fill, mask, die-batch and domain pools
+	run(4 * n) // warm the op, fill, mask and domain pools
 	short, long := run(n), run(2*n)
 	perReq := (long - short) / n
 	t.Logf("%.0f allocations for %d requests, %.0f for %d: %.4f per extra request", short, n, long, 2*n, perReq)

@@ -378,8 +378,7 @@ func (s *System) submitEngine() *sim.Engine {
 // their stage boundaries (parse done, payload transferred, lines written,
 // completion composed) are pure time arithmetic over the same resource
 // claims the evented pipeline makes, in the same order, so no engine events
-// are scheduled for them at all; only the die batches that land tracked
-// page bytes in their channel (sim/doc.go) accumulate, and drain once per
+// are scheduled for them at all, and the shared engine is reset once per
 // window instead of once per request. The window is
 // bounded by the host scheduler's queue-depth cap and the protocol's
 // hardware queue limit, under DefaultBatchWindow. Requests the inline
@@ -433,13 +432,14 @@ func (s *System) SubmitBatch(now sim.Time, reqs []workload.Request, datas [][]by
 				s.drainWindow(e, &fill)
 			}
 		} else {
-			// The evented path resets the shared engine, so pending window
-			// installs must land first.
+			// The evented path resets the shared engine, so the window
+			// closes first.
 			s.drainWindow(e, &fill)
 			done, err = s.Submit(cur, req, data)
-			// Submit drained the shared engine but left its clock at the
-			// request's completion; the next inline write schedules die
-			// batches at claim times that may precede it.
+			// Submit drained the shared engine but left its clock where its
+			// last event ran, possibly past the host clock; rewind it, or the
+			// next inline erase would prune undo records a later power cut
+			// may still need.
 			e.Reset()
 		}
 		if err != nil {
@@ -463,11 +463,10 @@ func (s *System) SubmitBatch(now sim.Time, reqs []workload.Request, datas [][]by
 	return last, nil
 }
 
-// drainWindow dispatches the die batches a batch window accumulated and
-// resets the shared engine (times rewind to zero, exactly
-// the state a fresh Submit would start from). fill counts the inline
-// requests since the last drain; an empty window drains nothing and is not
-// counted.
+// drainWindow closes a batch window: it runs and resets the shared engine
+// (times rewind to zero, exactly the state a fresh Submit would start from)
+// and prunes the erase-undo journal. fill counts the inline requests since
+// the last drain; an empty window drains nothing and is not counted.
 func (s *System) drainWindow(e *sim.Engine, fill *int) {
 	if *fill == 0 && e.Pending() == 0 {
 		return
@@ -488,8 +487,7 @@ func (s *System) drainWindow(e *sim.Engine, fill *int) {
 // evented pipeline would make is made here, at the same time, in the same
 // order — stage 1 and the completion path are the very same helpers, and the
 // stage events elided in between carried no claims of their own, only the
-// times the claims below derive directly. A plan's tracked-data die batches
-// are scheduled on e as usual and left for the caller's window drain.
+// times the claims below derive directly.
 func (s *System) submitInline(e *sim.Engine, now sim.Time, req workload.Request, data []byte) (sim.Time, error) {
 	if err := s.admit(req, data); err != nil {
 		return 0, err
@@ -594,9 +592,10 @@ func (s *System) flashSub(lspn int64, sub int, dst []byte) {
 // writeLine stores one line into the ICL (write-back, write-allocate) and
 // flushes the displaced victim if dirty. Completion is when the data is in
 // cache memory and the victim's frame was safely flushed. All claims start
-// at t (the caller invokes it inside an event at t). e routes the flush's
-// tracked-data installs through the deferred per-channel path; nil (the
-// engine-less Flush) falls back to synchronous execution. payload is the
+// at t (the caller invokes it inside an event at t). e is the engine the
+// flush's plan runs under, whose clock keeps its erases undoable by a power
+// cut until they start; nil (the engine-less Flush) commits them at claim.
+// payload is the
 // line's part of the request buffer (nil when timing-only): it is the
 // cache's source directly, placed at its true in-line offset.
 func (s *System) writeLine(e *sim.Engine, t sim.Time, ln hil.Line, payload []byte) (sim.Time, error) {
@@ -810,9 +809,8 @@ func (s *System) startFill(e *sim.Engine, t sim.Time, lspn int64, subs []int, li
 			fo.dsts = dsts
 		}
 		// Precopy stage of the install: the page bytes land in the fill's
-		// line buffer at issue (pending-aware, one copy), so the channel
-		// domains carry only the reads' accounting and the publish below
-		// depends on no pending channel event. The lookup's read
+		// line buffer at issue (one copy), so the publish below depends on
+		// no flash event. The lookup's read
 		// certificate rides along: while the FTL↔flash chain is armed, the
 		// per-address validation walk is skipped (mapped ⇒ written by
 		// construction).
@@ -956,11 +954,10 @@ func (s *System) prefetch(e *sim.Engine, lspn int64) {
 
 // flushEviction writes a displaced dirty line back through FTL and FIL,
 // returning when the victim's data has left the cache memory (host writes
-// programmed; background GC may continue past this point). With an engine,
-// the plan executes on the deferred path (fil.ExecuteOn): each tracked
-// program's install and erase's presence clear rides the owning channel's
-// domain in per-die batches; without one (the synchronous Flush), the plan
-// executes synchronously. Counters and energy land at issue either way.
+// programmed; background GC may continue past this point). With an engine
+// the plan executes through fil.ExecuteOn, whose erases a power cut can
+// still undo until the engine's clock passes their start; without one (the
+// synchronous Flush), through fil.Execute, which commits them at claim.
 func (s *System) flushEviction(e *sim.Engine, t sim.Time, ev *iclEviction) (sim.Time, error) {
 	t2 := s.fw.ftlTranslate.run(t)
 	plan, err := s.FTL.Write(t2, ev.LSPN, ev.Dirty)

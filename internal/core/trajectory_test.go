@@ -21,13 +21,13 @@ import (
 // purpose updates its line from the failure message, which prints the
 // trajectory and its digest.
 var trajectoryPins = map[string]uint64{
-	"write-deferred":  0xa87879223407995f,
-	"two-stage-fill":  0x4188eea90ae0c8f0,
-	"fault":           0xbf44ac334463ca78,
-	"power-loss":      0xfcda57156333c970,
+	"write-deferred":  0x5d5ae893c093d530,
+	"two-stage-fill":  0xa291005f2b65cdaa,
+	"fault":           0x81f129e0a9cc6b1b,
+	"power-loss":      0x43c379b9fd12bdf9,
 	"power-cut-sweep": 0x3476cd5c1f2cfb13,
-	"rain":            0x482d97ad9dcc4de2,
-	"snapshot-tail":   0xfc86851ea38ee566,
+	"rain":            0x326cd492706c0c2e,
+	"snapshot-tail":   0xcf1ddc489eb6cfc3,
 }
 
 // checkPin fails unless rendered hashes to the digest committed under name.
@@ -137,11 +137,11 @@ func renderData(t *testing.T, out *bytes.Buffer, s *core.System) {
 	}
 }
 
-// writeTrajectory is the write-heavy golden trajectory for the deferred
-// program/erase path: GC-triggering random overwrites carrying real payload
-// bytes, a second GC wave at a larger block size (multi-sub lines, more
-// migrations), then a mixed-read phase that checks the written bytes came
-// back through the deferred installs, all on one preconditioned system.
+// writeTrajectory is the write-heavy golden trajectory for the program and
+// erase path on an engine: GC-triggering random overwrites carrying real
+// payload bytes, a second GC wave at a larger block size (multi-sub lines,
+// more migrations), then a mixed-read phase that checks the written bytes
+// came back, all on one preconditioned system.
 func writeTrajectory(t *testing.T, s *core.System) string {
 	t.Helper()
 	if err := s.Precondition(16); err != nil {
@@ -150,7 +150,7 @@ func writeTrajectory(t *testing.T, s *core.System) string {
 	var out bytes.Buffer
 
 	// Phase 1: 4K random overwrites with payload buffers on the fully
-	// mapped volume — deferred program installs under GC.
+	// mapped volume — programs under GC.
 	wgen, err := workload.NewFIO(workload.RandWrite, 4096, s.VolumeBytes(), 11)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func writeTrajectory(t *testing.T, s *core.System) string {
 	}
 	renderRun(&out, "rand-write-4k", res)
 	if s.FTL.Stats().GCRuns == 0 {
-		t.Fatal("write phase did not trigger GC; the deferred-write equivalence must cover GC")
+		t.Fatal("write phase did not trigger GC; the write trajectory must cover GC")
 	}
 
 	// Phase 2: larger random writes — whole-line programs plus erase waves.
@@ -202,8 +202,8 @@ func writeTrajectory(t *testing.T, s *core.System) string {
 	return out.String()
 }
 
-// TestWriteDeferredGoldenEquivalence pins the deferred program/erase
-// bookkeeping: a GC-triggering random-write trajectory with real payloads
+// TestWriteDeferredGoldenEquivalence pins the program/erase path on an
+// engine: a GC-triggering random-write trajectory with real payloads
 // plus a mixed-read phase renders its experiment tables, per-domain dispatch
 // counts, component statistics, per-channel counters/energy and payload
 // bytes to the committed digest.
@@ -296,8 +296,8 @@ func TestTwoStageFillBatching(t *testing.T) {
 	if published == 0 || channels != 0 {
 		t.Fatalf("fills published through %s: %d; channel events: %d", fil.PublishDomain, published, channels)
 	}
-	// The certified fast path served the trajectory too: every deferred
-	// plan execution skipped the walk (PlanCount also counts Flush's
+	// The certified fast path served the trajectory too: every plan executed
+	// on an engine skipped the walk (PlanCount also counts Flush's
 	// synchronous Execute plans, which have no walk to skip).
 	if fs := s.FIL.Stats(); fs.CertifiedPlans == 0 {
 		t.Fatalf("no plan took the certified fast path: %+v", fs)

@@ -20,9 +20,9 @@ import (
 // plans issue all their pre-reads before the first rewrite, so a buffer
 // released before its rewrite is refilled by a later read of the same plan;
 // GC plans alternate read and rewrite, so a buffer released at the rewrite
-// but still referenced by the program's pending install is refilled by the
-// next read; a GC cascade's plan needs several times the buffers the pool
-// holds by then, so fresh and recycled buffers mix; and the super-pages first
+// although the program made it the page is refilled by the next read; a GC
+// cascade's plan needs several times the buffers the pool holds by then, so
+// fresh and recycled buffers mix; and the super-pages first
 // written without payload bytes store empty pages, which read as zeros — into
 // a recycled buffer only if the read wrote every byte of it. (Checked by mutation:
 // releasing in stageRead, skipping takeRead's hand-over, skipping copyOut's
@@ -124,7 +124,7 @@ func TestPlanReadBufferLifeCycle(t *testing.T) {
 					t.Fatal(err)
 				}
 				exec(plan, HostData(lspn, dirty, payload, ps))
-				check("after its own plan", lspn) // pending installs included
+				check("after its own plan", lspn)
 			}
 
 			all := make([]bool, subs)
@@ -144,18 +144,13 @@ func TestPlanReadBufferLifeCycle(t *testing.T) {
 					}
 				}
 				write(int64(rng.Uint64n(uint64(user))), dirty, true)
-				if i%16 == 0 {
-					e.Run() // mostly, installs of several plans stay pending
-				}
 			}
-			e.Run()
 			if tr.Stats().GCMigrated == 0 || (m.mutate != nil && tr.Stats().RMWReads == 0) {
 				t.Fatalf("GCMigrated %d, RMWReads %d: the stream never exercised the rewrites", tr.Stats().GCMigrated, tr.Stats().RMWReads)
 			}
 
-			// The pool never held more than the installs pending between two
-			// drains before a GC cascade's plan came along and pre-read several
-			// times that.
+			// Some GC cascade's plan pre-read more than sixteen super-pages'
+			// worth, so fresh and recycled buffers mixed.
 			if maxReads <= 16*subs {
 				t.Fatalf("largest plan pre-read %d pages: none outgrew the staging pool", maxReads)
 			}
@@ -173,11 +168,7 @@ func TestPlanReadBufferLifeCycle(t *testing.T) {
 				scrubbed++
 			}
 			for lspn := int64(0); lspn < user; lspn++ {
-				check("after the scrubs, installs pending", lspn)
-			}
-			e.Run()
-			for lspn := int64(0); lspn < user; lspn++ {
-				check("after the drain", lspn)
+				check("after the scrubs", lspn)
 			}
 			for sb := 0; sb < tr.SuperBlockCount(); sb++ {
 				for plane := 0; plane < g.TotalPlanes(); plane++ {

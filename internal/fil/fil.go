@@ -9,7 +9,6 @@
 package fil
 
 import (
-	"errors"
 	"fmt"
 
 	"amber/internal/ftl"
@@ -22,11 +21,8 @@ type AddrFunc func(ftl.PageLoc) nand.Address
 
 // PublishDomain names the domain where the core places the continuation of a
 // flash-backed cache fill: the cache install, memory charge and waiter
-// wakeups. Those read and write state spanning channels (ICL lines, MSHR
-// maps, DRAM timing), unlike the die-batch events in the nand.ChannelDomain
-// domains, which land one channel's tracked page bytes. A publish event reads
-// nothing those events write: its line buffer was complete (ReadSubsStaged)
-// when the publish was scheduled (sim/doc.go).
+// wakeups. Its line buffer was complete (ReadSubsStaged) when the publish was
+// scheduled, so it waits on no flash event (sim/doc.go).
 const PublishDomain = "fil.publish"
 
 // Stats aggregates FIL activity.
@@ -55,7 +51,7 @@ type Stats struct {
 // fault. Unlike a structural error (which prevalidation guarantees arrives
 // with nothing issued), a fault interrupts real work: the plan's first
 // Executed ops claimed resources, transitioned block state, were counted and
-// scheduled their tracked-data installs — only the op at index Executed (and
+// landed their tracked data — only the op at index Executed (and
 // everything after it) did not happen. The executor disarms its certified
 // chain before returning one: the issuing FTL's model and the flash have
 // diverged, and no later certificate can be trusted until recovery
@@ -408,8 +404,8 @@ func (f *FIL) sbSlot(sb int) *sbTime {
 
 // parityPayload assembles the RAIN parity payload of op — the XOR of the
 // stripe row's covered data pages — into a pooled page buffer. Member
-// bytes come through nand.Flash.PagePayload (pending-aware, no timing or
-// accounting): the controller accumulates parity in RAM as the row's data
+// bytes come through nand.Flash.PagePayload (no timing or accounting): the
+// controller accumulates parity in RAM as the row's data
 // programs issue, so the parity program carries the stripe's only flash
 // cost. Returns nil when data tracking is off (timing-only execution).
 // The op names its own stripe: data planes [Loc.Sub, Loc.Plane), mask bit
@@ -441,10 +437,10 @@ func (f *FIL) parityPayload(op *ftl.Op) []byte {
 	return buf
 }
 
-// stageRead borrows a staging buffer from the flash for a plan pre-read on
-// channel ch and parks it in the next readBufs slot.
-func (f *FIL) stageRead(ch int) (slot int32, buf []byte) {
-	buf = f.flash.StagingBuf(ch)
+// stageRead borrows a staging buffer from the flash for a plan pre-read and
+// parks it in the next readBufs slot.
+func (f *FIL) stageRead() (slot int32, buf []byte) {
+	buf = f.flash.StagingBuf()
 	if f.readBufN == len(f.readBufs) {
 		f.readBufs = append(f.readBufs, nil)
 	}
@@ -458,18 +454,16 @@ func (f *FIL) stageRead(ch int) (slot int32, buf []byte) {
 // caller releases it). The first taker gets the buffer the read filled — no
 // copy. A pre-read can feed a second rewrite: a sub-page migrated by the GC
 // a read-modify-write triggered is rewritten again by that write, from the
-// migration's read. By then the buffer belongs to the first rewrite's
-// program, so the bytes are fetched back from the page it programmed
-// (PagePayload sees them whether or not the install has dispatched).
+// migration's read. By then the buffer is the page the first rewrite
+// programmed, so the bytes are fetched back from that page.
 func (f *FIL) takeRead(pr *planRec, ops []ftl.Op, w int) []byte {
 	var buf []byte
 	if pr.buf >= 0 {
 		buf = f.readBufs[pr.buf]
 		f.readBufs[pr.buf] = nil
 	} else {
-		at := f.addr(&ops[^pr.buf].Loc)
-		buf = f.flash.StagingBuf(at.Channel)
-		f.flash.PagePayload(at, buf)
+		buf = f.flash.StagingBuf()
+		f.flash.PagePayload(f.addr(&ops[^pr.buf].Loc), buf)
 	}
 	pr.buf = ^int32(w)
 	return buf
@@ -602,14 +596,12 @@ func (f *FIL) Execute(now sim.Time, plan ftl.Plan, hostData PlanData) (Result, e
 	return f.execute(nil, nil, now, plan, hostData)
 }
 
-// ExecuteOn is Execute with every tracked-data install and presence clear
-// deferred into the owning channel's scheduling domain through a
-// nand.PlanBatch: chDoms[channel] is the channel's domain, and the plan
-// schedules one batched event per die it wrote tracked data to (not per op),
-// none on a timing-only flash. Counters and energy are charged at issue on
-// both paths. Plan pre-reads deliver their bytes at issue (a dependent
-// rewrite consumes them within this same call). Timing, dependency
-// ordering, data, counters and energy are identical to Execute.
+// ExecuteOn is Execute for a caller running engine e: the plan's erases stay
+// undoable by a power cut until e's dispatch clock passes their start
+// (nand.PlanBatch), and a certified plan is counted in Stats.CertifiedPlans.
+// Timing, dependency ordering, data, counters and energy are identical to
+// Execute, and everything lands at issue: nothing is scheduled. chDoms is
+// unused (bench/replay.go calls this signature).
 //
 // On either path, a plan nobody vouches for is prevalidated whole before
 // any transaction claims resources or schedules, so a structural error
@@ -632,7 +624,7 @@ func (f *FIL) ExecuteOn(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan
 type planRun struct {
 	f *FIL
 	// batch issues every op: opened on ExecuteOn's engine, or engine-less
-	// for Execute, where each op's tracked-data effects apply at issue.
+	// for Execute.
 	batch *nand.PlanBatch
 	// trusted: the plan's certificate is honored — addresses come straight
 	// from the plane table, links from Op.Src, and issues skip the flash's
@@ -685,10 +677,9 @@ func (k *planRun) read(start sim.Time, addr *nand.Address, dst []byte) (nand.Res
 }
 
 // program issues one page program. staged: data is a staging buffer this
-// call disposes of — the batch installs from it as it is, or copies it and
-// gives it back when engine-less (nand.PlanBatch.ProgramAddr); a failed
-// precheck programs nothing, so there the buffer goes straight back to the
-// flash.
+// call disposes of — the program makes it the page
+// (nand.PlanBatch.ProgramAddr); a failed precheck programs nothing, so there
+// the buffer goes straight back to the flash.
 func (k *planRun) program(start sim.Time, addr *nand.Address, data []byte, staged bool, tag int64) (nand.Result, error) {
 	if !k.trusted {
 		if err := k.f.flash.CheckProgram(addr); err != nil {
@@ -702,22 +693,18 @@ func (k *planRun) program(start sim.Time, addr *nand.Address, data []byte, stage
 }
 
 // fail ends the plan on the error of op i. An injected fault is a
-// recoverable runtime event on every path: the executed prefix's batched
-// installs and clears are committed (those transactions really happened), the
-// certified chain is disarmed, and the typed report is built for the
-// recovery orchestration. Anything else is structural and abandons the
-// batch; the walk guarantees that arrives with nothing issued, and on the
-// trusted path no structural check can fail by construction — tripping one
-// there means the lockstep invariant itself broke, and continuing (or
+// recoverable runtime event on every path: the executed prefix stands (those
+// transactions really happened), the certified chain is disarmed, and the
+// typed report is built for the recovery orchestration. Anything else is
+// structural; the walk guarantees that arrives with nothing issued, and on
+// the trusted path no structural check can fail by construction — tripping
+// one there means the lockstep invariant itself broke, and continuing (or
 // returning with the valid prefix claimed) would corrupt state silently.
-// The one structural error no certificate speaks for is an engine-less
-// batch refusing a channel with deferred installs in flight: that is the
-// caller's sequencing, not the plan, and it returns as an error.
 func (k *planRun) fail(i int, op *ftl.Op, plane int, what string, err error) error {
 	f := k.f
 	f.releaseReads()
+	k.batch.Commit()
 	if nand.IsInjectedFault(err) {
-		k.batch.Commit()
 		f.disarm()
 		f.stats.PlanFaults++
 		return &PlanFault{Executed: i, Op: *op, Plane: plane, Err: err}
@@ -727,8 +714,7 @@ func (k *planRun) fail(i int, op *ftl.Op, plane int, what string, err error) err
 	} else {
 		err = fmt.Errorf("fil: plan %s %v: %w", what, op.Loc, err)
 	}
-	k.batch.Abort()
-	if k.trusted && !errors.Is(err, nand.ErrDeferredInFlight) {
+	if k.trusted {
 		panic("fil: certified plan failed mid-execution (certification invariant broken): " + err.Error())
 	}
 	return err
@@ -740,7 +726,7 @@ func (k *planRun) fail(i int, op *ftl.Op, plane int, what string, err error) err
 func (f *FIL) execute(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan ftl.Plan, hostData PlanData) (Result, error) {
 	k := planRun{f: f, res: Result{Done: now}}
 	// The chain advances on both paths, so a mixed Execute/ExecuteOn caller
-	// (core's Flush) keeps the fast path armed for the deferred executions
+	// (core's Flush) keeps the fast path armed for the engine executions
 	// around it.
 	inSeq := f.certCheck(plan)
 	k.trusted = inSeq && !f.forceWalk
@@ -778,7 +764,7 @@ func (f *FIL) execute(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan f
 			rec := planRec{srcSB: int32(op.Loc.SB)}
 			var buf []byte
 			if trackData {
-				rec.buf, buf = f.stageRead(addr.Channel)
+				rec.buf, buf = f.stageRead()
 			}
 			r, err := k.read(start, &addr, buf)
 			if err != nil {
@@ -800,9 +786,7 @@ func (f *FIL) execute(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan f
 				// pages, accumulated in controller RAM as the row programmed
 				// — the parity program itself is the only flash cost. The
 				// membership mask stamps the page's OOB in this same serial
-				// section (a torn cut clears both); on the deferred path only
-				// the program's tracked install defers into the channel
-				// domain, like any other batched program.
+				// section (a torn cut clears both).
 				r, err := k.program(start, &addr, f.parityPayload(op), false, planTag(op, planes))
 				if err != nil {
 					return k.res, k.fail(i, op, -1, "parity program", err)

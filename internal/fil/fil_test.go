@@ -251,7 +251,6 @@ func TestExecuteOnEquivalence(t *testing.T) {
 	if trDef.Stats().GCMigrated == 0 {
 		t.Fatal("GC never migrated; equivalence is vacuous")
 	}
-	e.Run() // land the deferred installs and clears
 	if flSync.Stats() != flDef.Stats() {
 		t.Fatalf("flash stats diverged: sync %+v deferred %+v", flSync.Stats(), flDef.Stats())
 	}
@@ -589,7 +588,6 @@ func TestStatsSingleCountAcrossPaths(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.Run() // land the deferred installs before the raw (synchronous) ops
 
 	// Raw OCSSD traffic on a block with in-order program room (both stacks
 	// ran identical plans, so one scan serves both), same sequence each.

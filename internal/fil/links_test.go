@@ -206,7 +206,7 @@ func TestNewRejectsInseparableAddrFunc(t *testing.T) {
 
 // TestExecuteOnSteadyStateAllocs gates the certified kernel at zero
 // allocations per plan once its scratch (pre-read records, page buffers,
-// die batches) has grown to the stream's largest plan.
+// erase undo records) has grown to the stream's largest plan.
 func TestExecuteOnSteadyStateAllocs(t *testing.T) {
 	g := nand.Geometry{
 		Channels: 2, PackagesPerChannel: 2, DiesPerPackage: 1, PlanesPerDie: 2,

@@ -7,12 +7,12 @@ import "amber/internal/sim"
 // The durable state of the storage complex is exactly what physically lives
 // in the NAND array — block erase counts, programmed-page bitmaps and
 // in-order pointers, page payloads, per-page OOB stamps, and the grown
-// bad-block table. Everything else (pending tracked-data installs and
-// clears, staged page buffers, pooled carriers) is firmware RAM and is
-// discarded by PowerLoss. The activity counters and energy are neither:
-// they are the simulator's record of what was issued, charged at issue, so
-// an op issued before a cut stays counted even if it would have completed
-// after it.
+// bad-block table. Everything else (the erase-undo journal, the staging
+// pool) is firmware RAM: PowerLoss resolves the journal and keeps the pool,
+// whose contents every taker overwrites. The activity counters and energy
+// are neither: they are the simulator's record of what was issued, charged
+// at issue, so an op issued before a cut stays counted even if it would have
+// completed after it.
 
 // OOBInfo is the readable view of one page's out-of-band metadata, the
 // input to mount-time FTL recovery.
@@ -148,50 +148,18 @@ type PowerLossReport struct {
 	ErasesUndone int
 }
 
-// landPending installs the staged bytes of a not-yet-dispatched deferred
-// program into the tracked arena, so the page's durable payload survives
-// the batch carrier being dropped at a power cut. The checksum guard keeps
-// it honest: if the page's current OOB stamp is not the staged program's
-// (an undone erase restored an older generation over it), the staged bytes
-// belong to a program that never physically started and must not land.
-func (f *Flash) landPending(pageIdx int64) {
-	if !f.trackData {
-		return
-	}
-	ch := int(pageIdx / f.pagesPerC)
-	m := f.pendingProg[ch]
-	if m == nil {
-		return
-	}
-	ref, ok := m[pageIdx]
-	if !ok {
-		return
-	}
-	rec := &ref.batch.ops[ref.idx]
-	if rec.hasData {
-		if pageSum(rec.buf) == f.sums[pageIdx] {
-			f.countPayload(f.data[ch].put(f.chanLocal(pageIdx), rec.buf), f.geo.PageSize)
-		}
-	} else if f.sums[pageIdx] == 0 {
-		f.data[ch].clearRange(f.chanLocal(pageIdx), 1)
-	}
-}
-
-// PowerLoss cuts power at simulated time now: every program whose array
-// operation would complete after the cut is resolved torn-or-committed by
-// a pure seeded draw (see tornDraw), torn pages lose their payload and
-// their OOB checksum, pending erase presence-clears are applied (an
-// interrupted erase completes — the model's deterministic resolution
-// rule), and all volatile firmware-side state — pending install indexes,
-// pooled die-batch carriers, staged page buffers — is discarded. Counters
-// and energy are left as issued.
+// PowerLoss cuts power at simulated time now: claimed erases whose array
+// operation had not started are undone, every program whose array operation
+// would complete after the cut is resolved torn-or-committed by a pure
+// seeded draw (see tornDraw), torn pages lose their payload and their OOB
+// checksum, and an erase already started completes (the model's
+// deterministic resolution rule). Counters and energy are left as issued.
 //
-// The caller must have stopped dispatching events first (sim.Engine.Halt):
-// every die-batch event still queued is abandoned, which is the point —
-// its pending installs were firmware RAM. Because the in-flight set is
-// decided purely by comparing each page's OOB completion stamp against the
-// cut time, and the draw is a pure function of (seed, page, write
-// sequence), the resolution is identical at any dispatch parallelism.
+// The caller must have stopped dispatching events first (sim.Engine.Halt).
+// The undone set is decided purely by comparing each journaled erase's
+// start, and the in-flight set each page's OOB completion stamp, against the
+// cut time, and the draw is a pure function of (seed, page, write sequence),
+// so the resolution depends only on where the cut lands in the issue stream.
 func (f *Flash) PowerLoss(now sim.Time, seed uint64) PowerLossReport {
 	var rep PowerLossReport
 	// Un-erase blocks whose erase claim's array operation starts after the
@@ -199,36 +167,23 @@ func (f *Flash) PowerLoss(now sim.Time, seed uint64) PowerLossReport {
 	// must reset before later claims target the block), but physically the
 	// erase never began — the block still holds its data, which may be the
 	// only durable copy of migrations still in flight. Newest-first so
-	// stacked claims against one block settle on the oldest snapshot. The
-	// tracked arena needs no restore: every mutation that could follow the
-	// claim (the erase's presence clear, re-program installs) rides batch
-	// events at completion times after the cut, all abandoned.
+	// stacked claims against one block settle on the oldest snapshot.
 	for i := len(f.eraseUndo) - 1; i >= 0; i-- {
 		u := f.eraseUndo[i]
-		if u.done || u.start <= now {
-			continue
+		if u.start > now {
+			f.undoErase(u)
+			rep.ErasesUndone++
 		}
-		blk := &f.blocks[u.bi]
-		blk.eraseCount = u.eraseCount
-		blk.disturb = u.disturb
-		blk.nextPage = u.nextPage
-		copy(blk.written, u.written)
-		base := int64(u.bi) * int64(f.geo.PagesPerBlock)
-		copy(f.oob[base:base+int64(f.geo.PagesPerBlock)], u.oob)
-		if f.sums != nil {
-			copy(f.sums[base:base+int64(f.geo.PagesPerBlock)], u.sums)
-		}
-		rep.ErasesUndone++
+		f.recycleEraseUndo(u)
 	}
-	f.eraseUndo = nil
+	f.eraseUndo = f.eraseUndo[:0]
 	for bi := range f.blocks {
 		blk := &f.blocks[bi]
 		base := int64(bi) * int64(f.geo.PagesPerBlock)
 		for pg := 0; pg < f.geo.PagesPerBlock; pg++ {
 			pageIdx := base + int64(pg)
 			if !blk.written[pg] {
-				// Unwritten (possibly erased with the presence clear still
-				// queued in an abandoned event): settle the durable state.
+				// Unwritten: settle the durable state.
 				if f.trackData {
 					ch := int(pageIdx / f.pagesPerC)
 					f.data[ch].clearRange(f.chanLocal(pageIdx), 1)
@@ -239,12 +194,7 @@ func (f *Flash) PowerLoss(now sim.Time, seed uint64) PowerLossReport {
 			}
 			o := &f.oob[pageIdx]
 			if o.doneAt <= now {
-				// Completed before the cut: durable as-is. The bytes may
-				// still be staged though — a die batch dispatches at its
-				// LAST completion, so an abandoned batch can hold installs
-				// for programs that finished before the cut.
-				f.landPending(pageIdx)
-				continue
+				continue // completed before the cut: durable as-is
 			}
 			rep.InFlight++
 			if tornDraw(seed, pageIdx, o.seqNo()) {
@@ -258,26 +208,41 @@ func (f *Flash) PowerLoss(now sim.Time, seed uint64) PowerLossReport {
 				continue
 			}
 			rep.Committed++
-			f.landPending(pageIdx)
 		}
 	}
-	// Drop all volatile firmware-side state: pending install indexes and
-	// every pooled carrier (abandoned queued events still reference some of
-	// them; the fresh pools make reuse impossible).
-	if f.pendingProg != nil {
-		for ch := range f.pendingProg {
-			f.pendingProg[ch] = nil
-		}
-	}
-	for ch := range f.dieOps {
-		f.dieOps[ch] = nil
-		f.pageBufs[ch] = nil
-	}
-	for i := range f.plan.dies {
-		f.plan.dies[i] = nil
-	}
-	f.plan.used = f.plan.used[:0]
-	f.plan.e, f.plan.doms, f.plan.open = nil, nil, false
-	f.epoch++ // the cut is a functional state transition
+	f.plan.e, f.plan.open = nil, false // a plan the cut interrupted is over
+	f.epoch++                          // the cut is a functional state transition
 	return rep
+}
+
+// undoErase puts back the block state u snapshotted: erase count, disturb
+// count, in-order pointer, written map and stamps and, on a tracked flash,
+// checksums and page buffers. Every page present at the claim is present
+// again with its bytes and every other page absent, whatever programs
+// issued after the claim installed: they would have completed after the
+// erase, so after the cut.
+func (f *Flash) undoErase(u *eraseUndoRec) {
+	blk := &f.blocks[u.bi]
+	blk.eraseCount = u.eraseCount
+	blk.disturb = u.disturb
+	blk.nextPage = u.nextPage
+	copy(blk.written, u.written)
+	base := int64(u.bi) * int64(f.geo.PagesPerBlock)
+	end := base + int64(f.geo.PagesPerBlock)
+	copy(f.oob[base:end], u.oob)
+	if !f.trackData {
+		return
+	}
+	copy(f.sums[base:end], u.sums)
+	arena, local := f.data[int(base/f.pagesPerC)], f.chanLocal(base)
+	for pg, buf := range u.bufs {
+		if buf == nil {
+			arena.clearRange(local+int64(pg), 1)
+			continue
+		}
+		if old := arena.install(local+int64(pg), buf); old != nil {
+			f.ReleaseStagingBuf(old)
+		}
+		u.bufs[pg] = nil
+	}
 }

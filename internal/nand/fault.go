@@ -31,11 +31,6 @@ var (
 	// ErrOutOfOrder marks a program that skips its block's next in-order
 	// page (MLC/TLC disturb management forbids it).
 	ErrOutOfOrder = errors.New("nand: out-of-order program")
-	// ErrDeferredInFlight marks a synchronous program/erase issued while a
-	// deferred plan's installs are still pending on the channel: the
-	// synchronous arena update would be silently overwritten when the
-	// pending batch replays its staged bytes. Drain the engine first.
-	ErrDeferredInFlight = errors.New("nand: synchronous program/erase while deferred installs are in flight")
 )
 
 // FaultError wraps a sentinel fault with the faulting operation and address,
@@ -186,8 +181,7 @@ func tornDraw(seed uint64, pageIdx int64, seq uint64) bool {
 }
 
 // faultModel draws injected faults. All draws run at issue (claim paths and
-// validation probes); nothing here is touched by the channels' die-batch
-// events.
+// validation probes).
 type faultModel struct {
 	cfg      FaultConfig
 	retries  int          // resolved MaxReadRetries

@@ -390,12 +390,12 @@ const arenaChunkPages = 256
 // pageArena stores tracked page contents as one page-size buffer per
 // physical page, in lazily allocated fixed-size chunks indexed by global
 // physical page number, with a presence bitmap. A chunk's buffers start out
-// as the slices of one allocation; a deferred program then installs by
-// handing the arena the staging buffer it issued with and taking the page's
-// previous buffer in exchange (install), so buffers circulate between the
-// arena and the staging pool and an install copies and allocates nothing.
-// An erase clears presence bits and leaves the buffers where they are, for
-// the block's next program cycle to exchange.
+// as the slices of one allocation; a program then installs by handing the
+// arena the staging buffer it issued with and taking the page's previous
+// buffer in exchange (install), so buffers circulate between the arena and
+// the staging pool and an install copies and allocates nothing. An erase
+// takes its block's present buffers out (take) into its undo record; a page
+// left without a buffer gets one from its next install.
 type pageArena struct {
 	pageSize int
 	chunks   [][][]byte // chunk i: the buffers of pages [i*arenaChunkPages, (i+1)*arenaChunkPages)
@@ -431,23 +431,37 @@ func (a *pageArena) has(idx int64) bool {
 }
 
 // put copies data (shorter payloads are zero-padded) in as page idx's
-// contents and returns the bytes copied: the synchronous program, the
-// snapshot decoder and the power cut landing an abandoned install.
-func (a *pageArena) put(idx int64, data []byte) (copied int) {
-	dst := *a.entry(idx)
-	copied = copy(dst, data)
-	clear(dst[copied:])
+// contents: the snapshot decoder's way in.
+func (a *pageArena) put(idx int64, data []byte) {
+	p := a.entry(idx)
+	if *p == nil {
+		*p = make([]byte, a.pageSize)
+	}
+	clear((*p)[copy(*p, data):])
 	a.present[idx/64] |= 1 << (uint(idx) % 64)
-	return copied
 }
 
 // install makes buf, a whole page the caller gives up, page idx's contents
-// and returns the buffer the page held before, which is the caller's now.
+// and returns the buffer the page held before (nil if none), which is the
+// caller's now.
 func (a *pageArena) install(idx int64, buf []byte) (old []byte) {
 	p := a.entry(idx)
 	old, *p = *p, buf
 	a.present[idx/64] |= 1 << (uint(idx) % 64)
 	return old
+}
+
+// take removes page idx's contents and returns their buffer, which is the
+// caller's now, or nil when the page holds nothing.
+func (a *pageArena) take(idx int64) []byte {
+	if !a.has(idx) {
+		return nil
+	}
+	p := a.entry(idx)
+	buf := *p
+	*p = nil
+	a.clearRange(idx, 1)
+	return buf
 }
 
 // get returns page idx's contents, or nil when nothing was stored.
@@ -459,7 +473,7 @@ func (a *pageArena) get(idx int64) []byte {
 }
 
 // clearRange drops presence for pages [base, base+n). Their buffers stay in
-// the table for the block's next program cycle.
+// the table, for the pages' next installs to exchange.
 func (a *pageArena) clearRange(base int64, n int) {
 	for idx := base; idx < base+int64(n); idx++ {
 		a.present[idx/64] &^= 1 << (uint(idx) % 64)
@@ -467,10 +481,9 @@ func (a *pageArena) clearRange(base int64, n int) {
 }
 
 // Flash is the storage complex. It is not safe for concurrent use. Every
-// transaction is counted and charged when it is issued; the only events it
-// schedules are PlanBatch.Commit's die batches, which land tracked page
-// bytes and touch only per-channel state (the channel's own tracked-data
-// arena, pending-install index and pools).
+// transaction takes effect when it is issued — its claims, its functional
+// block-state transition, its fault draw, its counters and energy and, on a
+// tracked flash, its page bytes — so the flash schedules no events.
 type Flash struct {
 	geo  Geometry
 	tim  Timing
@@ -519,7 +532,7 @@ type Flash struct {
 
 	// faults draws injected program/erase/read failures; nil when fault
 	// injection is disabled, so the hot paths pay one nil check. All draws
-	// and stat updates happen at issue time, never inside a die-batch event.
+	// and stat updates happen at issue.
 	faults *faultModel
 
 	// Activity counters and dynamic energy are accumulated per channel, in
@@ -533,21 +546,16 @@ type Flash struct {
 	// no Stats field and no part of an image.
 	copied, zeroed uint64
 
-	// dieOps pools the per-die plan-batch carriers per channel and pageBufs
-	// their staging buffers: acquire happens at issue, release inside the
-	// channel's own batch event. Only issue code looks across the lists
-	// (StagingBuf).
-	dieOps   [][]*dieBatch
-	pageBufs [][][]byte
+	// pageBufs is the staging pool: page buffers no page holds (StagingBuf).
+	pageBufs [][]byte
 
-	// plan is the reusable accumulation context for BeginPlan (one plan
-	// executes at a time; its committed die batches stay in flight
-	// independently). direct is an engine-less batch that is never opened:
-	// Read, ProgramTagged and Erase issue through it one transaction at a time.
+	// plan is the reusable context for BeginPlan (one plan executes at a
+	// time). direct is an engine-less batch that is never opened: Read,
+	// ProgramTagged and Erase issue through it one transaction at a time.
 	plan, direct PlanBatch
 
 	// epoch counts functional block-state transitions (programs and erases,
-	// on any path — synchronous, deferred, batched). It backs the certified
+	// on any path). It backs the certified
 	// plan fast path: an executor that recorded the epoch after its last
 	// plan can tell with one comparison whether anything else (raw OCSSD
 	// ops, another executor) has mutated the flash since, which would break
@@ -563,28 +571,12 @@ type Flash struct {
 	// restores the snapshot so data still being migrated off the block
 	// survives the cut. Records are pruned once the dispatch clock passes
 	// their start (from then on any cut catches the erase mid-operation,
-	// which the model resolves as completed). eraseUndoPool recycles
-	// pruned records so the steady-state deferred erase path stays
+	// which the model resolves as completed), and the page buffers a
+	// tracked flash's record holds go to the staging pool. eraseUndoPool
+	// recycles pruned records so the steady-state erase path stays
 	// allocation-free.
 	eraseUndo     []*eraseUndoRec
 	eraseUndoPool []*eraseUndoRec
-
-	// pendingProg indexes, per channel, the deferred program installs that
-	// have been issued but whose batch event has not yet dispatched: global
-	// physical page number -> the batch record holding the staged bytes.
-	// Issue code consults it when staging a read of the same page (the die
-	// register already latched the data), and the channel's own batch event
-	// removes its entry; other channels' events never touch it. Nil maps
-	// until a channel's first tracked deferred program.
-	pendingProg []map[int64]pendingRef
-}
-
-// pendingRef locates one pending program-install record: the in-flight die
-// batch and the record's index within it (indices stay valid while the
-// record slice grows; element pointers would not).
-type pendingRef struct {
-	batch *dieBatch
-	idx   int32
 }
 
 // Options configures optional Flash behavior.
@@ -654,18 +646,14 @@ func New(geo Geometry, tim Timing, pow Power, cell CellType, opt Options) (*Flas
 	}
 	f.chStats = make([]Stats, geo.Channels)
 	f.chEnergy = make([]float64, geo.Channels)
-	f.dieOps = make([][]*dieBatch, geo.Channels)
-	f.pageBufs = make([][][]byte, geo.Channels)
 	f.pagesPerC = geo.TotalPages() / int64(geo.Channels)
 	f.plan.f, f.direct.f = f, f
-	f.plan.dies = make([]*dieBatch, geo.TotalDies())
 	if opt.TrackData {
 		f.sums = make([]uint64, geo.TotalPages())
 		f.data = make([]*pageArena, geo.Channels)
 		for ch := range f.data {
 			f.data[ch] = newPageArena(f.pagesPerC, geo.PageSize)
 		}
-		f.pendingProg = make([]map[int64]pendingRef, geo.Channels)
 	}
 	return f, nil
 }
@@ -707,9 +695,8 @@ func (f *Flash) Stats() Stats {
 
 // PayloadBytes returns the tracked payload bytes the flash has copied and
 // zeroed: a read's page delivered into the caller's buffer and zero-padded
-// (copyOut, PagePayload included), a synchronous program or a power cut's
-// landed install written into its page (put), and a deferred program's
-// payload staged into a staging buffer. A timing-only flash moves none, and
+// (copyOut, PagePayload included) and a program's payload copied into the
+// staging buffer that becomes its page. A timing-only flash moves none, and
 // restoring an image counts nothing.
 func (f *Flash) PayloadBytes() (copied, zeroed uint64) { return f.copied, f.zeroed }
 
@@ -845,38 +832,27 @@ func (f *Flash) accountRead(channel int) {
 }
 
 // copyOut moves tracked page contents into dst (zero-padding past what was
-// stored), a no-op when data tracking is off or dst is nil. It is
-// pending-aware: a deferred program whose install event has not yet
-// dispatched already owns the page's future contents (the die register
-// latched them at issue), so a read staged between issue and install
-// observes the staged bytes — exactly the state a synchronous program
-// would have left.
+// stored), a no-op when data tracking is off or dst is nil. Every program
+// lands its bytes when it is issued, so the arena holds exactly what the
+// transactions issued so far left.
 func (f *Flash) copyOut(pageIdx int64, dst []byte) {
 	if !f.trackData || dst == nil {
 		return
 	}
-	ch := int(pageIdx / f.pagesPerC)
-	var n int
-	if ref, ok := f.pendingProg[ch][pageIdx]; ok {
-		if rec := &ref.batch.ops[ref.idx]; rec.hasData {
-			n = copy(dst, rec.buf)
-		}
-	} else {
-		n = copy(dst, f.data[ch].get(f.chanLocal(pageIdx)))
-	}
+	n := copy(dst, f.data[int(pageIdx/f.pagesPerC)].get(f.chanLocal(pageIdx)))
 	end := min(len(dst), f.geo.PageSize)
 	clear(dst[n:end])
 	f.countPayload(n, end)
 }
 
 // ReadDeferredAddr performs a page read with the timing of Read, delivering
-// the page bytes into dst at issue (pending-aware, exactly what a
-// synchronous Read would deliver) and charging the channel's counters and
-// energy at issue too: it schedules nothing. The bytes a read returns are
-// fixed when it is issued: the array read latches its data before any later
-// erase or program can touch the block (the die resource serializes them).
-// Because dst is complete when this call returns, a continuation that reads
-// it — the core's fill publish — depends on no pending channel event.
+// the page bytes into dst at issue (exactly what a synchronous Read would
+// deliver) and charging the channel's counters and energy at issue too: it
+// schedules nothing. The bytes a read returns are fixed when it is issued:
+// the array read latches its data before any later erase or program can
+// touch the block (the die resource serializes them). Because dst is
+// complete when this call returns, a continuation that reads it — the
+// core's fill publish — depends on no other event.
 //
 // There is no validation and no fault draw here. The caller either ran both
 // through ProbeReadExtra and passes the drawn retry cost in extra — the
@@ -901,215 +877,79 @@ func (f *Flash) ReadDeferredEagerTrusted(_ *sim.Engine, _ sim.DomainID, now sim.
 	return f.ReadDeferredAddr(now, &addr, dst, 0)
 }
 
-// planOpRec is one tracked-data transaction's deferred work inside a die
-// batch: the page to install or the pages to clear when the batch event
-// dispatches.
-type planOpRec struct {
-	kind      OpKind
-	pageIdx   int64  // program: global page number (pendingProg key)
-	pageLocal int64  // program install / erase clear base (channel-local)
-	clearN    int    // erase: pages to clear from pageLocal
-	buf       []byte // program: staged page bytes (pooled)
-	hasData   bool
-	tracked   bool // program install registered in pendingProg
-}
-
-// dieBatch accumulates the tracked-data records one plan issues against one
-// die — program installs and erase clears — and lands them in the owning
-// channel's scheduling domain as a single event at the latest completion
-// among them. Batching per die rather than per op keeps the event count at
-// O(touched dies) while preserving the serial observable state: a die's
-// array operations complete in issue order (the die and channel resources
-// serialize every claim), so a later plan's batch on the same die always
-// carries a later (time, seq) key than an earlier plan's, and records within
-// a batch apply in issue order — exactly the per-op order, grouped.
+// StagingBuf hands out a page-size staging buffer from the pool, or a new
+// one when the pool is empty. A program that copies its payload stages it in
+// one; a caller outside the package borrows one for page bytes a later
+// program of the same plan will carry on — a plan pre-read fills it and the
+// rewrite hands it to PlanBatch.ProgramAddr (staged), which installs that
+// very buffer instead of a copy of it. A borrowed buffer no program took goes
+// back through ReleaseStagingBuf before the plan's execution returns.
 //
-// Reads, and every op of a timing-only (no data tracking) flash, leave no
-// record and acquire no batch: their counters and energy land at issue, so
-// a timing-only flash schedules nothing.
-type dieBatch struct {
-	f   *Flash
-	ch  int
-	at  sim.Time // latest completion among the batch's records
-	ops []planOpRec
-	fn  func() // b.apply, bound once
-}
-
-func (f *Flash) acquireDieBatch(ch int) *dieBatch {
-	free := f.dieOps[ch]
-	if n := len(free); n > 0 {
-		b := free[n-1]
-		f.dieOps[ch] = free[:n-1]
-		return b
-	}
-	b := &dieBatch{f: f, ch: ch}
-	b.fn = b.apply
-	return b
-}
-
-// StagingBuf hands out a page-size staging buffer: from channel ch's free
-// list, else from any other channel's, else a new one. A program that copies
-// its payload stages it in one; a caller outside the package borrows one for
-// page bytes a later program of the same plan will carry on — a plan
-// pre-read fills it and the rewrite hands it to PlanBatch.ProgramAddr
-// (staged), which installs that very buffer instead of a copy of it. A
-// borrowed buffer no program took goes back through ReleaseStagingBuf
-// before the plan's execution returns.
-//
-// Buffers are taken at issue; a staged one ends as the arena's page, and the
-// buffer that page held before is put on the free list of the channel it was
-// programmed on, by that channel's batch event. So lists fill where pages
-// land and drain where they are taken: looking past an empty list is what
-// keeps that drift from allocating, and bounds the buffers in existence by
-// the arena plus the most ever staged at once. The contents are whatever the
-// last user left: every taker overwrites or pads the whole page before
-// anything reads it.
-func (f *Flash) StagingBuf(ch int) []byte {
-	if buf := f.popPageBuf(ch); buf != nil {
+// The pool is fed by what programs displace and erases give up: an install
+// hands back the buffer its page held, and an erase's undo record hands back
+// the buffers it took from its block once the erase can no longer be undone.
+// So the buffers of erased pages stage the programs that refill them, and
+// the buffers in existence are bounded by the arena plus what the undo
+// journal and one plan hold at once. The contents are whatever the last user
+// left: every taker overwrites or pads the whole page before anything reads
+// it.
+func (f *Flash) StagingBuf() []byte {
+	if n := len(f.pageBufs); n > 0 {
+		buf := f.pageBufs[n-1]
+		f.pageBufs = f.pageBufs[:n-1]
 		return buf
-	}
-	for c := range f.pageBufs {
-		if buf := f.popPageBuf(c); buf != nil {
-			return buf
-		}
 	}
 	return make([]byte, f.geo.PageSize)
 }
 
-func (f *Flash) popPageBuf(ch int) []byte {
-	free := f.pageBufs[ch]
-	n := len(free)
-	if n == 0 {
-		return nil
-	}
-	buf := free[n-1]
-	f.pageBufs[ch] = free[:n-1]
-	return buf
-}
-
-// ReleaseStagingBuf returns a StagingBuf that no staged program took over.
-// Any free list will do: the next taker looks through all of them.
+// ReleaseStagingBuf returns a page buffer nothing holds to the pool.
 func (f *Flash) ReleaseStagingBuf(buf []byte) {
-	f.pageBufs[0] = append(f.pageBufs[0], buf)
+	f.pageBufs = append(f.pageBufs, buf)
 }
 
-// apply is the batch event body. It touches only channel-owned state: the
-// channel's arena, its pendingProg index and its own pools.
-func (b *dieBatch) apply() {
-	f := b.f
-	for i := range b.ops {
-		rec := &b.ops[i]
-		switch rec.kind {
-		case OpProgram:
-			if rec.tracked {
-				if rec.hasData {
-					// The staged buffer becomes the page; what the page held
-					// before rides the record into the pool (dropRecord).
-					rec.buf = f.data[b.ch].install(rec.pageLocal, rec.buf)
-				} else {
-					f.data[b.ch].clearRange(rec.pageLocal, 1)
-				}
-			}
-		case OpErase:
-			if rec.clearN > 0 {
-				f.data[b.ch].clearRange(rec.pageLocal, rec.clearN)
-			}
-		}
-		b.dropRecord(i)
+// install makes buf the contents of page pageIdx and returns the buffer the
+// page held before, if any, to the pool.
+func (f *Flash) install(pageIdx int64, buf []byte) {
+	if old := f.data[int(pageIdx/f.pagesPerC)].install(f.chanLocal(pageIdx), buf); old != nil {
+		f.ReleaseStagingBuf(old)
 	}
-	b.release()
-}
-
-// dropRecord withdraws record i's pending-install registration (if still
-// pointing at this batch — a later erase + reprogram of the same page may
-// have replaced it) and returns its staging buffer to the channel pool.
-// Shared by apply (after the effects landed) and Abort (discarding them).
-func (b *dieBatch) dropRecord(i int) {
-	f := b.f
-	rec := &b.ops[i]
-	if rec.tracked {
-		m := f.pendingProg[b.ch]
-		if ref, ok := m[rec.pageIdx]; ok && ref.batch == b && int(ref.idx) == i {
-			delete(m, rec.pageIdx)
-		}
-		rec.tracked = false
-	}
-	if rec.buf != nil {
-		f.pageBufs[b.ch] = append(f.pageBufs[b.ch], rec.buf)
-		rec.buf = nil
-	}
-	rec.hasData = false
-	rec.clearN = 0
-}
-
-// release resets the batch and returns it to its channel's pool.
-func (b *dieBatch) release() {
-	b.ops = b.ops[:0]
-	b.at = 0
-	b.f.dieOps[b.ch] = append(b.f.dieOps[b.ch], b)
 }
 
 // PlanBatch is the one way a flash transaction issues: ReadAddr, ProgramAddr
-// and Erase claim the channel and die, apply the functional state transition,
-// draw the injected fault and charge the channel's counters and energy, all
-// at issue. They differ only in when a tracked-data install or clear lands.
-// Opened on an engine, it rides the owning channel's domain, grouped into one
-// event per die the plan wrote tracked data to and scheduled by Commit.
-// Opened without one (a nil engine), each transaction applies it at issue,
-// in issue order, and refuses a tracked program or erase on a channel with
-// deferred installs in flight (ErrDeferredInFlight); Flash.Read,
+// and Erase claim the channel and die, apply the functional state
+// transition, draw the injected fault, charge the channel's counters and
+// energy and, on a tracked flash, move the page bytes, all at issue — a
+// plan schedules nothing. Opened on an engine, a batch journals each erase's
+// undo record until the engine's dispatch clock passes the erase's start,
+// because a power cut may still land before it; opened without one (a nil
+// engine), an erase is committed when it is claimed. Flash.Read,
 // ProgramTagged and Erase are that mode one transaction at a time. Obtain
-// with Flash.BeginPlan; a batch must end with exactly one Commit (schedules
-// the events) or Abort (discards the pending installs and clears after a
-// caller-detected failure). Only one plan may be open per Flash at a time —
-// the FIL's serial plan execution guarantees it — while committed batches
-// from earlier plans may still be in flight.
+// with Flash.BeginPlan and end with Commit. Only one plan may be open per
+// Flash at a time — the FIL's serial plan execution guarantees it.
 type PlanBatch struct {
 	f    *Flash
 	e    *sim.Engine
-	doms []sim.DomainID
-	dies []*dieBatch // by die index, nil when untouched
-	used []int32     // touched die indices, in first-touch order
 	open bool
 }
 
-// BeginPlan opens the batching context for one plan's flash transactions.
-// chDoms[channel] names the channel's domain on e; with a nil e the batch
-// lands every tracked install and clear at issue and chDoms is unused.
-func (f *Flash) BeginPlan(e *sim.Engine, chDoms []sim.DomainID) *PlanBatch {
+// BeginPlan opens the batching context for one plan's flash transactions on
+// engine e, or engine-less with a nil e. The channel domains are unused: a
+// plan schedules nothing (bench/replay.go calls this signature).
+func (f *Flash) BeginPlan(e *sim.Engine, _ []sim.DomainID) *PlanBatch {
 	b := &f.plan
 	if b.open {
 		panic("nand: BeginPlan with a plan already open")
 	}
-	b.e, b.doms, b.open = e, chDoms, true
+	b.e, b.open = e, true
 	return b
-}
-
-// record appends a tracked-data record completing at done to the batch of
-// die di on channel ch — acquiring the batch on the die's first record —
-// and returns the record and its location.
-func (b *PlanBatch) record(di, ch int, done sim.Time) (*planOpRec, *dieBatch, int32) {
-	db := b.dies[di]
-	if db == nil {
-		db = b.f.acquireDieBatch(ch)
-		b.dies[di] = db
-		b.used = append(b.used, int32(di))
-	}
-	if done > db.at {
-		db.at = done
-	}
-	db.ops = append(db.ops, planOpRec{})
-	i := int32(len(db.ops) - 1)
-	return &db.ops[i], db, i
 }
 
 // ReadAddr performs a page read, delivering the page bytes into dst and
 // charging the channel's counters and energy at issue (a dependent rewrite
-// consumes the bytes within the same serial call; copyOut is pending-aware,
-// so bytes latched by earlier not-yet-installed programs are observed). dst
-// is not retained. There is no structural precheck (address bounds, page
-// written): a certified plan's issuing FTL proved both at construction time
-// against a flash it is in lockstep with, and a walked plan's executor runs
+// consumes the bytes within the same serial call). dst is not retained.
+// There is no structural precheck (address bounds, page written): a
+// certified plan's issuing FTL proved both at construction time against a
+// flash it is in lockstep with, and a walked plan's executor runs
 // Flash.CheckRead first. Injected fault draws still run
 // — a certificate trusts the model, not the silicon: the retry ladder's
 // latency stretches the claim, an uncorrectable draw returns with nothing
@@ -1140,85 +980,55 @@ func (b *PlanBatch) ReadTrusted(now sim.Time, addr Address, dst []byte) (Result,
 	return b.ReadAddr(now, &addr, dst)
 }
 
-// ProgramAddr performs a page program and its functional block-state
-// transition and charges the channel's counters and energy at issue. On a
-// tracked flash it stages the page bytes into a pooled buffer (the caller's
-// buffer is not retained; reads staged before the batch event observe the
-// bytes through the channel's pending-install index) and batches the
-// install — or, engine-less, applies it: the bytes are copied into the page
-// (zero-padded) and a staged buffer goes back to the pool. tag is the
-// OOB logical tag: the FTL-defined identity of the logical sub-page this
-// program stores (fil passes the forward-map index), stamped into the page's
-// out-of-band metadata so mount-time recovery can rebuild the mapping from
-// flash alone. Raw and untagged programs pass -1. The stamp holds 32 bits:
-// a tag outside int32 is the caller's error (ProgramTagged refuses one).
-// Like ReadAddr there is no structural precheck (address bounds, in-order
-// program pointer) — the certificate or the executor's Flash.CheckProgram
-// vouches — while injected fault draws still run, and the address travels
-// by reference.
+// ProgramAddr performs a page program — its claims, its functional
+// block-state transition, its counters and energy — and on a tracked flash
+// lands the page bytes, all at issue: the payload is copied into a staging
+// buffer and zero-padded (the caller's buffer is not retained), the staging
+// buffer becomes the page, and the buffer the page held before goes to the
+// pool. tag is the OOB logical tag: the FTL-defined identity of the logical
+// sub-page this program stores (fil passes the forward-map index), stamped
+// into the page's out-of-band metadata so mount-time recovery can rebuild
+// the mapping from flash alone. Raw and untagged programs pass -1. The stamp
+// holds 32 bits: a tag outside int32 is the caller's error (ProgramTagged
+// refuses one). Like ReadAddr there is no structural precheck (address
+// bounds, in-order program pointer) — the certificate or the executor's
+// Flash.CheckProgram vouches — while injected fault draws still run, and the
+// address travels by reference.
 //
 // When staged is set there is no staging copy either: data is then a
-// whole-page Flash.StagingBuf the caller filled, and the flash takes it over
-// as this program's staged bytes — checksummed, observed by pending-aware
-// reads, and made the arena's page by the batch event. A staged buffer is
-// the flash's from this call on, whatever it returns.
+// whole-page Flash.StagingBuf the caller filled, and the flash makes that
+// very buffer the page, checksummed. A staged buffer is the flash's from
+// this call on, whatever it returns.
 func (b *PlanBatch) ProgramAddr(now sim.Time, addr *Address, data []byte, staged bool, tag int64) (Result, error) {
 	f := b.f
-	var err error
-	if b.e == nil {
-		err = f.syncMutateErr(addr.Channel)
-	}
-	if err == nil && f.faults != nil {
-		err = f.drawProgramFault(*addr)
-	}
-	if err != nil {
-		if staged {
-			f.ReleaseStagingBuf(data)
+	if f.faults != nil {
+		if err := f.drawProgramFault(*addr); err != nil {
+			if staged {
+				f.ReleaseStagingBuf(data)
+			}
+			return Result{}, err
 		}
-		return Result{}, err
 	}
 	di := f.geo.dieOf(addr)
 	xferStart, done, pageIdx := f.claimProgram(now, addr, di, tag)
 	f.accountProgram(addr.Channel)
-	res := Result{Start: xferStart, Ready: done, Done: done}
 	switch {
-	case b.e == nil:
-		if f.trackData && data != nil {
-			f.checkNoPendingInstalls(addr.Channel)
-			arena, local := f.data[addr.Channel], f.chanLocal(pageIdx)
-			f.countPayload(arena.put(local, data), f.geo.PageSize)
-			f.sums[pageIdx] = pageSum(arena.get(local))
-		}
+	case !f.trackData || data == nil:
 		if staged {
 			f.ReleaseStagingBuf(data)
 		}
-		return res, nil
-	case !f.trackData:
-		return res, nil
+	case staged:
+		f.sums[pageIdx] = pageSum(data)
+		f.install(pageIdx, data)
+	default:
+		buf := f.StagingBuf()
+		n := copy(buf, data)
+		clear(buf[n:])
+		f.countPayload(n, len(buf))
+		f.sums[pageIdx] = pageSum(buf)
+		f.install(pageIdx, buf)
 	}
-	rec, db, idx := b.record(di, addr.Channel, done)
-	rec.kind = OpProgram
-	rec.pageIdx, rec.pageLocal = pageIdx, f.chanLocal(pageIdx)
-	if data != nil {
-		if staged {
-			rec.buf = data
-		} else {
-			rec.buf = f.StagingBuf(addr.Channel)
-			n := copy(rec.buf, data)
-			clear(rec.buf[n:])
-			f.countPayload(n, len(rec.buf))
-		}
-		rec.hasData = true
-		f.sums[pageIdx] = pageSum(rec.buf)
-	}
-	rec.tracked = true
-	m := f.pendingProg[addr.Channel]
-	if m == nil {
-		m = make(map[int64]pendingRef)
-		f.pendingProg[addr.Channel] = m
-	}
-	m[pageIdx] = pendingRef{batch: db, idx: idx}
-	return res, nil
+	return Result{Start: xferStart, Ready: done, Done: done}, nil
 }
 
 // ProgramTaggedTrusted is ProgramAddr with the address by value and a
@@ -1229,14 +1039,11 @@ func (b *PlanBatch) ProgramTaggedTrusted(now sim.Time, addr Address, data []byte
 
 // Erase erases the block containing addr (its Page field is ignored) with
 // its timing and functional reset, charging the channel's counters and
-// energy at issue and batching the tracked-data presence clear. The clear
-// applies after every earlier-completing program install of the same die
-// (in-batch records keep issue order; cross-plan batches order by the die's
-// serialized completions), so an erase + reprogram sequence converges to
-// the engine-less arena state, and in-flight deferred reads are immune
-// because they stage their bytes at issue. Engine-less, the clear applies at
-// issue and the erase is committed at claim: its undo record is never
-// restored.
+// energy and, on a tracked flash, taking the block's page buffers into its
+// undo record, all at issue. In-flight reads are immune: they delivered
+// their bytes at their own issue. Engine-less, the erase is committed at
+// claim: its undo record is never restored, and its buffers go straight to
+// the pool.
 //
 // On an engine the erase journals its undo record, and first prunes the
 // records whose array operation started by the engine's dispatch clock
@@ -1250,83 +1057,36 @@ func (b *PlanBatch) Erase(now sim.Time, addr Address) (Result, error) {
 	if err := f.geo.CheckAddress(addr); err != nil {
 		return Result{}, err
 	}
-	if b.e == nil {
-		if err := f.syncMutateErr(addr.Channel); err != nil {
-			return Result{}, err
-		}
-	}
 	if err := f.drawEraseFault(addr); err != nil {
 		return Result{}, err
 	}
 	di := f.geo.dieOf(&addr)
-	base := int64(f.geo.blockOfDie(di, &addr)) * int64(f.geo.PagesPerBlock)
 	if b.e != nil {
 		f.pruneEraseUndo(b.e.Now())
 	}
 	cmdStart, done, undo := f.claimErase(now, &addr, di)
 	f.accountErase(addr.Channel)
-	res := Result{Start: cmdStart, Ready: done, Done: done}
-	switch {
-	case b.e == nil:
+	if b.e == nil {
 		f.commitEraseUndo(undo)
-		if f.trackData {
-			f.checkNoPendingInstalls(addr.Channel)
-			f.data[addr.Channel].clearRange(f.chanLocal(base), f.geo.PagesPerBlock)
-		}
-	case f.trackData:
-		rec, _, _ := b.record(di, addr.Channel, done)
-		rec.kind = OpErase
-		rec.pageLocal = f.chanLocal(base)
-		rec.clearN = f.geo.PagesPerBlock
 	}
-	return res, nil
+	return Result{Start: cmdStart, Ready: done, Done: done}, nil
 }
 
-// Commit schedules every die batch the plan recorded tracked data in as one
-// event in its channel's domain at the latest completion among its records,
-// then closes the plan context. A plan without tracked data schedules
-// nothing. The batches release themselves (and their staged buffers) back
-// to their channel's pools when they dispatch.
+// Commit closes the plan context. Every transaction took effect when it was
+// issued, so there is nothing left to land.
 func (b *PlanBatch) Commit() {
-	for _, di := range b.used {
-		db := b.dies[di]
-		b.e.AtIn(b.doms[db.ch], db.at, db.fn)
-		b.dies[di] = nil
-	}
-	b.reset()
+	b.e, b.open = nil, false
 }
 
-// Abort discards the batched installs and clears without scheduling them,
-// for a caller abandoning a plan whose error preceded any issued
-// transaction. Resource claims, counters and functional block-state
-// transitions made through the batch are not rolled back — which is why
-// fil.ExecuteOn only Aborts for
-// structural errors its prevalidation guarantees arrive with nothing
-// issued; a mid-plan injected fault instead Commits the executed prefix
-// (those transactions really happened) and reports a PlanFault. Pending-
-// install registrations of the aborted records are withdrawn.
-func (b *PlanBatch) Abort() {
-	for _, di := range b.used {
-		db := b.dies[di]
-		for i := range db.ops {
-			db.dropRecord(i)
-		}
-		db.release()
-		b.dies[di] = nil
-	}
-	b.reset()
-}
-
-func (b *PlanBatch) reset() {
-	b.used = b.used[:0]
-	b.e, b.doms = nil, nil
-	b.open = false
-}
+// Abort is Commit under the name a failure path calls it by (bench/replay.go
+// does): a plan abandoned for a structural error issued nothing, and one
+// stopped by an injected fault keeps the transactions it issued.
+func (b *PlanBatch) Abort() { b.Commit() }
 
 // CheckProgram reports the error a program of addr would fail with
 // (address out of range, overwrite, out-of-order page), without claiming
 // resources, mutating block state or scheduling anything. Single-op
-// prevalidation only: callers batching deferred programs of one plan must
+// prevalidation only: callers batching the programs of one plan must
 // overlay in-plan state changes themselves (fil's plan prevalidation).
 func (f *Flash) CheckProgram(addr *Address) error {
 	if err := f.geo.CheckAddress(*addr); err != nil {
@@ -1391,35 +1151,9 @@ func (f *Flash) claimProgram(now sim.Time, addr *Address, di int, tag int64) (xf
 	return xferStart, done, pageIdx
 }
 
-// syncMutateErr reports (wrapping ErrDeferredInFlight) when a synchronous
-// tracked-data mutation targets a channel with deferred installs still in
-// flight: the synchronous path applies its arena update immediately, while
-// the pending batch would replay staged bytes over it later — silent data
-// corruption. Mixing the paths on one channel is only legal with the engine
-// drained (the map is then empty), so the guard costs one length check.
-// Public entry points return this error before touching anything;
-// checkNoPendingInstalls backs it as the internal invariant.
-func (f *Flash) syncMutateErr(ch int) error {
-	if f.pendingProg != nil && len(f.pendingProg[ch]) > 0 {
-		return fmt.Errorf("%w on channel %d (drain the engine first)", ErrDeferredInFlight, ch)
-	}
-	return nil
-}
-
-// checkNoPendingInstalls is the internal invariant behind syncMutateErr:
-// the synchronous arena mutation paths assert it immediately before
-// writing, unreachable once the public entry points return the error.
-func (f *Flash) checkNoPendingInstalls(ch int) {
-	if f.pendingProg != nil && len(f.pendingProg[ch]) > 0 {
-		panic("nand: synchronous program/erase while deferred installs are in flight on the channel (drain the engine first)")
-	}
-}
-
 // Program writes one page. It enforces the flash physical constraints: the
 // page must be the next in-order page of its block (no overwrite, ascending
-// program order within a block for MLC/TLC disturb management). While a
-// deferred plan's installs are in flight on the channel, synchronous
-// programs fail with ErrDeferredInFlight.
+// program order within a block for MLC/TLC disturb management).
 func (f *Flash) Program(now sim.Time, addr Address, data []byte) (Result, error) {
 	return f.ProgramTagged(now, addr, data, -1)
 }
@@ -1441,9 +1175,10 @@ func (f *Flash) ProgramTagged(now sim.Time, addr Address, data []byte, tag int64
 // eraseUndoRec snapshots the block state one claimed erase destroyed, so a
 // power cut before the erase's array operation started can put it back. It
 // copies the block's stamps — 25 bytes a page, plus 8 for the checksums on
-// a tracked flash (sums is nil on a timing-only one) — and the pool keeps
-// every record a burst of erases needed, so the per-page cost is paid once
-// per block in flight.
+// a tracked flash (sums is nil on a timing-only one) — and on a tracked
+// flash holds the page buffers the erase took out of the arena. The pool
+// keeps every record a burst of erases needed, so the per-page cost is paid
+// once per block in flight.
 type eraseUndoRec struct {
 	bi         int
 	start      sim.Time // array-operation start on the die
@@ -1453,10 +1188,10 @@ type eraseUndoRec struct {
 	written    []bool
 	oob        []pageOOB
 	sums       []uint64
-	// done marks an erase committed at claim time: an engine-less batch
-	// runs with the engine drained and clears the tracked arena
-	// immediately, so its snapshot must never be restored.
-	done bool
+	// bufs holds, by page, the buffer the erase took out of the arena, nil
+	// for a page that held nothing (tracked flash only). The record owns
+	// them until it is restored or recycled.
+	bufs [][]byte
 }
 
 // pruneEraseUndo drops undo records whose array operation has started by
@@ -1465,8 +1200,8 @@ type eraseUndoRec struct {
 func (f *Flash) pruneEraseUndo(dispatch sim.Time) {
 	kept := f.eraseUndo[:0]
 	for _, u := range f.eraseUndo {
-		if u.done || u.start <= dispatch {
-			f.eraseUndoPool = append(f.eraseUndoPool, u)
+		if u.start <= dispatch {
+			f.recycleEraseUndo(u)
 			continue
 		}
 		kept = append(kept, u)
@@ -1489,34 +1224,44 @@ func (f *Flash) acquireEraseUndo() *eraseUndoRec {
 	if n := len(f.eraseUndoPool); n > 0 {
 		u := f.eraseUndoPool[n-1]
 		f.eraseUndoPool = f.eraseUndoPool[:n-1]
-		u.done = false
 		return u
 	}
 	u := &eraseUndoRec{
 		written: make([]bool, f.geo.PagesPerBlock),
 		oob:     make([]pageOOB, f.geo.PagesPerBlock),
 	}
-	if f.sums != nil {
+	if f.trackData {
 		u.sums = make([]uint64, f.geo.PagesPerBlock)
+		u.bufs = make([][]byte, f.geo.PagesPerBlock)
 	}
 	return u
 }
 
-// commitEraseUndo marks an erase committed at claim time (an engine-less
-// batch: the tracked arena is cleared immediately, so the snapshot must never
-// be restored) and recycles the record.
-func (f *Flash) commitEraseUndo(u *eraseUndoRec) {
-	u.done = true
-	if n := len(f.eraseUndo); n > 0 && f.eraseUndo[n-1] == u {
-		f.eraseUndo = f.eraseUndo[:n-1]
-		f.eraseUndoPool = append(f.eraseUndoPool, u)
+// recycleEraseUndo pools a record that will not be restored and hands the
+// page buffers it held to the staging pool.
+func (f *Flash) recycleEraseUndo(u *eraseUndoRec) {
+	for i, buf := range u.bufs {
+		if buf != nil {
+			f.ReleaseStagingBuf(buf)
+			u.bufs[i] = nil
+		}
 	}
+	f.eraseUndoPool = append(f.eraseUndoPool, u)
+}
+
+// commitEraseUndo commits an erase at claim time — an engine-less batch: its
+// snapshot must never be restored — by recycling its record, the one
+// claimErase journaled last.
+func (f *Flash) commitEraseUndo(u *eraseUndoRec) {
+	f.eraseUndo = f.eraseUndo[:len(f.eraseUndo)-1]
+	f.recycleEraseUndo(u)
 }
 
 // claimErase reserves an erase's phases and applies the functional block
-// reset (erase count, in-order pointer, written map) for PlanBatch.Erase. The
-// returned undo record holds the destroyed state; an engine-less batch marks
-// it done (committed at claim), an engine's leaves it pending until the array
+// reset (erase count, in-order pointer, written map) for PlanBatch.Erase,
+// taking the block's page buffers out of the arena on a tracked flash. The
+// returned undo record holds the destroyed state; an engine-less batch
+// commits it at once, an engine's leaves it journaled until the array
 // operation's start time passes.
 func (f *Flash) claimErase(now sim.Time, addr *Address, di int) (cmdStart, done sim.Time, undo *eraseUndoRec) {
 	bi := f.geo.blockOfDie(di, addr)
@@ -1545,17 +1290,20 @@ func (f *Flash) claimErase(now sim.Time, addr *Address, di int) (cmdStart, done 
 	for i := range oob {
 		oob[i] = erasedOOB
 	}
-	if f.sums != nil {
+	if f.trackData {
 		copy(undo.sums, f.sums[base:end])
 		clear(f.sums[base:end])
+		arena, local := f.data[addr.Channel], f.chanLocal(base)
+		for pg := range undo.bufs {
+			undo.bufs[pg] = arena.take(local + int64(pg))
+		}
 	}
 	f.epoch++
 	return cmdStart, done, undo
 }
 
 // Erase erases the block containing addr (its Page field is ignored): the
-// engine-less PlanBatch.Erase. Like Program, it fails with
-// ErrDeferredInFlight while deferred installs are in flight on the channel.
+// engine-less PlanBatch.Erase.
 func (f *Flash) Erase(now sim.Time, addr Address) (Result, error) {
 	return f.direct.Erase(now, addr)
 }
@@ -1567,10 +1315,8 @@ func (f *Flash) PageWritten(addr Address) bool {
 
 // PagePayload copies the tracked contents of the page at addr into dst
 // (zero-padded past what was stored), with no timing, accounting or fault
-// draw — firmware-internal data movement, not a flash transaction. It is
-// pending-aware: bytes latched by a deferred program whose install event
-// has not dispatched yet are observed, exactly like a synchronous read
-// would. RAIN parity computation XORs stripe members through this (each
+// draw — firmware-internal data movement, not a flash transaction. RAIN
+// parity computation XORs stripe members through this (each
 // member was already read or programmed by the surrounding plan, which is
 // where the timing lives). No-op when data tracking is off or dst is nil.
 func (f *Flash) PagePayload(addr Address, dst []byte) {

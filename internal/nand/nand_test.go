@@ -514,8 +514,8 @@ func readDeferred(t *testing.T, f *Flash, now sim.Time, addr Address, dst []byte
 	return f.ReadDeferredAddr(now, &addr, dst, extra)
 }
 
-// onePlan runs op as a one-transaction PlanBatch in addr's channel domain:
-// the deferred program and erase paths, one op at a time.
+// onePlan runs op as a one-transaction PlanBatch on e: the program and
+// erase paths on an engine, one op at a time.
 func onePlan(t *testing.T, f *Flash, e *sim.Engine, dom sim.DomainID, ch int, op func(b *PlanBatch) (Result, error)) Result {
 	t.Helper()
 	doms := make([]sim.DomainID, f.Geometry().Channels)
@@ -610,11 +610,11 @@ func TestReadDeferredEager(t *testing.T) {
 	checkDeferredRead(t, (*Flash).ReadDeferredEagerTrusted)
 }
 
-// TestProgramDeferred verifies the deferred program path (a one-op
-// PlanBatch): timing, functional block state, counters and energy identical
-// to the synchronous Program at issue; on a tracked flash, one batch event
-// that lands the install, and pooled carriers that make steady state
-// allocation-free; on a timing-only flash, no event at all.
+// TestProgramDeferred verifies the program path on an engine (a one-op
+// PlanBatch): timing, functional block state, counters, energy and page
+// bytes identical to the synchronous Program at issue, no event on a tracked
+// or a timing-only flash, and pooled buffers that make steady state
+// allocation-free.
 func TestProgramDeferred(t *testing.T) {
 	fSync := newTestFlash(t, Options{TrackData: true, Seed: 1})
 	fDef := newTestFlash(t, Options{TrackData: true, Seed: 1})
@@ -637,19 +637,14 @@ func TestProgramDeferred(t *testing.T) {
 	if fDef.Stats() != fSync.Stats() || fDef.EnergyJoules() != fSync.EnergyJoules() {
 		t.Fatalf("stats at issue %+v (%v J) != sync %+v (%v J)", fDef.Stats(), fDef.EnergyJoules(), fSync.Stats(), fSync.EnergyJoules())
 	}
-	if n := e.Pending(); n != 1 {
-		t.Fatalf("one tracked program scheduled %d events, want its die's batch", n)
+	if n := e.Pending(); n != 0 {
+		t.Fatalf("a tracked program scheduled %d events", n)
 	}
-	// A read staged before the install event must already observe the
-	// latched bytes (the pending-install index), like the synchronous path.
+	// The bytes landed at issue: a read issued right after observes them.
 	staged := make([]byte, 4096)
 	readDeferred(t, fDef, 0, addr, staged)
 	if !bytes.Equal(staged, payload) {
-		t.Fatal("read staged before install missed the pending program bytes")
-	}
-	e.Run()
-	if fDef.Stats().Programs != 1 || fDef.Stats().BytesWritten != 4096 {
-		t.Fatalf("stats after the install: %+v", fDef.Stats())
+		t.Fatal("a read issued after the program missed its bytes")
 	}
 	rb := make([]byte, 4096)
 	if _, err := fDef.Read(sim.FromMicroseconds(50000), addr, rb); err != nil {
@@ -659,7 +654,7 @@ func TestProgramDeferred(t *testing.T) {
 		t.Fatal("install did not land the programmed bytes")
 	}
 
-	// Steady state reuses the pooled carrier: no allocations.
+	// Steady state reuses pooled buffers: no allocations.
 	next := Address{Channel: 3, Block: 1}
 	doms := make([]sim.DomainID, fDef.Geometry().Channels)
 	doms[next.Channel] = dom
@@ -669,7 +664,6 @@ func TestProgramDeferred(t *testing.T) {
 			t.Fatal(err)
 		}
 		b.Commit()
-		e.Run()
 		next.Page++
 	})
 	if allocs != 0 {
@@ -689,10 +683,11 @@ func TestProgramDeferred(t *testing.T) {
 	}
 }
 
-// TestEraseDeferred verifies the deferred erase path (a one-op PlanBatch):
-// functional reset, counters and energy at issue, byte-identical totals
-// versus the synchronous path, one batch event for the tracked presence
-// clear and none on a timing-only flash.
+// TestEraseDeferred verifies the erase path on an engine (a one-op
+// PlanBatch): functional reset, counters and energy at issue, byte-identical
+// totals versus the synchronous path, no event on a tracked or a timing-only
+// flash, and undo records recycled once the engine's clock passes their
+// start.
 func TestEraseDeferred(t *testing.T) {
 	fSync := newTestFlash(t, Options{TrackData: true, Seed: 1})
 	fDef := newTestFlash(t, Options{TrackData: true, Seed: 1})
@@ -721,10 +716,9 @@ func TestEraseDeferred(t *testing.T) {
 	if fDef.Stats() != fSync.Stats() || fDef.EnergyJoules() != fSync.EnergyJoules() {
 		t.Fatalf("stats at issue %+v (%v J) != sync %+v (%v J)", fDef.Stats(), fDef.EnergyJoules(), fSync.Stats(), fSync.EnergyJoules())
 	}
-	if n := e.Pending(); n != 1 {
-		t.Fatalf("one tracked erase scheduled %d events, want its die's batch", n)
+	if n := e.Pending(); n != 0 {
+		t.Fatalf("a tracked erase scheduled %d events", n)
 	}
-	e.Run()
 	if fDef.EraseCount(addr) != 1 {
 		t.Fatalf("EraseCount = %d", fDef.EraseCount(addr))
 	}
@@ -743,27 +737,25 @@ func TestEraseDeferred(t *testing.T) {
 	doms[addr.Channel] = dom
 	allocs := testing.AllocsPerRun(20, func() {
 		b := fDef.BeginPlan(e, doms)
-		if _, err := b.Erase(e.Now(), addr); err != nil {
+		r, err := b.Erase(e.Now(), addr)
+		if err != nil {
 			t.Fatal(err)
 		}
 		b.Commit()
-		e.Run()
+		e.RunUntil(r.Done) // the next erase prunes this one's undo record
 	})
 	if allocs != 0 {
 		t.Fatalf("deferred erase allocated %v per op", allocs)
 	}
 }
 
-// TestPlanBatchEventsPerDie holds a plan's events to what its tracked data
-// needs: one batch per die the plan programmed or erased, scheduled at the
-// latest completion among that die's records, none for reads, and none at
-// all on a timing-only flash — whose counters match the tracked flash's at
-// issue all the same.
-func TestPlanBatchEventsPerDie(t *testing.T) {
-	plan := func(f *Flash, e *sim.Engine) (last [3]sim.Time) {
+// TestPlanBatchSchedulesNothing holds a plan on an engine to issue-time
+// effects: a tracked plan that reads, programs two dies and erases leaves no
+// event behind and its page bytes readable before the engine runs, and a
+// timing-only flash counts exactly what the tracked one counts.
+func TestPlanBatchSchedulesNothing(t *testing.T) {
+	plan := func(f *Flash, e *sim.Engine) {
 		t.Helper()
-		// Die (0,0) holds a written page to read; die (1,0) is programmed
-		// twice, die (2,1) once and erased.
 		src := Address{Channel: 0, Page: 0}
 		if _, err := f.Program(0, src, nil); err != nil {
 			t.Fatal(err)
@@ -776,36 +768,30 @@ func TestPlanBatchEventsPerDie(t *testing.T) {
 		a := Address{Channel: 1}
 		for pg := 0; pg < 2; pg++ {
 			a.Page = pg
-			r, err := b.ProgramAddr(now, &a, []byte{byte(pg + 1)}, false, -1)
-			if err != nil {
+			if _, err := b.ProgramAddr(now, &a, []byte{byte(pg + 1)}, false, -1); err != nil {
 				t.Fatal(err)
 			}
-			last[0] = r.Done
 		}
 		c := Address{Channel: 2, Package: 1}
 		r, err := b.ProgramAddr(now, &c, []byte{9}, false, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		last[1] = r.Done
-		if r, err = b.Erase(r.Done, Address{Channel: 2, Package: 1, Block: 1}); err != nil {
+		if _, err = b.Erase(r.Done, Address{Channel: 2, Package: 1, Block: 1}); err != nil {
 			t.Fatal(err)
 		}
-		last[2] = r.Done
 		b.Commit()
-		return last
 	}
 	fTracked := newTestFlash(t, Options{TrackData: true, Seed: 1})
 	e := sim.NewEngine()
-	last := plan(fTracked, e)
-	if n := e.Pending(); n != 2 {
-		t.Fatalf("tracked plan on two written dies scheduled %d events, want 2", n)
+	plan(fTracked, e)
+	if n := e.Pending(); n != 0 {
+		t.Fatalf("tracked plan scheduled %d events", n)
 	}
-	if e.Step(); e.Now() != last[0] {
-		t.Fatalf("first batch at %v, want the die's last program at %v", e.Now(), last[0])
-	}
-	if e.Step(); e.Now() != max(last[1], last[2]) {
-		t.Fatalf("second batch at %v, want the die's last record at %v", e.Now(), max(last[1], last[2]))
+	got := make([]byte, 2)
+	fTracked.PagePayload(Address{Channel: 1, Page: 1}, got)
+	if !bytes.Equal(got, []byte{2, 0}) {
+		t.Fatalf("page bytes %x right after Commit, want 0200", got)
 	}
 
 	fTiming := newTestFlash(t, Options{Seed: 1})
@@ -819,14 +805,12 @@ func TestPlanBatchEventsPerDie(t *testing.T) {
 	}
 }
 
-// TestDeferredGCReprogramOrdering is the golden ordering test for deferred
-// writes against in-flight deferred reads: a read is issued, then a GC-style
-// erase + reprogram of the same physical page runs entirely on the deferred
-// path before any batch event dispatches. The in-flight read must
-// return the pre-erase bytes (delivered at issue), the post-drain arena must
-// hold the new bytes (installs and clears dispatch in channel (time, seq)
-// order, which the die resource aligns with issue order), and the counters
-// must match a synchronous reference executing the same sequence.
+// TestDeferredGCReprogramOrdering is the golden ordering test for writes on
+// an engine against in-flight reads: a read is issued, then a GC-style
+// erase + reprogram of the same physical page runs on the engine path. The
+// in-flight read must return the pre-erase bytes (delivered at issue), the
+// arena must hold the new bytes, and the counters must match a synchronous
+// reference executing the same sequence.
 func TestDeferredGCReprogramOrdering(t *testing.T) {
 	fSync := newTestFlash(t, Options{TrackData: true, Seed: 1})
 	fDef := newTestFlash(t, Options{TrackData: true, Seed: 1})
@@ -849,7 +833,7 @@ func TestDeferredGCReprogramOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Deferred run: same sequence, nothing dispatched until the end.
+	// Engine run: the same sequence.
 	e := sim.NewEngine()
 	dom := e.Domain(ChannelDomain(addr.Channel))
 	programDeferred(t, fDef, e, dom, 0, addr, old)
@@ -857,7 +841,6 @@ func TestDeferredGCReprogramOrdering(t *testing.T) {
 	readDeferred(t, fDef, 0, addr, dst)
 	eraseDeferred(t, fDef, e, dom, 0, addr)
 	programDeferred(t, fDef, e, dom, 0, addr, new_)
-	e.Run()
 
 	if !bytes.Equal(dst, old) {
 		t.Fatalf("in-flight deferred read observed post-erase contents: %x...", dst[:4])

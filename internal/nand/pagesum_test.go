@@ -121,7 +121,7 @@ func TestPageSumDetects(t *testing.T) {
 }
 
 // TestSumFinalNeverZero: 0 in a page's OOB means "programmed without tracked
-// data" and skips VerifyPage and the pending-install compare, so a payload
+// data" and skips VerifyPage, so a payload
 // whose mixed state comes out 0 must be stamped with something else. The
 // finaliser is a bijection fixing 0, so 0 is its only zero and the remap is
 // the only collision it introduces.

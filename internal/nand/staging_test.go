@@ -23,11 +23,11 @@ func paddedTo(n int, p []byte) []byte {
 
 // TestStagedProgramInstallsFromTheReadBuffer follows one migrated page
 // through the staging pool: a recycled (dirty) StagingBuf is filled by a plan
-// read, handed to ProgramAddr as staged, observed through the pending index
-// before the install, installed by exchange — it becomes the arena's page,
-// the page's previous buffer goes to the destination channel's free list —
-// and verified; a taker on any other channel is then served from that list
-// instead of a fresh allocation.
+// read of a page programmed earlier in the same plan, handed to ProgramAddr
+// as staged and made the destination page at once — that very buffer, not a
+// copy — while the buffer the page held before goes to the pool; both pages
+// read back and verify, and the next taker is served from the pool instead
+// of a fresh allocation.
 func TestStagedProgramInstallsFromTheReadBuffer(t *testing.T) {
 	f := newTestFlash(t, Options{TrackData: true, Seed: 1})
 	ps := f.geo.PageSize
@@ -36,11 +36,10 @@ func TestStagedProgramInstallsFromTheReadBuffer(t *testing.T) {
 	want := paddedTo(ps, short)
 
 	e := sim.NewEngine()
-	doms := testChannelDomains(e, f)
-	b := f.BeginPlan(e, doms)
+	b := f.BeginPlan(e, testChannelDomains(e, f))
 	// The source program goes the copy path into a dirty recycled buffer: the
 	// pad past the payload has to be written, not inherited.
-	dirty := f.StagingBuf(src.Channel)
+	dirty := f.StagingBuf()
 	for i := range dirty {
 		dirty[i] = 0xff
 	}
@@ -48,7 +47,7 @@ func TestStagedProgramInstallsFromTheReadBuffer(t *testing.T) {
 	if _, err := b.ProgramAddr(0, &src, short, false, 7); err != nil {
 		t.Fatal(err)
 	}
-	buf := f.StagingBuf(src.Channel)
+	buf := f.StagingBuf()
 	for i := range buf {
 		buf[i] = 0xee // a recycled buffer's leftovers
 	}
@@ -56,65 +55,45 @@ func TestStagedProgramInstallsFromTheReadBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, want) {
-		t.Fatal("plan read of a pending page did not deliver the padded payload into the staging buffer")
+		t.Fatal("plan read of a page programmed in the same plan did not deliver the padded payload into the staging buffer")
 	}
 	if _, err := b.ProgramAddr(0, &dst, buf, true, 8); err != nil {
 		t.Fatal(err)
 	}
-	ref := f.pendingProg[dst.Channel][f.geo.PageIndex(dst)]
-	if rec := &ref.batch.ops[ref.idx]; &rec.buf[0] != &buf[0] {
-		t.Fatal("a staged program copied its buffer instead of taking it over")
+	b.Commit()
+	if &f.data[dst.Channel].get(f.chanLocal(f.geo.PageIndex(dst)))[0] != &buf[0] {
+		t.Fatal("a staged program copied its buffer instead of making it the page")
+	}
+	if n := e.Pending(); n != 0 {
+		t.Fatalf("the plan scheduled %d events", n)
 	}
 	got := make([]byte, ps)
-	f.PagePayload(dst, got)
-	if !bytes.Equal(got, want) {
-		t.Fatal("pending-aware read of the staged program missed its bytes")
-	}
-	b.Commit()
-	e.Run()
-
 	for _, a := range []Address{src, dst} {
 		clear(got)
 		if _, err := f.Read(sim.FromMicroseconds(1e5), a, got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%v holds %x... after the install, want %x...", a, got[996:1004], want[996:1004])
+			t.Fatalf("%v holds %x..., want %x...", a, got[996:1004], want[996:1004])
 		}
 		if !f.VerifyPage(a) {
-			t.Fatalf("%v fails VerifyPage after a clean install", a)
+			t.Fatalf("%v fails VerifyPage", a)
 		}
 	}
-	// The install was an exchange: the staged buffer is the page now, and the
-	// buffer the page held before is on the destination channel's free list.
-	if &f.data[dst.Channel].get(f.chanLocal(f.geo.PageIndex(dst)))[0] != &buf[0] {
-		t.Fatal("the install copied the staged buffer into the arena instead of handing it over")
+	// The install was an exchange: the buffer the destination page held
+	// before is the pool's one buffer now, and the next taker gets it.
+	if n := len(f.pageBufs); n != 1 || &f.pageBufs[0][0] == &buf[0] {
+		t.Fatalf("the destination page's previous buffer was not pooled (%d buffers pooled)", n)
 	}
-	if n := len(f.pageBufs[dst.Channel]); n != 1 || &f.pageBufs[dst.Channel][0][0] == &buf[0] {
-		t.Fatalf("the page's previous buffer was not recycled into channel %d's list (%d buffers there)", dst.Channel, n)
-	}
-	// Channel 3's list is empty: its taker is served from the others' lists.
-	pooled := 0
-	for _, l := range f.pageBufs {
-		pooled += len(l)
-	}
-	seen := map[*byte]bool{}
-	for i := 0; i < pooled; i++ {
-		seen[&f.StagingBuf(3)[0]] = true
-	}
-	if len(seen) != pooled || pooled < 2 {
-		t.Fatalf("%d takes on an empty list found %d of the %d pooled buffers", pooled, len(seen), pooled)
-	}
-	for _, l := range f.pageBufs {
-		if len(l) != 0 {
-			t.Fatal("takers allocated while buffers were pooled")
-		}
+	pooled := &f.pageBufs[0][0]
+	if &f.StagingBuf()[0] != pooled || len(f.pageBufs) != 0 {
+		t.Fatal("a taker was not served from the pool")
 	}
 }
 
-// TestStagedMigrationSteadyStateAllocs: read a page into a staging buffer,
-// program it on staged, drain — once the pool holds one buffer, the cycle
-// allocates nothing, whichever channels the page moves between.
+// TestStagedMigrationSteadyStateAllocs: read a page into a staging buffer and
+// program it on staged — once the pool holds one buffer, the cycle allocates
+// nothing, whichever channels the page moves between.
 func TestStagedMigrationSteadyStateAllocs(t *testing.T) {
 	f := newTestFlash(t, Options{TrackData: true, Seed: 1})
 	e := sim.NewEngine()
@@ -132,7 +111,7 @@ func TestStagedMigrationSteadyStateAllocs(t *testing.T) {
 			next.Page = page
 		}
 		b := f.BeginPlan(e, doms)
-		buf := f.StagingBuf(cur.Channel)
+		buf := f.StagingBuf()
 		if _, err := b.ReadAddr(e.Now(), &cur, buf); err != nil {
 			t.Fatal(err)
 		}
@@ -140,11 +119,10 @@ func TestStagedMigrationSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		b.Commit()
-		e.Run()
 		cur = next
 	}
 	for i := 0; i < 8; i++ {
-		step() // pools, die batches, pending maps
+		step() // the pool and the arena's chunks
 	}
 	if avg := testing.AllocsPerRun(40, step); avg != 0 {
 		t.Fatalf("%.2f allocations per staged migration in steady state, want 0", avg)
@@ -157,13 +135,14 @@ func TestStagedMigrationSteadyStateAllocs(t *testing.T) {
 }
 
 // TestPowerCutAndTamperUnderPageSum: the checksum's three verification
-// sites with the word-parallel kernel behind them. A cut with sixteen
-// programs in flight tears some and commits the rest: a torn page fails
-// VerifyPage and reads back empty, a committed one lands from its abandoned
-// staging buffer only through landPending's checksum compare and then
-// verifies; on a verified page a TamperOOB flip of one checksum bit (mode 3)
-// and a single flipped payload bit are both caught, and undoing them
-// restores the verdict.
+// sites with the word-parallel kernel behind them, and the erase undo that
+// gives a page its bytes back. A cut with sixteen programs in flight tears
+// some and commits the rest: a torn page fails VerifyPage and reads back
+// empty, a committed one keeps the bytes it landed at issue and verifies; on
+// a verified page a TamperOOB flip of one checksum bit (mode 3) and a single
+// flipped payload bit are both caught, and undoing them restores the
+// verdict. A cut before an erase's array operation starts undoes the erase,
+// bytes included, over a reprogram issued after it.
 func TestPowerCutAndTamperUnderPageSum(t *testing.T) {
 	f := newTestFlash(t, Options{TrackData: true, Seed: 1})
 	g := f.geo
@@ -189,8 +168,7 @@ func TestPowerCutAndTamperUnderPageSum(t *testing.T) {
 		}
 	}
 	b.Commit()
-	// Nothing dispatched: every install is still a staged buffer when the
-	// power goes, 10 us into programs of 820 us and more.
+	// The power goes 10 us into programs of 820 us and more.
 	rep := f.PowerLoss(sim.FromMicroseconds(10), 5)
 	if rep.InFlight != len(addrs) || rep.Torn == 0 || rep.Committed == 0 {
 		t.Fatalf("cut resolved %+v: want all %d programs in flight, some torn and some committed", rep, len(addrs))
@@ -209,7 +187,7 @@ func TestPowerCutAndTamperUnderPageSum(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(got, paddedTo(g.PageSize, payload(i))) {
-			t.Fatalf("page %d committed by the cut did not land its staged bytes", i)
+			t.Fatalf("page %d committed by the cut lost its bytes", i)
 		}
 		if !f.VerifyPage(a) {
 			t.Fatalf("page %d committed by the cut fails VerifyPage", i)
@@ -229,20 +207,28 @@ func TestPowerCutAndTamperUnderPageSum(t *testing.T) {
 			t.Errorf("page %d: verdict not restored after undoing the corruption", i)
 		}
 	}
-	// The compare in landPending is what keeps a stale staged buffer out: a
-	// record whose bytes no longer match the page's stamp must not land.
+	// A cut before the erase's array operation started: the erase is undone,
+	// and the page gets its bytes back over the reprogram issued after it.
 	f2 := newTestFlash(t, Options{TrackData: true, Seed: 1})
 	e2 := sim.NewEngine()
-	b2 := f2.BeginPlan(e2, testChannelDomains(e2, f2))
 	a := Address{Channel: 1}
-	if _, err := b2.ProgramAddr(0, &a, payload(0), false, 0); err != nil {
+	if _, err := f2.Program(0, a, payload(0)); err != nil {
+		t.Fatal(err)
+	}
+	b2 := f2.BeginPlan(e2, nil)
+	er, err := b2.Erase(sim.FromMicroseconds(1e4), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b2.ProgramAddr(er.Done, &a, payload(1), false, 1); err != nil {
 		t.Fatal(err)
 	}
 	b2.Commit()
-	f2.TamperOOB(g.PageIndex(a), 3) // the stamp now belongs to other bytes
-	f2.PowerLoss(sim.FromMicroseconds(1e5), 5)
+	if rep := f2.PowerLoss(er.Start, 5); rep.ErasesUndone != 1 {
+		t.Fatalf("a cut before the erase started resolved %+v, want the erase undone", rep)
+	}
 	f2.PagePayload(a, got)
-	if !bytes.Equal(got, make([]byte, g.PageSize)) {
-		t.Fatal("a staged buffer whose checksum does not match the page's stamp was installed at the cut")
+	if !bytes.Equal(got, paddedTo(g.PageSize, payload(0))) || !f2.VerifyPage(a) {
+		t.Fatal("an undone erase did not give the page its bytes back")
 	}
 }

@@ -11,9 +11,9 @@ import (
 // state is the flash's image layout: resource reservations, block
 // condition, OOB stamps, tracked payloads, per-channel counters and energy,
 // the state epoch and program sequence, the ISPP jitter cursor, the
-// bad-block table, and the fault model's counters and site log. Pending
-// deferred installs are volatile carrier state and have no serialized form
-// (the engine must be drained; the caller checks QuiescedForSnapshot).
+// bad-block table, and the fault model's counters and site log. The
+// erase-undo journal and the staging pool are firmware RAM and have no
+// serialized form.
 func (f *Flash) state(c *snap.Codec) error {
 	for _, r := range f.channels {
 		r.Snap(c)
@@ -190,17 +190,12 @@ func (f *Flash) EncodeState(e *snap.Enc) {
 // scratch device and swap on success.
 func (f *Flash) DecodeState(d *snap.Dec) error { return f.state(snap.Decoding(d)) }
 
-// QuiescedForSnapshot reports nil when no tracked-data install or clear is
-// in flight, the precondition for EncodeState (pending installs are
-// volatile carrier state with no serialized form).
+// QuiescedForSnapshot reports nil unless a plan batch is open, the
+// precondition for EncodeState: between plans every transaction has taken
+// effect.
 func (f *Flash) QuiescedForSnapshot() error {
 	if f.plan.open {
 		return fmt.Errorf("nand: snapshot with a plan batch open")
-	}
-	for ch := range f.pendingProg {
-		if len(f.pendingProg[ch]) > 0 {
-			return fmt.Errorf("nand: snapshot with deferred installs in flight on channel %d (drain the engine first)", ch)
-		}
 	}
 	return nil
 }

@@ -73,15 +73,11 @@
 // Scheduling domains say what an event is for, never when it fires. In a
 // full system host/HIL, CPU, ICL/DRAM, DMA and the fill-publish domain carry
 // the firmware stage boundaries, cache installs, GC, transfers and request
-// completions; the per-NAND-channel domains carry only the per-die plan
-// batches that land tracked page bytes — program installs and erase clears
-// (nand.PlanBatch via fil.ExecuteOn) — which touch only the channel's
-// tracked-data arena, pending-install index and pooled carriers, and never
-// schedule. Every flash transaction is counted and charged when it is
-// issued, so a read never raises a channel event and a timing-only device
-// raises none at all. Per-channel float accumulators add in issue order and
-// are summed in channel order, and costs worked out ahead of time fall under
-// the same rule:
+// completions. The per-NAND-channel domains are registered and carry
+// nothing: every flash transaction takes effect when it is issued, tracked
+// page bytes included (below). Per-channel float accumulators add in issue
+// order and are summed in channel order, and costs worked out ahead of time
+// fall under the same rule:
 // package cpu's compiled charges evaluate each float once, by the
 // expression a per-call evaluation uses, and still add energy one run at a
 // time in run order (cpu's package comment).
@@ -90,49 +86,20 @@
 // exp.Options.Parallel / ambersim -parallel run whole Systems, each with its
 // own engine, on separate goroutines.
 //
-// # Deferred writes: why staged-at-issue data and channel-ordered merges
-// preserve the synchronous observable state
+// # Flash transactions take effect at issue
 //
-// Only tracked page bytes defer — a program's install, an erase's presence
-// clear — and they need care, because writes change what later reads
-// observe. Three mechanisms keep the deferred path's observable state
-// identical to synchronous execution:
-//
-//  1. Functional state transitions stay at issue. The block's written map,
-//     in-order program pointer and erase count mutate synchronously when
-//     the transaction is issued, so every later issue-time check —
-//     CheckRead, CheckProgram, plan prevalidation — sees exactly the state
-//     the synchronous path would show. Counters and energy are charged at
-//     issue too; only the tracked-data arena updates defer.
-//
-//  2. Data is latched at issue. A program's page bytes are copied into a
-//     pooled staging buffer when it issues (physically: the die register
-//     latches the data when the bus transfer ends) — a plan rewrite's
-//     already sit in one, the buffer its pre-read filled, which the
-//     program takes over instead of copying — and the channel's
-//     pending-install index maps the physical page to those staged bytes
-//     until the install event runs: the buffer becomes the arena's page,
-//     and the buffer the page held before goes on the channel's free
-//     list. Every read-side copy (ReadDeferredAddr, plan reads,
-//     synchronous Read) consults the index before the arena, so a read
-//     issued after a program observes the programmed bytes whether or not
-//     the install has dispatched — and an in-flight read is immune to a
-//     later GC erase + reprogram of the same page because its own bytes
-//     were delivered at its issue
-//     (TestReadDeferredSnapshotsAtIssue, TestDeferredGCReprogramOrdering).
-//
-//  3. Arena updates merge in channel order, aligned with issue order by
-//     die serialization. A channel's events dispatch in (time, seq)
-//     order. Installs and clears are grouped per (plan, die)
-//     (nand.dieBatch) and scheduled at the die's last completion time;
-//     because the die and channel resources serialize every claim, any
-//     transaction of a later plan on the same die completes strictly
-//     after every transaction of an earlier plan on that die, so batches
-//     of the same die dispatch in plan-issue order, records within a
-//     batch apply in issue order, and batches of different dies touch
-//     disjoint pages. The arena therefore converges to exactly the
-//     synchronous sequence of puts and clears. (Same-page traffic always
-//     shares a die, so cross-die timing never reorders a page's history.)
+// A flash transaction's resource claims, block-state transition, fault
+// draw, counters, energy and tracked page bytes all land when it is issued
+// (nand.PlanBatch), so the flash schedules no event and every later issue —
+// CheckRead, CheckProgram, plan prevalidation, any read of the arena — sees
+// exactly the state the transactions issued before it left. A program's
+// payload is copied into a staging buffer (a plan rewrite's already sits in
+// one, the buffer its pre-read filled), which becomes the page, and the
+// buffer the page held before returns to the staging pool; an erase takes
+// its block's page buffers into its undo record (power-loss rule 2 below).
+// A read delivers its page bytes at its own issue, so an in-flight read is
+// immune to a later GC erase + reprogram of its page
+// (TestReadDeferredSnapshotsAtIssue, TestDeferredGCReprogramOrdering).
 //
 // # Fill installs: precopy at issue, publish as an event
 //
@@ -141,12 +108,11 @@
 // produced. The install is split in two stages. The precopy stage delivers
 // the page bytes into the fill's line buffer at issue time
 // (nand.Flash.ReadDeferredAddr through fil.ReadSubsStaged): the copy reads
-// the channel's pending-aware index — so it observes exactly the bytes the
-// synchronous path would — and is the only data movement; the reads' counters
-// and energy are charged with it, and nothing is scheduled in the channel
-// domains. The publish stage (core's fil.publish domain) installs the
-// completed buffer at the fetch's completion time; its buffer was finished at
-// issue, so it reads nothing a pending channel event writes.
+// the arena, where every program issued before it has landed, and is the
+// only data movement; the reads' counters and energy are charged with it,
+// and nothing is scheduled. The publish stage (core's fil.publish domain)
+// installs the completed buffer at the fetch's completion time; its buffer
+// was finished at issue, so it waits on no other event.
 //
 // Payload granularity. The bytes of the datapath move at the granularity the
 // cache is valid at, the sub-page, and none of the arguments here depend on
@@ -155,18 +121,17 @@
 // eviction clears only the subs the outgoing line had valid; a read or
 // prefetch stages through a line buffer recycled from a free list on
 // core.System, uncleared. What changed against the line-sized scheme is
-// buffer ownership only: staged page bytes still land at issue, through the
-// pending-aware index, into a buffer nothing else touches until the publish
+// buffer ownership only: page bytes still land at issue into a buffer
+// nothing else touches until the publish
 // that consumes it (a demand read's buffer returns to the list at the
 // request's completion, a prefetch's at the fill's), and sub-pages a fill
 // finds unmapped are zeroed at issue as well, since a recycled buffer is not.
 // One new reader of flash bytes exists: a write that covers part of an
 // uncached sub-page merges the sub's current contents under the payload
 // (core's widenPartialWrite, nand.Flash.PagePayload). It runs inside the
-// write-ops event, copies through the same pending-aware index as a plan
-// pre-read — identical bytes whether or not a pending install has run — and
-// makes no claim, draw or counter update, so simulated time cannot tell it
-// from zero-padding.
+// write-ops event, copies from the arena like a plan pre-read, and makes no
+// claim, draw or counter update, so simulated time cannot tell it from
+// zero-padding.
 //
 // # Fault-schedule determinism
 //
@@ -178,9 +143,7 @@
 //  1. Draws happen at issue time. Every fault decision — program, erase,
 //     and the read-retry ladder — is evaluated when the transaction is
 //     issued (after its Check* validation, before any claim or functional
-//     mutation). The channels' die-batch events never draw: the arena
-//     installs and clears they carry are downstream of an already-decided
-//     issue. So the set of draws and their interleaving is fixed by the
+//     mutation). So the set of draws and their interleaving is fixed by the
 //     order of issues, which is the engine's one total order.
 //
 //  2. Draws are stateless. A draw is a pure hash of (seed, operation
@@ -196,8 +159,7 @@
 //     reached), which is functional state mutated at issue.
 //
 //  3. Fault accounting happens at issue too. FaultStats increments and
-//     fault-site records happen inside the issue draw, never inside a
-//     channel event.
+//     fault-site records happen inside the issue draw.
 //
 // The recovery path inherits determinism from the same argument: a plan
 // fault surfaces from an issue, the FIL commits the executed prefix and
@@ -222,10 +184,9 @@
 //
 //  2. Durable state is exactly what reached NAND. The cut discards all
 //     volatile firmware state — ICL cache lines and flush buffers,
-//     staged pageBufs, in-flight plans, the pending tracked-data
-//     installs — and keeps only the arena pages and per-page OOB
-//     stamps (logical tag, device-wide write sequence, checksum) that
-//     programs physically completed. The activity counters and energy are
+//     in-flight plans, the erase-undo journal — and keeps only the arena
+//     pages and per-page OOB stamps (logical tag, device-wide write
+//     sequence, checksum) that programs physically completed. The activity counters and energy are
 //     the simulator's record of what was issued, not device state: charged
 //     at issue, they count an op issued before the cut even when it would
 //     have completed after it, so the flash and the FIL always agree. A
@@ -236,7 +197,10 @@
 //     function of the cut time and the issue stream. Claimed-but-unstarted
 //     erases are undone from per-block snapshots taken at claim time
 //     (functional state mutates at issue, far ahead of dispatch, so a cut
-//     can land between claim and start).
+//     can land between claim and start), page bytes included: the erase
+//     took its block's buffers into the snapshot, and they displace what
+//     programs issued after the claim installed, which would have completed
+//     after the erase, so after the cut.
 //
 //  3. Mount rebuilds from OOB alone. ftl.Mount scans every block's OOB
 //     stamps in fixed physical order, keeps the highest-sequence valid
@@ -327,12 +291,9 @@
 // runs each request through the identical inline or evented path a Submit
 // loop would use, but drains the shared engine once per window — min(host
 // scheduler dispatch window, protocol queue depth, core.DefaultBatchWindow)
-// requests — instead of once per request. The deferred events a window
-// accumulates are die batches that commute with issue (arena installs and
-// clears make no resource claims, are keyed in per-channel order, and every
-// reader of the arena goes through the pending-aware index), so draining them
-// at the window boundary dispatches the same multiset in the same per-channel
-// order as draining after every request. The one subtlety is
+// requests — instead of once per request. A window's inline writes schedule
+// nothing (flash transactions take effect at issue), so the window boundary
+// decides only how often the engine is reset. The one subtlety is
 // the engine clock: the drain rewinds it (Engine.Reset), so maintenance that
 // prunes by engine time — the power-loss erase-undo journal — is pruned
 // explicitly against the host clock instead (nand.Flash.PruneEraseUndo),
@@ -395,8 +356,9 @@
 //
 // The same pooling discipline extends up the stack: package nand stores
 // tracked page contents in a chunked arena indexed by physical page number
-// (256 pages per chunk, presence bitmap, erase clears bits without freeing
-// chunks), and package core recycles its per-request submit and fill op
+// (256 pages per chunk, presence bitmap; page buffers circulate through the
+// staging pool and erase undo records without freeing chunks), and package
+// core recycles its per-request submit and fill op
 // structs through free lists with their event callbacks bound once. See
 // those packages for details; together they make the submit path
 // zero-allocation in steady state.
