@@ -3,8 +3,8 @@
 // plus ablation benches for the §IV-C design choices, and holds the
 // microbenchmarks with no end-to-end workload of their own yet: the engine
 // hot loop (on the synthetic loop defined and tested at the end of this
-// file), the submit paths, the read-miss path through Run, snapshot + restore
-// against preconditioning, and the nine-member farm storm. Run with:
+// file), the submit paths, the read-miss path through Run, and snapshot +
+// restore against preconditioning. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -26,7 +26,6 @@ import (
 	"amber/internal/config"
 	"amber/internal/core"
 	"amber/internal/exp"
-	"amber/internal/farm"
 	"amber/internal/fil"
 	"amber/internal/ftl"
 	"amber/internal/refdata"
@@ -396,36 +395,6 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(precondition.Nanoseconds()), "precondition-ns")
-}
-
-// BenchmarkFarmStorm times the nine-member farm through the seeded fault
-// storm of farm's TestFarmFaultStormGoldenEquivalence (a death with failover
-// and rebuild, read-only latches, hedged latency storms), device windows
-// serial and parallel.
-func BenchmarkFarmStorm(b *testing.B) {
-	const ms = sim.Millisecond
-	d := config.SmallTestDevice()
-	d.TrackData = false
-	cfg := farm.Config{Device: config.PCSystem(d), Groups: 4, Replicas: 2, Spares: 1,
-		Policy: farm.Policy{HedgeAfter: 2 * ms},
-		Faults: farm.FaultConfig{Seed: 4, DeathProb: 0.15, DeathMin: 8 * ms, DeathMax: 30 * ms,
-			ReadOnlyProb: 0.10, ReadOnlyMin: 8 * ms, ReadOnlyMax: 30 * ms,
-			StormProb: 0.30, StormMin: 5 * ms, StormMax: 40 * ms, StormLen: 20 * ms, StormPenalty: 8 * ms}}
-	for _, workers := range []int{0, 4} {
-		cfg.Workers = workers
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				f, err := farm.New(cfg)
-				if err == nil {
-					_, err = f.Run(farm.RunConfig{Tenants: 4, Requests: 300, MixedWrites: 150, Seed: 42})
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // hotLoopDepth is the steady event population the hot loop churns at, set

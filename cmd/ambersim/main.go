@@ -33,7 +33,6 @@ import (
 	"amber/internal/cpu"
 	"amber/internal/dma"
 	"amber/internal/exp"
-	"amber/internal/farm"
 	"amber/internal/fil"
 	"amber/internal/ftl"
 	"amber/internal/host"
@@ -67,19 +66,6 @@ func main() {
 		batchSub  = flag.Bool("batch-submit", false, "drive the measured requests through the vectored SubmitBatch entry (serial depth-1 contract, per-window bookkeeping drains): footer reports batch windows and certified-read fast-path counters")
 		rainWidth = flag.Int("rain", 0, "RAIN stripe width W: every W data planes share one parity plane, uncorrectable reads reconstruct from the stripe (0 = off; W+1 must divide the plane count)")
 		scrubSpec = flag.String("scrub-every", "", "patrol scrub cadence (e.g. 5ms): a background scrubber walks blocks by disturb/retention risk and migrates at-risk pages, deferring wear-out read-only")
-
-		// Device-farm mode: N devices behind one host multiplexer instead of
-		// one device per report (see internal/farm).
-		farmGroups   = flag.Int("farm-groups", 0, "device-farm mode: stripe the volume over this many replica groups of the (single) device preset (0 = normal single-device run)")
-		farmReplicas = flag.Int("farm-replicas", 2, "farm mode: mirrors per group (writes fan to all, reads pick a rotating primary)")
-		farmSpares   = flag.Int("farm-spares", 1, "farm mode: idle hot spares rebuilt onto after a member dies or latches read-only")
-		farmWorkers  = flag.Int("farm-workers", 0, "farm mode: parallel device-window workers (results byte-identical at any value; 0/1 = serial)")
-		farmTenants  = flag.Int("farm-tenants", 4, "farm mode: concurrent closed-loop tenants; -n is split across them")
-		farmMixed    = flag.Int("farm-mixed-writes", 0, "farm mode: per-tenant write-then-read-back generator with this many leading writes (0 = use -workload pattern)")
-		farmSeed     = flag.Uint64("farm-fault-seed", 1, "farm mode: seed for the device-level fault schedule (deaths, read-only latches, latency storms)")
-		farmDeath    = flag.Float64("farm-death-prob", 0, "farm mode: per-device probability of a scheduled whole-device death in the 8-30ms window")
-		farmRO       = flag.Float64("farm-readonly-prob", 0, "farm mode: per-device probability of a read-only latch in the 8-30ms window")
-		farmStorm    = flag.Float64("farm-storm-prob", 0, "farm mode: per-device probability of a 20ms latency storm (+8ms service delay) starting in the 5-40ms window")
 	)
 	flag.Parse()
 
@@ -154,48 +140,14 @@ func main() {
 	}
 
 	powerCut, scrubEvery, err := runFlags{
-		requests: *n, blockSize: *bs, depth: *depth, tenants: *farmTenants,
+		requests: *n, blockSize: *bs, depth: *depth,
 		devices: len(devices), parallel: *parallel,
-		groups: *farmGroups, workers: *farmWorkers, mixed: *farmMixed,
-		deathProb: *farmDeath, roProb: *farmRO, stormProb: *farmStorm,
 		batchSubmit: *batchSub,
 		powerLossAt: *powerLoss, scrubEvery: *scrubSpec, rain: *rainWidth,
 		snapshot: *snapPath, restore: *restPath,
 	}.validate()
 	if err != nil {
 		fatal(err)
-	}
-
-	if *farmGroups > 0 {
-		if len(devices) != 1 {
-			fatal(fmt.Errorf("farm mode stripes one device preset over the farm, got %d presets", len(devices)))
-		}
-		if *trace != "" {
-			fatal(errors.New("farm mode drives fio patterns (or -farm-mixed-writes), not trace replay"))
-		}
-		if err := runFarm(devices[0], farmOptions{
-			groups: *farmGroups, replicas: *farmReplicas, spares: *farmSpares,
-			workers: *farmWorkers, tenants: *farmTenants, mixedWrites: *farmMixed,
-			requests: *n, blockSize: *bs, pattern: pattern, seed: *seed,
-			precondition: !*noPrecond, mobile: *mobile,
-			faults: farm.FaultConfig{
-				Seed:         *farmSeed,
-				DeathProb:    *farmDeath,
-				DeathMin:     8 * sim.Millisecond,
-				DeathMax:     30 * sim.Millisecond,
-				ReadOnlyProb: *farmRO,
-				ReadOnlyMin:  8 * sim.Millisecond,
-				ReadOnlyMax:  30 * sim.Millisecond,
-				StormProb:    *farmStorm,
-				StormMin:     5 * sim.Millisecond,
-				StormMax:     40 * sim.Millisecond,
-				StormLen:     20 * sim.Millisecond,
-				StormPenalty: 8 * sim.Millisecond,
-			},
-		}); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	o := runOptions{
@@ -496,15 +448,11 @@ func since[T any](now, before T) T {
 
 // runFlags is the part of the flag set whose values constrain each other.
 type runFlags struct {
-	requests, blockSize          int
-	depth, tenants               int // -depth and -farm-tenants
-	devices, rain                int
-	parallel                     int     // -parallel
-	groups, workers, mixed       int     // -farm-groups, -farm-workers and -farm-mixed-writes
-	deathProb, roProb, stormProb float64 // -farm-death-prob, -farm-readonly-prob, -farm-storm-prob
-	batchSubmit                  bool
-	powerLossAt, scrubEvery      string // durations as typed, "" = off
-	snapshot, restore            string
+	requests, blockSize, depth int
+	devices, rain, parallel    int
+	batchSubmit                bool
+	powerLossAt, scrubEvery    string // durations as typed, "" = off
+	snapshot, restore          string
 }
 
 // validate cross-checks the flags before any device is built — a bad
@@ -517,42 +465,14 @@ func (f runFlags) validate() (powerCut, scrubEvery sim.Duration, err error) {
 	if f.blockSize <= 0 {
 		return 0, 0, fmt.Errorf("bad -bs %d: want a positive block size", f.blockSize)
 	}
-	// The layers below clamp both to 1; a run at a depth or a tenant count
-	// nobody asked for is not what the report would say it was.
+	// The layers below clamp it to 1; a run at a depth nobody asked for is
+	// not what the report would say it was.
 	if f.depth <= 0 {
 		return 0, 0, fmt.Errorf("bad -depth %d: want a positive queue depth", f.depth)
 	}
-	if f.tenants <= 0 {
-		return 0, 0, fmt.Errorf("bad -farm-tenants %d: want a positive tenant count", f.tenants)
-	}
-	// Zero means off (or serial) for these four; a negative count would run
-	// as zero — a single-device run for -farm-groups — and say nothing.
-	for _, c := range []struct {
-		flag, want string
-		v          int
-	}{
-		{"-farm-groups", "group count (0 = single device)", f.groups},
-		{"-farm-workers", "worker count", f.workers},
-		{"-farm-mixed-writes", "write count", f.mixed},
-		{"-parallel", "device count", f.parallel},
-	} {
-		if c.v < 0 {
-			return 0, 0, fmt.Errorf("bad %s %d: want a non-negative %s", c.flag, c.v, c.want)
-		}
-	}
-	// Written so that NaN, which fails every comparison, is rejected too
-	// instead of silently never firing.
-	for _, c := range []struct {
-		flag string
-		p    float64
-	}{
-		{"-farm-death-prob", f.deathProb},
-		{"-farm-readonly-prob", f.roProb},
-		{"-farm-storm-prob", f.stormProb},
-	} {
-		if !(c.p >= 0 && c.p <= 1) {
-			return 0, 0, fmt.Errorf("bad %s %v: want a probability in [0,1]", c.flag, c.p)
-		}
+	// Zero means serial; a negative count would run as zero and say nothing.
+	if f.parallel < 0 {
+		return 0, 0, fmt.Errorf("bad -parallel %d: want a non-negative device count", f.parallel)
 	}
 	if powerCut, err = flagDuration("-power-loss-at", f.powerLossAt, "50ms"); err != nil {
 		return 0, 0, err
@@ -593,96 +513,6 @@ func flagDuration(flag, value, example string) (sim.Duration, error) {
 		return 0, fmt.Errorf("bad %s %q: want a positive duration like %s", flag, value, example)
 	}
 	return sim.Duration(d.Nanoseconds()) * sim.Nanosecond, nil
-}
-
-// farmOptions carries the -farm-* flag set into runFarm.
-type farmOptions struct {
-	groups, replicas, spares int
-	workers, tenants         int
-	mixedWrites              int
-	requests, blockSize      int
-	pattern                  workload.Pattern
-	seed                     uint64
-	precondition             bool
-	mobile                   bool
-	faults                   farm.FaultConfig
-}
-
-// runFarm is the device-farm front door: one preset cloned across the
-// shelf, tenant traffic striped over the groups, and a footer reporting
-// the host robustness counters and the failure timeline.
-func runFarm(dev string, o farmOptions) error {
-	d, err := config.Device(dev)
-	if err != nil {
-		return err
-	}
-	cfg := config.PCSystem(d)
-	if o.mobile {
-		cfg = config.MobileSystem(d)
-	}
-	if o.precondition {
-		fmt.Fprintln(os.Stderr, dev+": preconditioning device 0, then cloning the farm from its snapshot...")
-	}
-	f, err := farm.New(farm.Config{
-		Device:       cfg,
-		Groups:       o.groups,
-		Replicas:     o.replicas,
-		Spares:       o.spares,
-		Precondition: o.precondition,
-		Workers:      o.workers,
-		Policy:       farm.Policy{HedgeAfter: 2 * sim.Millisecond},
-		Faults:       o.faults,
-	})
-	if err != nil {
-		return err
-	}
-	per := o.requests / o.tenants
-	if per < 1 {
-		per = 1
-	}
-	start := time.Now()
-	res, err := f.Run(farm.RunConfig{
-		Tenants:     o.tenants,
-		Requests:    per,
-		BlockSize:   o.blockSize,
-		Pattern:     o.pattern,
-		MixedWrites: o.mixedWrites,
-		Seed:        o.seed,
-	})
-	if err != nil {
-		return err
-	}
-	wall := time.Since(start)
-	s := res.Stats
-	w := os.Stdout
-	fmt.Fprintf(w, "device farm     %d devices (%d groups x %d replicas + %d spares) of %s, unit %d B, volume %d MB\n",
-		f.Devices(), o.groups, o.replicas, o.spares, dev, f.UnitBytes(), f.VolumeBytes()>>20)
-	// -n splits evenly: every tenant gets the same budget, at least one
-	// request, and the remainder is not run.
-	requests := fmt.Sprintf("%d requests", s.Requests)
-	if s.Requests != uint64(o.requests) {
-		requests = fmt.Sprintf("%d of %d requested", s.Requests, o.requests)
-	}
-	fmt.Fprintf(w, "farm traffic    %s over %d tenants, %d device sub-ops, workers %d (wall %v)\n",
-		requests, o.tenants, s.SubOps, o.workers, wall.Round(time.Millisecond))
-	avg := sim.Duration(0)
-	if s.Requests > 0 {
-		avg = res.LatencySum / sim.Duration(s.Requests)
-	}
-	fmt.Fprintf(w, "farm latency    avg %.1f us, max %.1f us, simulated %v\n",
-		float64(avg)/1e3, float64(res.LatencyMax)/1e3,
-		time.Duration(res.Now).Round(time.Millisecond))
-	fmt.Fprintf(w, "farm robustness %d retries, %d timeouts, %d hedges (%d won), %d failed writes / %d failed reads (%d lost)\n",
-		s.Retries, s.Timeouts, s.Hedges, s.HedgeWins, s.FailedWrites, s.FailedReads, s.ReadsLost)
-	fmt.Fprintf(w, "farm faults     %d deaths, %d read-only latches\n",
-		s.DeviceDeaths, s.ReadOnlyLatches)
-	fmt.Fprintf(w, "farm rebuilds   %d started / %d completed / %d aborted; units copied %d, skipped %d, dropped %d, lost %d\n",
-		s.RebuildsStarted, s.RebuildsCompleted, s.RebuildsAborted,
-		s.UnitsCopied, s.UnitsSkipped, s.UnitsDropped, s.UnitsLost)
-	for _, e := range s.Events {
-		fmt.Fprintf(w, "  %s\n", e)
-	}
-	return nil
 }
 
 func fatal(err error) {

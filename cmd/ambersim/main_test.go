@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
@@ -15,7 +14,7 @@ import (
 // combination names the offending flag, and a good set yields the parsed
 // durations.
 func TestRunFlagsValidate(t *testing.T) {
-	good := runFlags{requests: 100, blockSize: 4096, depth: 32, tenants: 4, devices: 1}
+	good := runFlags{requests: 100, blockSize: 4096, depth: 32, devices: 1}
 	with := func(edit func(*runFlags)) runFlags {
 		f := good
 		edit(&f)
@@ -34,25 +33,15 @@ func TestRunFlagsValidate(t *testing.T) {
 		{"bs=-512", with(func(f *runFlags) { f.blockSize = -512 }), "bad -bs -512", 0, 0},
 		{"depth=0", with(func(f *runFlags) { f.depth = 0 }), "bad -depth 0", 0, 0},
 		{"depth=-5", with(func(f *runFlags) { f.depth = -5 }), "bad -depth -5", 0, 0},
-		{"farm-tenants=0", with(func(f *runFlags) { f.tenants = 0 }), "bad -farm-tenants 0", 0, 0},
-		{"farm-tenants=-2", with(func(f *runFlags) { f.tenants = -2 }), "bad -farm-tenants -2", 0, 0},
 		{"batch-submit power-loss", with(func(f *runFlags) { f.batchSubmit, f.powerLossAt = true, "50ms" }), "-power-loss-at are incompatible", 0, 0},
 		{"batch-submit scrub", with(func(f *runFlags) { f.batchSubmit, f.scrubEvery = true, "5ms" }), "-scrub-every are incompatible", 0, 0},
 		{"bad power-loss duration", with(func(f *runFlags) { f.powerLossAt = "-3ms" }), "bad -power-loss-at", 0, 0},
 		{"bad scrub duration", with(func(f *runFlags) { f.scrubEvery = "soon" }), "bad -scrub-every", 0, 0},
 		{"negative rain", with(func(f *runFlags) { f.rain = -1 }), "bad -rain", 0, 0},
-		{"farm-groups=-1", with(func(f *runFlags) { f.groups = -1 }), "bad -farm-groups -1", 0, 0},
-		{"farm-workers=-3", with(func(f *runFlags) { f.workers = -3 }), "bad -farm-workers -3", 0, 0},
-		{"farm-mixed-writes=-5", with(func(f *runFlags) { f.mixed = -5 }), "bad -farm-mixed-writes -5", 0, 0},
 		{"parallel=-2", with(func(f *runFlags) { f.parallel = -2 }), "bad -parallel -2", 0, 0},
-		{"farm-death-prob=NaN", with(func(f *runFlags) { f.groups, f.deathProb = 2, math.NaN() }), "bad -farm-death-prob NaN", 0, 0},
-		{"farm-readonly-prob=+Inf", with(func(f *runFlags) { f.roProb = math.Inf(1) }), "bad -farm-readonly-prob +Inf", 0, 0},
-		{"farm-storm-prob=-0.5", with(func(f *runFlags) { f.stormProb = -0.5 }), "bad -farm-storm-prob -0.5", 0, 0},
-		{"farm-storm-prob=-Inf", with(func(f *runFlags) { f.stormProb = math.Inf(-1) }), "bad -farm-storm-prob -Inf", 0, 0},
 		{"snapshot of two devices", with(func(f *runFlags) { f.snapshot, f.devices = "img", 2 }), "single device", 0, 0},
 		{"good evented", with(func(f *runFlags) { f.powerLossAt, f.scrubEvery, f.rain = "50ms", "5ms", 3 }), "", 50 * sim.Millisecond, 5 * sim.Millisecond},
 		{"good batch-submit", with(func(f *runFlags) { f.batchSubmit = true }), "", 0, 0},
-		{"good farm probabilities", with(func(f *runFlags) { f.groups, f.deathProb, f.roProb, f.stormProb = 2, 0, 0.5, 1 }), "", 0, 0},
 	}
 	for _, c := range cases {
 		cut, scrub, err := c.flags.validate()

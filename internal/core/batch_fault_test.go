@@ -150,7 +150,8 @@ func TestSubmitBatchTimesZeroSentinel(t *testing.T) {
 	if _, err := s.Submit(s.Now(), workload.Request{Write: true, Offset: 0, Length: 4 * bs}, nil); err != nil {
 		t.Fatal(err)
 	}
-	s.ForceReadOnly()
+	s.FTL.ForceReadOnly()
+	s.ICL.SetPreferCleanVictims(true)
 
 	reqs := []workload.Request{
 		{Offset: 0, Length: bs},

@@ -512,15 +512,6 @@ func (s *System) VolumeBytes() int64 {
 	return s.FTL.UserSuperPages() * int64(s.FTL.SuperPageBytes())
 }
 
-// ForceReadOnly latches the device read-only through the FTL's organic
-// wear-out path (ftl.ForceReadOnly): writes refuse with ftl.ErrReadOnly,
-// reads keep serving and prefer clean cache victims, exactly as if grown
-// bad blocks had exhausted the spare reserve at this moment.
-func (s *System) ForceReadOnly() {
-	s.FTL.ForceReadOnly()
-	s.ICL.SetPreferCleanVictims(true)
-}
-
 // listKind maps the protocol to its pointer-list structure.
 func (s *System) listKind() dma.ListKind {
 	switch s.params.Kind {

@@ -477,9 +477,8 @@ func (f *FTL) ReadOnly() bool { return f.readOnly }
 // ForceReadOnly latches the drive read-only immediately, exactly as if the
 // grown-bad-block budget had just been exhausted: writes refuse with
 // ErrReadOnly, reads keep serving, and the latch is permanent for the life
-// of the FTL like the organic wear-out one. core.System.ForceReadOnly
-// wraps it, so a scheduled read-only latch needs no real block
-// retirements.
+// of the FTL like the organic wear-out one. It lets a test latch the
+// device at a chosen moment without real block retirements.
 func (f *FTL) ForceReadOnly() { f.readOnly = true }
 
 // SpareHeadroom returns how many more super-block retirements the device

@@ -82,9 +82,9 @@
 // expression a per-call evaluation uses, and still add energy one run at a
 // time in run order (cpu's package comment).
 //
-// Concurrency exists one level up only: the device farm (below) and
-// exp.Options.Parallel / ambersim -parallel run whole Systems, each with its
-// own engine, on separate goroutines.
+// Concurrency exists one level up only: exp.Options.Parallel / ambersim
+// -parallel run whole Systems, each with its own engine, on separate
+// goroutines (below).
 //
 // # Flash transactions take effect at issue
 //
@@ -340,8 +340,10 @@
 // # Whole systems in parallel
 //
 // Whole Systems may run on separate goroutines, each with its own engine;
-// nothing in this package is shared between them. internal/farm does so
-// and documents why its results do not depend on the worker count.
+// nothing in this package is shared between them. exp.ForEach does so:
+// every task owns its Systems and writes an index-addressed slot, and
+// exp's TestParallelDeterminism proves the assembled output does not
+// depend on the worker count.
 //
 // # Resources
 //
