@@ -1218,19 +1218,25 @@ func TestWorkGateBatchRW8kData(t *testing.T) {
 	// channel event. Three collections fall inside the window. Payload bytes:
 	// core copies each read's 8 KiB out of its line buffer and zeroes nothing
 	// (the writes are sub-page aligned, every fill is mapped); the flash
-	// copies whole 8 KiB pages, padding none; the cache zeroes about as many
-	// bytes as it copies, clearing the subs each evicted line had valid.
+	// copies whole 8 KiB pages, padding none. The cache moves each request's
+	// 8 KiB once — a write or a demand fill into its frame, a hit out to the
+	// line buffer — and zeroes nothing: eviction clears masks only, every sub
+	// becomes valid with bytes, and a prefetch's line buffer becomes its
+	// frame with no dirty sub to copy in.
 	wantCounts := counts{
 		windows: 96, events: eventsByDomain{host: 4096, cpu: 2048, dma: 2048, publish: 2157},
 		flashReads: 27925, flashPrograms: 13801, flashErases: 360, collects: 3,
 		dram: 8344, descriptors: 16384,
-		iclCopied: 216530944, iclZeroed: 212008960,
+		iclCopied: 67108864, iclZeroed: 0,
 		nandCopied: 278921216, nandZeroed: 0,
 		coreCopied: 2048 * rw8kIO, coreZeroed: 0,
 	}
 	if got != wantCounts {
 		t.Errorf("work of %d batched 8 KiB requests\n got %+v\nwant %+v", n, got, wantCounts)
 	}
+	perReq := func(b uint64) float64 { return float64(b) / n }
+	t.Logf("batch_rw8k_data payload bytes per request: icl %.0f copied %.0f zeroed, nand %.0f copied %.0f zeroed, core %.0f copied %.0f zeroed",
+		perReq(got.iclCopied), perReq(got.iclZeroed), perReq(got.nandCopied), perReq(got.nandZeroed), perReq(got.coreCopied), perReq(got.coreZeroed))
 	if mismatches != 0 {
 		t.Errorf("%d of %d read-backs differ from what was written", mismatches, n/4)
 	}

@@ -439,6 +439,89 @@ func TestFillKeepsWriteLandedInFlight(t *testing.T) {
 	}
 }
 
+// TestPrefetchKeepsWriteLandedInFlight: a readahead prefetch hands its whole
+// line buffer to the cache, which copies in only the subs written while the
+// fetch was in flight. The written sub reads back new, the rest of the line
+// reads back what flash held, and the written sub is still dirty.
+func TestPrefetchKeepsWriteLandedInFlight(t *testing.T) {
+	s := dataSystem(t, true, false)
+	lineBytes := int64(s.ICL.Config().LineBytes())
+	ra := int64(s.ICL.Config().ReadaheadThreshold)
+	if ra == 0 {
+		t.Skip("the device has no readahead")
+	}
+	const sub = 8192
+	old := make([]byte, lineBytes)
+	for l := int64(0); l <= ra; l++ {
+		fillPayload(old, l*lineBytes, 1)
+		if _, err := s.Submit(s.Now(), workload.Request{Write: true, Offset: l * lineBytes, Length: int(lineBytes)}, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	push := func(first int64) { // write 16 other lines, evicting the rest
+		t.Helper()
+		for l := first; l < first+16; l++ {
+			if _, err := s.Submit(s.Now(), workload.Request{Write: true, Offset: l * lineBytes, Length: sub}, make([]byte, sub)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	push(20)
+
+	// Sequential misses on lines 0 .. ra-1 arm the prefetch of line ra; the
+	// write to its sub 9 lands a microsecond later, long before the fetch.
+	e := sim.NewEngine()
+	before := s.ICL.Stats()
+	for l := int64(0); l < ra; l++ {
+		e.At(s.Now(), func() {
+			s.SubmitAsync(e, workload.Request{Offset: l * lineBytes, Length: sub}, make([]byte, sub), func(_ sim.Time, err error) {
+				if err != nil {
+					t.Error(err)
+				}
+			})
+		})
+	}
+	off := ra*lineBytes + 9*sub
+	newer := make([]byte, sub)
+	fillPayload(newer, off, 2)
+	e.At(s.Now()+sim.Microsecond, func() {
+		s.SubmitAsync(e, workload.Request{Write: true, Offset: off, Length: sub}, newer, func(_ sim.Time, err error) {
+			if err != nil {
+				t.Error(err)
+			}
+		})
+	})
+	e.Run()
+	if st := s.ICL.Stats(); st.Readaheads == before.Readaheads || st.WriteSubMisses != before.WriteSubMisses+1 {
+		t.Fatalf("no prefetch, or the write found line %d resident (stats %+v)", ra, st)
+	}
+
+	fillPayload(old, ra*lineBytes, 1)
+	check := func(what string) {
+		t.Helper()
+		got := make([]byte, 3*sub)
+		if _, err := s.Submit(s.Now(), workload.Request{Offset: ra*lineBytes + 8*sub, Length: 3 * sub}, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[:sub], old[8*sub:9*sub]) || !bytes.Equal(got[2*sub:], old[10*sub:11*sub]) {
+			t.Fatalf("%s: the prefetched subs around the write read back wrong", what)
+		}
+		if !bytes.Equal(got[sub:2*sub], newer) {
+			t.Fatalf("%s: the sub written while the prefetch was in flight read back wrong", what)
+		}
+	}
+	hits := s.ICL.Stats().ReadaheadHits
+	check("cached")
+	if s.ICL.Stats().ReadaheadHits != hits+3 {
+		t.Fatal("the read back did not hit the prefetched line")
+	}
+	push(40)
+	if s.ICL.Contains(ra, 9) {
+		t.Fatalf("line %d still cached", ra)
+	}
+	check("after eviction")
+}
+
 // TestReadMissAllocs holds the read path at 0 allocs/op: a 4 KiB timing-only
 // read miss through Submit runs on recycled ops, fills, masks and lookup
 // buffers.

@@ -530,8 +530,9 @@ func linePayload(ln hil.Line, data []byte) []byte {
 }
 
 // acquireLineBuf hands out a line-layout staging buffer for a data-tracking
-// read, prefetch or partial-sub merge. Buffers are recycled as they are:
-// whoever stages through one writes every byte it later reads.
+// read, prefetch or partial-sub merge. Buffers are recycled as they are (a
+// prefetch's comes back as a cache frame's old one, icl.FillLine): whoever
+// stages through one writes every byte it later reads.
 func (s *System) acquireLineBuf() []byte {
 	if n := len(s.lineBufFree); n > 0 {
 		buf := s.lineBufFree[n-1]
@@ -639,8 +640,9 @@ func (s *System) writeLine(e *sim.Engine, t sim.Time, ln hil.Line, payload []byt
 // request), the read coalesces onto the in-flight fill instead of
 // duplicating flash work, retrying once when the fill lands. dst receives
 // the line's payload (nil for a timing-only read): the touched subs are
-// staged through a recycled line buffer and copied out, from their true
-// in-line offset, at completion.
+// staged through a recycled line buffer — hits copied in by the cache,
+// misses landed by the flash — and copied out, from their true in-line
+// offset, at completion.
 func (s *System) readLineAsync(e *sim.Engine, ln hil.Line, dst []byte, cb func(sim.Time, error)) {
 	if dst == nil {
 		s.readLineAttempt(e, ln, nil, cb, false)
@@ -878,7 +880,14 @@ func (fo *fillOp) done() {
 		// made in global time order.
 		s.link.Claim(e.Now(), sim.TransferTime(int64(fo.nFetch*s.ICL.Config().SubSize), s.params.LinkBytesPerSec))
 	}
-	ev, err := s.ICL.Fill(fo.lspn, fo.subs, fo.lineBuf, fo.prefetch)
+	var ev *iclEviction
+	var err error
+	if fo.prefetch && fo.lineBuf != nil {
+		// The frame keeps the prefetch's buffer and hands back its old one.
+		ev, fo.lineBuf, err = s.ICL.FillLine(fo.lspn, fo.lineBuf, true)
+	} else {
+		ev, err = s.ICL.Fill(fo.lspn, fo.subs, fo.lineBuf, fo.prefetch)
+	}
 	now := e.Now()
 	ready := now
 	if err == nil {
@@ -946,7 +955,7 @@ func (s *System) prefetch(e *sim.Engine, lspn int64) {
 	var buf []byte
 	if s.ICL.Config().TrackData {
 		// Prefetched lines must carry real bytes when the system tracks
-		// data, or later hits would serve zeroes. The fill releases it.
+		// data, or later hits would serve zeroes. The cache keeps it.
 		buf = s.acquireLineBuf()
 	}
 	s.startFill(e, e.Now(), lspn, s.FTL.AllSubs(), buf, true, 0, noopFill)
@@ -1075,15 +1084,13 @@ func (s *System) Flush(now sim.Time) (sim.Time, error) {
 		now = s.now
 	}
 	done := now
-	for _, ev := range s.ICL.FlushAll() {
-		ev := ev
-		d, err := s.flushEviction(nil, now, &ev)
-		if err != nil {
-			return 0, err
-		}
-		if d > done {
-			done = d
-		}
+	err := s.ICL.FlushEach(func(ev *iclEviction) error {
+		d, err := s.flushEviction(nil, now, ev)
+		done = sim.MaxOf(done, d)
+		return err
+	})
+	if err != nil {
+		return 0, err
 	}
 	if done > s.now {
 		s.now = done

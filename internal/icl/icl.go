@@ -21,17 +21,17 @@
 //     window at offset 0, i.e. a line-layout buffer, of which only the
 //     named subs are read or written — the rest may hold anything (callers
 //     recycle staging buffers without clearing them).
-//   - Zero invariant: the bytes of every invalid sub of every frame are
-//     zero. A sub that becomes valid through a source that does not cover
-//     all of it (short tail, nil source, unmapped fill) therefore reads as
-//     zero-padded, and eviction upholds the invariant by clearing only the
-//     subs the outgoing line had valid — O(valid subs), never O(line).
-//     EncodeState images are byte-identical to eagerly zeroed frames.
-//   - Scratch aliasing: the *Eviction Fill and Write return aliases one
-//     per-cache record whose Dirty and Data are the evicted frame's own
-//     buffers, swapped out. It is valid until the next call that evicts;
-//     Data is meaningful at the line's valid subs (zero elsewhere) and
-//     consumers read the dirty ones.
+//   - Defined when valid: a sub's bytes are defined only while it is valid.
+//     A sub that becomes valid through a source that does not cover all of
+//     it (short tail, nil source, unmapped fill) is zero-padded then, so
+//     eviction and Invalidate clear masks, never bytes. EncodeState writes
+//     invalid subs as zeros: images equal those of eagerly zeroed frames.
+//   - Records alias: the *Eviction Fill, FillLine and Write return is one
+//     per-cache record holding the evicted frame's own Dirty and Data,
+//     swapped out, valid until the next call that evicts; FlushEach shows
+//     its visitor each dirty frame's own. Consumers read the dirty subs.
+//   - FillLine takes a whole-line buffer as the frame's own and hands the
+//     frame's old one back: a prefetched line is never copied.
 //
 // Lookup and victim selection cost the same for every cache size. Three
 // structures mirror the frames' tags: Cache.index maps each resident LSPN to
@@ -57,6 +57,7 @@ package icl
 
 import (
 	"fmt"
+	"slices"
 
 	"amber/internal/sim"
 )
@@ -146,13 +147,13 @@ func (c Config) LineBytes() int { return c.SubsPerLine * c.SubSize }
 func (c Config) CapacityBytes() int64 { return int64(c.Lines) * int64(c.LineBytes()) }
 
 // Eviction describes a line the caller must flush (if dirty) before its
-// frame is reused. Records returned by Fill and Write alias the cache's
-// scratch (see the package comment); FlushLine and FlushAll return copies.
+// frame is reused. Records alias the cache's buffers (see the package
+// comment); FlushAll returns copies.
 type Eviction struct {
 	LSPN  int64
 	Dirty []bool // per-sub dirty mask; all-false means clean drop
-	// Data is the line-layout contents when TrackData, else nil: the
-	// line's valid subs hold their bytes, every other sub is zero.
+	// Data is the line-layout contents when TrackData, else nil. Only the
+	// line's valid subs are defined, the dirty ones among them.
 	Data []byte
 
 	// nDirty is the number of set bits in Dirty. Only the cache makes
@@ -232,7 +233,7 @@ type Cache struct {
 	stats Stats
 
 	// copied and zeroed count the tracked payload bytes the cache has moved
-	// into or out of frames and cleared in them (PayloadBytes). They are the
+	// into or out of frames and zero-padded (PayloadBytes). They are the
 	// observer's, like stats, but no Stats field and no part of an image.
 	copied, zeroed uint64
 
@@ -251,12 +252,7 @@ type Cache struct {
 	// scratchEv is the reusable eviction record returned by Fill/Write:
 	// the submit path consumes it synchronously, so one preallocated
 	// buffer per cache avoids a Dirty-mask (and Data) copy per eviction.
-	// scratchValid is the evicted line's valid mask (scratchNValid bits
-	// set), kept so retiring the record clears exactly the subs its Data
-	// holds (retireScratch).
-	scratchEv     Eviction
-	scratchValid  []bool
-	scratchNValid int
+	scratchEv Eviction
 
 	// scratchHits/scratchMisses/scratchRA back ReadResult slices, reused
 	// across Read calls for the same reason.
@@ -289,6 +285,10 @@ func New(cfg Config) (*Cache, error) {
 		rng:     sim.NewRNG(cfg.Seed ^ 0x1c1),
 		seqNext: -1,
 	}
+	c.scratchEv.Dirty = make([]bool, cfg.SubsPerLine)
+	if cfg.TrackData {
+		c.scratchEv.Data = make([]byte, cfg.LineBytes())
+	}
 	c.sets = make([]set, nsets)
 	for i := range c.sets {
 		frames := make([]*line, ways)
@@ -314,9 +314,9 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) Stats() Stats { return c.stats }
 
 // PayloadBytes returns the tracked payload bytes the cache has copied — hit
-// subs out to a reader, fills and writes into frames, flushed lines out to
-// their records — and zeroed, clearing the subs an evicted or invalidated
-// line had valid. A cache without TrackData moves none.
+// subs out to a reader, fills and writes into frames, dirty subs into
+// FillLine's buffer, FlushAll's copies — and zeroed, padding newly valid
+// subs. A cache without TrackData moves none.
 func (c *Cache) PayloadBytes() (copied, zeroed uint64) { return c.copied, c.zeroed }
 
 func (c *Cache) setOf(lspn int64) *set {
@@ -354,26 +354,25 @@ func (c *Cache) victim(lspn int64) *line {
 			frames = clean
 		}
 	}
-	switch c.cfg.Replacement {
-	case FIFO:
-		best := frames[0]
-		for _, ln := range frames[1:] {
-			if ln.inserted < best.inserted {
-				best = ln
-			}
-		}
-		return best
-	case Random:
+	if c.cfg.Replacement == Random {
 		return frames[c.rng.Intn(len(frames))]
-	default: // LRU
-		best := frames[0]
-		for _, ln := range frames[1:] {
-			if ln.lastUse < best.lastUse {
-				best = ln
-			}
-		}
-		return best
 	}
+	best := frames[0]
+	for _, ln := range frames[1:] {
+		if c.stamp(ln) < c.stamp(best) {
+			best = ln
+		}
+	}
+	return best
+}
+
+// stamp is a frame's position on its set's replacement clock: lastUse under
+// LRU, inserted otherwise. The oldest stamp is the victim.
+func (c *Cache) stamp(ln *line) uint64 {
+	if c.cfg.Replacement == LRU {
+		return ln.lastUse
+	}
+	return ln.inserted
 }
 
 // unlink removes an occupied frame from its set's victim order.
@@ -405,27 +404,21 @@ func (st *set) pushTail(ln *line) {
 // evictInto resets the victim frame for reuse by lspn and returns the
 // eviction record if the frame held a line. The record aliases the cache's
 // scratch buffers and stays valid only until the next eviction; callers
-// that keep evictions must copy them (see FlushAll).
+// that keep evictions must copy them.
 func (c *Cache) evictInto(ln *line, lspn int64) *Eviction {
 	var ev *Eviction
 	st := ln.set
 	if ln.lspn >= 0 {
 		delete(c.index, ln.lspn)
 		st.unlink(ln)
-		// Swap, don't copy: the record takes the frame's masks and payload
-		// wholesale and the frame inherits the retired record's buffers —
-		// all-invalid and all-zero, which is exactly the reset state of a
-		// frame, so an eviction costs pointer exchanges plus clearing the
-		// subs the previous evictee had valid.
-		c.retireScratch()
+		// Swap, don't copy: the record takes the frame's dirty mask and
+		// payload wholesale and the frame inherits the retired record's, so an
+		// eviction costs pointer exchanges plus clearing two masks.
 		c.scratchEv.LSPN = ln.lspn
 		c.scratchEv.Dirty, ln.dirty = ln.dirty, c.scratchEv.Dirty
 		c.scratchEv.nDirty, ln.nDirty = ln.nDirty, 0
-		c.scratchValid, ln.valid = ln.valid, c.scratchValid
-		c.scratchNValid, ln.nValid = ln.nValid, 0
-		if c.cfg.TrackData {
-			c.scratchEv.Data, ln.data = ln.data, c.scratchEv.Data
-		}
+		c.scratchEv.Data, ln.data = ln.data, c.scratchEv.Data
+		ln.clearMasks()
 		c.stats.Evictions++
 		if c.scratchEv.IsDirty() {
 			c.stats.DirtyEvictions++
@@ -438,8 +431,7 @@ func (c *Cache) evictInto(ln *line, lspn int64) *Eviction {
 			st.empty++
 		}
 	}
-	// An empty frame is already reset: Invalidate and retireScratch leave
-	// masks clear and bytes zero.
+	// An empty frame is already reset: Invalidate left its masks clear.
 	ln.lspn = lspn
 	c.index[lspn] = ln
 	st.pushTail(ln)
@@ -450,43 +442,22 @@ func (c *Cache) evictInto(ln *line, lspn int64) *Eviction {
 	return ev
 }
 
-// retireScratch returns the eviction record's buffers to the reset state
-// of a frame (masks clear, bytes zero) by clearing only the subs the
-// evicted line had valid; the first call allocates them.
-func (c *Cache) retireScratch() {
-	if c.scratchValid == nil {
-		c.scratchValid = make([]bool, c.cfg.SubsPerLine)
-		c.scratchEv.Dirty = make([]bool, c.cfg.SubsPerLine)
-		if c.cfg.TrackData {
-			c.scratchEv.Data = make([]byte, c.cfg.LineBytes())
-		}
-		return
-	}
-	c.clearSubs(c.scratchValid, c.scratchEv.Dirty, &c.scratchNValid, &c.scratchEv.nDirty, c.scratchEv.Data)
+// clearMasks marks every sub invalid and clean; the bytes stay undefined.
+func (ln *line) clearMasks() {
+	clear(ln.valid)
+	clear(ln.dirty)
+	ln.nValid, ln.nDirty = 0, 0
 }
 
-// clearSubs resets a frame's buffers: every valid sub's bytes are zeroed
-// (data may be nil), both masks cleared and their counts of set bits,
-// *nValid and *nDirty, zeroed. The walk ends at the last set bit, so a line
-// that held two subs costs two, wherever a full line would cost SubsPerLine.
-func (c *Cache) clearSubs(valid, dirty []bool, nValid, nDirty *int, data []byte) {
-	subSize := c.cfg.SubSize
-	v, d := *nValid, *nDirty
-	for s := 0; v > 0 || d > 0; s++ {
-		if dirty[s] {
-			dirty[s] = false
-			d--
-		}
-		if valid[s] {
-			valid[s] = false
-			v--
-			if data != nil {
-				clear(data[s*subSize : (s+1)*subSize])
-				c.zeroed += uint64(subSize)
-			}
-		}
-	}
-	*nValid, *nDirty = 0, 0
+// zeroPad clears the bytes of sub s outside the line range [lo, hi) that
+// fills it, for a sub becoming valid: they are not defined until then.
+func (c *Cache) zeroPad(data []byte, s, lo, hi int) {
+	a, b := s*c.cfg.SubSize, (s+1)*c.cfg.SubSize
+	lo = min(max(lo, a), b)
+	hi = min(max(hi, lo), b)
+	clear(data[a:lo])
+	clear(data[hi:b])
+	c.zeroed += uint64(lo - a + b - hi)
 }
 
 // setValid marks sub s of the frame's line valid.
@@ -621,17 +592,50 @@ func (c *Cache) Fill(lspn int64, subs []int, data []byte, prefetched bool) (*Evi
 		ev = c.evictInto(ln, lspn)
 	}
 	ln.prefetched = ln.prefetched || prefetched
+	ss := c.cfg.SubSize
 	for _, s := range subs {
-		ln.setValid(s)
-		// A dirty sub was written while the fetch was in flight: the frame
-		// holds the newer bytes and the fetched copy is the stale one.
-		if c.cfg.TrackData && data != nil && !ln.dirty[s] {
-			copy(ln.data[s*c.cfg.SubSize:(s+1)*c.cfg.SubSize], data[s*c.cfg.SubSize:(s+1)*c.cfg.SubSize])
-			c.copied += uint64(c.cfg.SubSize)
+		switch {
+		case !c.cfg.TrackData || ln.dirty[s]:
+			// A dirty sub was written while the fetch was in flight: the
+			// frame holds the newer bytes.
+		case data != nil:
+			copy(ln.data[s*ss:(s+1)*ss], data[s*ss:(s+1)*ss])
+			c.copied += uint64(ss)
+		case !ln.valid[s]:
+			c.zeroPad(ln.data, s, 0, 0)
 		}
+		ln.setValid(s)
 	}
 	c.touch(ln)
 	return ev, nil
+}
+
+// FillLine is Fill of every sub of lspn from a TrackData line buffer the
+// cache keeps: data becomes the frame's payload, the frame's dirty subs are
+// copied into it, and the frame's old buffer is returned for the caller to
+// reuse (data itself when read-around installs nothing).
+func (c *Cache) FillLine(lspn int64, data []byte, prefetched bool) (*Eviction, []byte, error) {
+	if !c.cfg.TrackData || len(data) != c.cfg.LineBytes() {
+		return nil, data, fmt.Errorf("icl: FillLine of %d bytes, want a tracked line of %d", len(data), c.cfg.LineBytes())
+	}
+	ev, _ := c.Fill(lspn, nil, nil, prefetched) // no subs: cannot fail
+	ln := c.find(lspn)
+	if ln == nil {
+		return nil, data, nil
+	}
+	ss := c.cfg.SubSize
+	for s, d := 0, ln.nDirty; d > 0; s++ {
+		if ln.dirty[s] {
+			copy(data[s*ss:(s+1)*ss], ln.data[s*ss:(s+1)*ss])
+			c.copied += uint64(ss)
+			d--
+		}
+	}
+	ln.data, data = data, ln.data
+	for s := range ln.valid {
+		ln.setValid(s)
+	}
+	return ev, data, nil
 }
 
 // WriteAt stores sub-pages [firstSub, firstSub+nSubs) of lspn into the
@@ -640,9 +644,9 @@ func (c *Cache) Fill(lspn int64, subs []int, data []byte, prefetched bool) (*Evi
 // non-nil, src holds the line bytes [off, off+len(src)) — the host payload
 // at its true in-line offset — and the part of it inside the sub range is
 // the only thing copied. Range bytes src does not cover keep their value
-// in a sub that was already valid and read as zero in one that was not
-// (the zero invariant), so a caller that needs a partial sub merged with
-// its flash contents widens src before the call.
+// in a sub that was already valid and are zero-padded in one that was not,
+// so a caller that needs a partial sub merged with its flash contents
+// widens src before the call.
 func (c *Cache) WriteAt(lspn int64, firstSub, nSubs int, src []byte, off int) (*Eviction, error) {
 	if err := c.checkRange(firstSub, nSubs); err != nil {
 		return nil, err
@@ -659,7 +663,11 @@ func (c *Cache) WriteAt(lspn int64, firstSub, nSubs int, src []byte, off int) (*
 	} else {
 		c.stats.WriteSubHits += uint64(nSubs)
 	}
+	end := off + len(src)
 	for s := firstSub; s < firstSub+nSubs; s++ {
+		if c.cfg.TrackData && !ln.valid[s] {
+			c.zeroPad(ln.data, s, off, end)
+		}
 		ln.setValid(s)
 		if !ln.dirty[s] {
 			ln.dirty[s] = true
@@ -667,13 +675,7 @@ func (c *Cache) WriteAt(lspn int64, firstSub, nSubs int, src []byte, off int) (*
 		}
 	}
 	if c.cfg.TrackData && src != nil {
-		lo, hi := firstSub*c.cfg.SubSize, (firstSub+nSubs)*c.cfg.SubSize
-		if lo < off {
-			lo = off
-		}
-		if end := off + len(src); hi > end {
-			hi = end
-		}
+		lo, hi := max(firstSub*c.cfg.SubSize, off), min((firstSub+nSubs)*c.cfg.SubSize, end)
 		if lo < hi {
 			copy(ln.data[lo:hi], src[lo-off:hi-off])
 			c.copied += uint64(hi - lo)
@@ -688,42 +690,39 @@ func (c *Cache) Write(lspn int64, firstSub, nSubs int, src []byte) (*Eviction, e
 	return c.WriteAt(lspn, firstSub, nSubs, src, 0)
 }
 
-// FlushLine cleans lspn's line, returning its eviction record (nil if not
-// cached). The line stays resident but clean.
-func (c *Cache) FlushLine(lspn int64) *Eviction {
-	ln := c.find(lspn)
-	if ln == nil {
-		return nil
-	}
-	e := c.flushCopy(ln)
-	return &e
-}
-
-// flushCopy cleans the frame's line and returns its eviction record, a copy
-// the caller may keep.
-func (c *Cache) flushCopy(ln *line) Eviction {
-	e := Eviction{LSPN: ln.lspn, Dirty: append([]bool(nil), ln.dirty...), nDirty: ln.nDirty}
-	if c.cfg.TrackData {
-		e.Data = append([]byte(nil), ln.data...)
-		c.copied += uint64(len(ln.data))
-	}
-	clear(ln.dirty)
-	ln.nDirty = 0
-	c.stats.Flushes++
-	return e
-}
-
-// FlushAll returns eviction records for every dirty line (host FLUSH /
-// power-fail path) and cleans them. Lines stay resident.
-func (c *Cache) FlushAll() []Eviction {
-	var out []Eviction
+// FlushEach cleans every dirty line (host FLUSH / power-fail path), in set
+// and way order, after handing visit a record that aliases the frame's own
+// mask and payload for the call. After visit's first error the rest are
+// cleaned unvisited and that error is returned. Lines stay resident.
+func (c *Cache) FlushEach(visit func(*Eviction) error) error {
+	var err error
+	var ev Eviction
 	for i := range c.sets {
 		for _, ln := range c.sets[i].frames {
-			if ln.lspn >= 0 && ln.nDirty > 0 {
-				out = append(out, c.flushCopy(ln))
+			if ln.lspn < 0 || ln.nDirty == 0 {
+				continue
 			}
+			if err == nil {
+				ev = Eviction{LSPN: ln.lspn, Dirty: ln.dirty, Data: ln.data, nDirty: ln.nDirty}
+				err = visit(&ev)
+			}
+			clear(ln.dirty)
+			ln.nDirty = 0
+			c.stats.Flushes++
 		}
 	}
+	return err
+}
+
+// FlushAll is FlushEach returning a copy of every record, for a caller that
+// acts on them after the lines are clean.
+func (c *Cache) FlushAll() []Eviction {
+	var out []Eviction
+	c.FlushEach(func(ev *Eviction) error {
+		out = append(out, Eviction{LSPN: ev.LSPN, Dirty: slices.Clone(ev.Dirty), Data: slices.Clone(ev.Data), nDirty: ev.nDirty})
+		c.copied += uint64(len(ev.Data))
+		return nil
+	})
 	return out
 }
 
@@ -734,24 +733,17 @@ func (c *Cache) Contains(lspn int64, s int) bool {
 }
 
 // DirtyLines counts lines with at least one dirty sub.
-func (c *Cache) DirtyLines() int {
-	n := 0
-	for i := range c.sets {
-		for _, ln := range c.sets[i].frames {
-			if ln.lspn >= 0 && ln.nDirty > 0 {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (c *Cache) DirtyLines() int { return c.countLines(true) }
 
 // ResidentLines counts occupied frames.
-func (c *Cache) ResidentLines() int {
+func (c *Cache) ResidentLines() int { return c.countLines(false) }
+
+// countLines counts occupied frames, or only the dirty ones if dirty.
+func (c *Cache) countLines(dirty bool) int {
 	n := 0
 	for i := range c.sets {
 		for _, ln := range c.sets[i].frames {
-			if ln.lspn >= 0 {
+			if ln.lspn >= 0 && (!dirty || ln.nDirty > 0) {
 				n++
 			}
 		}

@@ -2,6 +2,8 @@ package icl
 
 import (
 	"bytes"
+	"errors"
+	"slices"
 	"testing"
 
 	"amber/internal/sim"
@@ -58,9 +60,11 @@ func TestConfigValidate(t *testing.T) {
 }
 
 // TestPayloadBytes counts the bytes each call moves: a write the part of its
-// source inside its subs, a read and a fill a whole sub each, a flush the
-// whole line, and retiring an eviction record the subs the evicted line had
-// valid. A timing-only cache counts nothing.
+// source inside its subs, zero-padding the rest of a sub it makes valid; a
+// read and a fill a whole sub each, a fill without data zeroing a sub it
+// makes valid; FillLine the frame's dirty subs; FlushEach nothing and
+// FlushAll its copy of the line. Eviction clears no bytes. A timing-only
+// cache counts nothing.
 func TestPayloadBytes(t *testing.T) {
 	for _, track := range []bool{true, false} {
 		c := newCache(t, func(cfg *Config) { cfg.Lines, cfg.ReadaheadThreshold, cfg.TrackData = 1, 0, track })
@@ -69,12 +73,22 @@ func TestPayloadBytes(t *testing.T) {
 			op             func() error
 			copied, zeroed uint64
 		}{
-			{func() error { _, err := c.WriteAt(0, 1, 2, line[:700], 600); return err }, 700, 0},
-			{func() error { _, err := c.Read(0, 0, 4, line); return err }, 700 + 1024, 0},
-			{func() error { _, err := c.Fill(0, []int{0, 1}, line, false); return err }, 1724 + 512, 0}, // sub 1 is dirty: kept
-			{func() error { _, err := c.Write(1, 0, 1, line); return err }, 2236 + 512, 0},              // evicts line 0
-			{func() error { _, err := c.Write(2, 0, 1, line); return err }, 2748 + 512, 3 * 512},        // retires line 0's record
-			{func() error { c.FlushAll(); return nil }, 3260 + 2048, 1536},
+			{func() error { _, err := c.WriteAt(0, 1, 2, line[:700], 600); return err }, 700, 88 + 236},
+			{func() error { _, err := c.Read(0, 0, 4, line); return err }, 700 + 1024, 324},
+			{func() error { _, err := c.Fill(0, []int{0, 1}, line, false); return err }, 1724 + 512, 324}, // sub 1 is dirty: kept
+			{func() error { _, err := c.Write(1, 0, 1, line); return err }, 2236 + 512, 324},              // evicts line 0
+			{func() error { _, err := c.Write(2, 0, 1, line); return err }, 2748 + 512, 324},              // evicts line 1
+			{func() error { // sub 0 is dirty: copied in; a timing-only cache has no FillLine
+				if !track {
+					return nil
+				}
+				_, _, err := c.FillLine(2, make([]byte, 2048), false)
+				return err
+			}, 3260 + 512, 324},
+			{func() error { return c.FlushEach(func(*Eviction) error { return nil }) }, 3772, 324},
+			{func() error { _, err := c.Write(2, 3, 1, line); return err }, 3772 + 512, 324},
+			{func() error { c.FlushAll(); return nil }, 4284 + 2048, 324},
+			{func() error { _, err := c.Fill(3, []int{2}, nil, false); return err }, 6332, 324 + 512}, // evicts line 2
 		}
 		for i, st := range steps {
 			if err := st.op(); err != nil {
@@ -353,34 +367,80 @@ func TestReadaheadHitsAttributed(t *testing.T) {
 	}
 }
 
-func TestFlushLineAndAll(t *testing.T) {
+func TestFlushEachAndAll(t *testing.T) {
 	c := newCache(t, nil)
-	if _, err := c.Write(1, 0, 2, nil); err != nil {
+	for _, w := range []struct {
+		lspn        int64
+		first, subs int
+	}{{1, 0, 2}, {2, 1, 1}, {3, 3, 1}} {
+		if _, err := c.Write(w.lspn, w.first, w.subs, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The visitor sees each dirty frame's own mask; its first error stops
+	// the visits but not the cleaning, and is what FlushEach returns.
+	boom := errors.New("boom")
+	var visited []int64
+	err := c.FlushEach(func(ev *Eviction) error {
+		visited = append(visited, ev.LSPN)
+		if ev.LSPN == 1 && (!ev.Dirty[0] || !ev.Dirty[1] || ev.Dirty[2]) {
+			t.Errorf("line 1 visited with dirty mask %v", ev.Dirty)
+		}
+		if len(visited) == 2 {
+			return boom
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) || !slices.Equal(visited, []int64{1, 2}) {
+		t.Fatalf("FlushEach = %v after visiting %v; want boom after [1 2]", err, visited)
+	}
+	if c.DirtyLines() != 0 || c.Stats().Flushes != 3 {
+		t.Fatalf("after FlushEach: %d dirty lines, %d flushes; want 0 and 3", c.DirtyLines(), c.Stats().Flushes)
+	}
+	if _, err := c.Write(2, 0, 1, nil); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := c.Write(2, 1, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	ev := c.FlushLine(1)
-	if ev == nil || !ev.Dirty[0] || !ev.Dirty[1] || ev.Dirty[2] {
-		t.Fatalf("FlushLine = %+v", ev)
-	}
-	if c.DirtyLines() != 1 {
-		t.Fatalf("DirtyLines after FlushLine = %d", c.DirtyLines())
 	}
 	all := c.FlushAll()
-	if len(all) != 1 || all[0].LSPN != 2 {
+	if len(all) != 1 || all[0].LSPN != 2 || !slices.Equal(all[0].Dirty, []bool{true, false, false, false}) {
 		t.Fatalf("FlushAll = %+v", all)
 	}
-	if c.DirtyLines() != 0 {
+	if c.DirtyLines() != 0 || c.FlushAll() != nil {
 		t.Fatal("dirty lines remain after FlushAll")
 	}
 	// Lines stay resident after flush.
-	if !c.Contains(1, 0) || !c.Contains(2, 1) {
+	if !c.Contains(1, 0) || !c.Contains(2, 1) || !c.Contains(3, 3) {
 		t.Fatal("flush dropped resident lines")
 	}
-	if c.FlushLine(99) != nil {
-		t.Fatal("flush of uncached line returned record")
+}
+
+// TestFillLineSwapsBuffer: FillLine keeps the caller's buffer as the frame's
+// payload, with the frame's dirty sub copied in, and hands back another; it
+// refuses a short buffer and a timing-only cache.
+func TestFillLineSwapsBuffer(t *testing.T) {
+	c := newCache(t, nil)
+	written := bytes.Repeat([]byte{0xAA}, 2048)
+	fetched := bytes.Repeat([]byte{0x55}, 2048)
+	if _, err := c.Write(7, 1, 1, written); err != nil {
+		t.Fatal(err)
+	}
+	ev, back, err := c.FillLine(7, fetched, true)
+	if err != nil || ev != nil || len(back) != 2048 || &back[0] == &fetched[0] {
+		t.Fatalf("FillLine = %v, %d bytes back (the caller's own: %v), %v", ev, len(back), len(back) > 0 && &back[0] == &fetched[0], err)
+	}
+	clear(back) // the caller's now: the cache must not read it
+	got := make([]byte, 2048)
+	if res, err := c.Read(7, 0, 4, got); err != nil || len(res.HitSubs) != 4 {
+		t.Fatalf("read after FillLine: %+v, %v", res, err)
+	}
+	if !bytes.Equal(got[512:1024], written[:512]) || !bytes.Equal(got[:512], fetched[:512]) || !bytes.Equal(got[1024:], fetched[1024:]) {
+		t.Fatal("FillLine lost the dirty sub or the fetched bytes")
+	}
+	if _, _, err := c.FillLine(8, make([]byte, 2047), false); err == nil {
+		t.Fatal("short FillLine buffer accepted")
+	}
+	timing := newCache(t, func(cfg *Config) { cfg.TrackData = false })
+	if _, _, err := timing.FillLine(8, make([]byte, 2048), false); err == nil {
+		t.Fatal("FillLine on a timing-only cache accepted")
 	}
 }
 
@@ -525,9 +585,9 @@ func TestWriteAtByteWindow(t *testing.T) {
 	}
 }
 
-// Frame reuse never leaks a previous resident: eviction clears only the
-// subs the old line had valid, and that has to be enough for every way a
-// sub of the new line becomes valid without bytes.
+// Frame reuse never leaks a previous resident: eviction clears no bytes, so
+// every way a sub of the new line becomes valid without bytes has to
+// zero-pad it.
 func TestFrameReuseNeverLeaksPreviousResident(t *testing.T) {
 	c := newCache(t, func(cfg *Config) { cfg.Lines = 1; cfg.ReadaheadThreshold = 0 })
 	pattern := bytes.Repeat([]byte{0x5A}, 2048)
@@ -578,8 +638,8 @@ func TestFrameReuseNeverLeaksPreviousResident(t *testing.T) {
 	}
 }
 
-// The snapshot image of a cache that clears frames lazily is the image an
-// eagerly zeroing cache produces: re-zeroing every invalid sub by hand
+// The snapshot image of a cache that never clears invalid subs is the image
+// an eagerly zeroing cache produces: zeroing every invalid sub by hand
 // changes nothing, at any point of a long mixed history.
 func TestEncodeStateMatchesEagerZero(t *testing.T) {
 	c := newCache(t, func(cfg *Config) { cfg.Lines = 4; cfg.Assoc = SetAssoc; cfg.Ways = 2; cfg.ReadaheadThreshold = 0 })

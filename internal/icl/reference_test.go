@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"slices"
 	"testing"
 
@@ -246,18 +247,25 @@ func (r *refCache) writeAt(lspn int64, firstSub, nSubs int, src []byte, off int)
 	return ev
 }
 
-func (r *refCache) flushLine(lspn int64) *Eviction {
-	ln := r.find(lspn)
-	if ln == nil {
-		return nil
+// flushAll cleans every dirty line in set and way order, returning a copy
+// of each record.
+func (r *refCache) flushAll() []*Eviction {
+	var out []*Eviction
+	for _, set := range r.sets {
+		for _, ln := range set {
+			if ln.lspn < 0 || !ln.isDirty() {
+				continue
+			}
+			ev := &Eviction{LSPN: ln.lspn, Dirty: append([]bool(nil), ln.dirty...), nDirty: scanSet(ln.dirty)}
+			if r.cfg.TrackData {
+				ev.Data = append([]byte(nil), ln.data...)
+			}
+			out = append(out, ev)
+			clear(ln.dirty)
+			r.stats.Flushes++
+		}
 	}
-	ev := &Eviction{LSPN: lspn, Dirty: append([]bool(nil), ln.dirty...), nDirty: scanSet(ln.dirty)}
-	if r.cfg.TrackData {
-		ev.Data = append([]byte(nil), ln.data...)
-	}
-	clear(ln.dirty)
-	r.stats.Flushes++
-	return ev
+	return out
 }
 
 func (r *refCache) invalidate() {
@@ -348,9 +356,9 @@ func encodeCache(c *Cache) []byte {
 }
 
 // sameEviction compares what a caller acts on: which line left, which subs
-// must be written back, and (TrackData) the bytes of its valid subs — all
-// Data is, the rest being zero on both sides.
-func sameEviction(got, want *Eviction) error {
+// must be written back, and (TrackData) those subs' bytes — the rest of Data
+// is not defined.
+func sameEviction(got, want *Eviction, ss int) error {
 	if (got == nil) != (want == nil) {
 		return fmt.Errorf("eviction %v, reference %v", got, want)
 	}
@@ -360,11 +368,24 @@ func sameEviction(got, want *Eviction) error {
 	if got.IsDirty() != (scanSet(got.Dirty) > 0) {
 		return fmt.Errorf("evicted line %d: IsDirty %v over mask %v", got.LSPN, got.IsDirty(), got.Dirty)
 	}
-	if got.LSPN != want.LSPN || !slices.Equal(got.Dirty, want.Dirty) || !bytes.Equal(got.Data, want.Data) {
-		return fmt.Errorf("evicted line %d dirty %v, reference line %d dirty %v (data equal: %v)",
-			got.LSPN, got.Dirty, want.LSPN, want.Dirty, bytes.Equal(got.Data, want.Data))
+	if got.LSPN != want.LSPN || !slices.Equal(got.Dirty, want.Dirty) {
+		return fmt.Errorf("evicted line %d dirty %v, reference line %d dirty %v", got.LSPN, got.Dirty, want.LSPN, want.Dirty)
+	}
+	if !bytes.Equal(dirtyBytes(got, ss), dirtyBytes(want, ss)) {
+		return fmt.Errorf("evicted line %d: dirty bytes differ from the reference's", got.LSPN)
 	}
 	return nil
+}
+
+// dirtyBytes returns the bytes of an eviction's dirty subs, in sub order.
+func dirtyBytes(ev *Eviction, ss int) []byte {
+	var out []byte
+	for s, d := range ev.Dirty {
+		if d && ev.Data != nil {
+			out = append(out, ev.Data[s*ss:(s+1)*ss]...)
+		}
+	}
+	return out
 }
 
 // scanSet counts a mask's set bits the slow way.
@@ -389,155 +410,232 @@ func checkCounts(c *Cache) error {
 			}
 		}
 	}
-	if v, d := scanSet(c.scratchValid), scanSet(c.scratchEv.Dirty); c.scratchNValid != v || c.scratchEv.nDirty != d {
-		return fmt.Errorf("eviction scratch: counts %d valid / %d dirty, masks hold %d / %d",
-			c.scratchNValid, c.scratchEv.nDirty, v, d)
+	if d := scanSet(c.scratchEv.Dirty); c.scratchEv.nDirty != d {
+		return fmt.Errorf("eviction scratch: count %d dirty, mask holds %d", c.scratchEv.nDirty, d)
 	}
 	return nil
 }
 
 // TestCacheMatchesScanningReference drives random streams of every
-// state-changing call — Read, Write, WriteAt, Fill, FlushLine, Invalidate,
-// SetPreferCleanVictims, and an EncodeState → DecodeState hop onto a fresh
-// cache — through the indexed Cache and the scanning reference, for every
-// organisation and replacement policy. Probe results, evictions, Stats and
-// the EncodeState image must agree after every call: the index and the
-// victim order never choose a different frame than the scans. So must every
-// valid/dirty count with a scan of its mask, and IsDirty with the record's.
+// state-changing call — Read, Write, WriteAt, Fill, FillLine, FlushEach,
+// Invalidate, SetPreferCleanVictims, and an EncodeState → DecodeState hop
+// onto a fresh cache — through the indexed Cache and the scanning reference,
+// for every organisation and replacement policy. Probe results, evictions,
+// Stats and the EncodeState image must agree after every call: the index
+// and the victim order never choose a different frame than the scans. So
+// must every valid/dirty count with a scan of its mask, and IsDirty with the
+// record's.
 func TestCacheMatchesScanningReference(t *testing.T) {
-	const ops = 4000
+	forReferenceConfigs(t, func(t *testing.T, cfg Config, seed uint64) {
+		referenceStream(t, cfg, seed, false)
+	})
+}
+
+// TestPoisonedInvalidSubsChangeNothing runs the scanning-reference stream of
+// every tracked configuration twice, the second time with 0xA5 written over
+// every invalid sub of every frame and every clean sub of the eviction
+// scratch between calls. Read bytes, evictions' dirty bytes and EncodeState
+// images are the same in both runs: nothing reads a byte the payload
+// contract leaves undefined.
+func TestPoisonedInvalidSubsChangeNothing(t *testing.T) {
+	forReferenceConfigs(t, func(t *testing.T, cfg Config, seed uint64) {
+		if !cfg.TrackData {
+			t.Skip("a timing-only cache holds no payload")
+		}
+		if clean, poisoned := referenceStream(t, cfg, seed, false), referenceStream(t, cfg, seed, true); clean != poisoned {
+			t.Fatalf("poisoning invalid subs changed the stream's observables: digest %x, clean %x", poisoned, clean)
+		}
+	})
+}
+
+// forReferenceConfigs runs body as a subtest for every organisation,
+// replacement policy and TrackData setting, with the stream seed of each.
+func forReferenceConfigs(t *testing.T, body func(t *testing.T, cfg Config, seed uint64)) {
 	for ai, assoc := range []Assoc{FullyAssoc, SetAssoc, DirectMap} {
 		for ri, repl := range []Replacement{LRU, FIFO, Random} {
 			for _, trackData := range []bool{true, false} {
-				name := fmt.Sprintf("%v/%v/data=%v", assoc, repl, trackData)
-				t.Run(name, func(t *testing.T) {
-					cfg := Config{
-						Lines: 12, Ways: 4, SubsPerLine: 4, SubSize: 8,
-						Assoc: assoc, Replacement: repl,
-						ReadaheadThreshold: 2, ReadaheadLines: 2,
-						TrackData: trackData, Seed: uint64(100 + 10*ai + ri),
-					}
-					c, err := New(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ref := newRefCache(cfg)
-					rng := sim.NewRNG(uint64(3 + 7*ai + ri))
-					payload := func() []byte {
-						if !trackData || rng.Intn(8) == 0 {
-							return nil
-						}
-						b := make([]byte, cfg.LineBytes())
-						for i := range b {
-							b[i] = byte(rng.Intn(255)) + 1
-						}
-						return b
-					}
-					for op := 0; op < ops; op++ {
-						lspn := int64(rng.Intn(3 * cfg.Lines))
-						if rng.Intn(3) == 0 {
-							lspn = int64(op/8) % int64(4*cfg.Lines) // sequential stretches arm the readahead
-						}
-						first := rng.Intn(cfg.SubsPerLine)
-						n := 1 + rng.Intn(cfg.SubsPerLine-first)
-						var what string
-						var evErr error
-						switch k := rng.Intn(100); {
-						case k < 35:
-							what = "Read"
-							var dst, dstRef []byte
-							if trackData {
-								dst, dstRef = make([]byte, cfg.LineBytes()), make([]byte, cfg.LineBytes())
-							}
-							got, err := c.Read(lspn, first, n, dst)
-							if err != nil {
-								t.Fatal(err)
-							}
-							want := ref.read(lspn, first, n, dstRef)
-							if !slices.Equal(got.HitSubs, want.HitSubs) || !slices.Equal(got.MissSubs, want.MissSubs) ||
-								!slices.Equal(got.Readahead, want.Readahead) || !bytes.Equal(dst, dstRef) {
-								t.Fatalf("op %d Read(%d,%d,%d) = %+v, reference %+v", op, lspn, first, n, got, want)
-							}
-						case k < 55:
-							what = "WriteAt"
-							src := payload()
-							off := 0
-							if src != nil && rng.Intn(2) == 0 {
-								// A window: the line bytes [off, off+len).
-								off = rng.Intn(cfg.LineBytes())
-								src = src[off : off+rng.Intn(cfg.LineBytes()-off+1)]
-							}
-							ev, err := c.WriteAt(lspn, first, n, src, off)
-							if err != nil {
-								t.Fatal(err)
-							}
-							evErr = sameEviction(ev, ref.writeAt(lspn, first, n, src, off))
-						case k < 60:
-							what = "Write"
-							src := payload()
-							ev, err := c.Write(lspn, first, n, src)
-							if err != nil {
-								t.Fatal(err)
-							}
-							evErr = sameEviction(ev, ref.writeAt(lspn, first, n, src, 0))
-						case k < 85:
-							what = "Fill"
-							subs := []int{first}
-							if n > 1 {
-								subs = append(subs, first+n-1)
-							}
-							data, pre := payload(), rng.Intn(4) == 0
-							ev, err := c.Fill(lspn, subs, data, pre)
-							if err != nil {
-								t.Fatal(err)
-							}
-							evErr = sameEviction(ev, ref.fill(lspn, subs, data, pre))
-						case k < 92:
-							what = "FlushLine"
-							evErr = sameEviction(c.FlushLine(lspn), ref.flushLine(lspn))
-						case k < 96:
-							what = "SetPreferCleanVictims"
-							on := rng.Intn(3) == 0
-							c.SetPreferCleanVictims(on)
-							ref.preferClean = on
-						case k < 97:
-							what = "Invalidate"
-							c.Invalidate()
-							ref.invalidate()
-						default:
-							what = "Encode→Decode"
-							restored, err := New(cfg)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if err := restored.DecodeState(snap.NewDec(encodeCache(c))); err != nil {
-								t.Fatalf("op %d: decode of the cache's own image: %v", op, err)
-							}
-							c = restored
-							refRestored := newRefCache(cfg)
-							refRestored.decode(ref.encode())
-							ref = refRestored
-						}
-						if evErr != nil {
-							t.Fatalf("op %d %s(%d): %v", op, what, lspn, evErr)
-						}
-						if c.Stats() != ref.stats {
-							t.Fatalf("op %d %s(%d): stats %+v, reference %+v", op, what, lspn, c.Stats(), ref.stats)
-						}
-						if !bytes.Equal(encodeCache(c), ref.encode()) {
-							t.Fatalf("op %d %s(%d): EncodeState image differs from the reference's", op, what, lspn)
-						}
-						if err := checkCounts(c); err != nil {
-							t.Fatalf("op %d %s(%d): %v", op, what, lspn, err)
-						}
-					}
-					if c.Stats().Evictions == 0 || c.Stats().ReadSubHits == 0 || c.Stats().Readaheads == 0 {
-						t.Fatalf("stream exercised too little: %+v", c.Stats())
-					}
-				})
+				cfg := Config{
+					Lines: 12, Ways: 4, SubsPerLine: 4, SubSize: 8,
+					Assoc: assoc, Replacement: repl,
+					ReadaheadThreshold: 2, ReadaheadLines: 2,
+					TrackData: trackData, Seed: uint64(100 + 10*ai + ri),
+				}
+				seed := uint64(3 + 7*ai + ri)
+				t.Run(fmt.Sprintf("%v/%v/data=%v", assoc, repl, trackData), func(t *testing.T) { body(t, cfg, seed) })
 			}
 		}
 	}
+}
+
+// referenceStream drives one random stream through a Cache and the scanning
+// reference, failing t at the first disagreement, and returns a digest of
+// what a caller observes: read bytes, each eviction's line, mask and dirty
+// bytes, and the EncodeState image after every call. With poison, every
+// invalid sub is overwritten between calls.
+func referenceStream(t *testing.T, cfg Config, seed uint64, poison bool) uint64 {
+	const ops = 4000
+	trackData, ss := cfg.TrackData, cfg.SubSize
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefCache(cfg)
+	rng := sim.NewRNG(seed)
+	digest := fnv.New64a()
+	payload := func() []byte {
+		if !trackData || rng.Intn(8) == 0 {
+			return nil
+		}
+		b := make([]byte, cfg.LineBytes())
+		for i := range b {
+			b[i] = byte(rng.Intn(255)) + 1
+		}
+		return b
+	}
+	allSubs := []int{0, 1, 2, 3}
+	for op := 0; op < ops; op++ {
+		lspn := int64(rng.Intn(3 * cfg.Lines))
+		if rng.Intn(3) == 0 {
+			lspn = int64(op/8) % int64(4*cfg.Lines) // sequential stretches arm the readahead
+		}
+		first := rng.Intn(cfg.SubsPerLine)
+		n := 1 + rng.Intn(cfg.SubsPerLine-first)
+		var what string
+		var evs, refEvs []*Eviction
+		switch k := rng.Intn(100); {
+		case k < 35:
+			what = "Read"
+			var dst, dstRef []byte
+			if trackData {
+				dst, dstRef = make([]byte, cfg.LineBytes()), make([]byte, cfg.LineBytes())
+			}
+			got, err := c.Read(lspn, first, n, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ref.read(lspn, first, n, dstRef)
+			if !slices.Equal(got.HitSubs, want.HitSubs) || !slices.Equal(got.MissSubs, want.MissSubs) ||
+				!slices.Equal(got.Readahead, want.Readahead) || !bytes.Equal(dst, dstRef) {
+				t.Fatalf("op %d Read(%d,%d,%d) = %+v, reference %+v", op, lspn, first, n, got, want)
+			}
+			digest.Write(dst)
+		case k < 55:
+			what = "WriteAt"
+			src := payload()
+			off := 0
+			if src != nil && rng.Intn(2) == 0 {
+				// A window: the line bytes [off, off+len).
+				off = rng.Intn(cfg.LineBytes())
+				src = src[off : off+rng.Intn(cfg.LineBytes()-off+1)]
+			}
+			ev, err := c.WriteAt(lspn, first, n, src, off)
+			if err != nil {
+				t.Fatal(err)
+			}
+			evs, refEvs = []*Eviction{ev}, []*Eviction{ref.writeAt(lspn, first, n, src, off)}
+		case k < 60:
+			what = "Write"
+			src := payload()
+			ev, err := c.Write(lspn, first, n, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			evs, refEvs = []*Eviction{ev}, []*Eviction{ref.writeAt(lspn, first, n, src, 0)}
+		case k < 85:
+			what = "Fill"
+			subs := []int{first}
+			if n > 1 {
+				subs = append(subs, first+n-1)
+			}
+			data, pre := payload(), rng.Intn(4) == 0
+			if data != nil && rng.Intn(4) == 0 {
+				// The cache keeps data and returns a buffer of its own, which
+				// the caller may scribble on at once.
+				what = "FillLine"
+				ev, back, err := c.FillLine(lspn, slices.Clone(data), pre)
+				if err != nil || len(back) != cfg.LineBytes() {
+					t.Fatalf("op %d FillLine(%d): %d bytes back, %v", op, lspn, len(back), err)
+				}
+				for i := range back {
+					back[i] = 0x5A
+				}
+				evs, refEvs = []*Eviction{ev}, []*Eviction{ref.fill(lspn, allSubs, data, pre)}
+				break
+			}
+			ev, err := c.Fill(lspn, subs, data, pre)
+			if err != nil {
+				t.Fatal(err)
+			}
+			evs, refEvs = []*Eviction{ev}, []*Eviction{ref.fill(lspn, subs, data, pre)}
+		case k < 92:
+			what = "FlushEach"
+			refEvs = ref.flushAll()
+			stop := rng.Intn(len(refEvs) + 1) // the visit that fails, if any
+			boom := errors.New("boom")
+			err := c.FlushEach(func(ev *Eviction) error {
+				evs = append(evs, &Eviction{LSPN: ev.LSPN, Dirty: slices.Clone(ev.Dirty), Data: slices.Clone(ev.Data), nDirty: ev.nDirty})
+				if len(evs) == stop {
+					return boom
+				}
+				return nil
+			})
+			if stop > 0 {
+				refEvs = refEvs[:stop]
+			}
+			if (err != nil) != (stop > 0) || len(evs) != len(refEvs) {
+				t.Fatalf("op %d FlushEach = %v after %d visits, reference %d dirty lines, visit %d failing", op, err, len(evs), len(refEvs), stop)
+			}
+		case k < 96:
+			what = "SetPreferCleanVictims"
+			on := rng.Intn(3) == 0
+			c.SetPreferCleanVictims(on)
+			ref.preferClean = on
+		case k < 97:
+			what = "Invalidate"
+			c.Invalidate()
+			ref.invalidate()
+		default:
+			what = "Encode→Decode"
+			restored, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := restored.DecodeState(snap.NewDec(encodeCache(c))); err != nil {
+				t.Fatalf("op %d: decode of the cache's own image: %v", op, err)
+			}
+			c = restored
+			refRestored := newRefCache(cfg)
+			refRestored.decode(ref.encode())
+			ref = refRestored
+		}
+		for i, ev := range evs {
+			if err := sameEviction(ev, refEvs[i], ss); err != nil {
+				t.Fatalf("op %d %s(%d): %v", op, what, lspn, err)
+			}
+			if ev != nil {
+				fmt.Fprintf(digest, "ev %d %v ", ev.LSPN, ev.Dirty)
+				digest.Write(dirtyBytes(ev, ss))
+			}
+		}
+		if c.Stats() != ref.stats {
+			t.Fatalf("op %d %s(%d): stats %+v, reference %+v", op, what, lspn, c.Stats(), ref.stats)
+		}
+		img := encodeCache(c)
+		if !bytes.Equal(img, ref.encode()) {
+			t.Fatalf("op %d %s(%d): EncodeState image differs from the reference's", op, what, lspn)
+		}
+		digest.Write(img)
+		if err := checkCounts(c); err != nil {
+			t.Fatalf("op %d %s(%d): %v", op, what, lspn, err)
+		}
+		if poison {
+			c.poisonInvalidSubs()
+		}
+	}
+	if st := c.Stats(); st.DirtyEvictions == 0 || st.Flushes == 0 || st.ReadSubHits == 0 || st.Readaheads == 0 {
+		t.Fatalf("stream exercised too little: %+v", c.Stats())
+	}
+	return digest.Sum64()
 }
 
 // TestFillKeepsDirtySub: a sub that a write made dirty while its fetch was
@@ -567,9 +665,8 @@ func TestFillKeepsDirtySub(t *testing.T) {
 	if !bytes.Equal(got[:3*ss], want) {
 		t.Fatal("Fill overwrote the dirty sub with the fetched bytes")
 	}
-	ev := c.FlushLine(7)
-	if ev == nil || !slices.Equal(ev.Dirty[:3], []bool{false, true, false}) {
-		t.Fatalf("dirty mask after fill: %+v", ev)
+	if evs := c.FlushAll(); len(evs) != 1 || !slices.Equal(evs[0].Dirty[:3], []bool{false, true, false}) {
+		t.Fatalf("dirty mask after fill: %+v", evs)
 	}
 }
 

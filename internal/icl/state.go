@@ -22,7 +22,7 @@ func (c *Cache) Invalidate() {
 			ln.lastUse = 0
 			ln.inserted = 0
 			ln.prev, ln.next = nil, nil
-			c.clearSubs(ln.valid, ln.dirty, &ln.nValid, &ln.nDirty, ln.data)
+			ln.clearMasks()
 		}
 		st.head, st.tail, st.empty = nil, nil, 0
 	}
@@ -43,6 +43,10 @@ func (c *Cache) state(k *snap.Codec) error {
 	if err := k.Same(c.ways, "cache ways"); err != nil {
 		return err
 	}
+	var img []byte // an encoded frame's payload, its invalid subs zero
+	if c.cfg.TrackData && !k.Decoding() {
+		img = make([]byte, c.cfg.LineBytes())
+	}
 	for i := range c.sets {
 		for _, ln := range c.sets[i].frames {
 			snap.I(k, &ln.lspn)
@@ -54,7 +58,7 @@ func (c *Cache) state(k *snap.Codec) error {
 			snap.U(k, &ln.lastUse)
 			snap.U(k, &ln.inserted)
 			if c.cfg.TrackData {
-				if err := c.payloadState(k, ln); err != nil {
+				if err := c.payloadState(k, ln, img); err != nil {
 					return err
 				}
 			}
@@ -77,24 +81,27 @@ func (c *Cache) state(k *snap.Codec) error {
 	return k.Err()
 }
 
-// payloadState walks a frame's payload, after its valid mask. Decoding
-// copies valid subs only: the fresh frame is zero, and an image is not
-// trusted to uphold the zero invariant for the rest.
-func (c *Cache) payloadState(k *snap.Codec, ln *line) error {
-	buf := ln.data
-	k.Blob(&buf)
-	if !k.Decoding() || k.Err() != nil {
-		return k.Err()
-	}
-	if len(buf) != len(ln.data) {
-		return fmt.Errorf("%w: cache line of %d bytes, want %d", snap.ErrMismatch, len(buf), len(ln.data))
-	}
-	ss := c.cfg.SubSize
-	for i, v := range ln.valid {
-		if v {
-			copy(ln.data[i*ss:(i+1)*ss], buf[i*ss:(i+1)*ss])
+// payloadState walks a frame's payload through img, after its valid mask.
+// An image holds zeros at the invalid subs, as an eagerly zeroed frame would;
+// decoding takes the payload whole, since an invalid sub may hold anything.
+func (c *Cache) payloadState(k *snap.Codec, ln *line, img []byte) error {
+	if !k.Decoding() {
+		ss := c.cfg.SubSize
+		for s, v := range ln.valid {
+			if v {
+				copy(img[s*ss:(s+1)*ss], ln.data[s*ss:(s+1)*ss])
+			} else {
+				clear(img[s*ss : (s+1)*ss])
+			}
 		}
 	}
+	if k.Blob(&img); !k.Decoding() || k.Err() != nil {
+		return k.Err()
+	}
+	if len(img) != len(ln.data) {
+		return fmt.Errorf("%w: cache line of %d bytes, want %d", snap.ErrMismatch, len(img), len(ln.data))
+	}
+	copy(ln.data, img)
 	return nil
 }
 
@@ -133,12 +140,6 @@ func (c *Cache) DecodeState(d *snap.Dec) error {
 // the stamps). Within a set the order is the policy's clock ascending, ties
 // in way order — the frame a scan for the minimum stamp picks first.
 func (c *Cache) reindex() error {
-	stamp := func(ln *line) uint64 {
-		if c.cfg.Replacement == LRU {
-			return ln.lastUse
-		}
-		return ln.inserted
-	}
 	var occupied []*line
 	for i := range c.sets {
 		st := &c.sets[i]
@@ -162,7 +163,7 @@ func (c *Cache) reindex() error {
 			c.index[ln.lspn] = ln
 			occupied = append(occupied, ln)
 		}
-		sort.SliceStable(occupied, func(a, b int) bool { return stamp(occupied[a]) < stamp(occupied[b]) })
+		sort.SliceStable(occupied, func(a, b int) bool { return c.stamp(occupied[a]) < c.stamp(occupied[b]) })
 		for _, ln := range occupied {
 			st.pushTail(ln)
 		}
