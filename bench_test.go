@@ -1173,10 +1173,11 @@ func TestWorkGateBatchRW8kData(t *testing.T) {
 		flashErases, collects     uint64
 		dram, descriptors         uint64
 		// Payload bytes copied and zeroed by the cache, the flash and core's
-		// line staging.
+		// line staging, and the flash pages prefetches pinned.
 		iclCopied, iclZeroed   uint64
 		nandCopied, nandZeroed uint64
 		coreCopied, coreZeroed uint64
+		nandPinned             uint64
 	}
 	read := func() counts {
 		wins, _ := s.BatchStats()
@@ -1189,6 +1190,7 @@ func TestWorkGateBatchRW8kData(t *testing.T) {
 		c.iclCopied, c.iclZeroed = s.ICL.PayloadBytes()
 		c.nandCopied, c.nandZeroed = s.Flash.PayloadBytes()
 		c.coreCopied, c.coreZeroed = s.PayloadBytes()
+		c.nandPinned = s.Flash.PinsTaken()
 		return c
 	}
 	before := read()
@@ -1209,6 +1211,7 @@ func TestWorkGateBatchRW8kData(t *testing.T) {
 		iclCopied: after.iclCopied - before.iclCopied, iclZeroed: after.iclZeroed - before.iclZeroed,
 		nandCopied: after.nandCopied - before.nandCopied, nandZeroed: after.nandZeroed - before.nandZeroed,
 		coreCopied: after.coreCopied - before.coreCopied, coreZeroed: after.coreZeroed - before.coreZeroed,
+		nandPinned: after.nandPinned - before.nandPinned,
 	}
 	// 128 vectors of 64: the 96 write vectors settle in line, one batch
 	// window each, and the 32 read vectors take the evented path — issue and
@@ -1217,26 +1220,30 @@ func TestWorkGateBatchRW8kData(t *testing.T) {
 	// transactions, payload bytes included, land at issue and raise no
 	// channel event. Three collections fall inside the window. Payload bytes:
 	// core copies each read's 8 KiB out of its line buffer and zeroes nothing
-	// (the writes are sub-page aligned, every fill is mapped); the flash
-	// copies whole 8 KiB pages, padding none. The cache moves each request's
-	// 8 KiB once — a write or a demand fill into its frame, a hit out to the
-	// line buffer — and zeroes nothing: eviction clears masks only, every sub
-	// becomes valid with bytes, and a prefetch's line buffer becomes its
-	// frame with no dirty sub to copy in.
+	// (the writes are sub-page aligned, every fill is mapped). The flash
+	// copies whole 8 KiB pages, padding none, into demand fills' line
+	// buffers and programs' staging buffers; readahead copies nothing: each
+	// prefetch pins the 8 KiB pages of its super-page, 18 240 of them, whose
+	// bytes the cache reads in place. The cache moves each request's 8 KiB
+	// once — a write or a demand fill into its frame, a hit out to the line
+	// buffer, from a pin or the frame — and zeroes nothing: eviction clears
+	// masks only, every sub becomes valid with bytes, and a write over a
+	// pinned sub covers all of it, so no pinned byte is merged in.
 	wantCounts := counts{
 		windows: 96, events: eventsByDomain{host: 4096, cpu: 2048, dma: 2048, publish: 2157},
 		flashReads: 27925, flashPrograms: 13801, flashErases: 360, collects: 3,
 		dram: 8344, descriptors: 16384,
 		iclCopied: 67108864, iclZeroed: 0,
-		nandCopied: 278921216, nandZeroed: 0,
+		nandCopied: 129499136, nandZeroed: 0,
 		coreCopied: 2048 * rw8kIO, coreZeroed: 0,
+		nandPinned: 18240,
 	}
 	if got != wantCounts {
 		t.Errorf("work of %d batched 8 KiB requests\n got %+v\nwant %+v", n, got, wantCounts)
 	}
 	perReq := func(b uint64) float64 { return float64(b) / n }
-	t.Logf("batch_rw8k_data payload bytes per request: icl %.0f copied %.0f zeroed, nand %.0f copied %.0f zeroed, core %.0f copied %.0f zeroed",
-		perReq(got.iclCopied), perReq(got.iclZeroed), perReq(got.nandCopied), perReq(got.nandZeroed), perReq(got.coreCopied), perReq(got.coreZeroed))
+	t.Logf("batch_rw8k_data payload bytes per request: icl %.0f copied %.0f zeroed, nand %.0f copied %.0f zeroed, core %.0f copied %.0f zeroed; prefetch pages pinned per request: %.2f",
+		perReq(got.iclCopied), perReq(got.iclZeroed), perReq(got.nandCopied), perReq(got.nandZeroed), perReq(got.coreCopied), perReq(got.coreZeroed), perReq(got.nandPinned))
 	if mismatches != 0 {
 		t.Errorf("%d of %d read-backs differ from what was written", mismatches, n/4)
 	}

@@ -180,8 +180,8 @@ type System struct {
 	opFree   []*submitOp
 	fillFree []*fillOp
 	// lineBufFree recycles the line-sized staging buffers of data-tracking
-	// reads, prefetches and partial-sub merges (acquireLineBuf); its
-	// high-water mark is the most lines ever staged at once.
+	// reads and partial-sub merges (acquireLineBuf); its high-water mark is
+	// the most lines ever staged at once.
 	lineBufFree [][]byte
 	// stagedCopied and stagedZeroed count the payload bytes copied and zeroed
 	// in those buffers and out of them (PayloadBytes); no image holds them.
@@ -302,6 +302,9 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A prefetch hands the cache the flash pages it pinned (fillOp.done);
+	// the cache unpins each when its sub lets go of it.
+	cache.SetPinRelease(flash.Unpin)
 
 	split, err := hil.NewSplitter(subSize, subsPerLine)
 	if err != nil {

@@ -170,8 +170,10 @@ func (s *System) PowerLoss(now sim.Time) PowerLossReport {
 	if seed == 0 {
 		seed = s.cfg.Device.Seed
 	}
-	rep.Flash = s.Flash.PowerLoss(now, seed)
+	// The cache lets go of its pins before the flash drops the rest, those
+	// of the prefetches whose completions the cut discards.
 	s.ICL.Invalidate()
+	rep.Flash = s.Flash.PowerLoss(now, seed)
 	s.FIL.PowerLoss()
 	s.flushBuf = sim.NewPool("flushbuf", s.cfg.Device.Geometry.TotalPlanes())
 	clear(s.filling)

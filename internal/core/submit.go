@@ -530,9 +530,9 @@ func linePayload(ln hil.Line, data []byte) []byte {
 }
 
 // acquireLineBuf hands out a line-layout staging buffer for a data-tracking
-// read, prefetch or partial-sub merge. Buffers are recycled as they are (a
-// prefetch's comes back as a cache frame's old one, icl.FillLine): whoever
-// stages through one writes every byte it later reads.
+// read or partial-sub merge (a prefetch stages nothing: it pins its pages,
+// see prefetch). Buffers are recycled as they are: whoever stages through
+// one writes every byte it later reads.
 func (s *System) acquireLineBuf() []byte {
 	if n := len(s.lineBufFree); n > 0 {
 		buf := s.lineBufFree[n-1]
@@ -707,15 +707,19 @@ func (s *System) readLineAttempt(e *sim.Engine, ln hil.Line, lineBuf []byte, cb 
 }
 
 // fillOp carries one flash fetch (demand miss or prefetch) from its FTL
-// lookup to the cache install at flash completion. Pooled like submitOp.
+// lookup to the cache install at flash completion. Pooled like submitOp. A
+// tracked demand fill lands its bytes in the reader's line buffer; a tracked
+// prefetch pins the flash pages it read instead (pins), which the cache
+// takes over at done.
 type fillOp struct {
 	s        *System
 	e        *sim.Engine
 	lspn     int64
 	subs     []int         // owned copy (the caller's slice may be scratch), ascending
 	fetch    []ftl.PageLoc // where the mapped ones of subs live, in that order; reused
-	lineBuf  []byte        // line-layout staging buffer; a prefetch owns (and releases) its own
+	lineBuf  []byte        // a demand fill's line-layout staging buffer, the reader's
 	dsts     [][]byte      // per-fetch destination slices into lineBuf, reused
+	pins     [][]byte      // by sub, a tracked prefetch's pinned pages (nil: unmapped); reused
 	prefetch bool
 	nFetch   int
 	floor    sim.Time // completion lower bound (hit-side readiness)
@@ -810,9 +814,10 @@ func (s *System) startFill(e *sim.Engine, t sim.Time, lspn int64, subs []int, li
 			}
 			fo.dsts = dsts
 		}
-		// Precopy stage of the install: the page bytes land in the fill's
-		// line buffer at issue (one copy), so the publish below depends on
-		// no flash event. The lookup's read
+		// Precopy stage of the install: a demand fill's page bytes land in
+		// its line buffer at issue (one copy), and a prefetch pins its pages
+		// right after (pinFetched), so the publish below depends on no flash
+		// event. The lookup's read
 		// certificate rides along: while the FTL↔flash chain is armed, the
 		// per-address validation walk is skipped (mapped ⇒ written by
 		// construction).
@@ -832,6 +837,9 @@ func (s *System) startFill(e *sim.Engine, t sim.Time, lspn int64, subs []int, li
 	fo.nFetch = nFetch
 	if lineBuf != nil {
 		fo.zeroUnmapped()
+	}
+	if prefetch && s.ICL.Config().TrackData {
+		fo.pinFetched()
 	}
 
 	// Register the fill so concurrent readers coalesce instead of
@@ -882,9 +890,10 @@ func (fo *fillOp) done() {
 	}
 	var ev *iclEviction
 	var err error
-	if fo.prefetch && fo.lineBuf != nil {
-		// The frame keeps the prefetch's buffer and hands back its old one.
-		ev, fo.lineBuf, err = s.ICL.FillLine(fo.lspn, fo.lineBuf, true)
+	if fo.prefetch && s.ICL.Config().TrackData {
+		// The cache takes the prefetch's pins over: no byte is copied.
+		ev, err = s.ICL.FillPinned(fo.lspn, fo.pins, true)
+		clear(fo.pins)
 	} else {
 		ev, err = s.ICL.Fill(fo.lspn, fo.subs, fo.lineBuf, fo.prefetch)
 	}
@@ -934,17 +943,31 @@ func (fo *fillOp) zeroUnmapped() {
 	}
 }
 
+// pinFetched pins every page the fill's reads were just issued to, in the
+// same serial call, so the pins hold exactly the bytes those reads deliver
+// at issue; a sub flash does not deliver keeps a nil pin and reads as
+// zeroes.
+func (fo *fillOp) pinFetched() {
+	s := fo.s
+	if fo.pins == nil {
+		fo.pins = make([][]byte, s.ICL.Config().SubsPerLine)
+	}
+	for _, loc := range fo.fetch[:fo.nFetch] {
+		fo.pins[loc.Sub] = s.Flash.Pin(s.FTL.Address(loc))
+	}
+}
+
 func (fo *fillOp) finish(t sim.Time, err error) {
 	cb := fo.cb
-	if fo.prefetch && fo.lineBuf != nil {
-		fo.s.releaseLineBuf(fo.lineBuf)
-	}
 	fo.s.releaseFill(fo)
 	cb(t, err)
 }
 
 // prefetch loads a full super-page in the background (§IV-C readahead):
-// the line lands across all dies and later sequential reads hit it.
+// the line lands across all dies and later sequential reads hit it. On a
+// tracked system its reads deliver no bytes: the fill pins the pages they
+// read and the cache serves later hits from those pins (icl.FillPinned), so
+// only a sub a host read actually hits is ever copied.
 func (s *System) prefetch(e *sim.Engine, lspn int64) {
 	if lspn >= s.FTL.UserSuperPages() || !s.FTL.Mapped(lspn) {
 		return
@@ -952,13 +975,7 @@ func (s *System) prefetch(e *sim.Engine, lspn int64) {
 	if _, busy := s.filling[lspn]; busy {
 		return // a fetch is already in flight
 	}
-	var buf []byte
-	if s.ICL.Config().TrackData {
-		// Prefetched lines must carry real bytes when the system tracks
-		// data, or later hits would serve zeroes. The cache keeps it.
-		buf = s.acquireLineBuf()
-	}
-	s.startFill(e, e.Now(), lspn, s.FTL.AllSubs(), buf, true, 0, noopFill)
+	s.startFill(e, e.Now(), lspn, s.FTL.AllSubs(), nil, true, 0, noopFill)
 }
 
 // flushEviction writes a displaced dirty line back through FTL and FIL,

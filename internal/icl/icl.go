@@ -26,12 +26,19 @@
 //     it (short tail, nil source, unmapped fill) is zero-padded then, so
 //     eviction and Invalidate clear masks, never bytes. EncodeState writes
 //     invalid subs as zeros: images equal those of eagerly zeroed frames.
-//   - Records alias: the *Eviction Fill, FillLine and Write return is one
+//   - A clean sub may hold a pin: FillPinned makes each sub's bytes a
+//     sub-size buffer the caller pinned elsewhere (a flash page), so a
+//     prefetched line is never copied in. A pinned sub's bytes are its pin's;
+//     the frame's bytes there are undefined. Read, EncodeState and WriteAt's
+//     merge of a partly written sub read the pin. The cache releases a pin
+//     through the release hook (SetPinRelease) when its sub stops being a
+//     clean copy of it: overwritten, refilled, evicted, invalidated or
+//     decoded over. Dirty subs are never pinned and keep the frame's bytes.
+//   - Records alias: the *Eviction Fill, FillPinned and Write return is one
 //     per-cache record holding the evicted frame's own Dirty and Data,
 //     swapped out, valid until the next call that evicts; FlushEach shows
-//     its visitor each dirty frame's own. Consumers read the dirty subs.
-//   - FillLine takes a whole-line buffer as the frame's own and hands the
-//     frame's old one back: a prefetched line is never copied.
+//     its visitor each dirty frame's own. Consumers read the dirty subs,
+//     which are never pinned.
 //
 // Lookup and victim selection cost the same for every cache size. Three
 // structures mirror the frames' tags: Cache.index maps each resident LSPN to
@@ -198,6 +205,12 @@ type line struct {
 	lastUse    uint64
 	inserted   uint64
 
+	// pins holds, by sub, the buffer a clean sub reads its bytes from
+	// instead of data (FillPinned), nil where data holds them; nPinned
+	// counts the non-nil ones. Tracked caches only.
+	pins    [][]byte
+	nPinned int
+
 	// The frame's set and its neighbours in that set's victim order
 	// (set.head); prev and next are nil at the ends and while the frame is
 	// empty.
@@ -263,6 +276,10 @@ type Cache struct {
 	// scratchClean backs degraded-mode victim filtering (preferClean),
 	// reused across calls so the read-only survival path stays alloc-free.
 	scratchClean []*line
+
+	// release gives a pin back to whoever pinned it (SetPinRelease); nil
+	// drops it.
+	release func([]byte)
 }
 
 // New constructs a Cache from a validated configuration.
@@ -296,6 +313,7 @@ func New(cfg Config) (*Cache, error) {
 			ln := &line{lspn: -1, valid: make([]bool, cfg.SubsPerLine), dirty: make([]bool, cfg.SubsPerLine)}
 			if cfg.TrackData {
 				ln.data = make([]byte, cfg.LineBytes())
+				ln.pins = make([][]byte, cfg.SubsPerLine)
 			}
 			frames[w] = ln
 		}
@@ -314,10 +332,48 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) Stats() Stats { return c.stats }
 
 // PayloadBytes returns the tracked payload bytes the cache has copied — hit
-// subs out to a reader, fills and writes into frames, dirty subs into
-// FillLine's buffer, FlushAll's copies — and zeroed, padding newly valid
-// subs. A cache without TrackData moves none.
+// subs out to a reader, fills and writes into frames, a pinned sub's bytes
+// merged under a partial write, FlushAll's copies — and zeroed, padding
+// newly valid subs. A pinned fill copies nothing. A cache without TrackData
+// moves none.
 func (c *Cache) PayloadBytes() (copied, zeroed uint64) { return c.copied, c.zeroed }
+
+// SetPinRelease sets the hook the cache gives each pin back through once
+// no sub holds it (see the package comment); the owner of the pinned
+// buffers wires it once, before the first FillPinned.
+func (c *Cache) SetPinRelease(release func(buf []byte)) { c.release = release }
+
+// unpin releases sub s's pin, if it holds one; its bytes are the frame's
+// again, undefined until the caller defines them.
+func (c *Cache) unpin(ln *line, s int) {
+	if pin := ln.pins[s]; pin != nil {
+		ln.pins[s] = nil
+		ln.nPinned--
+		c.releasePin(pin)
+	}
+}
+
+// unpinAll releases every pin the frame holds.
+func (c *Cache) unpinAll(ln *line) {
+	for s := 0; ln.nPinned > 0; s++ {
+		c.unpin(ln, s)
+	}
+}
+
+func (c *Cache) releasePin(pin []byte) {
+	if pin != nil && c.release != nil {
+		c.release(pin)
+	}
+}
+
+// subBytes returns the bytes sub s of a tracked frame holds: its pin's, or
+// the frame's.
+func (c *Cache) subBytes(ln *line, s int) []byte {
+	if ln.pins[s] != nil {
+		return ln.pins[s]
+	}
+	return ln.data[s*c.cfg.SubSize : (s+1)*c.cfg.SubSize]
+}
 
 func (c *Cache) setOf(lspn int64) *set {
 	return &c.sets[int(lspn%int64(len(c.sets)))]
@@ -411,6 +467,7 @@ func (c *Cache) evictInto(ln *line, lspn int64) *Eviction {
 	if ln.lspn >= 0 {
 		delete(c.index, ln.lspn)
 		st.unlink(ln)
+		c.unpinAll(ln)
 		// Swap, don't copy: the record takes the frame's dirty mask and
 		// payload wholesale and the frame inherits the retired record's, so an
 		// eviction costs pointer exchanges plus clearing two masks.
@@ -458,6 +515,20 @@ func (c *Cache) zeroPad(data []byte, s, lo, hi int) {
 	clear(data[a:lo])
 	clear(data[hi:b])
 	c.zeroed += uint64(lo - a + b - hi)
+}
+
+// mergePin copies the bytes of pinned sub s outside the line range [lo, hi)
+// that a write fills into the frame and releases the pin: the sub is
+// becoming dirty, and a dirty sub's bytes are the frame's.
+func (c *Cache) mergePin(ln *line, s, lo, hi int) {
+	a, b := s*c.cfg.SubSize, (s+1)*c.cfg.SubSize
+	lo = min(max(lo, a), b)
+	hi = min(max(hi, lo), b)
+	pin := ln.pins[s]
+	copy(ln.data[a:lo], pin[:lo-a])
+	copy(ln.data[hi:b], pin[hi-a:])
+	c.copied += uint64(lo - a + b - hi)
+	c.unpin(ln, s)
 }
 
 // setValid marks sub s of the frame's line valid.
@@ -515,7 +586,7 @@ func (c *Cache) Read(lspn int64, firstSub, nSubs int, dst []byte) (ReadResult, e
 				c.stats.ReadaheadHits++
 			}
 			if c.cfg.TrackData && dst != nil {
-				copy(dst[s*c.cfg.SubSize:(s+1)*c.cfg.SubSize], ln.data[s*c.cfg.SubSize:(s+1)*c.cfg.SubSize])
+				copy(dst[s*c.cfg.SubSize:(s+1)*c.cfg.SubSize], c.subBytes(ln, s))
 				c.copied += uint64(c.cfg.SubSize)
 			}
 		} else {
@@ -571,7 +642,8 @@ func (c *Cache) Read(lspn int64, firstSub, nSubs int, dst []byte) (ReadResult, e
 // attributed. data, when non-nil with TrackData, is a line-layout buffer of
 // which only the filled subs are read (an unmapped sub must be zero in it);
 // with nil data a newly valid sub reads as zeroes. A sub that is dirty in the
-// frame keeps its bytes and its dirty bit.
+// frame keeps its bytes and its dirty bit; a pinned sub that data refills
+// lets go of its pin.
 func (c *Cache) Fill(lspn int64, subs []int, data []byte, prefetched bool) (*Eviction, error) {
 	for _, s := range subs {
 		if err := c.checkRange(s, 1); err != nil {
@@ -599,6 +671,7 @@ func (c *Cache) Fill(lspn int64, subs []int, data []byte, prefetched bool) (*Evi
 			// A dirty sub was written while the fetch was in flight: the
 			// frame holds the newer bytes.
 		case data != nil:
+			c.unpin(ln, s)
 			copy(ln.data[s*ss:(s+1)*ss], data[s*ss:(s+1)*ss])
 			c.copied += uint64(ss)
 		case !ln.valid[s]:
@@ -610,32 +683,41 @@ func (c *Cache) Fill(lspn int64, subs []int, data []byte, prefetched bool) (*Evi
 	return ev, nil
 }
 
-// FillLine is Fill of every sub of lspn from a TrackData line buffer the
-// cache keeps: data becomes the frame's payload, the frame's dirty subs are
-// copied into it, and the frame's old buffer is returned for the caller to
-// reuse (data itself when read-around installs nothing).
-func (c *Cache) FillLine(lspn int64, data []byte, prefetched bool) (*Eviction, []byte, error) {
-	if !c.cfg.TrackData || len(data) != c.cfg.LineBytes() {
-		return nil, data, fmt.Errorf("icl: FillLine of %d bytes, want a tracked line of %d", len(data), c.cfg.LineBytes())
+// FillPinned is Fill of every sub of lspn on a TrackData cache, without
+// copying: pins holds one entry per sub, a pinned sub-size buffer whose
+// bytes the sub then reads (nil: the sub reads as zeroes). The pins are the
+// cache's from this call on, whatever it returns: a sub that is dirty keeps
+// the frame's bytes and its pin is released at once, as are all of them
+// when read-around installs nothing or the call fails.
+func (c *Cache) FillPinned(lspn int64, pins [][]byte, prefetched bool) (*Eviction, error) {
+	ss := c.cfg.SubSize
+	bad := !c.cfg.TrackData || len(pins) != c.cfg.SubsPerLine
+	for _, pin := range pins {
+		bad = bad || pin != nil && len(pin) != ss
+	}
+	if bad {
+		for _, pin := range pins {
+			c.releasePin(pin)
+		}
+		return nil, fmt.Errorf("icl: FillPinned of %d pins, want one of %d bytes or nil per sub of %d on a tracked cache", len(pins), ss, c.cfg.SubsPerLine)
 	}
 	ev, _ := c.Fill(lspn, nil, nil, prefetched) // no subs: cannot fail
 	ln := c.find(lspn)
-	if ln == nil {
-		return nil, data, nil
-	}
-	ss := c.cfg.SubSize
-	for s, d := 0, ln.nDirty; d > 0; s++ {
-		if ln.dirty[s] {
-			copy(data[s*ss:(s+1)*ss], ln.data[s*ss:(s+1)*ss])
-			c.copied += uint64(ss)
-			d--
+	for s, pin := range pins {
+		if ln == nil || ln.dirty[s] {
+			c.releasePin(pin)
+			continue
 		}
-	}
-	ln.data, data = data, ln.data
-	for s := range ln.valid {
+		c.unpin(ln, s)
+		if pin != nil {
+			ln.pins[s] = pin
+			ln.nPinned++
+		} else {
+			c.zeroPad(ln.data, s, 0, 0)
+		}
 		ln.setValid(s)
 	}
-	return ev, data, nil
+	return ev, nil
 }
 
 // WriteAt stores sub-pages [firstSub, firstSub+nSubs) of lspn into the
@@ -665,8 +747,12 @@ func (c *Cache) WriteAt(lspn int64, firstSub, nSubs int, src []byte, off int) (*
 	}
 	end := off + len(src)
 	for s := firstSub; s < firstSub+nSubs; s++ {
-		if c.cfg.TrackData && !ln.valid[s] {
+		switch {
+		case !c.cfg.TrackData:
+		case !ln.valid[s]:
 			c.zeroPad(ln.data, s, off, end)
+		case ln.pins[s] != nil:
+			c.mergePin(ln, s, off, end)
 		}
 		ln.setValid(s)
 		if !ln.dirty[s] {

@@ -60,11 +60,11 @@ func TestConfigValidate(t *testing.T) {
 }
 
 // TestPayloadBytes counts the bytes each call moves: a write the part of its
-// source inside its subs, zero-padding the rest of a sub it makes valid; a
-// read and a fill a whole sub each, a fill without data zeroing a sub it
-// makes valid; FillLine the frame's dirty subs; FlushEach nothing and
-// FlushAll its copy of the line. Eviction clears no bytes. A timing-only
-// cache counts nothing.
+// source inside its subs, zero-padding the rest of a sub it makes valid and
+// merging a pinned sub's bytes around it; a read and a fill a whole sub
+// each, a fill without data zeroing a sub it makes valid; FillPinned only
+// the zeroes of a nil pin; FlushEach nothing and FlushAll its copy of the
+// line. Eviction clears no bytes. A timing-only cache counts nothing.
 func TestPayloadBytes(t *testing.T) {
 	for _, track := range []bool{true, false} {
 		c := newCache(t, func(cfg *Config) { cfg.Lines, cfg.ReadaheadThreshold, cfg.TrackData = 1, 0, track })
@@ -78,17 +78,19 @@ func TestPayloadBytes(t *testing.T) {
 			{func() error { _, err := c.Fill(0, []int{0, 1}, line, false); return err }, 1724 + 512, 324}, // sub 1 is dirty: kept
 			{func() error { _, err := c.Write(1, 0, 1, line); return err }, 2236 + 512, 324},              // evicts line 0
 			{func() error { _, err := c.Write(2, 0, 1, line); return err }, 2748 + 512, 324},              // evicts line 1
-			{func() error { // sub 0 is dirty: copied in; a timing-only cache has no FillLine
+			{func() error { // sub 0 is dirty: its pin goes; sub 2 zeroed; a timing-only cache has no FillPinned
 				if !track {
 					return nil
 				}
-				_, _, err := c.FillLine(2, make([]byte, 2048), false)
+				pin := func() []byte { return make([]byte, 512) }
+				_, err := c.FillPinned(2, [][]byte{pin(), pin(), nil, pin()}, false)
 				return err
-			}, 3260 + 512, 324},
-			{func() error { return c.FlushEach(func(*Eviction) error { return nil }) }, 3772, 324},
-			{func() error { _, err := c.Write(2, 3, 1, line); return err }, 3772 + 512, 324},
-			{func() error { c.FlushAll(); return nil }, 4284 + 2048, 324},
-			{func() error { _, err := c.Fill(3, []int{2}, nil, false); return err }, 6332, 324 + 512}, // evicts line 2
+			}, 3260, 324 + 512},
+			{func() error { _, err := c.WriteAt(2, 1, 1, line[:100], 600); return err }, 3260 + 412 + 100, 836}, // merged over sub 1's pin
+			{func() error { return c.FlushEach(func(*Eviction) error { return nil }) }, 3772, 836},
+			{func() error { _, err := c.Write(2, 3, 1, line); return err }, 3772 + 512, 836}, // covers sub 3's pin
+			{func() error { c.FlushAll(); return nil }, 4284 + 2048, 836},
+			{func() error { _, err := c.Fill(3, []int{2}, nil, false); return err }, 6332, 836 + 512}, // evicts line 2
 		}
 		for i, st := range steps {
 			if err := st.op(); err != nil {
@@ -413,34 +415,60 @@ func TestFlushEachAndAll(t *testing.T) {
 	}
 }
 
-// TestFillLineSwapsBuffer: FillLine keeps the caller's buffer as the frame's
-// payload, with the frame's dirty sub copied in, and hands back another; it
-// refuses a short buffer and a timing-only cache.
-func TestFillLineSwapsBuffer(t *testing.T) {
+// TestFillPinnedHoldsPins: FillPinned serves a line's clean subs from the
+// caller's pinned buffers without copying them, releases the pin of the
+// sub a write made dirty at once, and the rest when the cache is invalidated;
+// it refuses a short pin list, a wrong-size pin and a timing-only cache,
+// releasing the pins it was given.
+func TestFillPinnedHoldsPins(t *testing.T) {
 	c := newCache(t, nil)
+	var released [][]byte
+	c.SetPinRelease(func(buf []byte) { released = append(released, buf) })
 	written := bytes.Repeat([]byte{0xAA}, 2048)
 	fetched := bytes.Repeat([]byte{0x55}, 2048)
 	if _, err := c.Write(7, 1, 1, written); err != nil {
 		t.Fatal(err)
 	}
-	ev, back, err := c.FillLine(7, fetched, true)
-	if err != nil || ev != nil || len(back) != 2048 || &back[0] == &fetched[0] {
-		t.Fatalf("FillLine = %v, %d bytes back (the caller's own: %v), %v", ev, len(back), len(back) > 0 && &back[0] == &fetched[0], err)
+	pins := [][]byte{fetched[:512:512], fetched[512:1024:1024], nil, fetched[1536:]}
+	copied, _ := c.PayloadBytes()
+	ev, err := c.FillPinned(7, pins, true)
+	if err != nil || ev != nil || len(released) != 1 || &released[0][0] != &fetched[512] {
+		t.Fatalf("FillPinned = %v, %v, released %d pins; want the dirty sub's pin released", ev, err, len(released))
 	}
-	clear(back) // the caller's now: the cache must not read it
+	if cp, _ := c.PayloadBytes(); cp != copied {
+		t.Fatalf("FillPinned copied %d bytes", cp-copied)
+	}
 	got := make([]byte, 2048)
 	if res, err := c.Read(7, 0, 4, got); err != nil || len(res.HitSubs) != 4 {
-		t.Fatalf("read after FillLine: %+v, %v", res, err)
+		t.Fatalf("read after FillPinned: %+v, %v", res, err)
 	}
-	if !bytes.Equal(got[512:1024], written[:512]) || !bytes.Equal(got[:512], fetched[:512]) || !bytes.Equal(got[1024:], fetched[1024:]) {
-		t.Fatal("FillLine lost the dirty sub or the fetched bytes")
+	want := slices.Concat(fetched[:512], written[:512], make([]byte, 512), fetched[1536:])
+	if !bytes.Equal(got, want) {
+		t.Fatal("FillPinned lost the dirty sub, the pinned bytes or the nil pin's zeroes")
 	}
-	if _, _, err := c.FillLine(8, make([]byte, 2047), false); err == nil {
-		t.Fatal("short FillLine buffer accepted")
+	fetched[0] = 0x66 // the cache reads the pin itself, not a copy
+	if _, err := c.Read(7, 0, 1, got); err != nil || got[0] != 0x66 {
+		t.Fatalf("read of a pinned sub: %x, %v", got[0], err)
+	}
+	c.Invalidate()
+	if len(released) != 3 {
+		t.Fatalf("%d pins released after Invalidate, want 3", len(released))
+	}
+	for name, bad := range map[string][][]byte{
+		"short pin list": {make([]byte, 512), nil, nil},
+		"wrong-size pin": {make([]byte, 511), nil, nil, nil},
+	} {
+		released = released[:0]
+		if _, err := c.FillPinned(8, bad, false); err == nil || c.Contains(8, 0) {
+			t.Fatalf("%s accepted", name)
+		}
+		if len(released) != 1 {
+			t.Fatalf("%s: %d pins released, want its one", name, len(released))
+		}
 	}
 	timing := newCache(t, func(cfg *Config) { cfg.TrackData = false })
-	if _, _, err := timing.FillLine(8, make([]byte, 2048), false); err == nil {
-		t.Fatal("FillLine on a timing-only cache accepted")
+	if _, err := timing.FillPinned(8, make([][]byte, 4), false); err == nil {
+		t.Fatal("FillPinned on a timing-only cache accepted")
 	}
 }
 

@@ -400,13 +400,27 @@ func scanSet(mask []bool) int {
 }
 
 // checkCounts holds every count the cache keeps beside a mask — each
-// frame's, and the eviction scratch's — to a scan of that mask.
+// frame's, and the eviction scratch's — to a scan of that mask, and each
+// frame's pin count to its pins, which only valid clean subs hold.
 func checkCounts(c *Cache) error {
 	for si := range c.sets {
 		for w, ln := range c.sets[si].frames {
 			if v, d := scanSet(ln.valid), scanSet(ln.dirty); ln.nValid != v || ln.nDirty != d {
 				return fmt.Errorf("set %d way %d (line %d): counts %d valid / %d dirty, masks hold %d / %d",
 					si, w, ln.lspn, ln.nValid, ln.nDirty, v, d)
+			}
+			pinned := 0
+			for s, pin := range ln.pins {
+				if pin == nil {
+					continue
+				}
+				pinned++
+				if !ln.valid[s] || ln.dirty[s] {
+					return fmt.Errorf("set %d way %d (line %d): sub %d pinned while valid %v, dirty %v", si, w, ln.lspn, s, ln.valid[s], ln.dirty[s])
+				}
+			}
+			if ln.nPinned != pinned {
+				return fmt.Errorf("set %d way %d (line %d): count %d pinned, pins hold %d", si, w, ln.lspn, ln.nPinned, pinned)
 			}
 		}
 	}
@@ -417,14 +431,15 @@ func checkCounts(c *Cache) error {
 }
 
 // TestCacheMatchesScanningReference drives random streams of every
-// state-changing call — Read, Write, WriteAt, Fill, FillLine, FlushEach,
+// state-changing call — Read, Write, WriteAt, Fill, FillPinned, FlushEach,
 // Invalidate, SetPreferCleanVictims, and an EncodeState → DecodeState hop
 // onto a fresh cache — through the indexed Cache and the scanning reference,
 // for every organisation and replacement policy. Probe results, evictions,
 // Stats and the EncodeState image must agree after every call: the index
 // and the victim order never choose a different frame than the scans. So
-// must every valid/dirty count with a scan of its mask, and IsDirty with the
-// record's.
+// must every valid/dirty/pinned count with a scan of its mask, and IsDirty
+// with the record's. The reference copies what the cache pins, so it is the
+// copying twin of every pinned fill.
 func TestCacheMatchesScanningReference(t *testing.T) {
 	forReferenceConfigs(t, func(t *testing.T, cfg Config, seed uint64) {
 		referenceStream(t, cfg, seed, false)
@@ -433,10 +448,10 @@ func TestCacheMatchesScanningReference(t *testing.T) {
 
 // TestPoisonedInvalidSubsChangeNothing runs the scanning-reference stream of
 // every tracked configuration twice, the second time with 0xA5 written over
-// every invalid sub of every frame and every clean sub of the eviction
-// scratch between calls. Read bytes, evictions' dirty bytes and EncodeState
-// images are the same in both runs: nothing reads a byte the payload
-// contract leaves undefined.
+// the frame bytes of every invalid or pinned sub and every clean sub of the
+// eviction scratch between calls. Read bytes, evictions' dirty bytes and
+// EncodeState images are the same in both runs: nothing reads a byte the
+// payload contract leaves undefined.
 func TestPoisonedInvalidSubsChangeNothing(t *testing.T) {
 	forReferenceConfigs(t, func(t *testing.T, cfg Config, seed uint64) {
 		if !cfg.TrackData {
@@ -467,11 +482,48 @@ func forReferenceConfigs(t *testing.T, body func(t *testing.T, cfg Config, seed 
 	}
 }
 
+// pinLedger stands in for the owner of the buffers a cache pins: it keeps a
+// copy of each live pin's bytes and, when the cache releases the pin,
+// checks that the bytes are unchanged and scribbles 0x5A over them, so a
+// cache that read a released pin would disagree with the reference.
+type pinLedger struct {
+	t        *testing.T
+	live     map[*byte][]byte
+	released int
+}
+
+func newPinLedger(t *testing.T) *pinLedger {
+	return &pinLedger{t: t, live: make(map[*byte][]byte)}
+}
+
+// pin returns a fresh pinned copy of b.
+func (l *pinLedger) pin(b []byte) []byte {
+	buf := slices.Clone(b)
+	l.live[&buf[0]] = slices.Clone(b)
+	return buf
+}
+
+func (l *pinLedger) release(buf []byte) {
+	l.t.Helper()
+	want, ok := l.live[&buf[0]]
+	if !ok {
+		l.t.Fatal("the cache released a pin it did not hold")
+	}
+	if !bytes.Equal(buf, want) {
+		l.t.Fatal("a pinned buffer's bytes changed while the cache held it")
+	}
+	delete(l.live, &buf[0])
+	for i := range buf {
+		buf[i] = 0x5A
+	}
+	l.released++
+}
+
 // referenceStream drives one random stream through a Cache and the scanning
 // reference, failing t at the first disagreement, and returns a digest of
 // what a caller observes: read bytes, each eviction's line, mask and dirty
 // bytes, and the EncodeState image after every call. With poison, every
-// invalid sub is overwritten between calls.
+// undefined frame byte is overwritten between calls.
 func referenceStream(t *testing.T, cfg Config, seed uint64, poison bool) uint64 {
 	const ops = 4000
 	trackData, ss := cfg.TrackData, cfg.SubSize
@@ -479,6 +531,9 @@ func referenceStream(t *testing.T, cfg Config, seed uint64, poison bool) uint64 
 	if err != nil {
 		t.Fatal(err)
 	}
+	pins := newPinLedger(t)
+	c.SetPinRelease(pins.release)
+	pinnedFills := 0
 	ref := newRefCache(cfg)
 	rng := sim.NewRNG(seed)
 	digest := fnv.New64a()
@@ -549,17 +604,37 @@ func referenceStream(t *testing.T, cfg Config, seed uint64, poison bool) uint64 
 			}
 			data, pre := payload(), rng.Intn(4) == 0
 			if data != nil && rng.Intn(4) == 0 {
-				// The cache keeps data and returns a buffer of its own, which
-				// the caller may scribble on at once.
-				what = "FillLine"
-				ev, back, err := c.FillLine(lspn, slices.Clone(data), pre)
-				if err != nil || len(back) != cfg.LineBytes() {
-					t.Fatalf("op %d FillLine(%d): %d bytes back, %v", op, lspn, len(back), err)
+				// Every sub pinned, or unmapped (nil: zeroes) now and then;
+				// the reference copies the same bytes in.
+				what = "FillPinned"
+				line := make([][]byte, cfg.SubsPerLine)
+				for s := range line {
+					if rng.Intn(8) == 0 {
+						clear(data[s*ss : (s+1)*ss])
+						continue
+					}
+					line[s] = pins.pin(data[s*ss : (s+1)*ss])
 				}
-				for i := range back {
-					back[i] = 0x5A
+				ev, err := c.FillPinned(lspn, line, pre)
+				if err != nil {
+					t.Fatalf("op %d FillPinned(%d): %v", op, lspn, err)
 				}
 				evs, refEvs = []*Eviction{ev}, []*Eviction{ref.fill(lspn, allSubs, data, pre)}
+				pinnedFills++
+				if rng.Intn(2) == 0 {
+					// Write part of one sub, merging it over its pin.
+					s := rng.Intn(cfg.SubsPerLine)
+					lo := s*ss + rng.Intn(ss)
+					src := payload()
+					if src != nil {
+						src = src[lo : lo+1+rng.Intn((s+1)*ss-lo)]
+					}
+					ev, err := c.WriteAt(lspn, s, 1, src, lo)
+					if err != nil {
+						t.Fatal(err)
+					}
+					evs, refEvs = append(evs, ev), append(refEvs, ref.writeAt(lspn, s, 1, src, lo))
+				}
 				break
 			}
 			ev, err := c.Fill(lspn, subs, data, pre)
@@ -600,9 +675,11 @@ func referenceStream(t *testing.T, cfg Config, seed uint64, poison bool) uint64 
 			if err != nil {
 				t.Fatal(err)
 			}
+			restored.SetPinRelease(pins.release)
 			if err := restored.DecodeState(snap.NewDec(encodeCache(c))); err != nil {
 				t.Fatalf("op %d: decode of the cache's own image: %v", op, err)
 			}
+			c.Invalidate() // the discarded cache lets go of its pins
 			c = restored
 			refRestored := newRefCache(cfg)
 			refRestored.decode(ref.encode())
@@ -628,12 +705,16 @@ func referenceStream(t *testing.T, cfg Config, seed uint64, poison bool) uint64 
 		if err := checkCounts(c); err != nil {
 			t.Fatalf("op %d %s(%d): %v", op, what, lspn, err)
 		}
+		if held := c.pinnedSubs(); held != len(pins.live) {
+			t.Fatalf("op %d %s(%d): the cache holds %d pins, %d are live", op, what, lspn, held, len(pins.live))
+		}
 		if poison {
 			c.poisonInvalidSubs()
 		}
 	}
-	if st := c.Stats(); st.DirtyEvictions == 0 || st.Flushes == 0 || st.ReadSubHits == 0 || st.Readaheads == 0 {
-		t.Fatalf("stream exercised too little: %+v", c.Stats())
+	if st := c.Stats(); st.DirtyEvictions == 0 || st.Flushes == 0 || st.ReadSubHits == 0 || st.Readaheads == 0 ||
+		trackData && (pinnedFills == 0 || pins.released == 0) {
+		t.Fatalf("stream exercised too little: %+v, %d pinned fills, %d pins released", c.Stats(), pinnedFills, pins.released)
 	}
 	return digest.Sum64()
 }

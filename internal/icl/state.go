@@ -11,12 +11,14 @@ import (
 // volatile, so every frame is dropped — including dirty lines whose
 // write-back never reached flash (that is exactly the data a power-loss
 // test must prove was either acknowledged-durable or never acknowledged).
-// The sequential detector and degraded-mode latch reset with the frames;
-// the statistics survive (they are the observer's, not the firmware's).
+// The sequential detector and degraded-mode latch reset with the frames, and
+// every pin is released; the statistics survive (they are the observer's,
+// not the firmware's).
 func (c *Cache) Invalidate() {
 	for i := range c.sets {
 		st := &c.sets[i]
 		for _, ln := range st.frames {
+			c.unpinAll(ln)
 			ln.lspn = -1
 			ln.prefetched = false
 			ln.lastUse = 0
@@ -82,14 +84,15 @@ func (c *Cache) state(k *snap.Codec) error {
 }
 
 // payloadState walks a frame's payload through img, after its valid mask.
-// An image holds zeros at the invalid subs, as an eagerly zeroed frame would;
-// decoding takes the payload whole, since an invalid sub may hold anything.
+// An image holds zeros at the invalid subs, as an eagerly zeroed frame would,
+// and a pinned sub's pin; decoding takes the payload whole into the frame,
+// since an invalid sub may hold anything.
 func (c *Cache) payloadState(k *snap.Codec, ln *line, img []byte) error {
 	if !k.Decoding() {
 		ss := c.cfg.SubSize
 		for s, v := range ln.valid {
 			if v {
-				copy(img[s*ss:(s+1)*ss], ln.data[s*ss:(s+1)*ss])
+				copy(img[s*ss:(s+1)*ss], c.subBytes(ln, s))
 			} else {
 				clear(img[s*ss : (s+1)*ss])
 			}
@@ -122,9 +125,15 @@ func (c *Cache) EncodeState(e *snap.Enc) {
 }
 
 // DecodeState reinstalls a state captured by EncodeState into c, which
-// must be freshly constructed with the identical configuration. On error
-// c must be discarded.
+// must be freshly constructed with the identical configuration; any pin it
+// holds is released first, since the image carries every sub's bytes. On
+// error c must be discarded.
 func (c *Cache) DecodeState(d *snap.Dec) error {
+	for i := range c.sets {
+		for _, ln := range c.sets[i].frames {
+			c.unpinAll(ln)
+		}
+	}
 	if err := c.state(snap.Decoding(d)); err != nil {
 		return err
 	}

@@ -8,8 +8,9 @@ import "amber/internal/sim"
 // in the NAND array — block erase counts, programmed-page bitmaps and
 // in-order pointers, page payloads, per-page OOB stamps, and the grown
 // bad-block table. Everything else (the erase-undo journal, the staging
-// pool) is firmware RAM: PowerLoss resolves the journal and keeps the pool,
-// whose contents every taker overwrites. The activity counters and energy
+// pool, the pins) is firmware RAM: PowerLoss resolves the journal, drops the
+// pins and keeps the pool, whose contents every taker overwrites. The
+// activity counters and energy
 // are neither: they are the simulator's record of what was issued, charged
 // at issue, so an op issued before a cut stays counted even if it would have
 // completed after it.
@@ -154,6 +155,8 @@ type PowerLossReport struct {
 // seeded draw (see tornDraw), torn pages lose their payload and their OOB
 // checksum, and an erase already started completes (the model's
 // deterministic resolution rule). Counters and energy are left as issued.
+// Every pin is dropped and every orphan pooled: whatever held a pin lived in
+// firmware RAM, so the caller drops its pinned buffers unreleased.
 //
 // The caller must have stopped dispatching events first (sim.Engine.Halt).
 // The undone set is decided purely by comparing each journaled erase's
@@ -211,6 +214,7 @@ func (f *Flash) PowerLoss(now sim.Time, seed uint64) PowerLossReport {
 		}
 	}
 	f.plan.e, f.plan.open = nil, false // a plan the cut interrupted is over
+	f.dropPins()                       // their holders were firmware RAM
 	f.epoch++                          // the cut is a functional state transition
 	return rep
 }

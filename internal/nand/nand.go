@@ -542,12 +542,18 @@ type Flash struct {
 	chEnergy []float64
 
 	// copied and zeroed count the tracked payload bytes the flash has moved
-	// between caller buffers and pages and cleared in them (PayloadBytes):
-	// no Stats field and no part of an image.
-	copied, zeroed uint64
+	// between caller buffers and pages and cleared in them (PayloadBytes),
+	// and pinsTaken the pins Pin took instead of a copy (PinsTaken): no
+	// Stats field and no part of an image.
+	copied, zeroed, pinsTaken uint64
 
 	// pageBufs is the staging pool: page buffers no page holds (StagingBuf).
 	pageBufs [][]byte
+	// pins holds the live pins (Pin), keyed on the pinned buffer's first
+	// byte: a buffer outlives its page's contents (an erase takes it, and
+	// the page can be reprogrammed and pinned again while the old pin
+	// lives), so the page cannot be the key.
+	pins map[*byte]pin
 
 	// plan is the reusable context for BeginPlan (one plan executes at a
 	// time). direct is an engine-less batch that is never opened: Read,
@@ -572,7 +578,8 @@ type Flash struct {
 	// survives the cut. Records are pruned once the dispatch clock passes
 	// their start (from then on any cut catches the erase mid-operation,
 	// which the model resolves as completed), and the page buffers a
-	// tracked flash's record holds go to the staging pool. eraseUndoPool
+	// tracked flash's record holds go to the staging pool (ReleaseStagingBuf:
+	// a pinned one becomes an orphan). eraseUndoPool
 	// recycles pruned records so the steady-state erase path stays
 	// allocation-free.
 	eraseUndo     []*eraseUndoRec
@@ -649,6 +656,7 @@ func New(geo Geometry, tim Timing, pow Power, cell CellType, opt Options) (*Flas
 	f.pagesPerC = geo.TotalPages() / int64(geo.Channels)
 	f.plan.f, f.direct.f = f, f
 	if opt.TrackData {
+		f.pins = make(map[*byte]pin)
 		f.sums = make([]uint64, geo.TotalPages())
 		f.data = make([]*pageArena, geo.Channels)
 		for ch := range f.data {
@@ -890,9 +898,9 @@ func (f *Flash) ReadDeferredEagerTrusted(_ *sim.Engine, _ sim.DomainID, now sim.
 // the buffers it took from its block once the erase can no longer be undone.
 // So the buffers of erased pages stage the programs that refill them, and
 // the buffers in existence are bounded by the arena plus what the undo
-// journal and one plan hold at once. The contents are whatever the last user
-// left: every taker overwrites or pads the whole page before anything reads
-// it.
+// journal, the pins and one plan hold at once. The contents are whatever the
+// last user left: every taker overwrites or pads the whole page before
+// anything reads it. A pinned buffer is never pooled (see Pin).
 func (f *Flash) StagingBuf() []byte {
 	if n := len(f.pageBufs); n > 0 {
 		buf := f.pageBufs[n-1]
@@ -902,9 +910,98 @@ func (f *Flash) StagingBuf() []byte {
 	return make([]byte, f.geo.PageSize)
 }
 
-// ReleaseStagingBuf returns a page buffer nothing holds to the pool.
+// ReleaseStagingBuf returns a page buffer nothing holds to the pool. It is
+// the only way into the pool: a pinned buffer is kept aside instead, as an
+// orphan, until its last Unpin pools it.
 func (f *Flash) ReleaseStagingBuf(buf []byte) {
+	if len(f.pins) > 0 {
+		if p, ok := f.pins[&buf[0]]; ok {
+			p.orphan = buf
+			f.pins[&buf[0]] = p
+			return
+		}
+	}
 	f.pageBufs = append(f.pageBufs, buf)
+}
+
+// pin is one pinned buffer's record: how many pins it has, and the buffer
+// itself once nothing but its pins holds it (an orphan).
+type pin struct {
+	n      int
+	orphan []byte
+}
+
+// Pin returns the buffer holding the tracked contents of the page at addr
+// and pins it: the buffer's bytes do not change until a matching Unpin,
+// whatever programs, erases, undo pruning or restores do to the page
+// meanwhile, so a pin taken right after a read is issued holds exactly the
+// bytes that read delivers, and the holder may read them any time before it
+// unpins. The buffer stays where it is (no copy); if the page gives it up
+// while pinned, the last Unpin pools it. Pin returns nil, and needs no
+// Unpin, when the page holds no tracked bytes (it reads as zeroes) or data
+// tracking is off. A power cut drops every pin (PowerLoss).
+func (f *Flash) Pin(addr Address) []byte {
+	if !f.trackData {
+		return nil
+	}
+	pageIdx := f.geo.PageIndex(addr)
+	buf := f.data[int(pageIdx/f.pagesPerC)].get(f.chanLocal(pageIdx))
+	if buf == nil {
+		return nil
+	}
+	p := f.pins[&buf[0]]
+	p.n++
+	f.pins[&buf[0]] = p
+	f.pinsTaken++
+	return buf
+}
+
+// PinsTaken returns how many pins Pin has taken: page reads whose bytes a
+// holder reads in place instead of a copy.
+func (f *Flash) PinsTaken() uint64 { return f.pinsTaken }
+
+// Unpin releases one pin Pin took on buf (nil is a no-op). The last pin on
+// an orphan pools it; a buffer the arena or an undo record still holds is
+// only forgotten. Unpinning a buffer that holds no pin panics: the caller
+// released it twice.
+func (f *Flash) Unpin(buf []byte) {
+	if buf == nil {
+		return
+	}
+	k := &buf[0]
+	p, ok := f.pins[k]
+	if !ok {
+		panic("nand: Unpin of a buffer that holds no pin")
+	}
+	if p.n--; p.n > 0 {
+		f.pins[k] = p
+		return
+	}
+	delete(f.pins, k)
+	if p.orphan != nil {
+		f.pageBufs = append(f.pageBufs, p.orphan)
+	}
+}
+
+// dropPins forgets every pin and pools every orphan.
+func (f *Flash) dropPins() {
+	for k, p := range f.pins {
+		if p.orphan != nil {
+			f.pageBufs = append(f.pageBufs, p.orphan)
+		}
+		delete(f.pins, k)
+	}
+}
+
+// Buffers counts the pinned page buffers, wherever they are, the orphans
+// among them, and the pooled buffers. A timing-only flash has none.
+func (f *Flash) Buffers() (pinned, orphans, pooled int) {
+	for _, p := range f.pins {
+		if p.orphan != nil {
+			orphans++
+		}
+	}
+	return len(f.pins), orphans, len(f.pageBufs)
 }
 
 // install makes buf the contents of page pageIdx and returns the buffer the

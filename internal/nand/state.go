@@ -12,8 +12,8 @@ import (
 // condition, OOB stamps, tracked payloads, per-channel counters and energy,
 // the state epoch and program sequence, the ISPP jitter cursor, the
 // bad-block table, and the fault model's counters and site log. The
-// erase-undo journal and the staging pool are firmware RAM and have no
-// serialized form.
+// erase-undo journal, the staging pool and the pins are firmware RAM and
+// have no serialized form.
 func (f *Flash) state(c *snap.Codec) error {
 	for _, r := range f.channels {
 		r.Snap(c)
@@ -185,9 +185,9 @@ func (f *Flash) EncodeState(e *snap.Enc) {
 
 // DecodeState reinstalls a state captured by EncodeState into f, which must
 // be freshly constructed with the identical geometry, options and fault
-// configuration (the image fingerprint enforces this upstream). On error f
-// is left partially written and must be discarded — callers decode into a
-// scratch device and swap on success.
+// configuration (the image fingerprint enforces this upstream), so it holds
+// no pins. On error f is left partially written and must be discarded —
+// callers decode into a scratch device and swap on success.
 func (f *Flash) DecodeState(d *snap.Dec) error { return f.state(snap.Decoding(d)) }
 
 // QuiescedForSnapshot reports nil unless a plan batch is open, the

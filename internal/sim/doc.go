@@ -105,27 +105,32 @@
 //
 // The fill continuation — the cache install, memory charge and waiter
 // wakeup that follow a flash-backed fetch — consumes page bytes a channel
-// produced. The install is split in two stages. The precopy stage delivers
-// the page bytes into the fill's line buffer at issue time
-// (nand.Flash.ReadDeferredAddr through fil.ReadSubsStaged): the copy reads
-// the arena, where every program issued before it has landed, and is the
-// only data movement; the reads' counters and energy are charged with it,
-// and nothing is scheduled. The publish stage (core's fil.publish domain)
-// installs the completed buffer at the fetch's completion time; its buffer
-// was finished at issue, so it waits on no other event.
+// produced. The install is split in two stages. The precopy stage fixes
+// the page bytes at issue time: a demand fill's reads deliver them into its
+// line buffer (nand.Flash.ReadDeferredAddr through fil.ReadSubsStaged), and
+// a prefetch's reads deliver nothing while the fill pins each page read, in
+// the same serial call (nand.Flash.Pin: the pinned buffer's bytes never
+// change until it is unpinned). Either way the bytes are those of the arena,
+// where every program issued before has landed; the reads' counters and
+// energy are charged with them, and nothing is scheduled. The publish stage
+// (core's fil.publish domain) installs the line buffer, or hands the cache
+// the pins (icl.Cache.FillPinned), at the fetch's completion time; both were
+// finished at issue, so it waits on no other event.
 //
 // Payload granularity. The bytes of the datapath move at the granularity the
 // cache is valid at, the sub-page, and none of the arguments here depend on
 // how big the buffers around them are. A host write's payload is the cache's
 // source directly (icl.Cache.WriteAt, at its true in-line offset); an
-// eviction clears only the subs the outgoing line had valid; a read or
-// prefetch stages through a line buffer recycled from a free list on
-// core.System, uncleared. What changed against the line-sized scheme is
-// buffer ownership only: page bytes still land at issue into a buffer
-// nothing else touches until the publish
-// that consumes it (a demand read's buffer returns to the list at the
-// request's completion, a prefetch's at the fill's), and sub-pages a fill
-// finds unmapped are zeroed at issue as well, since a recycled buffer is not.
+// eviction clears only the subs the outgoing line had valid; a demand read
+// stages through a line buffer recycled from a free list on core.System,
+// uncleared, and a prefetch copies nothing, holding pins instead. What
+// changed against the line-sized scheme is buffer ownership only: page
+// bytes are still fixed at issue in buffers nothing else touches until the
+// publish that consumes them (a demand read's buffer returns to the list at
+// the request's completion; a pin is released when its cache sub lets go of
+// it), and sub-pages a demand fill finds unmapped are zeroed at issue as
+// well, since a recycled buffer is not (a prefetch's read as zeroes in the
+// cache).
 // One new reader of flash bytes exists: a write that covers part of an
 // uncached sub-page merges the sub's current contents under the payload
 // (core's widenPartialWrite, nand.Flash.PagePayload). It runs inside the
