@@ -1,5 +1,5 @@
 // Package amber's root bench suite regenerates every table and figure of
-// the paper's evaluation (one benchmark per table/figure, DESIGN.md §4)
+// the paper's evaluation (one benchmark per table/figure of §V)
 // plus ablation benches for the §IV-C design choices, and holds the
 // microbenchmarks with no end-to-end workload of their own yet: the engine
 // hot loop (on the synthetic loop defined and tested at the end of this
@@ -8,9 +8,10 @@
 //
 //	go test -bench=. -benchmem
 //
-// Each figure benchmark executes its experiment in quick mode and reports
-// the simulator's wall-clock cost; the printed tables themselves come from
-// cmd/amberbench, and end-to-end host speed from bench/.
+// Each figure benchmark executes its experiment at full resolution, the
+// only configuration, serially, and reports the simulator's wall-clock cost;
+// the printed tables themselves come from cmd/amberbench, and end-to-end
+// host speed from bench/.
 package amber_test
 
 import (
@@ -33,13 +34,11 @@ import (
 	"amber/internal/workload"
 )
 
-var quick = exp.Options{Quick: true}
-
 func benchExperiment(b *testing.B, run func(exp.Options) (*exp.Table, error)) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t, err := run(quick)
+		t, err := run(exp.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,9 +66,9 @@ func BenchmarkFigure15c_DRAMUsage(b *testing.B)              { benchExperiment(b
 func BenchmarkFigure16_SimSpeed(b *testing.B)                { benchExperiment(b, exp.Figure16) }
 func BenchmarkTableIV_Features(b *testing.B)                 { benchExperiment(b, exp.TableIV) }
 
-// ablationSystem measures 4K random-read or write bandwidth for a mutated
-// device configuration — the harness for the §IV-C design-choice ablations
-// DESIGN.md calls out.
+// ablationBandwidth measures 4K random-read or write bandwidth for a
+// mutated device configuration — the harness for the §IV-C design-choice
+// ablations.
 func ablationBandwidth(b *testing.B, pattern workload.Pattern, mutate func(*core.DeviceConfig)) float64 {
 	b.Helper()
 	d, err := config.Device("intel750")

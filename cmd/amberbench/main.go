@@ -4,16 +4,17 @@
 //
 // Usage:
 //
-//	amberbench                  # run everything (full resolution)
-//	amberbench -quick           # reduced request counts / sweep resolution
+//	amberbench                  # run everything
 //	amberbench -only fig8,fig9  # a subset
-//	amberbench -parallel 8      # fan independent device sims out over 8 workers
+//	amberbench -parallel 8      # fan independent device sims out over 8 workers (-1 = NumCPU)
 //	amberbench -json out.json   # the same tables, machine-readable
 //	amberbench -list
 //
-// The -parallel fan-out is across independent core.System configurations
-// inside each experiment and is byte-identical to a serial run at any worker
-// count. Host speed is measured elsewhere: bench/ (bash bench/run.sh) for the
+// Every experiment has one configuration, the full evaluation. The -parallel
+// fan-out is across independent core.System configurations inside each
+// experiment and is byte-identical to a serial run at any worker count.
+// Positional arguments are rejected: pick experiments with -only. Host
+// speed is measured elsewhere: bench/ (bash bench/run.sh) for the
 // end-to-end workloads, go test -bench in the root package for the
 // microbenchmarks.
 package main
@@ -39,7 +40,6 @@ type jsonReport struct {
 	GoVersion   string           `json:"go_version"`
 	NumCPU      int              `json:"num_cpu"`
 	Parallel    int              `json:"parallel"`
-	Quick       bool             `json:"quick"`
 	Experiments []jsonExperiment `json:"experiments"`
 }
 
@@ -58,7 +58,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("amberbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		quick    = fs.Bool("quick", false, "reduced request counts and sweep resolution")
 		only     = fs.String("only", "", "comma-separated experiment ids (default: all)")
 		list     = fs.Bool("list", false, "list experiment ids and exit")
 		parallel = fs.Int("parallel", 0, "workers for independent device sims per experiment (0 = serial, -1 = NumCPU)")
@@ -70,6 +69,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	// Experiments are chosen with -only; a stray word would otherwise be
+	// ignored and the whole suite run.
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "amberbench: unexpected argument %q (use -only)\n", fs.Arg(0))
+		return 2
+	}
+	if *parallel < -1 {
+		fmt.Fprintf(stderr, "amberbench: bad -parallel %d: want -1 (NumCPU) or a non-negative worker count\n", *parallel)
+		return 2
+	}
 
 	if *list {
 		for _, e := range exp.All() {
@@ -79,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	workers := *parallel
-	if workers < 0 {
+	if workers == -1 {
 		workers = exp.AutoParallel()
 	}
 
@@ -111,13 +120,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		jsonFile = f
 	}
 
-	o := exp.Options{Quick: *quick, Parallel: workers}
+	o := exp.Options{Parallel: workers}
 	report := jsonReport{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GoVersion:   runtime.Version(),
 		NumCPU:      runtime.NumCPU(),
 		Parallel:    workers,
-		Quick:       *quick,
 	}
 	failed := 0
 	for _, e := range exp.All() {

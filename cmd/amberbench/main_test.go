@@ -49,3 +49,31 @@ func TestJSONPathCheckedFirst(t *testing.T) {
 		t.Fatalf("table4 was not printed:\n%s", stdout.String())
 	}
 }
+
+// TestRejectsBadArguments pins the usage errors that exit 2 with one stderr
+// line before any experiment runs: a positional argument (experiments are
+// chosen with -only), a -parallel below the documented -1, and the retired
+// reduced-resolution flag.
+func TestRejectsBadArguments(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-list", "extra"}, `amberbench: unexpected argument "extra" (use -only)`},
+		{[]string{"fig8"}, `amberbench: unexpected argument "fig8" (use -only)`},
+		{[]string{"-only", "table4", "fig8"}, `amberbench: unexpected argument "fig8" (use -only)`},
+		{[]string{"-parallel", "-7", "-only", "table4"}, "amberbench: bad -parallel -7: want -1 (NumCPU) or a non-negative worker count"},
+		{[]string{"-quick"}, "flag provided but not defined: -quick"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != 2 {
+			t.Errorf("%q: exit %d, want 2 (stderr %q)", tc.args, code, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%q: printed %q, want nothing on stdout", tc.args, stdout.String())
+		}
+		if first, _, _ := strings.Cut(stderr.String(), "\n"); first != tc.want {
+			t.Errorf("%q: stderr starts %q, want %q", tc.args, first, tc.want)
+		}
+	}
+}

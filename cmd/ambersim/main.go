@@ -68,6 +68,12 @@ func main() {
 		scrubSpec = flag.String("scrub-every", "", "patrol scrub cadence (e.g. 5ms): a background scrubber walks blocks by disturb/retention risk and migrates at-risk pages, deferring wear-out read-only")
 	)
 	flag.Parse()
+	// Every input is a flag; Parse stops at the first other word, so a
+	// stray one would silently drop it and every flag after it.
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "ambersim: unexpected argument %q (every option is a flag; see -h)\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	if *list {
 		names := make([]string, 0)

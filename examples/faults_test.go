@@ -1,18 +1,8 @@
-// Faults: run a small SSD to wear-out under deterministic fault injection
-// and print the degradation timeline — injected failures, grown-bad-block
-// retirements, recovery replans, shrinking spare headroom — until the
-// spare reserve runs out and the device latches read-only (writes then
-// fail with ftl.ErrReadOnly; reads keep serving).
-//
-// The schedule is a pure function of the fault seed and the request
-// stream: rerunning this program reproduces the same faults at the same
-// operations.
-package main
+package examples_test
 
 import (
 	"errors"
 	"fmt"
-	"log"
 
 	"amber/internal/config"
 	"amber/internal/core"
@@ -22,7 +12,16 @@ import (
 	"amber/internal/workload"
 )
 
-func main() {
+// Example_faults runs a small SSD to wear-out under deterministic fault
+// injection and prints the degradation timeline — injected failures, grown-bad-block
+// retirements, recovery replans, shrinking spare headroom — until the
+// spare reserve runs out and the device latches read-only (writes then
+// fail with ftl.ErrReadOnly; reads keep serving).
+//
+// The schedule is a pure function of the fault seed and the request
+// stream: rerunning this example reproduces the same faults at the same
+// operations.
+func Example_faults() {
 	// A tiny device under the end-of-life fault profile: blocks wear out
 	// after ~50 erases, and program/erase/read failure rates climb with
 	// each block's erase count.
@@ -34,20 +33,20 @@ func main() {
 	d.OPRatio = 0.4
 	faults, err := config.FaultProfile("wearout", 7)
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	d.Faults = faults
 	d.SpareBlocks = 4
 
 	sys, err := core.NewSystem(config.PCSystem(d))
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	fmt.Printf("device: %s, %d MB volume, %d super-blocks, %d spares, fault profile wearout (seed %d)\n",
 		sys.Config().Device.Name, sys.VolumeBytes()>>20,
 		sys.FTL.UserSuperPages()/16, d.SpareBlocks, faults.Seed)
 	if err := sys.Precondition(16); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 
 	// Hammer the volume with 4K random overwrites in chunks, printing the
@@ -56,7 +55,7 @@ func main() {
 	// reserve, and eventually the reserve runs dry.
 	gen, err := workload.NewFIO(workload.RandWrite, 4096, sys.VolumeBytes(), 3)
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	const chunk = 400
 	for round := 1; ; round++ {
@@ -65,9 +64,9 @@ func main() {
 			// A non-degradation error would abort the run; spare
 			// exhaustion never does — it surfaces through the result.
 			if errors.Is(err, ftl.ErrReadOnly) {
-				log.Fatal("unexpected: ErrReadOnly aborted the run instead of degrading it")
+				panic("unexpected: ErrReadOnly aborted the run instead of degrading it")
 			}
-			log.Fatal(err)
+			panic(err)
 		}
 		fst := sys.Flash.FaultStats()
 		fs := sys.FTL.Stats()
@@ -81,7 +80,7 @@ func main() {
 			break
 		}
 		if round > 200 {
-			log.Fatal("device refused to die; raise the fault rates")
+			panic("device refused to die; raise the fault rates")
 		}
 	}
 
@@ -96,6 +95,60 @@ func main() {
 	}
 
 	rainTimeline()
+
+	// Output:
+	// device: test-small, 2 MB volume, 9 super-blocks, 4 spares, fault profile wearout (seed 7)
+	// round  1:   400 writes (   0 refused)  faults   0p/  0e/  0u  retries    0  retired  0  replans   0  spare headroom 4
+	// round  2:   800 writes (   0 refused)  faults   0p/  0e/  0u  retries    0  retired  0  replans   0  spare headroom 4
+	// round  3:  1200 writes (   0 refused)  faults   1p/  0e/  0u  retries    0  retired  1  replans   1  spare headroom 3
+	// round  4:  1600 writes (   7 refused)  faults   3p/  2e/  0u  retries    1  retired  5  replans   5  spare headroom 0
+	//
+	// wear-out: spare reserve exhausted after 5 retirements (order [5 7 13 2 9])
+	// write after wear-out: core: write of [0,+4096) refused: ftl: device is read-only (grown bad blocks exhausted spare reserve) (errors.Is(ftl.ErrReadOnly) = true)
+	// read after wear-out: still served
+	//
+	// === RAIN vs no-RAIN under read-disturb stress ===
+	//
+	// bare:
+	//   round  1:  250 reads (  4 failed)  uncorrectable   4  recon   0  retired 0  scrubs    0  headroom 1
+	//   round  2:  500 reads (  6 failed)  uncorrectable   6  recon   0  retired 0  scrubs    0  headroom 1
+	//   round  3:  750 reads (  6 failed)  uncorrectable   6  recon   0  retired 0  scrubs    0  headroom 1
+	//   round  4: 1000 reads (  7 failed)  uncorrectable   7  recon   0  retired 0  scrubs    0  headroom 1
+	//   round  5: 1250 reads (  8 failed)  uncorrectable   8  recon   0  retired 0  scrubs    0  headroom 1
+	//   round  6: 1500 reads (  9 failed)  uncorrectable   9  recon   0  retired 0  scrubs    0  headroom 1
+	//   round  7: 1750 reads ( 10 failed)  uncorrectable  10  recon   0  retired 0  scrubs    0  headroom 1
+	//   round  8: 2000 reads ( 14 failed)  uncorrectable  14  recon   0  retired 0  scrubs    0  headroom 1
+	//   round  9: 2250 reads ( 14 failed)  uncorrectable  15  recon   0  retired 0  scrubs    0  headroom 1
+	//   round 10: 2500 reads ( 16 failed)  uncorrectable  17  recon   0  retired 0  scrubs    0  headroom 1
+	//   round 11: 2750 reads ( 17 failed)  uncorrectable  18  recon   0  retired 0  scrubs    0  headroom 1
+	//   round 12: 3000 reads ( 18 failed)  uncorrectable  19  recon   0  retired 0  scrubs    0  headroom 1
+	//   => 18 failed reads, 0 reconstructions (0 double faults), 0 retirements, read-only false
+	//
+	// rain, no scrub:
+	//   round  1:  250 reads (  0 failed)  uncorrectable   2  recon   2  retired 0  scrubs    0  headroom 1
+	//   round  2:  500 reads (  0 failed)  uncorrectable   2  recon   2  retired 0  scrubs    0  headroom 1
+	//   round  3:  750 reads (  0 failed)  uncorrectable   3  recon   3  retired 0  scrubs    0  headroom 1
+	//   round  4: 1000 reads (  0 failed)  uncorrectable   7  recon   7  retired 0  scrubs    0  headroom 1
+	//   round  5: 1250 reads (  1 failed)  uncorrectable   9  recon   7  retired 0  scrubs    0  headroom 1
+	//   round  6: 1500 reads (  2 failed)  uncorrectable  12  recon   8  retired 1  scrubs    0  headroom 0
+	//   round  7: 1750 reads (  2 failed)  uncorrectable  13  recon   9  retired 1  scrubs    0  headroom 0
+	//   round  8: 2000 reads (  2 failed)  uncorrectable  18  recon  12  retired 3  scrubs    0  headroom 0  READ-ONLY
+	//   => 2 failed reads, 12 reconstructions (2 double faults), 3 retirements, read-only true
+	//
+	// rain+scrub:
+	//   round  1:  250 reads (  0 failed)  uncorrectable  35  recon  35  retired 0  scrubs  126  headroom 1
+	//   round  2:  500 reads (  0 failed)  uncorrectable  60  recon  60  retired 0  scrubs  245  headroom 1
+	//   round  3:  750 reads (  0 failed)  uncorrectable  76  recon  76  retired 0  scrubs  361  headroom 1
+	//   round  4: 1000 reads (  0 failed)  uncorrectable 103  recon 103  retired 0  scrubs  484  headroom 1
+	//   round  5: 1250 reads (  0 failed)  uncorrectable 131  recon 131  retired 0  scrubs  599  headroom 1
+	//   round  6: 1500 reads (  0 failed)  uncorrectable 147  recon 147  retired 0  scrubs  711  headroom 1
+	//   round  7: 1750 reads (  0 failed)  uncorrectable 168  recon 168  retired 0  scrubs  834  headroom 1
+	//   round  8: 2000 reads (  0 failed)  uncorrectable 195  recon 195  retired 0  scrubs  955  headroom 1
+	//   round  9: 2250 reads (  0 failed)  uncorrectable 214  recon 214  retired 0  scrubs 1075  headroom 1
+	//   round 10: 2500 reads (  0 failed)  uncorrectable 236  recon 236  retired 0  scrubs 1185  headroom 1
+	//   round 11: 2750 reads (  0 failed)  uncorrectable 266  recon 264  retired 0  scrubs 1305  headroom 1
+	//   round 12: 3000 reads (  0 failed)  uncorrectable 292  recon 290  retired 0  scrubs 1421  headroom 1
+	//   => 0 failed reads, 290 reconstructions (1 double faults), 0 retirements, read-only false
 }
 
 // rainTimeline contrasts read-disturb wear-out across the RAIN policy
@@ -129,21 +182,21 @@ func rainTimeline() {
 		}
 		sys, err := core.NewSystem(config.PCSystem(d))
 		if err != nil {
-			log.Fatal(err)
+			panic(err)
 		}
 		if err := sys.Precondition(16); err != nil {
-			log.Fatal(err)
+			panic(err)
 		}
 		wgen, err := workload.NewFIO(workload.RandWrite, 4096, sys.VolumeBytes(), 5)
 		if err != nil {
-			log.Fatal(err)
+			panic(err)
 		}
 		if _, err := sys.Run(wgen, core.RunConfig{Requests: 300, IODepth: 8, WithData: true}); err != nil {
-			log.Fatal(err)
+			panic(err)
 		}
 		rgen, err := workload.NewFIO(workload.RandRead, 4096, sys.VolumeBytes(), 13)
 		if err != nil {
-			log.Fatal(err)
+			panic(err)
 		}
 		name := "bare"
 		switch {
@@ -157,7 +210,7 @@ func rainTimeline() {
 		for round := 1; round <= 12; round++ {
 			res, err := sys.Run(rgen, core.RunConfig{Requests: 250, IODepth: 8, ScrubEvery: scrubEvery})
 			if err != nil {
-				log.Fatal(err)
+				panic(err)
 			}
 			failed += res.FailedReads
 			fst := sys.Flash.FaultStats()

@@ -1,19 +1,18 @@
-// mobile reproduces §V-D in miniature: the same flash backend behind UFS
-// vs NVMe on a handheld-class host. NVMe's rich queues and faster link win,
-// but the low-power host CPU cannot always generate enough I/O to exploit
-// them — and the SSD-side power tells the other half of the story.
-package main
+package examples_test
 
 import (
 	"fmt"
-	"log"
 
 	"amber/internal/config"
 	"amber/internal/core"
 	"amber/internal/workload"
 )
 
-func main() {
+// Example_mobile reproduces §V-D in miniature: the same flash backend behind UFS
+// vs NVMe on a handheld-class host. NVMe's rich queues and faster link win,
+// but the low-power host CPU cannot always generate enough I/O to exploit
+// them — and the SSD-side power tells the other half of the story.
+func Example_mobile() {
 	fmt.Println("Handheld vs general computing (paper §V-D, Fig. 13)")
 	fmt.Println()
 
@@ -30,22 +29,22 @@ func main() {
 	for _, dev := range []string{"ufs", "mobile-nvme"} {
 		d, err := config.Device(dev)
 		if err != nil {
-			log.Fatal(err)
+			panic(err)
 		}
 		sys, err := core.NewSystem(config.MobileSystem(d))
 		if err != nil {
-			log.Fatal(err)
+			panic(err)
 		}
 		if err := sys.Precondition(32); err != nil {
-			log.Fatal(err)
+			panic(err)
 		}
 		gen, err := workload.NewFIO(workload.RandRead, 4096, sys.VolumeBytes(), 3)
 		if err != nil {
-			log.Fatal(err)
+			panic(err)
 		}
 		res, err := sys.Run(gen, core.RunConfig{Requests: 3000, IODepth: 32})
 		if err != nil {
-			log.Fatal(err)
+			panic(err)
 		}
 		el := res.Elapsed()
 		results = append(results, outcome{
@@ -67,4 +66,15 @@ func main() {
 	fmt.Printf("NVMe/UFS bandwidth ratio: %.2fx (paper: up to 1.81x)\n", results[1].bw/results[0].bw)
 	fmt.Println("The embedded CPU dominates SSD power — the paper's argument that mobile")
 	fmt.Println("NVMe needs hardware automation to fit handheld power budgets.")
+
+	// Output:
+	// Handheld vs general computing (paper §V-D, Fig. 13)
+	//
+	// iface          MB/s    cpu W   dram W   nand W    fw Minstr
+	// ufs           158.0     0.62     1.59     0.52         18.5
+	// nvme          158.0     0.68     1.59     0.52         22.5
+	//
+	// NVMe/UFS bandwidth ratio: 1.00x (paper: up to 1.81x)
+	// The embedded CPU dominates SSD power — the paper's argument that mobile
+	// NVMe needs hardware automation to fit handheld power budgets.
 }

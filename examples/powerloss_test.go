@@ -1,34 +1,8 @@
-// Powerloss: cut device power in the middle of a GC-heavy overwrite storm,
-// remount, and verify the durability contract — every write the device
-// acknowledged durable before the cut reads back intact, and no torn page
-// is ever served.
-//
-// The demo drives the full crash cycle:
-//
-//  1. A sequential fill of the whole volume, flushed and drained, so every
-//     baseline byte is acknowledged durable on flash.
-//  2. A 4K random-overwrite storm sized to force garbage collection, with
-//     power cut deep inside it: in-flight programs resolve torn-or-committed
-//     by a seeded draw, claimed-but-unstarted erases are undone, and all
-//     volatile firmware state (cache lines, staged buffers, in-flight
-//     plans) is lost.
-//  3. Mount-time recovery: the FTL rebuilds its mapping purely from the
-//     per-page OOB stamps (logical tag, write sequence, checksum), plus
-//     post-mount cleanup and — if the cut left no erased block at all —
-//     the emergency squeeze that compacts the over-provisioning space free.
-//  4. A full-volume read-back: every 4 KiB block must hold either its
-//     durable baseline payload or the payload of some storm write to that
-//     offset. Anything else (zeroes, torn bytes, a stale page served over
-//     a newer acknowledged one) fails the demo.
-//
-// The whole cycle is deterministic: same seeds, same cut time, same
-// recovery.
-package main
+package examples_test
 
 import (
 	"bytes"
 	"fmt"
-	"log"
 
 	"amber/internal/config"
 	"amber/internal/core"
@@ -47,7 +21,32 @@ func payload(req workload.Request, i int) []byte {
 	return data
 }
 
-func main() {
+// Example_powerloss cuts device power in the middle of a GC-heavy overwrite
+// storm, remounts, and verifies the durability contract — every write the device
+// acknowledged durable before the cut reads back intact, and no torn page
+// is ever served.
+//
+// The example drives the full crash cycle:
+//
+//  1. A sequential fill of the whole volume, flushed and drained, so every
+//     baseline byte is acknowledged durable on flash.
+//  2. A 4K random-overwrite storm sized to force garbage collection, with
+//     power cut deep inside it: in-flight programs resolve torn-or-committed
+//     by a seeded draw, claimed-but-unstarted erases are undone, and all
+//     volatile firmware state (cache lines, staged buffers, in-flight
+//     plans) is lost.
+//  3. Mount-time recovery: the FTL rebuilds its mapping purely from the
+//     per-page OOB stamps (logical tag, write sequence, checksum), plus
+//     post-mount cleanup and — if the cut left no erased block at all —
+//     the emergency squeeze that compacts the over-provisioning space free.
+//  4. A full-volume read-back: every 4 KiB block must hold either its
+//     durable baseline payload or the payload of some storm write to that
+//     offset. Anything else (zeroes, torn bytes, a stale page served over
+//     a newer acknowledged one) fails the example.
+//
+// The whole cycle is deterministic: same seeds, same cut time, same
+// recovery.
+func Example_powerloss() {
 	// A wide data-tracking device: 8 channels so GC, the storm and the cut
 	// all spread across real parallelism.
 	d := config.SmallTestDevice()
@@ -62,7 +61,7 @@ func main() {
 	}
 	s, err := core.NewSystem(config.PCSystem(d))
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 
 	// Phase 1: durable baseline — write the whole volume sequentially,
@@ -73,13 +72,13 @@ func main() {
 	const fillSeed, stormSeed = 43, 29
 	fill, err := workload.NewFIO(workload.SeqWrite, bs, s.VolumeBytes(), fillSeed)
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	if _, err := s.Run(fill, core.RunConfig{Requests: n, IODepth: 16, WithData: true}); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	if _, err := s.Flush(s.Now()); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	s.Drain()
 	fmt.Printf("baseline: %d x %d B lines written, flushed, drained (now %v)\n", n, bs, s.Now())
@@ -89,27 +88,27 @@ func main() {
 	// cut lands mid-storm, not in the ramp-up.
 	probe, err := workload.NewFIO(workload.RandWrite, 4096, s.VolumeBytes(), 11)
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	res, err := s.Run(probe, core.RunConfig{Requests: 300, IODepth: 16, WithData: true})
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	if s.FTL.Stats().GCRuns == 0 {
-		log.Fatal("probe storm did not trigger GC; the cut would not land mid-GC")
+		panic("probe storm did not trigger GC; the cut would not land mid-GC")
 	}
 	cut := s.Now() + sim.Time((res.End-res.Start)/3)
 	const stormReqs = 600
 	storm, err := workload.NewFIO(workload.RandWrite, 4096, s.VolumeBytes(), stormSeed)
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	res, err = s.Run(storm, core.RunConfig{Requests: stormReqs, IODepth: 16, WithData: true, PowerLossAt: cut})
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	if !res.PowerLost {
-		log.Fatalf("cut at %v did not fire (storm ended %v)", cut, res.End)
+		panic(fmt.Sprintf("cut at %v did not fire (storm ended %v)", cut, res.End))
 	}
 	pl := res.PowerLoss.Flash
 	fmt.Printf("power cut at %v (GC runs so far: %d)\n", cut, s.FTL.Stats().GCRuns)
@@ -134,7 +133,7 @@ func main() {
 	base := make(map[int64][]byte)
 	fillReplay, err := workload.NewFIO(workload.SeqWrite, bs, s.VolumeBytes(), fillSeed)
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	for i := 0; i < n; i++ {
 		req := fillReplay.Next(i)
@@ -147,7 +146,7 @@ func main() {
 	replay := func(pattern workload.Pattern, seed uint64, reqs int) {
 		gen, err := workload.NewFIO(pattern, 4096, s.VolumeBytes(), seed)
 		if err != nil {
-			log.Fatal(err)
+			panic(err)
 		}
 		for i := 0; i < reqs; i++ {
 			req := gen.Next(i)
@@ -160,7 +159,7 @@ func main() {
 	baseline, updated := 0, 0
 	for off := int64(0); off < s.VolumeBytes(); off += 4096 {
 		if _, err := s.Submit(s.Now(), workload.Request{Offset: off, Length: 4096}, buf); err != nil {
-			log.Fatalf("read @%d after remount: %v", off, err)
+			panic(fmt.Sprintf("read @%d after remount: %v", off, err))
 		}
 		switch {
 		case bytes.Equal(buf, base[off]):
@@ -174,7 +173,7 @@ func main() {
 				}
 			}
 			if !ok {
-				log.Fatalf("block @%d holds neither its durable baseline nor any storm payload: torn or lost data served", off)
+				panic(fmt.Sprintf("block @%d holds neither its durable baseline nor any storm payload: torn or lost data served", off))
 			}
 			updated++
 		}
@@ -185,13 +184,24 @@ func main() {
 	// The remounted device keeps serving: a fresh write burst succeeds.
 	post, err := workload.NewFIO(workload.RandWrite, 4096, s.VolumeBytes(), 17)
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	res, err = s.Run(post, core.RunConfig{Requests: 200, IODepth: 16, WithData: true})
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	fmt.Printf("post-recovery: %d writes served in %v (%d failed)\n",
 		res.Requests, res.Elapsed(), res.FailedWrites)
 	fmt.Println("durability contract held: every acknowledged write survived the cut")
+
+	// Output:
+	// baseline: 128 x 65536 B lines written, flushed, drained (now 400.394ms)
+	// power cut at 1.23884s (GC runs so far: 0)
+	//   in-flight programs: 198 -> 99 torn / 99 committed (seeded draw)
+	//   erases undone: 128, dirty cache lines lost: 8 (never acknowledged)
+	// remount: scan 19.2304ms, 2048 mappings recovered from OOB, 99 torn discarded, 413 stale skipped
+	//   free-reserve recovery: cleanup erased 0 blocks, squeeze compacted 9 blocks (1792 sub-pages)
+	// verify: 2048 blocks read back — 1598 baseline, 450 storm-updated, 0 torn, 0 lost
+	// post-recovery: 200 writes served in 46.9249ms (0 failed)
+	// durability contract held: every acknowledged write survived the cut
 }

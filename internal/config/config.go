@@ -7,8 +7,7 @@
 // but scale blocks-per-plane down so steady-state experiments fit in
 // laptop-scale memory and wall-clock; the OP ratio, page sizes and all
 // timing parameters are unscaled, so bandwidth/latency behavior is
-// preserved while raw capacity shrinks. DESIGN.md documents this
-// substitution.
+// preserved while raw capacity shrinks.
 package config
 
 import (

@@ -13,10 +13,10 @@ import (
 	"amber/internal/workload"
 )
 
-// wearoutSystem builds the end-of-life device shape from examples/faults:
-// blocks wear out after ~50 erases and the spare reserve is small, so a
-// sustained overwrite storm deterministically exhausts the spares and
-// latches the FTL read-only mid-traffic.
+// wearoutSystem builds the end-of-life device shape of Example_faults
+// (examples/faults_test.go): blocks wear out after ~50 erases and the spare
+// reserve is small, so a sustained overwrite storm deterministically
+// exhausts the spares and latches the FTL read-only mid-traffic.
 func wearoutSystem(t *testing.T) *core.System {
 	t.Helper()
 	d := config.SmallTestDevice()

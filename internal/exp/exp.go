@@ -66,11 +66,9 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Options scales experiment effort: Quick shrinks request counts and
-// sweep resolution so the whole suite runs in seconds (used by unit tests
-// and the bench harness); the default is the full evaluation.
+// Options configures how an experiment runs; every experiment has one
+// configuration, the full evaluation, so no option changes a result.
 type Options struct {
-	Quick bool
 	// Parallel is the number of independent device configurations to
 	// simulate concurrently within one experiment (each core.System stays
 	// single-threaded; the fan-out is across systems). Values <= 1 run
@@ -79,25 +77,8 @@ type Options struct {
 	Parallel int
 }
 
-// requests returns the per-point request budget.
-func (o Options) requests(full int) int {
-	if o.Quick {
-		q := full / 4
-		if q < 600 {
-			q = 600
-		}
-		return q
-	}
-	return full
-}
-
-// depths returns the I/O-depth axis.
-func (o Options) depths() []int {
-	if o.Quick {
-		return []int{1, 8, 32}
-	}
-	return []int{1, 2, 4, 8, 16, 24, 32}
-}
+// depths is the I/O-depth axis.
+var depths = []int{1, 2, 4, 8, 16, 24, 32}
 
 // patterns is the four-panel microbenchmark set of Figs. 3/4/8/9/10.
 func patterns() []workload.Pattern {

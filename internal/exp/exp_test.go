@@ -6,12 +6,13 @@ import (
 )
 
 // TestAllExperimentsRun is the integration smoke test: every table/figure
-// regenerates without error in quick mode and produces plausible content.
+// regenerates without error at full resolution, fanned out over
+// AutoParallel workers, and produces plausible content.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments take seconds each")
 	}
-	o := Options{Quick: true}
+	o := Options{Parallel: AutoParallel()}
 	// The slowest sweeps take minutes each under the race detector (5-10x
 	// slowdown), which blows the package past the test timeout on slow
 	// hosts; their dispatch machinery is identical to the cheap
@@ -55,30 +56,19 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestOptionsScaling(t *testing.T) {
-	full := Options{}
-	quick := Options{Quick: true}
-	if quick.requests(4000) >= full.requests(4000) {
-		t.Fatal("quick mode should reduce requests")
-	}
-	if len(quick.depths()) >= len(full.depths()) {
-		t.Fatal("quick mode should reduce depth resolution")
-	}
-}
-
 // TestParallelDeterminism locks in the harness guarantee: an experiment
 // fanned out over workers produces a table byte-identical to the serial
 // run, because every task owns its systems and writes into an
 // index-addressed slot.
 func TestParallelDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two full quick experiments")
+		t.Skip("runs Fig. 14 twice")
 	}
-	serial, err := Figure14(Options{Quick: true})
+	serial, err := Figure14(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Figure14(Options{Quick: true, Parallel: 4})
+	par, err := Figure14(Options{Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,8 +59,7 @@ func baselineFigure(o Options, latency bool) (*Table, error) {
 	if latency {
 		id, title = "fig4", "Latency (us) vs I/O depth: existing simulators vs real device vs Amber"
 	}
-	depths := o.depths()
-	n := o.requests(2000)
+	const n = 2000
 	t := &Table{ID: id, Title: title}
 	t.Header = []string{"pattern", "model"}
 	for _, d := range depths {
@@ -177,8 +176,7 @@ func validationFigure(o Options, latency bool) (*Table, error) {
 	if latency {
 		id, title = "fig9", "Amber vs real devices: latency (us) and accuracy"
 	}
-	depths := o.depths()
-	n := o.requests(2000)
+	const n = 2000
 	t := &Table{ID: id, Title: title}
 	t.Header = []string{"device", "pattern", "series"}
 	for _, d := range depths {
@@ -251,11 +249,8 @@ func validationFigure(o Options, latency bool) (*Table, error) {
 // Figure10 sweeps block size from 4 KiB to 1024 KiB at depth 32 and
 // reports per-device error rates (paper Fig. 10).
 func Figure10(o Options) (*Table, error) {
-	n := o.requests(1200)
+	const n = 1200
 	sizes := refdata.BlockSizesKiB
-	if o.Quick {
-		sizes = []int{4, 64, 1024}
-	}
 	t := &Table{ID: "fig10", Title: "Bandwidth (MB/s) vs block size at qd32, with error rates"}
 	t.Header = []string{"device", "pattern", "series"}
 	for _, kb := range sizes {
@@ -327,12 +322,9 @@ func Figure10(o Options) (*Table, error) {
 // paper's worst-case stress (random writes of 2x the volume into a
 // steady-state device) and reports normalized write bandwidth (Fig. 11).
 func Figure11(o Options) (*Table, error) {
-	n := o.requests(3000)
+	const n = 3000
 	ops := []float64{0.20, 0.15, 0.10, 0.05}
 	sizes := []int{4096, 65536}
-	if o.Quick {
-		sizes = []int{4096}
-	}
 	t := &Table{ID: "fig11", Title: "Normalized random-write bandwidth vs over-provisioning ratio (stress: 2x volume random overwrite)"}
 	t.Header = []string{"block"}
 	for _, op := range ops {
@@ -388,7 +380,7 @@ func Figure11(o Options) (*Table, error) {
 // Figure12 compares the Linux 4.4 (CFQ) and 4.14 (BFQ) storage stacks over
 // NVMe and SATA across the Table III workloads (paper Fig. 12).
 func Figure12(o Options) (*Table, error) {
-	n := o.requests(2500)
+	const n = 2500
 	t := &Table{ID: "fig12", Title: "Performance impact of OS version (kernel 4.4/CFQ vs 4.14/BFQ), MB/s"}
 	t.Header = []string{"interface", "workload", "kernel4.4 (CFQ)", "kernel4.14 (BFQ)", "4.4/4.14"}
 
@@ -443,7 +435,7 @@ func Figure12(o Options) (*Table, error) {
 // Figure13a compares handheld (UFS) and general (NVMe) computing across
 // the Table III workloads on the mobile platform (paper Fig. 13a).
 func Figure13a(o Options) (*Table, error) {
-	n := o.requests(2500)
+	const n = 2500
 	t := &Table{ID: "fig13a", Title: "Handheld vs general computing: UFS vs NVMe bandwidth (MB/s), mobile host"}
 	t.Header = []string{"workload", "ufs", "nvme", "nvme/ufs"}
 
@@ -492,7 +484,7 @@ func Figure13a(o Options) (*Table, error) {
 // Figure13b breaks down SSD power (CPU / DRAM / NAND) for UFS and NVMe
 // (paper Fig. 13b).
 func Figure13b(o Options) (*Table, error) {
-	n := o.requests(3000)
+	const n = 3000
 	t := &Table{ID: "fig13b", Title: "SSD power breakdown (W): embedded CPU vs DRAM vs NAND"}
 	t.Header = []string{"interface", "cpu", "dram", "nand", "total"}
 
@@ -551,7 +543,7 @@ func Figure13b(o Options) (*Table, error) {
 // Figure13c breaks down executed firmware instructions by category for UFS
 // and NVMe over the same wall-clock window (paper Fig. 13c).
 func Figure13c(o Options) (*Table, error) {
-	n := o.requests(3000)
+	const n = 3000
 	t := &Table{ID: "fig13c", Title: "Firmware instruction breakdown (millions) over an equal time window"}
 	t.Header = []string{"interface", "branch", "load", "store", "arith", "fp", "other", "total", "ld/st frac"}
 
@@ -620,11 +612,8 @@ func Figure13c(o Options) (*Table, error) {
 // fastest device (Z-SSD) and reports device-level, interface-level and
 // user-level sequential read bandwidth (paper Fig. 14).
 func Figure14(o Options) (*Table, error) {
-	n := o.requests(3000)
+	const n = 3000
 	freqs := []float64{2000, 4000, 6000, 8000}
-	if o.Quick {
-		freqs = []float64{2000, 8000}
-	}
 	t := &Table{ID: "fig14", Title: "Z-SSD sequential-read bandwidth (MB/s) vs host CPU frequency"}
 	t.Header = []string{"host freq", "device-level", "interface-level", "user-level", "loss"}
 
@@ -671,7 +660,7 @@ func Figure14(o Options) (*Table, error) {
 // Figure15a compares NVMe (active) and OCSSD+pblk (passive) bandwidth for
 // small and large blocks (paper Fig. 15a).
 func Figure15a(o Options) (*Table, error) {
-	n := o.requests(2000)
+	const n = 2000
 	t := &Table{ID: "fig15a", Title: "Active (NVMe) vs passive (OCSSD+pblk) bandwidth (MB/s)"}
 	t.Header = []string{"pattern", "block", "nvme", "ocssd", "ocssd/nvme"}
 
@@ -727,7 +716,7 @@ func passiveSeries(o Options, mem bool) (*Table, error) {
 	if mem {
 		id, title = "fig15c", "Host DRAM usage (MB) over time: NVMe vs OCSSD"
 	}
-	n := o.requests(4000)
+	const n = 4000
 	t := &Table{ID: id, Title: title}
 	t.Header = []string{"device", "phase", "mean", "max"}
 
@@ -798,7 +787,7 @@ func passiveSeries(o Options, mem bool) (*Table, error) {
 // (paper Fig. 16). It always runs serially: concurrent simulations would
 // contend for cores and distort the wall-clock metric being measured.
 func Figure16(o Options) (*Table, error) {
-	n := o.requests(5000)
+	const n = 5000
 	t := &Table{ID: "fig16", Title: "Simulation speed: wall-clock seconds per 100k simulated 4K requests"}
 	t.Header = []string{"simulator", "wall s/100k reqs", "sim-reqs/s"}
 	for _, b := range baseline.All() {

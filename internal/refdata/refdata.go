@@ -2,8 +2,7 @@
 // experiments compare against (Figs. 3, 4, 8, 9, 10). The values are
 // digitized approximations of the dashed "Real SSD" lines in the paper's
 // figures, anchored to the published device specifications (Intel 750
-// 400 GB, Samsung 850 PRO, Z-SSD and 983 DCT prototypes) — see DESIGN.md's
-// substitution table. The curves preserve what the figures communicate:
+// 400 GB, Samsung 850 PRO, Z-SSD and 983 DCT prototypes). The curves preserve what the figures communicate:
 // absolute levels at 4 KiB, saturation points, and the ordering between
 // devices and patterns.
 package refdata
