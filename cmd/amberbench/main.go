@@ -34,7 +34,8 @@ import (
 )
 
 // jsonReport is the machine-readable -json output: the experiment tables
-// with the wall time each took.
+// with the wall time each took. Figs. 3/4/8/9/10 share their points, so a
+// shared point's time is charged to the first of them that runs.
 type jsonReport struct {
 	GeneratedAt string           `json:"generated_at"`
 	GoVersion   string           `json:"go_version"`
@@ -49,6 +50,7 @@ type jsonExperiment struct {
 	WallSeconds float64    `json:"wall_seconds"`
 	Header      []string   `json:"header"`
 	Rows        [][]string `json:"rows"`
+	Notes       []string   `json:"notes"`
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -144,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "  [%s completed in %v]\n\n", e.ID, wall.Round(time.Millisecond))
 		report.Experiments = append(report.Experiments, jsonExperiment{
 			ID: t.ID, Title: t.Title, WallSeconds: wall.Seconds(),
-			Header: t.Header, Rows: t.Rows,
+			Header: t.Header, Rows: t.Rows, Notes: t.Notes,
 		})
 	}
 

@@ -12,7 +12,7 @@ import (
 // TestJSONPathCheckedFirst pins -json's contract: the report file is created
 // before any experiment runs, so an unwritable path exits 1 at once with
 // nothing printed, and a writable one ends up holding the tables that were
-// printed.
+// printed, notes included: they carry computed results.
 func TestJSONPathCheckedFirst(t *testing.T) {
 	dir := t.TempDir()
 
@@ -31,7 +31,7 @@ func TestJSONPathCheckedFirst(t *testing.T) {
 	stdout.Reset()
 	stderr.Reset()
 	good := filepath.Join(dir, "out.json")
-	if code := run([]string{"-only", "table4", "-json", good}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-only", "fig13b", "-json", good}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, stderr.String())
 	}
 	data, err := os.ReadFile(good)
@@ -42,11 +42,20 @@ func TestJSONPathCheckedFirst(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("report is not JSON: %v", err)
 	}
-	if len(rep.Experiments) != 1 || rep.Experiments[0].ID != "table4" || len(rep.Experiments[0].Rows) == 0 {
-		t.Fatalf("report holds %+v, want table4's rows", rep.Experiments)
+	if len(rep.Experiments) != 1 || rep.Experiments[0].ID != "fig13b" || len(rep.Experiments[0].Rows) == 0 {
+		t.Fatalf("report holds %+v, want fig13b's rows", rep.Experiments)
 	}
-	if !strings.Contains(stdout.String(), "== table4:") {
-		t.Fatalf("table4 was not printed:\n%s", stdout.String())
+	if !strings.Contains(stdout.String(), "== fig13b:") {
+		t.Fatalf("fig13b was not printed:\n%s", stdout.String())
+	}
+	notes := rep.Experiments[0].Notes
+	if len(notes) == 0 {
+		t.Fatal("report holds no notes for fig13b")
+	}
+	for _, n := range notes {
+		if !strings.Contains(stdout.String(), "  note: "+n+"\n") {
+			t.Errorf("report note %q was not printed:\n%s", n, stdout.String())
+		}
 	}
 }
 

@@ -77,9 +77,6 @@ type Options struct {
 	Parallel int
 }
 
-// depths is the I/O-depth axis.
-var depths = []int{1, 2, 4, 8, 16, 24, 32}
-
 // patterns is the four-panel microbenchmark set of Figs. 3/4/8/9/10.
 func patterns() []workload.Pattern {
 	return []workload.Pattern{workload.SeqRead, workload.RandRead, workload.SeqWrite, workload.RandWrite}
@@ -117,6 +114,103 @@ func runPoint(s *core.System, p workload.Pattern, blockSize, depth, n int) (*cor
 	}
 	s.Drain()
 	return res, nil
+}
+
+// sweepRequests is the request count of every microbenchmark point, and of
+// the baseline replays Figs. 3/4 set beside them.
+const sweepRequests = 2000
+
+// protocolNote states, under each figure that reads the sweep, how its points
+// were measured.
+var protocolNote = fmt.Sprintf("protocol: every point runs on its own freshly built and preconditioned device, "+
+	"n = %d requests (n/4 at 256 KiB and above), write buffer clean at the start (burst state).", sweepRequests)
+
+// point is one microbenchmark operating point of Figs. 3/4/8/9/10.
+type point struct {
+	device    string
+	pattern   workload.Pattern
+	blockSize int // bytes
+	depth     int
+}
+
+// measure is what the figures read of a point.
+type measure struct {
+	bandwidthMBps float64
+	latencyUs     float64 // mean
+}
+
+// value is the bandwidth (MB/s), or with latency the mean latency (us).
+func (m measure) value(latency bool) float64 {
+	if latency {
+		return m.latencyUs
+	}
+	return m.bandwidthMBps
+}
+
+// grid lists every (device, pattern, block size, depth) point of the axes,
+// in that nesting order, over the four patterns.
+func grid(devices []string, blockSizes, depths []int) []point {
+	var pts []point
+	for _, dev := range devices {
+		for _, p := range patterns() {
+			for _, bs := range blockSizes {
+				for _, d := range depths {
+					pts = append(pts, point{dev, p, bs, d})
+				}
+			}
+		}
+	}
+	return pts
+}
+
+// sweep memoises microbenchmark points, so that every figure reading an
+// operating point prints the same number and no point is computed twice.
+// Every point runs on its own freshly built and preconditioned system (the
+// paper's FIO method: precondition, then measure each configuration), which
+// makes a point independent of which others ran before it. A sweep is not
+// safe for concurrent use: All's entries share one and run one at a time.
+type sweep struct {
+	done map[point]measure
+}
+
+func newSweep() *sweep { return &sweep{done: map[point]measure{}} }
+
+// run computes the points of pts that are not yet memoised, fanned out over
+// o's workers, and returns every point's result.
+func (s *sweep) run(o Options, pts []point) (map[point]measure, error) {
+	var missing []point
+	queued := map[point]bool{}
+	for _, p := range pts {
+		if _, ok := s.done[p]; !ok && !queued[p] {
+			queued[p] = true
+			missing = append(missing, p)
+		}
+	}
+	got := make([]measure, len(missing))
+	err := forEach(o, len(missing), func(i int) error {
+		p := missing[i]
+		sys, err := newSystem(p.device, nil)
+		if err != nil {
+			return err
+		}
+		n := sweepRequests
+		if p.blockSize >= 256<<10 {
+			n /= 4 // large blocks move 64x the data per request
+		}
+		res, err := runPoint(sys, p.pattern, p.blockSize, p.depth, n)
+		if err != nil {
+			return err
+		}
+		got[i] = measure{res.BandwidthMBps(), res.AvgLatencyUs()}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range missing {
+		s.done[p] = got[i]
+	}
+	return s.done, nil
 }
 
 func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }

@@ -49,102 +49,53 @@ func TableI(o Options) (*Table, error) {
 // Figure3 compares the bandwidth-vs-depth curves of the four baseline
 // simulators with the real-device reference and Amber's full model
 // (the paper's motivation figure).
-func Figure3(o Options) (*Table, error) { return baselineFigure(o, false) }
+func Figure3(o Options) (*Table, error) { return baselineFigure(o, newSweep(), false) }
 
 // Figure4 is the latency version of Figure3.
-func Figure4(o Options) (*Table, error) { return baselineFigure(o, true) }
+func Figure4(o Options) (*Table, error) { return baselineFigure(o, newSweep(), true) }
 
-func baselineFigure(o Options, latency bool) (*Table, error) {
+func baselineFigure(o Options, sw *sweep, latency bool) (*Table, error) {
 	id, title := "fig3", "Bandwidth (MB/s) vs I/O depth: existing simulators vs real device vs Amber"
+	format := f0
 	if latency {
 		id, title = "fig4", "Latency (us) vs I/O depth: existing simulators vs real device vs Amber"
+		format = f1
 	}
-	const n = 2000
 	t := &Table{ID: id, Title: title}
-	t.Header = []string{"pattern", "model"}
-	for _, d := range depths {
-		t.Header = append(t.Header, fmt.Sprintf("qd%d", d))
-	}
+	t.Header = append([]string{"pattern", "model"}, depthHeader()...)
 
-	pats := patterns()
-
-	// Amber: one task per (pattern, depth) sweep point, each owning a
-	// freshly built and preconditioned System, so the whole depth axis fans
-	// out under Options.Parallel like fig8/9/10 do per device.
-	//
-	// Preconditioning-state methodology: the depth axis used to be swept on
-	// one shared preconditioned system per pattern, so each point inherited
-	// the cache contents and (for writes) the mapping/GC state left by the
-	// previous depth's run — qd32's number depended on qd1..qd24 having run
-	// first. Per-point systems pin the choice to "every point starts from
-	// the same freshly preconditioned steady state" (the paper's FIO
-	// methodology: precondition, then measure each configuration), which
-	// makes the points order-independent and deterministic at any worker
-	// count, at the cost of repeating preconditioning once per point.
-	vals := make([]float64, len(pats)*len(depths))
-	err := forEach(o, len(vals), func(ti int) error {
-		pi, di := ti/len(depths), ti%len(depths)
-		amber, err := newSystem("intel750", nil)
-		if err != nil {
-			return err
-		}
-		res, err := runPoint(amber, pats[pi], 4096, depths[di], n)
-		if err != nil {
-			return err
-		}
-		if latency {
-			vals[ti] = res.AvgLatencyUs()
-		} else {
-			vals[ti] = res.BandwidthMBps()
-		}
-		return nil
-	})
+	const dev = "intel750"
+	res, err := sw.run(o, grid([]string{dev}, []int{4096}, refdata.Depths))
 	if err != nil {
 		return nil, err
 	}
-
-	// Reference curves and baseline replays are deterministic and cheap;
-	// assemble them inline around the fanned-out amber values.
-	for pi, p := range pats {
-		refBW, err := refdata.Bandwidth("intel750", p)
-		if err != nil {
-			return nil, err
-		}
-		refLat, err := refdata.Latency("intel750", p)
+	for _, p := range patterns() {
+		ref, err := refCurve(dev, p, latency)
 		if err != nil {
 			return nil, err
 		}
 		row := []string{p.String(), "real-device"}
-		for _, d := range depths {
-			i := depthIndex(d)
-			if latency {
-				row = append(row, f1(refLat[i]))
-			} else {
-				row = append(row, f0(refBW[i]))
-			}
+		for _, v := range ref {
+			row = append(row, format(v))
 		}
 		t.Rows = append(t.Rows, row)
 
 		for _, b := range baseline.All() {
 			row := []string{p.String(), b.Name()}
-			for _, d := range depths {
-				r := b.Replay(p, 4096, d, n)
+			for _, d := range refdata.Depths {
+				r := b.Replay(p, 4096, d, sweepRequests)
+				v := r.BandwidthMBps
 				if latency {
-					row = append(row, f1(r.LatencyUs))
-				} else {
-					row = append(row, f0(r.BandwidthMBps))
+					v = r.LatencyUs
 				}
+				row = append(row, format(v))
 			}
 			t.Rows = append(t.Rows, row)
 		}
 
 		row = []string{p.String(), "amber"}
-		for di := range depths {
-			if latency {
-				row = append(row, f1(vals[pi*len(depths)+di]))
-			} else {
-				row = append(row, f0(vals[pi*len(depths)+di]))
-			}
+		for _, d := range refdata.Depths {
+			row = append(row, format(res[point{dev, p, 4096, d}].value(latency)))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -155,166 +106,122 @@ func baselineFigure(o Options, latency bool) (*Table, error) {
 	return t, nil
 }
 
-func depthIndex(d int) int {
-	for i, v := range refdata.Depths {
-		if v == d {
-			return i
-		}
+// depthHeader is the qd column headings of the depth axis.
+func depthHeader() []string {
+	var h []string
+	for _, d := range refdata.Depths {
+		h = append(h, fmt.Sprintf("qd%d", d))
 	}
-	return 0
+	return h
+}
+
+// refCurve is the device's reference bandwidth, or with latency its latency,
+// over refdata.Depths at 4 KiB.
+func refCurve(dev string, p workload.Pattern, latency bool) ([]float64, error) {
+	if latency {
+		return refdata.Latency(dev, p)
+	}
+	return refdata.Bandwidth(dev, p)
 }
 
 // Figure8 validates Amber's bandwidth curves against the four reference
 // devices and reports mean accuracy per pattern (paper Fig. 8).
-func Figure8(o Options) (*Table, error) { return validationFigure(o, false) }
+func Figure8(o Options) (*Table, error) { return validationFigure(o, newSweep(), false) }
 
 // Figure9 is the latency version (paper Fig. 9).
-func Figure9(o Options) (*Table, error) { return validationFigure(o, true) }
+func Figure9(o Options) (*Table, error) { return validationFigure(o, newSweep(), true) }
 
-func validationFigure(o Options, latency bool) (*Table, error) {
+func validationFigure(o Options, sw *sweep, latency bool) (*Table, error) {
 	id, title := "fig8", "Amber vs real devices: bandwidth (MB/s) and accuracy"
 	if latency {
 		id, title = "fig9", "Amber vs real devices: latency (us) and accuracy"
 	}
-	const n = 2000
 	t := &Table{ID: id, Title: title}
-	t.Header = []string{"device", "pattern", "series"}
-	for _, d := range depths {
-		t.Header = append(t.Header, fmt.Sprintf("qd%d", d))
-	}
+	t.Header = append([]string{"device", "pattern", "series"}, depthHeader()...)
 	t.Header = append(t.Header, "accuracy")
 
-	// One task per reference device: each owns its simulated system and
-	// sweeps patterns x depths on it exactly as the serial run did.
 	devs := refdata.DeviceNames()
-	rowsPerDev := make([][][]string, len(devs))
-	err := forEach(o, len(devs), func(di int) error {
-		dev := devs[di]
-		s, err := newSystem(dev, nil)
-		if err != nil {
-			return err
-		}
-		var rows [][]string
-		for _, p := range patterns() {
-			refBW, err := refdata.Bandwidth(dev, p)
-			if err != nil {
-				return err
-			}
-			refLat, err := refdata.Latency(dev, p)
-			if err != nil {
-				return err
-			}
-			var refRow, simRow []float64
-			for _, d := range depths {
-				i := depthIndex(d)
-				res, err := runPoint(s, p, 4096, d, n)
-				if err != nil {
-					return err
-				}
-				if latency {
-					refRow = append(refRow, refLat[i])
-					simRow = append(simRow, res.AvgLatencyUs())
-				} else {
-					refRow = append(refRow, refBW[i])
-					simRow = append(simRow, res.BandwidthMBps())
-				}
-			}
-			acc, err := stats.MeanAccuracy(refRow, simRow)
-			if err != nil {
-				return err
-			}
-			rr := []string{dev, p.String(), "real"}
-			sr := []string{dev, p.String(), "amber"}
-			for i := range depths {
-				rr = append(rr, f0(refRow[i]))
-				sr = append(sr, f0(simRow[i]))
-			}
-			rr = append(rr, "")
-			sr = append(sr, pct(acc))
-			rows = append(rows, rr, sr)
-		}
-		rowsPerDev[di] = rows
-		return nil
-	})
+	res, err := sw.run(o, grid(devs, []int{4096}, refdata.Depths))
 	if err != nil {
 		return nil, err
 	}
-	for _, rows := range rowsPerDev {
-		t.Rows = append(t.Rows, rows...)
+	var accSum float64
+	for _, dev := range devs {
+		for _, p := range patterns() {
+			ref, err := refCurve(dev, p, latency)
+			if err != nil {
+				return nil, err
+			}
+			var sim []float64
+			for _, d := range refdata.Depths {
+				sim = append(sim, res[point{dev, p, 4096, d}].value(latency))
+			}
+			acc, err := stats.MeanAccuracy(ref, sim)
+			if err != nil {
+				return nil, err
+			}
+			accSum += acc
+			rr := []string{dev, p.String(), "real"}
+			sr := []string{dev, p.String(), "amber"}
+			for i := range ref {
+				rr = append(rr, f0(ref[i]))
+				sr = append(sr, f0(sim[i]))
+			}
+			t.Rows = append(t.Rows, append(rr, ""), append(sr, pct(acc)))
+		}
 	}
-	t.Notes = append(t.Notes, "accuracy = mean(1 - |real-sim|/real) across the depth axis, the paper's metric.")
+	rows := len(t.Rows) / 2
+	t.Notes = append(t.Notes,
+		"accuracy = mean(1 - |real-sim|/real) across the depth axis, the paper's metric.",
+		fmt.Sprintf("mean accuracy over all %d rows = %.1f%%.", rows, accSum/float64(rows)*100),
+		protocolNote)
 	return t, nil
 }
 
 // Figure10 sweeps block size from 4 KiB to 1024 KiB at depth 32 and
 // reports per-device error rates (paper Fig. 10).
-func Figure10(o Options) (*Table, error) {
-	const n = 1200
-	sizes := refdata.BlockSizesKiB
+func Figure10(o Options) (*Table, error) { return blockSizeFigure(o, newSweep()) }
+
+func blockSizeFigure(o Options, sw *sweep) (*Table, error) {
 	t := &Table{ID: "fig10", Title: "Bandwidth (MB/s) vs block size at qd32, with error rates"}
 	t.Header = []string{"device", "pattern", "series"}
-	for _, kb := range sizes {
+	var sizes []int
+	for _, kb := range refdata.BlockSizesKiB {
 		t.Header = append(t.Header, fmt.Sprintf("%dK", kb))
+		sizes = append(sizes, kb<<10)
 	}
 	t.Header = append(t.Header, "mean-err")
 
 	devs := refdata.DeviceNames()
-	rowsPerDev := make([][][]string, len(devs))
-	err := forEach(o, len(devs), func(di int) error {
-		dev := devs[di]
-		s, err := newSystem(dev, nil)
-		if err != nil {
-			return err
-		}
-		var rows [][]string
-		for _, p := range patterns() {
-			refAll, err := refdata.BlockBandwidth(dev, p)
-			if err != nil {
-				return err
-			}
-			var refRow, simRow []float64
-			for _, kb := range sizes {
-				idx := 0
-				for i, v := range refdata.BlockSizesKiB {
-					if v == kb {
-						idx = i
-					}
-				}
-				refRow = append(refRow, refAll[idx])
-				nn := n
-				if kb >= 256 {
-					nn = n / 4 // large blocks move 64x the data per request
-				}
-				res, err := runPoint(s, p, kb*1024, 32, nn)
-				if err != nil {
-					return err
-				}
-				simRow = append(simRow, res.BandwidthMBps())
-			}
-			var errSum float64
-			for i := range refRow {
-				errSum += stats.ErrorRate(refRow[i], simRow[i])
-			}
-			meanErr := errSum / float64(len(refRow))
-			rr := []string{dev, p.String(), "real"}
-			sr := []string{dev, p.String(), "amber"}
-			for i := range refRow {
-				rr = append(rr, f0(refRow[i]))
-				sr = append(sr, f0(simRow[i]))
-			}
-			rr = append(rr, "")
-			sr = append(sr, pct(meanErr))
-			rows = append(rows, rr, sr)
-		}
-		rowsPerDev[di] = rows
-		return nil
-	})
+	res, err := sw.run(o, grid(devs, sizes, []int{32}))
 	if err != nil {
 		return nil, err
 	}
-	for _, rows := range rowsPerDev {
-		t.Rows = append(t.Rows, rows...)
+	var errSum float64
+	for _, dev := range devs {
+		for _, p := range patterns() {
+			ref, err := refdata.BlockBandwidth(dev, p)
+			if err != nil {
+				return nil, err
+			}
+			var rowErr float64
+			rr := []string{dev, p.String(), "real"}
+			sr := []string{dev, p.String(), "amber"}
+			for i, bs := range sizes {
+				bw := res[point{dev, p, bs, 32}].bandwidthMBps
+				rowErr += stats.ErrorRate(ref[i], bw)
+				rr = append(rr, f0(ref[i]))
+				sr = append(sr, f0(bw))
+			}
+			rowErr /= float64(len(sizes))
+			errSum += rowErr
+			t.Rows = append(t.Rows, append(rr, ""), append(sr, pct(rowErr)))
+		}
 	}
+	rows := len(t.Rows) / 2
+	t.Notes = append(t.Notes,
+		fmt.Sprintf("mean error over all %d rows = %.1f%%.", rows, errSum/float64(rows)*100),
+		protocolNote)
 	return t, nil
 }
 
@@ -841,21 +748,25 @@ func TableIV(o Options) (*Table, error) {
 	return t, nil
 }
 
-// All returns every experiment in paper order.
+// All returns every experiment in paper order. Its entries share one sweep
+// and must run one at a time.
 func All() []struct {
 	ID  string
 	Run func(Options) (*Table, error)
 } {
+	// Figs. 3/4/8/9/10 are views of one sweep, so each operating point is
+	// computed once and prints the same number in every figure.
+	sw := newSweep()
 	return []struct {
 		ID  string
 		Run func(Options) (*Table, error)
 	}{
 		{"table1", TableI},
-		{"fig3", Figure3},
-		{"fig4", Figure4},
-		{"fig8", Figure8},
-		{"fig9", Figure9},
-		{"fig10", Figure10},
+		{"fig3", func(o Options) (*Table, error) { return baselineFigure(o, sw, false) }},
+		{"fig4", func(o Options) (*Table, error) { return baselineFigure(o, sw, true) }},
+		{"fig8", func(o Options) (*Table, error) { return validationFigure(o, sw, false) }},
+		{"fig9", func(o Options) (*Table, error) { return validationFigure(o, sw, true) }},
+		{"fig10", func(o Options) (*Table, error) { return blockSizeFigure(o, sw) }},
 		{"fig11", Figure11},
 		{"fig12", Figure12},
 		{"fig13a", Figure13a},

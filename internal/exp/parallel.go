@@ -5,17 +5,6 @@ import (
 	"sync"
 )
 
-// Workers returns the effective worker count for fanning independent
-// simulations out: o.Parallel when set, else 1 (serial). A zero/negative
-// value keeps the historical serial behavior so existing callers are
-// unaffected.
-func (o Options) workers() int {
-	if o.Parallel > 1 {
-		return o.Parallel
-	}
-	return 1
-}
-
 // AutoParallel returns a reasonable worker count for this machine.
 func AutoParallel() int {
 	n := runtime.NumCPU()
@@ -27,7 +16,7 @@ func AutoParallel() int {
 
 // forEach runs n independent tasks over the experiment's worker pool.
 func forEach(o Options, n int, task func(i int) error) error {
-	return ForEach(o.workers(), n, task)
+	return ForEach(o.Parallel, n, task)
 }
 
 // ForEach runs n independent simulation tasks over up to `workers`
