@@ -145,12 +145,14 @@ func main() {
 		fatal(err)
 	}
 
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	powerCut, scrubEvery, err := runFlags{
 		requests: *n, blockSize: *bs, depth: *depth,
 		devices: len(devices), parallel: *parallel,
-		batchSubmit: *batchSub,
+		batchSubmit: *batchSub, trace: *trace != "",
 		powerLossAt: *powerLoss, scrubEvery: *scrubSpec, rain: *rainWidth,
-		snapshot: *snapPath, restore: *restPath,
+		snapshot: *snapPath, restore: *restPath, set: set,
 	}.validate()
 	if err != nil {
 		fatal(err)
@@ -456,9 +458,10 @@ func since[T any](now, before T) T {
 type runFlags struct {
 	requests, blockSize, depth int
 	devices, rain, parallel    int
-	batchSubmit                bool
+	batchSubmit, trace         bool
 	powerLossAt, scrubEvery    string // durations as typed, "" = off
 	snapshot, restore          string
+	set                        map[string]bool // flags given on the command line
 }
 
 // validate cross-checks the flags before any device is built — a bad
@@ -468,7 +471,16 @@ func (f runFlags) validate() (powerCut, scrubEvery sim.Duration, err error) {
 	if f.requests <= 0 {
 		return 0, 0, fmt.Errorf("bad -n %d: want a positive request count", f.requests)
 	}
-	if f.blockSize <= 0 {
+	// A trace brings its own request mix and sizes, so the fio flags are
+	// rejected rather than silently ignored, and -bs is only checked where
+	// it is read.
+	if f.trace {
+		for _, name := range []string{"workload", "bs"} {
+			if f.set[name] {
+				return 0, 0, fmt.Errorf("-%s does not apply with -trace: the trace sets every request", name)
+			}
+		}
+	} else if f.blockSize <= 0 {
 		return 0, 0, fmt.Errorf("bad -bs %d: want a positive block size", f.blockSize)
 	}
 	// The layers below clamp it to 1; a run at a depth nobody asked for is
@@ -503,6 +515,8 @@ func (f runFlags) validate() (powerCut, scrubEvery sim.Duration, err error) {
 			// vectored path bypasses the evented runner entirely, so a cadence
 			// there would silently never fire. Reject instead of ignoring.
 			return 0, 0, errors.New("-batch-submit and -scrub-every are incompatible: the vectored path has no evented runner for the scrub ticker")
+		case f.set["depth"]:
+			return 0, 0, errors.New("-batch-submit and -depth are incompatible: the vectored path always runs at depth 1")
 		}
 	}
 	return powerCut, scrubEvery, nil

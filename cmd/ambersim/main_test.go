@@ -42,6 +42,13 @@ func TestRunFlagsValidate(t *testing.T) {
 		{"snapshot of two devices", with(func(f *runFlags) { f.snapshot, f.devices = "img", 2 }), "single device", 0, 0},
 		{"good evented", with(func(f *runFlags) { f.powerLossAt, f.scrubEvery, f.rain = "50ms", "5ms", 3 }), "", 50 * sim.Millisecond, 5 * sim.Millisecond},
 		{"good batch-submit", with(func(f *runFlags) { f.batchSubmit = true }), "", 0, 0},
+		{"batch-submit depth", with(func(f *runFlags) { f.batchSubmit, f.set = true, map[string]bool{"depth": true} }), "-depth are incompatible", 0, 0},
+		{"batch-submit default depth", with(func(f *runFlags) { f.batchSubmit, f.set = true, map[string]bool{"batch-submit": true, "n": true} }), "", 0, 0},
+		{"trace workload", with(func(f *runFlags) { f.trace, f.set = true, map[string]bool{"trace": true, "workload": true} }), "-workload does not apply with -trace", 0, 0},
+		{"trace bs", with(func(f *runFlags) { f.trace, f.set = true, map[string]bool{"trace": true, "bs": true} }), "-bs does not apply with -trace", 0, 0},
+		{"trace bs=0", with(func(f *runFlags) { f.trace, f.blockSize, f.set = true, 0, map[string]bool{"trace": true, "bs": true} }), "-bs does not apply with -trace", 0, 0},
+		{"trace leaves bs unread", with(func(f *runFlags) { f.trace, f.blockSize = true, 0 }), "", 0, 0},
+		{"good trace", with(func(f *runFlags) { f.trace, f.set = true, map[string]bool{"trace": true, "depth": true, "n": true} }), "", 0, 0},
 	}
 	for _, c := range cases {
 		cut, scrub, err := c.flags.validate()

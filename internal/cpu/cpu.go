@@ -311,14 +311,6 @@ func (c *Complex) AveragePowerW(elapsed sim.Duration) float64 {
 	return c.TotalEnergyJoules(elapsed) / elapsed.Seconds()
 }
 
-// MIPS returns achieved million-instructions-per-second over the window.
-func (c *Complex) MIPS(elapsed sim.Duration) float64 {
-	if elapsed == 0 {
-		return 0
-	}
-	return float64(c.total.Total()) / elapsed.Seconds() / 1e6
-}
-
 // Mix builds an InstrMix from a total count and the firmware-typical
 // category fractions: ~25% loads, ~35% stores is the paper's dominant
 // load/store share; remaining instructions split across branches,

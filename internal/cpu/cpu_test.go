@@ -168,8 +168,8 @@ func TestUtilizationAndMIPS(t *testing.T) {
 	if u := c.Utilization(9 * sim.Microsecond); !approx(u, 3.0/27.0, 1e-9) {
 		t.Fatalf("Utilization = %v", u)
 	}
-	// 1500 instructions over 3us => 500 MIPS.
-	if m := c.MIPS(3 * sim.Microsecond); !approx(m, 500, 1e-6) {
+	// 1500 instructions over the 3us they took => 500 MIPS.
+	if m := float64(c.Instructions().Total()) / c.BusyTime().Seconds() / 1e6; !approx(m, 500, 1e-6) {
 		t.Fatalf("MIPS = %v", m)
 	}
 }

@@ -13,11 +13,10 @@
 // Real controllers do not arbitrate per host page: adjacent pointer-list
 // entries that are physically contiguous (and move in the same direction)
 // coalesce into one DMA descriptor per arbitration round. Timing mode
-// models that by batching contiguous runs (PointerList.Contig or
-// consecutive PointerList.Frames) into single link/memory claims, which
-// also collapses the event count large blocks generate. Lists with
-// unknown physical layout keep the historical per-entry arbitration
-// exactly.
+// models that by batching the entries of a contiguous list
+// (PointerList.Contig) into single link/memory claims, which also
+// collapses the event count large blocks generate. Lists with unknown
+// physical layout keep the historical per-entry arbitration exactly.
 //
 // Exactly, but not entry by entry: the whole-page entries of such a list are
 // k equal descriptors issued at one time, so host memory serves them back to
@@ -25,8 +24,8 @@
 // sim.Resource.ClaimRun calls and the counters advanced by k make the claims
 // the per-entry loop would, in O(1) (reference_test.go holds result, both
 // timelines and Stats equal to that loop). The loop is still what runs for
-// the list's short last entry, for contiguous and framed lists (their
-// batches differ in size) and under the h-type copy (a descriptor's second
+// the list's short last entry, for contiguous lists (their batches differ
+// in size) and under the h-type copy (a descriptor's second
 // pass over host memory queues behind the next descriptor's first).
 package dma
 
@@ -104,21 +103,19 @@ func (m Mode) String() string {
 
 // PointerList describes the system-memory pages of one request. Entries
 // reference host page frames; Data optionally carries the real bytes
-// (Amber's SSD emulation), sliced per entry.
+// (Amber's SSD emulation).
 //
 // Physical layout: Contig marks every referenced page physically
-// contiguous (one run of frames); Frames optionally gives the explicit
-// per-entry frame numbers of a scattered buffer. When neither is set the
-// layout is unknown and the engine conservatively treats every entry as
-// its own physical extent, which preserves the historical per-entry
-// Timing-mode arbitration exactly.
+// contiguous (one run of frames). When it is not set the layout is unknown
+// and the engine conservatively treats every entry as its own physical
+// extent, which preserves the historical per-entry Timing-mode arbitration
+// exactly.
 type PointerList struct {
 	Kind     ListKind
 	PageSize int
 	Length   int // total payload bytes
 	Data     []byte
 	Contig   bool
-	Frames   []int64 // host frame number per entry; nil = unknown layout
 }
 
 // Build constructs a pointer list for n bytes of payload over hostPageSize
@@ -147,49 +144,9 @@ func BuildContiguous(kind ListKind, n, hostPageSize int, data []byte) (PointerLi
 	return pl, nil
 }
 
-// BuildFrames is Build with an explicit physical frame number per entry;
-// runs of consecutive frames may coalesce into descriptor batches.
-func BuildFrames(kind ListKind, n, hostPageSize int, data []byte, frames []int64) (PointerList, error) {
-	pl, err := Build(kind, n, hostPageSize, data)
-	if err != nil {
-		return PointerList{}, err
-	}
-	if len(frames) < pl.Entries() {
-		return PointerList{}, fmt.Errorf("dma: %d frames for %d entries", len(frames), pl.Entries())
-	}
-	pl.Frames = frames
-	return pl, nil
-}
-
-// contiguousWith reports whether entry i+1 is the physical successor of
-// entry i, i.e. the two can share a descriptor batch.
-func (pl PointerList) contiguousWith(i int) bool {
-	if pl.Contig {
-		return true
-	}
-	return pl.Frames != nil && pl.Frames[i+1] == pl.Frames[i]+1
-}
-
 // Entries returns the number of pointer-list entries (host pages spanned).
 func (pl PointerList) Entries() int {
 	return (pl.Length + pl.PageSize - 1) / pl.PageSize
-}
-
-// EntrySlice returns the payload bytes of entry i, or nil when no data is
-// attached.
-func (pl PointerList) EntrySlice(i int) []byte {
-	if pl.Data == nil {
-		return nil
-	}
-	lo := i * pl.PageSize
-	hi := lo + pl.PageSize
-	if hi > pl.Length {
-		hi = pl.Length
-	}
-	if lo >= hi {
-		return nil
-	}
-	return pl.Data[lo:hi]
 }
 
 // Stats aggregates DMA engine activity. Descriptors counts modeled
@@ -314,7 +271,7 @@ func (e *Engine) Transfer(now sim.Time, pl PointerList, toDevice bool) sim.Time 
 	}
 	done := now
 	i := 0
-	if pl.Frames == nil && !pl.Contig && !e.hostCopy {
+	if !pl.Contig && !e.hostCopy {
 		// The k whole-page entries as two runs (see the package comment): host
 		// memory finishes them mem apart, which is how they reach the link.
 		if k := pl.Length / pl.PageSize; k > 0 {
@@ -332,7 +289,7 @@ func (e *Engine) Transfer(now sim.Time, pl PointerList, toDevice bool) sim.Time 
 		// Coalesce a run of physically contiguous entries into one
 		// descriptor batch, bounded by the controller's burst limit.
 		j := i + 1
-		for j < entries && pl.contiguousWith(j-1) && (e.maxBatch == 0 || j-i < e.maxBatch) {
+		for j < entries && pl.Contig && (e.maxBatch == 0 || j-i < e.maxBatch) {
 			j++
 		}
 		n := j * pl.PageSize

@@ -34,7 +34,7 @@ func refTransfer(e *Engine, now sim.Time, pl PointerList) sim.Time {
 	done := now
 	for i := 0; i < entries; {
 		j := i + 1
-		for j < entries && pl.contiguousWith(j-1) && (e.maxBatch == 0 || j-i < e.maxBatch) {
+		for j < entries && pl.Contig && (e.maxBatch == 0 || j-i < e.maxBatch) {
 			j++
 		}
 		n := j * pl.PageSize
@@ -51,7 +51,7 @@ func refTransfer(e *Engine, now sim.Time, pl PointerList) sim.Time {
 }
 
 // TestTransferMatchesPerEntryReference drives random pointer lists — unknown
-// layout, contiguous and framed (with gaps), whole pages and short tails, one
+// layout and contiguous, whole pages and short tails, one
 // entry to a cache line's 240 — through Transfer and the per-descriptor
 // reference on twin engines, for both modes, the h-type copy on and off and
 // burst limits 0, 1 and 7, a link slower and faster than host memory, against
@@ -102,21 +102,7 @@ func TestTransferMatchesPerEntryReference(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						switch rng.Intn(4) {
-						case 0:
-							pl.Contig = true
-						case 1:
-							frames := make([]int64, pl.Entries())
-							next := int64(rng.Intn(1000))
-							for i := range frames {
-								if rng.Intn(3) == 0 {
-									next += int64(1 + rng.Intn(5)) // a gap: the run breaks here
-								}
-								frames[i] = next
-								next++
-							}
-							pl.Frames = frames
-						}
+						pl.Contig = rng.Intn(4) == 0
 						// Mostly pile onto busy resources; sometimes let them
 						// drain, and sometimes back one up alone.
 						switch rng.Intn(5) {

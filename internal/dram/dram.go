@@ -131,11 +131,6 @@ func (c Config) BurstTime() sim.Duration {
 	return sim.FromSeconds(float64(c.BurstLength) / 2 / (c.ClockMHz * 1e6))
 }
 
-// PeakBandwidth returns theoretical bytes/second across all channels.
-func (c Config) PeakBandwidth() float64 {
-	return c.ClockMHz * 1e6 * 2 * float64(c.BusWidthBits/8) * float64(c.Channels)
-}
-
 // TotalBanks returns the number of independently timed banks.
 func (c Config) TotalBanks() int { return c.Channels * c.RanksPerChannel * c.BanksPerRank }
 
@@ -439,17 +434,6 @@ func (d *DRAM) Reserve(n int64) error {
 	return nil
 }
 
-// Release returns previously reserved capacity.
-func (d *DRAM) Release(n int64) {
-	if n < 0 || n > d.used {
-		panic("dram: release does not match reservations")
-	}
-	d.used -= n
-}
-
-// Used returns currently reserved bytes.
-func (d *DRAM) Used() int64 { return d.used }
-
 // BusyTime returns aggregate data-bus busy time.
 func (d *DRAM) BusyTime() sim.Duration {
 	var t sim.Duration
@@ -493,15 +477,6 @@ func (d *DRAM) AveragePowerW(elapsed sim.Duration) float64 {
 		return 0
 	}
 	return d.TotalEnergyJoules(elapsed) / elapsed.Seconds()
-}
-
-// RowHitRate returns the fraction of open-page accesses that hit.
-func (d *DRAM) RowHitRate() float64 {
-	tot := d.stats.RowHits + d.stats.RowMisses
-	if tot == 0 {
-		return 0
-	}
-	return float64(d.stats.RowHits) / float64(tot)
 }
 
 // DDR3L1600 returns a representative DDR3L-1600 configuration of the given

@@ -738,7 +738,7 @@ func TableIV(o Options) (*Table, error) {
 		{"GC greedy/cost-benefit + wear-leveling", "yes", "ftl"},
 		{"CPU/DRAM/NAND power + energy", "yes", "cpu, dram, nand"},
 		{"dynamic firmware execution accounting", "yes", "cpu.InstrMix"},
-		{"queue arbitration (FIFO/RR/WRR)", "yes", "hil.Arbiter"},
+		{"queue arbitration (FIFO/RR/WRR)", "no", "proto.Params.EffectiveQueueDepth, Host.DepthCap"},
 		{"data transfer emulation (real bytes)", "yes", "dma, nand.Options.TrackData"},
 		{"functional + timing DMA modes", "yes", "dma.Mode"},
 		{"parallel multi-system experiment harness", "yes", "exp.Options.Parallel"},

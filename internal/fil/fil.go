@@ -886,42 +886,18 @@ func (f *FIL) execute(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan f
 // sub by sub.
 func Key(lspn int64, sub int) SubKey { return SubKey{lspn, sub} }
 
-// ReadSubs reads the given locations in parallel (subject to physical
-// contention) and returns the last completion. When dsts is non-nil it
-// must have one buffer per location.
-func (f *FIL) ReadSubs(now sim.Time, locs []ftl.PageLoc, dsts [][]byte) (sim.Time, error) {
-	done := now
-	for i, loc := range locs {
-		var dst []byte
-		if dsts != nil {
-			dst = dsts[i]
-		}
-		addr, err := f.translate(loc)
-		if err != nil {
-			return done, fmt.Errorf("fil: read %v: %w", loc, err)
-		}
-		r, err := f.flash.Read(now, addr, dst)
-		if err != nil {
-			return done, fmt.Errorf("fil: read %v: %w", loc, err)
-		}
-		f.stats.Reads++
-		if r.Done > done {
-			done = r.Done
-		}
-	}
-	return done, nil
-}
-
-// ReadSubsStaged is ReadSubs on the staged path: each read's page bytes are
-// delivered into its dst and its counters and energy charged at issue time
-// (nand.Flash.ReadDeferredAddr), and nothing is scheduled. When this call
-// returns, every dst already holds the bytes a synchronous ReadSubs would
-// have produced; timing is identical to ReadSubs. This is the precopy stage
-// of the core's fill installs: the caller's buffer is complete when the
-// fill's publish continuation (PublishDomain) is scheduled. Every address is
-// validated before any read claims, so an error leaves nothing claimed and
-// no dst written. The engine and domain arguments are unused;
-// bench/replay.go calls this signature.
+// ReadSubsStaged reads the given locations in parallel (subject to physical
+// contention) and returns the last completion; it is FIL's one way to read
+// sub-pages. When dsts is non-nil it must have one buffer per location. Each
+// read's page bytes are delivered into its dst and its counters and energy
+// charged at issue time (nand.Flash.ReadDeferredAddr), and nothing is
+// scheduled, so every dst is complete when this call returns, and the
+// completion time is the one a read through nand.Flash.Read would give. This
+// is the precopy stage of the core's fill installs: the caller's buffer is
+// complete when the fill's publish continuation (PublishDomain) is
+// scheduled. Every address is validated before any read claims, so an error
+// leaves nothing claimed and no dst written. The engine and domain arguments
+// are unused; bench/replay.go calls this signature.
 //
 // cert is the read certificate stamped on locs by ftl.LookupSubs;
 // while it is honored (readCertOK: chain armed, epochs matched, read-fault

@@ -76,7 +76,7 @@ func TestExecuteFullWritePlan(t *testing.T) {
 	for i, l := range locs {
 		dsts[i] = got[l.Sub*512 : (l.Sub+1)*512]
 	}
-	if _, err := f.ReadSubs(sim.FromMicroseconds(10000), locs, dsts); err != nil {
+	if _, err := f.ReadSubsStaged(nil, nil, sim.FromMicroseconds(10000), locs, dsts, ftl.ReadCert{}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, payload) {
@@ -147,7 +147,7 @@ func TestGCPlanSurvivesDataIntegrity(t *testing.T) {
 		for i, l := range locs {
 			dsts[i] = got[l.Sub*512 : (l.Sub+1)*512]
 		}
-		if _, err := f.ReadSubs(now, locs, dsts); err != nil {
+		if _, err := f.ReadSubsStaged(nil, nil, now, locs, dsts, ftl.ReadCert{}); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
@@ -274,7 +274,7 @@ func TestExecuteOnEquivalence(t *testing.T) {
 			for i, l := range locs {
 				dsts[i] = got[l.Sub*512 : (l.Sub+1)*512]
 			}
-			if _, err := f.ReadSubs(at, locs, dsts); err != nil {
+			if _, err := f.ReadSubsStaged(nil, nil, at, locs, dsts, ftl.ReadCert{}); err != nil {
 				t.Fatal(err)
 			}
 			return got
@@ -289,7 +289,7 @@ func TestExecuteOnEquivalence(t *testing.T) {
 		for i, l := range locsD {
 			dstsD[i] = gotD[l.Sub*512 : (l.Sub+1)*512]
 		}
-		if _, err := fDef.ReadSubs(nowD, locsD, dstsD); err != nil {
+		if _, err := fDef.ReadSubsStaged(nil, nil, nowD, locsD, dstsD, ftl.ReadCert{}); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(gotS, gotD) {
@@ -391,7 +391,7 @@ func TestCertifiedPlanEquivalence(t *testing.T) {
 			for i, l := range locs {
 				dsts[i] = got[l.Sub*512 : (l.Sub+1)*512]
 			}
-			if _, err := f.ReadSubs(at, locs, dsts); err != nil {
+			if _, err := f.ReadSubsStaged(nil, nil, at, locs, dsts, ftl.ReadCert{}); err != nil {
 				t.Fatal(err)
 			}
 			return got

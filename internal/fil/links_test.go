@@ -198,7 +198,7 @@ func TestNewRejectsInseparableAddrFunc(t *testing.T) {
 	}
 	// A hand-built location on a plane the table does not have is an error,
 	// not an index panic.
-	_, err = f.ReadSubs(0, []ftl.PageLoc{{Plane: g.TotalPlanes()}}, nil)
+	_, err = f.ReadSubsStaged(nil, nil, 0, []ftl.PageLoc{{Plane: g.TotalPlanes()}}, nil, ftl.ReadCert{})
 	if err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("read of plane %d: %v", g.TotalPlanes(), err)
 	}

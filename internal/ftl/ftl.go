@@ -252,9 +252,6 @@ type ReadCert struct {
 	epoch  uint64
 }
 
-// Certified reports whether the lookup carries a certification at all.
-func (c ReadCert) Certified() bool { return c.issuer != nil }
-
 // By reports whether the certificate was minted by f.
 func (c ReadCert) By(f *FTL) bool { return f != nil && c.issuer == f }
 

@@ -416,8 +416,8 @@ func TestLookupSubsMatchesFullLookup(t *testing.T) {
 				{-1, []int{0}}, {user, []int{0}}, {0, []int{0, subCount}}, {0, []int{1, -1}}, {1, []int{0, 1, subCount + 7}},
 			} {
 				got, cert, err := f.LookupSubs(kept, bad.lspn, bad.subs)
-				if err == nil || cert.Certified() || len(got) != 1 || got[0] != kept[0] {
-					t.Fatalf("LookupSubs(LSPN %d, subs %v) = %v, certified %v, err %v", bad.lspn, bad.subs, got, cert.Certified(), err)
+				if err == nil || cert != (ReadCert{}) || len(got) != 1 || got[0] != kept[0] {
+					t.Fatalf("LookupSubs(LSPN %d, subs %v) = %v, cert %+v, err %v", bad.lspn, bad.subs, got, cert, err)
 				}
 			}
 

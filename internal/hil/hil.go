@@ -1,25 +1,13 @@
 // Package hil implements the host interface layer of Amber's firmware
-// stack (§III-B): the module that fetches host requests from device-level
-// queues, schedules them — FIFO for h-type storage, round-robin or
-// weighted round-robin arbitration across rich queues for s-type — and
-// splits each request into super-page-sized internal requests matched to
-// the ICL's cache entry size.
+// stack (§III-B): the module that splits each host request into
+// super-page-sized internal requests matched to the ICL's cache entry size.
+// It does not arbitrate between device queues: requests reach it in
+// submission order, and the number in flight is bounded by the protocol's
+// queue depth (proto.Params.EffectiveQueueDepth) and the host's depth cap
+// (host.Host.DepthCap).
 package hil
 
-import (
-	"fmt"
-
-	"amber/internal/proto"
-)
-
-// Request is a host command as the device controller exposes it to the HIL.
-type Request struct {
-	Queue  int // submission queue index
-	Write  bool
-	Offset int64 // byte offset into the logical volume
-	Length int   // bytes
-	Tag    uint64
-}
+import "fmt"
 
 // Line is one super-page-aligned internal request produced by splitting.
 type Line struct {
@@ -89,115 +77,4 @@ func (s *Splitter) SplitInto(dst []Line, offset int64, length int) ([]Line, erro
 		pos += take
 	}
 	return out, nil
-}
-
-// Arbiter schedules requests across device-level queues using the
-// protocol's arbitration policy. It is the s-type "rich queue" fetch logic;
-// with a single queue it degenerates to FIFO.
-type Arbiter struct {
-	policy  proto.Arbitration
-	queues  [][]*Request
-	weights []int
-	// WRR state: current queue and remaining credits.
-	cur     int
-	credits int
-}
-
-// NewArbiter builds an arbiter over nQueues queues. weights are used by
-// WRR (nil defaults every weight to 1, i.e. plain round-robin behavior).
-func NewArbiter(policy proto.Arbitration, nQueues int, weights []int) (*Arbiter, error) {
-	if nQueues <= 0 {
-		return nil, fmt.Errorf("hil: need at least one queue")
-	}
-	if weights == nil {
-		weights = make([]int, nQueues)
-		for i := range weights {
-			weights[i] = 1
-		}
-	}
-	if len(weights) != nQueues {
-		return nil, fmt.Errorf("hil: %d weights for %d queues", len(weights), nQueues)
-	}
-	for i, w := range weights {
-		if w <= 0 {
-			return nil, fmt.Errorf("hil: weight %d of queue %d must be positive", w, i)
-		}
-	}
-	a := &Arbiter{policy: policy, queues: make([][]*Request, nQueues), weights: weights}
-	a.credits = weights[0]
-	return a, nil
-}
-
-// Enqueue places a request on its submission queue.
-func (a *Arbiter) Enqueue(r *Request) error {
-	if r.Queue < 0 || r.Queue >= len(a.queues) {
-		return fmt.Errorf("hil: queue %d out of range [0,%d)", r.Queue, len(a.queues))
-	}
-	a.queues[r.Queue] = append(a.queues[r.Queue], r)
-	return nil
-}
-
-// Pending returns the total queued request count.
-func (a *Arbiter) Pending() int {
-	n := 0
-	for _, q := range a.queues {
-		n += len(q)
-	}
-	return n
-}
-
-// Next fetches the next request per the arbitration policy, or nil when
-// all queues are empty.
-func (a *Arbiter) Next() *Request {
-	switch a.policy {
-	case proto.RoundRobin:
-		return a.nextRR(false)
-	case proto.WeightedRoundRobin:
-		return a.nextRR(true)
-	default:
-		return a.nextFIFO()
-	}
-}
-
-// nextFIFO drains queues strictly in order: the h-type single I/O path.
-func (a *Arbiter) nextFIFO() *Request {
-	for i := range a.queues {
-		if len(a.queues[i]) > 0 {
-			return a.pop(i)
-		}
-	}
-	return nil
-}
-
-// nextRR visits queues cyclically; with weighted=true each queue keeps the
-// grant for its weight's worth of commands before rotating.
-func (a *Arbiter) nextRR(weighted bool) *Request {
-	n := len(a.queues)
-	for tries := 0; tries < n; tries++ {
-		if len(a.queues[a.cur]) > 0 {
-			r := a.pop(a.cur)
-			if weighted {
-				a.credits--
-				if a.credits <= 0 {
-					a.advance()
-				}
-			} else {
-				a.advance()
-			}
-			return r
-		}
-		a.advance()
-	}
-	return nil
-}
-
-func (a *Arbiter) advance() {
-	a.cur = (a.cur + 1) % len(a.queues)
-	a.credits = a.weights[a.cur]
-}
-
-func (a *Arbiter) pop(i int) *Request {
-	r := a.queues[i][0]
-	a.queues[i] = a.queues[i][1:]
-	return r
 }

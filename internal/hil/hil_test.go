@@ -3,8 +3,6 @@ package hil
 import (
 	"testing"
 	"testing/quick"
-
-	"amber/internal/proto"
 )
 
 func TestSplitterBasics(t *testing.T) {
@@ -105,108 +103,5 @@ func TestSplitTilesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestArbiterFIFO(t *testing.T) {
-	a, err := NewArbiter(proto.FIFO, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := []*Request{{Queue: 1, Tag: 1}, {Queue: 0, Tag: 2}, {Queue: 1, Tag: 3}}
-	for _, r := range reqs {
-		if err := a.Enqueue(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// FIFO drains queue 0 first, then queue 1 in order.
-	want := []uint64{2, 1, 3}
-	for i, w := range want {
-		r := a.Next()
-		if r == nil || r.Tag != w {
-			t.Fatalf("fetch %d: got %+v, want tag %d", i, r, w)
-		}
-	}
-	if a.Next() != nil {
-		t.Fatal("empty arbiter returned a request")
-	}
-}
-
-func TestArbiterRoundRobin(t *testing.T) {
-	a, _ := NewArbiter(proto.RoundRobin, 3, nil)
-	for q := 0; q < 3; q++ {
-		for i := 0; i < 2; i++ {
-			if err := a.Enqueue(&Request{Queue: q, Tag: uint64(q*10 + i)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	var got []uint64
-	for r := a.Next(); r != nil; r = a.Next() {
-		got = append(got, r.Tag)
-	}
-	want := []uint64{0, 10, 20, 1, 11, 21}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("RR order = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestArbiterWRRHonorsWeights(t *testing.T) {
-	a, _ := NewArbiter(proto.WeightedRoundRobin, 2, []int{3, 1})
-	for q := 0; q < 2; q++ {
-		for i := 0; i < 6; i++ {
-			if err := a.Enqueue(&Request{Queue: q, Tag: uint64(q)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// First 8 fetches: queue 0 should get 3 of every 4.
-	q0 := 0
-	for i := 0; i < 8; i++ {
-		r := a.Next()
-		if r == nil {
-			t.Fatal("arbiter ran dry early")
-		}
-		if r.Tag == 0 {
-			q0++
-		}
-	}
-	if q0 != 6 {
-		t.Fatalf("queue 0 got %d of 8 under 3:1 weights, want 6", q0)
-	}
-}
-
-func TestArbiterSkipsEmptyQueues(t *testing.T) {
-	a, _ := NewArbiter(proto.RoundRobin, 4, nil)
-	if err := a.Enqueue(&Request{Queue: 2, Tag: 7}); err != nil {
-		t.Fatal(err)
-	}
-	r := a.Next()
-	if r == nil || r.Tag != 7 {
-		t.Fatalf("RR failed to skip empties: %+v", r)
-	}
-}
-
-func TestArbiterValidation(t *testing.T) {
-	if _, err := NewArbiter(proto.RoundRobin, 0, nil); err == nil {
-		t.Fatal("zero queues accepted")
-	}
-	if _, err := NewArbiter(proto.WeightedRoundRobin, 2, []int{1}); err == nil {
-		t.Fatal("mismatched weights accepted")
-	}
-	if _, err := NewArbiter(proto.WeightedRoundRobin, 2, []int{1, 0}); err == nil {
-		t.Fatal("zero weight accepted")
-	}
-	a, _ := NewArbiter(proto.FIFO, 1, nil)
-	if err := a.Enqueue(&Request{Queue: 5}); err == nil {
-		t.Fatal("out-of-range queue accepted")
-	}
-	if a.Pending() != 0 {
-		t.Fatal("failed enqueue counted")
 	}
 }

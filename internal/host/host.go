@@ -207,13 +207,6 @@ func (h *Host) Complete(now sim.Time, isrInstr uint64) sim.Time {
 	return h.isr.run(h.CPU, now, "kernel.isr", isrInstr)
 }
 
-// ExecutePinned charges arbitrary host work (pblk, lightNVM) on a specific
-// core.
-func (h *Host) ExecutePinned(now sim.Time, core int, module string, mix cpu.InstrMix) sim.Time {
-	_, end := h.CPU.Execute(now, core, module, mix)
-	return end
-}
-
 // Alloc reserves host memory (driver pools, FIO buffers, pblk tables).
 func (h *Host) Alloc(n int64) error {
 	if n < 0 {
@@ -237,8 +230,3 @@ func (h *Host) Free(n int64) {
 
 // MemUsed returns currently allocated host memory in bytes.
 func (h *Host) MemUsed() int64 { return h.memUsed }
-
-// CPUUtilization returns aggregate host CPU utilization over the window.
-func (h *Host) CPUUtilization(elapsed sim.Duration) float64 {
-	return h.CPU.Utilization(elapsed)
-}

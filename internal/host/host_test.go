@@ -117,21 +117,6 @@ func TestFreeTooMuchPanics(t *testing.T) {
 	h.Free(1)
 }
 
-func TestExecutePinnedAndUtilization(t *testing.T) {
-	h, err := New(PC())
-	if err != nil {
-		t.Fatal(err)
-	}
-	end := h.ExecutePinned(0, 2, "pblk.test", cpu.Mix(44000))
-	// 44000 instr at 2 IPC, 4.4 GHz = 5us.
-	if end != 5*sim.Microsecond {
-		t.Fatalf("pinned exec end = %v", end)
-	}
-	if u := h.CPUUtilization(20 * sim.Microsecond); u <= 0 {
-		t.Fatal("utilization should be positive")
-	}
-}
-
 // refSubmit and refComplete are the unmemoized kernel paths Submit and
 // Complete are held equal to: the mix rebuilt from the arguments and priced
 // on every call. They exist only here.

@@ -112,10 +112,6 @@ func (f *Flash) MarkBadBlock(bi int) {
 	f.badOrder = append(f.badOrder, int32(bi))
 }
 
-// IsBadBlock reports whether the block at global index bi is in the grown
-// bad-block table.
-func (f *Flash) IsBadBlock(bi int) bool { return f.blocks[bi].bad }
-
 // BadBlocks returns the grown bad-block table: global block indices in the
 // order they were marked.
 func (f *Flash) BadBlocks() []int {

@@ -1420,10 +1420,6 @@ func (f *Flash) PagePayload(addr Address, dst []byte) {
 	f.copyOut(f.geo.PageIndex(addr), dst)
 }
 
-// BlockDisturb returns the accumulated read-disturb count of the block at
-// global index bi (always zero unless FaultConfig.ReadDisturbLimit is set).
-func (f *Flash) BlockDisturb(bi int) uint32 { return f.blocks[bi].disturb }
-
 // BlockRisk scores the degradation risk of the block at global index bi at
 // simulated time now: the sum of its read-disturb fraction and the
 // retention-age fraction of its oldest written page, each relative to the
@@ -1481,48 +1477,4 @@ func (f *Flash) FreeAt() sim.Time {
 		}
 	}
 	return t
-}
-
-// ChannelUtilization returns per-channel bus utilization over elapsed time.
-func (f *Flash) ChannelUtilization(elapsed sim.Duration) []float64 {
-	out := make([]float64, len(f.channels))
-	for i, ch := range f.channels {
-		out[i] = ch.Utilization(elapsed)
-	}
-	return out
-}
-
-// DieUtilization returns per-die utilization over elapsed time.
-func (f *Flash) DieUtilization(elapsed sim.Duration) []float64 {
-	out := make([]float64, len(f.dies))
-	for i, d := range f.dies {
-		out[i] = d.Utilization(elapsed)
-	}
-	return out
-}
-
-// MaxEraseCount returns the highest per-block erase count, the wear-leveling
-// figure of merit.
-func (f *Flash) MaxEraseCount() uint32 {
-	var m uint32
-	for i := range f.blocks {
-		if f.blocks[i].eraseCount > m {
-			m = f.blocks[i].eraseCount
-		}
-	}
-	return m
-}
-
-// MinEraseCount returns the lowest per-block erase count.
-func (f *Flash) MinEraseCount() uint32 {
-	if len(f.blocks) == 0 {
-		return 0
-	}
-	m := f.blocks[0].eraseCount
-	for i := range f.blocks {
-		if f.blocks[i].eraseCount < m {
-			m = f.blocks[i].eraseCount
-		}
-	}
-	return m
 }

@@ -347,8 +347,8 @@ func TestEraseResetsWear(t *testing.T) {
 	if got := f.EraseCount(addr); got != 5 {
 		t.Fatalf("EraseCount = %d, want 5", got)
 	}
-	if f.MaxEraseCount() != 5 || f.MinEraseCount() != 0 {
-		t.Fatalf("Max/Min erase = %d/%d", f.MaxEraseCount(), f.MinEraseCount())
+	if got := f.EraseCount(Address{Block: 2}); got != 0 {
+		t.Fatalf("untouched block's EraseCount = %d, want 0", got)
 	}
 }
 
@@ -381,30 +381,6 @@ func TestStatsAndEnergy(t *testing.T) {
 	}
 	if p := f.AveragePowerW(sim.Second); p <= 0 {
 		t.Fatalf("AveragePowerW = %v", p)
-	}
-}
-
-func TestUtilizationVectors(t *testing.T) {
-	f := newTestFlash(t, Options{})
-	if _, err := f.Program(0, Address{Channel: 2, Page: 0}, nil); err != nil {
-		t.Fatal(err)
-	}
-	cu := f.ChannelUtilization(sim.FromMicroseconds(1000))
-	if cu[2] == 0 {
-		t.Fatal("used channel shows zero utilization")
-	}
-	if cu[0] != 0 {
-		t.Fatal("unused channel shows utilization")
-	}
-	du := f.DieUtilization(sim.FromMicroseconds(10000))
-	nonzero := 0
-	for _, u := range du {
-		if u > 0 {
-			nonzero++
-		}
-	}
-	if nonzero != 1 {
-		t.Fatalf("want exactly 1 busy die, got %d", nonzero)
 	}
 }
 

@@ -45,13 +45,9 @@ func (k Kind) String() string {
 	}
 }
 
-// IsHType reports whether the protocol is hardware-driven storage (I/O
-// controller hub with a host controller: SATA, UFS) as opposed to
-// software-driven (memory controller hub over PCIe: NVMe, OCSSD).
-func (k Kind) IsHType() bool { return k == SATA || k == UFS }
-
-// Arbitration selects the HIL scheduling policy for s-type multi-queue
-// protocols.
+// Arbitration names the paper's HIL scheduling policy for a protocol's
+// device queues. The simulator records it but does not apply it: package
+// hil serves requests in submission order.
 type Arbitration int
 
 // Queue arbitration mechanisms (§III-B firmware stack).
@@ -82,7 +78,8 @@ type Params struct {
 	QueueDepthLimit int
 	// MaxQueues is the number of I/O queues the protocol exposes.
 	MaxQueues int
-	// Arbitration is the device-side queue scheduling policy.
+	// Arbitration is the device-side queue scheduling policy (recorded,
+	// not modeled; see Arbitration).
 	Arbitration Arbitration
 
 	// LinkBytesPerSec is the effective payload bandwidth of the physical
@@ -247,20 +244,4 @@ func OCSSD20() Params {
 	p.ParseMix = cpu.Mix(300) // thin pass-through firmware
 	p.SubmitInstr = 11000     // lightNVM adds driver work before pblk costs
 	return p
-}
-
-// ForKind returns the default parameter set of the given protocol.
-func ForKind(k Kind) (Params, error) {
-	switch k {
-	case SATA:
-		return SATA30(), nil
-	case UFS:
-		return UFS21(), nil
-	case NVMe:
-		return NVMe121(), nil
-	case OCSSD:
-		return OCSSD20(), nil
-	default:
-		return Params{}, fmt.Errorf("proto: unknown kind %d", int(k))
-	}
 }

@@ -3,29 +3,13 @@ package proto
 import "testing"
 
 func TestAllKindsValidate(t *testing.T) {
-	for _, k := range []Kind{SATA, UFS, NVMe, OCSSD} {
-		p, err := ForKind(k)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for k, p := range map[Kind]Params{SATA: SATA30(), UFS: UFS21(), NVMe: NVMe121(), OCSSD: OCSSD20()} {
 		if err := p.Validate(); err != nil {
 			t.Errorf("%v: %v", k, err)
 		}
 		if p.Kind != k {
 			t.Errorf("%v: kind mismatch", k)
 		}
-	}
-	if _, err := ForKind(Kind(99)); err == nil {
-		t.Fatal("unknown kind accepted")
-	}
-}
-
-func TestHTypeClassification(t *testing.T) {
-	if !SATA.IsHType() || !UFS.IsHType() {
-		t.Fatal("SATA/UFS must be h-type")
-	}
-	if NVMe.IsHType() || OCSSD.IsHType() {
-		t.Fatal("NVMe/OCSSD must be s-type")
 	}
 }
 

@@ -354,10 +354,10 @@
 //
 // Resource and Pool model FCFS servers by time reservation: Claim(now, dur)
 // returns the [start, end) service interval, queueing behind the previous
-// reservation. ClaimAt(start, dur) is the trace-replay variant: it reserves
-// exactly at start (the caller asserts the resource is genuinely free then)
-// and only pushes the next-free time forward. This is exact for FCFS
-// disciplines and removes any explicit queue processes from the hot path.
+// reservation, and ClaimRun books k evenly spaced claims in closed form.
+// Every reservation queues: nothing starts before the server is free. This
+// is exact for FCFS disciplines and removes any explicit queue processes
+// from the hot path.
 //
 // # Related arenas
 //

@@ -319,18 +319,6 @@ func TestRNGFloatRange(t *testing.T) {
 	}
 }
 
-func TestRNGPerm(t *testing.T) {
-	r := NewRNG(11)
-	p := r.Perm(20)
-	seen := make([]bool, 20)
-	for _, v := range p {
-		if v < 0 || v >= 20 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestRNGBoolBias(t *testing.T) {
 	r := NewRNG(5)
 	hits := 0
@@ -406,36 +394,6 @@ func TestEngineStressRandomOrder(t *testing.T) {
 	e.Run()
 	if fired != n {
 		t.Fatalf("fired %d of %d", fired, n)
-	}
-}
-
-func TestResourceClaimAtExactStart(t *testing.T) {
-	r := NewResource("trace")
-	s1, e1 := r.ClaimAt(100, 10)
-	if s1 != 100 || e1 != 110 {
-		t.Fatalf("ClaimAt = [%v,%v), want [100,110)", s1, e1)
-	}
-	// ClaimAt never queues: even though the resource is busy until 110,
-	// the reservation starts exactly at the requested time.
-	s2, e2 := r.ClaimAt(105, 10)
-	if s2 != 105 || e2 != 115 {
-		t.Fatalf("ClaimAt = [%v,%v), want [105,115)", s2, e2)
-	}
-	if r.FreeAt() != 115 {
-		t.Fatalf("FreeAt = %v, want 115", r.FreeAt())
-	}
-	// An earlier exact claim must not rewind the free time.
-	r.ClaimAt(50, 5)
-	if r.FreeAt() != 115 {
-		t.Fatalf("FreeAt rewound to %v", r.FreeAt())
-	}
-	if r.BusyTime() != 25 {
-		t.Fatalf("BusyTime = %v, want 25", r.BusyTime())
-	}
-	// Claim still queues behind everything.
-	s3, _ := r.Claim(60, 5)
-	if s3 != 115 {
-		t.Fatalf("Claim after ClaimAt started at %v, want 115", s3)
 	}
 }
 

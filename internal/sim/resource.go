@@ -61,22 +61,6 @@ func (r *Resource) ClaimRun(first Time, stride, dur Duration, k int) (end Time) 
 	return end
 }
 
-// ClaimAt reserves dur starting exactly at start, even if that overlaps an
-// earlier reservation: the caller asserts the resource is genuinely free
-// then (e.g. a replayed trace with externally known timing). The returned
-// actualStart always equals start; the resource's next free time only moves
-// forward, to max(freeAt, start+dur). Use Claim when queueing delay should
-// be modeled instead.
-func (r *Resource) ClaimAt(start Time, dur Duration) (actualStart, end Time) {
-	end = start + dur
-	if end > r.freeAt {
-		r.freeAt = end
-	}
-	r.busy += dur
-	r.claims++
-	return start, end
-}
-
 // FreeAt returns the time at which the resource next becomes idle.
 func (r *Resource) FreeAt() Time { return r.freeAt }
 
@@ -153,9 +137,6 @@ func NewPool(name string, n int) *Pool {
 
 // Name returns the diagnostic name given at construction.
 func (p *Pool) Name() string { return p.name }
-
-// Size returns the number of servers.
-func (p *Pool) Size() int { return len(p.servers) }
 
 // Claim reserves dur on the earliest-free server and returns the service
 // interval together with the chosen server index.

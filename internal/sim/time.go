@@ -90,29 +90,9 @@ func TransferTime(n int64, bytesPerSecond float64) Time {
 	return FromSeconds(float64(n) / bytesPerSecond)
 }
 
-// CyclesTime returns the time to execute the given number of cycles at the
-// given frequency in Hz.
-func CyclesTime(cycles uint64, hz float64) Time {
-	if cycles == 0 {
-		return 0
-	}
-	if hz <= 0 {
-		return MaxTime
-	}
-	return FromSeconds(float64(cycles) / hz)
-}
-
 // MaxOf returns the later of two times.
 func MaxOf(a, b Time) Time {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-// MinOf returns the earlier of two times.
-func MinOf(a, b Time) Time {
-	if a < b {
 		return a
 	}
 	return b

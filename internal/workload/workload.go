@@ -89,8 +89,12 @@ func NewFIO(p Pattern, blockSize int, span int64, seed uint64) (*FIO, error) {
 	}, nil
 }
 
-// Name implements Generator.
+// Name implements Generator. The block size is in KiB when it is a whole
+// number of KiB and in bytes otherwise.
 func (f *FIO) Name() string {
+	if f.BlockSize%1024 != 0 {
+		return fmt.Sprintf("fio-%v-%dB", f.Pattern, f.BlockSize)
+	}
 	return fmt.Sprintf("fio-%v-%dk", f.Pattern, f.BlockSize/1024)
 }
 

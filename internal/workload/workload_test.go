@@ -14,6 +14,28 @@ func TestFIOValidation(t *testing.T) {
 	}
 }
 
+func TestFIOName(t *testing.T) {
+	for _, c := range []struct {
+		p    Pattern
+		bs   int
+		want string
+	}{
+		{RandRead, 4096, "fio-rand-read-4k"},
+		{SeqWrite, 1 << 20, "fio-seq-write-1024k"},
+		{RandRead, 1, "fio-rand-read-1B"},
+		{RandRead, 512, "fio-rand-read-512B"},
+		{SeqRead, 1536, "fio-seq-read-1536B"},
+	} {
+		g, err := NewFIO(c.p, c.bs, 1<<20, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := g.Name(); got != c.want {
+			t.Errorf("NewFIO(%v, %d).Name() = %q, want %q", c.p, c.bs, got, c.want)
+		}
+	}
+}
+
 func TestFIOSequentialWraps(t *testing.T) {
 	g, err := NewFIO(SeqWrite, 4096, 3*4096, 1)
 	if err != nil {
