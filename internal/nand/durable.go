@@ -5,8 +5,8 @@ import "amber/internal/sim"
 // Durable-state surface: what survives a power cut, and the cut itself.
 //
 // The durable state of the storage complex is exactly what physically lives
-// in the NAND array — block erase counts, programmed-page bitmaps and
-// in-order pointers, page payloads, per-page OOB stamps, and the grown
+// in the NAND array — block erase counts and in-order pointers, page
+// payloads, per-page OOB stamps with their written flags, and the grown
 // bad-block table. Everything else (the erase-undo journal, the staging
 // pool, the pins) is firmware RAM: PowerLoss resolves the journal, drops the
 // pins and keeps the pool, whose contents every taker overwrites. The
@@ -38,8 +38,8 @@ type OOBInfo struct {
 // PageOOB returns the OOB metadata of the page at addr. Pages never
 // programmed since their block's last erase return FI -1, Seq 0.
 func (f *Flash) PageOOB(addr Address) OOBInfo {
-	o := &f.oob[f.geo.PageIndex(addr)]
-	return OOBInfo{FI: int64(o.fi), Seq: o.seqNo(), Good: o.good(), Stripe: o.stripe}
+	o := &f.oob[f.slot(&addr)]
+	return OOBInfo{FI: o.fi(), Seq: o.seqNo(), Good: o.good(), Stripe: o.stripe}
 }
 
 // SetPageStripe stamps the written page at addr with a RAIN stripe
@@ -48,13 +48,14 @@ func (f *Flash) PageOOB(addr Address) OOBInfo {
 // right after issuing the parity program, and a power cut that
 // tears the program clears the whole stamp (good=false) with it.
 func (f *Flash) SetPageStripe(addr Address, mask uint32) {
-	f.oob[f.geo.PageIndex(addr)].stripe = mask
+	f.oob[f.slot(&addr)].stripe = mask
 }
 
 // TamperOOB corrupts one field of a page's OOB stamp, selected by mode
 // (modulo the field count): flip the checksum verdict, bit-flip the
 // logical tag, the sequence number, the payload checksum (a no-op on a
-// timing-only flash, which keeps none), or the stripe mask. A test-only
+// timing-only flash, which keeps none), or the stripe mask. The page is
+// named by its global physical page number (Geometry.PageIndex). A test-only
 // hook for fuzzing mount-time recovery against torn and bit-rotted OOB
 // images; it models silent spare-area corruption, so no counters or epochs
 // move.
@@ -62,17 +63,18 @@ func (f *Flash) TamperOOB(pageIdx int64, mode uint8) {
 	if pageIdx < 0 || pageIdx >= int64(len(f.oob)) {
 		return
 	}
-	o := &f.oob[pageIdx]
+	s := f.slotOfPage(pageIdx)
+	o := &f.oob[s]
 	switch mode % 5 {
 	case 0:
 		o.seq ^= oobGood
 	case 1:
-		o.fi ^= 1 << (mode % 32)
+		o.notFI ^= 1 << (mode % 32) // the same bit of the tag
 	case 2:
 		o.seq ^= 1 << (mode % 48)
 	case 3:
 		if f.sums != nil {
-			f.sums[pageIdx] ^= 1 << (mode % 64)
+			f.sums[s] ^= 1 << (mode % 64)
 		}
 	case 4:
 		o.stripe ^= 1 << (mode % 16)
@@ -84,18 +86,19 @@ func (f *Flash) TamperOOB(pageIdx int64, mode uint8) {
 // stamped without tracked data (sum 0) verify trivially — their torn state
 // is carried by the Good flag alone.
 func (f *Flash) VerifyPage(addr Address) bool {
-	pageIdx := f.geo.PageIndex(addr)
-	if !f.oob[pageIdx].good() {
+	s := f.slot(&addr)
+	if !f.oob[s].good() {
 		return false
 	}
-	if !f.trackData || f.sums[pageIdx] == 0 {
+	if !f.trackData || f.sums[s] == 0 {
 		return true
 	}
+	pageIdx := f.geo.PageIndex(addr)
 	data := f.data[int(pageIdx/f.pagesPerC)].get(f.chanLocal(pageIdx))
 	if data == nil {
 		return false
 	}
-	return pageSum(data) == f.sums[pageIdx]
+	return pageSum(data) == f.sums[s]
 }
 
 // MarkBadBlock records the block at global index bi in the durable grown
@@ -176,38 +179,30 @@ func (f *Flash) PowerLoss(now sim.Time, seed uint64) PowerLossReport {
 		f.recycleEraseUndo(u)
 	}
 	f.eraseUndo = f.eraseUndo[:0]
-	for bi := range f.blocks {
-		blk := &f.blocks[bi]
-		base := int64(bi) * int64(f.geo.PagesPerBlock)
-		for pg := 0; pg < f.geo.PagesPerBlock; pg++ {
-			pageIdx := base + int64(pg)
-			if !blk.written[pg] {
-				// Unwritten: settle the durable state.
-				if f.trackData {
-					ch := int(pageIdx / f.pagesPerC)
-					f.data[ch].clearRange(f.chanLocal(pageIdx), 1)
-					f.sums[pageIdx] = 0
-				}
-				f.oob[pageIdx] = erasedOOB
-				continue
+	f.undoLow = sim.MaxTime
+	for s := range f.oob {
+		o := &f.oob[s]
+		if !o.written() {
+			// Unwritten: settle the durable state.
+			if f.trackData {
+				f.dropPayload(int64(s))
 			}
-			o := &f.oob[pageIdx]
-			if o.doneAt <= now {
-				continue // completed before the cut: durable as-is
-			}
-			rep.InFlight++
-			if tornDraw(seed, pageIdx, o.seqNo()) {
-				rep.Torn++
-				o.setGood(false)
-				if f.trackData {
-					ch := int(pageIdx / f.pagesPerC)
-					f.data[ch].clearRange(f.chanLocal(pageIdx), 1)
-					f.sums[pageIdx] = 0
-				}
-				continue
-			}
-			rep.Committed++
+			*o = pageOOB{}
+			continue
 		}
+		if o.doneAt <= now {
+			continue // completed before the cut: durable as-is
+		}
+		rep.InFlight++
+		if tornDraw(seed, f.pageOfSlot(int64(s)), o.seqNo()) {
+			rep.Torn++
+			o.seq &^= oobGood
+			if f.trackData {
+				f.dropPayload(int64(s))
+			}
+			continue
+		}
+		rep.Committed++
 	}
 	f.plan.e, f.plan.open = nil, false // a plan the cut interrupted is over
 	f.dropPins()                       // their holders were firmware RAM
@@ -215,9 +210,16 @@ func (f *Flash) PowerLoss(now sim.Time, seed uint64) PowerLossReport {
 	return rep
 }
 
+// dropPayload clears the tracked payload and checksum of the page at slot s.
+func (f *Flash) dropPayload(s int64) {
+	pageIdx := f.pageOfSlot(s)
+	f.data[int(pageIdx/f.pagesPerC)].clearRange(f.chanLocal(pageIdx), 1)
+	f.sums[s] = 0
+}
+
 // undoErase puts back the block state u snapshotted: erase count, disturb
-// count, in-order pointer, written map and stamps and, on a tracked flash,
-// checksums and page buffers. Every page present at the claim is present
+// count, in-order pointer, stamps (written flags included) and, on a
+// tracked flash, checksums and page buffers. Every page present at the claim is present
 // again with its bytes and every other page absent, whatever programs
 // issued after the claim installed: they would have completed after the
 // erase, so after the cut.
@@ -226,14 +228,17 @@ func (f *Flash) undoErase(u *eraseUndoRec) {
 	blk.eraseCount = u.eraseCount
 	blk.disturb = u.disturb
 	blk.nextPage = u.nextPage
-	copy(blk.written, u.written)
-	base := int64(u.bi) * int64(f.geo.PagesPerBlock)
-	end := base + int64(f.geo.PagesPerBlock)
-	copy(f.oob[base:end], u.oob)
+	s0 := f.blockSlot(u.bi)
+	for pg, s := 0, s0; pg < len(u.oob); pg, s = pg+1, s+f.planes {
+		f.oob[s] = u.oob[pg]
+	}
 	if !f.trackData {
 		return
 	}
-	copy(f.sums[base:end], u.sums)
+	for pg, s := 0, s0; pg < len(u.sums); pg, s = pg+1, s+f.planes {
+		f.sums[s] = u.sums[pg]
+	}
+	base := int64(u.bi) * int64(f.geo.PagesPerBlock)
 	arena, local := f.data[int(base/f.pagesPerC)], f.chanLocal(base)
 	for pg, buf := range u.bufs {
 		if buf == nil {

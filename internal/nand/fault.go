@@ -327,7 +327,7 @@ func (f *Flash) readDrawParams(now sim.Time, addr Address, bi int) (p float64, e
 		// A page pending a deferred program can carry a completion stamp
 		// past the read's issue time; its age is zero, not an underflow.
 		var age sim.Duration
-		if done := f.oob[f.geo.PageIndex(addr)].doneAt; now > done {
+		if done := f.oob[f.slot(&addr)].doneAt; now > done {
 			age = now - done
 		}
 		factor += float64(age) / float64(lim)

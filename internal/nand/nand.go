@@ -9,6 +9,21 @@
 // packages containing dies hang off channel buses (ONFi); the set of dies at
 // the same offset across channels forms a way; flash firmware spreads
 // requests across channels and ways for parallelism.
+//
+// Pages have two numberings. PageIndex, the global physical page number
+// (plane-major: every page of a plane's blocks, then the next plane), names a
+// page everywhere outside the package and inside it for the tracked-payload
+// arena, the fault and torn-page draws and the snapshot walk. The per-page
+// metadata — OOB stamps and payload checksums — is stored in slot order
+// instead: slot (Block × PagesPerBlock + Page) × TotalPlanes + PlaneIndex, so
+// the pages an FTL super-page spans (the same block and page on every plane)
+// are one contiguous row, laid out the way the FTL's reverse map is
+// (super-block, then page, then plane; the FTL numbers a row's planes
+// channel first, so within the row the two orders differ). A super-page
+// program or a GC pass then writes its stamps in one short sweep; in
+// PageIndex order the same stamps lie a whole plane's metadata apart and
+// evict one another from the same few cache sets. An erase, which touches
+// one plane's block, gathers its stamps a row apart instead.
 package nand
 
 import (
@@ -325,7 +340,6 @@ type blockState struct {
 	// displacement in the array, which a power cut does not undo.
 	disturb  uint32
 	nextPage int32 // next programmable page (in-order constraint); PagesPerBlock means full
-	written  []bool
 	// bad marks a grown bad block: durable (it survives power loss — real
 	// firmware keeps a bad-block table in flash), recorded by MarkBadBlock
 	// when the FTL retires the block's super-block.
@@ -342,17 +356,23 @@ type blockState struct {
 // (modeled by the good flag, cleared when a power cut tears the program)
 // marks the page unwritten. doneAt records when the array operation
 // completes, which is what decides whether a power cut at time T caught the
-// program in flight.
+// program in flight. The stamp also carries the page's written flag, the
+// functional state reads and programs check: programmed since its block's
+// last erase.
 //
 // Every physical page carries one, so the layout is a budget: 24 bytes
-// (asserted below). The good flag is the top bit of seq — the write
-// sequence counts programs one by one from 1 and never reaches bit 63 — and
-// fi is 32 bits, because the FTL's forward-map indices are (ftl.New bounds
-// them) and New bounds the page count the same way.
+// (asserted below). The good and written flags are the top two bits of seq
+// — the write sequence counts programs one by one from 1 and never reaches
+// bit 62 — and fi is 32 bits, because the FTL's forward-map indices are
+// (ftl.New bounds them) and New bounds the page count the same way. fi is
+// stored complemented, so the erased stamp (tag -1, no flags, nothing else)
+// is the zero value: a new flash's stamps are erased as allocated, and an
+// erase clears them. Stamps are stored in slot order (see the package
+// comment), one contiguous row per super-page.
 type pageOOB struct {
-	seq    uint64 // oobGood | the write sequence number (seqNo); 0 when erased
+	seq    uint64 // oobGood | oobWritten | the write sequence number (seqNo); 0 when erased
 	doneAt sim.Time
-	fi     int32
+	notFI  int32 // ^fi: 0 for the erased stamp's -1
 	// stripe tags a RAIN parity page with its stripe membership mask (bit
 	// i set: data plane i of the page's parity group is covered). Zero for
 	// data and non-RAIN pages. Durable, like every OOB stamp, so mount
@@ -365,15 +385,17 @@ type pageOOB struct {
 // constant index out of range.
 var _ = [1]struct{}{}[unsafe.Sizeof(pageOOB{})-24]
 
-// oobGood is the good flag's bit in pageOOB.seq.
-const oobGood = 1 << 63
+// The flag bits of pageOOB.seq: the checksum verdict and the written flag.
+const (
+	oobGood    = 1 << 63
+	oobWritten = 1 << 62
+	oobFlags   = oobGood | oobWritten
+)
 
-// erasedOOB is the stamp of a page not programmed since its block's erase.
-var erasedOOB = pageOOB{fi: -1}
-
-func (o *pageOOB) good() bool     { return o.seq&oobGood != 0 }
-func (o *pageOOB) seqNo() uint64  { return o.seq &^ oobGood }
-func (o *pageOOB) setGood(g bool) { o.seq = o.seqNo() | goodBit(g) }
+func (o *pageOOB) good() bool    { return o.seq&oobGood != 0 }
+func (o *pageOOB) written() bool { return o.seq&oobWritten != 0 }
+func (o *pageOOB) seqNo() uint64 { return o.seq &^ oobFlags }
+func (o *pageOOB) fi() int64     { return int64(^o.notFI) }
 
 func goodBit(g bool) uint64 {
 	if g {
@@ -503,17 +525,19 @@ type Flash struct {
 	dies     []*sim.Resource // one per die
 	blocks   []blockState
 
-	// oob holds the per-page out-of-band metadata, indexed by global
-	// physical page number — 24 bytes a page, most of a timing-only
+	// oob holds the per-page out-of-band metadata, indexed by slot (see the
+	// package comment; planes is TotalPlanes, the slot's stride from one
+	// page of a block to the next) — 24 bytes a page, most of a timing-only
 	// flash's heap; progSeq is the device-wide write sequence counter its
 	// stamps draw from. sums holds each page's payload checksum (pageSum of
 	// the tracked payload; 0: programmed without one, nothing to verify),
-	// 8 bytes a page, on a tracked flash only: nil on a timing-only one,
-	// where every checksum would be 0. All three are durable across power
-	// loss.
+	// by slot too, 8 bytes a page, on a tracked flash only: nil on a
+	// timing-only one, where every checksum would be 0. All three are
+	// durable across power loss.
 	oob     []pageOOB
 	sums    []uint64
 	progSeq uint64
+	planes  int64
 
 	// badOrder lists grown bad blocks (global block indices) in the order
 	// MarkBadBlock recorded them — the durable bad-block table mount-time
@@ -582,8 +606,13 @@ type Flash struct {
 	// a pinned one becomes an orphan). eraseUndoPool
 	// recycles pruned records so the steady-state erase path stays
 	// allocation-free.
+	// undoLow is at most the earliest start among the journaled records
+	// (sim.MaxTime with none journaled), so a prune whose dispatch clock is
+	// below it has nothing to drop and returns without a scan: in a GC
+	// storm the clock stands still while the journal grows.
 	eraseUndo     []*eraseUndoRec
 	eraseUndoPool []*eraseUndoRec
+	undoLow       sim.Time
 }
 
 // Options configures optional Flash behavior.
@@ -643,14 +672,9 @@ func New(geo Geometry, tim Timing, pow Power, cell CellType, opt Options) (*Flas
 		f.dies[i] = sim.NewResource(fmt.Sprintf("nand.die%d", i))
 	}
 	f.blocks = make([]blockState, geo.TotalBlocks())
-	written := make([]bool, geo.TotalPages()) // one backing array, a block's pages each
-	for i := range f.blocks {
-		f.blocks[i].written = written[i*geo.PagesPerBlock : (i+1)*geo.PagesPerBlock : (i+1)*geo.PagesPerBlock]
-	}
-	f.oob = make([]pageOOB, geo.TotalPages())
-	for i := range f.oob {
-		f.oob[i] = erasedOOB
-	}
+	f.oob = make([]pageOOB, geo.TotalPages()) // all erased: the zero stamp
+	f.planes = int64(geo.TotalPlanes())
+	f.undoLow = sim.MaxTime
 	f.chStats = make([]Stats, geo.Channels)
 	f.chEnergy = make([]float64, geo.Channels)
 	f.pagesPerC = geo.TotalPages() / int64(geo.Channels)
@@ -669,6 +693,35 @@ func New(geo Geometry, tim Timing, pow Power, cell CellType, opt Options) (*Flas
 // chanLocal converts a global physical page number to its channel-local
 // arena index.
 func (f *Flash) chanLocal(pageIdx int64) int64 { return pageIdx % f.pagesPerC }
+
+// slotOfDie returns the metadata slot of the page at a, whose die index is
+// di (see the package comment).
+func (f *Flash) slotOfDie(di int, a *Address) int64 {
+	return (int64(a.Block)*int64(f.geo.PagesPerBlock)+int64(a.Page))*f.planes + int64(di*f.geo.PlanesPerDie+a.Plane)
+}
+
+// slot returns the metadata slot of the page at a.
+func (f *Flash) slot(a *Address) int64 { return f.slotOfDie(f.geo.dieOf(a), a) }
+
+// blockSlot returns the slot of page 0 of the block at global index bi; page
+// pg of the block is f.planes × pg slots further on.
+func (f *Flash) blockSlot(bi int) int64 {
+	bpp := f.geo.BlocksPerPlane
+	return int64(bi%bpp)*int64(f.geo.PagesPerBlock)*f.planes + int64(bi/bpp)
+}
+
+// slotOfPage returns the slot of global physical page pageIdx.
+func (f *Flash) slotOfPage(pageIdx int64) int64 {
+	ppb := int64(f.geo.PagesPerBlock)
+	return f.blockSlot(int(pageIdx/ppb)) + pageIdx%ppb*f.planes
+}
+
+// pageOfSlot is the inverse of slotOfPage.
+func (f *Flash) pageOfSlot(s int64) int64 {
+	ppb := int64(f.geo.PagesPerBlock)
+	plane, rest := s%f.planes, s/f.planes
+	return (plane*int64(f.geo.BlocksPerPlane)+rest/ppb)*ppb + rest%ppb
+}
 
 // TrackData reports whether the flash stores real page contents.
 func (f *Flash) TrackData() bool { return f.trackData }
@@ -792,7 +845,7 @@ func (f *Flash) CheckRead(addr *Address) error {
 	if err := f.geo.CheckAddress(*addr); err != nil {
 		return err
 	}
-	if !f.blocks[f.geo.BlockIndex(*addr)].written[addr.Page] {
+	if !f.oob[f.slot(addr)].written() {
 		return fmt.Errorf("%w %v", ErrUnwritten, *addr)
 	}
 	return nil
@@ -1107,7 +1160,7 @@ func (b *PlanBatch) ProgramAddr(now sim.Time, addr *Address, data []byte, staged
 		}
 	}
 	di := f.geo.dieOf(addr)
-	xferStart, done, pageIdx := f.claimProgram(now, addr, di, tag)
+	xferStart, done, slot := f.claimProgram(now, addr, di, tag)
 	f.accountProgram(addr.Channel)
 	switch {
 	case !f.trackData || data == nil:
@@ -1115,15 +1168,15 @@ func (b *PlanBatch) ProgramAddr(now sim.Time, addr *Address, data []byte, staged
 			f.ReleaseStagingBuf(data)
 		}
 	case staged:
-		f.sums[pageIdx] = pageSum(data)
-		f.install(pageIdx, data)
+		f.sums[slot] = pageSum(data)
+		f.install(f.geo.pageOfDie(di, addr), data)
 	default:
 		buf := f.StagingBuf()
 		n := copy(buf, data)
 		clear(buf[n:])
 		f.countPayload(n, len(buf))
-		f.sums[pageIdx] = pageSum(buf)
-		f.install(pageIdx, buf)
+		f.sums[slot] = pageSum(buf)
+		f.install(f.geo.pageOfDie(di, addr), buf)
 	}
 	return Result{Start: xferStart, Ready: done, Done: done}, nil
 }
@@ -1189,10 +1242,10 @@ func (f *Flash) CheckProgram(addr *Address) error {
 	if err := f.geo.CheckAddress(*addr); err != nil {
 		return err
 	}
-	blk := &f.blocks[f.geo.BlockIndex(*addr)]
-	if blk.written[addr.Page] {
+	if f.oob[f.slot(addr)].written() {
 		return fmt.Errorf("%w: %v", ErrOverwrite, *addr)
 	}
+	blk := &f.blocks[f.geo.BlockIndex(*addr)]
 	if int32(addr.Page) != blk.nextPage {
 		return fmt.Errorf("%w: page %d at %v (next is %d)", ErrOutOfOrder, addr.Page, *addr, blk.nextPage)
 	}
@@ -1224,28 +1277,26 @@ func (f *Flash) accountErase(channel int) {
 
 // claimProgram reserves a program's two phases — the data streams over the
 // channel into the die's register, then the die programs the array — and
-// applies the functional block-state transition (written, in-order
+// applies the functional block-state transition (written flag, in-order
 // pointer), which later issues read. It also stamps the page's OOB
-// metadata: the caller's logical tag (-1 for raw untagged programs), the
-// next device-wide write sequence number, and the completion time the
-// power-loss cut tests against. di is addr's die index; the page's global
-// number is returned for the caller's data install.
-func (f *Flash) claimProgram(now sim.Time, addr *Address, di int, tag int64) (xferStart, done sim.Time, pageIdx int64) {
+// metadata, in the same store as the written flag: the caller's logical tag
+// (-1 for raw untagged programs), the next device-wide write sequence
+// number, and the completion time the power-loss cut tests against. di is
+// addr's die index; the page's slot is returned for the caller's checksum.
+func (f *Flash) claimProgram(now sim.Time, addr *Address, di int, tag int64) (xferStart, done sim.Time, slot int64) {
 	ch := f.channels[addr.Channel]
 	die := f.dies[di]
 	xferStart, xferEnd := ch.Claim(now, f.tim.CmdCycles+f.xferPage)
 	_, done = die.Claim(xferEnd, f.progLatency(addr.Page))
-	blk := &f.blocks[f.geo.blockOfDie(di, addr)]
-	blk.written[addr.Page] = true
-	blk.nextPage++
+	f.blocks[f.geo.blockOfDie(di, addr)].nextPage++
 	f.epoch++
 	f.progSeq++
-	pageIdx = f.geo.pageOfDie(di, addr)
-	f.oob[pageIdx] = pageOOB{seq: f.progSeq | oobGood, doneAt: done, fi: int32(tag)}
+	slot = f.slotOfDie(di, addr)
+	f.oob[slot] = pageOOB{seq: f.progSeq | oobGood | oobWritten, doneAt: done, notFI: ^int32(tag)}
 	if f.sums != nil {
-		f.sums[pageIdx] = 0 // the caller stamps the payload's, if it has one
+		f.sums[slot] = 0 // the caller stamps the payload's, if it has one
 	}
-	return xferStart, done, pageIdx
+	return xferStart, done, slot
 }
 
 // Program writes one page. It enforces the flash physical constraints: the
@@ -1271,8 +1322,9 @@ func (f *Flash) ProgramTagged(now sim.Time, addr Address, data []byte, tag int64
 
 // eraseUndoRec snapshots the block state one claimed erase destroyed, so a
 // power cut before the erase's array operation started can put it back. It
-// copies the block's stamps — 25 bytes a page, plus 8 for the checksums on
-// a tracked flash (sums is nil on a timing-only one) — and on a tracked
+// copies the block's stamps — 24 bytes a page, written flags included, plus
+// 8 for the checksums on a tracked flash (sums is nil on a timing-only one)
+// — and on a tracked
 // flash holds the page buffers the erase took out of the arena. The pool
 // keeps every record a burst of erases needed, so the per-page cost is paid
 // once per block in flight.
@@ -1282,7 +1334,6 @@ type eraseUndoRec struct {
 	eraseCount uint32
 	disturb    uint32
 	nextPage   int32
-	written    []bool
 	oob        []pageOOB
 	sums       []uint64
 	// bufs holds, by page, the buffer the erase took out of the arena, nil
@@ -1294,16 +1345,23 @@ type eraseUndoRec struct {
 // pruneEraseUndo drops undo records whose array operation has started by
 // the given engine dispatch time: any later power cut catches those erases
 // mid-operation (resolved as completed), so the snapshots are dead weight.
+// Below the low-water mark no record qualifies, so there is nothing to scan.
 func (f *Flash) pruneEraseUndo(dispatch sim.Time) {
+	if dispatch < f.undoLow {
+		return
+	}
 	kept := f.eraseUndo[:0]
+	low := sim.MaxTime
 	for _, u := range f.eraseUndo {
 		if u.start <= dispatch {
 			f.recycleEraseUndo(u)
 			continue
 		}
 		kept = append(kept, u)
+		low = min(low, u.start)
 	}
 	f.eraseUndo = kept
+	f.undoLow = low
 }
 
 // PruneEraseUndo drops undo records whose array operation has started by
@@ -1323,10 +1381,7 @@ func (f *Flash) acquireEraseUndo() *eraseUndoRec {
 		f.eraseUndoPool = f.eraseUndoPool[:n-1]
 		return u
 	}
-	u := &eraseUndoRec{
-		written: make([]bool, f.geo.PagesPerBlock),
-		oob:     make([]pageOOB, f.geo.PagesPerBlock),
-	}
+	u := &eraseUndoRec{oob: make([]pageOOB, f.geo.PagesPerBlock)}
 	if f.trackData {
 		u.sums = make([]uint64, f.geo.PagesPerBlock)
 		u.bufs = make([][]byte, f.geo.PagesPerBlock)
@@ -1355,8 +1410,9 @@ func (f *Flash) commitEraseUndo(u *eraseUndoRec) {
 }
 
 // claimErase reserves an erase's phases and applies the functional block
-// reset (erase count, in-order pointer, written map) for PlanBatch.Erase,
-// taking the block's page buffers out of the arena on a tracked flash. The
+// reset (erase count, in-order pointer, the pages' stamps, written flags
+// included) for PlanBatch.Erase, taking the block's page buffers out of the
+// arena on a tracked flash. The
 // returned undo record holds the destroyed state; an engine-less batch
 // commits it at once, an engine's leaves it journaled until the array
 // operation's start time passes.
@@ -1367,30 +1423,28 @@ func (f *Flash) claimErase(now sim.Time, addr *Address, di int) (cmdStart, done 
 	die := f.dies[di]
 	cmdStart, cmdEnd := ch.Claim(now, f.tim.CmdCycles)
 	opStart, done := die.Claim(cmdEnd, f.tim.Erase)
-	base, end := int64(bi)*int64(f.geo.PagesPerBlock), int64(bi+1)*int64(f.geo.PagesPerBlock)
 	undo = f.acquireEraseUndo()
 	undo.bi = bi
 	undo.start = opStart
 	undo.eraseCount = blk.eraseCount
 	undo.disturb = blk.disturb
 	undo.nextPage = blk.nextPage
-	copy(undo.written, blk.written)
-	copy(undo.oob, f.oob[base:end])
+	s0 := f.blockSlot(bi)
+	for pg, s := 0, s0; pg < len(undo.oob); pg, s = pg+1, s+f.planes {
+		undo.oob[pg] = f.oob[s]
+		f.oob[s] = pageOOB{}
+	}
 	f.eraseUndo = append(f.eraseUndo, undo)
+	f.undoLow = min(f.undoLow, opStart)
 	blk.eraseCount++
 	blk.disturb = 0
 	blk.nextPage = 0
-	for i := range blk.written {
-		blk.written[i] = false
-	}
-	oob := f.oob[base:end]
-	for i := range oob {
-		oob[i] = erasedOOB
-	}
 	if f.trackData {
-		copy(undo.sums, f.sums[base:end])
-		clear(f.sums[base:end])
-		arena, local := f.data[addr.Channel], f.chanLocal(base)
+		for pg, s := 0, s0; pg < len(undo.sums); pg, s = pg+1, s+f.planes {
+			undo.sums[pg] = f.sums[s]
+			f.sums[s] = 0
+		}
+		arena, local := f.data[addr.Channel], f.chanLocal(int64(bi)*int64(f.geo.PagesPerBlock))
 		for pg := range undo.bufs {
 			undo.bufs[pg] = arena.take(local + int64(pg))
 		}
@@ -1407,7 +1461,7 @@ func (f *Flash) Erase(now sim.Time, addr Address) (Result, error) {
 
 // PageWritten reports whether the page at addr currently holds data.
 func (f *Flash) PageWritten(addr Address) bool {
-	return f.blocks[f.geo.BlockIndex(addr)].written[addr.Page]
+	return f.oob[f.slot(&addr)].written()
 }
 
 // PagePayload copies the tracked contents of the page at addr into dst
@@ -1436,15 +1490,14 @@ func (f *Flash) BlockRisk(bi int, now sim.Time) float64 {
 		r += float64(f.blocks[bi].disturb) / float64(lim)
 	}
 	if lim := m.cfg.RetentionLimit; lim > 0 {
-		blk := &f.blocks[bi]
-		base := int64(bi) * int64(f.geo.PagesPerBlock)
 		var oldest sim.Time
 		found := false
-		for pg := 0; pg < f.geo.PagesPerBlock; pg++ {
-			if !blk.written[pg] {
+		for pg, s := 0, f.blockSlot(bi); pg < f.geo.PagesPerBlock; pg, s = pg+1, s+f.planes {
+			o := &f.oob[s]
+			if !o.written() {
 				continue
 			}
-			if d := f.oob[base+int64(pg)].doneAt; !found || d < oldest {
+			if d := o.doneAt; !found || d < oldest {
 				oldest = d
 				found = true
 			}

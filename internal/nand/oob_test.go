@@ -10,7 +10,7 @@ import (
 // TestDecodeRefusesUnstorableState: beside the per-page stamps (which the
 // core's snapshot tests cover), a flash image carries two values the
 // compact layout has no room for when they are out of range — the write
-// sequence counter with the good flag's bit set, and payload checksums for
+// sequence counter with either stamp flag's bit set, and payload checksums for
 // a timing-only flash, which keeps none. Decoding refuses both as corrupt;
 // the unedited image decodes.
 func TestDecodeRefusesUnstorableState(t *testing.T) {
@@ -22,7 +22,8 @@ func TestDecodeRefusesUnstorableState(t *testing.T) {
 	}{
 		{"intact timing-only", false, false, nil, nil},
 		{"intact tracked", true, true, nil, nil},
-		{"sequence past 63 bits", false, false, func(f *Flash) { f.progSeq |= oobGood }, snap.ErrCorrupt},
+		{"sequence with the good bit", false, false, func(f *Flash) { f.progSeq |= oobGood }, snap.ErrCorrupt},
+		{"sequence with the written bit", false, false, func(f *Flash) { f.progSeq |= oobWritten }, snap.ErrCorrupt},
 		{"checksum on a timing-only flash", true, false, nil, snap.ErrCorrupt},
 	}
 	for _, tc := range cases {
@@ -59,9 +60,10 @@ func TestOOBGoodFlagBesideSequence(t *testing.T) {
 		}
 	}
 	idx := f.geo.PageIndex(addr)
+	s := f.slotOfPage(idx)
 	want := OOBInfo{FI: 12, Seq: 3, Good: true}
-	if got := f.PageOOB(addr); got != want || f.sums[idx] == 0 {
-		t.Fatalf("stamp %+v (checksum %#x), want %+v and a checksum", got, f.sums[idx], want)
+	if got := f.PageOOB(addr); got != want || f.sums[s] == 0 {
+		t.Fatalf("stamp %+v (checksum %#x), want %+v and a checksum", got, f.sums[s], want)
 	}
 	f.TamperOOB(idx, 0)
 	want.Good = false
@@ -71,7 +73,7 @@ func TestOOBGoodFlagBesideSequence(t *testing.T) {
 	if _, err := f.Erase(0, addr); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.PageOOB(addr); got != (OOBInfo{FI: -1}) || f.sums[idx] != 0 {
-		t.Fatalf("erased stamp %+v (checksum %#x), want FI -1 and nothing else", got, f.sums[idx])
+	if got := f.PageOOB(addr); got != (OOBInfo{FI: -1}) || f.sums[s] != 0 {
+		t.Fatalf("erased stamp %+v (checksum %#x), want FI -1 and nothing else", got, f.sums[s])
 	}
 }

@@ -21,24 +21,30 @@ func (f *Flash) state(c *snap.Codec) error {
 	for _, r := range f.dies {
 		r.Snap(c)
 	}
+	// Pages walk in PageIndex order, block by block, whatever slot holds
+	// their stamps.
+	ppb := f.geo.PagesPerBlock
 	for i := range f.blocks {
 		blk := &f.blocks[i]
 		snap.U(c, &blk.eraseCount)
 		snap.U(c, &blk.disturb)
 		snap.I(c, &blk.nextPage)
 		c.Bool(&blk.bad)
-		for pg := range blk.written {
-			c.Bool(&blk.written[pg])
+		for pg, s := 0, f.blockSlot(i); pg < ppb; pg, s = pg+1, s+f.planes {
+			w := f.oob[s].written()
+			c.Bool(&w)
+			if w {
+				f.oob[s].seq |= oobWritten
+			}
 		}
 	}
 	for i := range f.blocks {
-		blk := &f.blocks[i]
-		base := int64(i) * int64(f.geo.PagesPerBlock)
-		for pg := 0; pg < f.geo.PagesPerBlock; pg++ {
-			if !blk.written[pg] {
+		base := int64(i) * int64(ppb)
+		for pg, s := 0, f.blockSlot(i); pg < ppb; pg, s = pg+1, s+f.planes {
+			if !f.oob[s].written() {
 				continue // invariant: unwritten pages carry the erased OOB, a fresh flash's too
 			}
-			if err := f.oobState(c, base+int64(pg)); err != nil {
+			if err := f.oobState(c, s, base+int64(pg)); err != nil {
 				return err
 			}
 		}
@@ -67,8 +73,8 @@ func (f *Flash) state(c *snap.Codec) error {
 	}
 	snap.U(c, &f.epoch)
 	snap.U(c, &f.progSeq)
-	if c.Err() == nil && f.progSeq&oobGood != 0 {
-		return fmt.Errorf("%w: write sequence %#x past 63 bits", snap.ErrCorrupt, f.progSeq)
+	if c.Err() == nil && f.progSeq&oobFlags != 0 {
+		return fmt.Errorf("%w: write sequence %#x past 62 bits", snap.ErrCorrupt, f.progSeq)
 	}
 	f.rng.Snap(c)
 	snap.Slice(c, &f.badOrder, len(f.blocks))
@@ -104,18 +110,19 @@ func (f *Flash) state(c *snap.Codec) error {
 	return c.Err()
 }
 
-// oobState walks page idx's OOB stamp in the layout it had as six separate
-// fields — tag, sequence, completion, checksum, good flag, stripe — so the
-// compact stamp leaves the image as it was. Decoding reads the wide values
+// oobState walks the OOB stamp of written page idx, at slot s, in the layout
+// it had as six separate fields — tag, sequence, completion, checksum, good
+// flag, stripe — so the compact stamp leaves the image as it was (the
+// written flag travels with the block's). Decoding reads the wide values
 // and refuses what the stamp cannot hold instead of truncating it: a tag
-// outside int32, a sequence with the good flag's bit set, a checksum on a
+// outside int32, a sequence with either flag's bit set, a checksum on a
 // flash that keeps none.
-func (f *Flash) oobState(c *snap.Codec, idx int64) error {
-	o := &f.oob[idx]
-	fi, seq, good := int64(o.fi), o.seqNo(), o.good()
+func (f *Flash) oobState(c *snap.Codec, s, idx int64) error {
+	o := &f.oob[s]
+	fi, seq, good := o.fi(), o.seqNo(), o.good()
 	var sum uint64
 	if f.sums != nil {
-		sum = f.sums[idx]
+		sum = f.sums[s]
 	}
 	snap.I(c, &fi)
 	snap.U(c, &seq)
@@ -129,15 +136,15 @@ func (f *Flash) oobState(c *snap.Codec, idx int64) error {
 	switch {
 	case fi < math.MinInt32 || fi > math.MaxInt32:
 		return fmt.Errorf("%w: OOB tag %d of page %d outside int32", snap.ErrCorrupt, fi, idx)
-	case seq&oobGood != 0:
-		return fmt.Errorf("%w: OOB sequence %#x of page %d past 63 bits", snap.ErrCorrupt, seq, idx)
+	case seq&oobFlags != 0:
+		return fmt.Errorf("%w: OOB sequence %#x of page %d past 62 bits", snap.ErrCorrupt, seq, idx)
 	case sum != 0 && f.sums == nil:
 		return fmt.Errorf("%w: OOB checksum on page %d of a timing-only flash", snap.ErrCorrupt, idx)
 	}
-	o.fi = int32(fi)
-	o.seq = seq | goodBit(good)
+	o.notFI = ^int32(fi)
+	o.seq = seq | goodBit(good) | oobWritten
 	if f.sums != nil {
-		f.sums[idx] = sum
+		f.sums[s] = sum
 	}
 	return nil
 }
