@@ -206,6 +206,10 @@ type runOptions struct {
 	scrubEvery, powerCut sim.Duration
 }
 
+// batchChunk is how many requests -batch-submit hands SubmitBatch at once:
+// a multiple of core.DefaultBatchWindow.
+const batchChunk = 1 << 16
+
 // runOne builds the named device, brings it to its starting state, runs the
 // workload and writes the report to w.
 func runOne(dev string, w io.Writer, o runOptions) error {
@@ -268,43 +272,44 @@ func runOne(dev string, w io.Writer, o runOptions) error {
 	base := readCounters(s)
 	var res *core.RunResult
 	if o.batchSubmit {
-		// Vectored path: pre-generate the whole request stream and hand
-		// it to SubmitBatch in one call. The device windows internally
-		// (scheduler dispatch window, protocol queue depth,
-		// core.DefaultBatchWindow) and resets its engine once per window
-		// instead of once per request; results are byte-identical to
+		// Vectored path: hand the request stream to SubmitBatch in chunks
+		// of batchChunk requests, each issued at the previous one's last
+		// completion, so memory stays flat whatever -n is. The device
+		// windows internally (scheduler dispatch window, protocol queue
+		// depth, core.DefaultBatchWindow) and resets its engine once per
+		// window instead of once per request; results are byte-identical to
 		// a Submit loop, so every footer counter below means the same thing.
-		reqs := make([]workload.Request, o.requests)
-		var bytesRead, bytesWritten int64
-		for i := range reqs {
-			reqs[i] = gen.Next(i)
-			if reqs[i].Write {
-				bytesWritten += int64(reqs[i].Length)
-			} else {
-				bytesRead += int64(reqs[i].Length)
-			}
-		}
+		// Only the batch row's window count may differ from one call over
+		// the whole stream, by at most one per chunk boundary.
 		start := s.Now()
-		times := make([]sim.Time, len(reqs))
-		end, err := s.SubmitBatch(start, reqs, nil, times)
-		if err != nil {
-			return err
-		}
-		res = &core.RunResult{
-			Workload: gen.Name(), Requests: o.requests, Depth: 1,
-			BytesRead: bytesRead, BytesWritten: bytesWritten,
-			Start: start, End: end,
-		}
-		// Under the serial depth-1 contract request i issues the moment
-		// request i-1 completes, so per-request latency is the gap
-		// between consecutive completion stamps.
-		prev := start
-		for _, done := range times {
-			if done < prev { // contract says nondecreasing; stay safe
-				done = prev
+		res = &core.RunResult{Workload: gen.Name(), Requests: o.requests, Depth: 1, Start: start, End: start}
+		reqs := make([]workload.Request, 0, min(o.requests, batchChunk))
+		times := make([]sim.Time, cap(reqs))
+		for i := 0; i < o.requests; {
+			reqs = reqs[:0]
+			for ; i < o.requests && len(reqs) < cap(reqs); i++ {
+				r := gen.Next(i)
+				if r.Write {
+					res.BytesWritten += int64(r.Length)
+				} else {
+					res.BytesRead += int64(r.Length)
+				}
+				reqs = append(reqs, r)
 			}
-			res.Latency.Add(done - prev)
-			prev = done
+			prev := res.End
+			if res.End, err = s.SubmitBatch(prev, reqs, nil, times); err != nil {
+				return err
+			}
+			// Under the serial depth-1 contract request i issues the moment
+			// request i-1 completes, so per-request latency is the gap
+			// between consecutive completion stamps.
+			for _, done := range times[:len(reqs)] {
+				if done < prev { // contract says nondecreasing; stay safe
+					done = prev
+				}
+				res.Latency.Add(done - prev)
+				prev = done
+			}
 		}
 	} else {
 		res, err = s.Run(gen, rc)

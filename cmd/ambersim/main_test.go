@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"amber/internal/config"
+	"amber/internal/core"
 	"amber/internal/host"
 	"amber/internal/sim"
 	"amber/internal/workload"
@@ -75,12 +77,74 @@ func report(t *testing.T, pattern workload.Pattern, blockSize, requests int) map
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rows(out.String())
+}
+
+// rows splits a report into its rows by label.
+func rows(report string) map[string]string {
 	rows := map[string]string{}
-	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+	for _, line := range strings.Split(strings.TrimSpace(report), "\n") {
 		label := strings.TrimSpace(line[:16])
 		rows[label] = strings.TrimSpace(line[16:])
 	}
 	return rows
+}
+
+// TestBatchSubmitCrossesChunks: -batch-submit hands SubmitBatch its stream
+// in chunks of batchChunk requests, so its memory does not grow with -n; a
+// run past a chunk boundary prints the bandwidth and latency rows of one
+// SubmitBatch call over the same stream.
+func TestBatchSubmitCrossesChunks(t *testing.T) {
+	const n = batchChunk + 1000
+	var out strings.Builder
+	err := runOne("zssd", &out, runOptions{
+		sched: host.BFQ, faultProfile: "off",
+		pattern: workload.RandWrite, blockSize: 4096, seed: 42, requests: n, batchSubmit: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := rows(out.String())
+
+	d, err := config.Device("zssd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := config.PCSystem(d)
+	cfg.Host.Scheduler = host.BFQ
+	s, err := core.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := workload.NewFIO(workload.RandWrite, 4096, s.VolumeBytes(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]workload.Request, n)
+	for i := range reqs {
+		reqs[i] = gen.Next(i)
+	}
+	times := make([]sim.Time, n)
+	res := core.RunResult{Requests: n, Depth: 1, BytesWritten: n * 4096, Start: s.Now()}
+	if res.End, err = s.SubmitBatch(res.Start, reqs, nil, times); err != nil {
+		t.Fatal(err)
+	}
+	prev := res.Start
+	for _, done := range times {
+		res.Latency.Add(done - prev)
+		prev = done
+	}
+	want := map[string]string{
+		"bandwidth": fmt.Sprintf("%.1f MB/s (%.0f IOPS)", res.BandwidthMBps(), res.IOPS()),
+		"latency": fmt.Sprintf("avg %.1f us, p50 %.1f, p95 %.1f, p99 %.1f, max %.1f (percentiles ±0.4 %%)",
+			res.AvgLatencyUs(), res.Latency.Percentile(50), res.Latency.Percentile(95),
+			res.Latency.Percentile(99), res.Latency.Max()),
+	}
+	for row, w := range want {
+		if got[row] != w {
+			t.Errorf("%s row %q, one SubmitBatch call gives %q", row, got[row], w)
+		}
+	}
 }
 
 // TestReportCoversTheMeasuredRun: every row of the report describes the

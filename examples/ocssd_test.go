@@ -35,7 +35,7 @@ func Example_ocssd() {
 			panic(err)
 		}
 		runMem := int64(280 << 20)
-		if sys.Passive() {
+		if sys.Config().Device.Passive {
 			runMem = 120 << 20
 		}
 		busy0 := sys.Host.CPU.BusyTime()

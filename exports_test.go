@@ -2,13 +2,15 @@ package amber_test
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -47,7 +49,9 @@ var testSeams = map[string]string{
 	"nand.Flash.FaultSites":          "core's fault goldens print the fault-site log",
 	"nand.Flash.PayloadBytes":        "TestWorkGateBatchRW8kData pins the payload bytes a request moves",
 	"nand.Flash.PinsTaken":           "TestWorkGateBatchRW8kData logs the pages prefetches pinned",
+	"nand.Flash.Erase":               "fil's, ftl's and nand's tests erase single blocks",
 	"nand.Flash.Program":             "fil's and nand's tests program single pages",
+	"nand.Flash.Read":                "fil's, ftl's and nand's tests read single pages back",
 	"nand.Flash.TamperOOB":           "nand's OOB tests and ftl's mount fuzzer corrupt page metadata",
 	"nand.Flash.WriteSeq":            "ftl's compaction test checks sequence stamps",
 	"nand.Geometry.AddressOfPage":    "nand's tests turn page indices back into addresses",
@@ -61,110 +65,112 @@ var testSeams = map[string]string{
 }
 
 // TestExportsHaveCallers fails when an exported function or method declared
-// in a non-test file under internal/ or cmd/ is named by no other non-test
-// file and no bench/ file: an API only its own unit tests call is dead code
-// with a test attached. A function is named by a bare identifier in its own
-// package (its own recursive calls aside) or by a selector on its package's
-// import name; a method, whose receiver type a parser cannot resolve, by any
-// selector of its name, so a dead method that shares a common name escapes.
+// in a non-test file under internal/ or cmd/ has no caller in any non-test
+// file or in any bench/ file: an API only its own unit tests call
+// is dead code with a test attached. Callers are resolved with go/types, so
+// a use names one declaration, never every method of its name. A function's
+// own recursive calls name nothing. A method also counts as called when an
+// interface method it implements is called, and Error and String methods
+// count as called through fmt.
 func TestExportsHaveCallers(t *testing.T) {
-	type decl struct {
-		key string // as in testSeams
-		ref string // what naming it records: "pkg.Func" or "Method"
-		pos token.Position
-	}
-	var decls []decl
-	named := map[string]bool{} // "pkg.Func" and "Method" keys that something names
-	fset := token.NewFileSet()
+	l := newLoader()
+	var declared []*types.Func
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
+		if err != nil || !d.IsDir() {
 			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); p != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
 		}
 		p = filepath.ToSlash(p)
-		inBench := strings.HasPrefix(p, "bench/")
-		if !strings.HasSuffix(p, ".go") || (strings.HasSuffix(p, "_test.go") && !inBench) {
-			return nil
+		switch {
+		case p == "bench":
+			_, err = l.load("amber/bench", p, true)
+			return filepath.SkipDir
+		case p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata"):
+			return filepath.SkipDir
 		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
+		pkg, err := l.load(path.Join("amber", p), p, false)
+		if err != nil || pkg == nil || !strings.HasPrefix(p, "internal/") && !strings.HasPrefix(p, "cmd/") {
 			return err
 		}
-		pkg := path.Base(path.Dir(p))
-		declared := strings.HasPrefix(p, "internal/") || strings.HasPrefix(p, "cmd/")
-		imports := map[string]string{} // local name -> imported package's directory name
-		for _, s := range f.Imports {
-			ip, _ := strconv.Unquote(s.Path.Value)
-			local := path.Base(ip)
-			if s.Name != nil {
-				local = s.Name.Name
+		for _, f := range l.files[pkg] {
+			for _, dl := range f.Decls {
+				if fd, ok := dl.(*ast.FuncDecl); ok && fd.Name.IsExported() {
+					declared = append(declared, l.info.Defs[fd.Name].(*types.Func))
+				}
 			}
-			imports[local] = path.Base(ip)
-		}
-		for _, dl := range f.Decls {
-			var body ast.Node = dl
-			self := "" // a plain function's own name: its recursion names nothing
-			if fd, ok := dl.(*ast.FuncDecl); ok {
-				name := fd.Name.Name
-				if fd.Recv == nil {
-					self = name
-				}
-				if declared && ast.IsExported(name) {
-					d := decl{pkg + "." + name, pkg + "." + name, fset.Position(fd.Name.Pos())}
-					if fd.Recv != nil {
-						d.key, d.ref = pkg+"."+recvName(fd.Recv.List[0].Type)+"."+name, name
-					}
-					decls = append(decls, d)
-				}
-				if fd.Body == nil {
-					continue
-				}
-				body = fd.Body
-			}
-			var visit func(ast.Node) bool
-			visit = func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					named[n.Sel.Name] = true
-					if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-						named[imports[x.Name]+"."+n.Sel.Name] = true
-					} else {
-						ast.Inspect(n.X, visit) // n.Sel is no bare identifier
-					}
-					return false
-				case *ast.Ident:
-					if n.Name != self {
-						named[pkg+"."+n.Name] = true
-					}
-				}
-				return true
-			}
-			ast.Inspect(body, visit)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	declared := map[string]bool{}
+
+	called := map[*types.Func]bool{}
+	var viaInterface []*types.Func // interface methods something calls
+	for _, files := range l.files {
+		for _, f := range files {
+			for _, dl := range f.Decls {
+				var self types.Object // a function's own recursion names nothing
+				if fd, ok := dl.(*ast.FuncDecl); ok {
+					self = l.info.Defs[fd.Name]
+				}
+				ast.Inspect(dl, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					fn, ok := l.info.Uses[id].(*types.Func)
+					if !ok || fn == self {
+						return true
+					}
+					fn = fn.Origin()
+					called[fn] = true
+					if recv := fn.Signature().Recv(); recv != nil && types.IsInterface(recv.Type()) {
+						viaInterface = append(viaInterface, fn)
+					}
+					return true
+				})
+			}
+		}
+	}
+	implicit := func(fn *types.Func) bool {
+		recv := fn.Signature().Recv()
+		if recv == nil {
+			return false
+		}
+		for _, im := range viaInterface {
+			iface := im.Signature().Recv().Type().Underlying().(*types.Interface)
+			if im.Name() == fn.Name() && (types.Implements(recv.Type(), iface) || types.Implements(types.NewPointer(recv.Type()), iface)) {
+				return true
+			}
+		}
+		sig := fn.Signature()
+		return (fn.Name() == "Error" || fn.Name() == "String") && sig.Params().Len() == 0 &&
+			sig.Results().Len() == 1 && types.Identical(sig.Results().At(0).Type(), types.Typ[types.String])
+	}
+
+	keys := map[string]bool{}
 	var dead []string
-	for _, d := range decls {
-		declared[d.key] = true
-		_, seam := testSeams[d.key]
+	for _, fn := range declared {
+		key := path.Base(fn.Pkg().Path()) + "." + fn.Name()
+		if recv := fn.Signature().Recv(); recv != nil {
+			rt := recv.Type()
+			if p, ok := rt.(*types.Pointer); ok {
+				rt = p.Elem()
+			}
+			key = path.Base(fn.Pkg().Path()) + "." + rt.(*types.Named).Obj().Name() + "." + fn.Name()
+		}
+		keys[key] = true
+		live := called[fn] || implicit(fn)
+		_, seam := testSeams[key]
 		switch {
-		case !named[d.ref] && !seam:
-			dead = append(dead, d.pos.String()+": "+d.key)
-		case named[d.ref] && seam:
-			t.Errorf("%s: %s is called outside tests now; drop it from testSeams", d.pos, d.key)
+		case !live && !seam:
+			dead = append(dead, l.fset.Position(fn.Pos()).String()+": "+key)
+		case live && seam:
+			t.Errorf("%s: %s is called outside tests now; drop it from testSeams", l.fset.Position(fn.Pos()), key)
 		}
 	}
 	for key := range testSeams {
-		if !declared[key] {
+		if !keys[key] {
 			t.Errorf("testSeams lists %s, which no longer exists", key)
 		}
 	}
@@ -174,20 +180,70 @@ func TestExportsHaveCallers(t *testing.T) {
 	}
 }
 
-// recvName is the type name of a method receiver: T for T, *T, T[P] or *T[P].
-func recvName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return "?"
-		}
+// loader type-checks the module's packages from source, sharing one
+// types.Info, so a use anywhere resolves to the one object its declaration
+// defines. Packages outside the module come from the standard library's
+// source importer.
+type loader struct {
+	fset  *token.FileSet
+	std   types.ImporterFrom
+	info  *types.Info
+	pkgs  map[string]*types.Package
+	files map[*types.Package][]*ast.File // the non-test files, bench's tests too
+}
+
+func newLoader() *loader {
+	fset := token.NewFileSet()
+	return &loader{
+		fset:  fset,
+		std:   importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		pkgs:  map[string]*types.Package{},
+		files: map[*types.Package][]*ast.File{},
 	}
+}
+
+func (l *loader) Import(path string) (*types.Package, error) { return l.ImportFrom(path, ".", 0) }
+
+func (l *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if rel, ok := strings.CutPrefix(path, "amber/"); ok {
+		return l.load(path, rel, false)
+	}
+	return l.std.ImportFrom(path, dir, mode)
+}
+
+// load type-checks the package in dir once, from its non-test files and,
+// with tests set, its in-package test files; nil when dir holds none.
+func (l *loader) load(path, dir string, tests bool) (*types.Package, error) {
+	if pkg, ok := l.pkgs[path]; ok {
+		return pkg, nil
+	}
+	bp, err := build.ImportDir(dir, 0)
+	if _, none := err.(*build.NoGoError); none {
+		return nil, nil
+	} else if err != nil {
+		return nil, err
+	}
+	names := bp.GoFiles
+	if tests {
+		names = append(names, bp.TestGoFiles...)
+	}
+	if len(names) == 0 {
+		return nil, nil
+	}
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: l}
+	pkg, err := conf.Check(path, l.fset, files, l.info)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[path], l.files[pkg] = pkg, files
+	return pkg, nil
 }

@@ -471,9 +471,6 @@ func (s *System) Config() SystemConfig { return s.cfg }
 // Protocol returns the protocol parameters in use.
 func (s *System) Protocol() proto.Params { return s.params }
 
-// Passive reports whether the host-side FTL (pblk) architecture is active.
-func (s *System) Passive() bool { return s.passive }
-
 // Now returns the system's current simulated time.
 func (s *System) Now() sim.Time { return s.now }
 

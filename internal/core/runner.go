@@ -384,8 +384,8 @@ func (s *System) Precondition(depth int) error {
 }
 
 // StressFill overwrites the volume randomly with writeFactor times its
-// capacity in 4 KiB-aligned blocks of the given size — the Fig. 11
-// worst-case stress pattern.
+// capacity in 4 KiB-aligned blocks of the given size — the stress Fig. 11
+// runs with writeFactor 0.25.
 func (s *System) StressFill(blockSize int, writeFactor float64) error {
 	gen, err := workload.NewFIO(workload.RandWrite, blockSize, s.VolumeBytes(), s.cfg.Device.Seed^0x5f)
 	if err != nil {

@@ -195,32 +195,64 @@ func TestSnapshotLoaderFaults(t *testing.T) {
 	}
 }
 
-// rewriteCacheFrames re-encodes the frame records of an icl.EncodeState
-// section with edit applied to each frame's tag and replacement stamps; the
-// rest of the section (clock, RNG, detector, statistics) is kept verbatim.
+// relayU, relayI and relayBool read one field from d, write it to e and
+// return it: a hand-written re-encoding of part of a section.
+func relayU(d, e *snap.Codec) uint64 {
+	var v uint64
+	snap.U(d, &v)
+	snap.U(e, &v)
+	return v
+}
+
+func relayI(d, e *snap.Codec) int64 {
+	var v int64
+	snap.I(d, &v)
+	snap.I(e, &v)
+	return v
+}
+
+func relayBool(d, e *snap.Codec) bool {
+	var v bool
+	d.Bool(&v)
+	e.Bool(&v)
+	return v
+}
+
+// section returns the image section one module's State walk writes.
+func section(walk func(*snap.Codec) error) []byte {
+	c := snap.Encoding()
+	_ = walk(c) // encoding cannot fail
+	return c.Bytes()
+}
+
+// rewriteCacheFrames re-encodes the frame records of an icl State section
+// with edit applied to each frame's tag and replacement stamps; the rest of
+// the section (clock, RNG, detector, statistics) is kept verbatim.
 func rewriteCacheFrames(section []byte, cfg icl.Config, edit func(frame int, lspn *int64, lastUse, inserted *uint64)) []byte {
 	frames := func(edit func(int, *int64, *uint64, *uint64)) []byte {
-		d := snap.NewDec(section)
-		var e snap.Enc
-		nsets, ways := d.U64(), d.U64()
-		e.U64(nsets)
-		e.U64(ways)
+		d, e := snap.Decoding(section), snap.Encoding()
+		nsets, ways := relayU(d, e), relayU(d, e)
 		for f := 0; f < int(nsets*ways); f++ {
-			lspn := d.I64()
+			var lspn int64
+			snap.I(d, &lspn)
 			masks := make([]bool, 2*cfg.SubsPerLine+1) // valid/dirty pairs, prefetched
 			for i := range masks {
-				masks[i] = d.Bool()
+				d.Bool(&masks[i])
 			}
-			lastUse, inserted := d.U64(), d.U64()
+			var lastUse, inserted uint64
+			snap.U(d, &lastUse)
+			snap.U(d, &inserted)
 			edit(f, &lspn, &lastUse, &inserted)
-			e.I64(lspn)
-			for _, b := range masks {
-				e.Bool(b)
+			snap.I(e, &lspn)
+			for i := range masks {
+				e.Bool(&masks[i])
 			}
-			e.U64(lastUse)
-			e.U64(inserted)
+			snap.U(e, &lastUse)
+			snap.U(e, &inserted)
 			if cfg.TrackData {
-				e.Blob(d.Blob())
+				var data []byte
+				d.Blob(&data)
+				e.Blob(&data)
 			}
 		}
 		return e.Bytes()
@@ -256,17 +288,15 @@ func TestSnapshotRefusesUnindexableCache(t *testing.T) {
 	const headerLen = 8 + 4 + 8 + 8
 	fp := binary.LittleEndian.Uint64(img[12:20])
 	body := img[headerLen : len(img)-8]
-	var e snap.Enc
-	s.ICL.EncodeState(&e)
-	section := e.Bytes()
-	at := bytes.Index(body, section)
+	cache := section(s.ICL.State)
+	at := bytes.Index(body, cache)
 	if at < 0 {
 		t.Fatal("cache section not found in the image body")
 	}
 	seal := func(edit func(frame int, lspn *int64, lastUse, inserted *uint64)) []byte {
 		b := append([]byte(nil), body[:at]...)
-		b = append(b, rewriteCacheFrames(section, s.ICL.Config(), edit)...)
-		b = append(b, body[at+len(section):]...)
+		b = append(b, rewriteCacheFrames(cache, s.ICL.Config(), edit)...)
+		b = append(b, body[at+len(cache):]...)
 		return snap.Seal(core.SnapshotVersion, fp, b)
 	}
 	var first int64
@@ -316,19 +346,18 @@ func TestSnapshotRefusesUnindexableCache(t *testing.T) {
 	}
 }
 
-// rewriteForward re-encodes the forward map at the head of an
-// ftl.EncodeState section with edit applied to each entry; the rest of the
-// section is kept verbatim.
+// rewriteForward re-encodes the forward map at the head of an ftl State
+// section with edit applied to each entry; the rest of the section is kept
+// verbatim.
 func rewriteForward(section []byte, edit func(i int, v *int64)) []byte {
 	walk := func(edit func(int, *int64)) []byte {
-		d := snap.NewDec(section)
-		var e snap.Enc
-		n := d.U64()
-		e.U64(n)
+		d, e := snap.Decoding(section), snap.Encoding()
+		n := relayU(d, e)
 		for i := 0; i < int(n); i++ {
-			v := d.I64()
+			var v int64
+			snap.I(d, &v)
 			edit(i, &v)
-			e.I64(v)
+			snap.I(e, &v)
 		}
 		return e.Bytes()
 	}
@@ -336,29 +365,26 @@ func rewriteForward(section []byte, edit func(i int, v *int64)) []byte {
 	return append(walk(edit), section[consumed:]...)
 }
 
-// rewriteFirstStamp re-encodes a nand.EncodeState section of a flash of
+// rewriteFirstStamp re-encodes a nand State section of a flash of
 // geometry g with edit applied to the tag and sequence of the first OOB
 // stamp — the lowest written page's; the rest of the section is kept
 // verbatim. Nil when no page is written.
 func rewriteFirstStamp(section []byte, g nand.Geometry, edit func(fi *int64, seq *uint64)) []byte {
 	walk := func(edit func(*int64, *uint64)) []byte {
-		d := snap.NewDec(section)
-		var e snap.Enc
+		d, e := snap.Decoding(section), snap.Encoding()
 		for r := 0; r < g.Channels+g.TotalDies(); r++ { // resource reservations
-			e.I64(d.I64())
-			e.I64(d.I64())
-			e.U64(d.U64())
+			relayI(d, e)
+			relayI(d, e)
+			relayU(d, e)
 		}
 		written := 0
 		for b := 0; b < g.TotalBlocks(); b++ {
-			e.U64(d.U64()) // erase count
-			e.U64(d.U64()) // disturb
-			e.I64(d.I64()) // next page
-			e.Bool(d.Bool())
+			relayU(d, e) // erase count
+			relayU(d, e) // disturb
+			relayI(d, e) // next page
+			relayBool(d, e)
 			for pg := 0; pg < g.PagesPerBlock; pg++ {
-				w := d.Bool()
-				e.Bool(w)
-				if w {
+				if relayBool(d, e) {
 					written++
 				}
 			}
@@ -366,10 +392,13 @@ func rewriteFirstStamp(section []byte, g nand.Geometry, edit func(fi *int64, seq
 		if written == 0 {
 			return nil
 		}
-		fi, seq := d.I64(), d.U64()
+		var fi int64
+		var seq uint64
+		snap.I(d, &fi)
+		snap.U(d, &seq)
 		edit(&fi, &seq)
-		e.I64(fi)
-		e.U64(seq)
+		snap.I(e, &fi)
+		snap.U(e, &seq)
 		return e.Bytes()
 	}
 	unedited := walk(func(*int64, *uint64) {})
@@ -392,17 +421,16 @@ func TestSnapshotRefusesUnnarrowableFields(t *testing.T) {
 	const headerLen = 8 + 4 + 8 + 8
 	fp := binary.LittleEndian.Uint64(img[12:20])
 	body := img[headerLen : len(img)-8]
-	locate := func(encode func(*snap.Enc)) (int, []byte) {
-		var e snap.Enc
-		encode(&e)
-		at := bytes.Index(body, e.Bytes())
+	locate := func(walk func(*snap.Codec) error) (int, []byte) {
+		sec := section(walk)
+		at := bytes.Index(body, sec)
 		if at < 0 {
 			t.Fatal("section not found in the image body")
 		}
-		return at, e.Bytes()
+		return at, sec
 	}
-	flashAt, flashSec := locate(s.Flash.EncodeState)
-	ftlAt, ftlSec := locate(s.FTL.EncodeState)
+	flashAt, flashSec := locate(s.Flash.State)
+	ftlAt, ftlSec := locate(s.FTL.State)
 	splice := func(at int, old, section []byte) []byte {
 		b := append([]byte(nil), body[:at]...)
 		b = append(b, section...)
@@ -467,10 +495,11 @@ func TestSnapshotRefusesUnnarrowableFields(t *testing.T) {
 // byte soup must produce a typed error or a clean open — never a panic or
 // an out-of-bounds slice.
 func FuzzSnapshotOpen(f *testing.F) {
-	var e snap.Enc
-	e.U64(7)
-	e.I64(-3)
-	e.Blob([]byte("payload"))
+	e := snap.Encoding()
+	u, i, blob := uint64(7), int64(-3), []byte("payload")
+	snap.U(e, &u)
+	snap.I(e, &i)
+	e.Blob(&blob)
 	valid := snap.Seal(1, snap.Fingerprint([]byte("cfg")), e.Bytes())
 	f.Add(valid)
 	f.Add(valid[:len(valid)-9])
@@ -481,10 +510,15 @@ func FuzzSnapshotOpen(f *testing.F) {
 		if err == nil {
 			// A clean open hands the body to the decoder, which must fail
 			// softly (sticky typed error) on any content.
-			d := snap.NewDec(body)
-			_ = d.U64()
-			_ = d.I64()
-			_ = d.Blob()
+			var (
+				u    uint64
+				i    int64
+				blob []byte
+			)
+			d := snap.Decoding(body)
+			snap.U(d, &u)
+			snap.I(d, &i)
+			d.Blob(&blob)
 			_ = d.Done()
 			return
 		}
@@ -567,49 +601,39 @@ func TestSnapshotImageStable(t *testing.T) {
 
 // TestModuleStateRoundTrip: for every module, encode → decode into a fresh
 // module → encode again must reproduce the bytes, with the section consumed
-// exactly — each state walk reads back all of what it writes and nothing
+// exactly — each State walk reads back all of what it writes and nothing
 // else.
 func TestModuleStateRoundTrip(t *testing.T) {
 	modules := []struct {
 		name string
-		enc  func(*core.System, *snap.Enc)
-		dec  func(*core.System, *snap.Dec) error
+		walk func(*core.System, *snap.Codec) error
 	}{
-		{"nand", func(s *core.System, e *snap.Enc) { s.Flash.EncodeState(e) },
-			func(s *core.System, d *snap.Dec) error { return s.Flash.DecodeState(d) }},
-		{"ftl", func(s *core.System, e *snap.Enc) { s.FTL.EncodeState(e) },
-			func(s *core.System, d *snap.Dec) error { return s.FTL.DecodeState(d) }},
-		{"icl", func(s *core.System, e *snap.Enc) { s.ICL.EncodeState(e) },
-			func(s *core.System, d *snap.Dec) error { return s.ICL.DecodeState(d) }},
-		{"fil", func(s *core.System, e *snap.Enc) { s.FIL.EncodeState(e) },
-			func(s *core.System, d *snap.Dec) error { return s.FIL.DecodeState(d, s.FTL) }},
-		{"dram", func(s *core.System, e *snap.Enc) { s.DevDRAM.EncodeState(e) },
-			func(s *core.System, d *snap.Dec) error { return s.DevDRAM.DecodeState(d) }},
-		{"cpu", func(s *core.System, e *snap.Enc) { s.DevCPU.EncodeState(e) },
-			func(s *core.System, d *snap.Dec) error { return s.DevCPU.DecodeState(d) }},
-		{"host", func(s *core.System, e *snap.Enc) { s.Host.EncodeState(e) },
-			func(s *core.System, d *snap.Dec) error { return s.Host.DecodeState(d) }},
-		{"dma", func(s *core.System, e *snap.Enc) { s.DMA.EncodeState(e) },
-			func(s *core.System, d *snap.Dec) error { return s.DMA.DecodeState(d) }},
+		{"nand", func(s *core.System, c *snap.Codec) error { return s.Flash.State(c) }},
+		{"ftl", func(s *core.System, c *snap.Codec) error { return s.FTL.State(c) }},
+		{"icl", func(s *core.System, c *snap.Codec) error { return s.ICL.State(c) }},
+		{"fil", func(s *core.System, c *snap.Codec) error { return s.FIL.State(c, s.FTL) }},
+		{"dram", func(s *core.System, c *snap.Codec) error { return s.DevDRAM.State(c) }},
+		{"cpu", func(s *core.System, c *snap.Codec) error { return s.DevCPU.State(c) }},
+		{"host", func(s *core.System, c *snap.Codec) error { return s.Host.State(c) }},
+		{"dma", func(s *core.System, c *snap.Codec) error { return s.DMA.State(c) }},
 	}
 	for _, sc := range imageScenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			s := scenarioSystem(t, sc.mutate, true)
 			fresh := scenarioSystem(t, sc.mutate, false)
 			for _, m := range modules {
-				var e, again snap.Enc
-				m.enc(s, &e)
-				if len(e.Bytes()) == 0 {
-					t.Errorf("%s: empty section", m.name)
+				e, again := snap.Encoding(), snap.Encoding()
+				if err := m.walk(s, e); err != nil || len(e.Bytes()) == 0 {
+					t.Errorf("%s: encoding returned %v with %d bytes", m.name, err, len(e.Bytes()))
 				}
-				d := snap.NewDec(e.Bytes())
-				if err := m.dec(fresh, d); err != nil {
+				d := snap.Decoding(e.Bytes())
+				if err := m.walk(fresh, d); err != nil {
 					t.Fatalf("%s: decode: %v", m.name, err)
 				}
 				if err := d.Done(); err != nil {
 					t.Errorf("%s: %v", m.name, err)
 				}
-				m.enc(fresh, &again)
+				_ = m.walk(fresh, again)
 				if !bytes.Equal(e.Bytes(), again.Bytes()) {
 					t.Errorf("%s: re-encoded section differs (%d vs %d bytes)", m.name, len(again.Bytes()), len(e.Bytes()))
 				}
@@ -636,23 +660,20 @@ func TestModuleStateRoundTrip(t *testing.T) {
 // and re-encodes them — the encoding is canonical, so the re-encoding is as
 // long as what was read.
 func headerLengthOffsets(body []byte) (scrubLen, flushSlots int) {
-	d := snap.NewDec(body)
-	var e snap.Enc
-	e.I64(d.I64()) // now
-	e.I64(d.I64()) // lastEnd
-	e.U64(d.U64()) // reqs
-	e.U64(d.U64()) // bytesRead
-	e.U64(d.U64()) // bytesWritten
+	d, e := snap.Decoding(body), snap.Encoding()
+	relayI(d, e) // now
+	relayI(d, e) // lastEnd
+	relayU(d, e) // reqs
+	relayU(d, e) // bytesRead
+	relayU(d, e) // bytesWritten
 	scrubLen = len(e.Bytes())
-	n := d.U64()
-	e.U64(n)
-	for ; n > 0; n-- {
-		e.U64(d.U64())
+	for n := relayU(d, e); n > 0; n-- {
+		relayU(d, e)
 	}
-	e.I64(d.I64()) // link: freeAt, busy, claims
-	e.I64(d.I64())
-	e.U64(d.U64())
-	e.Bool(d.Bool()) // hba presence
+	relayI(d, e) // link: freeAt, busy, claims
+	relayI(d, e)
+	relayU(d, e)
+	relayBool(d, e) // hba presence
 	return scrubLen, len(e.Bytes())
 }
 

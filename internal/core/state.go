@@ -14,7 +14,7 @@ import (
 // SnapshotVersion is the image format version Snapshot writes and Restore
 // accepts. TestSnapshotImageStable holds the layout to it: the images of
 // three fixed scenarios must hash to constants recorded when this version
-// was frozen, so an edit to any module's state walk that changes a byte
+// was frozen, so an edit to any module's State walk that changes a byte
 // fails there until the version is bumped and the constants re-recorded.
 // Version 2: RAIN parity + scrub (nand disturb counters and stripe OOB,
 // ftl per-SB reconstruction pressure and rain/scrub stats, core pending
@@ -50,10 +50,25 @@ func (s *System) quiescedForSnapshot() error {
 	return nil
 }
 
-// state is the system header's image layout, which precedes the modules':
-// the clock, the request counters, the pending scrub queue (no super-block
-// queues twice), and the link, HBA and flush-buffer reservations.
+// state walks the whole image in its one order: the system header, then
+// each module's State (nand, ftl, icl, fil, dram, cpu, host, dma).
 func (s *System) state(c *snap.Codec) error {
+	for _, walk := range []func(*snap.Codec) error{
+		s.header, s.Flash.State, s.FTL.State, s.ICL.State,
+		func(c *snap.Codec) error { return s.FIL.State(c, s.FTL) },
+		s.DevDRAM.State, s.DevCPU.State, s.Host.State, s.DMA.State,
+	} {
+		if err := walk(c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// header walks the system header, which precedes the modules' images: the
+// clock, the request counters, the pending scrub queue (no super-block
+// queues twice), and the link, HBA and flush-buffer reservations.
+func (s *System) header(c *snap.Codec) error {
 	snap.I(c, &s.now)
 	snap.I(c, &s.lastEnd)
 	snap.U(c, &s.reqs)
@@ -82,17 +97,9 @@ func (s *System) Snapshot() ([]byte, error) {
 	if err := s.quiescedForSnapshot(); err != nil {
 		return nil, err
 	}
-	var e snap.Enc
-	_ = s.state(snap.Encoding(&e)) // encoding cannot fail
-	s.Flash.EncodeState(&e)
-	s.FTL.EncodeState(&e)
-	s.ICL.EncodeState(&e)
-	s.FIL.EncodeState(&e)
-	s.DevDRAM.EncodeState(&e)
-	s.DevCPU.EncodeState(&e)
-	s.Host.EncodeState(&e)
-	s.DMA.EncodeState(&e)
-	return snap.Seal(SnapshotVersion, s.configFingerprint(), e.Bytes()), nil
+	c := snap.Encoding()
+	_ = s.state(c) // encoding cannot fail
+	return snap.Seal(SnapshotVersion, s.configFingerprint(), c.Bytes()), nil
 }
 
 // Restore reinstalls a Snapshot image into s. The image must carry the
@@ -109,35 +116,11 @@ func (s *System) Restore(img []byte) error {
 	if err != nil {
 		return err
 	}
-	d := snap.NewDec(body)
-	if err := s2.state(snap.Decoding(d)); err != nil {
+	c := snap.Decoding(body)
+	if err := s2.state(c); err != nil {
 		return err
 	}
-	if err := s2.Flash.DecodeState(d); err != nil {
-		return err
-	}
-	if err := s2.FTL.DecodeState(d); err != nil {
-		return err
-	}
-	if err := s2.ICL.DecodeState(d); err != nil {
-		return err
-	}
-	if err := s2.FIL.DecodeState(d, s2.FTL); err != nil {
-		return err
-	}
-	if err := s2.DevDRAM.DecodeState(d); err != nil {
-		return err
-	}
-	if err := s2.DevCPU.DecodeState(d); err != nil {
-		return err
-	}
-	if err := s2.Host.DecodeState(d); err != nil {
-		return err
-	}
-	if err := s2.DMA.DecodeState(d); err != nil {
-		return err
-	}
-	if err := d.Done(); err != nil {
+	if err := c.Done(); err != nil {
 		return err
 	}
 	if s2.FTL.ReadOnly() {
@@ -253,7 +236,7 @@ func (s *System) mountExec(plan ftl.Plan) error {
 	// every recovery strictly shrinks the remaining suffix, so the loop is
 	// bounded by the plan size, not a fixed constant.
 	maxAttempts := len(plan.Ops) + maxFaultRetries
-	res, err := s.FIL.Execute(s.now, plan, fil.PlanData{})
+	res, err := s.FIL.ExecuteOn(nil, nil, s.now, plan, fil.PlanData{})
 	for attempt := 0; err != nil && attempt < maxAttempts; attempt++ {
 		var pf *fil.PlanFault
 		if !errors.As(err, &pf) {
@@ -270,7 +253,7 @@ func (s *System) mountExec(plan ftl.Plan) error {
 			maxAttempts = grown
 		}
 		plan = rplan
-		res, err = s.FIL.Execute(s.now, plan, fil.PlanData{})
+		res, err = s.FIL.ExecuteOn(nil, nil, s.now, plan, fil.PlanData{})
 	}
 	if err != nil {
 		return err

@@ -980,10 +980,10 @@ func (s *System) prefetch(e *sim.Engine, lspn int64) {
 
 // flushEviction writes a displaced dirty line back through FTL and FIL,
 // returning when the victim's data has left the cache memory (host writes
-// programmed; background GC may continue past this point). With an engine
-// the plan executes through fil.ExecuteOn, whose erases a power cut can
+// programmed; background GC may continue past this point). The plan
+// executes through fil.ExecuteOn: with an engine, its erases a power cut can
 // still undo until the engine's clock passes their start; without one (the
-// synchronous Flush), through fil.Execute, which commits them at claim.
+// synchronous Flush), they commit at claim.
 func (s *System) flushEviction(e *sim.Engine, t sim.Time, ev *iclEviction) (sim.Time, error) {
 	t2 := s.fw.ftlTranslate.run(t)
 	plan, err := s.FTL.Write(t2, ev.LSPN, ev.Dirty)
@@ -1049,12 +1049,11 @@ func (s *System) flushEviction(e *sim.Engine, t sim.Time, ev *iclEviction) (sim.
 // additionally queue a reconstruction (noteRainFault) which the caller
 // drains after the plan lands.
 func (s *System) runPlan(e *sim.Engine, t sim.Time, plan ftl.Plan, hostData fil.PlanData, pending error) (fil.Result, error, error) {
-	execute := func(p ftl.Plan) (fil.Result, error) {
-		if e != nil {
-			return s.FIL.ExecuteOn(e, s.domainsFor(e).nand, t, p, hostData)
-		}
-		return s.FIL.Execute(t, p, hostData)
+	var doms []sim.DomainID
+	if e != nil {
+		doms = s.domainsFor(e).nand
 	}
+	execute := func(p ftl.Plan) (fil.Result, error) { return s.FIL.ExecuteOn(e, doms, t, p, hostData) }
 	res, err := execute(plan)
 	// The retry budget scales with the work in flight, not a flat constant:
 	// a read-fault recovery strictly shrinks the un-executed suffix (bounded

@@ -298,7 +298,7 @@ func TestTwoStageFillBatching(t *testing.T) {
 	}
 	// The certified fast path served the trajectory too: every plan executed
 	// on an engine skipped the walk (PlanCount also counts Flush's
-	// synchronous Execute plans, which have no walk to skip).
+	// engine-less plans, which CertifiedPlans never counts).
 	if fs := s.FIL.Stats(); fs.CertifiedPlans == 0 {
 		t.Fatalf("no plan took the certified fast path: %+v", fs)
 	}

@@ -25,7 +25,7 @@
 //     associative and the energy is in snapshot images and golden tables:
 //     each Run adds its own product to the accumulator, never a batch.
 //   - The module slot is a hint. A Charge caches where its module's counters
-//     sat, and every run checks that slot's name first: DecodeState replaces
+//     sat, and every run checks that slot's name first: a decoding State replaces
 //     the table in sorted order, so an index alone would go stale. Compile
 //     itself registers nothing — a module exists once a charge of it ran.
 package cpu
@@ -285,11 +285,6 @@ func (c *Complex) Modules() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Utilization returns aggregate core utilization over the elapsed window.
-func (c *Complex) Utilization(elapsed sim.Duration) float64 {
-	return c.cores.Utilization(elapsed)
 }
 
 // BusyTime returns aggregate core busy time.

@@ -165,8 +165,8 @@ func TestUtilizationAndMIPS(t *testing.T) {
 	c := newTestComplex(t)
 	// 1500 instructions = 3us on one core; over 9us of 3 cores => 3/27.
 	c.Execute(0, 0, "hil", Mix(1500))
-	if u := c.Utilization(9 * sim.Microsecond); !approx(u, 3.0/27.0, 1e-9) {
-		t.Fatalf("Utilization = %v", u)
+	if u := float64(c.BusyTime()) / float64(3*9*sim.Microsecond); !approx(u, 3.0/27.0, 1e-9) {
+		t.Fatalf("utilization = %v", u)
 	}
 	// 1500 instructions over the 3us they took => 500 MIPS.
 	if m := float64(c.Instructions().Total()) / c.BusyTime().Seconds() / 1e6; !approx(m, 500, 1e-6) {

@@ -45,9 +45,9 @@ func refAccount(c *Complex, module string, mix InstrMix) {
 }
 
 func image(c *Complex) []byte {
-	var e snap.Enc
-	c.EncodeState(&e)
-	return e.Bytes()
+	k := snap.Encoding()
+	_ = c.State(k) // encoding cannot fail
+	return k.Bytes()
 }
 
 // sameComplex compares everything a Complex reports, and its image.
@@ -83,7 +83,7 @@ func sameComplex(t *testing.T, step int, got, want *Complex) {
 // reference: random modules (registered in an order that is not the sorted
 // one), mixes that are zero, irregular, Scaled or firmware-shaped, cores in
 // and out of range, arrival times that leave cores idle or backlogged. Every
-// so often the state goes through EncodeState and DecodeState — into the
+// so often the state goes through an encoding and a decoding State — into the
 // Complex itself, leaving every compiled charge holding the slot its module
 // had before the table was re-sorted, or into a fresh Complex whose charges
 // were compiled before the decode, as core.Restore does. Service intervals
@@ -179,7 +179,7 @@ func TestChargeMatchesExecuteReference(t *testing.T) {
 							pool[i].ch = into.Compile(pool[i].module, pool[i].mix)
 						}
 					}
-					if err := into.DecodeState(snap.NewDec(img)); err != nil {
+					if err := into.State(snap.Decoding(img)); err != nil {
 						t.Fatalf("step %d: decode: %v", step, err)
 					}
 					got = into

@@ -16,10 +16,12 @@ func mixState(k *snap.Codec, m *InstrMix) {
 	snap.U(k, &m.Other)
 }
 
-// state is the complex's image layout: per-core timelines, aggregate and
+// State walks the complex's image: per-core timelines, aggregate and
 // per-module instruction accounting (modules in sorted order for a
-// canonical image), and accumulated energy.
-func (c *Complex) state(k *snap.Codec) error {
+// canonical image), and accumulated energy. Decoding needs a freshly
+// constructed complex of the identical configuration; on error it must be
+// discarded.
+func (c *Complex) State(k *snap.Codec) error {
 	if err := c.cores.Snap(k); err != nil {
 		return err
 	}
@@ -42,13 +44,3 @@ func (c *Complex) state(k *snap.Codec) error {
 	k.F64(&c.energyJ)
 	return k.Err()
 }
-
-// EncodeState serializes the complex's complete functional state.
-func (c *Complex) EncodeState(e *snap.Enc) {
-	_ = c.state(snap.Encoding(e)) // encoding cannot fail
-}
-
-// DecodeState reinstalls a state captured by EncodeState into c, which
-// must be freshly constructed with the identical configuration. On error c
-// must be discarded.
-func (c *Complex) DecodeState(d *snap.Dec) error { return c.state(snap.Decoding(d)) }

@@ -121,8 +121,8 @@ func TestContiguousBatching(t *testing.T) {
 	if st.BytesMoved != 65536 {
 		t.Fatalf("BytesMoved = %d", st.BytesMoved)
 	}
-	if link.Claims() != 1 {
-		t.Fatalf("link claimed %d times, want 1", link.Claims())
+	if n := link.State().Claims; n != 1 {
+		t.Fatalf("link claimed %d times, want 1", n)
 	}
 }
 

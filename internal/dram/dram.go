@@ -409,16 +409,6 @@ func (d *DRAM) passes(now sim.Time, s int, row int64, p int64) sim.Time {
 	return done
 }
 
-// Read is Access with write=false.
-func (d *DRAM) Read(now sim.Time, addr int64, n int) sim.Time {
-	return d.Access(now, addr, n, false)
-}
-
-// Write is Access with write=true.
-func (d *DRAM) Write(now sim.Time, addr int64, n int) sim.Time {
-	return d.Access(now, addr, n, true)
-}
-
 // Reserve accounts n bytes of capacity for a firmware consumer (cache
 // lines, mapping tables). It fails when capacity would be exceeded, which
 // back-pressures the ICL sizing logic.

@@ -59,10 +59,10 @@ func TestOpenPageHitFasterThanMiss(t *testing.T) {
 	d := newTestDRAM(t, OpenPage)
 	// First access: row miss (activate).
 	t0 := sim.Time(0)
-	done1 := d.Read(t0, 0, 32)
+	done1 := d.Access(t0, 0, 32, false)
 	// Second access to the same row far in the future: row hit.
 	t1 := sim.FromMicroseconds(10)
-	done2 := d.Read(t1, 32, 32)
+	done2 := d.Access(t1, 32, 32, false)
 	missLat := done1 - t0
 	hitLat := done2 - t1
 	if hitLat >= missLat {
@@ -76,9 +76,9 @@ func TestOpenPageHitFasterThanMiss(t *testing.T) {
 
 func TestClosePageConstantLatency(t *testing.T) {
 	d := newTestDRAM(t, ClosePage)
-	l1 := d.Read(0, 0, 32) - 0
+	l1 := d.Access(0, 0, 32, false) - 0
 	t1 := sim.FromMicroseconds(10)
-	l2 := d.Read(t1, 0, 32) - t1
+	l2 := d.Access(t1, 0, 32, false) - t1
 	if l1 != l2 {
 		t.Fatalf("close-page latencies differ: %v vs %v", l1, l2)
 	}
@@ -89,9 +89,9 @@ func TestClosePageConstantLatency(t *testing.T) {
 
 func TestLargeAccessUsesMultipleBursts(t *testing.T) {
 	d := newTestDRAM(t, OpenPage)
-	small := d.Read(0, 0, 32) - 0
+	small := d.Access(0, 0, 32, false) - 0
 	d2 := newTestDRAM(t, OpenPage)
-	big := d2.Read(0, 0, 4096) - 0
+	big := d2.Access(0, 0, 4096, false) - 0
 	if big <= small {
 		t.Fatalf("4KB access (%v) should take longer than one burst (%v)", big, small)
 	}
@@ -107,8 +107,8 @@ func TestBankInterleavingParallelism(t *testing.T) {
 	d, _ := New(cfg, DefaultPower())
 	rowBytes := int64(cfg.RowBytes)
 	// addr 0 -> bank 0 row 0; addr rowBytes -> bank 1.
-	doneA := d.Read(0, 0, 32)
-	doneB := d.Read(0, rowBytes, 32)
+	doneA := d.Access(0, 0, 32, false)
+	doneB := d.Access(0, rowBytes, 32, false)
 	gap := doneB - doneA
 	if gap > cfg.BurstTime() {
 		t.Fatalf("different banks should overlap: gap %v", gap)
@@ -116,8 +116,8 @@ func TestBankInterleavingParallelism(t *testing.T) {
 
 	d2, _ := New(cfg, DefaultPower())
 	// Same bank, different rows: serialized row cycles.
-	doneC := d2.Read(0, 0, 32)
-	doneD := d2.Read(0, rowBytes*int64(cfg.TotalBanks()), 32)
+	doneC := d2.Access(0, 0, 32, false)
+	doneD := d2.Access(0, rowBytes*int64(cfg.TotalBanks()), 32, false)
 	if doneD <= doneC {
 		t.Fatal("same-bank conflicting rows must serialize")
 	}
@@ -142,8 +142,8 @@ func TestReserveRelease(t *testing.T) {
 
 func TestEnergyAccounting(t *testing.T) {
 	d := newTestDRAM(t, OpenPage)
-	d.Read(0, 0, 32)                        // 1 ACT + 1 RD burst
-	d.Write(sim.FromMicroseconds(1), 0, 32) // row hit + 1 WR burst
+	d.Access(0, 0, 32, false)                      // 1 ACT + 1 RD burst
+	d.Access(sim.FromMicroseconds(1), 0, 32, true) // row hit + 1 WR burst
 	p := DefaultPower()
 	want := p.ActEnergyJ + p.RdBurstEnergyJ + p.WrBurstEnergyJ
 	if got := d.EnergyJoules(); !approx(got, want, 1e-15) {
@@ -160,9 +160,9 @@ func TestEnergyAccounting(t *testing.T) {
 
 func TestRowHitRate(t *testing.T) {
 	d := newTestDRAM(t, OpenPage)
-	d.Read(0, 0, 32)
-	d.Read(sim.Microsecond, 0, 32)
-	d.Read(2*sim.Microsecond, 0, 32)
+	d.Access(0, 0, 32, false)
+	d.Access(sim.Microsecond, 0, 32, false)
+	d.Access(2*sim.Microsecond, 0, 32, false)
 	// The first read opens the row and the next two hit it.
 	if st := d.Stats(); st.RowHits != 2 || st.RowMisses != 1 {
 		t.Fatalf("row hits/misses = %d/%d, want 2/1", st.RowHits, st.RowMisses)
@@ -171,7 +171,7 @@ func TestRowHitRate(t *testing.T) {
 
 func TestZeroByteAccessIsFree(t *testing.T) {
 	d := newTestDRAM(t, OpenPage)
-	if done := d.Read(5, 0, 0); done != 5 {
+	if done := d.Access(5, 0, 0, false); done != 5 {
 		t.Fatalf("zero-byte access advanced time to %v", done)
 	}
 	if d.Stats().Reads != 0 {

@@ -6,10 +6,12 @@ import (
 	"amber/internal/snap"
 )
 
-// state is the DRAM's image layout: bus and bank resource timelines,
-// open-row registers, the capacity accountant, counters (the burst counts
-// are the dynamic energy) and the power-state watermark.
-func (d *DRAM) state(c *snap.Codec) error {
+// State walks the DRAM's image: bus and bank resource timelines, open-row
+// registers, the capacity accountant, counters (the burst counts are the
+// dynamic energy) and the power-state watermark. Decoding needs a freshly
+// constructed DRAM of the identical configuration and refuses a reservation
+// beyond its capacity; on error the DRAM must be discarded.
+func (d *DRAM) State(c *snap.Codec) error {
 	for _, bus := range d.bus {
 		bus.Snap(c)
 	}
@@ -28,23 +30,8 @@ func (d *DRAM) state(c *snap.Codec) error {
 	snap.U(c, &d.rdBursts)
 	snap.U(c, &d.wrBursts)
 	snap.I(c, &d.busyUntil)
-	return c.Err()
-}
-
-// EncodeState serializes the DRAM's complete functional state.
-func (d *DRAM) EncodeState(e *snap.Enc) {
-	_ = d.state(snap.Encoding(e)) // encoding cannot fail
-}
-
-// DecodeState reinstalls a state captured by EncodeState into d, which
-// must be freshly constructed with the identical configuration. On error d
-// must be discarded.
-func (d *DRAM) DecodeState(dec *snap.Dec) error {
-	if err := d.state(snap.Decoding(dec)); err != nil {
-		return err
-	}
-	if d.used < 0 || d.used > d.cfg.CapacityBytes {
+	if c.Decoding() && c.Err() == nil && (d.used < 0 || d.used > d.cfg.CapacityBytes) {
 		return fmt.Errorf("%w: dram reservation %d outside capacity %d", snap.ErrCorrupt, d.used, d.cfg.CapacityBytes)
 	}
-	return nil
+	return c.Err()
 }

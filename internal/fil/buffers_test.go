@@ -69,7 +69,7 @@ func TestPlanReadBufferLifeCycle(t *testing.T) {
 				if m.deferred {
 					res, err = f.ExecuteOn(e, doms, now, plan, hd)
 				} else {
-					res, err = f.Execute(now, plan, hd)
+					res, err = f.ExecuteOn(nil, nil, now, plan, hd)
 				}
 				if err != nil {
 					t.Fatal(err)

@@ -370,7 +370,7 @@ func (d PlanData) Bytes(k SubKey) ([]byte, bool) {
 	return d.Data[k.Sub*d.SubSize : (k.Sub+1)*d.SubSize], true
 }
 
-// HostData builds the PlanData for Execute from a line-layout buffer: each
+// HostData builds the PlanData for ExecuteOn from a line-layout buffer: each
 // dirty sub of lspn maps to its slice of data (which may be nil). Only the
 // dirty subs of data are ever read — an icl.Eviction's Data qualifies as is.
 func HostData(lspn int64, dirty []bool, data []byte, subSize int) PlanData {
@@ -579,52 +579,11 @@ func (f *FIL) prevalidatePlan(plan ftl.Plan) error {
 	return nil
 }
 
-// Execute runs an FTL plan against the flash synchronously, walking the
-// plan's causal op order through an engine-less nand.PlanBatch: every
-// transaction's counters, energy and tracked-data effects apply at issue, in
-// op order. hostData supplies payload bytes for host writes (the zero
-// PlanData when data tracking is off or the plan has no host writes).
-//
-// Dependency timing: every op starts no earlier than `now`; a GC/RMW
-// rewrite additionally waits for the completion of the pre-read it is
-// linked to (ftl.Op.Src: the last preceding read of the same (LSPN, Sub));
-// a write into a super-block erased earlier in the plan waits for that
-// erase; an erase waits for every earlier op touching the same super-block
-// (its migration reads). Everything else overlaps, bounded only by the
-// channel/die contention modeled inside package nand.
-func (f *FIL) Execute(now sim.Time, plan ftl.Plan, hostData PlanData) (Result, error) {
-	return f.execute(nil, nil, now, plan, hostData)
-}
-
-// ExecuteOn is Execute for a caller running engine e: the plan's erases stay
-// undoable by a power cut until e's dispatch clock passes their start
-// (nand.PlanBatch), and a certified plan is counted in Stats.CertifiedPlans.
-// Timing, dependency ordering, data, counters and energy are identical to
-// Execute, and everything lands at issue: nothing is scheduled. chDoms is
-// unused (bench/replay.go calls this signature).
-//
-// On either path, a plan nobody vouches for is prevalidated whole before
-// any transaction claims resources or schedules, so a structural error
-// returns with no events queued and no state mutated. A plan whose
-// construction-time certificate is honored (AcceptCertified: bound issuer,
-// in-sequence, flash epoch untouched) skips the walk and the overlay reset
-// entirely — the FTL already proved every address in bounds, every program
-// in order and every rewrite linked to its pre-read when it built the plan,
-// so revalidating would re-derive the same answer from the same state. The
-// error-⇒-no-mutation contract holds on that path by construction: a
-// certified plan cannot fail, and a per-op check tripping anyway means the
-// certification invariant itself was broken, which panics rather than
-// returning with state the contract forbids.
-func (f *FIL) ExecuteOn(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan ftl.Plan, hostData PlanData) (Result, error) {
-	return f.execute(e, chDoms, now, plan, hostData)
-}
-
-// planRun is the state of one plan execution, kept on execute's stack so
+// planRun is the state of one plan execution, kept on ExecuteOn's stack so
 // the op loop's helpers are plain method calls: no closure per op.
 type planRun struct {
 	f *FIL
-	// batch issues every op: opened on ExecuteOn's engine, or engine-less
-	// for Execute.
+	// batch issues every op: opened on ExecuteOn's engine, or engine-less.
 	batch *nand.PlanBatch
 	// trusted: the plan's certificate is honored — addresses come straight
 	// from the plane table, links from Op.Src, and issues skip the flash's
@@ -720,12 +679,40 @@ func (k *planRun) fail(i int, op *ftl.Op, plane int, what string, err error) err
 	return err
 }
 
-// execute is the one plan kernel behind Execute (e nil: an engine-less
-// batch) and ExecuteOn: one sequential pass over the ops with no hashing, no
-// division and no wide by-value struct per op.
-func (f *FIL) execute(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan ftl.Plan, hostData PlanData) (Result, error) {
+// ExecuteOn runs an FTL plan against the flash synchronously, in one
+// sequential pass over its causal op order through a nand.PlanBatch with no
+// hashing, no division and no wide by-value struct per op: every
+// transaction's timing, counters, energy and tracked-data effects apply at
+// issue, in op order, and nothing is scheduled. hostData supplies payload
+// bytes for host writes (the zero PlanData when data tracking is off or the
+// plan has no host writes). e is the engine the caller runs, nil for none:
+// under an engine the plan's erases stay undoable by a power cut until e's
+// dispatch clock passes their start, and a certified plan is counted in
+// Stats.CertifiedPlans, which counts engine executions only. chDoms is
+// unused (bench/replay.go calls this signature).
+//
+// Dependency timing: every op starts no earlier than `now`; a GC/RMW
+// rewrite additionally waits for the completion of the pre-read it is
+// linked to (ftl.Op.Src: the last preceding read of the same (LSPN, Sub));
+// a write into a super-block erased earlier in the plan waits for that
+// erase; an erase waits for every earlier op touching the same super-block
+// (its migration reads). Everything else overlaps, bounded only by the
+// channel/die contention modeled inside package nand.
+//
+// A plan nobody vouches for is prevalidated whole before any transaction
+// claims resources, so a structural error returns with no state mutated. A
+// plan whose construction-time certificate is honored (AcceptCertified:
+// bound issuer, in-sequence, flash epoch untouched) skips the walk and the
+// overlay reset entirely — the FTL already proved every address in bounds,
+// every program in order and every rewrite linked to its pre-read when it
+// built the plan, so revalidating would re-derive the same answer from the
+// same state. The error-⇒-no-mutation contract holds on that path by
+// construction: a certified plan cannot fail, and a per-op check tripping
+// anyway means the certification invariant itself was broken, which panics
+// rather than returning with state the contract forbids.
+func (f *FIL) ExecuteOn(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan ftl.Plan, hostData PlanData) (Result, error) {
 	k := planRun{f: f, res: Result{Done: now}}
-	// The chain advances on both paths, so a mixed Execute/ExecuteOn caller
+	// The chain advances with or without an engine, so a caller mixing both
 	// (core's Flush) keeps the fast path armed for the engine executions
 	// around it.
 	inSeq := f.certCheck(plan)
@@ -957,6 +944,3 @@ func (f *FIL) ReadSubsStaged(_ *sim.Engine, _ []sim.DomainID, now sim.Time, locs
 	}
 	return done, nil
 }
-
-// Flash exposes the underlying storage complex for stats/energy queries.
-func (f *FIL) Flash() *nand.Flash { return f.flash }

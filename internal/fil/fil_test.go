@@ -56,7 +56,7 @@ func TestExecuteFullWritePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.Execute(0, plan, HostData(9, dirty, payload, 512))
+	res, err := f.ExecuteOn(nil, nil, 0, plan, HostData(9, dirty, payload, 512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestWritesAcrossPlanesOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.Execute(0, plan, PlanData{})
+	res, err := f.ExecuteOn(nil, nil, 0, plan, PlanData{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestGCPlanSurvivesDataIntegrity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := f.Execute(now, plan, HostData(lspn, dirty, payload, 512))
+		res, err := f.ExecuteOn(nil, nil, now, plan, HostData(lspn, dirty, payload, 512))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestDepStallsCounted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := f.Execute(now, plan, PlanData{})
+		res, err := f.ExecuteOn(nil, nil, now, plan, PlanData{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +222,7 @@ func TestExecuteOnEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resS, err := fSync.Execute(nowS, planS, HostData(lspn, dirty, payload, 512))
+		resS, err := fSync.ExecuteOn(nil, nil, nowS, planS, HostData(lspn, dirty, payload, 512))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -443,7 +443,7 @@ func TestCertificationInvalidation(t *testing.T) {
 	// the next page the FTL will allocate there.
 	rawLoc := plan1.Ops[0].Loc
 	rawLoc.Page = fl.NextProgramPage(tr.Address(rawLoc))
-	if _, err := f.Flash().Program(sim.FromMicroseconds(50000), tr.Address(rawLoc), payload[:512]); err != nil {
+	if _, err := f.flash.Program(sim.FromMicroseconds(50000), tr.Address(rawLoc), payload[:512]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -584,7 +584,7 @@ func TestStatsSingleCountAcrossPaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fRef.Execute(0, planR, HostData(lspn, dirty, payload, 512)); err != nil {
+		if _, err := fRef.ExecuteOn(nil, nil, 0, planR, HostData(lspn, dirty, payload, 512)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -604,14 +604,14 @@ func TestStatsSingleCountAcrossPaths(t *testing.T) {
 	}
 	for _, f := range []*FIL{fDef, fRef} {
 		at := sim.FromMicroseconds(500000)
-		if _, err := f.Flash().Program(at, raw, payload[:512]); err != nil {
+		if _, err := f.flash.Program(at, raw, payload[:512]); err != nil {
 			t.Fatal(err)
 		}
 		got := make([]byte, 512)
-		if _, err := f.Flash().Read(at+sim.FromMicroseconds(5000), raw, got); err != nil {
+		if _, err := f.flash.Read(at+sim.FromMicroseconds(5000), raw, got); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.Flash().Erase(at+sim.FromMicroseconds(10000), raw); err != nil {
+		if _, err := f.flash.Erase(at+sim.FromMicroseconds(10000), raw); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -632,20 +632,20 @@ func TestRawOCSSDPath(t *testing.T) {
 	addr := nand.Address{Channel: 1, Page: 0}
 	data := make([]byte, 512)
 	data[7] = 0x77
-	if _, err := f.Flash().Program(0, addr, data); err != nil {
+	if _, err := f.flash.Program(0, addr, data); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 512)
-	if _, err := f.Flash().Read(sim.FromMicroseconds(5000), addr, got); err != nil {
+	if _, err := f.flash.Read(sim.FromMicroseconds(5000), addr, got); err != nil {
 		t.Fatal(err)
 	}
 	if got[7] != 0x77 {
 		t.Fatal("raw path lost data")
 	}
-	if _, err := f.Flash().Erase(sim.FromMicroseconds(9000), addr); err != nil {
+	if _, err := f.flash.Erase(sim.FromMicroseconds(9000), addr); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Flash().Read(sim.FromMicroseconds(13000), addr, got); err == nil {
+	if _, err := f.flash.Read(sim.FromMicroseconds(13000), addr, got); err == nil {
 		t.Fatal("read after erase should fail")
 	}
 }

@@ -29,10 +29,15 @@ func (f *FIL) PowerLoss() {
 	f.readBufN = 0
 }
 
-// state is the FIL's image layout: the counters and the certified-chain
+// State walks the FIL's image: the counters and the certified-chain
 // position. The issuer pointer itself is identity, not state — the image
-// records only whether the binding was armed.
-func (f *FIL) state(c *snap.Codec, armed *bool) error {
+// records only whether the binding was armed. Decoding binds issuer, the
+// (restored) FTL whose certificates this FIL honored at snapshot time, only
+// if the binding was armed then, at the exact chain position the snapshot
+// recorded — so a restored device honors or walks precisely the plans the
+// original would have. Encoding ignores issuer.
+func (f *FIL) State(c *snap.Codec, issuer *ftl.FTL) error {
+	armed := f.certIssuer != nil
 	snap.U(c, &f.stats.Reads)
 	snap.U(c, &f.stats.Programs)
 	snap.U(c, &f.stats.Erases)
@@ -42,33 +47,15 @@ func (f *FIL) state(c *snap.Codec, armed *bool) error {
 	snap.U(c, &f.stats.PlanFaults)
 	snap.U(c, &f.stats.CertifiedReads)
 	snap.U(c, &f.stats.CertDisarms)
-	c.Bool(armed)
+	c.Bool(&armed)
 	snap.U(c, &f.certNext)
 	snap.U(c, &f.certEpoch)
 	c.Bool(&f.forceWalk)
-	return c.Err()
-}
-
-// EncodeState serializes the FIL's functional state.
-func (f *FIL) EncodeState(e *snap.Enc) {
-	armed := f.certIssuer != nil
-	_ = f.state(snap.Encoding(e), &armed) // encoding cannot fail
-}
-
-// DecodeState reinstalls a state captured by EncodeState. issuer is the
-// (restored) FTL whose certificates this FIL honored at snapshot time; it
-// is bound only if the binding was armed then, at the exact chain position
-// the snapshot recorded — so a restored device honors or walks precisely
-// the plans the original would have.
-func (f *FIL) DecodeState(d *snap.Dec, issuer *ftl.FTL) error {
-	var armed bool
-	if err := f.state(snap.Decoding(d), &armed); err != nil {
-		return err
-	}
-	if armed {
-		f.certIssuer = issuer
-	} else {
+	if c.Decoding() && c.Err() == nil {
 		f.certIssuer = nil
+		if armed {
+			f.certIssuer = issuer
+		}
 	}
-	return nil
+	return c.Err()
 }

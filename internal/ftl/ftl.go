@@ -961,9 +961,6 @@ func (f *FTL) Mapped(lspn int64) bool {
 	return false
 }
 
-// EraseCount returns the erase count of a super-block.
-func (f *FTL) EraseCount(sb int) uint32 { return f.sbs[sb].eraseCount }
-
 // MaxEraseSpread returns max-min erase counts across super-blocks.
 func (f *FTL) MaxEraseSpread() uint32 {
 	if len(f.sbs) == 0 {

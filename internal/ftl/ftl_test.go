@@ -363,7 +363,7 @@ func TestLowerOPMeansMoreGC(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Random overwrites, 2x the volume (the Fig. 11 stress pattern).
+		// Random overwrites of 2x the volume.
 		for i := int64(0); i < 2*f.UserSuperPages(); i++ {
 			now += sim.Microsecond
 			lspn := int64(rng.Uint64n(uint64(f.UserSuperPages())))

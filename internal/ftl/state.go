@@ -6,14 +6,15 @@ import (
 	"amber/internal/snap"
 )
 
-// state is the FTL's image layout: the forward map, per-super-block
-// metadata, the free reserve and open block, the counters, the retirement
-// order with the read-only latch, and the plan sequence. The reverse map
-// and valid counts are derived from the forward map at decode time instead
-// of being stored. A forward entry travels as the varint of its widened
-// value, and decoding refuses one outside [-1, physical sub-pages) rather
-// than narrowing it onto some other sub-page.
-func (f *FTL) state(c *snap.Codec) error {
+// State walks the FTL's image: the forward map, per-super-block metadata,
+// the free reserve and open block, the counters, the retirement order with
+// the read-only latch, and the plan sequence. A forward entry travels as the
+// varint of its widened value, and decoding refuses one outside
+// [-1, physical sub-pages) rather than narrowing it onto some other
+// sub-page. The reverse map and valid counts are not stored: decoding, which
+// needs a freshly constructed FTL of the identical configuration, rebuilds
+// them from the forward map. On error the FTL must be discarded.
+func (f *FTL) State(c *snap.Codec) error {
 	if err := c.Same(len(f.fwd), "forward-map entries"); err != nil {
 		return err
 	}
@@ -61,32 +62,9 @@ func (f *FTL) state(c *snap.Codec) error {
 	f.sbListState(c, &f.retireOrder)
 	c.Bool(&f.readOnly)
 	snap.U(c, &f.planSeq)
-	return c.Err()
-}
-
-// sbListState walks a list of super-block numbers, at most one entry per
-// super-block long.
-func (f *FTL) sbListState(c *snap.Codec, list *[]int) {
-	snap.Slice(c, list, f.sbCount)
-	for i := range *list {
-		snap.I(c, &(*list)[i])
+	if !c.Decoding() || c.Err() != nil {
+		return c.Err()
 	}
-}
-
-// EncodeState serializes the FTL's complete functional state.
-func (f *FTL) EncodeState(e *snap.Enc) {
-	_ = f.state(snap.Encoding(e)) // encoding cannot fail
-}
-
-// DecodeState reinstalls a state captured by EncodeState into f, which
-// must be freshly constructed with the identical configuration. The
-// reverse map and per-super-block valid counts are rebuilt from the
-// decoded forward map. On error f must be discarded.
-func (f *FTL) DecodeState(d *snap.Dec) error {
-	if err := f.state(snap.Decoding(d)); err != nil {
-		return err
-	}
-
 	// Rebuild the derived state from the forward map, whose entries the
 	// walk bounded to [-1, len(rev)).
 	for i := range f.sbs {
@@ -119,4 +97,13 @@ func (f *FTL) DecodeState(d *snap.Dec) error {
 		return fmt.Errorf("%w: open super-block %d out of range", snap.ErrCorrupt, f.openSB)
 	}
 	return nil
+}
+
+// sbListState walks a list of super-block numbers, at most one entry per
+// super-block long.
+func (f *FTL) sbListState(c *snap.Codec, list *[]int) {
+	snap.Slice(c, list, f.sbCount)
+	for i := range *list {
+		snap.I(c, &(*list)[i])
+	}
 }

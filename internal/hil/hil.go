@@ -39,16 +39,12 @@ func NewSplitter(subSize, subsPerLine int) (*Splitter, error) {
 // LineBytes returns the cache entry size (one super-page).
 func (s *Splitter) LineBytes() int { return s.subSize * s.subsPerLine }
 
-// Split decomposes [offset, offset+length) into lines. Sub-page
-// granularity is the unit of cache validity, so offsets are rounded to
-// sub-page boundaries (partial sub-pages touch the whole sub-page, the
-// read-modify-write the paper attributes to small writes).
-func (s *Splitter) Split(offset int64, length int) ([]Line, error) {
-	return s.SplitInto(nil, offset, length)
-}
-
-// SplitInto is Split appending into dst, so per-request buffers can be
-// reused by the submit hot path. Pass dst[:0] to recycle capacity.
+// SplitInto decomposes [offset, offset+length) into lines, appended to dst
+// so the submit hot path can reuse its per-request buffers (pass dst[:0] to
+// recycle capacity). Sub-page granularity is the unit of cache validity, so
+// offsets are rounded to sub-page boundaries (partial sub-pages touch the
+// whole sub-page, the read-modify-write the paper attributes to small
+// writes).
 func (s *Splitter) SplitInto(dst []Line, offset int64, length int) ([]Line, error) {
 	if offset < 0 || length <= 0 {
 		return nil, fmt.Errorf("hil: invalid request [%d, +%d)", offset, length)

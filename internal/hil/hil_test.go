@@ -14,7 +14,7 @@ func TestSplitterBasics(t *testing.T) {
 		t.Fatalf("LineBytes = %d", s.LineBytes())
 	}
 	// 4 KiB read at offset 0: one line, one sub.
-	lines, err := s.Split(0, 4096)
+	lines, err := s.SplitInto(nil, 0, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestSplitterBasics(t *testing.T) {
 func TestSplitCrossesLines(t *testing.T) {
 	s, _ := NewSplitter(4096, 4)
 	// 20 KiB starting 8 KiB into line 0: subs 2,3 of line 0 + sub 0..2 of line 1.
-	lines, err := s.Split(8192, 20480)
+	lines, err := s.SplitInto(nil, 8192, 20480)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSplitCrossesLines(t *testing.T) {
 func TestSplitSubPagePartial(t *testing.T) {
 	s, _ := NewSplitter(4096, 4)
 	// 1 KiB at offset 512: touches sub 0 only.
-	lines, err := s.Split(512, 1024)
+	lines, err := s.SplitInto(nil, 512, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestSplitSubPagePartial(t *testing.T) {
 		t.Fatalf("lines = %+v", lines)
 	}
 	// 1 KiB spanning the sub 0/1 boundary touches two subs.
-	lines, err = s.Split(3584, 1024)
+	lines, err = s.SplitInto(nil, 3584, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +63,10 @@ func TestSplitSubPagePartial(t *testing.T) {
 
 func TestSplitRejectsBadArgs(t *testing.T) {
 	s, _ := NewSplitter(4096, 4)
-	if _, err := s.Split(-1, 4096); err == nil {
+	if _, err := s.SplitInto(nil, -1, 4096); err == nil {
 		t.Fatal("negative offset accepted")
 	}
-	if _, err := s.Split(0, 0); err == nil {
+	if _, err := s.SplitInto(nil, 0, 0); err == nil {
 		t.Fatal("zero length accepted")
 	}
 	if _, err := NewSplitter(0, 4); err == nil {
@@ -80,7 +80,7 @@ func TestSplitTilesProperty(t *testing.T) {
 	s, _ := NewSplitter(512, 8)
 	f := func(off uint16, length uint16) bool {
 		l := int(length%50000) + 1
-		lines, err := s.Split(int64(off), l)
+		lines, err := s.SplitInto(nil, int64(off), l)
 		if err != nil {
 			return false
 		}

@@ -141,9 +141,6 @@ func New(cfg Config) (*Host, error) {
 	return &Host{cfg: cfg, CPU: c, Mem: sim.NewResource("host.mem")}, nil
 }
 
-// Config returns the configuration.
-func (h *Host) Config() Config { return h.cfg }
-
 // MemBandwidth returns system memory bandwidth in bytes/second.
 func (h *Host) MemBandwidth() float64 { return h.cfg.MemBandwidth }
 

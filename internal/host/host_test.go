@@ -138,9 +138,9 @@ func refComplete(h *Host, now sim.Time, isrInstr uint64) sim.Time {
 // call and the CPU images after each, across a state round trip too.
 func TestKernelChargesMatchUnmemoized(t *testing.T) {
 	image := func(h *Host) []byte {
-		var e snap.Enc
-		h.EncodeState(&e)
-		return e.Bytes()
+		c := snap.Encoding()
+		_ = h.State(c) // encoding cannot fail
+		return c.Bytes()
 	}
 	for _, k := range []SchedulerKind{NoopSched, CFQ, BFQ} {
 		t.Run(k.String(), func(t *testing.T) {
@@ -178,7 +178,7 @@ func TestKernelChargesMatchUnmemoized(t *testing.T) {
 					t.Fatalf("step %d: end %d, reference %d", step, g, w)
 				}
 				if step%97 == 0 {
-					if err := got.DecodeState(snap.NewDec(image(got))); err != nil {
+					if err := got.State(snap.Decoding(image(got))); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -2,26 +2,14 @@ package host
 
 import "amber/internal/snap"
 
-// state is the host's own image layout, which follows the CPU complex's:
-// the memory-bandwidth resource and the capacity accountant.
-func (h *Host) state(c *snap.Codec) error {
+// State walks the host's image: the CPU complex's, then the host's own, the
+// memory-bandwidth resource and the capacity accountant. Decoding needs a
+// freshly constructed host of the identical configuration.
+func (h *Host) State(c *snap.Codec) error {
+	if err := h.CPU.State(c); err != nil {
+		return err
+	}
 	h.Mem.Snap(c)
 	snap.I(c, &h.memUsed)
 	return c.Err()
-}
-
-// EncodeState serializes the host's complete functional state: the CPU
-// complex, then the host's own.
-func (h *Host) EncodeState(e *snap.Enc) {
-	h.CPU.EncodeState(e)
-	_ = h.state(snap.Encoding(e)) // encoding cannot fail
-}
-
-// DecodeState reinstalls a state captured by EncodeState into h, which
-// must be freshly constructed with the identical configuration.
-func (h *Host) DecodeState(d *snap.Dec) error {
-	if err := h.CPU.DecodeState(d); err != nil {
-		return err
-	}
-	return h.state(snap.Decoding(d))
 }

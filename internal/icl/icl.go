@@ -24,12 +24,12 @@
 //   - Defined when valid: a sub's bytes are defined only while it is valid.
 //     A sub that becomes valid through a source that does not cover all of
 //     it (short tail, nil source, unmapped fill) is zero-padded then, so
-//     eviction and Invalidate clear masks, never bytes. EncodeState writes
+//     eviction and Invalidate clear masks, never bytes. State writes
 //     invalid subs as zeros: images equal those of eagerly zeroed frames.
 //   - A clean sub may hold a pin: FillPinned makes each sub's bytes a
 //     sub-size buffer the caller pinned elsewhere (a flash page), so a
 //     prefetched line is never copied in. A pinned sub's bytes are its pin's;
-//     the frame's bytes there are undefined. Read, EncodeState and WriteAt's
+//     the frame's bytes there are undefined. Read, State and WriteAt's
 //     merge of a partly written sub read the pin. The cache releases a pin
 //     through the release hook (SetPinRelease) when its sub stops being a
 //     clean copy of it: overwritten, refilled, evicted, invalidated or
@@ -52,7 +52,7 @@
 // tag, and each restores the invariant before it returns: evictInto (drops
 // the outgoing LSPN, enters the incoming one, moves the frame to the list's
 // tail, advances the cursor when it consumed an empty frame), Invalidate
-// (empties all three) and DecodeState (rebuilds them from the decoded
+// (empties all three) and a decoding State (rebuilds them from the decoded
 // frames — stamp order, ties in way order — and refuses as snap.ErrCorrupt
 // an image they cannot mirror: one LSPN in two frames, a line outside the
 // set its LSPN maps to, a stamp ahead of the replacement clock). touch moves

@@ -526,7 +526,7 @@ func TestCacheDataCoherence(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		lspn := int64(rng.Intn(8))
 		sub := rng.Intn(4)
-		if rng.Bool(0.5) {
+		if rng.Float64() < 0.5 {
 			// Write one sub with a known byte pattern.
 			src := bytes.Repeat([]byte{byte(rng.Uint64())}, 512)
 			ev, err := c.WriteAt(lspn, sub, 1, src, sub*512)
@@ -669,12 +669,10 @@ func TestFrameReuseNeverLeaksPreviousResident(t *testing.T) {
 // The snapshot image of a cache that never clears invalid subs is the image
 // an eagerly zeroing cache produces: zeroing every invalid sub by hand
 // changes nothing, at any point of a long mixed history.
-func TestEncodeStateMatchesEagerZero(t *testing.T) {
+func TestStateMatchesEagerZero(t *testing.T) {
 	c := newCache(t, func(cfg *Config) { cfg.Lines = 4; cfg.Assoc = SetAssoc; cfg.Ways = 2; cfg.ReadaheadThreshold = 0 })
 	image := func() []byte {
-		var e snap.Enc
-		c.EncodeState(&e)
-		return append([]byte(nil), e.Bytes()...)
+		return encodeCache(c)
 	}
 	rng := sim.NewRNG(77)
 	buf := make([]byte, 2048)
@@ -696,7 +694,7 @@ func TestEncodeStateMatchesEagerZero(t *testing.T) {
 			if n > 1 {
 				subs = append(subs, first+n-1)
 			}
-			_, err = c.Fill(lspn, subs, buf, rng.Bool(0.3))
+			_, err = c.Fill(lspn, subs, buf, rng.Float64() < 0.3)
 		default:
 			_, err = c.Fill(lspn, []int{first}, nil, false)
 		}
@@ -720,7 +718,7 @@ func TestEncodeStateMatchesEagerZero(t *testing.T) {
 			t.Fatalf("op %d: an invalid sub of some frame held non-zero bytes", i)
 		}
 		restored := newCache(t, func(cfg *Config) { *cfg = c.Config() })
-		if err := restored.DecodeState(snap.NewDec(lazy)); err != nil {
+		if err := restored.State(snap.Decoding(lazy)); err != nil {
 			t.Fatal(err)
 		}
 		c = restored // and continue on it

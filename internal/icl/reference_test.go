@@ -280,79 +280,54 @@ func (r *refCache) invalidate() {
 	r.tick, r.seqNext, r.seqStreak, r.preferClean = 0, -1, 0, false
 }
 
-// encode writes the image layout of Cache.EncodeState.
-func (r *refCache) encode() []byte {
-	var e snap.Enc
-	e.U64(uint64(len(r.sets)))
-	e.U64(uint64(len(r.sets[0])))
+// walk is the reference's own walk of Cache.State's image layout.
+func (r *refCache) walk(c *snap.Codec) {
+	nsets, ways := len(r.sets), len(r.sets[0])
+	snap.U(c, &nsets)
+	snap.U(c, &ways)
 	for _, set := range r.sets {
 		for _, ln := range set {
-			e.I64(ln.lspn)
+			snap.I(c, &ln.lspn)
 			for i := range ln.valid {
-				e.Bool(ln.valid[i])
-				e.Bool(ln.dirty[i])
+				c.Bool(&ln.valid[i])
+				c.Bool(&ln.dirty[i])
 			}
-			e.Bool(ln.prefetched)
-			e.U64(ln.lastUse)
-			e.U64(ln.inserted)
+			c.Bool(&ln.prefetched)
+			snap.U(c, &ln.lastUse)
+			snap.U(c, &ln.inserted)
 			if r.cfg.TrackData {
-				e.Blob(ln.data)
+				data := ln.data
+				c.Blob(&data)
+				copy(ln.data, data)
 			}
 		}
 	}
-	e.U64(r.tick)
-	for _, w := range r.rng.State() {
-		e.U64(w)
+	snap.U(c, &r.tick)
+	r.rng.Snap(c)
+	snap.I(c, &r.seqNext)
+	snap.I(c, &r.seqStreak)
+	c.Bool(&r.preferClean)
+	for _, p := range []*uint64{&r.stats.ReadSubHits, &r.stats.ReadSubMisses, &r.stats.WriteSubHits, &r.stats.WriteSubMisses,
+		&r.stats.Evictions, &r.stats.DirtyEvictions, &r.stats.Readaheads, &r.stats.ReadaheadHits, &r.stats.Flushes} {
+		snap.U(c, p)
 	}
-	e.I64(r.seqNext)
-	e.I64(int64(r.seqStreak))
-	e.Bool(r.preferClean)
-	for _, v := range []uint64{r.stats.ReadSubHits, r.stats.ReadSubMisses, r.stats.WriteSubHits, r.stats.WriteSubMisses,
-		r.stats.Evictions, r.stats.DirtyEvictions, r.stats.Readaheads, r.stats.ReadaheadHits, r.stats.Flushes} {
-		e.U64(v)
-	}
-	return e.Bytes()
+}
+
+// encode writes the reference's image.
+func (r *refCache) encode() []byte {
+	c := snap.Encoding()
+	r.walk(c)
+	return c.Bytes()
 }
 
 // decode reads an encode image into a fresh reference.
-func (r *refCache) decode(img []byte) {
-	d := snap.NewDec(img)
-	d.U64()
-	d.U64()
-	for _, set := range r.sets {
-		for _, ln := range set {
-			ln.lspn = d.I64()
-			for i := range ln.valid {
-				ln.valid[i] = d.Bool()
-				ln.dirty[i] = d.Bool()
-			}
-			ln.prefetched = d.Bool()
-			ln.lastUse = d.U64()
-			ln.inserted = d.U64()
-			if r.cfg.TrackData {
-				copy(ln.data, d.Blob())
-			}
-		}
-	}
-	r.tick = d.U64()
-	var rs [4]uint64
-	for i := range rs {
-		rs[i] = d.U64()
-	}
-	r.rng.SetState(rs)
-	r.seqNext = d.I64()
-	r.seqStreak = int(d.I64())
-	r.preferClean = d.Bool()
-	for _, p := range []*uint64{&r.stats.ReadSubHits, &r.stats.ReadSubMisses, &r.stats.WriteSubHits, &r.stats.WriteSubMisses,
-		&r.stats.Evictions, &r.stats.DirtyEvictions, &r.stats.Readaheads, &r.stats.ReadaheadHits, &r.stats.Flushes} {
-		*p = d.U64()
-	}
-}
+func (r *refCache) decode(img []byte) { r.walk(snap.Decoding(img)) }
 
+// encodeCache returns c's image.
 func encodeCache(c *Cache) []byte {
-	var e snap.Enc
-	c.EncodeState(&e)
-	return e.Bytes()
+	k := snap.Encoding()
+	_ = c.State(k) // encoding cannot fail
+	return k.Bytes()
 }
 
 // sameEviction compares what a caller acts on: which line left, which subs
@@ -432,10 +407,10 @@ func checkCounts(c *Cache) error {
 
 // TestCacheMatchesScanningReference drives random streams of every
 // state-changing call — Read, Write, WriteAt, Fill, FillPinned, FlushEach,
-// Invalidate, SetPreferCleanVictims, and an EncodeState → DecodeState hop
+// Invalidate, SetPreferCleanVictims, and an encode → decode State hop
 // onto a fresh cache — through the indexed Cache and the scanning reference,
 // for every organisation and replacement policy. Probe results, evictions,
-// Stats and the EncodeState image must agree after every call: the index
+// Stats and the State image must agree after every call: the index
 // and the victim order never choose a different frame than the scans. So
 // must every valid/dirty/pinned count with a scan of its mask, and IsDirty
 // with the record's. The reference copies what the cache pins, so it is the
@@ -450,7 +425,7 @@ func TestCacheMatchesScanningReference(t *testing.T) {
 // every tracked configuration twice, the second time with 0xA5 written over
 // the frame bytes of every invalid or pinned sub and every clean sub of the
 // eviction scratch between calls. Read bytes, evictions' dirty bytes and
-// EncodeState images are the same in both runs: nothing reads a byte the
+// State images are the same in both runs: nothing reads a byte the
 // payload contract leaves undefined.
 func TestPoisonedInvalidSubsChangeNothing(t *testing.T) {
 	forReferenceConfigs(t, func(t *testing.T, cfg Config, seed uint64) {
@@ -522,7 +497,7 @@ func (l *pinLedger) release(buf []byte) {
 // referenceStream drives one random stream through a Cache and the scanning
 // reference, failing t at the first disagreement, and returns a digest of
 // what a caller observes: read bytes, each eviction's line, mask and dirty
-// bytes, and the EncodeState image after every call. With poison, every
+// bytes, and the State image after every call. With poison, every
 // undefined frame byte is overwritten between calls.
 func referenceStream(t *testing.T, cfg Config, seed uint64, poison bool) uint64 {
 	const ops = 4000
@@ -676,7 +651,7 @@ func referenceStream(t *testing.T, cfg Config, seed uint64, poison bool) uint64 
 				t.Fatal(err)
 			}
 			restored.SetPinRelease(pins.release)
-			if err := restored.DecodeState(snap.NewDec(encodeCache(c))); err != nil {
+			if err := restored.State(snap.Decoding(encodeCache(c))); err != nil {
 				t.Fatalf("op %d: decode of the cache's own image: %v", op, err)
 			}
 			c.Invalidate() // the discarded cache lets go of its pins
@@ -699,7 +674,7 @@ func referenceStream(t *testing.T, cfg Config, seed uint64, poison bool) uint64 
 		}
 		img := encodeCache(c)
 		if !bytes.Equal(img, ref.encode()) {
-			t.Fatalf("op %d %s(%d): EncodeState image differs from the reference's", op, what, lspn)
+			t.Fatalf("op %d %s(%d): State image differs from the reference's", op, what, lspn)
 		}
 		digest.Write(img)
 		if err := checkCounts(c); err != nil {
@@ -751,9 +726,9 @@ func TestFillKeepsDirtySub(t *testing.T) {
 	}
 }
 
-// TestDecodeStateRefusesUnindexableFrames: images the LSPN index cannot
+// TestStateRefusesUnindexableFrames: images the LSPN index cannot
 // mirror are corrupt, not merely odd.
-func TestDecodeStateRefusesUnindexableFrames(t *testing.T) {
+func TestStateRefusesUnindexableFrames(t *testing.T) {
 	cfg := testConfig()
 	cfg.Assoc, cfg.Ways = SetAssoc, 2
 	build := func(edit func(r *refCache)) error {
@@ -766,7 +741,7 @@ func TestDecodeStateRefusesUnindexableFrames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c.DecodeState(snap.NewDec(r.encode()))
+		return c.State(snap.Decoding(r.encode()))
 	}
 	if err := build(func(*refCache) {}); err != nil {
 		t.Fatalf("intact image: %v", err)
@@ -779,7 +754,7 @@ func TestDecodeStateRefusesUnindexableFrames(t *testing.T) {
 		"inserted ahead of clock": func(r *refCache) { r.sets[1][1].inserted = r.tick + 9 },
 	} {
 		if err := build(edit); !errors.Is(err, snap.ErrCorrupt) {
-			t.Errorf("%s: DecodeState returned %v, want snap.ErrCorrupt", name, err)
+			t.Errorf("%s: decoding State returned %v, want snap.ErrCorrupt", name, err)
 		}
 	}
 }

@@ -35,10 +35,21 @@ func (c *Cache) Invalidate() {
 	c.preferClean = false
 }
 
-// state is the cache's image layout: every frame (tag, valid/dirty masks,
+// State walks the cache's image: every frame (tag, valid/dirty masks,
 // replacement metadata, payload), the replacement clock, the RNG, the
-// sequential detector and the statistics.
-func (c *Cache) state(k *snap.Codec) error {
+// sequential detector and the statistics. Decoding needs a freshly
+// constructed cache of the identical configuration; it releases any pin the
+// cache holds first, since the image carries every sub's bytes, and
+// rebuilds the LSPN index from the decoded frames. On error the cache must
+// be discarded.
+func (c *Cache) State(k *snap.Codec) error {
+	if k.Decoding() {
+		for i := range c.sets {
+			for _, ln := range c.sets[i].frames {
+				c.unpinAll(ln)
+			}
+		}
+	}
 	if err := k.Same(len(c.sets), "cache sets"); err != nil {
 		return err
 	}
@@ -80,7 +91,10 @@ func (c *Cache) state(k *snap.Codec) error {
 	snap.U(k, &c.stats.Readaheads)
 	snap.U(k, &c.stats.ReadaheadHits)
 	snap.U(k, &c.stats.Flushes)
-	return k.Err()
+	if !k.Decoding() || k.Err() != nil {
+		return k.Err()
+	}
+	return c.reindex()
 }
 
 // payloadState walks a frame's payload through img, after its valid mask.
@@ -117,27 +131,6 @@ func countSet(mask []bool) int {
 		}
 	}
 	return n
-}
-
-// EncodeState serializes the cache's complete functional state.
-func (c *Cache) EncodeState(e *snap.Enc) {
-	_ = c.state(snap.Encoding(e)) // encoding cannot fail
-}
-
-// DecodeState reinstalls a state captured by EncodeState into c, which
-// must be freshly constructed with the identical configuration; any pin it
-// holds is released first, since the image carries every sub's bytes. On
-// error c must be discarded.
-func (c *Cache) DecodeState(d *snap.Dec) error {
-	for i := range c.sets {
-		for _, ln := range c.sets[i].frames {
-			c.unpinAll(ln)
-		}
-	}
-	if err := c.state(snap.Decoding(d)); err != nil {
-		return err
-	}
-	return c.reindex()
 }
 
 // reindex rebuilds the LSPN index, every frame's mask counts and every set's

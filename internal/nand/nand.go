@@ -128,9 +128,6 @@ func (g Geometry) TotalPages() int64 {
 	return int64(g.TotalBlocks()) * int64(g.PagesPerBlock)
 }
 
-// CapacityBytes returns raw capacity in bytes.
-func (g Geometry) CapacityBytes() int64 { return g.TotalPages() * int64(g.PageSize) }
-
 // ChannelDomain names the scheduling domain that the flash-completion
 // events of one channel are scheduled and counted under.
 func ChannelDomain(channel int) string {
@@ -310,14 +307,6 @@ type Result struct {
 	Start sim.Time // when the transaction began occupying its first resource
 	Ready sim.Time // when the die finished the array operation
 	Done  sim.Time // when the transaction fully completed (incl. data transfer)
-}
-
-// Latency returns Done minus the submission time it was computed against.
-func (r Result) Latency(submitted sim.Time) sim.Duration {
-	if r.Done < submitted {
-		return 0
-	}
-	return r.Done - submitted
 }
 
 // Stats aggregates flash activity.

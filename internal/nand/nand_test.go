@@ -72,9 +72,6 @@ func TestGeometryCounts(t *testing.T) {
 	if got := g.TotalPages(); got != 2048 {
 		t.Fatalf("TotalPages = %d, want 2048", got)
 	}
-	if got := g.CapacityBytes(); got != 2048*4096 {
-		t.Fatalf("CapacityBytes = %d", got)
-	}
 }
 
 func TestAddressRoundTrip(t *testing.T) {

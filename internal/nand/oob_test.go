@@ -34,10 +34,8 @@ func TestDecodeRefusesUnstorableState(t *testing.T) {
 		if tc.mutate != nil {
 			tc.mutate(src)
 		}
-		var e snap.Enc
-		src.EncodeState(&e)
 		dst := newTestFlash(t, Options{TrackData: tc.track})
-		err := dst.DecodeState(snap.NewDec(e.Bytes()))
+		err := dst.State(snap.Decoding(encodeFlash(src)))
 		if tc.wantErr == nil && err != nil || tc.wantErr != nil && !errors.Is(err, tc.wantErr) {
 			t.Errorf("%s: decode returned %v, want %v", tc.name, err, tc.wantErr)
 		}

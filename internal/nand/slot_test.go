@@ -226,8 +226,7 @@ func TestPowerLossFollowsPageIndex(t *testing.T) {
 // flash's image must carry for the written pages in want — the walk order
 // the image had when stamps were stored by page number.
 func stampSection(n int64, want map[int64]OOBInfo, done map[int64]sim.Time) []byte {
-	var e snap.Enc
-	c := snap.Encoding(&e)
+	c := snap.Encoding()
 	for idx := int64(0); idx < n; idx++ {
 		w, ok := want[idx]
 		if !ok {
@@ -241,7 +240,14 @@ func stampSection(n int64, want map[int64]OOBInfo, done map[int64]sim.Time) []by
 		c.Bool(&w.Good)
 		snap.U(c, &w.Stripe)
 	}
-	return e.Bytes()
+	return c.Bytes()
+}
+
+// encodeFlash returns f's image.
+func encodeFlash(f *Flash) []byte {
+	c := snap.Encoding()
+	_ = f.State(c) // encoding cannot fail
+	return c.Bytes()
 }
 
 // TestSnapshotWalksPageIndex: the image lists the written pages' stamps in
@@ -249,13 +255,12 @@ func stampSection(n int64, want map[int64]OOBInfo, done map[int64]sim.Time) []by
 func TestSnapshotWalksPageIndex(t *testing.T) {
 	f := newTestFlash(t, Options{})
 	want, done, _ := spread(t, f)
-	var e snap.Enc
-	f.EncodeState(&e)
-	if !bytes.Contains(e.Bytes(), stampSection(f.geo.TotalPages(), want, done)) {
+	img := encodeFlash(f)
+	if !bytes.Contains(img, stampSection(f.geo.TotalPages(), want, done)) {
 		t.Fatal("the image does not list the stamps in PageIndex order")
 	}
 	r := newTestFlash(t, Options{})
-	if err := r.DecodeState(snap.NewDec(e.Bytes())); err != nil {
+	if err := r.State(snap.Decoding(img)); err != nil {
 		t.Fatal(err)
 	}
 	checkStamps(t, r, want, "restored")
@@ -315,10 +320,8 @@ func TestExtremeTagsRoundTrip(t *testing.T) {
 		f.TamperOOB(idx, 31)
 	}
 	checkStamps(t, f, want, "flipped back")
-	var e snap.Enc
-	f.EncodeState(&e)
 	r := newTestFlash(t, Options{TrackData: true})
-	if err := r.DecodeState(snap.NewDec(e.Bytes())); err != nil {
+	if err := r.State(snap.Decoding(encodeFlash(f))); err != nil {
 		t.Fatal(err)
 	}
 	checkStamps(t, r, want, "restored")
@@ -331,9 +334,7 @@ func TestExtremeTagsRoundTrip(t *testing.T) {
 func TestDecodeRefusesFlagBitsInSequence(t *testing.T) {
 	f := newTestFlash(t, Options{})
 	want, done, _ := spread(t, f)
-	var e snap.Enc
-	f.EncodeState(&e)
-	img := e.Bytes()
+	img := encodeFlash(f)
 	section := stampSection(f.geo.TotalPages(), want, done)
 	at := bytes.Index(img, section)
 	if at < 0 {
@@ -353,7 +354,7 @@ func TestDecodeRefusesFlagBitsInSequence(t *testing.T) {
 		w.Seq |= bit
 		bad[some] = w
 		patched := append(append(append([]byte(nil), img[:at]...), stampSection(f.geo.TotalPages(), bad, done)...), img[at+len(section):]...)
-		if err := newTestFlash(t, Options{}).DecodeState(snap.NewDec(patched)); !errors.Is(err, snap.ErrCorrupt) {
+		if err := newTestFlash(t, Options{}).State(snap.Decoding(patched)); !errors.Is(err, snap.ErrCorrupt) {
 			t.Errorf("stamp sequence with bit %#x: decode returned %v, want ErrCorrupt", bit, err)
 		}
 	}

@@ -8,13 +8,17 @@ import (
 	"amber/internal/snap"
 )
 
-// state is the flash's image layout: resource reservations, block
-// condition, OOB stamps, tracked payloads, per-channel counters and energy,
-// the state epoch and program sequence, the ISPP jitter cursor, the
-// bad-block table, and the fault model's counters and site log. The
-// erase-undo journal, the staging pool and the pins are firmware RAM and
-// have no serialized form.
-func (f *Flash) state(c *snap.Codec) error {
+// State walks the flash's image: resource reservations, block condition,
+// OOB stamps, tracked payloads, per-channel counters and energy, the state
+// epoch and program sequence, the ISPP jitter cursor, the bad-block table,
+// and the fault model's counters and site log, so a restored flash continues
+// byte-identically. The erase-undo journal, the staging pool and the pins
+// are firmware RAM and have no serialized form. Decoding needs a freshly
+// constructed flash of the identical geometry, options and fault
+// configuration (the image fingerprint enforces this upstream), so it holds
+// no pins; on error the flash is left partially written and must be
+// discarded — callers decode into a scratch device and swap on success.
+func (f *Flash) State(c *snap.Codec) error {
 	for _, r := range f.channels {
 		r.Snap(c)
 	}
@@ -184,21 +188,8 @@ func (f *Flash) arenaState(c *snap.Codec, a *pageArena) error {
 	return nil
 }
 
-// EncodeState serializes the flash's complete functional and timing state,
-// so a restored flash continues byte-identically.
-func (f *Flash) EncodeState(e *snap.Enc) {
-	_ = f.state(snap.Encoding(e)) // encoding cannot fail
-}
-
-// DecodeState reinstalls a state captured by EncodeState into f, which must
-// be freshly constructed with the identical geometry, options and fault
-// configuration (the image fingerprint enforces this upstream), so it holds
-// no pins. On error f is left partially written and must be discarded —
-// callers decode into a scratch device and swap on success.
-func (f *Flash) DecodeState(d *snap.Dec) error { return f.state(snap.Decoding(d)) }
-
 // QuiescedForSnapshot reports nil unless a plan batch is open, the
-// precondition for EncodeState: between plans every transaction has taken
+// precondition for encoding State: between plans every transaction has taken
 // effect.
 func (f *Flash) QuiescedForSnapshot() error {
 	if f.plan.open {

@@ -193,24 +193,8 @@ func TestResourceContention(t *testing.T) {
 	if r.BusyTime() != 30 {
 		t.Fatalf("BusyTime = %v, want 30", r.BusyTime())
 	}
-	if r.Claims() != 3 {
-		t.Fatalf("Claims = %d", r.Claims())
-	}
-}
-
-func TestResourceUtilization(t *testing.T) {
-	r := NewResource("die")
-	r.Claim(0, 25)
-	r.Claim(0, 25)
-	if u := r.Utilization(100); u != 0.5 {
-		t.Fatalf("Utilization = %v, want 0.5", u)
-	}
-	if u := r.Utilization(10); u != 1 {
-		t.Fatalf("Utilization should clamp to 1, got %v", u)
-	}
-	r.Reset()
-	if r.BusyTime() != 0 || r.FreeAt() != 0 {
-		t.Fatal("Reset did not clear state")
+	if r.State().Claims != 3 {
+		t.Fatalf("Claims = %d", r.State().Claims)
 	}
 }
 
@@ -324,7 +308,7 @@ func TestRNGBoolBias(t *testing.T) {
 	hits := 0
 	const n = 100000
 	for i := 0; i < n; i++ {
-		if r.Bool(0.25) {
+		if r.Float64() < 0.25 {
 			hits++
 		}
 	}

@@ -10,19 +10,14 @@ import "amber/internal/snap"
 // dies, DRAM banks and CPU cores without explicit queue processes, and is
 // exact for FCFS service disciplines.
 type Resource struct {
-	name   string
 	freeAt Time
-	busy   Duration // accumulated service time, for utilization accounting
+	busy   Duration // accumulated service time
 	claims uint64
 }
 
-// NewResource returns an idle resource with the given diagnostic name.
-func NewResource(name string) *Resource {
-	return &Resource{name: name}
-}
-
-// Name returns the diagnostic name given at construction.
-func (r *Resource) Name() string { return r.name }
+// NewResource returns an idle resource. name labels it at the call site
+// only: the resource does not keep it, and its image carries none.
+func NewResource(name string) *Resource { return &Resource{} }
 
 // Claim reserves dur starting at or after now, whichever is later than the
 // resource's next free time, and returns the service interval.
@@ -67,28 +62,6 @@ func (r *Resource) FreeAt() Time { return r.freeAt }
 // BusyTime returns total reserved service time.
 func (r *Resource) BusyTime() Duration { return r.busy }
 
-// Claims returns the number of reservations made.
-func (r *Resource) Claims() uint64 { return r.claims }
-
-// Utilization returns busy time divided by the given elapsed window.
-func (r *Resource) Utilization(elapsed Duration) float64 {
-	if elapsed == 0 {
-		return 0
-	}
-	u := float64(r.busy) / float64(elapsed)
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
-// Reset clears reservation state, keeping the name.
-func (r *Resource) Reset() {
-	r.freeAt = 0
-	r.busy = 0
-	r.claims = 0
-}
-
 // ResourceState is a Resource's serializable reservation state, captured by
 // State and reinstalled by SetState for snapshot/restore.
 type ResourceState struct {
@@ -97,8 +70,7 @@ type ResourceState struct {
 	Claims uint64
 }
 
-// State captures the reservation state (the name is construction-time
-// identity and is not included).
+// State captures the reservation state.
 func (r *Resource) State() ResourceState {
 	return ResourceState{FreeAt: r.freeAt, Busy: r.busy, Claims: r.claims}
 }
@@ -110,8 +82,7 @@ func (r *Resource) SetState(st ResourceState) {
 	r.claims = st.Claims
 }
 
-// Snap walks the reservation state for a snapshot image (the name is
-// construction-time identity and is not included).
+// Snap walks the reservation state for a snapshot image.
 func (r *Resource) Snap(c *snap.Codec) {
 	snap.I(c, &r.freeAt)
 	snap.I(c, &r.busy)
@@ -134,9 +105,6 @@ func NewPool(name string, n int) *Pool {
 	}
 	return &Pool{name: name, servers: make([]Time, n)}
 }
-
-// Name returns the diagnostic name given at construction.
-func (p *Pool) Name() string { return p.name }
 
 // Claim reserves dur on the earliest-free server and returns the service
 // interval together with the chosen server index.
@@ -168,30 +136,6 @@ func (p *Pool) ClaimServer(server int, now Time, dur Duration) (start, end Time)
 
 // BusyTime returns total reserved service time across all servers.
 func (p *Pool) BusyTime() Duration { return p.busy }
-
-// Claims returns the number of reservations made.
-func (p *Pool) Claims() uint64 { return p.claims }
-
-// Utilization returns aggregate busy time over (elapsed * servers).
-func (p *Pool) Utilization(elapsed Duration) float64 {
-	if elapsed == 0 {
-		return 0
-	}
-	u := float64(p.busy) / (float64(elapsed) * float64(len(p.servers)))
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
-// Reset clears reservation state, keeping name and size.
-func (p *Pool) Reset() {
-	for i := range p.servers {
-		p.servers[i] = 0
-	}
-	p.busy = 0
-	p.claims = 0
-}
 
 // Snap walks the reservation state for a snapshot image. The server count
 // is configuration: an image of a differently sized pool is a mismatch.

@@ -37,9 +37,6 @@ func NewRNG(seed uint64) *RNG {
 	return r
 }
 
-// State returns the generator's internal state for snapshot/restore.
-func (r *RNG) State() [4]uint64 { return r.s }
-
 // SetState reinstalls a previously captured generator state, so the stream
 // continues exactly where the captured generator left off. The all-zero
 // state (which xoshiro cannot escape) is rejected by substituting the same
@@ -106,9 +103,4 @@ func (r *RNG) Float64() float64 {
 // Range returns a uniform float64 in [lo, hi).
 func (r *RNG) Range(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
-}
-
-// Bool returns true with probability p.
-func (r *RNG) Bool(p float64) bool {
-	return r.Float64() < p
 }

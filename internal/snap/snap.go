@@ -1,20 +1,20 @@
 // Package snap implements the checksummed, versioned binary image format
-// behind crash-consistent snapshot/restore of device state. It is a small
-// self-contained codec — varint-packed scalars, length-prefixed byte
-// strings, an FNV-1a trailer over the whole image — with sticky-error
-// decoding: a truncated, corrupted or version-skewed image surfaces one of
-// the typed errors below and decoders read zero values from then on, so a
-// caller can decode a whole module graph and check the error once, with no
-// partial mutation of live state (decode into fresh objects, swap on
-// success).
+// behind crash-consistent snapshot/restore of device state: varint-packed
+// scalars, length-prefixed byte strings and an FNV-1a trailer over the whole
+// image, framed by Seal and checked by Open.
 //
-// A module states its image layout once, as a walk over its own fields with
-// a Codec: the same U, I, Bool, F64 and Blob calls write the fields when the
-// Codec wraps an Enc and fill them when it wraps a Dec, so the directions
-// cannot drift apart. The one rule of a walk: every collection length goes
-// through Len or Slice (variable size: bounds-checked on decode) or Same (a
-// size the configuration fixes: ErrMismatch unless the image agrees), never
-// a bare integer field, so no corrupt length can size an allocation.
+// A module states its image layout once, as a State walk over its own
+// fields with one Codec. The same U, I, Bool, F64 and Blob calls write the
+// fields when the Codec was built by Encoding and fill them when it was built
+// by Decoding, so the directions cannot drift apart. Decoding has a sticky
+// error: a truncated or corrupted body surfaces one of the typed errors below
+// and every field reads as its zero value from then on, so a caller can walk
+// a whole module graph and check the error once, with no partial mutation of
+// live state (decode into fresh objects, swap on success). The one rule of a
+// walk: every collection length goes through Len or Slice (variable size:
+// bounds-checked on decode) or Same (a size the configuration fixes:
+// ErrMismatch unless the image agrees), never a bare integer field, so no
+// corrupt length can size an allocation.
 package snap
 
 import (
@@ -61,173 +61,6 @@ func fnv1a(data []byte) uint64 {
 // value Seal/Open compare, so an image restores only onto an identically
 // configured device.
 func Fingerprint(b []byte) uint64 { return fnv1a(b) }
-
-// Enc builds a snapshot body. The zero value is ready to use.
-type Enc struct {
-	buf []byte
-}
-
-// Bytes returns the encoded body.
-func (e *Enc) Bytes() []byte { return e.buf }
-
-// U64 appends an unsigned varint.
-func (e *Enc) U64(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-
-// I64 appends a signed (zigzag) varint.
-func (e *Enc) I64(v int64) { e.buf = binary.AppendVarint(e.buf, v) }
-
-// F64 appends a float64 as its fixed 8-byte IEEE-754 bit pattern (varint
-// packing would corrupt the exponent distribution of energy accumulators).
-func (e *Enc) F64(v float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
-}
-
-// Bool appends a boolean as one byte.
-func (e *Enc) Bool(v bool) {
-	if v {
-		e.buf = append(e.buf, 1)
-	} else {
-		e.buf = append(e.buf, 0)
-	}
-}
-
-// Blob appends a length-prefixed byte string.
-func (e *Enc) Blob(b []byte) {
-	e.U64(uint64(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
-// Dec reads a snapshot body with a sticky error: after the first failure
-// every getter returns the zero value and Err reports the failure.
-type Dec struct {
-	buf []byte
-	off int
-	err error
-}
-
-// NewDec returns a decoder over body.
-func NewDec(body []byte) *Dec { return &Dec{buf: body} }
-
-// Err returns the sticky decode error, nil when every read succeeded.
-func (d *Dec) Err() error { return d.err }
-
-// fail records the first error.
-func (d *Dec) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-}
-
-// Done reports an error unless the body was consumed exactly.
-func (d *Dec) Done() error {
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(d.buf) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.buf)-d.off)
-	}
-	return nil
-}
-
-// U64 reads an unsigned varint.
-func (d *Dec) U64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		if n == 0 {
-			d.fail(ErrTruncated)
-		} else {
-			d.fail(fmt.Errorf("%w: varint overflow", ErrCorrupt))
-		}
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// I64 reads a signed (zigzag) varint.
-func (d *Dec) I64() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		if n == 0 {
-			d.fail(ErrTruncated)
-		} else {
-			d.fail(fmt.Errorf("%w: varint overflow", ErrCorrupt))
-		}
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// F64 reads a fixed 8-byte float64.
-func (d *Dec) F64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+8 > len(d.buf) {
-		d.fail(ErrTruncated)
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off:]))
-	d.off += 8
-	return v
-}
-
-// Bool reads a one-byte boolean.
-func (d *Dec) Bool() bool {
-	if d.err != nil {
-		return false
-	}
-	if d.off >= len(d.buf) {
-		d.fail(ErrTruncated)
-		return false
-	}
-	b := d.buf[d.off]
-	d.off++
-	if b > 1 {
-		d.fail(fmt.Errorf("%w: bad boolean byte %d", ErrCorrupt, b))
-		return false
-	}
-	return b == 1
-}
-
-// Blob reads a length-prefixed byte string. The returned slice aliases the
-// image; callers copy if they keep it.
-func (d *Dec) Blob() []byte {
-	n := d.U64()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.buf)-d.off) {
-		d.fail(ErrTruncated)
-		return nil
-	}
-	b := d.buf[d.off : d.off+int(n)]
-	d.off += int(n)
-	return b
-}
-
-// Len reads a varint-encoded collection length and bounds-checks it against
-// cap (each element needs at least one body byte, so a length beyond the
-// remaining bytes is structurally corrupt). It protects decoders from
-// allocating attacker- or corruption-sized slices.
-func (d *Dec) Len(cap int) int {
-	n := d.U64()
-	if d.err != nil {
-		return 0
-	}
-	if n > uint64(cap) || n > uint64(len(d.buf)-d.off)+1 {
-		d.fail(fmt.Errorf("%w: collection length %d exceeds bound %d", ErrCorrupt, n, cap))
-		return 0
-	}
-	return int(n)
-}
 
 // Seal frames a body into a complete image: magic, format version,
 // configuration fingerprint, body, FNV-1a trailer over everything before
@@ -276,28 +109,46 @@ func Open(img []byte, version uint32, fingerprint uint64) ([]byte, error) {
 	return img[headerLen : headerLen+int(bodyLen)], nil
 }
 
-// Codec walks an image layout in one direction: Encoding writes the fields
-// it is shown and cannot fail, Decoding fills them under Dec's sticky error.
+// Codec walks an image layout in one direction. Built by Encoding it appends
+// every field it is shown to a body and cannot fail; built by Decoding it
+// fills them from a body under the sticky error.
 type Codec struct {
-	e *Enc
-	d *Dec
+	buf []byte // the body written so far, or the body read
+	off int    // decoding: the bytes of buf consumed
+	err error  // decoding: the first failure
+	dec bool
 }
 
-// Encoding returns a Codec that appends every field it walks to e.
-func Encoding(e *Enc) *Codec { return &Codec{e: e} }
+// Encoding returns a Codec that writes a fresh body.
+func Encoding() *Codec { return &Codec{} }
 
-// Decoding returns a Codec that fills every field it walks from d.
-func Decoding(d *Dec) *Codec { return &Codec{d: d} }
+// Decoding returns a Codec that reads body.
+func Decoding(body []byte) *Codec { return &Codec{buf: body, dec: true} }
 
 // Decoding reports whether the walk fills fields (true) or writes them.
-func (c *Codec) Decoding() bool { return c.d != nil }
+func (c *Codec) Decoding() bool { return c.dec }
 
-// Err returns the decoder's sticky error; nil while encoding.
-func (c *Codec) Err() error {
-	if c.d != nil {
-		return c.d.err
+// Bytes returns the body written so far.
+func (c *Codec) Bytes() []byte { return c.buf }
+
+// Err returns the sticky decode error, nil while every read succeeded (and
+// always while encoding).
+func (c *Codec) Err() error { return c.err }
+
+// fail records the first error.
+func (c *Codec) fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
-	return nil
+}
+
+// Done reports an error unless the body was read without error and consumed
+// exactly; nil while encoding.
+func (c *Codec) Done() error {
+	if c.dec && c.err == nil && c.off != len(c.buf) {
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(c.buf)-c.off)
+	}
+	return c.err
 }
 
 // Integer is any integer-kinded field type.
@@ -305,65 +156,140 @@ type Integer interface {
 	~int | ~int8 | ~int16 | ~int32 | ~int64 | ~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64
 }
 
+// advance consumes the n bytes binary.Uvarint or binary.Varint just read,
+// or records why nothing was read: n == 0, the body ended mid-varint; n < 0,
+// the value overflows 64 bits. Either read returns 0 then.
+func (c *Codec) advance(n int) {
+	switch {
+	case n > 0:
+		c.off += n
+	case n == 0:
+		c.fail(ErrTruncated)
+	default:
+		c.fail(fmt.Errorf("%w: varint overflow", ErrCorrupt))
+	}
+}
+
+// u64 reads an unsigned varint, 0 after an error.
+func (c *Codec) u64() uint64 {
+	if c.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(c.buf[c.off:])
+	c.advance(n)
+	return v
+}
+
 // U walks an integer field stored as an unsigned varint.
 func U[T Integer](c *Codec, p *T) {
-	if c.d != nil {
-		*p = T(c.d.U64())
-	} else {
-		c.e.U64(uint64(*p))
+	if !c.dec {
+		c.buf = binary.AppendUvarint(c.buf, uint64(*p))
+		return
 	}
+	*p = T(c.u64())
 }
 
 // I walks an integer field stored as a signed (zigzag) varint.
 func I[T Integer](c *Codec, p *T) {
-	if c.d != nil {
-		*p = T(c.d.I64())
-	} else {
-		c.e.I64(int64(*p))
+	if !c.dec {
+		c.buf = binary.AppendVarint(c.buf, int64(*p))
+		return
 	}
+	var v int64
+	if c.err == nil {
+		var n int
+		v, n = binary.Varint(c.buf[c.off:])
+		c.advance(n)
+	}
+	*p = T(v)
 }
 
-// Bool walks a boolean field.
+// Bool walks a boolean field stored as one byte, 0 or 1; decoding refuses
+// any other byte as corrupt.
 func (c *Codec) Bool(p *bool) {
-	if c.d != nil {
-		*p = c.d.Bool()
-	} else {
-		c.e.Bool(*p)
+	if !c.dec {
+		var b byte
+		if *p {
+			b = 1
+		}
+		c.buf = append(c.buf, b)
+		return
+	}
+	*p = false
+	switch {
+	case c.err != nil:
+	case c.off >= len(c.buf):
+		c.fail(ErrTruncated)
+	case c.buf[c.off] > 1:
+		c.fail(fmt.Errorf("%w: bad boolean byte %d", ErrCorrupt, c.buf[c.off]))
+	default:
+		*p = c.buf[c.off] == 1
+		c.off++
 	}
 }
 
-// F64 walks a float64 field.
+// F64 walks a float64 field stored as its fixed 8-byte IEEE-754 bit pattern
+// (varint packing would corrupt the exponent distribution of energy
+// accumulators).
 func (c *Codec) F64(p *float64) {
-	if c.d != nil {
-		*p = c.d.F64()
-	} else {
-		c.e.F64(*p)
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(*p))
+		return
+	}
+	*p = 0
+	switch {
+	case c.err != nil:
+	case c.off+8 > len(c.buf):
+		c.fail(ErrTruncated)
+	default:
+		*p = math.Float64frombits(binary.LittleEndian.Uint64(c.buf[c.off:]))
+		c.off += 8
 	}
 }
 
-// Blob walks a length-prefixed byte string; decoded, *p aliases the image.
+// Blob walks a length-prefixed byte string; decoded, *p aliases the body
+// (callers copy what they keep), nil after an error.
 func (c *Codec) Blob(p *[]byte) {
-	if c.d != nil {
-		*p = c.d.Blob()
-	} else {
-		c.e.Blob(*p)
+	if !c.dec {
+		c.buf = binary.AppendUvarint(c.buf, uint64(len(*p)))
+		c.buf = append(c.buf, *p...)
+		return
+	}
+	*p = nil
+	n := c.u64()
+	switch {
+	case c.err != nil:
+	case n > uint64(len(c.buf)-c.off):
+		c.fail(ErrTruncated)
+	default:
+		*p = c.buf[c.off : c.off+int(n)]
+		c.off += int(n)
 	}
 }
 
 // Len walks a variable-size collection's length: it writes n, or reads the
-// image's, bounds-checked against max like Dec.Len (0 after an error).
+// body's and bounds-checks it against max and against the bytes left (each
+// element needs at least one), 0 after an error. No corrupt length survives
+// it to size an allocation.
 func (c *Codec) Len(n, max int) int {
-	if c.d != nil {
-		return c.d.Len(max)
+	if !c.dec {
+		c.buf = binary.AppendUvarint(c.buf, uint64(n))
+		return n
 	}
-	c.e.U64(uint64(n))
-	return n
+	v := c.u64()
+	if c.err == nil && (v > uint64(max) || v > uint64(len(c.buf)-c.off)+1) {
+		c.fail(fmt.Errorf("%w: collection length %d exceeds bound %d", ErrCorrupt, v, max))
+	}
+	if c.err != nil {
+		return 0
+	}
+	return int(v)
 }
 
 // Slice walks *s's length like Len and, decoding, resizes *s to it for the
 // element walk that follows: the one place a decoded length sizes memory.
 func Slice[T any](c *Codec, s *[]T, max int) {
-	if n := c.Len(len(*s), max); c.d != nil {
+	if n := c.Len(len(*s), max); c.dec {
 		*s = slices.Grow((*s)[:0], n)[:n]
 	}
 }
@@ -373,18 +299,18 @@ func Slice[T any](c *Codec, s *[]T, max int) {
 func (c *Codec) Same(have int, what string) error {
 	n := uint64(have)
 	U(c, &n)
-	if c.Err() == nil && n != uint64(have) {
+	if c.err == nil && n != uint64(have) {
 		return fmt.Errorf("%w: image has %d %s, device %d", ErrMismatch, n, what, have)
 	}
-	return c.Err()
+	return c.err
 }
 
 // SameBool is Same for a presence flag the configuration fixes.
 func (c *Codec) SameBool(have bool, what string) error {
 	v := have
 	c.Bool(&v)
-	if c.Err() == nil && v != have {
+	if c.err == nil && v != have {
 		return fmt.Errorf("%w: image has %s %v, device %v", ErrMismatch, what, v, have)
 	}
-	return c.Err()
+	return c.err
 }

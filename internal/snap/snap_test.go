@@ -11,25 +11,48 @@ import (
 
 const headerLen = 8 + 4 + 8 + 8
 
-// sampleBody encodes one value of every kind, extremes included.
+// sample holds one value of every kind, extremes included, and walks them.
+type sample struct {
+	zero, max     uint64
+	min, neg, big int64
+	tiny, inf     float64
+	yes, no       bool
+	blob, empty   []byte
+	list          []uint64
+}
+
+func (m *sample) walk(c *Codec) error {
+	U(c, &m.zero)
+	U(c, &m.max)
+	I(c, &m.min)
+	I(c, &m.neg)
+	I(c, &m.big)
+	c.F64(&m.tiny)
+	c.F64(&m.inf)
+	c.Bool(&m.yes)
+	c.Bool(&m.no)
+	c.Blob(&m.blob)
+	c.Blob(&m.empty)
+	Slice(c, &m.list, 8)
+	for i := range m.list {
+		U(c, &m.list[i])
+	}
+	return c.Err()
+}
+
+func newSample() sample {
+	return sample{max: math.MaxUint64, min: math.MinInt64, neg: -1, big: 1 << 40,
+		tiny: -4.4e-9, inf: math.Inf(1), yes: true, blob: []byte("payload"), list: []uint64{1, 2, 3}}
+}
+
+// sampleBody encodes newSample.
 func sampleBody() []byte {
-	var e Enc
-	e.U64(0)
-	e.U64(math.MaxUint64)
-	e.I64(math.MinInt64)
-	e.I64(-1)
-	e.I64(1 << 40)
-	e.F64(-4.4e-9)
-	e.F64(math.Inf(1))
-	e.Bool(true)
-	e.Bool(false)
-	e.Blob([]byte("payload"))
-	e.Blob(nil)
-	e.U64(3) // a collection length, read back with Len, and its elements
-	e.U64(1)
-	e.U64(2)
-	e.U64(3)
-	return e.Bytes()
+	m := newSample()
+	c := Encoding()
+	if err := m.walk(c); err != nil || c.Done() != nil {
+		panic("encoding failed")
+	}
+	return c.Bytes()
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -39,47 +62,19 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDec(body)
-	if v := d.U64(); v != 0 {
-		t.Errorf("U64 = %d", v)
+	var got sample
+	c := Decoding(body)
+	if err := got.walk(c); err != nil {
+		t.Fatal(err)
 	}
-	if v := d.U64(); v != math.MaxUint64 {
-		t.Errorf("U64 = %d", v)
-	}
-	if v := d.I64(); v != math.MinInt64 {
-		t.Errorf("I64 = %d", v)
-	}
-	if v := d.I64(); v != -1 {
-		t.Errorf("I64 = %d", v)
-	}
-	if v := d.I64(); v != 1<<40 {
-		t.Errorf("I64 = %d", v)
-	}
-	if v := d.F64(); v != -4.4e-9 {
-		t.Errorf("F64 = %v", v)
-	}
-	if v := d.F64(); !math.IsInf(v, 1) {
-		t.Errorf("F64 = %v", v)
-	}
-	if !d.Bool() || d.Bool() {
-		t.Error("Bool pair did not read true, false")
-	}
-	if v := d.Blob(); string(v) != "payload" {
-		t.Errorf("Blob = %q", v)
-	}
-	if v := d.Blob(); len(v) != 0 {
-		t.Errorf("empty Blob = %q", v)
-	}
-	if v := d.Len(8); v != 3 {
-		t.Errorf("Len = %d", v)
-	}
-	for want := uint64(1); want <= 3; want++ {
-		if v := d.U64(); v != want {
-			t.Errorf("element = %d, want %d", v, want)
-		}
-	}
-	if err := d.Done(); err != nil {
+	if err := c.Done(); err != nil {
 		t.Fatalf("Done after reading everything: %v", err)
+	}
+	want := newSample()
+	if got.zero != 0 || got.max != want.max || got.min != want.min || got.neg != want.neg || got.big != want.big ||
+		got.tiny != want.tiny || !math.IsInf(got.inf, 1) || !got.yes || got.no ||
+		string(got.blob) != "payload" || len(got.empty) != 0 || !slices.Equal(got.list, want.list) {
+		t.Errorf("read back %+v, want %+v", got, want)
 	}
 	// Sealing is a pure function of its inputs.
 	if !bytes.Equal(img, Seal(3, fp, sampleBody())) {
@@ -140,61 +135,68 @@ func TestOpenFaults(t *testing.T) {
 	}
 }
 
-// TestDecStickyErrors: a decoder never panics or reads past its body; the
-// first failure is typed, sticks, and zeroes everything read after it.
-func TestDecStickyErrors(t *testing.T) {
+// TestCodecStickyErrors: a decoding Codec never panics or reads past its
+// body; the first failure is typed, sticks, and zeroes every field read
+// after it.
+func TestCodecStickyErrors(t *testing.T) {
 	body := sampleBody()
 	// Every proper prefix of a valid body fails typed.
 	for cut := 0; cut < len(body); cut++ {
-		d := NewDec(body[:cut])
-		d.U64()
-		d.U64()
-		d.I64()
-		d.I64()
-		d.I64()
-		d.F64()
-		d.F64()
-		d.Bool()
-		d.Bool()
-		d.Blob()
-		d.Blob()
-		for n := d.Len(8); n > 0; n-- {
-			d.U64()
-		}
-		err := d.Done()
+		var m sample
+		c := Decoding(body[:cut])
+		m.walk(c)
+		err := c.Done()
 		if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("body cut at %d of %d: Done returned %v", cut, len(body), err)
 		}
 	}
+	var (
+		u uint64
+		i int64
+		b bool
+		f float64
+		s []byte
+	)
 	for _, tc := range []struct {
 		name string
 		body []byte
-		read func(d *Dec)
+		read func(c *Codec)
 		want error
 	}{
-		{"varint overflow", bytes.Repeat([]byte{0xff}, 11), func(d *Dec) { d.U64() }, ErrCorrupt},
-		{"signed varint overflow", bytes.Repeat([]byte{0xff}, 11), func(d *Dec) { d.I64() }, ErrCorrupt},
-		{"boolean byte 2", []byte{2}, func(d *Dec) { d.Bool() }, ErrCorrupt},
-		{"blob longer than the body", []byte{9, 'x'}, func(d *Dec) { d.Blob() }, ErrTruncated},
-		{"float cut short", []byte{1, 2, 3}, func(d *Dec) { d.F64() }, ErrTruncated},
-		{"length beyond its bound", []byte{200, 1}, func(d *Dec) { d.Len(100) }, ErrCorrupt},
-		{"length beyond the body", []byte{50, 0}, func(d *Dec) { d.Len(100) }, ErrCorrupt},
-		{"trailing bytes", []byte{1, 1}, func(d *Dec) { d.Bool() }, ErrCorrupt},
+		{"varint overflow", bytes.Repeat([]byte{0xff}, 11), func(c *Codec) { U(c, &u) }, ErrCorrupt},
+		{"signed varint overflow", bytes.Repeat([]byte{0xff}, 11), func(c *Codec) { I(c, &i) }, ErrCorrupt},
+		{"varint cut short", []byte{0x80}, func(c *Codec) { U(c, &u) }, ErrTruncated},
+		{"signed varint cut short", []byte{0x80}, func(c *Codec) { I(c, &i) }, ErrTruncated},
+		{"boolean byte 2", []byte{2}, func(c *Codec) { c.Bool(&b) }, ErrCorrupt},
+		{"blob longer than the body", []byte{9, 'x'}, func(c *Codec) { c.Blob(&s) }, ErrTruncated},
+		{"float cut short", []byte{1, 2, 3}, func(c *Codec) { c.F64(&f) }, ErrTruncated},
+		{"length beyond its bound", []byte{200, 1}, func(c *Codec) { c.Len(0, 100) }, ErrCorrupt},
+		{"length beyond the body", []byte{50, 0}, func(c *Codec) { c.Len(0, 100) }, ErrCorrupt},
+		{"trailing bytes", []byte{1, 1}, func(c *Codec) { c.Bool(&b) }, ErrCorrupt},
 	} {
-		d := NewDec(tc.body)
-		tc.read(d)
-		if err := d.Done(); !errors.Is(err, tc.want) {
+		c := Decoding(tc.body)
+		tc.read(c)
+		if err := c.Done(); !errors.Is(err, tc.want) {
 			t.Errorf("%s: %v, want %v", tc.name, err, tc.want)
 		}
 	}
-	d := NewDec([]byte{2, 7, 7, 7, 7, 7, 7, 7, 7, 7})
-	d.Bool()
-	first := d.Err()
-	if d.U64() != 0 || d.I64() != 0 || d.F64() != 0 || d.Bool() || d.Blob() != nil || d.Len(9) != 0 {
+	c := Decoding([]byte{2, 7, 7, 7, 7, 7, 7, 7, 7, 7})
+	c.Bool(&b)
+	first := c.Err()
+	u, i, b, f, s = 1, 1, true, 1, []byte{1}
+	U(c, &u)
+	I(c, &i)
+	c.Bool(&b)
+	c.F64(&f)
+	c.Blob(&s)
+	if u != 0 || i != 0 || b || f != 0 || s != nil || c.Len(0, 9) != 0 {
 		t.Error("reads after a failure returned non-zero values")
 	}
-	if d.Err() != first || first == nil {
-		t.Errorf("sticky error changed from %v to %v", first, d.Err())
+	if c.Err() != first || first == nil {
+		t.Errorf("sticky error changed from %v to %v", first, c.Err())
+	}
+	if err := Encoding().Done(); err != nil {
+		t.Errorf("an encoding Codec's Done returned %v", err)
 	}
 }
 
@@ -229,33 +231,34 @@ func (m *codecSample) state(c *Codec) error {
 	return c.Err()
 }
 
-// TestCodecWalk: one walk writes what the hand-written Enc calls would, and
-// reads it back; Same and SameBool refuse a disagreeing image as a
+// TestCodecWalk: one walk writes the wire bytes each field kind stands for,
+// and reads them back; Same and SameBool refuse a disagreeing image as a
 // mismatch; Slice refuses a length past its bound before allocating.
 func TestCodecWalk(t *testing.T) {
 	src := codecSample{ways: 4, tick: 1 << 31, delta: -300, on: true, joule: 2.5, name: []byte("icl"), list: []int32{7, -8, 9}}
-	var got, want Enc
-	if err := src.state(Encoding(&got)); err != nil {
+	got := Encoding()
+	if err := src.state(got); err != nil {
 		t.Fatal(err)
 	}
-	want.U64(4)
-	want.Bool(true)
-	want.U64(1 << 31)
-	want.I64(-300)
-	want.Bool(true)
-	want.F64(2.5)
-	want.Blob([]byte("icl"))
-	want.U64(3)
-	want.I64(7)
-	want.I64(-8)
-	want.I64(9)
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("walk wrote % x, want % x", got.Bytes(), want.Bytes())
+	want := binary.AppendUvarint(nil, 4)
+	want = append(want, 1)
+	want = binary.AppendUvarint(want, 1<<31)
+	want = binary.AppendVarint(want, -300)
+	want = append(want, 1)
+	want = binary.LittleEndian.AppendUint64(want, math.Float64bits(2.5))
+	want = binary.AppendUvarint(want, 3)
+	want = append(want, "icl"...)
+	want = binary.AppendUvarint(want, 3)
+	want = binary.AppendVarint(want, 7)
+	want = binary.AppendVarint(want, -8)
+	want = binary.AppendVarint(want, 9)
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("walk wrote % x, want % x", got.Bytes(), want)
 	}
 
 	dst := codecSample{ways: 4, on: true}
-	d := NewDec(got.Bytes())
-	if err := dst.state(Decoding(d)); err != nil {
+	d := Decoding(got.Bytes())
+	if err := dst.state(d); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Done(); err != nil {
@@ -265,27 +268,31 @@ func TestCodecWalk(t *testing.T) {
 		string(dst.name) != "icl" || !slices.Equal(dst.list, src.list) {
 		t.Fatalf("walk read %+v, want %+v", dst, src)
 	}
+	again := Encoding()
+	if err := dst.state(again); err != nil || !bytes.Equal(again.Bytes(), want) {
+		t.Fatalf("re-encoding wrote % x (error %v), want % x", again.Bytes(), err, want)
+	}
 
 	for name, target := range map[string]codecSample{
 		"ways":   {ways: 8, on: true},
 		"switch": {ways: 4},
 	} {
-		if err := target.state(Decoding(NewDec(got.Bytes()))); !errors.Is(err, ErrMismatch) {
+		if err := target.state(Decoding(got.Bytes())); !errors.Is(err, ErrMismatch) {
 			t.Errorf("%s disagrees: decode returned %v, want ErrMismatch", name, err)
 		}
 	}
-	if err := (&codecSample{ways: 4, on: true}).state(Decoding(NewDec(got.Bytes()[:5]))); !errors.Is(err, ErrTruncated) {
+	if err := (&codecSample{ways: 4, on: true}).state(Decoding(got.Bytes()[:5])); !errors.Is(err, ErrTruncated) {
 		t.Errorf("truncated body: decode returned %v, want ErrTruncated", err)
 	}
 
 	long := src
 	long.list = make([]int32, 5)
-	var e Enc
-	if err := long.state(Encoding(&e)); err != nil {
+	e := Encoding()
+	if err := long.state(e); err != nil {
 		t.Fatal(err)
 	}
 	over := codecSample{ways: 4, on: true}
-	if err := over.state(Decoding(NewDec(e.Bytes()))); !errors.Is(err, ErrCorrupt) || len(over.list) != 0 {
+	if err := over.state(Decoding(e.Bytes())); !errors.Is(err, ErrCorrupt) || len(over.list) != 0 {
 		t.Errorf("list past its bound: decode returned %v with %d elements, want ErrCorrupt and none", err, len(over.list))
 	}
 }

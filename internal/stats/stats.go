@@ -172,9 +172,6 @@ func (s *Series) Add(t sim.Time, v float64) {
 	s.Points = append(s.Points, Point{T: t, V: v})
 }
 
-// Len returns the sample count.
-func (s *Series) Len() int { return len(s.Points) }
-
 // Mean returns the average sample value.
 func (s *Series) Mean() float64 {
 	if len(s.Points) == 0 {

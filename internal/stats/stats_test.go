@@ -232,7 +232,7 @@ func TestSeries(t *testing.T) {
 	s.Add(1, 10)
 	s.Add(2, 30)
 	s.Add(3, 20)
-	if s.Len() != 3 || s.Mean() != 20 || s.Max() != 30 {
+	if len(s.Points) != 3 || s.Mean() != 20 || s.Max() != 30 {
 		t.Fatalf("series = %+v", s)
 	}
 }
