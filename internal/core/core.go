@@ -214,14 +214,13 @@ type System struct {
 // recovery reconstructs FTLs from it, so it must stay the single source.
 func ftlConfigOf(d DeviceConfig) ftl.Config {
 	return ftl.Config{
-		Geometry:        d.Geometry,
-		OPRatio:         d.OPRatio,
-		GCPolicy:        d.GCPolicy,
-		GCFreeThreshold: 2,
-		PartialUpdate:   d.PartialUpdate,
-		WearLevelDelta:  d.WearLevelDelta,
-		SpareBlocks:     d.SpareBlocks,
-		RAINWidth:       d.RAINWidth,
+		Geometry:       d.Geometry,
+		OPRatio:        d.OPRatio,
+		GCPolicy:       d.GCPolicy,
+		PartialUpdate:  d.PartialUpdate,
+		WearLevelDelta: d.WearLevelDelta,
+		SpareBlocks:    d.SpareBlocks,
+		RAINWidth:      d.RAINWidth,
 	}
 }
 

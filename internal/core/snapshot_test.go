@@ -534,21 +534,23 @@ func FuzzSnapshotOpen(f *testing.F) {
 // draws on fresh blocks, and an h-type protocol (the HBA resource). sha256
 // is the image hash recorded for format version 5; rain-faults' was
 // re-recorded when flash energy moved to issue order (two float bytes and
-// the trailer moved, the layout did not).
+// the trailer moved, the layout did not), and all three when dead fields
+// left the configuration (only the configuration fingerprint, bytes 12-19,
+// and the trailer moved).
 var imageScenarios = []struct {
 	name   string
 	mutate func(*core.DeviceConfig)
 	sha256 string
 }{
 	{"plain", func(*core.DeviceConfig) {},
-		"5c1b5808fa63217425c7bb5213614a739f6369e750ca91ef613c122be4176523"},
+		"30da555bafba8613caefe81a31e506ab97f9569e2f11df424427186e5171d5e4"},
 	{"rain-faults", func(d *core.DeviceConfig) {
 		d.RAINWidth = 3
 		d.Faults, _ = config.FaultProfile("wearout", 5)
 		d.Faults.WearEraseLimit = 0 // draw on fresh blocks: the short run wears none out
-	}, "f1efa94eb905ccbf258f8b27349b2407d5db1e3b4ced332d6223803eabc76b75"},
+	}, "8fb1ce90ed9092987177d501dbabeef0ab810e65ac278517f760ce6f09899174"},
 	{"h-type", func(d *core.DeviceConfig) { d.Protocol = proto.SATA30() },
-		"b3e648ac352e7826e79eaba436f5b8a0295c01bd1cc767fcf6635d8b2345491e"},
+		"23ff1c3a394cb7236c33850f992c8691d1ac22284cf5b1464af8b3302921d2b1"},
 }
 
 // scenarioSystem builds SmallTestDevice with mutate applied and, when run

@@ -105,6 +105,9 @@ func (m InstrMix) LoadStoreFraction() float64 {
 // Config describes the embedded complex: core count, clock and sustained
 // IPC of the in-order ARM pipeline.
 type Config struct {
+	// Cores is the embedded core count. The firmware modules are pinned to
+	// cores 0-2 (HIL, ICL/FTL, FIL; with fewer cores the later modules
+	// share the last one), so cores beyond three add only leakage.
 	Cores        int
 	FrequencyMHz float64
 	IPC          float64

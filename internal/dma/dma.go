@@ -24,9 +24,8 @@
 // sim.Resource.ClaimRun calls and the counters advanced by k make the claims
 // the per-entry loop would, in O(1) (reference_test.go holds result, both
 // timelines and Stats equal to that loop). The loop is still what runs for
-// the list's short last entry, for contiguous lists (their batches differ
-// in size) and under the h-type copy (a descriptor's second
-// pass over host memory queues behind the next descriptor's first).
+// the list's short last entry and under the h-type copy (a descriptor's
+// second pass over host memory queues behind the next descriptor's first).
 package dma
 
 import (
@@ -172,7 +171,6 @@ type Engine struct {
 	hostMemBW float64
 	mode      Mode
 	hostCopy  bool // h-type: stage through host controller buffer (second copy)
-	maxBatch  int  // max entries per descriptor batch, 0 = unlimited
 	stats     Stats
 }
 
@@ -187,10 +185,6 @@ type Config struct {
 	// controller first copies pages from system memory into its own buffer
 	// before the link transfer (§II-A).
 	HostControllerCopy bool
-	// MaxBatchEntries caps how many physically contiguous pointer-list
-	// entries one Timing-mode descriptor batch may cover (the controller's
-	// maximum burst). Zero means unlimited.
-	MaxBatchEntries int
 }
 
 // New constructs an Engine.
@@ -201,9 +195,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.LinkBytesPerSec <= 0 || cfg.HostMemBytesPerSec <= 0 {
 		return nil, fmt.Errorf("dma: bandwidths must be positive")
 	}
-	if cfg.MaxBatchEntries < 0 {
-		return nil, fmt.Errorf("dma: MaxBatchEntries must be non-negative")
-	}
 	return &Engine{
 		link:      cfg.Link,
 		linkBW:    cfg.LinkBytesPerSec,
@@ -211,7 +202,6 @@ func New(cfg Config) (*Engine, error) {
 		hostMemBW: cfg.HostMemBytesPerSec,
 		mode:      cfg.Mode,
 		hostCopy:  cfg.HostControllerCopy,
-		maxBatch:  cfg.MaxBatchEntries,
 	}, nil
 }
 
@@ -234,10 +224,10 @@ func (e *Engine) WalkList(now sim.Time, pl PointerList) sim.Time {
 // Transfer moves the payload described by pl between host memory and the
 // device, starting at now, and returns completion. toDevice is true for
 // writes (host -> SSD). In Timing mode every descriptor batch claims host
-// memory and the link once; a batch is a run of physically contiguous
-// entries of the same direction (the whole call shares one direction), so
-// a list with unknown layout degenerates to the per-entry arbitration of
-// fine-grained timing CPUs. Functional mode performs one aggregate claim.
+// memory and the link once; a physically contiguous list is one batch (the
+// whole call shares one direction), and a list with unknown layout
+// degenerates to the per-entry arbitration of fine-grained timing CPUs.
+// Functional mode performs one aggregate claim.
 func (e *Engine) Transfer(now sim.Time, pl PointerList, toDevice bool) sim.Time {
 	if pl.Length <= 0 {
 		return now
@@ -266,12 +256,12 @@ func (e *Engine) Transfer(now sim.Time, pl PointerList, toDevice bool) sim.Time 
 	}
 
 	entries := pl.Entries()
-	if e.mode == Functional {
+	if e.mode == Functional || pl.Contig {
 		return move(now, pl.Length, entries)
 	}
 	done := now
 	i := 0
-	if !pl.Contig && !e.hostCopy {
+	if !e.hostCopy {
 		// The k whole-page entries as two runs (see the package comment): host
 		// memory finishes them mem apart, which is how they reach the link.
 		if k := pl.Length / pl.PageSize; k > 0 {
@@ -285,24 +275,12 @@ func (e *Engine) Transfer(now sim.Time, pl PointerList, toDevice bool) sim.Time 
 			i = k
 		}
 	}
-	for i < entries {
-		// Coalesce a run of physically contiguous entries into one
-		// descriptor batch, bounded by the controller's burst limit.
-		j := i + 1
-		for j < entries && pl.Contig && (e.maxBatch == 0 || j-i < e.maxBatch) {
-			j++
-		}
-		n := j * pl.PageSize
-		if n > pl.Length {
-			n = pl.Length
-		}
-		n -= i * pl.PageSize
-		// Batches pipeline: each starts as soon as the engine can issue it;
+	for ; i < entries; i++ {
+		// Entries pipeline: each starts as soon as the engine can issue it;
 		// the shared resources serialize where physics requires.
-		if t := move(now, n, j-i); t > done {
+		if t := move(now, min(pl.PageSize, pl.Length-i*pl.PageSize), 1); t > done {
 			done = t
 		}
-		i = j
 	}
 	return done
 }

@@ -126,24 +126,6 @@ func TestContiguousBatching(t *testing.T) {
 	}
 }
 
-// TestMaxBatchEntriesCapsRuns: the controller burst limit splits an
-// otherwise fully contiguous run.
-func TestMaxBatchEntriesCapsRuns(t *testing.T) {
-	e, err := New(Config{
-		Link: sim.NewResource("link"), LinkBytesPerSec: 3.2e9,
-		HostMem: sim.NewResource("m"), HostMemBytesPerSec: 12.8e9,
-		Mode: Timing, MaxBatchEntries: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, _ := BuildContiguous(PRP, 65536, 4096, nil) // 16 entries
-	e.Transfer(0, pl, true)
-	if st := e.Stats(); st.Descriptors != 4 || st.Entries != 16 {
-		t.Fatalf("Descriptors/Entries = %d/%d, want 4/16", st.Descriptors, st.Entries)
-	}
-}
-
 // TestNonContiguousTimingUnchanged: an unknown-layout list must produce
 // exactly the same claim sequence (and therefore the same completion time)
 // as the historical per-entry loop.

@@ -34,7 +34,7 @@ func refTransfer(e *Engine, now sim.Time, pl PointerList) sim.Time {
 	done := now
 	for i := 0; i < entries; {
 		j := i + 1
-		for j < entries && pl.Contig && (e.maxBatch == 0 || j-i < e.maxBatch) {
+		for j < entries && pl.Contig {
 			j++
 		}
 		n := j * pl.PageSize
@@ -53,13 +53,13 @@ func refTransfer(e *Engine, now sim.Time, pl PointerList) sim.Time {
 // TestTransferMatchesPerEntryReference drives random pointer lists — unknown
 // layout and contiguous, whole pages and short tails, one
 // entry to a cache line's 240 — through Transfer and the per-descriptor
-// reference on twin engines, for both modes, the h-type copy on and off and
-// burst limits 0, 1 and 7, a link slower and faster than host memory, against
+// reference on twin engines, for both modes, the h-type copy on and off, and
+// a link slower and faster than host memory, against
 // resources that are sometimes idle, sometimes backlogged (and the two not
 // equally). Returned time, both resources' timelines and Stats must agree
 // after every transfer.
 func TestTransferMatchesPerEntryReference(t *testing.T) {
-	build := func(mode Mode, hostCopy bool, maxBatch int, linkBW, memBW float64) *Engine {
+	build := func(mode Mode, hostCopy bool, linkBW, memBW float64) *Engine {
 		e, err := New(Config{
 			Link:               sim.NewResource("link"),
 			LinkBytesPerSec:    linkBW,
@@ -67,7 +67,6 @@ func TestTransferMatchesPerEntryReference(t *testing.T) {
 			HostMemBytesPerSec: memBW,
 			Mode:               mode,
 			HostControllerCopy: hostCopy,
-			MaxBatchEntries:    maxBatch,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -76,17 +75,14 @@ func TestTransferMatchesPerEntryReference(t *testing.T) {
 	}
 	for _, mode := range []Mode{Timing, Functional} {
 		for _, hostCopy := range []bool{false, true} {
-			for _, maxBatch := range []int{0, 1, 7} {
-				t.Run(fmt.Sprintf("%v/copy=%v/burst=%d", mode, hostCopy, maxBatch), func(t *testing.T) {
-					// A link slower than host memory, as on every preset, for
-					// burst limits 0 and 1; the reverse for 7, so that entries
-					// reach the link spaced further apart than it serves them.
-					linkBW, memBW := 3.2e9, 12.8e9
-					if maxBatch == 7 {
-						linkBW, memBW = memBW, linkBW
-					}
-					got, ref := build(mode, hostCopy, maxBatch, linkBW, memBW), build(mode, hostCopy, maxBatch, linkBW, memBW)
-					rng := sim.NewRNG(uint64(11 + 7*maxBatch))
+			// burst=0: a contiguous list is one descriptor batch, however long.
+			t.Run(fmt.Sprintf("%v/copy=%v/burst=0", mode, hostCopy), func(t *testing.T) {
+				// A link slower than host memory, as on every preset, then the
+				// reverse, so that entries reach the link spaced further apart
+				// than it serves them.
+				for leg, bw := range [][2]float64{{3.2e9, 12.8e9}, {12.8e9, 3.2e9}} {
+					got, ref := build(mode, hostCopy, bw[0], bw[1]), build(mode, hostCopy, bw[0], bw[1])
+					rng := sim.NewRNG(uint64(11 + 49*leg))
 					now := sim.Time(0)
 					for step := 0; step < 600; step++ {
 						pageSize := []int{4096, 512, 4000}[rng.Intn(3)]
@@ -134,8 +130,8 @@ func TestTransferMatchesPerEntryReference(t *testing.T) {
 							t.Fatalf("step %d: host memory %+v, reference %+v", step, got.hostMem.State(), ref.hostMem.State())
 						}
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

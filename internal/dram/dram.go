@@ -1,7 +1,7 @@
 // Package dram models the SSD's internal DRAM and memory controller: DDR
-// timing (tCL/tRCD/tRP/tRAS), per-bank row-buffer state with open-page and
+// timing (tCL/tRCD/tRP), per-bank row-buffer state with open-page and
 // close-page policies, bank interleaving, data-bus contention, a
-// DRAMPower-style energy model with active/precharge-standby and power-down
+// DRAMPower-style energy model with active-standby and power-down
 // states, and a capacity accountant used by the firmware for cached data,
 // metadata and mapping tables (§III-B).
 //
@@ -90,7 +90,6 @@ type Config struct {
 	ClockMHz        float64 // I/O clock; DDR transfers on both edges
 	BurstLength     int     // transfers per burst (DDR3: 8)
 	CL, RCD, RP     int     // CAS latency, RAS-to-CAS, precharge, in cycles
-	RAS             int     // row active time in cycles
 	RowBytes        int     // row-buffer size per bank
 	Policy          PagePolicy
 }
@@ -137,9 +136,7 @@ func (c Config) TotalBanks() int { return c.Channels * c.RanksPerChannel * c.Ban
 // Power is a DRAMPower-style state+event energy model.
 type Power struct {
 	ActStandbyW    float64 // background power while any bank is active
-	PreStandbyW    float64 // background power while precharged and clocked
 	PowerDownW     float64 // background power in power-down
-	SelfRefreshW   float64 // background power in self-refresh (long idle)
 	ActEnergyJ     float64 // per ACT+PRE pair
 	RdBurstEnergyJ float64 // per read burst
 	WrBurstEnergyJ float64 // per write burst
@@ -480,7 +477,7 @@ func DDR3L1600(capacity int64) Config {
 		BusWidthBits:    32, // 4 chips x 8-bit
 		ClockMHz:        800,
 		BurstLength:     8,
-		CL:              11, RCD: 11, RP: 11, RAS: 28,
+		CL:              11, RCD: 11, RP: 11,
 		RowBytes: 2048,
 		Policy:   OpenPage,
 	}
@@ -490,9 +487,7 @@ func DDR3L1600(capacity int64) Config {
 func DefaultPower() Power {
 	return Power{
 		ActStandbyW:    0.35,
-		PreStandbyW:    0.25,
 		PowerDownW:     0.05,
-		SelfRefreshW:   0.02,
 		ActEnergyJ:     12e-9,
 		RdBurstEnergyJ: 4e-9,
 		WrBurstEnergyJ: 4.4e-9,

@@ -27,7 +27,7 @@ func newStack(t *testing.T, trackData bool) (*FIL, *ftl.FTL, *nand.Flash) {
 		t.Fatal(err)
 	}
 	tr, err := ftl.New(ftl.Config{
-		Geometry: g, OPRatio: 0.25, GCFreeThreshold: 2, PartialUpdate: true,
+		Geometry: g, OPRatio: 0.25, PartialUpdate: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -689,7 +689,7 @@ func newFaultStack(t *testing.T, faults nand.FaultConfig) (*FIL, *ftl.FTL, *nand
 		t.Fatal(err)
 	}
 	tr, err := ftl.New(ftl.Config{
-		Geometry: g, OPRatio: 0.25, GCFreeThreshold: 2, PartialUpdate: true,
+		Geometry: g, OPRatio: 0.25, PartialUpdate: true,
 		SpareBlocks: 4,
 	})
 	if err != nil {

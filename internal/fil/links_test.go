@@ -17,7 +17,7 @@ func armedStack(tb testing.TB, g nand.Geometry, trackData bool, mutate func(*ftl
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cfg := ftl.Config{Geometry: g, OPRatio: 0.1, GCFreeThreshold: 2, PartialUpdate: true}
+	cfg := ftl.Config{Geometry: g, OPRatio: 0.1, PartialUpdate: true}
 	if mutate != nil {
 		mutate(&cfg)
 	}

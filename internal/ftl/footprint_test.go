@@ -38,14 +38,13 @@ func TestFTLMetadataFootprint(t *testing.T) {
 			d.Geometry.BlocksPerPlane = 12
 		}
 		f, err := ftl.New(ftl.Config{
-			Geometry:        d.Geometry,
-			OPRatio:         d.OPRatio,
-			GCPolicy:        d.GCPolicy,
-			GCFreeThreshold: 2,
-			PartialUpdate:   d.PartialUpdate,
-			WearLevelDelta:  d.WearLevelDelta,
-			SpareBlocks:     d.SpareBlocks,
-			RAINWidth:       d.RAINWidth,
+			Geometry:       d.Geometry,
+			OPRatio:        d.OPRatio,
+			GCPolicy:       d.GCPolicy,
+			PartialUpdate:  d.PartialUpdate,
+			WearLevelDelta: d.WearLevelDelta,
+			SpareBlocks:    d.SpareBlocks,
+			RAINWidth:      d.RAINWidth,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -47,6 +47,10 @@ func (p GCPolicy) String() string {
 	return "greedy"
 }
 
+// gcFreeThreshold triggers GC when free super-blocks drop to or below it:
+// at least 2 are needed so GC always has an open block to migrate into.
+const gcFreeThreshold = 2
+
 // Config parameterizes the FTL.
 type Config struct {
 	Geometry nand.Geometry
@@ -55,10 +59,6 @@ type Config struct {
 	OPRatio float64
 	// GCPolicy selects victim scoring.
 	GCPolicy GCPolicy
-	// GCFreeThreshold triggers GC when free super-blocks drop to or below
-	// this count; at least 2 are needed so GC always has an open block to
-	// migrate into.
-	GCFreeThreshold int
 	// PartialUpdate enables the §IV-C super-page hashmap optimization:
 	// sub-page writes are remapped individually rather than triggering a
 	// read-modify-write of the whole super-page.
@@ -88,10 +88,7 @@ func (c Config) Validate() error {
 	if c.OPRatio < 0.01 || c.OPRatio > 0.5 {
 		return fmt.Errorf("ftl: OPRatio %v outside [0.01, 0.5]", c.OPRatio)
 	}
-	if c.GCFreeThreshold < 2 {
-		return fmt.Errorf("ftl: GCFreeThreshold must be >= 2, got %d", c.GCFreeThreshold)
-	}
-	minSBs := c.GCFreeThreshold + 2
+	minSBs := gcFreeThreshold + 2
 	if c.Geometry.BlocksPerPlane < minSBs {
 		return fmt.Errorf("ftl: geometry has %d super-blocks, need >= %d", c.Geometry.BlocksPerPlane, minSBs)
 	}
@@ -693,14 +690,14 @@ func (f *FTL) allocOpen(now sim.Time, plan *Plan) error {
 		sb.closed = true
 		f.openSB = -1
 	}
-	if !f.inGC && len(f.freeSB) <= f.cfg.GCFreeThreshold {
+	if !f.inGC && len(f.freeSB) <= gcFreeThreshold {
 		f.inGC = true
 		f.reserveStorm(plan)
 		// Bounded collection: plane-skewed partial updates can make a single
 		// collect net-zero (migration consumes a block as the erase frees
 		// one), so cap the work per allocation instead of insisting the
 		// reserve recovers fully here.
-		for tries := 0; len(f.freeSB) <= f.cfg.GCFreeThreshold && tries < f.sbCount; tries++ {
+		for tries := 0; len(f.freeSB) <= gcFreeThreshold && tries < f.sbCount; tries++ {
 			ok, err := f.collect(now, plan)
 			if err != nil {
 				f.inGC = false

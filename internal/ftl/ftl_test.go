@@ -21,11 +21,10 @@ func testGeometry() nand.Geometry {
 
 func testConfig() Config {
 	return Config{
-		Geometry:        testGeometry(),
-		OPRatio:         0.25,
-		GCPolicy:        Greedy,
-		GCFreeThreshold: 2,
-		PartialUpdate:   true,
+		Geometry:      testGeometry(),
+		OPRatio:       0.25,
+		GCPolicy:      Greedy,
+		PartialUpdate: true,
 	}
 }
 
@@ -104,7 +103,6 @@ func TestConfigValidate(t *testing.T) {
 	cases := []func(*Config){
 		func(c *Config) { c.OPRatio = 0 },
 		func(c *Config) { c.OPRatio = 0.9 },
-		func(c *Config) { c.GCFreeThreshold = 1 },
 		func(c *Config) { c.Geometry.Channels = 0 },
 		func(c *Config) { c.Geometry.BlocksPerPlane = 3 },
 	}

@@ -81,7 +81,7 @@ func linkGeometry() nand.Geometry {
 func linkConfig(mutate func(*Config)) Config {
 	cfg := Config{
 		Geometry: linkGeometry(), OPRatio: 0.1, GCPolicy: Greedy,
-		GCFreeThreshold: 2, PartialUpdate: true, SpareBlocks: 6,
+		PartialUpdate: true, SpareBlocks: 6,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -215,7 +215,7 @@ func TestPlanLinksMatchReference(t *testing.T) {
 	t.Run("mount-squeeze", func(t *testing.T) {
 		var tally linkTally
 		f, now := linkStream(t, linkConfig(nil), false, 600, nil)
-		if f.FreeSuperBlocks() > f.Config().GCFreeThreshold {
+		if f.FreeSuperBlocks() > gcFreeThreshold {
 			t.Fatalf("stream ended with %d free super-blocks; squeeze has nothing to do", f.FreeSuperBlocks())
 		}
 		plan, blocks, subs, err := f.MountSqueeze(now)

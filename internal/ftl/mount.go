@@ -274,7 +274,7 @@ func (f *FTL) MountSqueeze(now sim.Time) (Plan, int, int, error) {
 		}
 	}()
 	fullSubs := f.fullSubs()
-	for tries := 0; len(f.freeSB) <= f.cfg.GCFreeThreshold && tries < 2*f.sbCount; tries++ {
+	for tries := 0; len(f.freeSB) <= gcFreeThreshold && tries < 2*f.sbCount; tries++ {
 		victim := -1
 		for sb := range f.sbs {
 			blk := &f.sbs[sb]

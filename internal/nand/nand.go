@@ -62,15 +62,17 @@ func (c CellType) String() string {
 
 // LatencyClasses returns the number of page latency classes for the cell
 // type: pages within a wordline program at different speeds (LSB fast, MSB
-// slow for MLC; low/center/upper for TLC).
+// slow for MLC; low/center/upper for TLC). It is 0 for an unknown type.
 func (c CellType) LatencyClasses() int {
 	switch c {
 	case SLC:
 		return 1
+	case MLC:
+		return 2
 	case TLC:
 		return 3
 	default:
-		return 2
+		return 0
 	}
 }
 

@@ -451,6 +451,12 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(g, bad, Power{}, MLC, Options{}); err == nil {
 		t.Fatal("jitter >= 1 accepted")
 	}
+	// An unset or unknown cell type is refused, not modelled as MLC.
+	for _, cell := range []CellType{0, TLC + 1} {
+		if _, err := New(g, tm, Power{}, cell, Options{}); err == nil {
+			t.Fatalf("cell type %v accepted", cell)
+		}
+	}
 }
 
 func BenchmarkProgramReadErase(b *testing.B) {

@@ -45,29 +45,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Arbitration names the paper's HIL scheduling policy for a protocol's
-// device queues. The simulator records it but does not apply it: package
-// hil serves requests in submission order.
-type Arbitration int
-
-// Queue arbitration mechanisms (§III-B firmware stack).
-const (
-	FIFO Arbitration = iota // h-type single queue
-	RoundRobin
-	WeightedRoundRobin
-)
-
-func (a Arbitration) String() string {
-	switch a {
-	case RoundRobin:
-		return "rr"
-	case WeightedRoundRobin:
-		return "wrr"
-	default:
-		return "fifo"
-	}
-}
-
 // Params captures the performance-relevant properties of one protocol
 // instance.
 type Params struct {
@@ -76,11 +53,6 @@ type Params struct {
 	// QueueDepthLimit caps in-flight commands per queue (NCQ/UTRD list: 32;
 	// NVMe: 65536).
 	QueueDepthLimit int
-	// MaxQueues is the number of I/O queues the protocol exposes.
-	MaxQueues int
-	// Arbitration is the device-side queue scheduling policy (recorded,
-	// not modeled; see Arbitration).
-	Arbitration Arbitration
 
 	// LinkBytesPerSec is the effective payload bandwidth of the physical
 	// link (after encoding overhead).
@@ -127,8 +99,8 @@ func (p Params) Validate() error {
 	switch {
 	case p.Kind < SATA || p.Kind > OCSSD:
 		return fmt.Errorf("proto: unknown kind %d", int(p.Kind))
-	case p.QueueDepthLimit <= 0 || p.MaxQueues <= 0:
-		return fmt.Errorf("proto: queue limits must be positive")
+	case p.QueueDepthLimit <= 0:
+		return fmt.Errorf("proto: queue depth limit must be positive")
 	case p.LinkBytesPerSec <= 0:
 		return fmt.Errorf("proto: link bandwidth must be positive")
 	case p.CmdFetchBytes <= 0 || p.CompletionBytes <= 0:
@@ -168,8 +140,6 @@ func SATA30() Params {
 	return Params{
 		Kind:               SATA,
 		QueueDepthLimit:    32,
-		MaxQueues:          1,
-		Arbitration:        FIFO,
 		LinkBytesPerSec:    600e6,
 		CmdFetchBytes:      64 + 20, // command table entry + register FIS
 		CompletionBytes:    20,      // D2H register FIS
@@ -193,8 +163,6 @@ func UFS21() Params {
 	return Params{
 		Kind:               UFS,
 		QueueDepthLimit:    32,
-		MaxQueues:          1,
-		Arbitration:        FIFO,
 		LinkBytesPerSec:    730e6,
 		CmdFetchBytes:      32 + 32, // UTRD + command UPIU
 		CompletionBytes:    32,      // response UPIU
@@ -217,8 +185,6 @@ func NVMe121() Params {
 	return Params{
 		Kind:              NVMe,
 		QueueDepthLimit:   65536,
-		MaxQueues:         65536,
-		Arbitration:       RoundRobin,
 		LinkBytesPerSec:   3.2e9,
 		CmdFetchBytes:     64,
 		CompletionBytes:   16,

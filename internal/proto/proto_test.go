@@ -19,7 +19,7 @@ func TestHTypeQueueLimits(t *testing.T) {
 	if SATA30().QueueDepthLimit != 32 || UFS21().QueueDepthLimit != 32 {
 		t.Fatal("h-type must have 32-entry queues")
 	}
-	if NVMe121().QueueDepthLimit != 65536 || NVMe121().MaxQueues != 65536 {
+	if NVMe121().QueueDepthLimit != 65536 {
 		t.Fatal("NVMe must expose rich queues")
 	}
 }
@@ -103,8 +103,5 @@ func TestValidateRejectsBadParams(t *testing.T) {
 func TestStrings(t *testing.T) {
 	if SATA.String() != "sata" || OCSSD.String() != "ocssd" {
 		t.Fatal("kind names wrong")
-	}
-	if FIFO.String() != "fifo" || RoundRobin.String() != "rr" || WeightedRoundRobin.String() != "wrr" {
-		t.Fatal("arbitration names wrong")
 	}
 }
