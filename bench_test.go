@@ -34,37 +34,46 @@ import (
 	"amber/internal/workload"
 )
 
-func benchExperiment(b *testing.B, run func(exp.Options) (*exp.Table, error)) {
+// benchExperiment runs the experiment exp.All lists under id, as
+// amberbench -only does. Each iteration takes a fresh All, so the figures
+// that read the shared microbenchmark sweep compute their own points.
+func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t, err := run(exp.Options{})
+		var t *exp.Table
+		var err error
+		for _, e := range exp.All() {
+			if e.ID == id {
+				t, err = e.Run(exp.Options{})
+			}
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(t.Rows) == 0 {
-			b.Fatal("experiment produced no rows")
+		if t == nil || len(t.Rows) == 0 {
+			b.Fatalf("experiment %s produced no rows", id)
 		}
 	}
 }
 
-func BenchmarkTableI_Config(b *testing.B)                    { benchExperiment(b, exp.TableI) }
-func BenchmarkFigure3_BaselineBandwidth(b *testing.B)        { benchExperiment(b, exp.Figure3) }
-func BenchmarkFigure4_BaselineLatency(b *testing.B)          { benchExperiment(b, exp.Figure4) }
-func BenchmarkFigure8_ValidationBandwidth(b *testing.B)      { benchExperiment(b, exp.Figure8) }
-func BenchmarkFigure9_ValidationLatency(b *testing.B)        { benchExperiment(b, exp.Figure9) }
-func BenchmarkFigure10_BlockSize(b *testing.B)               { benchExperiment(b, exp.Figure10) }
-func BenchmarkFigure11_OverProvisioning(b *testing.B)        { benchExperiment(b, exp.Figure11) }
-func BenchmarkFigure12_OSImpact(b *testing.B)                { benchExperiment(b, exp.Figure12) }
-func BenchmarkFigure13a_MobileVsPC(b *testing.B)             { benchExperiment(b, exp.Figure13a) }
-func BenchmarkFigure13b_PowerBreakdown(b *testing.B)         { benchExperiment(b, exp.Figure13b) }
-func BenchmarkFigure13c_InstructionBreakdown(b *testing.B)   { benchExperiment(b, exp.Figure13c) }
-func BenchmarkFigure14_CPUFrequency(b *testing.B)            { benchExperiment(b, exp.Figure14) }
-func BenchmarkFigure15a_ActivePassiveBandwidth(b *testing.B) { benchExperiment(b, exp.Figure15a) }
-func BenchmarkFigure15b_KernelCPU(b *testing.B)              { benchExperiment(b, exp.Figure15b) }
-func BenchmarkFigure15c_DRAMUsage(b *testing.B)              { benchExperiment(b, exp.Figure15c) }
-func BenchmarkFigure16_SimSpeed(b *testing.B)                { benchExperiment(b, exp.Figure16) }
-func BenchmarkTableIV_Features(b *testing.B)                 { benchExperiment(b, exp.TableIV) }
+func BenchmarkTableI_Config(b *testing.B)                    { benchExperiment(b, "table1") }
+func BenchmarkFigure3_BaselineBandwidth(b *testing.B)        { benchExperiment(b, "fig3") }
+func BenchmarkFigure4_BaselineLatency(b *testing.B)          { benchExperiment(b, "fig4") }
+func BenchmarkFigure8_ValidationBandwidth(b *testing.B)      { benchExperiment(b, "fig8") }
+func BenchmarkFigure9_ValidationLatency(b *testing.B)        { benchExperiment(b, "fig9") }
+func BenchmarkFigure10_BlockSize(b *testing.B)               { benchExperiment(b, "fig10") }
+func BenchmarkFigure11_OverProvisioning(b *testing.B)        { benchExperiment(b, "fig11") }
+func BenchmarkFigure12_OSImpact(b *testing.B)                { benchExperiment(b, "fig12") }
+func BenchmarkFigure13a_MobileVsPC(b *testing.B)             { benchExperiment(b, "fig13a") }
+func BenchmarkFigure13b_PowerBreakdown(b *testing.B)         { benchExperiment(b, "fig13b") }
+func BenchmarkFigure13c_InstructionBreakdown(b *testing.B)   { benchExperiment(b, "fig13c") }
+func BenchmarkFigure14_CPUFrequency(b *testing.B)            { benchExperiment(b, "fig14") }
+func BenchmarkFigure15a_ActivePassiveBandwidth(b *testing.B) { benchExperiment(b, "fig15a") }
+func BenchmarkFigure15b_KernelCPU(b *testing.B)              { benchExperiment(b, "fig15b") }
+func BenchmarkFigure15c_DRAMUsage(b *testing.B)              { benchExperiment(b, "fig15c") }
+func BenchmarkFigure16_SimSpeed(b *testing.B)                { benchExperiment(b, "fig16") }
+func BenchmarkTableIV_Features(b *testing.B)                 { benchExperiment(b, "table4") }
 
 // ablationBandwidth measures 4K random-read or write bandwidth for a
 // mutated device configuration — the harness for the §IV-C design-choice

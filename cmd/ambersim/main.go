@@ -23,21 +23,14 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"reflect"
 	"sort"
 	"strings"
 	"time"
 
 	"amber/internal/config"
 	"amber/internal/core"
-	"amber/internal/cpu"
-	"amber/internal/dma"
 	"amber/internal/exp"
-	"amber/internal/fil"
-	"amber/internal/ftl"
 	"amber/internal/host"
-	"amber/internal/icl"
-	"amber/internal/nand"
 	"amber/internal/sim"
 	"amber/internal/stats"
 	"amber/internal/workload"
@@ -269,7 +262,7 @@ func runOne(dev string, w io.Writer, o runOptions) error {
 	// Everything below the latency row is a counter that has been running
 	// since construction, through preconditioning or a restored image's
 	// history: the report prints what the measured run added.
-	base := readCounters(s)
+	base := s.Counters()
 	var res *core.RunResult
 	if o.batchSubmit {
 		// Vectored path: hand the request stream to SubmitBatch in chunks
@@ -334,32 +327,23 @@ func runOne(dev string, w io.Writer, o runOptions) error {
 		res.AvgLatencyUs(), res.Latency.Percentile(50), res.Latency.Percentile(95),
 		res.Latency.Percentile(99), res.Latency.Max(), stats.PercentileBound*100)
 
-	if res.PowerLost {
-		// The mounted FTL restarted its lifetime counters inside the window.
-		base.ftl = ftl.Stats{}
-	}
-	now := readCounters(s)
-	fs := since(now.ftl, base.ftl)
+	win := s.Counters().Since(base)
 	fmt.Fprintf(w, "ftl             WAF %.2f, GC runs %d, migrated %d, erases %d\n",
-		fs.WAF(), fs.GCRuns, fs.GCMigrated, fs.Erases)
-	cs := since(now.icl, base.icl)
+		win.FTL.WAF(), win.FTL.GCRuns, win.FTL.GCMigrated, win.FTL.Erases)
 	fmt.Fprintf(w, "icl             hit rate %.1f%%, readaheads %d, evictions %d\n",
-		cs.HitRate()*100, cs.Readaheads, cs.Evictions)
-	im := since(now.firmware, base.firmware)
+		win.ICL.HitRate()*100, win.ICL.Readaheads, win.ICL.Evictions)
 	fmt.Fprintf(w, "firmware        %.1fM instructions (%.0f%% load/store)\n",
-		float64(im.Total())/1e6, im.LoadStoreFraction()*100)
-	ds := since(now.dma, base.dma)
+		float64(win.Firmware.Total())/1e6, win.Firmware.LoadStoreFraction()*100)
 	fmt.Fprintf(w, "dma             %d descriptors / %d entries (%s mode), %.1f MB moved\n",
-		ds.Descriptors, ds.Entries, s.DMA.Mode(), float64(ds.BytesMoved)/1e6)
+		win.DMA.Descriptors, win.DMA.Entries, s.DMA.Mode(), float64(win.DMA.BytesMoved)/1e6)
 	// The certified-plan counter surfaces the fast path: plans the FIL
 	// executed without the prevalidation walk.
-	fils := since(now.fil, base.fil)
 	fmt.Fprintf(w, "fil             %d plans (%d certified fast-path)\n",
-		fils.PlanCount, fils.CertifiedPlans)
+		win.FIL.PlanCount, win.FIL.CertifiedPlans)
 	if o.batchSubmit {
 		windows, batched := s.BatchStats()
 		fmt.Fprintf(w, "batch           %d windows over %d requests; certified reads %d, cert disarms %d\n",
-			windows, batched, fils.CertifiedReads, fils.CertDisarms)
+			windows, batched, win.FIL.CertifiedReads, win.FIL.CertDisarms)
 	}
 	if res.PowerLost {
 		pl := res.PowerLoss.Flash
@@ -371,16 +355,15 @@ func runOne(dev string, w io.Writer, o runOptions) error {
 	}
 	if o.rain > 0 || o.scrubEvery > 0 {
 		fmt.Fprintf(w, "rain/scrub      %d parity writes, %d reconstructions, %d double faults; %d scrub runs migrated %d sub-pages\n",
-			fs.ParityWrites, fs.Reconstructions, fs.DoubleFaults, fs.ScrubRuns, fs.ScrubMigrated)
+			win.FTL.ParityWrites, win.FTL.Reconstructions, win.FTL.DoubleFaults, win.FTL.ScrubRuns, win.FTL.ScrubMigrated)
 	}
 	if s.Flash.FaultsEnabled() {
-		fst := since(now.faults, base.faults)
 		state := "healthy"
 		if s.FTL.ReadOnly() {
 			state = "READ-ONLY"
 		}
 		fmt.Fprintf(w, "faults          %d program / %d erase / %d uncorrectable, %d read retries; retired %v, spare headroom %d, %d failed writes / %d failed reads [%s]\n",
-			fst.ProgramFails, fst.EraseFails, fst.Uncorrectable, fst.ReadRetries,
+			win.Faults.ProgramFails, win.Faults.EraseFails, win.Faults.Uncorrectable, win.Faults.ReadRetries,
 			s.FTL.RetiredSuperBlocks(), s.FTL.SpareHeadroom(), res.FailedWrites, res.FailedReads, state)
 	}
 	if !o.batchSubmit {
@@ -400,19 +383,10 @@ func runOne(dev string, w io.Writer, o runOptions) error {
 		}
 		fmt.Fprintln(w)
 	}
-	// Average power over the measured window: the dynamic energy the run
-	// added plus leakage and background for its duration (as exp.Figure13b).
-	watts := func(total, dynBefore float64) float64 {
-		if el == 0 {
-			return 0
-		}
-		return (total - dynBefore) / el.Seconds()
-	}
-	fmt.Fprintf(w, "power (avg)     cpu %.2f W, dram %.2f W, nand %.2f W\n",
-		watts(s.DevCPU.TotalEnergyJoules(el), base.cpuJ), watts(s.DevDRAM.TotalEnergyJoules(el), base.dramJ),
-		watts(s.Flash.TotalEnergyJoules(el), base.nandJ))
+	cpuW, dramW, nandW := s.WindowWatts(base, el)
+	fmt.Fprintf(w, "power (avg)     cpu %.2f W, dram %.2f W, nand %.2f W\n", cpuW, dramW, nandW)
 	fmt.Fprintf(w, "host            cpu busy %v, mem used %d MB\n",
-		now.hostBusy-base.hostBusy, s.Host.MemUsed()>>20)
+		win.HostBusy, s.Host.MemUsed()>>20)
 	if o.snapshot != "" {
 		img, err := s.Snapshot()
 		if err != nil {
@@ -424,39 +398,6 @@ func runOne(dev string, w io.Writer, o runOptions) error {
 		fmt.Fprintf(w, "snapshot        %d-byte state image -> %s\n", len(img), o.snapshot)
 	}
 	return nil
-}
-
-// counters is every cumulative count and energy the report prints, read at
-// one instant; the report is the difference of two.
-type counters struct {
-	ftl      ftl.Stats
-	icl      icl.Stats
-	firmware cpu.InstrMix
-	dma      dma.Stats
-	fil      fil.Stats
-	faults   nand.FaultStats
-	hostBusy sim.Duration
-	// Dynamic energy so far, joules.
-	cpuJ, dramJ, nandJ float64
-}
-
-func readCounters(s *core.System) counters {
-	return counters{
-		ftl: s.FTL.Stats(), icl: s.ICL.Stats(), firmware: s.DevCPU.Instructions(),
-		dma: s.DMA.Stats(), fil: s.FIL.Stats(), faults: s.Flash.FaultStats(),
-		hostBusy: s.Host.CPU.BusyTime(),
-		cpuJ:     s.DevCPU.EnergyJoules(), dramJ: s.DevDRAM.EnergyJoules(), nandJ: s.Flash.EnergyJoules(),
-	}
-}
-
-// since returns now − before field by field, for the modules' stats structs:
-// every field of each is a uint64 counter.
-func since[T any](now, before T) T {
-	d, b := reflect.ValueOf(&now).Elem(), reflect.ValueOf(before)
-	for i := 0; i < d.NumField(); i++ {
-		d.Field(i).SetUint(d.Field(i).Uint() - b.Field(i).Uint())
-	}
-	return now
 }
 
 // runFlags is the part of the flag set whose values constrain each other.

@@ -42,19 +42,17 @@ func Example_mobile() {
 		if err != nil {
 			panic(err)
 		}
+		// Power and instructions are what the measured run added, not
+		// what preconditioning spent before it.
+		base := sys.Counters()
 		res, err := sys.Run(gen, core.RunConfig{Requests: 3000, IODepth: 32})
 		if err != nil {
 			panic(err)
 		}
-		el := res.Elapsed()
-		results = append(results, outcome{
-			name:  string(sys.Protocol().Kind.String()),
-			bw:    res.BandwidthMBps(),
-			cpuW:  sys.DevCPU.AveragePowerW(el),
-			dramW: sys.DevDRAM.AveragePowerW(el),
-			nandW: sys.Flash.AveragePowerW(el),
-			instr: float64(sys.DevCPU.Instructions().Total()) / 1e6,
-		})
+		r := outcome{name: sys.Protocol().Kind.String(), bw: res.BandwidthMBps()}
+		r.cpuW, r.dramW, r.nandW = sys.WindowWatts(base, res.Elapsed())
+		r.instr = float64(sys.Counters().Since(base).Firmware.Total()) / 1e6
+		results = append(results, r)
 	}
 
 	fmt.Printf("%-8s %10s %8s %8s %8s %12s\n", "iface", "MB/s", "cpu W", "dram W", "nand W", "fw Minstr")
@@ -71,8 +69,8 @@ func Example_mobile() {
 	// Handheld vs general computing (paper §V-D, Fig. 13)
 	//
 	// iface          MB/s    cpu W   dram W   nand W    fw Minstr
-	// ufs           158.0     0.62     1.59     0.52         18.5
-	// nvme          158.0     0.68     1.59     0.52         22.5
+	// ufs           158.0     0.41     0.40     0.02          3.5
+	// nvme          158.0     0.43     0.40     0.02          5.0
 	//
 	// NVMe/UFS bandwidth ratio: 1.00x (paper: up to 1.81x)
 	// The embedded CPU dominates SSD power — the paper's argument that mobile

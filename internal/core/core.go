@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 
 	"amber/internal/cpu"
 	"amber/internal/dma"
@@ -488,6 +489,83 @@ func (s *System) BatchStats() (windows, requests uint64) {
 // A timing-only system moves none.
 func (s *System) PayloadBytes() (copied, zeroed uint64) {
 	return s.stagedCopied, s.stagedZeroed
+}
+
+// Counters is every cumulative count and energy a measured window reports,
+// read at one instant by System.Counters. A window is the difference of two
+// readings: Since.
+type Counters struct {
+	FTL      ftl.Stats
+	ICL      icl.Stats
+	Firmware cpu.InstrMix
+	DMA      dma.Stats
+	FIL      fil.Stats
+	Faults   nand.FaultStats
+	HostBusy sim.Duration
+	// Dynamic energy so far, joules: the embedded cores, the internal DRAM
+	// and the flash.
+	CPUJ, DRAMJ, NANDJ float64
+
+	ftl *ftl.FTL // the instance the FTL field was read from; nil in a difference
+}
+
+// Counters reads every cumulative counter at the current instant.
+func (s *System) Counters() Counters {
+	return Counters{
+		FTL: s.FTL.Stats(), ICL: s.ICL.Stats(), Firmware: s.DevCPU.Instructions(),
+		DMA: s.DMA.Stats(), FIL: s.FIL.Stats(), Faults: s.Flash.FaultStats(),
+		HostBusy: s.Host.CPU.BusyTime(),
+		CPUJ:     s.DevCPU.EnergyJoules(), DRAMJ: s.DevDRAM.EnergyJoules(), NANDJ: s.Flash.EnergyJoules(),
+		ftl: s.FTL,
+	}
+}
+
+// Since returns what the window from base to c added, field by field. A
+// mount between the two readings (recovery after a power cut) replaced the
+// FTL, whose counters restart at zero, so the window's FTL counters are then
+// the mounted FTL's own. Both readings must come from one System with no
+// Restore between them.
+func (c Counters) Since(base Counters) Counters {
+	if base.ftl != c.ftl {
+		base.FTL = ftl.Stats{}
+	}
+	d := c
+	d.ftl = nil
+	subtract(reflect.ValueOf(&d).Elem(), reflect.ValueOf(base))
+	return d
+}
+
+// subtract sets each exported number in d to itself minus its twin in b.
+// Every count is a uint64 that only grows, every energy a float64.
+func subtract(d, b reflect.Value) {
+	switch d.Kind() {
+	case reflect.Struct:
+		for i := 0; i < d.NumField(); i++ {
+			if d.Type().Field(i).IsExported() {
+				subtract(d.Field(i), b.Field(i))
+			}
+		}
+	case reflect.Uint64:
+		d.SetUint(d.Uint() - b.Uint())
+	case reflect.Float64:
+		d.SetFloat(d.Float() - b.Float())
+	default:
+		panic("core: Counters holds a " + d.Type().String() + ", which Since cannot subtract")
+	}
+}
+
+// WindowWatts returns the average power of the embedded cores, the internal
+// DRAM and the flash over a window of length el that began at base: the
+// dynamic energy the window added plus leakage and background for el. A
+// zero window draws nothing.
+func (s *System) WindowWatts(base Counters, el sim.Duration) (cpuW, dramW, nandW float64) {
+	if el == 0 {
+		return 0, 0, 0
+	}
+	sec := el.Seconds()
+	return (s.DevCPU.TotalEnergyJoules(el) - base.CPUJ) / sec,
+		(s.DevDRAM.TotalEnergyJoules(el) - base.DRAMJ) / sec,
+		(s.Flash.TotalEnergyJoules(el) - base.NANDJ) / sec
 }
 
 // DefaultBatchWindow is SubmitBatch's submission-window ceiling: the shared

@@ -297,7 +297,7 @@ func TestRecycledReadBufferNeverSurfacesStaleBytes(t *testing.T) {
 	}
 	bufs := [2][]byte{bytes.Repeat([]byte{0xEE}, sub), bytes.Repeat([]byte{0xEE}, sub)}
 	for k := range bufs {
-		e.At(s.Now(), func() {
+		e.AtIn(sim.DefaultDomain, s.Now(), func() {
 			s.SubmitAsync(e, workload.Request{Offset: off, Length: sub}, bufs[k], func(_ sim.Time, err error) {
 				if err != nil {
 					t.Error(err)
@@ -396,7 +396,7 @@ func TestFillKeepsWriteLandedInFlight(t *testing.T) {
 	fillPayload(newer, off, 2)
 	got := make([]byte, sub)
 	var readDone, writeDone sim.Time
-	e.At(s.Now(), func() {
+	e.AtIn(sim.DefaultDomain, s.Now(), func() {
 		s.SubmitAsync(e, workload.Request{Offset: off, Length: sub}, got, func(at sim.Time, err error) {
 			if err != nil {
 				t.Error(err)
@@ -404,7 +404,7 @@ func TestFillKeepsWriteLandedInFlight(t *testing.T) {
 			readDone = at
 		})
 	})
-	e.At(s.Now()+sim.Microsecond, func() {
+	e.AtIn(sim.DefaultDomain, s.Now()+sim.Microsecond, func() {
 		s.SubmitAsync(e, workload.Request{Write: true, Offset: off, Length: sub}, newer, func(at sim.Time, err error) {
 			if err != nil {
 				t.Error(err)
@@ -473,7 +473,7 @@ func TestPrefetchKeepsWriteLandedInFlight(t *testing.T) {
 	e := sim.NewEngine()
 	before := s.ICL.Stats()
 	for l := int64(0); l < ra; l++ {
-		e.At(s.Now(), func() {
+		e.AtIn(sim.DefaultDomain, s.Now(), func() {
 			s.SubmitAsync(e, workload.Request{Offset: l * lineBytes, Length: sub}, make([]byte, sub), func(_ sim.Time, err error) {
 				if err != nil {
 					t.Error(err)
@@ -484,7 +484,7 @@ func TestPrefetchKeepsWriteLandedInFlight(t *testing.T) {
 	off := ra*lineBytes + 9*sub
 	newer := make([]byte, sub)
 	fillPayload(newer, off, 2)
-	e.At(s.Now()+sim.Microsecond, func() {
+	e.AtIn(sim.DefaultDomain, s.Now()+sim.Microsecond, func() {
 		s.SubmitAsync(e, workload.Request{Write: true, Offset: off, Length: sub}, newer, func(_ sim.Time, err error) {
 			if err != nil {
 				t.Error(err)

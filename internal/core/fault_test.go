@@ -190,14 +190,14 @@ func TestFailedFillWakesCoalescedReaders(t *testing.T) {
 	var fired [2]int
 	var errs [2]error
 	for k := range fired {
-		e.At(s.Now(), func() {
+		e.AtIn(sim.DefaultDomain, s.Now(), func() {
 			s.SubmitAsync(e, workload.Request{Offset: off, Length: 4096}, nil, func(_ sim.Time, err error) {
 				fired[k]++
 				errs[k] = err
 			})
 		})
 	}
-	e.At(s.Now(), s.FTL.ForceReadOnly)
+	e.AtIn(sim.DefaultDomain, s.Now(), s.FTL.ForceReadOnly)
 	e.Run()
 	if got := s.Flash.Stats().Reads - flashReads; got != 1 {
 		t.Fatalf("%d flash reads for two reads of one sub-page: the second did not coalesce", got)

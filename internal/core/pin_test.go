@@ -115,12 +115,12 @@ func TestPrefetchPinsSurviveGCAndPowerLoss(t *testing.T) {
 	start := s.Now()
 	readahead0 := s.ICL.Stats().Readaheads
 	for l := first; l < first+2; l++ {
-		e.At(start, func() {
+		e.AtIn(sim.DefaultDomain, start, func() {
 			s.SubmitAsync(e, workload.Request{Offset: l * int64(lineBytes), Length: sub}, make([]byte, sub), func(sim.Time, error) {})
 		})
 	}
 	cut := start + 20*sim.Microsecond
-	e.At(cut, e.Halt)
+	e.AtIn(sim.DefaultDomain, cut, e.Halt)
 	e.Run()
 	if e.Pending() == 0 || s.ICL.Stats().Readaheads == readahead0 {
 		t.Fatal("no prefetch was in flight at the cut")

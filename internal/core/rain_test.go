@@ -8,6 +8,7 @@ import (
 
 	"amber/internal/config"
 	"amber/internal/core"
+	"amber/internal/ftl"
 	"amber/internal/nand"
 	"amber/internal/sim"
 	"amber/internal/workload"
@@ -70,12 +71,13 @@ func rainTrajectory(t *testing.T, s *core.System) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := s.Counters()
 	res, err := s.Run(wgen, core.RunConfig{Requests: 600, IODepth: 16, WithData: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	renderFaultRow(&out, "rain-rand-write", res)
-	fmt.Fprintf(&out, "  recon %d double %d parity %d\n", res.Reconstructions, res.DoubleFaults, res.ParityWrites)
+	renderRecon(&out, s.Counters().Since(base).FTL)
 	if s.FTL.Stats().GCRuns == 0 {
 		t.Fatal("write phase did not trigger GC; the RAIN equivalence must cover parity under GC")
 	}
@@ -86,17 +88,23 @@ func rainTrajectory(t *testing.T, s *core.System) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	base = s.Counters()
 	res, err = s.Run(rgen, core.RunConfig{Requests: 400, IODepth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	renderFaultRow(&out, "rain-rand-read", res)
-	fmt.Fprintf(&out, "  recon %d double %d parity %d\n", res.Reconstructions, res.DoubleFaults, res.ParityWrites)
+	renderRecon(&out, s.Counters().Since(base).FTL)
 
 	renderFaults(&out, s)
 	renderState(&out, s)
 	renderFaultData(&out, s)
 	return out.String()
+}
+
+// renderRecon prints a run window's RAIN activity.
+func renderRecon(out *bytes.Buffer, w ftl.Stats) {
+	fmt.Fprintf(out, "  recon %d double %d parity %d\n", w.Reconstructions, w.DoubleFaults, w.ParityWrites)
 }
 
 // TestRAINReconstructGoldenEquivalence pins die-level RAIN: a fault-armed

@@ -87,17 +87,6 @@ type RunResult struct {
 	// Requests holds the count actually issued, not the configured budget.
 	StoppedEarly bool
 
-	// RAIN and patrol-scrub activity over the run (deltas of the FTL's
-	// lifetime counters): uncorrectable reads downgraded to latency events
-	// by stripe reconstruction, reconstructions that found a second dead
-	// stripe member and fell back to data loss, patrol scrub passes and the
-	// sub-pages they migrated, and the parity pages programmed.
-	Reconstructions uint64
-	DoubleFaults    uint64
-	ScrubRuns       uint64
-	ScrubMigrated   uint64
-	ParityWrites    uint64
-
 	// Power-loss outcome (RunConfig.PowerLossAt): whether the cut fired,
 	// how the flash resolved in-flight programs, and what mount-time
 	// recovery rebuilt. End excludes the mount scan; the system clock
@@ -160,7 +149,6 @@ func (s *System) Run(gen workload.Generator, rc RunConfig) (*RunResult, error) {
 	res.HostMemMB.Name = "host-mem-mb"
 
 	bytesRead0, bytesWritten0 := s.bytesRead, s.bytesWritten
-	ftlStats0 := s.FTL.Stats()
 	res.End = res.Start
 
 	// Event-driven closed loop: each of the `depth` jobs keeps one request
@@ -207,14 +195,6 @@ func (s *System) Run(gen workload.Generator, rc RunConfig) (*RunResult, error) {
 	e.Run()
 	res.Events = e.Dispatched()
 	res.DomainEvents = e.DomainStats()
-	// RAIN/scrub deltas come off the live FTL before a power-loss mount
-	// replaces it (the mounted FTL restarts its lifetime counters).
-	ftlStats := s.FTL.Stats()
-	res.Reconstructions = ftlStats.Reconstructions - ftlStats0.Reconstructions
-	res.DoubleFaults = ftlStats.DoubleFaults - ftlStats0.DoubleFaults
-	res.ScrubRuns = ftlStats.ScrubRuns - ftlStats0.ScrubRuns
-	res.ScrubMigrated = ftlStats.ScrubMigrated - ftlStats0.ScrubMigrated
-	res.ParityWrites = ftlStats.ParityWrites - ftlStats0.ParityWrites
 	if l.stopped {
 		res.StoppedEarly = true
 		res.Requests = l.issued

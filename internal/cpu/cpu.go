@@ -301,14 +301,6 @@ func (c *Complex) TotalEnergyJoules(elapsed sim.Duration) float64 {
 	return c.energyJ + c.pow.LeakageWPerCore*float64(c.cfg.Cores)*elapsed.Seconds()
 }
 
-// AveragePowerW returns average power over the elapsed window.
-func (c *Complex) AveragePowerW(elapsed sim.Duration) float64 {
-	if elapsed == 0 {
-		return 0
-	}
-	return c.TotalEnergyJoules(elapsed) / elapsed.Seconds()
-}
-
 // Mix builds an InstrMix from a total count and the firmware-typical
 // category fractions: ~25% loads, ~35% stores is the paper's dominant
 // load/store share; remaining instructions split across branches,

@@ -156,9 +156,6 @@ func TestEnergyAndPower(t *testing.T) {
 	if !approx(tot, wantTot, 1e-9) {
 		t.Fatalf("TotalEnergyJoules = %v, want %v", tot, wantTot)
 	}
-	if pw := c.AveragePowerW(sim.Second); !approx(pw, wantTot, 1e-9) {
-		t.Fatalf("AveragePowerW = %v", pw)
-	}
 }
 
 func TestUtilizationAndMIPS(t *testing.T) {

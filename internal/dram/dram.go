@@ -458,14 +458,6 @@ func (d *DRAM) TotalEnergyJoules(elapsed sim.Duration) float64 {
 	return e
 }
 
-// AveragePowerW returns average power over the elapsed window.
-func (d *DRAM) AveragePowerW(elapsed sim.Duration) float64 {
-	if elapsed == 0 {
-		return 0
-	}
-	return d.TotalEnergyJoules(elapsed) / elapsed.Seconds()
-}
-
 // DDR3L1600 returns a representative DDR3L-1600 configuration of the given
 // capacity, matching Table I's internal DRAM (1 channel, 1 rank, 8 banks).
 func DDR3L1600(capacity int64) Config {

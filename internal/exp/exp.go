@@ -1,8 +1,8 @@
 // Package exp regenerates every table and figure of the paper's
-// evaluation (§V): each Figure*/Table* function runs the corresponding
-// experiment on the simulator and returns a printable table with the same
-// rows/series the paper reports. cmd/amberbench and the root bench suite
-// are thin wrappers over this package.
+// evaluation (§V): each entry of All runs the corresponding experiment on
+// the simulator and returns a printable table with the same rows/series the
+// paper reports. cmd/amberbench and the root bench suite pick entries out of
+// All by ID.
 package exp
 
 import (
@@ -12,6 +12,7 @@ import (
 
 	"amber/internal/config"
 	"amber/internal/core"
+	"amber/internal/host"
 	"amber/internal/workload"
 )
 
@@ -82,7 +83,8 @@ func patterns() []workload.Pattern {
 	return []workload.Pattern{workload.SeqRead, workload.RandRead, workload.SeqWrite, workload.RandWrite}
 }
 
-// newSystem builds a preconditioned PC-platform system around the device.
+// newSystem builds a preconditioned system around the device: the PC
+// platform, unless mutate changes it. It is the one way exp builds a device.
 func newSystem(deviceName string, mutate func(*core.SystemConfig)) (*core.System, error) {
 	d, err := config.Device(deviceName)
 	if err != nil {
@@ -101,6 +103,9 @@ func newSystem(deviceName string, mutate func(*core.SystemConfig)) (*core.System
 	}
 	return s, nil
 }
+
+// mobileHost moves a system onto the handheld platform (Table II mobile).
+func mobileHost(c *core.SystemConfig) { c.Host = host.Mobile() }
 
 // runPoint measures one (pattern, depth) point.
 func runPoint(s *core.System, p workload.Pattern, blockSize, depth, n int) (*core.RunResult, error) {

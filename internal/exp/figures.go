@@ -46,14 +46,9 @@ func TableI(o Options) (*Table, error) {
 	return t, nil
 }
 
-// Figure3 compares the bandwidth-vs-depth curves of the four baseline
-// simulators with the real-device reference and Amber's full model
-// (the paper's motivation figure).
-func Figure3(o Options) (*Table, error) { return baselineFigure(o, newSweep(), false) }
-
-// Figure4 is the latency version of Figure3.
-func Figure4(o Options) (*Table, error) { return baselineFigure(o, newSweep(), true) }
-
+// baselineFigure compares the bandwidth-vs-depth curves of the four
+// baseline simulators with the real-device reference and Amber's full model
+// (Fig. 3, the paper's motivation figure); with latency it is Fig. 4.
 func baselineFigure(o Options, sw *sweep, latency bool) (*Table, error) {
 	id, title := "fig3", "Bandwidth (MB/s) vs I/O depth: existing simulators vs real device vs Amber"
 	format := f0
@@ -124,13 +119,9 @@ func refCurve(dev string, p workload.Pattern, latency bool) ([]float64, error) {
 	return refdata.Bandwidth(dev, p)
 }
 
-// Figure8 validates Amber's bandwidth curves against the four reference
-// devices and reports mean accuracy per pattern (paper Fig. 8).
-func Figure8(o Options) (*Table, error) { return validationFigure(o, newSweep(), false) }
-
-// Figure9 is the latency version (paper Fig. 9).
-func Figure9(o Options) (*Table, error) { return validationFigure(o, newSweep(), true) }
-
+// validationFigure validates Amber's bandwidth curves against the four
+// reference devices and reports mean accuracy per pattern (paper Fig. 8);
+// with latency it is Fig. 9.
 func validationFigure(o Options, sw *sweep, latency bool) (*Table, error) {
 	id, title := "fig8", "Amber vs real devices: bandwidth (MB/s) and accuracy"
 	if latency {
@@ -178,10 +169,8 @@ func validationFigure(o Options, sw *sweep, latency bool) (*Table, error) {
 	return t, nil
 }
 
-// Figure10 sweeps block size from 4 KiB to 1024 KiB at depth 32 and
+// blockSizeFigure sweeps block size from 4 KiB to 1024 KiB at depth 32 and
 // reports per-device error rates (paper Fig. 10).
-func Figure10(o Options) (*Table, error) { return blockSizeFigure(o, newSweep()) }
-
 func blockSizeFigure(o Options, sw *sweep) (*Table, error) {
 	t := &Table{ID: "fig10", Title: "Bandwidth (MB/s) vs block size at qd32, with error rates"}
 	t.Header = []string{"device", "pattern", "series"}
@@ -245,17 +234,8 @@ func Figure11(o Options) (*Table, error) {
 	err := forEach(o, len(bws), func(ti int) error {
 		bs := sizes[ti/len(ops)]
 		op := ops[ti%len(ops)]
-		d, err := config.Device("intel750")
+		s, err := newSystem("intel750", func(c *core.SystemConfig) { c.Device.OPRatio = op })
 		if err != nil {
-			return err
-		}
-		d.OPRatio = op
-		cfg := config.PCSystem(d)
-		s, err := core.NewSystem(cfg)
-		if err != nil {
-			return err
-		}
-		if err := s.Precondition(32); err != nil {
 			return err
 		}
 		// Stress: random overwrite of a quarter of the volume.
@@ -353,15 +333,8 @@ func Figure13a(o Options) (*Table, error) {
 	err := forEach(o, len(bw), func(ti int) error {
 		tp := traces[ti/len(devs)]
 		dev := devs[ti%len(devs)]
-		d, err := config.Device(dev)
+		s, err := newSystem(dev, mobileHost)
 		if err != nil {
-			return err
-		}
-		s, err := core.NewSystem(config.MobileSystem(d))
-		if err != nil {
-			return err
-		}
-		if err := s.Precondition(32); err != nil {
 			return err
 		}
 		gen, err := workload.NewTrace(tp, s.VolumeBytes(), 17)
@@ -399,41 +372,20 @@ func Figure13b(o Options) (*Table, error) {
 	devs := []string{"ufs", "mobile-nvme"}
 	rows := make([][]string, len(devs))
 	err := forEach(o, len(devs), func(di int) error {
-		d, err := config.Device(devs[di])
+		s, err := newSystem(devs[di], mobileHost)
 		if err != nil {
-			return err
-		}
-		s, err := core.NewSystem(config.MobileSystem(d))
-		if err != nil {
-			return err
-		}
-		if err := s.Precondition(32); err != nil {
 			return err
 		}
 		gen, err := workload.NewFIO(workload.RandRead, 4096, s.VolumeBytes(), 19)
 		if err != nil {
 			return err
 		}
-		cpu0 := s.DevCPU.EnergyJoules()
-		dram0 := s.DevDRAM.EnergyJoules()
-		nand0 := s.Flash.EnergyJoules()
+		base := s.Counters()
 		res, err := s.Run(gen, core.RunConfig{Requests: n, IODepth: 32})
 		if err != nil {
 			return err
 		}
-		el := res.Elapsed()
-		// Windowed power: dynamic-energy delta over the run, plus the
-		// components' background/leakage terms for the same window.
-		window := func(dyn0, dynNow, totalWindow, dynCum float64) float64 {
-			bg := totalWindow - dynCum // leakage/background charged for el
-			if bg < 0 {
-				bg = 0
-			}
-			return (dynNow - dyn0 + bg) / el.Seconds()
-		}
-		cpuW := window(cpu0, s.DevCPU.EnergyJoules(), s.DevCPU.TotalEnergyJoules(el), s.DevCPU.EnergyJoules())
-		dramW := window(dram0, s.DevDRAM.EnergyJoules(), s.DevDRAM.TotalEnergyJoules(el), s.DevDRAM.EnergyJoules())
-		nandW := window(nand0, s.Flash.EnergyJoules(), s.Flash.TotalEnergyJoules(el), s.Flash.EnergyJoules())
+		cpuW, dramW, nandW := s.WindowWatts(base, res.Elapsed())
 		rows[di] = []string{
 			s.Protocol().Kind.String(), fmt.Sprintf("%.2f", cpuW), fmt.Sprintf("%.2f", dramW),
 			fmt.Sprintf("%.2f", nandW), fmt.Sprintf("%.2f", cpuW+dramW+nandW),
@@ -463,18 +415,11 @@ func Figure13c(o Options) (*Table, error) {
 	devs := []string{"ufs", "mobile-nvme"}
 	runs := make([]devRun, len(devs))
 	err := forEach(o, len(devs), func(di int) error {
-		d, err := config.Device(devs[di])
+		s, err := newSystem(devs[di], mobileHost)
 		if err != nil {
 			return err
 		}
-		s, err := core.NewSystem(config.MobileSystem(d))
-		if err != nil {
-			return err
-		}
-		if err := s.Precondition(32); err != nil {
-			return err
-		}
-		base := s.DevCPU.Instructions()
+		base := s.Counters()
 		gen, err := workload.NewFIO(workload.RandRead, 4096, s.VolumeBytes(), 23)
 		if err != nil {
 			return err
@@ -483,14 +428,7 @@ func Figure13c(o Options) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		m := s.DevCPU.Instructions()
-		m.Branch -= base.Branch
-		m.Load -= base.Load
-		m.Store -= base.Store
-		m.Arith -= base.Arith
-		m.FP -= base.FP
-		m.Other -= base.Other
-		runs[di] = devRun{kind: s.Protocol().Kind.String(), m: m, el: res.Elapsed()}
+		runs[di] = devRun{kind: s.Protocol().Kind.String(), m: s.Counters().Since(base).Firmware, el: res.Elapsed()}
 		return nil
 	})
 	if err != nil {

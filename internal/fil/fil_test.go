@@ -67,7 +67,7 @@ func TestExecuteFullWritePlan(t *testing.T) {
 		t.Fatalf("programs = %d", fl.Stats().Programs)
 	}
 	// Read back through the FIL and verify contents.
-	locs, err := tr.Lookup(9)
+	locs, _, err := tr.LookupCertified(nil, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestGCPlanSurvivesDataIntegrity(t *testing.T) {
 	}
 	// All data must be intact after migrations.
 	for lspn, want := range content {
-		locs, err := tr.Lookup(lspn)
+		locs, _, err := tr.LookupCertified(nil, lspn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +264,7 @@ func TestExecuteOnEquivalence(t *testing.T) {
 	}
 	// Byte-for-byte read-back of every mapped super-page.
 	for lspn := int64(0); lspn < trSync.UserSuperPages(); lspn++ {
-		locs, err := trSync.Lookup(lspn)
+		locs, _, err := trSync.LookupCertified(nil, lspn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +279,7 @@ func TestExecuteOnEquivalence(t *testing.T) {
 			}
 			return got
 		}
-		locsD, err := trDef.Lookup(lspn)
+		locsD, _, err := trDef.LookupCertified(nil, lspn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,7 +382,7 @@ func TestCertifiedPlanEquivalence(t *testing.T) {
 	for lspn := int64(0); lspn < trFast.UserSuperPages(); lspn++ {
 		read := func(f *FIL, tr *ftl.FTL, at sim.Time) []byte {
 			t.Helper()
-			locs, err := tr.Lookup(lspn)
+			locs, _, err := tr.LookupCertified(nil, lspn)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -83,7 +83,7 @@ func TestReadCertFastPath(t *testing.T) {
 		t.Fatalf("CertDisarms = %d, want 0", got)
 	}
 	// The zero certificate (hand-built address lists) always walks.
-	locs, err := tr.Lookup(9)
+	locs, _, err := tr.LookupCertified(nil, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -233,7 +233,7 @@ func (c Cert) By(f *FTL) bool { return f != nil && c.issuer == f }
 // Seq returns the plan's position in the issuing FTL's plan sequence.
 func (c Cert) Seq() uint64 { return c.seq }
 
-// ReadCert certifies a Lookup result: while the FTL's mapping model is in
+// ReadCert certifies a LookupSubs result: while the FTL's mapping model is in
 // lockstep with the flash (the same invariant the plan-side Cert chain
 // maintains), "mapped ⇒ written" holds by construction — the FTL only maps
 // a sub-page when it plans the program for it, and certified plans execute
@@ -577,14 +577,6 @@ func (f *FTL) checkLSPN(lspn int64) error {
 	return nil
 }
 
-// Lookup returns the physical locations of the mapped sub-pages of lspn.
-// Unmapped sub-pages are omitted; reading an entirely unmapped super-page
-// returns an empty slice (the device returns zeroes).
-func (f *FTL) Lookup(lspn int64) ([]PageLoc, error) {
-	locs, _, err := f.LookupCertified(make([]PageLoc, 0, f.subCount), lspn)
-	return locs, err
-}
-
 // AllSubs returns 0..SubPagesPerSuperPage-1, the request for a whole
 // super-page (LookupSubs, the core's prefetch fills). Shared: callers must
 // not write to it.
@@ -628,7 +620,7 @@ func (f *FTL) LookupSubs(dst []PageLoc, lspn int64, subs []int) ([]PageLoc, Read
 }
 
 // LookupSub returns where sub-page sub of lspn lives and whether it is
-// mapped at all — the single-sub form of Lookup.
+// mapped at all — the single-sub form of LookupSubs.
 func (f *FTL) LookupSub(lspn int64, sub int) (PageLoc, bool) {
 	if f.checkLSPN(lspn) != nil || sub < 0 || sub >= f.subCount {
 		return PageLoc{}, false

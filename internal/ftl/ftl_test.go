@@ -138,7 +138,7 @@ func TestFullWriteMapsAllSubs(t *testing.T) {
 	if countOps(plan, OpWrite) != 4 || countOps(plan, OpRead) != 0 {
 		t.Fatalf("plan = %+v", plan)
 	}
-	locs, err := f.Lookup(5)
+	locs, _, err := f.LookupCertified(nil, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestFullWriteMapsAllSubs(t *testing.T) {
 
 func TestLookupUnmapped(t *testing.T) {
 	f := newTestFTL(t, nil)
-	locs, err := f.Lookup(3)
+	locs, _, err := f.LookupCertified(nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestLookupUnmapped(t *testing.T) {
 	if f.Mapped(3) {
 		t.Fatal("Mapped should be false")
 	}
-	if _, err := f.Lookup(999); err == nil {
+	if _, _, err := f.LookupCertified(nil, 999); err == nil {
 		t.Fatal("out-of-range LSPN accepted")
 	}
 }
@@ -178,11 +178,11 @@ func TestOverwriteInvalidatesOld(t *testing.T) {
 	if _, err := f.Write(0, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	old, _ := f.Lookup(1)
+	old, _, _ := f.LookupCertified(nil, 1)
 	if _, err := f.Write(1, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	niu, _ := f.Lookup(1)
+	niu, _, _ := f.LookupCertified(nil, 1)
 	if old[0] == niu[0] {
 		t.Fatal("overwrite did not move the mapping")
 	}
@@ -201,7 +201,7 @@ func TestPartialUpdateRemapsOnlyDirty(t *testing.T) {
 	if _, err := f.Write(0, 2, nil); err != nil {
 		t.Fatal(err)
 	}
-	before, _ := f.Lookup(2)
+	before, _, _ := f.LookupCertified(nil, 2)
 	dirty := []bool{true, false, false, true}
 	plan, err := f.Write(1, 2, dirty)
 	if err != nil {
@@ -213,7 +213,7 @@ func TestPartialUpdateRemapsOnlyDirty(t *testing.T) {
 	if countOps(plan, OpRead) != 0 {
 		t.Fatal("partial update must not pre-read")
 	}
-	after, _ := f.Lookup(2)
+	after, _, _ := f.LookupCertified(nil, 2)
 	// Sub 1 and 2 unchanged; sub 0 and 3 moved.
 	for _, l := range after {
 		switch l.Sub {
@@ -299,7 +299,7 @@ func TestGCTriggersAndPreservesMappings(t *testing.T) {
 	}
 	// Every LSPN still resolves to exactly 4 valid sub-pages.
 	for lspn := int64(0); lspn < f.UserSuperPages(); lspn++ {
-		locs, err := f.Lookup(lspn)
+		locs, _, err := f.LookupCertified(nil, lspn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,7 +384,7 @@ func TestTrim(t *testing.T) {
 		t.Fatal(err)
 	}
 	sb := func() int {
-		locs, _ := f.Lookup(7)
+		locs, _, _ := f.LookupCertified(nil, 7)
 		return locs[0].SB
 	}()
 	if err := f.Trim(7); err != nil {

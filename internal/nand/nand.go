@@ -779,14 +779,6 @@ func (f *Flash) TotalEnergyJoules(elapsed sim.Duration) float64 {
 	return f.EnergyJoules() + f.pow.LeakageWPerDie*float64(f.geo.TotalDies())*elapsed.Seconds()
 }
 
-// AveragePowerW returns average power over the elapsed simulated time.
-func (f *Flash) AveragePowerW(elapsed sim.Duration) float64 {
-	if elapsed == 0 {
-		return 0
-	}
-	return f.TotalEnergyJoules(elapsed) / elapsed.Seconds()
-}
-
 // EraseCount returns the erase count of the block containing a.
 func (f *Flash) EraseCount(a Address) uint32 {
 	return f.blocks[f.geo.BlockIndex(a)].eraseCount

@@ -376,9 +376,6 @@ func TestStatsAndEnergy(t *testing.T) {
 	if diff := tot - (wantDyn + 8e-3); diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("TotalEnergyJoules = %v", tot)
 	}
-	if p := f.AveragePowerW(sim.Second); p <= 0 {
-		t.Fatalf("AveragePowerW = %v", p)
-	}
 }
 
 // Property: the flash never loses or corrupts data across arbitrary valid

@@ -12,7 +12,7 @@
 //
 // The engine is the innermost loop of every experiment — the Fig. 16
 // simulation-speed claim lives or dies here — so it stores what it
-// dispatches and nothing else, laid out to make Schedule/Step
+// dispatches and nothing else, laid out to make ScheduleIn/AtIn/Step
 // allocation-free and cache-friendly in steady state:
 //
 //   - An event is {time, key, callback}, 24 bytes, and it lives inline in
@@ -51,7 +51,7 @@
 //     counted from the queue when DomainStats asks, not kept per event. The
 //     golden equivalence test and FuzzEngineOrder hold the order, and the
 //     counters after every operation, to an independent single-queue
-//     reference through random Schedule/Step/RunUntil/Run/Halt/Reset
+//     reference through random ScheduleIn/Step/RunUntil/Run/Halt/Reset
 //     interleavings, scheduling from inside callbacks and domains registered
 //     with events queued.
 //

@@ -6,11 +6,11 @@ import (
 )
 
 // DomainID names one scheduling domain of an Engine: a label an event is
-// scheduled under and counted by. The zero value is the default domain every
-// event lands in unless the caller schedules with ScheduleIn/AtIn.
+// scheduled under and counted by. Every schedule call names one
+// (ScheduleIn/AtIn); the zero value is the default domain.
 type DomainID int32
 
-// DefaultDomain is the domain Schedule and At use.
+// DefaultDomain is the domain every engine registers first, as "default".
 const DefaultDomain DomainID = 0
 
 // domainBits is the width of the domain label in an event's key.
@@ -104,13 +104,6 @@ func (e *Engine) Domain(name string) DomainID {
 	return id
 }
 
-// NumDomains returns the number of registered domains (including the
-// default one).
-func (e *Engine) NumDomains() int { return len(e.domains) }
-
-// DomainName returns the name of a registered domain.
-func (e *Engine) DomainName(dom DomainID) string { return e.domains[dom].name }
-
 // Kept for the frozen bench/replay.go, which calls it on every channel
 // domain (ROADMAP, "Pinned"): it checks that dom is registered and does
 // nothing else. The engine has one dispatch loop and no classes of domain.
@@ -167,29 +160,18 @@ func (e *Engine) Halt() { e.halted = true }
 // Halted reports whether Halt stopped the engine since the last Reset.
 func (e *Engine) Halted() bool { return e.halted }
 
-// Schedule queues fn to run after delay in the default domain. A zero
-// delay fires on the next Step at the current time, after previously
-// queued same-time events.
-func (e *Engine) Schedule(delay Duration, fn func()) {
-	e.AtIn(DefaultDomain, e.now+delay, fn)
-}
-
 // ScheduleIn queues fn to run after delay in the given domain. The domain
 // only selects the counter the dispatch is reported under; dispatch order
-// is the same for every placement.
+// is the same for every placement. A zero delay fires on the next Step at
+// the current time, after previously queued same-time events.
 func (e *Engine) ScheduleIn(dom DomainID, delay Duration, fn func()) {
 	e.AtIn(dom, e.now+delay, fn)
 }
 
-// At queues fn to run at absolute time t in the default domain.
-// Scheduling in the past is a programming error and panics: it would
-// silently reorder causality.
-func (e *Engine) At(t Time, fn func()) {
-	e.AtIn(DefaultDomain, t, fn)
-}
-
 // AtIn queues fn to run at absolute time t in the given domain. A queued
-// event cannot be withdrawn: it fires, or a Reset drops it.
+// event cannot be withdrawn: it fires, or a Reset drops it. Scheduling in
+// the past is a programming error and panics: it would silently reorder
+// causality.
 func (e *Engine) AtIn(dom DomainID, t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))

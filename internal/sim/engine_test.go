@@ -59,9 +59,9 @@ func TestTransferTime(t *testing.T) {
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.Schedule(30*Nanosecond, func() { order = append(order, 3) })
-	e.Schedule(10*Nanosecond, func() { order = append(order, 1) })
-	e.Schedule(20*Nanosecond, func() { order = append(order, 2) })
+	e.ScheduleIn(DefaultDomain, 30*Nanosecond, func() { order = append(order, 3) })
+	e.ScheduleIn(DefaultDomain, 10*Nanosecond, func() { order = append(order, 1) })
+	e.ScheduleIn(DefaultDomain, 20*Nanosecond, func() { order = append(order, 2) })
 	e.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("events out of order: %v", order)
@@ -76,7 +76,7 @@ func TestEngineFIFOAtSameTime(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(5*Nanosecond, func() { order = append(order, i) })
+		e.ScheduleIn(DefaultDomain, 5*Nanosecond, func() { order = append(order, i) })
 	}
 	e.Run()
 	for i, v := range order {
@@ -93,10 +93,10 @@ func TestEngineNestedScheduling(t *testing.T) {
 	rec = func() {
 		depth++
 		if depth < 100 {
-			e.Schedule(Nanosecond, rec)
+			e.ScheduleIn(DefaultDomain, Nanosecond, rec)
 		}
 	}
-	e.Schedule(0, rec)
+	e.ScheduleIn(DefaultDomain, 0, rec)
 	e.Run()
 	if depth != 100 {
 		t.Fatalf("depth = %d, want 100", depth)
@@ -111,7 +111,7 @@ func TestEngineRunUntil(t *testing.T) {
 	var fired []Time
 	for _, d := range []Time{5, 10, 15, 20} {
 		d := d
-		e.Schedule(d*Nanosecond, func() { fired = append(fired, d) })
+		e.ScheduleIn(DefaultDomain, d*Nanosecond, func() { fired = append(fired, d) })
 	}
 	e.RunUntil(12 * Nanosecond)
 	if len(fired) != 2 {
@@ -131,20 +131,20 @@ func TestEngineRunUntil(t *testing.T) {
 
 func TestEngineSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10*Nanosecond, func() {})
+	e.ScheduleIn(DefaultDomain, 10*Nanosecond, func() {})
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past should panic")
 		}
 	}()
-	e.At(5*Nanosecond, func() {})
+	e.AtIn(DefaultDomain, 5*Nanosecond, func() {})
 }
 
 func TestEngineDispatchedCount(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 7; i++ {
-		e.Schedule(Time(i), func() {})
+		e.ScheduleIn(DefaultDomain, Time(i), func() {})
 	}
 	e.Run()
 	if e.Dispatched() != 7 {
@@ -159,7 +159,7 @@ func TestEngineMonotonicProperty(t *testing.T) {
 		e := NewEngine()
 		var times []Time
 		for _, d := range delays {
-			e.Schedule(Time(d), func() { times = append(times, e.Now()) })
+			e.ScheduleIn(DefaultDomain, Time(d), func() { times = append(times, e.Now()) })
 		}
 		e.Run()
 		for i := 1; i < len(times); i++ {
@@ -321,8 +321,8 @@ func TestRNGBoolBias(t *testing.T) {
 func TestEngineReset(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	e.Schedule(5*Nanosecond, func() { fired = true })
-	e.Schedule(7*Nanosecond, func() { fired = true })
+	e.ScheduleIn(DefaultDomain, 5*Nanosecond, func() { fired = true })
+	e.ScheduleIn(DefaultDomain, 7*Nanosecond, func() { fired = true })
 	e.RunUntil(2 * Nanosecond)
 	e.Reset()
 	if e.Pending() != 0 || e.Now() != 0 {
@@ -334,7 +334,7 @@ func TestEngineReset(t *testing.T) {
 	}
 	// The engine is fully usable after Reset.
 	n := 0
-	e.Schedule(Nanosecond, func() { n++ })
+	e.ScheduleIn(DefaultDomain, Nanosecond, func() { n++ })
 	e.Run()
 	if n != 1 {
 		t.Fatal("engine unusable after Reset")
@@ -348,11 +348,11 @@ func TestEngineScheduleStepAllocFree(t *testing.T) {
 	fn := func() {}
 	// Warm the heap.
 	for i := 0; i < 64; i++ {
-		e.Schedule(Time(i), fn)
+		e.ScheduleIn(DefaultDomain, Time(i), fn)
 	}
 	e.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
-		e.Schedule(10*Nanosecond, fn)
+		e.ScheduleIn(DefaultDomain, 10*Nanosecond, fn)
 		e.Step()
 	})
 	if allocs != 0 {
@@ -367,7 +367,7 @@ func TestEngineStressRandomOrder(t *testing.T) {
 	fired := 0
 	const n = 5000
 	for i := 0; i < n; i++ {
-		e.Schedule(Time(rng.Intn(1000))*Nanosecond, func() {
+		e.ScheduleIn(DefaultDomain, Time(rng.Intn(1000))*Nanosecond, func() {
 			if e.Now() < prev {
 				t.Fatalf("time went backwards: %v after %v", e.Now(), prev)
 			}
@@ -385,7 +385,7 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	e := NewEngine()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.Schedule(Time(i%1000), func() {})
+		e.ScheduleIn(DefaultDomain, Time(i%1000), func() {})
 		if e.Pending() > 1024 {
 			e.RunUntil(e.Now() + 500)
 		}

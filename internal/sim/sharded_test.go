@@ -166,8 +166,8 @@ func TestEngineGoldenDispatchEquivalence(t *testing.T) {
 
 func TestEngineDomainRegistration(t *testing.T) {
 	e := NewEngine()
-	if e.NumDomains() != 1 || e.DomainName(DefaultDomain) != "default" {
-		t.Fatalf("fresh engine has %d domains (%q)", e.NumDomains(), e.DomainName(DefaultDomain))
+	if st := e.DomainStats(); len(st) != 1 || st[0].ID != DefaultDomain || st[0].Name != "default" {
+		t.Fatalf("fresh engine's domains: %+v", st)
 	}
 	a := e.Domain("nand.ch0")
 	b := e.Domain("nand.ch1")
@@ -180,8 +180,8 @@ func TestEngineDomainRegistration(t *testing.T) {
 	if e.Domain("default") != DefaultDomain {
 		t.Fatal("\"default\" must name the default domain")
 	}
-	if e.NumDomains() != 3 {
-		t.Fatalf("NumDomains = %d, want 3", e.NumDomains())
+	if st := e.DomainStats(); len(st) != 3 || st[a].Name != "nand.ch0" || st[b].Name != "nand.ch1" {
+		t.Fatalf("DomainStats = %+v, want default, nand.ch0, nand.ch1", st)
 	}
 }
 
@@ -219,7 +219,7 @@ func TestEngineDomainRegisteredWhileQueued(t *testing.T) {
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		e.Schedule(Duration(10+i)*Nanosecond, func() { order = append(order, i) })
+		e.ScheduleIn(DefaultDomain, Duration(10+i)*Nanosecond, func() { order = append(order, i) })
 	}
 	// Force tree growth past the next power of two with events in flight.
 	var doms []DomainID
@@ -243,7 +243,7 @@ func TestEngineDomainStats(t *testing.T) {
 	d := e.Domain("nand.ch0")
 	e.ScheduleIn(d, Nanosecond, func() {})
 	e.ScheduleIn(d, 2*Nanosecond, func() {})
-	e.Schedule(3*Nanosecond, func() {})
+	e.ScheduleIn(DefaultDomain, 3*Nanosecond, func() {})
 	st := e.DomainStats()
 	if len(st) != 2 {
 		t.Fatalf("DomainStats has %d entries", len(st))
