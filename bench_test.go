@@ -144,18 +144,6 @@ func BenchmarkAblation_NoComputationComplex(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_GCPolicy compares Greedy and Cost-Benefit victim
-// selection under steady-state random writes.
-func BenchmarkAblation_GCPolicy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		greedy := ablationBandwidth(b, workload.RandWrite, nil)
-		cb := ablationBandwidth(b, workload.RandWrite, func(d *core.DeviceConfig) {
-			d.GCPolicy = 1 // ftl.CostBenefit
-		})
-		b.ReportMetric(cb/greedy, "costbenefit-vs-greedy")
-	}
-}
-
 // BenchmarkEngineHotLoop measures raw engine throughput under
 // schedule/step churn at a pending-event population of the size the
 // bench-shaped runs hold (hotLoop below), the events labelled across the

@@ -145,7 +145,7 @@ func main() {
 		devices: len(devices), parallel: *parallel,
 		batchSubmit: *batchSub, trace: *trace != "",
 		powerLossAt: *powerLoss, scrubEvery: *scrubSpec, rain: *rainWidth,
-		snapshot: *snapPath, restore: *restPath, set: set,
+		snapshot: *snapPath, restore: *restPath, faultProfile: *faultProf, set: set,
 	}.validate()
 	if err != nil {
 		fatal(err)
@@ -407,6 +407,7 @@ type runFlags struct {
 	batchSubmit, trace         bool
 	powerLossAt, scrubEvery    string // durations as typed, "" = off
 	snapshot, restore          string
+	faultProfile               string          // as typed; "off" and "" draw no faults
 	set                        map[string]bool // flags given on the command line
 }
 
@@ -428,6 +429,10 @@ func (f runFlags) validate() (powerCut, scrubEvery sim.Duration, err error) {
 		}
 	} else if f.blockSize <= 0 {
 		return 0, 0, fmt.Errorf("bad -bs %d: want a positive block size", f.blockSize)
+	}
+	// Likewise a fault seed with no fault profile would seed nothing.
+	if f.set["fault-seed"] && (f.faultProfile == "off" || f.faultProfile == "") {
+		return 0, 0, errors.New("-fault-seed does not apply with -fault-profile off: no faults are drawn")
 	}
 	// The layers below clamp it to 1; a run at a depth nobody asked for is
 	// not what the report would say it was.

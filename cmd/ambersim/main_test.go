@@ -50,6 +50,7 @@ func TestRunFlagsValidate(t *testing.T) {
 		{"trace bs", with(func(f *runFlags) { f.trace, f.set = true, map[string]bool{"trace": true, "bs": true} }), "-bs does not apply with -trace", 0, 0},
 		{"trace bs=0", with(func(f *runFlags) { f.trace, f.blockSize, f.set = true, 0, map[string]bool{"trace": true, "bs": true} }), "-bs does not apply with -trace", 0, 0},
 		{"trace leaves bs unread", with(func(f *runFlags) { f.trace, f.blockSize = true, 0 }), "", 0, 0},
+		{"fault-seed without faults", with(func(f *runFlags) { f.faultProfile, f.set = "off", map[string]bool{"fault-seed": true} }), "-fault-seed does not apply with -fault-profile off", 0, 0},
 		{"good trace", with(func(f *runFlags) { f.trace, f.set = true, map[string]bool{"trace": true, "depth": true, "n": true} }), "", 0, 0},
 	}
 	for _, c := range cases {

@@ -15,9 +15,7 @@ import (
 
 	"amber/internal/cpu"
 	"amber/internal/dram"
-	"amber/internal/ftl"
 	"amber/internal/host"
-	"amber/internal/icl"
 	"amber/internal/nand"
 	"amber/internal/proto"
 	"amber/internal/sim"
@@ -73,10 +71,7 @@ func Intel750() core.DeviceConfig {
 		CPU:                defaultDevCPU(),
 		CPUPower:           cpu.DefaultPower(),
 		OPRatio:            0.20,
-		GCPolicy:           ftl.Greedy,
 		PartialUpdate:      true,
-		CacheAssoc:         icl.FullyAssoc,
-		CacheRepl:          icl.LRU,
 		ReadaheadThreshold: 2,
 		ReadaheadLines:     4,
 		Protocol:           proto.NVMe121(),

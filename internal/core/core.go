@@ -48,7 +48,6 @@ type DeviceConfig struct {
 
 	// FTL knobs.
 	OPRatio        float64
-	GCPolicy       ftl.GCPolicy
 	PartialUpdate  bool
 	WearLevelDelta uint32
 	// RAINWidth stripes user data across dies with one parity plane per
@@ -57,10 +56,9 @@ type DeviceConfig struct {
 	// members instead of losing data. Zero disables parity.
 	RAINWidth int
 
-	// ICL knobs. CacheLines == 0 sizes the cache to 70% of internal DRAM.
+	// ICL knobs: the cache is fully-associative LRU (icl). CacheLines == 0
+	// sizes it to 70% of internal DRAM.
 	CacheLines         int
-	CacheAssoc         icl.Assoc
-	CacheRepl          icl.Replacement
 	ReadaheadThreshold int
 	ReadaheadLines     int
 
@@ -217,7 +215,6 @@ func ftlConfigOf(d DeviceConfig) ftl.Config {
 	return ftl.Config{
 		Geometry:       d.Geometry,
 		OPRatio:        d.OPRatio,
-		GCPolicy:       d.GCPolicy,
 		PartialUpdate:  d.PartialUpdate,
 		WearLevelDelta: d.WearLevelDelta,
 		SpareBlocks:    d.SpareBlocks,
@@ -285,18 +282,9 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		Lines:              lines,
 		SubsPerLine:        subsPerLine,
 		SubSize:            subSize,
-		Assoc:              d.CacheAssoc,
-		Replacement:        d.CacheRepl,
 		ReadaheadThreshold: d.ReadaheadThreshold,
 		ReadaheadLines:     d.ReadaheadLines,
 		TrackData:          d.TrackData,
-		Seed:               d.Seed,
-	}
-	if cacheCfg.Assoc == icl.SetAssoc && cacheCfg.Ways == 0 {
-		cacheCfg.Ways = 4
-		for cacheCfg.Lines%cacheCfg.Ways != 0 {
-			cacheCfg.Ways--
-		}
 	}
 	cache, err := icl.New(cacheCfg)
 	if err != nil {

@@ -73,9 +73,10 @@ func TestSnapshotRestoreGoldenEquivalence(t *testing.T) {
 	img := snapshotImage(t, s)
 	want := snapshotTail(t, s) // the original continues
 	checkPin(t, "snapshot-tail", want)
-	// Version 5: the system header carries no per-fill-path counters.
-	if v := binary.LittleEndian.Uint32(img[8:12]); v != 5 || core.SnapshotVersion != 5 {
-		t.Fatalf("image carries format version %d, core.SnapshotVersion is %d, want 5", v, core.SnapshotVersion)
+	// Version 6: the icl section carries no set/way counts, RNG or
+	// insertion stamps.
+	if v := binary.LittleEndian.Uint32(img[8:12]); v != 6 || core.SnapshotVersion != 6 {
+		t.Fatalf("image carries format version %d, core.SnapshotVersion is %d, want 6", v, core.SnapshotVersion)
 	}
 
 	r := wideSystem(t)
@@ -159,6 +160,7 @@ func TestSnapshotLoaderFaults(t *testing.T) {
 		{"version-2", snap.Seal(2, fp, body), snap.ErrVersion},
 		{"version-3", snap.Seal(3, fp, body), snap.ErrVersion},
 		{"version-4", snap.Seal(4, fp, body), snap.ErrVersion},
+		{"version-5", snap.Seal(5, fp, body), snap.ErrVersion},
 		{"wrong-fingerprint", snap.Seal(core.SnapshotVersion, fp^0xdeadbeef, body), snap.ErrMismatch},
 		{"valid-frame-truncated-body", snap.Seal(core.SnapshotVersion, fp, body[:len(body)-16]), nil},
 		{"valid-frame-garbage-body", snap.Seal(core.SnapshotVersion, fp, bytes.Repeat([]byte{0xa5}, 64)), nil},
@@ -226,29 +228,26 @@ func section(walk func(*snap.Codec) error) []byte {
 }
 
 // rewriteCacheFrames re-encodes the frame records of an icl State section
-// with edit applied to each frame's tag and replacement stamps; the rest of
-// the section (clock, RNG, detector, statistics) is kept verbatim.
-func rewriteCacheFrames(section []byte, cfg icl.Config, edit func(frame int, lspn *int64, lastUse, inserted *uint64)) []byte {
-	frames := func(edit func(int, *int64, *uint64, *uint64)) []byte {
+// with edit applied to each frame's tag and LRU stamp; the rest of the
+// section (clock, detector, statistics) is kept verbatim.
+func rewriteCacheFrames(section []byte, cfg icl.Config, edit func(frame int, lspn *int64, lastUse *uint64)) []byte {
+	frames := func(edit func(int, *int64, *uint64)) []byte {
 		d, e := snap.Decoding(section), snap.Encoding()
-		nsets, ways := relayU(d, e), relayU(d, e)
-		for f := 0; f < int(nsets*ways); f++ {
+		for f := 0; f < cfg.Lines; f++ {
 			var lspn int64
 			snap.I(d, &lspn)
 			masks := make([]bool, 2*cfg.SubsPerLine+1) // valid/dirty pairs, prefetched
 			for i := range masks {
 				d.Bool(&masks[i])
 			}
-			var lastUse, inserted uint64
+			var lastUse uint64
 			snap.U(d, &lastUse)
-			snap.U(d, &inserted)
-			edit(f, &lspn, &lastUse, &inserted)
+			edit(f, &lspn, &lastUse)
 			snap.I(e, &lspn)
 			for i := range masks {
 				e.Bool(&masks[i])
 			}
 			snap.U(e, &lastUse)
-			snap.U(e, &inserted)
 			if cfg.TrackData {
 				var data []byte
 				d.Blob(&data)
@@ -259,21 +258,19 @@ func rewriteCacheFrames(section []byte, cfg icl.Config, edit func(frame int, lsp
 	}
 	// The encoding is canonical, so an unedited pass is as long as the
 	// frame records it read.
-	consumed := len(frames(func(int, *int64, *uint64, *uint64) {}))
+	consumed := len(frames(func(int, *int64, *uint64) {}))
 	return append(frames(edit), section[consumed:]...)
 }
 
 // TestSnapshotRefusesUnindexableCache: the cache finds lines through an
 // LSPN index, so an image whose frames the index cannot mirror — one LSPN
-// in two frames, a line outside the set its LSPN maps to, a frame stamped
-// ahead of the replacement clock — must be refused as corrupt rather than
-// restored into a device that answers differently from its own frames. The
-// target stays untouched, and the unedited image still restores.
+// in two frames, a frame stamped ahead of the LRU clock — must be refused
+// as corrupt rather than restored into a device that answers differently
+// from its own frames. The target stays untouched, and the unedited image
+// still restores.
 func TestSnapshotRefusesUnindexableCache(t *testing.T) {
 	build := func() *core.System {
-		d := config.SmallTestDevice()
-		d.CacheAssoc = icl.SetAssoc // 8 lines: 2 sets of 4 ways
-		s, err := core.NewSystem(config.PCSystem(d))
+		s, err := core.NewSystem(config.PCSystem(config.SmallTestDevice()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +290,7 @@ func TestSnapshotRefusesUnindexableCache(t *testing.T) {
 	if at < 0 {
 		t.Fatal("cache section not found in the image body")
 	}
-	seal := func(edit func(frame int, lspn *int64, lastUse, inserted *uint64)) []byte {
+	seal := func(edit func(frame int, lspn *int64, lastUse *uint64)) []byte {
 		b := append([]byte(nil), body[:at]...)
 		b = append(b, rewriteCacheFrames(cache, s.ICL.Config(), edit)...)
 		b = append(b, body[at+len(cache):]...)
@@ -302,28 +299,23 @@ func TestSnapshotRefusesUnindexableCache(t *testing.T) {
 	var first int64
 	cases := []struct {
 		name string
-		edit func(frame int, lspn *int64, lastUse, inserted *uint64)
+		edit func(frame int, lspn *int64, lastUse *uint64)
 	}{
-		{"lspn-in-two-frames", func(f int, lspn *int64, _, _ *uint64) {
+		{"lspn-in-two-frames", func(f int, lspn *int64, _ *uint64) {
 			if f == 0 {
 				first = *lspn
 			} else if f == 1 {
 				*lspn = first
 			}
 		}},
-		{"line-in-wrong-set", func(f int, lspn *int64, _, _ *uint64) {
-			if f == 0 {
-				*lspn++ // set 0 holds even LSPNs
-			}
-		}},
-		{"stamped-ahead-of-clock", func(f int, _ *int64, lastUse, _ *uint64) {
+		{"stamped-ahead-of-clock", func(f int, _ *int64, lastUse *uint64) {
 			if f == 2 {
 				*lastUse += 1 << 40
 			}
 		}},
 	}
 
-	if !bytes.Equal(seal(func(int, *int64, *uint64, *uint64) {}), img) {
+	if !bytes.Equal(seal(func(int, *int64, *uint64) {}), img) {
 		t.Fatal("an unedited rewrite does not reproduce the image")
 	}
 	target := build()
@@ -532,25 +524,21 @@ func FuzzSnapshotOpen(f *testing.F) {
 // imageScenarios are three small fixed devices whose images between them
 // reach every branch of the layout: plain, RAIN with a fault model that
 // draws on fresh blocks, and an h-type protocol (the HBA resource). sha256
-// is the image hash recorded for format version 5; rain-faults' was
-// re-recorded when flash energy moved to issue order (two float bytes and
-// the trailer moved, the layout did not), and all three when dead fields
-// left the configuration (only the configuration fingerprint, bytes 12-19,
-// and the trailer moved).
+// is the image hash recorded for format version 6.
 var imageScenarios = []struct {
 	name   string
 	mutate func(*core.DeviceConfig)
 	sha256 string
 }{
 	{"plain", func(*core.DeviceConfig) {},
-		"30da555bafba8613caefe81a31e506ab97f9569e2f11df424427186e5171d5e4"},
+		"eb69558c9873cba7fa0d38c31b1ceeae49dc33f124d9c37e30e29303bdd306fe"},
 	{"rain-faults", func(d *core.DeviceConfig) {
 		d.RAINWidth = 3
 		d.Faults, _ = config.FaultProfile("wearout", 5)
 		d.Faults.WearEraseLimit = 0 // draw on fresh blocks: the short run wears none out
-	}, "8fb1ce90ed9092987177d501dbabeef0ab810e65ac278517f760ce6f09899174"},
+	}, "60730eb6156a0436bc31bc2195ef9ffe3b23fede25041c6b73b721cdef9a6639"},
 	{"h-type", func(d *core.DeviceConfig) { d.Protocol = proto.SATA30() },
-		"23ff1c3a394cb7236c33850f992c8691d1ac22284cf5b1464af8b3302921d2b1"},
+		"771b071e3f4aff2e0af6a74e3b53cf05b0aeb497f3e174e6c578c428ca210e0c"},
 }
 
 // scenarioSystem builds SmallTestDevice with mutate applied and, when run

@@ -27,8 +27,11 @@ import (
 // byte-serial FNV-1a — same field, different value, so an older image's
 // tracked pages would all fail VerifyPage. Version 5: the system header lost
 // its two per-fill-path install counters when the fill paths became one.
-// Images of versions 2 to 4 are refused with snap.ErrVersion.
-const SnapshotVersion = 5
+// Version 6: the icl section lost its set and way counts, its replacement
+// RNG and every frame's insertion stamp when the cache became
+// fully-associative LRU only. Images of versions 2 to 5 are refused with
+// snap.ErrVersion.
+const SnapshotVersion = 6
 
 // configFingerprint hashes the full system configuration: an image restores
 // only onto a device built from byte-identical knobs, because every decoder

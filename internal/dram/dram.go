@@ -1,17 +1,17 @@
 // Package dram models the SSD's internal DRAM and memory controller: DDR
-// timing (tCL/tRCD/tRP), per-bank row-buffer state with open-page and
-// close-page policies, bank interleaving, data-bus contention, a
-// DRAMPower-style energy model with active-standby and power-down
-// states, and a capacity accountant used by the firmware for cached data,
-// metadata and mapping tables (§III-B).
+// timing (tCL/tRCD/tRP), per-bank row-buffer state under an open-page
+// policy (a row stays open until its bank needs another), bank
+// interleaving, data-bus contention, a DRAMPower-style energy model with
+// active-standby and power-down states, and a capacity accountant used by
+// the firmware for cached data, metadata and mapping tables (§III-B).
 //
 // Timing is per burst, computed per row-run. An access is a train of
 // bursts; successive bursts stay in one (bank, row) until the address
 // crosses a row boundary, and the k bursts of such a run all queue at the
-// access time `now`: each claims its bank (the first for a — hit, miss or
-// close-page latency — the others for h) and then the channel's data bus
-// for the burst time bt. Access does not walk the bursts; per run it
-// applies the walk's exact integer closed form (sim.Resource.ClaimRun):
+// access time `now`: each claims its bank (the first for a — hit or miss
+// latency — the others for h) and then the channel's data bus for the burst
+// time bt. Access does not walk the bursts; per run it applies the walk's
+// exact integer closed form (sim.Resource.ClaimRun):
 //
 //	bankReady₀ = max(now, bank.freeAt) + a
 //	bank.freeAt = bankReady₀ + (k-1)·h
@@ -59,26 +59,6 @@ import (
 // accesses and write-back completions.
 const Domain = "icl.dram"
 
-// PagePolicy selects the controller's row-buffer management policy.
-type PagePolicy int
-
-// Row-buffer policies.
-const (
-	// OpenPage keeps rows open after access, betting on locality: row hits
-	// cost tCL, conflicts cost tRP+tRCD+tCL.
-	OpenPage PagePolicy = iota
-	// ClosePage precharges after every access: every access costs tRCD+tCL
-	// with the precharge hidden.
-	ClosePage
-)
-
-func (p PagePolicy) String() string {
-	if p == ClosePage {
-		return "close-page"
-	}
-	return "open-page"
-}
-
 // Config describes the DRAM organization and timing (Table I: 1 GB, one
 // channel/rank, 8 banks, 4 chips, 8-bit chip bus → 32-bit channel).
 type Config struct {
@@ -91,7 +71,6 @@ type Config struct {
 	BurstLength     int     // transfers per burst (DDR3: 8)
 	CL, RCD, RP     int     // CAS latency, RAS-to-CAS, precharge, in cycles
 	RowBytes        int     // row-buffer size per bank
-	Policy          PagePolicy
 }
 
 // Validate reports descriptive configuration errors.
@@ -178,7 +157,6 @@ type DRAM struct {
 	burstTime  sim.Duration // data-bus occupancy of one burst
 	hitDur     sim.Duration // CL: column access to an open row
 	missDur    sim.Duration // RP+RCD+CL: precharge, activate, column access
-	closeDur   sim.Duration // RCD+CL: close-page access, precharge hidden
 
 	used int64 // capacity accountant
 
@@ -203,7 +181,6 @@ func New(cfg Config, pow Power) (*DRAM, error) {
 		rowBursts:  (int64(cfg.RowBytes) + int64(cfg.BurstBytes()) - 1) / int64(cfg.BurstBytes()),
 		hitDur:     sim.Duration(cfg.CL) * ct,
 		missDur:    sim.Duration(cfg.RP+cfg.RCD+cfg.CL) * ct,
-		closeDur:   sim.Duration(cfg.RCD+cfg.CL) * ct,
 	}
 	d.passBursts = math.MaxInt64
 	if int64(cfg.RowBytes)%d.burstBytes == 0 {
@@ -288,14 +265,9 @@ func (d *DRAM) Access(now sim.Time, addr int64, n int, write bool) sim.Time {
 		}
 		// first is the run's first access, rest each of the k-1 that follow.
 		first, rest := d.hitDur, d.hitDur
-		switch {
-		case d.cfg.Policy == ClosePage:
-			// Every burst pays the activate; no row state to carry.
-			first, rest = d.closeDur, d.closeDur
-			d.stats.Activates += uint64(k)
-		case bk.openRow == row:
+		if bk.openRow == row {
 			d.stats.RowHits += uint64(k)
-		default:
+		} else {
 			// The first burst resolves the row buffer; the remaining k-1
 			// are hits by construction.
 			first = d.missDur
@@ -340,10 +312,10 @@ func (d *DRAM) Access(now sim.Time, addr int64, n int, write bool) sim.Time {
 // running them one by one through Access's per-run code, in O(banks).
 //
 // Per bank, the first pass is a hit when its row is the open one and a miss
-// otherwise; every later pass is one row on, so a miss and k−1 hits (close
-// page: k activates each). Its claims all queue at now, so every one after
-// the first finds the bank busy and adds: the bank's ready time in pass t is
-// ready₀ + t·period, linear in t, and its busy time and claims are sums.
+// otherwise; every later pass is one row on, so a miss and k−1 hits. Its
+// claims all queue at now, so every one after the first finds the bank busy
+// and adds: the bank's ready time in pass t is ready₀ + t·period, linear in
+// t, and its busy time and claims are sums.
 // Each bus sees its banks' runs in pass order, each run "end = max(end +
 // k·bt, ready + runBus)" (sim.Resource.ClaimRun), so after N runs its end is
 // the larger of "the backlog never drains" (freeAt + N·k·bt) and, over every
@@ -357,9 +329,6 @@ func (d *DRAM) passes(now sim.Time, s int, row int64, p int64) sim.Time {
 	// rest is every burst of a run after its first; again is the first of a
 	// bank's every pass after its first.
 	rest, again := d.hitDur, d.missDur
-	if d.cfg.Policy == ClosePage {
-		rest, again = d.closeDur, d.closeDur
-	}
 	n := sim.Duration(p)
 	period := again + (k-1)*rest
 	runBus := max(k*bt, (k-1)*rest+bt)
@@ -378,19 +347,14 @@ func (d *DRAM) passes(now sim.Time, s int, row int64, p int64) sim.Time {
 				i, r = i-nb, r+1
 			}
 			bk := &d.banks[i]
-			first := again
-			if d.cfg.Policy == ClosePage {
-				d.stats.Activates += uint64(p) * uint64(k)
-			} else {
-				misses := uint64(p)
-				if bk.openRow == r {
-					first, misses = rest, misses-1
-				}
-				d.stats.RowHits += uint64(p)*uint64(k-1) + uint64(p) - misses
-				d.stats.RowMisses += misses
-				d.stats.Activates += misses
-				bk.openRow = r + p - 1
+			first, misses := again, uint64(p)
+			if bk.openRow == r {
+				first, misses = rest, misses-1
 			}
+			d.stats.RowHits += uint64(p)*uint64(k-1) + uint64(p) - misses
+			d.stats.RowMisses += misses
+			d.stats.Activates += misses
+			bk.openRow = r + p - 1
 			_, ready := bk.res.Claim(now, first)
 			bk.res.ClaimRun(now, 0, rest, int(p*int64(k-1)))
 			bk.res.ClaimRun(now, 0, again, int(p-1))
@@ -471,7 +435,6 @@ func DDR3L1600(capacity int64) Config {
 		BurstLength:     8,
 		CL:              11, RCD: 11, RP: 11,
 		RowBytes: 2048,
-		Policy:   OpenPage,
 	}
 }
 

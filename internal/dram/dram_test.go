@@ -7,11 +7,9 @@ import (
 	"amber/internal/sim"
 )
 
-func newTestDRAM(t *testing.T, policy PagePolicy) *DRAM {
+func newTestDRAM(t *testing.T) *DRAM {
 	t.Helper()
-	cfg := DDR3L1600(1 << 30)
-	cfg.Policy = policy
-	d, err := New(cfg, DefaultPower())
+	d, err := New(DDR3L1600(1<<30), DefaultPower())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +54,7 @@ func TestDerivedQuantities(t *testing.T) {
 }
 
 func TestOpenPageHitFasterThanMiss(t *testing.T) {
-	d := newTestDRAM(t, OpenPage)
+	d := newTestDRAM(t)
 	// First access: row miss (activate).
 	t0 := sim.Time(0)
 	done1 := d.Access(t0, 0, 32, false)
@@ -74,23 +72,10 @@ func TestOpenPageHitFasterThanMiss(t *testing.T) {
 	}
 }
 
-func TestClosePageConstantLatency(t *testing.T) {
-	d := newTestDRAM(t, ClosePage)
-	l1 := d.Access(0, 0, 32, false) - 0
-	t1 := sim.FromMicroseconds(10)
-	l2 := d.Access(t1, 0, 32, false) - t1
-	if l1 != l2 {
-		t.Fatalf("close-page latencies differ: %v vs %v", l1, l2)
-	}
-	if d.Stats().RowHits != 0 {
-		t.Fatal("close-page should record no row hits")
-	}
-}
-
 func TestLargeAccessUsesMultipleBursts(t *testing.T) {
-	d := newTestDRAM(t, OpenPage)
+	d := newTestDRAM(t)
 	small := d.Access(0, 0, 32, false) - 0
-	d2 := newTestDRAM(t, OpenPage)
+	d2 := newTestDRAM(t)
 	big := d2.Access(0, 0, 4096, false) - 0
 	if big <= small {
 		t.Fatalf("4KB access (%v) should take longer than one burst (%v)", big, small)
@@ -124,7 +109,7 @@ func TestBankInterleavingParallelism(t *testing.T) {
 }
 
 func TestReserveRelease(t *testing.T) {
-	d := newTestDRAM(t, OpenPage)
+	d := newTestDRAM(t)
 	if err := d.Reserve(1 << 29); err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +126,7 @@ func TestReserveRelease(t *testing.T) {
 }
 
 func TestEnergyAccounting(t *testing.T) {
-	d := newTestDRAM(t, OpenPage)
+	d := newTestDRAM(t)
 	d.Access(0, 0, 32, false)                      // 1 ACT + 1 RD burst
 	d.Access(sim.FromMicroseconds(1), 0, 32, true) // row hit + 1 WR burst
 	p := DefaultPower()
@@ -156,7 +141,7 @@ func TestEnergyAccounting(t *testing.T) {
 }
 
 func TestRowHitRate(t *testing.T) {
-	d := newTestDRAM(t, OpenPage)
+	d := newTestDRAM(t)
 	d.Access(0, 0, 32, false)
 	d.Access(sim.Microsecond, 0, 32, false)
 	d.Access(2*sim.Microsecond, 0, 32, false)
@@ -167,7 +152,7 @@ func TestRowHitRate(t *testing.T) {
 }
 
 func TestZeroByteAccessIsFree(t *testing.T) {
-	d := newTestDRAM(t, OpenPage)
+	d := newTestDRAM(t)
 	if done := d.Access(5, 0, 0, false); done != 5 {
 		t.Fatalf("zero-byte access advanced time to %v", done)
 	}
@@ -179,7 +164,7 @@ func TestZeroByteAccessIsFree(t *testing.T) {
 // Property: completion time is never before submission and bytes accounting
 // matches requests.
 func TestAccessMonotonicProperty(t *testing.T) {
-	d := newTestDRAM(t, OpenPage)
+	d := newTestDRAM(t)
 	f := func(addr uint32, n uint16, write bool, gap uint16) bool {
 		now := d.busyUntil + sim.Time(gap)
 		nb := int(n%8192) + 1

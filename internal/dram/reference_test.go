@@ -55,16 +55,10 @@ func (r *refDRAM) access(now sim.Time, addr int64, n int, write bool) sim.Time {
 		bi := int(row % int64(len(r.banks)))
 		row /= int64(len(r.banks))
 		var access sim.Duration
-		switch {
-		case r.cfg.Policy == ClosePage:
-			access = sim.Duration(r.cfg.RCD+r.cfg.CL) * ct
-			r.stats.Activates++
-			r.energyJ += r.pow.ActEnergyJ
-			r.adds++
-		case r.openRow[bi] == row:
+		if r.openRow[bi] == row {
 			access = sim.Duration(r.cfg.CL) * ct
 			r.stats.RowHits++
-		default:
+		} else {
 			access = sim.Duration(r.cfg.RP+r.cfg.RCD+r.cfg.CL) * ct
 			r.stats.RowMisses++
 			r.stats.Activates++
@@ -132,8 +126,8 @@ func accessBoth(t *testing.T, step int, d *DRAM, ref *refDRAM, now sim.Time, add
 
 // TestAccessMatchesPerBurstReference drives random access streams — 1 B to
 // two cache lines, unaligned addresses, reads and writes, idle gaps and
-// pile-ups — through Access and the per-burst reference, for both page
-// policies, one and two channels, bank service both slower and faster than
+// pile-ups — through Access and the per-burst reference, for one and two
+// channels, bank service both slower and faster than
 // the bus, and six organizations: the DDR3L one, and bank counts and row
 // sizes that are no powers of two — 6 banks; 3 banks of 1000-byte rows, which
 // bursts straddle; 5 banks of 24-byte rows, smaller than a burst, so a
@@ -151,84 +145,82 @@ func accessBoth(t *testing.T, step int, d *DRAM, ref *refDRAM, now sim.Time, add
 func TestAccessMatchesPerBurstReference(t *testing.T) {
 	const lineBytes = 120 * 8192
 	for _, org := range []struct{ banks, rowBytes int }{{8, 2048}, {6, 2048}, {3, 1000}, {5, 24}, {5, 2048}, {7, 96}} {
-		for _, policy := range []PagePolicy{OpenPage, ClosePage} {
-			for _, channels := range []int{1, 2} {
-				for _, cl := range []int{11, 2} { // CL 11: h > bt; CL 2: h < bt
-					name, steps := fmt.Sprintf("%v/ch%d/cl%d", policy, channels, cl), 400
-					if org.banks != 8 || org.rowBytes != 2048 {
-						name, steps = name+fmt.Sprintf("/%dx%d", org.banks, org.rowBytes), 150
-					}
-					t.Run(name, func(t *testing.T) {
-						cfg := DDR3L1600(1 << 30)
-						cfg.BanksPerRank, cfg.RowBytes = org.banks, org.rowBytes
-						cfg.Policy, cfg.Channels, cfg.CL = policy, channels, cl
-						d, err := New(cfg, DefaultPower())
-						if err != nil {
-							t.Fatal(err)
-						}
-						ref := newRefDRAM(cfg, DefaultPower())
-						rng := sim.NewRNG(uint64(7 + 31*channels + cl))
-						now := sim.Time(0)
-						for step := 0; step < steps; step++ {
-							var n int
-							switch rng.Intn(4) {
-							case 0:
-								n = 1 + rng.Intn(64)
-							case 1:
-								n = 1 + rng.Intn(8192)
-							case 2:
-								n = 4096
-							default:
-								n = 1 + rng.Intn(2*lineBytes)
-							}
-							addr := int64(rng.Intn(1<<30 - 2*lineBytes))
-							if rng.Intn(3) == 0 {
-								addr &^= 4095
-							}
-							write := rng.Intn(2) == 0
-							// Mostly pile onto busy banks; sometimes let them drain.
-							switch rng.Intn(4) {
-							case 0:
-								now += sim.Time(rng.Intn(2_000_000))
-							case 1:
-								now = sim.MaxOf(now, d.busyUntil) + sim.Time(rng.Intn(1000))
-							}
-							accessBoth(t, step, d, ref, now, addr, n, write)
-						}
-						rowBytes, burst := int64(org.rowBytes), cfg.BurstBytes()
-						for b := range d.banks {
-							for _, off := range []int64{int64(rng.Intn(burst)) % rowBytes, int64(rng.Intn(org.rowBytes))} {
-								row := int64(rng.Intn(1 << 12))
-								if open := d.banks[b].openRow; open >= 0 && rng.Intn(2) == 0 {
-									row = open
-								}
-								addr := (row*int64(len(d.banks))+int64(b))*rowBytes + off
-								now += sim.Time(rng.Intn(1_000_000))
-								accessBoth(t, steps+b, d, ref, now, addr, 1+rng.Intn(8*lineBytes), rng.Intn(2) == 0)
-							}
-						}
-					})
+		for _, channels := range []int{1, 2} {
+			for _, cl := range []int{11, 2} { // CL 11: h > bt; CL 2: h < bt
+				name, steps := fmt.Sprintf("open-page/ch%d/cl%d", channels, cl), 400
+				if org.banks != 8 || org.rowBytes != 2048 {
+					name, steps = name+fmt.Sprintf("/%dx%d", org.banks, org.rowBytes), 150
 				}
+				t.Run(name, func(t *testing.T) {
+					cfg := DDR3L1600(1 << 30)
+					cfg.BanksPerRank, cfg.RowBytes = org.banks, org.rowBytes
+					cfg.Channels, cfg.CL = channels, cl
+					d, err := New(cfg, DefaultPower())
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref := newRefDRAM(cfg, DefaultPower())
+					rng := sim.NewRNG(uint64(7 + 31*channels + cl))
+					now := sim.Time(0)
+					for step := 0; step < steps; step++ {
+						var n int
+						switch rng.Intn(4) {
+						case 0:
+							n = 1 + rng.Intn(64)
+						case 1:
+							n = 1 + rng.Intn(8192)
+						case 2:
+							n = 4096
+						default:
+							n = 1 + rng.Intn(2*lineBytes)
+						}
+						addr := int64(rng.Intn(1<<30 - 2*lineBytes))
+						if rng.Intn(3) == 0 {
+							addr &^= 4095
+						}
+						write := rng.Intn(2) == 0
+						// Mostly pile onto busy banks; sometimes let them drain.
+						switch rng.Intn(4) {
+						case 0:
+							now += sim.Time(rng.Intn(2_000_000))
+						case 1:
+							now = sim.MaxOf(now, d.busyUntil) + sim.Time(rng.Intn(1000))
+						}
+						accessBoth(t, step, d, ref, now, addr, n, write)
+					}
+					rowBytes, burst := int64(org.rowBytes), cfg.BurstBytes()
+					for b := range d.banks {
+						for _, off := range []int64{int64(rng.Intn(burst)) % rowBytes, int64(rng.Intn(org.rowBytes))} {
+							row := int64(rng.Intn(1 << 12))
+							if open := d.banks[b].openRow; open >= 0 && rng.Intn(2) == 0 {
+								row = open
+							}
+							addr := (row*int64(len(d.banks))+int64(b))*rowBytes + off
+							now += sim.Time(rng.Intn(1_000_000))
+							accessBoth(t, steps+b, d, ref, now, addr, 1+rng.Intn(8*lineBytes), rng.Intn(2) == 0)
+						}
+					}
+				})
 			}
 		}
 	}
 }
 
 // FuzzAccessMatchesReference draws an organization — 1 to 9 banks a rank, 1
-// to 3 channels, rows of whole bursts or not (24 to 2048 bytes), CL 1 to 16,
-// either page policy — and up to 64 accesses from the fuzz bytes, and holds
+// to 3 channels, rows of whole bursts or not (24 to 2048 bytes), CL 1 to 16
+// — and up to 64 accesses from the fuzz bytes, and holds
 // Access to the per-burst reference after every one. Seven bytes an access:
 // three of address over 64 rows a bank (rows come back, and with them open
 // rows), three of length up to 16 whole passes and two rows, and one of
 // direction, clock and "the previous address again" (re-reading a region
 // whose rows are open: the first pass hits).
 func FuzzAccessMatchesReference(f *testing.F) {
-	f.Add([]byte{7, 0, 7, 10, 0, 0, 0, 0, 0, 255, 255, 0, 0, 0, 0, 0, 0, 255, 255, 0, 8})
-	f.Add([]byte{2, 1, 3, 1, 1, 16, 0, 0, 1, 2, 3, 9, 8, 0, 9, 8, 7, 6, 5, 4, 2})
-	f.Add([]byte{4, 0, 4, 3, 0, 100, 0, 0, 0, 16, 0, 0, 200, 0, 0, 255, 255, 255, 10, 0, 0, 0, 1, 0, 0, 12})
+	f.Add([]byte{7, 0, 7, 10, 0, 0, 0, 0, 255, 255, 0, 0, 0, 0, 0, 0, 255, 255, 0, 8})
+	f.Add([]byte{2, 1, 3, 1, 16, 0, 0, 1, 2, 3, 9, 8, 0, 9, 8, 7, 6, 5, 4, 2})
+	f.Add([]byte{4, 0, 4, 3, 100, 0, 0, 0, 16, 0, 0, 200, 0, 0, 255, 255, 255, 10, 0, 0, 0, 1, 0, 0, 12})
 	rowSizes := []int{24, 32, 64, 96, 100, 160, 1000, 2048}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 5 {
+		if len(data) < 4 {
 			return
 		}
 		cfg := DDR3L1600(1 << 30)
@@ -236,9 +228,6 @@ func FuzzAccessMatchesReference(f *testing.F) {
 		cfg.Channels = 1 + int(data[1]%3)
 		cfg.RowBytes = rowSizes[data[2]%8]
 		cfg.CL = 1 + int(data[3]%16)
-		if data[4]&1 != 0 {
-			cfg.Policy = ClosePage
-		}
 		d, err := New(cfg, DefaultPower())
 		if err != nil {
 			t.Fatal(err)
@@ -248,7 +237,7 @@ func FuzzAccessMatchesReference(f *testing.F) {
 		span := 64 * int64(cfg.TotalBanks()) * rowBytes
 		maxN := 16*int64(cfg.TotalBanks())*rowBytes + 2*rowBytes
 		now, addr := sim.Time(0), int64(0)
-		data = data[5:]
+		data = data[4:]
 		for step := 0; step < 64 && len(data) >= 7; step++ {
 			a := int64(data[0]) | int64(data[1])<<8 | int64(data[2])<<16
 			n := int64(data[3]) | int64(data[4])<<8 | int64(data[5])<<16

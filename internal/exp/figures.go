@@ -672,9 +672,9 @@ func TableIV(o Options) (*Table, error) {
 		{"storage complex w/ transaction timing", "yes", "nand, fil"},
 		{"super-page/super-block striping", "yes", "ftl"},
 		{"ISPP latency variation", "yes", "nand.Timing.ISPPJitter"},
-		{"configurable cache + readahead", "yes", "icl"},
+		{"fully-associative LRU cache + readahead", "yes", "icl"},
 		{"page-level mapping + partial update", "yes", "ftl"},
-		{"GC greedy/cost-benefit + wear-leveling", "yes", "ftl"},
+		{"greedy GC + wear-leveling", "yes", "ftl"},
 		{"CPU/DRAM/NAND power + energy", "yes", "cpu, dram, nand"},
 		{"dynamic firmware execution accounting", "yes", "cpu.InstrMix"},
 		{"queue arbitration (FIFO/RR/WRR)", "no", "proto.Params.EffectiveQueueDepth, Host.DepthCap"},

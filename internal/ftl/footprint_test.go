@@ -40,7 +40,6 @@ func TestFTLMetadataFootprint(t *testing.T) {
 		f, err := ftl.New(ftl.Config{
 			Geometry:       d.Geometry,
 			OPRatio:        d.OPRatio,
-			GCPolicy:       d.GCPolicy,
 			PartialUpdate:  d.PartialUpdate,
 			WearLevelDelta: d.WearLevelDelta,
 			SpareBlocks:    d.SpareBlocks,

@@ -1,8 +1,8 @@
 // Package ftl implements the flash translation layer of Amber's firmware
 // stack (§II-B, §III-B): super-page-granular page-level mapping, reserved
-// blocks with a configurable over-provisioning ratio, garbage collection
-// with Greedy and Cost-Benefit victim selection, dynamic and static
-// wear-leveling, and the §IV-C partial-update optimization that remaps
+// blocks with a configurable over-provisioning ratio, greedy garbage
+// collection (the victim is the super-block with the fewest valid
+// sub-pages), dynamic and static wear-leveling, and the §IV-C partial-update optimization that remaps
 // sub-pages of a super-page individually instead of read-modify-writing the
 // whole stripe.
 //
@@ -28,25 +28,6 @@ import (
 // errors.Is.
 var ErrReadOnly = errors.New("ftl: device is read-only (grown bad blocks exhausted spare reserve)")
 
-// GCPolicy selects the garbage-collection victim scoring.
-type GCPolicy int
-
-// Victim-selection policies.
-const (
-	// Greedy picks the super-block with the fewest valid sub-pages [41].
-	Greedy GCPolicy = iota
-	// CostBenefit weighs reclaimable space against migration cost and block
-	// age [42]: score = (1-u)/(2u) * age.
-	CostBenefit
-)
-
-func (p GCPolicy) String() string {
-	if p == CostBenefit {
-		return "cost-benefit"
-	}
-	return "greedy"
-}
-
 // gcFreeThreshold triggers GC when free super-blocks drop to or below it:
 // at least 2 are needed so GC always has an open block to migrate into.
 const gcFreeThreshold = 2
@@ -57,8 +38,6 @@ type Config struct {
 	// OPRatio is the fraction of super-blocks reserved as over-provisioning
 	// (paper default 20%, Fig. 11 sweeps 5-20%).
 	OPRatio float64
-	// GCPolicy selects victim scoring.
-	GCPolicy GCPolicy
 	// PartialUpdate enables the §IV-C super-page hashmap optimization:
 	// sub-page writes are remapped individually rather than triggering a
 	// read-modify-write of the whole super-page.

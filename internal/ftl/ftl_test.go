@@ -23,7 +23,6 @@ func testConfig() Config {
 	return Config{
 		Geometry:      testGeometry(),
 		OPRatio:       0.25,
-		GCPolicy:      Greedy,
 		PartialUpdate: true,
 	}
 }
@@ -435,39 +434,6 @@ func TestWearLevelingBoundsSpread(t *testing.T) {
 	}
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCostBenefitPrefersColdSparseBlocks(t *testing.T) {
-	// Construct two candidate victims: one nearly empty but hot, one
-	// moderately full but very old. Greedy picks the empty one;
-	// cost-benefit weighs age.
-	mk := func(policy GCPolicy) *FTL {
-		cfg := testConfig()
-		cfg.GCPolicy = policy
-		f, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	for _, policy := range []GCPolicy{Greedy, CostBenefit} {
-		f := mk(policy)
-		now := sim.Time(0)
-		for round := 0; round < 3; round++ {
-			for lspn := int64(0); lspn < f.UserSuperPages(); lspn++ {
-				now += sim.Microsecond
-				if _, err := f.Write(now, lspn, nil); err != nil {
-					t.Fatalf("%v: %v", policy, err)
-				}
-			}
-		}
-		if f.Stats().GCRuns == 0 {
-			t.Fatalf("%v: GC never ran", policy)
-		}
-		if err := f.CheckInvariants(); err != nil {
-			t.Fatalf("%v: %v", policy, err)
-		}
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // consume the over-provisioning reserve, which subsequent overwrites will
 // replenish by invalidating pages).
 func (f *FTL) collect(now sim.Time, plan *Plan) (bool, error) {
-	victim := f.selectVictim(now)
+	victim := f.selectVictim()
 	if victim < 0 {
 		return false, nil
 	}
@@ -146,35 +146,14 @@ func (f *FTL) reserveStorm(plan *Plan) {
 	plan.Ops = ops
 }
 
-// selectVictim returns the best GC victim, or -1 if none qualifies. A block
-// with zero valid sub-pages is always the best possible victim under both
-// policies.
-func (f *FTL) selectVictim(now sim.Time) int {
+// selectVictim returns the greedy GC victim [41] — the collectable
+// super-block with the fewest valid sub-pages, the lowest-numbered of a tie —
+// or -1 if none qualifies.
+func (f *FTL) selectVictim() int {
 	best := -1
-	var bestScore float64
-	totalSubs := float64(f.fullSubs())
 	for sb := range f.sbs {
-		if !f.collectable(sb) {
-			continue
-		}
-		blk := &f.sbs[sb]
-		var score float64
-		switch f.cfg.GCPolicy {
-		case CostBenefit:
-			// Benefit/cost = (1-u)/(2u) * age, with u the valid fraction.
-			u := float64(blk.validSubs) / totalSubs
-			age := (now - blk.lastWrite).Seconds() + 1e-9
-			if u == 0 {
-				score = 1e18 * age // free space for no migration cost
-			} else {
-				score = (1 - u) / (2 * u) * age
-			}
-		default: // Greedy: fewest valid sub-pages (most reclaimable space)
-			score = totalSubs - float64(blk.validSubs)
-		}
-		if best < 0 || score > bestScore {
+		if f.collectable(sb) && (best < 0 || f.sbs[sb].validSubs < f.sbs[best].validSubs) {
 			best = sb
-			bestScore = score
 		}
 	}
 	return best

@@ -80,7 +80,7 @@ func linkGeometry() nand.Geometry {
 
 func linkConfig(mutate func(*Config)) Config {
 	cfg := Config{
-		Geometry: linkGeometry(), OPRatio: 0.1, GCPolicy: Greedy,
+		Geometry: linkGeometry(), OPRatio: 0.1,
 		PartialUpdate: true, SpareBlocks: 6,
 	}
 	if mutate != nil {

@@ -11,12 +11,10 @@ func (c *Cache) poisonInvalidSubs() {
 			data[i] = 0xA5
 		}
 	}
-	for i := range c.sets {
-		for _, ln := range c.sets[i].frames {
-			for s, v := range ln.valid {
-				if ln.data != nil && (!v || ln.pins[s] != nil) {
-					poison(ln.data, s)
-				}
+	for _, ln := range c.frames {
+		for s, v := range ln.valid {
+			if ln.data != nil && (!v || ln.pins[s] != nil) {
+				poison(ln.data, s)
 			}
 		}
 	}
@@ -30,10 +28,8 @@ func (c *Cache) poisonInvalidSubs() {
 // pinnedSubs counts the subs that hold a pin, over every frame.
 func (c *Cache) pinnedSubs() int {
 	n := 0
-	for i := range c.sets {
-		for _, ln := range c.sets[i].frames {
-			n += ln.nPinned
-		}
+	for _, ln := range c.frames {
+		n += ln.nPinned
 	}
 	return n
 }

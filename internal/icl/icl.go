@@ -1,9 +1,8 @@
 // Package icl implements Amber's internal cache layer (§III-B, §IV-C): the
 // firmware module that buffers super-page-sized lines of data in the SSD's
-// internal DRAM between the host interface and the FTL. It supports
-// fully-associative, set-associative and direct-mapped organizations with
-// LRU, FIFO and random replacement, write-back with dirty sub-page masks,
-// explicit flush, and the parallelism-aware readahead of §IV-C: a
+// internal DRAM between the host interface and the FTL. The cache is
+// fully-associative with LRU replacement, write-back with dirty sub-page
+// masks, explicit flush, and the parallelism-aware readahead of §IV-C: a
 // frequency counter detects sequential miss streaks and prefetches the
 // following super-pages, which land on disjoint dies and therefore load in
 // parallel.
@@ -42,85 +41,37 @@
 //
 // Lookup and victim selection cost the same for every cache size. Three
 // structures mirror the frames' tags: Cache.index maps each resident LSPN to
-// its frame (find is one lookup, whatever the organisation); each set keeps
-// its occupied frames on an intrusive list ordered by the replacement
-// policy's clock — lastUse under LRU, inserted otherwise — whose head is the
-// LRU/FIFO victim; and each set's empty cursor is its lowest empty way,
-// which is taken before any victim. The invariant: a frame is in the index
-// and on its set's list exactly when its lspn >= 0, under that lspn, and the
-// list order is ascending stamp order. Only three functions may change a
-// tag, and each restores the invariant before it returns: evictInto (drops
-// the outgoing LSPN, enters the incoming one, moves the frame to the list's
-// tail, advances the cursor when it consumed an empty frame), Invalidate
-// (empties all three) and a decoding State (rebuilds them from the decoded
-// frames — stamp order, ties in way order — and refuses as snap.ErrCorrupt
-// an image they cannot mirror: one LSPN in two frames, a line outside the
-// set its LSPN maps to, a stamp ahead of the replacement clock). touch moves
-// a frame to the tail under LRU and changes no tag. Random replacement and
-// the degraded clean-first mode still scan their set; the frame chosen is in
-// every case the one a scan for the first empty way, then the smallest
-// stamp, picks (reference_test.go holds the two equal).
+// its frame (find is one lookup); the occupied frames sit on an intrusive
+// list in lastUse order, least recently used first, whose head is the
+// victim; and the empty cursor is the lowest empty frame, which is taken
+// before any victim. The invariant: a frame is in the index and on the list
+// exactly when its lspn >= 0, under that lspn, and the list order is
+// ascending lastUse order. Only three functions may change a tag, and each
+// restores the invariant before it returns: evictInto (drops the outgoing
+// LSPN, enters the incoming one, moves the frame to the list's tail,
+// advances the cursor when it consumed an empty frame), Invalidate (empties
+// all three) and a decoding State (rebuilds them from the decoded frames —
+// lastUse order, ties in frame order — and refuses as snap.ErrCorrupt an
+// image they cannot mirror: one LSPN in two frames, or a stamp ahead of the
+// clock). touch moves a frame to the tail and changes no tag. The degraded
+// clean-first mode walks the list from its head to the first clean frame;
+// the frame chosen is in every case the one a scan for the first empty
+// frame, then the smallest stamp, picks (reference_test.go holds the two
+// equal).
 package icl
 
 import (
 	"fmt"
 	"slices"
-
-	"amber/internal/sim"
 )
-
-// Assoc selects the cache organization.
-type Assoc int
-
-// Cache organizations.
-const (
-	FullyAssoc Assoc = iota
-	SetAssoc
-	DirectMap
-)
-
-func (a Assoc) String() string {
-	switch a {
-	case SetAssoc:
-		return "set-associative"
-	case DirectMap:
-		return "direct-mapped"
-	default:
-		return "fully-associative"
-	}
-}
-
-// Replacement selects the victim policy within a set.
-type Replacement int
-
-// Replacement policies.
-const (
-	LRU Replacement = iota
-	FIFO
-	Random
-)
-
-func (r Replacement) String() string {
-	switch r {
-	case FIFO:
-		return "fifo"
-	case Random:
-		return "random"
-	default:
-		return "lru"
-	}
-}
 
 // Config parameterizes the cache.
 type Config struct {
 	// Lines is the total line count; line size is SubsPerLine*SubSize (one
 	// super-page).
 	Lines       int
-	Ways        int // associativity for SetAssoc (ignored otherwise)
 	SubsPerLine int // sub-pages (physical pages) per line
 	SubSize     int // bytes per sub-page
-	Assoc       Assoc
-	Replacement Replacement
 	// ReadaheadThreshold is the sequential-streak count that arms the
 	// §IV-C readahead; zero disables readahead.
 	ReadaheadThreshold int
@@ -129,7 +80,6 @@ type Config struct {
 	ReadaheadLines int
 	// TrackData keeps real line contents.
 	TrackData bool
-	Seed      uint64
 }
 
 // Validate reports descriptive configuration errors.
@@ -139,8 +89,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("icl: Lines must be positive")
 	case c.SubsPerLine <= 0 || c.SubSize <= 0:
 		return fmt.Errorf("icl: line geometry must be positive")
-	case c.Assoc == SetAssoc && (c.Ways <= 0 || c.Lines%c.Ways != 0):
-		return fmt.Errorf("icl: SetAssoc needs Ways dividing Lines (lines=%d ways=%d)", c.Lines, c.Ways)
 	case c.ReadaheadThreshold > 0 && c.ReadaheadLines <= 0:
 		return fmt.Errorf("icl: readahead enabled but ReadaheadLines is %d", c.ReadaheadLines)
 	}
@@ -203,7 +151,6 @@ type line struct {
 	data       []byte
 	prefetched bool
 	lastUse    uint64
-	inserted   uint64
 
 	// pins holds, by sub, the buffer a clean sub reads its bytes from
 	// instead of data (FillPinned), nil where data holds them; nPinned
@@ -211,38 +158,27 @@ type line struct {
 	pins    [][]byte
 	nPinned int
 
-	// The frame's set and its neighbours in that set's victim order
-	// (set.head); prev and next are nil at the ends and while the frame is
-	// empty.
-	set        *set
+	// The frame's neighbours in the LRU order (Cache.head); nil at the ends
+	// and while the frame is empty.
 	prev, next *line
-}
-
-// set is one associativity set: its frames in way order plus the two things
-// that make victim selection O(1).
-type set struct {
-	frames []*line
-	// head..tail orders the occupied frames by the replacement policy's
-	// clock, oldest first: lastUse under LRU, inserted otherwise. head is the
-	// LRU/FIFO victim.
-	head, tail *line
-	// empty is the lowest way holding no line, len(frames) when full. Only
-	// Invalidate empties frames and only victim order fills them, so it moves
-	// forward between resets.
-	empty int
 }
 
 // Cache is the internal cache layer. Not safe for concurrent use.
 type Cache struct {
-	cfg  Config
-	sets []set
-	// index maps every resident LSPN to its frame. It and the sets' victim
-	// order mirror the frames' tags; see the package comment for the three
+	cfg    Config
+	frames []*line
+	// head..tail orders the occupied frames by lastUse, least recently used
+	// first: head is the victim.
+	head, tail *line
+	// empty is the lowest frame holding no line, len(frames) when full. Only
+	// Invalidate empties frames and only victim order fills them, so it moves
+	// forward between resets.
+	empty int
+	// index maps every resident LSPN to its frame. It and the LRU order
+	// mirror the frames' tags; see the package comment for the three
 	// functions that may change a tag.
 	index map[int64]*line
-	ways  int
 	tick  uint64
-	rng   *sim.RNG
 	stats Stats
 
 	// copied and zeroed count the tracked payload bytes the cache has moved
@@ -256,10 +192,10 @@ type Cache struct {
 	seqStreak int
 
 	// preferClean restricts victim selection to clean frames whenever any
-	// exist in the set. Core enables it once the FTL latches read-only:
-	// dirty lines can never be written back then, so evicting one would
-	// fail the read that needed the frame — pinning them keeps reads
-	// serving through the clean frames instead.
+	// exist. Core enables it once the FTL latches read-only: dirty lines can
+	// never be written back then, so evicting one would fail the read that
+	// needed the frame — pinning them keeps reads serving through the clean
+	// frames instead.
 	preferClean bool
 
 	// scratchEv is the reusable eviction record returned by Fill/Write:
@@ -273,10 +209,6 @@ type Cache struct {
 	scratchMisses []int
 	scratchRA     []int64
 
-	// scratchClean backs degraded-mode victim filtering (preferClean),
-	// reused across calls so the read-only survival path stays alloc-free.
-	scratchClean []*line
-
 	// release gives a pin back to whoever pinned it (SetPinRelease); nil
 	// drops it.
 	release func([]byte)
@@ -287,40 +219,23 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ways := cfg.Lines
-	switch cfg.Assoc {
-	case SetAssoc:
-		ways = cfg.Ways
-	case DirectMap:
-		ways = 1
-	}
-	nsets := cfg.Lines / ways
 	c := &Cache{
 		cfg:     cfg,
+		frames:  make([]*line, cfg.Lines),
 		index:   make(map[int64]*line, cfg.Lines),
-		ways:    ways,
-		rng:     sim.NewRNG(cfg.Seed ^ 0x1c1),
 		seqNext: -1,
 	}
 	c.scratchEv.Dirty = make([]bool, cfg.SubsPerLine)
 	if cfg.TrackData {
 		c.scratchEv.Data = make([]byte, cfg.LineBytes())
 	}
-	c.sets = make([]set, nsets)
-	for i := range c.sets {
-		frames := make([]*line, ways)
-		for w := range frames {
-			ln := &line{lspn: -1, valid: make([]bool, cfg.SubsPerLine), dirty: make([]bool, cfg.SubsPerLine)}
-			if cfg.TrackData {
-				ln.data = make([]byte, cfg.LineBytes())
-				ln.pins = make([][]byte, cfg.SubsPerLine)
-			}
-			frames[w] = ln
+	for i := range c.frames {
+		ln := &line{lspn: -1, valid: make([]bool, cfg.SubsPerLine), dirty: make([]bool, cfg.SubsPerLine)}
+		if cfg.TrackData {
+			ln.data = make([]byte, cfg.LineBytes())
+			ln.pins = make([][]byte, cfg.SubsPerLine)
 		}
-		c.sets[i].frames = frames
-		for _, ln := range frames {
-			ln.set = &c.sets[i]
-		}
+		c.frames[i] = ln
 	}
 	return c, nil
 }
@@ -375,86 +290,54 @@ func (c *Cache) subBytes(ln *line, s int) []byte {
 	return ln.data[s*c.cfg.SubSize : (s+1)*c.cfg.SubSize]
 }
 
-func (c *Cache) setOf(lspn int64) *set {
-	return &c.sets[int(lspn%int64(len(c.sets)))]
-}
-
 func (c *Cache) find(lspn int64) *line { return c.index[lspn] }
 
 // SetPreferCleanVictims toggles degraded-mode victim selection: clean
-// frames are evicted before dirty ones regardless of the replacement
-// policy's preference. See the preferClean field.
+// frames are evicted before dirty ones regardless of recency. See the
+// preferClean field.
 func (c *Cache) SetPreferCleanVictims(on bool) { c.preferClean = on }
 
-// victim picks the replacement frame in lspn's set: the lowest empty way,
-// else the policy's choice. LRU and FIFO take the head of the set's victim
-// order; Random and the degraded clean-first mode scan the set.
-func (c *Cache) victim(lspn int64) *line {
-	st := c.setOf(lspn)
-	if st.empty < len(st.frames) {
-		return st.frames[st.empty]
+// victim picks the replacement frame: the lowest empty frame, else the least
+// recently used one — in the degraded clean-first mode the least recently
+// used clean one, if any frame is clean.
+func (c *Cache) victim() *line {
+	if c.empty < len(c.frames) {
+		return c.frames[c.empty]
 	}
-	if !c.preferClean && c.cfg.Replacement != Random {
-		return st.head
-	}
-	frames := st.frames
 	if c.preferClean {
-		clean := c.scratchClean[:0]
-		for _, ln := range frames {
+		for ln := c.head; ln != nil; ln = ln.next {
 			if ln.nDirty == 0 {
-				clean = append(clean, ln)
+				return ln
 			}
 		}
-		c.scratchClean = clean
-		if len(clean) > 0 {
-			frames = clean
-		}
 	}
-	if c.cfg.Replacement == Random {
-		return frames[c.rng.Intn(len(frames))]
-	}
-	best := frames[0]
-	for _, ln := range frames[1:] {
-		if c.stamp(ln) < c.stamp(best) {
-			best = ln
-		}
-	}
-	return best
+	return c.head
 }
 
-// stamp is a frame's position on its set's replacement clock: lastUse under
-// LRU, inserted otherwise. The oldest stamp is the victim.
-func (c *Cache) stamp(ln *line) uint64 {
-	if c.cfg.Replacement == LRU {
-		return ln.lastUse
-	}
-	return ln.inserted
-}
-
-// unlink removes an occupied frame from its set's victim order.
-func (st *set) unlink(ln *line) {
+// unlink removes an occupied frame from the LRU order.
+func (c *Cache) unlink(ln *line) {
 	if ln.prev != nil {
 		ln.prev.next = ln.next
 	} else {
-		st.head = ln.next
+		c.head = ln.next
 	}
 	if ln.next != nil {
 		ln.next.prev = ln.prev
 	} else {
-		st.tail = ln.prev
+		c.tail = ln.prev
 	}
 	ln.prev, ln.next = nil, nil
 }
 
-// pushTail appends a frame as the youngest of its set's victim order.
-func (st *set) pushTail(ln *line) {
-	ln.prev, ln.next = st.tail, nil
-	if st.tail != nil {
-		st.tail.next = ln
+// pushTail appends a frame as the most recently used.
+func (c *Cache) pushTail(ln *line) {
+	ln.prev, ln.next = c.tail, nil
+	if c.tail != nil {
+		c.tail.next = ln
 	} else {
-		st.head = ln
+		c.head = ln
 	}
-	st.tail = ln
+	c.tail = ln
 }
 
 // evictInto resets the victim frame for reuse by lspn and returns the
@@ -463,10 +346,9 @@ func (st *set) pushTail(ln *line) {
 // that keep evictions must copy them.
 func (c *Cache) evictInto(ln *line, lspn int64) *Eviction {
 	var ev *Eviction
-	st := ln.set
 	if ln.lspn >= 0 {
 		delete(c.index, ln.lspn)
-		st.unlink(ln)
+		c.unlink(ln)
 		c.unpinAll(ln)
 		// Swap, don't copy: the record takes the frame's dirty mask and
 		// payload wholesale and the frame inherits the retired record's, so an
@@ -482,19 +364,18 @@ func (c *Cache) evictInto(ln *line, lspn int64) *Eviction {
 		}
 		ev = &c.scratchEv
 	} else {
-		// victim handed out the lowest empty way; the next one is further on.
-		st.empty++
-		for st.empty < len(st.frames) && st.frames[st.empty].lspn >= 0 {
-			st.empty++
+		// victim handed out the lowest empty frame; the next one is further on.
+		c.empty++
+		for c.empty < len(c.frames) && c.frames[c.empty].lspn >= 0 {
+			c.empty++
 		}
 	}
 	// An empty frame is already reset: Invalidate left its masks clear.
 	ln.lspn = lspn
 	c.index[lspn] = ln
-	st.pushTail(ln)
+	c.pushTail(ln)
 	ln.prefetched = false
 	c.tick++
-	ln.inserted = c.tick
 	ln.lastUse = c.tick
 	return ev
 }
@@ -542,11 +423,9 @@ func (ln *line) setValid(s int) {
 func (c *Cache) touch(ln *line) {
 	c.tick++
 	ln.lastUse = c.tick
-	if c.cfg.Replacement == LRU {
-		if st := ln.set; st.tail != ln {
-			st.unlink(ln)
-			st.pushTail(ln)
-		}
+	if c.tail != ln {
+		c.unlink(ln)
+		c.pushTail(ln)
 	}
 }
 
@@ -638,7 +517,7 @@ func (c *Cache) Read(lspn int64, firstSub, nSubs int, dst []byte) (ReadResult, e
 }
 
 // Fill installs fetched sub-pages of lspn, evicting a victim line if the
-// set is full. prefetched marks readahead fills so their later hits are
+// cache is full. prefetched marks readahead fills so their later hits are
 // attributed. data, when non-nil with TrackData, is a line-layout buffer of
 // which only the filled subs are read (an unmapped sub must be zero in it);
 // with nil data a newly valid sub reads as zeroes. A sub that is dirty in the
@@ -653,7 +532,7 @@ func (c *Cache) Fill(lspn int64, subs []int, data []byte, prefetched bool) (*Evi
 	ln := c.find(lspn)
 	var ev *Eviction
 	if ln == nil {
-		ln = c.victim(lspn)
+		ln = c.victim()
 		if c.preferClean && ln.lspn >= 0 && ln.nDirty > 0 {
 			// Degraded read-around: every candidate frame holds dirty
 			// data that can never flush on a read-only device. The
@@ -740,7 +619,7 @@ func (c *Cache) WriteAt(lspn int64, firstSub, nSubs int, src []byte, off int) (*
 	var ev *Eviction
 	if ln == nil {
 		c.stats.WriteSubMisses += uint64(nSubs)
-		ln = c.victim(lspn)
+		ln = c.victim()
 		ev = c.evictInto(ln, lspn)
 	} else {
 		c.stats.WriteSubHits += uint64(nSubs)
@@ -776,26 +655,24 @@ func (c *Cache) Write(lspn int64, firstSub, nSubs int, src []byte) (*Eviction, e
 	return c.WriteAt(lspn, firstSub, nSubs, src, 0)
 }
 
-// FlushEach cleans every dirty line (host FLUSH / power-fail path), in set
-// and way order, after handing visit a record that aliases the frame's own
+// FlushEach cleans every dirty line (host FLUSH / power-fail path), in frame
+// order, after handing visit a record that aliases the frame's own
 // mask and payload for the call. After visit's first error the rest are
 // cleaned unvisited and that error is returned. Lines stay resident.
 func (c *Cache) FlushEach(visit func(*Eviction) error) error {
 	var err error
 	var ev Eviction
-	for i := range c.sets {
-		for _, ln := range c.sets[i].frames {
-			if ln.lspn < 0 || ln.nDirty == 0 {
-				continue
-			}
-			if err == nil {
-				ev = Eviction{LSPN: ln.lspn, Dirty: ln.dirty, Data: ln.data, nDirty: ln.nDirty}
-				err = visit(&ev)
-			}
-			clear(ln.dirty)
-			ln.nDirty = 0
-			c.stats.Flushes++
+	for _, ln := range c.frames {
+		if ln.lspn < 0 || ln.nDirty == 0 {
+			continue
 		}
+		if err == nil {
+			ev = Eviction{LSPN: ln.lspn, Dirty: ln.dirty, Data: ln.data, nDirty: ln.nDirty}
+			err = visit(&ev)
+		}
+		clear(ln.dirty)
+		ln.nDirty = 0
+		c.stats.Flushes++
 	}
 	return err
 }
@@ -827,11 +704,9 @@ func (c *Cache) ResidentLines() int { return c.countLines(false) }
 // countLines counts occupied frames, or only the dirty ones if dirty.
 func (c *Cache) countLines(dirty bool) int {
 	n := 0
-	for i := range c.sets {
-		for _, ln := range c.sets[i].frames {
-			if ln.lspn >= 0 && (!dirty || ln.nDirty > 0) {
-				n++
-			}
+	for _, ln := range c.frames {
+		if ln.lspn >= 0 && (!dirty || ln.nDirty > 0) {
+			n++
 		}
 	}
 	return n

@@ -15,8 +15,6 @@ func testConfig() Config {
 		Lines:              8,
 		SubsPerLine:        4,
 		SubSize:            512,
-		Assoc:              FullyAssoc,
-		Replacement:        LRU,
 		ReadaheadThreshold: 3,
 		ReadaheadLines:     2,
 		TrackData:          true,
@@ -41,7 +39,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Lines = 0 },
 		func(c *Config) { c.SubsPerLine = 0 },
 		func(c *Config) { c.SubSize = 0 },
-		func(c *Config) { c.Assoc = SetAssoc; c.Ways = 3 }, // 8 % 3 != 0
 		func(c *Config) { c.ReadaheadThreshold = 2; c.ReadaheadLines = 0 },
 	}
 	for i, m := range cases {
@@ -226,86 +223,6 @@ func TestLRUOrder(t *testing.T) {
 	}
 	if !c.Contains(0, 0) || c.Contains(1, 0) {
 		t.Fatal("LRU evicted the wrong line")
-	}
-}
-
-func TestFIFOIgnoresTouches(t *testing.T) {
-	c := newCache(t, func(cfg *Config) {
-		cfg.Lines = 2
-		cfg.Replacement = FIFO
-		cfg.ReadaheadThreshold = 0
-	})
-	for _, l := range []int64{0, 1} {
-		if _, err := c.Fill(l, []int{0}, nil, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := c.Read(0, 0, 1, nil); err != nil { // touch 0; FIFO must still evict it
-		t.Fatal(err)
-	}
-	if _, err := c.Fill(2, []int{0}, nil, false); err != nil {
-		t.Fatal(err)
-	}
-	if c.Contains(0, 0) || !c.Contains(1, 0) {
-		t.Fatal("FIFO evicted the wrong line")
-	}
-}
-
-func TestRandomReplacementStaysInSet(t *testing.T) {
-	c := newCache(t, func(cfg *Config) {
-		cfg.Lines = 4
-		cfg.Replacement = Random
-		cfg.ReadaheadThreshold = 0
-	})
-	for i := int64(0); i < 50; i++ {
-		if _, err := c.Fill(i, []int{0}, nil, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c.ResidentLines() != 4 {
-		t.Fatalf("ResidentLines = %d", c.ResidentLines())
-	}
-}
-
-func TestDirectMapConflicts(t *testing.T) {
-	c := newCache(t, func(cfg *Config) {
-		cfg.Assoc = DirectMap
-		cfg.Lines = 4
-		cfg.ReadaheadThreshold = 0
-	})
-	// LSPN 0 and 4 conflict (4 sets).
-	if _, err := c.Fill(0, []int{0}, nil, false); err != nil {
-		t.Fatal(err)
-	}
-	ev, err := c.Fill(4, []int{0}, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev == nil || ev.LSPN != 0 {
-		t.Fatalf("direct-map conflict did not evict 0: %+v", ev)
-	}
-	// LSPN 1 does not conflict.
-	if ev, _ := c.Fill(1, []int{0}, nil, false); ev != nil {
-		t.Fatal("non-conflicting fill evicted")
-	}
-}
-
-func TestSetAssocSetSelection(t *testing.T) {
-	c := newCache(t, func(cfg *Config) {
-		cfg.Assoc = SetAssoc
-		cfg.Lines = 8
-		cfg.Ways = 2
-		cfg.ReadaheadThreshold = 0
-	})
-	// 4 sets of 2: LSPNs 0,4,8 share set 0; third fill evicts.
-	for _, l := range []int64{0, 4} {
-		if ev, _ := c.Fill(l, []int{0}, nil, false); ev != nil {
-			t.Fatal("premature eviction")
-		}
-	}
-	ev, _ := c.Fill(8, []int{0}, nil, false)
-	if ev == nil {
-		t.Fatal("full set did not evict")
 	}
 }
 
@@ -670,7 +587,7 @@ func TestFrameReuseNeverLeaksPreviousResident(t *testing.T) {
 // an eagerly zeroing cache produces: zeroing every invalid sub by hand
 // changes nothing, at any point of a long mixed history.
 func TestStateMatchesEagerZero(t *testing.T) {
-	c := newCache(t, func(cfg *Config) { cfg.Lines = 4; cfg.Assoc = SetAssoc; cfg.Ways = 2; cfg.ReadaheadThreshold = 0 })
+	c := newCache(t, func(cfg *Config) { cfg.Lines = 4; cfg.ReadaheadThreshold = 0 })
 	image := func() []byte {
 		return encodeCache(c)
 	}
@@ -705,12 +622,10 @@ func TestStateMatchesEagerZero(t *testing.T) {
 			continue
 		}
 		lazy := image()
-		for si := range c.sets {
-			for _, ln := range c.sets[si].frames {
-				for s, v := range ln.valid {
-					if !v {
-						clear(ln.data[s*512 : (s+1)*512])
-					}
+		for _, ln := range c.frames {
+			for s, v := range ln.valid {
+				if !v {
+					clear(ln.data[s*512 : (s+1)*512])
 				}
 			}
 		}

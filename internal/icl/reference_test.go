@@ -13,15 +13,13 @@ import (
 )
 
 // refCache is the scanning reference the indexed Cache is held equal to:
-// frames in plain per-set slices, a line found by comparing every tag of its
-// set, a victim found by scanning for the first empty frame and then for the
-// smallest stamp — no index, no victim order, no buffer swapping. It exists
-// only here.
+// frames in a plain slice, a line found by comparing every tag, a victim
+// found by scanning for the first empty frame and then for the smallest
+// stamp — no index, no LRU list, no buffer swapping. It exists only here.
 type refCache struct {
 	cfg         Config
-	sets        [][]*refLine
+	frames      []*refLine
 	tick        uint64
-	rng         *sim.RNG
 	stats       Stats
 	seqNext     int64
 	seqStreak   int
@@ -35,7 +33,6 @@ type refLine struct {
 	data       []byte
 	prefetched bool
 	lastUse    uint64
-	inserted   uint64
 }
 
 func (ln *refLine) isDirty() bool {
@@ -48,32 +45,19 @@ func (ln *refLine) isDirty() bool {
 }
 
 func newRefCache(cfg Config) *refCache {
-	ways := cfg.Lines
-	switch cfg.Assoc {
-	case SetAssoc:
-		ways = cfg.Ways
-	case DirectMap:
-		ways = 1
-	}
-	r := &refCache{cfg: cfg, rng: sim.NewRNG(cfg.Seed ^ 0x1c1), seqNext: -1}
-	for i := 0; i < cfg.Lines/ways; i++ {
-		var set []*refLine
-		for w := 0; w < ways; w++ {
-			ln := &refLine{lspn: -1, valid: make([]bool, cfg.SubsPerLine), dirty: make([]bool, cfg.SubsPerLine)}
-			if cfg.TrackData {
-				ln.data = make([]byte, cfg.LineBytes())
-			}
-			set = append(set, ln)
+	r := &refCache{cfg: cfg, seqNext: -1}
+	for i := 0; i < cfg.Lines; i++ {
+		ln := &refLine{lspn: -1, valid: make([]bool, cfg.SubsPerLine), dirty: make([]bool, cfg.SubsPerLine)}
+		if cfg.TrackData {
+			ln.data = make([]byte, cfg.LineBytes())
 		}
-		r.sets = append(r.sets, set)
+		r.frames = append(r.frames, ln)
 	}
 	return r
 }
 
-func (r *refCache) setOf(lspn int64) []*refLine { return r.sets[lspn%int64(len(r.sets))] }
-
 func (r *refCache) find(lspn int64) *refLine {
-	for _, ln := range r.setOf(lspn) {
+	for _, ln := range r.frames {
 		if ln.lspn == lspn {
 			return ln
 		}
@@ -81,39 +65,28 @@ func (r *refCache) find(lspn int64) *refLine {
 	return nil
 }
 
-func (r *refCache) victim(lspn int64) *refLine {
-	set := r.setOf(lspn)
-	for _, ln := range set {
+func (r *refCache) victim() *refLine {
+	for _, ln := range r.frames {
 		if ln.lspn < 0 {
 			return ln
 		}
 	}
+	frames := r.frames
 	if r.preferClean {
 		var clean []*refLine
-		for _, ln := range set {
+		for _, ln := range frames {
 			if !ln.isDirty() {
 				clean = append(clean, ln)
 			}
 		}
 		if len(clean) > 0 {
-			set = clean
+			frames = clean
 		}
 	}
-	best := set[0]
-	switch r.cfg.Replacement {
-	case Random:
-		return set[r.rng.Intn(len(set))]
-	case FIFO:
-		for _, ln := range set[1:] {
-			if ln.inserted < best.inserted {
-				best = ln
-			}
-		}
-	default:
-		for _, ln := range set[1:] {
-			if ln.lastUse < best.lastUse {
-				best = ln
-			}
+	best := frames[0]
+	for _, ln := range frames[1:] {
+		if ln.lastUse < best.lastUse {
+			best = ln
 		}
 	}
 	return best
@@ -139,7 +112,7 @@ func (r *refCache) evictInto(ln *refLine, lspn int64) *Eviction {
 	ln.lspn = lspn
 	ln.prefetched = false
 	r.tick++
-	ln.inserted, ln.lastUse = r.tick, r.tick
+	ln.lastUse = r.tick
 	return ev
 }
 
@@ -205,7 +178,7 @@ func (r *refCache) fill(lspn int64, subs []int, data []byte, prefetched bool) *E
 	ln := r.find(lspn)
 	var ev *Eviction
 	if ln == nil {
-		ln = r.victim(lspn)
+		ln = r.victim()
 		if r.preferClean && ln.lspn >= 0 && ln.isDirty() {
 			return nil
 		}
@@ -227,7 +200,7 @@ func (r *refCache) writeAt(lspn int64, firstSub, nSubs int, src []byte, off int)
 	var ev *Eviction
 	if ln == nil {
 		r.stats.WriteSubMisses += uint64(nSubs)
-		ln = r.victim(lspn)
+		ln = r.victim()
 		ev = r.evictInto(ln, lspn)
 	} else {
 		r.stats.WriteSubHits += uint64(nSubs)
@@ -247,63 +220,52 @@ func (r *refCache) writeAt(lspn int64, firstSub, nSubs int, src []byte, off int)
 	return ev
 }
 
-// flushAll cleans every dirty line in set and way order, returning a copy
-// of each record.
+// flushAll cleans every dirty line in frame order, returning a copy of each
+// record.
 func (r *refCache) flushAll() []*Eviction {
 	var out []*Eviction
-	for _, set := range r.sets {
-		for _, ln := range set {
-			if ln.lspn < 0 || !ln.isDirty() {
-				continue
-			}
-			ev := &Eviction{LSPN: ln.lspn, Dirty: append([]bool(nil), ln.dirty...), nDirty: scanSet(ln.dirty)}
-			if r.cfg.TrackData {
-				ev.Data = append([]byte(nil), ln.data...)
-			}
-			out = append(out, ev)
-			clear(ln.dirty)
-			r.stats.Flushes++
+	for _, ln := range r.frames {
+		if ln.lspn < 0 || !ln.isDirty() {
+			continue
 		}
+		ev := &Eviction{LSPN: ln.lspn, Dirty: append([]bool(nil), ln.dirty...), nDirty: scanSet(ln.dirty)}
+		if r.cfg.TrackData {
+			ev.Data = append([]byte(nil), ln.data...)
+		}
+		out = append(out, ev)
+		clear(ln.dirty)
+		r.stats.Flushes++
 	}
 	return out
 }
 
 func (r *refCache) invalidate() {
-	for _, set := range r.sets {
-		for _, ln := range set {
-			ln.lspn, ln.prefetched, ln.lastUse, ln.inserted = -1, false, 0, 0
-			clear(ln.valid)
-			clear(ln.dirty)
-			clear(ln.data)
-		}
+	for _, ln := range r.frames {
+		ln.lspn, ln.prefetched, ln.lastUse = -1, false, 0
+		clear(ln.valid)
+		clear(ln.dirty)
+		clear(ln.data)
 	}
 	r.tick, r.seqNext, r.seqStreak, r.preferClean = 0, -1, 0, false
 }
 
 // walk is the reference's own walk of Cache.State's image layout.
 func (r *refCache) walk(c *snap.Codec) {
-	nsets, ways := len(r.sets), len(r.sets[0])
-	snap.U(c, &nsets)
-	snap.U(c, &ways)
-	for _, set := range r.sets {
-		for _, ln := range set {
-			snap.I(c, &ln.lspn)
-			for i := range ln.valid {
-				c.Bool(&ln.valid[i])
-				c.Bool(&ln.dirty[i])
-			}
-			c.Bool(&ln.prefetched)
-			snap.U(c, &ln.lastUse)
-			snap.U(c, &ln.inserted)
-			if r.cfg.TrackData {
-				data := ln.data
-				c.Blob(&data)
-				copy(ln.data, data)
-			}
+	for _, ln := range r.frames {
+		snap.I(c, &ln.lspn)
+		for i := range ln.valid {
+			c.Bool(&ln.valid[i])
+			c.Bool(&ln.dirty[i])
+		}
+		c.Bool(&ln.prefetched)
+		snap.U(c, &ln.lastUse)
+		if r.cfg.TrackData {
+			data := ln.data
+			c.Blob(&data)
+			copy(ln.data, data)
 		}
 	}
 	snap.U(c, &r.tick)
-	r.rng.Snap(c)
 	snap.I(c, &r.seqNext)
 	snap.I(c, &r.seqStreak)
 	c.Bool(&r.preferClean)
@@ -378,25 +340,23 @@ func scanSet(mask []bool) int {
 // frame's, and the eviction scratch's — to a scan of that mask, and each
 // frame's pin count to its pins, which only valid clean subs hold.
 func checkCounts(c *Cache) error {
-	for si := range c.sets {
-		for w, ln := range c.sets[si].frames {
-			if v, d := scanSet(ln.valid), scanSet(ln.dirty); ln.nValid != v || ln.nDirty != d {
-				return fmt.Errorf("set %d way %d (line %d): counts %d valid / %d dirty, masks hold %d / %d",
-					si, w, ln.lspn, ln.nValid, ln.nDirty, v, d)
+	for f, ln := range c.frames {
+		if v, d := scanSet(ln.valid), scanSet(ln.dirty); ln.nValid != v || ln.nDirty != d {
+			return fmt.Errorf("frame %d (line %d): counts %d valid / %d dirty, masks hold %d / %d",
+				f, ln.lspn, ln.nValid, ln.nDirty, v, d)
+		}
+		pinned := 0
+		for s, pin := range ln.pins {
+			if pin == nil {
+				continue
 			}
-			pinned := 0
-			for s, pin := range ln.pins {
-				if pin == nil {
-					continue
-				}
-				pinned++
-				if !ln.valid[s] || ln.dirty[s] {
-					return fmt.Errorf("set %d way %d (line %d): sub %d pinned while valid %v, dirty %v", si, w, ln.lspn, s, ln.valid[s], ln.dirty[s])
-				}
+			pinned++
+			if !ln.valid[s] || ln.dirty[s] {
+				return fmt.Errorf("frame %d (line %d): sub %d pinned while valid %v, dirty %v", f, ln.lspn, s, ln.valid[s], ln.dirty[s])
 			}
-			if ln.nPinned != pinned {
-				return fmt.Errorf("set %d way %d (line %d): count %d pinned, pins hold %d", si, w, ln.lspn, ln.nPinned, pinned)
-			}
+		}
+		if ln.nPinned != pinned {
+			return fmt.Errorf("frame %d (line %d): count %d pinned, pins hold %d", f, ln.lspn, ln.nPinned, pinned)
 		}
 	}
 	if d := scanSet(c.scratchEv.Dirty); c.scratchEv.nDirty != d {
@@ -409,9 +369,10 @@ func checkCounts(c *Cache) error {
 // state-changing call — Read, Write, WriteAt, Fill, FillPinned, FlushEach,
 // Invalidate, SetPreferCleanVictims, and an encode → decode State hop
 // onto a fresh cache — through the indexed Cache and the scanning reference,
-// for every organisation and replacement policy. Probe results, evictions,
-// Stats and the State image must agree after every call: the index
-// and the victim order never choose a different frame than the scans. So
+// with and without TrackData. Probe results, evictions, Stats and the State
+// image must agree after every call: the index and the LRU list, walked
+// from its head to a clean frame in the degraded mode, never choose a
+// different frame than the scans. So
 // must every valid/dirty/pinned count with a scan of its mask, and IsDirty
 // with the record's. The reference copies what the cache pins, so it is the
 // copying twin of every pinned fill.
@@ -421,8 +382,8 @@ func TestCacheMatchesScanningReference(t *testing.T) {
 	})
 }
 
-// TestPoisonedInvalidSubsChangeNothing runs the scanning-reference stream of
-// every tracked configuration twice, the second time with 0xA5 written over
+// TestPoisonedInvalidSubsChangeNothing runs the tracked scanning-reference
+// stream twice, the second time with 0xA5 written over
 // the frame bytes of every invalid or pinned sub and every clean sub of the
 // eviction scratch between calls. Read bytes, evictions' dirty bytes and
 // State images are the same in both runs: nothing reads a byte the
@@ -438,22 +399,16 @@ func TestPoisonedInvalidSubsChangeNothing(t *testing.T) {
 	})
 }
 
-// forReferenceConfigs runs body as a subtest for every organisation,
-// replacement policy and TrackData setting, with the stream seed of each.
+// forReferenceConfigs runs body as a subtest for each TrackData setting.
+// The names keep the organisation and policy the cache once chose between.
 func forReferenceConfigs(t *testing.T, body func(t *testing.T, cfg Config, seed uint64)) {
-	for ai, assoc := range []Assoc{FullyAssoc, SetAssoc, DirectMap} {
-		for ri, repl := range []Replacement{LRU, FIFO, Random} {
-			for _, trackData := range []bool{true, false} {
-				cfg := Config{
-					Lines: 12, Ways: 4, SubsPerLine: 4, SubSize: 8,
-					Assoc: assoc, Replacement: repl,
-					ReadaheadThreshold: 2, ReadaheadLines: 2,
-					TrackData: trackData, Seed: uint64(100 + 10*ai + ri),
-				}
-				seed := uint64(3 + 7*ai + ri)
-				t.Run(fmt.Sprintf("%v/%v/data=%v", assoc, repl, trackData), func(t *testing.T) { body(t, cfg, seed) })
-			}
+	for _, trackData := range []bool{true, false} {
+		cfg := Config{
+			Lines: 12, SubsPerLine: 4, SubSize: 8,
+			ReadaheadThreshold: 2, ReadaheadLines: 2,
+			TrackData: trackData,
 		}
+		t.Run(fmt.Sprintf("fully-associative/lru/data=%v", trackData), func(t *testing.T) { body(t, cfg, 3) })
 	}
 }
 
@@ -730,7 +685,6 @@ func TestFillKeepsDirtySub(t *testing.T) {
 // mirror are corrupt, not merely odd.
 func TestStateRefusesUnindexableFrames(t *testing.T) {
 	cfg := testConfig()
-	cfg.Assoc, cfg.Ways = SetAssoc, 2
 	build := func(edit func(r *refCache)) error {
 		r := newRefCache(cfg)
 		for l := int64(0); l < int64(cfg.Lines); l++ {
@@ -746,12 +700,9 @@ func TestStateRefusesUnindexableFrames(t *testing.T) {
 	if err := build(func(*refCache) {}); err != nil {
 		t.Fatalf("intact image: %v", err)
 	}
-	nsets := int64(cfg.Lines / cfg.Ways)
 	for name, edit := range map[string]func(r *refCache){
-		"lspn in two frames":      func(r *refCache) { r.sets[0][1].lspn = r.sets[0][0].lspn },
-		"line in the wrong set":   func(r *refCache) { r.sets[0][0].lspn = nsets + 1 },
-		"stamped ahead of clock":  func(r *refCache) { r.sets[1][0].lastUse = r.tick + 1 },
-		"inserted ahead of clock": func(r *refCache) { r.sets[1][1].inserted = r.tick + 9 },
+		"lspn in two frames":     func(r *refCache) { r.frames[1].lspn = r.frames[0].lspn },
+		"stamped ahead of clock": func(r *refCache) { r.frames[2].lastUse = r.tick + 1 },
 	} {
 		if err := build(edit); !errors.Is(err, snap.ErrCorrupt) {
 			t.Errorf("%s: decoding State returned %v, want snap.ErrCorrupt", name, err)
@@ -759,10 +710,10 @@ func TestStateRefusesUnindexableFrames(t *testing.T) {
 	}
 }
 
-// benchReadHit measures a full-line read hit on a warm fully-associative
-// cache of the given size; the probe must not cost more on a larger cache.
+// benchReadHit measures a full-line read hit on a warm cache of the given
+// size; the probe must not cost more on a larger cache.
 func benchReadHit(b *testing.B, lines int) {
-	c, err := New(Config{Lines: lines, SubsPerLine: 120, SubSize: 8192, Assoc: FullyAssoc, Replacement: LRU})
+	c, err := New(Config{Lines: lines, SubsPerLine: 120, SubSize: 8192})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -15,19 +15,15 @@ import (
 // every pin is released; the statistics survive (they are the observer's,
 // not the firmware's).
 func (c *Cache) Invalidate() {
-	for i := range c.sets {
-		st := &c.sets[i]
-		for _, ln := range st.frames {
-			c.unpinAll(ln)
-			ln.lspn = -1
-			ln.prefetched = false
-			ln.lastUse = 0
-			ln.inserted = 0
-			ln.prev, ln.next = nil, nil
-			ln.clearMasks()
-		}
-		st.head, st.tail, st.empty = nil, nil, 0
+	for _, ln := range c.frames {
+		c.unpinAll(ln)
+		ln.lspn = -1
+		ln.prefetched = false
+		ln.lastUse = 0
+		ln.prev, ln.next = nil, nil
+		ln.clearMasks()
 	}
+	c.head, c.tail, c.empty = nil, nil, 0
 	clear(c.index)
 	c.tick = 0
 	c.seqNext = -1
@@ -36,49 +32,37 @@ func (c *Cache) Invalidate() {
 }
 
 // State walks the cache's image: every frame (tag, valid/dirty masks,
-// replacement metadata, payload), the replacement clock, the RNG, the
-// sequential detector and the statistics. Decoding needs a freshly
+// prefetch flag, LRU stamp, payload), the LRU clock, the sequential detector
+// and the statistics. Decoding needs a freshly
 // constructed cache of the identical configuration; it releases any pin the
 // cache holds first, since the image carries every sub's bytes, and
 // rebuilds the LSPN index from the decoded frames. On error the cache must
 // be discarded.
 func (c *Cache) State(k *snap.Codec) error {
 	if k.Decoding() {
-		for i := range c.sets {
-			for _, ln := range c.sets[i].frames {
-				c.unpinAll(ln)
-			}
+		for _, ln := range c.frames {
+			c.unpinAll(ln)
 		}
-	}
-	if err := k.Same(len(c.sets), "cache sets"); err != nil {
-		return err
-	}
-	if err := k.Same(c.ways, "cache ways"); err != nil {
-		return err
 	}
 	var img []byte // an encoded frame's payload, its invalid subs zero
 	if c.cfg.TrackData && !k.Decoding() {
 		img = make([]byte, c.cfg.LineBytes())
 	}
-	for i := range c.sets {
-		for _, ln := range c.sets[i].frames {
-			snap.I(k, &ln.lspn)
-			for i := range ln.valid {
-				k.Bool(&ln.valid[i])
-				k.Bool(&ln.dirty[i])
-			}
-			k.Bool(&ln.prefetched)
-			snap.U(k, &ln.lastUse)
-			snap.U(k, &ln.inserted)
-			if c.cfg.TrackData {
-				if err := c.payloadState(k, ln, img); err != nil {
-					return err
-				}
+	for _, ln := range c.frames {
+		snap.I(k, &ln.lspn)
+		for i := range ln.valid {
+			k.Bool(&ln.valid[i])
+			k.Bool(&ln.dirty[i])
+		}
+		k.Bool(&ln.prefetched)
+		snap.U(k, &ln.lastUse)
+		if c.cfg.TrackData {
+			if err := c.payloadState(k, ln, img); err != nil {
+				return err
 			}
 		}
 	}
 	snap.U(k, &c.tick)
-	c.rng.Snap(k)
 	snap.I(k, &c.seqNext)
 	snap.I(k, &c.seqStreak)
 	k.Bool(&c.preferClean)
@@ -133,42 +117,35 @@ func countSet(mask []bool) int {
 	return n
 }
 
-// reindex rebuilds the LSPN index, every frame's mask counts and every set's
-// victim order and empty cursor from freshly decoded frames, refusing an
-// image the index cannot represent faithfully: a line outside the set its
-// LSPN maps to (find would never reach it), one LSPN in two frames
-// (ambiguous), or a frame stamped ahead of the replacement clock (a later
-// touch would be stamped older than it, and the order would stop mirroring
-// the stamps). Within a set the order is the policy's clock ascending, ties
-// in way order — the frame a scan for the minimum stamp picks first.
+// reindex rebuilds the LSPN index, every frame's mask counts, the LRU order
+// and the empty cursor from freshly decoded frames, refusing an image the
+// index cannot represent faithfully: one LSPN in two frames (ambiguous), or
+// a frame stamped ahead of the clock (a later touch would be stamped older
+// than it, and the order would stop mirroring the stamps). The order is
+// lastUse ascending, ties in frame order — the frame a scan for the minimum
+// stamp picks first.
 func (c *Cache) reindex() error {
+	c.empty = len(c.frames)
 	var occupied []*line
-	for i := range c.sets {
-		st := &c.sets[i]
-		st.empty = len(st.frames)
-		occupied = occupied[:0]
-		for w, ln := range st.frames {
-			ln.nValid, ln.nDirty = countSet(ln.valid), countSet(ln.dirty)
-			switch {
-			case ln.lspn < 0:
-				if st.empty == len(st.frames) {
-					st.empty = w
-				}
-				continue
-			case c.setOf(ln.lspn) != st:
-				return fmt.Errorf("%w: cache line %d in set %d, belongs in %d", snap.ErrCorrupt, ln.lspn, i, ln.lspn%int64(len(c.sets)))
-			case c.index[ln.lspn] != nil:
-				return fmt.Errorf("%w: cache line %d in two frames", snap.ErrCorrupt, ln.lspn)
-			case ln.lastUse > c.tick || ln.inserted > c.tick:
-				return fmt.Errorf("%w: cache line %d stamped %d/%d, clock at %d", snap.ErrCorrupt, ln.lspn, ln.lastUse, ln.inserted, c.tick)
+	for i, ln := range c.frames {
+		ln.nValid, ln.nDirty = countSet(ln.valid), countSet(ln.dirty)
+		switch {
+		case ln.lspn < 0:
+			if c.empty == len(c.frames) {
+				c.empty = i
 			}
-			c.index[ln.lspn] = ln
-			occupied = append(occupied, ln)
+			continue
+		case c.index[ln.lspn] != nil:
+			return fmt.Errorf("%w: cache line %d in two frames", snap.ErrCorrupt, ln.lspn)
+		case ln.lastUse > c.tick:
+			return fmt.Errorf("%w: cache line %d stamped %d, clock at %d", snap.ErrCorrupt, ln.lspn, ln.lastUse, c.tick)
 		}
-		sort.SliceStable(occupied, func(a, b int) bool { return c.stamp(occupied[a]) < c.stamp(occupied[b]) })
-		for _, ln := range occupied {
-			st.pushTail(ln)
-		}
+		c.index[ln.lspn] = ln
+		occupied = append(occupied, ln)
+	}
+	sort.SliceStable(occupied, func(a, b int) bool { return occupied[a].lastUse < occupied[b].lastUse })
+	for _, ln := range occupied {
+		c.pushTail(ln)
 	}
 	return nil
 }

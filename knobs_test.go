@@ -118,7 +118,6 @@ var witnesses = map[string]knob{
 	"Device.DRAM.RCD":             {in: "base"},
 	"Device.DRAM.RP":              {in: "base"},
 	"Device.DRAM.RowBytes":        {in: "base"},
-	"Device.DRAM.Policy":          {in: "base"},
 
 	"Device.DRAMPower.ActStandbyW":    {in: "base"},
 	"Device.DRAMPower.PowerDownW":     {in: "base"},
@@ -137,14 +136,11 @@ var witnesses = map[string]knob{
 	"Device.CPUPower.LeakageWPerCore": {in: "base"},
 
 	"Device.OPRatio":        {in: "base"},
-	"Device.GCPolicy":       {in: "base"},
 	"Device.PartialUpdate":  {in: "base"},
 	"Device.WearLevelDelta": {in: "base"},
 	"Device.RAINWidth":      {in: "base"},
 
 	"Device.CacheLines":         {in: "base"},
-	"Device.CacheAssoc":         {in: "base"},
-	"Device.CacheRepl":          {in: "base"},
 	"Device.ReadaheadThreshold": {in: "base"},
 	"Device.ReadaheadLines":     {in: "base"},
 
