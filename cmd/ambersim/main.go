@@ -58,7 +58,7 @@ func main() {
 		restPath  = flag.String("restore", "", "before the run, restore device state from this snapshot image (skips preconditioning; the image carries the device's steady state)")
 		batchSub  = flag.Bool("batch-submit", false, "drive the measured requests through the vectored SubmitBatch entry (serial depth-1 contract, per-window bookkeeping drains): footer reports batch windows and certified-read fast-path counters")
 		rainWidth = flag.Int("rain", 0, "RAIN stripe width W: every W data planes share one parity plane, uncorrectable reads reconstruct from the stripe (0 = off; W+1 must divide the plane count)")
-		scrubSpec = flag.String("scrub-every", "", "patrol scrub cadence (e.g. 5ms): a background scrubber walks blocks by disturb/retention risk and migrates at-risk pages, deferring wear-out read-only")
+		scrubSpec = flag.String("scrub-every", "", "patrol scrub cadence (e.g. 5ms; needs -rain and a -fault-profile): a super-block under RAIN reconstruction pressure is refreshed on the next tick instead of retired, deferring wear-out read-only")
 	)
 	flag.Parse()
 	// Every input is a flag; Parse stops at the first other word, so a
@@ -314,9 +314,12 @@ func runOne(dev string, w io.Writer, o runOptions) error {
 	el := res.Elapsed()
 	fmt.Fprintf(w, "workload        %s\n", res.Workload)
 	fmt.Fprintf(w, "device          %s (%s, %d dies)\n", d.Name, d.Protocol.Kind, d.Geometry.TotalDies())
-	if o.batchSubmit {
+	switch {
+	case o.batchSubmit:
 		fmt.Fprintf(w, "requests        %d vectored (serial depth-1 contract)\n", res.Requests)
-	} else {
+	case res.Requests < o.requests && res.PowerLost:
+		fmt.Fprintf(w, "requests        %d of %d before the power cut at depth %d (effective)\n", res.Requests, o.requests, res.Depth)
+	default:
 		fmt.Fprintf(w, "requests        %d at depth %d (effective)\n", res.Requests, res.Depth)
 	}
 	fmt.Fprintf(w, "simulated time  %v\n", el)
@@ -429,6 +432,9 @@ func (f runFlags) validate() (powerCut, scrubEvery sim.Duration, err error) {
 		}
 	} else if f.blockSize <= 0 {
 		return 0, 0, fmt.Errorf("bad -bs %d: want a positive block size", f.blockSize)
+	} else if f.blockSize%512 != 0 {
+		// The host addresses whole sectors.
+		return 0, 0, fmt.Errorf("bad -bs %d: want a multiple of 512 bytes", f.blockSize)
 	}
 	// Likewise a fault seed with no fault profile would seed nothing.
 	if f.set["fault-seed"] && (f.faultProfile == "off" || f.faultProfile == "") {
@@ -469,6 +475,12 @@ func (f runFlags) validate() (powerCut, scrubEvery sim.Duration, err error) {
 		case f.set["depth"]:
 			return 0, 0, errors.New("-batch-submit and -depth are incompatible: the vectored path always runs at depth 1")
 		}
+	}
+	// No fault profile sets a read-disturb or retention limit, so the
+	// patrol finds no block at risk: only RAIN reconstructions of faulted
+	// reads queue scrubs.
+	if scrubEvery > 0 && (f.rain == 0 || f.faultProfile == "off" || f.faultProfile == "") {
+		return 0, 0, errors.New("-scrub-every needs -rain and a -fault-profile other than off: only RAIN reconstructions queue scrubs")
 	}
 	return powerCut, scrubEvery, nil
 }

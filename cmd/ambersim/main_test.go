@@ -42,7 +42,13 @@ func TestRunFlagsValidate(t *testing.T) {
 		{"negative rain", with(func(f *runFlags) { f.rain = -1 }), "bad -rain", 0, 0},
 		{"parallel=-2", with(func(f *runFlags) { f.parallel = -2 }), "bad -parallel -2", 0, 0},
 		{"snapshot of two devices", with(func(f *runFlags) { f.snapshot, f.devices = "img", 2 }), "single device", 0, 0},
-		{"good evented", with(func(f *runFlags) { f.powerLossAt, f.scrubEvery, f.rain = "50ms", "5ms", 3 }), "", 50 * sim.Millisecond, 5 * sim.Millisecond},
+		{"good evented", with(func(f *runFlags) { f.powerLossAt, f.scrubEvery, f.rain, f.faultProfile = "50ms", "5ms", 3, "heavy" }), "", 50 * sim.Millisecond, 5 * sim.Millisecond},
+		{"scrub without rain", with(func(f *runFlags) { f.scrubEvery, f.faultProfile = "5ms", "heavy" }), "-scrub-every needs -rain and a -fault-profile other than off", 0, 0},
+		{"scrub without faults", with(func(f *runFlags) { f.scrubEvery, f.rain, f.faultProfile = "5ms", 3, "off" }), "-scrub-every needs -rain and a -fault-profile other than off", 0, 0},
+		{"bs=3", with(func(f *runFlags) { f.blockSize = 3 }), "bad -bs 3: want a multiple of 512 bytes", 0, 0},
+		{"bs=1000", with(func(f *runFlags) { f.blockSize = 1000 }), "bad -bs 1000: want a multiple of 512 bytes", 0, 0},
+		{"bs=512", with(func(f *runFlags) { f.blockSize = 512 }), "", 0, 0},
+		{"bs=1536", with(func(f *runFlags) { f.blockSize = 1536 }), "", 0, 0},
 		{"good batch-submit", with(func(f *runFlags) { f.batchSubmit = true }), "", 0, 0},
 		{"batch-submit depth", with(func(f *runFlags) { f.batchSubmit, f.set = true, map[string]bool{"depth": true} }), "-depth are incompatible", 0, 0},
 		{"batch-submit default depth", with(func(f *runFlags) { f.batchSubmit, f.set = true, map[string]bool{"batch-submit": true, "n": true} }), "", 0, 0},
@@ -184,6 +190,34 @@ func TestReportCoversTheMeasuredRun(t *testing.T) {
 		if per := minstr * 1e6 / n; per < 1000 || per > 5000 {
 			t.Errorf("%s: firmware row %q is %.0f instructions a request, want the low thousands", name, c.rows["firmware"], per)
 		}
+	}
+}
+
+// TestPowerCutRowsCountCompleted: a run the cut halts reports the requests
+// completed before it, so the IOPS the bandwidth row prints is no more than
+// its MB/s carries in 4 KiB requests.
+func TestPowerCutRowsCountCompleted(t *testing.T) {
+	const n = 2000
+	var out strings.Builder
+	err := runOne("intel750", &out, runOptions{
+		sched: host.BFQ, precondition: true, faultProfile: "off",
+		pattern: workload.RandRead, blockSize: 4096, seed: 42, requests: n, depth: 32,
+		powerCut: 5 * sim.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := rows(out.String())
+	var done, budget int
+	if _, err := fmt.Sscanf(got["requests"], "%d of %d before the power cut", &done, &budget); err != nil || budget != n || done >= n {
+		t.Fatalf("requests row %q: want fewer than %d of %d before the power cut (%v)", got["requests"], n, n, err)
+	}
+	var mbps, iops float64
+	if _, err := fmt.Sscanf(got["bandwidth"], "%f MB/s (%f IOPS)", &mbps, &iops); err != nil {
+		t.Fatalf("bandwidth row %q: %v", got["bandwidth"], err)
+	}
+	if iops*4096/1e6 > mbps+0.05 {
+		t.Errorf("bandwidth row %q: %.0f IOPS of 4 KiB is more than the %.1f MB/s", got["bandwidth"], iops, mbps)
 	}
 }
 

@@ -26,11 +26,8 @@ var testSeams = map[string]string{
 	"cpu.Complex.ModuleInstructions": "the root cached-read work gate pins hil's and icl's instructions",
 	"cpu.Complex.Modules":            "core's tests check which firmware modules a run charged",
 	"fil.PlanFault.Unwrap":           "errors.Is and errors.As call it",
-	"ftl.Cert.Certified":             "fil's tests check a plan was certified",
 	"ftl.FTL.CheckInvariants":        "ftl's fuzz and compaction tests check the mapping after every step",
 	"ftl.FTL.ForceReadOnly":          "core's fault tests latch the drive read-only at a chosen moment",
-	"ftl.FTL.FreeSuperBlocks":        "ftl's link test checks its stream drained the free pool",
-	"ftl.FTL.Trim":                   "ftl's tests interleave TRIMs with writes",
 	"ftl.FTL.ValidSubs":              "fil's tests pick super-blocks by their valid count",
 	"icl.Cache.PayloadBytes":         "TestWorkGateBatchRW8kData pins the payload bytes a request moves",
 	"icl.Cache.ResidentLines":        "core's snapshot test counts resident lines",
@@ -40,15 +37,9 @@ var testSeams = map[string]string{
 	"nand.Flash.FaultSites":          "core's fault goldens print the fault-site log",
 	"nand.Flash.PayloadBytes":        "TestWorkGateBatchRW8kData pins the payload bytes a request moves",
 	"nand.Flash.PinsTaken":           "TestWorkGateBatchRW8kData logs the pages prefetches pinned",
-	"nand.Flash.Erase":               "fil's, ftl's and nand's tests erase single blocks",
-	"nand.Flash.Program":             "fil's and nand's tests program single pages",
-	"nand.Flash.Read":                "fil's, ftl's and nand's tests read single pages back",
 	"nand.Flash.TamperOOB":           "nand's OOB tests and ftl's mount fuzzer corrupt page metadata",
-	"nand.Flash.WriteSeq":            "ftl's compaction test checks sequence stamps",
-	"nand.Geometry.AddressOfPage":    "nand's tests turn page indices back into addresses",
 	"sim.Engine.RunUntil":            "fil's, nand's and sim's tests drain the engine to a time",
 	"stats.Latency.Count":            "core's and stats' tests count recorded samples",
-	"stats.Latency.Min":              "stats' fuzzer holds it to a sorted reference",
 }
 
 // TestExportsHaveCallers fails when an exported function or method declared

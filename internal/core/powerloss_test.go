@@ -118,6 +118,33 @@ func TestPowerLossRecoveryGoldenEquivalence(t *testing.T) {
 	checkPin(t, "power-loss", powerTrajectory(t, wideSystem(t)))
 }
 
+// TestPowerCutReportsCompletedRequests: a run the cut halts reports the
+// requests that completed before it, failed ones included, instead of the
+// budget it never got to, so IOPS counts only what the window served.
+func TestPowerCutReportsCompletedRequests(t *testing.T) {
+	s := smallSystem(t, nil)
+	const budget = 400
+	gen, err := workload.NewFIO(workload.RandWrite, 4096, s.VolumeBytes(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(gen, core.RunConfig{Requests: budget, IODepth: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := s.Now() + sim.Time((res.End-res.Start)/3)
+	res, err = s.Run(gen, core.RunConfig{Requests: budget, IODepth: 16, PowerLossAt: cut})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.PowerLost {
+		t.Fatalf("cut at %v did not fire (run ended %v)", cut, res.End)
+	}
+	if done := res.Latency.Count() + res.FailedReads + res.FailedWrites; res.Requests != done || done >= budget {
+		t.Fatalf("cut run reports %d requests, %d completed before the cut of a %d budget", res.Requests, done, budget)
+	}
+}
+
 // TestPowerLossFlushedRemountExact is the quiescent-cut durability bar: if
 // power is lost while no program is in flight (all writes flushed and
 // drained), mount-time recovery must rebuild a mapping that serves every

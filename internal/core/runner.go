@@ -56,7 +56,10 @@ type RunConfig struct {
 
 // RunResult reports a completed run.
 type RunResult struct {
-	Workload     string
+	Workload string
+	// Requests is the configured budget, unless the run was cut short: the
+	// count issued when StopOnReadOnly stopped it (StoppedEarly), the count
+	// completed before the cut when PowerLossAt halted it (PowerLost).
 	Requests     int
 	Depth        int // effective depth after protocol/scheduler clamping
 	BytesRead    int64
@@ -83,8 +86,7 @@ type RunResult struct {
 	FailedWrites int
 	FailedReads  int
 	ReadOnly     bool
-	// StoppedEarly reports that RunConfig.StopOnReadOnly truncated the run:
-	// Requests holds the count actually issued, not the configured budget.
+	// StoppedEarly reports that RunConfig.StopOnReadOnly truncated the run.
 	StoppedEarly bool
 
 	// Power-loss outcome (RunConfig.PowerLossAt): whether the cut fired,
@@ -216,6 +218,7 @@ func (s *System) Run(gen workload.Generator, rc RunConfig) (*RunResult, error) {
 		// the device loses all volatile state, and mount-time recovery
 		// rebuilds the FTL from the flash's OOB stamps.
 		res.PowerLost = true
+		res.Requests = l.completed
 		res.PowerLoss = s.PowerLoss(rc.PowerLossAt)
 		mrep, err := s.Mount()
 		if err != nil {

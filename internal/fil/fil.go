@@ -879,7 +879,7 @@ func Key(lspn int64, sub int) SubKey { return SubKey{lspn, sub} }
 // read's page bytes are delivered into its dst and its counters and energy
 // charged at issue time (nand.Flash.ReadDeferredAddr), and nothing is
 // scheduled, so every dst is complete when this call returns, and the
-// completion time is the one a read through nand.Flash.Read would give. This
+// completion time is the one nand.PlanBatch.ReadAddr would give. This
 // is the precopy stage of the core's fill installs: the caller's buffer is
 // complete when the fill's publish continuation (PublishDomain) is
 // scheduled. Every address is validated before any read claims, so an error

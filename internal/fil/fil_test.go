@@ -16,6 +16,34 @@ var testTiming = nand.Timing{
 	Erase: sim.FromMicroseconds(3000), BusMTps: 333, CmdCycles: sim.FromNanoseconds(100),
 }
 
+// rawOp issues one flash transaction outside any FTL plan the way fil's
+// walked plans issue theirs: the structural check, then the transaction on
+// an engine-less plan (an erase is committed at claim). kind is ftl.OpRead
+// (into buf), ftl.OpWrite (buf, untagged) or ftl.OpErase (addr's block).
+func rawOp(flash *nand.Flash, kind ftl.OpKind, now sim.Time, addr nand.Address, buf []byte) error {
+	var err error
+	switch kind {
+	case ftl.OpRead:
+		err = flash.CheckRead(&addr)
+	case ftl.OpWrite:
+		err = flash.CheckProgram(&addr)
+	}
+	if err != nil {
+		return err
+	}
+	b := flash.BeginPlan(nil, nil)
+	defer b.Commit()
+	switch kind {
+	case ftl.OpRead:
+		_, err = b.ReadAddr(now, &addr, buf)
+	case ftl.OpWrite:
+		_, err = b.ProgramAddr(now, &addr, buf, false, -1)
+	default:
+		_, err = b.Erase(now, addr)
+	}
+	return err
+}
+
 func newStack(t *testing.T, trackData bool) (*FIL, *ftl.FTL, *nand.Flash) {
 	t.Helper()
 	g := nand.Geometry{
@@ -443,7 +471,7 @@ func TestCertificationInvalidation(t *testing.T) {
 	// the next page the FTL will allocate there.
 	rawLoc := plan1.Ops[0].Loc
 	rawLoc.Page = fl.NextProgramPage(tr.Address(rawLoc))
-	if _, err := f.flash.Program(sim.FromMicroseconds(50000), tr.Address(rawLoc), payload[:512]); err != nil {
+	if err := rawOp(f.flash, ftl.OpWrite, sim.FromMicroseconds(50000), tr.Address(rawLoc), payload[:512]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -454,7 +482,7 @@ func TestCertificationInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plan2.Cert.Certified() {
+	if !plan2.Cert.By(tr) {
 		t.Fatal("FTL did not certify plan 2")
 	}
 	statsBefore, flashBefore := f.Stats(), fl.Stats()
@@ -604,14 +632,14 @@ func TestStatsSingleCountAcrossPaths(t *testing.T) {
 	}
 	for _, f := range []*FIL{fDef, fRef} {
 		at := sim.FromMicroseconds(500000)
-		if _, err := f.flash.Program(at, raw, payload[:512]); err != nil {
+		if err := rawOp(f.flash, ftl.OpWrite, at, raw, payload[:512]); err != nil {
 			t.Fatal(err)
 		}
 		got := make([]byte, 512)
-		if _, err := f.flash.Read(at+sim.FromMicroseconds(5000), raw, got); err != nil {
+		if err := rawOp(f.flash, ftl.OpRead, at+sim.FromMicroseconds(5000), raw, got); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.flash.Erase(at+sim.FromMicroseconds(10000), raw); err != nil {
+		if err := rawOp(f.flash, ftl.OpErase, at+sim.FromMicroseconds(10000), raw, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -632,20 +660,20 @@ func TestRawOCSSDPath(t *testing.T) {
 	addr := nand.Address{Channel: 1, Page: 0}
 	data := make([]byte, 512)
 	data[7] = 0x77
-	if _, err := f.flash.Program(0, addr, data); err != nil {
+	if err := rawOp(f.flash, ftl.OpWrite, 0, addr, data); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 512)
-	if _, err := f.flash.Read(sim.FromMicroseconds(5000), addr, got); err != nil {
+	if err := rawOp(f.flash, ftl.OpRead, sim.FromMicroseconds(5000), addr, got); err != nil {
 		t.Fatal(err)
 	}
 	if got[7] != 0x77 {
 		t.Fatal("raw path lost data")
 	}
-	if _, err := f.flash.Erase(sim.FromMicroseconds(9000), addr); err != nil {
+	if err := rawOp(f.flash, ftl.OpErase, sim.FromMicroseconds(9000), addr, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.flash.Read(sim.FromMicroseconds(13000), addr, got); err == nil {
+	if err := rawOp(f.flash, ftl.OpRead, sim.FromMicroseconds(13000), addr, got); err == nil {
 		t.Fatal("read after erase should fail")
 	}
 }
@@ -736,7 +764,7 @@ func TestCertifiedChainFaultDisarm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !plan.Cert.Certified() {
+		if !plan.Cert.By(tr) {
 			t.Fatalf("write %d: plan not certified", i)
 		}
 		certBefore := f.Stats().CertifiedPlans
@@ -778,7 +806,7 @@ func TestCertifiedChainFaultDisarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rplan.Cert.Certified() {
+	if rplan.Cert.By(tr) {
 		t.Fatal("recovery plan carries a certificate")
 	}
 	if _, err := f.ExecuteOn(e, doms, now, rplan, HostData(faultLSPN, dirty, payload, 512)); err != nil {
@@ -795,7 +823,7 @@ func TestCertifiedChainFaultDisarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plan.Cert.Certified() {
+	if !plan.Cert.By(tr) {
 		t.Fatal("post-recovery plan not certified")
 	}
 	if _, err := f.ExecuteOn(e, doms, now, plan, HostData(0, dirty, payload, 512)); err != nil {

@@ -327,8 +327,8 @@ func BenchmarkExecuteOnGCPlan(b *testing.B) {
 					}
 				}
 				plan, moved, err := tr.PlanScrub(now, victim)
-				if err != nil || moved != full || !plan.Cert.Certified() {
-					b.Fatalf("scrub of SB %d moved %d of %d subs (certified %v): %v", victim, moved, full, plan.Cert.Certified(), err)
+				if err != nil || moved != full || !plan.Cert.By(tr) {
+					b.Fatalf("scrub of SB %d moved %d of %d subs (certified %v): %v", victim, moved, full, plan.Cert.By(tr), err)
 				}
 				ops = len(plan.Ops)
 				b.StartTimer()

@@ -143,7 +143,7 @@ func TestReadCertRawOpDisarm(t *testing.T) {
 	rawLoc := ftl.PageLoc{SB: 7, Page: 0, Plane: 0, Sub: 0}
 	rawAddr := tr.Address(rawLoc)
 	rawAddr.Page = fl.NextProgramPage(rawAddr)
-	if _, err := f.flash.Program(sim.FromMicroseconds(5000), rawAddr, payload[:512]); err != nil {
+	if err := rawOp(f.flash, ftl.OpWrite, sim.FromMicroseconds(5000), rawAddr, payload[:512]); err != nil {
 		t.Fatal(err)
 	}
 

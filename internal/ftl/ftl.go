@@ -203,9 +203,6 @@ type Cert struct {
 	seq    uint64
 }
 
-// Certified reports whether the plan carries a certification at all.
-func (c Cert) Certified() bool { return c.issuer != nil }
-
 // By reports whether the certificate was minted by f.
 func (c Cert) By(f *FTL) bool { return f != nil && c.issuer == f }
 
@@ -439,9 +436,6 @@ func (f *FTL) SuperPageBytes() int { return f.subCount * f.cfg.Geometry.PageSize
 
 // Stats returns a copy of the counters.
 func (f *FTL) Stats() Stats { return f.stats }
-
-// FreeSuperBlocks returns the current reserve of erased super-blocks.
-func (f *FTL) FreeSuperBlocks() int { return len(f.freeSB) }
 
 // ReadOnly reports whether grown bad blocks exhausted the spare reserve
 // and the device now refuses new host writes.
@@ -901,22 +895,6 @@ func (f *FTL) Write(now sim.Time, lspn int64, dirty []bool) (Plan, error) {
 	f.certify(&plan)
 	burn = false
 	return plan, nil
-}
-
-// Trim unmaps the super-page, invalidating its physical sub-pages without
-// any flash work (the device-level TRIM/deallocate path).
-func (f *FTL) Trim(lspn int64) error {
-	if err := f.checkLSPN(lspn); err != nil {
-		return err
-	}
-	for sub := 0; sub < f.subCount; sub++ {
-		fi := f.fwdIndex(lspn, sub)
-		if packed := f.fwd[fi]; packed >= 0 {
-			f.invalidate(int64(packed))
-			f.fwd[fi] = -1
-		}
-	}
-	return nil
 }
 
 // Mapped reports whether any sub-page of lspn is mapped.

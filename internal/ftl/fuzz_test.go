@@ -48,14 +48,14 @@ func fuzzImage(tb testing.TB) (Config, *nand.Flash) {
 			switch op.Kind {
 			case OpRead:
 				buf := make([]byte, ps)
-				if _, err := flash.Read(now, f.Address(op.Loc), buf); err != nil {
+				if err := flashOp(flash, OpRead, now, f.Address(op.Loc), buf, 0); err != nil {
 					tb.Fatalf("plan read %v: %v", op.Loc, err)
 				}
 				reads[subKey{op.LSPN, op.Loc.Sub}] = buf
 			case OpWrite:
 				addr := f.Address(op.Loc)
 				if op.Parity {
-					if _, err := flash.ProgramTagged(now, addr, make([]byte, ps), ParityTag); err != nil {
+					if err := flashOp(flash, OpWrite, now, addr, make([]byte, ps), ParityTag); err != nil {
 						tb.Fatalf("parity program %v: %v", op.Loc, err)
 					}
 					flash.SetPageStripe(addr, op.Mask)
@@ -69,13 +69,13 @@ func fuzzImage(tb testing.TB) (Config, *nand.Flash) {
 					}
 				}
 				tag := op.LSPN*int64(planes) + int64(op.Loc.Sub)
-				if _, err := flash.ProgramTagged(now, addr, data, tag); err != nil {
+				if err := flashOp(flash, OpWrite, now, addr, data, tag); err != nil {
 					tb.Fatalf("plan program %v: %v", op.Loc, err)
 				}
 			case OpErase:
 				for p := 0; p < planes; p++ {
 					addr := f.Address(PageLoc{SB: op.SB, Page: 0, Plane: p, Sub: p})
-					if _, err := flash.Erase(now, addr); err != nil {
+					if err := flashOp(flash, OpErase, now, addr, nil, 0); err != nil {
 						tb.Fatalf("plan erase SB %d plane %d: %v", op.SB, p, err)
 					}
 				}
@@ -191,7 +191,7 @@ func execMountPlan(t *testing.T, f *FTL, flash *nand.Flash, build func() Plan) {
 		switch op.Kind {
 		case OpRead:
 			buf := make([]byte, ps)
-			if _, err := flash.Read(now, f.Address(op.Loc), buf); err != nil {
+			if err := flashOp(flash, OpRead, now, f.Address(op.Loc), buf, 0); err != nil {
 				t.Fatalf("mount-plan read %v: %v", op.Loc, err)
 			}
 		case OpWrite:
@@ -200,7 +200,7 @@ func execMountPlan(t *testing.T, f *FTL, flash *nand.Flash, build func() Plan) {
 			if op.Parity {
 				tag = ParityTag
 			}
-			if _, err := flash.ProgramTagged(now, addr, make([]byte, ps), tag); err != nil {
+			if err := flashOp(flash, OpWrite, now, addr, make([]byte, ps), tag); err != nil {
 				t.Fatalf("mount-plan program %v: %v", op.Loc, err)
 			}
 			if op.Parity {
@@ -209,7 +209,7 @@ func execMountPlan(t *testing.T, f *FTL, flash *nand.Flash, build func() Plan) {
 		case OpErase:
 			for p := 0; p < planes; p++ {
 				addr := f.Address(PageLoc{SB: op.SB, Page: 0, Plane: p, Sub: p})
-				if _, err := flash.Erase(now, addr); err != nil {
+				if err := flashOp(flash, OpErase, now, addr, nil, 0); err != nil {
 					t.Fatalf("mount-plan erase SB %d plane %d: %v", op.SB, p, err)
 				}
 			}

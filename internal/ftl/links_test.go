@@ -92,10 +92,10 @@ func linkConfig(mutate func(*Config)) Config {
 // linkStream drives a fill plus n random overwrites through a fresh FTL,
 // handing every plan to visit, which may stop the stream (leaving the FTL
 // exactly as that Write left it). full writes whole super-pages; otherwise
-// each write dirties a random non-empty subset of the subs. The stream is
-// a pure function of its arguments, so callers replay it to rebuild a
-// state.
-func linkStream(t *testing.T, cfg Config, full bool, n int, visit func(now sim.Time, plan Plan) (stop bool)) (*FTL, sim.Time) {
+// each write dirties a random non-empty subset of the subs. The LSPNs hole
+// reports (when non-nil) are never written. The stream is a pure function
+// of its arguments, so callers replay it to rebuild a state.
+func linkStream(t *testing.T, cfg Config, full bool, n int, hole func(lspn int64) bool, visit func(now sim.Time, plan Plan) (stop bool)) (*FTL, sim.Time) {
 	t.Helper()
 	f, err := New(cfg)
 	if err != nil {
@@ -107,6 +107,9 @@ func linkStream(t *testing.T, cfg Config, full bool, n int, visit func(now sim.T
 	subs := f.SubPagesPerSuperPage()
 	stopped := false
 	write := func(lspn int64, dirty []bool) {
+		if hole != nil && hole(lspn) {
+			return
+		}
 		now += sim.Microsecond
 		plan, err := f.Write(now, lspn, dirty)
 		if err != nil {
@@ -164,8 +167,8 @@ func TestPlanLinksMatchReference(t *testing.T) {
 		t.Run(m.name, func(t *testing.T) {
 			var tally linkTally
 			cfg := linkConfig(m.mutate)
-			f, _ := linkStream(t, cfg, m.full, 1500, func(_ sim.Time, plan Plan) bool {
-				if !plan.Cert.Certified() {
+			f, _ := linkStream(t, cfg, m.full, 1500, nil, func(_ sim.Time, plan Plan) bool {
+				if plan.Cert.issuer == nil {
 					t.Fatal("Write returned an uncertified plan")
 				}
 				checkLinks(t, m.name, plan.Ops, &tally)
@@ -192,7 +195,7 @@ func TestPlanLinksMatchReference(t *testing.T) {
 
 	t.Run("scrub", func(t *testing.T) {
 		var tally linkTally
-		f, now := linkStream(t, linkConfig(nil), false, 600, nil)
+		f, now := linkStream(t, linkConfig(nil), false, 600, nil, nil)
 		scrubbed := 0
 		for sb := 0; sb < f.SuperBlockCount() && scrubbed < 3; sb++ {
 			if !f.Scrubbable(sb) || f.ValidSubs(sb) == 0 {
@@ -214,16 +217,16 @@ func TestPlanLinksMatchReference(t *testing.T) {
 
 	t.Run("mount-squeeze", func(t *testing.T) {
 		var tally linkTally
-		f, now := linkStream(t, linkConfig(nil), false, 600, nil)
-		if f.FreeSuperBlocks() > gcFreeThreshold {
-			t.Fatalf("stream ended with %d free super-blocks; squeeze has nothing to do", f.FreeSuperBlocks())
+		f, now := linkStream(t, linkConfig(nil), false, 600, nil, nil)
+		if free := len(f.freeSB); free > gcFreeThreshold {
+			t.Fatalf("stream ended with %d free super-blocks; squeeze has nothing to do", free)
 		}
 		plan, blocks, subs, err := f.MountSqueeze(now)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if blocks == 0 || subs == 0 || !plan.Cert.Certified() {
-			t.Fatalf("squeeze compacted %d blocks / %d subs (certified %v): vacuous", blocks, subs, plan.Cert.Certified())
+		if blocks == 0 || subs == 0 || !plan.Cert.By(f) {
+			t.Fatalf("squeeze compacted %d blocks / %d subs (certified %v): vacuous", blocks, subs, plan.Cert.By(f))
 		}
 		checkLinks(t, "mount-squeeze", plan.Ops, &tally)
 		if tally.linked != subs {
@@ -234,7 +237,7 @@ func TestPlanLinksMatchReference(t *testing.T) {
 	t.Run("reconstruct", func(t *testing.T) {
 		var tally linkTally
 		cfg := linkConfig(func(c *Config) { c.RAINWidth = 3 })
-		f, now := linkStream(t, cfg, false, 600, nil)
+		f, now := linkStream(t, cfg, false, 600, nil, nil)
 		done := 0
 		for lspn := int64(0); lspn < f.UserSuperPages() && done < 8; lspn++ {
 			for sub := 0; sub < f.SubPagesPerSuperPage() && done < 8; sub++ {
@@ -276,13 +279,13 @@ func TestPlanLinksMatchReference(t *testing.T) {
 			// The stream's largest plan, found once and faulted early, in
 			// the middle and late, each time on a freshly replayed FTL.
 			best := 0
-			linkStream(t, linkConfig(nil), false, 400, func(_ sim.Time, plan Plan) bool {
+			linkStream(t, linkConfig(nil), false, 400, nil, func(_ sim.Time, plan Plan) bool {
 				best = max(best, len(plan.Ops))
 				return false
 			})
 			for _, frac := range []int{0, 1, 2} {
 				var mega Plan
-				ftlAt, at := linkStream(t, linkConfig(nil), false, 400, func(_ sim.Time, plan Plan) bool {
+				ftlAt, at := linkStream(t, linkConfig(nil), false, 400, nil, func(_ sim.Time, plan Plan) bool {
 					mega = plan
 					return len(plan.Ops) == best
 				})
@@ -303,7 +306,7 @@ func TestPlanLinksMatchReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("recover at op %d of %d: %v", executed, len(mega.Ops), err)
 				}
-				if rplan.Cert.Certified() {
+				if rplan.Cert.By(ftlAt) {
 					t.Fatal("recovery plan is certified")
 				}
 				checkLinks(t, fc.name, rplan.Ops, &tally)
@@ -321,17 +324,15 @@ func TestPlanLinksMatchReference(t *testing.T) {
 // returns, filtered to the request and in the request's order, under an
 // equal certificate — and each location is the one the single-sub LookupSub
 // (its own code) reports, unmapped subs left out. The map it reads was built
-// by every plan builder, then holed by Trim and partly rewritten.
+// by every plan builder around never-written LSPNs, some of which a partial
+// write then maps.
 func TestLookupSubsMatchesFullLookup(t *testing.T) {
 	for _, m := range linkModes {
 		t.Run(m.name, func(t *testing.T) {
-			f, now := linkStream(t, linkConfig(m.mutate), m.full, 600, nil)
+			f, now := linkStream(t, linkConfig(m.mutate), m.full, 600, func(lspn int64) bool { return lspn%5 == 0 }, nil)
 			rng := sim.NewRNG(17)
 			user, subCount := f.UserSuperPages(), f.SubPagesPerSuperPage()
 			for lspn := int64(0); lspn < user; lspn += 5 {
-				if err := f.Trim(lspn); err != nil {
-					t.Fatal(err)
-				}
 				if lspn%2 == 0 {
 					continue // stays wholly unmapped
 				}

@@ -125,10 +125,6 @@ func (f *Flash) BadBlocks() []int {
 	return out
 }
 
-// WriteSeq returns the device-wide write sequence counter (the source of
-// OOB sequence stamps).
-func (f *Flash) WriteSeq() uint64 { return f.progSeq }
-
 // PowerLossReport summarizes how a power cut resolved the storage state.
 type PowerLossReport struct {
 	// InFlight counts programs whose array operation had not completed at

@@ -189,27 +189,6 @@ func (g Geometry) PageIndex(a Address) int64 {
 	return int64(g.BlockIndex(a))*int64(g.PagesPerBlock) + int64(a.Page)
 }
 
-// AddressOfBlock is the inverse of BlockIndex with Page zero.
-func (g Geometry) AddressOfBlock(blockIndex int) Address {
-	a := Address{}
-	a.Block = blockIndex % g.BlocksPerPlane
-	rest := blockIndex / g.BlocksPerPlane
-	a.Plane = rest % g.PlanesPerDie
-	rest /= g.PlanesPerDie
-	a.Die = rest % g.DiesPerPackage
-	rest /= g.DiesPerPackage
-	a.Package = rest % g.PackagesPerChannel
-	a.Channel = rest / g.PackagesPerChannel
-	return a
-}
-
-// AddressOfPage is the inverse of PageIndex.
-func (g Geometry) AddressOfPage(pageIndex int64) Address {
-	a := g.AddressOfBlock(int(pageIndex / int64(g.PagesPerBlock)))
-	a.Page = int(pageIndex % int64(g.PagesPerBlock))
-	return a
-}
-
 // CheckAddress reports an error if a falls outside the geometry.
 func (g Geometry) CheckAddress(a Address) error {
 	switch {
@@ -571,9 +550,8 @@ type Flash struct {
 	pins map[*byte]pin
 
 	// plan is the reusable context for BeginPlan (one plan executes at a
-	// time). direct is an engine-less batch that is never opened: Read,
-	// ProgramTagged and Erase issue through it one transaction at a time.
-	plan, direct PlanBatch
+	// time).
+	plan PlanBatch
 
 	// epoch counts functional block-state transitions (programs and erases,
 	// on any path). It backs the certified
@@ -669,7 +647,7 @@ func New(geo Geometry, tim Timing, pow Power, cell CellType, opt Options) (*Flas
 	f.chStats = make([]Stats, geo.Channels)
 	f.chEnergy = make([]float64, geo.Channels)
 	f.pagesPerC = geo.TotalPages() / int64(geo.Channels)
-	f.plan.f, f.direct.f = f, f
+	f.plan.f = f
 	if opt.TrackData {
 		f.pins = make(map[*byte]pin)
 		f.sums = make([]uint64, geo.TotalPages())
@@ -856,17 +834,6 @@ func (f *Flash) claimRead(now sim.Time, addr *Address, di int, extra sim.Duratio
 	return cmdStart, ready, done
 }
 
-// Read performs a page read: the die is busy for tR, then the channel is
-// occupied streaming the page out. If data tracking is on and dst is
-// non-nil, dst receives the page contents. It is CheckRead, then
-// PlanBatch.ReadAddr on an engine-less batch.
-func (f *Flash) Read(now sim.Time, addr Address, dst []byte) (Result, error) {
-	if err := f.CheckRead(&addr); err != nil {
-		return Result{}, err
-	}
-	return f.direct.ReadAddr(now, &addr, dst)
-}
-
 // accountRead charges one page read to the channel's counters and energy.
 func (f *Flash) accountRead(channel int) {
 	st := &f.chStats[channel]
@@ -889,8 +856,8 @@ func (f *Flash) copyOut(pageIdx int64, dst []byte) {
 	f.countPayload(n, end)
 }
 
-// ReadDeferredAddr performs a page read with the timing of Read, delivering
-// the page bytes into dst at issue (exactly what a synchronous Read would
+// ReadDeferredAddr performs a page read with the timing of PlanBatch.ReadAddr,
+// delivering the page bytes into dst at issue (exactly what ReadAddr would
 // deliver) and charging the channel's counters and energy at issue too: it
 // schedules nothing. The bytes a read returns are fixed when it is issued:
 // the array read latches its data before any later erase or program can
@@ -1055,9 +1022,8 @@ func (f *Flash) install(pageIdx int64, buf []byte) {
 // plan schedules nothing. Opened on an engine, a batch journals each erase's
 // undo record until the engine's dispatch clock passes the erase's start,
 // because a power cut may still land before it; opened without one (a nil
-// engine), an erase is committed when it is claimed. Flash.Read,
-// ProgramTagged and Erase are that mode one transaction at a time. Obtain
-// with Flash.BeginPlan and end with Commit. Only one plan may be open per
+// engine), an erase is committed when it is claimed. Obtain with
+// Flash.BeginPlan and end with Commit. Only one plan may be open per
 // Flash at a time — the FIL's serial plan execution guarantees it.
 type PlanBatch struct {
 	f    *Flash
@@ -1122,11 +1088,11 @@ func (b *PlanBatch) ReadTrusted(now sim.Time, addr Address, dst []byte) (Result,
 // sub-page this program stores (fil passes the forward-map index), stamped
 // into the page's out-of-band metadata so mount-time recovery can rebuild
 // the mapping from flash alone. Raw and untagged programs pass -1. The stamp
-// holds 32 bits: a tag outside int32 is the caller's error (ProgramTagged
-// refuses one). Like ReadAddr there is no structural precheck (address
-// bounds, in-order program pointer) — the certificate or the executor's
-// Flash.CheckProgram vouches — while injected fault draws still run, and the
-// address travels by reference.
+// holds 32 bits: fil's tags are forward-map indices, which ftl.New bounds to
+// int32, or the parity tag. Like ReadAddr there is no structural precheck
+// (address bounds, in-order program pointer) — the certificate or the
+// executor's Flash.CheckProgram vouches — while injected fault draws still
+// run, and the address travels by reference.
 //
 // When staged is set there is no staging copy either: data is then a
 // whole-page Flash.StagingBuf the caller filled, and the flash makes that
@@ -1282,27 +1248,6 @@ func (f *Flash) claimProgram(now sim.Time, addr *Address, di int, tag int64) (xf
 	return xferStart, done, slot
 }
 
-// Program writes one page. It enforces the flash physical constraints: the
-// page must be the next in-order page of its block (no overwrite, ascending
-// program order within a block for MLC/TLC disturb management).
-func (f *Flash) Program(now sim.Time, addr Address, data []byte) (Result, error) {
-	return f.ProgramTagged(now, addr, data, -1)
-}
-
-// ProgramTagged is Program with an OOB logical tag (see
-// PlanBatch.ProgramAddr): CheckProgram, then ProgramAddr on an engine-less
-// batch. A tag the 32-bit stamp cannot hold is refused before anything is
-// claimed.
-func (f *Flash) ProgramTagged(now sim.Time, addr Address, data []byte, tag int64) (Result, error) {
-	if tag < math.MinInt32 || tag > math.MaxInt32 {
-		return Result{}, fmt.Errorf("nand: OOB tag %d outside the 32-bit stamp", tag)
-	}
-	if err := f.CheckProgram(&addr); err != nil {
-		return Result{}, err
-	}
-	return f.direct.ProgramAddr(now, &addr, data, false, tag)
-}
-
 // eraseUndoRec snapshots the block state one claimed erase destroyed, so a
 // power cut before the erase's array operation started can put it back. It
 // copies the block's stamps — 24 bytes a page, written flags included, plus
@@ -1434,12 +1379,6 @@ func (f *Flash) claimErase(now sim.Time, addr *Address, di int) (cmdStart, done 
 	}
 	f.epoch++
 	return cmdStart, done, undo
-}
-
-// Erase erases the block containing addr (its Page field is ignored): the
-// engine-less PlanBatch.Erase.
-func (f *Flash) Erase(now sim.Time, addr Address) (Result, error) {
-	return f.direct.Erase(now, addr)
 }
 
 // PageWritten reports whether the page at addr currently holds data.

@@ -47,6 +47,58 @@ func newTestFlash(t *testing.T, opt Options) *Flash {
 	return f
 }
 
+// The single-op helpers issue one transaction the way fil's walked plans
+// do: the structural check, then the transaction on an engine-less plan
+// (an erase is committed at claim), then Commit.
+
+func readPage(f *Flash, now sim.Time, addr Address, dst []byte) (Result, error) {
+	if err := f.CheckRead(&addr); err != nil {
+		return Result{}, err
+	}
+	b := f.BeginPlan(nil, nil)
+	defer b.Commit()
+	return b.ReadAddr(now, &addr, dst)
+}
+
+func programPage(f *Flash, now sim.Time, addr Address, data []byte) (Result, error) {
+	return programTagged(f, now, addr, data, -1)
+}
+
+func programTagged(f *Flash, now sim.Time, addr Address, data []byte, tag int64) (Result, error) {
+	if err := f.CheckProgram(&addr); err != nil {
+		return Result{}, err
+	}
+	b := f.BeginPlan(nil, nil)
+	defer b.Commit()
+	return b.ProgramAddr(now, &addr, data, false, tag)
+}
+
+func eraseBlock(f *Flash, now sim.Time, addr Address) (Result, error) {
+	b := f.BeginPlan(nil, nil)
+	defer b.Commit()
+	return b.Erase(now, addr)
+}
+
+// addressOfBlock is the inverse of BlockIndex with Page zero.
+func addressOfBlock(g Geometry, blockIndex int) Address {
+	a := Address{Block: blockIndex % g.BlocksPerPlane}
+	rest := blockIndex / g.BlocksPerPlane
+	a.Plane = rest % g.PlanesPerDie
+	rest /= g.PlanesPerDie
+	a.Die = rest % g.DiesPerPackage
+	rest /= g.DiesPerPackage
+	a.Package = rest % g.PackagesPerChannel
+	a.Channel = rest / g.PackagesPerChannel
+	return a
+}
+
+// addressOfPage is the inverse of PageIndex.
+func addressOfPage(g Geometry, pageIndex int64) Address {
+	a := addressOfBlock(g, int(pageIndex/int64(g.PagesPerBlock)))
+	a.Page = int(pageIndex % int64(g.PagesPerBlock))
+	return a
+}
+
 func TestGeometryValidate(t *testing.T) {
 	g := testGeometry()
 	if err := g.Validate(); err != nil {
@@ -79,11 +131,11 @@ func TestAddressRoundTrip(t *testing.T) {
 	f := func(block uint16, page uint8) bool {
 		bi := int(block) % g.TotalBlocks()
 		pi := int64(bi)*int64(g.PagesPerBlock) + int64(int(page)%g.PagesPerBlock)
-		a := g.AddressOfPage(pi)
+		a := addressOfPage(g, pi)
 		if err := g.CheckAddress(a); err != nil {
 			return false
 		}
-		return g.PageIndex(a) == pi && g.BlockIndex(g.AddressOfBlock(bi)) == bi
+		return g.PageIndex(a) == pi && g.BlockIndex(addressOfBlock(g, bi)) == bi
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -109,38 +161,38 @@ func TestCheckAddressBounds(t *testing.T) {
 func TestEraseBeforeWrite(t *testing.T) {
 	f := newTestFlash(t, Options{})
 	addr := Address{Page: 0}
-	if _, err := f.Program(0, addr, nil); err != nil {
+	if _, err := programPage(f, 0, addr, nil); err != nil {
 		t.Fatalf("first program failed: %v", err)
 	}
-	if _, err := f.Program(0, addr, nil); err == nil {
+	if _, err := programPage(f, 0, addr, nil); err == nil {
 		t.Fatal("overwrite without erase must fail")
 	}
-	if _, err := f.Erase(0, addr); err != nil {
+	if _, err := eraseBlock(f, 0, addr); err != nil {
 		t.Fatalf("erase failed: %v", err)
 	}
-	if _, err := f.Program(0, addr, nil); err != nil {
+	if _, err := programPage(f, 0, addr, nil); err != nil {
 		t.Fatalf("program after erase failed: %v", err)
 	}
 }
 
 func TestInOrderProgramEnforced(t *testing.T) {
 	f := newTestFlash(t, Options{})
-	if _, err := f.Program(0, Address{Page: 3}, nil); err == nil {
+	if _, err := programPage(f, 0, Address{Page: 3}, nil); err == nil {
 		t.Fatal("out-of-order program (page 3 first) must fail")
 	}
 	for p := 0; p < 4; p++ {
-		if _, err := f.Program(0, Address{Page: p}, nil); err != nil {
+		if _, err := programPage(f, 0, Address{Page: p}, nil); err != nil {
 			t.Fatalf("in-order program of page %d failed: %v", p, err)
 		}
 	}
-	if _, err := f.Program(0, Address{Page: 6}, nil); err == nil {
+	if _, err := programPage(f, 0, Address{Page: 6}, nil); err == nil {
 		t.Fatal("skipping page 4 must fail")
 	}
 }
 
 func TestReadUnwrittenFails(t *testing.T) {
 	f := newTestFlash(t, Options{})
-	if _, err := f.Read(0, Address{Page: 0}, nil); err == nil {
+	if _, err := readPage(f, 0, Address{Page: 0}, nil); err == nil {
 		t.Fatal("read of unwritten page must fail")
 	}
 }
@@ -152,18 +204,18 @@ func TestDataIntegrity(t *testing.T) {
 		payload[i] = byte(i * 7)
 	}
 	addr := Address{Channel: 1, Block: 2}
-	if _, err := f.Program(0, addr, payload); err != nil {
+	if _, err := programPage(f, 0, addr, payload); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 4096)
-	if _, err := f.Read(0, addr, got); err != nil {
+	if _, err := readPage(f, 0, addr, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatal("read-back bytes differ from programmed bytes")
 	}
 	// Erase clears content.
-	if _, err := f.Erase(0, addr); err != nil {
+	if _, err := eraseBlock(f, 0, addr); err != nil {
 		t.Fatal(err)
 	}
 	if f.PageWritten(addr) {
@@ -176,12 +228,12 @@ func TestProgramCopiesPayload(t *testing.T) {
 	payload := make([]byte, 4096)
 	payload[0] = 0xAA
 	addr := Address{}
-	if _, err := f.Program(0, addr, payload); err != nil {
+	if _, err := programPage(f, 0, addr, payload); err != nil {
 		t.Fatal(err)
 	}
 	payload[0] = 0xBB // mutate caller buffer after program
 	got := make([]byte, 4096)
-	if _, err := f.Read(0, addr, got); err != nil {
+	if _, err := readPage(f, 0, addr, got); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 0xAA {
@@ -192,12 +244,12 @@ func TestProgramCopiesPayload(t *testing.T) {
 func TestReadTimingComposition(t *testing.T) {
 	f := newTestFlash(t, Options{})
 	tm := testTiming()
-	if _, err := f.Program(0, Address{Page: 0}, nil); err != nil {
+	if _, err := programPage(f, 0, Address{Page: 0}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Use a quiet moment well after the program completes.
 	start := sim.FromMicroseconds(10000)
-	res, err := f.Read(start, Address{Page: 0}, nil)
+	res, err := readPage(f, start, Address{Page: 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,11 +330,11 @@ func TestChannelContentionSerializes(t *testing.T) {
 	// must serialize on the bus.
 	a1 := Address{Channel: 0, Package: 0, Page: 0}
 	a2 := Address{Channel: 0, Package: 1, Page: 0}
-	r1, err := f.Program(0, a1, nil)
+	r1, err := programPage(f, 0, a1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := f.Program(0, a2, nil)
+	r2, err := programPage(f, 0, a2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,11 +351,11 @@ func TestChannelContentionSerializes(t *testing.T) {
 
 func TestDifferentChannelsParallel(t *testing.T) {
 	f := newTestFlash(t, Options{})
-	r1, err := f.Program(0, Address{Channel: 0, Page: 0}, nil)
+	r1, err := programPage(f, 0, Address{Channel: 0, Page: 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := f.Program(0, Address{Channel: 1, Page: 0}, nil)
+	r2, err := programPage(f, 0, Address{Channel: 1, Page: 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,11 +368,11 @@ func TestDieContentionSerializesArrayOps(t *testing.T) {
 	f := newTestFlash(t, Options{})
 	a1 := Address{Page: 0}
 	a2 := Address{Page: 1}
-	r1, err := f.Program(0, a1, nil)
+	r1, err := programPage(f, 0, a1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := f.Program(0, a2, nil)
+	r2, err := programPage(f, 0, a2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +389,7 @@ func TestEraseResetsWear(t *testing.T) {
 	f := newTestFlash(t, Options{})
 	addr := Address{Block: 3}
 	for i := 0; i < 5; i++ {
-		if _, err := f.Erase(0, addr); err != nil {
+		if _, err := eraseBlock(f, 0, addr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -351,13 +403,13 @@ func TestEraseResetsWear(t *testing.T) {
 
 func TestStatsAndEnergy(t *testing.T) {
 	f := newTestFlash(t, Options{})
-	if _, err := f.Program(0, Address{Page: 0}, nil); err != nil {
+	if _, err := programPage(f, 0, Address{Page: 0}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Read(sim.FromMicroseconds(5000), Address{Page: 0}, nil); err != nil {
+	if _, err := readPage(f, sim.FromMicroseconds(5000), Address{Page: 0}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Erase(sim.FromMicroseconds(9000), Address{}); err != nil {
+	if _, err := eraseBlock(f, sim.FromMicroseconds(9000), Address{}); err != nil {
 		t.Fatal(err)
 	}
 	s := f.Stats()
@@ -393,7 +445,7 @@ func TestBlockDataProperty(t *testing.T) {
 				buf[i] = byte(rng.Uint64())
 			}
 			now += sim.FromMicroseconds(5000)
-			if _, err := f.Program(now, Address{Page: p}, buf); err != nil {
+			if _, err := programPage(f, now, Address{Page: p}, buf); err != nil {
 				t.Fatal(err)
 			}
 			written[p] = buf
@@ -401,7 +453,7 @@ func TestBlockDataProperty(t *testing.T) {
 		for p := 0; p < g.PagesPerBlock; p++ {
 			got := make([]byte, g.PageSize)
 			now += sim.FromMicroseconds(500)
-			if _, err := f.Read(now, Address{Page: p}, got); err != nil {
+			if _, err := readPage(f, now, Address{Page: p}, got); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, written[p]) {
@@ -409,7 +461,7 @@ func TestBlockDataProperty(t *testing.T) {
 			}
 		}
 		now += sim.FromMicroseconds(5000)
-		if _, err := f.Erase(now, Address{}); err != nil {
+		if _, err := eraseBlock(f, now, Address{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -468,12 +520,12 @@ func BenchmarkProgramReadErase(b *testing.B) {
 		blk := Address{Block: i % g.BlocksPerPlane}
 		for p := 0; p < g.PagesPerBlock; p++ {
 			blk.Page = p
-			if _, err := f.Program(now, blk, nil); err != nil {
+			if _, err := programPage(f, now, blk, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 		now += sim.FromMicroseconds(100000)
-		if _, err := f.Erase(now, blk); err != nil {
+		if _, err := eraseBlock(f, now, blk); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -533,12 +585,12 @@ func checkDeferredRead(t *testing.T, issue func(f *Flash, e *sim.Engine, dom sim
 	addr := Address{Channel: 2, Page: 0}
 	payload := bytes.Repeat([]byte{0xa5}, 4096)
 	for _, f := range []*Flash{fSync, fDef} {
-		if _, err := f.Program(0, addr, payload); err != nil {
+		if _, err := programPage(f, 0, addr, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
 	now := sim.FromMicroseconds(5000)
-	want, err := fSync.Read(now, addr, make([]byte, 4096))
+	want, err := readPage(fSync, now, addr, make([]byte, 4096))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,7 +649,7 @@ func TestProgramDeferred(t *testing.T) {
 	addr := Address{Channel: 3, Page: 0}
 	payload := bytes.Repeat([]byte{0x5c}, 4096)
 
-	want, err := fSync.Program(0, addr, payload)
+	want, err := programPage(fSync, 0, addr, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -623,7 +675,7 @@ func TestProgramDeferred(t *testing.T) {
 		t.Fatal("a read issued after the program missed its bytes")
 	}
 	rb := make([]byte, 4096)
-	if _, err := fDef.Read(sim.FromMicroseconds(50000), addr, rb); err != nil {
+	if _, err := readPage(fDef, sim.FromMicroseconds(50000), addr, rb); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(rb, payload) {
@@ -671,12 +723,12 @@ func TestEraseDeferred(t *testing.T) {
 	addr := Address{Channel: 1, Page: 0}
 	payload := bytes.Repeat([]byte{0x77}, 4096)
 	for _, f := range []*Flash{fSync, fDef, fTiming} {
-		if _, err := f.Program(0, addr, payload); err != nil {
+		if _, err := programPage(f, 0, addr, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
 	now := sim.FromMicroseconds(10000)
-	want, err := fSync.Erase(now, addr)
+	want, err := eraseBlock(fSync, now, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -733,7 +785,7 @@ func TestPlanBatchSchedulesNothing(t *testing.T) {
 	plan := func(f *Flash, e *sim.Engine) {
 		t.Helper()
 		src := Address{Channel: 0, Page: 0}
-		if _, err := f.Program(0, src, nil); err != nil {
+		if _, err := programPage(f, 0, src, nil); err != nil {
 			t.Fatal(err)
 		}
 		b := f.BeginPlan(e, testChannelDomains(e, f))
@@ -795,17 +847,17 @@ func TestDeferredGCReprogramOrdering(t *testing.T) {
 	new_ := bytes.Repeat([]byte{0xee}, 4096)
 
 	// Synchronous reference.
-	if _, err := fSync.Program(0, addr, old); err != nil {
+	if _, err := programPage(fSync, 0, addr, old); err != nil {
 		t.Fatal(err)
 	}
 	syncDst := make([]byte, 4096)
-	if _, err := fSync.Read(0, addr, syncDst); err != nil {
+	if _, err := readPage(fSync, 0, addr, syncDst); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fSync.Erase(0, addr); err != nil {
+	if _, err := eraseBlock(fSync, 0, addr); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fSync.Program(0, addr, new_); err != nil {
+	if _, err := programPage(fSync, 0, addr, new_); err != nil {
 		t.Fatal(err)
 	}
 
@@ -825,7 +877,7 @@ func TestDeferredGCReprogramOrdering(t *testing.T) {
 		t.Fatal("deferred read bytes diverge from synchronous reference")
 	}
 	got := make([]byte, 4096)
-	if _, err := fDef.Read(sim.FromMicroseconds(100000), addr, got); err != nil {
+	if _, err := readPage(fDef, sim.FromMicroseconds(100000), addr, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, new_) {
@@ -850,7 +902,7 @@ func TestReadDeferredSnapshotsAtIssue(t *testing.T) {
 	f := newTestFlash(t, Options{TrackData: true})
 	addr := Address{Page: 0}
 	old := bytes.Repeat([]byte{0x11}, 4096)
-	if _, err := f.Program(0, addr, old); err != nil {
+	if _, err := programPage(f, 0, addr, old); err != nil {
 		t.Fatal(err)
 	}
 
@@ -858,10 +910,10 @@ func TestReadDeferredSnapshotsAtIssue(t *testing.T) {
 	readDeferred(t, f, 0, addr, dst)
 
 	// A GC cycle recycles the block before the read completes.
-	if _, err := f.Erase(0, addr); err != nil {
+	if _, err := eraseBlock(f, 0, addr); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Program(0, addr, bytes.Repeat([]byte{0xee}, 4096)); err != nil {
+	if _, err := programPage(f, 0, addr, bytes.Repeat([]byte{0xee}, 4096)); err != nil {
 		t.Fatal(err)
 	}
 

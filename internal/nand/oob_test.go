@@ -28,7 +28,7 @@ func TestDecodeRefusesUnstorableState(t *testing.T) {
 	}
 	for _, tc := range cases {
 		src := newTestFlash(t, Options{TrackData: tc.srcTrack})
-		if _, err := src.Program(0, Address{}, []byte{1, 2, 3}); err != nil {
+		if _, err := programPage(src, 0, Address{}, []byte{1, 2, 3}); err != nil {
 			t.Fatal(err)
 		}
 		if tc.mutate != nil {
@@ -53,7 +53,7 @@ func TestOOBGoodFlagBesideSequence(t *testing.T) {
 	addr := Address{}
 	for i := 0; i < 3; i++ {
 		addr.Page = i
-		if _, err := f.ProgramTagged(0, addr, []byte{byte(i + 1)}, int64(10+i)); err != nil {
+		if _, err := programTagged(f, 0, addr, []byte{byte(i + 1)}, int64(10+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -68,7 +68,7 @@ func TestOOBGoodFlagBesideSequence(t *testing.T) {
 	if got := f.PageOOB(addr); got != want || f.VerifyPage(addr) {
 		t.Fatalf("tampered stamp %+v, want %+v and a failed verify", got, want)
 	}
-	if _, err := f.Erase(0, addr); err != nil {
+	if _, err := eraseBlock(f, 0, addr); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.PageOOB(addr); got != (OOBInfo{FI: -1}) || f.sums[s] != 0 {

@@ -140,7 +140,7 @@ func TestSumFinalNeverZero(t *testing.T) {
 	// mistaken for an untracked one.
 	f := newTestFlash(t, Options{TrackData: true})
 	addr := Address{}
-	if _, err := f.Program(0, addr, make([]byte, 4096)); err != nil {
+	if _, err := programPage(f, 0, addr, make([]byte, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	if f.sums[f.slot(&addr)] == 0 {

@@ -95,7 +95,7 @@ func newPinHarness(t testing.TB) *pinHarness {
 func (h *pinHarness) step(op, arg byte) {
 	f, g := h.f, h.f.geo
 	h.now += sim.FromMicroseconds(float64(1 + int(arg)%700))
-	blk := g.AddressOfBlock(int(arg) % g.TotalBlocks())
+	blk := addressOfBlock(g, int(arg)%g.TotalBlocks())
 	total := -1
 	if op%8 >= 6 {
 		total = len(h.bufferTotal())
@@ -123,7 +123,7 @@ func (h *pinHarness) step(op, arg byte) {
 			h.t.Fatal(err)
 		}
 	case 2: // erase, committed at claim
-		if _, err := f.Erase(h.now, blk); err != nil {
+		if _, err := eraseBlock(f, h.now, blk); err != nil {
 			h.t.Fatal(err)
 		}
 	case 3: // erase on an engine: journaled until pruned
@@ -140,7 +140,7 @@ func (h *pinHarness) step(op, arg byte) {
 		h.undone += rep.ErasesUndone
 		h.live = h.live[:0] // a cut drops every pin
 	case 6: // pin a written page
-		addr := g.AddressOfPage(int64(arg) % g.TotalPages())
+		addr := addressOfPage(g, int64(arg)%g.TotalPages())
 		if !f.PageWritten(addr) {
 			return
 		}
@@ -295,7 +295,7 @@ func TestPinSurvivesReprogramAndUndo(t *testing.T) {
 	h.check(5, 0, -1)
 
 	pin()
-	if _, err := f.Erase(eraseAt*2, page); err != nil {
+	if _, err := eraseBlock(f, eraseAt*2, page); err != nil {
 		t.Fatal(err)
 	}
 	h.check(2, 0, -1)

@@ -23,7 +23,7 @@ func TestSlotOrder(t *testing.T) {
 		if back := f.pageOfSlot(s); back != idx {
 			t.Fatalf("page %d: slot %d maps back to page %d", idx, s, back)
 		}
-		a := g.AddressOfPage(idx)
+		a := addressOfPage(g, idx)
 		if got := f.slot(&a); got != s {
 			t.Fatalf("%v: slot %d, page %d's is %d", a, got, idx, s)
 		}
@@ -51,17 +51,17 @@ func spread(t *testing.T, f *Flash) (want map[int64]OOBInfo, done map[int64]sim.
 			if pg >= 2+i%5 {
 				continue
 			}
-			a := g.AddressOfBlock(bi)
+			a := addressOfBlock(g, bi)
 			a.Page = pg
 			idx := g.PageIndex(a)
 			tag := int64(1000 + 17*idx)
 			data := []byte{byte(idx), byte(idx >> 8), byte(pg)}
 			now += sim.FromMicroseconds(50)
-			res, err := f.ProgramTagged(now, a, data, tag)
+			res, err := programTagged(f, now, a, data, tag)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want[idx] = OOBInfo{FI: tag, Seq: f.WriteSeq(), Good: true}
+			want[idx] = OOBInfo{FI: tag, Seq: f.progSeq, Good: true}
 			done[idx] = res.Done
 			payload[idx] = data
 		}
@@ -74,7 +74,7 @@ func spread(t *testing.T, f *Flash) (want map[int64]OOBInfo, done map[int64]sim.
 func checkStamps(t *testing.T, f *Flash, want map[int64]OOBInfo, when string) {
 	t.Helper()
 	for idx := int64(0); idx < f.geo.TotalPages(); idx++ {
-		a := f.geo.AddressOfPage(idx)
+		a := addressOfPage(f.geo, idx)
 		w, ok := want[idx]
 		if !ok {
 			w = OOBInfo{FI: -1}
@@ -95,7 +95,7 @@ func TestStampsFollowPageIndex(t *testing.T) {
 	want, _, _ := spread(t, f)
 	checkStamps(t, f, want, "programmed")
 	for idx := range want {
-		a := g.AddressOfPage(idx)
+		a := addressOfPage(g, idx)
 		if !f.VerifyPage(a) {
 			t.Fatalf("page %d fails VerifyPage", idx)
 		}
@@ -114,7 +114,7 @@ func TestStampsFollowPageIndex(t *testing.T) {
 		checkStamps(t, f, want, "tag tampered")
 		f.TamperOOB(idx, 3) // a checksum bit: only this page fails to verify
 		for other := range want {
-			if got := f.VerifyPage(g.AddressOfPage(other)); got != (other != idx) {
+			if got := f.VerifyPage(addressOfPage(g, other)); got != (other != idx) {
 				t.Fatalf("checksum of page %d tampered: page %d verifies %v", idx, other, got)
 			}
 		}
@@ -140,7 +140,7 @@ func TestAgeFollowsPageIndex(t *testing.T) {
 		if d >= now {
 			t.Fatalf("page %d completes at %v, after the reads at %v", idx, d, now)
 		}
-		a := g.AddressOfPage(idx)
+		a := addressOfPage(g, idx)
 		bi := g.BlockIndex(a)
 		age := now - d
 		p, ext := f.readDrawParams(now, a, bi)
@@ -172,7 +172,7 @@ func TestPowerLossFollowsPageIndex(t *testing.T) {
 	f := newTestFlash(t, Options{TrackData: true})
 	g := f.geo
 	want, done, payload := spread(t, f)
-	if _, err := f.Erase(0, g.AddressOfBlock(50)); err != nil {
+	if _, err := eraseBlock(f, 0, addressOfBlock(g, 50)); err != nil {
 		t.Fatal(err)
 	}
 	var times []sim.Time
@@ -187,7 +187,7 @@ func TestPowerLossFollowsPageIndex(t *testing.T) {
 	cut := times[len(times)/2]
 	e := sim.NewEngine()
 	b := f.BeginPlan(e, nil)
-	if _, err := b.Erase(times[len(times)-1]+sim.FromMicroseconds(5000), g.AddressOfBlock(23)); err != nil {
+	if _, err := b.Erase(times[len(times)-1]+sim.FromMicroseconds(5000), addressOfBlock(g, 23)); err != nil {
 		t.Fatal(err)
 	}
 	b.Commit()
@@ -210,7 +210,7 @@ func TestPowerLossFollowsPageIndex(t *testing.T) {
 	checkStamps(t, f, want, "after the cut")
 	got := make([]byte, g.PageSize)
 	for idx, w := range want {
-		a := g.AddressOfPage(idx)
+		a := addressOfPage(g, idx)
 		f.PagePayload(a, got)
 		wantBytes := paddedTo(g.PageSize, payload[idx])
 		if !w.Good {
@@ -283,11 +283,11 @@ func TestErasedStampIsZero(t *testing.T) {
 	check("new")
 	a := Address{Channel: 2, Plane: 1, Block: 3}
 	for a.Page = 0; a.Page < f.geo.PagesPerBlock; a.Page++ {
-		if _, err := f.ProgramTagged(0, a, []byte{1}, int64(a.Page)); err != nil {
+		if _, err := programTagged(f, 0, a, []byte{1}, int64(a.Page)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := f.Erase(0, a); err != nil {
+	if _, err := eraseBlock(f, 0, a); err != nil {
 		t.Fatal(err)
 	}
 	check("erased")
@@ -304,17 +304,17 @@ func TestExtremeTagsRoundTrip(t *testing.T) {
 	want := map[int64]OOBInfo{}
 	for i, tag := range tags {
 		a := Address{Channel: i, Plane: 1, Block: 5}
-		if _, err := f.ProgramTagged(0, a, []byte{byte(i)}, tag); err != nil {
+		if _, err := programTagged(f, 0, a, []byte{byte(i)}, tag); err != nil {
 			t.Fatal(err)
 		}
-		want[g.PageIndex(a)] = OOBInfo{FI: tag, Seq: f.WriteSeq(), Good: true}
+		want[g.PageIndex(a)] = OOBInfo{FI: tag, Seq: f.progSeq, Good: true}
 	}
 	checkStamps(t, f, want, "programmed")
 	for idx, w := range want {
 		f.TamperOOB(idx, 31) // mode 31: tag bit 31, the sign
 		flipped := w
 		flipped.FI = int64(int32(w.FI) ^ math.MinInt32)
-		if got := f.PageOOB(g.AddressOfPage(idx)); got != flipped {
+		if got := f.PageOOB(addressOfPage(g, idx)); got != flipped {
 			t.Fatalf("tag %d with its sign bit flipped reads %+v, want %+v", w.FI, got, flipped)
 		}
 		f.TamperOOB(idx, 31)

@@ -70,7 +70,7 @@ func TestStagedProgramInstallsFromTheReadBuffer(t *testing.T) {
 	got := make([]byte, ps)
 	for _, a := range []Address{src, dst} {
 		clear(got)
-		if _, err := f.Read(sim.FromMicroseconds(1e5), a, got); err != nil {
+		if _, err := readPage(f, sim.FromMicroseconds(1e5), a, got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
@@ -99,7 +99,7 @@ func TestStagedMigrationSteadyStateAllocs(t *testing.T) {
 	e := sim.NewEngine()
 	doms := testChannelDomains(e, f)
 	cur := Address{Channel: 0}
-	if _, err := f.Program(0, cur, bytes.Repeat([]byte{0x3c}, f.geo.PageSize)); err != nil {
+	if _, err := programPage(f, 0, cur, bytes.Repeat([]byte{0x3c}, f.geo.PageSize)); err != nil {
 		t.Fatal(err)
 	}
 	page := 0
@@ -212,7 +212,7 @@ func TestPowerCutAndTamperUnderPageSum(t *testing.T) {
 	f2 := newTestFlash(t, Options{TrackData: true, Seed: 1})
 	e2 := sim.NewEngine()
 	a := Address{Channel: 1}
-	if _, err := f2.Program(0, a, payload(0)); err != nil {
+	if _, err := programPage(f2, 0, a, payload(0)); err != nil {
 		t.Fatal(err)
 	}
 	b2 := f2.BeginPlan(e2, nil)

@@ -26,7 +26,7 @@ func TestPruneMatchesLinearFilter(t *testing.T) {
 			switch r := rng.Intn(10); {
 			case r < 5: // claim an erase, sometimes committed at once
 				now += sim.Time(rng.Intn(2000)) * sim.Microsecond
-				a := g.AddressOfBlock(rng.Intn(g.TotalBlocks()))
+				a := addressOfBlock(g, rng.Intn(g.TotalBlocks()))
 				_, _, u := f.claimErase(now, &a, f.geo.dieOf(&a))
 				if rng.Intn(4) == 0 {
 					pool := slices.Clone(f.eraseUndoPool)

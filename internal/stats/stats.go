@@ -10,9 +10,9 @@
 // A row is allocated when its power of two is first reached: a run of
 // microsecond-to-millisecond latencies holds a dozen 1 KiB rows, and no run
 // can hold more than 58 (58 KiB) however many requests it completes. Count,
-// Min, Max and Mean are exact; a percentile is the midpoint of the bucket
-// holding the nearest-rank sample, clamped to [Min, Max], and is therefore
-// within 2^-8 (0.39 %) of that sample.
+// the smallest sample, Max and Mean are exact; a percentile is the midpoint
+// of the bucket holding the nearest-rank sample, clamped to the samples'
+// range, and is therefore within 2^-8 (0.39 %) of that sample.
 package stats
 
 import (
@@ -99,15 +99,12 @@ func (l *Latency) Mean() float64 {
 	return l.sum / float64(l.n)
 }
 
-// Min returns the smallest sample in microseconds.
-func (l *Latency) Min() float64 { return l.min }
-
 // Max returns the largest sample in microseconds.
 func (l *Latency) Max() float64 { return l.max }
 
 // Percentile returns the p-th percentile in microseconds by nearest rank:
-// Min for p <= 0 and Max for p >= 100, both exact, and otherwise the
-// midpoint of the rank's bucket clamped to [Min, Max], within
+// the smallest sample for p <= 0 and Max for p >= 100, both exact, and
+// otherwise the midpoint of the rank's bucket clamped to that range, within
 // PercentileBound of the exact sample.
 func (l *Latency) Percentile(p float64) float64 {
 	if l.n == 0 {

@@ -32,8 +32,8 @@ func TestLatencyBasics(t *testing.T) {
 		t.Fatalf("Mean = %v, want %v", l.Mean(), sum/5)
 	}
 	lo, hi := sim.FromMicroseconds(10).Microseconds(), sim.FromMicroseconds(50).Microseconds()
-	if l.Min() != lo || l.Max() != hi {
-		t.Fatalf("Min/Max = %v/%v, want %v/%v", l.Min(), l.Max(), lo, hi)
+	if l.min != lo || l.Max() != hi {
+		t.Fatalf("Min/Max = %v/%v, want %v/%v", l.min, l.Max(), lo, hi)
 	}
 	if p := l.Percentile(0); p != lo {
 		t.Fatalf("p0 = %v, want Min %v", p, lo)
@@ -130,9 +130,9 @@ func FuzzLatencyMatchesSorted(f *testing.F) {
 			}
 			return
 		}
-		if l.Count() != len(ref.samples) || l.Min() != ref.min || l.Max() != ref.max ||
+		if l.Count() != len(ref.samples) || l.min != ref.min || l.Max() != ref.max ||
 			l.Mean() != ref.sum/float64(len(ref.samples)) {
-			t.Fatalf("count/min/max/mean %d/%v/%v/%v, reference %d/%v/%v/%v", l.Count(), l.Min(), l.Max(), l.Mean(),
+			t.Fatalf("count/min/max/mean %d/%v/%v/%v, reference %d/%v/%v/%v", l.Count(), l.min, l.Max(), l.Mean(),
 				len(ref.samples), ref.min, ref.max, ref.sum/float64(len(ref.samples)))
 		}
 		for _, q := range []float64{p, math.Inf(-1), -1, 0, 1e-9, 1, 25, 50, 90, 95, 99, 99.9, 99.999, 100, 150} {
@@ -197,7 +197,7 @@ func TestPercentileMonotone(t *testing.T) {
 		for _, v := range vals {
 			l.Add(sim.Time(v) * sim.Microsecond)
 		}
-		prev := l.Min()
+		prev := l.min
 		for p := 5.0; p <= 100; p += 5 {
 			v := l.Percentile(p)
 			if v < prev || v > l.Max() {
