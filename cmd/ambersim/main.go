@@ -476,9 +476,8 @@ func (f runFlags) validate() (powerCut, scrubEvery sim.Duration, err error) {
 			return 0, 0, errors.New("-batch-submit and -depth are incompatible: the vectored path always runs at depth 1")
 		}
 	}
-	// No fault profile sets a read-disturb or retention limit, so the
-	// patrol finds no block at risk: only RAIN reconstructions of faulted
-	// reads queue scrubs.
+	// The patrol only refreshes blocks RAIN reconstructions of faulted
+	// reads queued, so without both a tick would never scrub.
 	if scrubEvery > 0 && (f.rain == 0 || f.faultProfile == "off" || f.faultProfile == "") {
 		return 0, 0, errors.New("-scrub-every needs -rain and a -fault-profile other than off: only RAIN reconstructions queue scrubs")
 	}

@@ -107,71 +107,61 @@ func Example_faults() {
 	// write after wear-out: core: write of [0,+4096) refused: ftl: device is read-only (grown bad blocks exhausted spare reserve) (errors.Is(ftl.ErrReadOnly) = true)
 	// read after wear-out: still served
 	//
-	// === RAIN vs no-RAIN under read-disturb stress ===
+	// === RAIN vs no-RAIN under read faults ===
 	//
 	// bare:
-	//   round  1:  250 reads (  4 failed)  uncorrectable   4  recon   0  retired 0  scrubs    0  headroom 1
-	//   round  2:  500 reads (  6 failed)  uncorrectable   6  recon   0  retired 0  scrubs    0  headroom 1
-	//   round  3:  750 reads (  6 failed)  uncorrectable   6  recon   0  retired 0  scrubs    0  headroom 1
-	//   round  4: 1000 reads (  7 failed)  uncorrectable   7  recon   0  retired 0  scrubs    0  headroom 1
-	//   round  5: 1250 reads (  8 failed)  uncorrectable   8  recon   0  retired 0  scrubs    0  headroom 1
-	//   round  6: 1500 reads (  9 failed)  uncorrectable   9  recon   0  retired 0  scrubs    0  headroom 1
-	//   round  7: 1750 reads ( 10 failed)  uncorrectable  10  recon   0  retired 0  scrubs    0  headroom 1
-	//   round  8: 2000 reads ( 14 failed)  uncorrectable  14  recon   0  retired 0  scrubs    0  headroom 1
-	//   round  9: 2250 reads ( 14 failed)  uncorrectable  15  recon   0  retired 0  scrubs    0  headroom 1
-	//   round 10: 2500 reads ( 16 failed)  uncorrectable  17  recon   0  retired 0  scrubs    0  headroom 1
-	//   round 11: 2750 reads ( 17 failed)  uncorrectable  18  recon   0  retired 0  scrubs    0  headroom 1
-	//   round 12: 3000 reads ( 18 failed)  uncorrectable  19  recon   0  retired 0  scrubs    0  headroom 1
-	//   => 18 failed reads, 0 reconstructions (0 double faults), 0 retirements, read-only false
+	//   round  1:  250 reads (  9 failed)  uncorrectable  14  recon   0  retired 0  scrubs    0  headroom 1
+	//   round  2:  500 reads ( 14 failed)  uncorrectable  18  recon   0  retired 0  scrubs    0  headroom 1
+	//   round  3:  750 reads ( 19 failed)  uncorrectable  23  recon   0  retired 0  scrubs    0  headroom 1
+	//   round  4: 1000 reads ( 28 failed)  uncorrectable  27  recon   0  retired 0  scrubs    0  headroom 1
+	//   round  5: 1250 reads ( 39 failed)  uncorrectable  37  recon   0  retired 0  scrubs    0  headroom 1
+	//   round  6: 1500 reads ( 53 failed)  uncorrectable  49  recon   0  retired 0  scrubs    0  headroom 1
+	//   round  7: 1750 reads ( 55 failed)  uncorrectable  51  recon   0  retired 0  scrubs    0  headroom 1
+	//   round  8: 2000 reads ( 64 failed)  uncorrectable  59  recon   0  retired 0  scrubs    0  headroom 1
+	//   round  9: 2250 reads ( 78 failed)  uncorrectable  70  recon   0  retired 0  scrubs    0  headroom 1
+	//   round 10: 2500 reads ( 89 failed)  uncorrectable  78  recon   0  retired 0  scrubs    0  headroom 1
+	//   round 11: 2750 reads ( 99 failed)  uncorrectable  83  recon   0  retired 0  scrubs    0  headroom 1
+	//   round 12: 3000 reads (107 failed)  uncorrectable  88  recon   0  retired 0  scrubs    0  headroom 1
+	//   => 107 failed reads, 0 reconstructions (0 double faults), 0 retirements, read-only false
 	//
 	// rain, no scrub:
-	//   round  1:  250 reads (  0 failed)  uncorrectable   2  recon   2  retired 0  scrubs    0  headroom 1
-	//   round  2:  500 reads (  0 failed)  uncorrectable   2  recon   2  retired 0  scrubs    0  headroom 1
-	//   round  3:  750 reads (  0 failed)  uncorrectable   3  recon   3  retired 0  scrubs    0  headroom 1
-	//   round  4: 1000 reads (  0 failed)  uncorrectable   7  recon   7  retired 0  scrubs    0  headroom 1
-	//   round  5: 1250 reads (  1 failed)  uncorrectable   9  recon   7  retired 0  scrubs    0  headroom 1
-	//   round  6: 1500 reads (  2 failed)  uncorrectable  12  recon   8  retired 1  scrubs    0  headroom 0
-	//   round  7: 1750 reads (  2 failed)  uncorrectable  13  recon   9  retired 1  scrubs    0  headroom 0
-	//   round  8: 2000 reads (  2 failed)  uncorrectable  18  recon  12  retired 3  scrubs    0  headroom 0  READ-ONLY
-	//   => 2 failed reads, 12 reconstructions (2 double faults), 3 retirements, read-only true
+	//   round  1:  250 reads (  0 failed)  uncorrectable  12  recon  11  retired 2  scrubs    0  headroom 0  READ-ONLY
+	//   => 0 failed reads, 11 reconstructions (0 double faults), 2 retirements, read-only true
 	//
 	// rain+scrub:
-	//   round  1:  250 reads (  0 failed)  uncorrectable  35  recon  35  retired 0  scrubs  126  headroom 1
-	//   round  2:  500 reads (  0 failed)  uncorrectable  60  recon  60  retired 0  scrubs  245  headroom 1
-	//   round  3:  750 reads (  0 failed)  uncorrectable  76  recon  76  retired 0  scrubs  361  headroom 1
-	//   round  4: 1000 reads (  0 failed)  uncorrectable 103  recon 103  retired 0  scrubs  484  headroom 1
-	//   round  5: 1250 reads (  0 failed)  uncorrectable 131  recon 131  retired 0  scrubs  599  headroom 1
-	//   round  6: 1500 reads (  0 failed)  uncorrectable 147  recon 147  retired 0  scrubs  711  headroom 1
-	//   round  7: 1750 reads (  0 failed)  uncorrectable 168  recon 168  retired 0  scrubs  834  headroom 1
-	//   round  8: 2000 reads (  0 failed)  uncorrectable 195  recon 195  retired 0  scrubs  955  headroom 1
-	//   round  9: 2250 reads (  0 failed)  uncorrectable 214  recon 214  retired 0  scrubs 1075  headroom 1
-	//   round 10: 2500 reads (  0 failed)  uncorrectable 236  recon 236  retired 0  scrubs 1185  headroom 1
-	//   round 11: 2750 reads (  0 failed)  uncorrectable 266  recon 264  retired 0  scrubs 1305  headroom 1
-	//   round 12: 3000 reads (  0 failed)  uncorrectable 292  recon 290  retired 0  scrubs 1421  headroom 1
-	//   => 0 failed reads, 290 reconstructions (1 double faults), 0 retirements, read-only false
+	//   round  1:  250 reads (  0 failed)  uncorrectable  12  recon  12  retired 0  scrubs    2  headroom 1
+	//   round  2:  500 reads (  0 failed)  uncorrectable  14  recon  14  retired 0  scrubs    2  headroom 1
+	//   round  3:  750 reads (  0 failed)  uncorrectable  17  recon  17  retired 0  scrubs    3  headroom 1
+	//   round  4: 1000 reads (  0 failed)  uncorrectable  17  recon  17  retired 0  scrubs    3  headroom 1
+	//   round  5: 1250 reads (  0 failed)  uncorrectable  17  recon  17  retired 0  scrubs    3  headroom 1
+	//   round  6: 1500 reads (  0 failed)  uncorrectable  17  recon  17  retired 0  scrubs    3  headroom 1
+	//   round  7: 1750 reads (  0 failed)  uncorrectable  17  recon  17  retired 0  scrubs    3  headroom 1
+	//   round  8: 2000 reads (  0 failed)  uncorrectable  17  recon  17  retired 0  scrubs    3  headroom 1
+	//   round  9: 2250 reads (  0 failed)  uncorrectable  17  recon  17  retired 0  scrubs    3  headroom 1
+	//   round 10: 2500 reads (  0 failed)  uncorrectable  17  recon  17  retired 0  scrubs    3  headroom 1
+	//   round 11: 2750 reads (  0 failed)  uncorrectable  17  recon  17  retired 0  scrubs    3  headroom 1
+	//   round 12: 3000 reads (  0 failed)  uncorrectable  17  recon  17  retired 0  scrubs    3  headroom 1
+	//   => 0 failed reads, 17 reconstructions (0 double faults), 0 retirements, read-only false
 }
 
-// rainTimeline contrasts read-disturb wear-out across the RAIN policy
-// space. Read stress — not program wear — does the damage here: repeat
-// reads push blocks past their disturb limit and draws go uncorrectable.
-// The bare device surfaces them as failed reads (permanent data loss).
-// RAIN reconstructs every one from its stripe — zero failed reads — but
-// without a patrol the firmware cannot tell stress from damage, so blocks
-// that keep sourcing reconstructions are retired conservatively and the
-// spare reserve drains toward the read-only latch. Arming the patrol
-// scrub replaces those retirements with refreshes (migrate, erase — the
-// erase clears the accumulated stress), deferring the latch.
+// rainTimeline contrasts read-fault wear-out across the RAIN policy
+// space. Read faults — not program wear — do the damage here: a page whose
+// every retry rung fails is uncorrectable until its block is erased. The
+// bare device surfaces them as failed reads (permanent data loss). RAIN
+// reconstructs them from their stripes, but without a patrol blocks that
+// keep sourcing reconstructions are retired conservatively and the spare
+// reserve drains toward the read-only latch. Arming the patrol scrub
+// replaces those retirements with refreshes (migrate, erase — the erase
+// gives the block's pages fresh draws), deferring the latch.
 func rainTimeline() {
 	leg := func(rain, scrub bool) {
 		d := config.SmallTestDevice()
 		d.OPRatio = 0.4
 		d.SpareBlocks = 1
 		d.Faults = nand.FaultConfig{
-			Seed:             21,
-			ReadFailProb:     0.04,
-			MaxReadRetries:   1,
-			ReadDisturbLimit: 512,
-			RetentionLimit:   500 * sim.Millisecond,
+			Seed:           21,
+			ReadFailProb:   0.15,
+			MaxReadRetries: 1,
 		}
 		var scrubEvery sim.Duration
 		if rain {
@@ -228,7 +218,7 @@ func rainTimeline() {
 			failed, fs.Reconstructions, fs.DoubleFaults, fs.Retirements, sys.FTL.ReadOnly())
 	}
 
-	fmt.Println("\n=== RAIN vs no-RAIN under read-disturb stress ===")
+	fmt.Println("\n=== RAIN vs no-RAIN under read faults ===")
 	leg(false, false)
 	leg(true, false)
 	leg(true, true)

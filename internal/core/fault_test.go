@@ -2,8 +2,10 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -241,5 +243,88 @@ func TestRunAccountsForEveryRequest(t *testing.T) {
 	if res.Latency.Count() != 1 || res.FailedReads != 1 || res.FailedWrites != 1 {
 		t.Fatalf("%d latency samples, %d failed reads, %d failed writes for 3 requests; want one of each",
 			res.Latency.Count(), res.FailedReads, res.FailedWrites)
+	}
+}
+
+// TestReadFaultOracle holds every read under read faults to what the host
+// acknowledged. On the RAIN tests' geometry with RAIN off, each run fills
+// the volume, overwrites four times its size at random 4 KiB offsets with
+// payloads no other write carries, flushes, and reads every offset back. A
+// read must return the offset's last acknowledged payload — or, after
+// writes that failed, that payload or one of theirs — or fail with
+// nand.ErrUncorrectable. Zeroes or an older version are wrong reads: the
+// loss of a sub-page a migration could not read must surface as an error.
+func TestReadFaultOracle(t *testing.T) {
+	const bs = 4096
+	var runs, wrong, honest int
+	for seed := uint64(1); seed <= 4; seed++ {
+		for _, p := range []float64{0.05, 0.1} {
+			d := config.SmallTestDevice()
+			d.Geometry = nand.Geometry{
+				Channels:           8,
+				PackagesPerChannel: 1,
+				DiesPerPackage:     1,
+				PlanesPerDie:       2,
+				BlocksPerPlane:     10,
+				PagesPerBlock:      16,
+				PageSize:           4096,
+			}
+			d.OPRatio = 0.4
+			d.Faults = nand.FaultConfig{Seed: seed, ReadFailProb: p, MaxReadRetries: 1}
+			d.SpareBlocks = 6
+			s, err := core.NewSystem(config.PCSystem(d))
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := int(s.VolumeBytes() / bs)
+			// ok[i] lists the payloads a read of offset i may return: the
+			// last acknowledged one first, then those of writes that failed
+			// after it.
+			ok := make([][][]byte, n)
+			rng := sim.NewRNG(seed)
+			for w := 0; w < 5*n; w++ {
+				i := w
+				if w >= n {
+					i = rng.Intn(n)
+				}
+				buf := make([]byte, bs)
+				for k := 0; k < bs; k += 8 {
+					binary.LittleEndian.PutUint64(buf[k:], uint64(w)<<32|uint64(k))
+				}
+				if _, err := s.Submit(s.Now(), workload.Request{Write: true, Offset: int64(i) * bs, Length: bs}, buf); err != nil {
+					ok[i] = append(ok[i], buf)
+					continue
+				}
+				ok[i] = [][]byte{buf}
+			}
+			if _, err := s.Flush(s.Now()); err != nil {
+				t.Fatalf("seed %d p %v: flush: %v", seed, p, err)
+			}
+			s.Drain()
+			for i := 0; i < n; i++ {
+				buf := make([]byte, bs)
+				if _, err := s.Submit(s.Now(), workload.Request{Offset: int64(i) * bs, Length: bs}, buf); err != nil {
+					if !errors.Is(err, nand.ErrUncorrectable) {
+						t.Fatalf("seed %d p %v: read of offset %d: %v", seed, p, i*bs, err)
+					}
+					honest++
+					continue
+				}
+				if !slices.ContainsFunc(ok[i], func(v []byte) bool { return bytes.Equal(v, buf) }) {
+					if wrong < 5 {
+						t.Errorf("seed %d p %v: read of offset %d returned bytes no acknowledged write left there", seed, p, i*bs)
+					}
+					wrong++
+				}
+			}
+			if s.FTL.ReadOnly() {
+				t.Errorf("seed %d p %v: the device went read-only", seed, p)
+			}
+			runs++
+		}
+	}
+	t.Logf("read-fault oracle: %d runs, %d wrong reads, %d honest failures", runs, wrong, honest)
+	if wrong > 0 {
+		t.Fatalf("%d wrong reads", wrong)
 	}
 }

@@ -22,21 +22,16 @@ import (
 //     (noteRainFault / drainRainRepairs).
 //
 //   - Patrol: a periodic scrub tick (RunConfig.ScrubEvery, its own
-//     engine domain) refreshes the super-block under the most
-//     read-disturb/retention stress — migrate valid data onto young cells,
-//     erase — before the stress becomes uncorrectable.
+//     engine domain) refreshes the super-blocks reconstructions flagged —
+//     migrate valid data onto fresh pages, erase — so a block that keeps
+//     failing reads rejoins the pool instead of being retired.
 //
 // The two halves meet in the scrub-or-retire policy (noteRecon): a block
 // that keeps sourcing reconstructions is scrubbed when a patrol is armed
-// (disturb and retention are stress, not damage — the erase clears them),
-// but retired conservatively when none is, which is what makes an
-// unscrubbed device exhaust its spare reserve and latch read-only sooner
-// than a scrubbed one under the same read stress.
-
-// scrubRiskThreshold is the patrol trigger: a super-block whose riskiest
-// plane block has accumulated this fraction of a read-disturb or retention
-// limit is refreshed before the stress becomes uncorrectable.
-const scrubRiskThreshold = 0.6
+// (a read-fault draw keys on the block's erase count, so the erase gives
+// its pages a fresh draw), but retired conservatively when none is, which
+// is what makes an unscrubbed device exhaust its spare reserve and latch
+// read-only sooner than a scrubbed one under the same read faults.
 
 // rainRepair is one reconstruction queued by GC plan-fault recovery: the
 // payload was reassembled from the stripe at fault time (while the members
@@ -57,7 +52,7 @@ type rainRepair struct {
 // stripe proves the bytes; a torn, unwritten or unreadable member is a
 // double fault. The returned slices are scratch, valid until the next
 // call.
-func (s *System) stripeAssemble(now sim.Time, src ftl.PageLoc) ([]ftl.PageLoc, []byte, bool) {
+func (s *System) stripeAssemble(src ftl.PageLoc) ([]ftl.PageLoc, []byte, bool) {
 	peers, parity, ok := s.FTL.StripePeers(src, s.reconLocs[:0])
 	if !ok {
 		return nil, nil, false
@@ -90,7 +85,7 @@ func (s *System) stripeAssemble(now sim.Time, src ftl.PageLoc) ([]ftl.PageLoc, [
 		if oob := s.Flash.PageOOB(ma); !oob.Good {
 			return nil, nil, false
 		}
-		if err := s.Flash.ProbeRead(now, ma); err != nil {
+		if err := s.Flash.ProbeRead(ma); err != nil {
 			return nil, nil, false
 		}
 		if track {
@@ -136,7 +131,7 @@ func (s *System) recoverFillFault(e *sim.Engine, t sim.Time, lspn int64, fetch [
 // passes prepared payloads through the repair queue instead). ok is false
 // on a double fault — the caller falls back to honest data loss.
 func (s *System) reconstructSub(e *sim.Engine, t sim.Time, lspn int64, sub int, src ftl.PageLoc, withAux bool) (sim.Time, bool) {
-	aux, data, ok := s.stripeAssemble(t, src)
+	aux, data, ok := s.stripeAssemble(src)
 	if !ok {
 		s.FTL.NoteDoubleFault()
 		return t, false
@@ -190,9 +185,9 @@ func (s *System) executeReconstruct(e *sim.Engine, t sim.Time, lspn int64, sub, 
 
 // noteRecon applies the scrub-or-retire policy after a reconstruction
 // sourced from super-block sb: under an armed patrol the block queues for
-// a forced scrub (the erase clears the accumulated stress and the block
-// rejoins the pool); without one the firmware cannot tell stress from
-// damage and retires the block, spending a spare.
+// a forced scrub (the erase gives its pages fresh fault draws and the block
+// rejoins the pool); without one the firmware retires the block, spending
+// a spare.
 func (s *System) noteRecon(e *sim.Engine, t sim.Time, sb int) sim.Time {
 	if !s.FTL.NoteReconstruct(sb) {
 		return t
@@ -223,11 +218,12 @@ func (s *System) noteRecon(e *sim.Engine, t sim.Time, sb int) sim.Time {
 // The stripe is reassembled now — while the members are still physically
 // present (the victim's erase sits in the never-executed suffix) — and the
 // repair queued for execution once the recovered plan restores lockstep.
-// Recovery still unmaps the page (counted in LostSubs) and pads its paired
-// program; the queued repair then re-homes the payload, so the net effect
-// is a latency event, with Reconstructions recording the save. A stripe
-// that cannot prove the bytes is a double fault and the unmapping stands.
-func (s *System) noteRainFault(t sim.Time, pf *fil.PlanFault) {
+// Recovery still marks the sub lost (counted in LostSubs) and pads its
+// paired program; the queued repair then re-homes the payload, so the net
+// effect is a latency event, with Reconstructions recording the save. A
+// stripe that cannot prove the bytes is a double fault and the loss
+// stands.
+func (s *System) noteRainFault(pf *fil.PlanFault) {
 	if !s.FTL.RAINEnabled() || pf.Op.Kind != ftl.OpRead || pf.Op.LSPN < 0 {
 		return
 	}
@@ -235,7 +231,7 @@ func (s *System) noteRainFault(t sim.Time, pf *fil.PlanFault) {
 		return
 	}
 	src := pf.Op.Loc
-	_, data, ok := s.stripeAssemble(t, src)
+	_, data, ok := s.stripeAssemble(src)
 	if !ok {
 		s.FTL.NoteDoubleFault()
 		return
@@ -249,7 +245,10 @@ func (s *System) noteRainFault(t sim.Time, pf *fil.PlanFault) {
 
 // drainRainRepairs executes the reconstructions GC plan-fault recovery
 // queued. Re-entrancy-guarded: a repair's own plan can fault and queue
-// further repairs, which the outermost drain picks up.
+// further repairs, which the outermost drain picks up. A repair runs only
+// while its sub is still lost: when a host write in the faulted plan
+// superseded the lost bytes, re-homing them would put older data over the
+// newer mapping.
 func (s *System) drainRainRepairs(e *sim.Engine, t sim.Time) sim.Time {
 	if s.rainDraining {
 		return t
@@ -259,6 +258,9 @@ func (s *System) drainRainRepairs(e *sim.Engine, t sim.Time) sim.Time {
 	for len(s.rainRepairs) > 0 {
 		r := s.rainRepairs[0]
 		s.rainRepairs = s.rainRepairs[:copy(s.rainRepairs, s.rainRepairs[1:])]
+		if _, mapped := s.FTL.LookupSub(r.lspn, r.sub); mapped {
+			continue
+		}
 		if done, ok := s.executeReconstruct(e, t, r.lspn, r.sub, r.sb, nil, r.data); ok && done > t {
 			t = done
 		}
@@ -266,10 +268,9 @@ func (s *System) drainRainRepairs(e *sim.Engine, t sim.Time) sim.Time {
 	return t
 }
 
-// scrubTick runs one patrol pass at t: a forced scrub queued by
-// reconstruction pressure first, else the super-block past the patrol
-// risk threshold. One block per tick keeps the background traffic from
-// starving the foreground.
+// scrubTick runs one patrol pass at t: it refreshes the first super-block
+// reconstruction pressure queued that is still scrubbable. One block per
+// tick keeps the background traffic from starving the foreground.
 func (s *System) scrubTick(e *sim.Engine, t sim.Time) {
 	if s.FTL.ReadOnly() {
 		return
@@ -282,9 +283,6 @@ func (s *System) scrubTick(e *sim.Engine, t sim.Time) {
 			sb = cand
 			break
 		}
-	}
-	if sb < 0 {
-		sb = s.riskiestSB(t)
 	}
 	if sb < 0 {
 		return
@@ -304,29 +302,4 @@ func (s *System) scrubTick(e *sim.Engine, t sim.Time) {
 	t2 := s.chargeFirmware(t, modScrub, s.gcMix(moved))
 	s.runPlan(e, t2, plan, fil.PlanData{}, nil)
 	s.drainRainRepairs(e, t2)
-}
-
-// riskiestSB returns the super-block whose most-stressed plane block is
-// past the patrol threshold (the maximum over its plane blocks of
-// nand.Flash.BlockRisk), or -1 when nothing qualifies.
-func (s *System) riskiestSB(now sim.Time) int {
-	geo := s.cfg.Device.Geometry
-	best := -1
-	bestRisk := scrubRiskThreshold
-	for sb := 0; sb < s.FTL.SuperBlockCount(); sb++ {
-		if !s.FTL.Scrubbable(sb) {
-			continue
-		}
-		risk := 0.0
-		for p := 0; p < geo.TotalPlanes(); p++ {
-			bi := geo.BlockIndex(s.FTL.Address(ftl.PageLoc{SB: sb, Plane: p, Sub: p}))
-			if r := s.Flash.BlockRisk(bi, now); r > risk {
-				risk = r
-			}
-		}
-		if risk >= bestRisk {
-			best, bestRisk = sb, risk
-		}
-	}
-	return best
 }

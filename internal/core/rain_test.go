@@ -16,9 +16,8 @@ import (
 
 // rainSystem builds the faultSystem shape with die-level RAIN armed:
 // stripe width 3 over the 16-plane device (each group of 3 data planes
-// shares one parity plane), read-disturb and retention accumulation on,
-// and probabilities high enough that a read storm draws uncorrectables
-// which the stripe reconstructs.
+// shares one parity plane), and a read-fault probability high enough that
+// a read storm draws uncorrectables which the stripe reconstructs.
 func rainSystem(t *testing.T) *core.System {
 	t.Helper()
 	d := config.SmallTestDevice()
@@ -37,14 +36,11 @@ func rainSystem(t *testing.T) *core.System {
 	// this RAIN-shrunk geometry the recovery migrations cascade into spare
 	// exhaustion before the read storm reconstructs anything (their
 	// schedule is TestFaultScheduleGoldenEquivalence's job). Reads draw
-	// hard — disturb and retention growth push repeat reads over the
-	// uncorrectable threshold mid-storm.
+	// hard: one retry rung, so a page is lost when both rungs fail.
 	d.Faults = nand.FaultConfig{
-		Seed:             99,
-		ReadFailProb:     0.05,
-		MaxReadRetries:   1,
-		ReadDisturbLimit: 1024,
-		RetentionLimit:   500 * sim.Millisecond,
+		Seed:           99,
+		ReadFailProb:   0.05,
+		MaxReadRetries: 1,
 	}
 	d.SpareBlocks = 6
 	s, err := core.NewSystem(config.PCSystem(d))
@@ -159,10 +155,9 @@ func TestRAINReconstructFaultPayload(t *testing.T) {
 	d.OPRatio = 0.4
 	d.RAINWidth = 3
 	d.Faults = nand.FaultConfig{
-		Seed:             99,
-		ReadFailProb:     0.03,
-		MaxReadRetries:   1,
-		ReadDisturbLimit: 4096,
+		Seed:           99,
+		ReadFailProb:   0.1,
+		MaxReadRetries: 1,
 	}
 	d.SpareBlocks = 6
 	s, err := core.NewSystem(config.PCSystem(d))
@@ -191,8 +186,8 @@ func TestRAINReconstructFaultPayload(t *testing.T) {
 	}
 	s.Drain()
 
-	// Read the whole volume back several times: repeated reads accumulate
-	// disturb, pushing the draw over the uncorrectable line on some pages.
+	// Read the whole volume back several times: pages whose every rung
+	// fails come back through their stripe.
 	recon0 := s.FTL.Stats().Reconstructions
 	var lost, checked int
 	for pass := 0; pass < 3; pass++ {
@@ -222,7 +217,7 @@ func TestRAINReconstructFaultPayload(t *testing.T) {
 // one — or not at all. Without a scrubber, blocks under repeated
 // reconstruction pressure are retired (each spending a spare) until the
 // spare reserve exhausts; the scrubber instead migrates and erases them,
-// clearing their disturb and retention stress without burning spares.
+// giving their pages fresh fault draws without burning spares.
 func TestScrubExtendsReadOnlyHorizon(t *testing.T) {
 	horizon := func(scrub sim.Duration) (segments int, readOnly bool, scrubRuns uint64) {
 		d := config.SmallTestDevice()
@@ -237,14 +232,13 @@ func TestScrubExtendsReadOnlyHorizon(t *testing.T) {
 		}
 		d.OPRatio = 0.4
 		d.RAINWidth = 3
-		// Pure read-stress wear-out: no program/erase faults, a tight
-		// disturb limit, and a tiny spare reserve so retirement pressure
-		// latches quickly when nothing relieves the stress.
+		// Pure read-fault wear-out: no program/erase faults and a tiny
+		// spare reserve, so retirement pressure latches quickly when
+		// nothing refreshes the faulting blocks.
 		d.Faults = nand.FaultConfig{
-			Seed:             99,
-			ReadFailProb:     0.04,
-			MaxReadRetries:   1,
-			ReadDisturbLimit: 512,
+			Seed:           99,
+			ReadFailProb:   0.04,
+			MaxReadRetries: 1,
 		}
 		d.SpareBlocks = 1
 		s, err := core.NewSystem(config.PCSystem(d))

@@ -43,9 +43,8 @@ type RunConfig struct {
 	// still drain; RunResult.StoppedEarly reports the truncation.
 	StopOnReadOnly bool
 	// ScrubEvery arms the background patrol scrubber at this period (zero
-	// disables): each tick refreshes at most one super-block — forced
-	// scrubs queued by RAIN reconstruction pressure first, then the block
-	// under the most read-disturb/retention stress. The tick rides its own
+	// disables): each tick refreshes at most one super-block, the next one
+	// RAIN reconstruction pressure queued. The tick rides its own
 	// scheduling domain, like the power cut, so where it lands in the
 	// request stream is decided by the engine's (time, sequence) order
 	// alone. Arming a scrubber also flips the scrub-or-retire policy:

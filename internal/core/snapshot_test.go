@@ -73,10 +73,9 @@ func TestSnapshotRestoreGoldenEquivalence(t *testing.T) {
 	img := snapshotImage(t, s)
 	want := snapshotTail(t, s) // the original continues
 	checkPin(t, "snapshot-tail", want)
-	// Version 6: the icl section carries no set/way counts, RNG or
-	// insertion stamps.
-	if v := binary.LittleEndian.Uint32(img[8:12]); v != 6 || core.SnapshotVersion != 6 {
-		t.Fatalf("image carries format version %d, core.SnapshotVersion is %d, want 6", v, core.SnapshotVersion)
+	// Version 7: the nand section carries no read-disturb counts.
+	if v := binary.LittleEndian.Uint32(img[8:12]); v != 7 || core.SnapshotVersion != 7 {
+		t.Fatalf("image carries format version %d, core.SnapshotVersion is %d, want 7", v, core.SnapshotVersion)
 	}
 
 	r := wideSystem(t)
@@ -161,6 +160,7 @@ func TestSnapshotLoaderFaults(t *testing.T) {
 		{"version-3", snap.Seal(3, fp, body), snap.ErrVersion},
 		{"version-4", snap.Seal(4, fp, body), snap.ErrVersion},
 		{"version-5", snap.Seal(5, fp, body), snap.ErrVersion},
+		{"version-6", snap.Seal(6, fp, body), snap.ErrVersion},
 		{"wrong-fingerprint", snap.Seal(core.SnapshotVersion, fp^0xdeadbeef, body), snap.ErrMismatch},
 		{"valid-frame-truncated-body", snap.Seal(core.SnapshotVersion, fp, body[:len(body)-16]), nil},
 		{"valid-frame-garbage-body", snap.Seal(core.SnapshotVersion, fp, bytes.Repeat([]byte{0xa5}, 64)), nil},
@@ -372,7 +372,6 @@ func rewriteFirstStamp(section []byte, g nand.Geometry, edit func(fi *int64, seq
 		written := 0
 		for b := 0; b < g.TotalBlocks(); b++ {
 			relayU(d, e) // erase count
-			relayU(d, e) // disturb
 			relayI(d, e) // next page
 			relayBool(d, e)
 			for pg := 0; pg < g.PagesPerBlock; pg++ {
@@ -531,14 +530,14 @@ var imageScenarios = []struct {
 	sha256 string
 }{
 	{"plain", func(*core.DeviceConfig) {},
-		"eb69558c9873cba7fa0d38c31b1ceeae49dc33f124d9c37e30e29303bdd306fe"},
+		"424f69b1d1425e603b187863e9a984e1a5f69f021d3e170e31add549794cef4f"},
 	{"rain-faults", func(d *core.DeviceConfig) {
 		d.RAINWidth = 3
 		d.Faults, _ = config.FaultProfile("wearout", 5)
 		d.Faults.WearEraseLimit = 0 // draw on fresh blocks: the short run wears none out
-	}, "60730eb6156a0436bc31bc2195ef9ffe3b23fede25041c6b73b721cdef9a6639"},
+	}, "c96a3626051a2fc65e4790dea14ccd28953050724cff4902a5cad351f6bd4f14"},
 	{"h-type", func(d *core.DeviceConfig) { d.Protocol = proto.SATA30() },
-		"771b071e3f4aff2e0af6a74e3b53cf05b0aeb497f3e174e6c578c428ca210e0c"},
+		"c7f55afcfe05942a948165f9e3f3f49513f6086c98691176b87082711723ce0c"},
 }
 
 // scenarioSystem builds SmallTestDevice with mutate applied and, when run

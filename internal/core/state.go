@@ -16,7 +16,7 @@ import (
 // three fixed scenarios must hash to constants recorded when this version
 // was frozen, so an edit to any module's State walk that changes a byte
 // fails there until the version is bumped and the constants re-recorded.
-// Version 2: RAIN parity + scrub (nand disturb counters and stripe OOB,
+// Version 2: RAIN parity + scrub (nand read-disturb counters and stripe OOB,
 // ftl per-SB reconstruction pressure and rain/scrub stats, core pending
 // scrub queue). Version 3: dram stores its read- and write-burst counts
 // where version 2 stored a float energy accumulator (dynamic energy is now
@@ -29,9 +29,11 @@ import (
 // its two per-fill-path install counters when the fill paths became one.
 // Version 6: the icl section lost its set and way counts, its replacement
 // RNG and every frame's insertion stamp when the cache became
-// fully-associative LRU only. Images of versions 2 to 5 are refused with
-// snap.ErrVersion.
-const SnapshotVersion = 6
+// fully-associative LRU only. Version 7: the nand section lost every
+// block's read-disturb count when read-fault draws stopped depending on
+// anything but (seed, page, erase count). Images of versions 2 to 6 are
+// refused with snap.ErrVersion.
+const SnapshotVersion = 7
 
 // configFingerprint hashes the full system configuration: an image restores
 // only onto a device built from byte-identical knobs, because every decoder

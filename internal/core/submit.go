@@ -1070,7 +1070,7 @@ func (s *System) runPlan(e *sim.Engine, t sim.Time, plan ftl.Plan, hostData fil.
 		if !errors.As(err, &pf) {
 			break
 		}
-		s.noteRainFault(t, pf)
+		s.noteRainFault(pf)
 		rplan, rerr := s.FTL.RecoverPlanFault(t, plan, pf.Executed, pf.Err)
 		if rerr != nil {
 			if pending == nil {

@@ -23,10 +23,10 @@ import (
 var trajectoryPins = map[string]uint64{
 	"write-deferred":  0x5d5ae893c093d530,
 	"two-stage-fill":  0xa291005f2b65cdaa,
-	"fault":           0x81f129e0a9cc6b1b,
+	"fault":           0xee1a8e10a85850aa,
 	"power-loss":      0xefbf0b89026ac2e7,
 	"power-cut-sweep": 0x3476cd5c1f2cfb13,
-	"rain":            0x326cd492706c0c2e,
+	"rain":            0xf6d95daa9cff1978,
 	"snapshot-tail":   0xcf1ddc489eb6cfc3,
 }
 

@@ -156,7 +156,7 @@ func TestPlanReadBufferLifeCycle(t *testing.T) {
 			}
 			// Whole-block scrubs: no host data, every valid sub of a super-block
 			// pre-read and rewritten, the empty pages of the first fill included.
-			for sb, scrubbed := 0, 0; sb < tr.SuperBlockCount() && scrubbed < 4; sb++ {
+			for sb, scrubbed := 0, 0; sb < g.BlocksPerPlane && scrubbed < 4; sb++ {
 				if !tr.Scrubbable(sb) || tr.ValidSubs(sb) < subs*g.PagesPerBlock/2 {
 					continue
 				}
@@ -170,7 +170,7 @@ func TestPlanReadBufferLifeCycle(t *testing.T) {
 			for lspn := int64(0); lspn < user; lspn++ {
 				check("after the scrubs", lspn)
 			}
-			for sb := 0; sb < tr.SuperBlockCount(); sb++ {
+			for sb := 0; sb < g.BlocksPerPlane; sb++ {
 				for plane := 0; plane < g.TotalPlanes(); plane++ {
 					for page := 0; page < g.PagesPerBlock; page++ {
 						a := tr.Address(ftl.PageLoc{SB: sb, Page: page, Plane: plane, Sub: plane})

@@ -120,10 +120,9 @@ type FIL struct {
 	// ReadSubsStaged call from its validation pass to its issue pass, reused
 	// across calls.
 	// extraScratch carries each read's probe-time fault-retry latency beside
-	// it: with read-disturb accumulation armed, every issued read bumps its
-	// block's disturb counter, so a batch that re-drew at issue could
-	// disagree with its own probe — the probe IS the draw, and the issue
-	// pass replays it (nand.Flash.ReadDeferredAddr's extra).
+	// it: the probe IS the draw, and the issue pass replays it
+	// (nand.Flash.ReadDeferredAddr's extra), so each read's ladder is drawn
+	// and its retries charged once.
 	addrScratch  []nand.Address
 	extraScratch []sim.Duration
 
@@ -908,17 +907,15 @@ func (f *FIL) ReadSubsStaged(_ *sim.Engine, _ []sim.DomainID, now sim.Time, locs
 			addr, err := f.translate(loc)
 			// ProbeReadExtra covers the structural checks AND the injected
 			// read-fault ladder, returning the drawn retry latency: the draw is
-			// pure in state that cannot change before the issue pass below (the
-			// disturb bump lands at claim, after each read's draw), so a batch
-			// whose every probe passes cannot fault at issue — an uncorrectable
-			// read surfaces here, with nothing claimed and no dst written,
-			// same contract as a structural failure. The issue pass
-			// replays the probe's draw instead of re-drawing: issued reads bump
-			// their block's disturb counter, and a later read of the same block
-			// in this batch must not see its batchmate's bump mid-flight.
+			// a pure function of (page, erase count), which no read changes, so
+			// a batch whose every probe passes cannot fault at issue — an
+			// uncorrectable read surfaces here, with nothing claimed and no dst
+			// written, same contract as a structural failure. The issue pass
+			// replays the probe's draw instead of drawing and charging the
+			// retries a second time.
 			var extra sim.Duration
 			if err == nil {
-				extra, err = f.flash.ProbeReadExtra(now, addr)
+				extra, err = f.flash.ProbeReadExtra(addr)
 			}
 			if err != nil {
 				f.addrScratch, f.extraScratch = addrs, extras

@@ -321,7 +321,7 @@ func BenchmarkExecuteOnGCPlan(b *testing.B) {
 			migrate := func() {
 				write(0) // closes the full block, opens the next, leaves 127 rows valid behind
 				victim := -1
-				for sb := 0; sb < tr.SuperBlockCount(); sb++ {
+				for sb := 0; sb < g.BlocksPerPlane; sb++ {
 					if tr.Scrubbable(sb) && tr.ValidSubs(sb) == full {
 						victim = sb
 					}

@@ -243,7 +243,7 @@ type Stats struct {
 	WearLevelMoves uint64
 	Retirements    uint64 // super-blocks retired as grown bad blocks
 	Replans        uint64 // recovery plans built after injected plan faults
-	LostSubs       uint64 // sub-pages unmapped after uncorrectable reads
+	LostSubs       uint64 // sub-pages lost to flash faults: reads of them fail
 	ParityWrites   uint64 // RAIN parity pages programmed
 	// Reconstructions counts uncorrectable reads answered from RAIN parity
 	// (data re-homed, a latency event instead of loss); DoubleFaults counts
@@ -294,7 +294,8 @@ type FTL struct {
 	dataPlanes int
 
 	// fwd maps lspn*subCount+sub to the physical index (physIndex: packed
-	// sb, page, plane) of the sub-page holding it, -1 unmapped; rev maps a
+	// sb, page, plane) of the sub-page holding it, -1 unmapped, fwdLost for
+	// acknowledged data a read fault destroyed (see loseSub); rev maps a
 	// physical index back to its fwd index, -1 when the sub-page holds
 	// nothing valid. A physical sub-page is valid iff its rev entry is >= 0:
 	// every writer sets and clears both directions together, and
@@ -566,11 +567,13 @@ func (f *FTL) LookupCertified(dst []PageLoc, lspn int64) ([]PageLoc, ReadCert, e
 // per-request buffer's capacity) in the order subs names them — callers
 // that issue flash reads from the result pass ascending subs, the order
 // every claim sequence so far was recorded in. An LSPN or sub out of range
-// is an error and dst comes back as it was. The result is stamped with a
-// read certificate: every returned location is mapped, and while the
-// issuing FTL's certified chain is armed, mapped ⇒ written — so an executor
-// honoring the certificate may skip per-address read validation. The
-// certificate is zero (uncertified) when no epoch source is wired.
+// is an error, and so is a lost sub (one wrapping nand.ErrUncorrectable:
+// its data is gone, and the read fails rather than serve zeroes); dst then
+// comes back as it was. The result is stamped with a read certificate:
+// every returned location is mapped, and while the issuing FTL's certified
+// chain is armed, mapped ⇒ written — so an executor honoring the
+// certificate may skip per-address read validation. The certificate is
+// zero (uncertified) when no epoch source is wired.
 func (f *FTL) LookupSubs(dst []PageLoc, lspn int64, subs []int) ([]PageLoc, ReadCert, error) {
 	if err := f.checkLSPN(lspn); err != nil {
 		return dst, ReadCert{}, err
@@ -581,8 +584,11 @@ func (f *FTL) LookupSubs(dst []PageLoc, lspn int64, subs []int) ([]PageLoc, Read
 		if sub < 0 || sub >= len(row) {
 			return dst, ReadCert{}, fmt.Errorf("ftl: sub-page %d outside super-page of %d", sub, len(row))
 		}
-		if packed := row[sub]; packed >= 0 {
+		switch packed := row[sub]; {
+		case packed >= 0:
 			locs = append(locs, f.unpackLoc(int64(packed), sub))
+		case packed == fwdLost:
+			return dst, ReadCert{}, fmt.Errorf("ftl: sub-page %d of LSPN %d was lost: %w", sub, lspn, nand.ErrUncorrectable)
 		}
 	}
 	var cert ReadCert
@@ -593,7 +599,8 @@ func (f *FTL) LookupSubs(dst []PageLoc, lspn int64, subs []int) ([]PageLoc, Read
 }
 
 // LookupSub returns where sub-page sub of lspn lives and whether it is
-// mapped at all — the single-sub form of LookupSubs.
+// mapped at all — the single-sub form of LookupSubs, with a lost sub
+// unmapped.
 func (f *FTL) LookupSub(lspn int64, sub int) (PageLoc, bool) {
 	if f.checkLSPN(lspn) != nil || sub < 0 || sub >= f.subCount {
 		return PageLoc{}, false

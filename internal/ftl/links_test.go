@@ -197,7 +197,7 @@ func TestPlanLinksMatchReference(t *testing.T) {
 		var tally linkTally
 		f, now := linkStream(t, linkConfig(nil), false, 600, nil, nil)
 		scrubbed := 0
-		for sb := 0; sb < f.SuperBlockCount() && scrubbed < 3; sb++ {
+		for sb := 0; sb < f.sbCount && scrubbed < 3; sb++ {
 			if !f.Scrubbable(sb) || f.ValidSubs(sb) == 0 {
 				continue
 			}

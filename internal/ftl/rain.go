@@ -23,8 +23,8 @@ import (
 // loss) and executes PlanReconstruct to re-home the sub-page; the lost
 // page's block accumulates a reconstruction count that eventually forces a
 // patrol scrub (NoteReconstruct). PlanScrub refreshes a whole super-block
-// — migrate valid data onto young cells, erase — clearing accumulated
-// read-disturb and retention stress before it becomes uncorrectable.
+// — migrate valid data onto fresh pages, erase — so its pages draw their
+// read faults afresh under the next erase count.
 
 // reconScrubThreshold is the per-block reconstruction count at which
 // NoteReconstruct asks for a forced scrub of the source block instead of
@@ -157,8 +157,8 @@ func (f *FTL) PlanReconstruct(now sim.Time, lspn int64, sub int, aux []PageLoc) 
 
 // NoteReconstruct records a reconstruction sourced from super-block sb and
 // reports whether the block has faulted often enough that the caller
-// should scrub it now: migrating and erasing re-programs the data on young
-// cells and clears the accumulated disturb/retention stress, while a block
+// should scrub it now: migrating and erasing re-programs the data on fresh
+// pages and gives the block's pages new read-fault draws, while a block
 // with genuinely failing cells then surfaces as a program or erase failure
 // and retires through the grown-bad-block path.
 func (f *FTL) NoteReconstruct(sb int) bool {
@@ -169,10 +169,6 @@ func (f *FTL) NoteReconstruct(sb int) bool {
 // NoteDoubleFault counts a reconstruction that could not proceed (stripe
 // member torn, unwritten or unreadable) and fell back to data loss.
 func (f *FTL) NoteDoubleFault() { f.stats.DoubleFaults++ }
-
-// SuperBlockCount returns the number of super-blocks the FTL manages, for
-// callers walking the device (the patrol scrubber's risk scan).
-func (f *FTL) SuperBlockCount() int { return f.sbCount }
 
 // Scrubbable reports whether sb currently qualifies for a patrol scrub or
 // a precautionary retirement: closed (or at least not open), not free, not
@@ -195,8 +191,8 @@ func (f *FTL) Scrubbable(sb int) bool {
 // for a block that keeps sourcing reconstructions when no patrol scrubber
 // is armed to refresh it. The retirement counts against the spare reserve
 // like any grown-bad block, so repeated read failures on an unscrubbed
-// device eventually latch read-only; a scrubbed device clears the same
-// stress with an erase instead and keeps the block. The block is retired
+// device eventually latch read-only; a scrubbed device erases the block
+// instead and keeps it. The block is retired
 // even when the migration runs out of space mid-plan (its unmigrated valid
 // pages stay readable in place, see retireSB); the partial plan must still
 // execute so the flash stays in lockstep.
@@ -227,7 +223,7 @@ func (f *FTL) PlanRetire(now sim.Time, sb int) (Plan, error) {
 
 // PlanScrub builds the certified plan that refreshes super-block sb:
 // every valid sub-page migrates to the open block and sb erases back into
-// the free reserve, resetting its read-disturb and retention clocks. A
+// the free reserve, so its pages draw read faults afresh. A
 // plan with no ops is returned when sb is not scrubbable (free, retired,
 // open, or never written). Works with or without RAIN — scrub is the
 // patrol half of the reliability machinery, parity the reactive half.

@@ -41,19 +41,39 @@ func (f *FTL) retireSB(sb int) {
 	}
 }
 
-// loseSub unmaps the forward entry fi after an uncorrectable read: the
+// fwdLost is the forward entry of a sub-page whose acknowledged data a
+// read fault destroyed: LookupSubs fails a read of it with
+// nand.ErrUncorrectable, everything else treats it as unmapped, and the
+// next host write of the sub maps it again. It lives in RAM only: a mount
+// rebuilds the map from the OOB stamps, where the lost sub's padding burn
+// is its newest claimant.
+const fwdLost = -2
+
+// loseSub marks the forward entry fi lost after an uncorrectable read: the
 // current mapping (which points at the location the in-flight plan was
-// migrating the data to) is dropped, so the super-page reads back as
-// unmapped zeroes from now on — data loss, surfaced honestly instead of
-// serving stale bytes.
+// migrating the data to) is dropped, so reads of the sub fail from now on
+// — data loss, surfaced honestly instead of serving zeroes or stale bytes.
 func (f *FTL) loseSub(fi int64) {
 	packed := int64(f.fwd[fi])
 	if packed < 0 {
 		return
 	}
 	f.invalidate(packed)
-	f.fwd[fi] = -1
+	f.fwd[fi] = fwdLost
 	f.stats.LostSubs++
+}
+
+// loseUnlessRewritten loses fi's data (loseSub) unless a host write of fi
+// in later, not yet executed, ops supersedes it: the mapping then names
+// that write's page, whose bytes come from the host, and the loss only
+// costs the migration writes before it.
+func (f *FTL) loseUnlessRewritten(fi int64, later []Op) {
+	for _, op := range later {
+		if op.Kind == OpWrite && !op.GC && !op.Parity && op.LSPN >= 0 && f.fwdIndex(op.LSPN, op.Loc.Sub) == fi {
+			return
+		}
+	}
+	f.loseSub(fi)
 }
 
 // RecoverPlanFault absorbs an injected flash fault that stopped a plan
@@ -67,20 +87,22 @@ func (f *FTL) loseSub(fi int64) {
 // get fresh allocations (invalidating their stale mappings), then the
 // block's surviving valid sub-pages are migrated out. Erase failure: the
 // block is retired out of the free pool; the suffix continues without it.
-// Uncorrectable read: the sub-page is unmapped (data loss) and its paired
-// migration write degrades to a padding program — the physical page is
-// still burned so the target block's append pointer advances in lockstep
-// on the model and the flash, which strict in-order programming requires.
+// Uncorrectable read: the sub-page is marked lost (data loss; reads of it
+// fail) unless a host write later in the plan supersedes it, and its
+// migration writes up to that host write degrade to padding programs —
+// the physical page is still burned so the target block's append pointer
+// advances in lockstep on the model and the flash, which strict in-order
+// programming requires.
 //
 // GC rewrites in the suffix whose source reads executed before the fault
 // are re-read from the original location while it is physically intact.
 // Squeeze-shaped plans order a victim's erase BEFORE its rewrites
 // (compaction into the same block), so those re-reads are hoisted ahead
 // of the erase; when the erase already executed, the bytes are
-// unrecoverable and the sub-page is unmapped with its write degraded to a
-// padding burn. The returned plan is uncertified — the executor walks it
-// — and its Ops are freshly allocated (recovery is the cold path and must
-// not alias the scratch buffer the failed plan borrowed).
+// unrecoverable and the sub-page is lost the same way, its write degraded
+// to a padding burn. The returned plan is uncertified — the executor walks
+// it — and its Ops are freshly allocated (recovery is the cold path and
+// must not alias the scratch buffer the failed plan borrowed).
 func (f *FTL) RecoverPlanFault(now sim.Time, plan Plan, executed int, cause error) (Plan, error) {
 	if executed < 0 || executed >= len(plan.Ops) {
 		return Plan{}, fmt.Errorf("ftl: recover with executed %d outside plan of %d ops", executed, len(plan.Ops))
@@ -108,7 +130,7 @@ func (f *FTL) RecoverPlanFault(now sim.Time, plan Plan, executed int, cause erro
 		// read) owns no mapping — nothing to lose, the suffix just drops it.
 		if failed.LSPN >= 0 {
 			lostFi = f.fwdIndex(failed.LSPN, failed.Loc.Sub)
-			f.loseSub(lostFi)
+			f.loseUnlessRewritten(lostFi, plan.Ops[executed+1:])
 		}
 	default:
 		return Plan{}, fmt.Errorf("ftl: unrecoverable plan failure: %w", cause)
@@ -290,10 +312,10 @@ func (f *FTL) RecoverPlanFault(now sim.Time, plan Plan, executed int, cause erro
 						case srcHost:
 							gc = false
 						case srcGone:
-							// No surviving copy to migrate: unmap — honest
-							// loss — and skip the re-placement (the write
-							// targeted the retired block, so no live block
-							// owes a burn for it).
+							// No surviving copy to migrate: lose the sub —
+							// honest loss — and skip the re-placement (the
+							// write targeted the retired block, so no live
+							// block owes a burn for it).
 							f.loseSub(fi)
 							lost[fi] = true
 							continue
@@ -304,11 +326,16 @@ func (f *FTL) RecoverPlanFault(now sim.Time, plan Plan, executed int, cause erro
 				continue
 			}
 			if lost[fi] {
-				// Padding program: the data is gone but the page must
-				// still burn, or the live target block's next-page
-				// pointer would diverge between model and flash.
-				out.Ops = append(out.Ops, Op{Kind: OpWrite, Loc: op.Loc, LSPN: op.LSPN, GC: true})
-				continue
+				if op.GC {
+					// Padding program: the data is gone but the page must
+					// still burn, or the live target block's next-page
+					// pointer would diverge between model and flash.
+					out.Ops = append(out.Ops, Op{Kind: OpWrite, Loc: op.Loc, LSPN: op.LSPN, GC: true})
+					continue
+				}
+				// A host write brings fi's bytes back: it and whatever
+				// migrates them later in the plan run as planned.
+				delete(lost, fi)
 			}
 			if op.GC {
 				switch ensureData(op, fi) {
@@ -320,8 +347,8 @@ func (f *FTL) RecoverPlanFault(now sim.Time, plan Plan, executed int, cause erro
 				case srcGone:
 					// The only physical copy was erased before the fault and
 					// the first-pass read's bytes died with the failed
-					// executor: unmap and degrade to a padding burn.
-					f.loseSub(fi)
+					// executor: lose the sub and degrade to a padding burn.
+					f.loseUnlessRewritten(fi, suffix[j+1:])
 					lost[fi] = true
 					out.Ops = append(out.Ops, Op{Kind: OpWrite, Loc: op.Loc, LSPN: op.LSPN, GC: true})
 					continue
@@ -363,7 +390,7 @@ func (f *FTL) RecoverPlanFault(now sim.Time, plan Plan, executed int, cause erro
 		if err := f.appendSub(now, m.op.LSPN, m.op.Loc.Sub, m.gc, 0, -1, &out); err != nil {
 			// No space to re-place the remaining stranded writes: their
 			// mappings point at pages the fault kept the flash from ever
-			// programming, so unmap them — honest data loss — instead of
+			// programming, so lose them — honest data loss — instead of
 			// leaving phantom locations a later read would trip over. The
 			// partial plan is still returned: the caller must execute it
 			// to bring the flash in lockstep with the mutations already

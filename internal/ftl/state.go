@@ -24,8 +24,8 @@ func (f *FTL) State(c *snap.Codec) error {
 		if !c.Decoding() {
 			continue
 		}
-		if c.Err() == nil && (v < -1 || v >= int64(len(f.rev))) {
-			return fmt.Errorf("%w: forward entry %d maps to %d, outside [-1, %d)", snap.ErrCorrupt, i, v, len(f.rev))
+		if c.Err() == nil && (v < fwdLost || v >= int64(len(f.rev))) {
+			return fmt.Errorf("%w: forward entry %d maps to %d, outside [%d, %d)", snap.ErrCorrupt, i, v, fwdLost, len(f.rev))
 		}
 		f.fwd[i] = int32(v)
 	}

@@ -213,16 +213,15 @@ func (f *Flash) dropPayload(s int64) {
 	f.sums[s] = 0
 }
 
-// undoErase puts back the block state u snapshotted: erase count, disturb
-// count, in-order pointer, stamps (written flags included) and, on a
-// tracked flash, checksums and page buffers. Every page present at the claim is present
+// undoErase puts back the block state u snapshotted: erase count, in-order
+// pointer, stamps (written flags included) and, on a tracked flash,
+// checksums and page buffers. Every page present at the claim is present
 // again with its bytes and every other page absent, whatever programs
 // issued after the claim installed: they would have completed after the
 // erase, so after the cut.
 func (f *Flash) undoErase(u *eraseUndoRec) {
 	blk := &f.blocks[u.bi]
 	blk.eraseCount = u.eraseCount
-	blk.disturb = u.disturb
 	blk.nextPage = u.nextPage
 	s0 := f.blockSlot(u.bi)
 	for pg, s := 0, s0; pg < len(u.oob); pg, s = pg+1, s+f.planes {

@@ -85,30 +85,11 @@ type FaultConfig struct {
 	WearEraseLimit uint32
 	// MaxReadRetries bounds the read-retry ladder; zero defaults to 3.
 	MaxReadRetries int
-	// ReadRetryLatency is the extra die occupancy per retry rung; zero
-	// defaults to the timing model's ReadSlow.
-	ReadRetryLatency sim.Duration
-	// ReadDisturbLimit is the per-block read count at which accumulated
-	// read disturb alone contributes a full wear factor to the read-fault
-	// probability: every read of a block bumps its disturb counter (reset
-	// by erase), and read draws scale with disturb/limit on top of the
-	// erase-count wear term. Zero disables disturb accumulation entirely
-	// (no counter bump, no draw change — the schedule stays bit-identical
-	// to a disturb-free configuration).
-	ReadDisturbLimit uint32
-	// RetentionLimit is the simulated data age at which retention loss
-	// alone contributes a full wear factor to the read-fault probability:
-	// read draws scale with (now - program completion)/limit, quantized
-	// into 16 buckets so the draw stays a pure function of a small key.
-	// Zero disables the retention term.
-	RetentionLimit sim.Duration
 }
 
-// Enabled reports whether any fault class can fire or any degradation
-// counter must accumulate.
+// Enabled reports whether any fault class can fire.
 func (c FaultConfig) Enabled() bool {
-	return c.ProgramFailProb > 0 || c.EraseFailProb > 0 || c.ReadFailProb > 0 ||
-		c.ReadDisturbLimit > 0 || c.RetentionLimit > 0
+	return c.ProgramFailProb > 0 || c.EraseFailProb > 0 || c.ReadFailProb > 0
 }
 
 // Validate reports descriptive configuration errors.
@@ -127,12 +108,6 @@ func (c FaultConfig) Validate() error {
 	}
 	if c.MaxReadRetries < 0 {
 		return fmt.Errorf("nand: MaxReadRetries must be >= 0, got %d", c.MaxReadRetries)
-	}
-	if c.ReadRetryLatency < 0 {
-		return fmt.Errorf("nand: ReadRetryLatency must be >= 0, got %v", c.ReadRetryLatency)
-	}
-	if c.RetentionLimit < 0 {
-		return fmt.Errorf("nand: RetentionLimit must be >= 0, got %v", c.RetentionLimit)
 	}
 	return nil
 }
@@ -164,7 +139,6 @@ const (
 	faultKindErase   uint64 = 0x65726173655f6661
 	faultKindRead    uint64 = 0x726561645f666169
 	faultKindTorn    uint64 = 0x746f726e5f706f77
-	faultKindExt     uint64 = 0x64697374757262ff
 )
 
 // tornDraw resolves one in-flight program at a power cut: true means the
@@ -185,18 +159,15 @@ func tornDraw(seed uint64, pageIdx int64, seq uint64) bool {
 type faultModel struct {
 	cfg      FaultConfig
 	retries  int          // resolved MaxReadRetries
-	retryLat sim.Duration // resolved ReadRetryLatency
+	retryLat sim.Duration // die occupancy per retry rung: the timing's ReadSlow
 	stats    FaultStats
 	sites    []FaultSite
 }
 
 func newFaultModel(cfg FaultConfig, tim Timing) *faultModel {
-	m := &faultModel{cfg: cfg, retries: cfg.MaxReadRetries, retryLat: cfg.ReadRetryLatency}
+	m := &faultModel{cfg: cfg, retries: cfg.MaxReadRetries, retryLat: tim.ReadSlow}
 	if m.retries == 0 {
 		m.retries = 3
-	}
-	if m.retryLat == 0 {
-		m.retryLat = tim.ReadSlow
 	}
 	return m
 }
@@ -222,43 +193,30 @@ func (m *faultModel) wearFactor(ec uint32) float64 {
 }
 
 // hit is the pure draw: true when the op identified by (kind, idx, erase
-// count, attempt) fails under base probability prob. Idempotent by
-// construction — probing and issuing the same op always agree.
+// count, attempt) fails under base probability prob, scaled by the block's
+// wear. Idempotent by construction — probing and issuing the same op always
+// agree.
 func (m *faultModel) hit(kind uint64, idx int64, ec uint32, attempt int, prob float64) bool {
-	return m.hitP(kind, idx, ec, attempt, prob*m.wearFactor(ec), 0)
-}
-
-// hitP is the generalized pure draw: p is the final (already scaled)
-// probability and ext an optional extra key term (disturb count, retention
-// bucket) folded in with one more mix round. ext zero skips that round, so
-// configurations without the extra terms draw bit-identically to the
-// original two-round hash.
-func (m *faultModel) hitP(kind uint64, idx int64, ec uint32, attempt int, p float64, ext uint64) bool {
+	p := prob * m.wearFactor(ec)
 	if p <= 0 {
 		return false
 	}
 	h := mix64(m.cfg.Seed ^ (kind + uint64(idx)*0x9e3779b97f4a7c15))
 	h = mix64(h ^ (uint64(ec) << 16) ^ uint64(attempt))
-	if ext != 0 {
-		h = mix64(h ^ ext)
-	}
 	return float64(h>>11)/(1<<53) < p
 }
 
 // readLadder draws the whole retry ladder for one read of pageIdx: rung k
-// fails independently with probability p (the read probability already
-// scaled by wear, disturb and retention; ext keys the disturb/retention
-// state into the hash). It returns the extra rungs a successful read
-// climbed, or ok=false when every rung failed (the data is uncorrectable
-// until the block is erased — the draw depends only on (page, erase count,
-// degradation state), so re-reads under the same state keep failing, which
-// is exactly how a degraded cell behaves — while a scrub migration or
-// further disturb changes the key, as refreshing or re-disturbing a real
-// cell would).
-func (m *faultModel) readLadder(pageIdx int64, ec uint32, p float64, ext uint64) (retries int, ok bool) {
+// fails independently with ReadFailProb scaled by wear. It returns the extra
+// rungs a successful read climbed, or ok=false when every rung failed (the
+// data is uncorrectable until the block is erased — the draw depends only
+// on (page, erase count), so re-reads keep failing, which is exactly how a
+// degraded cell behaves, while a migration to a fresh page or an erase
+// changes the key).
+func (m *faultModel) readLadder(pageIdx int64, ec uint32) (retries int, ok bool) {
 	attempts := m.retries + 1
 	for k := 0; k < attempts; k++ {
-		if !m.hitP(faultKindRead, pageIdx, ec, k, p, ext) {
+		if !m.hit(faultKindRead, pageIdx, ec, k, m.cfg.ReadFailProb) {
 			return k, true
 		}
 	}
@@ -304,61 +262,17 @@ func (f *Flash) FaultSites() []FaultSite {
 	return out
 }
 
-// readDrawParams computes the effective read-fault probability and the
-// extra hash key for one read of addr at simulated time now: the base
-// probability scales with the sum of the erase-count wear factor, the
-// block's disturb fraction and the page's retention-age fraction, and the
-// (disturb count, retention bucket) pair keys the draw so degradation
-// changes the schedule. With neither limit configured ext is 0 and the
-// probability reduces to the original wear-scaled form, so the draw stream
-// is bit-identical to a disturb/retention-free model.
-func (f *Flash) readDrawParams(now sim.Time, addr Address, bi int) (p float64, ext uint64) {
-	m := f.faults
-	factor := m.wearFactor(f.blocks[bi].eraseCount)
-	var dPart, bucket uint64
-	keyed := false
-	if lim := m.cfg.ReadDisturbLimit; lim > 0 {
-		d := f.blocks[bi].disturb
-		factor += float64(d) / float64(lim)
-		dPart = uint64(d)
-		keyed = true
-	}
-	if lim := m.cfg.RetentionLimit; lim > 0 {
-		// A page pending a deferred program can carry a completion stamp
-		// past the read's issue time; its age is zero, not an underflow.
-		var age sim.Duration
-		if done := f.oob[f.slot(&addr)].doneAt; now > done {
-			age = now - done
-		}
-		factor += float64(age) / float64(lim)
-		step := lim / 16
-		if step <= 0 {
-			step = 1
-		}
-		bucket = uint64(age / step)
-		keyed = true
-	}
-	p = m.cfg.ReadFailProb * factor
-	if keyed {
-		ext = mix64(faultKindExt ^ dPart*0x9e3779b97f4a7c15 ^ (bucket << 20))
-	}
-	return p, ext
-}
-
 // readFaultExtra runs the issue-time read-retry ladder for addr: it returns
 // the extra die occupancy the retries cost, or a wrapped ErrUncorrectable
 // when the ladder is exhausted. Called before claimRead on every read path,
-// so a faulting read claims nothing and schedules nothing. now anchors the
-// retention-age term (ignored when retention is disabled).
-func (f *Flash) readFaultExtra(now sim.Time, addr Address) (sim.Duration, error) {
+// so a faulting read claims nothing and schedules nothing.
+func (f *Flash) readFaultExtra(addr Address) (sim.Duration, error) {
 	m := f.faults
 	if m == nil || m.cfg.ReadFailProb <= 0 {
 		return 0, nil
 	}
-	bi := f.geo.BlockIndex(addr)
-	ec := f.blocks[bi].eraseCount
-	p, ext := f.readDrawParams(now, addr, bi)
-	retries, ok := m.readLadder(f.geo.PageIndex(addr), ec, p, ext)
+	ec := f.blocks[f.geo.BlockIndex(addr)].eraseCount
+	retries, ok := m.readLadder(f.geo.PageIndex(addr), ec)
 	if !ok {
 		m.stats.Uncorrectable++
 		m.record(OpRead, addr, ec)
@@ -371,17 +285,13 @@ func (f *Flash) readFaultExtra(now sim.Time, addr Address) (sim.Duration, error)
 	return 0, nil
 }
 
-// ProbeRead reports the error a read of addr would fail with at time now:
+// ProbeRead reports the error a read of addr would fail with right now:
 // CheckRead's structural checks plus the injected-fault ladder. The fault
-// draw is a pure function of (seed, page, erase count, disturb count,
-// retention bucket), so a passing probe guarantees an issue-time draw of
-// the same read under the same degradation state also passes. Callers that
-// interleave probes with disturb-bumping issues must instead carry the
-// probe's result to the issue (ProbeReadExtra + ReadDeferredAddr's extra),
-// because the issues shift later draws' keys. A failing probe
-// charges the uncorrectable (it is where the caller observes the loss);
-// the issue that would double-charge it never happens.
-func (f *Flash) ProbeRead(now sim.Time, addr Address) error {
+// draw is a pure function of (seed, page, erase count), so a passing probe
+// guarantees the later issue-time draw of the same read also passes. A
+// failing probe charges the uncorrectable (it is where the caller observes
+// the loss); the issue that would double-charge it never happens.
+func (f *Flash) ProbeRead(addr Address) error {
 	if err := f.CheckRead(&addr); err != nil {
 		return err
 	}
@@ -389,10 +299,8 @@ func (f *Flash) ProbeRead(now sim.Time, addr Address) error {
 	if m == nil || m.cfg.ReadFailProb <= 0 {
 		return nil
 	}
-	bi := f.geo.BlockIndex(addr)
-	ec := f.blocks[bi].eraseCount
-	p, ext := f.readDrawParams(now, addr, bi)
-	if _, ok := m.readLadder(f.geo.PageIndex(addr), ec, p, ext); !ok {
+	ec := f.blocks[f.geo.BlockIndex(addr)].eraseCount
+	if _, ok := m.readLadder(f.geo.PageIndex(addr), ec); !ok {
 		m.stats.Uncorrectable++
 		m.record(OpRead, addr, ec)
 		return &FaultError{Op: OpRead, Addr: addr, Err: ErrUncorrectable}
@@ -401,19 +309,16 @@ func (f *Flash) ProbeRead(now sim.Time, addr Address) error {
 }
 
 // ProbeReadExtra is the authoritative-draw probe: CheckRead plus one full
-// ladder draw for a read of addr at time now, returning the extra die
-// occupancy the retries will cost. The caller issues the read with
-// ReadDeferredAddr, which reuses the returned extra instead of re-drawing —
-// the pattern batching paths need once read disturb is enabled, because a
-// batch's issues bump the disturb counters its later probes were keyed on,
-// so re-drawing at issue could disagree with the probe and break the
-// probe-pass ⇒ issue-pass contract. Retry rungs are charged here (the
-// probe IS the read's draw); a failing probe charges the uncorrectable.
-func (f *Flash) ProbeReadExtra(now sim.Time, addr Address) (sim.Duration, error) {
+// ladder draw for a read of addr, returning the extra die occupancy the
+// retries will cost. The caller issues the read with ReadDeferredAddr,
+// which reuses the returned extra instead of drawing the ladder a second
+// time. Retry rungs are charged here (the probe IS the read's draw); a
+// failing probe charges the uncorrectable.
+func (f *Flash) ProbeReadExtra(addr Address) (sim.Duration, error) {
 	if err := f.CheckRead(&addr); err != nil {
 		return 0, err
 	}
-	return f.readFaultExtra(now, addr)
+	return f.readFaultExtra(addr)
 }
 
 // ProbeErase reports the error an erase of addr's block would fail with

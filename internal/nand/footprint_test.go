@@ -11,7 +11,7 @@ import (
 // metadata holds per physical page on the four reference devices and
 // bench/'s bench750 (the Table I geometry with 12 blocks per plane),
 // timing-only and tracked: a 24-byte OOB stamp per page (the written flag
-// is one of its bits), a 16-byte block record per 128 pages, and an 8-byte
+// is one of its bits), a 12-byte block record per 128 pages, and an 8-byte
 // payload checksum per page on a tracked flash only. On a timing-only device this metadata is
 // most of the heap, so a byte per page here is a byte per page of every
 // device the simulator can hold. The bench750 lines are logged for ci.yml.
@@ -21,11 +21,11 @@ func TestFlashMetadataFootprint(t *testing.T) {
 		pages           int64
 		timing, tracked float64 // bytes per physical page
 	}{
-		{"intel750", 737280, 24.125, 32.125},
-		{"850pro", 393216, 24.125, 32.125},
-		{"zssd", 393216, 24.125, 32.125},
-		{"983dct", 393216, 24.125, 32.125},
-		{"bench750", 184320, 24.125, 32.125},
+		{"intel750", 737280, 24.09375, 32.09375},
+		{"850pro", 393216, 24.09375, 32.09375},
+		{"zssd", 393216, 24.09375, 32.09375},
+		{"983dct", 393216, 24.09375, 32.09375},
+		{"bench750", 184320, 24.09375, 32.09375},
 	}
 	for _, tc := range cases {
 		name := tc.device

@@ -303,13 +303,7 @@ type Stats struct {
 // blockState tracks per-block physical condition.
 type blockState struct {
 	eraseCount uint32
-	// disturb counts reads of the block since its last erase, the
-	// accumulated read-disturb stress. Only maintained when
-	// FaultConfig.ReadDisturbLimit is set; erase resets it (a fresh
-	// program cycle starts unstressed). Durable: real disturb is charge
-	// displacement in the array, which a power cut does not undo.
-	disturb  uint32
-	nextPage int32 // next programmable page (in-order constraint); PagesPerBlock means full
+	nextPage   int32 // next programmable page (in-order constraint); PagesPerBlock means full
 	// bad marks a grown bad block: durable (it survives power loss — real
 	// firmware keeps a bad-block table in flash), recorded by MarkBadBlock
 	// when the FTL retires the block's super-block.
@@ -825,12 +819,6 @@ func (f *Flash) claimRead(now sim.Time, addr *Address, di int, extra sim.Duratio
 	cmdStart, cmdEnd := ch.Claim(now, f.tim.CmdCycles)
 	_, ready = die.Claim(cmdEnd, f.readLatency(addr.Page)+extra)
 	_, done = ch.Claim(ready, f.xferPage)
-	if f.faults != nil && f.faults.cfg.ReadDisturbLimit > 0 {
-		// Read disturb accrues at claim time, at issue — after
-		// this read's own draw (taken before claimRead on every path), so a
-		// read is stressed by its predecessors, never by itself.
-		f.blocks[f.geo.blockOfDie(di, addr)].disturb++
-	}
 	return cmdStart, ready, done
 }
 
@@ -867,9 +855,8 @@ func (f *Flash) copyOut(pageIdx int64, dst []byte) {
 //
 // There is no validation and no fault draw here. The caller either ran both
 // through ProbeReadExtra and passes the drawn retry cost in extra — the
-// probe's draw is THE draw, which is how a batch keeps the probe-pass ⇒
-// issue-pass contract once read disturb shifts draw keys between its probes
-// and its issues — or holds a certificate that the address is in range and
+// probe's draw is THE draw, so the ladder is drawn and charged once per
+// read — or holds a certificate that the address is in range and
 // written (ftl.ReadCert) with read-fault draws off (ReadFaultsArmed false),
 // and passes zero. The address travels by pointer (see dieOf); *addr is not
 // retained.
@@ -1061,7 +1048,7 @@ func (b *PlanBatch) ReadAddr(now sim.Time, addr *Address, dst []byte) (Result, e
 	var extra sim.Duration
 	if f.faults != nil {
 		var err error
-		if extra, err = f.readFaultExtra(now, *addr); err != nil {
+		if extra, err = f.readFaultExtra(*addr); err != nil {
 			return Result{}, err
 		}
 	}
@@ -1260,7 +1247,6 @@ type eraseUndoRec struct {
 	bi         int
 	start      sim.Time // array-operation start on the die
 	eraseCount uint32
-	disturb    uint32
 	nextPage   int32
 	oob        []pageOOB
 	sums       []uint64
@@ -1355,7 +1341,6 @@ func (f *Flash) claimErase(now sim.Time, addr *Address, di int) (cmdStart, done 
 	undo.bi = bi
 	undo.start = opStart
 	undo.eraseCount = blk.eraseCount
-	undo.disturb = blk.disturb
 	undo.nextPage = blk.nextPage
 	s0 := f.blockSlot(bi)
 	for pg, s := 0, s0; pg < len(undo.oob); pg, s = pg+1, s+f.planes {
@@ -1365,7 +1350,6 @@ func (f *Flash) claimErase(now sim.Time, addr *Address, di int) (cmdStart, done 
 	f.eraseUndo = append(f.eraseUndo, undo)
 	f.undoLow = min(f.undoLow, opStart)
 	blk.eraseCount++
-	blk.disturb = 0
 	blk.nextPage = 0
 	if f.trackData {
 		for pg, s := 0, s0; pg < len(undo.sums); pg, s = pg+1, s+f.planes {
@@ -1394,41 +1378,6 @@ func (f *Flash) PageWritten(addr Address) bool {
 // where the timing lives). No-op when data tracking is off or dst is nil.
 func (f *Flash) PagePayload(addr Address, dst []byte) {
 	f.copyOut(f.geo.PageIndex(addr), dst)
-}
-
-// BlockRisk scores the degradation risk of the block at global index bi at
-// simulated time now: the sum of its read-disturb fraction and the
-// retention-age fraction of its oldest written page, each relative to the
-// configured limit. 1.0 means one fully-expended budget. Zero when fault
-// injection is off or neither limit is configured — the patrol scrubber's
-// risk scan is then inert.
-func (f *Flash) BlockRisk(bi int, now sim.Time) float64 {
-	m := f.faults
-	if m == nil {
-		return 0
-	}
-	var r float64
-	if lim := m.cfg.ReadDisturbLimit; lim > 0 {
-		r += float64(f.blocks[bi].disturb) / float64(lim)
-	}
-	if lim := m.cfg.RetentionLimit; lim > 0 {
-		var oldest sim.Time
-		found := false
-		for pg, s := 0, f.blockSlot(bi); pg < f.geo.PagesPerBlock; pg, s = pg+1, s+f.planes {
-			o := &f.oob[s]
-			if !o.written() {
-				continue
-			}
-			if d := o.doneAt; !found || d < oldest {
-				oldest = d
-				found = true
-			}
-		}
-		if found && now > oldest {
-			r += float64(now-oldest) / float64(lim)
-		}
-	}
-	return r
 }
 
 // NextProgramPage returns the next in-order programmable page of the block

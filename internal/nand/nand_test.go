@@ -535,7 +535,7 @@ func BenchmarkProgramReadErase(b *testing.B) {
 // probe validates and draws, the issue replays the draw.
 func readDeferred(t *testing.T, f *Flash, now sim.Time, addr Address, dst []byte) Result {
 	t.Helper()
-	extra, err := f.ProbeReadExtra(now, addr)
+	extra, err := f.ProbeReadExtra(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

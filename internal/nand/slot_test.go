@@ -126,44 +126,6 @@ func TestStampsFollowPageIndex(t *testing.T) {
 	checkStamps(t, f, want, "tampering undone")
 }
 
-// TestAgeFollowsPageIndex: the retention age a read's fault draw keys on,
-// and BlockRisk's oldest written page, are the ages of the pages the
-// addresses name.
-func TestAgeFollowsPageIndex(t *testing.T) {
-	const lim = 100 * sim.Millisecond
-	f := newTestFlash(t, Options{Faults: FaultConfig{ReadFailProb: 0.5, RetentionLimit: lim}})
-	g := f.geo
-	_, done, _ := spread(t, f)
-	now := 40 * sim.Millisecond // past every completion: spread's pages finish within 20 ms
-	oldest := map[int]sim.Time{}
-	for idx, d := range done {
-		if d >= now {
-			t.Fatalf("page %d completes at %v, after the reads at %v", idx, d, now)
-		}
-		a := addressOfPage(g, idx)
-		bi := g.BlockIndex(a)
-		age := now - d
-		p, ext := f.readDrawParams(now, a, bi)
-		wantP := 0.5 * (1 + float64(age)/float64(lim))
-		wantExt := mix64(faultKindExt ^ uint64(age/(lim/16))<<20)
-		if math.Abs(p-wantP) > 1e-12 || ext != wantExt {
-			t.Fatalf("page %d: draw (%v, %#x), want (%v, %#x) for age %v", idx, p, ext, wantP, wantExt, age)
-		}
-		if o, ok := oldest[bi]; !ok || d < o {
-			oldest[bi] = d
-		}
-	}
-	for bi := 0; bi < g.TotalBlocks(); bi++ {
-		want := 0.0
-		if o, ok := oldest[bi]; ok {
-			want = float64(now-o) / float64(lim)
-		}
-		if got := f.BlockRisk(bi, now); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("block %d: risk %v, want %v", bi, got, want)
-		}
-	}
-}
-
 // TestPowerLossFollowsPageIndex: a cut resolves each in-flight page by the
 // torn draw of its own page number and sequence and drops a torn page's
 // bytes and nothing else's; an erase the cut lands before puts back exactly

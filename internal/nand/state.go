@@ -31,7 +31,6 @@ func (f *Flash) State(c *snap.Codec) error {
 	for i := range f.blocks {
 		blk := &f.blocks[i]
 		snap.U(c, &blk.eraseCount)
-		snap.U(c, &blk.disturb)
 		snap.I(c, &blk.nextPage)
 		c.Bool(&blk.bad)
 		for pg, s := 0, f.blockSlot(i); pg < ppb; pg, s = pg+1, s+f.planes {

@@ -314,8 +314,8 @@
 // playbook for background machinery: its ticks live in a dedicated engine
 // domain ("scrub", like "pwr"), so where in the request stream each tick
 // lands is decided by its (time, sequence) key — a property of the event
-// multiset alone. At that point the scrubber reads the FTL's
-// disturb/retention risk ranking (pure model state) and emits its migration
+// multiset alone. At that point the scrubber takes the next super-block
+// reconstruction pressure queued (pure model state) and emits its migration
 // plan through the same certified path host writes use. That is what makes
 // "scrub strictly defers the read-only latch" a testable claim instead of a
 // tendency.

@@ -43,16 +43,14 @@ var knobScenarios = map[string]knobScenario{
 		{workload.SeqWrite, 64 << 10, 40, 8},
 		{workload.RandRead, 64 << 10, 40, 8},
 	}},
-	// faults arms the heavy profile with a retry latency, read disturb and
-	// retention, and lets wear saturate after two erases, so a short run
-	// retires blocks, latches read-only and loses reads past the retry
-	// ladder.
+	// faults arms the heavy profile with a read-fault probability high
+	// enough that reads climb and exhaust the retry ladder, and lets wear
+	// saturate after two erases, so a short run retires blocks, latches
+	// read-only and loses reads past the retry ladder.
 	"faults": {setup: func(c *core.SystemConfig) {
 		c.Device.Faults, _ = config.FaultProfile("heavy", 5) // a preset name: no error
 		c.Device.Faults.WearEraseLimit = 2
-		c.Device.Faults.ReadRetryLatency = sim.FromMicroseconds(40)
-		c.Device.Faults.ReadDisturbLimit = 2
-		c.Device.Faults.RetentionLimit = sim.FromMicroseconds(5000)
+		c.Device.Faults.ReadFailProb = 0.3
 	}, runs: []knobRun{
 		{workload.RandWrite, 4096, 3000, 8},
 		{workload.RandRead, 4096, 600, 8},
@@ -179,15 +177,12 @@ var witnesses = map[string]knob{
 	"Device.TrackData": {neutral: "payload bytes ride along a timing model that never reads them"},
 	"Device.Seed":      {in: "base"},
 
-	"Device.Faults.Seed":             {in: "faults"},
-	"Device.Faults.ProgramFailProb":  {in: "faults"},
-	"Device.Faults.EraseFailProb":    {in: "faults"},
-	"Device.Faults.ReadFailProb":     {in: "faults"},
-	"Device.Faults.WearEraseLimit":   {in: "faults"},
-	"Device.Faults.MaxReadRetries":   {in: "faults"},
-	"Device.Faults.ReadRetryLatency": {in: "faults"},
-	"Device.Faults.ReadDisturbLimit": {in: "faults"},
-	"Device.Faults.RetentionLimit":   {in: "faults"},
+	"Device.Faults.Seed":            {in: "faults"},
+	"Device.Faults.ProgramFailProb": {in: "faults"},
+	"Device.Faults.EraseFailProb":   {in: "faults"},
+	"Device.Faults.ReadFailProb":    {in: "faults"},
+	"Device.Faults.WearEraseLimit":  {in: "faults"},
+	"Device.Faults.MaxReadRetries":  {in: "faults"},
 	// Zero and one both give this device's default of one spare.
 	"Device.SpareBlocks": {in: "faults", to: 4},
 
