@@ -557,9 +557,9 @@ func (s *System) WindowWatts(base Counters, el sim.Duration) (cpuW, dramW, nandW
 }
 
 // DefaultBatchWindow is SubmitBatch's submission-window ceiling: the shared
-// engine is reset, and the erase-undo journal pruned, at least this often
-// even for arbitrarily long request vectors. The host scheduler's depth cap
-// and the protocol's hardware queue limit still clamp below it.
+// engine is reset, and the flash's in-flight journals pruned, at least this
+// often even for arbitrarily long request vectors. The host scheduler's
+// depth cap and the protocol's hardware queue limit still clamp below it.
 const DefaultBatchWindow = 64
 
 // SubmitEngineDomainStats returns the per-domain event counts of the

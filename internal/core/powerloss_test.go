@@ -366,3 +366,83 @@ func TestReadCertPowerLossMountDisarm(t *testing.T) {
 			afterCut.CertifiedReads, remounted.CertifiedReads)
 	}
 }
+
+// TestRestoredSystemCutsLikeOriginal: a snapshot taken while claimed erases
+// have not yet started carries their undo records, so a power cut after a
+// restore puts back the blocks the original's cut would: both systems give
+// the same power-loss and mount reports and the same post-cut image. Short
+// runs end with GC erases still queued behind the migrations they wait for.
+func TestRestoredSystemCutsLikeOriginal(t *testing.T) {
+	s := smallSystem(t, nil)
+	seqFillDurable(t, s)
+	gen, err := workload.NewFIO(workload.RandWrite, 4096, s.VolumeBytes(), 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 30; k++ {
+		if _, err := s.Run(gen, core.RunConfig{Requests: 3, IODepth: 3, WithData: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	img, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := smallSystem(t, nil)
+	if err := r.Restore(img); err != nil {
+		t.Fatal(err)
+	}
+	var results [2]*core.RunResult
+	var images [2][]byte
+	for i, x := range []*core.System{s, r} {
+		wgen, err := workload.NewFIO(workload.RandWrite, 4096, x.VolumeBytes(), 99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := x.Run(wgen, core.RunConfig{Requests: 200, IODepth: 32, WithData: true, PowerLossAt: x.Now() + sim.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.PowerLost {
+			t.Fatal("the cut did not fire")
+		}
+		results[i] = res
+		if images[i], err = x.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	orig, restored := results[0], results[1]
+	if orig.PowerLoss.Flash.ErasesUndone == 0 {
+		t.Fatal("the cut undid no erase: the snapshot caught none pending")
+	}
+	if orig.PowerLoss != restored.PowerLoss {
+		t.Errorf("power loss: original %+v, restored %+v", orig.PowerLoss, restored.PowerLoss)
+	}
+	if orig.Mount != restored.Mount {
+		t.Errorf("mount: original %+v, restored %+v", orig.Mount, restored.Mount)
+	}
+	if !bytes.Equal(images[0], images[1]) {
+		t.Error("the post-cut images differ")
+	}
+}
+
+// TestPowerCutBeforeClockRefused: the flash prunes its in-flight journals at
+// the system clock, so Run refuses a cut before it instead of resolving it
+// against records already gone.
+func TestPowerCutBeforeClockRefused(t *testing.T) {
+	s := smallSystem(t, nil)
+	gen, err := workload.NewFIO(workload.RandWrite, 4096, s.VolumeBytes(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(gen, core.RunConfig{Requests: 100, IODepth: 16}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(gen, core.RunConfig{Requests: 100, IODepth: 16, PowerLossAt: s.Now() - 1}); err == nil || !strings.Contains(err.Error(), "before the system clock") {
+		t.Fatalf("a cut before the clock returned %v", err)
+	}
+	res, err := s.Run(gen, core.RunConfig{Requests: 100, IODepth: 16, PowerLossAt: s.Now()})
+	if err != nil || !res.PowerLost {
+		t.Fatalf("a cut at the clock returned %v (fired %v)", err, err == nil && res.PowerLost)
+	}
+}

@@ -29,13 +29,14 @@ type RunConfig struct {
 	// move end to end (requires a TrackData system for integrity checks).
 	WithData bool
 	// PowerLossAt cuts device power at this absolute simulated time (zero
-	// disables): the run's engine halts at the cut — one event in the
-	// engine's (time, sequence) order, so the dispatched prefix is a
-	// property of the event sequence — all volatile firmware state is
-	// discarded with in-flight programs resolved torn-or-committed by the
-	// seeded fault draw, and mount-time recovery rebuilds the FTL from OOB
-	// stamps before the run returns. Requests in flight at the cut never
-	// complete and are not counted.
+	// disables; a time before the system clock is an error, because the
+	// flash's in-flight journals are pruned up to it): the run's engine
+	// halts at the cut — one event in the engine's (time, sequence) order,
+	// so the dispatched prefix is a property of the event sequence — all
+	// volatile firmware state is discarded with in-flight programs resolved
+	// torn-or-committed by the seeded fault draw, and mount-time recovery
+	// rebuilds the FTL from OOB stamps before the run returns. Requests in
+	// flight at the cut never complete and are not counted.
 	PowerLossAt sim.Time
 	// StopOnReadOnly stops issuing new requests after the first write the
 	// device refuses with ftl.ErrReadOnly, instead of grinding through the
@@ -124,6 +125,12 @@ func (r *RunResult) AvgLatencyUs() float64 { return r.Latency.Mean() }
 func (s *System) Run(gen workload.Generator, rc RunConfig) (*RunResult, error) {
 	if rc.Requests <= 0 {
 		return nil, fmt.Errorf("core: run needs a positive request count")
+	}
+	if rc.PowerLossAt > 0 && rc.PowerLossAt < s.now {
+		// The flash's in-flight journals were pruned at the system clock: a
+		// cut before it would find programs and erases it caught already
+		// committed.
+		return nil, fmt.Errorf("core: power cut at %v before the system clock %v", rc.PowerLossAt, s.now)
 	}
 	depth := s.params.EffectiveQueueDepth(rc.IODepth)
 	if cap := s.Host.DepthCap(); depth > cap {
@@ -225,6 +232,9 @@ func (s *System) Run(gen workload.Generator, rc RunConfig) (*RunResult, error) {
 		}
 		res.Mount = mrep
 	}
+	// No later cut lands before the system clock: what the flash completed
+	// by then leaves its in-flight journals.
+	s.Flash.PruneEraseUndo(s.now)
 	res.ReadOnly = s.FTL.ReadOnly()
 	res.BytesRead = int64(s.bytesRead - bytesRead0)
 	res.BytesWritten = int64(s.bytesWritten - bytesWritten0)
@@ -330,11 +340,13 @@ func (j *runJob) done(done sim.Time, err error) {
 // (flash programs, GC migrations, erases), so a following measurement is
 // not polluted by the tail of earlier writes. Benchmarks call it between
 // preconditioning and the measured run, mirroring the idle settle time
-// real SSD test methodology inserts.
+// real SSD test methodology inserts. The flash's in-flight journals empty
+// with it: no later cut lands before the new clock.
 func (s *System) Drain() {
 	if t := s.Flash.FreeAt(); t > s.now {
 		s.now = t
 	}
+	s.Flash.PruneEraseUndo(s.now)
 }
 
 // Precondition brings the device to the paper's STEADY-STATE: the entire

@@ -73,9 +73,10 @@ func TestSnapshotRestoreGoldenEquivalence(t *testing.T) {
 	img := snapshotImage(t, s)
 	want := snapshotTail(t, s) // the original continues
 	checkPin(t, "snapshot-tail", want)
-	// Version 7: the nand section carries no read-disturb counts.
-	if v := binary.LittleEndian.Uint32(img[8:12]); v != 7 || core.SnapshotVersion != 7 {
-		t.Fatalf("image carries format version %d, core.SnapshotVersion is %d, want 7", v, core.SnapshotVersion)
+	// Version 8: the nand section carries the in-flight journals instead of a
+	// completion time per written page.
+	if v := binary.LittleEndian.Uint32(img[8:12]); v != 8 || core.SnapshotVersion != 8 {
+		t.Fatalf("image carries format version %d, core.SnapshotVersion is %d, want 8", v, core.SnapshotVersion)
 	}
 
 	r := wideSystem(t)
@@ -161,6 +162,7 @@ func TestSnapshotLoaderFaults(t *testing.T) {
 		{"version-4", snap.Seal(4, fp, body), snap.ErrVersion},
 		{"version-5", snap.Seal(5, fp, body), snap.ErrVersion},
 		{"version-6", snap.Seal(6, fp, body), snap.ErrVersion},
+		{"version-7", snap.Seal(7, fp, body), snap.ErrVersion},
 		{"wrong-fingerprint", snap.Seal(core.SnapshotVersion, fp^0xdeadbeef, body), snap.ErrMismatch},
 		{"valid-frame-truncated-body", snap.Seal(core.SnapshotVersion, fp, body[:len(body)-16]), nil},
 		{"valid-frame-garbage-body", snap.Seal(core.SnapshotVersion, fp, bytes.Repeat([]byte{0xa5}, 64)), nil},
@@ -523,21 +525,21 @@ func FuzzSnapshotOpen(f *testing.F) {
 // imageScenarios are three small fixed devices whose images between them
 // reach every branch of the layout: plain, RAIN with a fault model that
 // draws on fresh blocks, and an h-type protocol (the HBA resource). sha256
-// is the image hash recorded for format version 6.
+// is the image hash recorded for format version 8.
 var imageScenarios = []struct {
 	name   string
 	mutate func(*core.DeviceConfig)
 	sha256 string
 }{
 	{"plain", func(*core.DeviceConfig) {},
-		"424f69b1d1425e603b187863e9a984e1a5f69f021d3e170e31add549794cef4f"},
+		"5caa32188e59785f8e7af5eac661e2966c38f1b042f1d3aa50a8a841d89e0c24"},
 	{"rain-faults", func(d *core.DeviceConfig) {
 		d.RAINWidth = 3
 		d.Faults, _ = config.FaultProfile("wearout", 5)
 		d.Faults.WearEraseLimit = 0 // draw on fresh blocks: the short run wears none out
-	}, "c96a3626051a2fc65e4790dea14ccd28953050724cff4902a5cad351f6bd4f14"},
+	}, "aabd97d68ae2e3b0bc35c4573f52495d726e70bef80795682512abd73ff8078c"},
 	{"h-type", func(d *core.DeviceConfig) { d.Protocol = proto.SATA30() },
-		"c7f55afcfe05942a948165f9e3f3f49513f6086c98691176b87082711723ce0c"},
+		"23b7ebe2e0d669de600cf197769fabef631b8825093c4df64551d1c174f04f05"},
 }
 
 // scenarioSystem builds SmallTestDevice with mutate applied and, when run

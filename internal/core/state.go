@@ -31,9 +31,12 @@ import (
 // RNG and every frame's insertion stamp when the cache became
 // fully-associative LRU only. Version 7: the nand section lost every
 // block's read-disturb count when read-fault draws stopped depending on
-// anything but (seed, page, erase count). Images of versions 2 to 6 are
-// refused with snap.ErrVersion.
-const SnapshotVersion = 7
+// anything but (seed, page, erase count). Version 8: the nand section
+// lost every written page's completion time and gained the journal of
+// programs still in flight and the erase-undo records, so a cut after a
+// restore undoes the erases the original would. Images of versions 2 to 7
+// are refused with snap.ErrVersion.
+const SnapshotVersion = 8
 
 // configFingerprint hashes the full system configuration: an image restores
 // only onto a device built from byte-identical knobs, because every decoder

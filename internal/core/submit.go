@@ -465,7 +465,7 @@ func (s *System) SubmitBatch(now sim.Time, reqs []workload.Request, datas [][]by
 
 // drainWindow closes a batch window: it runs and resets the shared engine
 // (times rewind to zero, exactly the state a fresh Submit would start from)
-// and prunes the erase-undo journal. fill counts the inline requests since
+// and prunes the flash's in-flight journals. fill counts the inline requests since
 // the last drain; an empty window drains nothing and is not counted.
 func (s *System) drainWindow(e *sim.Engine, fill *int) {
 	if *fill == 0 && e.Pending() == 0 {
@@ -473,10 +473,11 @@ func (s *System) drainWindow(e *sim.Engine, fill *int) {
 	}
 	e.Run()
 	e.Reset()
-	// Inline erase claims ran outside the engine, where the dispatch clock
-	// that normally retires their power-loss undo snapshots never moves; the
-	// host clock is the earliest time a future cut can land, so snapshots of
-	// erases already started by then are dead weight.
+	// Inline claims ran outside the engine, where the dispatch clock that
+	// normally retires their power-loss records never moves; the host clock
+	// is the earliest time a future cut can land, so undo snapshots of
+	// erases already started by then, and programs completed by then, are
+	// dead weight.
 	s.Flash.PruneEraseUndo(s.now)
 	s.batchWindows++
 	*fill = 0

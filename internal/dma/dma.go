@@ -20,12 +20,12 @@
 //
 // Exactly, but not entry by entry: the whole-page entries of such a list are
 // k equal descriptors issued at one time, so host memory serves them back to
-// back and they reach the link one memory time apart — two
-// sim.Resource.ClaimRun calls and the counters advanced by k make the claims
-// the per-entry loop would, in O(1) (reference_test.go holds result, both
-// timelines and Stats equal to that loop). The loop is still what runs for
-// the list's short last entry and under the h-type copy (a descriptor's
-// second pass over host memory queues behind the next descriptor's first).
+// back and they reach the link one memory time apart — two memory times
+// under the h-type copy, whose second pass over host memory runs right
+// after the first — so two sim.Resource.ClaimRun calls and the counters
+// advanced by k make the claims the per-entry loop would, in O(1)
+// (reference_test.go holds result, both timelines and Stats equal to that
+// loop). The list's short last entry, if any, is one claim of each.
 package dma
 
 import (
@@ -260,27 +260,29 @@ func (e *Engine) Transfer(now sim.Time, pl PointerList, toDevice bool) sim.Time 
 		return move(now, pl.Length, entries)
 	}
 	done := now
-	i := 0
-	if !e.hostCopy {
-		// The k whole-page entries as two runs (see the package comment): host
-		// memory finishes them mem apart, which is how they reach the link.
-		if k := pl.Length / pl.PageSize; k > 0 {
-			mem := sim.TransferTime(int64(pl.PageSize), e.hostMemBW)
-			first := sim.MaxOf(now, e.hostMem.FreeAt()) + mem
-			e.hostMem.ClaimRun(now, 0, mem, k)
-			done = e.link.ClaimRun(first, mem, sim.TransferTime(int64(pl.PageSize), e.linkBW), k)
-			e.stats.Descriptors += uint64(k)
-			e.stats.Entries += uint64(k)
-			e.stats.BytesMoved += uint64(k * pl.PageSize)
-			i = k
+	k := pl.Length / pl.PageSize
+	if k > 0 {
+		// The k whole-page entries as two runs (see the package comment):
+		// host memory serves their passes back to back, one per entry or two
+		// under the h-type copy, and an entry reaches the link when its last
+		// pass ends.
+		passes := 1
+		if e.hostCopy {
+			passes = 2
 		}
+		mem := sim.TransferTime(int64(pl.PageSize), e.hostMemBW)
+		stride := sim.Duration(passes) * mem
+		first := sim.MaxOf(now, e.hostMem.FreeAt()) + stride
+		e.hostMem.ClaimRun(now, 0, mem, passes*k)
+		done = e.link.ClaimRun(first, stride, sim.TransferTime(int64(pl.PageSize), e.linkBW), k)
+		e.stats.Descriptors += uint64(k)
+		e.stats.Entries += uint64(k)
+		e.stats.BytesMoved += uint64(k * pl.PageSize)
 	}
-	for ; i < entries; i++ {
-		// Entries pipeline: each starts as soon as the engine can issue it;
-		// the shared resources serialize where physics requires.
-		if t := move(now, min(pl.PageSize, pl.Length-i*pl.PageSize), 1); t > done {
-			done = t
-		}
+	if k < entries {
+		// The short last entry starts as soon as the engine can issue it; the
+		// shared resources serialize where physics requires.
+		done = max(done, move(now, pl.Length-k*pl.PageSize, 1))
 	}
 	return done
 }

@@ -136,6 +136,62 @@ func TestTransferMatchesPerEntryReference(t *testing.T) {
 	}
 }
 
+// FuzzTransferMatchesPerEntry is TestTransferMatchesPerEntryReference's
+// proof run open-ended, in the way FuzzResourceClaimRun holds ClaimRun to a
+// loop of Claim: for an arbitrary list (length, page size, contiguity),
+// either mode, the h-type copy on or off, link and host-memory bandwidths
+// and backlogs, Transfer and the per-descriptor loop on twin engines return
+// the same completion and leave the same Stats and the same timelines on
+// both resources, for two transfers in a row.
+func FuzzTransferMatchesPerEntry(f *testing.F) {
+	f.Add(uint8(0), uint32(512<<10), uint16(4096), uint32(0), uint32(0), uint32(0), uint8(0))    // s-type line
+	f.Add(uint8(2), uint32(512<<10), uint16(4096), uint32(0), uint32(0), uint32(0), uint8(1))    // h-type line
+	f.Add(uint8(2), uint32(9000), uint16(4000), uint32(77), uint32(5000), uint32(900), uint8(4)) // short tail, backlogs
+	f.Add(uint8(7), uint32(1), uint16(512), uint32(3), uint32(0), uint32(1<<20), uint8(3))       // one byte, contiguous
+	f.Fuzz(func(t *testing.T, flags uint8, length uint32, pageSize uint16, now, linkBusy, memBusy uint32, bw uint8) {
+		mode := Timing
+		if flags&1 != 0 {
+			mode = Functional
+		}
+		hostCopy, contig := flags&2 != 0, flags&4 != 0
+		rates := []float64{3.2e9, 12.8e9, 0.6e9, 1e9}
+		linkBW, memBW := rates[bw%4], rates[(bw>>2)%4]
+		ps := max(int(pageSize), 1)
+		n := int(length % (4 << 20))
+		if n == 0 {
+			n = ps
+		}
+		build := func() *Engine {
+			e, err := New(Config{
+				Link: sim.NewResource("link"), LinkBytesPerSec: linkBW,
+				HostMem: sim.NewResource("hostmem"), HostMemBytesPerSec: memBW,
+				Mode: mode, HostControllerCopy: hostCopy,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.link.Claim(0, sim.Duration(linkBusy)*sim.Nanosecond)
+			e.hostMem.Claim(0, sim.Duration(memBusy)*sim.Nanosecond)
+			return e
+		}
+		got, ref := build(), build()
+		pl, err := Build(PRP, n, ps, nil)
+		if err != nil {
+			t.Skip()
+		}
+		pl.Contig = contig
+		at := sim.Time(now) * sim.Nanosecond
+		for step := 0; step < 2; step++ {
+			g, w := got.Transfer(at, pl, step == 0), refTransfer(ref, at, pl)
+			if g != w || got.Stats() != ref.Stats() || got.link.State() != ref.link.State() || got.hostMem.State() != ref.hostMem.State() {
+				t.Fatalf("step %d, %v copy=%v, %+v at %v: Transfer %v (stats %+v, link %+v, host memory %+v), reference %v (%+v, %+v, %+v)",
+					step, mode, hostCopy, pl, at, g, got.Stats(), got.link.State(), got.hostMem.State(),
+					w, ref.Stats(), ref.link.State(), ref.hostMem.State())
+			}
+		}
+	})
+}
+
 // BenchmarkTransferLine moves one 960 KiB cache line, 240 host pages of
 // unknown layout, as preconditioning does per eviction.
 func BenchmarkTransferLine(b *testing.B) {

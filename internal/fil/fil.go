@@ -95,22 +95,29 @@ type FIL struct {
 	planes []nand.Address
 
 	// Per-plan scratch state, reused across calls so plan execution is
-	// allocation-free in steady state. recs is the dense pre-read record
-	// table, indexed by plan position: the read at Ops[i] fills recs[i] and
-	// the rewrite linked to it (ftl.Op.Src, or links below) loads it back —
-	// the FTL names the dependency, so nothing is looked up, and a record is
-	// only read after the same plan wrote it, so nothing is cleared between
-	// plans. The super-block ordering slots are a small linear list (a plan
-	// touches few distinct super-blocks), scanned directly.
+	// allocation-free in steady state. readDone is the dense pre-read table,
+	// indexed by plan position: the read at Ops[i] stores its completion in
+	// readDone[i] and the rewrite linked to it (ftl.Op.Src, or links below)
+	// loads it back — the FTL names the dependency, so nothing is looked up,
+	// and an entry is only read after the same plan wrote it, so nothing is
+	// cleared between plans. It is 8 bytes an op of the plan's capacity,
+	// which a GC storm's reservation makes a few hundred thousand. The
+	// super-block ordering slots are a small linear list (a plan touches few
+	// distinct super-blocks), scanned directly.
 	//
 	// readBufs[:readBufN] holds the page bytes of the running plan's
 	// pre-reads that no rewrite has taken yet (tracked data only): each is a
 	// nand staging buffer, borrowed at the read and handed on at the rewrite
 	// the plan links to it, so a plan holds as many pages as it has reads in
 	// flight towards their rewrites — not one per pre-read — and the table
-	// itself is 24 bytes a slot. What is still there when the plan ends (a
-	// pre-read nothing consumed) goes back to the flash then.
-	recs     []planRec
+	// itself is 24 bytes a slot. readBuf, indexed like readDone and allocated
+	// on a tracked flash only, says where a pre-read's bytes are: i >= 0,
+	// still in readBufs[i]; ^w < 0, the write at Ops[w] took the buffer, and
+	// the bytes are the page it programmed. What is still in readBufs when
+	// the plan ends (a pre-read nothing consumed) goes back to the flash
+	// then.
+	readDone []sim.Time
+	readBuf  []int32
 	sbTimes  []sbTime // per-super-block erase completion / latest touch
 	sbLast   [2]int   // sbSlot's cache: the last two sbTimes indices its scan found
 	readBufs [][]byte
@@ -167,19 +174,6 @@ type FIL struct {
 	// tests only, to hold the walked path to the certified one on identical
 	// executions.
 	forceWalk bool
-}
-
-// planRec records one completed pre-read at its plan position: its
-// completion time, where its page bytes are, and the super-block it read
-// from — a rewrite consuming it touches that source block with the
-// program's completion, so the victim's erase waits for the migration to
-// land. buf is only meaningful (and only looked at) with tracked data:
-// i >= 0 means readBufs[i] still holds the bytes; ^w < 0 means the write at
-// Ops[w] took the buffer, and the bytes are the page it programmed.
-type planRec struct {
-	done  sim.Time
-	srcSB int32
-	buf   int32
 }
 
 // sbTime tracks in-plan per-super-block ordering state.
@@ -448,23 +442,23 @@ func (f *FIL) stageRead() (slot int32, buf []byte) {
 	return int32(f.readBufN - 1), buf
 }
 
-// takeRead hands the page bytes of pre-read pr to the write at ops[w], in a
-// staging buffer the caller now owns (the program takes it over or the
-// caller releases it). The first taker gets the buffer the read filled — no
-// copy. A pre-read can feed a second rewrite: a sub-page migrated by the GC
-// a read-modify-write triggered is rewritten again by that write, from the
-// migration's read. By then the buffer is the page the first rewrite
-// programmed, so the bytes are fetched back from that page.
-func (f *FIL) takeRead(pr *planRec, ops []ftl.Op, w int) []byte {
+// takeRead hands the page bytes of the pre-read at ops[r] to the write at
+// ops[w], in a staging buffer the caller now owns (the program takes it over
+// or the caller releases it). The first taker gets the buffer the read
+// filled — no copy. A pre-read can feed a second rewrite: a sub-page
+// migrated by the GC a read-modify-write triggered is rewritten again by that
+// write, from the migration's read. By then the buffer is the page the first
+// rewrite programmed, so the bytes are fetched back from that page.
+func (f *FIL) takeRead(r int, ops []ftl.Op, w int) []byte {
 	var buf []byte
-	if pr.buf >= 0 {
-		buf = f.readBufs[pr.buf]
-		f.readBufs[pr.buf] = nil
+	if i := f.readBuf[r]; i >= 0 {
+		buf = f.readBufs[i]
+		f.readBufs[i] = nil
 	} else {
 		buf = f.flash.StagingBuf()
-		f.flash.PagePayload(f.addr(&ops[^pr.buf].Loc), buf)
+		f.flash.PagePayload(f.addr(&ops[^i].Loc), buf)
 	}
-	pr.buf = ^int32(w)
+	f.readBuf[r] = ^int32(w)
 	return buf
 }
 
@@ -729,15 +723,18 @@ func (f *FIL) ExecuteOn(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan
 	k.batch = f.flash.BeginPlan(e, chDoms)
 
 	n := len(plan.Ops)
-	if cap(f.recs) < n {
-		// As large as the plan's own buffer, which the FTL sizes once for a
-		// whole GC storm: the table grows when that buffer does, not with
-		// every plan a few ops longer than the last.
-		f.recs = make([]planRec, cap(plan.Ops))
-	}
-	recs := f.recs[:n]
-	f.sbTimes = f.sbTimes[:0]
 	trackData := f.flash.TrackData()
+	if cap(f.readDone) < n {
+		// As large as the plan's own buffer, which the FTL sizes once for a
+		// whole GC storm: the tables grow when that buffer does, not with
+		// every plan a few ops longer than the last.
+		f.readDone = make([]sim.Time, cap(plan.Ops))
+		if trackData {
+			f.readBuf = make([]int32, cap(plan.Ops))
+		}
+	}
+	readDone := f.readDone[:n]
+	f.sbTimes = f.sbTimes[:0]
 	planes := int64(len(f.planes))
 	var addr nand.Address
 
@@ -747,18 +744,16 @@ func (f *FIL) ExecuteOn(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan
 		case ftl.OpRead:
 			k.addrFor(&addr, &op.Loc)
 			start := sim.MaxOf(now, f.sbSlot(op.Loc.SB).erased)
-			rec := planRec{srcSB: int32(op.Loc.SB)}
 			var buf []byte
 			if trackData {
-				rec.buf, buf = f.stageRead()
+				f.readBuf[i], buf = f.stageRead()
 			}
 			r, err := k.read(start, &addr, buf)
 			if err != nil {
 				return k.res, k.fail(i, op, -1, "read", err)
 			}
 			f.stats.Reads++
-			rec.done = r.Done
-			recs[i] = rec
+			readDone[i] = r.Done
 			if r.Done > k.res.ReadsDone {
 				k.res.ReadsDone = r.Done
 			}
@@ -793,16 +788,17 @@ func (f *FIL) ExecuteOn(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan
 			srcSB := -1
 			staged := false
 			if src > 0 {
-				// Rewrite of data sourced from flash: wait for the read.
-				pr := &recs[src-1]
-				if pr.done > start {
-					start = pr.done
+				// Rewrite of data sourced from flash: wait for the read. The
+				// rewrite touches the read's super-block with its completion
+				// too, so the victim's erase waits for the migration to land.
+				if d := readDone[src-1]; d > start {
+					start = d
 					f.stats.DepStalls++
 				}
 				if data == nil && trackData {
-					data, staged = f.takeRead(pr, plan.Ops, i), true
+					data, staged = f.takeRead(int(src-1), plan.Ops, i), true
 				}
-				srcSB = int(pr.srcSB)
+				srcSB = plan.Ops[src-1].Loc.SB
 			}
 			r, err := k.program(start, &addr, data, staged, planTag(op, planes))
 			if err != nil {

@@ -23,7 +23,8 @@ func planTag(op *ftl.Op, planes int64) int64 {
 // recovery hands it a fresh FTL.
 func (f *FIL) PowerLoss() {
 	f.disarm()
-	clear(f.recs[:cap(f.recs)])
+	clear(f.readDone[:cap(f.readDone)])
+	clear(f.readBuf[:cap(f.readBuf)])
 	f.links = f.links[:0]
 	f.sbTimes = f.sbTimes[:0]
 	f.readBufN = 0

@@ -7,13 +7,17 @@ import "amber/internal/sim"
 // The durable state of the storage complex is exactly what physically lives
 // in the NAND array — block erase counts and in-order pointers, page
 // payloads, per-page OOB stamps with their written flags, and the grown
-// bad-block table. Everything else (the erase-undo journal, the staging
-// pool, the pins) is firmware RAM: PowerLoss resolves the journal, drops the
-// pins and keeps the pool, whose contents every taker overwrites. The
-// activity counters and energy
-// are neither: they are the simulator's record of what was issued, charged
-// at issue, so an op issued before a cut stays counted even if it would have
-// completed after it.
+// bad-block table. Two journals say which of it the array operations issued
+// so far have not yet physically made: the erase-undo records (a block whose
+// erase has not started still holds its data) and the program journal (a
+// program not yet complete may tear). They are the array's
+// in-flight state, not firmware RAM: a snapshot carries them, and PowerLoss
+// resolves them against the cut. The staging pool and the pins are firmware
+// RAM: PowerLoss drops the pins and keeps the pool, whose contents every
+// taker overwrites. The activity counters and energy are neither: they are
+// the simulator's record of what was issued, charged at issue, so an op
+// issued before a cut stays counted even if it would have completed after
+// it.
 
 // OOBInfo is the readable view of one page's out-of-band metadata, the
 // input to mount-time FTL recovery.
@@ -125,6 +129,110 @@ func (f *Flash) BadBlocks() []int {
 	return out
 }
 
+// progEntry journals one program whose array operation may still be in
+// flight: when it completes, the slot it stamped and the low 32 bits of its
+// write sequence, which tell its stamp from a later one in the same slot.
+type progEntry struct {
+	doneAt sim.Time
+	slot   int32
+	seq    uint32
+}
+
+// inFlightChunk is how many entries one chunk of the program journal holds:
+// 8 KiB of them, a heap span to itself, so a chunk the journal lets go takes
+// its span with it.
+const inFlightChunk = 512
+
+// progChunk is a run of journal entries.
+type progChunk [inFlightChunk]progEntry
+
+// progJournal lists programs in claim order, in chunks: entry i is at
+// position head+i of the chunks laid end to end. One list for the whole
+// flash is one sequential stream of appends, and a chunk is never copied or
+// grown: a burst takes chunks (from spare first), and a prune hands back
+// the ones it empties. The head waits for the oldest entry to complete, so
+// entries of a die that finished first may stay behind it; each die
+// completes its programs in claim order, so the order costs little memory.
+type progJournal struct {
+	chunks  []*progChunk
+	spare   []*progChunk
+	head, n int
+}
+
+// at returns the i-th oldest entry.
+func (j *progJournal) at(i int) *progEntry {
+	k := uint(j.head + i)
+	return &j.chunks[k/inFlightChunk][k%inFlightChunk]
+}
+
+// push appends e, taking a chunk when the last one is full.
+func (j *progJournal) push(e progEntry) {
+	k := uint(j.head + j.n)
+	if k == uint(len(j.chunks))*inFlightChunk {
+		var c *progChunk
+		if n := len(j.spare); n > 0 {
+			c, j.spare[n-1] = j.spare[n-1], nil
+			j.spare = j.spare[:n-1]
+		} else {
+			c = new(progChunk)
+		}
+		j.chunks = append(j.chunks, c)
+	}
+	j.chunks[k/inFlightChunk][k%inFlightChunk] = e
+	j.n++
+}
+
+// dropDead drops the journal's oldest entries up to the first that
+// completes after the latest prune time, and hands the chunks that emptied
+// to the spares.
+func (f *Flash) dropDead() {
+	j := &f.inFlight
+	for j.n > 0 {
+		c, i := j.chunks[j.head/inFlightChunk], j.head%inFlightChunk
+		k, end := i, min(inFlightChunk, i+j.n)
+		for k < end && c[k].doneAt <= f.inFlightCut {
+			k++
+		}
+		j.head, j.n = j.head+k-i, j.n-(k-i)
+		if k < end {
+			break // a live entry
+		}
+	}
+	if j.n == 0 {
+		j.head = len(j.chunks) * inFlightChunk // every chunk emptied
+	}
+	used := j.head / inFlightChunk
+	j.spare = append(j.spare, j.chunks[:used]...)
+	kept := copy(j.chunks, j.chunks[used:])
+	clear(j.chunks[kept:]) // each chunk is referenced once, or dropping it frees nothing
+	j.chunks = j.chunks[:kept]
+	j.head -= used * inFlightChunk
+}
+
+// journal appends e, the per-program path. At a chunk boundary it first
+// drops what completed by the latest prune time, so a busy device reuses
+// its chunks.
+func (f *Flash) journal(e progEntry) {
+	if j := &f.inFlight; j.head+j.n == len(j.chunks)*inFlightChunk {
+		f.dropDead()
+	}
+	f.inFlight.push(e)
+}
+
+// pruneInFlight makes t a prune time and drops the journaled programs that
+// completed by it: a cut at t or later finds them durable. A prune that
+// empties the journal lets every spare chunk but one go: a busy device's
+// burst leaves its chunks for the next burst, and a drained device keeps
+// one chunk.
+func (f *Flash) pruneInFlight(t sim.Time) {
+	f.inFlightCut = max(f.inFlightCut, t)
+	f.dropDead()
+	if j := &f.inFlight; j.n == 0 && len(j.spare) > 1 {
+		clear(j.spare[1:])
+		j.spare = j.spare[:1]
+	}
+}
+
 // PowerLossReport summarizes how a power cut resolved the storage state.
 type PowerLossReport struct {
 	// InFlight counts programs whose array operation had not completed at
@@ -153,11 +261,14 @@ type PowerLossReport struct {
 // Every pin is dropped and every orphan pooled: whatever held a pin lived in
 // firmware RAM, so the caller drops its pinned buffers unreleased.
 //
-// The caller must have stopped dispatching events first (sim.Engine.Halt).
-// The undone set is decided purely by comparing each journaled erase's
-// start, and the in-flight set each page's OOB completion stamp, against the
-// cut time, and the draw is a pure function of (seed, page, write sequence),
-// so the resolution depends only on where the cut lands in the issue stream.
+// The caller must have stopped dispatching events first (sim.Engine.Halt),
+// and the cut must not land before the latest prune time (BeginPlan on an
+// engine, PruneEraseUndo): a record pruned then is gone. The undone set is
+// decided purely by comparing each journaled erase's start, and the
+// in-flight set each journaled program's completion, against the cut time —
+// a program counts while its slot still holds its stamp — and the draw is a
+// pure function of (seed, page, write sequence), so the resolution depends
+// only on where the cut lands in the issue stream.
 func (f *Flash) PowerLoss(now sim.Time, seed uint64) PowerLossReport {
 	var rep PowerLossReport
 	// Un-erase blocks whose erase claim's array operation starts after the
@@ -177,29 +288,37 @@ func (f *Flash) PowerLoss(now sim.Time, seed uint64) PowerLossReport {
 	f.eraseUndo = f.eraseUndo[:0]
 	f.undoLow = sim.MaxTime
 	for s := range f.oob {
-		o := &f.oob[s]
-		if !o.written() {
+		if o := &f.oob[s]; !o.written() {
 			// Unwritten: settle the durable state.
 			if f.trackData {
 				f.dropPayload(int64(s))
 			}
 			*o = pageOOB{}
+		}
+	}
+	for i := range f.inFlight.n {
+		p := f.inFlight.at(i)
+		o := &f.oob[p.slot]
+		if p.doneAt <= now || !o.written() || uint32(o.seqNo()) != p.seq {
+			// Completed before the cut, or no longer the slot's stamp: erased
+			// since, reprogrammed since, or older than the stamp an undone
+			// erase put back (that stamp's own entry counts it).
 			continue
 		}
-		if o.doneAt <= now {
-			continue // completed before the cut: durable as-is
-		}
 		rep.InFlight++
-		if tornDraw(seed, f.pageOfSlot(int64(s)), o.seqNo()) {
+		if tornDraw(seed, f.pageOfSlot(int64(p.slot)), o.seqNo()) {
 			rep.Torn++
 			o.seq &^= oobGood
 			if f.trackData {
-				f.dropPayload(int64(s))
+				f.dropPayload(int64(p.slot))
 			}
 			continue
 		}
 		rep.Committed++
 	}
+	// What completes after the cut stays journaled, as its stamp would have
+	// kept its completion time.
+	f.pruneInFlight(now)
 	f.plan.e, f.plan.open = nil, false // a plan the cut interrupted is over
 	f.dropPins()                       // their holders were firmware RAM
 	f.epoch++                          // the cut is a functional state transition

@@ -15,3 +15,9 @@ func (f *Flash) SlotOfPage(pageIdx int64) int64 { return f.slotOfPage(pageIdx) }
 
 // SmallGeometry is the package tests' geometry, testGeometry.
 var SmallGeometry = testGeometry
+
+// InFlightJournal returns the programs the program journal holds and the
+// chunks it holds, spares included.
+func (f *Flash) InFlightJournal() (entries, chunks int) {
+	return f.inFlight.n, len(f.inFlight.chunks) + len(f.inFlight.spare)
+}

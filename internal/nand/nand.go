@@ -318,13 +318,14 @@ type blockState struct {
 // recovery rebuilds the whole mapping table from these stamps alone: the
 // highest sequence number wins a logical sub-page, and a failed checksum
 // (modeled by the good flag, cleared when a power cut tears the program)
-// marks the page unwritten. doneAt records when the array operation
-// completes, which is what decides whether a power cut at time T caught the
-// program in flight. The stamp also carries the page's written flag, the
-// functional state reads and programs check: programmed since its block's
-// last erase.
+// marks the page unwritten. The stamp also carries the page's written flag,
+// the functional state reads and programs check: programmed since its
+// block's last erase. It holds durable state only: when the array operation
+// completes, which decides whether a power cut catches the program in
+// flight, is kept by the program journal (progJournal) for as long as a cut
+// still can.
 //
-// Every physical page carries one, so the layout is a budget: 24 bytes
+// Every physical page carries one, so the layout is a budget: 16 bytes
 // (asserted below). The good and written flags are the top two bits of seq
 // — the write sequence counts programs one by one from 1 and never reaches
 // bit 62 — and fi is 32 bits, because the FTL's forward-map indices are
@@ -334,9 +335,8 @@ type blockState struct {
 // erase clears them. Stamps are stored in slot order (see the package
 // comment), one contiguous row per super-page.
 type pageOOB struct {
-	seq    uint64 // oobGood | oobWritten | the write sequence number (seqNo); 0 when erased
-	doneAt sim.Time
-	notFI  int32 // ^fi: 0 for the erased stamp's -1
+	seq   uint64 // oobGood | oobWritten | the write sequence number (seqNo); 0 when erased
+	notFI int32  // ^fi: 0 for the erased stamp's -1
 	// stripe tags a RAIN parity page with its stripe membership mask (bit
 	// i set: data plane i of the page's parity group is covered). Zero for
 	// data and non-RAIN pages. Durable, like every OOB stamp, so mount
@@ -345,9 +345,9 @@ type pageOOB struct {
 	stripe uint32
 }
 
-// Compile-time proof of the 24-byte budget: any other size makes the
+// Compile-time proof of the 16-byte budget: any other size makes the
 // constant index out of range.
-var _ = [1]struct{}{}[unsafe.Sizeof(pageOOB{})-24]
+var _ = [1]struct{}{}[unsafe.Sizeof(pageOOB{})-16]
 
 // The flag bits of pageOOB.seq: the checksum verdict and the written flag.
 const (
@@ -491,7 +491,7 @@ type Flash struct {
 
 	// oob holds the per-page out-of-band metadata, indexed by slot (see the
 	// package comment; planes is TotalPlanes, the slot's stride from one
-	// page of a block to the next) — 24 bytes a page, most of a timing-only
+	// page of a block to the next) — 16 bytes a page, most of a timing-only
 	// flash's heap; progSeq is the device-wide write sequence counter its
 	// stamps draw from. sums holds each page's payload checksum (pageSum of
 	// the tracked payload; 0: programmed without one, nothing to verify),
@@ -576,6 +576,15 @@ type Flash struct {
 	eraseUndo     []*eraseUndoRec
 	eraseUndoPool []*eraseUndoRec
 	undoLow       sim.Time
+
+	// inFlight journals the programs whose array operation may still
+	// complete after a power cut. inFlightCut is the latest prune time
+	// (BeginPlan on an engine, PruneEraseUndo): no cut lands before it, so an
+	// entry that completed by then is dead. The journal drops its dead
+	// entries at each chunk boundary of its appends, so a plan's prune costs
+	// one store, and PruneEraseUndo drops them at once.
+	inFlight    progJournal
+	inFlightCut sim.Time
 }
 
 // Options configures optional Flash behavior.
@@ -638,6 +647,7 @@ func New(geo Geometry, tim Timing, pow Power, cell CellType, opt Options) (*Flas
 	f.oob = make([]pageOOB, geo.TotalPages()) // all erased: the zero stamp
 	f.planes = int64(geo.TotalPlanes())
 	f.undoLow = sim.MaxTime
+	f.inFlight.spare = []*progChunk{new(progChunk)} // the journal's floor
 	f.chStats = make([]Stats, geo.Channels)
 	f.chEnergy = make([]float64, geo.Channels)
 	f.pagesPerC = geo.TotalPages() / int64(geo.Channels)
@@ -1019,14 +1029,20 @@ type PlanBatch struct {
 }
 
 // BeginPlan opens the batching context for one plan's flash transactions on
-// engine e, or engine-less with a nil e. The channel domains are unused: a
-// plan schedules nothing (bench/replay.go calls this signature).
+// engine e, or engine-less with a nil e. On an engine it first prunes the
+// program journal at the engine's dispatch clock, the earliest time a cut
+// can still land (the journal drops what is dead at its next chunk
+// boundary). The channel domains are unused: a plan schedules nothing
+// (bench/replay.go calls this signature).
 func (f *Flash) BeginPlan(e *sim.Engine, _ []sim.DomainID) *PlanBatch {
 	b := &f.plan
 	if b.open {
 		panic("nand: BeginPlan with a plan already open")
 	}
 	b.e, b.open = e, true
+	if e != nil {
+		f.inFlightCut = max(f.inFlightCut, e.Now())
+	}
 	return b
 }
 
@@ -1216,9 +1232,10 @@ func (f *Flash) accountErase(channel int) {
 // applies the functional block-state transition (written flag, in-order
 // pointer), which later issues read. It also stamps the page's OOB
 // metadata, in the same store as the written flag: the caller's logical tag
-// (-1 for raw untagged programs), the next device-wide write sequence
-// number, and the completion time the power-loss cut tests against. di is
-// addr's die index; the page's slot is returned for the caller's checksum.
+// (-1 for raw untagged programs) and the next device-wide write sequence
+// number; the completion time the power-loss cut tests against goes to the
+// program journal. di is addr's die index; the page's slot is returned
+// for the caller's checksum.
 func (f *Flash) claimProgram(now sim.Time, addr *Address, di int, tag int64) (xferStart, done sim.Time, slot int64) {
 	ch := f.channels[addr.Channel]
 	die := f.dies[di]
@@ -1228,7 +1245,8 @@ func (f *Flash) claimProgram(now sim.Time, addr *Address, di int, tag int64) (xf
 	f.epoch++
 	f.progSeq++
 	slot = f.slotOfDie(di, addr)
-	f.oob[slot] = pageOOB{seq: f.progSeq | oobGood | oobWritten, doneAt: done, notFI: ^int32(tag)}
+	f.oob[slot] = pageOOB{seq: f.progSeq | oobGood | oobWritten, notFI: ^int32(tag)}
+	f.journal(progEntry{doneAt: done, slot: int32(slot), seq: uint32(f.progSeq)})
 	if f.sums != nil {
 		f.sums[slot] = 0 // the caller stamps the payload's, if it has one
 	}
@@ -1237,7 +1255,7 @@ func (f *Flash) claimProgram(now sim.Time, addr *Address, di int, tag int64) (xf
 
 // eraseUndoRec snapshots the block state one claimed erase destroyed, so a
 // power cut before the erase's array operation started can put it back. It
-// copies the block's stamps — 24 bytes a page, written flags included, plus
+// copies the block's stamps — 16 bytes a page, written flags included, plus
 // 8 for the checksums on a tracked flash (sums is nil on a timing-only one)
 // — and on a tracked
 // flash holds the page buffers the erase took out of the arena. The pool
@@ -1279,13 +1297,17 @@ func (f *Flash) pruneEraseUndo(dispatch sim.Time) {
 }
 
 // PruneEraseUndo drops undo records whose array operation has started by
-// the given committed simulation time: the caller asserts no future power
-// cut can land before it (e.g. core's batched submit after a window drain,
-// where the host clock is the earliest possible cut). The evented path
-// prunes on dispatch instead; this entry point exists for callers that
-// claim erases outside a running engine, whose dispatch clock would
-// otherwise never advance past the records.
-func (f *Flash) PruneEraseUndo(committed sim.Time) { f.pruneEraseUndo(committed) }
+// the given committed simulation time, and journaled programs that completed
+// by it: the caller asserts no future power cut can land before it (e.g.
+// core's batched submit after a window drain, or a drained system, where the
+// host clock is the earliest possible cut). The evented path prunes on
+// dispatch instead; this entry point exists for callers that issue outside a
+// running engine, whose dispatch clock would otherwise never advance past
+// the records.
+func (f *Flash) PruneEraseUndo(committed sim.Time) {
+	f.pruneEraseUndo(committed)
+	f.pruneInFlight(committed)
+}
 
 // acquireEraseUndo hands out a pooled undo record with its snapshot slices
 // sized for one block.

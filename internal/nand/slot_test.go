@@ -187,17 +187,16 @@ func TestPowerLossFollowsPageIndex(t *testing.T) {
 // stampSection encodes, in PageIndex order, the stamps a timing-only
 // flash's image must carry for the written pages in want — the walk order
 // the image had when stamps were stored by page number.
-func stampSection(n int64, want map[int64]OOBInfo, done map[int64]sim.Time) []byte {
+func stampSection(n int64, want map[int64]OOBInfo) []byte {
 	c := snap.Encoding()
 	for idx := int64(0); idx < n; idx++ {
 		w, ok := want[idx]
 		if !ok {
 			continue
 		}
-		d, sum := done[idx], uint64(0)
+		sum := uint64(0)
 		snap.I(c, &w.FI)
 		snap.U(c, &w.Seq)
-		snap.I(c, &d)
 		snap.U(c, &sum)
 		c.Bool(&w.Good)
 		snap.U(c, &w.Stripe)
@@ -216,9 +215,9 @@ func encodeFlash(f *Flash) []byte {
 // PageIndex order, and a restored flash reads every page's stamp back.
 func TestSnapshotWalksPageIndex(t *testing.T) {
 	f := newTestFlash(t, Options{})
-	want, done, _ := spread(t, f)
+	want, _, _ := spread(t, f)
 	img := encodeFlash(f)
-	if !bytes.Contains(img, stampSection(f.geo.TotalPages(), want, done)) {
+	if !bytes.Contains(img, stampSection(f.geo.TotalPages(), want)) {
 		t.Fatal("the image does not list the stamps in PageIndex order")
 	}
 	r := newTestFlash(t, Options{})
@@ -295,9 +294,9 @@ func TestExtremeTagsRoundTrip(t *testing.T) {
 // write sequence counter to the same rule).
 func TestDecodeRefusesFlagBitsInSequence(t *testing.T) {
 	f := newTestFlash(t, Options{})
-	want, done, _ := spread(t, f)
+	want, _, _ := spread(t, f)
 	img := encodeFlash(f)
-	section := stampSection(f.geo.TotalPages(), want, done)
+	section := stampSection(f.geo.TotalPages(), want)
 	at := bytes.Index(img, section)
 	if at < 0 {
 		t.Fatal("stamp section not found in the image")
@@ -315,7 +314,7 @@ func TestDecodeRefusesFlagBitsInSequence(t *testing.T) {
 		w := bad[some]
 		w.Seq |= bit
 		bad[some] = w
-		patched := append(append(append([]byte(nil), img[:at]...), stampSection(f.geo.TotalPages(), bad, done)...), img[at+len(section):]...)
+		patched := append(append(append([]byte(nil), img[:at]...), stampSection(f.geo.TotalPages(), bad)...), img[at+len(section):]...)
 		if err := newTestFlash(t, Options{}).State(snap.Decoding(patched)); !errors.Is(err, snap.ErrCorrupt) {
 			t.Errorf("stamp sequence with bit %#x: decode returned %v, want ErrCorrupt", bit, err)
 		}

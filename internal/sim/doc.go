@@ -189,9 +189,13 @@
 //
 //  2. Durable state is exactly what reached NAND. The cut discards all
 //     volatile firmware state — ICL cache lines and flush buffers,
-//     in-flight plans, the erase-undo journal — and keeps only the arena
-//     pages and per-page OOB stamps (logical tag, device-wide write
-//     sequence, checksum) that programs physically completed. The activity counters and energy are
+//     in-flight plans — and keeps only the arena pages and per-page OOB
+//     stamps (logical tag, device-wide write sequence, checksum) that
+//     programs physically completed. Which programs had not completed is
+//     told by a journal of their completion times, kept only while a cut
+//     can still land before them: no cut lands before the latest prune
+//     time, so a Run refuses a cut before the system clock. The activity
+//     counters and energy are
 //     the simulator's record of what was issued, not device state: charged
 //     at issue, they count an op issued before the cut even when it would
 //     have completed after it, so the flash and the FIL always agree. A
@@ -220,7 +224,8 @@
 //
 //  4. Snapshots serialize only functional state. core.Snapshot encodes
 //     the drained system — clocks, resources' next-free times, FTL
-//     mapping, cache contents, arena pages, stats — into a checksummed,
+//     mapping, cache contents, arena pages, the flash's in-flight journals
+//     (a drained system's erases may not have started), stats — into a checksummed,
 //     versioned, config-fingerprinted image (package snap); Restore
 //     decodes into a fresh system and swaps only on full success, so a
 //     corrupt or skewed image fails with a typed error and an untouched
@@ -300,8 +305,9 @@
 // nothing (flash transactions take effect at issue), so the window boundary
 // decides only how often the engine is reset. The one subtlety is
 // the engine clock: the drain rewinds it (Engine.Reset), so maintenance that
-// prunes by engine time — the power-loss erase-undo journal — is pruned
-// explicitly against the host clock instead (nand.Flash.PruneEraseUndo),
+// prunes by engine time — the power-loss erase-undo and program journals —
+// is pruned explicitly against the host clock instead
+// (nand.Flash.PruneEraseUndo),
 // which is sound because SubmitBatch is synchronous: no power cut can land
 // before the call returns, so the host clock lower-bounds every future cut
 // time. The golden equivalence test locks the contract in: SubmitBatch
