@@ -49,7 +49,7 @@ func Example_mobile() {
 		if err != nil {
 			panic(err)
 		}
-		r := outcome{name: sys.Protocol().Kind.String(), bw: res.BandwidthMBps()}
+		r := outcome{name: sys.Config().Device.Protocol.Kind.String(), bw: res.BandwidthMBps()}
 		r.cpuW, r.dramW, r.nandW = sys.WindowWatts(base, res.Elapsed())
 		r.instr = float64(sys.Counters().Since(base).Firmware.Total()) / 1e6
 		results = append(results, r)

@@ -19,7 +19,7 @@ func Example_quickstart() {
 		panic(err)
 	}
 	fmt.Printf("device: %s over %s, %d MB volume, %d flash dies\n",
-		sys.Config().Device.Name, sys.Protocol().Kind,
+		sys.Config().Device.Name, sys.Config().Device.Protocol.Kind,
 		sys.VolumeBytes()>>20, sys.Config().Device.Geometry.TotalDies())
 
 	// Write 64 KiB of patterned data at offset 1 MiB.

@@ -456,9 +456,6 @@ func (s *System) domainsFor(e *sim.Engine) *engineDomains {
 // Config returns the system configuration.
 func (s *System) Config() SystemConfig { return s.cfg }
 
-// Protocol returns the protocol parameters in use.
-func (s *System) Protocol() proto.Params { return s.params }
-
 // Now returns the system's current simulated time.
 func (s *System) Now() sim.Time { return s.now }
 

@@ -320,12 +320,17 @@ func TestPreconditionReachesSteadyState(t *testing.T) {
 			t.Fatalf("LSPN %d unmapped after precondition", lspn)
 		}
 	}
-	// Stress overwrites force GC.
-	if err := s.StressFill(4096, 0.5); err != nil {
+	// Random overwrites of half the volume force GC.
+	gen, err := workload.NewFIO(workload.RandWrite, 4096, s.VolumeBytes(), s.Config().Device.Seed^0x5f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int(s.VolumeBytes() / 2 / 4096)
+	if _, err := s.Run(gen, core.RunConfig{Requests: n, IODepth: 32}); err != nil {
 		t.Fatal(err)
 	}
 	if s.FTL.Stats().GCRuns == 0 {
-		t.Fatal("no GC during stress fill")
+		t.Fatal("no GC during random overwrites")
 	}
 }
 

@@ -376,27 +376,3 @@ func (s *System) Precondition(depth int) error {
 	s.Drain()
 	return nil
 }
-
-// StressFill overwrites the volume randomly with writeFactor times its
-// capacity in 4 KiB-aligned blocks of the given size — the stress Fig. 11
-// runs with writeFactor 0.25.
-func (s *System) StressFill(blockSize int, writeFactor float64) error {
-	gen, err := workload.NewFIO(workload.RandWrite, blockSize, s.VolumeBytes(), s.cfg.Device.Seed^0x5f)
-	if err != nil {
-		return err
-	}
-	n := int(float64(s.VolumeBytes()) * writeFactor / float64(blockSize))
-	if n < 1 {
-		n = 1
-	}
-	res, err := s.Run(gen, RunConfig{Requests: n, IODepth: 32, StopOnReadOnly: true})
-	if err != nil {
-		return err
-	}
-	if res.StoppedEarly || res.FailedWrites > 0 {
-		ok := res.Requests - res.FailedWrites
-		return fmt.Errorf("core: stress fill stopped after %d of %d writes (%d refused): %w",
-			ok, n, res.FailedWrites, ftl.ErrReadOnly)
-	}
-	return nil
-}

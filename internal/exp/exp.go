@@ -9,9 +9,11 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"time"
 
 	"amber/internal/config"
 	"amber/internal/core"
+	"amber/internal/ftl"
 	"amber/internal/host"
 	"amber/internal/workload"
 )
@@ -107,18 +109,97 @@ func newSystem(deviceName string, mutate func(*core.SystemConfig)) (*core.System
 // mobileHost moves a system onto the handheld platform (Table II mobile).
 func mobileHost(c *core.SystemConfig) { c.Host = host.Mobile() }
 
-// runPoint measures one (pattern, depth) point.
-func runPoint(s *core.System, p workload.Pattern, blockSize, depth, n int) (*core.RunResult, error) {
-	gen, err := workload.NewFIO(p, blockSize, s.VolumeBytes(), 11)
-	if err != nil {
-		return nil, err
+// load is one closed-loop run of a window: the generator, built over the
+// device it runs on, and the run's settings.
+type load func(s *core.System) (workload.Generator, core.RunConfig, error)
+
+// fioSeed seeds the figures' FIO windows: two fio windows on one device
+// with the same pattern rewrite the same addresses.
+const fioSeed = 11
+
+// fio is n FIO requests of pattern p in blockSize-byte blocks at depth,
+// spread over the whole volume.
+func fio(p workload.Pattern, blockSize, depth, n int, seed uint64) load {
+	return func(s *core.System) (workload.Generator, core.RunConfig, error) {
+		gen, err := workload.NewFIO(p, blockSize, s.VolumeBytes(), seed)
+		return gen, core.RunConfig{Requests: n, IODepth: depth}, err
 	}
-	res, err := s.Run(gen, core.RunConfig{Requests: n, IODepth: depth})
-	if err != nil {
-		return nil, err
+}
+
+// trace is n requests of a Table III trace at depth 32.
+func trace(tp workload.TraceParams, n int, seed uint64) load {
+	return func(s *core.System) (workload.Generator, core.RunConfig, error) {
+		gen, err := workload.NewTrace(tp, s.VolumeBytes(), seed)
+		return gen, core.RunConfig{Requests: n, IODepth: 32}, err
 	}
-	s.Drain()
-	return res, nil
+}
+
+// cell is one measured window on its own freshly built and preconditioned
+// device: the device, a change to its PC-platform config (nil keeps it), a
+// warm-up the device absorbs first (nil measures right after
+// preconditioning) and the measured load.
+type cell struct {
+	device  string
+	mutate  func(*core.SystemConfig)
+	warmup  load
+	measure load
+}
+
+// window is what a cell measured: the run, the counters it added
+// (core.Counters.Since), the average power of the device's cores, DRAM and
+// flash over it, and the host time the run took.
+type window struct {
+	res                *core.RunResult
+	since              core.Counters
+	cpuW, dramW, nandW float64
+	wall               time.Duration
+}
+
+// runCells measures every cell, fanned out over o's workers, and returns
+// the windows in cell order, or the first cell's error. It is the one place
+// exp builds, warms and measures a device: a warm-up runs to the end and
+// is drained before the measured run.
+func runCells(o Options, cells []cell) ([]window, error) {
+	wins := make([]window, len(cells))
+	err := forEach(o, len(cells), func(i int) error {
+		c := cells[i]
+		s, err := newSystem(c.device, c.mutate)
+		if err != nil {
+			return err
+		}
+		if c.warmup != nil {
+			gen, rc, err := c.warmup(s)
+			if err != nil {
+				return err
+			}
+			rc.StopOnReadOnly = true
+			res, err := s.Run(gen, rc)
+			if err != nil {
+				return err
+			}
+			if res.StoppedEarly || res.FailedWrites > 0 {
+				return fmt.Errorf("exp: %s warm-up stopped after %d of %d writes (%d refused): %w",
+					c.device, res.Requests-res.FailedWrites, rc.Requests, res.FailedWrites, ftl.ErrReadOnly)
+			}
+			s.Drain()
+		}
+		gen, rc, err := c.measure(s)
+		if err != nil {
+			return err
+		}
+		base := s.Counters()
+		start := time.Now()
+		res, err := s.Run(gen, rc)
+		wall := time.Since(start)
+		if err != nil {
+			return err
+		}
+		w := &wins[i]
+		*w = window{res: res, since: s.Counters().Since(base), wall: wall}
+		w.cpuW, w.dramW, w.nandW = s.WindowWatts(base, res.Elapsed())
+		return nil
+	})
+	return wins, err
 }
 
 // sweepRequests is the request count of every microbenchmark point, and of
@@ -184,36 +265,26 @@ func newSweep() *sweep { return &sweep{done: map[point]measure{}} }
 // o's workers, and returns every point's result.
 func (s *sweep) run(o Options, pts []point) (map[point]measure, error) {
 	var missing []point
+	var cells []cell
 	queued := map[point]bool{}
 	for _, p := range pts {
-		if _, ok := s.done[p]; !ok && !queued[p] {
-			queued[p] = true
-			missing = append(missing, p)
+		if _, ok := s.done[p]; ok || queued[p] {
+			continue
 		}
-	}
-	got := make([]measure, len(missing))
-	err := forEach(o, len(missing), func(i int) error {
-		p := missing[i]
-		sys, err := newSystem(p.device, nil)
-		if err != nil {
-			return err
-		}
+		queued[p] = true
 		n := sweepRequests
 		if p.blockSize >= 256<<10 {
 			n /= 4 // large blocks move 64x the data per request
 		}
-		res, err := runPoint(sys, p.pattern, p.blockSize, p.depth, n)
-		if err != nil {
-			return err
-		}
-		got[i] = measure{res.BandwidthMBps(), res.AvgLatencyUs()}
-		return nil
-	})
+		missing = append(missing, p)
+		cells = append(cells, cell{device: p.device, measure: fio(p.pattern, p.blockSize, p.depth, n, fioSeed)})
+	}
+	wins, err := runCells(o, cells)
 	if err != nil {
 		return nil, err
 	}
 	for i, p := range missing {
-		s.done[p] = got[i]
+		s.done[p] = measure{wins[i].res.BandwidthMBps(), wins[i].res.AvgLatencyUs()}
 	}
 	return s.done, nil
 }

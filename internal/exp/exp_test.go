@@ -1,19 +1,51 @@
 package exp
 
 import (
+	"errors"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
+	"amber/internal/config"
+	"amber/internal/core"
+	"amber/internal/ftl"
 	"amber/internal/refdata"
 	"amber/internal/workload"
 )
 
+// tablePins holds the FNV-64a of each experiment's rendered table. Every
+// table is a pure function of the model and the experiment's cells except
+// fig16's, whose rows are host wall-clock times and which is not pinned. A
+// change that moves a table on purpose updates its line from the failure
+// message, which prints the table and its digest.
+var tablePins = map[string]uint64{
+	"table1": 0x8adfbc21ae250109,
+	"fig3":   0xa5edee8111a7d38e,
+	"fig4":   0xbcab231fac6b8e0f,
+	"fig8":   0x431b3ce830480014,
+	"fig9":   0x4d6fc46d284b8870,
+	"fig10":  0x9f625f8267715126,
+	"fig11":  0x8a59dbf9c1f40034,
+	"fig12":  0xa2c7578238cc7788,
+	"fig13a": 0xc11a050e1860804d,
+	"fig13b": 0x706f2385047f3730,
+	"fig13c": 0x3fb0b9728b1a77f0,
+	"fig14":  0xe629107299ea0ea1,
+	"fig15a": 0xd01950d4b1b0c1a1,
+	"fig15b": 0x2446e9d0bcf2aa90,
+	"fig15c": 0x87a17d9f43de4e99,
+	"table4": 0x9d76b0a30db63a30,
+}
+
+// wallClock is the one experiment whose table is not pinned.
+const wallClock = "fig16"
+
 // TestAllExperimentsRun is the integration smoke test: every table/figure
 // regenerates without error at full resolution, fanned out over
-// AutoParallel workers, and produces plausible content.
+// AutoParallel workers, and renders to the text tablePins holds.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments take seconds each")
@@ -43,6 +75,13 @@ func TestAllExperimentsRun(t *testing.T) {
 			out := tab.String()
 			if !strings.Contains(out, tab.Title) {
 				t.Fatal("render missing title")
+			}
+			if e.ID != wallClock {
+				h := fnv.New64a()
+				h.Write([]byte(out))
+				if got, want := h.Sum64(), tablePins[e.ID]; got != want {
+					t.Errorf("table digest %#x, pinned %#x:\n%s", got, want, out)
+				}
 			}
 			tabs[e.ID] = tab
 		})
@@ -130,6 +169,32 @@ func TestSweepComputesEachPointOnce(t *testing.T) {
 		if len(sw.done) != 3 {
 			t.Fatalf("sweep holds %d points after asking for %v, want the 3 distinct ones of the first request", len(sw.done), req)
 		}
+	}
+}
+
+// TestRefusedWarmupIsAnError builds a cell on a worn-out device that
+// latches read-only during its warm-up: the cell fails with ftl.ErrReadOnly
+// rather than measuring a read-only device.
+func TestRefusedWarmupIsAnError(t *testing.T) {
+	faults, err := config.FaultProfile("wearout", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wornOut := func(c *core.SystemConfig) {
+		c.Device = config.SmallTestDevice()
+		c.Device.TrackData = false
+		c.Device.OPRatio = 0.4
+		c.Device.SpareBlocks = 4
+		c.Device.Faults = faults
+	}
+	_, err = runCells(Options{}, []cell{{
+		device:  "intel750",
+		mutate:  wornOut,
+		warmup:  fio(workload.RandWrite, 4096, 16, 8000, 3),
+		measure: fio(workload.RandRead, 4096, 1, 10, fioSeed),
+	}})
+	if !errors.Is(err, ftl.ErrReadOnly) || !strings.Contains(err.Error(), "warm-up") {
+		t.Fatalf("runCells = %v, want the warm-up's error wrapping ftl.ErrReadOnly", err)
 	}
 }
 

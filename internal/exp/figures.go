@@ -7,7 +7,6 @@ import (
 	"amber/internal/baseline"
 	"amber/internal/config"
 	"amber/internal/core"
-	"amber/internal/cpu"
 	"amber/internal/host"
 	"amber/internal/refdata"
 	"amber/internal/sim"
@@ -228,41 +227,41 @@ func Figure11(o Options) (*Table, error) {
 		t.Header = append(t.Header, pct(op))
 	}
 
-	// Every (block size, OP ratio) point stresses its own device from
-	// scratch: a fully independent task.
-	bws := make([]float64, len(sizes)*len(ops))
-	err := forEach(o, len(bws), func(ti int) error {
-		bs := sizes[ti/len(ops)]
-		op := ops[ti%len(ops)]
-		s, err := newSystem("intel750", func(c *core.SystemConfig) { c.Device.OPRatio = op })
-		if err != nil {
-			return err
+	var cells []cell
+	for _, bs := range sizes {
+		for _, op := range ops {
+			cells = append(cells, cell{
+				device:  "intel750",
+				mutate:  func(c *core.SystemConfig) { c.Device.OPRatio = op },
+				warmup:  stress(bs),
+				measure: fio(workload.RandWrite, bs, 32, n, fioSeed),
+			})
 		}
-		// Stress: random overwrite of a quarter of the volume.
-		if err := s.StressFill(bs, 0.25); err != nil {
-			return err
-		}
-		s.Drain()
-		res, err := runPoint(s, workload.RandWrite, bs, 32, n)
-		if err != nil {
-			return err
-		}
-		bws[ti] = res.BandwidthMBps()
-		return nil
-	})
+	}
+	wins, err := runCells(o, cells)
 	if err != nil {
 		return nil, err
 	}
 	for si, bs := range sizes {
-		base := bws[si*len(ops)]
+		base := wins[si*len(ops)].res.BandwidthMBps()
 		row := []string{fmt.Sprintf("%dK", bs/1024)}
 		for oi := range ops {
-			row = append(row, fmt.Sprintf("%.2f", bws[si*len(ops)+oi]/base))
+			row = append(row, fmt.Sprintf("%.2f", wins[si*len(ops)+oi].res.BandwidthMBps()/base))
 		}
 		t.Rows = append(t.Rows, row)
 	}
 	t.Notes = append(t.Notes, "paper: 15/10/5% OP drop to ~0.66/0.38/0.12 of the 20% OP bandwidth (drops of 33.7/62.1/87.9%).")
 	return t, nil
+}
+
+// stress is Fig. 11's warm-up: random overwrites of a quarter of the volume
+// in blockSize-byte blocks at depth 32, seeded off the device's seed.
+func stress(blockSize int) load {
+	return func(s *core.System) (workload.Generator, core.RunConfig, error) {
+		gen, err := workload.NewFIO(workload.RandWrite, blockSize, s.VolumeBytes(), s.Config().Device.Seed^0x5f)
+		n := max(1, int(float64(s.VolumeBytes())*0.25/float64(blockSize)))
+		return gen, core.RunConfig{Requests: n, IODepth: 32}, err
+	}
 }
 
 // Figure12 compares the Linux 4.4 (CFQ) and 4.14 (BFQ) storage stacks over
@@ -275,42 +274,30 @@ func Figure12(o Options) (*Table, error) {
 	ifaces := []string{"nvme", "sata"}
 	traces := workload.Traces()
 	scheds := []host.SchedulerKind{host.CFQ, host.BFQ}
-	// One task per (interface, trace, scheduler): each builds its own
-	// preconditioned system.
-	bw := make([]float64, len(ifaces)*len(traces)*len(scheds))
-	err := forEach(o, len(bw), func(ti int) error {
-		ii := ti / (len(traces) * len(scheds))
-		rest := ti % (len(traces) * len(scheds))
-		wi, si := rest/len(scheds), rest%len(scheds)
+	var cells []cell
+	for _, iface := range ifaces {
 		dev := "intel750"
-		if ifaces[ii] == "sata" {
+		if iface == "sata" {
 			dev = "850pro"
 		}
-		sched := scheds[si]
-		s, err := newSystem(dev, func(c *core.SystemConfig) {
-			c.Host.Scheduler = sched
-		})
-		if err != nil {
-			return err
+		for _, tp := range traces {
+			for _, sched := range scheds {
+				cells = append(cells, cell{
+					device:  dev,
+					mutate:  func(c *core.SystemConfig) { c.Host.Scheduler = sched },
+					measure: trace(tp, n, 13),
+				})
+			}
 		}
-		gen, err := workload.NewTrace(traces[wi], s.VolumeBytes(), 13)
-		if err != nil {
-			return err
-		}
-		res, err := s.Run(gen, core.RunConfig{Requests: n, IODepth: 32})
-		if err != nil {
-			return err
-		}
-		bw[ti] = res.BandwidthMBps()
-		return nil
-	})
+	}
+	wins, err := runCells(o, cells)
 	if err != nil {
 		return nil, err
 	}
 	for ii, iface := range ifaces {
 		for wi, tp := range traces {
 			base := (ii*len(traces) + wi) * len(scheds)
-			cfq, bfq := bw[base], bw[base+1]
+			cfq, bfq := wins[base].res.BandwidthMBps(), wins[base+1].res.BandwidthMBps()
 			t.Rows = append(t.Rows, []string{
 				iface, tp.TraceName, f0(cfq), f0(bfq), fmt.Sprintf("%.2f", cfq/bfq),
 			})
@@ -320,6 +307,10 @@ func Figure12(o Options) (*Table, error) {
 	return t, nil
 }
 
+// mobileDevices are the UFS and NVMe devices Figs. 13a-c compare on the
+// mobile platform.
+var mobileDevices = []string{"ufs", "mobile-nvme"}
+
 // Figure13a compares handheld (UFS) and general (NVMe) computing across
 // the Table III workloads on the mobile platform (paper Fig. 13a).
 func Figure13a(o Options) (*Table, error) {
@@ -328,32 +319,19 @@ func Figure13a(o Options) (*Table, error) {
 	t.Header = []string{"workload", "ufs", "nvme", "nvme/ufs"}
 
 	traces := workload.Traces()
-	devs := []string{"ufs", "mobile-nvme"}
-	bw := make([]float64, len(traces)*len(devs))
-	err := forEach(o, len(bw), func(ti int) error {
-		tp := traces[ti/len(devs)]
-		dev := devs[ti%len(devs)]
-		s, err := newSystem(dev, mobileHost)
-		if err != nil {
-			return err
+	var cells []cell
+	for _, tp := range traces {
+		for _, dev := range mobileDevices {
+			cells = append(cells, cell{device: dev, mutate: mobileHost, measure: trace(tp, n, 17)})
 		}
-		gen, err := workload.NewTrace(tp, s.VolumeBytes(), 17)
-		if err != nil {
-			return err
-		}
-		res, err := s.Run(gen, core.RunConfig{Requests: n, IODepth: 32})
-		if err != nil {
-			return err
-		}
-		bw[ti] = res.BandwidthMBps()
-		return nil
-	})
+	}
+	wins, err := runCells(o, cells)
 	if err != nil {
 		return nil, err
 	}
 	var ratios float64
 	for wi, tp := range traces {
-		ufs, nvme := bw[wi*2], bw[wi*2+1]
+		ufs, nvme := wins[wi*2].res.BandwidthMBps(), wins[wi*2+1].res.BandwidthMBps()
 		ratios += nvme / ufs
 		t.Rows = append(t.Rows, []string{tp.TraceName, f0(ufs), f0(nvme), fmt.Sprintf("%.2f", nvme/ufs)})
 	}
@@ -362,40 +340,40 @@ func Figure13a(o Options) (*Table, error) {
 	return t, nil
 }
 
+// mobileWindows measures n 4 KiB random reads at depth 32 on each mobile
+// device, seeded with seed, and returns each device's interface name beside
+// its window (Figs. 13b/13c).
+func mobileWindows(o Options, n int, seed uint64) ([]string, []window, error) {
+	kinds := make([]string, len(mobileDevices))
+	cells := make([]cell, len(mobileDevices))
+	for i, dev := range mobileDevices {
+		d, err := config.Device(dev)
+		if err != nil {
+			return nil, nil, err
+		}
+		kinds[i] = d.Protocol.Kind.String()
+		cells[i] = cell{device: dev, mutate: mobileHost, measure: fio(workload.RandRead, 4096, 32, n, seed)}
+	}
+	wins, err := runCells(o, cells)
+	return kinds, wins, err
+}
+
 // Figure13b breaks down SSD power (CPU / DRAM / NAND) for UFS and NVMe
 // (paper Fig. 13b).
 func Figure13b(o Options) (*Table, error) {
-	const n = 3000
 	t := &Table{ID: "fig13b", Title: "SSD power breakdown (W): embedded CPU vs DRAM vs NAND"}
 	t.Header = []string{"interface", "cpu", "dram", "nand", "total"}
 
-	devs := []string{"ufs", "mobile-nvme"}
-	rows := make([][]string, len(devs))
-	err := forEach(o, len(devs), func(di int) error {
-		s, err := newSystem(devs[di], mobileHost)
-		if err != nil {
-			return err
-		}
-		gen, err := workload.NewFIO(workload.RandRead, 4096, s.VolumeBytes(), 19)
-		if err != nil {
-			return err
-		}
-		base := s.Counters()
-		res, err := s.Run(gen, core.RunConfig{Requests: n, IODepth: 32})
-		if err != nil {
-			return err
-		}
-		cpuW, dramW, nandW := s.WindowWatts(base, res.Elapsed())
-		rows[di] = []string{
-			s.Protocol().Kind.String(), fmt.Sprintf("%.2f", cpuW), fmt.Sprintf("%.2f", dramW),
-			fmt.Sprintf("%.2f", nandW), fmt.Sprintf("%.2f", cpuW+dramW+nandW),
-		}
-		return nil
-	})
+	kinds, wins, err := mobileWindows(o, 3000, 19)
 	if err != nil {
 		return nil, err
 	}
-	t.Rows = rows
+	for i, w := range wins {
+		t.Rows = append(t.Rows, []string{
+			kinds[i], fmt.Sprintf("%.2f", w.cpuW), fmt.Sprintf("%.2f", w.dramW),
+			fmt.Sprintf("%.2f", w.nandW), fmt.Sprintf("%.2f", w.cpuW+w.dramW+w.nandW),
+		})
+	}
 	t.Notes = append(t.Notes, "paper: the embedded CPU is the most power-hungry component; UFS total ~2W, mostly CPU.")
 	return t, nil
 }
@@ -403,49 +381,26 @@ func Figure13b(o Options) (*Table, error) {
 // Figure13c breaks down executed firmware instructions by category for UFS
 // and NVMe over the same wall-clock window (paper Fig. 13c).
 func Figure13c(o Options) (*Table, error) {
-	const n = 3000
 	t := &Table{ID: "fig13c", Title: "Firmware instruction breakdown (millions) over an equal time window"}
 	t.Header = []string{"interface", "branch", "load", "store", "arith", "fp", "other", "total", "ld/st frac"}
 
-	type devRun struct {
-		kind string
-		m    cpu.InstrMix // delta over the measured run
-		el   sim.Duration
-	}
-	devs := []string{"ufs", "mobile-nvme"}
-	runs := make([]devRun, len(devs))
-	err := forEach(o, len(devs), func(di int) error {
-		s, err := newSystem(devs[di], mobileHost)
-		if err != nil {
-			return err
-		}
-		base := s.Counters()
-		gen, err := workload.NewFIO(workload.RandRead, 4096, s.VolumeBytes(), 23)
-		if err != nil {
-			return err
-		}
-		res, err := s.Run(gen, core.RunConfig{Requests: n, IODepth: 32})
-		if err != nil {
-			return err
-		}
-		runs[di] = devRun{kind: s.Protocol().Kind.String(), m: s.Counters().Since(base).Firmware, el: res.Elapsed()}
-		return nil
-	})
+	kinds, wins, err := mobileWindows(o, 3000, 23)
 	if err != nil {
 		return nil, err
 	}
 	// Normalize both devices to the first run's time window: the paper
 	// counts instructions executed "within a same time period".
-	window := runs[0].el
+	span := wins[0].res.Elapsed()
 	var totals []float64
-	for _, r := range runs {
-		scale := window.Seconds() / r.el.Seconds()
+	for i, w := range wins {
+		m := w.since.Firmware
+		scale := span.Seconds() / w.res.Elapsed().Seconds()
 		mm := func(v uint64) string { return fmt.Sprintf("%.2f", float64(v)*scale/1e6) }
-		tot := float64(r.m.Total()) * scale
+		tot := float64(m.Total()) * scale
 		totals = append(totals, tot)
 		t.Rows = append(t.Rows, []string{
-			r.kind, mm(r.m.Branch), mm(r.m.Load), mm(r.m.Store), mm(r.m.Arith), mm(r.m.FP), mm(r.m.Other),
-			fmt.Sprintf("%.2f", tot/1e6), fmt.Sprintf("%.2f", r.m.LoadStoreFraction()),
+			kinds[i], mm(m.Branch), mm(m.Load), mm(m.Store), mm(m.Arith), mm(m.FP), mm(m.Other),
+			fmt.Sprintf("%.2f", tot/1e6), fmt.Sprintf("%.2f", m.LoadStoreFraction()),
 		})
 	}
 	if len(totals) == 2 && totals[0] > 0 {
@@ -474,29 +429,23 @@ func Figure14(o Options) (*Table, error) {
 	if ifaceLevel > deviceLevel {
 		ifaceLevel = deviceLevel
 	}
-	user := make([]float64, len(freqs))
-	err = forEach(o, len(freqs), func(fi int) error {
-		f := freqs[fi]
-		s, err := newSystem("zssd", func(c *core.SystemConfig) {
-			c.Host.FreqMHz = f
-		})
-		if err != nil {
-			return err
+	cells := make([]cell, len(freqs))
+	for fi, f := range freqs {
+		cells[fi] = cell{
+			device:  "zssd",
+			mutate:  func(c *core.SystemConfig) { c.Host.FreqMHz = f },
+			measure: fio(workload.SeqRead, 131072, 32, n/4, fioSeed),
 		}
-		res, err := runPoint(s, workload.SeqRead, 131072, 32, n/4)
-		if err != nil {
-			return err
-		}
-		user[fi] = res.BandwidthMBps()
-		return nil
-	})
+	}
+	wins, err := runCells(o, cells)
 	if err != nil {
 		return nil, err
 	}
 	for fi, f := range freqs {
+		user := wins[fi].res.BandwidthMBps()
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.0fGHz", f/1000), f0(deviceLevel), f0(ifaceLevel), f0(user[fi]),
-			pct(1 - user[fi]/deviceLevel),
+			fmt.Sprintf("%.0fGHz", f/1000), f0(deviceLevel), f0(ifaceLevel), f0(user),
+			pct(1 - user/deviceLevel),
 		})
 	}
 	t.Notes = append(t.Notes, "paper: kernel execution at 2GHz costs 41% of device-level bandwidth, recovering to 29% at 8GHz.")
@@ -513,33 +462,26 @@ func Figure15a(o Options) (*Table, error) {
 	pats := []workload.Pattern{workload.RandRead, workload.RandWrite, workload.SeqRead, workload.SeqWrite}
 	blocks := []int{4096, 65536}
 	devs := []string{"intel750", "ocssd"}
-	bw := make([]float64, len(pats)*len(blocks)*len(devs))
-	err := forEach(o, len(bw), func(ti int) error {
-		pi := ti / (len(blocks) * len(devs))
-		rest := ti % (len(blocks) * len(devs))
-		bi, di := rest/len(devs), rest%len(devs)
-		s, err := newSystem(devs[di], nil)
-		if err != nil {
-			return err
+	var cells []cell
+	for _, p := range pats {
+		for _, bs := range blocks {
+			nn := n
+			if bs > 4096 {
+				nn = n / 4
+			}
+			for _, dev := range devs {
+				cells = append(cells, cell{device: dev, measure: fio(p, bs, 32, nn, fioSeed)})
+			}
 		}
-		nn := n
-		if blocks[bi] > 4096 {
-			nn = n / 4
-		}
-		res, err := runPoint(s, pats[pi], blocks[bi], 32, nn)
-		if err != nil {
-			return err
-		}
-		bw[ti] = res.BandwidthMBps()
-		return nil
-	})
+	}
+	wins, err := runCells(o, cells)
 	if err != nil {
 		return nil, err
 	}
 	for pi, p := range pats {
 		for bi, bs := range blocks {
 			base := (pi*len(blocks) + bi) * len(devs)
-			nvme, ocssd := bw[base], bw[base+1]
+			nvme, ocssd := wins[base].res.BandwidthMBps(), wins[base+1].res.BandwidthMBps()
 			t.Rows = append(t.Rows, []string{
 				p.String(), fmt.Sprintf("%dK", bs/1024), f0(nvme), f0(ocssd),
 				fmt.Sprintf("%.2f", ocssd/nvme),
@@ -567,41 +509,33 @@ func passiveSeries(o Options, mem bool) (*Table, error) {
 	t.Header = []string{"device", "phase", "mean", "max"}
 
 	devs := []string{"intel750", "ocssd"}
-	rowsPerDev := make([][][]string, len(devs))
-	err := forEach(o, len(devs), func(di int) error {
-		dev := devs[di]
-		s, err := newSystem(dev, nil)
-		if err != nil {
-			return err
-		}
+	cells := make([]cell, len(devs))
+	for di, dev := range devs {
 		runMem := int64(280 << 20) // FIO + NVMe protocol management (~280MB)
 		if dev == "ocssd" {
 			runMem = 120 << 20 // pblk holds its 64MB at init; FIO footprint smaller
 		}
-		gen, err := workload.NewMixed("write-then-read", n/2, 4096, s.VolumeBytes()/4, 29)
-		if err != nil {
-			return err
-		}
-		res, err := s.Run(gen, core.RunConfig{
-			Requests: n, IODepth: 32,
-			SampleEvery: sim.Millisecond,
-			RunMemBytes: runMem,
-		})
-		if err != nil {
-			return err
-		}
-		series := res.HostCPUUtil
+		cells[di] = cell{device: dev, measure: func(s *core.System) (workload.Generator, core.RunConfig, error) {
+			gen, err := workload.NewMixed("write-then-read", n/2, 4096, s.VolumeBytes()/4, 29)
+			return gen, core.RunConfig{Requests: n, IODepth: 32, SampleEvery: sim.Millisecond, RunMemBytes: runMem}, err
+		}}
+	}
+	wins, err := runCells(o, cells)
+	if err != nil {
+		return nil, err
+	}
+	for di, dev := range devs {
+		series := wins[di].res.HostCPUUtil
 		scale := 100.0
 		if mem {
-			series = res.HostMemMB
+			series = wins[di].res.HostMemMB
 			scale = 1
 		}
 		// Split samples at the write->read boundary (half the requests).
-		var rows [][]string
 		half := len(series.Points) / 2
 		phase := func(name string, pts []stats.Point) {
 			sub := stats.Series{Points: pts}
-			rows = append(rows, []string{
+			t.Rows = append(t.Rows, []string{
 				dev, name, f1(sub.Mean() * scale), f1(sub.Max() * scale),
 			})
 		}
@@ -611,14 +545,6 @@ func passiveSeries(o Options, mem bool) (*Table, error) {
 		} else {
 			phase("all", series.Points)
 		}
-		rowsPerDev[di] = rows
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, rows := range rowsPerDev {
-		t.Rows = append(t.Rows, rows...)
 	}
 	if mem {
 		t.Notes = append(t.Notes, "paper: pblk allocates ~64MB at init and reuses it; FIO+NVMe needs ~280MB.")
@@ -632,6 +558,8 @@ func passiveSeries(o Options, mem bool) (*Table, error) {
 // simulators vs the full Amber stack over the same request count
 // (paper Fig. 16). It always runs serially: concurrent simulations would
 // contend for cores and distort the wall-clock metric being measured.
+// Amber's row times the measured run alone, not the device's build and
+// preconditioning.
 func Figure16(o Options) (*Table, error) {
 	const n = 5000
 	t := &Table{ID: "fig16", Title: "Simulation speed: wall-clock seconds per 100k simulated 4K requests"}
@@ -644,15 +572,11 @@ func Figure16(o Options) (*Table, error) {
 			b.Name(), fmt.Sprintf("%.3f", el/float64(n)*1e5), f0(float64(n) / el),
 		})
 	}
-	s, err := newSystem("intel750", nil)
+	wins, err := runCells(Options{}, []cell{{device: "intel750", measure: fio(workload.RandRead, 4096, 16, n, fioSeed)}})
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	if _, err := runPoint(s, workload.RandRead, 4096, 16, n); err != nil {
-		return nil, err
-	}
-	el := time.Since(start).Seconds()
+	el := wins[0].wall.Seconds()
 	t.Rows = append(t.Rows, []string{
 		"amber (full system)", fmt.Sprintf("%.3f", el/float64(n)*1e5), f0(float64(n) / el),
 	})

@@ -657,24 +657,23 @@ func (c *Cache) Write(lspn int64, firstSub, nSubs int, src []byte) (*Eviction, e
 
 // FlushEach cleans every dirty line (host FLUSH / power-fail path), in frame
 // order, after handing visit a record that aliases the frame's own
-// mask and payload for the call. After visit's first error the rest are
-// cleaned unvisited and that error is returned. Lines stay resident.
+// mask and payload for the call. visit's first error is returned at once:
+// that line and every line not yet visited stay dirty. Lines stay resident.
 func (c *Cache) FlushEach(visit func(*Eviction) error) error {
-	var err error
 	var ev Eviction
 	for _, ln := range c.frames {
 		if ln.lspn < 0 || ln.nDirty == 0 {
 			continue
 		}
-		if err == nil {
-			ev = Eviction{LSPN: ln.lspn, Dirty: ln.dirty, Data: ln.data, nDirty: ln.nDirty}
-			err = visit(&ev)
+		ev = Eviction{LSPN: ln.lspn, Dirty: ln.dirty, Data: ln.data, nDirty: ln.nDirty}
+		if err := visit(&ev); err != nil {
+			return err
 		}
 		clear(ln.dirty)
 		ln.nDirty = 0
 		c.stats.Flushes++
 	}
-	return err
+	return nil
 }
 
 // FlushAll is FlushEach returning a copy of every record, for a caller that

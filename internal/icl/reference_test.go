@@ -220,9 +220,10 @@ func (r *refCache) writeAt(lspn int64, firstSub, nSubs int, src []byte, off int)
 	return ev
 }
 
-// flushAll cleans every dirty line in frame order, returning a copy of each
-// record.
-func (r *refCache) flushAll() []*Eviction {
+// flushEach cleans every dirty line in frame order, returning a copy of each
+// record it visits; with stop > 0 the stop-th visit fails, so that line and
+// the lines after it stay dirty.
+func (r *refCache) flushEach(stop int) []*Eviction {
 	var out []*Eviction
 	for _, ln := range r.frames {
 		if ln.lspn < 0 || !ln.isDirty() {
@@ -233,6 +234,9 @@ func (r *refCache) flushAll() []*Eviction {
 			ev.Data = append([]byte(nil), ln.data...)
 		}
 		out = append(out, ev)
+		if len(out) == stop {
+			break
+		}
 		clear(ln.dirty)
 		r.stats.Flushes++
 	}
@@ -574,8 +578,14 @@ func referenceStream(t *testing.T, cfg Config, seed uint64, poison bool) uint64 
 			evs, refEvs = []*Eviction{ev}, []*Eviction{ref.fill(lspn, subs, data, pre)}
 		case k < 92:
 			what = "FlushEach"
-			refEvs = ref.flushAll()
-			stop := rng.Intn(len(refEvs) + 1) // the visit that fails, if any
+			dirty := 0
+			for _, ln := range ref.frames {
+				if ln.lspn >= 0 && ln.isDirty() {
+					dirty++
+				}
+			}
+			stop := rng.Intn(dirty + 1) // the visit that fails, if any
+			refEvs = ref.flushEach(stop)
 			boom := errors.New("boom")
 			err := c.FlushEach(func(ev *Eviction) error {
 				evs = append(evs, &Eviction{LSPN: ev.LSPN, Dirty: slices.Clone(ev.Dirty), Data: slices.Clone(ev.Data), nDirty: ev.nDirty})
@@ -584,9 +594,6 @@ func referenceStream(t *testing.T, cfg Config, seed uint64, poison bool) uint64 
 				}
 				return nil
 			})
-			if stop > 0 {
-				refEvs = refEvs[:stop]
-			}
 			if (err != nil) != (stop > 0) || len(evs) != len(refEvs) {
 				t.Fatalf("op %d FlushEach = %v after %d visits, reference %d dirty lines, visit %d failing", op, err, len(evs), len(refEvs), stop)
 			}

@@ -287,15 +287,6 @@ func (f *Flash) PowerLoss(now sim.Time, seed uint64) PowerLossReport {
 	}
 	f.eraseUndo = f.eraseUndo[:0]
 	f.undoLow = sim.MaxTime
-	for s := range f.oob {
-		if o := &f.oob[s]; !o.written() {
-			// Unwritten: settle the durable state.
-			if f.trackData {
-				f.dropPayload(int64(s))
-			}
-			*o = pageOOB{}
-		}
-	}
 	for i := range f.inFlight.n {
 		p := f.inFlight.at(i)
 		o := &f.oob[p.slot]

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"amber/internal/sim"
 	"amber/internal/snap"
 )
 
@@ -11,9 +12,21 @@ import (
 // core's snapshot tests cover), a flash image carries two values the
 // compact layout has no room for when they are out of range — the write
 // sequence counter with either stamp flag's bit set, and payload checksums for
-// a timing-only flash, which keeps none. Decoding refuses both as corrupt;
-// the unedited image decodes.
+// a timing-only flash, which keeps none — and two states no live flash
+// reaches, which PowerLoss relies on never meeting: a page payload, in the
+// arena or in an erase-undo record, on a page whose stamp is unwritten.
+// Decoding refuses each as corrupt; the unedited images decode.
 func TestDecodeRefusesUnstorableState(t *testing.T) {
+	// journalErase erases block 0 on an engine, so its undo record, which
+	// holds page 0's buffer, stays journaled.
+	journalErase := func(f *Flash) {
+		b := f.BeginPlan(sim.NewEngine(), nil)
+		defer b.Commit()
+		if _, err := b.Erase(0, Address{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unwritten := Address{Page: 1}
 	cases := []struct {
 		name            string
 		srcTrack, track bool
@@ -22,9 +35,18 @@ func TestDecodeRefusesUnstorableState(t *testing.T) {
 	}{
 		{"intact timing-only", false, false, nil, nil},
 		{"intact tracked", true, true, nil, nil},
+		{"intact tracked with an erase journaled", true, true, journalErase, nil},
 		{"sequence with the good bit", false, false, func(f *Flash) { f.progSeq |= oobGood }, snap.ErrCorrupt},
 		{"sequence with the written bit", false, false, func(f *Flash) { f.progSeq |= oobWritten }, snap.ErrCorrupt},
 		{"checksum on a timing-only flash", true, false, nil, snap.ErrCorrupt},
+		{"payload on an unwritten page", true, true, func(f *Flash) {
+			idx := f.geo.PageIndex(unwritten)
+			f.data[int(idx/f.pagesPerC)].put(f.chanLocal(idx), []byte{9})
+		}, snap.ErrCorrupt},
+		{"erase-undo payload on an unwritten page", true, true, func(f *Flash) {
+			journalErase(f)
+			f.eraseUndo[0].bufs[unwritten.Page] = make([]byte, f.geo.PageSize)
+		}, snap.ErrCorrupt},
 	}
 	for _, tc := range cases {
 		src := newTestFlash(t, Options{TrackData: tc.srcTrack})

@@ -58,8 +58,8 @@ func (f *Flash) State(c *snap.Codec) error {
 		return err
 	}
 	if f.trackData {
-		for _, a := range f.data {
-			if err := f.arenaState(c, a); err != nil {
+		for ch, a := range f.data {
+			if err := f.arenaState(c, ch, a); err != nil {
 				return err
 			}
 		}
@@ -210,7 +210,8 @@ func (f *Flash) inFlightState(c *snap.Codec) error {
 // eraseUndoState walks the erase-undo records, oldest first: block, erase
 // start, erase count, in-order pointer, each page's written flag and, for a
 // written page, its stamp and checksum, then on a tracked flash each page's
-// buffer, if the erase took one. Decoding journals each record again.
+// buffer, if the erase took one. Decoding journals each record again and
+// refuses a buffer on a page whose stamp is unwritten.
 func (f *Flash) eraseUndoState(c *snap.Codec) error {
 	ppb := f.geo.PagesPerBlock
 	n := c.Len(len(f.eraseUndo), len(f.blocks)*ppb)
@@ -268,16 +269,20 @@ func (f *Flash) eraseUndoState(c *snap.Codec) error {
 			if len(buf) != f.geo.PageSize {
 				return fmt.Errorf("%w: erase-undo page of %d bytes, want %d", snap.ErrCorrupt, len(buf), f.geo.PageSize)
 			}
+			if !u.oob[pg].written() {
+				return fmt.Errorf("%w: erase-undo payload on unwritten page %d", snap.ErrCorrupt, base+int64(pg))
+			}
 			u.bufs[pg] = append(f.StagingBuf()[:0], buf...)
 		}
 	}
 	return c.Err()
 }
 
-// arenaState walks one channel's tracked payloads: a count, then each
+// arenaState walks channel ch's tracked payloads: a count, then each
 // present page's channel-local index and contents, indexes ascending.
-// Encoding steps idx to the next present page; decoding reads it.
-func (f *Flash) arenaState(c *snap.Codec, a *pageArena) error {
+// Encoding steps idx to the next present page; decoding reads it and refuses
+// a payload on a page whose stamp is unwritten.
+func (f *Flash) arenaState(c *snap.Codec, ch int, a *pageArena) error {
 	present := 0
 	for _, w := range a.present {
 		present += bits.OnesCount64(w)
@@ -303,6 +308,9 @@ func (f *Flash) arenaState(c *snap.Codec, a *pageArena) error {
 		}
 		if len(buf) != f.geo.PageSize {
 			return fmt.Errorf("%w: arena page of %d bytes, want %d", snap.ErrCorrupt, len(buf), f.geo.PageSize)
+		}
+		if pageIdx := int64(ch)*f.pagesPerC + idx; !f.oob[f.slotOfPage(pageIdx)].written() {
+			return fmt.Errorf("%w: payload on unwritten page %d", snap.ErrCorrupt, pageIdx)
 		}
 		a.put(idx, buf)
 	}
