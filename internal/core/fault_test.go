@@ -328,3 +328,81 @@ func TestReadFaultOracle(t *testing.T) {
 		t.Fatalf("%d wrong reads", wrong)
 	}
 }
+
+// TestMountRecoversPlanFaults cuts power into a GC storm on a worn small
+// device (the wearout profile, seed pinned) and holds Mount's maintenance
+// plans — cleanup, squeeze, parity catch-up — to the datapath's fault
+// recovery: a plan fault inside Mount is absorbed (the faulted page lost or
+// the block retired, the rest replanned), the mounted FTL passes its
+// invariants, and a read of any offset returns the payload last flushed
+// there or one written after it, or fails with nand.ErrUncorrectable —
+// never other bytes. Executed once without recovery, the faulting plan
+// would fail the mount.
+func TestMountRecoversPlanFaults(t *testing.T) {
+	const bs = 4096
+	d := config.SmallTestDevice()
+	d.OPRatio = 0.3
+	d.Faults, _ = config.FaultProfile("wearout", 6)
+	d.SpareBlocks = 6
+	s, err := core.NewSystem(config.PCSystem(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int(s.VolumeBytes() / bs)
+	// ok[i] lists the payloads a read of offset i may return: the one last
+	// flushed first, then every one written after it (acknowledged into the
+	// volatile cache, or refused, either way maybe on flash).
+	ok := make([][][]byte, n)
+	write := func(w, i int) {
+		buf := make([]byte, bs)
+		for k := 0; k < bs; k += 8 {
+			binary.LittleEndian.PutUint64(buf[k:], uint64(w)<<32|uint64(k))
+		}
+		s.Submit(s.Now(), workload.Request{Write: true, Offset: int64(i) * bs, Length: bs}, buf)
+		ok[i] = append(ok[i], buf)
+	}
+	for i := 0; i < n; i++ {
+		write(i, i)
+	}
+	if _, err := s.Flush(s.Now()); err != nil {
+		t.Fatal(err)
+	}
+	s.Drain()
+	rng := sim.NewRNG(6)
+	for w := n; w < n+900; w++ {
+		write(w, rng.Intn(n))
+	}
+
+	cut := s.PowerLoss(s.Now())
+	if cut.Flash.InFlight == 0 || cut.Flash.ErasesUndone == 0 {
+		t.Fatalf("the cut caught no GC in flight (%+v): move it", cut.Flash)
+	}
+	faults := s.FIL.Stats().PlanFaults
+	rep, err := s.Mount()
+	if err != nil {
+		t.Fatalf("mount: %v", err)
+	}
+	if s.FIL.Stats().PlanFaults == faults {
+		t.Fatalf("no mount-time plan faulted (mount %+v): the recovery went unexercised", rep)
+	}
+	t.Logf("mount: %d plan faults, %+v", s.FIL.Stats().PlanFaults-faults, rep)
+	if err := s.FTL.CheckInvariants(); err != nil {
+		t.Fatalf("after mount: %v", err)
+	}
+
+	honest := 0
+	for i := 0; i < n; i++ {
+		buf := make([]byte, bs)
+		if _, err := s.Submit(s.Now(), workload.Request{Offset: int64(i) * bs, Length: bs}, buf); err != nil {
+			if !errors.Is(err, nand.ErrUncorrectable) {
+				t.Fatalf("read of offset %d: %v", i*bs, err)
+			}
+			honest++
+			continue
+		}
+		if !slices.ContainsFunc(ok[i], func(v []byte) bool { return bytes.Equal(v, buf) }) {
+			t.Fatalf("read of offset %d returned bytes no write left there", i*bs)
+		}
+	}
+	t.Logf("%d offsets read back, %d failed honestly", n-honest, honest)
+}

@@ -73,10 +73,11 @@ func TestSnapshotRestoreGoldenEquivalence(t *testing.T) {
 	img := snapshotImage(t, s)
 	want := snapshotTail(t, s) // the original continues
 	checkPin(t, "snapshot-tail", want)
-	// Version 8: the nand section carries the in-flight journals instead of a
-	// completion time per written page.
-	if v := binary.LittleEndian.Uint32(img[8:12]); v != 8 || core.SnapshotVersion != 8 {
-		t.Fatalf("image carries format version %d, core.SnapshotVersion is %d, want 8", v, core.SnapshotVersion)
+	// Version 9: the nand section carries the in-flight journals instead of a
+	// completion time per written page (since 8), and the fil section no
+	// longer records the walk switch fil's tests set.
+	if v := binary.LittleEndian.Uint32(img[8:12]); v != 9 || core.SnapshotVersion != 9 {
+		t.Fatalf("image carries format version %d, core.SnapshotVersion is %d, want 9", v, core.SnapshotVersion)
 	}
 
 	r := wideSystem(t)
@@ -163,6 +164,7 @@ func TestSnapshotLoaderFaults(t *testing.T) {
 		{"version-5", snap.Seal(5, fp, body), snap.ErrVersion},
 		{"version-6", snap.Seal(6, fp, body), snap.ErrVersion},
 		{"version-7", snap.Seal(7, fp, body), snap.ErrVersion},
+		{"version-8", snap.Seal(8, fp, body), snap.ErrVersion},
 		{"wrong-fingerprint", snap.Seal(core.SnapshotVersion, fp^0xdeadbeef, body), snap.ErrMismatch},
 		{"valid-frame-truncated-body", snap.Seal(core.SnapshotVersion, fp, body[:len(body)-16]), nil},
 		{"valid-frame-garbage-body", snap.Seal(core.SnapshotVersion, fp, bytes.Repeat([]byte{0xa5}, 64)), nil},
@@ -525,21 +527,21 @@ func FuzzSnapshotOpen(f *testing.F) {
 // imageScenarios are three small fixed devices whose images between them
 // reach every branch of the layout: plain, RAIN with a fault model that
 // draws on fresh blocks, and an h-type protocol (the HBA resource). sha256
-// is the image hash recorded for format version 8.
+// is the image hash recorded for format version 9.
 var imageScenarios = []struct {
 	name   string
 	mutate func(*core.DeviceConfig)
 	sha256 string
 }{
 	{"plain", func(*core.DeviceConfig) {},
-		"5caa32188e59785f8e7af5eac661e2966c38f1b042f1d3aa50a8a841d89e0c24"},
+		"2c486f91f7c60fc5de8682691c3eed918436f661b2378318ee76d3a5760b3bdb"},
 	{"rain-faults", func(d *core.DeviceConfig) {
 		d.RAINWidth = 3
 		d.Faults, _ = config.FaultProfile("wearout", 5)
 		d.Faults.WearEraseLimit = 0 // draw on fresh blocks: the short run wears none out
-	}, "aabd97d68ae2e3b0bc35c4573f52495d726e70bef80795682512abd73ff8078c"},
+	}, "3b68a96e64580424c9d4ceef19de0d32d716c41661a09783e1acc2ef6035b25f"},
 	{"h-type", func(d *core.DeviceConfig) { d.Protocol = proto.SATA30() },
-		"23b7ebe2e0d669de600cf197769fabef631b8825093c4df64551d1c174f04f05"},
+		"526cfb67853f8783cf138f546c233b55eaf22107eaf7c7734a87dd70cdbb27de"},
 }
 
 // scenarioSystem builds SmallTestDevice with mutate applied and, when run

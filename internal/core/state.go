@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"amber/internal/fil"
@@ -34,9 +33,10 @@ import (
 // anything but (seed, page, erase count). Version 8: the nand section
 // lost every written page's completion time and gained the journal of
 // programs still in flight and the erase-undo records, so a cut after a
-// restore undoes the erases the original would. Images of versions 2 to 7
-// are refused with snap.ErrVersion.
-const SnapshotVersion = 8
+// restore undoes the erases the original would. Version 9: the fil section
+// lost the walk switch fil's tests set, which is not device state. Images
+// of versions 2 to 8 are refused with snap.ErrVersion.
+const SnapshotVersion = 9
 
 // configFingerprint hashes the full system configuration: an image restores
 // only onto a device built from byte-identical knobs, because every decoder
@@ -198,7 +198,7 @@ func (s *System) Mount() (ftl.MountReport, error) {
 	// and no GC destination, wedging a healthy device read-only.
 	if plan, n := mounted.MountCleanup(); n > 0 {
 		rep.CleanupErases = n
-		if cerr := s.mountExec(plan); cerr != nil {
+		if cerr := s.mountRun(plan); cerr != nil {
 			return rep, cerr
 		}
 	}
@@ -214,7 +214,7 @@ func (s *System) Mount() (ftl.MountReport, error) {
 	if sqBlocks > 0 || len(plan.Ops) > 0 {
 		rep.SqueezedSBs = sqBlocks
 		rep.SqueezedSubs = sqSubs
-		if cerr := s.mountExec(plan); cerr != nil {
+		if cerr := s.mountRun(plan); cerr != nil {
 			return rep, cerr
 		}
 	}
@@ -225,7 +225,7 @@ func (s *System) Mount() (ftl.MountReport, error) {
 	// reprogramming it — and its rows ride without parity until then.)
 	if plan, n := mounted.ParityCatchup(); n > 0 {
 		rep.ParityReemitted = n
-		if cerr := s.mountExec(plan); cerr != nil {
+		if cerr := s.mountRun(plan); cerr != nil {
 			return rep, cerr
 		}
 	}
@@ -233,45 +233,22 @@ func (s *System) Mount() (ftl.MountReport, error) {
 	return rep, nil
 }
 
-// mountExec runs a mount-time maintenance plan, absorbing injected flash
-// faults with the same bounded replan loop the runtime datapath uses: on a
-// device whose error model keeps drawing, a mount must degrade — lose the
-// faulted page, retire the block, replan the rest — rather than fail
-// outright and leave the device unmountable.
-func (s *System) mountExec(plan ftl.Plan) error {
-	// Unlike the runtime datapath's tight retry bound, mount-time plans can
-	// span thousands of ops on a device whose error model keeps drawing —
-	// every recovery strictly shrinks the remaining suffix, so the loop is
-	// bounded by the plan size, not a fixed constant.
-	maxAttempts := len(plan.Ops) + maxFaultRetries
-	res, err := s.FIL.ExecuteOn(nil, nil, s.now, plan, fil.PlanData{})
-	for attempt := 0; err != nil && attempt < maxAttempts; attempt++ {
-		var pf *fil.PlanFault
-		if !errors.As(err, &pf) {
-			break
-		}
-		rplan, rerr := s.FTL.RecoverPlanFault(s.now, plan, pf.Executed, pf.Err)
-		if rerr != nil {
-			return rerr
-		}
-		// A program/erase fault's recovery can grow past the original plan
-		// (retiring a block migrates everything valid on it); extend the
-		// budget — retirements are bounded by the spare reserve.
-		if grown := attempt + 1 + len(rplan.Ops) + maxFaultRetries; grown > maxAttempts {
-			maxAttempts = grown
-		}
-		plan = rplan
-		res, err = s.FIL.ExecuteOn(nil, nil, s.now, plan, fil.PlanData{})
+// mountRun executes a mount-time maintenance plan through runPlan, the
+// datapath's bounded replan loop: on a device whose error model keeps
+// drawing, a mount must degrade — lose the faulted page, retire the block,
+// replan the rest — rather than fail outright and leave the device
+// unmountable. The RAIN repairs the recovery queued run next, as after a
+// flush, and the clock advances past the work. The plans are certified:
+// the chain bindFTL armed advances through them, and runPlan re-arms it
+// after a recovered plan lands.
+func (s *System) mountRun(plan ftl.Plan) error {
+	res, err, pending := s.runPlan(nil, s.now, plan, fil.PlanData{}, nil)
+	if err == nil {
+		err = pending
 	}
 	if err != nil {
 		return err
 	}
-	// Recovery burned the certified chain's sequence; re-arm it.
-	if aerr := s.FIL.AcceptCertified(s.FTL); aerr != nil {
-		return aerr
-	}
-	if res.Done > s.now {
-		s.now = res.Done
-	}
+	s.now = s.drainRainRepairs(nil, max(s.now, res.Done))
 	return nil
 }

@@ -11,10 +11,10 @@ import (
 
 // TestPlanReadBufferLifeCycle drives the pre-read buffers' whole life cycle
 // against a shadow copy of every logical byte: borrowed from the flash's
-// staging pool at the read, handed to the rewrite the plan links to it (taken
-// over by the program on the certified path, copied and returned on the two
-// validating ones), fetched back from the first rewrite's page for a second
-// one, and returned at the end of the plan when nothing consumed them.
+// staging pool at the read, handed to the rewrite the plan links to it and
+// taken over by its program, fetched back from the first rewrite's page for
+// a second one, and returned at the end of the plan when nothing consumed
+// them.
 //
 // The stream is built to make a wrong life cycle show: read-modify-write
 // plans issue all their pre-reads before the first rewrite, so a buffer
@@ -36,7 +36,7 @@ func TestPlanReadBufferLifeCycle(t *testing.T) {
 	for _, m := range []struct {
 		name     string
 		mutate   func(*ftl.Config)
-		walk     bool // force the validating walk (links derived, issues prechecked)
+		walk     bool // force the validating walk
 		deferred bool // ExecuteOn; otherwise the synchronous Execute
 	}{
 		{"certified", rmw, false, true},

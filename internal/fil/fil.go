@@ -97,10 +97,11 @@ type FIL struct {
 	// Per-plan scratch state, reused across calls so plan execution is
 	// allocation-free in steady state. readDone is the dense pre-read table,
 	// indexed by plan position: the read at Ops[i] stores its completion in
-	// readDone[i] and the rewrite linked to it (ftl.Op.Src, or links below)
-	// loads it back — the FTL names the dependency, so nothing is looked up,
-	// and an entry is only read after the same plan wrote it, so nothing is
-	// cleared between plans. It is 8 bytes an op of the plan's capacity,
+	// readDone[i] and the rewrite linked to it (ftl.Op.Src) loads it back —
+	// the FTL names the dependency, so nothing is looked up, and an entry is
+	// only read after the same plan wrote it (a certificate or the walk
+	// proves Src names an earlier read), so nothing is cleared between
+	// plans. It is 8 bytes an op of the plan's capacity,
 	// which a GC storm's reservation makes a few hundred thousand. The
 	// super-block ordering slots are a small linear list (a plan touches few
 	// distinct super-blocks), scanned directly.
@@ -138,21 +139,15 @@ type FIL struct {
 	parityBuf []byte
 	parityTmp []byte
 
-	// Plan prevalidation scratch, reused across calls: the translated
-	// address of every read and write in plan order; the plan links the walk
-	// derives for itself (links[i] is what a certificate would have vouched
-	// for in Ops[i].Src, linkReads the reference rule's (LSPN, Sub) → last
-	// read — the only map a plan ever touches, and only here); and a
-	// per-block overlay of in-plan state transitions — pvNext[block] is the
-	// simulated in-order program pointer plus one (zero = untouched), a
-	// lazily sized direct-indexed array, with pvTouched resetting only the
-	// dirtied slots after the pass. The flash invariant "written pages are
-	// exactly [0, next)" (in-order programs, whole-block erases) makes the
-	// pointer sufficient to answer both the written-page and the
-	// next-program checks against in-plan mutations.
-	planAddrs []nand.Address
-	links     []int32
-	linkReads map[SubKey]int32
+	// Plan prevalidation scratch, reused across calls: a per-block overlay
+	// of in-plan state transitions — pvNext[block] is the simulated in-order
+	// program pointer plus one (zero = untouched), a lazily sized
+	// direct-indexed array, with pvTouched resetting only the dirtied slots
+	// after the walk. The flash invariant "written pages are exactly [0,
+	// next)" (in-order programs, whole-block erases) makes the pointer
+	// sufficient to answer both the written-page and the next-program checks
+	// against in-plan mutations. The walk only checks: it leaves nothing
+	// behind for the issue pass.
 	pvNext    []int32
 	pvTouched []int32
 
@@ -172,7 +167,7 @@ type FIL struct {
 	// forceWalk routes certified plans and reads through the walk anyway
 	// while keeping the certificate chain advancing — set by in-package
 	// tests only, to hold the walked path to the certified one on identical
-	// executions.
+	// executions. It is not device state: no image records it.
 	forceWalk bool
 }
 
@@ -495,32 +490,26 @@ func (f *FIL) pvNextOf(block int32, addr nand.Address) int32 {
 	return v - 1
 }
 
-// prevalidatePlan walks the whole plan before anything claims or schedules:
-// it translates every read's and write's address (cached in f.planAddrs for
-// the issue pass; erases go through the plane table), checks geometry bounds, and
-// simulates the in-order program pointer of every touched block so
-// overwrites, out-of-order programs and reads of unwritten pages are caught
-// up front. A mid-plan error therefore leaves nothing claimed, counted or
-// scheduled and no flash state mutated.
-//
-// The walk also derives the plan links into f.links by the reference rule
-// (ftl.Op.Src: a data write consumes the last preceding read of the same
-// (LSPN, Sub)) and never looks at Src itself: nobody vouches for the field
-// on a plan that has to be walked — hand-built plans leave it zero, and
-// recovery plans are assembled from another plan's ops.
+// prevalidatePlan walks the whole plan before anything claims or schedules,
+// and only checks: every read's and write's location and every erase's
+// super-block lies in the geometry, every read finds its page written and
+// every program is the next page of its block — against the overlay of the
+// program pointers the plan's earlier ops move, so overwrites, out-of-order
+// programs and reads of unwritten pages are caught up front — and every
+// non-zero Src names an earlier OpRead of the same (LSPN, Sub). A plan that
+// fails therefore returns with nothing claimed, counted or scheduled and no
+// flash state mutated, and one that passes issues exactly as a certified
+// plan does: its links are the Src the FTL stamped (ftl.Op.Src; recovery
+// plans are re-linked before they leave the ftl package), so the walk
+// proves them rather than deriving its own.
 func (f *FIL) prevalidatePlan(plan ftl.Plan) error {
 	g := f.flash.Geometry()
 	if f.pvNext == nil {
 		f.pvNext = make([]int32, g.TotalBlocks())
-		f.linkReads = make(map[SubKey]int32)
 	}
 	defer f.pvReset()
-	clear(f.linkReads)
-	addrs, links := f.planAddrs[:0], f.links[:0]
-	defer func() { f.planAddrs, f.links = addrs, links }()
 	for i := range plan.Ops {
 		op := &plan.Ops[i]
-		link := int32(0)
 		switch op.Kind {
 		case ftl.OpRead:
 			addr, err := f.translate(op.Loc)
@@ -531,8 +520,6 @@ func (f *FIL) prevalidatePlan(plan ftl.Plan) error {
 			if int32(addr.Page) >= f.pvNextOf(block, addr) {
 				return fmt.Errorf("fil: plan read %v: page %v unwritten", op.Loc, addr)
 			}
-			addrs = append(addrs, addr)
-			f.linkReads[SubKey{op.LSPN, op.Loc.Sub}] = int32(i + 1)
 
 		case ftl.OpWrite:
 			addr, err := f.translate(op.Loc)
@@ -545,9 +532,13 @@ func (f *FIL) prevalidatePlan(plan ftl.Plan) error {
 				return fmt.Errorf("fil: plan program %v: page %d out of order (next is %d)", op.Loc, addr.Page, next)
 			}
 			f.pvNext[block] = next + 2 // stored as pointer+1
-			addrs = append(addrs, addr)
-			if !op.Parity {
-				link = f.linkReads[SubKey{op.LSPN, op.Loc.Sub}]
+			if src := op.Src; src != 0 {
+				if src < 0 || int(src) > i {
+					return fmt.Errorf("fil: plan program %v: link %d names no earlier op", op.Loc, src)
+				}
+				if r := &plan.Ops[src-1]; r.Kind != ftl.OpRead || r.LSPN != op.LSPN || r.Loc.Sub != op.Loc.Sub {
+					return fmt.Errorf("fil: plan program %v: link %d names no read of LSPN %d sub %d", op.Loc, src, op.LSPN, op.Loc.Sub)
+				}
 			}
 
 		case ftl.OpErase:
@@ -567,7 +558,6 @@ func (f *FIL) prevalidatePlan(plan ftl.Plan) error {
 		default:
 			return fmt.Errorf("fil: unknown plan op kind %d", op.Kind)
 		}
-		links = append(links, link)
 	}
 	return nil
 }
@@ -578,26 +568,7 @@ type planRun struct {
 	f *FIL
 	// batch issues every op: opened on ExecuteOn's engine, or engine-less.
 	batch *nand.PlanBatch
-	// trusted: the plan's certificate is honored — addresses come straight
-	// from the plane table, links from Op.Src, and issues skip the flash's
-	// structural prechecks. Otherwise addresses and links come from
-	// prevalidatePlan and every read and program is prechecked.
-	trusted  bool
-	nextAddr int // cursor into f.planAddrs (walked plans)
-	res      Result
-}
-
-// addrFor resolves a read's or write's physical address into *a:
-// translated through the plane table on the trusted path, consumed from
-// the prevalidation cache (which walked the plan in this same op order)
-// otherwise.
-func (k *planRun) addrFor(a *nand.Address, loc *ftl.PageLoc) {
-	if k.trusted {
-		k.f.addrInto(a, loc)
-		return
-	}
-	*a = k.f.planAddrs[k.nextAddr]
-	k.nextAddr++
+	res   Result
 }
 
 // touch records an op completing at t against super-block sb.
@@ -611,46 +582,12 @@ func (k *planRun) touch(sb int, t sim.Time) {
 	}
 }
 
-// The batch's issue entry points check nothing structural: a walked plan
-// runs the flash's own precheck first, a trusted one holds the certificate
-// that already proved what the precheck would re-derive; the fault draw
-// stays live either way. The address goes to the batch by pointer, all the
-// way to the claim: passing *addr by value makes the compiler reload the 48
-// bytes addrInto just stored 8 at a time with 16-byte loads, a failed
-// store-to-load forward per op.
-
-func (k *planRun) read(start sim.Time, addr *nand.Address, dst []byte) (nand.Result, error) {
-	if !k.trusted {
-		if err := k.f.flash.CheckRead(addr); err != nil {
-			return nand.Result{}, err
-		}
-	}
-	return k.batch.ReadAddr(start, addr, dst)
-}
-
-// program issues one page program. staged: data is a staging buffer this
-// call disposes of — the program makes it the page
-// (nand.PlanBatch.ProgramAddr); a failed precheck programs nothing, so there
-// the buffer goes straight back to the flash.
-func (k *planRun) program(start sim.Time, addr *nand.Address, data []byte, staged bool, tag int64) (nand.Result, error) {
-	if !k.trusted {
-		if err := k.f.flash.CheckProgram(addr); err != nil {
-			if staged {
-				k.f.flash.ReleaseStagingBuf(data)
-			}
-			return nand.Result{}, err
-		}
-	}
-	return k.batch.ProgramAddr(start, addr, data, staged, tag)
-}
-
 // fail ends the plan on the error of op i. An injected fault is a
-// recoverable runtime event on every path: the executed prefix stands (those
-// transactions really happened), the certified chain is disarmed, and the
-// typed report is built for the recovery orchestration. Anything else is
-// structural; the walk guarantees that arrives with nothing issued, and on
-// the trusted path no structural check can fail by construction — tripping
-// one there means the lockstep invariant itself broke, and continuing (or
+// recoverable runtime event: the executed prefix stands (those transactions
+// really happened), the certified chain is disarmed, and the typed report is
+// built for the recovery orchestration. Nothing else can fail at issue —
+// the certificate or the walk proved every structural fact before the first
+// op — so any other error means that proof itself broke, and continuing (or
 // returning with the valid prefix claimed) would corrupt state silently.
 func (k *planRun) fail(i int, op *ftl.Op, plane int, what string, err error) error {
 	f := k.f
@@ -666,10 +603,7 @@ func (k *planRun) fail(i int, op *ftl.Op, plane int, what string, err error) err
 	} else {
 		err = fmt.Errorf("fil: plan %s %v: %w", what, op.Loc, err)
 	}
-	if k.trusted {
-		panic("fil: certified plan failed mid-execution (certification invariant broken): " + err.Error())
-	}
-	return err
+	panic("fil: validated plan failed mid-execution (certificate or walk broken): " + err.Error())
 }
 
 // ExecuteOn runs an FTL plan against the flash synchronously, in one
@@ -692,30 +626,30 @@ func (k *planRun) fail(i int, op *ftl.Op, plane int, what string, err error) err
 // (its migration reads). Everything else overlaps, bounded only by the
 // channel/die contention modeled inside package nand.
 //
-// A plan nobody vouches for is prevalidated whole before any transaction
-// claims resources, so a structural error returns with no state mutated. A
-// plan whose construction-time certificate is honored (AcceptCertified:
-// bound issuer, in-sequence, flash epoch untouched) skips the walk and the
-// overlay reset entirely — the FTL already proved every address in bounds,
-// every program in order and every rewrite linked to its pre-read when it
-// built the plan, so revalidating would re-derive the same answer from the
-// same state. The error-⇒-no-mutation contract holds on that path by
-// construction: a certified plan cannot fail, and a per-op check tripping
-// anyway means the certification invariant itself was broken, which panics
-// rather than returning with state the contract forbids.
+// A plan nobody vouches for is walked whole (prevalidatePlan) before any
+// transaction claims resources, so a structural error returns with no state
+// mutated. A plan whose construction-time certificate is honored
+// (AcceptCertified: bound issuer, in-sequence, flash epoch untouched) skips
+// the walk — the FTL already proved every address in bounds, every program
+// in order and every rewrite linked to its pre-read when it built the plan,
+// so the walk would re-derive the same answer from the same state. Either
+// way the plan then issues through the one loop below, with no structural
+// check per op: an injected fault is the only error an issue can return,
+// and anything else means the proof broke, which panics rather than
+// returning with state the error-⇒-no-mutation contract forbids.
 func (f *FIL) ExecuteOn(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan ftl.Plan, hostData PlanData) (Result, error) {
 	k := planRun{f: f, res: Result{Done: now}}
 	// The chain advances with or without an engine, so a caller mixing both
 	// (core's Flush) keeps the fast path armed for the engine executions
 	// around it.
 	inSeq := f.certCheck(plan)
-	k.trusted = inSeq && !f.forceWalk
-	if !k.trusted {
+	trusted := inSeq && !f.forceWalk
+	if !trusted {
 		if err := f.prevalidatePlan(plan); err != nil {
 			return k.res, err
 		}
 	}
-	if k.trusted && e != nil {
+	if trusted && e != nil {
 		// Counted on the engine path only, as it always was: the counter is
 		// part of every golden digest.
 		f.stats.CertifiedPlans++
@@ -742,13 +676,13 @@ func (f *FIL) ExecuteOn(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan
 		op := &plan.Ops[i]
 		switch op.Kind {
 		case ftl.OpRead:
-			k.addrFor(&addr, &op.Loc)
+			f.addrInto(&addr, &op.Loc)
 			start := sim.MaxOf(now, f.sbSlot(op.Loc.SB).erased)
 			var buf []byte
 			if trackData {
 				f.readBuf[i], buf = f.stageRead()
 			}
-			r, err := k.read(start, &addr, buf)
+			r, err := k.batch.ReadAddr(start, &addr, buf)
 			if err != nil {
 				return k.res, k.fail(i, op, -1, "read", err)
 			}
@@ -760,7 +694,7 @@ func (f *FIL) ExecuteOn(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan
 			k.touch(op.Loc.SB, r.Done)
 
 		case ftl.OpWrite:
-			k.addrFor(&addr, &op.Loc)
+			f.addrInto(&addr, &op.Loc)
 			start := sim.MaxOf(now, f.sbSlot(op.Loc.SB).erased)
 			if op.Parity {
 				// RAIN parity: payload is the XOR of the stripe row's data
@@ -768,7 +702,7 @@ func (f *FIL) ExecuteOn(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan
 				// — the parity program itself is the only flash cost. The
 				// membership mask stamps the page's OOB in this same serial
 				// section (a torn cut clears both).
-				r, err := k.program(start, &addr, f.parityPayload(op), false, planTag(op, planes))
+				r, err := k.batch.ProgramAddr(start, &addr, f.parityPayload(op), false, planTag(op, planes))
 				if err != nil {
 					return k.res, k.fail(i, op, -1, "parity program", err)
 				}
@@ -782,9 +716,6 @@ func (f *FIL) ExecuteOn(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan
 				data, _ = hostData.Bytes(SubKey{op.LSPN, op.Loc.Sub})
 			}
 			src := op.Src
-			if !k.trusted {
-				src = f.links[i]
-			}
 			srcSB := -1
 			staged := false
 			if src > 0 {
@@ -800,7 +731,7 @@ func (f *FIL) ExecuteOn(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan
 				}
 				srcSB = plan.Ops[src-1].Loc.SB
 			}
-			r, err := k.program(start, &addr, data, staged, planTag(op, planes))
+			r, err := k.batch.ProgramAddr(start, &addr, data, staged, planTag(op, planes))
 			if err != nil {
 				return k.res, k.fail(i, op, -1, "program", err)
 			}

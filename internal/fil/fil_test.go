@@ -3,6 +3,7 @@ package fil
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"amber/internal/ftl"
@@ -26,7 +27,11 @@ func rawOp(flash *nand.Flash, kind ftl.OpKind, now sim.Time, addr nand.Address, 
 	case ftl.OpRead:
 		err = flash.CheckRead(&addr)
 	case ftl.OpWrite:
-		err = flash.CheckProgram(&addr)
+		if err = flash.Geometry().CheckAddress(addr); err == nil && (flash.PageWritten(addr) || addr.Page != flash.NextProgramPage(addr)) {
+			err = fmt.Errorf("program of %v out of order (next is %d)", addr, flash.NextProgramPage(addr))
+		}
+	default:
+		err = flash.CheckErase(addr)
 	}
 	if err != nil {
 		return err

@@ -35,13 +35,13 @@ func armedStack(tb testing.TB, g nand.Geometry, trackData bool, mutate func(*ftl
 	return f, tr, fl
 }
 
-// TestWalkedVsCertifiedPlanByPlan is the executor-side proof that the
-// pre-read map could go: the same GC-heavy stream runs through a stack
-// that trusts the FTL-stamped links (certified) and one that derives them
-// itself with the reference rule (forced walk), and after every single
-// plan the two must agree on the Result, on every FIL counter — DepStalls
-// is the one a wrong link moves — and on the bytes now stored for the
-// super-page just written. Modes cover what shapes the links: partial
+// TestWalkedVsCertifiedPlanByPlan is the executor-side proof that a walk
+// only checks: the same GC-heavy stream runs through a stack that trusts
+// the FTL-stamped links (certified) and one that walks every plan, links
+// included, before issuing it through the same loop (forced walk), and
+// after every single plan the two must agree on the Result, on every FIL
+// counter — DepStalls is the one a wrong link moves — and on the bytes now
+// stored for the super-page just written. Modes cover what shapes the links: partial
 // remaps, read-modify-write (a pre-read and a GC read of the same sub in
 // one plan), wear-levelling, and RAIN parity programs sitting between a
 // read and its rewrite.

@@ -25,7 +25,6 @@ func (f *FIL) PowerLoss() {
 	f.disarm()
 	clear(f.readDone[:cap(f.readDone)])
 	clear(f.readBuf[:cap(f.readBuf)])
-	f.links = f.links[:0]
 	f.sbTimes = f.sbTimes[:0]
 	f.readBufN = 0
 }
@@ -51,7 +50,6 @@ func (f *FIL) State(c *snap.Codec, issuer *ftl.FTL) error {
 	c.Bool(&armed)
 	snap.U(c, &f.certNext)
 	snap.U(c, &f.certEpoch)
-	c.Bool(&f.forceWalk)
 	if c.Decoding() && c.Err() == nil {
 		f.certIssuer = nil
 		if armed {

@@ -136,8 +136,9 @@ const ParityTag int64 = -2
 // Loc.Sub) preceding the write — or 0 when no such read exists (a pure host
 // write). The FTL stamps it while building the plan (linkOps is the
 // reference rule), and a plan's certificate vouches for it exactly as it
-// vouches for addresses and program order; executors walking an uncertified
-// plan derive the links themselves and ignore the field.
+// vouches for addresses and program order; an executor walking an
+// uncertified plan uses the field too, after checking that a non-zero Src
+// names an earlier OpRead of the same (LSPN, Loc.Sub).
 //
 // The layout is a budget, not an accident: a GC plan runs to tens of
 // thousands of ops that the executor streams through once, so an Op is

@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"fmt"
 	"testing"
 
 	"amber/internal/nand"
@@ -29,7 +30,11 @@ func flashOp(flash *nand.Flash, kind OpKind, now sim.Time, addr nand.Address, bu
 	case OpRead:
 		err = flash.CheckRead(&addr)
 	case OpWrite:
-		err = flash.CheckProgram(&addr)
+		if err = flash.Geometry().CheckAddress(addr); err == nil && (flash.PageWritten(addr) || addr.Page != flash.NextProgramPage(addr)) {
+			err = fmt.Errorf("program of %v out of order (next is %d)", addr, flash.NextProgramPage(addr))
+		}
+	default:
+		err = flash.CheckErase(addr)
 	}
 	if err != nil {
 		return err

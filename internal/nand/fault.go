@@ -25,12 +25,6 @@ var (
 	// ErrUnwritten marks a read of a page that was never programmed since
 	// its block's last erase.
 	ErrUnwritten = errors.New("nand: read of unwritten page")
-	// ErrOverwrite marks a program of an already-written page
-	// (erase-before-write).
-	ErrOverwrite = errors.New("nand: program of already-written page (erase-before-write)")
-	// ErrOutOfOrder marks a program that skips its block's next in-order
-	// page (MLC/TLC disturb management forbids it).
-	ErrOutOfOrder = errors.New("nand: out-of-order program")
 )
 
 // FaultError wraps a sentinel fault with the faulting operation and address,
@@ -340,8 +334,8 @@ func (f *Flash) ProbeErase(addr Address) error {
 }
 
 // drawProgramFault draws the injected failure for a program of addr. Called
-// after CheckProgram and before claimProgram on every program path, so a
-// faulting program claims nothing, mutates nothing and schedules nothing.
+// before claimProgram on every program path, so a faulting program claims
+// nothing, mutates nothing and schedules nothing.
 // The draw keys on (page, erase count): firmware that retires the block
 // never re-programs the same tuple, while a raw caller retrying the exact
 // op deterministically observes the same failure.

@@ -1049,10 +1049,11 @@ func (f *Flash) BeginPlan(e *sim.Engine, _ []sim.DomainID) *PlanBatch {
 // ReadAddr performs a page read, delivering the page bytes into dst and
 // charging the channel's counters and energy at issue (a dependent rewrite
 // consumes the bytes within the same serial call). dst is not retained.
-// There is no structural precheck (address bounds, page written): a
-// certified plan's issuing FTL proved both at construction time against a
-// flash it is in lockstep with, and a walked plan's executor runs
-// Flash.CheckRead first. Injected fault draws still run
+// There is no structural precheck (address bounds, page written): the
+// plan's issuer proved both before the first op — a certified plan's FTL at
+// construction time against a flash it is in lockstep with, a walked plan's
+// executor in its walk (fil's prevalidation), a single raw read with
+// Flash.CheckRead. Injected fault draws still run
 // — a certificate trusts the model, not the silicon: the retry ladder's
 // latency stretches the claim, an uncorrectable draw returns with nothing
 // claimed. The address travels by reference: the per-op caller fills one
@@ -1094,8 +1095,8 @@ func (b *PlanBatch) ReadTrusted(now sim.Time, addr Address, dst []byte) (Result,
 // holds 32 bits: fil's tags are forward-map indices, which ftl.New bounds to
 // int32, or the parity tag. Like ReadAddr there is no structural precheck
 // (address bounds, in-order program pointer) — the certificate or the
-// executor's Flash.CheckProgram vouches — while injected fault draws still
-// run, and the address travels by reference.
+// executor's walk vouches — while injected fault draws still run, and the
+// address travels by reference.
 //
 // When staged is set there is no staging copy either: data is then a
 // whole-page Flash.StagingBuf the caller filled, and the flash makes that
@@ -1142,7 +1143,9 @@ func (b *PlanBatch) ProgramTaggedTrusted(now sim.Time, addr Address, data []byte
 // Erase erases the block containing addr (its Page field is ignored) with
 // its timing and functional reset, charging the channel's counters and
 // energy and, on a tracked flash, taking the block's page buffers into its
-// undo record, all at issue. In-flight reads are immune: they delivered
+// undo record, all at issue. Like ReadAddr there is no structural precheck:
+// the caller probes the erase first (Flash.ProbeErase checks the address
+// and draws the fault), so only the injected fault draw runs here. In-flight reads are immune: they delivered
 // their bytes at their own issue. Engine-less, the erase is committed at
 // claim: its undo record is never restored, and its buffers go straight to
 // the pool.
@@ -1156,9 +1159,6 @@ func (b *PlanBatch) ProgramTaggedTrusted(now sim.Time, addr Address, data []byte
 func (b *PlanBatch) Erase(now sim.Time, addr Address) (Result, error) {
 	f := b.f
 	addr.Page = 0
-	if err := f.geo.CheckAddress(addr); err != nil {
-		return Result{}, err
-	}
 	if err := f.drawEraseFault(addr); err != nil {
 		return Result{}, err
 	}
@@ -1184,25 +1184,6 @@ func (b *PlanBatch) Commit() {
 // does): a plan abandoned for a structural error issued nothing, and one
 // stopped by an injected fault keeps the transactions it issued.
 func (b *PlanBatch) Abort() { b.Commit() }
-
-// CheckProgram reports the error a program of addr would fail with
-// (address out of range, overwrite, out-of-order page), without claiming
-// resources, mutating block state or scheduling anything. Single-op
-// prevalidation only: callers batching the programs of one plan must
-// overlay in-plan state changes themselves (fil's plan prevalidation).
-func (f *Flash) CheckProgram(addr *Address) error {
-	if err := f.geo.CheckAddress(*addr); err != nil {
-		return err
-	}
-	if f.oob[f.slot(addr)].written() {
-		return fmt.Errorf("%w: %v", ErrOverwrite, *addr)
-	}
-	blk := &f.blocks[f.geo.BlockIndex(*addr)]
-	if int32(addr.Page) != blk.nextPage {
-		return fmt.Errorf("%w: page %d at %v (next is %d)", ErrOutOfOrder, addr.Page, *addr, blk.nextPage)
-	}
-	return nil
-}
 
 // CheckErase reports the error an erase of the block containing addr would
 // fail with, without claiming resources or mutating anything.

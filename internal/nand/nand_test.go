@@ -2,6 +2,7 @@ package nand
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -64,8 +65,21 @@ func programPage(f *Flash, now sim.Time, addr Address, data []byte) (Result, err
 	return programTagged(f, now, addr, data, -1)
 }
 
+// checkProgram is the structural check a walked plan proves for a program:
+// addr in the geometry, its page unwritten and its block's next in-order
+// page.
+func checkProgram(f *Flash, addr Address) error {
+	if err := f.geo.CheckAddress(addr); err != nil {
+		return err
+	}
+	if next := f.NextProgramPage(addr); f.PageWritten(addr) || addr.Page != next {
+		return fmt.Errorf("nand: program of %v out of order (next is %d)", addr, next)
+	}
+	return nil
+}
+
 func programTagged(f *Flash, now sim.Time, addr Address, data []byte, tag int64) (Result, error) {
-	if err := f.CheckProgram(&addr); err != nil {
+	if err := checkProgram(f, addr); err != nil {
 		return Result{}, err
 	}
 	b := f.BeginPlan(nil, nil)
@@ -74,6 +88,9 @@ func programTagged(f *Flash, now sim.Time, addr Address, data []byte, tag int64)
 }
 
 func eraseBlock(f *Flash, now sim.Time, addr Address) (Result, error) {
+	if err := f.CheckErase(addr); err != nil {
+		return Result{}, err
+	}
 	b := f.BeginPlan(nil, nil)
 	defer b.Commit()
 	return b.Erase(now, addr)
@@ -560,7 +577,7 @@ func onePlan(t *testing.T, f *Flash, e *sim.Engine, dom sim.DomainID, ch int, op
 
 func programDeferred(t *testing.T, f *Flash, e *sim.Engine, dom sim.DomainID, now sim.Time, addr Address, data []byte) Result {
 	t.Helper()
-	if err := f.CheckProgram(&addr); err != nil {
+	if err := checkProgram(f, addr); err != nil {
 		t.Fatal(err)
 	}
 	return onePlan(t, f, e, dom, addr.Channel, func(b *PlanBatch) (Result, error) {

@@ -91,8 +91,8 @@
 // A flash transaction's resource claims, block-state transition, fault
 // draw, counters, energy and tracked page bytes all land when it is issued
 // (nand.PlanBatch), so the flash schedules no event and every later issue —
-// CheckRead, CheckProgram, plan prevalidation, any read of the arena — sees
-// exactly the state the transactions issued before it left. A program's
+// CheckRead, plan prevalidation, any read of the arena — sees exactly the
+// state the transactions issued before it left. A program's
 // payload is copied into a staging buffer (a plan rewrite's already sits in
 // one, the buffer its pre-read filled), which becomes the page, and the
 // buffer the page held before returns to the staging pool; an erase takes
@@ -147,8 +147,8 @@
 //
 //  1. Draws happen at issue time. Every fault decision — program, erase,
 //     and the read-retry ladder — is evaluated when the transaction is
-//     issued (after its Check* validation, before any claim or functional
-//     mutation). So the set of draws and their interleaving is fixed by the
+//     issued (after the walk, certificate or Check* call that validated
+//     it, before any claim or functional mutation). So the set of draws and their interleaving is fixed by the
 //     order of issues, which is the engine's one total order.
 //
 //  2. Draws are stateless. A draw is a pure hash of (seed, operation
@@ -282,18 +282,21 @@
 // certified kernel touches no map per op: a read fills a dense record at
 // its own plan position, and its rewrite loads recs[Src-1].
 //
-// A walked plan gets no such trust. fil.prevalidatePlan re-derives the
-// links with the same rule into its own scratch and never reads Src —
-// hand-built plans leave the field zero, and a forced walk of a certified
-// plan is thereby the differential test of inline stamping against the
-// reference (TestCertifiedPlanEquivalence, TestWalkedVsCertifiedPlanByPlan).
-// Recovery is the case that makes "never read Src on a walked plan" a
-// rule rather than a nicety: ftl.RecoverPlanFault assembles its plan from
-// ops copied out of the faulted one, whose Src values are indices into
-// THAT plan. It re-links the whole result before returning, as do the
-// other cold builders whose reads and rewrites are not adjacent
-// (MountSqueeze: all reads, the erase, then the rewrites; PlanReconstruct),
-// so certified ⇒ linked holds for every plan the ftl package can mint.
+// A walked plan issues through the same loop and the same links; its walk
+// (fil.prevalidatePlan) only checks, and checking Src is one more check: a
+// non-zero Src must name an earlier OpRead of the same (LSPN, Sub). Every
+// plan the ftl package can mint is linked: ftl.RecoverPlanFault assembles
+// its plan from ops copied out of the faulted one, whose Src values are
+// indices into THAT plan, so it re-links the whole result before
+// returning, as do the other cold builders whose reads and rewrites are
+// not adjacent (MountSqueeze: all reads, the erase, then the rewrites;
+// PlanReconstruct). A hand-built plan that leaves Src zero runs its
+// rewrites unlinked — no dependency wait, the payload its PlanData gives.
+// A forced walk of a certified plan must run exactly as the certified
+// one (TestCertifiedPlanEquivalence, TestWalkedVsCertifiedPlanByPlan), and
+// FuzzPlanWalk holds the walk to rejecting each broken link, out-of-order
+// program, unwritten read and out-of-range address with the device
+// untouched.
 //
 // # Batch windows: amortized bookkeeping with serial semantics
 //
