@@ -154,9 +154,15 @@ type System struct {
 
 	// MSHR-style in-flight fill tracking: concurrent demand reads and
 	// prefetches of the same super-page coalesce onto one flash fetch.
-	filling  map[int64]subMask  // lspn -> subs currently being fetched
-	waiters  map[int64][]func() // lspn -> callbacks to retry at fill completion
-	maskFree []subMask          // all-clear masks of landed fills, for reuse
+	// fillSlot has one slot per LSPN of the volume: 0 while no fetch of it
+	// is in flight, else 1 + the index of its entry in fills, which holds
+	// the subs being fetched and the readers parked until a fetch lands. An
+	// entry whose last fetch landed goes on fillsFree and serves the next
+	// LSPN to miss, so fills holds as many entries as LSPNs were ever in
+	// flight at once.
+	fillSlot  []int32
+	fills     []inFlight
+	fillsFree []int32
 
 	// RAIN reconstruction + patrol scrub state (see rain.go): super-blocks
 	// whose reconstruction pressure demands a forced scrub, whether a
@@ -285,6 +291,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		ReadaheadThreshold: d.ReadaheadThreshold,
 		ReadaheadLines:     d.ReadaheadLines,
 		TrackData:          d.TrackData,
+		SuperPages:         translator.UserSuperPages(),
 	}
 	cache, err := icl.New(cacheCfg)
 	if err != nil {
@@ -326,9 +333,8 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		link:    link,
 		passive: d.Passive,
 		lastEnd: -1,
-		filling: make(map[int64]subMask),
-		waiters: make(map[int64][]func()),
 	}
+	s.fillSlot = make([]int32, cacheCfg.SuperPages)
 	// The FTL and flash were constructed together above, so they are in
 	// lockstep by definition, which is what bindFTL's certificate asserts.
 	if err := s.bindFTL(translator); err != nil {

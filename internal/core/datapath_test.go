@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"amber/internal/config"
@@ -593,4 +594,89 @@ func TestRunClosedLoopAllocs(t *testing.T) {
 		t.Fatalf("Run allocates %.3f objects per extra request (%.0f for %d, %.0f for %d), want < 0.05",
 			perReq, short, n, long, 2*n)
 	}
+}
+
+// fillTableGen reads line cold's sub 0, then its sub 1 twice, then sub 2 of
+// lines 0, 1, 2, ... skipping cold, recording how many entries the fill
+// table holds as each request is issued.
+type fillTableGen struct {
+	s         *core.System
+	lineBytes int64
+	cold      int64
+	entries   []int // the fill table's entries at each Next
+}
+
+func (g *fillTableGen) Name() string { return "fill-table" }
+
+func (g *fillTableGen) Next(i int) workload.Request {
+	_, entries, _ := core.FillTable(g.s)
+	g.entries = append(g.entries, entries)
+	sub := int64(g.s.ICL.Config().SubSize)
+	switch {
+	case i == 0:
+		return workload.Request{Offset: g.cold * g.lineBytes, Length: int(sub)}
+	case i < 3:
+		return workload.Request{Offset: g.cold*g.lineBytes + sub, Length: int(sub)}
+	}
+	line := int64(i - 3)
+	if line >= g.cold {
+		line++
+	}
+	return workload.Request{Offset: line*g.lineBytes + 2*sub, Length: int(sub)}
+}
+
+// TestFillTableReusesEntries runs, in one Run at depth 3, three reads of one
+// cold line — sub 0, then sub 1 twice — and then reads of twenty more cold
+// lines. The first two reads start a fetch each on one fill-table entry; the
+// third is covered by them and parks. Sub 0's fetch lands first and wakes
+// it while sub 1's is still in flight, so its retry misses again and
+// registers a fetch of its own on the same live entry. The table never
+// holds more entries than reads in flight: each later line reuses an entry
+// another LSPN released. After Drain the table is empty and Snapshot works.
+func TestFillTableReusesEntries(t *testing.T) {
+	s := smallSystem(t, func(c *core.SystemConfig) { c.Device.ReadaheadThreshold = 0 })
+	lineBytes := int64(s.Split.LineBytes())
+	const lines = 24
+	for l := int64(0); l < lines+int64(s.ICL.Config().Lines); l++ {
+		if _, err := s.Submit(s.Now(), workload.Request{Write: true, Offset: l * lineBytes, Length: int(lineBytes)}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Drain() // idle dies: the fetches land in the order they were issued
+	g := &fillTableGen{s: s, lineBytes: lineBytes, cold: 5}
+	for l := int64(0); l < lines; l++ {
+		if s.ICL.Contains(l, 0) {
+			t.Fatalf("set-up left line %d cached", l)
+		}
+	}
+	flashReads, misses := s.Flash.Stats().Reads, s.ICL.Stats().ReadSubMisses
+	const n = 3 + 20
+	res, err := s.Run(g, core.RunConfig{Requests: n, IODepth: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Latency.Count() != n || res.FailedReads != 0 {
+		t.Fatalf("%d of %d reads completed, %d failed", res.Latency.Count(), n, res.FailedReads)
+	}
+	// The parked read probes twice and fetches once, on its retry.
+	if got, want := s.ICL.Stats().ReadSubMisses-misses, uint64(n+1); got != want {
+		t.Fatalf("%d sub misses for %d one-sub reads, want %d: the third read did not retry after a miss", got, n, want)
+	}
+	if got := s.Flash.Stats().Reads - flashReads; got != n {
+		t.Fatalf("%d flash reads for %d reads, want %d: the third read did not park, or its retry did not fetch", got, n, n)
+	}
+	if g.entries[3] != 1 {
+		t.Fatalf("the cold line's three fetches took %d fill-table entries, want 1", g.entries[3])
+	}
+	if most := slices.Max(g.entries); most > 3 {
+		t.Fatalf("fill table grew to %d entries for at most 3 reads in flight (per Next: %v)", most, g.entries)
+	}
+	s.Drain()
+	if in, _, parked := core.FillTable(s); in != 0 || parked != 0 {
+		t.Fatalf("after Drain: %d LSPNs in flight, %d readers parked", in, parked)
+	}
+	if _, err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("fill table: %d entries served 21 lines", slices.Max(g.entries))
 }

@@ -16,3 +16,12 @@ func PoisonFlashPool(s *System) {
 		s.Flash.ReleaseStagingBuf(bufs[i])
 	}
 }
+
+// FillTable reports the in-flight fill table: the LSPNs with a fetch in
+// flight, the entries it has ever allocated, and the readers parked now.
+func FillTable(s *System) (inFlight, entries, parked int) {
+	for i := range s.fills {
+		parked += len(s.fills[i].waiters)
+	}
+	return s.fillsInFlight(), len(s.fills), parked
+}

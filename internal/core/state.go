@@ -52,8 +52,8 @@ func (s *System) quiescedForSnapshot() error {
 	if err := s.Flash.QuiescedForSnapshot(); err != nil {
 		return err
 	}
-	if len(s.filling) != 0 || len(s.waiters) != 0 {
-		return fmt.Errorf("core: snapshot with %d fills in flight", len(s.filling))
+	if n := s.fillsInFlight(); n != 0 {
+		return fmt.Errorf("core: snapshot with %d fills in flight", n)
 	}
 	return nil
 }
@@ -167,8 +167,9 @@ func (s *System) PowerLoss(now sim.Time) PowerLossReport {
 	rep.Flash = s.Flash.PowerLoss(now, seed)
 	s.FIL.PowerLoss()
 	s.flushBuf = sim.NewPool("flushbuf", s.cfg.Device.Geometry.TotalPlanes())
-	clear(s.filling)
-	clear(s.waiters)
+	clear(s.fillSlot)
+	clear(s.fills) // parked readers die with the engine's events
+	s.fills, s.fillsFree = s.fills[:0], s.fillsFree[:0]
 	s.lastEnd = -1
 	if now > s.now {
 		s.now = now

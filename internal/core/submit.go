@@ -425,7 +425,7 @@ func (s *System) SubmitBatch(now sim.Time, reqs []workload.Request, datas [][]by
 		}
 		var done sim.Time
 		var err error
-		if req.Write && !s.passive && len(s.filling) == 0 {
+		if req.Write && !s.passive && s.fillsInFlight() == 0 {
 			done, err = s.submitInline(e, cur, req, data)
 			fill++
 			if fill >= window {
@@ -688,16 +688,16 @@ func (s *System) readLineAttempt(e *sim.Engine, ln hil.Line, lineBuf []byte, cb 
 	}
 	// Coalesce onto an in-flight fill covering every missing sub.
 	if !retried {
-		if fl, ok := s.filling[ln.LSPN]; ok {
+		if fl := s.fillOf(ln.LSPN); fl != nil {
 			covered := true
 			for _, sub := range res.MissSubs {
-				if !fl.has(sub) {
+				if !fl.mask.has(sub) {
 					covered = false
 					break
 				}
 			}
 			if covered {
-				s.waiters[ln.LSPN] = append(s.waiters[ln.LSPN], func() {
+				fl.waiters = append(fl.waiters, func() {
 					s.readLineAttempt(e, ln, lineBuf, cb, true)
 				})
 				return
@@ -747,8 +747,69 @@ func (s *System) releaseFill(fo *fillOp) {
 	s.fillFree = append(s.fillFree, fo)
 }
 
+// inFlight is one LSPN's entry in the fill table (System.fills): the subs
+// its fetches in flight cover and the readers parked until one of them
+// lands. A free entry's mask is all clear and its waiter list empty.
+type inFlight struct {
+	mask    subMask
+	waiters []func()
+}
+
+// fillOf returns lspn's fill-table entry, nil when no fetch of it is in
+// flight. The pointer is valid until the next entry is added.
+func (s *System) fillOf(lspn int64) *inFlight {
+	if i := s.fillSlot[lspn]; i != 0 {
+		return &s.fills[i-1]
+	}
+	return nil
+}
+
+// fillsInFlight counts the LSPNs with a fetch in flight.
+func (s *System) fillsInFlight() int { return len(s.fills) - len(s.fillsFree) }
+
+// registerFill marks subs of lspn in flight, taking a free entry for an
+// LSPN that has none.
+func (s *System) registerFill(lspn int64, subs []int) {
+	fl := s.fillOf(lspn)
+	if fl == nil {
+		var i int32
+		if n := len(s.fillsFree); n > 0 {
+			i, s.fillsFree = s.fillsFree[n-1], s.fillsFree[:n-1]
+		} else {
+			s.fills = append(s.fills, inFlight{mask: make(subMask, (s.ICL.Config().SubsPerLine+63)/64)})
+			i = int32(len(s.fills) - 1)
+		}
+		s.fillSlot[lspn] = i + 1
+		fl = &s.fills[i]
+	}
+	for _, sub := range subs {
+		fl.mask.set(sub)
+	}
+}
+
+// landFill clears a landed fetch's subs of lspn and returns the readers
+// parked on lspn, for the caller to wake; the entry goes free once no fetch
+// of lspn is left in flight.
+func (s *System) landFill(lspn int64, subs []int) []func() {
+	i := s.fillSlot[lspn]
+	if i == 0 {
+		return nil
+	}
+	fl := &s.fills[i-1]
+	for _, sub := range subs {
+		fl.mask.clear(sub)
+	}
+	ws := fl.waiters
+	fl.waiters = nil
+	if fl.mask.empty() {
+		s.fillSlot[lspn] = 0
+		s.fillsFree = append(s.fillsFree, i-1)
+	}
+	return ws
+}
+
 // subMask is a set of sub-page indices of one line, one bit each: the subs
-// with a fetch in flight (System.filling). Masks are recycled all-clear.
+// with a fetch in flight (inFlight.mask). Masks are recycled all-clear.
 type subMask []uint64
 
 func (m subMask) has(sub int) bool { return m[sub/64]&(1<<(sub%64)) != 0 }
@@ -845,18 +906,7 @@ func (s *System) startFill(e *sim.Engine, t sim.Time, lspn int64, subs []int, li
 
 	// Register the fill so concurrent readers coalesce instead of
 	// refetching.
-	fl := s.filling[lspn]
-	if fl == nil {
-		if n := len(s.maskFree); n > 0 {
-			fl, s.maskFree = s.maskFree[n-1], s.maskFree[:n-1]
-		} else {
-			fl = make(subMask, (s.ICL.Config().SubsPerLine+63)/64)
-		}
-		s.filling[lspn] = fl
-	}
-	for _, sub := range fo.subs {
-		fl.set(sub)
-	}
+	s.registerFill(lspn, fo.subs)
 
 	// The continuation installs into the ICL, charges cache memory and
 	// wakes coalesced waiters. Flash-backed fills publish through the
@@ -874,15 +924,7 @@ func (s *System) startFill(e *sim.Engine, t sim.Time, lspn int64, subs []int, li
 // displaced dirty victim, wakes coalesced waiters and fires the callback.
 func (fo *fillOp) done() {
 	s, e := fo.s, fo.e
-	if fl := s.filling[fo.lspn]; fl != nil {
-		for _, sub := range fo.subs {
-			fl.clear(sub)
-		}
-		if fl.empty() {
-			delete(s.filling, fo.lspn)
-			s.maskFree = append(s.maskFree, fl)
-		}
-	}
+	ws := s.landFill(fo.lspn, fo.subs)
 	if s.passive && fo.nFetch > 0 {
 		// Vector-read payload crosses the link into the host buffer.
 		// Claimed here, inside the completion event, so the claim is
@@ -909,14 +951,13 @@ func (fo *fillOp) done() {
 			}
 		}
 	}
-	// Coalesced readers wake whether or not the install succeeded: this fill
-	// is no longer in s.filling, so a waiter left parked would never run. On
-	// failure each retries with a fill of its own and reports its own outcome.
-	if ws := s.waiters[fo.lspn]; len(ws) > 0 {
-		delete(s.waiters, fo.lspn)
-		for _, w := range ws {
-			w()
-		}
+	// Coalesced readers wake whether or not the install succeeded: this
+	// fill's subs are no longer in flight, so a waiter left parked on them
+	// would never run. On failure each retries with a fill of its own and
+	// reports its own outcome. Nothing between landFill and here parks a
+	// reader, so ws holds every reader parked on lspn.
+	for _, w := range ws {
+		w()
 	}
 	if err != nil {
 		fo.finish(0, err)
@@ -973,7 +1014,7 @@ func (s *System) prefetch(e *sim.Engine, lspn int64) {
 	if lspn >= s.FTL.UserSuperPages() || !s.FTL.Mapped(lspn) {
 		return
 	}
-	if _, busy := s.filling[lspn]; busy {
+	if s.fillSlot[lspn] != 0 {
 		return // a fetch is already in flight
 	}
 	s.startFill(e, e.Now(), lspn, s.FTL.AllSubs(), nil, true, 0, noopFill)

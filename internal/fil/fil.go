@@ -103,8 +103,10 @@ type FIL struct {
 	// proves Src names an earlier read), so nothing is cleared between
 	// plans. It is 8 bytes an op of the plan's capacity,
 	// which a GC storm's reservation makes a few hundred thousand. The
-	// super-block ordering slots are a small linear list (a plan touches few
-	// distinct super-blocks), scanned directly.
+	// super-block ordering slots are dense too, one per super-block, each
+	// stamped with the number of the plan that last wrote it: a plan starts
+	// by counting planNo up, which leaves every slot stale, and sbSlot zeroes
+	// a stale slot at its first touch, so nothing is cleared or searched.
 	//
 	// readBufs[:readBufN] holds the page bytes of the running plan's
 	// pre-reads that no rewrite has taken yet (tracked data only): each is a
@@ -119,8 +121,8 @@ type FIL struct {
 	// then.
 	readDone []sim.Time
 	readBuf  []int32
-	sbTimes  []sbTime // per-super-block erase completion / latest touch
-	sbLast   [2]int   // sbSlot's cache: the last two sbTimes indices its scan found
+	sbTimes  []sbTime // by super-block: erase completion / latest touch in plan planNo
+	planNo   uint64   // the running plan's number
 	readBufs [][]byte
 	readBufN int
 
@@ -173,7 +175,7 @@ type FIL struct {
 
 // sbTime tracks in-plan per-super-block ordering state.
 type sbTime struct {
-	sb      int
+	plan    uint64   // the plan that last wrote the slot; another plan's reads zero
 	erased  sim.Time // completion of an in-plan erase, zero if none
 	touched sim.Time // latest op completion touching the super-block
 }
@@ -188,7 +190,7 @@ func New(flash *nand.Flash, addrOf AddrFunc) (*FIL, error) {
 		return nil, fmt.Errorf("fil: flash and address function are required")
 	}
 	g := flash.Geometry()
-	f := &FIL{flash: flash, planes: make([]nand.Address, g.TotalPlanes())}
+	f := &FIL{flash: flash, planes: make([]nand.Address, g.TotalPlanes()), sbTimes: make([]sbTime, g.BlocksPerPlane)}
 	for p := range f.planes {
 		a := addrOf(ftl.PageLoc{Plane: p, Sub: p})
 		if err := g.CheckAddress(a); err != nil {
@@ -365,29 +367,14 @@ func HostData(lspn int64, dirty []bool, data []byte, subSize int) PlanData {
 	return PlanData{LSPN: lspn, Dirty: dirty, Data: data, SubSize: subSize}
 }
 
-// sbSlot returns (allocating if needed) the ordering slot for sb. The
-// returned pointer is valid until the next sbSlot call (the slice may
-// grow); callers must not hold it across calls.
+// sbSlot returns the running plan's ordering slot for sb, zero at the
+// plan's first touch of sb.
 func (f *FIL) sbSlot(sb int) *sbTime {
-	// A migration alternates between two super-blocks, the victim and the
-	// open one: try the last two slots the scan found first. An index left
-	// from an earlier plan is harmless — a slot whose sb matches is the slot.
-	t := f.sbTimes
-	if i := f.sbLast[0]; i < len(t) && t[i].sb == sb {
-		return &t[i]
+	t := &f.sbTimes[sb]
+	if t.plan != f.planNo {
+		*t = sbTime{plan: f.planNo}
 	}
-	if i := f.sbLast[1]; i < len(t) && t[i].sb == sb {
-		return &t[i]
-	}
-	i := 0
-	for i < len(t) && t[i].sb != sb {
-		i++
-	}
-	if i == len(t) {
-		f.sbTimes = append(t, sbTime{sb: sb})
-	}
-	f.sbLast[0], f.sbLast[1] = i, f.sbLast[0]
-	return &f.sbTimes[i]
+	return t
 }
 
 // parityPayload assembles the RAIN parity payload of op — the XOR of the
@@ -668,7 +655,7 @@ func (f *FIL) ExecuteOn(e *sim.Engine, chDoms []sim.DomainID, now sim.Time, plan
 		}
 	}
 	readDone := f.readDone[:n]
-	f.sbTimes = f.sbTimes[:0]
+	f.planNo++
 	planes := int64(len(f.planes))
 	var addr nand.Address
 

@@ -857,18 +857,18 @@ func TestCertifiedChainFaultDisarm(t *testing.T) {
 	}
 }
 
-// TestSBSlotCacheFindsTheSlot walks sbSlot through random super-block
-// sequences — long alternations between two, as a migration makes them, and
-// jumps among many — across plan boundaries that empty the table under the
-// two cached indices: the slot returned is always the one for the
-// super-block asked for, and still holds what was last stored in it.
-func TestSBSlotCacheFindsTheSlot(t *testing.T) {
-	f := &FIL{}
+// TestSBSlotIsPerPlan walks sbSlot through random super-block sequences —
+// long alternations between two, as a migration makes them, and jumps
+// among many — across plan boundaries that only count the plan number up:
+// a slot reads zero at its first touch in each plan and keeps what was last
+// stored in it for the rest of the plan.
+func TestSBSlotIsPerPlan(t *testing.T) {
+	f := &FIL{sbTimes: make([]sbTime, 9)}
 	rng := sim.NewRNG(5)
 	var stored map[int]sim.Time
 	for step := 0; step < 20000; step++ {
 		if step%500 == 0 {
-			f.sbTimes = f.sbTimes[:0] // a new plan; the cache is left as it is
+			f.planNo++ // a new plan, as ExecuteOn starts one
 			stored = make(map[int]sim.Time)
 		}
 		sb := rng.Intn(2)
@@ -876,13 +876,10 @@ func TestSBSlotCacheFindsTheSlot(t *testing.T) {
 			sb = rng.Intn(9)
 		}
 		slot := f.sbSlot(sb)
-		if slot.sb != sb || slot.touched != stored[sb] {
+		if slot.touched != stored[sb] || slot.erased != stored[sb]/2 {
 			t.Fatalf("step %d: sbSlot(%d) = %+v, last stored %d", step, sb, *slot, stored[sb])
 		}
-		slot.touched = sim.Time(step + 1)
+		slot.touched, slot.erased = sim.Time(step+1), sim.Time(step+1)/2
 		stored[sb] = slot.touched
-	}
-	if len(f.sbTimes) > 9 {
-		t.Fatalf("%d slots for 9 super-blocks", len(f.sbTimes))
 	}
 }

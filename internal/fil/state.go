@@ -25,7 +25,7 @@ func (f *FIL) PowerLoss() {
 	f.disarm()
 	clear(f.readDone[:cap(f.readDone)])
 	clear(f.readBuf[:cap(f.readBuf)])
-	f.sbTimes = f.sbTimes[:0]
+	f.planNo++
 	f.readBufN = 0
 }
 

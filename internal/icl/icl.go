@@ -40,24 +40,27 @@
 //     which are never pinned.
 //
 // Lookup and victim selection cost the same for every cache size. Three
-// structures mirror the frames' tags: Cache.index maps each resident LSPN to
-// its frame (find is one lookup); the occupied frames sit on an intrusive
-// list in lastUse order, least recently used first, whose head is the
-// victim; and the empty cursor is the lowest empty frame, which is taken
-// before any victim. The invariant: a frame is in the index and on the list
-// exactly when its lspn >= 0, under that lspn, and the list order is
-// ascending lastUse order. Only three functions may change a tag, and each
-// restores the invariant before it returns: evictInto (drops the outgoing
-// LSPN, enters the incoming one, moves the frame to the list's tail,
-// advances the cursor when it consumed an empty frame), Invalidate (empties
-// all three) and a decoding State (rebuilds them from the decoded frames —
-// lastUse order, ties in frame order — and refuses as snap.ErrCorrupt an
-// image they cannot mirror: one LSPN in two frames, or a stamp ahead of the
-// clock). touch moves a frame to the tail and changes no tag. The degraded
-// clean-first mode walks the list from its head to the first clean frame;
-// the frame chosen is in every case the one a scan for the first empty
-// frame, then the smallest stamp, picks (reference_test.go holds the two
-// equal).
+// structures mirror the frames' tags: Cache.index has one slot per LSPN of
+// the volume (Config.SuperPages) holding its frame, nil when it is not
+// resident (find is one bounds-checked load; an LSPN outside the volume is
+// never resident, and Read, Fill and Write refuse it); the occupied frames
+// sit on an intrusive list in lastUse order, least recently used first,
+// whose head is the victim; and the empty cursor is the lowest empty frame,
+// which is taken before any victim. The invariant: a frame is named by its
+// lspn's index slot and is on the list exactly when its lspn >= 0, every
+// other slot is nil, and the list order is ascending lastUse order. Only
+// three functions may change a tag, and each restores the invariant before
+// it returns: evictInto (clears the outgoing LSPN's slot, fills the
+// incoming one's, moves the frame to the list's tail, advances the cursor
+// when it consumed an empty frame), Invalidate (empties all three) and a
+// decoding State (rebuilds them from the decoded frames — lastUse order,
+// ties in frame order — and refuses as snap.ErrCorrupt an image they cannot
+// mirror: one LSPN in two frames, an LSPN outside the volume, or a stamp
+// ahead of the clock). touch moves a frame to the tail and changes no tag.
+// The degraded clean-first mode walks the list from its head to the first
+// clean frame; the frame chosen is in every case the one a scan for the
+// first empty frame, then the smallest stamp, picks (reference_test.go
+// holds the two equal).
 package icl
 
 import (
@@ -80,6 +83,9 @@ type Config struct {
 	ReadaheadLines int
 	// TrackData keeps real line contents.
 	TrackData bool
+	// SuperPages is the volume's size in lines: every LSPN the cache is
+	// handed lies in [0, SuperPages), and the LSPN index has one slot each.
+	SuperPages int64
 }
 
 // Validate reports descriptive configuration errors.
@@ -91,6 +97,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("icl: line geometry must be positive")
 	case c.ReadaheadThreshold > 0 && c.ReadaheadLines <= 0:
 		return fmt.Errorf("icl: readahead enabled but ReadaheadLines is %d", c.ReadaheadLines)
+	case c.SuperPages <= 0:
+		return fmt.Errorf("icl: SuperPages must be positive")
 	}
 	return nil
 }
@@ -174,10 +182,11 @@ type Cache struct {
 	// Invalidate empties frames and only victim order fills them, so it moves
 	// forward between resets.
 	empty int
-	// index maps every resident LSPN to its frame. It and the LRU order
-	// mirror the frames' tags; see the package comment for the three
-	// functions that may change a tag.
-	index map[int64]*line
+	// index holds each LSPN's frame, nil when it is not resident: one slot
+	// per super-page of the volume. It and the LRU order mirror the frames'
+	// tags; see the package comment for the three functions that may change
+	// a tag.
+	index []*line
 	tick  uint64
 	stats Stats
 
@@ -222,7 +231,7 @@ func New(cfg Config) (*Cache, error) {
 	c := &Cache{
 		cfg:     cfg,
 		frames:  make([]*line, cfg.Lines),
-		index:   make(map[int64]*line, cfg.Lines),
+		index:   make([]*line, cfg.SuperPages),
 		seqNext: -1,
 	}
 	c.scratchEv.Dirty = make([]bool, cfg.SubsPerLine)
@@ -290,7 +299,22 @@ func (c *Cache) subBytes(ln *line, s int) []byte {
 	return ln.data[s*c.cfg.SubSize : (s+1)*c.cfg.SubSize]
 }
 
-func (c *Cache) find(lspn int64) *line { return c.index[lspn] }
+// find returns lspn's frame, nil when it is not resident or lies outside the
+// volume (a readahead probe may look past its end).
+func (c *Cache) find(lspn int64) *line {
+	if uint64(lspn) >= uint64(len(c.index)) {
+		return nil
+	}
+	return c.index[lspn]
+}
+
+// checkLSPN refuses an LSPN outside the volume.
+func (c *Cache) checkLSPN(lspn int64) error {
+	if uint64(lspn) >= uint64(len(c.index)) {
+		return fmt.Errorf("icl: lspn %d outside the volume of %d lines", lspn, len(c.index))
+	}
+	return nil
+}
 
 // SetPreferCleanVictims toggles degraded-mode victim selection: clean
 // frames are evicted before dirty ones regardless of recency. See the
@@ -347,7 +371,7 @@ func (c *Cache) pushTail(ln *line) {
 func (c *Cache) evictInto(ln *line, lspn int64) *Eviction {
 	var ev *Eviction
 	if ln.lspn >= 0 {
-		delete(c.index, ln.lspn)
+		c.index[ln.lspn] = nil
 		c.unlink(ln)
 		c.unpinAll(ln)
 		// Swap, don't copy: the record takes the frame's dirty mask and
@@ -447,6 +471,9 @@ type ReadResult struct {
 // left as they were, so a caller recycling dst must fill or zero the
 // misses itself.
 func (c *Cache) Read(lspn int64, firstSub, nSubs int, dst []byte) (ReadResult, error) {
+	if err := c.checkLSPN(lspn); err != nil {
+		return ReadResult{}, err
+	}
 	if err := c.checkRange(firstSub, nSubs); err != nil {
 		return ReadResult{}, err
 	}
@@ -524,6 +551,9 @@ func (c *Cache) Read(lspn int64, firstSub, nSubs int, dst []byte) (ReadResult, e
 // frame keeps its bytes and its dirty bit; a pinned sub that data refills
 // lets go of its pin.
 func (c *Cache) Fill(lspn int64, subs []int, data []byte, prefetched bool) (*Eviction, error) {
+	if err := c.checkLSPN(lspn); err != nil {
+		return nil, err
+	}
 	for _, s := range subs {
 		if err := c.checkRange(s, 1); err != nil {
 			return nil, err
@@ -574,13 +604,17 @@ func (c *Cache) FillPinned(lspn int64, pins [][]byte, prefetched bool) (*Evictio
 	for _, pin := range pins {
 		bad = bad || pin != nil && len(pin) != ss
 	}
-	if bad {
+	err := c.checkLSPN(lspn)
+	if bad && err == nil {
+		err = fmt.Errorf("icl: FillPinned of %d pins, want one of %d bytes or nil per sub of %d on a tracked cache", len(pins), ss, c.cfg.SubsPerLine)
+	}
+	if err != nil {
 		for _, pin := range pins {
 			c.releasePin(pin)
 		}
-		return nil, fmt.Errorf("icl: FillPinned of %d pins, want one of %d bytes or nil per sub of %d on a tracked cache", len(pins), ss, c.cfg.SubsPerLine)
+		return nil, err
 	}
-	ev, _ := c.Fill(lspn, nil, nil, prefetched) // no subs: cannot fail
+	ev, _ := c.Fill(lspn, nil, nil, prefetched) // lspn checked, no subs: cannot fail
 	ln := c.find(lspn)
 	for s, pin := range pins {
 		if ln == nil || ln.dirty[s] {
@@ -609,6 +643,9 @@ func (c *Cache) FillPinned(lspn int64, pins [][]byte, prefetched bool) (*Evictio
 // so a caller that needs a partial sub merged with its flash contents
 // widens src before the call.
 func (c *Cache) WriteAt(lspn int64, firstSub, nSubs int, src []byte, off int) (*Eviction, error) {
+	if err := c.checkLSPN(lspn); err != nil {
+		return nil, err
+	}
 	if err := c.checkRange(firstSub, nSubs); err != nil {
 		return nil, err
 	}

@@ -18,6 +18,7 @@ func testConfig() Config {
 		ReadaheadThreshold: 3,
 		ReadaheadLines:     2,
 		TrackData:          true,
+		SuperPages:         128,
 	}
 }
 
@@ -40,6 +41,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.SubsPerLine = 0 },
 		func(c *Config) { c.SubSize = 0 },
 		func(c *Config) { c.ReadaheadThreshold = 2; c.ReadaheadLines = 0 },
+		func(c *Config) { c.SuperPages = 0 },
 	}
 	for i, m := range cases {
 		cfg := testConfig()
@@ -374,11 +376,16 @@ func TestFillPinnedHoldsPins(t *testing.T) {
 		t.Fatalf("%d pins released after Invalidate, want 3", len(released))
 	}
 	for name, bad := range map[string][][]byte{
-		"short pin list": {make([]byte, 512), nil, nil},
-		"wrong-size pin": {make([]byte, 511), nil, nil, nil},
+		"short pin list":          {make([]byte, 512), nil, nil},
+		"wrong-size pin":          {make([]byte, 511), nil, nil, nil},
+		"lspn outside the volume": {make([]byte, 512), nil, nil, nil},
 	} {
 		released = released[:0]
-		if _, err := c.FillPinned(8, bad, false); err == nil || c.Contains(8, 0) {
+		lspn := int64(8)
+		if name == "lspn outside the volume" {
+			lspn = c.Config().SuperPages
+		}
+		if _, err := c.FillPinned(lspn, bad, false); err == nil || c.Contains(lspn, 0) {
 			t.Fatalf("%s accepted", name)
 		}
 		if len(released) != 1 {
@@ -417,6 +424,20 @@ func TestRangeChecks(t *testing.T) {
 	}
 	if _, err := c.Fill(0, []int{4}, nil, false); err == nil {
 		t.Fatal("out-of-line fill accepted")
+	}
+	for _, lspn := range []int64{-1, c.Config().SuperPages} {
+		if _, err := c.Read(lspn, 0, 1, nil); err == nil {
+			t.Fatalf("read of lspn %d outside the volume accepted", lspn)
+		}
+		if _, err := c.Write(lspn, 0, 1, nil); err == nil {
+			t.Fatalf("write of lspn %d outside the volume accepted", lspn)
+		}
+		if _, err := c.Fill(lspn, []int{0}, nil, false); err == nil {
+			t.Fatalf("fill of lspn %d outside the volume accepted", lspn)
+		}
+		if c.Contains(lspn, 0) {
+			t.Fatalf("lspn %d outside the volume resident", lspn)
+		}
 	}
 }
 
@@ -653,6 +674,7 @@ func BenchmarkCacheReadWrite(b *testing.B) {
 	cfg.Lines = 1024
 	cfg.TrackData = false
 	cfg.ReadaheadThreshold = 0
+	cfg.SuperPages = 4096
 	c, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)

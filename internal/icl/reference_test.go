@@ -412,6 +412,7 @@ func forReferenceConfigs(t *testing.T, body func(t *testing.T, cfg Config, seed 
 			ReadaheadThreshold: 2, ReadaheadLines: 2,
 			TrackData: trackData,
 		}
+		cfg.SuperPages = int64(4 * cfg.Lines) // referenceStream's LSPNs: readahead looks past the end
 		t.Run(fmt.Sprintf("fully-associative/lru/data=%v", trackData), func(t *testing.T) { body(t, cfg, 3) })
 	}
 }
@@ -710,6 +711,7 @@ func TestStateRefusesUnindexableFrames(t *testing.T) {
 	for name, edit := range map[string]func(r *refCache){
 		"lspn in two frames":     func(r *refCache) { r.frames[1].lspn = r.frames[0].lspn },
 		"stamped ahead of clock": func(r *refCache) { r.frames[2].lastUse = r.tick + 1 },
+		"lspn beyond the volume": func(r *refCache) { r.frames[3].lspn = cfg.SuperPages },
 	} {
 		if err := build(edit); !errors.Is(err, snap.ErrCorrupt) {
 			t.Errorf("%s: decoding State returned %v, want snap.ErrCorrupt", name, err)
@@ -720,7 +722,7 @@ func TestStateRefusesUnindexableFrames(t *testing.T) {
 // benchReadHit measures a full-line read hit on a warm cache of the given
 // size; the probe must not cost more on a larger cache.
 func benchReadHit(b *testing.B, lines int) {
-	c, err := New(Config{Lines: lines, SubsPerLine: 120, SubSize: 8192})
+	c, err := New(Config{Lines: lines, SubsPerLine: 120, SubSize: 8192, SuperPages: int64(lines)})
 	if err != nil {
 		b.Fatal(err)
 	}

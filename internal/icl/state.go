@@ -119,11 +119,12 @@ func countSet(mask []bool) int {
 
 // reindex rebuilds the LSPN index, every frame's mask counts, the LRU order
 // and the empty cursor from freshly decoded frames, refusing an image the
-// index cannot represent faithfully: one LSPN in two frames (ambiguous), or
-// a frame stamped ahead of the clock (a later touch would be stamped older
-// than it, and the order would stop mirroring the stamps). The order is
-// lastUse ascending, ties in frame order — the frame a scan for the minimum
-// stamp picks first.
+// index cannot represent faithfully: one LSPN in two frames (ambiguous), an
+// LSPN outside the volume (it has no slot, and the FTL would refuse its
+// write-back), or a frame stamped ahead of the clock (a later touch would be
+// stamped older than it, and the order would stop mirroring the stamps).
+// The order is lastUse ascending, ties in frame order — the frame a scan for
+// the minimum stamp picks first.
 func (c *Cache) reindex() error {
 	c.empty = len(c.frames)
 	var occupied []*line
@@ -135,6 +136,8 @@ func (c *Cache) reindex() error {
 				c.empty = i
 			}
 			continue
+		case ln.lspn >= int64(len(c.index)):
+			return fmt.Errorf("%w: cache line %d outside the volume of %d lines", snap.ErrCorrupt, ln.lspn, len(c.index))
 		case c.index[ln.lspn] != nil:
 			return fmt.Errorf("%w: cache line %d in two frames", snap.ErrCorrupt, ln.lspn)
 		case ln.lastUse > c.tick:
