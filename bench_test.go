@@ -226,6 +226,33 @@ func BenchmarkRunReadMiss(b *testing.B) {
 	}
 }
 
+// BenchmarkRunRandWriteGC is bench/'s randwrite4k_gc as a microbenchmark:
+// 4 KiB random overwrites of bench750, preconditioned and warmed by 20 000
+// writes so that the FTL runs at its steady-state GC, through one
+// closed-loop Run at queue depth 32. ns/op is the write path end to end —
+// ICL eviction, FTL planning, FIL execution, flash programs and erases —
+// with the GC storms that compact the volume in one plan included.
+func BenchmarkRunRandWriteGC(b *testing.B) {
+	s := bench750(b)
+	gen, err := workload.NewFIO(workload.RandWrite, 4096, s.VolumeBytes(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.Run(gen, core.RunConfig{Requests: 20000, IODepth: 32}); err != nil {
+		b.Fatal(err)
+	}
+	s.Drain()
+	b.ReportAllocs()
+	b.ResetTimer()
+	res, err := s.Run(gen, core.RunConfig{Requests: b.N, IODepth: 32})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if res.FailedWrites > 0 {
+		b.Fatalf("%d of %d writes failed", res.FailedWrites, b.N)
+	}
+}
+
 // cachedRead750 is bench/'s hotread4k_cached up to its timed section: bench750,
 // then the leading 256 MiB of the volume read once line by line at queue
 // depth 32, so that every 4 KiB random read of the returned stream hits the

@@ -1042,14 +1042,8 @@ func (s *System) flushEviction(e *sim.Engine, t sim.Time, ev *iclEviction) (sim.
 	if plan.GCRuns > 0 {
 		t2 = s.chargeFirmware(t2, modGC, s.gcMix(plan.Migrated))
 	}
-	nWrites := 0
-	for _, op := range plan.Ops {
-		if op.Kind == ftl.OpWrite {
-			nWrites++
-		}
-	}
-	t3 := s.chargeFirmware(t2, modFIL, s.filScheduleMix(nWrites))
-	if s.passive && nWrites > 0 {
+	t3 := s.chargeFirmware(t2, modFIL, s.filScheduleMix(plan.Programs))
+	if s.passive && plan.Programs > 0 {
 		// OCSSD vector write: command plus the dirty payload cross the link
 		// before the device programs it.
 		dirtyBytes := 0

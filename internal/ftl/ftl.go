@@ -163,6 +163,10 @@ var _ = [1]struct{}{}[unsafe.Sizeof(Op{})-64]
 // executed respecting their order-induced dependencies.
 type Plan struct {
 	Ops []Op
+	// Programs counts the plan's OpWrite ops, parity programs included,
+	// counted as push and add append them, so an executor's scheduling
+	// charge needs no walk of a storm's ops.
+	Programs int
 	// GCRuns counts garbage collections triggered by this call.
 	GCRuns int
 	// Migrated counts valid sub-pages moved by GC.
@@ -187,7 +191,19 @@ func (p *Plan) push(kind OpKind) *Op {
 	p.Ops = append(p.Ops, Op{})
 	op := &p.Ops[len(p.Ops)-1]
 	op.Kind = kind
+	if kind == OpWrite {
+		p.Programs++
+	}
 	return op
+}
+
+// add appends op to the plan, counting it in Programs if it is a write.
+// Every builder appends through it or push.
+func (p *Plan) add(op Op) {
+	p.Ops = append(p.Ops, op)
+	if op.Kind == OpWrite {
+		p.Programs++
+	}
 }
 
 // Cert certifies that a plan is valid by construction: the FTL knows the
@@ -730,17 +746,22 @@ func (f *FTL) popFreeSB() int {
 // index, and nothing allocOpen runs moves a victim's subs (collection is
 // suspended, or the victim is retired and never collectable).
 func (f *FTL) appendSub(now sim.Time, lspn int64, sub int, gc bool, src int32, old int64, plan *Plan) error {
-	if err := f.allocOpen(now, plan); err != nil {
-		return err
+	plane := sub
+	if f.rainW > 0 {
+		plane = f.dataPlane(sub % f.dataPlanes)
+	}
+	// allocOpen returns at once while the open block has a data plane with
+	// room, which it has when the target plane does: only a missing open
+	// block or a full target plane needs it.
+	if f.openSB < 0 || int(f.sbs[f.openSB].nextPage[plane]) >= f.pagesPerSB {
+		if err := f.allocOpen(now, plan); err != nil {
+			return err
+		}
 	}
 	if lspn == f.linkLSPN {
 		src = f.lastRead[sub]
 	}
 	sb := &f.sbs[f.openSB]
-	plane := sub % f.subCount
-	if f.rainW > 0 {
-		plane = f.dataPlane(sub % f.dataPlanes)
-	}
 	if int(sb.nextPage[plane]) >= f.pagesPerSB {
 		best := -1
 		for p := 0; p < f.subCount; p++ {
@@ -880,7 +901,7 @@ func (f *FTL) Write(now sim.Time, lspn int64, dirty []bool) (Plan, error) {
 		for sub := 0; sub < f.subCount; sub++ {
 			if !dirty[sub] {
 				if packed := f.fwd[f.fwdIndex(lspn, sub)]; packed >= 0 {
-					plan.Ops = append(plan.Ops, Op{Kind: OpRead, Loc: f.unpackLoc(int64(packed), sub), LSPN: lspn})
+					plan.add(Op{Kind: OpRead, Loc: f.unpackLoc(int64(packed), sub), LSPN: lspn})
 					f.lastRead[sub] = int32(len(plan.Ops))
 					f.stats.RMWReads++
 				}

@@ -94,7 +94,7 @@ func (f *FTL) eraseSB(sb int, plan *Plan) {
 	blk.free = true
 	f.freeSB = append(f.freeSB, sb)
 	f.stats.Erases++
-	plan.Ops = append(plan.Ops, Op{Kind: OpErase, SB: sb})
+	plan.add(Op{Kind: OpErase, SB: sb})
 }
 
 // collectable reports whether sb may be a GC victim: the open super-block,

@@ -434,3 +434,90 @@ func TestLookupSubsMatchesFullLookup(t *testing.T) {
 		})
 	}
 }
+
+// TestPlanProgramsMatchRecount holds Plan.Programs, counted as builders
+// append, to a recount of the plan's OpWrite ops on every plan of every
+// link mode — host writes, RMW pre-reads, wear-level moves, RAIN parity,
+// GC storms — and on a scrub plan and a fault-recovery plan, so an executor
+// may charge a plan's programs without walking it.
+func TestPlanProgramsMatchRecount(t *testing.T) {
+	check := func(what string, plan Plan) {
+		t.Helper()
+		if n := countOps(plan, OpWrite); plan.Programs != n {
+			t.Fatalf("%s: plan of %d ops says %d programs, it holds %d", what, len(plan.Ops), plan.Programs, n)
+		}
+	}
+	for _, m := range linkModes {
+		t.Run(m.name, func(t *testing.T) {
+			cfg := linkConfig(m.mutate)
+			storms, parity, rmw := 0, 0, 0
+			f, now := linkStream(t, cfg, m.full, 1500, nil, func(_ sim.Time, plan Plan) bool {
+				check(m.name, plan)
+				if plan.GCRuns > 0 {
+					storms++
+				}
+				for _, op := range plan.Ops {
+					if op.Parity {
+						parity++
+					}
+					if op.Kind == OpRead && !op.GC && op.LSPN >= 0 {
+						rmw++
+					}
+				}
+				return false
+			})
+			switch {
+			case storms == 0:
+				t.Fatal("no plan collected: vacuous")
+			case cfg.RAINWidth > 0 && parity == 0:
+				t.Fatal("no parity program: vacuous")
+			case !cfg.PartialUpdate && rmw == 0:
+				t.Fatal("no RMW pre-read: vacuous")
+			case cfg.WearLevelDelta > 0 && f.Stats().WearLevelMoves == 0:
+				t.Fatal("wear-levelling never moved a sub-page")
+			}
+			sb := 0
+			for sb < f.sbCount && !(f.Scrubbable(sb) && f.ValidSubs(sb) > 0) {
+				sb++
+			}
+			if sb == f.sbCount {
+				t.Fatal("no scrubbable super-block")
+			}
+			plan, _, err := f.PlanScrub(now, sb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("scrub", plan)
+		})
+	}
+
+	t.Run("recovery", func(t *testing.T) {
+		best := 0
+		linkStream(t, linkConfig(nil), false, 400, nil, func(_ sim.Time, plan Plan) bool {
+			best = max(best, len(plan.Ops))
+			return false
+		})
+		var mega Plan
+		f, at := linkStream(t, linkConfig(nil), false, 400, nil, func(_ sim.Time, plan Plan) bool {
+			mega = plan
+			return len(plan.Ops) == best
+		})
+		var sites []int
+		for i, op := range mega.Ops {
+			if op.Kind == OpWrite && i > 0 {
+				sites = append(sites, i)
+			}
+		}
+		if len(sites) == 0 {
+			t.Fatal("the largest plan has no program to fault")
+		}
+		rplan, err := f.RecoverPlanFault(at, mega, sites[len(sites)/2], nand.ErrProgramFail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rplan.Programs == 0 {
+			t.Fatal("the recovery plan re-places no program: vacuous")
+		}
+		check("recovery", rplan)
+	})
+}

@@ -303,7 +303,7 @@ func (f *FTL) MountSqueeze(now sim.Time) (Plan, int, int, error) {
 				}
 				lspn := fi / int64(f.subCount)
 				sub := int(fi % int64(f.subCount))
-				plan.Ops = append(plan.Ops, Op{Kind: OpRead, Loc: PageLoc{SB: victim, Page: page, Plane: plane, Sub: sub}, LSPN: lspn})
+				plan.add(Op{Kind: OpRead, Loc: PageLoc{SB: victim, Page: page, Plane: plane, Sub: sub}, LSPN: lspn})
 				moves = append(moves, move{lspn: lspn, sub: sub})
 			}
 		}

@@ -76,7 +76,7 @@ func (f *FTL) parityCatchupGroup(sbi, g int, plan *Plan) int {
 	n := 0
 	for sb.nextPage[pp] < min {
 		row := int(sb.nextPage[pp])
-		plan.Ops = append(plan.Ops, Op{
+		plan.add(Op{
 			Kind: OpWrite,
 			Loc:  PageLoc{SB: sbi, Page: row, Plane: pp, Sub: base},
 			LSPN: -1, GC: true, Parity: true,
@@ -143,7 +143,7 @@ func (f *FTL) PlanReconstruct(now sim.Time, lspn int64, sub int, aux []PageLoc) 
 		}
 	}()
 	for _, p := range aux {
-		plan.Ops = append(plan.Ops, Op{Kind: OpRead, Loc: p, LSPN: -1})
+		plan.add(Op{Kind: OpRead, Loc: p, LSPN: -1})
 	}
 	if err := f.appendSub(now, lspn, sub, true, 0, -1, &plan); err != nil {
 		return plan, err

@@ -235,7 +235,7 @@ func (f *FTL) RecoverPlanFault(now sim.Time, plan Plan, executed int, cause erro
 			// died with the failed executor's buffers, no copy survives.
 			return srcGone
 		}
-		out.Ops = append(out.Ops, Op{Kind: OpRead, Loc: src, LSPN: op.LSPN})
+		out.add(Op{Kind: OpRead, Loc: src, LSPN: op.LSPN})
 		emitted[fi] = true
 		return srcLoaded
 	}
@@ -273,7 +273,7 @@ func (f *FTL) RecoverPlanFault(now sim.Time, plan Plan, executed int, cause erro
 				// Timing read of a stripe member: no mapping, no pairing —
 				// re-issue verbatim (its page is physically intact; a plan
 				// orders any erase of it after the read).
-				out.Ops = append(out.Ops, op)
+				out.add(op)
 				continue
 			}
 			fi := f.fwdIndex(op.LSPN, op.Loc.Sub)
@@ -285,7 +285,7 @@ func (f *FTL) RecoverPlanFault(now sim.Time, plan Plan, executed int, cause erro
 				ensureData(op, fi)
 				continue
 			}
-			out.Ops = append(out.Ops, op)
+			out.add(op)
 			emitted[fi] = true
 		case OpWrite:
 			if op.Parity {
@@ -294,7 +294,7 @@ func (f *FTL) RecoverPlanFault(now sim.Time, plan Plan, executed int, cause erro
 				// suffix re-issues it verbatim — earlier writes into the same
 				// block re-issue verbatim too, so in-order programming holds.
 				if !f.sbs[op.Loc.SB].retired {
-					out.Ops = append(out.Ops, op)
+					out.add(op)
 				}
 				continue
 			}
@@ -330,7 +330,7 @@ func (f *FTL) RecoverPlanFault(now sim.Time, plan Plan, executed int, cause erro
 					// Padding program: the data is gone but the page must
 					// still burn, or the live target block's next-page
 					// pointer would diverge between model and flash.
-					out.Ops = append(out.Ops, Op{Kind: OpWrite, Loc: op.Loc, LSPN: op.LSPN, GC: true})
+					out.add(Op{Kind: OpWrite, Loc: op.Loc, LSPN: op.LSPN, GC: true})
 					continue
 				}
 				// A host write brings fi's bytes back: it and whatever
@@ -342,7 +342,7 @@ func (f *FTL) RecoverPlanFault(now sim.Time, plan Plan, executed int, cause erro
 				case srcHost:
 					// Host-rooted chain whose read source was displaced:
 					// re-program from the flush's host data.
-					out.Ops = append(out.Ops, Op{Kind: OpWrite, Loc: op.Loc, LSPN: op.LSPN})
+					out.add(Op{Kind: OpWrite, Loc: op.Loc, LSPN: op.LSPN})
 					continue
 				case srcGone:
 					// The only physical copy was erased before the fault and
@@ -350,11 +350,11 @@ func (f *FTL) RecoverPlanFault(now sim.Time, plan Plan, executed int, cause erro
 					// executor: lose the sub and degrade to a padding burn.
 					f.loseUnlessRewritten(fi, suffix[j+1:])
 					lost[fi] = true
-					out.Ops = append(out.Ops, Op{Kind: OpWrite, Loc: op.Loc, LSPN: op.LSPN, GC: true})
+					out.add(Op{Kind: OpWrite, Loc: op.Loc, LSPN: op.LSPN, GC: true})
 					continue
 				}
 			}
-			out.Ops = append(out.Ops, op)
+			out.add(op)
 		case OpErase:
 			if f.sbs[op.SB].retired {
 				continue
@@ -379,11 +379,11 @@ func (f *FTL) RecoverPlanFault(now sim.Time, plan Plan, executed int, cause erro
 					continue
 				}
 				if src, ok := srcOf(in); ok && src.SB == op.SB && !erasedPrefix[src.SB] {
-					out.Ops = append(out.Ops, Op{Kind: OpRead, Loc: src, LSPN: later.LSPN})
+					out.add(Op{Kind: OpRead, Loc: src, LSPN: later.LSPN})
 					emitted[lfi] = true
 				}
 			}
-			out.Ops = append(out.Ops, op)
+			out.add(op)
 		}
 	}
 	for i, m := range moves {

@@ -35,24 +35,29 @@ type OOBInfo struct {
 	Good bool
 	// Stripe is the RAIN stripe-membership mask stamped on parity pages
 	// (bit i: data plane i of the parity group is covered), zero for data
-	// and non-RAIN pages. Mount rebuilds parity membership from it.
+	// and non-RAIN pages. Mount rebuilds parity membership from it, and a
+	// RAIN reconstruction checks it. The flash keeps it in a side table
+	// beside the stamps, allocated by the first non-zero mask.
 	Stripe uint32
 }
 
 // PageOOB returns the OOB metadata of the page at addr. Pages never
 // programmed since their block's last erase return FI -1, Seq 0.
 func (f *Flash) PageOOB(addr Address) OOBInfo {
-	o := &f.oob[f.slot(&addr)]
-	return OOBInfo{FI: o.fi(), Seq: o.seqNo(), Good: o.good(), Stripe: o.stripe}
+	s := f.slot(&addr)
+	o := &f.oob[s]
+	return OOBInfo{FI: o.fi(), Seq: o.seqNo(), Good: o.good(), Stripe: f.stripes.at(s)}
 }
 
 // SetPageStripe stamps the written page at addr with a RAIN stripe
-// membership mask. The stamp is part of the page's OOB metadata, written
+// membership mask. The mask is part of the page's OOB metadata, written
 // by the same array operation as the parity payload — callers invoke it
 // right after issuing the parity program, and a power cut that
-// tears the program clears the whole stamp (good=false) with it.
+// tears the program fails the whole stamp (good=false) with it. The flash
+// keeps masks in a side table by slot, allocated by the first non-zero
+// mask, so only a RAIN device pays its 4 bytes a page.
 func (f *Flash) SetPageStripe(addr Address, mask uint32) {
-	f.oob[f.slot(&addr)].stripe = mask
+	f.stripes.set(f.slot(&addr), mask, len(f.oob))
 }
 
 // TamperOOB corrupts one field of a page's OOB stamp, selected by mode
@@ -71,17 +76,17 @@ func (f *Flash) TamperOOB(pageIdx int64, mode uint8) {
 	o := &f.oob[s]
 	switch mode % 5 {
 	case 0:
-		o.seq ^= oobGood
+		o.seqHi ^= hiGood
 	case 1:
 		o.notFI ^= 1 << (mode % 32) // the same bit of the tag
 	case 2:
-		o.seq ^= 1 << (mode % 48)
+		o.setSeq(o.seqWord() ^ 1<<(mode%48))
 	case 3:
 		if f.sums != nil {
 			f.sums[s] ^= 1 << (mode % 64)
 		}
 	case 4:
-		o.stripe ^= 1 << (mode % 16)
+		f.stripes.set(s, f.stripes.at(s)^1<<(mode%16), len(f.oob))
 	}
 }
 
@@ -290,7 +295,7 @@ func (f *Flash) PowerLoss(now sim.Time, seed uint64) PowerLossReport {
 	for i := range f.inFlight.n {
 		p := f.inFlight.at(i)
 		o := &f.oob[p.slot]
-		if p.doneAt <= now || !o.written() || uint32(o.seqNo()) != p.seq {
+		if p.doneAt <= now || !o.written() || o.seqLo != p.seq {
 			// Completed before the cut, or no longer the slot's stamp: erased
 			// since, reprogrammed since, or older than the stamp an undone
 			// erase put back (that stamp's own entry counts it).
@@ -299,7 +304,7 @@ func (f *Flash) PowerLoss(now sim.Time, seed uint64) PowerLossReport {
 		rep.InFlight++
 		if tornDraw(seed, f.pageOfSlot(int64(p.slot)), o.seqNo()) {
 			rep.Torn++
-			o.seq &^= oobGood
+			o.seqHi &^= hiGood
 			if f.trackData {
 				f.dropPayload(int64(p.slot))
 			}
@@ -324,11 +329,11 @@ func (f *Flash) dropPayload(s int64) {
 }
 
 // undoErase puts back the block state u snapshotted: erase count, in-order
-// pointer, stamps (written flags included) and, on a tracked flash,
-// checksums and page buffers. Every page present at the claim is present
-// again with its bytes and every other page absent, whatever programs
-// issued after the claim installed: they would have completed after the
-// erase, so after the cut.
+// pointer, stamps (written flags included), stripe masks if u holds any
+// and, on a tracked flash, checksums and page buffers. Every page present
+// at the claim is present again with its bytes and every other page absent,
+// whatever programs issued after the claim installed: they would have
+// completed after the erase, so after the cut.
 func (f *Flash) undoErase(u *eraseUndoRec) {
 	blk := &f.blocks[u.bi]
 	blk.eraseCount = u.eraseCount
@@ -336,6 +341,9 @@ func (f *Flash) undoErase(u *eraseUndoRec) {
 	s0 := f.blockSlot(u.bi)
 	for pg, s := 0, s0; pg < len(u.oob); pg, s = pg+1, s+f.planes {
 		f.oob[s] = u.oob[pg]
+	}
+	for pg, s := 0, s0; pg < len(u.stripes); pg, s = pg+1, s+f.planes {
+		f.stripes.set(s, u.stripes[pg], len(f.oob))
 	}
 	if !f.trackData {
 		return

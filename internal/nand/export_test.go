@@ -3,10 +3,11 @@ package nand
 import "unsafe"
 
 // Footprint returns the bytes f's page and block metadata holds: the OOB
-// stamps (written flags included), the payload checksums and the block
-// table.
+// stamps (written flags included), the payload checksums, the stripe masks
+// and the block table.
 func (f *Flash) Footprint() int {
 	n := len(f.oob)*int(unsafe.Sizeof(pageOOB{})) + len(f.sums)*int(unsafe.Sizeof(f.sums[0]))
+	n += len(f.stripes) * int(unsafe.Sizeof(uint32(0)))
 	return n + len(f.blocks)*int(unsafe.Sizeof(blockState{}))
 }
 

@@ -40,7 +40,7 @@ func refPowerLoss(f *Flash, now sim.Time, seed uint64, done map[uint64]sim.Time)
 		rep.InFlight++
 		if tornDraw(seed, f.pageOfSlot(int64(s)), o.seqNo()) {
 			rep.Torn++
-			o.seq &^= oobGood
+			o.seqHi &^= hiGood
 			f.dropPayload(int64(s))
 			continue
 		}

@@ -323,49 +323,85 @@ type blockState struct {
 // block's last erase. It holds durable state only: when the array operation
 // completes, which decides whether a power cut catches the program in
 // flight, is kept by the program journal (progJournal) for as long as a cut
-// still can.
+// still can. A RAIN parity page's stripe mask is spare-area state too, but
+// only parity pages carry one, so it lives in a side table (Flash.stripes)
+// a device without RAIN never allocates.
 //
-// Every physical page carries one, so the layout is a budget: 16 bytes
-// (asserted below). The good and written flags are the top two bits of seq
-// — the write sequence counts programs one by one from 1 and never reaches
-// bit 62 — and fi is 32 bits, because the FTL's forward-map indices are
-// (ftl.New bounds them) and New bounds the page count the same way. fi is
-// stored complemented, so the erased stamp (tag -1, no flags, nothing else)
-// is the zero value: a new flash's stamps are erased as allocated, and an
-// erase clears them. Stamps are stored in slot order (see the package
-// comment), one contiguous row per super-page.
+// Every physical page carries one, so the layout is a budget: 12 bytes
+// (asserted below), three 32-bit fields with nothing to pad. The sequence
+// word — the write sequence number with the good and written flags in its
+// top two bits (the sequence counts programs one by one from 1 and never
+// reaches bit 62) — is stored as two halves, because a uint64 field would
+// align the struct to 8 bytes and pad it to 16; the flags sit in the high
+// half. fi is 32 bits, because the FTL's forward-map indices are (ftl.New
+// bounds them) and New bounds the page count the same way. fi is stored
+// complemented, so the erased stamp (tag -1, no flags, nothing else) is the
+// zero value: a new flash's stamps are erased as allocated, and an erase
+// clears them. Stamps are stored in slot order (see the package comment),
+// one contiguous row per super-page.
 type pageOOB struct {
-	seq   uint64 // oobGood | oobWritten | the write sequence number (seqNo); 0 when erased
+	seqLo uint32 // the sequence word's low half
+	seqHi uint32 // its high half: hiGood | hiWritten | the sequence's bits 32-61; 0 when erased
 	notFI int32  // ^fi: 0 for the erased stamp's -1
-	// stripe tags a RAIN parity page with its stripe membership mask (bit
-	// i set: data plane i of the page's parity group is covered). Zero for
-	// data and non-RAIN pages. Durable, like every OOB stamp, so mount
-	// rebuilds parity membership from flash alone. 32 bits: a RAIN group
-	// may have 32 data planes.
-	stripe uint32
 }
 
-// Compile-time proof of the 16-byte budget: any other size makes the
+// Compile-time proof of the 12-byte budget: any other size makes the
 // constant index out of range.
-var _ = [1]struct{}{}[unsafe.Sizeof(pageOOB{})-16]
+var _ = [1]struct{}{}[unsafe.Sizeof(pageOOB{})-12]
 
-// The flag bits of pageOOB.seq: the checksum verdict and the written flag.
+// The flag bits of the sequence word: the checksum verdict and the written
+// flag, and the same bits in its high half (pageOOB.seqHi).
 const (
 	oobGood    = 1 << 63
 	oobWritten = 1 << 62
 	oobFlags   = oobGood | oobWritten
+	hiGood     = oobGood >> 32
+	hiWritten  = oobWritten >> 32
 )
 
-func (o *pageOOB) good() bool    { return o.seq&oobGood != 0 }
-func (o *pageOOB) written() bool { return o.seq&oobWritten != 0 }
-func (o *pageOOB) seqNo() uint64 { return o.seq &^ oobFlags }
+func (o *pageOOB) good() bool    { return o.seqHi&hiGood != 0 }
+func (o *pageOOB) written() bool { return o.seqHi&hiWritten != 0 }
+func (o *pageOOB) seqWord() uint64 {
+	return uint64(o.seqHi)<<32 | uint64(o.seqLo)
+}
+func (o *pageOOB) seqNo() uint64 { return o.seqWord() &^ oobFlags }
 func (o *pageOOB) fi() int64     { return int64(^o.notFI) }
+
+// setSeq splits the sequence word w (sequence number and flags) into the
+// stamp's two halves.
+func (o *pageOOB) setSeq(w uint64) { o.seqLo, o.seqHi = uint32(w), uint32(w>>32) }
 
 func goodBit(g bool) uint64 {
 	if g {
 		return oobGood
 	}
 	return 0
+}
+
+// stripeTab holds RAIN stripe membership masks by index (bit i set: data
+// plane i of the page's parity group is covered; 32 bits, as a RAIN group
+// may have 32 data planes). It stays nil until a mask is non-zero, so a
+// flash that never programs parity holds none of it; a nil table reads as
+// all zero.
+type stripeTab []uint32
+
+func (t stripeTab) at(i int64) uint32 {
+	if t == nil {
+		return 0
+	}
+	return t[i]
+}
+
+// set stores mask m at i, allocating the table's n entries on the first
+// non-zero mask.
+func (t *stripeTab) set(i int64, m uint32, n int) {
+	if *t == nil {
+		if m == 0 {
+			return
+		}
+		*t = make(stripeTab, n)
+	}
+	(*t)[i] = m
 }
 
 // arenaChunkPages is the number of physical pages per arena chunk. Chunks
@@ -491,15 +527,19 @@ type Flash struct {
 
 	// oob holds the per-page out-of-band metadata, indexed by slot (see the
 	// package comment; planes is TotalPlanes, the slot's stride from one
-	// page of a block to the next) — 16 bytes a page, most of a timing-only
+	// page of a block to the next) — 12 bytes a page, most of a timing-only
 	// flash's heap; progSeq is the device-wide write sequence counter its
 	// stamps draw from. sums holds each page's payload checksum (pageSum of
 	// the tracked payload; 0: programmed without one, nothing to verify),
 	// by slot too, 8 bytes a page, on a tracked flash only: nil on a
-	// timing-only one, where every checksum would be 0. All three are
-	// durable across power loss.
+	// timing-only one, where every checksum would be 0. stripes holds each
+	// page's RAIN stripe mask by slot, 4 bytes a page once a parity program
+	// stamps the first mask (SetPageStripe, or a decoded image carrying
+	// one): nil until then, so a flash without RAIN never holds it. All
+	// four are durable across power loss.
 	oob     []pageOOB
 	sums    []uint64
+	stripes stripeTab
 	progSeq uint64
 	planes  int64
 
@@ -1226,7 +1266,10 @@ func (f *Flash) claimProgram(now sim.Time, addr *Address, di int, tag int64) (xf
 	f.epoch++
 	f.progSeq++
 	slot = f.slotOfDie(di, addr)
-	f.oob[slot] = pageOOB{seq: f.progSeq | oobGood | oobWritten, notFI: ^int32(tag)}
+	f.oob[slot] = pageOOB{seqLo: uint32(f.progSeq), seqHi: uint32(f.progSeq>>32) | hiGood | hiWritten, notFI: ^int32(tag)}
+	if f.stripes != nil {
+		f.stripes[slot] = 0 // a parity program's caller stamps its mask next
+	}
 	f.journal(progEntry{doneAt: done, slot: int32(slot), seq: uint32(f.progSeq)})
 	if f.sums != nil {
 		f.sums[slot] = 0 // the caller stamps the payload's, if it has one
@@ -1236,9 +1279,11 @@ func (f *Flash) claimProgram(now sim.Time, addr *Address, di int, tag int64) (xf
 
 // eraseUndoRec snapshots the block state one claimed erase destroyed, so a
 // power cut before the erase's array operation started can put it back. It
-// copies the block's stamps — 16 bytes a page, written flags included, plus
+// copies the block's stamps — 12 bytes a page, written flags included, plus
 // 8 for the checksums on a tracked flash (sums is nil on a timing-only one)
-// — and on a tracked
+// and 4 for the stripe masks once the flash holds a stripe table (stripes
+// stays nil until then; a record's own copy is what the image and an undo
+// read, since the erase zeroed the live table's) — and on a tracked
 // flash holds the page buffers the erase took out of the arena. The pool
 // keeps every record a burst of erases needed, so the per-page cost is paid
 // once per block in flight.
@@ -1249,6 +1294,7 @@ type eraseUndoRec struct {
 	nextPage   int32
 	oob        []pageOOB
 	sums       []uint64
+	stripes    stripeTab
 	// bufs holds, by page, the buffer the erase took out of the arena, nil
 	// for a page that held nothing (tracked flash only). The record owns
 	// them until it is restored or recycled.
@@ -1349,6 +1395,17 @@ func (f *Flash) claimErase(now sim.Time, addr *Address, di int) (cmdStart, done 
 	for pg, s := 0, s0; pg < len(undo.oob); pg, s = pg+1, s+f.planes {
 		undo.oob[pg] = f.oob[s]
 		f.oob[s] = pageOOB{}
+	}
+	if f.stripes != nil {
+		if undo.stripes == nil {
+			undo.stripes = make(stripeTab, len(undo.oob))
+		}
+		for pg, s := 0, s0; pg < len(undo.stripes); pg, s = pg+1, s+f.planes {
+			undo.stripes[pg] = f.stripes[s]
+			f.stripes[s] = 0
+		}
+	} else {
+		undo.stripes = nil // pooled from an image that gave it masks: none to copy here
 	}
 	f.eraseUndo = append(f.eraseUndo, undo)
 	f.undoLow = min(f.undoLow, opStart)

@@ -39,7 +39,7 @@ func (f *Flash) State(c *snap.Codec) error {
 			w := f.oob[s].written()
 			c.Bool(&w)
 			if w {
-				f.oob[s].seq |= oobWritten
+				f.oob[s].seqHi |= hiWritten
 			}
 		}
 	}
@@ -49,9 +49,11 @@ func (f *Flash) State(c *snap.Codec) error {
 			if !f.oob[s].written() {
 				continue // invariant: unwritten pages carry the erased OOB, a fresh flash's too
 			}
-			if err := f.stampState(c, &f.oob[s], f.sumAt(s), base+int64(pg)); err != nil {
+			stripe := f.stripes.at(s)
+			if err := f.stampState(c, &f.oob[s], f.sumAt(s), &stripe, base+int64(pg)); err != nil {
 				return err
 			}
+			f.stripes.set(s, stripe, len(f.oob))
 		}
 	}
 	if err := c.SameBool(f.trackData, "tracked data"); err != nil {
@@ -129,14 +131,19 @@ func (f *Flash) sumAt(s int64) *uint64 {
 	return &f.sums[s]
 }
 
-// stampState walks the OOB stamp o of written page idx and its checksum
-// (sum, nil on a timing-only flash) as five separate fields — tag, sequence,
-// checksum, good flag, stripe — so the compact stamp leaves the image in its
-// wide form (the written flag travels with the block's). Decoding reads the
-// wide values and refuses what the stamp cannot hold instead of truncating
-// it: a tag outside int32, a sequence with either flag's bit set, a checksum
-// on a flash that keeps none.
-func (f *Flash) stampState(c *snap.Codec, o *pageOOB, sum *uint64, idx int64) error {
+// stampState walks the OOB stamp o of written page idx, its checksum (sum,
+// nil on a timing-only flash) and its stripe mask as five separate fields —
+// tag, sequence, checksum, good flag, stripe — so the compact stamp, whose
+// sequence word is split in halves and whose mask lives in a side table,
+// leaves the image in its wide form (the written flag travels with the
+// block's). The caller reads the mask from where the page's copy lives — the
+// live table for a page on the flash, the record's own table for an
+// erase-undo record, whose erase zeroed the live one — and stores it back
+// there after decoding. Decoding reads the wide values and refuses what the
+// stamp cannot hold instead of truncating it: a tag outside int32, a
+// sequence with either flag's bit set, a checksum on a flash that keeps
+// none.
+func (f *Flash) stampState(c *snap.Codec, o *pageOOB, sum *uint64, stripe *uint32, idx int64) error {
 	fi, seq, good := o.fi(), o.seqNo(), o.good()
 	var s uint64
 	if sum != nil {
@@ -146,7 +153,7 @@ func (f *Flash) stampState(c *snap.Codec, o *pageOOB, sum *uint64, idx int64) er
 	snap.U(c, &seq)
 	snap.U(c, &s)
 	c.Bool(&good)
-	snap.U(c, &o.stripe)
+	snap.U(c, stripe)
 	if !c.Decoding() || c.Err() != nil {
 		return c.Err()
 	}
@@ -159,7 +166,7 @@ func (f *Flash) stampState(c *snap.Codec, o *pageOOB, sum *uint64, idx int64) er
 		return fmt.Errorf("%w: OOB checksum on page %d of a timing-only flash", snap.ErrCorrupt, idx)
 	}
 	o.notFI = ^int32(fi)
-	o.seq = seq | goodBit(good) | oobWritten
+	o.setSeq(seq | goodBit(good) | oobWritten)
 	if sum != nil {
 		*sum = s
 	}
@@ -209,9 +216,10 @@ func (f *Flash) inFlightState(c *snap.Codec) error {
 
 // eraseUndoState walks the erase-undo records, oldest first: block, erase
 // start, erase count, in-order pointer, each page's written flag and, for a
-// written page, its stamp and checksum, then on a tracked flash each page's
-// buffer, if the erase took one. Decoding journals each record again and
-// refuses a buffer on a page whose stamp is unwritten.
+// written page, its stamp, checksum and stripe mask (the record's copy),
+// then on a tracked flash each page's buffer, if the erase took one.
+// Decoding journals each record again and refuses a buffer on a page whose
+// stamp is unwritten.
 func (f *Flash) eraseUndoState(c *snap.Codec) error {
 	ppb := f.geo.PagesPerBlock
 	n := c.Len(len(f.eraseUndo), len(f.blocks)*ppb)
@@ -249,9 +257,11 @@ func (f *Flash) eraseUndoState(c *snap.Codec) error {
 			if u.sums != nil {
 				sum = &u.sums[pg]
 			}
-			if err := f.stampState(c, &u.oob[pg], sum, base+int64(pg)); err != nil {
+			stripe := u.stripes.at(int64(pg))
+			if err := f.stampState(c, &u.oob[pg], sum, &stripe, base+int64(pg)); err != nil {
 				return err
 			}
+			u.stripes.set(int64(pg), stripe, len(u.oob))
 		}
 		for pg, buf := range u.bufs {
 			has := buf != nil

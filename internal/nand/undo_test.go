@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"amber/internal/sim"
+	"amber/internal/snap"
 )
 
 // TestPruneMatchesLinearFilter drives the erase-undo journal with random
@@ -72,6 +73,65 @@ func TestPruneMatchesLinearFilter(t *testing.T) {
 		}
 		if skipped == 0 {
 			t.Errorf("seed %d: no prune took the low-water shortcut", seed)
+		}
+	}
+}
+
+// TestEraseUndoKeepsStripesThroughImage: on a block holding RAIN parity
+// pages, an erase issued on an engine zeroes the live stripe masks and its
+// undo record keeps the block's; an image taken while the record is live,
+// restored into a new flash and cut before the erase's array operation
+// starts puts every parity page's mask back. The image must carry the
+// record's own copy: the live table's slots for the block read zero once
+// the erase is claimed.
+func TestEraseUndoKeepsStripesThroughImage(t *testing.T) {
+	for _, track := range []bool{false, true} {
+		f := newTestFlash(t, Options{TrackData: track})
+		blk := Address{Channel: 1, Plane: 1, Block: 4}
+		other := Address{Channel: 2, Block: 7} // keeps a mask on the live table
+		want := map[Address]uint32{}
+		for pg := 0; pg < 6; pg++ {
+			a := blk
+			a.Page = pg
+			if _, err := programTagged(f, 0, a, []byte{byte(pg)}, -1); err != nil {
+				t.Fatal(err)
+			}
+			want[a] = 0
+			if pg%2 == 1 {
+				mask := uint32(0b101)<<pg | 1
+				f.SetPageStripe(a, mask)
+				want[a] = mask
+			}
+		}
+		if _, err := programTagged(f, 0, other, []byte{9}, -1); err != nil {
+			t.Fatal(err)
+		}
+		f.SetPageStripe(other, 1<<31)
+
+		e := sim.NewEngine()
+		dom := e.Domain(ChannelDomain(blk.Channel))
+		eraseDeferred(t, f, e, dom, f.FreeAt()+sim.FromMicroseconds(100), blk)
+		if len(f.eraseUndo) != 1 {
+			t.Fatalf("tracked=%v: %d erase-undo records live, want 1", track, len(f.eraseUndo))
+		}
+		for a := range want {
+			if got := f.PageOOB(a).Stripe; got != 0 {
+				t.Fatalf("tracked=%v: page %v of the erased block reads stripe %#x", track, a, got)
+			}
+		}
+
+		r := newTestFlash(t, Options{TrackData: track})
+		if err := r.State(snap.Decoding(encodeFlash(f))); err != nil {
+			t.Fatal(err)
+		}
+		if rep := r.PowerLoss(f.eraseUndo[0].start-1, 1); rep.ErasesUndone != 1 || rep.Torn != 0 {
+			t.Fatalf("tracked=%v: the cut resolved as %+v, want one erase undone and nothing torn", track, rep)
+		}
+		want[other] = 1 << 31
+		for a, mask := range want {
+			if got := r.PageOOB(a); got.Stripe != mask || !got.Good {
+				t.Errorf("tracked=%v: page %v restored and un-erased reads %+v, want stripe %#x", track, a, got, mask)
+			}
 		}
 	}
 }
