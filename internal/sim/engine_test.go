@@ -332,6 +332,37 @@ func TestEngineReset(t *testing.T) {
 	if fired {
 		t.Fatal("event fired after Reset")
 	}
+	// Reset drops every callback from both containers and keeps their
+	// storage: fill the ring in time order and the heap with events whose
+	// place lies beyond ringReach of both ends of the ring.
+	for i := 0; i < 64; i++ {
+		e.ScheduleIn(DefaultDomain, Duration(2+i%5), func() { fired = true })
+	}
+	e.Step()
+	if e.ringLen == 0 || len(e.heap) == 0 {
+		t.Fatalf("fill left %d events in the ring and %d in the heap, want both used", e.ringLen, len(e.heap))
+	}
+	ringCap, heapCap := len(e.ring), cap(e.heap)
+	fired = false
+	e.Reset()
+	if e.Pending() != 0 || len(e.ring) != ringCap || cap(e.heap) != heapCap {
+		t.Fatalf("Reset left Pending=%d, ring storage %d (was %d), heap storage %d (was %d)",
+			e.Pending(), len(e.ring), ringCap, cap(e.heap), heapCap)
+	}
+	for i, ev := range e.ring {
+		if ev.fn != nil {
+			t.Fatalf("ring slot %d still holds a callback after Reset", i)
+		}
+	}
+	for i, ev := range e.heap[:heapCap] {
+		if ev.fn != nil {
+			t.Fatalf("heap slot %d still holds a callback after Reset", i)
+		}
+	}
+	e.Run()
+	if fired {
+		t.Fatal("event fired after Reset")
+	}
 	// The engine is fully usable after Reset.
 	n := 0
 	e.ScheduleIn(DefaultDomain, Nanosecond, func() { n++ })
@@ -342,13 +373,16 @@ func TestEngineReset(t *testing.T) {
 }
 
 // TestEngineScheduleStepAllocFree locks in the tentpole guarantee: in
-// steady state (heap storage warmed up), Schedule+Step allocate nothing.
+// steady state (ring storage warmed up), Schedule+Step allocate nothing.
 func TestEngineScheduleStepAllocFree(t *testing.T) {
 	e := NewEngine()
 	fn := func() {}
-	// Warm the heap.
+	// Warm the ring: in-order events all land in it.
 	for i := 0; i < 64; i++ {
 		e.ScheduleIn(DefaultDomain, Time(i), fn)
+	}
+	if e.ringLen != 64 || len(e.heap) != 0 {
+		t.Fatalf("warm-up put %d events in the ring and %d in the heap, want 64 and 0", e.ringLen, len(e.heap))
 	}
 	e.Run()
 	allocs := testing.AllocsPerRun(1000, func() {

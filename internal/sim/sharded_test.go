@@ -268,64 +268,76 @@ func TestEngineDomainStats(t *testing.T) {
 	}
 }
 
-// TestEngineCallbackSchedulesIntoOwnShard dispatches the head of a shard
-// whose heap is filled exactly to its capacity, from a callback that
-// schedules two more events into that same shard: the first takes the slot
-// the pop freed, the second makes append move the heap while its former
-// head is still running. Dispatch order and Pending — read inside the
-// callback too — must match the reference, which holds only if the engine
-// takes the event out of the heap before calling it and keeps no pointer
-// into the old array.
+// TestEngineCallbackSchedulesIntoOwnShard dispatches the head of a container
+// filled exactly to its capacity, from a callback that schedules two more
+// events into that same container: the first takes the slot the pop freed,
+// the second makes it grow while its former head is still running. The heap
+// leg fills the heap with events the ring cannot place (five times repeated
+// over and over), so append moves the heap; the ring leg fills the ring in
+// time order, so it doubles and unwraps. Dispatch order and Pending — read
+// inside the callback too — must match the reference, which holds only if
+// the engine takes the event out of its container before calling it and
+// keeps no pointer into the old array.
 func TestEngineCallbackSchedulesIntoOwnShard(t *testing.T) {
-	e := NewEngine()
-	dom := e.Domain("a")
-	ref := &refScheduler{}
-	var got, want []int
-	tag := 0
-	schedule := func(d Duration, then func()) {
-		tg := tag
-		tag++
-		ref.schedule(d, tg)
-		e.ScheduleIn(dom, d, func() {
-			got = append(got, tg)
-			if then != nil {
-				then()
+	for _, leg := range []struct {
+		name  string
+		store func(*Engine) []event // the container's occupied slots, its capacity as cap
+		delay func(tag int) Duration
+	}{
+		{"heap", func(e *Engine) []event { return e.heap }, func(tag int) Duration { return Duration(2 + tag%5) }},
+		{"ring", func(e *Engine) []event { return e.ring[:e.ringLen] }, func(tag int) Duration { return Duration(2 + tag) }},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			e := NewEngine()
+			dom := e.Domain("a")
+			ref := &refScheduler{}
+			var got, want []int
+			tag := 0
+			schedule := func(d Duration, then func()) {
+				tg := tag
+				tag++
+				ref.schedule(d, tg)
+				e.ScheduleIn(dom, d, func() {
+					got = append(got, tg)
+					if then != nil {
+						then()
+					}
+				})
+			}
+			checkPending := func(when string) {
+				t.Helper()
+				if e.Pending() != len(ref.evts) {
+					t.Fatalf("%s: Pending %d vs reference %d", when, e.Pending(), len(ref.evts))
+				}
+			}
+			schedule(1, func() {
+				checkPending("entering the head callback")
+				schedule(0, nil) // same instant, later sequence: fires next
+				schedule(3, nil) // one past capacity: the container moves mid-dispatch
+				checkPending("leaving the head callback")
+			})
+			for s := leg.store(e); len(s) < 8 || len(s) < cap(s); s = leg.store(e) {
+				schedule(leg.delay(tag), nil)
+			}
+			full := cap(leg.store(e))
+			for {
+				_, tg, ok := ref.step()
+				if stepped := e.Step(); stepped != ok {
+					t.Fatalf("Step=%v, reference=%v", stepped, ok)
+				}
+				if !ok {
+					break
+				}
+				want = append(want, tg)
+				checkPending("after a step")
+			}
+			if c := cap(leg.store(e)); c <= full {
+				t.Fatalf("%s capacity %d never grew past %d: the callback did not force a reallocation", leg.name, c, full)
+			}
+			if !reflect.DeepEqual(got, want) || len(got) != tag {
+				t.Fatalf("dispatch order %v, reference %v (%d scheduled)", got, want, tag)
 			}
 		})
-	}
-	checkPending := func(when string) {
-		t.Helper()
-		if e.Pending() != len(ref.evts) {
-			t.Fatalf("%s: Pending %d vs reference %d", when, e.Pending(), len(ref.evts))
-		}
-	}
-	schedule(1, func() {
-		checkPending("entering the head callback")
-		schedule(0, nil) // same instant, later sequence: fires next
-		schedule(3, nil) // one past capacity: the heap moves mid-dispatch
-		checkPending("leaving the head callback")
-	})
-	heap := &e.heap
-	for len(*heap) < 8 || len(*heap) < cap(*heap) {
-		schedule(Duration(2+tag%5), nil)
-	}
-	full := cap(*heap)
-	for {
-		_, tg, ok := ref.step()
-		if stepped := e.Step(); stepped != ok {
-			t.Fatalf("Step=%v, reference=%v", stepped, ok)
-		}
-		if !ok {
-			break
-		}
-		want = append(want, tg)
-		checkPending("after a step")
-	}
-	if cap(*heap) <= full {
-		t.Fatalf("heap capacity %d never grew past %d: the callback did not force a reallocation", cap(*heap), full)
-	}
-	if !reflect.DeepEqual(got, want) || len(got) != tag {
-		t.Fatalf("dispatch order %v, reference %v (%d scheduled)", got, want, tag)
 	}
 }
 
@@ -347,6 +359,9 @@ func TestEngineHotLoopAllocFree(t *testing.T) {
 	e.Run()
 	for i := 0; i < 48*len(doms); i++ {
 		e.ScheduleIn(doms[i%len(doms)], Duration(i%97)*Nanosecond, fn)
+	}
+	if e.ringLen == 0 || len(e.heap) == 0 {
+		t.Fatalf("warm-up left %d events in the ring and %d in the heap, want both used", e.ringLen, len(e.heap))
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(2000, func() {
